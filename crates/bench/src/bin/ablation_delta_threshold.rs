@@ -6,30 +6,16 @@
 //! SSD (wear, latency); a high threshold keeps poorly-compressible deltas
 //! in precious RAM.
 
-use icash_core::{Icash, IcashConfig};
+use icash_bench::harness::Ablation;
+use icash_bench::RunConfig;
 use icash_metrics::report::table;
-use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::sysbench;
-use icash_workloads::trace::{Trace, TracePlayer};
 
 fn main() {
-    let ops = icash_bench::cli::ops_from_env(40_000);
-    let spec = sysbench::spec().scaled_to_ops(ops);
-    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
-    let trace = Trace::record(&mut source, ops);
+    let ablation = Ablation::sysbench(&RunConfig::from_env());
 
     let mut rows = Vec::new();
     for threshold in [256usize, 512, 1_024, 2_048, 3_072, 4_096] {
-        let mut system = Icash::new(
-            IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
-                .delta_threshold(threshold)
-                .build(),
-        );
-        let mut player = TracePlayer::new(spec.clone(), trace.clone());
-        let mut model = ContentModel::new(1, spec.profile.clone());
-        let cfg = DriverConfig::new(ops).clients(spec.clients);
-        let s = run_benchmark(&mut system, &mut player, &mut model, &cfg);
+        let (s, system) = ablation.run(|b| b.delta_threshold(threshold), &ablation.driver());
         let st = system.stats();
         rows.push(vec![
             format!("{threshold}"),

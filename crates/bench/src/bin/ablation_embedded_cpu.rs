@@ -9,14 +9,10 @@
 //! CPU utilization stays put; the question is how much response time and
 //! throughput the slower delta engine costs.
 
-use icash_core::{Icash, IcashConfig};
+use icash_bench::harness::Ablation;
+use icash_bench::RunConfig;
 use icash_metrics::report::table;
 use icash_storage::cpu::{CpuCosts, CpuModel};
-use icash_storage::time::Ns;
-use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::sysbench;
-use icash_workloads::trace::{Trace, TracePlayer};
 
 fn scaled_costs(factor: u64) -> CpuCosts {
     let base = CpuCosts::default();
@@ -31,10 +27,7 @@ fn scaled_costs(factor: u64) -> CpuCosts {
 }
 
 fn main() {
-    let ops = icash_bench::cli::ops_from_env(40_000);
-    let spec = sysbench::spec().scaled_to_ops(ops);
-    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
-    let trace = Trace::record(&mut source, ops);
+    let ablation = Ablation::sysbench(&RunConfig::from_env());
 
     let processors: Vec<(&str, CpuModel)> = vec![
         ("host Xeon (paper prototype)", CpuModel::xeon()),
@@ -50,13 +43,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, cpu) in processors {
-        let mut system = Icash::new(
-            IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes).build(),
-        );
-        let mut player = TracePlayer::new(spec.clone(), trace.clone());
-        let mut model = ContentModel::new(1, spec.profile.clone());
-        let cfg = DriverConfig::new(ops).clients(spec.clients).cpu(cpu);
-        let s = run_benchmark(&mut system, &mut player, &mut model, &cfg);
+        let (s, _) = ablation.run(|b| b, &ablation.driver().cpu(cpu));
         rows.push(vec![
             name.to_string(),
             format!("{:.1}", s.transactions_per_sec()),
@@ -64,7 +51,6 @@ fn main() {
             format!("{:.1}", s.write_mean_us()),
             format!("{:.2}%", s.storage_cpu_utilization * 100.0),
         ]);
-        let _ = Ns::ZERO;
     }
     print!(
         "{}",

@@ -9,30 +9,16 @@
 //! settings trade bounded staged-in-RAM exposure (recoverable via the
 //! ticket barrier API) for fewer, larger log writes.
 
-use icash_core::{Icash, IcashConfig};
+use icash_bench::harness::Ablation;
+use icash_bench::RunConfig;
 use icash_metrics::report::table;
-use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::sysbench;
-use icash_workloads::trace::{Trace, TracePlayer};
 
 fn main() {
-    let ops = icash_bench::cli::ops_from_env(40_000);
-    let spec = sysbench::spec().scaled_to_ops(ops);
-    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
-    let trace = Trace::record(&mut source, ops);
+    let ablation = Ablation::sysbench(&RunConfig::from_env());
 
     let mut rows = Vec::new();
     for depth in [1u64, 2, 4, 8, 16, 32, 64] {
-        let mut system = Icash::new(
-            IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
-                .group_commit_depth(depth)
-                .build(),
-        );
-        let mut player = TracePlayer::new(spec.clone(), trace.clone());
-        let mut model = ContentModel::new(1, spec.profile.clone());
-        let cfg = DriverConfig::new(ops).clients(spec.clients);
-        let s = run_benchmark(&mut system, &mut player, &mut model, &cfg);
+        let (s, system) = ablation.run(|b| b.group_commit_depth(depth), &ablation.driver());
         let st = system.stats();
         let hdd_writes = s.report.hdd.as_ref().map_or(0, |d| d.writes);
         // Log append operations that reached the HDD. `flushes` counts

@@ -5,18 +5,19 @@
 //! through the periodic scan and pays mechanical reads for every cold
 //! block. This ablation runs the same SysBench stream both ways.
 
+use icash_bench::harness::cell_driver;
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::report::table;
 use icash_storage::cpu::CpuModel;
 use icash_storage::system::{IoCtx, StorageSystem};
 use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
+use icash_workloads::driver::run_benchmark;
 use icash_workloads::sysbench;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::workload::Workload;
 
 fn main() {
-    let ops = icash_bench::cli::ops_from_env(40_000);
+    let ops = icash_bench::RunConfig::from_env().ops.unwrap_or(40_000);
     let spec = sysbench::spec().scaled_to_ops(ops);
     let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
     let universe = source.address_universe();
@@ -37,14 +38,7 @@ fn main() {
             system.preload_image(&universe, &mut ctx);
         }
         let mut player = TracePlayer::new(spec.clone(), trace.clone());
-        let cfg = DriverConfig {
-            clients: spec.clients,
-            ops,
-            warmup_ops: ops / 4,
-            verify: false,
-            guest_cache: false,
-            cpu: None,
-        };
+        let cfg = cell_driver(ops, spec.clients);
         // `run_benchmark` preloads any system whose trait impl supports
         // it, which would defeat the ablation: wrap the controller so the
         // driver sees the default no-op preload, and perform the §3.2

@@ -15,16 +15,16 @@
 //! setting beats queue-off (the CI trajectory gate); `CRITERION_JSON=path`
 //! writes the per-depth figures for `bench_diff` against
 //! `BENCH_queue.json` — the metric is simulated time, so the comparison is
-//! exact, not a host-speed tolerance check.
+//! exact, not a host-speed tolerance check. `ICASH_ABL_SPEC` swaps the
+//! workload (`pressure` is the HDD-bound SysBench variant).
 
-use icash_core::{Icash, IcashConfig};
+use icash_bench::exhibits::workload_named;
+use icash_bench::harness::{run_jobs, Ablation};
+use icash_bench::RunConfig;
+use icash_core::IcashConfigBuilder;
 use icash_metrics::report::table;
 use icash_metrics::summary::RunSummary;
-use icash_storage::queue::{QueueConfig, QueuePolicy};
-use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::sysbench;
-use icash_workloads::trace::{Trace, TracePlayer};
+use icash_storage::queue::QueueConfig;
 
 /// The sweep: queue-off, then doubling depths under SPTF.
 const DEPTHS: [Option<u32>; 7] = [None, Some(1), Some(2), Some(4), Some(8), Some(16), Some(32)];
@@ -48,54 +48,30 @@ fn hdd_ns_per_kop(s: &RunSummary) -> f64 {
 }
 
 fn main() {
-    let ops = icash_bench::cli::ops_from_env(40_000);
-    let base = match std::env::var("ICASH_ABL_SPEC").as_deref() {
-        Ok("loadsim") => icash_workloads::loadsim::spec(),
-        Ok("tpcc") => icash_workloads::tpcc::spec(),
-        Ok("specsfs") => icash_workloads::specsfs::spec(),
-        Ok("hadoop") => icash_workloads::hadoop::spec(),
-        Ok("pressure") => sysbench::pressure_spec(),
-        Ok("sysbench") | Err(std::env::VarError::NotPresent) => sysbench::spec(),
-        Ok(other) => panic!(
-            "invalid ICASH_ABL_SPEC={other:?}: expected sysbench, pressure, \
-             loadsim, tpcc, specsfs, or hadoop"
-        ),
-        Err(e) => panic!("invalid ICASH_ABL_SPEC: {e}"),
-    };
+    let run = RunConfig::from_env();
+    let ops = run.ops.unwrap_or(40_000);
+    let name = run.ablation_spec.as_deref().unwrap_or("sysbench");
+    let base = workload_named(name).expect("validated name").base_spec();
     let mut spec = base.scaled_to_ops(ops);
     // Tighten RAM below the stock spec: eviction pressure turns into spill
     // batches and home-area reads — the submission streams the device
-    // queues schedule. The divisors are overridable for sensitivity runs.
-    let rdiv = icash_bench::cli::u64_from_env("ICASH_ABL_RAM_DIV", 8);
-    let sdiv = icash_bench::cli::u64_from_env("ICASH_ABL_SSD_DIV", 1);
-    spec.ram_bytes = (spec.ram_bytes / rdiv.max(1)).max(1 << 20);
-    spec.ssd_bytes = (spec.ssd_bytes / sdiv.max(1)).max(1 << 20);
-    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
-    let trace = Trace::record(&mut source, ops);
+    // queues schedule.
+    spec.ram_bytes = (spec.ram_bytes / 8).max(1 << 20);
+    let ablation = &Ablation::new(spec, ops);
 
     let jobs: Vec<_> = DEPTHS
         .iter()
         .map(|&depth| {
-            let spec = spec.clone();
-            let trace = trace.clone();
             move || {
-                let mut builder =
-                    IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes);
-                if let Some(d) = depth {
-                    builder = builder.queue(QueueConfig {
-                        depth: d,
-                        sched: QueuePolicy::Sptf,
-                    });
-                }
-                let mut system = Icash::new(builder.build());
-                let mut player = TracePlayer::new(spec.clone(), trace);
-                let mut model = ContentModel::new(1, spec.profile.clone());
-                let cfg = DriverConfig::new(ops).clients(spec.clients);
-                run_benchmark(&mut system, &mut player, &mut model, &cfg)
+                let queued = |b: IcashConfigBuilder| match depth {
+                    Some(d) => b.queue(QueueConfig::depth(d)),
+                    None => b,
+                };
+                ablation.run(queued, &ablation.driver()).0
             }
         })
         .collect();
-    let summaries = icash_bench::harness::run_jobs(jobs);
+    let summaries = run_jobs(run.workers(), jobs);
 
     let mut rows = Vec::new();
     for (&depth, s) in DEPTHS.iter().zip(&summaries) {
@@ -136,7 +112,7 @@ fn main() {
         )
     );
 
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
+    if let Some(path) = &run.criterion_json {
         let results: Vec<String> = DEPTHS
             .iter()
             .zip(&summaries)
@@ -148,31 +124,20 @@ fn main() {
                 )
             })
             .collect();
-        std::fs::write(
-            &path,
-            format!("{{\"results\": [{}]}}\n", results.join(", ")),
-        )
-        .expect("write CRITERION_JSON");
-        eprintln!("bench results written to {path}");
+        std::fs::write(path, format!("{{\"results\": [{}]}}\n", results.join(", ")))
+            .expect("write CRITERION_JSON");
+        eprintln!("bench results written to {}", path.display());
     }
 
-    if let Ok(v) = std::env::var("ICASH_QUEUE_TREND_ASSERT") {
-        match v.as_str() {
-            "1" => {
-                let off = hdd_ns_per_kop(&summaries[0]);
-                let deepest = hdd_ns_per_kop(summaries.last().expect("sweep is never empty"));
-                eprintln!(
-                    "ablation_queue_depth: HDD service {off:.0} ns/kop unqueued vs {deepest:.0} ns/kop at depth 32"
-                );
-                assert!(
-                    deepest < off,
-                    "queueing must shrink HDD service per kop: {deepest:.0} vs {off:.0} unqueued"
-                );
-            }
-            "0" | "" => {}
-            other => {
-                panic!("invalid ICASH_QUEUE_TREND_ASSERT={other:?}: expected \"1\" or \"0\"/unset")
-            }
-        }
+    if run.queue_trend_assert {
+        let off = hdd_ns_per_kop(&summaries[0]);
+        let deepest = hdd_ns_per_kop(summaries.last().expect("sweep is never empty"));
+        eprintln!(
+            "ablation_queue_depth: HDD service {off:.0} ns/kop unqueued vs {deepest:.0} ns/kop at depth 32"
+        );
+        assert!(
+            deepest < off,
+            "queueing must shrink HDD service per kop: {deepest:.0} vs {off:.0} unqueued"
+        );
     }
 }

@@ -6,30 +6,16 @@
 //! CPU the scans burn. Too-frequent scans churn references and waste CPU;
 //! too-rare scans leave new content unbound.
 
-use icash_core::{Icash, IcashConfig};
+use icash_bench::harness::Ablation;
+use icash_bench::RunConfig;
 use icash_metrics::report::table;
-use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::sysbench;
-use icash_workloads::trace::{Trace, TracePlayer};
 
 fn main() {
-    let ops = icash_bench::cli::ops_from_env(40_000);
-    let spec = sysbench::spec().scaled_to_ops(ops);
-    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
-    let trace = Trace::record(&mut source, ops);
+    let ablation = Ablation::sysbench(&RunConfig::from_env());
 
     let mut rows = Vec::new();
     for interval in [500u64, 1_000, 2_000, 4_000, 8_000, 16_000] {
-        let mut system = Icash::new(
-            IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
-                .scan_interval(interval)
-                .build(),
-        );
-        let mut player = TracePlayer::new(spec.clone(), trace.clone());
-        let mut model = ContentModel::new(1, spec.profile.clone());
-        let cfg = DriverConfig::new(ops).clients(spec.clients);
-        let s = run_benchmark(&mut system, &mut player, &mut model, &cfg);
+        let (s, system) = ablation.run(|b| b.scan_interval(interval), &ablation.driver());
         let st = system.stats();
         rows.push(vec![
             format!("{interval}"),

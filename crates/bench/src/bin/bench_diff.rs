@@ -85,15 +85,13 @@ fn load(path: &str) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = icash_bench::RunConfig::from_env();
+    let args = &cfg.args;
     if args.len() < 2 {
         eprintln!("usage: bench_diff <baseline.json> <current.json>...");
         return ExitCode::FAILURE;
     }
-    let tolerance: f64 = std::env::var("BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4.0);
+    let tolerance = cfg.bench_tolerance.unwrap_or(4.0);
 
     let baseline = load(&args[0]);
     let current: Vec<(String, f64)> = args[1..].iter().flat_map(|p| load(p)).collect();

@@ -1,105 +1,58 @@
 //! Calibration diagnostics: runs one benchmark across the five systems and
 //! dumps every metric the figures use plus hit-ratio internals.
 //!
-//! Usage: `diag [sysbench|hadoop|tpcc|loadsim|specsfs|rubis]`
+//! Usage: `diag [sysbench|hadoop|tpcc|loadsim|specsfs|rubis|tpcc5|rubis5|pressure]`
 
-use icash_bench::{ExperimentConfig, SystemKind};
+use icash_bench::config::SEED;
+use icash_bench::exhibits::workload_named;
+use icash_bench::harness::{cell_driver, PreparedWorkload};
+use icash_bench::{Features, RunConfig, SystemKind};
 use icash_core::Icash;
 use icash_core::IcashConfig;
 use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::trace::{Trace, TracePlayer};
-use icash_workloads::vm;
-use icash_workloads::workload::Workload;
-use icash_workloads::{hadoop, loadsim, rubis, specsfs, sysbench, tpcc};
+use icash_workloads::driver::run_benchmark;
 
 fn main() {
-    let which = icash_bench::harness::positional_args()
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "sysbench".into());
-    let base = match which.as_str() {
-        "tpcc5" => vm::tpcc_five_vms(0).spec().clone(),
-        "rubis5" => vm::rubis_five_vms(0).spec().clone(),
-        "sysbench" => sysbench::spec(),
-        "hadoop" => hadoop::spec(),
-        "tpcc" => tpcc::spec(),
-        "loadsim" => loadsim::spec(),
-        "specsfs" => specsfs::spec(),
-        "rubis" => rubis::spec(),
-        other => panic!("unknown workload {other}"),
-    };
-    let cfg = ExperimentConfig::from_env(&base);
-    let spec = cfg.scaled_spec(&base);
-    eprintln!(
-        "diag {}: {} ops, {} clients, data {} MB, ssd {} MB, ram {} MB",
-        spec.name,
-        cfg.ops,
-        cfg.clients,
-        spec.data_bytes >> 20,
-        spec.ssd_bytes >> 20,
-        spec.ram_bytes >> 20
-    );
-
-    let (trace, universe) = if which == "tpcc5" {
-        let mut source = vm::rescale(vm::tpcc_five_vms, cfg.seed, &spec);
-        let u = source.address_universe();
-        (Trace::record(&mut source, cfg.ops), u)
-    } else if which == "rubis5" {
-        let mut source = vm::rescale(vm::rubis_five_vms, cfg.seed, &spec);
-        let u = source.address_universe();
-        (Trace::record(&mut source, cfg.ops), u)
-    } else {
-        let mut source = icash_workloads::MixedWorkload::new(spec.clone(), cfg.seed);
-        let u = source.address_universe();
-        (Trace::record(&mut source, cfg.ops), u)
-    };
+    let cfg = RunConfig::from_env();
+    let which = cfg.args.first().map_or("sysbench", String::as_str);
+    let plan = workload_named(which).unwrap_or_else(|| panic!("unknown workload {which}"));
+    let prep = PreparedWorkload::record(&cfg, &plan);
+    let spec = &prep.spec;
+    let driver = cell_driver(prep.ops, spec.clients);
 
     println!(
         "{:<9} {:>9} {:>9} {:>11} {:>11} {:>7} {:>9} {:>9} {:>8}",
         "system", "tx/s", "ops/s", "read_us", "write_us", "cpu%", "ssd_wr", "hdd_ops", "Wh"
     );
     for kind in SystemKind::ALL {
-        let mut system = kind.build(&spec);
-        let mut player =
-            TracePlayer::new(spec.clone(), trace.clone()).with_universe(universe.clone());
-        let mut model = ContentModel::new(cfg.seed, spec.profile.clone());
-        let driver = DriverConfig {
-            clients: cfg.clients,
-            ops: cfg.ops,
-            warmup_ops: cfg.ops / 4,
-            verify: false,
-            guest_cache: false,
-            cpu: None,
-        };
-        let s = run_benchmark(system.as_mut(), &mut player, &mut model, &driver);
+        let mut system = kind.build(spec, &Features::default());
+        let mut model = ContentModel::new(SEED, spec.profile.clone());
+        let s = run_benchmark(system.as_mut(), &mut prep.player(), &mut model, &driver);
         let hdd_ops = s.report.hdd.as_ref().map(|h| h.ops()).unwrap_or(0);
-        if std::env::var("ICASH_DIAG_TAILS").is_ok() {
-            if let Some(h) = &s.report.hdd {
-                eprintln!(
-                    "  {} hdd busy={:.1}% r={} w={} | ssd busy={:.1}%",
-                    s.system,
-                    h.utilization(s.elapsed) * 100.0,
-                    h.reads,
-                    h.writes,
-                    s.report
-                        .ssd
-                        .as_ref()
-                        .map(|d| d.utilization(s.elapsed) * 100.0)
-                        .unwrap_or(0.0),
-                );
-            }
+        if let Some(h) = &s.report.hdd {
             eprintln!(
-                "  {} write p50={} p99={} max={} | read p50={} p99={} max={}",
+                "  {} hdd busy={:.1}% r={} w={} | ssd busy={:.1}%",
                 s.system,
-                s.write_latency.percentile(0.5),
-                s.write_latency.percentile(0.99),
-                s.write_latency.max(),
-                s.read_latency.percentile(0.5),
-                s.read_latency.percentile(0.99),
-                s.read_latency.max(),
+                h.utilization(s.elapsed) * 100.0,
+                h.reads,
+                h.writes,
+                s.report
+                    .ssd
+                    .as_ref()
+                    .map(|d| d.utilization(s.elapsed) * 100.0)
+                    .unwrap_or(0.0),
             );
         }
+        eprintln!(
+            "  {} write p50={} p99={} max={} | read p50={} p99={} max={}",
+            s.system,
+            s.write_latency.percentile(0.5),
+            s.write_latency.percentile(0.99),
+            s.write_latency.max(),
+            s.read_latency.percentile(0.5),
+            s.read_latency.percentile(0.99),
+            s.read_latency.max(),
+        );
         println!(
             "{:<9} {:>9.1} {:>9.1} {:>11.1} {:>11.1} {:>6.1}% {:>9} {:>9} {:>8.3}",
             s.system,
@@ -117,10 +70,8 @@ fn main() {
             let mut icash = Icash::new(
                 IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes).build(),
             );
-            let mut player =
-                TracePlayer::new(spec.clone(), trace.clone()).with_universe(universe.clone());
-            let mut model = ContentModel::new(cfg.seed, spec.profile.clone());
-            let _ = run_benchmark(&mut icash, &mut player, &mut model, &driver);
+            let mut model = ContentModel::new(SEED, spec.profile.clone());
+            let _ = run_benchmark(&mut icash, &mut prep.player(), &mut model, &driver);
             let st = icash.stats();
             let (r, a, i) = st.role_fractions();
             println!(

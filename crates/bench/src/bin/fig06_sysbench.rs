@@ -7,60 +7,6 @@
 //! * Fig 7 response times (µs) — I-CASH reads ~half of FusionIO's, I-CASH
 //!   writes ~10× faster than FusionIO's; RAID0 writes slowest by far.
 
-use icash_bench::{run_five_systems, ExperimentConfig};
-use icash_metrics::report::{bar_chart, metric_rows};
-use icash_metrics::summary::RunSummary;
-use icash_workloads::sysbench;
-
 fn main() {
-    let cfg = ExperimentConfig::from_env(&sysbench::spec());
-    let spec = cfg.scaled_spec(&sysbench::spec());
-    eprintln!(
-        "running SysBench: {} ops x 5 systems ({} clients, seed {:#x}, data {} MB)",
-        cfg.ops,
-        cfg.clients,
-        cfg.seed,
-        spec.data_bytes >> 20
-    );
-    let wl_spec = spec.clone();
-    let summaries = run_five_systems(&spec, &cfg, move |seed| {
-        Box::new(icash_workloads::MixedWorkload::new(wl_spec.clone(), seed))
-    });
-
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 6(a). SysBench transaction rate",
-            "transactions/s",
-            &metric_rows(&summaries, RunSummary::transactions_per_sec),
-            true,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 6(b). SysBench CPU utilization",
-            "%",
-            &metric_rows(&summaries, |s| s.cpu_utilization * 100.0),
-            false,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 7. SysBench read response time",
-            "us",
-            &metric_rows(&summaries, RunSummary::read_mean_us),
-            false,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 7. SysBench write response time",
-            "us",
-            &metric_rows(&summaries, RunSummary::write_mean_us),
-            false,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

@@ -6,47 +6,6 @@
 //! write response is an order of magnitude below the SSD-writing systems
 //! (Fig 9: 586 µs vs 7301 µs for FusionIO).
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::{bar_chart, metric_rows};
-use icash_metrics::summary::RunSummary;
-use icash_workloads::hadoop;
-
 fn main() {
-    let (_spec, summaries) = standard_run(&hadoop::spec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 8(a). Hadoop job execution time",
-            "s",
-            &metric_rows(&summaries, |s| s.elapsed.as_secs_f64()),
-            false,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 8(b). Hadoop CPU utilization",
-            "%",
-            &metric_rows(&summaries, |s| s.cpu_utilization * 100.0),
-            false,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 9. Hadoop read response time",
-            "us",
-            &metric_rows(&summaries, RunSummary::read_mean_us),
-            false,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 9. Hadoop write response time",
-            "us",
-            &metric_rows(&summaries, RunSummary::write_mean_us),
-            false,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

@@ -6,38 +6,6 @@
 //! FusionIO's 6.6 ms and RAID0's 14 ms — the benchmark where the fast
 //! delta-write path matters most.
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::{bar_chart, metric_rows};
-use icash_workloads::tpcc;
-
 fn main() {
-    let (spec, summaries) = standard_run(&tpcc::spec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 10(a). TPC-C transaction rate",
-            "transactions/s",
-            &metric_rows(&summaries, |s| s.transactions_per_sec()),
-            true,
-        )
-    );
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 10(b). TPC-C CPU utilization",
-            "%",
-            &metric_rows(&summaries, |s| s.cpu_utilization * 100.0),
-            false,
-        )
-    );
-    let per_tx = spec.ops_per_transaction as f64;
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 11. TPC-C application response time",
-            "ms",
-            &metric_rows(&summaries, |s| s.mean_response_ms() * per_tx),
-            false,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

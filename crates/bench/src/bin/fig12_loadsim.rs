@@ -10,19 +10,6 @@
 //! Exchange server processing; the score here maps mean response the same
 //! way: `score = (4 ms server component + mean storage response) × 420`.
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::{bar_chart, metric_rows};
-use icash_workloads::loadsim;
-
 fn main() {
-    let (_spec, summaries) = standard_run(&loadsim::spec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 12. LoadSim score",
-            "score (lower is better)",
-            &metric_rows(&summaries, |s| (4.0 + s.mean_response_ms()) * 420.0),
-            false,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

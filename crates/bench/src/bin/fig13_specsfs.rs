@@ -9,19 +9,6 @@
 //! Reported times are NFS-op response = 1.2 ms server component + storage
 //! response, matching the benchmark's client-side measurement.
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::{bar_chart, metric_rows};
-use icash_workloads::specsfs;
-
 fn main() {
-    let (_spec, summaries) = standard_run(&specsfs::spec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 13. SPEC-sfs response time",
-            "ms",
-            &metric_rows(&summaries, |s| 1.2 + s.mean_response_ms()),
-            false,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

@@ -5,19 +5,6 @@
 //! I-CASH still beats RAID0 1.5×, LRU 1.04× and Dedup 1.29× — the online
 //! similarity detection stretching the same 128 MB flash budget further.
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::{bar_chart, metric_rows};
-use icash_workloads::rubis;
-
 fn main() {
-    let (_spec, summaries) = standard_run(&rubis::spec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 14. RUBiS request rate",
-            "requests/s",
-            &metric_rows(&summaries, |s| s.transactions_per_sec()),
-            true,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

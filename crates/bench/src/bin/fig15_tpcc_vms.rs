@@ -5,20 +5,6 @@
 //! I-CASH absorbs the writes as deltas — 2.8× FusionIO and 5–6× the other
 //! three baselines, I-CASH's biggest win in the paper.
 
-use icash_bench::harness::vm_run;
-use icash_metrics::report::{bar_chart, metric_rows, normalize};
-use icash_workloads::vm::tpcc_five_vms;
-
 fn main() {
-    let (_spec, summaries) = vm_run(tpcc_five_vms);
-    let rows = metric_rows(&summaries, |s| s.transactions_per_sec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 15. Five TPC-C VMs, normalized transaction rate",
-            "x FusionIO",
-            &normalize(&rows, "FusionIO"),
-            true,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

@@ -6,20 +6,6 @@
 //! reference blocks, and the address-keyed caches trail 3–6× (they cache
 //! five copies of the same content).
 
-use icash_bench::harness::vm_run;
-use icash_metrics::report::{bar_chart, metric_rows, normalize};
-use icash_workloads::vm::rubis_five_vms;
-
 fn main() {
-    let (_spec, summaries) = vm_run(rubis_five_vms);
-    let rows = metric_rows(&summaries, |s| s.transactions_per_sec());
-    print!(
-        "{}",
-        bar_chart(
-            "Figure 16. Five RUBiS VMs, normalized request rate",
-            "x FusionIO",
-            &normalize(&rows, "FusionIO"),
-            true,
-        )
-    );
+    icash_bench::exhibits::print_figures(env!("CARGO_BIN_NAME"));
 }

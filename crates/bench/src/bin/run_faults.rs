@@ -25,7 +25,8 @@
 //! synchronous campaign.
 
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
-use icash_bench::harness::{attach_jsonl, trace_path_from_args};
+use icash_bench::harness::attach_jsonl;
+use icash_bench::RunConfig;
 use icash_core::{Icash, IcashConfig};
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuModel;
@@ -263,9 +264,9 @@ fn run_crash_cell(
 
 fn main() {
     let names = ["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"];
-    let depth = icash_bench::cli::group_commit_depth_from_env();
-    let trace_path = trace_path_from_args();
-    let traced = trace_path.is_some();
+    let cfg = RunConfig::from_env();
+    let depth = cfg.features.group_commit_depth;
+    let traced = cfg.trace.is_some();
     let mut trace_doc = String::new();
     let mut cells = 0u64;
     let mut reads = 0u64;
@@ -312,8 +313,8 @@ fn main() {
             }
         }
     }
-    if let Some(path) = trace_path {
-        match std::fs::write(&path, &trace_doc) {
+    if let Some(path) = &cfg.trace {
+        match std::fs::write(path, &trace_doc) {
             Ok(()) => eprintln!("trace written to {}", path.display()),
             Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
         }

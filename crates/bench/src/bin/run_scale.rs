@@ -25,31 +25,31 @@
 //! deterministic comparison, so CI can gate on it at any worker count).
 
 use icash_bench::scale;
-use icash_bench::{cli, harness};
+use icash_bench::RunConfig;
 use icash_workloads::sysbench;
 
 fn main() {
-    let ops = cli::ops_from_env(6_000);
-    let seed = 0x1CA5_4001u64;
-    let shard_sweep = scale::sweep_from_env("ICASH_SCALE_SHARDS", &scale::SHARD_SWEEP);
-    let client_sweep = scale::sweep_from_env("ICASH_SCALE_CLIENTS", &scale::CLIENT_SWEEP);
-    let queue = cli::queue_from_env();
+    let cfg = RunConfig::from_env();
+    let ops = cfg.ops.unwrap_or(6_000);
+    let shard_sweep = cfg.scale_shards.as_deref().unwrap_or(&scale::SHARD_SWEEP);
+    let client_sweep = cfg.scale_clients.as_deref().unwrap_or(&scale::CLIENT_SWEEP);
+    let queue = cfg.features.queue;
     let spec = sysbench::spec().scaled_to_ops(ops);
     eprintln!(
         "run_scale: SysBench, {} ops, shards {:?} x clients {:?}, {} workers, queue {:?}",
         ops,
         shard_sweep,
         client_sweep,
-        harness::worker_count(usize::MAX),
+        cfg.workers(),
         queue,
     );
 
-    let cells = scale::run_campaign(&spec, ops, seed, &shard_sweep, &client_sweep, queue);
+    let cells = scale::run_campaign(&cfg, &spec, ops, shard_sweep, client_sweep);
 
-    let doc = scale::document(&spec, ops, seed, &cells);
+    let doc = scale::document(&spec, ops, &cells);
     print!("{doc}");
-    if let Some(path) = harness::positional_args().into_iter().next() {
-        match std::fs::write(&path, &doc) {
+    if let Some(path) = cfg.args.first() {
+        match std::fs::write(path, &doc) {
             Ok(()) => eprintln!("campaign document written to {path}"),
             Err(err) => {
                 eprintln!("failed to write {path}: {err}");
@@ -60,16 +60,13 @@ fn main() {
 
     eprintln!("\n{}", scale::wall_table(&cells));
 
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        std::fs::write(&path, scale::criterion_json(&cells)).expect("write CRITERION_JSON");
-        eprintln!("bench results written to {path}");
+    if let Some(path) = &cfg.criterion_json {
+        std::fs::write(path, scale::criterion_json(&cells)).expect("write CRITERION_JSON");
+        eprintln!("bench results written to {}", path.display());
     }
 
-    if let Ok(bound) = std::env::var("ICASH_SCALE_ASSERT") {
-        let min: f64 = bound.trim_end_matches('x').parse().unwrap_or_else(|_| {
-            panic!("invalid ICASH_SCALE_ASSERT={bound:?}: expected e.g. \"4x\"")
-        });
-        let clients = *client_sweep.last().expect("sweep is never empty");
+    let clients = *client_sweep.last().expect("sweep is never empty");
+    if let Some(min) = cfg.scale_assert {
         let speedup = scale::wall_speedup(&cells, 8, 1, clients)
             .expect("ICASH_SCALE_ASSERT needs shards 1 and 8 in the sweep");
         eprintln!("run_scale: 8-vs-1-shard wall speedup at {clients} clients: {speedup:.2}x");
@@ -79,37 +76,32 @@ fn main() {
         );
     }
 
-    if let Ok(v) = std::env::var("ICASH_QUEUE_ASSERT") {
-        match v.as_str() {
-            "1" => {
-                let q = queue.unwrap_or_default();
-                let clients = *client_sweep.last().expect("sweep is never empty");
-                eprintln!(
-                    "run_scale: queue-on vs queue-off at 16 shards ({q:?}, {clients} clients)"
-                );
-                // The comparison cells run the HDD-pressure SysBench variant
-                // under a tight RAM budget: stock SysBench touches the
-                // mechanical disk a handful of times per shard (it is an
-                // SSD-friendly workload by design), which leaves the device
-                // queue nothing to schedule and the comparison a tie.
-                let mut pspec = sysbench::pressure_spec().scaled_to_ops(ops);
-                pspec.ram_bytes = (pspec.ram_bytes / 64).max(1 << 20);
-                pspec.ssd_bytes = (pspec.ssd_bytes / 4).max(1 << 20);
-                let on = scale::run_campaign(&pspec, ops, seed, &[16], &[clients], Some(q));
-                let off = scale::run_campaign(&pspec, ops, seed, &[16], &[clients], None);
-                let on_rate = on[0].merged.ops_per_sec();
-                let off_rate = off[0].merged.ops_per_sec();
-                eprintln!(
-                    "run_scale: aggregate virtual throughput {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
-                );
-                assert!(
-                    on_rate > off_rate,
-                    "device queueing must raise aggregate virtual throughput at 16 shards: \
-                     {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
-                );
-            }
-            "0" | "" => {}
-            other => panic!("invalid ICASH_QUEUE_ASSERT={other:?}: expected \"1\" or \"0\"/unset"),
-        }
+    if cfg.queue_assert {
+        let q = queue.unwrap_or_default();
+        eprintln!("run_scale: queue-on vs queue-off at 16 shards ({q:?}, {clients} clients)");
+        // The comparison cells run the HDD-pressure SysBench variant under
+        // a tight RAM budget: stock SysBench touches the mechanical disk a
+        // handful of times per shard (it is an SSD-friendly workload by
+        // design), which leaves the device queue nothing to schedule and
+        // the comparison a tie.
+        let mut pspec = sysbench::pressure_spec().scaled_to_ops(ops);
+        pspec.ram_bytes = (pspec.ram_bytes / 64).max(1 << 20);
+        pspec.ssd_bytes = (pspec.ssd_bytes / 4).max(1 << 20);
+        let rate = |queue| {
+            let mut arm = cfg.clone();
+            arm.features.queue = queue;
+            scale::run_campaign(&arm, &pspec, ops, &[16], &[clients])[0]
+                .merged
+                .ops_per_sec()
+        };
+        let (on_rate, off_rate) = (rate(Some(q)), rate(None));
+        eprintln!(
+            "run_scale: aggregate virtual throughput {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
+        );
+        assert!(
+            on_rate > off_rate,
+            "device queueing must raise aggregate virtual throughput at 16 shards: \
+             {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
+        );
     }
 }

@@ -18,16 +18,14 @@
 //! scenario kind; `ICASH_OPS` scales every cell. Exits nonzero after
 //! printing every violation.
 
-use icash_bench::cli;
-use icash_bench::harness::{run_jobs, SystemKind, MSR_FIXTURE, OPEN_LOOP_BASE_GAP};
+use icash_bench::harness::{cell_driver, open_loop_cell, run_jobs, MSR_FIXTURE};
+use icash_bench::{Features, RunConfig, SystemKind};
 use icash_storage::time::Ns;
 use icash_storage::trace::Tracer;
 use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
+use icash_workloads::driver::run_benchmark;
 use icash_workloads::replay::ReplayWorkload;
-use icash_workloads::scenario::{
-    churn_storm, run_open_loop, ArrivalShape, OpenLoopConfig, ScenarioKind,
-};
+use icash_workloads::scenario::{churn_storm, run_open_loop, ArrivalShape, ScenarioKind};
 use icash_workloads::workload::{MixedWorkload, Workload};
 use icash_workloads::WorkloadSpec;
 
@@ -67,22 +65,11 @@ fn cell_spec(ops: u64) -> WorkloadSpec {
     icash_workloads::sysbench::spec().scaled_to_ops(ops)
 }
 
-fn driver(ops: u64, clients: u32) -> DriverConfig {
-    DriverConfig {
-        clients,
-        ops,
-        warmup_ops: ops / 4,
-        verify: false,
-        guest_cache: false,
-        cpu: None,
-    }
-}
-
 /// Replay the MSR fixture closed-loop through one architecture.
 fn cell_replay(kind: SystemKind, ops: u64) -> CellOut {
     let spec = cell_spec(ops);
     let mut out = CellOut::new(format!("replay/msr/{kind:?}"));
-    let mut system = kind.build(&spec);
+    let mut system = kind.build(&spec, &Features::default());
     let mut wl =
         ReplayWorkload::from_csv(spec.clone(), MSR_FIXTURE).expect("in-repo MSR fixture parses");
     let rows = wl.records().len();
@@ -91,7 +78,7 @@ fn cell_replay(kind: SystemKind, ops: u64) -> CellOut {
         system.as_mut(),
         &mut wl,
         &mut model,
-        &driver(ops, spec.clients),
+        &cell_driver(ops, spec.clients),
     );
     if s.ops != ops {
         out.violations
@@ -114,7 +101,7 @@ fn cell_replay(kind: SystemKind, ops: u64) -> CellOut {
 fn cell_closed_baseline(ops: u64) -> CellOut {
     let spec = cell_spec(ops);
     let mut out = CellOut::new("closed/baseline/I-CASH".to_string());
-    let mut system = SystemKind::Icash.build(&spec);
+    let mut system = SystemKind::Icash.build(&spec, &Features::default());
     let (tracer, counts) = Tracer::counting();
     system.set_tracer(tracer);
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
@@ -123,7 +110,7 @@ fn cell_closed_baseline(ops: u64) -> CellOut {
         system.as_mut(),
         &mut wl,
         &mut model,
-        &driver(ops, spec.clients),
+        &cell_driver(ops, spec.clients),
     );
     let c = counts.lock().expect("counting sink");
     if c.open_loop_arrivals != 0 || c.open_loop_queued != Ns::ZERO {
@@ -148,13 +135,11 @@ fn cell_closed_baseline(ops: u64) -> CellOut {
 fn cell_open_loop(shape: ArrivalShape, ops: u64) -> CellOut {
     let spec = cell_spec(ops);
     let mut out = CellOut::new(format!("open/{}/I-CASH", shape.name()));
-    let mut system = SystemKind::Icash.build(&spec);
+    let mut system = SystemKind::Icash.build(&spec, &Features::default());
     let (tracer, counts) = Tracer::counting();
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
     let mut model = ContentModel::new(SEED, spec.profile.clone());
-    let mut cfg = OpenLoopConfig::new(shape.config(OPEN_LOOP_BASE_GAP), ops, SEED);
-    cfg.clients = spec.clients;
-    cfg.warmup_ops = ops / 4;
+    let cfg = open_loop_cell(shape, SEED, &cell_driver(ops, spec.clients));
     let (s, stats) = run_open_loop(system.as_mut(), &mut wl, &mut model, &cfg, &tracer);
     // Oracle: the dispatcher and the trace stream must agree event-for-
     // event — same arrival count, same total queued time.
@@ -198,13 +183,13 @@ fn cell_churn(ops: u64) -> CellOut {
     let mut out = CellOut::new("churn/storm/I-CASH".to_string());
     let mut storm = churn_storm(SEED, ops);
     let spec = storm.spec().clone();
-    let mut system = SystemKind::Icash.build(&spec);
+    let mut system = SystemKind::Icash.build(&spec, &Features::default());
     let mut model = ContentModel::new(SEED, spec.profile.clone());
     let s = run_benchmark(
         system.as_mut(),
         &mut storm,
         &mut model,
-        &driver(ops, spec.clients),
+        &cell_driver(ops, spec.clients),
     );
     let st = *storm.stats();
     if st.applied < MIN_CHURN_OPS.min(ops) {
@@ -247,10 +232,11 @@ fn cell_churn(ops: u64) -> CellOut {
 }
 
 fn main() {
-    let ops = cli::ops_from_env(DEFAULT_OPS);
+    let cfg = RunConfig::from_env();
+    let ops = cfg.ops.unwrap_or(DEFAULT_OPS);
     // `ICASH_SCENARIO` narrows the campaign to one scenario kind; the
     // open-loop group keeps its closed baseline (the contrast is the test).
-    let filter = cli::scenario_from_env().map(|sc| sc.kind);
+    let filter = cfg.scenario.map(|sc| sc.kind);
     let run_kind = |k: ScenarioKind| filter.is_none() || filter == Some(k);
 
     let mut jobs: Vec<Box<dyn FnOnce() -> CellOut + Send>> = Vec::new();
@@ -269,7 +255,7 @@ fn main() {
         jobs.push(Box::new(move || cell_churn(ops)));
     }
 
-    let results = run_jobs(jobs.into_iter().map(|j| move || j()).collect());
+    let results = run_jobs(cfg.workers(), jobs);
 
     let mut violations: Vec<String> = Vec::new();
     for r in &results {

@@ -4,25 +4,14 @@
 //! (op counts, request sizes, data sizes) are pinned to the paper's values
 //! and asserted by each module's unit tests.
 
+use icash_bench::exhibits::{workload_named, PLAN};
 use icash_metrics::report::table;
-use icash_workloads::vm::{rubis_five_vms, tpcc_five_vms};
-use icash_workloads::workload::Workload;
-use icash_workloads::{hadoop, loadsim, rubis, specsfs, sysbench, tpcc};
 
 fn main() {
-    let specs = [
-        sysbench::spec(),
-        hadoop::spec(),
-        tpcc::spec(),
-        loadsim::spec(),
-        specsfs::spec(),
-        rubis::spec(),
-        tpcc_five_vms(0).spec().clone(),
-        rubis_five_vms(0).spec().clone(),
-    ];
-    let rows: Vec<Vec<String>> = specs
+    let rows: Vec<Vec<String>> = PLAN
         .iter()
-        .map(|s| {
+        .map(|name| {
+            let s = workload_named(name).expect("planned").base_spec();
             vec![
                 s.name.clone(),
                 format!("{}K", s.table4_reads / 1000),

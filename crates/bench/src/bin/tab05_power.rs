@@ -6,30 +6,10 @@
 //! with I-CASH lowest on Hadoop because it finishes first and writes the
 //! flash least (9.5 µJ per 4 KB read vs 76.1 µJ per write).
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::table;
-use icash_workloads::{hadoop, tpcc};
-
 fn main() {
-    let (_s1, hadoop_runs) = standard_run(&hadoop::spec());
-    let (_s2, tpcc_runs) = standard_run(&tpcc::spec());
-    let rows: Vec<Vec<String>> = hadoop_runs
-        .iter()
-        .zip(tpcc_runs.iter())
-        .map(|(h, t)| {
-            vec![
-                h.system.clone(),
-                format!("{:.3}", h.energy_wh),
-                format!("{:.3}", t.energy_wh),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Table 5. Power consumption in Watt-hours.",
-            &["System", "Hadoop", "TPC-C"],
-            &rows,
-        )
+    icash_bench::exhibits::print_table(
+        env!("CARGO_BIN_NAME"),
+        "Table 5. Power consumption in Watt-hours.",
+        3,
     );
 }

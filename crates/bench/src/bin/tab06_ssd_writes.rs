@@ -7,36 +7,10 @@
 //! converge (5.1 M vs 5.5–5.8 M). Fewer flash writes = fewer erases =
 //! longer device life (§5.3).
 
-use icash_bench::harness::standard_run;
-use icash_metrics::report::table;
-use icash_workloads::{hadoop, specsfs, sysbench, tpcc};
-
 fn main() {
-    let runs: Vec<_> = [
-        standard_run(&sysbench::spec()).1,
-        standard_run(&hadoop::spec()).1,
-        standard_run(&tpcc::spec()).1,
-        standard_run(&specsfs::spec()).1,
-    ]
-    .into_iter()
-    .collect();
-    // RAID0 has no SSD; the paper's table omits it too.
-    let rows: Vec<Vec<String>> = (0..5)
-        .filter(|&i| runs[0][i].system != "RAID0")
-        .map(|i| {
-            let mut row = vec![runs[0][i].system.clone()];
-            for r in &runs {
-                row.push(format!("{}", r[i].ssd_writes));
-            }
-            row
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Table 6. Number of write requests on SSD.",
-            &["System", "SysBench", "Hadoop", "TPC-C", "SPECsfs"],
-            &rows,
-        )
+    icash_bench::exhibits::print_table(
+        env!("CARGO_BIN_NAME"),
+        "Table 6. Number of write requests on SSD.",
+        0,
     );
 }

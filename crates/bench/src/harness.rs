@@ -11,27 +11,26 @@
 //! entire simulated world (devices, RNG streams, virtual clock), so cells
 //! can run on any worker thread in any order and still produce bit-identical
 //! results. [`run_plan`] flattens all requested cells into one job list and
-//! executes it on a [`std::thread::scope`] pool sized by the
-//! `ICASH_THREADS` environment variable (default: available parallelism).
-//! A determinism regression test (`tests/determinism.rs`) holds that
-//! parallel and sequential replays serialize identically.
+//! executes it on a [`std::thread::scope`] pool of
+//! [`RunConfig::workers`] threads (`ICASH_THREADS`, default: available
+//! parallelism). A determinism regression test
+//! (`crates/bench/tests/determinism.rs`) holds that parallel and sequential
+//! replays serialize identically.
 //!
 //! ## Tracing
 //!
-//! Every binary built on [`run_plan`] / [`run_five_systems`] accepts
-//! `--trace <path>` (or the `ICASH_TRACE` environment variable): each cell
-//! then records its structured event stream into a [`JsonlSink`] and the
+//! With [`RunConfig::trace`] set (`--trace <path>` or `ICASH_TRACE`) each
+//! cell records its structured event stream into a [`JsonlSink`] and the
 //! cells are concatenated — each under a `{"cell":...}` header line — into
-//! one JSONL artifact readable by the `trace_profile` binary. Without the
-//! flag no tracer is attached anywhere, so the run (and its emitted JSON)
-//! is byte-identical to a build without this feature.
+//! one JSONL artifact readable by the `trace_profile` binary. Without it no
+//! tracer is attached anywhere, so the run (and its emitted JSON) is
+//! byte-identical to a build without this feature.
 
-use icash_core::{Icash, IcashConfig};
+use crate::config::{Features, RunConfig, SEED};
+use icash_core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash_metrics::summary::RunSummary;
 use icash_metrics::trace::JsonlSink;
 use icash_storage::cpu::CpuModel;
-use icash_storage::fault::HealthPolicy;
-use icash_storage::queue::QueueConfig;
 use icash_storage::shard::ShardRouter;
 use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
@@ -40,13 +39,12 @@ use icash_workloads::content::ContentModel;
 use icash_workloads::driver::{run_benchmark, DriverConfig};
 use icash_workloads::replay::ReplayWorkload;
 use icash_workloads::scenario::{
-    churn_storm, run_open_loop, OpenLoopConfig, ScenarioKind, ScenarioSpec,
+    churn_storm, run_open_loop, ArrivalShape, OpenLoopConfig, ScenarioKind,
 };
 use icash_workloads::spec::WorkloadSpec;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::vm::MultiVm;
-use icash_workloads::workload::Workload;
-use std::path::Path;
+use icash_workloads::workload::{MixedWorkload, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -77,33 +75,35 @@ impl SystemKind {
     ];
 
     /// Builds the system sized for `spec` (baseline caches get exactly the
-    /// I-CASH SSD budget; FusionIO gets the whole data set, §4.4). Every
-    /// architecture constructs its devices through [`DeviceArray`].
-    pub fn build(self, spec: &WorkloadSpec) -> Box<dyn StorageSystem> {
-        self.build_with_depth(spec, 1)
-    }
-
-    /// [`build`](SystemKind::build) with an explicit group-commit depth for
-    /// the I-CASH write pipeline (the baselines are write-through; the
-    /// depth does not apply to them). Depth 1 is the classic synchronous
-    /// cycle.
-    pub fn build_with_depth(self, spec: &WorkloadSpec, depth: u64) -> Box<dyn StorageSystem> {
-        self.build_with_options(spec, depth, None, None)
-    }
-
-    /// [`build_with_depth`](SystemKind::build_with_depth) with an optional
-    /// device-health policy and an optional device command-queue config for
-    /// the I-CASH controller (`ICASH_HEALTH` / `ICASH_QUEUE_DEPTH`; the
-    /// baselines have neither and ignore both). `None`/`None` builds the
-    /// plain controller, byte-identical to pre-health, pre-queue outputs.
-    pub fn build_with_options(
-        self,
-        spec: &WorkloadSpec,
-        depth: u64,
-        health: Option<HealthPolicy>,
-        queue: Option<QueueConfig>,
-    ) -> Box<dyn StorageSystem> {
+    /// I-CASH SSD budget; FusionIO gets the whole data set, §4.4) with the
+    /// optional machinery `features` asks for. Group commit, health and
+    /// queues are I-CASH's; the baselines have none and ignore them.
+    ///
+    /// With `features.shards > 1` the system is striped across that many
+    /// independent controllers behind a [`ShardRouter`], each a complete
+    /// small system built from the spec's
+    /// [`shard_slice`](WorkloadSpec::shard_slice) so the aggregate hardware
+    /// budget matches the unsharded build. At one shard this returns the
+    /// bare (unwrapped) system — the golden fixtures stay untouched by
+    /// construction.
+    pub fn build(self, spec: &WorkloadSpec, features: &Features) -> Box<dyn StorageSystem> {
         use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
+        if features.shards > 1 {
+            let shards = features.shards;
+            let mut one = Features {
+                shards: 1,
+                ..*features
+            };
+            // Each shard polices its share of the staging budget; divide the
+            // global cap so the aggregate bound matches the unsharded build.
+            // The queue depth is per device, so every shard keeps it whole.
+            if let Some(policy) = one.health.as_mut().filter(|p| p.staging_cap > 0) {
+                policy.staging_cap = (policy.staging_cap / shards as u64).max(1);
+            }
+            let slice = spec.shard_slice(shards);
+            let systems: Vec<_> = (0..shards).map(|_| self.build(&slice, &one)).collect();
+            return Box::new(ShardRouter::new(systems));
+        }
         match self {
             SystemKind::FusionIo => Box::new(PureSsd::new(spec.data_bytes).timing_only()),
             SystemKind::Raid0 => Box::new(Raid0::new(spec.data_bytes, 4).timing_only()),
@@ -116,189 +116,67 @@ impl SystemKind {
             SystemKind::Icash => {
                 let mut builder =
                     IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
-                        .group_commit_depth(depth);
-                if let Some(policy) = health {
+                        .group_commit_depth(features.group_commit_depth);
+                if let Some(policy) = features.health {
                     builder = builder.health(policy);
                 }
-                if let Some(q) = queue {
-                    builder = builder.queue(q);
+                if let Some(queue) = features.queue {
+                    builder = builder.queue(queue);
                 }
                 Box::new(Icash::new(builder.build()))
             }
         }
     }
+}
 
-    /// [`build_with_depth`](SystemKind::build_with_depth) striped across
-    /// `shards` independent controllers behind a [`ShardRouter`]. Each
-    /// shard is a complete small system built from the spec's
-    /// [`shard_slice`](WorkloadSpec::shard_slice), so the aggregate
-    /// hardware budget matches the unsharded build. At `shards == 1` this
-    /// returns the bare (unwrapped) system — existing golden fixtures stay
-    /// untouched by construction.
-    pub fn build_sharded(
-        self,
-        spec: &WorkloadSpec,
-        depth: u64,
-        shards: u32,
-        health: Option<HealthPolicy>,
-        queue: Option<QueueConfig>,
-    ) -> Box<dyn StorageSystem> {
-        if shards <= 1 {
-            return self.build_with_options(spec, depth, health, queue);
-        }
-        // Each shard polices its share of the staging budget; divide the
-        // global cap so the aggregate bound matches the unsharded build.
-        // The queue depth is per device, so every shard keeps it whole.
-        let health = health.map(|mut policy| {
-            if policy.staging_cap > 0 {
-                policy.staging_cap = (policy.staging_cap / shards as u64).max(1);
-            }
-            policy
-        });
-        let slice = spec.shard_slice(shards);
-        let systems: Vec<Box<dyn StorageSystem>> = (0..shards)
-            .map(|_| self.build_with_options(&slice, depth, health, queue))
-            .collect();
-        Box::new(ShardRouter::new(systems))
+/// The driver settings of every harness cell: the workload's client count
+/// and the last three quarters of the run measured.
+pub fn cell_driver(ops: u64, clients: u32) -> DriverConfig {
+    DriverConfig {
+        warmup_ops: ops / 4,
+        ..DriverConfig::new(ops).clients(clients)
     }
 }
 
-/// Settings for one experiment run.
-#[derive(Debug, Clone)]
-pub struct ExperimentConfig {
-    /// Operations issued per system.
-    pub ops: u64,
-    /// Closed-loop clients.
-    pub clients: u32,
-    /// RNG seed (trace + content).
-    pub seed: u64,
-    /// Group-commit depth for I-CASH's write pipeline (1 = the classic
-    /// synchronous cycle; outputs at 1 are byte-identical to pre-pipeline).
-    pub group_commit_depth: u64,
-    /// Exercise the ticket barrier API (`sync`) after each measured cell
-    /// and assert the durability watermark caught acceptance.
-    pub flush_ticket: bool,
-    /// Independent controllers the block space is striped across (the
-    /// [`ShardRouter`] width). 1 = the bare unsharded system,
-    /// byte-identical to pre-sharding outputs.
-    pub shards: u32,
-    /// Device-health policy for I-CASH cells (`ICASH_HEALTH` plus its
-    /// tuning knobs). `None` — the default — builds the health-free
-    /// controller, byte-identical to pre-health outputs.
-    pub health: Option<HealthPolicy>,
-    /// Device command-queue config for I-CASH cells (`ICASH_QUEUE_DEPTH` /
-    /// `ICASH_HDD_SCHED`). `None` — the default — installs no queues,
-    /// byte-identical to pre-queue outputs.
-    pub queue: Option<QueueConfig>,
-    /// Scenario driver for every cell (`ICASH_SCENARIO` / `ICASH_ARRIVAL`):
-    /// block-trace replay, open-loop arrivals, or a tenant-churn storm.
-    /// `None` — the default — runs the plain closed loop, byte-identical
-    /// to pre-scenario outputs.
-    pub scenario: Option<ScenarioSpec>,
-}
+/// Mean inter-arrival gap of open-loop cells. Chosen against the simulated
+/// device service times so the stationary shape stays mostly un-queued
+/// while the 16× flash-crowd bursts visibly overload the array — the
+/// contrast the scenario campaign asserts on.
+const OPEN_LOOP_BASE_GAP: Ns = Ns::from_us(200);
 
-impl ExperimentConfig {
-    /// A config scaled for quick runs: the workload's `default_ops`.
-    pub fn quick(spec: &WorkloadSpec) -> Self {
-        ExperimentConfig {
-            ops: spec.default_ops,
-            clients: spec.clients,
-            seed: 0x1CA5_4001,
-            group_commit_depth: 1,
-            flush_ticket: false,
-            shards: 1,
-            health: None,
-            queue: None,
-            scenario: None,
-        }
-    }
-
-    /// The proportionally scaled spec for this run (see
-    /// [`WorkloadSpec::scaled_to_ops`]); at full length it is the paper's
-    /// configuration unchanged.
-    pub fn scaled_spec(&self, spec: &WorkloadSpec) -> WorkloadSpec {
-        spec.scaled_to_ops(self.ops)
-    }
-
-    /// Honours `ICASH_OPS` / `ICASH_FULL=1` environment overrides — plus
-    /// the pipeline knobs `ICASH_GROUP_COMMIT` / `ICASH_FLUSH_TICKET` and
-    /// the sharding knob `ICASH_SHARDS` — so the same binaries drive quick
-    /// checks, full reproductions, pipeline and scaling experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message when an override is malformed:
-    /// `ICASH_OPS` must parse as a positive integer, and `ICASH_FULL` (when
-    /// set) must be `0` or `1`. A typo'd override silently falling back to
-    /// quick mode would invalidate a "full reproduction" run. The pipeline
-    /// knobs inherit their strictness from [`crate::cli`].
-    pub fn from_env(spec: &WorkloadSpec) -> Self {
-        let mut cfg = Self::quick(spec);
-        if let Ok(full) = std::env::var("ICASH_FULL") {
-            match full.as_str() {
-                "1" => cfg.ops = spec.table4_ops(),
-                "0" | "" => {}
-                other => {
-                    panic!("invalid ICASH_FULL={other:?}: expected \"1\" (full run) or \"0\"/unset")
-                }
-            }
-        }
-        if let Ok(ops) = std::env::var("ICASH_OPS") {
-            match ops.parse::<u64>() {
-                Ok(0) => panic!("invalid ICASH_OPS=0: the run must issue at least one operation"),
-                Ok(n) => cfg.ops = n,
-                Err(_) => panic!(
-                    "invalid ICASH_OPS={ops:?}: expected a positive integer number of operations"
-                ),
-            }
-        }
-        cfg.group_commit_depth = crate::cli::group_commit_depth_from_env();
-        cfg.flush_ticket = crate::cli::flush_ticket_from_env();
-        cfg.shards = crate::cli::shards_from_env();
-        cfg.health = crate::cli::health_from_env();
-        cfg.queue = crate::cli::queue_from_env();
-        cfg.scenario = crate::cli::scenario_from_env();
-        cfg
+/// The open-loop counterpart of [`cell_driver`]: the same slots, length and
+/// measured window, paced by `shape` arrivals seeded with `seed`.
+pub fn open_loop_cell(shape: ArrivalShape, seed: u64, driver: &DriverConfig) -> OpenLoopConfig {
+    OpenLoopConfig {
+        arrival: shape.config(OPEN_LOOP_BASE_GAP),
+        clients: driver.clients,
+        ops: driver.ops,
+        warmup_ops: driver.warmup_ops,
+        seed,
     }
 }
+
+/// The in-repo MSR-Cambridge-style fixture `ICASH_SCENARIO=replay` cells
+/// replay (also the golden-replay test's input, so the harness and the
+/// test pin the same 64 events).
+pub const MSR_FIXTURE: &str = include_str!("../../workloads/tests/golden/msr_sample.csv");
 
 // ----------------------------------------------------------------------
 // The worker pool
 // ----------------------------------------------------------------------
 
-/// Worker-thread count: `ICASH_THREADS` if set, else available parallelism,
-/// clamped to the number of jobs.
-///
-/// # Panics
-///
-/// Panics when `ICASH_THREADS` is set but is not a positive integer.
-pub fn worker_count(jobs: usize) -> usize {
-    let configured = match std::env::var("ICASH_THREADS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(0) | Err(_) => {
-                panic!("invalid ICASH_THREADS={v:?}: expected a positive integer thread count")
-            }
-            Ok(n) => n,
-        },
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
-    configured.max(1).min(jobs.max(1))
-}
-
-/// Runs `jobs` on a scoped worker pool and returns their results in job
-/// order. Workers pull the next job index from a shared atomic counter, so
-/// scheduling is dynamic but the output order (and, because every job is a
-/// self-contained simulation, every result) is deterministic. Public so
-/// campaign binaries (`run_scale`) can run their per-shard replays on the
-/// same pool with the same determinism contract.
-pub fn run_jobs<T, F>(jobs: Vec<F>) -> Vec<T>
+/// Runs `jobs` on a scoped pool of at most `workers` threads and returns
+/// their results in job order. Workers pull the next job index from a
+/// shared atomic counter, so scheduling is dynamic but the output order
+/// (and, because every job is a self-contained simulation, every result) is
+/// deterministic. Public so campaign binaries run their cells on the same
+/// pool with the same determinism contract.
+pub fn run_jobs<T, F>(workers: usize, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let workers = worker_count(jobs.len());
+    let workers = workers.clamp(1, jobs.len().max(1));
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let results: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
@@ -330,6 +208,7 @@ where
 // ----------------------------------------------------------------------
 
 /// One workload an exhibit wants run against all five systems.
+#[derive(Debug)]
 pub enum PlannedWorkload {
     /// A single-machine workload generated from the spec itself.
     Standard(WorkloadSpec),
@@ -339,105 +218,117 @@ pub enum PlannedWorkload {
     MultiVm(fn(u64) -> MultiVm),
 }
 
-impl std::fmt::Debug for PlannedWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl PlannedWorkload {
+    /// The paper-scale spec, before any per-run scaling.
+    pub fn base_spec(&self) -> WorkloadSpec {
         match self {
-            PlannedWorkload::Standard(spec) => f.debug_tuple("Standard").field(&spec.name).finish(),
-            PlannedWorkload::MultiVm(_) => f.debug_tuple("MultiVm").finish(),
+            PlannedWorkload::Standard(spec) => spec.clone(),
+            PlannedWorkload::MultiVm(make) => make(0).spec().clone(),
         }
     }
 }
 
 /// A recorded, scaled workload ready to fan out into five cells.
-struct PreparedWorkload {
-    spec: WorkloadSpec,
-    cfg: ExperimentConfig,
+#[derive(Debug)]
+pub struct PreparedWorkload {
+    /// The spec scaled to [`ops`](Self::ops) (see
+    /// [`WorkloadSpec::scaled_to_ops`]); at full length it is the paper's
+    /// configuration unchanged.
+    pub spec: WorkloadSpec,
+    /// Operations every cell issues.
+    pub ops: u64,
     trace: Trace,
     universe: Vec<(u8, u64)>,
 }
 
-/// Builds a workload instance for one cell from its seed and scaled spec.
-type WorkloadFactory = Box<dyn Fn(u64, &WorkloadSpec) -> Box<dyn Workload>>;
-
-fn prepare(plan: &PlannedWorkload) -> PreparedWorkload {
-    let (base, make): (WorkloadSpec, WorkloadFactory) = match plan {
-        PlannedWorkload::Standard(spec) => (
-            spec.clone(),
-            Box::new(|seed, scaled: &WorkloadSpec| {
-                Box::new(icash_workloads::MixedWorkload::new(scaled.clone(), seed))
-                    as Box<dyn Workload>
-            }),
-        ),
-        PlannedWorkload::MultiVm(make) => {
-            let make = *make;
-            (
-                make(0).spec().clone(),
-                Box::new(move |seed, scaled: &WorkloadSpec| {
-                    Box::new(icash_workloads::vm::rescale(make, seed, scaled)) as Box<dyn Workload>
-                }),
-            )
+impl PreparedWorkload {
+    /// Scales `plan` for this run, announces it, and records its op stream
+    /// once so every system replays it bit-identically.
+    pub fn record(cfg: &RunConfig, plan: &PlannedWorkload) -> Self {
+        let base = plan.base_spec();
+        let ops = cfg.ops_for(&base);
+        let spec = base.scaled_to_ops(ops);
+        eprintln!(
+            "running {}: {} ops x 5 systems ({} clients, data {} MB, ssd {} MB)",
+            spec.name,
+            ops,
+            spec.clients,
+            spec.data_bytes >> 20,
+            spec.ssd_bytes >> 20
+        );
+        let mut source: Box<dyn Workload> = match plan {
+            PlannedWorkload::Standard(_) => Box::new(MixedWorkload::new(spec.clone(), SEED)),
+            PlannedWorkload::MultiVm(make) => {
+                Box::new(icash_workloads::vm::rescale(make, SEED, &spec))
+            }
+        };
+        let universe = source.address_universe();
+        let trace = Trace::record(source.as_mut(), ops);
+        PreparedWorkload {
+            spec,
+            ops,
+            trace,
+            universe,
         }
-    };
-    let cfg = ExperimentConfig::from_env(&base);
-    let spec = cfg.scaled_spec(&base);
-    eprintln!(
-        "running {}: {} ops x 5 systems ({} clients, data {} MB, ssd {} MB)",
-        spec.name,
-        cfg.ops,
-        cfg.clients,
-        spec.data_bytes >> 20,
-        spec.ssd_bytes >> 20
-    );
-    let mut source = make(cfg.seed, &spec);
-    let universe = source.address_universe();
-    let trace = Trace::record(source.as_mut(), cfg.ops);
-    PreparedWorkload {
-        spec,
-        cfg,
-        trace,
-        universe,
+    }
+
+    /// A fresh replay of the recorded op stream.
+    pub fn player(&self) -> TracePlayer {
+        TracePlayer::new(self.spec.clone(), self.trace.clone()).with_universe(self.universe.clone())
     }
 }
 
-/// Runs one prepared cell: build the system, replay the trace, time it.
-/// When `traced` is false no sink is attached at all — the simulated run
-/// is exactly the untraced one, which is what keeps `--trace`-less output
-/// byte-identical.
-fn run_cell_inner(
+/// Runs one cell: build the system, drive the workload through it, time it;
+/// returns the summary and the cell's JSONL events (empty when untraced).
+/// The workload is the recorded trace under the plain closed loop, or
+/// whatever `cfg.scenario` swaps in; either way the cell owns its whole
+/// simulated world. When `traced` is false no sink is attached at all — the
+/// simulated run is exactly the untraced one, which is what keeps
+/// `--trace`-less output byte-identical.
+fn run_cell(
+    cfg: &RunConfig,
     kind: SystemKind,
     prep: &PreparedWorkload,
     traced: bool,
-) -> (RunSummary, Option<String>) {
-    if let Some(sc) = prep.cfg.scenario {
-        return run_scenario_cell(kind, prep, traced, sc);
-    }
+) -> (RunSummary, String) {
     let wall_start = Instant::now();
-    let mut system = kind.build_sharded(
-        &prep.spec,
-        prep.cfg.group_commit_depth,
-        prep.cfg.shards,
-        prep.cfg.health,
-        prep.cfg.queue,
-    );
-    let sink = if traced {
-        Some(attach_jsonl(system.as_mut()))
-    } else {
-        None
+    // Replay and open-loop reuse the prepared spec; a churn storm brings
+    // its own fleet-sized one, and the system is sized for that.
+    let mut workload: Box<dyn Workload> = match cfg.scenario.map(|sc| sc.kind) {
+        None | Some(ScenarioKind::OpenLoop) => Box::new(prep.player()),
+        Some(ScenarioKind::Replay) => Box::new(
+            ReplayWorkload::from_csv(prep.spec.clone(), MSR_FIXTURE)
+                .expect("in-repo MSR fixture parses"),
+        ),
+        Some(ScenarioKind::Churn) => Box::new(churn_storm(SEED, prep.ops)),
     };
-    let mut player = TracePlayer::new(prep.spec.clone(), prep.trace.clone())
-        .with_universe(prep.universe.clone());
-    let mut model = ContentModel::new(prep.cfg.seed, prep.spec.profile.clone());
-    let driver = DriverConfig {
-        clients: prep.cfg.clients,
-        ops: prep.cfg.ops,
-        warmup_ops: prep.cfg.ops / 4,
-        verify: false,
-        guest_cache: false,
-        cpu: None,
+    let spec = workload.spec().clone();
+    let mut system = kind.build(&spec, &cfg.features);
+    let sink = traced.then(|| attach_jsonl(system.as_mut()));
+    let mut model = ContentModel::new(SEED, spec.profile.clone());
+    let driver = cell_driver(prep.ops, prep.spec.clients);
+    let mut summary = match cfg.scenario {
+        Some(sc) if sc.kind == ScenarioKind::OpenLoop => {
+            // The dispatcher shares the cell's sink so `OpenLoopArrival`
+            // events land in the same JSONL stream as the device events.
+            let tracer = match &sink {
+                Some(s) => Tracer::to_sink(s.clone() as Arc<Mutex<dyn TraceSink + Send>>),
+                None => Tracer::disabled(),
+            };
+            let paced = open_loop_cell(sc.arrival, SEED, &driver);
+            run_open_loop(
+                system.as_mut(),
+                workload.as_mut(),
+                &mut model,
+                &paced,
+                &tracer,
+            )
+            .0
+        }
+        _ => run_benchmark(system.as_mut(), workload.as_mut(), &mut model, &driver),
     };
-    let mut summary = run_benchmark(system.as_mut(), &mut player, &mut model, &driver);
     summary.wall_ns = wall_start.elapsed().as_nanos() as u64;
-    if prep.cfg.flush_ticket || prep.cfg.group_commit_depth > 1 || prep.cfg.shards > 1 {
+    if cfg.flush_ticket || cfg.features.group_commit_depth > 1 || cfg.features.shards > 1 {
         // Exercise the ticket barrier across every architecture: a full
         // sync after the measured run, after which no ticket may remain in
         // flight. Gated off by default so default outputs stay
@@ -455,104 +346,58 @@ fn run_cell_inner(
     }
     drop(system);
     let text = sink.map(|s| s.lock().expect("trace sink").take_text());
-    (summary, text)
+    (summary, text.unwrap_or_default())
 }
 
-/// The in-repo MSR-Cambridge-style fixture `ICASH_SCENARIO=replay` cells
-/// replay (also the golden-replay test's input, so the harness and the
-/// test pin the same 64 events).
-pub const MSR_FIXTURE: &str = include_str!("../../workloads/tests/golden/msr_sample.csv");
+/// The ablation binaries' protocol: one workload scaled to `ops`, its op
+/// stream recorded once at seed 1, replayed through one I-CASH per design
+/// variant so every row of an ablation table sees the same requests.
+#[derive(Debug)]
+pub struct Ablation {
+    /// The scaled spec every variant is sized for.
+    pub spec: WorkloadSpec,
+    /// Operations every variant replays.
+    pub ops: u64,
+    trace: Trace,
+}
 
-/// Mean inter-arrival gap of open-loop scenario cells. Chosen against the
-/// simulated device service times so the stationary shape stays mostly
-/// un-queued while the 16× flash-crowd bursts visibly overload the array —
-/// the contrast the scenario campaign asserts on.
-pub const OPEN_LOOP_BASE_GAP: Ns = Ns::from_us(200);
+impl Ablation {
+    /// Records `spec`'s op stream.
+    pub fn new(spec: WorkloadSpec, ops: u64) -> Self {
+        let trace = Trace::record(&mut MixedWorkload::new(spec.clone(), 1), ops);
+        Ablation { spec, ops, trace }
+    }
 
-/// Runs one cell under a scenario driver instead of the plain closed loop.
-/// The cell still owns its whole simulated world, so scenario cells keep
-/// the same any-thread / bit-identical contract as plain ones.
-fn run_scenario_cell(
-    kind: SystemKind,
-    prep: &PreparedWorkload,
-    traced: bool,
-    sc: ScenarioSpec,
-) -> (RunSummary, Option<String>) {
-    let wall_start = Instant::now();
-    // Pick the scenario workload and the spec the system is sized for:
-    // replay and open-loop reuse the prepared spec; a churn storm brings
-    // its own fleet-sized one.
-    let (mut workload, sys_spec): (Box<dyn Workload>, WorkloadSpec) = match sc.kind {
-        ScenarioKind::Replay => (
-            Box::new(
-                ReplayWorkload::from_csv(prep.spec.clone(), MSR_FIXTURE)
-                    .expect("in-repo MSR fixture parses"),
-            ),
-            prep.spec.clone(),
-        ),
-        ScenarioKind::OpenLoop => (
-            Box::new(
-                TracePlayer::new(prep.spec.clone(), prep.trace.clone())
-                    .with_universe(prep.universe.clone()),
-            ),
-            prep.spec.clone(),
-        ),
-        ScenarioKind::Churn => {
-            let storm = churn_storm(prep.cfg.seed, prep.cfg.ops);
-            let spec = storm.spec().clone();
-            (Box::new(storm), spec)
-        }
-    };
-    let mut system = kind.build_sharded(
-        &sys_spec,
-        prep.cfg.group_commit_depth,
-        prep.cfg.shards,
-        prep.cfg.health,
-        prep.cfg.queue,
-    );
-    let sink = if traced {
-        Some(attach_jsonl(system.as_mut()))
-    } else {
-        None
-    };
-    let mut model = ContentModel::new(prep.cfg.seed, sys_spec.profile.clone());
-    let mut summary = if sc.kind == ScenarioKind::OpenLoop {
-        // The dispatcher shares the cell's sink so `OpenLoopArrival`
-        // events land in the same JSONL stream as the device events.
-        let tracer = match &sink {
-            Some(s) => Tracer::to_sink(s.clone() as Arc<Mutex<dyn TraceSink + Send>>),
-            None => Tracer::disabled(),
-        };
-        let mut ocfg = OpenLoopConfig::new(
-            sc.arrival.config(OPEN_LOOP_BASE_GAP),
-            prep.cfg.ops,
-            prep.cfg.seed,
-        );
-        ocfg.clients = prep.cfg.clients;
-        ocfg.warmup_ops = prep.cfg.ops / 4;
-        run_open_loop(
-            system.as_mut(),
-            workload.as_mut(),
-            &mut model,
-            &ocfg,
-            &tracer,
-        )
-        .0
-    } else {
-        let driver = DriverConfig {
-            clients: prep.cfg.clients,
-            ops: prep.cfg.ops,
-            warmup_ops: prep.cfg.ops / 4,
-            verify: false,
-            guest_cache: false,
-            cpu: None,
-        };
-        run_benchmark(system.as_mut(), workload.as_mut(), &mut model, &driver)
-    };
-    summary.wall_ns = wall_start.elapsed().as_nanos() as u64;
-    drop(system);
-    let text = sink.map(|s| s.lock().expect("trace sink").take_text());
-    (summary, text)
+    /// The stock ablation: SysBench at `ICASH_OPS` (default 40,000).
+    pub fn sysbench(cfg: &RunConfig) -> Self {
+        let ops = cfg.ops.unwrap_or(40_000);
+        Self::new(icash_workloads::sysbench::spec().scaled_to_ops(ops), ops)
+    }
+
+    /// The ablations' driver: the workload's clients, 10 % warmup.
+    pub fn driver(&self) -> DriverConfig {
+        DriverConfig::new(self.ops).clients(self.spec.clients)
+    }
+
+    /// A fresh replay of the recorded stream.
+    pub fn player(&self) -> TracePlayer {
+        TracePlayer::new(self.spec.clone(), self.trace.clone())
+    }
+
+    /// Replays the stream through the I-CASH `configure` builds; returns the
+    /// summary and the controller (for its internal stats).
+    pub fn run(
+        &self,
+        configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
+        driver: &DriverConfig,
+    ) -> (RunSummary, Icash) {
+        let spec = &self.spec;
+        let builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes);
+        let mut system = Icash::new(configure(builder).build());
+        let mut model = ContentModel::new(1, spec.profile.clone());
+        let summary = run_benchmark(&mut system, &mut self.player(), &mut model, driver);
+        (summary, system)
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -569,10 +414,9 @@ pub fn attach_jsonl(system: &mut dyn StorageSystem) -> Arc<Mutex<JsonlSink>> {
     sink
 }
 
-// The `--trace` flag and `ICASH_*` environment handling live in
-// [`crate::cli`]; the re-exports keep the long-standing harness paths
-// working for the exhibit binaries.
-pub use crate::cli::{positional_args, trace_path_from_args};
+/// Per plan in order: the scaled spec and, per system in
+/// [`SystemKind::ALL`] order, the summary with the cell's JSONL events.
+pub type TracedResults = Vec<(WorkloadSpec, Vec<(RunSummary, String)>)>;
 
 /// Renders traced results as one multi-cell JSONL document: each cell is a
 /// `{"cell":{...}}` header line followed by that cell's events.
@@ -584,171 +428,64 @@ fn trace_document(results: &TracedResults) -> String {
                 "{{\"cell\":{{\"workload\":\"{}\",\"system\":\"{}\"}}}}\n",
                 spec.name, summary.system
             ));
-            if let Some(text) = text {
-                doc.push_str(text);
-            }
+            doc.push_str(text);
         }
     }
     doc
-}
-
-fn write_trace_artifact(path: &Path, results: &TracedResults) {
-    let doc = trace_document(results);
-    match std::fs::write(path, &doc) {
-        Ok(()) => eprintln!("trace written to {}", path.display()),
-        Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
-    }
 }
 
 /// Runs every planned workload against all five systems, with all
 /// (system × workload) cells sharing one worker pool — so a slow cell in
 /// one workload overlaps with cells of every other workload. Returns, per
 /// plan in order, the scaled spec and the five summaries in
-/// [`SystemKind::ALL`] order.
-pub fn run_plan(plans: &[PlannedWorkload]) -> Vec<(WorkloadSpec, Vec<RunSummary>)> {
-    match trace_path_from_args() {
-        None => strip_traces(run_plan_inner(plans, false)),
-        Some(path) => {
-            let results = run_plan_inner(plans, true);
-            write_trace_artifact(&path, &results);
-            strip_traces(results)
+/// [`SystemKind::ALL`] order, and writes the trace artifact when
+/// `cfg.trace` names one.
+pub fn run_plan(
+    cfg: &RunConfig,
+    plans: &[PlannedWorkload],
+) -> Vec<(WorkloadSpec, Vec<RunSummary>)> {
+    let results = run_cells(cfg, plans, cfg.trace.is_some());
+    if let Some(path) = &cfg.trace {
+        match std::fs::write(path, trace_document(&results)) {
+            Ok(()) => eprintln!("trace written to {}", path.display()),
+            Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
         }
     }
-}
-
-/// [`run_plan`] with tracing forced on: every cell additionally returns
-/// its JSONL event document. The determinism and oracle suites diff these
-/// across thread counts and against the summaries.
-pub fn run_plan_traced(
-    plans: &[PlannedWorkload],
-) -> Vec<(WorkloadSpec, Vec<(RunSummary, String)>)> {
-    run_plan_inner(plans, true)
-        .into_iter()
-        .map(|(spec, cells)| {
-            let cells = cells
-                .into_iter()
-                .map(|(summary, text)| (summary, text.expect("traced run")))
-                .collect();
-            (spec, cells)
-        })
-        .collect()
-}
-
-type TracedResults = Vec<(WorkloadSpec, Vec<(RunSummary, Option<String>)>)>;
-
-fn strip_traces(results: TracedResults) -> Vec<(WorkloadSpec, Vec<RunSummary>)> {
     results
         .into_iter()
         .map(|(spec, cells)| (spec, cells.into_iter().map(|(s, _)| s).collect()))
         .collect()
 }
 
-fn run_plan_inner(plans: &[PlannedWorkload], traced: bool) -> TracedResults {
-    let prepared: Vec<PreparedWorkload> = plans.iter().map(prepare).collect();
+/// [`run_plan`] with tracing forced on and no artifact written: every cell
+/// additionally returns its JSONL event document. The determinism and
+/// oracle suites diff these across thread counts and against the summaries.
+pub fn run_plan_traced(cfg: &RunConfig, plans: &[PlannedWorkload]) -> TracedResults {
+    run_cells(cfg, plans, true)
+}
+
+fn run_cells(cfg: &RunConfig, plans: &[PlannedWorkload], traced: bool) -> TracedResults {
+    let prepared: Vec<PreparedWorkload> = plans
+        .iter()
+        .map(|plan| PreparedWorkload::record(cfg, plan))
+        .collect();
     let jobs: Vec<_> = prepared
         .iter()
         .flat_map(|prep| SystemKind::ALL.iter().map(move |&kind| (kind, prep)))
-        .map(|(kind, prep)| move || run_cell_inner(kind, prep, traced))
+        .map(|(kind, prep)| move || run_cell(cfg, kind, prep, traced))
         .collect();
-    let mut results = run_jobs(jobs).into_iter();
+    let mut results = run_jobs(cfg.workers(), jobs).into_iter();
+    let per_plan = SystemKind::ALL.len();
     prepared
         .into_iter()
-        .map(|prep| {
-            let cells: Vec<(RunSummary, Option<String>)> = SystemKind::ALL
-                .iter()
-                .map(|_| results.next().expect("cell ran"))
-                .collect();
-            (prep.spec, cells)
-        })
+        .map(|prep| (prep.spec, results.by_ref().take(per_plan).collect()))
         .collect()
-}
-
-/// Runs one workload (built by `make_workload`) against all five systems
-/// and returns the summaries in [`SystemKind::ALL`] order.
-///
-/// The op stream is recorded once and replayed bit-identically per system;
-/// cells run on the shared worker pool (see the module docs).
-pub fn run_five_systems(
-    spec: &WorkloadSpec,
-    cfg: &ExperimentConfig,
-    make_workload: impl Fn(u64) -> Box<dyn Workload>,
-) -> Vec<RunSummary> {
-    match trace_path_from_args() {
-        None => run_five_systems_inner(spec, cfg, make_workload, false)
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect(),
-        Some(path) => {
-            let cells = run_five_systems_inner(spec, cfg, make_workload, true);
-            let results: TracedResults = vec![(spec.clone(), cells)];
-            write_trace_artifact(&path, &results);
-            let (_, cells) = results.into_iter().next().expect("one workload");
-            cells.into_iter().map(|(s, _)| s).collect()
-        }
-    }
-}
-
-/// [`run_five_systems`] with tracing forced on: each summary comes with
-/// the cell's JSONL event document.
-pub fn run_five_systems_traced(
-    spec: &WorkloadSpec,
-    cfg: &ExperimentConfig,
-    make_workload: impl Fn(u64) -> Box<dyn Workload>,
-) -> Vec<(RunSummary, String)> {
-    run_five_systems_inner(spec, cfg, make_workload, true)
-        .into_iter()
-        .map(|(summary, text)| (summary, text.expect("traced run")))
-        .collect()
-}
-
-fn run_five_systems_inner(
-    spec: &WorkloadSpec,
-    cfg: &ExperimentConfig,
-    make_workload: impl Fn(u64) -> Box<dyn Workload>,
-    traced: bool,
-) -> Vec<(RunSummary, Option<String>)> {
-    let mut source = make_workload(cfg.seed);
-    let universe = source.address_universe();
-    let trace = Trace::record(source.as_mut(), cfg.ops);
-    let prep = PreparedWorkload {
-        spec: spec.clone(),
-        cfg: cfg.clone(),
-        trace,
-        universe,
-    };
-    let jobs: Vec<_> = SystemKind::ALL
-        .iter()
-        .map(|&kind| {
-            let prep = &prep;
-            move || run_cell_inner(kind, prep, traced)
-        })
-        .collect();
-    run_jobs(jobs)
-}
-
-/// The standard single-workload exhibit: scale per environment, announce,
-/// run the five systems. Returns the scaled spec and the summaries.
-pub fn standard_run(base: &WorkloadSpec) -> (WorkloadSpec, Vec<RunSummary>) {
-    run_plan(std::slice::from_ref(&PlannedWorkload::Standard(
-        base.clone(),
-    )))
-    .pop()
-    .expect("one plan in, one result out")
-}
-
-/// The multi-VM exhibit runner (Figures 15-16): `make` builds the 5-VM
-/// workload; the aggregate spec is scaled and the inner VMs rescaled with
-/// it.
-pub fn vm_run(make: fn(u64) -> MultiVm) -> (WorkloadSpec, Vec<RunSummary>) {
-    run_plan(std::slice::from_ref(&PlannedWorkload::MultiVm(make)))
-        .pop()
-        .expect("one plan in, one result out")
 }
 
 /// Formats the per-cell instrumentation table: ops replayed, virtual time
 /// advanced, host wall time, and replay throughput for every
-/// (workload × system) cell, plus a totals row.
-pub fn cell_table(results: &[(WorkloadSpec, Vec<RunSummary>)]) -> String {
+/// (workload × system) cell, plus a totals row naming the pool size.
+pub fn cell_table(results: &[(WorkloadSpec, Vec<RunSummary>)], workers: usize) -> String {
     let mut out = String::from(
         "| Workload | System | Ops replayed | Virtual time | Wall time | Replay rate |\n\
          |---|---|---:|---:|---:|---:|\n",
@@ -777,11 +514,10 @@ pub fn cell_table(results: &[(WorkloadSpec, Vec<RunSummary>)]) -> String {
         }
     }
     out.push_str(&format!(
-        "\n{} cells, {} ops replayed, {:.3} s of cell wall time ({} workers)\n",
+        "\n{} cells, {} ops replayed, {:.3} s of cell wall time ({workers} workers)\n",
         results.iter().map(|(_, s)| s.len()).sum::<usize>(),
         total_ops,
         total_wall_ns as f64 / 1e9,
-        worker_count(usize::MAX),
     ));
     out
 }
@@ -790,42 +526,23 @@ pub fn cell_table(results: &[(WorkloadSpec, Vec<RunSummary>)]) -> String {
 mod tests {
     use super::*;
     use icash_workloads::sysbench;
-    use std::sync::{Mutex, MutexGuard};
 
-    /// Serializes tests that mutate process-global environment variables.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    fn env_guard() -> MutexGuard<'static, ()> {
-        ENV_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    #[test]
-    fn five_systems_run_one_small_workload() {
+    fn small_plan() -> [PlannedWorkload; 1] {
         let mut spec = sysbench::spec();
         spec.data_bytes = 32 << 20;
         spec.ssd_bytes = 4 << 20;
         spec.ram_bytes = 1 << 20;
-        let cfg = ExperimentConfig {
-            ops: 2_000,
-            clients: 8,
-            seed: 7,
-            group_commit_depth: 1,
-            flush_ticket: false,
-            shards: 1,
-            health: None,
-            queue: None,
-            scenario: None,
+        spec.clients = 8;
+        [PlannedWorkload::Standard(spec)]
+    }
+
+    #[test]
+    fn five_systems_run_one_small_workload() {
+        let cfg = RunConfig {
+            ops: Some(2_000),
+            ..RunConfig::default()
         };
-        let spec_clone = spec.clone();
-        let summaries = run_five_systems(&spec, &cfg, move |seed| {
-            Box::new(icash_workloads::MixedWorkload::new(
-                spec_clone.clone(),
-                seed,
-            ))
-        });
-        assert_eq!(summaries.len(), 5);
+        let (_, summaries) = run_plan(&cfg, &small_plan()).pop().expect("one plan");
         let names: Vec<&str> = summaries.iter().map(|s| s.system.as_str()).collect();
         assert_eq!(names, vec!["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"]);
         for s in &summaries {
@@ -837,28 +554,12 @@ mod tests {
 
     #[test]
     fn five_systems_run_sharded() {
-        let mut spec = sysbench::spec();
-        spec.data_bytes = 32 << 20;
-        spec.ssd_bytes = 4 << 20;
-        spec.ram_bytes = 1 << 20;
-        let cfg = ExperimentConfig {
-            ops: 1_000,
-            clients: 4,
-            seed: 7,
-            group_commit_depth: 1,
-            flush_ticket: false,
-            shards: 4,
-            health: None,
-            queue: None,
-            scenario: None,
+        let mut cfg = RunConfig {
+            ops: Some(1_000),
+            ..RunConfig::default()
         };
-        let spec_clone = spec.clone();
-        let summaries = run_five_systems(&spec, &cfg, move |seed| {
-            Box::new(icash_workloads::MixedWorkload::new(
-                spec_clone.clone(),
-                seed,
-            ))
-        });
+        cfg.features.shards = 4;
+        let (_, summaries) = run_plan(&cfg, &small_plan()).pop().expect("one plan");
         assert_eq!(summaries.len(), 5);
         for s in &summaries {
             assert_eq!(s.ops, 1_000);
@@ -866,121 +567,34 @@ mod tests {
         }
     }
 
+    /// The post-run barrier check runs on every path: a scenario cell with
+    /// group commit on still ends with no ticket in flight (the assert
+    /// inside `run_cell` is what this exercises).
     #[test]
-    fn env_overrides_shards() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_SHARDS", "8");
-        let cfg = ExperimentConfig::from_env(&spec);
-        std::env::remove_var("ICASH_SHARDS");
-        assert_eq!(cfg.shards, 8);
+    fn scenario_cells_keep_the_barrier_check() {
+        for kind in ScenarioKind::ALL {
+            let mut cfg = RunConfig {
+                ops: Some(300),
+                flush_ticket: true,
+                ..RunConfig::default()
+            };
+            cfg.features.group_commit_depth = 4;
+            cfg.scenario = Some(icash_workloads::scenario::ScenarioSpec {
+                kind,
+                arrival: ArrivalShape::Burst,
+            });
+            let (_, summaries) = run_plan(&cfg, &small_plan()).pop().expect("one plan");
+            assert_eq!(summaries.len(), 5, "{kind:?}");
+        }
     }
 
     #[test]
-    fn zero_shards_override_is_rejected() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_SHARDS", "0");
-        let result = std::panic::catch_unwind(|| ExperimentConfig::from_env(&spec));
-        std::env::remove_var("ICASH_SHARDS");
-        let message = panic_message(result);
-        assert!(message.contains("ICASH_SHARDS=0"), "got: {message}");
-    }
-
-    #[test]
-    fn non_numeric_shards_override_is_rejected() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_SHARDS", "many");
-        let result = std::panic::catch_unwind(|| ExperimentConfig::from_env(&spec));
-        std::env::remove_var("ICASH_SHARDS");
-        let message = panic_message(result);
-        assert!(
-            message.contains("ICASH_SHARDS=\"many\"") && message.contains("positive integer"),
-            "got: {message}"
-        );
-    }
-
-    #[test]
-    fn env_overrides_ops() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_OPS", "1234");
-        let cfg = ExperimentConfig::from_env(&spec);
-        std::env::remove_var("ICASH_OPS");
-        assert_eq!(cfg.ops, 1234);
-    }
-
-    #[test]
-    fn zero_ops_override_is_rejected() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_OPS", "0");
-        let result = std::panic::catch_unwind(|| ExperimentConfig::from_env(&spec));
-        std::env::remove_var("ICASH_OPS");
-        let message = panic_message(result);
-        assert!(message.contains("ICASH_OPS=0"), "got: {message}");
-    }
-
-    #[test]
-    fn non_numeric_ops_override_is_rejected() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_OPS", "lots");
-        let result = std::panic::catch_unwind(|| ExperimentConfig::from_env(&spec));
-        std::env::remove_var("ICASH_OPS");
-        let message = panic_message(result);
-        assert!(
-            message.contains("ICASH_OPS=\"lots\"") && message.contains("positive integer"),
-            "got: {message}"
-        );
-    }
-
-    #[test]
-    fn bad_full_flag_is_rejected() {
-        let _guard = env_guard();
-        let spec = sysbench::spec();
-        std::env::set_var("ICASH_FULL", "yes");
-        let result = std::panic::catch_unwind(|| ExperimentConfig::from_env(&spec));
-        std::env::remove_var("ICASH_FULL");
-        let message = panic_message(result);
-        assert!(message.contains("ICASH_FULL"), "got: {message}");
-    }
-
-    #[test]
-    fn bad_thread_count_is_rejected() {
-        let _guard = env_guard();
-        std::env::set_var("ICASH_THREADS", "0");
-        let result = std::panic::catch_unwind(|| worker_count(4));
-        std::env::remove_var("ICASH_THREADS");
-        let message = panic_message(result);
-        assert!(message.contains("ICASH_THREADS"), "got: {message}");
-    }
-
-    #[test]
-    fn thread_count_is_clamped_to_jobs() {
-        let _guard = env_guard();
-        std::env::set_var("ICASH_THREADS", "64");
-        let n = worker_count(3);
-        std::env::remove_var("ICASH_THREADS");
-        assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn pool_preserves_job_order() {
-        let jobs: Vec<_> = (0..37).map(|i| move || i * i).collect();
-        let results = run_jobs(jobs);
-        assert_eq!(results, (0..37).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    fn panic_message<T>(result: std::thread::Result<T>) -> String {
-        let err = match result {
-            Ok(_) => panic!("validation must reject the override"),
-            Err(err) => err,
-        };
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
+    fn pool_preserves_job_order_and_clamps_workers() {
+        for workers in [0, 1, 4, 64] {
+            let jobs: Vec<_> = (0..37).map(|i| move || i * i).collect();
+            let results = run_jobs(workers, jobs);
+            assert_eq!(results, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(run_jobs(8, Vec::<fn() -> u8>::new()).is_empty());
     }
 }

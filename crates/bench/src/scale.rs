@@ -26,17 +26,17 @@
 //!
 //! [`ShardRouter`]: icash_storage::shard::ShardRouter
 
-use crate::harness::run_jobs;
+use crate::config::{RunConfig, SEED};
+use crate::harness::{cell_driver, run_jobs};
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
 use icash_storage::block::Lba;
-use icash_storage::queue::QueueConfig;
 use icash_storage::shard::merge_streams;
 use icash_storage::system::SystemReport;
 use icash_storage::time::Ns;
 use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
+use icash_workloads::driver::run_benchmark;
 use icash_workloads::spec::WorkloadSpec;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::workload::WorkloadOp;
@@ -157,7 +157,6 @@ fn replay_shard(
     trace: Trace,
     universe: Vec<(u8, u64)>,
     clients: u32,
-    seed: u64,
 ) -> RunSummary {
     let ops = trace.len() as u64;
     if ops == 0 {
@@ -183,37 +182,30 @@ fn replay_shard(
     }
     let mut system = Icash::new(cfg);
     let mut player = TracePlayer::new(spec.clone(), trace).with_universe(universe);
-    let mut model = ContentModel::new(seed, spec.profile.clone());
-    let driver = DriverConfig {
-        clients,
-        ops,
-        warmup_ops: ops / 4,
-        verify: false,
-        guest_cache: false,
-        cpu: None,
-    };
+    let mut model = ContentModel::new(SEED, spec.profile.clone());
+    let driver = cell_driver(ops, clients);
     run_benchmark(&mut system, &mut player, &mut model, &driver)
 }
 
 /// Runs one sweep cell: partition the recorded trace, replay every shard's
-/// slice on the shared worker pool (thread-per-shard up to `ICASH_THREADS`
-/// workers), merge. Each shard is a complete small I-CASH built from the
-/// [`IcashConfig::shard_slice`] of the cell spec, so the aggregate
-/// hardware budget matches the one-shard cell.
+/// slice on the shared worker pool (thread-per-shard up to `cfg.workers()`
+/// threads), merge. Each shard is a complete small I-CASH built from the
+/// [`IcashConfig::shard_slice`] of the cell spec — with `cfg`'s device
+/// queues, if any — so the aggregate hardware budget matches the one-shard
+/// cell.
 pub fn run_cell(
+    cfg: &RunConfig,
     spec: &WorkloadSpec,
     trace: &Trace,
     universe: &[(u8, u64)],
     shards: u32,
     clients: u32,
-    seed: u64,
-    queue: Option<QueueConfig>,
 ) -> ScaleCell {
     let wall_start = Instant::now();
     let parts = partition_trace(trace, shards);
     let slice_spec = spec.shard_slice(shards);
     let mut builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes);
-    if let Some(q) = queue {
+    if let Some(q) = cfg.features.queue {
         builder = builder.queue(q);
     }
     let slice_cfg = builder.build().shard_slice(shards);
@@ -224,10 +216,10 @@ pub fn run_cell(
             let sub_universe = shard_universe(universe, shards, shard as u32);
             let slice_spec = &slice_spec;
             let slice_cfg = slice_cfg.clone();
-            move || replay_shard(slice_spec, slice_cfg, part, sub_universe, clients, seed)
+            move || replay_shard(slice_spec, slice_cfg, part, sub_universe, clients)
         })
         .collect();
-    let per_shard = run_jobs(jobs);
+    let per_shard = run_jobs(cfg.workers(), jobs);
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
     // The deterministic shard-clock merge: one (finish time, shard) event
     // per shard, ordered by time with ties broken by shard id.
@@ -251,26 +243,23 @@ pub fn run_cell(
 
 /// Runs the full sweep grid over one recorded op stream: every shard count
 /// × every client count, cells in grid order (shards outer, clients
-/// inner). The trace is recorded once from `spec` and `seed`, so every
+/// inner). The trace is recorded once from `spec` and [`SEED`], so every
 /// cell replays the same outer op stream.
 pub fn run_campaign(
+    cfg: &RunConfig,
     spec: &WorkloadSpec,
     ops: u64,
-    seed: u64,
     shard_sweep: &[u32],
     client_sweep: &[u32],
-    queue: Option<QueueConfig>,
 ) -> Vec<ScaleCell> {
-    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), seed);
+    let mut source = icash_workloads::MixedWorkload::new(spec.clone(), SEED);
     let universe = icash_workloads::workload::Workload::address_universe(&source);
     let trace = Trace::record(&mut source, ops);
     let mut cells = Vec::new();
     for &shards in shard_sweep {
         for &clients in client_sweep {
             eprintln!("run_scale: shards={shards} clients={clients} ({ops} ops)");
-            cells.push(run_cell(
-                spec, &trace, &universe, shards, clients, seed, queue,
-            ));
+            cells.push(run_cell(cfg, spec, &trace, &universe, shards, clients));
         }
     }
     cells
@@ -278,12 +267,12 @@ pub fn run_campaign(
 
 /// The deterministic campaign document: a schema header followed by one
 /// [`ScaleCell::to_json`] line per cell. Contains no wall-clock quantity —
-/// `tests/scale_determinism.rs` pins the bytes independent of
-/// `ICASH_THREADS`.
-pub fn document(spec: &WorkloadSpec, ops: u64, seed: u64, cells: &[ScaleCell]) -> String {
+/// `crates/bench/tests/scale_determinism.rs` pins the bytes independent of
+/// the worker count.
+pub fn document(spec: &WorkloadSpec, ops: u64, cells: &[ScaleCell]) -> String {
     let mut doc = format!(
         "{{\"schema\":\"icash-scale-v1\",\"workload\":{:?},\"ops\":{},\"seed\":{}}}\n",
-        spec.name, ops, seed
+        spec.name, ops, SEED
     );
     for cell in cells {
         doc.push_str(&cell.to_json());
@@ -361,36 +350,6 @@ pub fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Opti
     } else {
         None
     }
-}
-
-/// Comma-separated positive-integer list overrides for the sweep grids
-/// (`ICASH_SCALE_SHARDS` / `ICASH_SCALE_CLIENTS`), with `default` when the
-/// variable is unset. CI uses these to shrink the grid.
-///
-/// # Panics
-///
-/// Panics when the variable is set but empty or contains anything but
-/// positive integers — a typo'd sweep silently shrinking to the default
-/// would invalidate the campaign it claims to run.
-pub fn sweep_from_env(var: &str, default: &[u32]) -> Vec<u32> {
-    let Ok(raw) = std::env::var(var) else {
-        return default.to_vec();
-    };
-    let parsed: Vec<u32> = raw
-        .split(',')
-        .map(|item| match item.trim().parse::<u32>() {
-            Ok(0) | Err(_) => {
-                panic!(
-                    "invalid {var}={raw:?}: expected a comma-separated list of positive integers"
-                )
-            }
-            Ok(n) => n,
-        })
-        .collect();
-    if parsed.is_empty() {
-        panic!("invalid {var}={raw:?}: the sweep needs at least one entry");
-    }
-    parsed
 }
 
 #[cfg(test)]
@@ -473,7 +432,7 @@ mod tests {
         let mut wl = icash_workloads::MixedWorkload::new(spec.clone(), 5);
         let universe = icash_workloads::workload::Workload::address_universe(&wl);
         let trace = Trace::record(&mut wl, 400);
-        let cell = run_cell(&spec, &trace, &universe, 1, 4, 5, None);
+        let cell = run_cell(&RunConfig::default(), &spec, &trace, &universe, 1, 4);
         assert_eq!(cell.per_shard.len(), 1);
         assert_eq!(cell.finish_order, vec![0]);
         // The merged summary IS the single shard's summary.
@@ -487,8 +446,9 @@ mod tests {
         let mut wl = icash_workloads::MixedWorkload::new(spec.clone(), 5);
         let universe = icash_workloads::workload::Workload::address_universe(&wl);
         let trace = Trace::record(&mut wl, 400);
-        let a = run_cell(&spec, &trace, &universe, 4, 2, 5, None);
-        let b = run_cell(&spec, &trace, &universe, 4, 2, 5, None);
+        let cfg = RunConfig::default();
+        let a = run_cell(&cfg, &spec, &trace, &universe, 4, 2);
+        let b = run_cell(&cfg, &spec, &trace, &universe, 4, 2);
         assert_eq!(a.to_json(), b.to_json(), "cells replay bit-identically");
         assert_eq!(a.per_shard.len(), 4);
         assert_eq!(a.finish_order.len(), 4);
@@ -502,8 +462,8 @@ mod tests {
     #[test]
     fn document_excludes_wall_clock() {
         let spec = small_spec();
-        let cells = run_campaign(&spec, 120, 9, &[1, 2], &[2], None);
-        let doc = document(&spec, 120, 9, &cells);
+        let cells = run_campaign(&RunConfig::default(), &spec, 120, &[1, 2], &[2]);
+        let doc = document(&spec, 120, &cells);
         assert!(doc.starts_with("{\"schema\":\"icash-scale-v1\""));
         assert_eq!(doc.lines().count(), 3, "header + one line per cell");
         assert!(!doc.contains("wall"), "no wall-clock field may leak");
@@ -512,28 +472,10 @@ mod tests {
         for cell in &mut forged {
             cell.wall_ns = cell.wall_ns.wrapping_mul(7).wrapping_add(13);
         }
-        assert_eq!(doc, document(&spec, 120, 9, &forged));
+        assert_eq!(doc, document(&spec, 120, &forged));
         // The criterion output, by contrast, is all wall clock.
         let bench = criterion_json(&cells);
         assert!(bench.contains("icash_scale/shards1_clients2"));
         assert!(bench.contains("ns_per_iter"));
-    }
-
-    #[test]
-    fn sweep_env_parses_and_rejects() {
-        std::env::remove_var("ICASH_SCALE_SHARDS_TEST");
-        assert_eq!(
-            sweep_from_env("ICASH_SCALE_SHARDS_TEST", &[1, 8]),
-            vec![1, 8]
-        );
-        std::env::set_var("ICASH_SCALE_SHARDS_TEST", "1, 2,4");
-        assert_eq!(
-            sweep_from_env("ICASH_SCALE_SHARDS_TEST", &[1]),
-            vec![1, 2, 4]
-        );
-        std::env::set_var("ICASH_SCALE_SHARDS_TEST", "1,zero");
-        let result = std::panic::catch_unwind(|| sweep_from_env("ICASH_SCALE_SHARDS_TEST", &[1]));
-        std::env::remove_var("ICASH_SCALE_SHARDS_TEST");
-        assert!(result.is_err(), "non-numeric sweep entries must panic");
     }
 }

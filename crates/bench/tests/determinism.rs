@@ -5,12 +5,11 @@
 //! clocks, RNGs — so scheduling cells across threads must not change any
 //! simulation-determined number. The canonical [`RunSummary::slice_to_json`]
 //! rendering (which deliberately excludes host wall time) is compared
-//! across `ICASH_THREADS=1` and `ICASH_THREADS=4`.
-//!
-//! This lives in its own integration-test binary so its env-var mutation
-//! cannot race the harness unit tests (separate process).
+//! across one and four workers — the count `ICASH_THREADS` sets, passed
+//! here in the configuration so the test never touches the environment.
 
 use icash_bench::harness::{run_plan, PlannedWorkload};
+use icash_bench::RunConfig;
 use icash_metrics::summary::RunSummary;
 use icash_workloads::sysbench;
 
@@ -27,13 +26,13 @@ fn small_plan() -> [PlannedWorkload; 2] {
     [PlannedWorkload::Standard(a), PlannedWorkload::Standard(b)]
 }
 
-fn run_with_threads(threads: &str) -> String {
-    std::env::set_var("ICASH_THREADS", threads);
-    // Pin the op count so an inherited ICASH_OPS/ICASH_FULL cannot skew one
-    // side of the comparison.
-    std::env::set_var("ICASH_OPS", "1000");
-    std::env::remove_var("ICASH_FULL");
-    let results = run_plan(&small_plan());
+fn run_with_threads(threads: usize) -> String {
+    let cfg = RunConfig {
+        threads: Some(threads),
+        ops: Some(1_000),
+        ..RunConfig::default()
+    };
+    let results = run_plan(&cfg, &small_plan());
     let json: Vec<String> = results
         .iter()
         .map(|(spec, runs)| format!("{:?}:{}", spec.name, RunSummary::slice_to_json(runs)))
@@ -43,8 +42,8 @@ fn run_with_threads(threads: &str) -> String {
 
 #[test]
 fn parallel_replay_is_bit_identical_to_sequential() {
-    let sequential = run_with_threads("1");
-    let parallel = run_with_threads("4");
+    let sequential = run_with_threads(1);
+    let parallel = run_with_threads(4);
     // Ten (system × workload) cells, every simulation-determined field
     // identical down to the bit.
     assert!(sequential.contains("I-CASH"), "plan actually ran");
@@ -53,8 +52,6 @@ fn parallel_replay_is_bit_identical_to_sequential() {
         "worker count changed simulated results"
     );
     // And a second parallel run is stable too (no hidden global state).
-    let parallel_again = run_with_threads("4");
+    let parallel_again = run_with_threads(4);
     assert_eq!(parallel, parallel_again);
-    std::env::remove_var("ICASH_THREADS");
-    std::env::remove_var("ICASH_OPS");
 }

@@ -4,13 +4,12 @@
 //!
 //! Each shard of a cell is a complete self-contained simulation on its own
 //! virtual clock, and the deterministic document ([`scale::document`])
-//! deliberately contains no wall-clock quantity — so `ICASH_THREADS=1` and
-//! `ICASH_THREADS=3` must render the same bytes, and so must a sharded
-//! harness run (`ICASH_SHARDS` through `ExperimentConfig`). This lives in
-//! its own integration-test binary so its env-var mutation cannot race
-//! other tests (separate process).
+//! deliberately contains no wall-clock quantity — so one worker and three
+//! (the count `ICASH_THREADS` sets, passed here in the configuration) must
+//! render the same bytes.
 
 use icash_bench::scale;
+use icash_bench::RunConfig;
 use icash_workloads::spec::WorkloadSpec;
 use icash_workloads::sysbench;
 
@@ -23,31 +22,26 @@ fn small_spec() -> WorkloadSpec {
 }
 
 const OPS: u64 = 600;
-const SEED: u64 = 0x1CA5_4001;
 
-fn campaign_with_threads(threads: &str) -> String {
-    std::env::set_var("ICASH_THREADS", threads);
+fn campaign_with_threads(threads: usize) -> String {
+    let mut cfg = RunConfig {
+        threads: Some(threads),
+        ..RunConfig::default()
+    };
     let spec = small_spec();
-    let cells = scale::run_campaign(&spec, OPS, SEED, &[1, 2, 8], &[2, 4], None);
-    let mut doc = scale::document(&spec, OPS, SEED, &cells);
+    let cells = scale::run_campaign(&cfg, &spec, OPS, &[1, 2, 8], &[2, 4]);
+    let mut doc = scale::document(&spec, OPS, &cells);
     // The queued engine must be exactly as deterministic as the bare one.
-    let queued = scale::run_campaign(
-        &spec,
-        OPS,
-        SEED,
-        &[1, 8],
-        &[4],
-        Some(icash_storage::queue::QueueConfig::depth(8)),
-    );
-    doc.push_str(&scale::document(&spec, OPS, SEED, &queued));
+    cfg.features.queue = Some(icash_storage::queue::QueueConfig::depth(8));
+    let queued = scale::run_campaign(&cfg, &spec, OPS, &[1, 8], &[4]);
+    doc.push_str(&scale::document(&spec, OPS, &queued));
     doc
 }
 
 #[test]
 fn campaign_document_is_independent_of_worker_count() {
-    let sequential = campaign_with_threads("1");
-    let parallel = campaign_with_threads("3");
-    std::env::remove_var("ICASH_THREADS");
+    let sequential = campaign_with_threads(1);
+    let parallel = campaign_with_threads(3);
     assert!(
         sequential.contains("\"shards\":8"),
         "the sweep actually ran its widest cell"

@@ -1,14 +1,12 @@
 //! Trace determinism: the JSONL event stream of every (system × workload)
 //! cell must be byte-identical regardless of worker-thread count, and a
 //! traced run's summaries must equal an untraced run's. Together with the
-//! zero-perturbation guard (`tests/trace_free.rs` at the workspace root)
+//! zero-perturbation guard (`tests/inert_free.rs` at the workspace root)
 //! this pins the whole observability layer: tracing changes nothing, and
 //! what it records is a pure function of the cell's inputs.
-//!
-//! Lives in its own integration-test binary so its env-var mutation cannot
-//! race the harness unit tests (separate process).
 
 use icash_bench::harness::{run_plan, run_plan_traced, PlannedWorkload};
+use icash_bench::RunConfig;
 use icash_metrics::summary::RunSummary;
 use icash_metrics::trace::parse_jsonl;
 use icash_workloads::sysbench;
@@ -22,26 +20,20 @@ fn small_plan() -> [PlannedWorkload; 1] {
     [PlannedWorkload::Standard(spec)]
 }
 
-fn pin_env(threads: &str) {
-    std::env::set_var("ICASH_THREADS", threads);
-    // Pin the op count so an inherited ICASH_OPS/ICASH_FULL cannot skew one
-    // side of the comparison, and make sure no ambient ICASH_TRACE turns
-    // the "untraced" control run into a traced one.
-    std::env::set_var("ICASH_OPS", "800");
-    std::env::remove_var("ICASH_FULL");
-    std::env::remove_var("ICASH_TRACE");
-}
-
-fn unpin_env() {
-    std::env::remove_var("ICASH_THREADS");
-    std::env::remove_var("ICASH_OPS");
+/// The run configuration at `threads` workers: op count pinned, no trace
+/// artifact, every feature off.
+fn config(threads: usize) -> RunConfig {
+    RunConfig {
+        threads: Some(threads),
+        ops: Some(800),
+        ..RunConfig::default()
+    }
 }
 
 /// Per-cell `(system name, event JSONL)` pairs plus the canonical summary
 /// rendering, for one traced run at the given worker count.
-fn traced_run(threads: &str) -> (Vec<(String, String)>, String) {
-    pin_env(threads);
-    let results = run_plan_traced(&small_plan());
+fn traced_run(threads: usize) -> (Vec<(String, String)>, String) {
+    let results = run_plan_traced(&config(threads), &small_plan());
     let mut cells = Vec::new();
     let mut summaries = Vec::new();
     for (_, runs) in results {
@@ -55,9 +47,8 @@ fn traced_run(threads: &str) -> (Vec<(String, String)>, String) {
 
 #[test]
 fn traces_are_bit_identical_across_worker_counts() {
-    let (sequential, seq_json) = traced_run("1");
-    let (parallel, par_json) = traced_run("4");
-    unpin_env();
+    let (sequential, seq_json) = traced_run(1);
+    let (parallel, par_json) = traced_run(4);
     assert_eq!(sequential.len(), 5, "five cells per plan");
     assert_eq!(seq_json, par_json, "worker count changed summaries");
     for ((name_a, text_a), (name_b, text_b)) in sequential.iter().zip(parallel.iter()) {
@@ -78,13 +69,12 @@ fn traces_are_bit_identical_across_worker_counts() {
 
 #[test]
 fn tracing_does_not_change_summaries() {
-    pin_env("2");
-    let untraced = run_plan(&small_plan());
+    let untraced = run_plan(&config(2), &small_plan());
     let untraced_json: Vec<String> = untraced
         .iter()
         .map(|(spec, runs)| format!("{:?}:{}", spec.name, RunSummary::slice_to_json(runs)))
         .collect();
-    let traced = run_plan_traced(&small_plan());
+    let traced = run_plan_traced(&config(2), &small_plan());
     let traced_json: Vec<String> = traced
         .iter()
         .map(|(spec, runs)| {
@@ -92,7 +82,6 @@ fn tracing_does_not_change_summaries() {
             format!("{:?}:{}", spec.name, RunSummary::slice_to_json(&summaries))
         })
         .collect();
-    unpin_env();
     assert_eq!(
         untraced_json, traced_json,
         "recording traces changed simulated results"

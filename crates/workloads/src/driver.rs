@@ -12,7 +12,7 @@
 //! exact benchmark access pattern.
 
 use crate::content::ContentModel;
-use crate::workload::Workload;
+use crate::workload::{Workload, WorkloadOp};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
 use icash_storage::block::BlockBuf;
@@ -113,6 +113,115 @@ impl DriverConfig {
     }
 }
 
+/// What every drive loop does around its own pacing policy: the offline
+/// image preparation, building each request (write payloads come from the
+/// content model), the steady-window latency bookkeeping, the shutdown
+/// flush and the [`RunSummary`]. The closed loop below and the open-loop
+/// dispatcher ([`run_open_loop`](crate::scenario::run_open_loop)) differ
+/// only in *when* a request is issued and what its latency is measured
+/// from.
+pub(crate) struct Session {
+    pub(crate) cpu: CpuModel,
+    warmup_ops: u64,
+    issued: u64,
+    read_latency: LatencyHistogram,
+    write_latency: LatencyHistogram,
+    end: Ns,
+    steady_start: Ns,
+}
+
+impl Session {
+    /// Prepares `system`'s image offline (charges no virtual time) and
+    /// opens the books.
+    pub(crate) fn open(
+        system: &mut dyn StorageSystem,
+        workload: &dyn Workload,
+        model: &ContentModel,
+        mut cpu: CpuModel,
+        warmup_ops: u64,
+    ) -> Self {
+        let universe = workload.address_universe();
+        system.preload(&universe, &mut IoCtx::new(model, &mut cpu));
+        Session {
+            cpu,
+            warmup_ops,
+            issued: 0,
+            read_latency: LatencyHistogram::new(),
+            write_latency: LatencyHistogram::new(),
+            end: Ns::ZERO,
+            steady_start: Ns::ZERO,
+        }
+    }
+
+    /// The request for `wop` issued at `at`.
+    #[inline]
+    pub(crate) fn request(model: &mut ContentModel, wop: &WorkloadOp, at: Ns) -> Request {
+        match wop.op {
+            Op::Read => Request::read_span(wop.lba, wop.blocks, at),
+            Op::Write => {
+                let payload: Vec<BlockBuf> = (0..wop.blocks as u64)
+                    .map(|i| model.write_payload(wop.lba.plus(i)))
+                    .collect();
+                Request::write_span(wop.lba, at, payload)
+            }
+        }
+    }
+
+    /// Books one finished operation: `from` opens the steady window if this
+    /// is the first measured op, `latency` is sampled once warm, and the
+    /// run lasts at least `until`.
+    #[inline]
+    pub(crate) fn record(&mut self, op: Op, from: Ns, latency: Ns, until: Ns) {
+        if self.issued == self.warmup_ops {
+            self.steady_start = from;
+        }
+        if self.issued >= self.warmup_ops {
+            match op {
+                Op::Read => self.read_latency.record(latency),
+                Op::Write => self.write_latency.record(latency),
+            }
+        }
+        self.issued += 1;
+        self.end = self.end.max(until);
+    }
+
+    /// Clean shutdown: flushes buffered state and summarises the run.
+    pub(crate) fn close(
+        mut self,
+        system: &mut dyn StorageSystem,
+        workload: &dyn Workload,
+        model: &ContentModel,
+    ) -> RunSummary {
+        let end = system
+            .flush(self.end, &mut IoCtx::new(model, &mut self.cpu))
+            .max(self.end);
+        let report = system.report(end);
+        let spec = workload.spec();
+        let energy = report.device_energy + self.cpu.energy(end);
+        RunSummary {
+            system: report.name.clone(),
+            workload: spec.name.clone(),
+            ops: self.issued,
+            transactions: self.issued / spec.ops_per_transaction.max(1),
+            elapsed: end,
+            steady_ops: self.issued.saturating_sub(self.warmup_ops),
+            steady_elapsed: end.saturating_sub(self.steady_start),
+            read_latency: self.read_latency,
+            write_latency: self.write_latency,
+            cpu_utilization: self.cpu.utilization(end),
+            storage_cpu_utilization: if end == Ns::ZERO {
+                0.0
+            } else {
+                (self.cpu.storage_busy().as_ns() as f64 / end.as_ns() as f64).min(1.0)
+            },
+            ssd_writes: report.ssd.as_ref().map(|s| s.writes).unwrap_or(0),
+            energy_wh: energy.as_watt_hours(),
+            report,
+            wall_ns: 0, // filled in by the harness, which times the whole cell
+        }
+    }
+}
+
 /// Runs `workload` against `system` and summarises the result.
 ///
 /// # Panics
@@ -125,22 +234,9 @@ pub fn run_benchmark(
     model: &mut ContentModel,
     cfg: &DriverConfig,
 ) -> RunSummary {
-    let mut cpu = cfg.cpu.clone().unwrap_or_else(CpuModel::xeon);
+    let cpu = cfg.cpu.clone().unwrap_or_else(CpuModel::xeon);
+    let mut run = Session::open(system, workload, model, cpu, cfg.warmup_ops);
     let mut ready = vec![Ns::ZERO; cfg.clients.max(1) as usize];
-    let mut read_latency = LatencyHistogram::new();
-    let mut write_latency = LatencyHistogram::new();
-    let mut end = Ns::ZERO;
-    let mut steady_start = Ns::ZERO;
-    // Offline image preparation (charges no virtual time).
-    {
-        let universe = workload.address_universe();
-        let mut ctx = IoCtx {
-            backing: &*model,
-            cpu: &mut cpu,
-            collect_data: false,
-        };
-        system.preload(&universe, &mut ctx);
-    }
     let mut page_cache = PageCache::new(if cfg.guest_cache {
         (workload.spec().vm_ram_bytes / 4096) as usize
     } else {
@@ -154,23 +250,14 @@ pub fn run_benchmark(
             .expect("at least one client");
         let at = ready[client];
         let wop = workload.next_op();
-
-        let req = match wop.op {
-            Op::Read => Request::read_span(wop.lba, wop.blocks, at),
-            Op::Write => {
-                let payload: Vec<BlockBuf> = (0..wop.blocks as u64)
-                    .map(|i| model.write_payload(wop.lba.plus(i)))
-                    .collect();
-                Request::write_span(wop.lba, at, payload)
-            }
-        };
+        let req = Session::request(model, &wop, at);
 
         // Reads fully covered by the guest page cache never reach the
         // storage system; everything else goes through and fills it.
         let cache_hit =
             cfg.guest_cache && wop.op == Op::Read && req.lbas().all(|l| page_cache.contains(l));
         let completion = if cache_hit {
-            let copy = cpu.charge(icash_storage::cpu::CpuOp::Memcpy);
+            let copy = run.cpu.charge(icash_storage::cpu::CpuOp::Memcpy);
             let data = if cfg.verify {
                 req.lbas().map(|l| model.current_content(l)).collect()
             } else {
@@ -183,7 +270,7 @@ pub fn run_benchmark(
             }
             let mut ctx = IoCtx {
                 backing: &*model,
-                cpu: &mut cpu,
+                cpu: &mut run.cpu,
                 collect_data: cfg.verify,
             };
             system.submit(&req, &mut ctx)
@@ -208,57 +295,11 @@ pub fn run_benchmark(
             }
         }
 
-        let latency = completion.latency(&req);
-        if n == cfg.warmup_ops {
-            steady_start = at;
-        }
-        if n >= cfg.warmup_ops {
-            match wop.op {
-                Op::Read => read_latency.record(latency),
-                Op::Write => write_latency.record(latency),
-            }
-        }
-
-        cpu.charge_app(wop.app_cpu);
+        run.cpu.charge_app(wop.app_cpu);
         ready[client] = completion.finished + wop.app_cpu + wop.think;
-        end = end.max(ready[client]);
+        run.record(wop.op, at, completion.latency(&req), ready[client]);
     }
-
-    // Clean shutdown: flush buffered state.
-    let end = {
-        let mut ctx = IoCtx {
-            backing: &*model,
-            cpu: &mut cpu,
-            collect_data: false,
-        };
-        system.flush(end, &mut ctx).max(end)
-    };
-
-    let report = system.report(end);
-    let spec = workload.spec();
-    let device_energy = report.device_energy;
-    let cpu_energy = cpu.energy(end);
-    RunSummary {
-        system: report.name.clone(),
-        workload: spec.name.clone(),
-        ops: cfg.ops,
-        transactions: cfg.ops / spec.ops_per_transaction.max(1),
-        elapsed: end,
-        steady_ops: cfg.ops.saturating_sub(cfg.warmup_ops),
-        steady_elapsed: end.saturating_sub(steady_start),
-        read_latency,
-        write_latency,
-        cpu_utilization: cpu.utilization(end),
-        storage_cpu_utilization: if end == Ns::ZERO {
-            0.0
-        } else {
-            (cpu.storage_busy().as_ns() as f64 / end.as_ns() as f64).min(1.0)
-        },
-        ssd_writes: report.ssd.as_ref().map(|s| s.writes).unwrap_or(0),
-        energy_wh: (device_energy + cpu_energy).as_watt_hours(),
-        report,
-        wall_ns: 0, // filled in by the harness, which times the whole cell
-    }
+    run.close(system, workload, model)
 }
 
 #[cfg(test)]

@@ -23,14 +23,12 @@
 
 use crate::arrivals::{ArrivalConfig, ArrivalProcess, EventQueue};
 use crate::content::ContentModel;
+use crate::driver::Session;
 use crate::spec::WorkloadSpec;
 use crate::vm::MultiVm;
 use crate::workload::Workload;
-use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
-use icash_storage::block::BlockBuf;
 use icash_storage::cpu::CpuModel;
-use icash_storage::request::{Op, Request};
 use icash_storage::system::{IoCtx, StorageSystem};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
@@ -197,23 +195,9 @@ pub fn run_open_loop(
     cfg: &OpenLoopConfig,
     tracer: &Tracer,
 ) -> (RunSummary, OpenLoopStats) {
-    let mut cpu = CpuModel::xeon();
+    let mut run = Session::open(system, workload, model, CpuModel::xeon(), cfg.warmup_ops);
     let mut free = vec![Ns::ZERO; cfg.clients.max(1) as usize];
-    let mut read_latency = LatencyHistogram::new();
-    let mut write_latency = LatencyHistogram::new();
     let mut stats = OpenLoopStats::default();
-    let mut end = Ns::ZERO;
-    let mut steady_start = Ns::ZERO;
-    // Offline image preparation, exactly like the closed-loop driver.
-    {
-        let universe = workload.address_universe();
-        let mut ctx = IoCtx {
-            backing: &*model,
-            cpu: &mut cpu,
-            collect_data: false,
-        };
-        system.preload(&universe, &mut ctx);
-    }
 
     // The whole schedule goes through the event queue so dispatch order is
     // the queue's (time, id) order — the deterministic tie-break the
@@ -224,7 +208,6 @@ pub fn run_open_loop(
         queue.push(a);
     }
 
-    let mut n: u64 = 0;
     while let Some(arrival) = queue.pop() {
         let wop = workload.next_op();
         // Earliest-free service slot; the arrival never waits to be
@@ -248,75 +231,14 @@ pub fn run_open_loop(
             },
         });
 
-        let req = match wop.op {
-            Op::Read => Request::read_span(wop.lba, wop.blocks, start),
-            Op::Write => {
-                let payload: Vec<BlockBuf> = (0..wop.blocks as u64)
-                    .map(|i| model.write_payload(wop.lba.plus(i)))
-                    .collect();
-                Request::write_span(wop.lba, start, payload)
-            }
-        };
-        let completion = {
-            let mut ctx = IoCtx {
-                backing: &*model,
-                cpu: &mut cpu,
-                collect_data: false,
-            };
-            system.submit(&req, &mut ctx)
-        };
-
+        let req = Session::request(model, &wop, start);
+        let completion = system.submit(&req, &mut IoCtx::new(&*model, &mut run.cpu));
+        free[client] = completion.finished;
         // Response time from the scheduled arrival: queueing included.
         let latency = completion.finished - arrival.at;
-        if n == cfg.warmup_ops {
-            steady_start = arrival.at;
-        }
-        if n >= cfg.warmup_ops {
-            match wop.op {
-                Op::Read => read_latency.record(latency),
-                Op::Write => write_latency.record(latency),
-            }
-        }
-        free[client] = completion.finished;
-        end = end.max(completion.finished);
-        n += 1;
+        run.record(wop.op, arrival.at, latency, completion.finished);
     }
-
-    let end = {
-        let mut ctx = IoCtx {
-            backing: &*model,
-            cpu: &mut cpu,
-            collect_data: false,
-        };
-        system.flush(end, &mut ctx).max(end)
-    };
-
-    let report = system.report(end);
-    let spec = workload.spec();
-    let device_energy = report.device_energy;
-    let cpu_energy = cpu.energy(end);
-    let summary = RunSummary {
-        system: report.name.clone(),
-        workload: spec.name.clone(),
-        ops: cfg.ops,
-        transactions: cfg.ops / spec.ops_per_transaction.max(1),
-        elapsed: end,
-        steady_ops: cfg.ops.saturating_sub(cfg.warmup_ops),
-        steady_elapsed: end.saturating_sub(steady_start),
-        read_latency,
-        write_latency,
-        cpu_utilization: cpu.utilization(end),
-        storage_cpu_utilization: if end == Ns::ZERO {
-            0.0
-        } else {
-            (cpu.storage_busy().as_ns() as f64 / end.as_ns() as f64).min(1.0)
-        },
-        ssd_writes: report.ssd.as_ref().map(|s| s.writes).unwrap_or(0),
-        energy_wh: (device_energy + cpu_energy).as_watt_hours(),
-        report,
-        wall_ns: 0, // filled in by the harness, which times the whole cell
-    };
-    (summary, stats)
+    (run.close(system, workload, model), stats)
 }
 
 /// Parameters of a tenant-churn storm.
@@ -478,7 +400,7 @@ mod tests {
     use super::*;
     use crate::content::ContentProfile;
     use crate::workload::MixedWorkload;
-    use icash_storage::request::Completion;
+    use icash_storage::request::{Completion, Request};
     use icash_storage::system::SystemReport;
 
     /// A fixed-latency system: service takes 100 µs per request.

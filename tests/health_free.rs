@@ -6,63 +6,33 @@
 //! machinery under injected deaths; this file pins down what it costs
 //! when nothing is dying: nothing.
 
+mod common;
+
+use common::Stream;
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
-use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
+use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
 use icash::storage::shard::ShardRouter;
-use icash::storage::trace::Tracer;
-use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use icash::storage::{BlockBuf, IoCtx, Ns, StorageSystem, ZeroSource};
 
-const DATA: u64 = 8 << 20;
-const SSD: u64 = 1 << 20;
-const RAM: u64 = 256 << 10;
-const SPACE: u64 = 512;
-const OPS: u64 = 600;
 const SEED: u64 = 0x4EA1_7500;
+const STREAM: Stream = Stream {
+    seed: SEED,
+    salt: 0x4EA1,
+    fill: 0x5A,
+    span_reads: false,
+};
 
 fn config(health: Option<HealthPolicy>) -> IcashConfig {
-    let mut cfg = IcashConfig::builder(SSD, RAM, DATA)
-        .scan_interval(50)
-        .scan_window(64)
-        .flush_interval(20)
-        .build();
+    let mut cfg = common::config();
     cfg.health = health;
     cfg
 }
 
-/// One deterministic mixed op (3:2 write:read over a hot block space);
-/// returns the completion so callers can diff the two runs op by op.
-fn step(sys: &mut dyn StorageSystem, ctx: &mut IoCtx<'_>, op: u64, t: Ns) -> (Ns, Vec<BlockBuf>) {
-    let lba = fault_roll(SEED, 0x4EA1, op, 0) % SPACE;
-    let req = if fault_roll(SEED, 0x4EA2, op, lba) % 5 < 3 {
-        let mut bytes = vec![0x5A; 4096];
-        bytes[..8].copy_from_slice(&op.to_le_bytes());
-        Request::write(Lba::new(lba), t, BlockBuf::from_vec(bytes))
-    } else {
-        Request::read(Lba::new(lba), t)
-    };
-    let c = sys.submit(&req, ctx);
-    (c.finished, c.data)
-}
-
 /// Runs the fixed workload and returns (per-op completions, traced JSONL).
-fn run(mut sys: Icash) -> (Vec<(Ns, Vec<BlockBuf>)>, Vec<String>) {
-    let (tracer, ring) = Tracer::ring(1 << 16);
-    sys.set_tracer(tracer);
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut t = Ns::ZERO;
-    let mut completions = Vec::with_capacity(OPS as usize);
-    for op in 0..OPS {
-        let (done, data) = step(&mut sys, &mut ctx, op, t);
-        t = done;
-        completions.push((done, data));
-    }
-    sys.debug_validate();
-    let ring = ring.lock().expect("ring sink");
-    assert_eq!(ring.dropped(), 0, "ring must hold the whole event stream");
-    let jsonl = ring.events().iter().map(|e| e.to_json()).collect();
+fn run(sys: Icash) -> (Vec<(Ns, Vec<BlockBuf>)>, Vec<String>) {
+    let mut completions = Vec::new();
+    let (_, jsonl, _) = STREAM.run(sys, false, |_, done, data| completions.push((done, data)));
     (completions, jsonl)
 }
 
@@ -80,26 +50,15 @@ fn disabled_health_reports_no_health_section() {
 #[test]
 fn enabled_health_is_inert_on_a_fault_free_run() {
     let (plain, plain_trace) = run(Icash::new(config(None)));
-    let mut sys = Icash::new(config(Some(HealthPolicy::default())));
-    let (tracer, ring) = Tracer::ring(1 << 16);
-    sys.set_tracer(tracer);
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut t = Ns::ZERO;
-    for (op, expected) in plain.iter().enumerate() {
-        let (done, data) = step(&mut sys, &mut ctx, op as u64, t);
-        t = done;
+    let sys = Icash::new(config(Some(HealthPolicy::default())));
+    let (t, traced, sys) = STREAM.run(sys, false, |op, done, data| {
+        let expected = &plain[op as usize];
         assert_eq!(
             (&done, &data),
             (&expected.0, &expected.1),
             "op {op}: enabling health changed a fault-free completion"
         );
-    }
-    sys.debug_validate();
-    let ring = ring.lock().expect("ring sink");
-    assert_eq!(ring.dropped(), 0);
-    let traced: Vec<String> = ring.events().iter().map(|e| e.to_json()).collect();
+    });
     assert_eq!(
         plain_trace, traced,
         "enabling health changed the fault-free traced event stream"
@@ -138,7 +97,7 @@ fn shard_health_is_isolated() {
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
     let mut t = Ns::ZERO;
     for op in 0..4_000u64 {
-        let (done, _) = step(&mut sys, &mut ctx, op, t);
+        let (done, _) = STREAM.step(&mut sys, &mut ctx, op, t);
         t = done;
         let sick = sys.shards()[0].report(t).health.expect("shard 0 health");
         if sick.ssd == HealthState::Failed {

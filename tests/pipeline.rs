@@ -8,7 +8,7 @@
 //! changed flush timing) fails here.
 //!
 //! Regenerate intentionally with
-//! `ICASH_REGEN_GOLDEN=1 cargo test -p icash --test pipeline`.
+//! `ICASH_BLESS=1 cargo test -p icash --test pipeline`.
 
 use icash::core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash::metrics::trace::JsonlSink;
@@ -110,7 +110,7 @@ fn record(mut sys: Icash) -> String {
 #[test]
 fn depth1_is_byte_identical_to_pre_pipeline_outputs() {
     let text = record(Icash::new(config()));
-    if std::env::var("ICASH_REGEN_GOLDEN").as_deref() == Ok("1") {
+    if std::env::var("ICASH_BLESS").as_deref() == Ok("1") {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/pipeline_depth1.txt"
@@ -124,7 +124,7 @@ fn depth1_is_byte_identical_to_pre_pipeline_outputs() {
         text, GOLDEN,
         "depth=1 outputs drifted from the pre-pipeline fixture; the staged \
          pipeline must be byte-identical at depth 1 (regenerate only for an \
-         intentional format change: ICASH_REGEN_GOLDEN=1)"
+         intentional format change: ICASH_BLESS=1)"
     );
 }
 

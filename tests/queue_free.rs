@@ -7,69 +7,33 @@
 //! stable media once a durability barrier lands, and the whole event
 //! stream stays deterministic.
 
-use icash::core::{Icash, IcashConfig};
-use icash::storage::cpu::CpuModel;
-use icash::storage::fault::fault_roll;
-use icash::storage::queue::QueueConfig;
-use icash::storage::trace::Tracer;
-use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+mod common;
 
-const DATA: u64 = 8 << 20;
-const SSD: u64 = 1 << 20;
-const RAM: u64 = 256 << 10;
-const SPACE: u64 = 512;
-const OPS: u64 = 600;
-const SEED: u64 = 0x0C17_AD00;
+use common::Stream;
+use icash::core::{Icash, IcashConfig};
+use icash::storage::queue::QueueConfig;
+use icash::storage::{BlockBuf, Ns, StorageSystem};
+
+/// Every fifth read is widened to a 4-block span so the batched home-read
+/// prefetch path runs.
+const STREAM: Stream = Stream {
+    seed: 0x0C17_AD00,
+    salt: 0x0C17,
+    fill: 0xA5,
+    span_reads: true,
+};
 
 fn config(queue: Option<QueueConfig>) -> IcashConfig {
-    let mut cfg = IcashConfig::builder(SSD, RAM, DATA)
-        .scan_interval(50)
-        .scan_window(64)
-        .flush_interval(20)
-        .build();
+    let mut cfg = common::config();
     cfg.queue = queue;
     cfg
 }
 
-/// One deterministic mixed op: 3:2 write:read over a hot block space, with
-/// every fifth read widened to a 4-block span so the batched home-read
-/// prefetch path runs. Returns the completion so callers can diff data.
-fn step(sys: &mut dyn StorageSystem, ctx: &mut IoCtx<'_>, op: u64, t: Ns) -> (Ns, Vec<BlockBuf>) {
-    let lba = fault_roll(SEED, 0x0C17, op, 0) % SPACE;
-    let req = if fault_roll(SEED, 0x0C18, op, lba) % 5 < 3 {
-        let mut bytes = vec![0xA5; 4096];
-        bytes[..8].copy_from_slice(&op.to_le_bytes());
-        Request::write(Lba::new(lba), t, BlockBuf::from_vec(bytes))
-    } else if op % 5 == 0 {
-        Request::read_span(Lba::new(lba.min(SPACE - 4)), 4, t)
-    } else {
-        Request::read(Lba::new(lba), t)
-    };
-    let c = sys.submit(&req, ctx);
-    (c.finished, c.data)
-}
-
 /// Runs the fixed workload, ending with a full durability flush; returns
 /// (per-op data payloads, traced JSONL, the flushed controller).
-fn run(mut sys: Icash) -> (Vec<Vec<BlockBuf>>, Vec<String>, Icash) {
-    let (tracer, ring) = Tracer::ring(1 << 16);
-    sys.set_tracer(tracer);
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut t = Ns::ZERO;
-    let mut payloads = Vec::with_capacity(OPS as usize);
-    for op in 0..OPS {
-        let (done, data) = step(&mut sys, &mut ctx, op, t);
-        t = done;
-        payloads.push(data);
-    }
-    let end = StorageSystem::flush(&mut sys, t, &mut ctx);
-    assert!(end >= t);
-    sys.debug_validate();
-    let ring = ring.lock().expect("ring sink");
-    assert_eq!(ring.dropped(), 0, "ring must hold the whole event stream");
-    let jsonl = ring.events().iter().map(|e| e.to_json()).collect();
+fn run(sys: Icash) -> (Vec<Vec<BlockBuf>>, Vec<String>, Icash) {
+    let mut payloads = Vec::new();
+    let (_, jsonl, sys) = STREAM.run(sys, true, |_, _, data| payloads.push(data));
     (payloads, jsonl, sys)
 }
 
