@@ -5,9 +5,11 @@
 //! across the content regimes the evaluation generates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use icash_core::index_cache::RefIndexCache;
 use icash_delta::codec::{ChunkIndex, DeltaCodec};
 use icash_delta::signature::BlockSignature;
-use icash_storage::block::BlockBuf;
+use icash_storage::block::{BlockBuf, Lba};
+use icash_workloads::content::{ContentModel, ContentProfile};
 use std::hint::black_box;
 
 fn patterned(n: usize) -> Vec<u8> {
@@ -109,6 +111,48 @@ fn bench_codec(c: &mut Criterion) {
             );
             i += 1;
             d
+        })
+    });
+
+    // What an encode costs inside the controller, which the loops above
+    // cannot show: they revisit one pair, so block, index and output stay in
+    // the CPU cache. Here every encode meets a different reference of the
+    // Hadoop cell's log text, as a span write does — a block written against
+    // a reference that is another member of its family, which is chunk-codec
+    // work — through the controller's own index cache. With more references
+    // than the cache holds, each has been evicted by the time it comes round
+    // again.
+    let model = ContentModel::new(0x1CA5_4001, ContentProfile::log_text());
+    let family_blocks = model.profile().family_blocks;
+    let rotating: Vec<(BlockBuf, BlockBuf)> = (0..2048u64)
+        .map(|family| {
+            let first = family * family_blocks;
+            (
+                model.content_at(Lba::new(first), 0),
+                model.content_at(Lba::new(first + 1), 1),
+            )
+        })
+        .collect();
+
+    group.bench_function("encode_rotating_refs_cold", |bench| {
+        let mut cache = RefIndexCache::new();
+        let mut i = 0usize;
+        bench.iter(|| {
+            let slot = i % rotating.len();
+            let (reference, target) = &rotating[slot];
+            i += 1;
+            cache.with_slot(slot as u64, |index| {
+                codec.encode_shared(black_box(reference.as_slice()), target.as_bytes(), index)
+            })
+        })
+    });
+
+    group.bench_function("index_build", |bench| {
+        let mut i = 0usize;
+        bench.iter(|| {
+            let (reference, _) = &rotating[i % rotating.len()];
+            i += 1;
+            ChunkIndex::build(black_box(reference.as_slice()))
         })
     });
 

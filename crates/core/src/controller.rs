@@ -47,12 +47,6 @@ use std::collections::{HashMap, HashSet};
 /// sequential delta log instead of a random home write.
 const ZERO_REF: [u8; icash_storage::block::BLOCK_SIZE] = [0; icash_storage::block::BLOCK_SIZE];
 
-/// How many reference blocks keep a cached chunk index (see
-/// [`crate::index_cache`]): enough to cover the working reference set of
-/// the paper's workloads at ~57 KB per built index, bounded so the cache
-/// can never outgrow a few MB of host RAM.
-pub(crate) const REF_INDEX_CACHE_SLOTS: usize = 128;
-
 /// A slot-directory record: which SSD slot a block owns and the controller
 /// generation at which the slot's content was installed. Log entries carry
 /// the same monotonic stamps, so recovery can order a logged delta against
@@ -187,7 +181,7 @@ impl Icash {
             pool,
             log,
             ref_index: RefIndex::new(),
-            ref_cache: RefIndexCache::new(REF_INDEX_CACHE_SLOTS),
+            ref_cache: RefIndexCache::new(),
             ssd_store: HashMap::new(),
             slot_dir: HashMap::new(),
             slot_sums: HashMap::new(),
@@ -621,9 +615,11 @@ impl Icash {
     ) -> icash_delta::codec::Delta {
         let base = self.ssd_store[&slot].clone();
         let codec = &self.codec;
-        let entry = self.ref_cache.slot_entry(slot);
-        let hit = entry.is_some();
-        let delta = codec.encode_shared(base.as_slice(), target.as_bytes(), entry);
+        let (hit, delta) = self.ref_cache.with_slot(slot, |index| {
+            let hit = index.is_some();
+            let delta = codec.encode_shared(base.as_slice(), target.as_bytes(), index);
+            (hit, delta)
+        });
         let bytes = delta.len() as u32;
         self.array.tracer().emit(|| TraceEvent {
             at,

@@ -54,7 +54,7 @@ pub mod config;
 pub mod controller;
 pub mod delta_log;
 pub mod health;
-pub(crate) mod index_cache;
+pub mod index_cache;
 pub mod maintenance;
 pub mod recovery;
 pub mod ref_index;

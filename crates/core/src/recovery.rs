@@ -13,7 +13,7 @@
 //! append order is not enough once SSD slots are rewritten in place, because
 //! a stale self-delta must never resurrect old data over newer slot content.
 
-use crate::controller::{Icash, REF_INDEX_CACHE_SLOTS};
+use crate::controller::Icash;
 use crate::index_cache::RefIndexCache;
 use crate::segment::SegmentPool;
 use crate::stats::IcashStats;
@@ -223,7 +223,7 @@ impl Icash {
             table,
             ref_index,
             // The index cache is RAM: the crash lost it, recovery starts cold.
-            ref_cache: RefIndexCache::new(REF_INDEX_CACHE_SLOTS),
+            ref_cache: RefIndexCache::new(),
             evicted: HashMap::new(),
             dirty: HashSet::new(),
             dirty_bytes: 0,

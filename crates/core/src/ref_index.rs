@@ -75,18 +75,26 @@ impl RefIndex {
     /// The references sharing at least `min_votes` sub-signatures with
     /// `sig`, best first, at most `limit` of them.
     pub fn candidates(&self, sig: &BlockSignature, min_votes: usize, limit: usize) -> Vec<Lba> {
-        let mut votes: HashMap<Lba, usize> = HashMap::new();
-        for (row, &v) in sig.sub_signatures().iter().enumerate() {
-            if let Some(bucket) = self.buckets.get(&(row as u8, v)) {
-                for &lba in bucket {
-                    *votes.entry(lba).or_insert(0) += 1;
-                }
-            }
+        // A reference's votes are its occurrences across the matching
+        // buckets: gather them, sort, and count runs.
+        let matching = sig
+            .sub_signatures()
+            .iter()
+            .enumerate()
+            .filter_map(|(row, &v)| self.buckets.get(&(row as u8, v)));
+        let mut voters: Vec<Lba> = Vec::with_capacity(matching.clone().map(Vec::len).sum());
+        for bucket in matching {
+            voters.extend_from_slice(bucket);
         }
-        let mut ranked: Vec<(Lba, usize)> =
-            votes.into_iter().filter(|&(_, n)| n >= min_votes).collect();
-        // Best (most votes) first; LBA breaks ties deterministically.
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        voters.sort_unstable();
+        let mut ranked: Vec<(Lba, usize)> = voters
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= min_votes)
+            .map(|run| (run[0], run.len()))
+            .collect();
+        // Best (most votes) first; the runs came out in LBA order and the
+        // sort is stable, so LBA breaks ties deterministically.
+        ranked.sort_by_key(|&(_, votes)| std::cmp::Reverse(votes));
         ranked.truncate(limit);
         ranked.into_iter().map(|(lba, _)| lba).collect()
     }
@@ -145,6 +153,67 @@ mod tests {
         idx.insert(Lba::new(3), &sig([2; 8]));
         let hits = idx.candidates(&sig([2; 8]), 8, 10);
         assert_eq!(hits, vec![Lba::new(3), Lba::new(9)]);
+    }
+
+    /// `candidates` as it was: votes counted in a per-call `HashMap`.
+    /// Kept as the oracle for the result and its order.
+    fn candidates_by_hash_map(
+        index: &RefIndex,
+        sig: &BlockSignature,
+        min_votes: usize,
+        limit: usize,
+    ) -> Vec<Lba> {
+        let mut votes: HashMap<Lba, usize> = HashMap::new();
+        for (row, &v) in sig.sub_signatures().iter().enumerate() {
+            if let Some(bucket) = index.buckets.get(&(row as u8, v)) {
+                for &lba in bucket {
+                    *votes.entry(lba).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut ranked: Vec<(Lba, usize)> =
+            votes.into_iter().filter(|&(_, n)| n >= min_votes).collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(limit);
+        ranked.into_iter().map(|(lba, _)| lba).collect()
+    }
+
+    proptest::proptest! {
+        /// Same candidates in the same order as the `HashMap` count, over
+        /// signatures drawn from a small alphabet so that references share
+        /// sub-signatures and tie on votes, with removals mixed in.
+        #[test]
+        fn candidates_equal_the_hash_map_count(
+            refs in proptest::collection::vec(
+                (0u64..40, proptest::collection::vec(0u8..3, 8..9)), 0..48),
+            removed in proptest::collection::vec(0usize..48, 0..8),
+            probe in proptest::collection::vec(0u8..3, 8..9),
+            min_votes in 1usize..9,
+            limit in 0usize..6,
+        ) {
+            let raw = |v: &[u8]| sig(v.try_into().expect("eight sub-signatures"));
+            // One signature per LBA, as the controller maintains it.
+            let mut by_lba: HashMap<u64, BlockSignature> = HashMap::new();
+            let mut idx = RefIndex::new();
+            for (lba, v) in &refs {
+                if !by_lba.contains_key(lba) {
+                    by_lba.insert(*lba, raw(v));
+                    idx.insert(Lba::new(*lba), &raw(v));
+                }
+            }
+            for i in removed {
+                if let Some((lba, _)) = refs.get(i) {
+                    if let Some(s) = by_lba.remove(lba) {
+                        idx.remove(Lba::new(*lba), &s);
+                    }
+                }
+            }
+            let probe = raw(&probe);
+            proptest::prop_assert_eq!(
+                idx.candidates(&probe, min_votes, limit),
+                candidates_by_hash_map(&idx, &probe, min_votes, limit)
+            );
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! the delta-encoding literature the paper cites (Ajtai et al.).
 //!
 //! The target scan carries a true rolling hash: advancing one byte after a
-//! miss costs two multiplies, not a [`WINDOW`]-byte recomputation, and the
-//! hash is re-primed from scratch only after a COPY jumps the cursor.
+//! miss costs one multiply on the carried chain, not a [`WINDOW`]-byte
+//! recomputation, and the hash is re-primed from scratch only after a COPY
+//! jumps the cursor. A position whose hash the index's bitmap rules out —
+//! nearly every position of an ADD region — costs nothing more than that.
 //! Verified matches extend word-at-a-time. Output is byte-identical to the
 //! original scalar encoder (pinned by `tests/golden.rs`).
 //!
@@ -41,12 +43,25 @@ pub fn encode(reference: &[u8], target: &[u8]) -> Vec<u8> {
 /// `index` must have been built over this `reference`; the output is
 /// byte-identical to [`encode`].
 pub fn encode_with_index(index: &ChunkIndex, reference: &[u8], target: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_with_index_into(index, reference, target, &mut out);
+    out
+}
+
+/// [`encode_with_index`] into a caller-owned buffer, which is cleared first:
+/// a caller that keeps `out` across calls pays for its growth once.
+pub fn encode_with_index_into(
+    index: &ChunkIndex,
+    reference: &[u8],
+    target: &[u8],
+    out: &mut Vec<u8>,
+) {
     debug_assert_eq!(
         index.ref_len(),
         reference.len(),
         "chunk index was built over a different reference"
     );
-    let mut out = Vec::new();
+    out.clear();
     let mut pending_add_start = 0usize;
 
     let flush_add = |out: &mut Vec<u8>, start: usize, end: usize| {
@@ -62,13 +77,16 @@ pub fn encode_with_index(index: &ChunkIndex, reference: &[u8], target: &[u8]) ->
         let mut i = 0usize;
         // Invariant: `h` is the hash of `target[i..i + WINDOW]`.
         let mut h = window_hash(&target[..WINDOW]);
-        loop {
-            match index.best_match(reference, target, i, h) {
-                Some((off, len)) if len >= MIN_MATCH => {
-                    flush_add(&mut out, pending_add_start, i);
+        'scan: loop {
+            if index.may_contain(h) {
+                if let Some((off, len)) = index
+                    .best_match(reference, target, i, h)
+                    .filter(|&(_, len)| len >= MIN_MATCH)
+                {
+                    flush_add(out, pending_add_start, i);
                     out.push(OP_COPY);
-                    varint::encode(off as u64, &mut out);
-                    varint::encode(len as u64, &mut out);
+                    varint::encode(off as u64, out);
+                    varint::encode(len as u64, out);
                     i += len;
                     pending_add_start = i;
                     if i + WINDOW > n {
@@ -76,19 +94,27 @@ pub fn encode_with_index(index: &ChunkIndex, reference: &[u8], target: &[u8]) ->
                     }
                     // The cursor jumped; re-prime the rolling hash.
                     h = window_hash(&target[i..i + WINDOW]);
+                    continue;
                 }
-                _ => {
-                    if i + 1 + WINDOW > n {
-                        break;
-                    }
-                    h = roll(h, target[i], target[i + WINDOW]);
-                    i += 1;
+            }
+            // Roll on to the next window the index does not rule out. This
+            // is where a scan of novel content spends its time, so it is a
+            // loop of its own that touches nothing but the hash and the
+            // index's bitmap.
+            let mut edges = target[i..].iter().zip(&target[i + WINDOW..]);
+            loop {
+                let Some((&out, &inn)) = edges.next() else {
+                    break 'scan;
+                };
+                h = roll(h, out, inn);
+                i += 1;
+                if index.may_contain(h) {
+                    break;
                 }
             }
         }
     }
-    flush_add(&mut out, pending_add_start, n);
-    out
+    flush_add(out, pending_add_start, n);
 }
 
 /// Reconstructs the target from `reference` and an encoding produced by

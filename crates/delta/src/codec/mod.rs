@@ -12,6 +12,12 @@
 //! [`DeltaCodec::encode_shared`] additionally takes the target as a
 //! [`Bytes`] buffer so a raw fallback clones a refcount instead of 4 KB.
 //! All variants produce identical [`Delta`]s.
+//!
+//! Both codecs write into scratch buffers the [`DeltaCodec`] keeps, and the
+//! winning payload is copied out once into an allocation of exactly its
+//! size. Growing a fresh `Vec` per encode and converting it costs a ladder
+//! of reallocations plus a shrinking copy, and over-sized payloads would
+//! sit in the controller's RAM buffer for as long as the delta does.
 
 pub mod chunk;
 pub mod chunk_index;
@@ -22,6 +28,7 @@ pub use chunk_index::ChunkIndex;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// How a [`Delta`]'s payload is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -121,13 +128,25 @@ pub struct DeltaCodec {
     /// Sparse encodings at or below this size are accepted without trying
     /// the (more expensive) chunk codec.
     sparse_good_enough: usize,
+    /// Encode buffers reused across calls; each encoder clears its own
+    /// before writing, so nothing of one call is visible to the next.
+    scratch: RefCell<Scratch>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    sparse: Vec<u8>,
+    chunk: Vec<u8>,
 }
 
 impl DeltaCodec {
     /// Creates a codec; `sparse_good_enough` is the sparse-encoding size (in
     /// bytes) below which the chunk codec is not attempted.
     pub fn new(sparse_good_enough: usize) -> Self {
-        DeltaCodec { sparse_good_enough }
+        DeltaCodec {
+            sparse_good_enough,
+            scratch: RefCell::default(),
+        }
     }
 
     /// Derives the smallest delta from `reference` to `target`.
@@ -194,21 +213,21 @@ impl DeltaCodec {
         if reference == target {
             return Delta::identity();
         }
-        let sparse_payload = sparse::encode(reference, target);
-        if sparse_payload.len() <= self.sparse_good_enough {
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { sparse, chunk } = &mut *scratch;
+        sparse::encode_into(reference, target, sparse);
+        if sparse.len() <= self.sparse_good_enough {
             return Delta {
                 encoding: Encoding::Sparse,
-                payload: sparse_payload.into(),
+                payload: Bytes::copy_from_slice(sparse),
             };
         }
-        let chunk_payload = {
-            let index = index.get_or_insert_with(|| ChunkIndex::build(reference));
-            chunk::encode_with_index(index, reference, target)
-        };
-        let (encoding, payload) = if chunk_payload.len() < sparse_payload.len() {
-            (Encoding::Chunk, chunk_payload)
+        let index = index.get_or_insert_with(|| ChunkIndex::build(reference));
+        chunk::encode_with_index_into(index, reference, target, chunk);
+        let (encoding, payload) = if chunk.len() < sparse.len() {
+            (Encoding::Chunk, chunk)
         } else {
-            (Encoding::Sparse, sparse_payload)
+            (Encoding::Sparse, sparse)
         };
         if payload.len() >= target.len() {
             return Delta {
@@ -218,7 +237,7 @@ impl DeltaCodec {
         }
         Delta {
             encoding,
-            payload: payload.into(),
+            payload: Bytes::copy_from_slice(payload),
         }
     }
 

@@ -26,41 +26,55 @@ const MERGE_GAP: usize = 4;
 ///
 /// Panics if the slices differ in length.
 pub fn encode(reference: &[u8], target: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(reference, target, &mut out);
+    out
+}
+
+/// [`encode`] into a caller-owned buffer, which is cleared first: a caller
+/// that keeps `out` across calls pays for its growth once.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn encode_into(reference: &[u8], target: &[u8], out: &mut Vec<u8>) {
     assert_eq!(
         reference.len(),
         target.len(),
         "sparse deltas require equal-length blocks"
     );
-    // Collect difference runs, merging runs separated by tiny gaps. The
-    // scans are word-at-a-time: unchanged spans (the common case — the
-    // paper's workloads change 5–20% of a block) cost one XOR per 8 bytes.
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, len)
-    let mut i = 0;
+    out.clear();
     let n = target.len();
+    // End of the last record written; skips count from here.
+    let mut pos = 0usize;
+    let mut emit = |start: usize, end: usize| {
+        varint::encode((start - pos) as u64, out);
+        varint::encode((end - start) as u64, out);
+        out.extend_from_slice(&target[start..end]);
+        pos = end;
+    };
+    // Walk the difference runs, holding the latest one back so a run that
+    // follows it after a tiny gap can be merged into it. The scans are
+    // word-at-a-time: unchanged spans (the common case — the paper's
+    // workloads change 5–20% of a block) cost one XOR per 8 bytes.
+    let mut held: Option<(usize, usize)> = None; // (start, end)
+    let mut i = scan::mismatch_from(reference, target, 0);
     while i < n {
-        i = scan::mismatch_from(reference, target, i);
-        if i >= n {
-            break;
-        }
         let start = i;
         i = scan::match_from(reference, target, i);
-        match runs.last_mut() {
-            Some((last_start, last_len)) if start - (*last_start + *last_len) < MERGE_GAP => {
-                *last_len = i - *last_start;
+        held = match held {
+            Some((held_start, held_end)) if start - held_end < MERGE_GAP => Some((held_start, i)),
+            Some((held_start, held_end)) => {
+                emit(held_start, held_end);
+                Some((start, i))
             }
-            _ => runs.push((start, i - start)),
-        }
+            None => Some((start, i)),
+        };
+        i = scan::mismatch_from(reference, target, i);
     }
-
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    for (start, len) in runs {
-        varint::encode((start - pos) as u64, &mut out);
-        varint::encode(len as u64, &mut out);
-        out.extend_from_slice(&target[start..start + len]);
-        pos = start + len;
+    if let Some((start, end)) = held {
+        emit(start, end);
     }
-    out
 }
 
 /// Reconstructs the target from `reference` and an encoding produced by

@@ -41,10 +41,14 @@ pub struct Crc32 {
     state: u32,
 }
 
-const CRC32_TABLE: [u32; 256] = build_crc32_table();
+/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC32_TABLES[k][b]` is the checksum state byte `b` leaves
+/// after `k` further zero bytes, so eight table loads advance the state
+/// over eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
 
-const fn build_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -57,10 +61,20 @@ const fn build_crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 impl Crc32 {
@@ -71,9 +85,23 @@ impl Crc32 {
 
     /// Absorbs `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
         let mut c = self.state;
-        for &b in bytes {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][(hi >> 8 & 0xFF) as usize]
+                ^ t[1][(hi >> 16 & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -860,6 +888,45 @@ mod tests {
         c.update(b"1234");
         c.update(b"56789");
         assert_eq!(c.finish(), crc32(b"123456789"));
+    }
+
+    /// Byte-at-a-time, bit-at-a-time CRC32: the definition, sharing no
+    /// table with the implementation.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        /// However a buffer is split across `update` calls — so whatever
+        /// mix of 8-byte strides and byte tails the calls take — the result
+        /// is the one-shot byte-wise checksum.
+        #[test]
+        fn crc32_any_split_matches_bytewise_reference(
+            bytes in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(0usize..600, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut from = 0;
+            for cut in cuts {
+                c.update(&bytes[from..cut]);
+                from = cut;
+            }
+            c.update(&bytes[from..]);
+            proptest::prop_assert_eq!(c.finish(), crc32_bitwise(&bytes));
+        }
     }
 
     #[test]
