@@ -30,10 +30,10 @@
 //! check; fault-free and health-free runs stay byte-identical to a
 //! controller built before this module existed.
 
-use crate::controller::{BlockRead, Icash};
+use crate::controller::Icash;
+use crate::read::BlockRead;
 use crate::table::VbId;
 use crate::virtual_block::Role;
-use icash_delta::signature::BlockSignature;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::{crc32, fault_roll, HealthMonitor, HealthPolicy, HealthState};
 use icash_storage::hdd::HddError;
@@ -99,18 +99,26 @@ pub(crate) struct RebuildTask {
 impl Icash {
     /// Whether the SSD is in the `Failed` state (degraded service).
     pub(crate) fn ssd_is_failed(&self) -> bool {
-        self.health.as_ref().is_some_and(|h| h.ssd.is_failed())
+        self.volatile
+            .health
+            .as_ref()
+            .is_some_and(|h| h.ssd.is_failed())
     }
 
     /// Whether the HDD is in the `Failed` state (writes fail fast).
     pub(crate) fn hdd_is_failed(&self) -> bool {
-        self.health.as_ref().is_some_and(|h| h.hdd.is_failed())
+        self.volatile
+            .health
+            .as_ref()
+            .is_some_and(|h| h.hdd.is_failed())
     }
 
     /// Whether reads of `slot` must avoid the SSD: the device is failed, or
     /// a rebuild is running and this slot has not been repopulated yet.
     pub(crate) fn slot_unavailable(&self, slot: u64) -> bool {
-        let Some(h) = &self.health else { return false };
+        let Some(h) = &self.volatile.health else {
+            return false;
+        };
         match h.ssd.state() {
             HealthState::Failed => true,
             HealthState::Rebuilding => h
@@ -125,7 +133,7 @@ impl Icash {
     /// and counting the health transition if the state machine moved.
     /// A single `Option` check when health is off.
     pub(crate) fn note_device(&mut self, at: Ns, device: u8, ok: bool) {
-        let Some(h) = self.health.as_mut() else {
+        let Some(h) = self.volatile.health.as_mut() else {
             return;
         };
         let monitor = if device == DEV_SSD {
@@ -147,7 +155,7 @@ impl Icash {
         to: HealthState,
     ) {
         self.stats.health_transitions += 1;
-        self.array.tracer().emit(|| TraceEvent {
+        self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::HealthTransition { device, from, to },
         });
@@ -156,7 +164,7 @@ impl Icash {
     /// SSD read feeding the health monitor. Identical to the raw device
     /// call when health is off.
     pub(crate) fn ssd_read_op(&mut self, at: Ns, slot: u64) -> Result<Ns, SsdError> {
-        let res = self.array.ssd_mut().read(at, slot);
+        let res = self.durable.array.ssd_mut().read(at, slot);
         self.note_device(at, DEV_SSD, res.is_ok());
         res
     }
@@ -164,7 +172,7 @@ impl Icash {
     /// SSD program feeding the health monitor. Identical to the raw device
     /// call when health is off.
     pub(crate) fn ssd_write_op(&mut self, at: Ns, slot: u64) -> Result<Ns, SsdError> {
-        let res = self.array.ssd_mut().write(at, slot);
+        let res = self.durable.array.ssd_mut().write(at, slot);
         self.note_device(at, DEV_SSD, res.is_ok());
         res
     }
@@ -172,9 +180,9 @@ impl Icash {
     /// The backpressure admission check: `Some((queued, cap))` when the
     /// staging buffer is at capacity and the write must be refused.
     pub(crate) fn staging_over_cap(&self) -> Option<(u64, u64)> {
-        let h = self.health.as_ref()?;
+        let h = self.volatile.health.as_ref()?;
         let cap = h.policy.staging_cap;
-        let queued = self.staging.live() as u64;
+        let queued = self.volatile.staging.live() as u64;
         (cap > 0 && queued >= cap).then_some((queued, cap))
     }
 
@@ -182,7 +190,7 @@ impl Icash {
     /// rejection. The caller reports [`IoErrorKind::Busy`] and drains.
     pub(crate) fn note_backpressure(&mut self, at: Ns, lba: Lba, queued: u64, cap: u64) {
         self.stats.busy_rejections += 1;
-        self.array.tracer().emit(|| TraceEvent {
+        self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::Backpressure {
                 lba: lba.raw(),
@@ -200,11 +208,16 @@ impl Icash {
     /// seeded jitter drawn from the plan's `fault_roll` stream (own salt,
     /// monotonic draw counter — deterministic and replayable).
     fn backoff_delay(&mut self, attempt: u32, addr: u64) -> u64 {
-        let h = self.health.as_mut().expect("backoff requires health");
+        let h = self
+            .volatile
+            .health
+            .as_mut()
+            .expect("backoff requires health");
         let base = h.policy.retry_base_ns << (attempt - 1).min(16);
         let draw = h.retry_draws;
         h.retry_draws += 1;
-        let jitter = fault_roll(self.fault_plan.seed, BACKOFF_SALT, draw, addr) % base.max(1);
+        let jitter =
+            fault_roll(self.durable.fault_plan.seed, BACKOFF_SALT, draw, addr) % base.max(1);
         base + jitter
     }
 
@@ -212,7 +225,7 @@ impl Icash {
     fn note_backoff(&mut self, at: Ns, addr: u64, attempt: u32, write: bool) -> Ns {
         let delay = self.backoff_delay(attempt, addr);
         self.stats.retry_backoffs += 1;
-        self.array.tracer().emit(|| TraceEvent {
+        self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::RetryBackoff {
                 lba: addr,
@@ -237,17 +250,18 @@ impl Icash {
             return Err(HddError::LatentSector { lba: pos });
         }
         let budget = self
+            .volatile
             .health
             .as_ref()
             .map_or(1, |h| h.policy.retry_budget.max(1));
         let mut t = at;
-        let mut last = self.array.hdd_mut().read(t, pos, blocks);
+        let mut last = self.durable.array.hdd_mut().read(t, pos, blocks);
         self.note_device(t, DEV_HDD, last.is_ok());
         let mut attempt = 0u32;
         while last.is_err() && attempt < budget && !self.hdd_is_failed() {
             attempt += 1;
             t = self.note_backoff(t, pos, attempt, false);
-            last = self.array.hdd_mut().read(t, pos, blocks);
+            last = self.durable.array.hdd_mut().read(t, pos, blocks);
             self.note_device(t, DEV_HDD, last.is_ok());
         }
         last
@@ -266,17 +280,18 @@ impl Icash {
             return Err(HddError::WriteFault { lba: pos });
         }
         let budget = self
+            .volatile
             .health
             .as_ref()
             .map_or(1, |h| h.policy.retry_budget.max(1));
         let mut t = at;
-        let mut last = self.array.hdd_mut().write(t, pos, blocks);
+        let mut last = self.durable.array.hdd_mut().write(t, pos, blocks);
         self.note_device(t, DEV_HDD, last.is_ok());
         let mut attempt = 0u32;
         while last.is_err() && attempt < budget && !self.hdd_is_failed() {
             attempt += 1;
             t = self.note_backoff(t, pos, attempt, true);
-            last = self.array.hdd_mut().write(t, pos, blocks);
+            last = self.durable.array.hdd_mut().write(t, pos, blocks);
             self.note_device(t, DEV_HDD, last.is_ok());
         }
         last
@@ -305,12 +320,8 @@ impl Icash {
                 return (at, Err(IoErrorKind::SsdMedia));
             }
         };
-        let content = self
-            .home_overlay
-            .get(&lba)
-            .cloned()
-            .unwrap_or_else(|| ctx.backing.initial_content(lba));
-        if self.slot_sums.get(&slot) != Some(&crc32(content.as_slice())) {
+        let content = self.home_content(lba, ctx);
+        if self.durable.slots.sum(slot) != Some(crc32(content.as_slice())) {
             // The home copy does not match what the slot held: serving it
             // would be a silent splice. Report the loss instead.
             self.stats.unrecoverable_reads += 1;
@@ -320,53 +331,42 @@ impl Icash {
         (t, Ok(content))
     }
 
-    /// The degraded write path (SSD failed): detach the block from every
+    /// Whether a write to `id` must bypass the delta machinery and go home:
+    /// the SSD is failed — unless `id` is a reference that still has
+    /// associates, which keeps the RAM-encode delta path (its SSD copy is
+    /// mirrored in the slot store, so no device op is needed and its
+    /// associates stay decodable).
+    pub(crate) fn writes_degraded(&self, id: VbId) -> bool {
+        let vb = self.volatile.table.get(id);
+        self.ssd_is_failed() && !(vb.role == Role::Reference && vb.dependants > 0)
+    }
+
+    /// The degraded write (SSD failed): detach the block from every
     /// reference/slot/delta relationship and write it straight to its HDD
     /// home location — no delta encode, no flash program. The block
-    /// continues life as a home-resident independent.
-    pub(crate) fn write_degraded(
-        &mut self,
-        id: VbId,
-        lba: Lba,
-        content: BlockBuf,
-        sig: BlockSignature,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) -> Ns {
+    /// continues life as a home-resident independent. Returns the home
+    /// write's completion instant.
+    pub(crate) fn write_degraded(&mut self, id: VbId, content: &BlockBuf, at: Ns) -> Ns {
         self.stats.degraded_writes += 1;
         // Detach: the old delta/log/slot state describes superseded bytes.
+        // (The slot content is unreachable on the dead device anyway;
+        // releasing it lets a rebuilt device start from live state only.)
         self.unbind(id);
-        self.drop_delta(id);
-        self.unstage(id);
-        if let Some(loc) = self.table.get_mut(id).log_loc.take() {
-            self.log.mark_stale(loc);
+        self.supersede_logged(id);
+        let vb = self.volatile.table.get(id);
+        let lba = vb.lba;
+        if vb.role == Role::Reference {
+            let sig_old = vb.sig;
+            self.volatile.ref_index.remove(lba, &sig_old);
         }
-        if self.table.get(id).role == Role::Reference {
-            let sig_old = self.table.get(id).sig;
-            self.ref_index.remove(lba, &sig_old);
-        }
-        if let Some(slot) = self.table.get(id).ssd_slot {
-            // The slot content is unreachable on the dead device; release
-            // the mapping so a rebuilt device starts from live state only.
-            self.ssd_discard(slot);
-            self.free_slots.push(slot);
-            self.slot_dir.remove(&lba);
-            self.table.get_mut(id).ssd_slot = None;
-        }
-        self.table.set_role(id, Role::Independent);
+        self.release_slot(id);
+        self.volatile.table.set_role(id, Role::Independent);
         let pos = self.home_pos(lba);
         let t = self.hdd_write_retry(at, pos, 1).unwrap_or(at);
-        self.home_overlay.insert(lba, content.clone());
-        {
-            let vb = self.table.get_mut(id);
-            vb.reference = None;
-            vb.dirty_data = false;
-            vb.sig = sig;
-        }
-        self.cache_data(id, content, at, ctx);
-        self.table.touch(id);
-        self.after_io(at, ctx);
-        self.staging.progress.reserve();
+        self.durable.home_overlay.insert(lba, content.clone());
+        let vb = self.volatile.table.get_mut(id);
+        vb.reference = None;
+        vb.dirty_data = false;
         t
     }
 
@@ -385,20 +385,18 @@ impl Icash {
     /// task.
     pub fn replace_ssd(&mut self, at: Ns) {
         let ssd = Ssd::new(self.cfg.ssd_config());
-        let plan = self.fault_plan.clone();
-        self.array.replace_ssd(ssd, &plan);
+        let plan = self.durable.fault_plan.clone();
+        self.durable.array.replace_ssd(ssd, &plan);
         // The controller-side plan mirrors the array: the replacement has
         // no death trigger armed.
-        self.fault_plan.ssd_death_op = None;
-        if self.health.is_none() {
+        self.durable.fault_plan.ssd_death_op = None;
+        if self.volatile.health.is_none() {
             return;
         }
-        let mut pending: Vec<(Lba, u64)> =
-            self.slot_dir.iter().map(|(&l, r)| (l, r.slot)).collect();
-        pending.sort_by_key(|&(l, _)| l.raw());
+        let pending = self.durable.slots.pinned_sorted();
         let pending_slots: HashSet<u64> = pending.iter().map(|&(_, s)| s).collect();
         let total = pending.len() as u64;
-        let h = self.health.as_mut().expect("checked above");
+        let h = self.volatile.health.as_mut().expect("checked above");
         h.rebuild = Some(RebuildTask {
             pending: pending.into_iter().collect(),
             pending_slots,
@@ -418,7 +416,7 @@ impl Icash {
     /// with wrong bytes). Completes the `Rebuilding → Healthy` edge when
     /// the work list drains.
     pub(crate) fn rebuild_tick(&mut self, at: Ns) {
-        let Some(h) = self.health.as_mut() else {
+        let Some(h) = self.volatile.health.as_mut() else {
             return;
         };
         if h.rebuild.is_none() || h.ssd.state() != HealthState::Rebuilding {
@@ -436,7 +434,7 @@ impl Icash {
                 t = self.rebuild_slot(lba, slot, t);
                 restored += 1;
             }
-            let h = self.health.as_mut().expect("still armed");
+            let h = self.volatile.health.as_mut().expect("still armed");
             let Some(task) = h.rebuild.as_mut() else {
                 return;
             };
@@ -447,7 +445,7 @@ impl Icash {
             let (done, total) = (task.done, task.total);
             self.stats.rebuild_chunks += 1;
             self.stats.rebuilt_slots += u64::from(restored);
-            self.array.tracer().emit(|| TraceEvent {
+            self.durable.array.tracer().emit(|| TraceEvent {
                 at: t,
                 kind: TraceKind::RebuildChunk {
                     slots: restored,
@@ -456,7 +454,7 @@ impl Icash {
                 },
             });
         }
-        let h = self.health.as_mut().expect("still armed");
+        let h = self.volatile.health.as_mut().expect("still armed");
         let finished = h
             .rebuild
             .as_ref()
@@ -479,11 +477,11 @@ impl Icash {
             Ok(t) => t,
             Err(_) => return at,
         };
-        let content = match self.home_overlay.get(&lba) {
-            Some(c) => c,
-            None => return t, // never hardened: nothing trustworthy to install
-        };
-        if self.slot_sums.get(&slot) != Some(&crc32(content.as_slice())) {
+        // Never hardened means nothing trustworthy to install.
+        let verified = self
+            .written_home(lba)
+            .is_some_and(|c| self.durable.slots.sum(slot) == Some(crc32(c.as_slice())));
+        if !verified {
             return t;
         }
         match self.ssd_write_op(t, slot) {
@@ -494,7 +492,7 @@ impl Icash {
 
     /// The health section of the system report.
     pub(crate) fn health_report(&self) -> Option<HealthReport> {
-        let h = self.health.as_ref()?;
+        let h = self.volatile.health.as_ref()?;
         let (rebuild_done, rebuild_total) = match &h.rebuild {
             Some(t) => (t.done, t.total),
             None => (0, 0),

@@ -13,17 +13,17 @@
 //!
 //! * Keyed by **SSD slot**, because the slot's pinned content *is* the
 //!   encode base everywhere the controller encodes against a reference
-//!   (the `ssd_store` map). An encode borrows the slot's
+//!   (the slot store's pinned content). An encode borrows the slot's
 //!   `Option<ChunkIndex>` through [`RefIndexCache::with_slot`] and hands it
 //!   to `DeltaCodec::encode_cached`/`encode_shared`, which builds the index
 //!   lazily — sparse-path encodes never pay for it, and only built indexes
 //!   are kept.
 //! * **Invalidated whenever a slot's content changes or the slot is
 //!   freed**: direct SSD writes, reference retirement overwrites,
-//!   promotion installs, demotion/reclamation removals, preload installs.
-//!   The controller funnels every `ssd_store` mutation through
-//!   `Icash::ssd_install` / `Icash::ssd_discard`, which invalidate here
-//!   first — slot reuse after a free therefore starts cold, never stale.
+//!   promotion installs, slot releases, preload installs. Slot content
+//!   changes only through `SlotStore::install` / `SlotStore::release`,
+//!   and both take this cache and invalidate here first — slot reuse
+//!   after a free therefore starts cold, never stale.
 //! * The **zero reference** (log-resident independents encode against an
 //!   all-zero block) has constant content, so its index is cached under a
 //!   dedicated entry and never invalidated.

@@ -9,7 +9,14 @@
 //! log in batches — trading abundant CPU cycles for scarce mechanical I/O
 //! and avoiding the SSD's slow, wearing random writes.
 //!
-//! * [`controller`] — the [`Icash`] storage element ([read/write paths](Icash::submit)).
+//! * [`controller`] — the [`Icash`] storage element: its state, split into
+//!   what a crash keeps and what it loses, and the host-facing surface
+//!   (`submit`, barriers, report).
+//! * `write`, `read` — the two paths behind `submit`.
+//! * `placement` — the transitions that move a block between SSD slot,
+//!   reference + delta, log and home; the only code that edits placement.
+//! * `slots` — the SSD slot store: pinned content, slot directory,
+//!   allocator and the generation stamps recovery orders by.
 //! * [`config`] — tunables; defaults follow the paper's prototype.
 //! * [`table`], [`virtual_block`] — the virtual-block machinery
 //!   (reference / associate / independent roles, §4.3); the recency list
@@ -21,7 +28,7 @@
 //!   ([`icash_storage::pipeline::Ticket`]); see
 //!   [`Icash::await_flush`](Icash::await_flush) and [`Icash::sync`].
 //! * [`ref_index`] — sub-signature index over the reference set.
-//! * [`maintenance`] — flush, similarity scan, promotion/demotion, and the
+//! * [`maintenance`] — flush, scrub, similarity scan, promotion, and the
 //!   three replacement policies.
 //! * [`recovery`] — crash simulation + log-based recovery (§3.3).
 //! * [`stats`] — controller counters (role mix, hit classes).
@@ -56,13 +63,17 @@ pub mod delta_log;
 pub mod health;
 pub mod index_cache;
 pub mod maintenance;
+pub(crate) mod placement;
+pub(crate) mod read;
 pub mod recovery;
 pub mod ref_index;
 pub mod segment;
+pub(crate) mod slots;
 pub(crate) mod staging;
 pub mod stats;
 pub mod table;
 pub mod virtual_block;
+pub(crate) mod write;
 
 pub use config::{IcashConfig, IcashConfigBuilder};
 pub use controller::Icash;

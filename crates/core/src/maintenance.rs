@@ -1,9 +1,10 @@
 //! Background machinery of the controller: periodic flush of dirty deltas
-//! to the HDD log, the similarity scan (paper §4.2), reference promotion /
-//! demotion, and the three replacement policies of §4.3.
+//! to the HDD log, the slot scrub, the similarity scan (paper §4.2),
+//! reference promotion, and the three replacement policies of §4.3.
 
-use crate::controller::{EvictedState, Icash};
+use crate::controller::Icash;
 use crate::delta_log::LogEntry;
+use crate::placement::EvictedState;
 use crate::table::VbId;
 use crate::virtual_block::Role;
 use icash_storage::block::{Lba, BLOCK_SIZE};
@@ -19,21 +20,21 @@ impl Icash {
         // The online rebuild rides the host I/O stream: each I/O funds one
         // rate-limited chunk of slot repopulation (no-op unless rebuilding).
         self.rebuild_tick(at);
-        self.ios_since_flush += 1;
-        self.ios_since_scan += 1;
-        if self.ios_since_flush >= self.cfg.flush_interval
-            || self.dirty_bytes >= self.cfg.flush_dirty_bytes
+        self.volatile.ios_since_flush += 1;
+        self.volatile.ios_since_scan += 1;
+        if self.volatile.ios_since_flush >= self.cfg.flush_interval
+            || self.volatile.dirty_bytes >= self.cfg.flush_dirty_bytes
         {
             self.flush_dirty(at, ctx);
         }
-        if self.ios_since_scan >= self.cfg.scan_interval {
-            self.ios_since_scan = 0;
+        if self.volatile.ios_since_scan >= self.cfg.scan_interval {
+            self.volatile.ios_since_scan = 0;
             self.scan(at, ctx);
         }
-        if self.fault_plan.scrub_interval > 0 {
-            self.ios_since_scrub += 1;
-            if self.ios_since_scrub >= self.fault_plan.scrub_interval {
-                self.ios_since_scrub = 0;
+        if self.durable.fault_plan.scrub_interval > 0 {
+            self.volatile.ios_since_scrub += 1;
+            if self.volatile.ios_since_scrub >= self.durable.fault_plan.scrub_interval {
+                self.volatile.ios_since_scrub = 0;
                 self.scrub(at, ctx);
             }
         }
@@ -55,9 +56,9 @@ impl Icash {
         if self.cfg.group_commit_depth <= 1 {
             return self.commit_now(now, ctx);
         }
-        self.ios_since_flush = 0;
+        self.volatile.ios_since_flush = 0;
         self.stage_dirty(now);
-        if self.staging.batches() >= self.cfg.group_commit_depth {
+        if self.volatile.staging.batches() >= self.cfg.group_commit_depth {
             self.commit_staged(now)
         } else {
             now
@@ -72,34 +73,23 @@ impl Icash {
         if self.cfg.group_commit_depth <= 1 {
             return self.commit_now(now, ctx);
         }
-        self.ios_since_flush = 0;
+        self.volatile.ios_since_flush = 0;
         self.stage_dirty(now);
         self.commit_staged(now)
     }
 
-    /// The synchronous encode → pack → flush cycle: packs every dirty delta
-    /// into log blocks and writes them to the HDD in one sequential
-    /// operation. Returns the write completion instant.
-    fn commit_now(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
-        // The watermark at entry: every write accepted so far either has a
-        // dirty delta (drained here) or is already on stable media (the
-        // controller never leaves accepted data merely RAM-dirty outside
-        // the dirty set), so finishing this flush makes them all durable.
-        let watermark = self.staging.progress.reserved();
-        self.ios_since_flush = 0;
-        if self.dirty.is_empty() {
-            self.staging.progress.complete_through(watermark);
-            return now;
-        }
-        let mut ids: Vec<usize> = self.dirty.drain().collect();
-        ids.sort_unstable(); // determinism
-        let n_entries = ids.len() as u32;
-        let mut flushed: Vec<VbId> = Vec::with_capacity(ids.len());
-        let mut entries = Vec::with_capacity(ids.len());
+    /// Frames every dirty delta as a log entry (in table-id order, for
+    /// determinism) and empties the dirty set. The caller decides whether
+    /// the entries go straight to the log or into the staging buffer.
+    fn drain_dirty(&mut self) -> Vec<(VbId, LogEntry)> {
+        let mut ids: Vec<usize> = self.volatile.dirty.drain().collect();
+        ids.sort_unstable();
+        self.volatile.dirty_bytes = 0;
+        let mut framed = Vec::with_capacity(ids.len());
         for raw in ids {
             let id = VbId::from_raw(raw);
-            let gen = self.next_gen();
-            let vb = self.table.get(id);
+            let gen = self.durable.slots.stamp();
+            let vb = self.volatile.table.get(id);
             debug_assert!(vb.dirty_delta);
             let delta = vb
                 .delta
@@ -108,10 +98,17 @@ impl Icash {
                 .delta
                 .clone();
             let reference = vb.reference.unwrap_or(vb.lba);
-            entries.push(LogEntry::new(vb.lba, reference, gen, delta));
-            flushed.push(id);
+            framed.push((id, LogEntry::new(vb.lba, reference, gen, delta)));
         }
-        let report = self.log.append(entries);
+        framed
+    }
+
+    /// Packs `entries` onto the end of the delta log and writes the new
+    /// blocks to the HDD in one sequential operation. Returns the write's
+    /// completion instant and the log block each entry landed in.
+    fn append_to_log(&mut self, now: Ns, entries: Vec<LogEntry>) -> (Ns, Vec<u32>) {
+        let n_entries = entries.len() as u32;
+        let report = self.durable.log.append(entries);
         // A transient write fault clears on retry; should every retry fail,
         // the packed blocks are still buffered and the drive remaps on the
         // next sequential append, so the flush proceeds either way. With a
@@ -122,8 +119,37 @@ impl Icash {
             self.cfg.log_start() + report.first_block,
             report.blocks_written,
         );
-        for (id, &loc) in flushed.iter().zip(report.entry_locs.iter()) {
-            let vb = self.table.get_mut(*id);
+        self.stats.flushes += 1;
+        self.stats.log_blocks_written += report.blocks_written as u64;
+        let blocks = report.blocks_written;
+        self.durable.array.tracer().emit(|| TraceEvent {
+            at: t,
+            kind: TraceKind::LogFlush {
+                entries: n_entries,
+                blocks,
+            },
+        });
+        (t, report.entry_locs)
+    }
+
+    /// The synchronous encode → pack → flush cycle: packs every dirty delta
+    /// into log blocks and writes them to the HDD in one sequential
+    /// operation. Returns the write completion instant.
+    fn commit_now(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
+        // The watermark at entry: every write accepted so far either has a
+        // dirty delta (drained here) or is already on stable media (the
+        // controller never leaves accepted data merely RAM-dirty outside
+        // the dirty set), so finishing this flush makes them all durable.
+        let watermark = self.volatile.staging.progress.reserved();
+        self.volatile.ios_since_flush = 0;
+        if self.volatile.dirty.is_empty() {
+            self.volatile.staging.progress.complete_through(watermark);
+            return now;
+        }
+        let (flushed, entries): (Vec<VbId>, Vec<LogEntry>) = self.drain_dirty().into_iter().unzip();
+        let (t, locs) = self.append_to_log(now, entries);
+        for (id, loc) in flushed.into_iter().zip(locs) {
+            let vb = self.volatile.table.get_mut(id);
             vb.dirty_delta = false;
             vb.log_loc = Some(loc);
             if vb.role == Role::Associate {
@@ -131,19 +157,8 @@ impl Icash {
                 vb.dirty_data = false;
             }
         }
-        self.dirty_bytes = 0;
-        self.stats.flushes += 1;
-        self.stats.log_blocks_written += report.blocks_written as u64;
-        let blocks = report.blocks_written;
-        self.array.tracer().emit(|| TraceEvent {
-            at: t,
-            kind: TraceKind::LogFlush {
-                entries: n_entries,
-                blocks,
-            },
-        });
-        self.staging.progress.complete_through(watermark);
-        if self.log.is_nearly_full() {
+        self.volatile.staging.progress.complete_through(watermark);
+        if self.durable.log.is_nearly_full() {
             self.clean_log(t);
         }
         t
@@ -154,40 +169,23 @@ impl Icash {
     /// staging buffer. No device I/O happens here; the deltas stay
     /// readable through the buffer (read-your-writes) until the commit.
     fn stage_dirty(&mut self, now: Ns) {
-        if self.dirty.is_empty() {
+        if self.volatile.dirty.is_empty() {
             return;
         }
-        let ticket = self.staging.progress.reserved();
-        let mut ids: Vec<usize> = self.dirty.drain().collect();
-        ids.sort_unstable(); // determinism
-        for raw in ids {
-            let id = VbId::from_raw(raw);
-            let gen = self.next_gen();
-            let vb = self.table.get(id);
-            debug_assert!(vb.dirty_delta);
-            let delta = vb
-                .delta
-                .as_ref()
-                .expect("dirty implies resident")
-                .delta
-                .clone();
-            let reference = vb.reference.unwrap_or(vb.lba);
-            let lba = vb.lba;
-            let bytes = delta.len() as u32;
-            let entry = LogEntry::new(lba, reference, gen, delta);
-            {
-                let vb = self.table.get_mut(id);
-                vb.dirty_delta = false;
-                vb.staged = true;
-                if vb.role == Role::Associate {
-                    // Recoverable from reference + staged delta once the
-                    // group commit lands; the full copy needs no home write.
-                    vb.dirty_data = false;
-                }
+        let ticket = self.volatile.staging.progress.reserved();
+        for (id, entry) in self.drain_dirty() {
+            let (lba, bytes) = (entry.lba, entry.delta.len() as u32);
+            let vb = self.volatile.table.get_mut(id);
+            vb.dirty_delta = false;
+            vb.staged = true;
+            if vb.role == Role::Associate {
+                // Recoverable from reference + staged delta once the
+                // group commit lands; the full copy needs no home write.
+                vb.dirty_data = false;
             }
-            self.staging.push(lba, entry, ticket);
+            self.volatile.staging.push(lba, entry, ticket);
             self.stats.staged_entries += 1;
-            self.array.tracer().emit(|| TraceEvent {
+            self.durable.array.tracer().emit(|| TraceEvent {
                 at: now,
                 kind: TraceKind::StageEnter {
                     lba: lba.raw(),
@@ -196,21 +194,23 @@ impl Icash {
                 },
             });
         }
-        self.dirty_bytes = 0;
-        self.stats.staging_high_water = self.stats.staging_high_water.max(self.staging.bytes());
-        self.staging.finish_batch();
+        self.stats.staging_high_water = self
+            .stats
+            .staging_high_water
+            .max(self.volatile.staging.bytes());
+        self.volatile.staging.finish_batch();
     }
 
     /// Commit phase of the pipeline: drains the whole staging buffer into
     /// one sequential multi-entry log append (the group commit) and
     /// completes the ticket watermark it covers.
     fn commit_staged(&mut self, now: Ns) -> Ns {
-        let watermark = self.staging.progress.reserved();
-        let (staged, bytes) = self.staging.drain();
+        let watermark = self.volatile.staging.progress.reserved();
+        let (staged, bytes) = self.volatile.staging.drain();
         if staged.is_empty() {
             // Everything staged was superseded (or nothing was staged):
             // accepted writes are all on stable media already.
-            self.staging.progress.complete_through(watermark);
+            self.volatile.staging.progress.complete_through(watermark);
             return now;
         }
         debug_assert!(
@@ -220,15 +220,10 @@ impl Icash {
         let entries: Vec<LogEntry> = staged.into_iter().map(|s| s.entry).collect();
         let n_entries = entries.len() as u32;
         let lbas: Vec<Lba> = entries.iter().map(|e| e.lba).collect();
-        let report = self.log.append(entries);
-        let t = self.hdd_log_append(
-            now,
-            self.cfg.log_start() + report.first_block,
-            report.blocks_written,
-        );
-        for (lba, &loc) in lbas.iter().zip(report.entry_locs.iter()) {
-            if let Some(id) = self.table.lookup(*lba) {
-                let vb = self.table.get_mut(id);
+        let (t, locs) = self.append_to_log(now, entries);
+        for (lba, loc) in lbas.into_iter().zip(locs) {
+            if let Some(id) = self.volatile.table.lookup(lba) {
+                let vb = self.volatile.table.get_mut(id);
                 // Skip blocks re-dirtied or superseded since staging; their
                 // newer state owns the log_loc pointer.
                 if vb.staged {
@@ -237,29 +232,19 @@ impl Icash {
                 }
             }
         }
-        self.stats.flushes += 1;
-        self.stats.log_blocks_written += report.blocks_written as u64;
         self.stats.group_commits += 1;
         self.stats.group_commit_entries += n_entries as u64;
         self.stats.group_commit_bytes += bytes;
-        let blocks = report.blocks_written;
-        self.array.tracer().emit(|| TraceEvent {
-            at: t,
-            kind: TraceKind::LogFlush {
-                entries: n_entries,
-                blocks,
-            },
-        });
         let commit_bytes = bytes.min(u32::MAX as u64) as u32;
-        self.array.tracer().emit(|| TraceEvent {
+        self.durable.array.tracer().emit(|| TraceEvent {
             at: t,
             kind: TraceKind::GroupCommit {
                 entries: n_entries,
                 bytes: commit_bytes,
             },
         });
-        self.staging.progress.complete_through(watermark);
-        if self.log.is_nearly_full() {
+        self.volatile.staging.progress.complete_through(watermark);
+        if self.durable.log.is_nearly_full() {
             self.clean_log(t);
         }
         t
@@ -272,25 +257,28 @@ impl Icash {
         // appends still parked in the drive's write-behind cache must land
         // first — they hold positions the rewrite supersedes. Free without
         // a queue (the cache is always empty).
-        let now = now.max(self.array.hdd_mut().flush_cache(now));
+        let now = now.max(self.durable.array.hdd_mut().flush_cache(now));
         // One LRU walk serves both the liveness census and the remap below:
         // neither `log.clean` nor the HDD write touches the table, so the
         // id set cannot go stale in between.
-        let ids = self.table.head_ids(usize::MAX);
+        let ids = self.volatile.table.head_ids(usize::MAX);
         // An entry is live iff the block's current state points at it.
         let mut expected: std::collections::HashMap<Lba, u32> = std::collections::HashMap::new();
         for &id in &ids {
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if let Some(loc) = vb.log_loc {
                 expected.insert(vb.lba, loc);
             }
         }
-        for (lba, state) in &self.evicted {
+        for (lba, state) in &self.volatile.evicted {
             if let EvictedState::InLog { loc, .. } = state {
                 expected.insert(*lba, *loc);
             }
         }
-        let (new_locs, blocks) = self.log.clean(|lba, loc| expected.get(&lba) == Some(&loc));
+        let (new_locs, blocks) = self
+            .durable
+            .log
+            .clean(|lba, loc| expected.get(&lba) == Some(&loc));
         if blocks > 0 {
             let _ = self.hdd_write_retry(
                 now,
@@ -299,12 +287,12 @@ impl Icash {
             );
         }
         for id in ids {
-            let lba = self.table.get(id).lba;
-            if self.table.get(id).log_loc.is_some() {
-                self.table.get_mut(id).log_loc = new_locs.get(&lba).copied();
+            let lba = self.volatile.table.get(id).lba;
+            if self.volatile.table.get(id).log_loc.is_some() {
+                self.volatile.table.get_mut(id).log_loc = new_locs.get(&lba).copied();
             }
         }
-        for (lba, state) in self.evicted.iter_mut() {
+        for (lba, state) in self.volatile.evicted.iter_mut() {
             if let EvictedState::InLog { loc, .. } = state {
                 if let Some(new) = new_locs.get(lba) {
                     *loc = *new;
@@ -312,7 +300,7 @@ impl Icash {
             }
         }
         self.stats.log_cleans += 1;
-        self.array.tracer().emit(|| TraceEvent {
+        self.durable.array.tracer().emit(|| TraceEvent {
             at: now,
             kind: TraceKind::LogClean,
         });
@@ -324,26 +312,29 @@ impl Icash {
     pub(crate) fn shutdown_flush(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
         let mut t = self.flush_all(now, ctx);
         let mut dirty_data: Vec<VbId> = self
+            .volatile
             .table
             .head_ids(usize::MAX)
             .into_iter()
-            .filter(|&id| self.table.get(id).dirty_data && self.table.get(id).data.is_some())
+            .filter(|&id| {
+                self.volatile.table.get(id).dirty_data && self.volatile.table.get(id).data.is_some()
+            })
             .collect();
-        dirty_data.sort_by_key(|&id| self.home_pos(self.table.get(id).lba));
+        dirty_data.sort_by_key(|&id| self.home_pos(self.volatile.table.get(id).lba));
         t = self.write_home_batch(&dirty_data, t);
         // Durability: cached log appends must reach the media before the
         // flush reports completion. Free without a queue (cache is empty).
-        t = t.max(self.array.hdd_mut().flush_cache(t));
+        t = t.max(self.durable.array.hdd_mut().flush_cache(t));
         t
     }
 
-    /// Writes a batch of dirty blocks to their HDD home positions. With a
-    /// command queue configured (and the health machinery off — backoff
-    /// owns per-op retry pacing), the whole batch goes through the NCQ
-    /// scheduler so adjacent home positions coalesce into sequential
-    /// transfers; otherwise this is exactly the classic per-block loop.
+    /// Writes a batch of dirty blocks to their HDD home positions. With
+    /// queued batching (see [`Icash::batches_through_queue`]) the whole
+    /// batch goes through the NCQ scheduler so adjacent home positions
+    /// coalesce into sequential transfers; otherwise this is exactly the
+    /// classic per-block loop.
     pub(crate) fn write_home_batch(&mut self, ids: &[VbId], now: Ns) -> Ns {
-        if self.cfg.queue.is_none() || self.health.is_some() {
+        if !self.batches_through_queue() {
             let mut t = now;
             for &id in ids {
                 t = self.write_home(id, t);
@@ -353,13 +344,13 @@ impl Icash {
         let mut reqs = Vec::with_capacity(ids.len());
         for &id in ids {
             let (lba, content) = {
-                let vb = self.table.get_mut(id);
+                let vb = self.volatile.table.get_mut(id);
                 let content = vb.data.clone().expect("home write needs resident data");
                 vb.dirty_data = false;
                 (vb.lba, content)
             };
             reqs.push((self.home_pos(lba), 1u32));
-            self.home_overlay.insert(lba, content);
+            self.durable.home_overlay.insert(lba, content);
         }
         self.hdd_write_batch_retry(now, &reqs)
     }
@@ -368,7 +359,7 @@ impl Icash {
     /// the overlay. Clears the dirty-data flag.
     pub(crate) fn write_home(&mut self, id: VbId, now: Ns) -> Ns {
         let (lba, content) = {
-            let vb = self.table.get_mut(id);
+            let vb = self.volatile.table.get_mut(id);
             let content = vb.data.clone().expect("home write needs resident data");
             vb.dirty_data = false;
             (vb.lba, content)
@@ -378,7 +369,50 @@ impl Icash {
         // remapped by the drive on rewrite, so the overlay records the
         // intended content either way (never silently stale data).
         let t = self.hdd_write_retry(now, pos, 1).unwrap_or(now);
-        self.home_overlay.insert(lba, content);
+        self.durable.home_overlay.insert(lba, content);
+        t
+    }
+
+    /// One background scrub pass (triggered every
+    /// [`scrub_interval`](icash_storage::fault::FaultPlan::scrub_interval) I/Os): probe every pinned slot and
+    /// repair unreadable ones from their HDD home copies before the host
+    /// trips over them.
+    pub fn scrub(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
+        self.stats.scrubs += 1;
+        let slots = self.durable.slots.pinned_sorted();
+        let scanned = slots.len() as u32;
+        let (mut repaired, mut failed) = (0u32, 0u32);
+        let mut t = now;
+        for (lba, slot) in slots {
+            if self.slot_unavailable(slot) {
+                // Scrubbing a failed device is pointless; the rebuild (or
+                // the degraded read path) owns these slots.
+                continue;
+            }
+            match self.ssd_read_op(t, slot) {
+                Ok(t2) => t = t2,
+                Err(_) => {
+                    self.note_retry(t, slot, false);
+                    let (t2, res) = self.repair_slot(lba, slot, t, ctx);
+                    t = t2;
+                    if res.is_ok() {
+                        self.stats.scrub_repairs += 1;
+                        repaired += 1;
+                    } else {
+                        self.stats.scrub_failures += 1;
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        self.durable.array.tracer().emit(|| TraceEvent {
+            at: t,
+            kind: TraceKind::Scrub {
+                scanned,
+                repaired,
+                failed,
+            },
+        });
         t
     }
 
@@ -390,20 +424,25 @@ impl Icash {
     /// the most popular (by Heatmap) as new references, re-bind the rest.
     pub(crate) fn scan(&mut self, now: Ns, ctx: &mut IoCtx<'_>) {
         self.stats.scans += 1;
-        let ids = self.table.head_ids(self.cfg.scan_window);
+        let ids = self.volatile.table.head_ids(self.cfg.scan_window);
 
         // Rank scanned blocks by Heatmap popularity.
         let mut ranked: Vec<(VbId, u64)> = ids
             .iter()
             .map(|&id| {
                 ctx.cpu.charge(CpuOp::Scan);
-                let vb = self.table.get(id);
-                (id, self.heatmap.popularity(&vb.sig))
+                let vb = self.volatile.table.get(id);
+                (id, self.volatile.heatmap.popularity(&vb.sig))
             })
             .collect();
         ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| self.table.get(a.0).lba.cmp(&self.table.get(b.0).lba))
+            b.1.cmp(&a.1).then_with(|| {
+                self.volatile
+                    .table
+                    .get(a.0)
+                    .lba
+                    .cmp(&self.volatile.table.get(b.0).lba)
+            })
         });
 
         // Promote the most popular non-references.
@@ -413,7 +452,7 @@ impl Icash {
             if promoted >= target || pop == 0 {
                 break;
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if vb.role == Role::Reference || vb.data.is_none() {
                 continue;
             }
@@ -425,7 +464,7 @@ impl Icash {
                     }
                 }
             }
-            if self.promote(id, now, ctx).is_none() {
+            if self.promote(id, now).is_none() {
                 break; // out of SSD slots even after reclamation
             }
             promoted += 1;
@@ -440,7 +479,7 @@ impl Icash {
                 break;
             }
             let (role, has_data) = {
-                let vb = self.table.get(id);
+                let vb = self.volatile.table.get(id);
                 (vb.role, vb.data.is_some())
             };
             // Only unbound blocks with resident data are worth an encode
@@ -449,7 +488,7 @@ impl Icash {
                 continue;
             }
             let (content, sig) = {
-                let vb = self.table.get(id);
+                let vb = self.volatile.table.get(id);
                 (vb.data.clone().expect("checked"), vb.sig)
             };
             attempts += 1;
@@ -457,15 +496,14 @@ impl Icash {
         }
 
         // Age the Heatmap so popularity tracks the recent access mix.
-        self.heatmap.decay();
+        self.volatile.heatmap.decay();
     }
 
-    /// Installs `id`'s current content into the SSD as a new reference
-    /// block. Returns the slot used, or `None` if no slot could be found.
-    pub(crate) fn promote(&mut self, id: VbId, now: Ns, _ctx: &mut IoCtx<'_>) -> Option<u64> {
-        let lba = self.table.get(id).lba;
-        let existing_slot = self.table.get(id).ssd_slot;
-        let slot = match existing_slot {
+    /// Makes `id` a reference block, installing its current content into a
+    /// fresh SSD slot unless it already holds one. Returns the slot, or
+    /// `None` if no slot could be found.
+    pub(crate) fn promote(&mut self, id: VbId, now: Ns) -> Option<u64> {
+        let slot = match self.volatile.table.get(id).ssd_slot {
             // Direct-written independents are already SSD-resident: adopt
             // the slot without another flash write.
             Some(s) => s,
@@ -473,117 +511,34 @@ impl Icash {
                 // No free slot: promotion simply stops. Demote-to-promote
                 // churn (each demotion is a mechanical home write) costs
                 // far more than the marginal reference is worth.
-                let s = self.alloc_slot()?;
+                let s = self.durable.slots.alloc()?;
                 let content = self
+                    .volatile
                     .table
                     .get(id)
                     .data
                     .clone()
                     .expect("promotion needs data");
-                if self.ssd_write_op(now, s).is_err() {
+                if self.install_slot(id, s, &content, now).is_err() {
                     // Flash refused the program: skip this promotion.
-                    self.free_slots.push(s);
+                    self.durable.slots.unalloc(s);
                     self.stats.degraded_writes += 1;
                     return None;
                 }
-                self.ssd_install(s, content.clone());
-                self.harden_slot(lba, &content, now);
                 s
             }
         };
         self.unbind(id);
-        self.drop_delta(id);
-        self.unstage(id);
-        if let Some(loc) = self.table.get_mut(id).log_loc.take() {
-            self.log.mark_stale(loc);
-        }
-        let sig = self.table.get(id).sig;
-        self.table.set_role(id, Role::Reference);
-        {
-            let vb = self.table.get_mut(id);
-            vb.ssd_slot = Some(slot);
+        self.supersede_logged(id);
+        let (lba, sig) = {
+            let vb = self.volatile.table.get_mut(id);
             vb.dirty_data = false;
-        }
-        let gen = self.next_gen();
-        self.slot_dir
-            .entry(lba)
-            .or_insert(crate::controller::SlotRecord {
-                slot,
-                generation: gen,
-            });
-        self.ref_index.insert(lba, &sig);
+            (vb.lba, vb.sig)
+        };
+        self.volatile.table.set_role(id, Role::Reference);
+        self.volatile.ref_index.insert(lba, &sig);
         self.stats.ref_installs += 1;
         Some(slot)
-    }
-
-    /// Demotes an unwritten reference with no associates: its content moves
-    /// to the HDD home area and the SSD slot is reclaimed. Not part of the
-    /// steady-state policy (promote simply stops when flash fills — see
-    /// `promote`), but exposed for slot-reclamation experiments.
-    #[allow(dead_code)]
-    pub(crate) fn demote(&mut self, id: VbId, now: Ns) -> bool {
-        let (lba, slot, sig) = {
-            let vb = self.table.get(id);
-            if vb.role != Role::Reference
-                || vb.dependants > 0
-                || vb.delta.is_some()
-                || vb.log_loc.is_some()
-            {
-                return false;
-            }
-            (vb.lba, vb.ssd_slot.expect("reference without slot"), vb.sig)
-        };
-        let content = self.ssd_discard(slot).expect("slot content");
-        let pos = self.home_pos(lba);
-        let _ = self.hdd_write_retry(now, pos, 1);
-        self.home_overlay.insert(lba, content);
-        self.array.ssd_mut().trim(slot);
-        self.free_slots.push(slot);
-        self.slot_dir.remove(&lba);
-        self.ref_index.remove(lba, &sig);
-        self.table.set_role(id, Role::Independent);
-        let vb = self.table.get_mut(id);
-        vb.ssd_slot = None;
-        vb.dirty_data = false;
-        self.stats.ref_demotions += 1;
-        true
-    }
-
-    /// Frees SSD slots by demoting idle references and spilling evicted
-    /// SSD-resident blocks to the home area. See `demote` on why the
-    /// default policy does not call this.
-    #[allow(dead_code)]
-    pub(crate) fn reclaim_slots(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) {
-        let mut reclaimed = 0usize;
-        // Idle references first (LRU tail).
-        for id in self.table.tail_ids(4_096) {
-            if reclaimed >= 8 {
-                return;
-            }
-            if self.demote(id, now) {
-                reclaimed += 1;
-            }
-        }
-        // Then evicted direct-written blocks.
-        let spill: Vec<(Lba, u64)> = self
-            .evicted
-            .iter()
-            .filter_map(|(lba, st)| match st {
-                EvictedState::InSsd(slot) => Some((*lba, *slot)),
-                _ => None,
-            })
-            .take(8 - reclaimed.min(8))
-            .collect();
-        for (lba, slot) in spill {
-            let content = self.ssd_discard(slot).expect("slot content");
-            let pos = self.home_pos(lba);
-            let _ = self.hdd_write_retry(now, pos, 1);
-            self.home_overlay.insert(lba, content);
-            self.array.ssd_mut().trim(slot);
-            self.free_slots.push(slot);
-            self.slot_dir.remove(&lba);
-            self.evicted.remove(&lba);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -609,12 +564,12 @@ impl Icash {
         at: Ns,
         ctx: &mut IoCtx<'_>,
     ) {
-        let needed = self.pool.delta_charge(len);
+        let needed = self.volatile.pool.delta_charge(len);
         let ok = self.make_room(needed, protect, at, ctx);
         assert!(
             ok,
             "delta of {len} bytes cannot fit a {}-byte pool",
-            self.pool.capacity()
+            self.volatile.pool.capacity()
         );
     }
 
@@ -626,43 +581,43 @@ impl Icash {
     /// (an eighth of the pool) rather than a single block, so the cost of
     /// the tail walk amortises across many subsequent allocations.
     fn make_room(&mut self, needed: usize, protect: VbId, at: Ns, ctx: &mut IoCtx<'_>) -> bool {
-        if self.pool.available() >= needed {
+        if self.volatile.pool.available() >= needed {
             return true;
         }
-        let goal = needed.max(self.pool.capacity() / 8);
+        let goal = needed.max(self.volatile.pool.capacity() / 8);
 
         // Pass A1: clean data blocks first — they are 4 KB each and cheap
         // to reconstruct (reference + resident delta), while a delta costs
         // a mechanical log fetch to get back.
-        for id in self.table.tail_ids(usize::MAX) {
-            if self.pool.available() >= goal {
+        for id in self.volatile.table.tail_ids(usize::MAX) {
+            if self.volatile.pool.available() >= goal {
                 return true;
             }
             if id == protect {
                 continue;
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if vb.data.is_some() && !vb.dirty_data {
                 self.drop_data(id);
             }
         }
         // Pass A2: only if data alone was not enough, drop clean logged
         // deltas.
-        for id in self.table.tail_ids(usize::MAX) {
-            if self.pool.available() >= goal {
+        for id in self.volatile.table.tail_ids(usize::MAX) {
+            if self.volatile.pool.available() >= goal {
                 return true;
             }
             if id == protect {
                 continue;
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             // A staged block's delta is recoverable from the staging buffer
             // (RAM, no device op), so it is as droppable as a logged one.
             if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
                 self.drop_delta(id);
             }
         }
-        if self.pool.available() >= needed {
+        if self.volatile.pool.available() >= needed {
             return true;
         }
 
@@ -672,18 +627,18 @@ impl Icash {
         // not hold deltas staged past the configured depth.
         self.flush_all(at, ctx);
         let mut spills: Vec<VbId> = Vec::new();
-        for id in self.table.tail_ids(usize::MAX) {
-            if self.pool.available() + spills.len() * BLOCK_SIZE >= goal {
+        for id in self.volatile.table.tail_ids(usize::MAX) {
+            if self.volatile.pool.available() + spills.len() * BLOCK_SIZE >= goal {
                 break;
             }
             if id == protect {
                 continue;
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
                 self.drop_delta(id);
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if vb.data.is_some() {
                 if vb.dirty_data {
                     spills.push(id);
@@ -694,29 +649,29 @@ impl Icash {
         }
         // Write the spill batch in home-position order: the writeback
         // stream becomes near-sequential instead of head-thrashing.
-        spills.sort_by_key(|&id| self.home_pos(self.table.get(id).lba));
+        spills.sort_by_key(|&id| self.home_pos(self.volatile.table.get(id).lba));
         self.write_home_batch(&spills, at);
         for id in spills {
             self.drop_data(id);
         }
-        self.pool.available() >= needed
+        self.volatile.pool.available() >= needed
     }
 
     /// Bounds the virtual-block table: evicts persisted blocks from the LRU
     /// tail once the table exceeds its limit, preserving a rebuild pointer
     /// for content that is not reachable via the home area.
     pub(crate) fn reserve_table_slot(&mut self, at: Ns, ctx: &mut IoCtx<'_>) {
-        if self.table.len() < self.max_virtual_blocks {
+        if self.volatile.table.len() < self.volatile.max_virtual_blocks {
             return;
         }
         let mut evicted = 0usize;
         let mut flushed = false;
-        let candidates = self.table.tail_ids(8_192);
+        let candidates = self.volatile.table.tail_ids(8_192);
         for id in candidates {
             if evicted >= 64 {
                 break;
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if !vb.evictable() {
                 continue;
             }
@@ -733,7 +688,7 @@ impl Icash {
                 self.flush_all(at, ctx);
                 flushed = true;
             }
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             if vb.dirty_delta || vb.staged {
                 continue;
             }
@@ -746,7 +701,7 @@ impl Icash {
             }
             self.drop_data(id);
             self.drop_delta(id);
-            let vb = self.table.get(id);
+            let vb = self.volatile.table.get(id);
             let state = match vb.role {
                 Role::Reference => vb.ssd_slot.map(EvictedState::InSsd),
                 Role::Independent => vb.ssd_slot.map(EvictedState::InSsd).or_else(|| {
@@ -765,13 +720,13 @@ impl Icash {
             // above. Anything left without a state lives in the home area.
             if vb.role == Role::Reference {
                 let (lba, sig) = (vb.lba, vb.sig);
-                self.ref_index.remove(lba, &sig);
+                self.volatile.ref_index.remove(lba, &sig);
             }
             let lba = vb.lba;
-            let removed = self.table.remove(id);
+            let removed = self.volatile.table.remove(id);
             debug_assert!(removed.delta.is_none() && removed.data.is_none());
             if let Some(state) = state {
-                self.evicted.insert(lba, state);
+                self.volatile.evicted.insert(lba, state);
             }
             evicted += 1;
         }

@@ -1,0 +1,483 @@
+//! The read path: resolving a block's current content from wherever its
+//! placement says it lives — RAM, an SSD slot, reference + delta, the HDD
+//! delta log, or the HDD home area — with retry and repair on media errors.
+
+use crate::controller::Icash;
+use crate::placement::EvictedState;
+use crate::table::VbId;
+use crate::virtual_block::Role;
+use icash_delta::codec::Delta;
+use icash_storage::block::{BlockBuf, Lba};
+use icash_storage::cpu::CpuOp;
+use icash_storage::fault::crc32;
+use icash_storage::request::{IoErrorKind, Request};
+use icash_storage::system::IoCtx;
+use icash_storage::time::Ns;
+use icash_storage::trace::{TraceEvent, TraceKind};
+
+/// The outcome of resolving one block's content: the completion instant
+/// plus either the bytes or the error class reported to the host.
+pub(crate) type BlockRead = (Ns, Result<BlockBuf, IoErrorKind>);
+
+impl Icash {
+    pub(crate) fn read_block(&mut self, lba: Lba, at: Ns, ctx: &mut IoCtx<'_>) -> BlockRead {
+        self.stats.reads += 1;
+        let id = self.materialize_vb(lba, at, ctx);
+        let sig = self.volatile.table.get(id).sig;
+        self.volatile.heatmap.record(&sig);
+
+        let (mut t, res) = self.content_of(id, at, ctx);
+        if let Ok(content) = &res {
+            t += ctx.cpu.charge(CpuOp::Memcpy);
+            self.cache_data(id, content.clone(), at, ctx);
+        }
+        self.volatile.table.touch(id);
+        self.after_io(at, ctx);
+        (t, res)
+    }
+
+    /// Whether resolving `id` right now would fall through to a mechanical
+    /// home-area read — the final arm of
+    /// [`content_of`](Icash::content_of): an independent block with no
+    /// resident data, no SSD slot, and no delta in RAM, log, or staging.
+    /// Keep in sync with that arm.
+    fn needs_home_read(&self, id: VbId) -> bool {
+        let vb = self.volatile.table.get(id);
+        vb.role == Role::Independent
+            && vb.data.is_none()
+            && vb.ssd_slot.is_none()
+            && vb.delta.is_none()
+            && vb.log_loc.is_none()
+            && !vb.staged
+    }
+
+    /// Queue-on fast path for multi-block reads: the span's home-area
+    /// misses are submitted to the HDD as one NCQ batch — adjacent home
+    /// positions coalesce into a single transfer, the rest dispatch in
+    /// positioning order — and the fetched content is parked in the data
+    /// cache so the per-block resolution that follows finds it resident.
+    /// Returns the batch completion instant (`req.at` when nothing ran).
+    ///
+    /// Without queued batching (see [`Icash::batches_through_queue`]) this
+    /// is a no-op and the per-block path stays bit-identical to the
+    /// pre-queue controller.
+    pub(crate) fn prefetch_span_homes(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Ns {
+        if !self.batches_through_queue() || req.blocks < 2 {
+            return req.at;
+        }
+        let mut pending: Vec<(VbId, Lba)> = Vec::new();
+        for lba in req.lbas() {
+            let id = self.materialize_vb(lba, req.at, ctx);
+            if self.needs_home_read(id) {
+                pending.push((id, lba));
+            }
+        }
+        // Materializing a later block can evict an earlier one under an
+        // undersized table; drop any entry whose id no longer maps.
+        pending.retain(|&(id, lba)| self.volatile.table.lookup(lba) == Some(id));
+        if pending.len() < 2 {
+            return req.at;
+        }
+        let reqs: Vec<(u64, u32)> = pending
+            .iter()
+            .map(|&(_, lba)| (self.home_pos(lba), 1))
+            .collect();
+        let t = match self.durable.array.hdd_mut().read_batch(req.at, &reqs) {
+            Ok(t) => t,
+            // A media error inside the batch: fall back to the per-block
+            // path, which owns retry and repair for each individual read.
+            Err(_) => return req.at,
+        };
+        for (_, lba) in pending {
+            let content = self.home_content(lba, ctx);
+            self.stats.home_reads += 1;
+            // Parked in a side channel rather than the data cache: under a
+            // tight RAM budget caching block N could evict block N+1's
+            // prefetched copy before its turn, forcing a second (now
+            // single-block) mechanical read of what the batch already
+            // fetched.
+            self.volatile.span_prefetch.insert(lba, content);
+        }
+        t
+    }
+
+    /// Resolves the current content of a tracked block, charging the device
+    /// and CPU operations the resolution requires. Returns the completion
+    /// instant and the content — or the error class reported to the host
+    /// when retry and repair could not produce the correct bytes.
+    pub(crate) fn content_of(&mut self, id: VbId, at: Ns, ctx: &mut IoCtx<'_>) -> BlockRead {
+        if let Some(data) = self.volatile.table.get(id).data.clone() {
+            let lba = self.volatile.table.get(id).lba;
+            self.stats.ram_hits += 1;
+            self.durable.array.tracer().emit(|| TraceEvent {
+                at,
+                kind: TraceKind::RamHit { lba: lba.raw() },
+            });
+            return (at, Ok(data));
+        }
+        let (role, reference, slot, log_loc, has_delta, staged, lba) = {
+            let vb = self.volatile.table.get(id);
+            (
+                vb.role,
+                vb.reference,
+                vb.ssd_slot,
+                vb.log_loc,
+                vb.delta.is_some(),
+                vb.staged,
+                vb.lba,
+            )
+        };
+        match role {
+            Role::Reference => {
+                let s = match slot {
+                    Some(s) => s,
+                    None => return self.metadata_error("reference without slot", at),
+                };
+                let (mut t, base) = match self.read_slot(lba, s, at, ctx) {
+                    (t, Ok(base)) => (t, base),
+                    (t, Err(e)) => return (t, Err(e)),
+                };
+                // A written reference needs its own delta applied.
+                if has_delta || log_loc.is_some() || staged {
+                    t = match self.fetch_delta(id, t, ctx) {
+                        (t, Ok(())) => t,
+                        (t, Err(e)) => return (t, Err(e)),
+                    };
+                    t += ctx.cpu.charge(CpuOp::DeltaDecode);
+                    self.decode_resident(id, &base, t)
+                } else {
+                    self.note_delta_hit(t, lba);
+                    (t, Ok(base))
+                }
+            }
+            Role::Associate => {
+                let t = match self.fetch_delta(id, at, ctx) {
+                    (t, Ok(())) => t,
+                    (t, Err(e)) => return (t, Err(e)),
+                };
+                let ref_lba = match reference {
+                    Some(r) => r,
+                    None => return self.metadata_error("associate without reference", t),
+                };
+                let (t2, base) = match self.reference_content(ref_lba, t, ctx) {
+                    (t2, Ok(base)) => (t2, base),
+                    (t2, Err(e)) => return (t2, Err(e)),
+                };
+                let t3 = t2 + ctx.cpu.charge(CpuOp::DeltaDecode);
+                self.decode_resident(id, &base, t3)
+            }
+            Role::Independent => {
+                if let Some(s) = slot {
+                    let (t, res) = self.read_slot(lba, s, at, ctx);
+                    if res.is_ok() {
+                        self.note_delta_hit(t, lba);
+                    }
+                    (t, res)
+                } else if has_delta || log_loc.is_some() || staged {
+                    // Log-resident independent: decode against zero.
+                    let t = match self.fetch_delta(id, at, ctx) {
+                        (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
+                        (t, Err(e)) => return (t, Err(e)),
+                    };
+                    self.decode_resident(id, &BlockBuf::zeroed(), t)
+                } else {
+                    // A span prefetch may have already paid this block's
+                    // mechanical read as part of one batched NCQ submission.
+                    if let Some(content) = self.volatile.span_prefetch.remove(&lba) {
+                        return (at, Ok(content));
+                    }
+                    // Fall through to the mechanical home area. A latent
+                    // sector error here is unrecoverable: the home copy is
+                    // the only copy, so the failure is reported rather than
+                    // papered over.
+                    let pos = self.home_pos(lba);
+                    let t = match self.hdd_read_retry(at, pos, 1) {
+                        Ok(t) => t,
+                        Err(_) => {
+                            self.stats.unrecoverable_reads += 1;
+                            return (at, Err(IoErrorKind::HddMedia));
+                        }
+                    };
+                    self.stats.home_reads += 1;
+                    (t, Ok(self.home_content(lba, ctx)))
+                }
+            }
+        }
+    }
+
+    /// Decodes `id`'s resident delta against `base`, reporting a contained
+    /// metadata error (instead of panicking) if the delta is missing or
+    /// undecodable — both are invariant violations, so debug builds assert.
+    fn decode_resident(&mut self, id: VbId, base: &BlockBuf, t: Ns) -> BlockRead {
+        let delta = match self.volatile.table.get(id).delta.as_ref() {
+            Some(d) => d.delta.clone(),
+            None => return self.metadata_error("resident delta missing after fetch", t),
+        };
+        match self.volatile.codec.decode(base.as_slice(), &delta) {
+            Ok(out) => {
+                let lba = self.volatile.table.get(id).lba;
+                self.note_delta_hit(t, lba);
+                (t, Ok(BlockBuf::from_vec(out)))
+            }
+            Err(_) => self.metadata_error("resident delta undecodable", t),
+        }
+    }
+
+    /// Counts one SSD-fast-path read (the paper's "delta hit") and mirrors
+    /// it into the trace as a [`TraceKind::DeltaDecode`] event.
+    fn note_delta_hit(&mut self, at: Ns, lba: Lba) {
+        self.stats.delta_hits += 1;
+        self.durable.array.tracer().emit(|| TraceEvent {
+            at,
+            kind: TraceKind::DeltaDecode { lba: lba.raw() },
+        });
+    }
+
+    /// A contained metadata-invariant failure: asserts in debug builds,
+    /// reports a [`IoErrorKind::Metadata`] block error in release builds.
+    fn metadata_error<T>(&mut self, what: &str, t: Ns) -> (Ns, Result<T, IoErrorKind>) {
+        debug_assert!(false, "metadata invariant violated: {what}");
+        let _ = what;
+        self.stats.unrecoverable_reads += 1;
+        (t, Err(IoErrorKind::Metadata))
+    }
+
+    /// The content of a reference block's immutable SSD copy, served from
+    /// its cached data when resident (free) or from flash otherwise (with
+    /// retry and repair-from-home on an uncorrectable page).
+    pub(crate) fn reference_content(
+        &mut self,
+        ref_lba: Lba,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> BlockRead {
+        let rid = match self.volatile.table.lookup(ref_lba) {
+            Some(r) => r,
+            None => return self.metadata_error("reference must exist", at),
+        };
+        let slot = match self.volatile.table.get(rid).ssd_slot {
+            Some(s) => s,
+            None => return self.metadata_error("reference without slot", at),
+        };
+        self.volatile.table.touch(rid);
+        // A clean cached copy of an unwritten reference equals the SSD copy.
+        let vb = self.volatile.table.get(rid);
+        if vb.data.is_some() && vb.delta.is_none() && vb.log_loc.is_none() {
+            (at, Ok(self.durable.slots.content(slot).clone()))
+        } else {
+            self.read_slot(ref_lba, slot, at, ctx)
+        }
+    }
+
+    /// Reads the content pinned for `lba` in SSD slot `slot`, retrying and
+    /// then repairing from the HDD home copy on an uncorrectable error.
+    pub(crate) fn read_slot(
+        &mut self,
+        lba: Lba,
+        slot: u64,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> BlockRead {
+        if self.slot_unavailable(slot) {
+            // Failed (or not-yet-rebuilt) flash: serve the hardened HDD
+            // home copy instead of touching the device.
+            return self.degraded_slot_read(lba, slot, at, ctx);
+        }
+        match self.ssd_read_op(at, slot) {
+            Ok(t) => (t, Ok(self.durable.slots.content(slot).clone())),
+            Err(_) => {
+                self.note_retry(at, slot, false);
+                let (t, res) = self.repair_slot(lba, slot, at, ctx);
+                if res.is_err() {
+                    self.stats.unrecoverable_reads += 1;
+                }
+                (t, res)
+            }
+        }
+    }
+
+    /// Rebuilds SSD slot `slot` from `lba`'s HDD home copy: read the home
+    /// position, check the bytes against the slot checksum, reprogram the
+    /// slot. Refuses to "repair" with bytes that do not match the sum —
+    /// serving wrong data silently is the one forbidden outcome.
+    pub(crate) fn repair_slot(
+        &mut self,
+        lba: Lba,
+        slot: u64,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> BlockRead {
+        let pos = self.home_pos(lba);
+        let t = match self.hdd_read_retry(at, pos, 1) {
+            Ok(t) => t,
+            Err(_) => return (at, Err(IoErrorKind::SsdMedia)),
+        };
+        let content = self.home_content(lba, ctx);
+        if self.durable.slots.sum(slot) != Some(crc32(content.as_slice())) {
+            return (t, Err(IoErrorKind::SsdMedia));
+        }
+        let t = match self.ssd_write_op(t, slot) {
+            Ok(t) => t,
+            Err(_) => return (t, Err(IoErrorKind::SsdMedia)),
+        };
+        self.stats.slot_repairs += 1;
+        self.durable.array.tracer().emit(|| TraceEvent {
+            at: t,
+            kind: TraceKind::SlotRepair { slot, ok: true },
+        });
+        (t, Ok(content))
+    }
+
+    /// Makes `id`'s delta resident if it is not already: from the staging
+    /// buffer when the block is staged (read-your-writes, no device
+    /// operation), from the HDD log otherwise.
+    fn fetch_delta(
+        &mut self,
+        id: VbId,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> (Ns, Result<(), IoErrorKind>) {
+        let vb = self.volatile.table.get(id);
+        if vb.delta.is_some() {
+            (at, Ok(()))
+        } else if vb.staged {
+            self.fetch_staged_delta(id, at, ctx)
+        } else {
+            self.fetch_log_block(id, at, ctx)
+        }
+    }
+
+    /// Serves read-your-writes from the write pipeline: reinstalls `id`'s
+    /// encoded-but-uncommitted delta from the staging buffer. Pure RAM —
+    /// no device operation is charged and no trace event is emitted, so the
+    /// read looks exactly like any other resident-delta decode.
+    fn fetch_staged_delta(
+        &mut self,
+        id: VbId,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> (Ns, Result<(), IoErrorKind>) {
+        let lba = self.volatile.table.get(id).lba;
+        let delta = match self.volatile.staging.lookup(lba) {
+            Some(d) => d,
+            None => return self.metadata_error("staged delta missing", at),
+        };
+        // `install_clean_delta` may flush under memory pressure, which can
+        // drain the staging buffer; the clone above stays valid either way.
+        self.install_clean_delta(id, delta, at, ctx);
+        debug_assert!(self.volatile.table.get(id).delta.is_some());
+        (at, Ok(()))
+    }
+
+    /// Fetches the packed log block holding `id`'s delta from the HDD and
+    /// unpacks *every* delta in it into RAM (the paper's one-HDD-op-many-IOs
+    /// effect). Returns the fetch completion instant; on a latent sector
+    /// error the readahead narrows to just the mandatory block before the
+    /// failure is reported.
+    fn fetch_log_block(
+        &mut self,
+        id: VbId,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> (Ns, Result<(), IoErrorKind>) {
+        /// Packed blocks read per fetch: one seek already paid, so reading
+        /// a short run amortises it over neighbouring deltas (which were
+        /// packed in address order and will be wanted next).
+        const READAHEAD: u32 = 16;
+        let loc = match self.volatile.table.get(id).log_loc {
+            Some(l) => l,
+            None => return self.metadata_error("delta must be logged", at),
+        };
+        let lba = self.volatile.table.get(id).lba;
+        let mut span = (READAHEAD as u64).min(self.durable.log.len_blocks() - loc as u64) as u32;
+        span = span.max(1);
+        let log_pos = self.cfg.log_start() + loc as u64;
+        let first = self.durable.array.hdd_mut().read(at, log_pos, span);
+        self.note_device(at, crate::health::DEV_HDD, first.is_ok());
+        let t = match first {
+            Ok(t) => t,
+            Err(_) => {
+                // Some block of the readahead span is unreadable; retry
+                // with just the block the host actually needs.
+                self.note_retry(at, log_pos, false);
+                span = 1;
+                let narrow = self.durable.array.hdd_mut().read(at, log_pos, 1);
+                self.note_device(at, crate::health::DEV_HDD, narrow.is_ok());
+                match narrow {
+                    Ok(t) => t,
+                    Err(_) => {
+                        self.stats.unrecoverable_reads += 1;
+                        return (at, Err(IoErrorKind::HddMedia));
+                    }
+                }
+            }
+        };
+        self.stats.log_fetches += 1;
+
+        let entries: Vec<(u32, Lba, Delta)> = (loc..loc + span)
+            .flat_map(|l| {
+                self.durable
+                    .log
+                    .fetch(l)
+                    .entries
+                    .iter()
+                    .map(move |e| (l, e.lba, e.delta.clone()))
+            })
+            .collect();
+        for (loc, entry_lba, delta) in entries {
+            // Materialise evicted siblings whose current delta lives in
+            // this very block — the whole point of packing: one mechanical
+            // read must service every I/O it covers (paper §3.1).
+            let target = match self.volatile.table.lookup(entry_lba) {
+                Some(tid) => tid,
+                None => match self.volatile.evicted.get(&entry_lba) {
+                    Some(&state @ EvictedState::InLog { loc: at_loc, .. }) if at_loc == loc => {
+                        self.volatile.evicted.remove(&entry_lba);
+                        // No reserve_table_slot here: it could evict the
+                        // very block this fetch is serving (callers hold
+                        // its VbId). The table may briefly overshoot its
+                        // bound; the next materialisation trims it.
+                        let vb = self.rebuild_evicted(entry_lba, state);
+                        self.volatile.table.insert(vb)
+                    }
+                    _ => continue,
+                },
+            };
+            let vb = self.volatile.table.get(target);
+            // Only install when this log block holds the *current* delta.
+            // (Installing can flush, and flushing can clean the log and
+            // remap locations — this check goes stale then, which only
+            // costs us the optional prefetches.)
+            if vb.log_loc != Some(loc) || vb.delta.is_some() {
+                continue;
+            }
+            self.install_clean_delta(target, delta, at, ctx);
+            if entry_lba != lba {
+                self.stats.log_prefetched_deltas += 1;
+            }
+        }
+        // The block we came for is mandatory: if a mid-loop log clean moved
+        // it, reinstall from its current location (the payload is
+        // unchanged by cleaning).
+        if self.volatile.table.get(id).delta.is_none() {
+            let loc2 = match self.volatile.table.get(id).log_loc {
+                Some(l) => l,
+                None => return self.metadata_error("delta must be logged", t),
+            };
+            let delta = self
+                .durable
+                .log
+                .fetch(loc2)
+                .entries
+                .iter()
+                .find(|e| e.lba == lba)
+                .map(|e| e.delta.clone());
+            match delta {
+                Some(delta) => self.install_clean_delta(id, delta, at, ctx),
+                None => return self.metadata_error("log must hold the pointed-at delta", t),
+            }
+        }
+        debug_assert!(self.volatile.table.get(id).delta.is_some());
+        (t, Ok(()))
+    }
+}

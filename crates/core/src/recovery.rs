@@ -13,19 +13,15 @@
 //! append order is not enough once SSD slots are rewritten in place, because
 //! a stale self-delta must never resurrect old data over newer slot content.
 
-use crate::controller::Icash;
-use crate::index_cache::RefIndexCache;
-use crate::segment::SegmentPool;
+use crate::controller::{Icash, Volatile};
 use crate::stats::IcashStats;
-use crate::table::BlockTable;
 use crate::virtual_block::{Role, VirtualBlock};
-use icash_delta::heatmap::Heatmap;
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::Lba;
 use icash_storage::fault::fault_roll;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Salt for the deterministic choice of where a torn write lands inside
 /// the crash-interrupted append span.
@@ -46,33 +42,24 @@ impl Icash {
     /// [`crate::Icash::with_fault_plan`] arming torn writes, the most recent
     /// log append is additionally torn at a seeded point and recovery must
     /// truncate at the damage instead of replaying garbage.
-    pub fn crash_and_recover(self) -> Icash {
-        let Icash {
-            cfg,
-            array,
-            codec,
-            filter,
-            mut log,
-            ssd_store,
-            slot_dir,
-            slot_sums,
-            next_generation,
-            fault_plan,
-            next_slot,
-            free_slots,
-            home_overlay,
-            max_virtual_blocks,
-            ..
-        } = self;
-        // A crash loses whatever sat in the drive's volatile write-behind
-        // cache — but `crash_and_recover` consumes the device state as-is,
-        // and the log tear below already models the in-flight append loss.
-
-        let mut stats = IcashStats::default();
+    pub fn crash_and_recover(mut self) -> Icash {
+        // Everything in controller RAM is gone: the table, the caches,
+        // dirty and staged-but-uncommitted deltas (with the ticket
+        // watermarks), the health monitors' error budgets. Whatever sat in
+        // the drive's volatile write-behind cache is not modelled apart
+        // from that — the log tear below stands for the in-flight append.
+        self.volatile = Volatile::cold(&self.cfg);
+        self.stats = IcashStats::default();
+        let cfg = &self.cfg;
+        let stats = &mut self.stats;
+        let log = &mut self.durable.log;
+        let slots = &self.durable.slots;
+        let table = &mut self.volatile.table;
 
         // Phase 0: crash damage. A torn write lands somewhere in the span
         // of the append that was in flight; the seeded draw keeps every
         // campaign cell replayable.
+        let fault_plan = &self.durable.fault_plan;
         if fault_plan.torn_writes {
             let (first, count) = log.last_append_span();
             if count > 0 {
@@ -103,21 +90,17 @@ impl Icash {
             let frames = log.len_blocks() - bad as u64;
             stats.torn_frames_dropped += frames;
             log.truncate_from(bad);
-            array.tracer().emit(|| TraceEvent {
+            self.durable.array.tracer().emit(|| TraceEvent {
                 at: Ns::ZERO,
                 kind: TraceKind::RecoveryTruncate { frames },
             });
         }
 
-        let mut table = BlockTable::new();
-
         // Phase 1: the slot directory names every SSD-pinned block. They
         // come back as independents; log replay upgrades references.
         // (Sorted so table ids and LRU order never depend on hash order.)
-        let mut pinned: Vec<(Lba, u64)> = slot_dir.iter().map(|(&l, r)| (l, r.slot)).collect();
-        pinned.sort_by_key(|&(l, _)| l.raw());
-        for (lba, slot) in pinned {
-            let sig = BlockSignature::of(ssd_store[&slot].as_slice());
+        for (lba, slot) in slots.pinned_sorted() {
+            let sig = BlockSignature::of(slots.content(slot).as_slice());
             let mut vb = VirtualBlock::independent(lba, sig);
             vb.ssd_slot = Some(slot);
             table.insert(vb);
@@ -148,7 +131,7 @@ impl Icash {
         let replay_entries = items.len() as u64;
         let mut dependants: HashMap<Lba, u32> = HashMap::new();
         for (lba, (loc, reference, generation)) in items {
-            let pinned_gen = slot_dir.get(&lba).map(|r| r.generation);
+            let pinned_gen = slots.record(lba).map(|r| r.generation);
             if reference == lba {
                 match table.lookup(lba) {
                     // A written reference block's own delta (SSD-pinned):
@@ -176,8 +159,8 @@ impl Icash {
                 continue;
             }
             let ref_valid = table.lookup(reference).is_some()
-                && slot_dir
-                    .get(&reference)
+                && slots
+                    .record(reference)
                     .is_some_and(|r| r.generation < generation);
             if !ref_valid {
                 // The reference slot was reused or lost: degrade to the
@@ -194,7 +177,7 @@ impl Icash {
         }
 
         let stale = stats.stale_frames_dropped;
-        array.tracer().emit(|| TraceEvent {
+        self.durable.array.tracer().emit(|| TraceEvent {
             at: Ns::ZERO,
             kind: TraceKind::RecoveryReplay {
                 entries: replay_entries,
@@ -202,7 +185,6 @@ impl Icash {
             },
         });
 
-        let mut ref_index = crate::ref_index::RefIndex::new();
         let mut refs: Vec<(Lba, u32)> = dependants.into_iter().collect();
         refs.sort_by_key(|&(l, _)| l.raw());
         for (ref_lba, count) in refs {
@@ -210,50 +192,10 @@ impl Icash {
                 let sig = table.get(id).sig;
                 table.set_role(id, Role::Reference);
                 table.get_mut(id).dependants = count;
-                ref_index.insert(ref_lba, &sig);
+                self.volatile.ref_index.insert(ref_lba, &sig);
             }
         }
-
-        // Health monitors are controller RAM: the restart begins with fresh
-        // error budgets (and no rebuild task) under the configured policy.
-        let health = cfg.health.map(crate::health::HealthCore::new);
-        Icash {
-            pool: SegmentPool::new(cfg.ram_budget(), cfg.segment_bytes),
-            heatmap: Heatmap::standard(),
-            table,
-            ref_index,
-            // The index cache is RAM: the crash lost it, recovery starts cold.
-            ref_cache: RefIndexCache::new(),
-            evicted: HashMap::new(),
-            dirty: HashSet::new(),
-            dirty_bytes: 0,
-            // The staging buffer is RAM: staged-but-uncommitted deltas are
-            // lost with the crash (the same contract as dirty deltas), and
-            // the ticket watermarks restart from zero.
-            staging: crate::staging::Staging::new(),
-            ios_since_scan: 0,
-            ios_since_flush: 0,
-            ios_since_scrub: 0,
-            stats,
-            cfg,
-            array,
-            codec,
-            filter,
-            log,
-            ssd_store,
-            slot_dir,
-            slot_sums,
-            next_generation,
-            fault_plan,
-            next_slot,
-            free_slots,
-            home_overlay,
-            // Prefetch parking is RAM scoped to a single request; the
-            // restart begins empty like any request boundary.
-            span_prefetch: HashMap::new(),
-            max_virtual_blocks,
-            health,
-        }
+        self
     }
 }
 

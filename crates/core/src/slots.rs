@@ -1,0 +1,146 @@
+//! The SSD slot store: which block owns which flash slot, what the slot
+//! holds, and the stamp that orders slot installs against log entries.
+//!
+//! Everything here is *durable* controller state — pinned content, the
+//! slot directory (the paper's periodically flushed metadata) and the
+//! allocator survive [`crate::Icash::crash_and_recover`] untouched. The
+//! fields are private, so the rules below hold by construction:
+//!
+//! * slot content changes only through [`SlotStore::install`] and
+//!   [`SlotStore::release`], and both take the chunk-index cache, so a
+//!   cached index can never outlive the content it was built over (slot
+//!   reuse starts cold, never stale);
+//! * a pinned slot always has its directory record and its checksum, and a
+//!   free slot has none of the three.
+
+use crate::index_cache::RefIndexCache;
+use icash_storage::block::{BlockBuf, Lba};
+use icash_storage::fault::crc32;
+use std::collections::HashMap;
+
+/// A slot-directory record: which SSD slot a block owns and the controller
+/// generation at which the slot's content was installed. Log entries carry
+/// the same monotonic stamps, so recovery can order a logged delta against
+/// the pinned copy — a reused or rewritten slot must never resurrect stale
+/// log data ("latest per LBA" alone is not enough once slots are reused).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotRecord {
+    /// The SSD slot (logical page) holding the content.
+    pub slot: u64,
+    /// Generation stamp of the install that wrote the current content.
+    pub generation: u64,
+}
+
+/// Pinned SSD content, its directory and the slot allocator.
+#[derive(Debug)]
+pub(crate) struct SlotStore {
+    /// Slot → pinned content (reference blocks and direct writes).
+    content: HashMap<u64, BlockBuf>,
+    /// Which LBA owns which slot, and since which generation.
+    dir: HashMap<Lba, SlotRecord>,
+    /// CRC32 of each pinned slot's content. Repair-from-home refuses to
+    /// "heal" a slot with bytes that do not match this sum.
+    sums: HashMap<u64, u32>,
+    /// Slots the SSD offers (`IcashConfig::ssd_slots`).
+    capacity: u64,
+    /// Slots `0..next_slot` have been handed out at least once.
+    next_slot: u64,
+    free_slots: Vec<u64>,
+    next_generation: u64,
+}
+
+impl SlotStore {
+    /// An empty store over `capacity` slots.
+    pub fn new(capacity: u64) -> Self {
+        SlotStore {
+            content: HashMap::new(),
+            dir: HashMap::new(),
+            sums: HashMap::new(),
+            capacity,
+            next_slot: 0,
+            free_slots: Vec::new(),
+            next_generation: 1,
+        }
+    }
+
+    /// Draws the next generation stamp. Log entries draw from the same
+    /// sequence as slot installs — that shared order is what recovery
+    /// compares.
+    pub fn stamp(&mut self) -> u64 {
+        let g = self.next_generation;
+        self.next_generation += 1;
+        g
+    }
+
+    /// Hands out a free slot, most recently freed first.
+    pub fn alloc(&mut self) -> Option<u64> {
+        if let Some(s) = self.free_slots.pop() {
+            return Some(s);
+        }
+        (self.next_slot < self.capacity).then(|| {
+            self.next_slot += 1;
+            self.next_slot - 1
+        })
+    }
+
+    /// Returns a slot [`alloc`](Self::alloc) handed out that was never
+    /// installed (the flash refused the program).
+    pub fn unalloc(&mut self, slot: u64) {
+        debug_assert!(!self.content.contains_key(&slot));
+        self.free_slots.push(slot);
+    }
+
+    /// Slots handed out at least once (preload keeps headroom against it).
+    pub fn high_water(&self) -> u64 {
+        self.next_slot
+    }
+
+    /// Pins `content` in `slot` as `lba`'s copy, stamped with a fresh
+    /// generation. Overwrites whatever the slot held.
+    pub fn install(&mut self, cache: &mut RefIndexCache, lba: Lba, slot: u64, content: BlockBuf) {
+        cache.invalidate_slot(slot);
+        self.sums.insert(slot, crc32(content.as_slice()));
+        self.content.insert(slot, content);
+        let generation = self.stamp();
+        self.dir.insert(lba, SlotRecord { slot, generation });
+    }
+
+    /// Unpins `lba`'s slot and frees it. Returns the slot, or `None` if
+    /// `lba` owns none.
+    pub fn release(&mut self, cache: &mut RefIndexCache, lba: Lba) -> Option<u64> {
+        let slot = self.dir.remove(&lba)?.slot;
+        cache.invalidate_slot(slot);
+        self.sums.remove(&slot);
+        self.content.remove(&slot);
+        self.free_slots.push(slot);
+        Some(slot)
+    }
+
+    /// The content pinned in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is pinned there: callers hold the slot through a
+    /// table entry, an eviction record or the directory.
+    pub fn content(&self, slot: u64) -> &BlockBuf {
+        &self.content[&slot]
+    }
+
+    /// The checksum of the content pinned in `slot`.
+    pub fn sum(&self, slot: u64) -> Option<u32> {
+        self.sums.get(&slot).copied()
+    }
+
+    /// `lba`'s directory record, if it owns a slot.
+    pub fn record(&self, lba: Lba) -> Option<SlotRecord> {
+        self.dir.get(&lba).copied()
+    }
+
+    /// Every `(lba, slot)` pinning, ascending by LBA so nothing downstream
+    /// depends on hash order.
+    pub fn pinned_sorted(&self) -> Vec<(Lba, u64)> {
+        let mut pinned: Vec<(Lba, u64)> = self.dir.iter().map(|(&l, r)| (l, r.slot)).collect();
+        pinned.sort_by_key(|&(l, _)| l.raw());
+        pinned
+    }
+}

@@ -35,8 +35,6 @@ pub struct IcashStats {
     pub ref_installs: u64,
     /// Blocks bound to a reference (became associates).
     pub binds: u64,
-    /// References demoted after losing their last associate.
-    pub ref_demotions: u64,
     /// Scan phases executed.
     pub scans: u64,
     /// Flush phases executed.

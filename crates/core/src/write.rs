@@ -1,0 +1,344 @@
+//! The write path: single-block writes, streaming spans, and the online
+//! pairing of a block with a similar reference (paper §3.1, §5.1, §5.3).
+
+use crate::controller::Icash;
+use crate::placement::RefSource;
+use crate::table::VbId;
+use crate::virtual_block::Role;
+use icash_delta::codec::Delta;
+use icash_delta::signature::BlockSignature;
+use icash_storage::block::{BlockBuf, Lba};
+use icash_storage::cpu::CpuOp;
+use icash_storage::request::Request;
+use icash_storage::system::IoCtx;
+use icash_storage::time::Ns;
+use icash_storage::trace::{TraceEvent, TraceKind};
+
+/// Write requests at least this many blocks long stream to the HDD home
+/// area in one sequential operation instead of entering the delta path —
+/// the third leg of the paper's design triangle ("reliable/durable/
+/// sequential write performance of HDD"). Raw streaming data has no useful
+/// reference and would pack one-per-log-block.
+pub(crate) const STREAM_WRITE_BLOCKS: u32 = 8;
+
+impl Icash {
+    pub(crate) fn write_block(
+        &mut self,
+        lba: Lba,
+        content: BlockBuf,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> Ns {
+        self.stats.writes += 1;
+        let sig = BlockSignature::of(content.as_slice());
+        let sig_cost = ctx.cpu.charge(CpuOp::Signature);
+        let copy_cost = ctx.cpu.charge(CpuOp::Memcpy);
+        // The fast-path response: the write is acknowledged once the data is
+        // staged in the controller RAM; delta derivation overlaps I/O
+        // processing (paper §5.1).
+        let mut resp = at + sig_cost + copy_cost;
+        self.volatile.heatmap.record(&sig);
+
+        let id = self.materialize_vb(lba, at, ctx);
+        let (role, reference, slot, dependants) = {
+            let vb = self.volatile.table.get(id);
+            (vb.role, vb.reference, vb.ssd_slot, vb.dependants)
+        };
+
+        match role {
+            _ if self.writes_degraded(id) => resp = self.write_degraded(id, &content, at),
+            Role::Reference => {
+                // The SSD copy is immutable while referenced: store the
+                // reference's own changes as a delta against it.
+                let s = slot.expect("reference without slot");
+                let delta = self.encode_against(at, lba, RefSource::Slot(s), &content);
+                ctx.cpu.charge(CpuOp::DeltaEncode);
+                if delta.len() <= self.cfg.delta_threshold || dependants > 0 {
+                    self.store_delta(id, delta, at, ctx);
+                    self.stats.delta_writes += 1;
+                } else {
+                    // No dependants and nothing similar left: retire the
+                    // reference and overwrite its SSD copy in place. Its old
+                    // self-delta describes the *previous* slot content and
+                    // goes whether or not the flash takes the rewrite.
+                    let sig_old = self.volatile.table.get(id).sig;
+                    let installed = self.install_slot(id, s, &content, at);
+                    self.volatile.ref_index.remove(lba, &sig_old);
+                    self.volatile.table.set_role(id, Role::Independent);
+                    self.supersede_logged(id);
+                    resp = self.settle_slot_rewrite(id, installed, &content, at, ctx, resp);
+                }
+            }
+            Role::Associate => {
+                let ref_lba = reference.expect("associate without reference");
+                // Charge the device/LRU effects of touching the reference,
+                // then encode via its slot's cached index.
+                let _ = self.reference_content(ref_lba, at, ctx);
+                let rslot = self
+                    .volatile
+                    .table
+                    .lookup(ref_lba)
+                    .and_then(|rid| self.volatile.table.get(rid).ssd_slot)
+                    .expect("reference must exist and hold a slot");
+                let delta = self.encode_against(at, lba, RefSource::Slot(rslot), &content);
+                ctx.cpu.charge(CpuOp::DeltaEncode);
+                if delta.len() <= self.cfg.delta_threshold {
+                    self.store_delta(id, delta, at, ctx);
+                    self.stats.delta_writes += 1;
+                } else {
+                    // Content diverged from the reference: unbind and write
+                    // the new data directly to the SSD (paper §5.3).
+                    self.unbind(id);
+                    resp = self.direct_ssd_write(id, &content, at, ctx).max(resp);
+                }
+            }
+            Role::Independent => {
+                if let Some(s) = slot {
+                    // Already SSD-resident from an earlier direct write.
+                    let installed = self.install_slot(id, s, &content, at);
+                    if installed.is_ok() {
+                        self.supersede_logged(id);
+                    }
+                    resp = self.settle_slot_rewrite(id, installed, &content, at, ctx, resp);
+                } else if !self.try_bind(id, &content, &sig, at, ctx) {
+                    resp = self.write_as_independent(id, &content, at, ctx).max(resp);
+                } else {
+                    self.stats.delta_writes += 1;
+                }
+            }
+        }
+
+        // Keep the freshly written content cached and the signature current
+        // (references keep the signature of their immutable SSD copy).
+        if self.volatile.table.get(id).role != Role::Reference {
+            self.volatile.table.get_mut(id).sig = sig;
+        }
+        self.cache_data(id, content, at, ctx);
+        self.volatile.table.touch(id);
+        self.after_io(at, ctx);
+        // Reserve the write's flush ticket last: a flush triggered inside
+        // this write's own `after_io` must not claim to cover it (the
+        // completed watermark stays conservative).
+        self.volatile.staging.progress.reserve();
+        resp
+    }
+
+    /// Finishes an in-place rewrite of the slot `id` already holds: counts
+    /// the direct write, or — the flash refused the program — releases the
+    /// slot and lets the delta log absorb the content. Returns the write's
+    /// response instant.
+    fn settle_slot_rewrite(
+        &mut self,
+        id: VbId,
+        installed: Result<Ns, icash_storage::ssd::SsdError>,
+        content: &BlockBuf,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+        resp: Ns,
+    ) -> Ns {
+        match installed {
+            Ok(t) => {
+                self.stats.ssd_direct_writes += 1;
+                t
+            }
+            Err(_) => {
+                self.stats.degraded_writes += 1;
+                self.release_slot(id);
+                self.write_as_independent(id, content, at, ctx).max(resp)
+            }
+        }
+    }
+
+    /// Stores an independent block as a zero-based delta bound for the
+    /// sequential HDD log (the paper's log-of-deltas covers *all* writes;
+    /// blocks without a useful reference simply encode against zero).
+    fn write_as_independent(
+        &mut self,
+        id: VbId,
+        content: &BlockBuf,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> Ns {
+        self.volatile.table.set_role(id, Role::Independent);
+        let vb = self.volatile.table.get_mut(id);
+        vb.reference = None;
+        vb.dirty_data = false;
+        let lba = vb.lba;
+        let delta = self.encode_against(at, lba, RefSource::Zero, content);
+        ctx.cpu.charge(CpuOp::DeltaEncode);
+        self.store_delta(id, delta, at, ctx);
+        self.stats.independent_writes += 1;
+        at
+    }
+
+    /// The paper's oversize-delta rule: "the new data are written directly
+    /// to the SSD to release delta buffer". Falls back to a log-resident
+    /// independent block when no SSD slot is free or the flash refuses.
+    fn direct_ssd_write(
+        &mut self,
+        id: VbId,
+        content: &BlockBuf,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> Ns {
+        let held = self.volatile.table.get(id).ssd_slot;
+        let Some(slot) = held.or_else(|| self.durable.slots.alloc()) else {
+            return self.write_as_independent(id, content, at, ctx);
+        };
+        match self.install_slot(id, slot, content, at) {
+            Ok(t) => {
+                self.supersede_logged(id);
+                self.volatile.table.set_role(id, Role::Independent);
+                let vb = self.volatile.table.get_mut(id);
+                vb.reference = None;
+                vb.dirty_data = false;
+                self.stats.ssd_direct_writes += 1;
+                t
+            }
+            Err(_) => {
+                // Flash refused the program (worn out / no reclaimable
+                // space): degrade to a log-resident independent.
+                self.stats.degraded_writes += 1;
+                if held.is_some() {
+                    self.release_slot(id);
+                } else {
+                    self.durable.slots.unalloc(slot);
+                }
+                self.write_as_independent(id, content, at, ctx)
+            }
+        }
+    }
+
+    /// Tries to bind a block to a similar reference online (paper §5.1:
+    /// "the online similarity detection of I-CASH is effective under read
+    /// intensive workloads"). Returns whether it became an associate.
+    pub(crate) fn try_bind(
+        &mut self,
+        id: VbId,
+        content: &BlockBuf,
+        sig: &BlockSignature,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> bool {
+        let lba = self.volatile.table.get(id).lba;
+        // A loose pre-filter (3 of 8 sub-signatures) is enough: the codec
+        // verifies true similarity, so false candidates only cost an
+        // encode attempt.
+        let candidates = self.volatile.ref_index.candidates(sig, 3, 3);
+        let probed = candidates.len() as u32;
+        for cand in candidates {
+            if cand == lba {
+                continue;
+            }
+            let rslot = match self
+                .volatile
+                .table
+                .lookup(cand)
+                .and_then(|rid| self.volatile.table.get(rid).ssd_slot)
+            {
+                Some(s) => s,
+                None => continue,
+            };
+            let delta = self.encode_against(at, lba, RefSource::Slot(rslot), content);
+            ctx.cpu.charge(CpuOp::DeltaEncode);
+            if delta.len() <= self.cfg.delta_threshold {
+                self.bind(id, cand, delta, at, ctx);
+                self.note_probe(at, lba, probed, true);
+                return true;
+            }
+        }
+        self.note_probe(at, lba, probed, false);
+        false
+    }
+
+    /// Mirrors one similarity probe into the trace.
+    fn note_probe(&self, at: Ns, lba: Lba, candidates: u32, bound: bool) {
+        self.durable.array.tracer().emit(|| TraceEvent {
+            at,
+            kind: TraceKind::SigProbe {
+                lba: lba.raw(),
+                candidates,
+                bound,
+            },
+        });
+    }
+
+    /// Binds `id` as an associate of `reference` with `delta`.
+    fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns, ctx: &mut IoCtx<'_>) {
+        self.unbind(id); // release any previous pairing
+        let rid = self
+            .volatile
+            .table
+            .lookup(reference)
+            .expect("reference must exist");
+        self.volatile.table.get_mut(rid).dependants += 1;
+        self.volatile.table.set_role(id, Role::Associate);
+        let vb = self.volatile.table.get_mut(id);
+        vb.reference = Some(reference);
+        // Content is now recoverable from reference + delta once the delta
+        // is flushed; the full copy no longer needs a home write.
+        vb.dirty_data = false;
+        self.store_delta(id, delta, at, ctx);
+        self.stats.binds += 1;
+    }
+
+    /// Releases `id`'s pairing with its reference, if any.
+    pub(crate) fn unbind(&mut self, id: VbId) {
+        let vb = self.volatile.table.get(id);
+        if vb.role != Role::Associate {
+            return;
+        }
+        if let Some(rid) = vb.reference.and_then(|r| self.volatile.table.lookup(r)) {
+            let rvb = self.volatile.table.get_mut(rid);
+            rvb.dependants = rvb.dependants.saturating_sub(1);
+        }
+        self.volatile.table.set_role(id, Role::Independent);
+        self.volatile.table.get_mut(id).reference = None;
+        self.drop_delta(id);
+    }
+
+    /// Handles a large (streaming) write: every block takes the delta path
+    /// (bind against a reference, or fall back to a zero-based raw log
+    /// entry), so the entire request is absorbed by RAM and leaves the
+    /// controller as one sequential log flush — the paper's "pack deltas
+    /// of all sequential I/Os into one delta block". Stream data bypasses
+    /// the RAM data cache; unlike small writes it is not expected to be
+    /// re-read immediately.
+    pub(crate) fn stream_write_span(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Ns {
+        let mut resp = req.at;
+        for (lba, buf) in req.lbas().zip(req.payload.iter()) {
+            let sig = BlockSignature::of(buf.as_slice());
+            let sig_cost = ctx.cpu.charge(CpuOp::Signature);
+            resp = resp.max(req.at + sig_cost);
+            self.volatile.heatmap.record(&sig);
+            let id = self.materialize_vb(lba, req.at, ctx);
+            if self.volatile.table.get(id).role == Role::Reference {
+                // A reference's SSD copy is the decode source for its
+                // associates: track the new content as the reference's own
+                // delta.
+                let slot = self
+                    .volatile
+                    .table
+                    .get(id)
+                    .ssd_slot
+                    .expect("reference without slot");
+                let delta = self.encode_against(req.at, lba, RefSource::Slot(slot), buf);
+                ctx.cpu.charge(CpuOp::DeltaEncode);
+                self.store_delta(id, delta, req.at, ctx);
+                self.stats.delta_writes += 1;
+            } else if self.try_bind(id, buf, &sig, req.at, ctx) {
+                self.volatile.table.get_mut(id).sig = sig;
+                self.stats.delta_writes += 1;
+            } else {
+                self.write_as_independent(id, buf, req.at, ctx);
+                self.volatile.table.get_mut(id).sig = sig;
+            }
+            self.drop_data(id);
+            self.volatile.table.touch(id);
+            self.stats.writes += 1;
+            self.after_io(req.at, ctx);
+            self.volatile.staging.progress.reserve();
+        }
+        resp
+    }
+}
