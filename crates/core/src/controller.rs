@@ -250,8 +250,8 @@ impl Icash {
         lba.raw() % self.cfg.data_blocks()
     }
 
-    /// Whether multi-request HDD work (span home reads, spill batches, log
-    /// appends) goes through the device command queue: a queue must be
+    /// Whether multi-request HDD work (span home reads, log appends) goes
+    /// through the device command queue: a queue must be
     /// configured, and the health machinery off — its backoff owns per-op
     /// retry pacing. When false, every such path is the classic per-op
     /// loop, bit-identical to the pre-queue controller.
@@ -309,26 +309,6 @@ impl Icash {
             last = self.durable.array.hdd_mut().write(at, pos, blocks);
         }
         last
-    }
-
-    /// Batched HDD writes through the device command queue. A media fault
-    /// aborts the batch, so on error this falls back to the sequential
-    /// per-request retry path — one bad sector cannot wedge a whole spill.
-    pub(crate) fn hdd_write_batch_retry(&mut self, at: Ns, reqs: &[(u64, u32)]) -> Ns {
-        if reqs.is_empty() {
-            return at;
-        }
-        match self.durable.array.hdd_mut().write_batch(at, reqs) {
-            Ok(t) => t,
-            Err(_) => {
-                self.note_retry(at, reqs[0].0, true);
-                let mut t = at;
-                for &(pos, blocks) in reqs {
-                    t = self.hdd_write_retry(t, pos, blocks).unwrap_or(t);
-                }
-                t
-            }
-        }
     }
 
     /// A delta-log append. With queued batching on and the drive's

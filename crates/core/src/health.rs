@@ -361,13 +361,8 @@ impl Icash {
         }
         self.release_slot(id);
         self.volatile.table.set_role(id, Role::Independent);
-        let pos = self.home_pos(lba);
-        let t = self.hdd_write_retry(at, pos, 1).unwrap_or(at);
-        self.durable.home_overlay.insert(lba, content.clone());
-        let vb = self.volatile.table.get_mut(id);
-        vb.reference = None;
-        vb.dirty_data = false;
-        t
+        self.volatile.table.get_mut(id).reference = None;
+        self.write_home_copy(lba, content, at)
     }
 
     // ------------------------------------------------------------------

@@ -152,10 +152,6 @@ impl Icash {
             let vb = self.volatile.table.get_mut(id);
             vb.dirty_delta = false;
             vb.log_loc = Some(loc);
-            if vb.role == Role::Associate {
-                // Content is now recoverable from reference + logged delta.
-                vb.dirty_data = false;
-            }
         }
         self.volatile.staging.progress.complete_through(watermark);
         if self.durable.log.is_nearly_full() {
@@ -178,11 +174,6 @@ impl Icash {
             let vb = self.volatile.table.get_mut(id);
             vb.dirty_delta = false;
             vb.staged = true;
-            if vb.role == Role::Associate {
-                // Recoverable from reference + staged delta once the
-                // group commit lands; the full copy needs no home write.
-                vb.dirty_data = false;
-            }
             self.volatile.staging.push(lba, entry, ticket);
             self.stats.staged_entries += 1;
             self.durable.array.tracer().emit(|| TraceEvent {
@@ -307,70 +298,12 @@ impl Icash {
     }
 
     /// Clean-shutdown flush: staged and dirty deltas go to the log (one
-    /// final group commit), dirty independent data goes to the HDD home
-    /// area.
+    /// final group commit), and the drive's write-behind cache drains —
+    /// cached log appends must reach the media before the flush reports
+    /// completion. (Free without a queue: the cache is always empty.)
     pub(crate) fn shutdown_flush(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
-        let mut t = self.flush_all(now, ctx);
-        let mut dirty_data: Vec<VbId> = self
-            .volatile
-            .table
-            .head_ids(usize::MAX)
-            .into_iter()
-            .filter(|&id| {
-                self.volatile.table.get(id).dirty_data && self.volatile.table.get(id).data.is_some()
-            })
-            .collect();
-        dirty_data.sort_by_key(|&id| self.home_pos(self.volatile.table.get(id).lba));
-        t = self.write_home_batch(&dirty_data, t);
-        // Durability: cached log appends must reach the media before the
-        // flush reports completion. Free without a queue (cache is empty).
-        t = t.max(self.durable.array.hdd_mut().flush_cache(t));
-        t
-    }
-
-    /// Writes a batch of dirty blocks to their HDD home positions. With
-    /// queued batching (see [`Icash::batches_through_queue`]) the whole
-    /// batch goes through the NCQ scheduler so adjacent home positions
-    /// coalesce into sequential transfers; otherwise this is exactly the
-    /// classic per-block loop.
-    pub(crate) fn write_home_batch(&mut self, ids: &[VbId], now: Ns) -> Ns {
-        if !self.batches_through_queue() {
-            let mut t = now;
-            for &id in ids {
-                t = self.write_home(id, t);
-            }
-            return t;
-        }
-        let mut reqs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let (lba, content) = {
-                let vb = self.volatile.table.get_mut(id);
-                let content = vb.data.clone().expect("home write needs resident data");
-                vb.dirty_data = false;
-                (vb.lba, content)
-            };
-            reqs.push((self.home_pos(lba), 1u32));
-            self.durable.home_overlay.insert(lba, content);
-        }
-        self.hdd_write_batch_retry(now, &reqs)
-    }
-
-    /// Writes `id`'s cached data to its HDD home position and records it in
-    /// the overlay. Clears the dirty-data flag.
-    pub(crate) fn write_home(&mut self, id: VbId, now: Ns) -> Ns {
-        let (lba, content) = {
-            let vb = self.volatile.table.get_mut(id);
-            let content = vb.data.clone().expect("home write needs resident data");
-            vb.dirty_data = false;
-            (vb.lba, content)
-        };
-        let pos = self.home_pos(lba);
-        // Transient faults clear on retry; a persistently failing sector is
-        // remapped by the drive on rewrite, so the overlay records the
-        // intended content either way (never silently stale data).
-        let t = self.hdd_write_retry(now, pos, 1).unwrap_or(now);
-        self.durable.home_overlay.insert(lba, content);
-        t
+        let t = self.flush_all(now, ctx);
+        t.max(self.durable.array.hdd_mut().flush_cache(t))
     }
 
     /// One background scrub pass (triggered every
@@ -530,11 +463,8 @@ impl Icash {
         };
         self.unbind(id);
         self.supersede_logged(id);
-        let (lba, sig) = {
-            let vb = self.volatile.table.get_mut(id);
-            vb.dirty_data = false;
-            (vb.lba, vb.sig)
-        };
+        let vb = self.volatile.table.get(id);
+        let (lba, sig) = (vb.lba, vb.sig);
         self.volatile.table.set_role(id, Role::Reference);
         self.volatile.ref_index.insert(lba, &sig);
         self.stats.ref_installs += 1;
@@ -573,9 +503,11 @@ impl Icash {
         );
     }
 
-    /// The replacement ladder (§4.3): (1) drop clean data blocks from the
-    /// LRU tail, (2) drop clean logged deltas, (3) flush dirty deltas and
-    /// retry, (4) write dirty independents home and drop their data.
+    /// The replacement ladder (§4.3): (1) drop data blocks from the LRU
+    /// tail, (2) drop clean logged deltas, (3) flush dirty deltas and
+    /// retry. (The paper's fourth rung, writing dirty independents home,
+    /// has nothing to do here: an independent's write is a zero-based log
+    /// delta, so cached data is never the only copy.)
     ///
     /// Under sustained pressure each expensive invocation frees a *batch*
     /// (an eighth of the pool) rather than a single block, so the cost of
@@ -586,9 +518,9 @@ impl Icash {
         }
         let goal = needed.max(self.volatile.pool.capacity() / 8);
 
-        // Pass A1: clean data blocks first — they are 4 KB each and cheap
-        // to reconstruct (reference + resident delta), while a delta costs
-        // a mechanical log fetch to get back.
+        // Pass A1: data blocks first — they are 4 KB each and cheap to
+        // reconstruct (reference + resident delta), while a delta costs a
+        // mechanical log fetch to get back.
         for id in self.volatile.table.tail_ids(usize::MAX) {
             if self.volatile.pool.available() >= goal {
                 return true;
@@ -596,10 +528,7 @@ impl Icash {
             if id == protect {
                 continue;
             }
-            let vb = self.volatile.table.get(id);
-            if vb.data.is_some() && !vb.dirty_data {
-                self.drop_data(id);
-            }
+            self.drop_data(id);
         }
         // Pass A2: only if data alone was not enough, drop clean logged
         // deltas.
@@ -621,14 +550,12 @@ impl Icash {
             return true;
         }
 
-        // Pass B: flushing turns dirty deltas into droppable clean ones and
-        // unpins associates' data; dirty independents spill to the home
-        // area. Forced full drain: under memory pressure the pipeline must
-        // not hold deltas staged past the configured depth.
+        // Pass B: flushing turns dirty deltas into droppable clean ones.
+        // Forced full drain: under memory pressure the pipeline must not
+        // hold deltas staged past the configured depth.
         self.flush_all(at, ctx);
-        let mut spills: Vec<VbId> = Vec::new();
         for id in self.volatile.table.tail_ids(usize::MAX) {
-            if self.volatile.pool.available() + spills.len() * BLOCK_SIZE >= goal {
+            if self.volatile.pool.available() >= goal {
                 break;
             }
             if id == protect {
@@ -638,20 +565,6 @@ impl Icash {
             if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
                 self.drop_delta(id);
             }
-            let vb = self.volatile.table.get(id);
-            if vb.data.is_some() {
-                if vb.dirty_data {
-                    spills.push(id);
-                } else {
-                    self.drop_data(id);
-                }
-            }
-        }
-        // Write the spill batch in home-position order: the writeback
-        // stream becomes near-sequential instead of head-thrashing.
-        spills.sort_by_key(|&id| self.home_pos(self.volatile.table.get(id).lba));
-        self.write_home_batch(&spills, at);
-        for id in spills {
             self.drop_data(id);
         }
         self.volatile.pool.available() >= needed
@@ -691,13 +604,6 @@ impl Icash {
             let vb = self.volatile.table.get(id);
             if vb.dirty_delta || vb.staged {
                 continue;
-            }
-            if vb.dirty_data {
-                if vb.data.is_some() {
-                    self.write_home(id, at);
-                } else {
-                    continue; // should not happen; be conservative
-                }
             }
             self.drop_data(id);
             self.drop_delta(id);

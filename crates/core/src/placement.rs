@@ -102,7 +102,7 @@ impl Icash {
     }
 
     /// The copy of `lba` the controller itself wrote to its HDD home
-    /// position (a spill, a degraded write, or a hardened slot), if any.
+    /// position (a degraded write or a hardened slot), if any.
     pub(crate) fn written_home(&self, lba: Lba) -> Option<&BlockBuf> {
         self.durable.home_overlay.get(&lba)
     }
@@ -115,19 +115,13 @@ impl Icash {
             .unwrap_or_else(|| ctx.backing.initial_content(lba))
     }
 
-    /// With faults armed, a freshly installed slot's content is also written
-    /// to its HDD home position so a later uncorrectable flash read can be
-    /// repaired from the redundant copy. A no-op when the plan is disabled,
-    /// keeping fault-free runs bit-identical to the unhardened controller.
-    fn harden_slot(&mut self, lba: Lba, content: &BlockBuf, at: Ns) -> Ns {
-        if !self.durable.fault_plan.is_enabled() {
-            return at;
-        }
+    /// Writes `content` to `lba`'s HDD home position. Transient faults
+    /// clear on retry, and a persistently failing sector is remapped by the
+    /// drive on the next rewrite, so the home copy is modelled as holding
+    /// the intended bytes either way (never silently stale data).
+    pub(crate) fn write_home_copy(&mut self, lba: Lba, content: &BlockBuf, at: Ns) -> Ns {
         let pos = self.home_pos(lba);
         let t = self.hdd_write_retry(at, pos, 1).unwrap_or(at);
-        // Even if every retry failed the drive remaps the sector on the
-        // next rewrite; model the overlay as holding the intended bytes so
-        // the redundant copy stays usable rather than silently stale.
         self.durable.home_overlay.insert(lba, content.clone());
         t
     }
@@ -150,7 +144,14 @@ impl Icash {
             .slots
             .install(&mut self.volatile.ref_cache, lba, slot, content.clone());
         self.volatile.table.get_mut(id).ssd_slot = Some(slot);
-        Ok(self.harden_slot(lba, content, t))
+        if !self.durable.fault_plan.is_enabled() {
+            return Ok(t);
+        }
+        // With faults armed the content also goes to the home position, so
+        // an uncorrectable flash read can be repaired from the redundant
+        // copy. (Disabled plans skip it: fault-free runs stay bit-identical
+        // to the unhardened controller.)
+        Ok(self.write_home_copy(lba, content, t))
     }
 
     /// Gives up `id`'s SSD slot, if it holds one: unpins the content, drops

@@ -62,8 +62,6 @@ pub struct VirtualBlock {
     /// from RAM without a device operation). Never set at
     /// `group_commit_depth = 1`.
     pub staged: bool,
-    /// Whether cached independent data has not yet reached the HDD home.
-    pub dirty_data: bool,
     /// SSD slot holding this block's pinned content (references and
     /// direct-written independents).
     pub ssd_slot: Option<u64>,
@@ -86,7 +84,6 @@ impl VirtualBlock {
             delta: None,
             dirty_delta: false,
             staged: false,
-            dirty_data: false,
             ssd_slot: None,
             log_loc: None,
             dependants: 0,
@@ -98,23 +95,6 @@ impl VirtualBlock {
     /// decode source for every dependant).
     pub fn evictable(&self) -> bool {
         !(self.role == Role::Reference && self.dependants > 0)
-    }
-
-    /// Whether the block's current content can be rebuilt without RAM state
-    /// (from SSD, log, home area, or backing image). A staged delta is
-    /// still RAM-resident — encoded but not yet group-committed — so a
-    /// staged block is not persisted.
-    pub fn persisted(&self) -> bool {
-        if self.staged {
-            return false;
-        }
-        match self.role {
-            Role::Reference => !self.dirty_delta,
-            Role::Associate => {
-                !self.dirty_delta && (self.log_loc.is_some() || self.delta.is_none())
-            }
-            Role::Independent => !self.dirty_data || self.ssd_slot.is_some(),
-        }
     }
 }
 
@@ -130,7 +110,6 @@ mod tests {
     fn fresh_block_is_clean_independent() {
         let b = vb();
         assert_eq!(b.role, Role::Independent);
-        assert!(b.persisted(), "content still equals the backing image");
         assert!(b.evictable());
     }
 
@@ -142,22 +121,5 @@ mod tests {
         assert!(!b.evictable());
         b.dependants = 0;
         assert!(b.evictable());
-    }
-
-    #[test]
-    fn dirty_state_blocks_persistence() {
-        let mut b = vb();
-        b.dirty_data = true;
-        assert!(!b.persisted());
-        b.ssd_slot = Some(3); // direct-written to SSD: safe again
-        assert!(b.persisted());
-
-        let mut a = vb();
-        a.role = Role::Associate;
-        a.dirty_delta = true;
-        assert!(!a.persisted());
-        a.dirty_delta = false;
-        a.log_loc = Some(0);
-        assert!(a.persisted());
     }
 }

@@ -162,7 +162,6 @@ impl Icash {
         self.volatile.table.set_role(id, Role::Independent);
         let vb = self.volatile.table.get_mut(id);
         vb.reference = None;
-        vb.dirty_data = false;
         let lba = vb.lba;
         let delta = self.encode_against(at, lba, RefSource::Zero, content);
         ctx.cpu.charge(CpuOp::DeltaEncode);
@@ -189,9 +188,7 @@ impl Icash {
             Ok(t) => {
                 self.supersede_logged(id);
                 self.volatile.table.set_role(id, Role::Independent);
-                let vb = self.volatile.table.get_mut(id);
-                vb.reference = None;
-                vb.dirty_data = false;
+                self.volatile.table.get_mut(id).reference = None;
                 self.stats.ssd_direct_writes += 1;
                 t
             }
@@ -273,11 +270,7 @@ impl Icash {
             .expect("reference must exist");
         self.volatile.table.get_mut(rid).dependants += 1;
         self.volatile.table.set_role(id, Role::Associate);
-        let vb = self.volatile.table.get_mut(id);
-        vb.reference = Some(reference);
-        // Content is now recoverable from reference + delta once the delta
-        // is flushed; the full copy no longer needs a home write.
-        vb.dirty_data = false;
+        self.volatile.table.get_mut(id).reference = Some(reference);
         self.store_delta(id, delta, at, ctx);
         self.stats.binds += 1;
     }
