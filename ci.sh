@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo CI gate. Runs fully offline: all third-party deps are vendored under
-# crates/. `./ci.sh` is the merge gate (fmt, clippy, build, tests, bench
-# smoke); `./ci.sh <stage>` runs one of the stages below, each of which
-# announces what it checks as it goes. Every stage but `bench` is seeded and
-# deterministic, hence blocking in .github/workflows/ci.yml.
+# crates/. `./ci.sh` is the merge gate (fmt, clippy, build, tests, repo
+# benchmark smoke, bench smoke); `./ci.sh <stage>` runs one of the stages
+# below, each of which announces what it checks as it goes. Every stage but
+# `bench` is seeded and deterministic, hence blocking in
+# .github/workflows/ci.yml.
 set -euo pipefail
 cd "$(dirname "$0")"
 STAGES="golden faults trace pipeline scale queue chaos scenarios bench"
@@ -140,6 +141,10 @@ gate)
   run cargo build --release
   run cargo test -q --workspace
   run cargo test -q -p icash-storage --features debug_validate
+  # The repo benchmark is a package of its own that path-depends on crates/*:
+  # invisible to the workspace build above, so a renamed `pub` item it
+  # imports, or a broken mirror, would otherwise surface only in the pipeline.
+  run benchmark/smoke.sh
   step "bench smoke (benches must run and emit CRITERION_JSON)"
   run_benches codec controller
   test -s target/bench_codec_current.json

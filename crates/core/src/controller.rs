@@ -113,6 +113,9 @@ pub(crate) struct Volatile {
     pub span_prefetch: HashMap<Lba, BlockBuf>,
     /// Evicted virtual blocks whose content is *not* in the home area.
     pub evicted: HashMap<Lba, EvictedState>,
+    /// Blocks that gave up an SSD slot since the last log commit; see
+    /// [`Icash::release_slot`].
+    pub released: Vec<Lba>,
     /// Virtual blocks with unflushed deltas.
     pub dirty: HashSet<usize>,
     pub dirty_bytes: usize,
@@ -144,6 +147,7 @@ impl Volatile {
             ref_cache: RefIndexCache::new(),
             span_prefetch: HashMap::new(),
             evicted: HashMap::new(),
+            released: Vec::new(),
             dirty: HashSet::new(),
             dirty_bytes: 0,
             staging: Staging::new(),
@@ -214,7 +218,8 @@ impl Icash {
     ///
     /// # Panics
     ///
-    /// Panics if the virtual-block table is corrupted.
+    /// Panics if the virtual-block table is corrupted, or a block's
+    /// placement or a slot's ownership is ambiguous.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         self.volatile.table.validate();
@@ -227,6 +232,40 @@ impl Icash {
         assert!(
             self.volatile.staging.live() as u64 <= self.stats.staged_entries,
             "live staged entries cannot exceed the stage count"
+        );
+
+        // One placement per block (DESIGN.md §18), and one owner per pinned
+        // slot: a table entry, an eviction record, or a release awaiting
+        // the next log commit.
+        self.durable.slots.validate();
+        let mut owners: Vec<(Lba, u64)> = Vec::new();
+        for id in self.volatile.table.head_ids(usize::MAX) {
+            let vb = self.volatile.table.get(id);
+            let has_delta = vb.delta.is_some() || vb.log_loc.is_some() || vb.staged;
+            match vb.role {
+                Role::Reference => assert!(vb.ssd_slot.is_some(), "{:?}: no slot", vb.lba),
+                Role::Associate => assert!(vb.ssd_slot.is_none(), "{:?}: slot", vb.lba),
+                Role::Independent => assert!(
+                    vb.ssd_slot.is_none() || !has_delta,
+                    "{:?}: independent in a slot and in the log",
+                    vb.lba
+                ),
+            }
+            owners.extend(vb.ssd_slot.map(|slot| (vb.lba, slot)));
+        }
+        for (&lba, state) in &self.volatile.evicted {
+            if let EvictedState::InSsd(slot) = *state {
+                owners.push((lba, slot));
+            }
+        }
+        for &lba in &self.volatile.released {
+            owners.extend(self.durable.slots.record(lba).map(|r| (lba, r.slot)));
+        }
+        owners.sort_by_key(|&(lba, _)| lba.raw());
+        assert_eq!(
+            owners,
+            self.durable.slots.pinned_sorted(),
+            "every pinned slot needs exactly one owner"
         );
     }
 

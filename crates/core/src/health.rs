@@ -359,9 +359,10 @@ impl Icash {
             let sig_old = vb.sig;
             self.volatile.ref_index.remove(lba, &sig_old);
         }
-        self.release_slot(id);
+        self.discard_slot(lba);
         self.volatile.table.set_role(id, Role::Independent);
         self.volatile.table.get_mut(id).reference = None;
+        self.durable.slots.supersede_older(lba);
         self.write_home_copy(lba, content, at)
     }
 

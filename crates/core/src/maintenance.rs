@@ -9,6 +9,7 @@ use crate::table::VbId;
 use crate::virtual_block::Role;
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
+use icash_storage::pipeline::Ticket;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
@@ -132,6 +133,12 @@ impl Icash {
         (t, report.entry_locs)
     }
 
+    /// Every write accepted up to `watermark` is on stable media.
+    fn commit_landed(&mut self, watermark: Ticket) {
+        self.volatile.staging.progress.complete_through(watermark);
+        self.reclaim_released_slots();
+    }
+
     /// The synchronous encode → pack → flush cycle: packs every dirty delta
     /// into log blocks and writes them to the HDD in one sequential
     /// operation. Returns the write completion instant.
@@ -143,7 +150,7 @@ impl Icash {
         let watermark = self.volatile.staging.progress.reserved();
         self.volatile.ios_since_flush = 0;
         if self.volatile.dirty.is_empty() {
-            self.volatile.staging.progress.complete_through(watermark);
+            self.commit_landed(watermark);
             return now;
         }
         let (flushed, entries): (Vec<VbId>, Vec<LogEntry>) = self.drain_dirty().into_iter().unzip();
@@ -153,7 +160,7 @@ impl Icash {
             vb.dirty_delta = false;
             vb.log_loc = Some(loc);
         }
-        self.volatile.staging.progress.complete_through(watermark);
+        self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
             self.clean_log(t);
         }
@@ -201,7 +208,7 @@ impl Icash {
         if staged.is_empty() {
             // Everything staged was superseded (or nothing was staged):
             // accepted writes are all on stable media already.
-            self.volatile.staging.progress.complete_through(watermark);
+            self.commit_landed(watermark);
             return now;
         }
         debug_assert!(
@@ -234,7 +241,7 @@ impl Icash {
                 bytes: commit_bytes,
             },
         });
-        self.volatile.staging.progress.complete_through(watermark);
+        self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
             self.clean_log(t);
         }

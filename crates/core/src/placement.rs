@@ -140,6 +140,16 @@ impl Icash {
     ) -> Result<Ns, SsdError> {
         let t = self.ssd_write_op(at, slot)?;
         let lba = self.volatile.table.get(id).lba;
+        if self
+            .durable
+            .slots
+            .record(lba)
+            .is_some_and(|r| r.slot != slot)
+        {
+            // A slot the block released and still owns (its delta never
+            // reached the log): this install is durable at once.
+            self.discard_slot(lba);
+        }
         self.durable
             .slots
             .install(&mut self.volatile.ref_cache, lba, slot, content.clone());
@@ -154,22 +164,44 @@ impl Icash {
         Ok(self.write_home_copy(lba, content, t))
     }
 
-    /// Gives up `id`'s SSD slot, if it holds one: unpins the content, drops
-    /// the directory record and returns the slot to the allocator.
+    /// Gives up `id`'s SSD slot, if it holds one, because the block is moving
+    /// to delta or log placement. The block stops reading the slot now, but
+    /// the slot stays pinned until the next log commit
+    /// ([`Icash::reclaim_released_slots`]): the content replacing it is a
+    /// delta still in RAM, and until that is durable the slot is the copy a
+    /// crash must find.
     pub(crate) fn release_slot(&mut self, id: VbId) {
         let vb = self.volatile.table.get_mut(id);
-        let Some(slot) = vb.ssd_slot.take() else {
-            return;
-        };
-        let released = self
+        if vb.ssd_slot.take().is_some() {
+            let lba = vb.lba;
+            self.volatile.released.push(lba);
+            self.durable.slots.supersede_older(lba);
+        }
+    }
+
+    /// Unpins and frees whatever slot `lba` owns — held or released — at
+    /// once. For when newer content of `lba` is already durable elsewhere.
+    pub(crate) fn discard_slot(&mut self, lba: Lba) {
+        if let Some(id) = self.volatile.table.lookup(lba) {
+            self.volatile.table.get_mut(id).ssd_slot = None;
+        }
+        self.volatile.released.retain(|&l| l != lba);
+        let freed = self
             .durable
             .slots
-            .release(&mut self.volatile.ref_cache, vb.lba);
-        debug_assert_eq!(released, Some(slot), "table and slot directory disagree");
-        if !self.ssd_is_failed() {
-            // A dead device takes no commands, and its replacement starts
-            // with nothing mapped.
+            .release(&mut self.volatile.ref_cache, lba);
+        if let Some(slot) = freed.filter(|_| !self.ssd_is_failed()) {
+            // (A dead device takes no commands, and its replacement starts
+            // with nothing mapped.)
             self.durable.array.ssd_mut().trim(slot);
+        }
+    }
+
+    /// Frees the slots released since the last log commit: the deltas that
+    /// replaced them are durable now.
+    pub(crate) fn reclaim_released_slots(&mut self) {
+        for lba in std::mem::take(&mut self.volatile.released) {
+            self.discard_slot(lba);
         }
     }
 

@@ -132,6 +132,13 @@ impl Icash {
         let mut dependants: HashMap<Lba, u32> = HashMap::new();
         for (lba, (loc, reference, generation)) in items {
             let pinned_gen = slots.record(lba).map(|r| r.generation);
+            if slots.superseded_at(lba).is_some_and(|g| g >= generation) {
+                // The block has since left the placement this entry belongs
+                // to (gave up the slot it decodes against, or was written
+                // home by a degraded write).
+                stats.stale_frames_dropped += 1;
+                continue;
+            }
             if reference == lba {
                 match table.lookup(lba) {
                     // A written reference block's own delta (SSD-pinned):

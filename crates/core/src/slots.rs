@@ -47,6 +47,12 @@ pub(crate) struct SlotStore {
     next_slot: u64,
     free_slots: Vec<u64>,
     next_generation: u64,
+    /// Per block, the stamp at which it last left a placement without a
+    /// newer pin or log entry saying so: it gave up its slot, or a degraded
+    /// write put it home. Log entries stamped at or below are dead — in
+    /// particular a reference's self-delta, which recovery could not tell
+    /// from a zero-based entry once the pin it decodes against is gone.
+    superseded: HashMap<Lba, u64>,
 }
 
 impl SlotStore {
@@ -60,6 +66,7 @@ impl SlotStore {
             next_slot: 0,
             free_slots: Vec::new(),
             next_generation: 1,
+            superseded: HashMap::new(),
         }
     }
 
@@ -70,6 +77,17 @@ impl SlotStore {
         let g = self.next_generation;
         self.next_generation += 1;
         g
+    }
+
+    /// Declares every log entry written for `lba` so far dead.
+    pub fn supersede_older(&mut self, lba: Lba) {
+        let g = self.stamp();
+        self.superseded.insert(lba, g);
+    }
+
+    /// The stamp at or below which `lba`'s log entries are dead, if any.
+    pub fn superseded_at(&self, lba: Lba) -> Option<u64> {
+        self.superseded.get(&lba).copied()
     }
 
     /// Hands out a free slot, most recently freed first.
@@ -142,5 +160,41 @@ impl SlotStore {
         let mut pinned: Vec<(Lba, u64)> = self.dir.iter().map(|(&l, r)| (l, r.slot)).collect();
         pinned.sort_by_key(|&(l, _)| l.raw());
         pinned
+    }
+
+    /// Asserts the store's own invariants: directory, content and sums
+    /// cover the same slots, no slot has two owners, and nothing pinned is
+    /// on the free list.
+    pub fn validate(&self) {
+        let mut owned = std::collections::HashSet::new();
+        for (lba, rec) in &self.dir {
+            assert!(
+                owned.insert(rec.slot),
+                "slot {} has two owners (one is {lba:?})",
+                rec.slot
+            );
+            assert!(
+                self.content.contains_key(&rec.slot) && self.sums.contains_key(&rec.slot),
+                "{lba:?} owns slot {} but nothing is pinned there",
+                rec.slot
+            );
+            assert!(
+                rec.slot < self.next_slot,
+                "slot {} never allocated",
+                rec.slot
+            );
+        }
+        assert_eq!(
+            self.content.len(),
+            owned.len(),
+            "pinned content nobody owns"
+        );
+        assert_eq!(self.sums.len(), owned.len(), "checksum without content");
+        for slot in &self.free_slots {
+            assert!(
+                !owned.contains(slot),
+                "live slot {slot} is on the free list"
+            );
+        }
     }
 }

@@ -124,8 +124,8 @@ impl Icash {
     }
 
     /// Finishes an in-place rewrite of the slot `id` already holds: counts
-    /// the direct write, or — the flash refused the program — releases the
-    /// slot and lets the delta log absorb the content. Returns the write's
+    /// the direct write, or — the flash refused the program — lets the delta
+    /// log absorb the content (which releases the slot). Returns the write's
     /// response instant.
     fn settle_slot_rewrite(
         &mut self,
@@ -143,7 +143,6 @@ impl Icash {
             }
             Err(_) => {
                 self.stats.degraded_writes += 1;
-                self.release_slot(id);
                 self.write_as_independent(id, content, at, ctx).max(resp)
             }
         }
@@ -159,6 +158,9 @@ impl Icash {
         at: Ns,
         ctx: &mut IoCtx<'_>,
     ) -> Ns {
+        // The log entry is the block's placement from here on; a slot kept
+        // alongside it would go on serving the previous version.
+        self.release_slot(id);
         self.volatile.table.set_role(id, Role::Independent);
         let vb = self.volatile.table.get_mut(id);
         vb.reference = None;
@@ -180,8 +182,8 @@ impl Icash {
         at: Ns,
         ctx: &mut IoCtx<'_>,
     ) -> Ns {
-        let held = self.volatile.table.get(id).ssd_slot;
-        let Some(slot) = held.or_else(|| self.durable.slots.alloc()) else {
+        debug_assert!(self.volatile.table.get(id).ssd_slot.is_none());
+        let Some(slot) = self.durable.slots.alloc() else {
             return self.write_as_independent(id, content, at, ctx);
         };
         match self.install_slot(id, slot, content, at) {
@@ -196,11 +198,7 @@ impl Icash {
                 // Flash refused the program (worn out / no reclaimable
                 // space): degrade to a log-resident independent.
                 self.stats.degraded_writes += 1;
-                if held.is_some() {
-                    self.release_slot(id);
-                } else {
-                    self.durable.slots.unalloc(slot);
-                }
+                self.durable.slots.unalloc(slot);
                 self.write_as_independent(id, content, at, ctx)
             }
         }
@@ -263,6 +261,9 @@ impl Icash {
     /// Binds `id` as an associate of `reference` with `delta`.
     fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns, ctx: &mut IoCtx<'_>) {
         self.unbind(id); // release any previous pairing
+                         // An associate lives in reference + delta; a slot kept alongside
+                         // would leak, and recovery would rank its pin above the deltas.
+        self.release_slot(id);
         let rid = self
             .volatile
             .table
@@ -305,7 +306,9 @@ impl Icash {
             resp = resp.max(req.at + sig_cost);
             self.volatile.heatmap.record(&sig);
             let id = self.materialize_vb(lba, req.at, ctx);
-            if self.volatile.table.get(id).role == Role::Reference {
+            if self.writes_degraded(id) {
+                resp = resp.max(self.write_degraded(id, buf, req.at));
+            } else if self.volatile.table.get(id).role == Role::Reference {
                 // A reference's SSD copy is the decode source for its
                 // associates: track the new content as the reference's own
                 // delta.
@@ -320,10 +323,11 @@ impl Icash {
                 self.store_delta(id, delta, req.at, ctx);
                 self.stats.delta_writes += 1;
             } else if self.try_bind(id, buf, &sig, req.at, ctx) {
-                self.volatile.table.get_mut(id).sig = sig;
                 self.stats.delta_writes += 1;
             } else {
                 self.write_as_independent(id, buf, req.at, ctx);
+            }
+            if self.volatile.table.get(id).role != Role::Reference {
                 self.volatile.table.get_mut(id).sig = sig;
             }
             self.drop_data(id);

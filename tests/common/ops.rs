@@ -1,0 +1,151 @@
+//! The op history the whole-system property suites (`prop_system`,
+//! `fault_recovery`) draw from. Single-block writes of one similar family
+//! are not enough to reach a placement *transition*: the generator also
+//! writes dissimilar "noise" (which leaves the delta path for an SSD slot)
+//! and multi-block spans (which take the streaming write path), so blocks
+//! move between slot, delta, log and home in every order.
+
+// Each suite that includes this file uses its own subset of it.
+#![allow(dead_code)]
+
+use icash::storage::request::Completion;
+use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem};
+use proptest::prelude::*;
+
+/// Block address space of the generated histories.
+pub const SPAN: u64 = 64;
+
+/// What a written block holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// One shared base with a small per-tag tweak: binds to a reference.
+    Similar,
+    /// Incompressible bytes with nothing in common with any other block:
+    /// overflows every delta threshold.
+    Noise,
+}
+
+#[derive(Debug, Clone)]
+pub enum SysOp {
+    Write {
+        lba: u64,
+        tag: u8,
+        family: Family,
+    },
+    /// One request of `blocks` consecutive blocks from `lba` — long enough
+    /// (>= 8) to take the controller's streaming write path.
+    WriteSpan {
+        lba: u64,
+        blocks: u32,
+        tag: u8,
+        family: Family,
+    },
+    Read {
+        lba: u64,
+    },
+    Flush,
+    /// A full pipeline barrier: `sync` awaits the newest write ticket, so
+    /// everything accepted so far must be durable when it returns.
+    Barrier,
+}
+
+fn family() -> impl Strategy<Value = Family> {
+    prop_oneof![
+        Just(Family::Similar),
+        Just(Family::Similar),
+        Just(Family::Noise)
+    ]
+}
+
+/// 1–199 ops: single writes and reads dominate, with spans, flushes and
+/// barriers mixed in.
+pub fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
+    let write = || {
+        (0..SPAN, any::<u8>(), family()).prop_map(|(lba, tag, family)| SysOp::Write {
+            lba,
+            tag,
+            family,
+        })
+    };
+    let read = || (0..SPAN).prop_map(|lba| SysOp::Read { lba });
+    let span =
+        (0..SPAN - 24, 8u32..25, any::<u8>(), family()).prop_map(|(lba, blocks, tag, family)| {
+            SysOp::WriteSpan {
+                lba,
+                blocks,
+                tag,
+                family,
+            }
+        });
+    prop::collection::vec(
+        prop_oneof![
+            write(),
+            write(),
+            write(),
+            read(),
+            read(),
+            read(),
+            span,
+            Just(SysOp::Flush),
+            Just(SysOp::Barrier),
+        ],
+        1..200,
+    )
+}
+
+/// The content version `tag` of block `lba` in `family`. Every (lba, tag,
+/// family) is distinguishable from every other, so a stale or spliced read
+/// can never pass for the current version.
+pub fn block_for(lba: u64, tag: u8, family: Family) -> BlockBuf {
+    let mut v = vec![0xA7u8; 4096];
+    if family == Family::Noise {
+        let mut state = (lba << 16 | u64::from(tag) << 1 | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for byte in &mut v {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = state as u8;
+        }
+    }
+    v[3] = tag;
+    v[8..16].copy_from_slice(&lba.to_le_bytes());
+    v[1500] = tag.wrapping_mul(3);
+    v[3000] = tag.wrapping_add(101);
+    BlockBuf::from_vec(v)
+}
+
+impl SysOp {
+    /// The blocks this op writes, as `(lba, content)` in address order
+    /// (empty for reads, flushes and barriers).
+    pub fn payload(&self) -> Vec<(u64, BlockBuf)> {
+        match *self {
+            SysOp::Write { lba, tag, family } => vec![(lba, block_for(lba, tag, family))],
+            SysOp::WriteSpan {
+                lba,
+                blocks,
+                tag,
+                family,
+            } => (lba..lba + u64::from(blocks))
+                .map(|l| (l, block_for(l, tag, family)))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Submits a write op as one host request at `*now` and advances the
+    /// clock. Returns the blocks written with the completion, so callers
+    /// can tell acknowledged blocks from refused ones.
+    pub fn issue_write(
+        &self,
+        system: &mut dyn StorageSystem,
+        now: &mut Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> (Vec<(u64, BlockBuf)>, Completion) {
+        let payload = self.payload();
+        let blocks = payload.iter().map(|(_, b)| b.clone()).collect();
+        let req = Request::write_span(Lba::new(payload[0].0), *now, blocks);
+        let completion = system.submit(&req, ctx);
+        *now = completion.finished;
+        (payload, completion)
+    }
+}

@@ -4,57 +4,22 @@
 //! legitimately held — or as a *reported* media error. Never a splice,
 //! never garbage, never a panic.
 
+#[path = "common/ops.rs"]
+mod ops;
+
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
 use icash::storage::request::IoErrorKind;
 use icash::storage::shard::ShardRouter;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use ops::{block_for, ops_strategy, Family, SysOp, SPAN};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-const SPAN: u64 = 64;
-
-#[derive(Debug, Clone)]
-enum SysOp {
-    Write {
-        lba: u64,
-        tag: u8,
-    },
-    Read {
-        lba: u64,
-    },
-    Flush,
-    /// A full pipeline barrier: `sync` awaits the newest write ticket, so
-    /// everything accepted so far must be durable when it returns.
-    Barrier,
-}
-
-fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..SPAN, any::<u8>()).prop_map(|(lba, tag)| SysOp::Write { lba, tag }),
-            (0..SPAN).prop_map(|lba| SysOp::Read { lba }),
-            Just(SysOp::Flush),
-            Just(SysOp::Barrier),
-        ],
-        1..200,
-    )
-}
 
 /// Staging depths the crash properties sweep: the synchronous cycle, a
 /// shallow pipeline, and a deep one that leaves many tickets in flight.
 const DEPTHS: [u64; 3] = [1, 4, 16];
-
-/// Content with intra-family similarity so I-CASH's machinery engages,
-/// plus a tag making every version distinguishable.
-fn block_for(tag: u8) -> BlockBuf {
-    let mut v = vec![0xA7u8; 4096];
-    v[3] = tag;
-    v[1500] = tag.wrapping_mul(3);
-    v[3000] = tag.wrapping_add(101);
-    BlockBuf::from_vec(v)
-}
 
 fn base_config(depth: u64) -> IcashConfig {
     IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
@@ -103,20 +68,6 @@ fn sharded_faulty(width: u32, seed: u64, rate: f64, depth: u64) -> ShardRouter<I
     )
 }
 
-/// Like [`block_for`], but stamped with the *outer* address. Shards store
-/// striped inner addresses, so distinct outer blocks collide on the same
-/// inner slot of different shards — a recovery that spliced state across
-/// shards would surface a block stamped with a foreign outer lba, which no
-/// per-lba version list contains.
-fn shard_block_for(lba: u64, tag: u8) -> BlockBuf {
-    let mut v = vec![0xA7u8; 4096];
-    v[3] = tag;
-    v[8..16].copy_from_slice(&lba.to_le_bytes());
-    v[1500] = tag.wrapping_mul(3);
-    v[3000] = tag.wrapping_add(101);
-    BlockBuf::from_vec(v)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -136,32 +87,23 @@ proptest! {
         let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
         let mut now = Ns::ZERO;
         for op in &ops {
+            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    oracle.insert(*lba, content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    oracle.extend(op.issue_write(&mut system, &mut now, &mut ctx).0);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                     let completion = system.submit(&req, &mut ctx);
                     prop_assert!(completion.finished >= now, "time ran backwards");
                     now = completion.finished;
-                    if completion.failed(Lba::new(*lba)) {
-                        continue;
+                    if !completion.failed(Lba::new(*lba)) {
+                        let want = oracle.get(lba).cloned().unwrap_or_else(BlockBuf::zeroed);
+                        prop_assert!(completion.data[0] == want, "lba {}: not the latest", lba);
                     }
-                    let want = oracle.get(lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                    prop_assert_eq!(&completion.data[0], &want, "lba {}", lba);
                 }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
+                SysOp::Flush => now = system.flush(now, &mut ctx),
                 SysOp::Barrier => {
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                     let ticket = system.write_ticket();
                     now = system.sync(now, &mut ctx);
                     prop_assert!(
@@ -170,6 +112,7 @@ proptest! {
                     );
                 }
             }
+            system.debug_validate();
         }
     }
 
@@ -194,30 +137,24 @@ proptest! {
         let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
+            let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
+                        versions.entry(lba).or_default().push(content);
+                    }
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
                     now = system.submit(&req, &mut ctx).finished;
                 }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
-                SysOp::Barrier => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.sync(now, &mut ctx);
-                }
+                SysOp::Flush => now = system.flush(now, &mut ctx),
+                SysOp::Barrier => now = system.sync(now, &mut ctx),
             }
+            system.debug_validate();
         }
         let mut recovered = system.crash_and_recover();
+        recovered.debug_validate();
         for (lba, mut held) in versions {
             held.push(BlockBuf::zeroed()); // the pre-history version
             let req = Request::read(Lba::new(lba), now);
@@ -259,26 +196,20 @@ proptest! {
         let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
+            let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
-                SysOp::Write { lba, tag } => {
-                    let content = shard_block_for(*lba, *tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
+                        versions.entry(lba).or_default().push(content);
+                    }
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
                     now = system.submit(&req, &mut ctx).finished;
                 }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
+                SysOp::Flush => now = system.flush(now, &mut ctx),
                 SysOp::Barrier => {
                     let ticket = system.write_ticket();
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
                     now = system.sync(now, &mut ctx);
                     prop_assert!(
                         system.flushed_ticket() >= ticket,
@@ -334,26 +265,20 @@ proptest! {
         let mut durable_from: HashMap<u64, usize> = HashMap::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
+            let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
+                        versions.entry(lba).or_default().push(content);
+                    }
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
                     now = system.submit(&req, &mut ctx).finished;
                 }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
+                SysOp::Flush => now = system.flush(now, &mut ctx),
                 SysOp::Barrier => {
                     let ticket = system.write_ticket();
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
                     now = system.await_flush(ticket, now, &mut ctx);
                     prop_assert!(system.flushed_ticket() >= ticket);
                     for (lba, held) in &versions {
@@ -361,8 +286,10 @@ proptest! {
                     }
                 }
             }
+            system.debug_validate();
         }
         let mut recovered = system.crash_and_recover();
+        recovered.debug_validate();
         for (lba, held) in versions {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -438,22 +365,20 @@ proptest! {
                 .report(now)
                 .health
                 .is_some_and(|h| h.hdd == HealthState::Failed);
+            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    let req = Request::write(Lba::new(*lba), now, content.clone());
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    let completion = system.submit(&req, &mut ctx);
-                    now = completion.finished;
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    let (payload, completion) = op.issue_write(&mut system, &mut now, &mut ctx);
                     // Only acknowledged writes join the history: a typed
                     // refusal must leave the block on its old versions.
-                    if !completion.failed(Lba::new(*lba)) {
-                        versions.entry(*lba).or_default().push(content);
+                    for (lba, content) in payload {
+                        if !completion.failed(Lba::new(lba)) {
+                            versions.entry(lba).or_default().push(content);
+                        }
                     }
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                     let completion = system.submit(&req, &mut ctx);
                     now = completion.finished;
                     if !completion.failed(Lba::new(*lba)) {
@@ -466,16 +391,11 @@ proptest! {
                 }
                 // A barrier against a failed home disk is a liveness
                 // question, not this property's (safety) contract: skip.
-                SysOp::Flush if !hdd_down => {
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
-                SysOp::Barrier if !hdd_down => {
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    now = system.sync(now, &mut ctx);
-                }
+                SysOp::Flush if !hdd_down => now = system.flush(now, &mut ctx),
+                SysOp::Barrier if !hdd_down => now = system.sync(now, &mut ctx),
                 SysOp::Flush | SysOp::Barrier => {}
             }
+            system.debug_validate();
         }
         // Keep traffic flowing until the armed death lands and the monitor
         // walks its ladder to `Failed` (the device-op clock only advances
@@ -484,7 +404,7 @@ proptest! {
         for extra in 0..2_500u64 {
             let lba = fault_roll(seed, 0xD1E5, extra, 0) % DRIVE_SPAN;
             if fault_roll(seed, 0xD1E6, extra, lba) % 5 < 3 {
-                let content = block_for((extra ^ lba) as u8);
+                let content = block_for(lba, (extra ^ lba) as u8, Family::Similar);
                 let req = Request::write(Lba::new(lba), now, content.clone());
                 let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                 let completion = system.submit(&req, &mut ctx);
@@ -519,7 +439,8 @@ proptest! {
             // write must bounce with a typed DeviceFailed error.
             for probe in 0..10u64 {
                 let lba = fault_roll(seed, 0xDEAD, probe, 1) % SPAN;
-                let req = Request::write(Lba::new(lba), now, block_for(probe as u8));
+                let content = block_for(lba, probe as u8, Family::Similar);
+                let req = Request::write(Lba::new(lba), now, content);
                 let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                 let completion = system.submit(&req, &mut ctx);
                 now = completion.finished;
@@ -572,7 +493,7 @@ proptest! {
             // valid: the death must leave no lasting wound.
             for probe in 0..8u64 {
                 let lba = fault_roll(seed, 0xF4E5, probe, 2) % SPAN;
-                let content = block_for(probe.wrapping_mul(37) as u8);
+                let content = block_for(lba, probe.wrapping_mul(37) as u8, Family::Similar);
                 let w = Request::write(Lba::new(lba), now, content.clone());
                 let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                 let completion = system.submit(&w, &mut ctx);

@@ -1,0 +1,289 @@
+//! Regression tests for the placement transitions that used to forget the
+//! slot-release step: a block that holds an SSD slot and then moves to
+//! delta or log placement — by a streaming span write, or by the scanner
+//! re-binding it — must stop being served from the slot, must free it, and
+//! must not let recovery rank the old pin above its newer log entries.
+
+#[path = "common/ops.rs"]
+mod ops;
+
+use icash::core::{Icash, IcashConfig};
+use icash::storage::cpu::CpuModel;
+use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
+use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use ops::{block_for, Family};
+
+fn config() -> IcashConfig {
+    IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
+        .scan_interval(40)
+        .scan_window(64)
+        .flush_interval(25)
+        .log_blocks(1 << 14)
+        .build()
+}
+
+/// A health-monitored controller whose SSD dies at device op `dies_at`.
+fn dying_ssd(dies_at: u64) -> Icash {
+    let mut cfg = config();
+    cfg.health = Some(HealthPolicy::default());
+    Icash::new(cfg).with_fault_plan(FaultPlan::seeded(7).ssd_dies_at(dies_at))
+}
+
+/// A controller plus the clock and CPU model every step threads through.
+struct Rig {
+    sys: Icash,
+    cpu: CpuModel,
+    now: Ns,
+}
+
+impl Rig {
+    /// A controller warmed with three rounds of similar writes over blocks
+    /// `0..64`, so references exist and most blocks are bound associates.
+    fn warmed(sys: Icash) -> Rig {
+        let mut rig = Rig {
+            sys,
+            cpu: CpuModel::xeon(),
+            now: Ns::ZERO,
+        };
+        for round in 0..3u8 {
+            for lba in 0..64 {
+                rig.write(lba, block_for(lba, round, Family::Similar));
+            }
+        }
+        assert!(rig.sys.stats().binds > 0, "warm-up must bind associates");
+        rig
+    }
+
+    fn submit(&mut self, req: &Request) -> Vec<BlockBuf> {
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut self.cpu);
+        let done = self.sys.submit(req, &mut ctx);
+        assert!(
+            done.errors.is_empty(),
+            "unexpected errors: {:?}",
+            done.errors
+        );
+        self.now = done.finished;
+        done.data
+    }
+
+    fn write(&mut self, lba: u64, content: BlockBuf) {
+        self.submit(&Request::write(Lba::new(lba), self.now, content));
+    }
+
+    fn write_span(&mut self, lba: u64, payload: Vec<BlockBuf>) {
+        self.submit(&Request::write_span(Lba::new(lba), self.now, payload));
+    }
+
+    fn read(&mut self, lba: u64) -> BlockBuf {
+        self.submit(&Request::read(Lba::new(lba), self.now))
+            .remove(0)
+    }
+
+    /// Overwrites blocks `0..n` one by one with incompressible content,
+    /// which sends each diverged associate to an SSD slot; returns how many
+    /// direct SSD writes that took.
+    fn scatter_noise(&mut self, n: u64, tag: u8) -> u64 {
+        let before = self.sys.stats().ssd_direct_writes;
+        for lba in 0..n {
+            self.write(lba, block_for(lba, tag, Family::Noise));
+        }
+        self.sys.stats().ssd_direct_writes - before
+    }
+
+    fn ssd_failed(&self) -> bool {
+        self.sys
+            .report(self.now)
+            .health
+            .is_some_and(|h| h.ssd == HealthState::Failed)
+    }
+
+    /// Keeps the flash busy until the health monitor declares it dead.
+    fn drive_until_ssd_failed(&mut self) {
+        for i in 0..4_000u64 {
+            if self.ssd_failed() {
+                return;
+            }
+            let lba = i % 64;
+            self.write(lba, block_for(lba, (i / 64) as u8, Family::Noise));
+            // (reads of a dying device may report typed errors)
+            let backing = ZeroSource;
+            let mut ctx = IoCtx::verifying(&backing, &mut self.cpu);
+            let read = Request::read(Lba::new(lba), self.now);
+            self.now = self.sys.submit(&read, &mut ctx).finished;
+        }
+        panic!("the armed SSD death never reached Failed");
+    }
+
+    fn sync_and_crash(mut self) -> Rig {
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut self.cpu);
+        self.now = self.sys.sync(self.now, &mut ctx);
+        self.now = self.sys.flush(self.now, &mut ctx);
+        Rig {
+            sys: self.sys.crash_and_recover(),
+            ..self
+        }
+    }
+}
+
+#[test]
+fn span_write_over_slot_resident_blocks_reads_back_the_new_version() {
+    let mut rig = Rig::warmed(Icash::new(config()));
+    assert!(
+        rig.scatter_noise(16, 100) >= 8,
+        "noise must move blocks to slots"
+    );
+    let fresh: Vec<BlockBuf> = (0..16)
+        .map(|lba| block_for(lba, 101, Family::Noise))
+        .collect();
+    rig.write_span(0, fresh.clone());
+    for (lba, want) in fresh.iter().enumerate() {
+        assert!(
+            rig.read(lba as u64) == *want,
+            "lba {lba}: span write lost to the old slot"
+        );
+    }
+    rig.sys.debug_validate();
+}
+
+#[test]
+fn scan_rebind_of_slot_resident_blocks_frees_the_slot_and_survives_recovery() {
+    let mut rig = Rig::warmed(Icash::new(config()));
+    assert!(
+        rig.scatter_noise(8, 100) >= 4,
+        "noise must move blocks to slots"
+    );
+    // Similar again, still slot-resident (rewritten in place) ...
+    for lba in 0..8 {
+        rig.write(lba, block_for(lba, 102, Family::Similar));
+    }
+    // ... until two scans have had the chance to re-bind them ...
+    let binds = rig.sys.stats().binds;
+    for lba in (8..64).chain(8..40) {
+        rig.read(lba);
+    }
+    assert!(
+        rig.sys.stats().binds > binds,
+        "the scanner must re-bind the blocks"
+    );
+    rig.sys.debug_validate();
+    // ... after which newer versions are logged as deltas.
+    for lba in 0..8 {
+        rig.write(lba, block_for(lba, 103, Family::Similar));
+    }
+    let mut rig = rig.sync_and_crash();
+    assert_eq!(
+        rig.sys.stats().stale_frames_dropped,
+        0,
+        "no durable delta may lose to a leaked slot pin"
+    );
+    for lba in 0..8 {
+        assert!(
+            rig.read(lba) == block_for(lba, 103, Family::Similar),
+            "lba {lba}: stale after recovery"
+        );
+    }
+    rig.sys.debug_validate();
+}
+
+#[test]
+fn span_writes_take_the_degraded_path_while_the_ssd_is_failed() {
+    for dies_at in [5, 20, 60] {
+        let mut rig = Rig::warmed(dying_ssd(dies_at));
+        rig.drive_until_ssd_failed();
+        // Park right behind a scan (one runs every 40 block I/Os), so the
+        // only binds the span could cause are its own.
+        while (rig.sys.stats().reads + rig.sys.stats().writes) % 40 != 0 {
+            rig.write(63, block_for(63, 9, Family::Similar));
+        }
+
+        let before = rig.sys.stats();
+        let payload: Vec<BlockBuf> = (16..32)
+            .map(|lba| block_for(lba, 200, Family::Similar))
+            .collect();
+        rig.write_span(16, payload.clone());
+        let after = rig.sys.stats();
+        assert_eq!(
+            after.binds, before.binds,
+            "dies_at {dies_at}: span bound blocks to references on the dead SSD"
+        );
+        assert!(
+            after.degraded_writes - before.degraded_writes >= 12,
+            "dies_at {dies_at}: span blocks must write home like single blocks do \
+             (references that still have associates excepted): {} of 16",
+            after.degraded_writes - before.degraded_writes
+        );
+        for (lba, want) in (16..32).zip(&payload) {
+            assert!(rig.read(lba) == *want, "dies_at {dies_at}: lba {lba}");
+        }
+        rig.sys.debug_validate();
+    }
+}
+
+/// The transitions above give up a slot whose content may be the block's
+/// only durable copy. A crash before the superseding delta reaches the log
+/// must still find that copy: a version a barrier covered never rolls back.
+#[test]
+fn barrier_covered_slot_content_survives_a_crash_mid_transition() {
+    // Leaving the slot through a span write ...
+    let mut rig = Rig::warmed(Icash::new(config()));
+    assert!(rig.scatter_noise(16, 100) >= 8);
+    rig = {
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut rig.cpu);
+        rig.now = rig.sys.sync(rig.now, &mut ctx);
+        rig
+    };
+    let fresh: Vec<BlockBuf> = (0..16)
+        .map(|lba| block_for(lba, 101, Family::Noise))
+        .collect();
+    rig.write_span(0, fresh.clone());
+    let mut rig = Rig {
+        sys: rig.sys.crash_and_recover(),
+        ..rig
+    };
+    for (lba, new) in fresh.iter().enumerate() {
+        let got = rig.read(lba as u64);
+        assert!(
+            got == *new || got == block_for(lba as u64, 100, Family::Noise),
+            "lba {lba}: rolled back behind its barrier"
+        );
+    }
+    rig.sys.debug_validate();
+}
+
+/// A degraded write is a synchronous home write: durable when it returns.
+/// The block's older log entries are still on the platter, and recovery
+/// must not replay them over it.
+#[test]
+fn degraded_writes_survive_a_crash() {
+    let mut rig = Rig::warmed(dying_ssd(200));
+    rig.drive_until_ssd_failed();
+    let before = rig.sys.stats().degraded_writes;
+    for lba in 0..8 {
+        rig.write(lba, block_for(lba, 77, Family::Similar));
+    }
+    assert!(rig.sys.stats().degraded_writes > before);
+    let mut rig = rig.sync_and_crash();
+    // A fresh SSD, so blocks that recover into reference + delta are
+    // readable again (through the rebuild's home copies at first).
+    rig.sys.replace_ssd(rig.now);
+    let mut exact = 0;
+    for lba in 0..8 {
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut rig.cpu);
+        let done = rig
+            .sys
+            .submit(&Request::read(Lba::new(lba), rig.now), &mut ctx);
+        rig.now = done.finished;
+        if !done.failed(Lba::new(lba)) {
+            assert!(
+                done.data[0] == block_for(lba, 77, Family::Similar),
+                "lba {lba}: an older log entry was replayed over the home write"
+            );
+            exact += 1;
+        }
+    }
+    assert!(exact > 0, "no block came back readable");
+}

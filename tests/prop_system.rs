@@ -3,56 +3,30 @@
 //! writes against a model map), and I-CASH additionally survives a crash
 //! at an arbitrary point with all flushed data intact.
 
+#[path = "common/ops.rs"]
+mod ops;
+
 use icash::baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use ops::{ops_strategy, SysOp};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const SPAN: u64 = 64; // block address space of the tests
-
-#[derive(Debug, Clone)]
-enum SysOp {
-    Write { lba: u64, tag: u8 },
-    Read { lba: u64 },
-    Flush,
-}
-
-fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..SPAN, any::<u8>()).prop_map(|(lba, tag)| SysOp::Write { lba, tag }),
-            (0..SPAN).prop_map(|lba| SysOp::Read { lba }),
-            Just(SysOp::Flush),
-        ],
-        1..200,
-    )
-}
-
-/// Content with intra-family similarity so I-CASH's machinery engages.
-fn block_for(tag: u8) -> BlockBuf {
-    let mut v = vec![0xA7u8; 4096];
-    v[3] = tag;
-    v[1500] = tag.wrapping_mul(3);
-    v[3000] = tag.wrapping_add(101);
-    BlockBuf::from_vec(v)
-}
-
-fn check_system(mut system: Box<dyn StorageSystem>, ops: &[SysOp]) {
+/// Drives `system` through `ops` against a model map, running `validate`
+/// (the architecture's own invariant check, if it has one) after every op.
+fn check_system<S: StorageSystem>(mut system: S, ops: &[SysOp], validate: fn(&S)) {
     let mut cpu = CpuModel::xeon();
     let backing = ZeroSource;
     let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
     let mut now = Ns::ZERO;
     for op in ops {
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
         match op {
-            SysOp::Write { lba, tag } => {
-                let content = block_for(*tag);
-                oracle.insert(*lba, content.clone());
-                let req = Request::write(Lba::new(*lba), now, content);
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+            SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
                 let before = system.write_ticket();
-                now = system.submit(&req, &mut ctx).finished;
+                oracle.extend(op.issue_write(&mut system, &mut now, &mut ctx).0);
                 // Ticket parity across every architecture: accepting a
                 // write advances the acceptance watermark, and durability
                 // never runs ahead of acceptance.
@@ -69,18 +43,20 @@ fn check_system(mut system: Box<dyn StorageSystem>, ops: &[SysOp]) {
             }
             SysOp::Read { lba } => {
                 let req = Request::read(Lba::new(*lba), now);
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                 let completion = system.submit(&req, &mut ctx);
                 assert!(completion.finished >= now, "time ran backwards");
                 now = completion.finished;
                 let want = oracle.get(lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                assert_eq!(completion.data[0], want, "{}: lba {lba}", system.name());
+                assert!(
+                    completion.data[0] == want,
+                    "{}: lba {lba} read back a version that is not the latest",
+                    system.name()
+                );
             }
-            SysOp::Flush => {
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                now = system.flush(now, &mut ctx);
-            }
+            SysOp::Flush => now = system.flush(now, &mut ctx),
+            SysOp::Barrier => now = system.sync(now, &mut ctx),
         }
+        validate(&system);
     }
     // A full barrier drains every pipeline: afterwards the durability
     // watermark has caught the acceptance watermark on any architecture.
@@ -110,28 +86,28 @@ proptest! {
 
     #[test]
     fn icash_is_a_correct_block_device(ops in ops_strategy()) {
-        check_system(Box::new(tiny_icash()), &ops);
+        check_system(tiny_icash(), &ops, Icash::debug_validate);
     }
 
     #[test]
     fn pure_ssd_is_a_correct_block_device(ops in ops_strategy()) {
-        check_system(Box::new(PureSsd::new(4 << 20)), &ops);
+        check_system(PureSsd::new(4 << 20), &ops, |_| ());
     }
 
     #[test]
     fn raid0_is_a_correct_block_device(ops in ops_strategy()) {
-        check_system(Box::new(Raid0::new(4 << 20, 4)), &ops);
+        check_system(Raid0::new(4 << 20, 4), &ops, |_| ());
     }
 
     #[test]
     fn lru_cache_is_a_correct_block_device(ops in ops_strategy()) {
         // A cache far smaller than the working set: eviction all the time.
-        check_system(Box::new(LruCache::new(64 << 10, 4 << 20)), &ops);
+        check_system(LruCache::new(64 << 10, 4 << 20), &ops, |_| ());
     }
 
     #[test]
     fn dedup_cache_is_a_correct_block_device(ops in ops_strategy()) {
-        check_system(Box::new(DedupCache::new(64 << 10, 4 << 20)), &ops);
+        check_system(DedupCache::new(64 << 10, 4 << 20), &ops, |_| ());
     }
 
     /// Crash anywhere: after recovery, every block that was written before
@@ -147,26 +123,24 @@ proptest! {
         let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
+            let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
+                        versions.entry(lba).or_default().push(content);
+                    }
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
                     now = system.submit(&req, &mut ctx).finished;
                 }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
+                SysOp::Flush => now = system.flush(now, &mut ctx),
+                SysOp::Barrier => now = system.sync(now, &mut ctx),
             }
+            system.debug_validate();
         }
         let mut recovered = system.crash_and_recover();
+        recovered.debug_validate();
         for (lba, mut held) in versions {
             held.push(BlockBuf::zeroed()); // the pre-history version
             let req = Request::read(Lba::new(lba), now);
