@@ -66,7 +66,18 @@ impl Icash {
                     self.volatile.ref_index.remove(lba, &sig_old);
                     self.volatile.table.set_role(id, Role::Independent);
                     self.supersede_logged(id);
-                    resp = self.settle_slot_rewrite(id, installed, &content, at, ctx, resp);
+                    match installed {
+                        Ok(t) => {
+                            resp = t;
+                            self.stats.ssd_direct_writes += 1;
+                        }
+                        Err(_) => {
+                            // Flash refused the rewrite: the delta log
+                            // absorbs the write (and releases the slot).
+                            self.stats.degraded_writes += 1;
+                            self.write_as_independent(id, &content, at, ctx);
+                        }
+                    }
                 }
             }
             Role::Associate => {
@@ -95,13 +106,19 @@ impl Icash {
             Role::Independent => {
                 if let Some(s) = slot {
                     // Already SSD-resident from an earlier direct write.
-                    let installed = self.install_slot(id, s, &content, at);
-                    if installed.is_ok() {
-                        self.supersede_logged(id);
+                    match self.install_slot(id, s, &content, at) {
+                        Ok(t) => {
+                            resp = t;
+                            self.supersede_logged(id);
+                            self.stats.ssd_direct_writes += 1;
+                        }
+                        Err(_) => {
+                            self.stats.degraded_writes += 1;
+                            self.write_as_independent(id, &content, at, ctx);
+                        }
                     }
-                    resp = self.settle_slot_rewrite(id, installed, &content, at, ctx, resp);
                 } else if !self.try_bind(id, &content, &sig, at, ctx) {
-                    resp = self.write_as_independent(id, &content, at, ctx).max(resp);
+                    self.write_as_independent(id, &content, at, ctx);
                 } else {
                     self.stats.delta_writes += 1;
                 }
@@ -123,41 +140,10 @@ impl Icash {
         resp
     }
 
-    /// Finishes an in-place rewrite of the slot `id` already holds: counts
-    /// the direct write, or — the flash refused the program — lets the delta
-    /// log absorb the content (which releases the slot). Returns the write's
-    /// response instant.
-    fn settle_slot_rewrite(
-        &mut self,
-        id: VbId,
-        installed: Result<Ns, icash_storage::ssd::SsdError>,
-        content: &BlockBuf,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-        resp: Ns,
-    ) -> Ns {
-        match installed {
-            Ok(t) => {
-                self.stats.ssd_direct_writes += 1;
-                t
-            }
-            Err(_) => {
-                self.stats.degraded_writes += 1;
-                self.write_as_independent(id, content, at, ctx).max(resp)
-            }
-        }
-    }
-
     /// Stores an independent block as a zero-based delta bound for the
     /// sequential HDD log (the paper's log-of-deltas covers *all* writes;
     /// blocks without a useful reference simply encode against zero).
-    fn write_as_independent(
-        &mut self,
-        id: VbId,
-        content: &BlockBuf,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) -> Ns {
+    fn write_as_independent(&mut self, id: VbId, content: &BlockBuf, at: Ns, ctx: &mut IoCtx<'_>) {
         // The log entry is the block's placement from here on; a slot kept
         // alongside it would go on serving the previous version.
         self.release_slot(id);
@@ -169,12 +155,12 @@ impl Icash {
         ctx.cpu.charge(CpuOp::DeltaEncode);
         self.store_delta(id, delta, at, ctx);
         self.stats.independent_writes += 1;
-        at
     }
 
     /// The paper's oversize-delta rule: "the new data are written directly
     /// to the SSD to release delta buffer". Falls back to a log-resident
-    /// independent block when no SSD slot is free or the flash refuses.
+    /// independent block (acknowledged from RAM, at `at`) when no SSD slot
+    /// is free or the flash refuses.
     fn direct_ssd_write(
         &mut self,
         id: VbId,
@@ -184,7 +170,8 @@ impl Icash {
     ) -> Ns {
         debug_assert!(self.volatile.table.get(id).ssd_slot.is_none());
         let Some(slot) = self.durable.slots.alloc() else {
-            return self.write_as_independent(id, content, at, ctx);
+            self.write_as_independent(id, content, at, ctx);
+            return at;
         };
         match self.install_slot(id, slot, content, at) {
             Ok(t) => {
@@ -199,7 +186,8 @@ impl Icash {
                 // space): degrade to a log-resident independent.
                 self.stats.degraded_writes += 1;
                 self.durable.slots.unalloc(slot);
-                self.write_as_independent(id, content, at, ctx)
+                self.write_as_independent(id, content, at, ctx);
+                at
             }
         }
     }
@@ -260,9 +248,10 @@ impl Icash {
 
     /// Binds `id` as an associate of `reference` with `delta`.
     fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns, ctx: &mut IoCtx<'_>) {
-        self.unbind(id); // release any previous pairing
-                         // An associate lives in reference + delta; a slot kept alongside
-                         // would leak, and recovery would rank its pin above the deltas.
+        // Release any previous pairing, and any slot: an associate lives in
+        // reference + delta; a slot kept alongside would leak, and recovery
+        // would rank its pin above the deltas.
+        self.unbind(id);
         self.release_slot(id);
         let rid = self
             .volatile

@@ -115,11 +115,14 @@ impl Rig {
         panic!("the armed SSD death never reached Failed");
     }
 
-    fn sync_and_crash(mut self) -> Rig {
+    fn sync(&mut self) {
         let backing = ZeroSource;
         let mut ctx = IoCtx::verifying(&backing, &mut self.cpu);
         self.now = self.sys.sync(self.now, &mut ctx);
         self.now = self.sys.flush(self.now, &mut ctx);
+    }
+
+    fn crash(self) -> Rig {
         Rig {
             sys: self.sys.crash_and_recover(),
             ..self
@@ -172,7 +175,8 @@ fn scan_rebind_of_slot_resident_blocks_frees_the_slot_and_survives_recovery() {
     for lba in 0..8 {
         rig.write(lba, block_for(lba, 103, Family::Similar));
     }
-    let mut rig = rig.sync_and_crash();
+    rig.sync();
+    let mut rig = rig.crash();
     assert_eq!(
         rig.sys.stats().stale_frames_dropped,
         0,
@@ -226,23 +230,14 @@ fn span_writes_take_the_degraded_path_while_the_ssd_is_failed() {
 /// must still find that copy: a version a barrier covered never rolls back.
 #[test]
 fn barrier_covered_slot_content_survives_a_crash_mid_transition() {
-    // Leaving the slot through a span write ...
     let mut rig = Rig::warmed(Icash::new(config()));
     assert!(rig.scatter_noise(16, 100) >= 8);
-    rig = {
-        let backing = ZeroSource;
-        let mut ctx = IoCtx::verifying(&backing, &mut rig.cpu);
-        rig.now = rig.sys.sync(rig.now, &mut ctx);
-        rig
-    };
+    rig.sync();
     let fresh: Vec<BlockBuf> = (0..16)
         .map(|lba| block_for(lba, 101, Family::Noise))
         .collect();
     rig.write_span(0, fresh.clone());
-    let mut rig = Rig {
-        sys: rig.sys.crash_and_recover(),
-        ..rig
-    };
+    let mut rig = rig.crash();
     for (lba, new) in fresh.iter().enumerate() {
         let got = rig.read(lba as u64);
         assert!(
@@ -265,7 +260,8 @@ fn degraded_writes_survive_a_crash() {
         rig.write(lba, block_for(lba, 77, Family::Similar));
     }
     assert!(rig.sys.stats().degraded_writes > before);
-    let mut rig = rig.sync_and_crash();
+    rig.sync();
+    let mut rig = rig.crash();
     // A fresh SSD, so blocks that recover into reference + delta are
     // readable again (through the rebuild's home copies at first).
     rig.sys.replace_ssd(rig.now);
