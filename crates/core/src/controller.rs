@@ -46,7 +46,7 @@ use icash_storage::ssd::Ssd;
 use icash_storage::system::{GroupCommitReport, IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The I-CASH storage element: one SSD and one HDD coupled by the
 /// similarity/delta algorithm.
@@ -114,8 +114,9 @@ pub(crate) struct Volatile {
     /// Evicted virtual blocks whose content is *not* in the home area.
     pub evicted: HashMap<Lba, EvictedState>,
     /// Blocks that gave up an SSD slot since the last log commit; see
-    /// [`Icash::release_slot`].
-    pub released: Vec<Lba>,
+    /// [`Icash::release_slot`]. (Ordered, so the reclaim frees slots in
+    /// address order whatever order they were released in.)
+    pub released: BTreeSet<Lba>,
     /// Virtual blocks with unflushed deltas.
     pub dirty: HashSet<usize>,
     pub dirty_bytes: usize,
@@ -147,7 +148,7 @@ impl Volatile {
             ref_cache: RefIndexCache::new(),
             span_prefetch: HashMap::new(),
             evicted: HashMap::new(),
-            released: Vec::new(),
+            released: BTreeSet::new(),
             dirty: HashSet::new(),
             dirty_bytes: 0,
             staging: Staging::new(),
@@ -482,7 +483,7 @@ impl Icash {
     /// ticket at or below `ticket` is on stable media. Free when the
     /// completed watermark already covers the ticket; otherwise the whole
     /// pipeline drains (staged group commits *and* dirty independent data).
-    pub fn await_flush(&mut self, ticket: Ticket, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
+    pub fn await_flush(&mut self, ticket: Ticket, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
         // A durability barrier forces cached log appends onto the media
         // even when the ticket watermark is already satisfied — completion
         // watermarks advance when the append is accepted, not when the
@@ -492,7 +493,7 @@ impl Icash {
         let waited = !self.volatile.staging.progress.is_completed(ticket);
         let t = if waited {
             self.stats.barrier_waits += 1;
-            self.shutdown_flush(now, ctx)
+            self.shutdown_flush(now)
         } else {
             self.stats.barrier_noops += 1;
             now
@@ -561,7 +562,7 @@ impl StorageSystem for Icash {
                             lba,
                             kind: IoErrorKind::Busy,
                         });
-                        done = done.max(self.flush_all(req.at, ctx));
+                        done = done.max(self.flush_all(req.at));
                         continue;
                     }
                     done = done.max(self.write_block(lba, buf.clone(), req.at, ctx));
@@ -604,8 +605,8 @@ impl StorageSystem for Icash {
         }
     }
 
-    fn flush(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
-        self.shutdown_flush(now, ctx)
+    fn flush(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
+        self.shutdown_flush(now)
     }
 
     fn write_ticket(&self) -> Ticket {

@@ -26,7 +26,7 @@ impl Icash {
         if self.volatile.ios_since_flush >= self.cfg.flush_interval
             || self.volatile.dirty_bytes >= self.cfg.flush_dirty_bytes
         {
-            self.flush_dirty(at, ctx);
+            self.flush_dirty(at);
         }
         if self.volatile.ios_since_scan >= self.cfg.scan_interval {
             self.volatile.ios_since_scan = 0;
@@ -53,9 +53,9 @@ impl Icash {
     /// controller. Above 1 the trigger only *stages* the encoded deltas;
     /// every `depth`-th staged trigger drains the whole buffer into one
     /// sequential multi-entry append ([`Icash::commit_staged`]).
-    pub(crate) fn flush_dirty(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
+    pub(crate) fn flush_dirty(&mut self, now: Ns) -> Ns {
         if self.cfg.group_commit_depth <= 1 {
-            return self.commit_now(now, ctx);
+            return self.commit_now(now);
         }
         self.volatile.ios_since_flush = 0;
         self.stage_dirty(now);
@@ -70,9 +70,9 @@ impl Icash {
     /// deltas and commits everything staged, regardless of the configured
     /// depth. Used by barriers, shutdown, and the replacement policies —
     /// anywhere correctness needs "no delta is RAM-only after this".
-    pub(crate) fn flush_all(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
+    pub(crate) fn flush_all(&mut self, now: Ns) -> Ns {
         if self.cfg.group_commit_depth <= 1 {
-            return self.commit_now(now, ctx);
+            return self.commit_now(now);
         }
         self.volatile.ios_since_flush = 0;
         self.stage_dirty(now);
@@ -142,7 +142,7 @@ impl Icash {
     /// The synchronous encode → pack → flush cycle: packs every dirty delta
     /// into log blocks and writes them to the HDD in one sequential
     /// operation. Returns the write completion instant.
-    fn commit_now(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
+    fn commit_now(&mut self, now: Ns) -> Ns {
         // The watermark at entry: every write accepted so far either has a
         // dirty delta (drained here) or is already on stable media (the
         // controller never leaves accepted data merely RAM-dirty outside
@@ -277,6 +277,7 @@ impl Icash {
             .durable
             .log
             .clean(|lba, loc| expected.get(&lba) == Some(&loc));
+        self.durable.slots.log_cleaned();
         if blocks > 0 {
             let _ = self.hdd_write_retry(
                 now,
@@ -308,8 +309,8 @@ impl Icash {
     /// final group commit), and the drive's write-behind cache drains —
     /// cached log appends must reach the media before the flush reports
     /// completion. (Free without a queue: the cache is always empty.)
-    pub(crate) fn shutdown_flush(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
-        let t = self.flush_all(now, ctx);
+    pub(crate) fn shutdown_flush(&mut self, now: Ns) -> Ns {
+        let t = self.flush_all(now);
         t.max(self.durable.array.hdd_mut().flush_cache(t))
     }
 
@@ -484,25 +485,14 @@ impl Icash {
 
     /// Makes room for one whole data block. Returns false only under
     /// unrelievable pressure (e.g. a pool smaller than one block).
-    pub(crate) fn make_room_for_block(
-        &mut self,
-        protect: VbId,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) -> bool {
-        self.make_room(BLOCK_SIZE, protect, at, ctx)
+    pub(crate) fn make_room_for_block(&mut self, protect: VbId, at: Ns) -> bool {
+        self.make_room(BLOCK_SIZE, protect, at)
     }
 
     /// Makes room for a delta of `len` bytes.
-    pub(crate) fn make_room_for_delta(
-        &mut self,
-        protect: VbId,
-        len: usize,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) {
+    pub(crate) fn make_room_for_delta(&mut self, protect: VbId, len: usize, at: Ns) {
         let needed = self.volatile.pool.delta_charge(len);
-        let ok = self.make_room(needed, protect, at, ctx);
+        let ok = self.make_room(needed, protect, at);
         assert!(
             ok,
             "delta of {len} bytes cannot fit a {}-byte pool",
@@ -519,7 +509,7 @@ impl Icash {
     /// Under sustained pressure each expensive invocation frees a *batch*
     /// (an eighth of the pool) rather than a single block, so the cost of
     /// the tail walk amortises across many subsequent allocations.
-    fn make_room(&mut self, needed: usize, protect: VbId, at: Ns, ctx: &mut IoCtx<'_>) -> bool {
+    fn make_room(&mut self, needed: usize, protect: VbId, at: Ns) -> bool {
         if self.volatile.pool.available() >= needed {
             return true;
         }
@@ -560,7 +550,7 @@ impl Icash {
         // Pass B: flushing turns dirty deltas into droppable clean ones.
         // Forced full drain: under memory pressure the pipeline must not
         // hold deltas staged past the configured depth.
-        self.flush_all(at, ctx);
+        self.flush_all(at);
         for id in self.volatile.table.tail_ids(usize::MAX) {
             if self.volatile.pool.available() >= goal {
                 break;
@@ -580,7 +570,7 @@ impl Icash {
     /// Bounds the virtual-block table: evicts persisted blocks from the LRU
     /// tail once the table exceeds its limit, preserving a rebuild pointer
     /// for content that is not reachable via the home area.
-    pub(crate) fn reserve_table_slot(&mut self, at: Ns, ctx: &mut IoCtx<'_>) {
+    pub(crate) fn reserve_table_slot(&mut self, at: Ns) {
         if self.volatile.table.len() < self.volatile.max_virtual_blocks {
             return;
         }
@@ -605,7 +595,7 @@ impl Icash {
             // would lose data. Commit the pipeline first, like the dirty
             // case.
             if (vb.dirty_delta || vb.staged) && !flushed {
-                self.flush_all(at, ctx);
+                self.flush_all(at);
                 flushed = true;
             }
             let vb = self.volatile.table.get(id);

@@ -164,17 +164,20 @@ impl Icash {
         Ok(self.write_home_copy(lba, content, t))
     }
 
-    /// Gives up `id`'s SSD slot, if it holds one, because the block is moving
-    /// to delta or log placement. The block stops reading the slot now, but
-    /// the slot stays pinned until the next log commit
+    /// Gives up `id`'s SSD slot, if it holds one, because the block has
+    /// moved to delta or log placement. The block stops reading the slot
+    /// now, but the slot stays pinned until the next log commit
     /// ([`Icash::reclaim_released_slots`]): the content replacing it is a
     /// delta still in RAM, and until that is durable the slot is the copy a
-    /// crash must find.
+    /// crash must find. Call it with the replacing delta already stored —
+    /// a commit that runs first (making room for that delta) would reclaim
+    /// the slot with nothing in the log to take its place.
     pub(crate) fn release_slot(&mut self, id: VbId) {
         let vb = self.volatile.table.get_mut(id);
         if vb.ssd_slot.take().is_some() {
+            debug_assert!(vb.dirty_delta, "released before its delta is stored");
             let lba = vb.lba;
-            self.volatile.released.push(lba);
+            self.volatile.released.insert(lba);
             self.durable.slots.supersede_older(lba);
         }
     }
@@ -185,7 +188,7 @@ impl Icash {
         if let Some(id) = self.volatile.table.lookup(lba) {
             self.volatile.table.get_mut(id).ssd_slot = None;
         }
-        self.volatile.released.retain(|&l| l != lba);
+        self.volatile.released.remove(&lba);
         let freed = self
             .durable
             .slots
@@ -245,7 +248,7 @@ impl Icash {
         if let Some(id) = self.volatile.table.lookup(lba) {
             return id;
         }
-        self.reserve_table_slot(at, ctx);
+        self.reserve_table_slot(at);
         let vb = match self.volatile.evicted.remove(&lba) {
             Some(state) => self.rebuild_evicted(lba, state),
             None => {
@@ -264,13 +267,13 @@ impl Icash {
     // ------------------------------------------------------------------
 
     /// Caches `content` as `id`'s resident data block, making room first.
-    pub(crate) fn cache_data(&mut self, id: VbId, content: BlockBuf, at: Ns, ctx: &mut IoCtx<'_>) {
+    pub(crate) fn cache_data(&mut self, id: VbId, content: BlockBuf, at: Ns) {
         if self.volatile.table.get(id).data.is_some() {
             // Replace in place: the charge is already held.
             self.volatile.table.get_mut(id).data = Some(content);
             return;
         }
-        if !self.make_room_for_block(id, at, ctx) {
+        if !self.make_room_for_block(id, at) {
             return; // cache under extreme pressure: serve uncached
         }
         let charge = self.volatile.pool.alloc_block();
@@ -280,10 +283,10 @@ impl Icash {
     }
 
     /// Stores `delta` as `id`'s resident (dirty) delta, making room first.
-    pub(crate) fn store_delta(&mut self, id: VbId, delta: Delta, at: Ns, ctx: &mut IoCtx<'_>) {
+    pub(crate) fn store_delta(&mut self, id: VbId, delta: Delta, at: Ns) {
         self.drop_delta(id);
         self.unstage(id);
-        self.make_room_for_delta(id, delta.len(), at, ctx);
+        self.make_room_for_delta(id, delta.len(), at);
         let charge = self.volatile.pool.alloc_delta(delta.len());
         // Supersede any flushed copy in the log — only now: making room may
         // have cleaned the log, which keeps (and moves) the entry this
@@ -299,17 +302,11 @@ impl Icash {
     }
 
     /// Installs a delta recovered from the log: resident but *clean*.
-    pub(crate) fn install_clean_delta(
-        &mut self,
-        id: VbId,
-        delta: Delta,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) {
+    pub(crate) fn install_clean_delta(&mut self, id: VbId, delta: Delta, at: Ns) {
         if self.volatile.table.get(id).delta.is_some() {
             return;
         }
-        self.make_room_for_delta(id, delta.len(), at, ctx);
+        self.make_room_for_delta(id, delta.len(), at);
         let charge = self.volatile.pool.alloc_delta(delta.len());
         let vb = self.volatile.table.get_mut(id);
         vb.delta = Some(CachedDelta { delta, charge });

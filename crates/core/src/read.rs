@@ -29,7 +29,7 @@ impl Icash {
         let (mut t, res) = self.content_of(id, at, ctx);
         if let Ok(content) = &res {
             t += ctx.cpu.charge(CpuOp::Memcpy);
-            self.cache_data(id, content.clone(), at, ctx);
+            self.cache_data(id, content.clone(), at);
         }
         self.volatile.table.touch(id);
         self.after_io(at, ctx);
@@ -139,7 +139,7 @@ impl Icash {
                 };
                 // A written reference needs its own delta applied.
                 if has_delta || log_loc.is_some() || staged {
-                    t = match self.fetch_delta(id, t, ctx) {
+                    t = match self.fetch_delta(id, t) {
                         (t, Ok(())) => t,
                         (t, Err(e)) => return (t, Err(e)),
                     };
@@ -151,7 +151,7 @@ impl Icash {
                 }
             }
             Role::Associate => {
-                let t = match self.fetch_delta(id, at, ctx) {
+                let t = match self.fetch_delta(id, at) {
                     (t, Ok(())) => t,
                     (t, Err(e)) => return (t, Err(e)),
                 };
@@ -175,7 +175,7 @@ impl Icash {
                     (t, res)
                 } else if has_delta || log_loc.is_some() || staged {
                     // Log-resident independent: decode against zero.
-                    let t = match self.fetch_delta(id, at, ctx) {
+                    let t = match self.fetch_delta(id, at) {
                         (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
                         (t, Err(e)) => return (t, Err(e)),
                     };
@@ -331,19 +331,14 @@ impl Icash {
     /// Makes `id`'s delta resident if it is not already: from the staging
     /// buffer when the block is staged (read-your-writes, no device
     /// operation), from the HDD log otherwise.
-    fn fetch_delta(
-        &mut self,
-        id: VbId,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) -> (Ns, Result<(), IoErrorKind>) {
+    fn fetch_delta(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
         let vb = self.volatile.table.get(id);
         if vb.delta.is_some() {
             (at, Ok(()))
         } else if vb.staged {
-            self.fetch_staged_delta(id, at, ctx)
+            self.fetch_staged_delta(id, at)
         } else {
-            self.fetch_log_block(id, at, ctx)
+            self.fetch_log_block(id, at)
         }
     }
 
@@ -351,12 +346,7 @@ impl Icash {
     /// encoded-but-uncommitted delta from the staging buffer. Pure RAM —
     /// no device operation is charged and no trace event is emitted, so the
     /// read looks exactly like any other resident-delta decode.
-    fn fetch_staged_delta(
-        &mut self,
-        id: VbId,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) -> (Ns, Result<(), IoErrorKind>) {
+    fn fetch_staged_delta(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
         let lba = self.volatile.table.get(id).lba;
         let delta = match self.volatile.staging.lookup(lba) {
             Some(d) => d,
@@ -364,7 +354,7 @@ impl Icash {
         };
         // `install_clean_delta` may flush under memory pressure, which can
         // drain the staging buffer; the clone above stays valid either way.
-        self.install_clean_delta(id, delta, at, ctx);
+        self.install_clean_delta(id, delta, at);
         debug_assert!(self.volatile.table.get(id).delta.is_some());
         (at, Ok(()))
     }
@@ -374,12 +364,7 @@ impl Icash {
     /// effect). Returns the fetch completion instant; on a latent sector
     /// error the readahead narrows to just the mandatory block before the
     /// failure is reported.
-    fn fetch_log_block(
-        &mut self,
-        id: VbId,
-        at: Ns,
-        ctx: &mut IoCtx<'_>,
-    ) -> (Ns, Result<(), IoErrorKind>) {
+    fn fetch_log_block(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
         /// Packed blocks read per fetch: one seek already paid, so reading
         /// a short run amortises it over neighbouring deltas (which were
         /// packed in address order and will be wanted next).
@@ -451,7 +436,7 @@ impl Icash {
             if vb.log_loc != Some(loc) || vb.delta.is_some() {
                 continue;
             }
-            self.install_clean_delta(target, delta, at, ctx);
+            self.install_clean_delta(target, delta, at);
             if entry_lba != lba {
                 self.stats.log_prefetched_deltas += 1;
             }
@@ -473,7 +458,7 @@ impl Icash {
                 .find(|e| e.lba == lba)
                 .map(|e| e.delta.clone());
             match delta {
-                Some(delta) => self.install_clean_delta(id, delta, at, ctx),
+                Some(delta) => self.install_clean_delta(id, delta, at),
                 None => return self.metadata_error("log must hold the pointed-at delta", t),
             }
         }

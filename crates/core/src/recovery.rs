@@ -132,10 +132,13 @@ impl Icash {
         let mut dependants: HashMap<Lba, u32> = HashMap::new();
         for (lba, (loc, reference, generation)) in items {
             let pinned_gen = slots.record(lba).map(|r| r.generation);
-            if slots.superseded_at(lba).is_some_and(|g| g >= generation) {
+            if pinned_gen.is_none() && slots.superseded_at(lba).is_some_and(|g| g >= generation) {
                 // The block has since left the placement this entry belongs
                 // to (gave up the slot it decodes against, or was written
-                // home by a degraded write).
+                // home by a degraded write). While a pin is still there —
+                // released, not yet reclaimed — the pin rules below decide:
+                // the slot and the entries on top of it are the last
+                // durable version.
                 stats.stale_frames_dropped += 1;
                 continue;
             }

@@ -47,11 +47,13 @@ pub(crate) struct SlotStore {
     next_slot: u64,
     free_slots: Vec<u64>,
     next_generation: u64,
-    /// Per block, the stamp at which it last left a placement without a
-    /// newer pin or log entry saying so: it gave up its slot, or a degraded
-    /// write put it home. Log entries stamped at or below are dead — in
-    /// particular a reference's self-delta, which recovery could not tell
-    /// from a zero-based entry once the pin it decodes against is gone.
+    /// Per unpinned block, the stamp at which it last left a placement
+    /// without a newer pin or log entry saying so: it gave up its slot, or a
+    /// degraded write put it home. Log entries stamped at or below are dead
+    /// — in particular a reference's self-delta, which recovery could not
+    /// tell from a zero-based entry once the pin it decodes against is gone.
+    /// An entry lasts until the block is pinned again (the pin's own stamp
+    /// outranks it) or the log is cleaned (no dead entry is left to refuse).
     superseded: HashMap<Lba, u64>,
 }
 
@@ -79,15 +81,23 @@ impl SlotStore {
         g
     }
 
-    /// Declares every log entry written for `lba` so far dead.
+    /// Declares every log entry written for `lba` so far dead, from the
+    /// moment `lba` owns no slot.
     pub fn supersede_older(&mut self, lba: Lba) {
         let g = self.stamp();
         self.superseded.insert(lba, g);
     }
 
-    /// The stamp at or below which `lba`'s log entries are dead, if any.
+    /// The stamp at or below which unpinned `lba`'s log entries are dead,
+    /// if any.
     pub fn superseded_at(&self, lba: Lba) -> Option<u64> {
         self.superseded.get(&lba).copied()
+    }
+
+    /// The log was just compacted to its live entries: there is nothing
+    /// older left for a superseded stamp to refuse.
+    pub fn log_cleaned(&mut self) {
+        self.superseded.clear();
     }
 
     /// Hands out a free slot, most recently freed first.
@@ -121,6 +131,7 @@ impl SlotStore {
         self.content.insert(slot, content);
         let generation = self.stamp();
         self.dir.insert(lba, SlotRecord { slot, generation });
+        self.superseded.remove(&lba);
     }
 
     /// Unpins `lba`'s slot and frees it. Returns the slot, or `None` if

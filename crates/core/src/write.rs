@@ -54,7 +54,7 @@ impl Icash {
                 let delta = self.encode_against(at, lba, RefSource::Slot(s), &content);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
                 if delta.len() <= self.cfg.delta_threshold || dependants > 0 {
-                    self.store_delta(id, delta, at, ctx);
+                    self.store_delta(id, delta, at);
                     self.stats.delta_writes += 1;
                 } else {
                     // No dependants and nothing similar left: retire the
@@ -94,7 +94,7 @@ impl Icash {
                 let delta = self.encode_against(at, lba, RefSource::Slot(rslot), &content);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
                 if delta.len() <= self.cfg.delta_threshold {
-                    self.store_delta(id, delta, at, ctx);
+                    self.store_delta(id, delta, at);
                     self.stats.delta_writes += 1;
                 } else {
                     // Content diverged from the reference: unbind and write
@@ -130,7 +130,7 @@ impl Icash {
         if self.volatile.table.get(id).role != Role::Reference {
             self.volatile.table.get_mut(id).sig = sig;
         }
-        self.cache_data(id, content, at, ctx);
+        self.cache_data(id, content, at);
         self.volatile.table.touch(id);
         self.after_io(at, ctx);
         // Reserve the write's flush ticket last: a flush triggered inside
@@ -144,16 +144,18 @@ impl Icash {
     /// sequential HDD log (the paper's log-of-deltas covers *all* writes;
     /// blocks without a useful reference simply encode against zero).
     fn write_as_independent(&mut self, id: VbId, content: &BlockBuf, at: Ns, ctx: &mut IoCtx<'_>) {
-        // The log entry is the block's placement from here on; a slot kept
-        // alongside it would go on serving the previous version.
-        self.release_slot(id);
         self.volatile.table.set_role(id, Role::Independent);
         let vb = self.volatile.table.get_mut(id);
         vb.reference = None;
         let lba = vb.lba;
         let delta = self.encode_against(at, lba, RefSource::Zero, content);
         ctx.cpu.charge(CpuOp::DeltaEncode);
-        self.store_delta(id, delta, at, ctx);
+        self.store_delta(id, delta, at);
+        // The log entry is the block's placement from here on; a slot kept
+        // alongside it would go on serving the previous version. (Released
+        // only once the delta is stored: making room for it can commit the
+        // log, and a commit reclaims released slots.)
+        self.release_slot(id);
         self.stats.independent_writes += 1;
     }
 
@@ -225,7 +227,7 @@ impl Icash {
             let delta = self.encode_against(at, lba, RefSource::Slot(rslot), content);
             ctx.cpu.charge(CpuOp::DeltaEncode);
             if delta.len() <= self.cfg.delta_threshold {
-                self.bind(id, cand, delta, at, ctx);
+                self.bind(id, cand, delta, at);
                 self.note_probe(at, lba, probed, true);
                 return true;
             }
@@ -247,12 +249,8 @@ impl Icash {
     }
 
     /// Binds `id` as an associate of `reference` with `delta`.
-    fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns, ctx: &mut IoCtx<'_>) {
-        // Release any previous pairing, and any slot: an associate lives in
-        // reference + delta; a slot kept alongside would leak, and recovery
-        // would rank its pin above the deltas.
+    fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns) {
         self.unbind(id);
-        self.release_slot(id);
         let rid = self
             .volatile
             .table
@@ -261,7 +259,12 @@ impl Icash {
         self.volatile.table.get_mut(rid).dependants += 1;
         self.volatile.table.set_role(id, Role::Associate);
         self.volatile.table.get_mut(id).reference = Some(reference);
-        self.store_delta(id, delta, at, ctx);
+        self.store_delta(id, delta, at);
+        // An associate lives in reference + delta: a slot kept alongside
+        // would leak, and recovery would rank its pin above the deltas.
+        // (Released only once the delta is stored, as in
+        // `write_as_independent`.)
+        self.release_slot(id);
         self.stats.binds += 1;
     }
 
@@ -309,7 +312,7 @@ impl Icash {
                     .expect("reference without slot");
                 let delta = self.encode_against(req.at, lba, RefSource::Slot(slot), buf);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
-                self.store_delta(id, delta, req.at, ctx);
+                self.store_delta(id, delta, req.at);
                 self.stats.delta_writes += 1;
             } else if self.try_bind(id, buf, &sig, req.at, ctx) {
                 self.stats.delta_writes += 1;

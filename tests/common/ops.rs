@@ -5,25 +5,16 @@
 //! and multi-block spans (which take the streaming write path), so blocks
 //! move between slot, delta, log and home in every order.
 
-// Each suite that includes this file uses its own subset of it.
-#![allow(dead_code)]
+#[path = "content.rs"]
+mod content;
 
+pub use content::{block_for, Family};
 use icash::storage::request::Completion;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem};
 use proptest::prelude::*;
 
 /// Block address space of the generated histories.
 pub const SPAN: u64 = 64;
-
-/// What a written block holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
-    /// One shared base with a small per-tag tweak: binds to a reference.
-    Similar,
-    /// Incompressible bytes with nothing in common with any other block:
-    /// overflows every delta threshold.
-    Noise,
-}
 
 #[derive(Debug, Clone)]
 pub enum SysOp {
@@ -91,27 +82,6 @@ pub fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
         ],
         1..200,
     )
-}
-
-/// The content version `tag` of block `lba` in `family`. Every (lba, tag,
-/// family) is distinguishable from every other, so a stale or spliced read
-/// can never pass for the current version.
-pub fn block_for(lba: u64, tag: u8, family: Family) -> BlockBuf {
-    let mut v = vec![0xA7u8; 4096];
-    if family == Family::Noise {
-        let mut state = (lba << 16 | u64::from(tag) << 1 | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for byte in &mut v {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *byte = state as u8;
-        }
-    }
-    v[3] = tag;
-    v[8..16].copy_from_slice(&lba.to_le_bytes());
-    v[1500] = tag.wrapping_mul(3);
-    v[3000] = tag.wrapping_add(101);
-    BlockBuf::from_vec(v)
 }
 
 impl SysOp {

@@ -4,14 +4,14 @@
 //! re-binding it — must stop being served from the slot, must free it, and
 //! must not let recovery rank the old pin above its newer log entries.
 
-#[path = "common/ops.rs"]
-mod ops;
+#[path = "common/content.rs"]
+mod content;
 
+use content::{block_for, Family};
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
-use ops::{block_for, Family};
 
 fn config() -> IcashConfig {
     IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
@@ -130,6 +130,13 @@ impl Rig {
     }
 }
 
+/// `blocks` consecutive blocks from `lba`, version `tag` of `family`.
+fn span_of(lba: u64, blocks: u64, tag: u8, family: Family) -> Vec<BlockBuf> {
+    (lba..lba + blocks)
+        .map(|l| block_for(l, tag, family))
+        .collect()
+}
+
 #[test]
 fn span_write_over_slot_resident_blocks_reads_back_the_new_version() {
     let mut rig = Rig::warmed(Icash::new(config()));
@@ -246,6 +253,131 @@ fn barrier_covered_slot_content_survives_a_crash_mid_transition() {
         );
     }
     rig.sys.debug_validate();
+}
+
+/// The same, with the commit running *inside* the transition: the RAM pool
+/// is a few blocks and the flush interval out of reach, so the flush that
+/// commits the log is the one `store_delta` runs to make room for the very
+/// delta that replaces the slot. That commit cannot contain the delta, so it
+/// must not reclaim the slot either. A noise span takes the blocks through
+/// `write_as_independent`, a similar span through `bind`; the filler spans
+/// park dirty deltas in the pool, a few more bytes at each level, so the
+/// flush lands on every block of the span in turn.
+#[test]
+fn a_flush_inside_the_transition_does_not_reclaim_the_slot_it_is_replacing() {
+    for family in [Family::Noise, Family::Similar] {
+        let mut flushed_inside = 0;
+        for filler in (0..=48).filter(|&n| n == 0 || n >= 8) {
+            let cfg = IcashConfig::builder(1 << 20, 64 << 10, 4 << 20)
+                .scan_interval(40)
+                .scan_window(64)
+                .flush_interval(1_000_000)
+                .log_blocks(1 << 14)
+                .build();
+            let mut rig = Rig::warmed(Icash::new(cfg));
+            assert!(rig.scatter_noise(24, 100) >= 12);
+            rig.sync();
+            if filler > 0 {
+                rig.write_span(100, span_of(100, 15, 50, Family::Noise));
+                rig.write_span(200, span_of(200, filler, 51, Family::Similar));
+            }
+            // (Blocks 0 and 1 are the references the warm-up promoted; a
+            // reference keeps its slot.)
+            let before = rig.sys.stats();
+            let fresh = span_of(2, 22, 101, family);
+            rig.write_span(2, fresh.clone());
+            let after = rig.sys.stats();
+            if family == Family::Similar {
+                assert!(after.binds - before.binds >= 12, "similar spans bind");
+            }
+            flushed_inside += after.flushes - before.flushes;
+            rig.sys.debug_validate();
+            let mut rig = rig.crash();
+            for (lba, new) in (2..).zip(&fresh) {
+                let got = rig.read(lba);
+                assert!(
+                    got == *new || got == block_for(lba, 100, Family::Noise),
+                    "{family:?}, filler {filler}: lba {lba} rolled back behind its barrier"
+                );
+            }
+        }
+        assert!(
+            flushed_inside > 0,
+            "{family:?}: no span flushed under pool pressure"
+        );
+    }
+}
+
+/// A released slot stays pinned until the next commit, and until then the
+/// pin *and the entries logged on top of it* are the block's last durable
+/// version. Here a reference with a barrier-covered self-delta is rewritten
+/// with dissimilar content on an SSD that has just died (no health policy,
+/// so nothing declares it failed): the in-place rewrite is refused, the
+/// write falls back to the log and releases the slot, and the crash comes
+/// before that delta commits. Recovery must find slot + self-delta, not the
+/// bare slot.
+#[test]
+fn a_released_reference_keeps_its_logged_self_delta_until_the_commit() {
+    let run = |dies_at: u64| -> Option<(BlockBuf, BlockBuf)> {
+        let mut rig = Rig {
+            sys: Icash::new(config()).with_fault_plan(FaultPlan::seeded(7).ssd_dies_at(dies_at)),
+            cpu: CpuModel::xeon(),
+            now: Ns::ZERO,
+        };
+        let submit = |rig: &mut Rig, req: Request| {
+            let backing = ZeroSource;
+            let mut ctx = IoCtx::verifying(&backing, &mut rig.cpu);
+            let done = rig.sys.submit(&req, &mut ctx);
+            rig.now = done.finished;
+            done.errors.is_empty()
+        };
+        let mut clean = true;
+        for round in 0..3u8 {
+            for lba in 0..64 {
+                let w = Request::write(
+                    Lba::new(lba),
+                    rig.now,
+                    block_for(lba, round, Family::Similar),
+                );
+                clean &= submit(&mut rig, w);
+            }
+        }
+        // Block 60: noise goes to a slot, reads make it popular, a scan
+        // promotes it — a reference nobody binds to.
+        let slot_version = block_for(60, 9, Family::Noise);
+        let w = Request::write(Lba::new(60), rig.now, slot_version.clone());
+        clean &= submit(&mut rig, w);
+        for _ in 0..80 {
+            let r = Request::read(Lba::new(60), rig.now);
+            clean &= submit(&mut rig, r);
+        }
+        // A small change: the reference's own delta, then a barrier.
+        let mut bytes = slot_version.as_slice().to_vec();
+        bytes[100] ^= 0x5A;
+        let covered = BlockBuf::from_vec(bytes);
+        let w = Request::write(Lba::new(60), rig.now, covered.clone());
+        clean &= submit(&mut rig, w);
+        rig.sync();
+        if !clean {
+            return None; // died too early: the history above must be whole
+        }
+        let before = rig.sys.stats();
+        let w = Request::write(Lba::new(60), rig.now, block_for(60, 10, Family::Noise));
+        submit(&mut rig, w);
+        let after = rig.sys.stats();
+        if after.degraded_writes == before.degraded_writes
+            || after.independent_writes == before.independent_writes
+        {
+            return None; // still alive: the rewrite went in place
+        }
+        let mut rig = rig.crash();
+        rig.sys.replace_ssd(rig.now);
+        Some((rig.read(60), covered))
+    };
+    let (got, covered) = (1..400)
+        .find_map(run)
+        .expect("no death point refused the in-place rewrite");
+    assert!(got == covered, "rolled back behind its barrier");
 }
 
 /// A degraded write is a synchronous home write: durable when it returns.
