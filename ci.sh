@@ -7,7 +7,7 @@
 # .github/workflows/ci.yml.
 set -euo pipefail
 cd "$(dirname "$0")"
-STAGES="golden faults trace pipeline scale queue chaos scenarios bench"
+STAGES="golden fingerprints faults trace pipeline scale queue chaos scenarios bench"
 
 step() { echo "==> $*"; }
 run() { step "$*" && "$@"; }                     # announce a command, run it
@@ -48,6 +48,20 @@ golden)
   golden unset
   golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_FLUSH_TICKET=0 ICASH_SHARDS=1 \
     ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0 ICASH_QUEUE_TREND_ASSERT=0
+  ;;
+fingerprints)
+  # "Sim unmoved" in one command. The repo benchmark's sim.fingerprint hashes
+  # every simulated value of a workload's run, so a host-speed change must
+  # leave all of these where they are (benchmark/baseline/ is for host
+  # numbers and may lag; this file may not). No tracked file under
+  # benchmark/ is written: results go to target/.
+  step "sim.fingerprint per (seed, benchmark workload) vs ci/golden/bench_fingerprints.txt"
+  while read -r seed workload _; do
+    benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 0 --trace 0 \
+      --out target/fingerprints |
+      awk -v id="$seed $workload" '$1 == "sim.fingerprint" { print id, $2 }'
+  done < ci/golden/bench_fingerprints.txt > target/bench_fingerprints.txt
+  diff target/bench_fingerprints.txt ci/golden/bench_fingerprints.txt
   ;;
 faults)
   run cargo run -q --release -p icash-bench --bin run_faults # zero silent corruption, fixed seeds

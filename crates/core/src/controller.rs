@@ -30,7 +30,7 @@ use crate::segment::SegmentPool;
 use crate::slots::SlotStore;
 use crate::staging::Staging;
 use crate::stats::IcashStats;
-use crate::table::BlockTable;
+use crate::table::{BlockTable, Resident};
 use crate::virtual_block::{Role, VirtualBlock};
 use crate::write::STREAM_WRITE_BLOCKS;
 use icash_delta::codec::DeltaCodec;
@@ -219,8 +219,9 @@ impl Icash {
     ///
     /// # Panics
     ///
-    /// Panics if the virtual-block table is corrupted, or a block's
-    /// placement or a slot's ownership is ambiguous.
+    /// Panics if the virtual-block table is corrupted, a block's placement
+    /// or a slot's ownership is ambiguous, or the residency index or the
+    /// pool disagree with what the blocks hold.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         self.volatile.table.validate();
@@ -240,8 +241,19 @@ impl Icash {
         // the next log commit.
         self.durable.slots.validate();
         let mut owners: Vec<(Lba, u64)> = Vec::new();
+        let mut charged = 0;
         for id in self.volatile.table.head_ids(usize::MAX) {
             let vb = self.volatile.table.get(id);
+            // The residency index files exactly the blocks that hold RAM,
+            // and nothing else is charged to the pool.
+            for (class, held) in [
+                (Resident::Data, vb.data.is_some()),
+                (Resident::Delta, vb.delta.is_some()),
+            ] {
+                let filed = self.volatile.table.is_resident(id, class);
+                assert_eq!(filed, held, "{:?}: {class:?} index is wrong", vb.lba);
+            }
+            charged += vb.data_charge + vb.delta.as_ref().map_or(0, |d| d.charge);
             let has_delta = vb.delta.is_some() || vb.log_loc.is_some() || vb.staged;
             match vb.role {
                 Role::Reference => assert!(vb.ssd_slot.is_some(), "{:?}: no slot", vb.lba),
@@ -262,6 +274,11 @@ impl Icash {
         for &lba in &self.volatile.released {
             owners.extend(self.durable.slots.record(lba).map(|r| (lba, r.slot)));
         }
+        assert_eq!(
+            charged,
+            self.volatile.pool.used(),
+            "pool bytes with no holder"
+        );
         owners.sort_by_key(|&(lba, _)| lba.raw());
         assert_eq!(
             owners,

@@ -5,7 +5,7 @@
 use crate::controller::Icash;
 use crate::delta_log::LogEntry;
 use crate::placement::EvictedState;
-use crate::table::VbId;
+use crate::table::{Resident, VbId};
 use crate::virtual_block::Role;
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
@@ -507,8 +507,10 @@ impl Icash {
     /// delta, so cached data is never the only copy.)
     ///
     /// Under sustained pressure each expensive invocation frees a *batch*
-    /// (an eighth of the pool) rather than a single block, so the cost of
-    /// the tail walk amortises across many subsequent allocations.
+    /// (an eighth of the pool) rather than a single block, so its cost
+    /// amortises across many subsequent allocations. Passes A1 and A2 ask
+    /// the table's residency index for their victims — LRU order, holders
+    /// only — so they cost O(victims · log n), not a table walk.
     fn make_room(&mut self, needed: usize, protect: VbId, at: Ns) -> bool {
         if self.volatile.pool.available() >= needed {
             return true;
@@ -517,54 +519,54 @@ impl Icash {
 
         // Pass A1: data blocks first — they are 4 KB each and cheap to
         // reconstruct (reference + resident delta), while a delta costs a
-        // mechanical log fetch to get back.
-        for id in self.volatile.table.tail_ids(usize::MAX) {
-            if self.volatile.pool.available() >= goal {
-                return true;
-            }
-            if id == protect {
-                continue;
-            }
-            self.drop_data(id);
-        }
-        // Pass A2: only if data alone was not enough, drop clean logged
-        // deltas.
-        for id in self.volatile.table.tail_ids(usize::MAX) {
-            if self.volatile.pool.available() >= goal {
-                return true;
-            }
-            if id == protect {
-                continue;
-            }
-            let vb = self.volatile.table.get(id);
-            // A staged block's delta is recoverable from the staging buffer
-            // (RAM, no device op), so it is as droppable as a logged one.
-            if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
-                self.drop_delta(id);
-            }
-        }
+        // mechanical log fetch to get back. Pass A2: only if data alone was
+        // not enough, clean logged deltas.
+        self.drop_residents(Resident::Data, goal, protect);
+        self.drop_residents(Resident::Delta, goal, protect);
         if self.volatile.pool.available() >= needed {
             return true;
         }
 
         // Pass B: flushing turns dirty deltas into droppable clean ones.
         // Forced full drain: under memory pressure the pipeline must not
-        // hold deltas staged past the configured depth.
+        // hold deltas staged past the configured depth. Both classes go in
+        // one sweep, so this one walks the list itself; it is the rare rung.
         self.flush_all(at);
-        for id in self.volatile.table.tail_ids(usize::MAX) {
-            if self.volatile.pool.available() >= goal {
-                break;
+        let mut next = self.volatile.table.newer(None);
+        while let Some(id) = next.filter(|_| self.volatile.pool.available() < goal) {
+            next = self.volatile.table.newer(Some(id));
+            if id != protect {
+                self.drop_clean_delta(id);
+                self.drop_data(id);
             }
-            if id == protect {
-                continue;
-            }
-            let vb = self.volatile.table.get(id);
-            if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
-                self.drop_delta(id);
-            }
-            self.drop_data(id);
         }
         self.volatile.pool.available() >= needed
+    }
+
+    /// One rung of the ladder: drops what `class` holders can give up, in
+    /// LRU order and sparing `protect`, until `goal` bytes are free.
+    fn drop_residents(&mut self, class: Resident, goal: usize, protect: VbId) {
+        let mut last = None;
+        while self.volatile.pool.available() < goal {
+            last = self.volatile.table.next_resident(class, last);
+            match last {
+                None => break,
+                Some(id) if id == protect => {}
+                Some(id) => match class {
+                    Resident::Data => self.drop_data(id),
+                    Resident::Delta => self.drop_clean_delta(id),
+                },
+            }
+        }
+    }
+
+    /// Drops `id`'s resident delta if the log (or the staging buffer: RAM,
+    /// no device op) can give it back.
+    fn drop_clean_delta(&mut self, id: VbId) {
+        let vb = self.volatile.table.get(id);
+        if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
+            self.drop_delta(id);
+        }
     }
 
     /// Bounds the virtual-block table: evicts persisted blocks from the LRU
@@ -576,11 +578,13 @@ impl Icash {
         }
         let mut evicted = 0usize;
         let mut flushed = false;
-        let candidates = self.volatile.table.tail_ids(8_192);
-        for id in candidates {
-            if evicted >= 64 {
+        let mut next = self.volatile.table.newer(None);
+        for _ in 0..8_192 {
+            let Some(id) = next.filter(|_| evicted < 64) else {
                 break;
-            }
+            };
+            // (before `id` can leave the table)
+            next = self.volatile.table.newer(Some(id));
             let vb = self.volatile.table.get(id);
             if !vb.evictable() {
                 continue;
@@ -633,5 +637,87 @@ impl Icash {
             }
             evicted += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::IcashConfig;
+    use icash_storage::block::BlockBuf;
+    use icash_storage::cpu::CpuModel;
+    use icash_storage::request::Request;
+    use icash_storage::system::{StorageSystem, ZeroSource};
+
+    /// A few hundred bytes of noise in a zero block: logged as a zero-based
+    /// delta small enough that nine share one log block.
+    fn sparse(lba: u64) -> BlockBuf {
+        let mut bytes = vec![0u8; BLOCK_SIZE];
+        let mut state = (lba + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for byte in &mut bytes[..400] {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = state as u8;
+        }
+        BlockBuf::from_vec(bytes)
+    }
+
+    /// Log read-ahead hands siblings a clean delta without touching them.
+    /// The ladder must still drop each at its own LRU position — not where
+    /// a list ordered by *gain* would put it — and must step over the
+    /// protected block without stalling or dropping it.
+    #[test]
+    fn deltas_gained_without_a_touch_are_dropped_in_lru_order() {
+        let cfg = IcashConfig::builder(1 << 20, 64 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::new(&backing, &mut cpu);
+        let read = |sys: &mut Icash, ctx: &mut IoCtx<'_>, lba| {
+            let done = sys.submit(&Request::read(Lba::new(lba), Ns::ZERO), ctx);
+            assert!(done.errors.is_empty());
+        };
+        let span = Request::write_span(Lba::new(0), Ns::ZERO, (0..9).map(sparse).collect());
+        sys.submit(&span, &mut ctx);
+        sys.flush_all(Ns::ZERO);
+        let ids: Vec<VbId> = (0..9)
+            .map(|lba| sys.volatile.table.lookup(Lba::new(lba)).expect("tracked"))
+            .collect();
+        // Recency, oldest first: 0 1 3 4 5 7 8 2 6.
+        read(&mut sys, &mut ctx, 2);
+        ids.iter().for_each(|&id| sys.drop_delta(id));
+        read(&mut sys, &mut ctx, 6);
+        assert_eq!(sys.stats.log_prefetched_deltas, 8, "one fetch, nine deltas");
+
+        // Asking for one byte more than is free evicts exactly one victim.
+        let holders = |sys: &Icash, data: bool| -> Vec<usize> {
+            let holds = |&lba: &usize| {
+                let vb = sys.volatile.table.get(ids[lba]);
+                if data {
+                    vb.data.is_some()
+                } else {
+                    vb.delta.is_some()
+                }
+            };
+            (0..9).filter(holds).collect()
+        };
+        let mut victims: Vec<usize> = Vec::new();
+        for _ in 0..10 {
+            let before = (holders(&sys, true), holders(&sys, false));
+            let needed = sys.volatile.pool.available() + 1;
+            assert!(sys.make_room(needed, ids[1], Ns::ZERO));
+            let after = (holders(&sys, true), holders(&sys, false));
+            victims.extend(before.0.iter().filter(|l| !after.0.contains(l)));
+            victims.extend(before.1.iter().filter(|l| !after.1.contains(l)));
+            sys.debug_validate();
+        }
+        // Data first (the two blocks that were read), then deltas; block 1
+        // is protected and block 2 goes where its last touch put it.
+        assert_eq!(victims, [2, 6, 0, 3, 4, 5, 7, 8, 2, 6]);
+        assert_eq!(holders(&sys, false), [1], "protect stays resident");
     }
 }

@@ -10,7 +10,7 @@
 //! at one call site.
 
 use crate::controller::Icash;
-use crate::table::VbId;
+use crate::table::{Resident, VbId};
 use crate::virtual_block::{CachedDelta, Role, VirtualBlock};
 use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
@@ -280,6 +280,7 @@ impl Icash {
         let vb = self.volatile.table.get_mut(id);
         vb.data = Some(content);
         vb.data_charge = charge;
+        self.volatile.table.set_resident(id, Resident::Data, true);
     }
 
     /// Stores `delta` as `id`'s resident (dirty) delta, making room first.
@@ -297,6 +298,7 @@ impl Icash {
         let vb = self.volatile.table.get_mut(id);
         vb.delta = Some(CachedDelta { delta, charge });
         vb.dirty_delta = true;
+        self.volatile.table.set_resident(id, Resident::Delta, true);
         self.volatile.dirty.insert(id.index());
         self.volatile.dirty_bytes += charge;
     }
@@ -311,6 +313,7 @@ impl Icash {
         let vb = self.volatile.table.get_mut(id);
         vb.delta = Some(CachedDelta { delta, charge });
         vb.dirty_delta = false;
+        self.volatile.table.set_resident(id, Resident::Delta, true);
     }
 
     /// Releases `id`'s resident delta, if any.
@@ -320,6 +323,7 @@ impl Icash {
             return;
         };
         let was_dirty = std::mem::take(&mut vb.dirty_delta);
+        self.volatile.table.set_resident(id, Resident::Delta, false);
         self.volatile.pool.free(cached.charge);
         if was_dirty {
             self.volatile.dirty.remove(&id.index());
@@ -343,6 +347,7 @@ impl Icash {
         let vb = self.volatile.table.get_mut(id);
         if vb.data.take().is_some() {
             let charge = std::mem::take(&mut vb.data_charge);
+            self.volatile.table.set_resident(id, Resident::Data, false);
             self.volatile.pool.free(charge);
         }
     }

@@ -409,7 +409,16 @@ impl Icash {
                     .map(move |e| (l, e.lba, e.delta.clone()))
             })
             .collect();
+        let cleans = self.stats.log_cleans;
         for (loc, entry_lba, delta) in entries {
+            // Installing can flush, and flushing can clean the log, which
+            // renumbers every location: from then on a superseded entry of
+            // the snapshot can match its block's *new* location and install
+            // an old delta as current. Only the optional prefetches are
+            // lost by stopping.
+            if self.stats.log_cleans != cleans {
+                break;
+            }
             // Materialise evicted siblings whose current delta lives in
             // this very block — the whole point of packing: one mechanical
             // read must service every I/O it covers (paper §3.1).
@@ -430,9 +439,6 @@ impl Icash {
             };
             let vb = self.volatile.table.get(target);
             // Only install when this log block holds the *current* delta.
-            // (Installing can flush, and flushing can clean the log and
-            // remap locations — this check goes stale then, which only
-            // costs us the optional prefetches.)
             if vb.log_loc != Some(loc) || vb.delta.is_some() {
                 continue;
             }

@@ -1,13 +1,35 @@
-//! The virtual-block table: slab + address map + LRU.
+//! The virtual-block table: slab + address map + LRU + residency index.
 //!
 //! Owns every [`VirtualBlock`] the controller tracks, addressable by LBA in
 //! O(1), ordered by recency for the scanner (head) and the replacement
-//! policies (tail).
+//! policies (tail) — which only want the few blocks that hold RAM, so those
+//! are indexed by class, in LRU order ([`BlockTable::next_resident`]).
 
 use crate::lru::LruList;
 use crate::virtual_block::{Role, VirtualBlock};
 use icash_storage::block::Lba;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
+
+/// What a tracked block can hold in the RAM pool; one residency set each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resident {
+    /// A cached full data block ([`VirtualBlock::data`]).
+    Data,
+    /// A cached delta ([`VirtualBlock::delta`]), dirty or clean.
+    Delta,
+}
+
+/// Per-slab-slot recency bookkeeping behind the residency index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recency {
+    /// Value of the table clock at the block's last insert/touch: ascending
+    /// stamps are exactly the LRU's tail → head order.
+    stamp: u64,
+    /// Per [`Resident`] class, the stamp the block is filed under in the
+    /// residency set (0: not a member). Never above `stamp`.
+    filed: [u64; 2],
+}
 
 /// Stable handle to a virtual block in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +77,14 @@ pub struct BlockTable {
     /// `Icash::stats` never walks the table. Cross-checked against a full
     /// scan by [`validate`](Self::validate).
     role_counts: (u64, u64, u64),
+    /// Ticks at every insert/touch; see [`Recency::stamp`].
+    clock: u64,
+    recency: Vec<Recency>,
+    /// Per [`Resident`] class, filed stamp (unique: the clock hands none
+    /// out twice) → slab index of every holder. A touch moves the block's
+    /// stamp but not its entry, so an entry may be filed *too early*, never
+    /// too late; [`next_resident`](Self::next_resident) re-files those.
+    resident: [BTreeMap<u64, usize>; 2],
 }
 
 impl BlockTable {
@@ -93,12 +123,14 @@ impl BlockTable {
             }
             None => {
                 self.slots.push(Some(vb));
+                self.recency.push(Recency::default());
                 self.slots.len() - 1
             }
         };
         self.by_lba.insert(lba, idx);
         self.lru.grow_to(self.slots.len());
         self.lru.push_front(idx);
+        self.stamp(idx);
         VbId(idx)
     }
 
@@ -133,6 +165,12 @@ impl BlockTable {
     pub fn touch(&mut self, id: VbId) {
         assert!(self.slots[id.0].is_some(), "stale VbId");
         self.lru.touch(id.0);
+        self.stamp(id.0);
+    }
+
+    fn stamp(&mut self, idx: usize) {
+        self.clock += 1;
+        self.recency[idx].stamp = self.clock;
     }
 
     /// Removes a block and returns it.
@@ -141,6 +179,8 @@ impl BlockTable {
     ///
     /// Panics if the handle is stale.
     pub fn remove(&mut self, id: VbId) -> VirtualBlock {
+        self.set_resident(id, Resident::Data, false);
+        self.set_resident(id, Resident::Delta, false);
         let vb = self.slots[id.0].take().expect("stale VbId");
         *self.count_mut(vb.role) -= 1;
         self.by_lba.remove(&vb.lba);
@@ -189,10 +229,68 @@ impl BlockTable {
         self.lru.iter_front().take(cap).map(VbId).collect()
     }
 
-    /// Handles from least recently used to most, up to `limit`.
-    pub fn tail_ids(&self, limit: usize) -> Vec<VbId> {
-        let cap = limit.min(self.lru.len());
-        self.lru.iter_tail().take(cap).map(VbId).collect()
+    /// The block one step more recently used than `after` (`None`: the
+    /// least recently used of all): a tail → head cursor. Step past a block
+    /// before removing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale.
+    pub fn newer(&self, after: Option<VbId>) -> Option<VbId> {
+        after
+            .map_or(self.lru.tail(), |id| self.lru.newer(id.0))
+            .map(VbId)
+    }
+
+    /// Records that `id` now holds (`on`) or no longer holds a `class`
+    /// allocation. Leaves the block's recency alone; a no-op if the index
+    /// already says so.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale.
+    pub fn set_resident(&mut self, id: VbId, class: Resident, on: bool) {
+        assert!(self.slots[id.0].is_some(), "stale VbId");
+        let Recency { stamp, filed } = &mut self.recency[id.0];
+        let filed = &mut filed[class as usize];
+        if on && *filed == 0 {
+            *filed = *stamp;
+            self.resident[class as usize].insert(*stamp, id.0);
+        } else if !on && *filed != 0 {
+            self.resident[class as usize].remove(filed);
+            *filed = 0;
+        }
+    }
+
+    /// Whether the index has `id` down as holding `class`.
+    pub fn is_resident(&self, id: VbId, class: Resident) -> bool {
+        self.recency[id.0].filed[class as usize] != 0
+    }
+
+    /// The least recently used block holding `class` among those more
+    /// recently used than `after` (`None`: among all) — so feeding each
+    /// answer back in enumerates the holders in the LRU's tail → head
+    /// order, whether or not the caller drops them on the way. A walk
+    /// starts at `None` and passes each answer back with no `touch` in
+    /// between: entries below `after` are taken as already met.
+    pub fn next_resident(&mut self, class: Resident, after: Option<VbId>) -> Option<VbId> {
+        let set = &mut self.resident[class as usize];
+        let mut from = after.map_or(0, |id| self.recency[id.0].stamp);
+        loop {
+            let (&filed, &idx) = set
+                .range((Bound::Excluded(from), Bound::Unbounded))
+                .next()?;
+            let stamp = self.recency[idx].stamp;
+            if filed == stamp {
+                return Some(VbId(idx));
+            }
+            // Touched since it was filed: it belongs further up. Every
+            // member really at or below `filed` has been met by now.
+            set.remove(&filed);
+            set.insert(stamp, idx);
+            self.recency[idx].filed[class as usize] = stamp;
+            from = filed;
+        }
     }
 
     /// Asserts internal consistency (tests/debugging).
@@ -223,6 +321,20 @@ impl BlockTable {
             self.role_counts, scanned,
             "incremental role counts diverged from the table contents"
         );
+        // Stamps order the blocks as the list does, and each residency set
+        // holds exactly the filed keys, none filed late.
+        let stamps = self.lru.iter_front().map(|i| self.recency[i].stamp);
+        assert!(stamps.is_sorted_by(|a, b| a > b), "stamps out of LRU order");
+        for (class, set) in self.resident.iter().enumerate() {
+            let filed = |i: usize| self.recency[i].filed[class];
+            let members = (0..self.slots.len()).filter(|&i| filed(i) != 0).count();
+            assert_eq!(members, set.len(), "residency set size mismatch");
+            for (&key, &idx) in set {
+                assert!(self.slots[idx].is_some(), "residency entry for a free slot");
+                assert_eq!(key, filed(idx), "residency entry under the wrong key");
+                assert!(key <= self.recency[idx].stamp, "residency entry filed late");
+            }
+        }
     }
 }
 
@@ -272,13 +384,9 @@ mod tests {
             .map(|id| t.get(id).lba.raw())
             .collect();
         assert_eq!(head, vec![1, 3, 2]);
-        let tail: Vec<u64> = t
-            .tail_ids(2)
-            .into_iter()
-            .map(|id| t.get(id).lba.raw())
-            .collect();
-        assert_eq!(tail, vec![2, 3]);
-        let _ = (b, c);
+        assert_eq!(t.newer(None), Some(b));
+        assert_eq!(t.newer(Some(b)), Some(c));
+        assert_eq!(t.newer(Some(a)), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use icash_core::delta_log::{DeltaLog, LogEntry};
 use icash_core::lru::LruList;
 use icash_core::segment::SegmentPool;
-use icash_core::table::BlockTable;
+use icash_core::table::{BlockTable, Resident};
 use icash_core::virtual_block::VirtualBlock;
 use icash_delta::codec::DeltaCodec;
 use icash_delta::signature::BlockSignature;
@@ -104,6 +104,81 @@ proptest! {
                 let id = table.lookup(Lba::new(l)).expect("present lba must resolve");
                 prop_assert_eq!(table.get(id).lba, Lba::new(l));
             }
+        }
+    }
+
+    /// The residency index enumerates each class's holders exactly as a
+    /// full LRU walk filtered by who holds what would — through touches of
+    /// filed blocks, gains on blocks far from the head, slot reuse, and
+    /// walks that drop some victims and skip others.
+    #[test]
+    fn residency_index_matches_a_filtered_lru_walk(
+        ops in prop::collection::vec((0u64..24, 0u8..10, any::<u16>()), 1..300),
+    ) {
+        const CLASSES: [Resident; 2] = [Resident::Data, Resident::Delta];
+        let mut table = BlockTable::new();
+        let mut holds: std::collections::HashSet<(u64, usize)> = Default::default();
+        // Tail → head holders of class `c`, from the kept full walk.
+        let oracle = |table: &BlockTable, holds: &std::collections::HashSet<(u64, usize)>, c| {
+            let mut ids = table.head_ids(usize::MAX);
+            ids.reverse();
+            ids.retain(|&id| holds.contains(&(table.get(id).lba.raw(), c)));
+            ids
+        };
+        for (lba, kind, bits) in ops {
+            let c = (bits & 1) as usize;
+            let id = table.lookup(Lba::new(lba));
+            match (kind, id) {
+                (0, None) => {
+                    let sig = BlockSignature::from_raw([0; 8]);
+                    table.insert(VirtualBlock::independent(Lba::new(lba), sig));
+                }
+                (1, Some(id)) => {
+                    table.remove(id);
+                    holds.retain(|&(l, _)| l != lba);
+                }
+                (2..=3, Some(id)) => table.touch(id),
+                (4..=5, Some(id)) => {
+                    table.set_resident(id, CLASSES[c], true);
+                    holds.insert((lba, c));
+                }
+                (6, Some(id)) => {
+                    table.set_resident(id, CLASSES[c], false);
+                    holds.remove(&(lba, c));
+                }
+                (7, _) => {
+                    // A replacement pass: visit every holder in order, drop
+                    // the ones `bits` picks, leave the rest where they are.
+                    let want = oracle(&table, &holds, c);
+                    let mut got = Vec::new();
+                    let mut last = None;
+                    while let Some(id) = table.next_resident(CLASSES[c], last) {
+                        if bits >> (got.len() % 15 + 1) & 1 == 1 {
+                            table.set_resident(id, CLASSES[c], false);
+                            holds.remove(&(table.get(id).lba.raw(), c));
+                        }
+                        got.push(id);
+                        last = Some(id);
+                    }
+                    prop_assert_eq!(got, want);
+                }
+                _ => {}
+            }
+            table.validate();
+            for (c, &class) in CLASSES.iter().enumerate() {
+                for id in table.head_ids(usize::MAX) {
+                    let held = holds.contains(&(table.get(id).lba.raw(), c));
+                    prop_assert_eq!(table.is_resident(id, class), held);
+                }
+            }
+        }
+        for (c, &class) in CLASSES.iter().enumerate() {
+            let want = oracle(&table, &holds, c);
+            let got: Vec<_> = std::iter::successors(table.next_resident(class, None), |&id| {
+                table.next_resident(class, Some(id))
+            })
+            .collect();
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -99,6 +99,19 @@ impl LruList {
         (self.tail != NONE).then_some(self.tail)
     }
 
+    /// The entry one step more recently used than `idx` (`None` at the
+    /// front): a tail → front cursor that stays valid while entries behind
+    /// it are removed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not on the list.
+    pub fn newer(&self, idx: usize) -> Option<usize> {
+        assert!(self.contains(idx), "index {idx} not listed");
+        let p = self.prev[idx];
+        (p != NONE).then_some(p)
+    }
+
     /// Inserts `idx` at the front (most recent).
     ///
     /// # Panics
@@ -195,27 +208,15 @@ impl LruList {
         LruIter {
             list: self,
             cur: self.head,
-            forward: true,
-        }
-    }
-
-    /// Iterates from least recent to most recent.
-    pub fn iter_tail(&self) -> LruIter<'_> {
-        LruIter {
-            list: self,
-            cur: self.tail,
-            forward: false,
         }
     }
 }
 
-/// Iterator over LRU entries; see [`LruList::iter_front`] and
-/// [`LruList::iter_tail`].
+/// Iterator over LRU entries; see [`LruList::iter_front`].
 #[derive(Debug)]
 pub struct LruIter<'a> {
     list: &'a LruList,
     cur: usize,
-    forward: bool,
 }
 
 impl Iterator for LruIter<'_> {
@@ -226,11 +227,7 @@ impl Iterator for LruIter<'_> {
             return None;
         }
         let item = self.cur;
-        self.cur = if self.forward {
-            self.list.next[item]
-        } else {
-            self.list.prev[item]
-        };
+        self.cur = self.list.next[item];
         Some(item)
     }
 }
@@ -405,7 +402,6 @@ mod tests {
     fn push_order_is_most_recent_first() {
         let l = filled(4);
         assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![3, 2, 1, 0]);
-        assert_eq!(l.iter_tail().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(l.len(), 4);
     }
 
@@ -431,6 +427,22 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.front(), None);
         assert_eq!(l.tail(), None);
+    }
+
+    #[test]
+    fn newer_walks_tail_to_front_across_removals() {
+        let mut l = filled(4);
+        let mut seen = Vec::new();
+        let mut cur = l.tail();
+        while let Some(i) = cur {
+            cur = l.newer(i); // read before the entry goes away
+            seen.push(i);
+            if i % 2 == 0 {
+                l.remove(i);
+            }
+        }
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![3, 1]);
     }
 
     #[test]

@@ -137,6 +137,14 @@ fn span_of(lba: u64, blocks: u64, tag: u8, family: Family) -> Vec<BlockBuf> {
         .collect()
 }
 
+/// `width` bytes of noise in an otherwise zero block: it resembles nothing,
+/// so it is logged as a zero-based delta of about `width` bytes.
+fn sparse(lba: u64, tag: u8, width: usize) -> BlockBuf {
+    let mut bytes = block_for(lba, tag, Family::Noise).as_slice().to_vec();
+    bytes[width..].fill(0);
+    BlockBuf::from_vec(bytes)
+}
+
 #[test]
 fn span_write_over_slot_resident_blocks_reads_back_the_new_version() {
     let mut rig = Rig::warmed(Icash::new(config()));
@@ -414,4 +422,57 @@ fn degraded_writes_survive_a_crash() {
         }
     }
     assert!(exact > 0, "no block came back readable");
+}
+
+/// A log fetch snapshots the packed blocks it read, then installs each
+/// delta whose block still points at the log block it came from. Here the
+/// first install finds the pool dirty deltas to the brim, so making room
+/// flushes, the flush fills the log, and the log is cleaned *inside the
+/// fetch* — which renumbers block 8's live entry (the last of 50 rewrites)
+/// into the very log block whose snapshot holds its first version. The
+/// prefetch must not install that one as current.
+#[test]
+fn a_log_clean_inside_a_fetch_does_not_install_superseded_deltas() {
+    let mut cleaned_inside = 0;
+    // (Exactly one filler count leaves the pool less than one delta short
+    // of full; the sweep finds it whatever the codec's exact sizes are.)
+    for fillers in 196..=210 {
+        let cfg = IcashConfig::builder(1 << 20, 64 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .log_blocks(72)
+            .build();
+        let mut rig = Rig {
+            sys: Icash::new(cfg),
+            cpu: CpuModel::xeon(),
+            now: Ns::ZERO,
+        };
+        // Blocks 0..9 share log block 0 ...
+        rig.write_span(0, (0..9).map(|lba| sparse(lba, 0, 400)).collect());
+        rig.sync();
+        // ... and block 8 moves on, one log block per version.
+        for tag in 1..=50 {
+            rig.write(8, sparse(8, tag, 400));
+            rig.sync();
+        }
+        // A streamed span bypasses the data cache, so it is dirty deltas
+        // only; they push every clean delta out of the pool.
+        let filler = (100..100 + fillers).map(|lba| sparse(lba, 0, 300));
+        rig.write_span(100, filler.collect());
+
+        let before = rig.sys.stats();
+        assert!(rig.read(0) == sparse(0, 0, 400));
+        let after = rig.sys.stats();
+        if after.log_cleans > before.log_cleans
+            && after.log_prefetched_deltas == before.log_prefetched_deltas
+        {
+            cleaned_inside += 1;
+        }
+        assert!(
+            rig.read(8) == sparse(8, 50, 400),
+            "{fillers} fillers: the fetch installed a superseded delta"
+        );
+        rig.sys.debug_validate();
+    }
+    assert!(cleaned_inside > 0, "no fetch cleaned the log mid-way");
 }
