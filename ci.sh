@@ -150,7 +150,7 @@ bench)
   ;;
 gate)
   run cargo fmt --check
-  run cargo clippy --workspace -- -D warnings
+  run cargo clippy --workspace --all-targets -- -D warnings
   run cargo clippy -q -p icash-core --no-deps -- -D warnings -D clippy::unwrap_used
   run cargo build --release
   run cargo test -q --workspace

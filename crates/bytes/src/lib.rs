@@ -3,6 +3,11 @@
 //! Provides the small slice of the `Bytes` API the workspace uses: cheap
 //! clones of an immutable buffer (`Arc<[u8]>` underneath), construction from
 //! vectors and slices, and `Deref` to `[u8]`.
+//!
+//! One constructor the published crate spells differently (`BytesMut` +
+//! `freeze`): [`Bytes::try_edit_copy`] builds a buffer *in* its shared
+//! allocation. `From<Vec<u8>>` cannot — an `Arc<[u8]>` carries its counts in
+//! front of the bytes, so adopting a `Vec` allocates again and copies.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -20,6 +25,18 @@ impl Bytes {
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes(Arc::from(data))
+    }
+
+    /// Copies `src` into a new buffer and lets `edit` rewrite the copy in
+    /// place before anyone else can see it: one allocation, and no second
+    /// copy of what `edit` writes. An `Err` from `edit` drops the buffer.
+    pub fn try_edit_copy<E>(
+        src: &[u8],
+        edit: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut buf: Arc<[u8]> = Arc::from(src);
+        edit(Arc::get_mut(&mut buf).expect("a new Arc has one owner"))?;
+        Ok(Bytes(buf))
     }
 
     /// Length in bytes.
@@ -67,12 +84,9 @@ impl From<&[u8]> for Bytes {
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes(
-            iter.into_iter()
-                .collect::<Vec<u8>>()
-                .into_boxed_slice()
-                .into(),
-        )
+        // Collecting straight into the `Arc` is one allocation when the
+        // iterator knows its length, and what it was before when not.
+        Bytes(iter.into_iter().collect())
     }
 }
 
@@ -88,6 +102,25 @@ mod tests {
         assert_eq!(&*a, &[1, 2, 3]);
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn try_edit_copy_edits_only_the_copy() {
+        let src = [7u8; 16];
+        let edited = Bytes::try_edit_copy(&src, |buf| {
+            buf[3] = 9;
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(edited[3], 9);
+        assert_eq!(src, [7u8; 16]);
+        let mut expected = src.to_vec();
+        expected[3] = 9;
+        assert_eq!(edited, Bytes::from(expected));
+        assert_eq!(
+            Bytes::try_edit_copy(&src, |_| Err("refused")),
+            Err("refused")
+        );
     }
 
     #[test]

@@ -395,9 +395,7 @@ mod tests {
     fn delta_of_size(approx: usize) -> Delta {
         let reference = vec![0u8; 4096];
         let mut target = reference.clone();
-        for i in 0..approx.min(4000) {
-            target[i] = 1;
-        }
+        target[..approx.min(4000)].fill(1);
         DeltaCodec::default().encode(&reference, &target)
     }
 
@@ -537,7 +535,7 @@ mod tests {
         let tail = log.len_blocks() - 1;
 
         let (frames, torn) = log.tear_within(0, 5);
-        assert_eq!(frames, u64::from(tail), "every later block is dropped");
+        assert_eq!(frames, tail, "every later block is dropped");
         assert_eq!(torn, 3, "the unverifiable tail entries are dropped");
         assert_eq!(log.len_blocks(), 1);
         assert_eq!(log.fetch(0).entries.len(), 5);

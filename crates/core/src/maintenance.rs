@@ -13,6 +13,7 @@ use icash_storage::pipeline::Ticket;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
+use std::cmp::Reverse;
 
 impl Icash {
     /// Per-I/O bookkeeping: counts toward the flush interval and the scan
@@ -367,30 +368,27 @@ impl Icash {
         self.stats.scans += 1;
         let ids = self.volatile.table.head_ids(self.cfg.scan_window);
 
-        // Rank scanned blocks by Heatmap popularity.
-        let mut ranked: Vec<(VbId, u64)> = ids
-            .iter()
-            .map(|&id| {
-                ctx.cpu.charge(CpuOp::Scan);
-                let vb = self.volatile.table.get(id);
-                (id, self.volatile.heatmap.popularity(&vb.sig))
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1).then_with(|| {
-                self.volatile
-                    .table
-                    .get(a.0)
-                    .lba
-                    .cmp(&self.volatile.table.get(b.0).lba)
-            })
-        });
+        // Rank scanned blocks by Heatmap popularity, most popular first and
+        // lowest address first among equals: addresses are unique, so the
+        // order is total and an unstable sort on the key gives it. Blocks of
+        // no popularity rank last and promotion stops at the first of them,
+        // so they are charged for but not ranked.
+        let mut ranked: Vec<(u64, Lba, VbId)> = Vec::with_capacity(ids.len());
+        for &id in &ids {
+            ctx.cpu.charge(CpuOp::Scan);
+            let vb = self.volatile.table.get(id);
+            let pop = self.volatile.heatmap.popularity(&vb.sig);
+            if pop > 0 {
+                ranked.push((pop, vb.lba, id));
+            }
+        }
+        ranked.sort_unstable_by_key(|&(pop, lba, _)| (Reverse(pop), lba));
 
         // Promote the most popular non-references.
         let target = ((ids.len() as f64 * self.cfg.ref_fraction).ceil() as usize).max(1);
         let mut promoted = 0usize;
-        for &(id, pop) in &ranked {
-            if promoted >= target || pop == 0 {
+        for &(_, _, id) in &ranked {
+            if promoted >= target {
                 break;
             }
             let vb = self.volatile.table.get(id);

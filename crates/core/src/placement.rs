@@ -25,7 +25,7 @@ use icash_storage::trace::{TraceEvent, TraceKind};
 /// entries decode against an all-zero block, so any zero-heavy content
 /// compresses and the rest is stored raw — either way the write rides the
 /// sequential delta log instead of a random home write.
-const ZERO_REF: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+pub(crate) const ZERO_REF: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 /// What a delta is encoded against.
 #[derive(Debug, Clone, Copy)]

@@ -3,7 +3,7 @@
 //! delta log, or the HDD home area — with retry and repair on media errors.
 
 use crate::controller::Icash;
-use crate::placement::EvictedState;
+use crate::placement::{EvictedState, ZERO_REF};
 use crate::table::VbId;
 use crate::virtual_block::Role;
 use icash_delta::codec::Delta;
@@ -144,7 +144,7 @@ impl Icash {
                         (t, Err(e)) => return (t, Err(e)),
                     };
                     t += ctx.cpu.charge(CpuOp::DeltaDecode);
-                    self.decode_resident(id, &base, t)
+                    self.decode_resident(id, base.as_slice(), t)
                 } else {
                     self.note_delta_hit(t, lba);
                     (t, Ok(base))
@@ -164,7 +164,7 @@ impl Icash {
                     (t2, Err(e)) => return (t2, Err(e)),
                 };
                 let t3 = t2 + ctx.cpu.charge(CpuOp::DeltaDecode);
-                self.decode_resident(id, &base, t3)
+                self.decode_resident(id, base.as_slice(), t3)
             }
             Role::Independent => {
                 if let Some(s) = slot {
@@ -179,7 +179,7 @@ impl Icash {
                         (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
                         (t, Err(e)) => return (t, Err(e)),
                     };
-                    self.decode_resident(id, &BlockBuf::zeroed(), t)
+                    self.decode_resident(id, &ZERO_REF, t)
                 } else {
                     // A span prefetch may have already paid this block's
                     // mechanical read as part of one batched NCQ submission.
@@ -208,16 +208,17 @@ impl Icash {
     /// Decodes `id`'s resident delta against `base`, reporting a contained
     /// metadata error (instead of panicking) if the delta is missing or
     /// undecodable — both are invariant violations, so debug builds assert.
-    fn decode_resident(&mut self, id: VbId, base: &BlockBuf, t: Ns) -> BlockRead {
-        let delta = match self.volatile.table.get(id).delta.as_ref() {
-            Some(d) => d.delta.clone(),
-            None => return self.metadata_error("resident delta missing after fetch", t),
+    fn decode_resident(&mut self, id: VbId, base: &[u8], t: Ns) -> BlockRead {
+        let vb = self.volatile.table.get(id);
+        let Some(cached) = vb.delta.as_ref() else {
+            return self.metadata_error("resident delta missing after fetch", t);
         };
-        match self.volatile.codec.decode(base.as_slice(), &delta) {
-            Ok(out) => {
-                let lba = self.volatile.table.get(id).lba;
+        let codec = &self.volatile.codec;
+        match BlockBuf::try_edit_copy(base, |out| codec.decode_into(base, &cached.delta, out)) {
+            Ok(block) => {
+                let lba = vb.lba;
                 self.note_delta_hit(t, lba);
-                (t, Ok(BlockBuf::from_vec(out)))
+                (t, Ok(block))
             }
             Err(_) => self.metadata_error("resident delta undecodable", t),
         }

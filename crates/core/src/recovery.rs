@@ -334,7 +334,7 @@ mod tests {
         for lba in 0..40u64 {
             let r = Request::read(Lba::new(lba), t);
             let got = recovered.submit(&r, &mut ctx).data[0].clone();
-            let valid = versions[&lba].iter().any(|v| got == *v) || got == BlockBuf::zeroed();
+            let valid = versions[&lba].contains(&got) || got == BlockBuf::zeroed();
             assert!(valid, "lba {lba}: recovered to a spliced/garbage version");
         }
     }

@@ -8,7 +8,7 @@
 
 use icash_delta::signature::{BlockSignature, SUB_BLOCKS};
 use icash_storage::block::Lba;
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Index from sub-signature values to the references bearing them.
 ///
@@ -28,10 +28,34 @@ use std::collections::HashMap;
 /// let hits = index.candidates(&near, 4, 4);
 /// assert_eq!(hits, vec![Lba::new(10)]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RefIndex {
-    buckets: HashMap<(u8, u8), Vec<Lba>>,
-    refs: usize,
+    /// The indexed references. A reference's position here is what the
+    /// buckets hold, so votes are counted in a flat array instead of being
+    /// gathered and sorted; `None` is a position free for reuse.
+    entries: Vec<Option<(Lba, BlockSignature)>>,
+    free: Vec<u32>,
+    /// One bucket per (sub-block row, sub-signature value), row-major.
+    buckets: Vec<Vec<u32>>,
+}
+
+/// Values one sub-signature can take.
+const SUB_VALUES: usize = 1 << u8::BITS;
+
+/// The bucket each sub-signature of `sig` selects, one per row.
+fn bucket_ids(sig: &BlockSignature) -> impl Iterator<Item = usize> + '_ {
+    let subs = sig.sub_signatures().iter().enumerate();
+    subs.map(|(row, &v)| row * SUB_VALUES + v as usize)
+}
+
+impl Default for RefIndex {
+    fn default() -> Self {
+        RefIndex {
+            entries: Vec::new(),
+            free: Vec::new(),
+            buckets: vec![Vec::new(); SUB_BLOCKS * SUB_VALUES],
+        }
+    }
 }
 
 impl RefIndex {
@@ -42,61 +66,81 @@ impl RefIndex {
 
     /// References currently indexed.
     pub fn len(&self) -> usize {
-        self.refs
+        self.entries.len() - self.free.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.refs == 0
+        self.len() == 0
     }
 
     /// Indexes a reference under each of its sub-signatures.
     pub fn insert(&mut self, lba: Lba, sig: &BlockSignature) {
-        for (row, &v) in sig.sub_signatures().iter().enumerate() {
-            self.buckets.entry((row as u8, v)).or_default().push(lba);
+        let entry = Some((lba, *sig));
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.entries[at as usize] = entry;
+                at
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        };
+        for b in bucket_ids(sig) {
+            self.buckets[b].push(at);
         }
-        self.refs += 1;
     }
 
-    /// Removes a reference (must be removed with the same signature it was
-    /// inserted under).
+    /// Removes the reference indexed as `lba` under `sig`; anything else is
+    /// not indexed and nothing is removed.
     pub fn remove(&mut self, lba: Lba, sig: &BlockSignature) {
-        for (row, &v) in sig.sub_signatures().iter().enumerate() {
-            if let Some(bucket) = self.buckets.get_mut(&(row as u8, v)) {
-                bucket.retain(|&l| l != lba);
-                if bucket.is_empty() {
-                    self.buckets.remove(&(row as u8, v));
-                }
-            }
+        let entry = Some((lba, *sig));
+        let first = bucket_ids(sig).next().expect("signatures have rows");
+        let indexed = &self.buckets[first];
+        let Some(&at) = indexed
+            .iter()
+            .find(|&&at| self.entries[at as usize] == entry)
+        else {
+            return;
+        };
+        for b in bucket_ids(sig) {
+            let bucket = &mut self.buckets[b];
+            let held = bucket.iter().position(|&other| other == at);
+            bucket.swap_remove(held.expect("indexed under every row"));
         }
-        self.refs = self.refs.saturating_sub(1);
+        self.entries[at as usize] = None;
+        self.free.push(at);
     }
 
     /// The references sharing at least `min_votes` sub-signatures with
     /// `sig`, best first, at most `limit` of them.
     pub fn candidates(&self, sig: &BlockSignature, min_votes: usize, limit: usize) -> Vec<Lba> {
         // A reference's votes are its occurrences across the matching
-        // buckets: gather them, sort, and count runs.
-        let matching = sig
-            .sub_signatures()
-            .iter()
-            .enumerate()
-            .filter_map(|(row, &v)| self.buckets.get(&(row as u8, v)));
-        let mut voters: Vec<Lba> = Vec::with_capacity(matching.clone().map(Vec::len).sum());
-        for bucket in matching {
-            voters.extend_from_slice(bucket);
+        // buckets, counted per entry; one that reaches the bar is a hit.
+        let bar = min_votes.max(1);
+        let mut votes = vec![0u8; self.entries.len()];
+        let mut hits: Vec<u32> = Vec::new();
+        for b in bucket_ids(sig) {
+            for &at in &self.buckets[b] {
+                let v = &mut votes[at as usize];
+                *v += 1;
+                if *v as usize == bar {
+                    hits.push(at);
+                }
+            }
         }
-        voters.sort_unstable();
-        let mut ranked: Vec<(Lba, usize)> = voters
-            .chunk_by(|a, b| a == b)
-            .filter(|run| run.len() >= min_votes)
-            .map(|run| (run[0], run.len()))
+        // Best (most votes) first, LBA breaking ties.
+        let mut ranked: Vec<(Reverse<u8>, Lba)> = hits
+            .into_iter()
+            .map(|at| {
+                let (lba, _) = self.entries[at as usize].expect("buckets hold live entries");
+                (Reverse(votes[at as usize]), lba)
+            })
             .collect();
-        // Best (most votes) first; the runs came out in LBA order and the
-        // sort is stable, so LBA breaks ties deterministically.
-        ranked.sort_by_key(|&(_, votes)| std::cmp::Reverse(votes));
+        ranked.sort_unstable();
         ranked.truncate(limit);
-        ranked.into_iter().map(|(lba, _)| lba).collect()
+        ranked.into_iter().map(|(_, lba)| lba).collect()
     }
 
     /// Convenience: the single best candidate with at least `min_votes`
@@ -112,6 +156,7 @@ pub const MAX_VOTES: usize = SUB_BLOCKS;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn sig(v: [u8; 8]) -> BlockSignature {
         BlockSignature::from_raw(v)
@@ -147,6 +192,21 @@ mod tests {
     }
 
     #[test]
+    fn a_mismatched_remove_removes_nothing() {
+        let mut idx = RefIndex::new();
+        idx.insert(Lba::new(5), &sig([3; 8]));
+        // Not indexed at all, and indexed under another signature.
+        idx.remove(Lba::new(6), &sig([3; 8]));
+        idx.remove(Lba::new(5), &sig([4; 8]));
+        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.best(&sig([3; 8]), 8), Some(Lba::new(5)));
+        idx.remove(Lba::new(5), &sig([3; 8]));
+        assert!(idx.is_empty());
+        idx.remove(Lba::new(5), &sig([3; 8]));
+        assert!(idx.is_empty(), "an empty index stays at zero");
+    }
+
+    #[test]
     fn ties_break_by_lba() {
         let mut idx = RefIndex::new();
         idx.insert(Lba::new(9), &sig([2; 8]));
@@ -164,11 +224,10 @@ mod tests {
         limit: usize,
     ) -> Vec<Lba> {
         let mut votes: HashMap<Lba, usize> = HashMap::new();
-        for (row, &v) in sig.sub_signatures().iter().enumerate() {
-            if let Some(bucket) = index.buckets.get(&(row as u8, v)) {
-                for &lba in bucket {
-                    *votes.entry(lba).or_insert(0) += 1;
-                }
+        for b in bucket_ids(sig) {
+            for &at in &index.buckets[b] {
+                let (lba, _) = index.entries[at as usize].expect("buckets hold live entries");
+                *votes.entry(lba).or_insert(0) += 1;
             }
         }
         let mut ranked: Vec<(Lba, usize)> =

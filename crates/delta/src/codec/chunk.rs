@@ -123,26 +123,52 @@ pub fn encode_with_index_into(
 /// Returns `None` if the encoding is malformed.
 pub fn decode(reference: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::new();
+    spans(reference, delta, |span| {
+        out.extend_from_slice(span);
+        Some(())
+    })?;
+    Some(out)
+}
+
+/// [`decode`] into a caller-owned buffer for a target of exactly
+/// `out.len()` bytes.
+///
+/// Returns `None` if the encoding is malformed or describes a target of any
+/// other length, leaving `out` partly written.
+pub fn decode_into(reference: &[u8], delta: &[u8], out: &mut [u8]) -> Option<()> {
+    let mut filled = 0usize;
+    spans(reference, delta, |span| {
+        let end = filled.checked_add(span.len())?;
+        out.get_mut(filled..end)?.copy_from_slice(span);
+        filled = end;
+        Some(())
+    })?;
+    (filled == out.len()).then_some(())
+}
+
+/// Walks the instruction stream, handing `emit` the bytes each instruction
+/// contributes to the target, in target order.
+fn spans<'a>(
+    reference: &'a [u8],
+    delta: &'a [u8],
+    mut emit: impl FnMut(&'a [u8]) -> Option<()>,
+) -> Option<()> {
     let mut r = Reader::new(delta);
     while !r.is_empty() {
         match r.bytes(1)?[0] {
             OP_ADD => {
                 let len = r.varint()? as usize;
-                out.extend_from_slice(r.bytes(len)?);
+                emit(r.bytes(len)?)?;
             }
             OP_COPY => {
                 let off = r.varint()? as usize;
                 let len = r.varint()? as usize;
-                let end = off.checked_add(len)?;
-                if end > reference.len() {
-                    return None;
-                }
-                out.extend_from_slice(&reference[off..end]);
+                emit(reference.get(off..off.checked_add(len)?)?)?;
             }
             _ => return None,
         }
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 //! reference block and a target block, choosing between the skip/literal
 //! codec ([`sparse`]) for in-place changes, the chunk-match codec
 //! ([`chunk`]) for shifted content, and raw storage when the blocks share
-//! nothing. [`DeltaCodec::decode`] reconstructs the target exactly.
+//! nothing. [`DeltaCodec::decode`] reconstructs the target exactly, and
+//! [`DeltaCodec::decode_into`] does so in the caller's copy of the
+//! reference, so a read that decodes allocates and copies its 4 KB once.
 //!
 //! Hot-path variants: [`DeltaCodec::encode_cached`] reuses (and lazily
 //! populates) a per-reference [`ChunkIndex`] so the chunk codec does not
@@ -248,16 +250,46 @@ impl DeltaCodec {
     /// Returns [`DecodeError`] if the payload is malformed or does not
     /// reconstruct a block of the reference's size.
     pub fn decode(&self, reference: &[u8], delta: &Delta) -> Result<Vec<u8>, DecodeError> {
-        let out = match delta.encoding {
-            Encoding::Identity => reference.to_vec(),
-            Encoding::Sparse => sparse::decode(reference, &delta.payload).ok_or(DecodeError)?,
-            Encoding::Chunk => chunk::decode(reference, &delta.payload).ok_or(DecodeError)?,
-            Encoding::Raw => delta.payload.to_vec(),
-        };
-        if out.len() != reference.len() {
-            return Err(DecodeError);
-        }
+        let mut out = reference.to_vec();
+        self.decode_into(reference, delta, &mut out)?;
         Ok(out)
+    }
+
+    /// [`decode`](Self::decode) in the block the caller is building, which
+    /// starts as its copy of the reference: `out` must arrive holding
+    /// `reference`'s bytes and leaves holding the target's. An identity or
+    /// sparse delta — nearly every delta the controller stores — then costs
+    /// no copy beyond the caller's one: the literal runs are written over
+    /// it. Chunk and raw deltas overwrite `out` whole.
+    ///
+    /// # Errors
+    ///
+    /// As for [`decode`](Self::decode); `out` is then partly written and
+    /// must not be used as a block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `reference` differ in length.
+    pub fn decode_into(
+        &self,
+        reference: &[u8],
+        delta: &Delta,
+        out: &mut [u8],
+    ) -> Result<(), DecodeError> {
+        assert_eq!(
+            reference.len(),
+            out.len(),
+            "deltas are applied between equal-sized blocks"
+        );
+        debug_assert!(out == reference, "`out` starts as a copy of the reference");
+        let payload = &delta.payload[..];
+        let decoded = match delta.encoding {
+            Encoding::Identity => Some(()),
+            Encoding::Sparse => sparse::patch(out, payload),
+            Encoding::Chunk => chunk::decode_into(reference, payload, out),
+            Encoding::Raw => (payload.len() == out.len()).then(|| out.copy_from_slice(payload)),
+        };
+        decoded.ok_or(DecodeError)
     }
 }
 
@@ -361,6 +393,96 @@ mod tests {
             "raw payload must share the target allocation"
         );
         assert_eq!(codec.decode(&a, &d).unwrap(), &b[..]);
+    }
+
+    /// `decode` as it was before `decode_into`: each encoding decoded into a
+    /// `Vec` of its own, the length checked afterwards. Kept as the oracle.
+    fn decode_to_vec(reference: &[u8], delta: &Delta) -> Result<Vec<u8>, DecodeError> {
+        let out = match delta.encoding {
+            Encoding::Identity => reference.to_vec(),
+            Encoding::Sparse => sparse::decode(reference, &delta.payload).ok_or(DecodeError)?,
+            Encoding::Chunk => chunk::decode(reference, &delta.payload).ok_or(DecodeError)?,
+            Encoding::Raw => delta.payload.to_vec(),
+        };
+        if out.len() != reference.len() {
+            return Err(DecodeError);
+        }
+        Ok(out)
+    }
+
+    /// Targets that land on each encoding, from a seed.
+    fn target_of(reference: &[u8], kind: u8, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut target = reference.to_vec();
+        match kind {
+            0 => {}
+            1 => (0..4).for_each(|_| target[next() as usize % 4096] ^= 0x55),
+            2 => (0..700).for_each(|_| target[next() as usize % 4096] = next() as u8),
+            3 => {
+                let shift = 1 + next() as usize % 200;
+                target = vec![0xA5; shift];
+                target.extend_from_slice(&reference[..4096 - shift]);
+            }
+            _ => target.iter_mut().for_each(|b| *b = next() as u8),
+        }
+        target
+    }
+
+    proptest::proptest! {
+        /// Whatever the codec emits, and whatever a corrupted log could
+        /// hold in its place (any tag over a truncated, spliced or
+        /// arbitrary payload), `decode_into` and the `Vec` decoder agree:
+        /// the same block, or the same refusal.
+        #[test]
+        fn decode_into_equals_decode_to_vec(
+            kind in 0u8..5,
+            seed in proptest::strategy::any::<u64>(),
+            damage in 0u8..4,
+            tag in 0usize..4,
+            cut in 0usize..4200,
+            garbage in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..64),
+        ) {
+            let reference = patterned(4096);
+            let codec = DeltaCodec::default();
+            let emitted = codec.encode(&reference, &target_of(&reference, kind, seed));
+            let mut payload = emitted.payload().to_vec();
+            let mut encoding = emitted.encoding();
+            match damage {
+                0 => {} // as emitted
+                1 => payload.truncate(cut % (payload.len() + 1)),
+                2 => {
+                    let at = cut % (payload.len() + 1);
+                    payload.splice(at..at, garbage.iter().copied());
+                }
+                _ => {
+                    let tags = [Encoding::Identity, Encoding::Sparse, Encoding::Chunk, Encoding::Raw];
+                    encoding = tags[tag];
+                }
+            }
+            let delta = Delta { encoding, payload: Bytes::from(payload) };
+
+            let mut out = reference.clone();
+            let into = codec.decode_into(&reference, &delta, &mut out).map(|()| out);
+            proptest::prop_assert_eq!(&into, &decode_to_vec(&reference, &delta));
+            proptest::prop_assert_eq!(&into, &codec.decode(&reference, &delta));
+            if damage == 0 {
+                proptest::prop_assert!(into.is_ok(), "the codec's own deltas decode");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-sized")]
+    fn decode_into_a_wrong_sized_block_panics() {
+        let a = patterned(4096);
+        let codec = DeltaCodec::default();
+        let _ = codec.decode_into(&a, &Delta::identity(), &mut [0u8; 100]);
     }
 
     #[test]

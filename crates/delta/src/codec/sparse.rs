@@ -84,6 +84,17 @@ pub fn encode_into(reference: &[u8], target: &[u8], out: &mut Vec<u8>) {
 /// the end of the block).
 pub fn decode(reference: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
     let mut out = reference.to_vec();
+    patch(&mut out, delta)?;
+    Some(out)
+}
+
+/// Turns `block`, which holds the reference, into the target by writing the
+/// literal runs of `delta` over it: the decoder for a caller that already
+/// has the reference copied to where the target is to be.
+///
+/// Returns `None` if the encoding is malformed, leaving `block` partly
+/// patched.
+pub fn patch(block: &mut [u8], delta: &[u8]) -> Option<()> {
     let mut r = Reader::new(delta);
     let mut pos = 0usize;
     while !r.is_empty() {
@@ -91,13 +102,10 @@ pub fn decode(reference: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
         let len = r.varint()? as usize;
         pos = pos.checked_add(skip)?;
         let end = pos.checked_add(len)?;
-        if end > out.len() {
-            return None;
-        }
-        out[pos..end].copy_from_slice(r.bytes(len)?);
+        block.get_mut(pos..end)?.copy_from_slice(r.bytes(len)?);
         pos = end;
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]

@@ -150,6 +150,16 @@ impl Default for Heatmap {
 }
 
 #[cfg(test)]
+fn row(map: &Heatmap, r: usize) -> [u64; 4] {
+    [
+        map.cell(r, 0),
+        map.cell(r, 1),
+        map.cell(r, 2),
+        map.cell(r, 3),
+    ]
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -235,14 +245,4 @@ mod tests {
         let map = Heatmap::new(2, 4);
         let _ = map.popularity_raw(&[0, 1, 2]);
     }
-}
-
-#[cfg(test)]
-fn row(map: &Heatmap, r: usize) -> [u64; 4] {
-    [
-        map.cell(r, 0),
-        map.cell(r, 1),
-        map.cell(r, 2),
-        map.cell(r, 3),
-    ]
 }

@@ -311,7 +311,7 @@ mod tests {
         assert!((merged.cpu_utilization - 0.5).abs() < 1e-12);
         // One shard is the identity.
         assert_eq!(
-            RunSummary::merge_shards(&[a.clone()]).to_json(),
+            RunSummary::merge_shards(std::slice::from_ref(&a)).to_json(),
             a.to_json()
         );
     }

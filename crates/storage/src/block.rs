@@ -5,6 +5,7 @@
 //! clonable 4 KB content buffer.
 
 use bytes::Bytes;
+use core::convert::Infallible;
 use core::fmt;
 use serde::{Deserialize, Serialize};
 
@@ -96,6 +97,10 @@ impl fmt::Display for Lba {
 ///
 /// Clones share the underlying allocation ([`Bytes`]), so passing block
 /// content through the controller, caches, and delta codec never copies.
+/// A block is also *built* in that allocation ([`BlockBuf::edit_copy`],
+/// [`BlockBuf::try_edit_copy`]): the paths that materialise one per request
+/// allocate once and copy once, where [`BlockBuf::from_vec`] allocates a
+/// second time and copies the vector across.
 ///
 /// # Examples
 ///
@@ -118,7 +123,43 @@ impl BlockBuf {
 
     /// A block with every byte set to `byte`.
     pub fn filled(byte: u8) -> Self {
-        BlockBuf(Bytes::from(vec![byte; BLOCK_SIZE]))
+        BlockBuf(std::iter::repeat_n(byte, BLOCK_SIZE).collect())
+    }
+
+    /// A copy of `src` that `edit` rewrites in place before the block is
+    /// shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not exactly [`BLOCK_SIZE`] bytes.
+    pub fn edit_copy(src: &[u8], edit: impl FnOnce(&mut [u8])) -> Self {
+        let built = Self::try_edit_copy(src, |buf| {
+            edit(buf);
+            Ok::<(), Infallible>(())
+        });
+        built.unwrap_or_else(|never| match never {})
+    }
+
+    /// [`edit_copy`](Self::edit_copy) with an `edit` that can fail, in which
+    /// case there is no block: a half-edited one is never handed out.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `edit` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not exactly [`BLOCK_SIZE`] bytes.
+    pub fn try_edit_copy<E>(
+        src: &[u8],
+        edit: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        assert_eq!(
+            src.len(),
+            BLOCK_SIZE,
+            "block buffers must be exactly {BLOCK_SIZE} bytes"
+        );
+        Bytes::try_edit_copy(src, edit).map(BlockBuf)
     }
 
     /// Wraps an owned vector as a block.

@@ -93,7 +93,7 @@ proptest! {
             }
             // Bijection check: every mapped lpn has a distinct ppn.
             let mut seen = std::collections::HashSet::new();
-            for (&l, _) in &mapped {
+            for &l in mapped.keys() {
                 let ppn = ftl.map_read(l).expect("mapped lpn lost");
                 prop_assert!(seen.insert(ppn), "ppn aliased");
             }

@@ -7,7 +7,6 @@
 
 use icash::baselines::LruCache;
 use icash::core::{Icash, IcashConfig};
-use icash::storage::StorageSystem;
 use icash::workloads::content::ContentModel;
 use icash::workloads::driver::{run_benchmark, DriverConfig};
 use icash::workloads::specsfs;

@@ -521,7 +521,7 @@ proptest! {
         }
         // Final sweep over everything ever acknowledged: valid-or-typed,
         // and the controller's internal structures still cross-check.
-        for (&lba, _) in &versions {
+        for &lba in versions.keys() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             let completion = system.submit(&req, &mut ctx);

@@ -3,7 +3,6 @@
 //! I-CASH, and oracle-verified reads throughout.
 
 use icash::core::{Icash, IcashConfig};
-use icash::storage::StorageSystem;
 use icash::workloads::content::{ContentModel, ContentProfile};
 use icash::workloads::driver::{run_benchmark, DriverConfig};
 use icash::workloads::vm::MultiVm;

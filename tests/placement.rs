@@ -213,7 +213,7 @@ fn span_writes_take_the_degraded_path_while_the_ssd_is_failed() {
         rig.drive_until_ssd_failed();
         // Park right behind a scan (one runs every 40 block I/Os), so the
         // only binds the span could cause are its own.
-        while (rig.sys.stats().reads + rig.sys.stats().writes) % 40 != 0 {
+        while !(rig.sys.stats().reads + rig.sys.stats().writes).is_multiple_of(40) {
             rig.write(63, block_for(63, 9, Family::Similar));
         }
 
