@@ -147,6 +147,77 @@ fn bench_codec(c: &mut Criterion) {
         })
     });
 
+    // The same traffic with the index at hand and everything warm: a few
+    // families revisited, each reference's index built beforehand. This is
+    // the chunk pass with nothing to wait for — what the repo benchmark's
+    // `delta.encode_cached_ns_per_block` probe times.
+    group.bench_function("encode_inplace_family_warm", |bench| {
+        let warm = &rotating[..64];
+        let mut indexes: Vec<Option<ChunkIndex>> = warm
+            .iter()
+            .map(|(reference, _)| Some(ChunkIndex::build(reference.as_slice())))
+            .collect();
+        let mut i = 0usize;
+        bench.iter(|| {
+            let (reference, target) = &warm[i % warm.len()];
+            let index = &mut indexes[i % warm.len()];
+            i += 1;
+            codec.encode_shared(black_box(reference.as_slice()), target.as_bytes(), index)
+        })
+    });
+
+    // A block with no reference worth binding to is encoded against the
+    // all-zero block, through an index the controller builds once and keeps
+    // for good (`RefIndexCache`'s zero entry, held here as a local). For
+    // unique content that encode finds nothing and ends up raw.
+    group.bench_function("encode_zero_reference_unique", |bench| {
+        let unique = ContentModel::new(0x1CA5_4001, ContentProfile::incompressible());
+        let targets: Vec<BlockBuf> = (0..512)
+            .map(|i| unique.content_at(Lba::new(i), 0))
+            .collect();
+        let zero_reference = [0u8; 4096];
+        let mut zero_entry: Option<ChunkIndex> = None;
+        let mut i = 0usize;
+        bench.iter(|| {
+            let target = &targets[i % targets.len()];
+            i += 1;
+            codec.encode_shared(
+                black_box(&zero_reference),
+                target.as_bytes(),
+                &mut zero_entry,
+            )
+        })
+    });
+
+    // The texture the group filter is weakest on: reference and target draw
+    // 4-byte words from one 16-word dictionary, independently. Every target
+    // group is somewhere in the reference, so every aligned position passes
+    // the six-group test, is hashed and walks a chain — and almost none of
+    // the lookups finds its 16-byte window, let alone 24 bytes.
+    group.bench_function("encode_dictionary_unrelated", |bench| {
+        let words: Vec<[u8; 4]> = (0..16u32)
+            .map(|w| w.wrapping_mul(0x9E37_79B9).to_le_bytes())
+            .collect();
+        let drawn = |seed: u32| -> Vec<u8> {
+            let mut state = seed;
+            (0..1024)
+                .flat_map(|_| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    words[(state >> 28) as usize]
+                })
+                .collect()
+        };
+        let reference = drawn(1);
+        let targets: Vec<Vec<u8>> = (2..34).map(drawn).collect();
+        let mut index = Some(ChunkIndex::build(&reference));
+        let mut i = 0usize;
+        bench.iter(|| {
+            let target = &targets[i % targets.len()];
+            i += 1;
+            codec.encode_cached(black_box(&reference), black_box(target), &mut index)
+        })
+    });
+
     group.bench_function("index_build", |bench| {
         let mut i = 0usize;
         bench.iter(|| {

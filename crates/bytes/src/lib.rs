@@ -10,16 +10,18 @@
 //! front of the bytes, so adopting a `Vec` allocates again and copies.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable, reference-counted byte buffer. Clones share the allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    /// An empty buffer.
+    /// An empty buffer. As in the published crate it costs no allocation:
+    /// every empty buffer made here is a clone of one.
     pub fn new() -> Self {
-        Bytes(Arc::from(&[][..]))
+        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
+        Bytes(EMPTY.get_or_init(|| Arc::from(&[][..])).clone())
     }
 
     /// Copies `data` into a new buffer.

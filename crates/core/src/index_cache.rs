@@ -2,7 +2,7 @@
 //!
 //! One SSD-pinned reference block serves many delta encodes: its own
 //! re-writes, every associate bound to it, scanner re-bind attempts, and
-//! offline preload. The chunk codec's reference index (a rolling-hash table
+//! offline preload. The chunk codec's reference index (a window-hash table
 //! over ~1000 windows, see `icash_delta::codec::ChunkIndex`) costs about as
 //! much to build as a probe pass, so rebuilding it per encode — what the
 //! seed controller did implicitly inside `chunk::encode` — dominated the
@@ -183,6 +183,18 @@ mod tests {
         }
         assert_eq!(cache.slots.len(), 5);
         assert!(REF_INDEX_CACHE_BYTES / index_bytes() >= 440);
+    }
+
+    /// What the cache holds, and so what `delta.ref_cache_hit_ratio` and
+    /// the `RefCache` events report, follows from an index's size alone. The
+    /// group bitmap took the place of the window-hash bitmap bit for bit:
+    /// 256 + 1021 words and 2048 + 1021 links, as before it. A layout
+    /// change that moves this number moves those reports and says so.
+    #[test]
+    fn a_block_index_is_as_large_as_before_the_group_bitmap() {
+        assert_eq!(index_bytes(), (256 + 1021) * 8 + (2048 + 1021) * 2);
+        assert_eq!(ChunkIndex::build(&[0u8; 4096]).heap_size(), index_bytes());
+        assert_eq!(REF_INDEX_CACHE_BYTES / index_bytes(), 448);
     }
 
     /// The cache this one replaced: a tick per access, and on a miss at

@@ -2,28 +2,43 @@
 //!
 //! The skip/literal codec fails when content moves *within* a block (an
 //! insertion early in the block misaligns every later byte). This codec is a
-//! small vcdiff-style differ: it indexes the reference block with a rolling
-//! hash over fixed windows (see [`chunk_index`](super::chunk_index)), then
+//! small vcdiff-style differ: it indexes the reference block by the hash of
+//! its fixed windows (see [`chunk_index`](super::chunk_index)), then
 //! greedily emits `COPY(offset, len)` instructions for target spans found in
 //! the reference and `ADD(bytes)` for novel spans — the classic approach of
 //! the delta-encoding literature the paper cites (Ajtai et al.).
 //!
-//! The target scan carries a true rolling hash: advancing one byte after a
-//! miss costs one multiply on the carried chain, not a [`WINDOW`]-byte
-//! recomputation, and the hash is re-primed from scratch only after a COPY
-//! jumps the cursor. A position whose hash the index's bitmap rules out —
-//! nearly every position of an ADD region — costs nothing more than that.
-//! Verified matches extend word-at-a-time. Output is byte-identical to the
-//! original scalar encoder (pinned by `tests/golden.rs`).
+//! The original encoder hashed the window at every target position and
+//! looked each hash up; this one emits the same bytes without hashing where
+//! it cannot matter. A COPY is emitted from [`MIN_MATCH`] = 24 bytes and the
+//! index holds windows at [`STRIDE`]-aligned reference offsets only, so a
+//! COPY at target position `i` means the six groups `target[i + 4k..][..4]`
+//! *are* six consecutive aligned groups of the reference. The index keeps a
+//! bitmap of the reference's aligned groups. Where one of a position's six
+//! is absent from it, no lookup could have verified 24 bytes, whatever the
+//! window there hashed to or collided with, and the original emitted
+//! nothing; only a position whose six groups all pass is hashed and looked
+//! up, exactly as before. One absent group settles all (up to six)
+//! positions it is a group of, so novel content is crossed at four tests to
+//! 24 bytes. Output is byte-identical to the original scalar encoder
+//! (`tests/golden.rs`) and to the rolling-hash scan this one replaced, kept
+//! as `tests/oracle.rs`.
 //!
 //! Wire format, repeated until the target is covered:
 //! `0x00 varint(len) bytes…` (ADD) | `0x01 varint(offset) varint(len)` (COPY).
 
-use crate::codec::chunk_index::{roll, window_hash, ChunkIndex, WINDOW};
+use crate::codec::chunk_index::{window_hash, ChunkIndex, STRIDE, WINDOW};
 use crate::varint::{self, Reader};
 
 /// Minimum match length worth a COPY instruction (a COPY costs ~4 bytes).
-const MIN_MATCH: usize = 24;
+pub const MIN_MATCH: usize = 24;
+
+/// Groups a COPY covers from its first byte at the least, and bit
+/// `STRIDE · k` for each: where positions sharing a group start, counted
+/// from the first.
+const MATCH_GROUPS: usize = MIN_MATCH / STRIDE;
+const GROUP_STARTS: u32 = 0x0011_1111;
+const _: () = assert!(MIN_MATCH >= WINDOW && MATCH_GROUPS == 6 && STRIDE == 4);
 
 const OP_ADD: u8 = 0x00;
 const OP_COPY: u8 = 0x01;
@@ -32,8 +47,7 @@ const OP_COPY: u8 = 0x01;
 /// length; the target length is implicit in the instruction stream).
 ///
 /// Builds a throwaway [`ChunkIndex`]; callers encoding many targets against
-/// one reference should build the index once and use
-/// [`encode_with_index`].
+/// one reference should build it once and use [`encode_with_index`].
 pub fn encode(reference: &[u8], target: &[u8]) -> Vec<u8> {
     encode_with_index(&ChunkIndex::build(reference), reference, target)
 }
@@ -72,49 +86,38 @@ pub fn encode_with_index_into(
         }
     };
 
-    let n = target.len();
-    if n >= WINDOW {
-        let mut i = 0usize;
-        // Invariant: `h` is the hash of `target[i..i + WINDOW]`.
-        let mut h = window_hash(&target[..WINDOW]);
-        'scan: loop {
-            if index.may_contain(h) {
-                if let Some((off, len)) = index
-                    .best_match(reference, target, i, h)
-                    .filter(|&(_, len)| len >= MIN_MATCH)
-                {
+    let mut i = 0usize;
+    // Bit `k`: position `i + k` has a group the reference lacks. Bit 0 is
+    // clear whenever the loop tests it.
+    let mut ruled_out = 0u32;
+    while i + MIN_MATCH <= target.len() {
+        // Furthest group first: an absent one takes the most positions.
+        let absent = target[i..i + MIN_MATCH]
+            .chunks_exact(STRIDE)
+            .rposition(|group| !index.may_have_group(group.try_into().expect("a whole group")));
+        if let Some(k) = absent {
+            ruled_out |= GROUP_STARTS >> (STRIDE * (MATCH_GROUPS - 1 - k));
+        } else {
+            let h = window_hash(&target[i..i + WINDOW]);
+            match index.best_match(reference, target, i, h) {
+                Some((off, len)) if len >= MIN_MATCH => {
                     flush_add(out, pending_add_start, i);
                     out.push(OP_COPY);
                     varint::encode(off as u64, out);
                     varint::encode(len as u64, out);
                     i += len;
                     pending_add_start = i;
-                    if i + WINDOW > n {
-                        break;
-                    }
-                    // The cursor jumped; re-prime the rolling hash.
-                    h = window_hash(&target[i..i + WINDOW]);
+                    ruled_out = 0;
                     continue;
                 }
-            }
-            // Roll on to the next window the index does not rule out. This
-            // is where a scan of novel content spends its time, so it is a
-            // loop of its own that touches nothing but the hash and the
-            // index's bitmap.
-            let mut edges = target[i..].iter().zip(&target[i + WINDOW..]);
-            loop {
-                let Some((&out, &inn)) = edges.next() else {
-                    break 'scan;
-                };
-                h = roll(h, out, inn);
-                i += 1;
-                if index.may_contain(h) {
-                    break;
-                }
+                _ => ruled_out |= 1,
             }
         }
+        let skip = ruled_out.trailing_ones();
+        ruled_out >>= skip;
+        i += skip as usize;
     }
-    flush_add(out, pending_add_start, n);
+    flush_add(out, pending_add_start, target.len());
 }
 
 /// Reconstructs the target from `reference` and an encoding produced by

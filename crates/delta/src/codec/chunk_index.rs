@@ -1,8 +1,8 @@
-//! Reusable rolling-hash index over a reference block.
+//! Reusable window-hash index over a reference block.
 //!
 //! The chunk codec matches target spans against a reference by hashing every
-//! [`WINDOW`]-byte window of the reference at stride [`STRIDE`] and probing
-//! target windows against that index. In I-CASH one *reference* block serves
+//! [`WINDOW`]-byte window of the reference at stride [`STRIDE`] and looking
+//! target windows up in that index. In I-CASH one *reference* block serves
 //! many associate writes, so the index is worth keeping around.
 //! [`ChunkIndex`] is that reusable artifact.
 //!
@@ -14,10 +14,9 @@
 //!   inspected (it capped probing with `take(8)`). Encoding through a cached
 //!   index is therefore byte-identical to the historical single-shot
 //!   encoder; a golden-vector test pins this.
-//! * **Small and flat.** What an encode costs in the controller is set by
-//!   the memory the index touches, not by its arithmetic: most encodes meet
-//!   a reference whose index is not in the CPU cache, and many have to build
-//!   it first. The index is ≈ 16 KB for a 4 KB block, in two allocations.
+//! * **Small and flat.** Most encodes meet a reference whose index is not in
+//!   the CPU cache, and many have to build it first. The index is ≈ 16 KB
+//!   for a 4 KB block, in two allocations, filled in one pass.
 //!
 //! ## Layout
 //!
@@ -29,54 +28,35 @@
 //! its slot's chain, so building never compares or branches on content,
 //! and a chain reads in ascending position order. A lookup walks its
 //! slot's chain and keeps the windows whose full 64-bit hash matches,
-//! stopping at [`MAX_CANDIDATES`] — the bounded probe. Chains average
-//! little more than one window; a long one means the reference repeats
-//! itself, and then its windows match the lookups that reach it.
+//! stopping at [`MAX_CANDIDATES`] — the bounded probe.
 //!
-//! In front of the slot table sits a bitmap with eight bits per slot, one
-//! bit set per distinct hash. A target window whose bit is clear is in no
-//! reference window: the scan moves on after one predictable branch
-//! instead of loading a slot that is as likely full as empty. In ADD
-//! regions nearly every position is such a miss. The bitmap only ever
-//! rules out hashes that are definitely absent, so it cannot change which
-//! candidates a lookup returns.
+//! In front of the hashes sits the **group bitmap**, eight bits per slot:
+//! one bit per distinct aligned [`STRIDE`]-byte group of the reference, so
+//! at most one bit in sixteen is set. It is what the target scan reads
+//! instead of hashing (`chunk` has the argument): a lookup the bitmap
+//! spares the scan is one that could not have produced a COPY. Lookups
+//! themselves never consult it.
 //!
-//! ## Rolling-hash window math
+//! ## Hash math
 //!
 //! The window hash is the polynomial `h(w) = Σ w[j]·P^(W-1-j) (mod 2^64)`
-//! with `P = 1_000_003` and `W = 16`. Wrapping `u64` arithmetic *is*
-//! arithmetic mod 2^64, so every identity below is exact.
-//!
-//! Sliding the window one byte right — dropping `b_out`, admitting `b_in`:
-//!
-//! ```text
-//! h' = h·P + (b_in − b_out·P^W)
-//! ```
-//!
-//! The bracket does not depend on `h`, so the serial chain the target scan
-//! in `chunk::encode_with_index` carries is one multiply and one add per
-//! byte.
-//!
-//! [`build`](ChunkIndex::build) needs only every `STRIDE`-th hash, and a
-//! window is four `STRIDE`-byte groups. With `g_k` the hash of group `k`,
-//!
-//! ```text
-//! h_w = g_w·P^12 + g_{w+1}·P^8 + g_{w+2}·P^4 + g_{w+3}
-//! ```
-//!
-//! so the windows are hashed from independent group hashes, with no chain
-//! from one window to the next.
+//! with `P = 1_000_003` and `W = 16`; wrapping `u64` arithmetic *is*
+//! arithmetic mod 2^64. With `g_k` the same polynomial over the four bytes
+//! of group `k`, `H_k = g_k·P^4 + g_{k+1}` and `h_w = H_w·P^8 + H_{w+2}`:
+//! [`build`](ChunkIndex::build) gets every window from one new group hash
+//! and two multiplies, with no chain from window to window. A group's bitmap
+//! bit is one multiply of its bytes read as a `u32`.
 
 use crate::codec::scan::common_prefix_len;
 
-/// Rolling-hash window width. Matches shorter than this are invisible.
+/// Window width of the hash. Matches shorter than this are invisible.
 pub const WINDOW: usize = 16;
 
 /// Reference positions are indexed at this stride (denser = better matches,
 /// bigger index).
 pub const STRIDE: usize = 4;
 
-// `build` hashes a window as four whole groups.
+// A window is hashed as four whole groups.
 const _: () = assert!(WINDOW == 4 * STRIDE);
 
 /// Maximum candidate positions yielded per window hash; mirrors the
@@ -87,45 +67,15 @@ pub const MAX_CANDIDATES: usize = 8;
 /// Polynomial base of the window hash.
 const P: u64 = 1_000_003;
 
-/// `P^WINDOW mod 2^64`, the weight of the outgoing byte when rolling.
-const P_POW_W: u64 = pow_p(WINDOW);
+/// What a group and a half window weigh one place further left.
+const P4: u64 = P.wrapping_pow(STRIDE as u32);
+const P8: u64 = P.wrapping_pow(2 * STRIDE as u32);
 
-/// `P^STRIDE`, `P^(2·STRIDE)`, `P^(3·STRIDE)`: a group's weight by its place
-/// in a window, last group but one first.
-const GROUP_WEIGHTS: [u64; 3] = [pow_p(STRIDE), pow_p(2 * STRIDE), pow_p(3 * STRIDE)];
-
-const fn pow_p(mut e: usize) -> u64 {
-    let mut acc = 1u64;
-    while e > 0 {
-        acc = acc.wrapping_mul(P);
-        e -= 1;
-    }
-    acc
-}
-
-/// Hash of one full window, by Horner's rule.
-#[inline]
-pub(crate) fn window_hash(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0u64, |h, &b| h.wrapping_mul(P).wrapping_add(b as u64))
-}
-
-/// Rolls `h` (hash of a window starting at some position `i`) one byte to
-/// the right: `out` is the byte leaving at `i`, `inn` the byte entering at
-/// `i + WINDOW`.
-#[inline]
-pub(crate) fn roll(h: u64, out: u8, inn: u8) -> u64 {
-    h.wrapping_mul(P)
-        .wrapping_add((inn as u64).wrapping_sub((out as u64).wrapping_mul(P_POW_W)))
-}
-
-/// Hash of one `STRIDE`-byte group; the terms are independent, so the
-/// multiplies overlap.
+/// Hash of one `STRIDE`-byte group; the multiplies are independent.
 #[inline]
 fn group_hash(group: &[u8]) -> u64 {
-    const P2: u64 = pow_p(2);
-    const P3: u64 = pow_p(3);
+    const P2: u64 = P.wrapping_pow(2);
+    const P3: u64 = P.wrapping_pow(3);
     (group[0] as u64)
         .wrapping_mul(P3)
         .wrapping_add((group[1] as u64).wrapping_mul(P2))
@@ -133,30 +83,38 @@ fn group_hash(group: &[u8]) -> u64 {
         .wrapping_add(group[3] as u64)
 }
 
+/// Hash of one full window, from its four groups.
+#[inline]
+pub(crate) fn window_hash(window: &[u8]) -> u64 {
+    debug_assert_eq!(window.len(), WINDOW);
+    let groups = window.chunks_exact(STRIDE).map(group_hash);
+    groups.fold(0, |h, group| h.wrapping_mul(P4).wrapping_add(group))
+}
+
 /// Empty slot in the table, end of a chain.
 const NONE: u16 = u16::MAX;
 
-/// Filter bits per table slot.
-const FILTER_BITS_PER_SLOT_LOG2: u32 = 3;
+/// Group-bitmap bits per table slot.
+const GROUP_BITS_PER_SLOT_LOG2: u32 = 3;
 
 /// A reusable window-hash index over one reference block.
 ///
 /// Build once with [`ChunkIndex::build`], probe many times via
-/// `chunk::encode_with_index`. See the module docs for the layout and the
-/// compatibility contract.
+/// `chunk::encode_with_index`. The module docs have the layout.
 #[derive(Debug, Clone)]
 pub struct ChunkIndex {
-    /// The absent-hash bitmap (`filter_words` words), then one hash per
-    /// stride window.
+    /// The group bitmap (`bitmap_words` words), then one hash per stride
+    /// window.
     words: Box<[u64]>,
     /// The slot table (`slots` entries: lowest window of each slot), then
     /// per window the next higher window of the same slot.
     links: Box<[u16]>,
-    filter_words: usize,
+    bitmap_words: usize,
     slots: usize,
-    /// A scrambled hash shifted right by this is its filter bit; that
-    /// shifted by [`FILTER_BITS_PER_SLOT_LOG2`] more is its slot.
-    shift: u32,
+    /// A scrambled group shifted right by this is its bitmap bit.
+    group_shift: u32,
+    /// A scrambled window hash shifted right by this is its slot.
+    slot_shift: u32,
     /// Length of the indexed reference, for cache-coherence checks.
     ref_len: usize,
 }
@@ -180,43 +138,50 @@ impl ChunkIndex {
             reference.len()
         );
         let slots = (windows * 2).next_power_of_two().max(16);
-        let filter_bits = slots << FILTER_BITS_PER_SLOT_LOG2;
-        let filter_words = filter_bits / 64;
-        let mut words = vec![0u64; filter_words + windows].into_boxed_slice();
+        let bitmap_bits = slots << GROUP_BITS_PER_SLOT_LOG2;
+        let bitmap_words = bitmap_bits / 64;
+        let mut words = vec![0u64; bitmap_words + windows].into_boxed_slice();
         let mut links = vec![NONE; slots + windows].into_boxed_slice();
-        let shift = 64 - filter_bits.trailing_zeros();
+        let group_shift = u32::BITS - bitmap_bits.trailing_zeros();
+        let slot_shift = u64::BITS - slots.trailing_zeros();
 
-        let (filter, hashes) = words.split_at_mut(filter_words);
-        let mut groups = reference.chunks_exact(STRIDE).map(group_hash);
-        if let (Some(mut a), Some(mut b), Some(mut c)) =
-            (groups.next(), groups.next(), groups.next())
-        {
-            for (hash, d) in hashes.iter_mut().zip(groups) {
-                *hash = a
-                    .wrapping_mul(GROUP_WEIGHTS[2])
-                    .wrapping_add(b.wrapping_mul(GROUP_WEIGHTS[1]))
-                    .wrapping_add(c.wrapping_mul(GROUP_WEIGHTS[0]))
-                    .wrapping_add(d);
-                (a, b, c) = (b, c, d);
-            }
-        }
-
-        // Last window first: each becomes its chain's head, so chains end
-        // up ascending without ever being walked here.
+        // One pass, last group first. A group sets its bitmap bit; its hash
+        // joins the next group's into a half-window hash, and that joins
+        // the half two groups on into the hash of the window the group
+        // starts. Each window becomes its chain's head, so chains end up
+        // ascending without ever being walked here.
+        let (bitmap, hashes) = words.split_at_mut(bitmap_words);
         let (table, next) = links.split_at_mut(slots);
-        for ((w, &hash), link) in hashes.iter().enumerate().zip(next.iter_mut()).rev() {
-            let bit = scramble(hash) >> shift;
-            filter[(bit >> 6) as usize] |= 1 << (bit & 63);
-            let head = &mut table[(bit >> FILTER_BITS_PER_SLOT_LOG2) as usize];
-            *link = std::mem::replace(head, w as u16);
+        let (mut next_group, mut next_half, mut second_half) = (0u64, 0u64, 0u64);
+        let mut window_at = |group: &[u8]| {
+            let as_word = u32::from_le_bytes(group.try_into().expect("a whole group"));
+            let bit = group_bit(as_word, group_shift);
+            bitmap[bit >> 6] |= 1 << (bit & 63);
+            let group = group_hash(group);
+            let half = group.wrapping_mul(P4).wrapping_add(next_group);
+            let hash = half.wrapping_mul(P8).wrapping_add(second_half);
+            (next_group, next_half, second_half) = (group, half, next_half);
+            hash
+        };
+        // The last three groups start no window.
+        let (starts, rest) = reference.split_at(windows * STRIDE);
+        for group in rest.chunks_exact(STRIDE).rev() {
+            window_at(group);
+        }
+        for w in (0..windows).rev() {
+            let hash = window_at(&starts[w * STRIDE..][..STRIDE]);
+            hashes[w] = hash;
+            let head = &mut table[(scramble(hash) >> slot_shift) as usize];
+            next[w] = std::mem::replace(head, w as u16);
         }
 
         ChunkIndex {
             words,
             links,
-            filter_words,
+            bitmap_words,
             slots,
-            shift,
+            group_shift,
+            slot_shift,
             ref_len: reference.len(),
         }
     }
@@ -232,28 +197,20 @@ impl ChunkIndex {
         std::mem::size_of_val(&*self.words) + std::mem::size_of_val(&*self.links)
     }
 
-    /// The slot of `hash` if its filter bit is set; `None` means no
-    /// reference window has this hash.
+    /// Whether `group` may be one of the reference's aligned groups;
+    /// `false` is definite. The scan's test at a target position.
     #[inline]
-    fn slot_of(&self, hash: u64) -> Option<usize> {
-        let bit = scramble(hash) >> self.shift;
-        let set = self.words[(bit >> 6) as usize] & (1 << (bit & 63)) != 0;
-        set.then_some((bit >> FILTER_BITS_PER_SLOT_LOG2) as usize)
-    }
-
-    /// Whether some reference window may hash to `hash`; `false` is
-    /// definite. The scan's first test at every target position.
-    #[inline]
-    pub(crate) fn may_contain(&self, hash: u64) -> bool {
-        self.slot_of(hash).is_some()
+    pub fn may_have_group(&self, group: [u8; STRIDE]) -> bool {
+        let bit = group_bit(u32::from_le_bytes(group), self.group_shift);
+        self.words[bit >> 6] & (1 << (bit & 63)) != 0
     }
 
     /// Reference positions whose window hashes to `hash` (ascending, at most
     /// [`MAX_CANDIDATES`]).
     pub fn candidates(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
-        let hashes = &self.words[self.filter_words..];
+        let hashes = &self.words[self.bitmap_words..];
         let (table, next) = self.links.split_at(self.slots);
-        let mut window = self.slot_of(hash).map_or(NONE, |slot| table[slot]);
+        let mut window = table[(scramble(hash) >> self.slot_shift) as usize];
         std::iter::from_fn(move || {
             while window != NONE {
                 let w = window as usize;
@@ -295,30 +252,32 @@ impl ChunkIndex {
 }
 
 /// Fibonacci multiplier: spreads the polynomial hash into the high bits
-/// the filter bit and the slot are taken from.
+/// the slot is taken from.
 #[inline]
 fn scramble(hash: u64) -> u64 {
     hash.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Bitmap bit of a group (its bytes as a little-endian `u32`): the same
+/// multiplier, 32 bits wide.
+#[inline]
+fn group_bit(group: u32, shift: u32) -> usize {
+    (group.wrapping_mul(0x9E37_79B1) >> shift) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn rolled_hash_equals_recomputed() {
-        let data: Vec<u8> = (0..256u32)
-            .map(|i| (i.wrapping_mul(97) % 256) as u8)
-            .collect();
-        let mut h = window_hash(&data[..WINDOW]);
-        for pos in 0..data.len() - WINDOW {
-            assert_eq!(h, window_hash(&data[pos..pos + WINDOW]), "at {pos}");
-            h = roll(h, data[pos], data[pos + WINDOW]);
-        }
+    /// The window hash by its definition (Horner's rule over the bytes).
+    fn horner(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0u64, |h, &b| h.wrapping_mul(P).wrapping_add(b as u64))
     }
 
     #[test]
-    fn group_hashed_windows_equal_recomputed() {
+    fn group_hashed_windows_equal_the_definition() {
         // Lengths that are not a multiple of the stride leave a tail no
         // window covers; it must not shift any hash.
         for len in [WINDOW, WINDOW + 1, 255, 4096] {
@@ -326,15 +285,12 @@ mod tests {
                 .map(|i| (i.wrapping_mul(131) >> 3) as u8)
                 .collect();
             let index = ChunkIndex::build(&data);
-            let hashes = &index.words[index.filter_words..];
+            let hashes = &index.words[index.bitmap_words..];
             assert_eq!(hashes.len(), (len - WINDOW) / STRIDE + 1);
             for (w, &h) in hashes.iter().enumerate() {
-                let pos = w * STRIDE;
-                assert_eq!(
-                    h,
-                    window_hash(&data[pos..pos + WINDOW]),
-                    "len {len} at {pos}"
-                );
+                let window = &data[w * STRIDE..][..WINDOW];
+                assert_eq!(h, horner(window), "len {len} at {}", w * STRIDE);
+                assert_eq!(h, window_hash(window));
             }
         }
     }

@@ -212,12 +212,13 @@ impl DeltaCodec {
             target.len(),
             "deltas are derived between equal-sized blocks"
         );
-        if reference == target {
-            return Delta::identity();
-        }
         let mut scratch = self.scratch.borrow_mut();
         let Scratch { sparse, chunk } = &mut *scratch;
         sparse::encode_into(reference, target, sparse);
+        if sparse.is_empty() {
+            // No literal run: the blocks are equal.
+            return Delta::identity();
+        }
         if sparse.len() <= self.sparse_good_enough {
             return Delta {
                 encoding: Encoding::Sparse,

@@ -3,7 +3,7 @@
 //! Deltas sit in the controller's RAM buffer, so a payload allocation with
 //! slack in it is RAM the buffer's accounting does not see; and an encode
 //! that grows, shrinks and copies its output before storing it pays the
-//! allocator several times per block. This test counts, through a counting
+//! allocator several times per block. These tests count, through a counting
 //! global allocator, what one warm encode asks for.
 
 mod counting_alloc;
@@ -49,5 +49,43 @@ fn a_stored_payload_is_one_exact_size_allocation() {
             "{encoding:?}: payload of {}",
             delta.len()
         );
+    }
+}
+
+proptest::proptest! {
+    /// An identity delta has no payload to own: encoding a block against
+    /// itself, whatever it holds and whatever the codec encoded before,
+    /// asks the allocator for nothing.
+    #[test]
+    fn an_identity_encode_allocates_nothing(
+        seed in proptest::strategy::any::<u64>(),
+        kind in 0u8..3,
+        warm in proptest::strategy::any::<bool>(),
+    ) {
+        let mut state = seed | 1;
+        let block: Vec<u8> = (0..4096usize)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match kind {
+                    0 => 0,
+                    1 => (i / 64) as u8,
+                    _ => state as u8,
+                }
+            })
+            .collect();
+        let codec = DeltaCodec::default();
+        let mut index = None;
+        if warm {
+            let unrelated: Vec<u8> = block.iter().map(|b| b.wrapping_mul(31) ^ 0x5A).collect();
+            codec.encode_cached(&block, &unrelated, &mut index);
+        }
+        let same = block.clone();
+        // The one empty buffer every identity payload is a clone of.
+        let _ = icash_delta::Delta::identity();
+        let (delta, calls, bytes) = allocated_by(|| codec.encode_cached(&block, &same, &mut index));
+        proptest::prop_assert_eq!(delta.encoding(), Encoding::Identity);
+        proptest::prop_assert_eq!((calls, bytes), (0, 0));
     }
 }

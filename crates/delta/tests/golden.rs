@@ -3,7 +3,7 @@
 //! These hex strings were produced by the original (pre-optimization)
 //! scalar codecs: the HashMap-indexed chunk encoder with per-position
 //! window-hash recomputation and the byte-at-a-time sparse scanner. The
-//! optimized hot path — rolling hash, flat [`ChunkIndex`], word-wise
+//! optimized hot path — group-filtered scan, flat [`ChunkIndex`], word-wise
 //! scanning, cached reference indexes — must stay **bit-compatible** so
 //! that every EXPERIMENTS.md exhibit (delta sizes, SSD write volumes,
 //! packing ratios) is unchanged. Any encoder change that shifts a single

@@ -2,7 +2,7 @@
 """Call tree with sample shares from a sampler.so dump.
 
     calltree.py <program> <samples> [--under NAME] [--without NAME]...
-                [--share NAME]... [--min PCT] [--depth N]
+                [--share NAME]... [--self] [--min PCT] [--depth N]
 
 Resolves every address with `addr2line -f -i -C` (inlined frames expand to
 their own tree levels), then prints the tree root-first with each node's
@@ -12,7 +12,10 @@ with a frame whose function contains NAME and roots the tree there (e.g.
 that have such a frame (e.g. a baseline pass sharing the loop). With
 `--share NAME` the tree is replaced by one line per NAME: the share of the
 counted samples that have a frame containing NAME, wherever it was called
-from (one row of a per-layer table).
+from (one row of a per-layer table). With `--self` it is replaced by one
+line per function: the share of the counted samples whose *leaf* frame it is,
+inlined frames counting as functions of their own — where the time is spent,
+not under what.
 """
 import argparse
 import collections
@@ -45,6 +48,7 @@ def main():
     ap.add_argument("--under")
     ap.add_argument("--without", action="append", default=[])
     ap.add_argument("--share", action="append", default=[])
+    ap.add_argument("--self", action="store_true", dest="exclusive")
     ap.add_argument("--min", type=float, default=1.0, help="hide nodes below this %% (default 1)")
     ap.add_argument("--depth", type=int, default=12)
     args = ap.parse_args()
@@ -59,7 +63,7 @@ def main():
     names = resolve(args.program, sorted({a for s in stacks for a in s}))
 
     tree = lambda: {"n": 0, "kids": collections.defaultdict(tree)}
-    root, counted, shares = tree(), 0, collections.Counter()
+    root, counted, shares, leaves = tree(), 0, collections.Counter(), collections.Counter()
     for stack in stacks:
         path = [f for a in reversed(stack) for f in names[a]]
         if any(w in f for w in args.without for f in path):
@@ -71,6 +75,7 @@ def main():
             path = path[at:]
         counted += 1
         shares.update(name for name in args.share if any(name in f for f in path))
+        leaves[path[-1]] += 1
         node = root
         for f in path:
             node = node["kids"][f]
@@ -79,7 +84,11 @@ def main():
     print(f"{counted} of {len(stacks)} samples counted")
     for name in args.share:
         print(f"{100.0 * shares[name] / max(counted, 1):6.1f}%  {name}")
-    if args.share:
+    if args.exclusive:
+        for name, n in leaves.most_common():
+            if 100.0 * n / counted >= args.min:
+                print(f"{100.0 * n / counted:6.1f}%  {name}")
+    if args.share or args.exclusive:
         return
 
     def show(node, depth):
