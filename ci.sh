@@ -14,6 +14,24 @@ run() { step "$*" && "$@"; }                     # announce a command, run it
 t() { step "$1" && shift && cargo test -q "$@"; } # announce a suite, run it
 bins() { cargo build -q --release -p icash-bench; }
 bench_diff() { cargo run -q --release -p icash-bench --bin bench_diff -- "$@"; }
+# Maps keyed by an address or an id take icash_storage::hash::{AddrMap,
+# AddrSet}: a default-hasher one in product code (a file's `#[cfg(test)]`
+# tail is exempt) pays SipHash on every block touched.
+lint_hashers() {
+  step "lint: no default-hasher map with an integer key outside #[cfg(test)]"
+  local f bad=0
+  for f in $(find crates/{storage,core,workloads,baselines}/src -name '*.rs' | sort); do
+    # (pipefail: the pipeline succeeds only when grep found a line.)
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+      grep -nE 'Hash(Map|Set)<(Lba|u64|u32|usize)\b' | sed "s|^|$f:|" >&2; then
+      bad=1
+    fi
+  done
+  if ((bad)); then
+    echo "    use icash_storage::hash::{AddrMap, AddrSet} for these" >&2
+    return 1
+  fi
+}
 run_benches() {
   for bench in "$@"; do
     CRITERION_JSON="$PWD/target/bench_${bench}_current.json" \
@@ -154,6 +172,7 @@ gate)
   run cargo fmt --check
   run cargo clippy --workspace --all-targets -- -D warnings
   run cargo clippy -q -p icash-core --no-deps -- -D warnings -D clippy::unwrap_used
+  lint_hashers
   run cargo build --release
   run cargo test -q --workspace
   run cargo test -q -p icash-storage --features debug_validate

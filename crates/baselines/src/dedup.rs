@@ -12,13 +12,13 @@ use icash_storage::array::DeviceArray;
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
 use icash_storage::fault::{self, FaultPlan};
+use icash_storage::hash::AddrMap;
 use icash_storage::lru::LruMap;
 use icash_storage::pipeline::{Ticket, WriteThrough};
 use icash_storage::request::{Completion, IoErrorKind, Op, Request};
 use icash_storage::ssd::{Ssd, SsdConfig};
 use icash_storage::system::{IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
-use std::collections::HashMap;
 
 /// Write requests at least this many blocks long bypass the cache and
 /// stream to the disk sequentially (see the LRU baseline).
@@ -62,7 +62,7 @@ pub struct DedupCache {
     /// Digest → flash location of the single shared copy.
     store: LruMap<u64, DigestEntry>,
     /// LBA → digest of its current content.
-    map: HashMap<Lba, u64>,
+    map: AddrMap<Lba, u64>,
     free_slots: Vec<u64>,
     hits: u64,
     misses: u64,
@@ -82,7 +82,7 @@ impl DedupCache {
             array: DeviceArray::coupled(ssd, HomeDisk::build_disk(data_blocks)),
             home: HomeDisk::new(data_blocks),
             store: LruMap::new(),
-            map: HashMap::new(),
+            map: AddrMap::default(),
             free_slots: (0..slots).rev().collect(),
             hits: 0,
             misses: 0,

@@ -8,16 +8,16 @@
 
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault;
+use icash_storage::hash::AddrMap;
 use icash_storage::hdd::{Hdd, HddConfig, HddError};
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
-use std::collections::HashMap;
 
 /// Home-area addressing and written-content overlay for one data disk.
 #[derive(Debug)]
 pub struct HomeDisk {
     capacity_blocks: u64,
-    overlay: HashMap<Lba, BlockBuf>,
+    overlay: AddrMap<Lba, BlockBuf>,
     /// Whether to retain written content for read-back verification.
     keep_content: bool,
 }
@@ -27,7 +27,7 @@ impl HomeDisk {
     pub fn new(capacity_blocks: u64) -> Self {
         HomeDisk {
             capacity_blocks: capacity_blocks.max(1),
-            overlay: HashMap::new(),
+            overlay: AddrMap::default(),
             keep_content: true,
         }
     }

@@ -8,13 +8,13 @@
 use icash_storage::array::DeviceArray;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::{self, FaultPlan};
+use icash_storage::hash::AddrMap;
 use icash_storage::pipeline::{Ticket, WriteThrough};
 use icash_storage::request::{Completion, IoErrorKind, Op, Request};
 use icash_storage::ssd::{Ssd, SsdConfig};
 use icash_storage::system::{IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
 use icash_storage::trace::Tracer;
-use std::collections::HashMap;
 
 /// A storage system holding the whole data set on flash.
 ///
@@ -39,9 +39,9 @@ pub struct PureSsd {
     array: DeviceArray,
     /// LBA → logical page; assigned on first touch so VM-tagged addresses
     /// coexist.
-    pages: HashMap<Lba, u64>,
+    pages: AddrMap<Lba, u64>,
     next_page: u64,
-    overlay: HashMap<Lba, BlockBuf>,
+    overlay: AddrMap<Lba, BlockBuf>,
     keep_content: bool,
     /// Shared write-through ticket bookkeeping ([`WriteThrough`]): every
     /// accepted write is on stable media when submit returns.
@@ -53,9 +53,9 @@ impl PureSsd {
     pub fn new(data_bytes: u64) -> Self {
         PureSsd {
             array: DeviceArray::ssd_only(Ssd::new(SsdConfig::fusion_io(data_bytes))),
-            pages: HashMap::new(),
+            pages: AddrMap::default(),
             next_page: 0,
-            overlay: HashMap::new(),
+            overlay: AddrMap::default(),
             keep_content: true,
             tickets: WriteThrough::new(),
         }

@@ -9,13 +9,13 @@ use crate::home::HomeDisk;
 use icash_storage::array::DeviceArray;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::{self, FaultPlan};
+use icash_storage::hash::AddrMap;
 use icash_storage::hdd::{Hdd, HddConfig};
 use icash_storage::pipeline::{Ticket, WriteThrough};
 use icash_storage::request::{Completion, IoErrorKind, Op, Request};
 use icash_storage::system::{IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
 use icash_storage::trace::Tracer;
-use std::collections::HashMap;
 
 /// Stripe chunk in 4 KB blocks (64 KB chunks, the Linux MD default).
 const CHUNK_BLOCKS: u64 = 16;
@@ -43,7 +43,7 @@ pub struct Raid0 {
     array: DeviceArray,
     blocks_per_disk: u64,
     data_blocks: u64,
-    overlay: HashMap<Lba, BlockBuf>,
+    overlay: AddrMap<Lba, BlockBuf>,
     keep_content: bool,
     /// Shared write-through ticket bookkeeping ([`WriteThrough`]): every
     /// accepted write is on stable media when submit returns.
@@ -68,7 +68,7 @@ impl Raid0 {
             ),
             blocks_per_disk,
             data_blocks,
-            overlay: HashMap::new(),
+            overlay: AddrMap::default(),
             keep_content: true,
             tickets: WriteThrough::new(),
         }

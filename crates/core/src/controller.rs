@@ -39,6 +39,7 @@ use icash_delta::signature::BlockSignature;
 use icash_storage::array::DeviceArray;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::FaultPlan;
+use icash_storage::hash::{AddrMap, AddrSet};
 use icash_storage::hdd::{Hdd, HddError};
 use icash_storage::pipeline::Ticket;
 use icash_storage::request::{BlockError, Completion, IoErrorKind, Op, Request};
@@ -46,7 +47,7 @@ use icash_storage::ssd::Ssd;
 use icash_storage::system::{GroupCommitReport, IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// The I-CASH storage element: one SSD and one HDD coupled by the
 /// similarity/delta algorithm.
@@ -88,8 +89,9 @@ pub(crate) struct Durable {
     /// SSD-pinned content, the slot directory and the stamp source.
     pub slots: SlotStore,
     /// Content the controller wrote back to the HDD home area; read it
-    /// through [`Icash::home_content`].
-    pub home_overlay: HashMap<Lba, BlockBuf>,
+    /// through [`Icash::home_content`]. (Keyed access only, like
+    /// `span_prefetch`: never iterated.)
+    pub home_overlay: AddrMap<Lba, BlockBuf>,
     /// The armed fault campaign (disabled by default; see
     /// [`Icash::with_fault_plan`]).
     pub fault_plan: FaultPlan,
@@ -110,15 +112,15 @@ pub(crate) struct Volatile {
     /// Content fetched by a span's batched home-read prefetch, consumed by
     /// the per-block resolution that immediately follows and cleared at the
     /// end of the request. Never populated without a device queue.
-    pub span_prefetch: HashMap<Lba, BlockBuf>,
+    pub span_prefetch: AddrMap<Lba, BlockBuf>,
     /// Evicted virtual blocks whose content is *not* in the home area.
-    pub evicted: HashMap<Lba, EvictedState>,
+    pub evicted: AddrMap<Lba, EvictedState>,
     /// Blocks that gave up an SSD slot since the last log commit; see
     /// [`Icash::release_slot`]. (Ordered, so the reclaim frees slots in
     /// address order whatever order they were released in.)
     pub released: BTreeSet<Lba>,
     /// Virtual blocks with unflushed deltas.
-    pub dirty: HashSet<usize>,
+    pub dirty: AddrSet<usize>,
     pub dirty_bytes: usize,
     /// The group-commit staging buffer: encoded-but-uncommitted deltas
     /// keyed by monotonic flush tickets. Always empty at
@@ -146,10 +148,10 @@ impl Volatile {
             pool: SegmentPool::new(cfg.ram_budget(), cfg.segment_bytes),
             ref_index: RefIndex::new(),
             ref_cache: RefIndexCache::new(),
-            span_prefetch: HashMap::new(),
-            evicted: HashMap::new(),
+            span_prefetch: AddrMap::default(),
+            evicted: AddrMap::default(),
             released: BTreeSet::new(),
-            dirty: HashSet::new(),
+            dirty: AddrSet::default(),
             dirty_bytes: 0,
             staging: Staging::new(),
             ios_since_scan: 0,
@@ -174,7 +176,7 @@ impl Icash {
                 array: DeviceArray::coupled(ssd, hdd).with_ram_buffer(cfg.ram_budget() as u64),
                 log: DeltaLog::new(cfg.log_blocks),
                 slots: SlotStore::new(cfg.ssd_slots()),
-                home_overlay: HashMap::new(),
+                home_overlay: AddrMap::default(),
                 fault_plan: FaultPlan::none(),
             },
             volatile: Volatile::cold(&cfg),
@@ -266,6 +268,7 @@ impl Icash {
             }
             owners.extend(vb.ssd_slot.map(|slot| (vb.lba, slot)));
         }
+        // (Hash order; `owners` is sorted before it is compared.)
         for (&lba, state) in &self.volatile.evicted {
             if let EvictedState::InSsd(slot) = *state {
                 owners.push((lba, slot));

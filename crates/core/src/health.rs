@@ -36,13 +36,14 @@ use crate::table::VbId;
 use crate::virtual_block::Role;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::{crc32, fault_roll, HealthMonitor, HealthPolicy, HealthState};
+use icash_storage::hash::AddrSet;
 use icash_storage::hdd::HddError;
 use icash_storage::request::IoErrorKind;
 use icash_storage::ssd::{Ssd, SsdError};
 use icash_storage::system::{HealthReport, IoCtx};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Salt of the backoff-jitter draw stream (disjoint from the injector
 /// salts: SSD reads use 1, HDD spindles use 16+i, torn writes their own).
@@ -89,7 +90,7 @@ pub(crate) struct RebuildTask {
     /// `(lba, slot)` pairs still to rebuild, in ascending LBA order.
     pub pending: VecDeque<(Lba, u64)>,
     /// The slots in `pending` (reads of these stay on the degraded path).
-    pub pending_slots: HashSet<u64>,
+    pub pending_slots: AddrSet<u64>,
     /// Slots processed so far.
     pub done: u64,
     /// Total slots the task started with.
@@ -390,7 +391,7 @@ impl Icash {
             return;
         }
         let pending = self.durable.slots.pinned_sorted();
-        let pending_slots: HashSet<u64> = pending.iter().map(|&(_, s)| s).collect();
+        let pending_slots: AddrSet<u64> = pending.iter().map(|&(_, s)| s).collect();
         let total = pending.len() as u64;
         let h = self.volatile.health.as_mut().expect("checked above");
         h.rebuild = Some(RebuildTask {

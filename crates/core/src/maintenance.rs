@@ -9,6 +9,7 @@ use crate::table::{Resident, VbId};
 use crate::virtual_block::Role;
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
+use icash_storage::hash::AddrMap;
 use icash_storage::pipeline::Ticket;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
@@ -84,6 +85,8 @@ impl Icash {
     /// determinism) and empties the dirty set. The caller decides whether
     /// the entries go straight to the log or into the staging buffer.
     fn drain_dirty(&mut self) -> Vec<(VbId, LogEntry)> {
+        // (Drained in hash order, hence the sort: stamps and pack order
+        // follow it.)
         let mut ids: Vec<usize> = self.volatile.dirty.drain().collect();
         ids.sort_unstable();
         self.volatile.dirty_bytes = 0;
@@ -262,13 +265,15 @@ impl Icash {
         // id set cannot go stale in between.
         let ids = self.volatile.table.head_ids(usize::MAX);
         // An entry is live iff the block's current state points at it.
-        let mut expected: std::collections::HashMap<Lba, u32> = std::collections::HashMap::new();
+        let mut expected: AddrMap<Lba, u32> = AddrMap::default();
         for &id in &ids {
             let vb = self.volatile.table.get(id);
             if let Some(loc) = vb.log_loc {
                 expected.insert(vb.lba, loc);
             }
         }
+        // (Hash order: a block is tracked or evicted, never both, so each
+        // address is inserted once and `expected` ends up the same map.)
         for (lba, state) in &self.volatile.evicted {
             if let EvictedState::InLog { loc, .. } = state {
                 expected.insert(*lba, *loc);
@@ -292,6 +297,7 @@ impl Icash {
                 self.volatile.table.get_mut(id).log_loc = new_locs.get(&lba).copied();
             }
         }
+        // (Hash order: each record is rewritten from its own address alone.)
         for (lba, state) in self.volatile.evicted.iter_mut() {
             if let EvictedState::InLog { loc, .. } = state {
                 if let Some(new) = new_locs.get(lba) {

@@ -6,7 +6,6 @@ use crate::controller::Icash;
 use crate::placement::{EvictedState, ZERO_REF};
 use crate::table::VbId;
 use crate::virtual_block::Role;
-use icash_delta::codec::Delta;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuOp;
 use icash_storage::fault::crc32;
@@ -18,6 +17,11 @@ use icash_storage::trace::{TraceEvent, TraceKind};
 /// The outcome of resolving one block's content: the completion instant
 /// plus either the bytes or the error class reported to the host.
 pub(crate) type BlockRead = (Ns, Result<BlockBuf, IoErrorKind>);
+
+/// Packed blocks read per log fetch: one seek already paid, so reading a
+/// short run amortises it over neighbouring deltas (which were packed in
+/// address order and will be wanted next).
+const READAHEAD: u32 = 16;
 
 impl Icash {
     pub(crate) fn read_block(&mut self, lba: Lba, at: Ns, ctx: &mut IoCtx<'_>) -> BlockRead {
@@ -360,16 +364,75 @@ impl Icash {
         (at, Ok(()))
     }
 
+    /// Installs what a fetch of log blocks `loc..loc + span` brought in:
+    /// every entry that is its block's *current* delta and not resident
+    /// yet. Walks the log in place — only the delta being installed is
+    /// cloned — but over no more than the read returned: each block's entry
+    /// count is taken first, because an install can flush, and a flush
+    /// appends. (`DeltaLog::append` only adds blocks past the end today;
+    /// the bound should not rest on how it packs.)
+    fn install_fetched(&mut self, lba: Lba, loc: u32, span: u32, at: Ns) {
+        #[cfg(test)]
+        if tests::SNAPSHOT_WALK.with(std::cell::Cell::get) {
+            return self.install_fetched_snapshot(lba, loc, span, at);
+        }
+        let mut fetched = [0usize; READAHEAD as usize];
+        for (n, l) in fetched.iter_mut().zip(loc..loc + span) {
+            *n = self.durable.log.fetch(l).entries.len();
+        }
+        let cleans = self.stats.log_cleans;
+        for (l, &entries) in (loc..loc + span).zip(&fetched) {
+            for i in 0..entries {
+                // Installing can flush, and flushing can clean the log,
+                // which renumbers every location: from then on a superseded
+                // entry of the fetched span can match its block's *new*
+                // location and install an old delta as current (and `l`
+                // may not exist any more). Only the optional prefetches are
+                // lost by stopping.
+                if self.stats.log_cleans != cleans {
+                    return;
+                }
+                let entry_lba = self.durable.log.fetch(l).entries[i].lba;
+                // Materialise evicted siblings whose current delta lives in
+                // this very block — the whole point of packing: one
+                // mechanical read must service every I/O it covers (paper
+                // §3.1).
+                let target = match self.volatile.table.lookup(entry_lba) {
+                    Some(tid) => tid,
+                    None => match self.volatile.evicted.get(&entry_lba) {
+                        Some(&state @ EvictedState::InLog { loc: at_loc, .. }) if at_loc == l => {
+                            self.volatile.evicted.remove(&entry_lba);
+                            // No reserve_table_slot here: it could evict
+                            // the very block this fetch is serving (callers
+                            // hold its VbId). The table may briefly
+                            // overshoot its bound; the next materialisation
+                            // trims it.
+                            let vb = self.rebuild_evicted(entry_lba, state);
+                            self.volatile.table.insert(vb)
+                        }
+                        _ => continue,
+                    },
+                };
+                let vb = self.volatile.table.get(target);
+                // Only install when this log block holds the *current* delta.
+                if vb.log_loc != Some(l) || vb.delta.is_some() {
+                    continue;
+                }
+                let delta = self.durable.log.fetch(l).entries[i].delta.clone();
+                self.install_clean_delta(target, delta, at);
+                if entry_lba != lba {
+                    self.stats.log_prefetched_deltas += 1;
+                }
+            }
+        }
+    }
+
     /// Fetches the packed log block holding `id`'s delta from the HDD and
     /// unpacks *every* delta in it into RAM (the paper's one-HDD-op-many-IOs
     /// effect). Returns the fetch completion instant; on a latent sector
     /// error the readahead narrows to just the mandatory block before the
     /// failure is reported.
     fn fetch_log_block(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
-        /// Packed blocks read per fetch: one seek already paid, so reading
-        /// a short run amortises it over neighbouring deltas (which were
-        /// packed in address order and will be wanted next).
-        const READAHEAD: u32 = 16;
         let loc = match self.volatile.table.get(id).log_loc {
             Some(l) => l,
             None => return self.metadata_error("delta must be logged", at),
@@ -399,55 +462,7 @@ impl Icash {
             }
         };
         self.stats.log_fetches += 1;
-
-        let entries: Vec<(u32, Lba, Delta)> = (loc..loc + span)
-            .flat_map(|l| {
-                self.durable
-                    .log
-                    .fetch(l)
-                    .entries
-                    .iter()
-                    .map(move |e| (l, e.lba, e.delta.clone()))
-            })
-            .collect();
-        let cleans = self.stats.log_cleans;
-        for (loc, entry_lba, delta) in entries {
-            // Installing can flush, and flushing can clean the log, which
-            // renumbers every location: from then on a superseded entry of
-            // the snapshot can match its block's *new* location and install
-            // an old delta as current. Only the optional prefetches are
-            // lost by stopping.
-            if self.stats.log_cleans != cleans {
-                break;
-            }
-            // Materialise evicted siblings whose current delta lives in
-            // this very block — the whole point of packing: one mechanical
-            // read must service every I/O it covers (paper §3.1).
-            let target = match self.volatile.table.lookup(entry_lba) {
-                Some(tid) => tid,
-                None => match self.volatile.evicted.get(&entry_lba) {
-                    Some(&state @ EvictedState::InLog { loc: at_loc, .. }) if at_loc == loc => {
-                        self.volatile.evicted.remove(&entry_lba);
-                        // No reserve_table_slot here: it could evict the
-                        // very block this fetch is serving (callers hold
-                        // its VbId). The table may briefly overshoot its
-                        // bound; the next materialisation trims it.
-                        let vb = self.rebuild_evicted(entry_lba, state);
-                        self.volatile.table.insert(vb)
-                    }
-                    _ => continue,
-                },
-            };
-            let vb = self.volatile.table.get(target);
-            // Only install when this log block holds the *current* delta.
-            if vb.log_loc != Some(loc) || vb.delta.is_some() {
-                continue;
-            }
-            self.install_clean_delta(target, delta, at);
-            if entry_lba != lba {
-                self.stats.log_prefetched_deltas += 1;
-            }
-        }
+        self.install_fetched(lba, loc, span, at);
         // The block we came for is mandatory: if a mid-loop log clean moved
         // it, reinstall from its current location (the payload is
         // unchanged by cleaning).
@@ -471,5 +486,414 @@ impl Icash {
         }
         debug_assert!(self.volatile.table.get(id).delta.is_some());
         (t, Ok(()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::IcashConfig;
+    use icash_delta::codec::Delta;
+    use icash_storage::cpu::CpuModel;
+    use icash_storage::fault::FaultPlan;
+    use icash_storage::system::{StorageSystem, ZeroSource};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Routes [`Icash::install_fetched`] through the snapshot oracle
+        /// (this thread's controllers only).
+        pub(super) static SNAPSHOT_WALK: Cell<bool> = const { Cell::new(false) };
+    }
+
+    impl Icash {
+        /// [`Icash::install_fetched`] as it was: clone every entry of the
+        /// fetched span up front, then decide which few to install. Kept
+        /// as the oracle.
+        pub(super) fn install_fetched_snapshot(&mut self, lba: Lba, loc: u32, span: u32, at: Ns) {
+            let entries: Vec<(u32, Lba, Delta)> = (loc..loc + span)
+                .flat_map(|l| {
+                    self.durable
+                        .log
+                        .fetch(l)
+                        .entries
+                        .iter()
+                        .map(move |e| (l, e.lba, e.delta.clone()))
+                })
+                .collect();
+            let cleans = self.stats.log_cleans;
+            for (loc, entry_lba, delta) in entries {
+                if self.stats.log_cleans != cleans {
+                    break;
+                }
+                let target = match self.volatile.table.lookup(entry_lba) {
+                    Some(tid) => tid,
+                    None => match self.volatile.evicted.get(&entry_lba) {
+                        Some(&state @ EvictedState::InLog { loc: at_loc, .. }) if at_loc == loc => {
+                            self.volatile.evicted.remove(&entry_lba);
+                            let vb = self.rebuild_evicted(entry_lba, state);
+                            self.volatile.table.insert(vb)
+                        }
+                        _ => continue,
+                    },
+                };
+                let vb = self.volatile.table.get(target);
+                if vb.log_loc != Some(loc) || vb.delta.is_some() {
+                    continue;
+                }
+                self.install_clean_delta(target, delta, at);
+                if entry_lba != lba {
+                    self.stats.log_prefetched_deltas += 1;
+                }
+            }
+        }
+    }
+
+    /// Block address space of the generated histories (`tests/common`'s).
+    const SPACE: u64 = 64;
+
+    /// What a written block holds: `tests/common`'s two families, plus the
+    /// one that makes a log block worth fetching.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Family {
+        /// One shared base with a per-tag tweak: binds to a reference.
+        Similar,
+        /// Incompressible: overflows the delta threshold, takes a slot.
+        Noise,
+        /// A few hundred noisy bytes in a zero block: a zero-based delta
+        /// small enough that nine share a log block.
+        Sparse,
+    }
+
+    fn block_for(lba: u64, tag: u8, family: Family) -> BlockBuf {
+        let mut v = vec![if family == Family::Sparse { 0 } else { 0xA7u8 }; 4096];
+        let noisy = match family {
+            Family::Similar => 0,
+            Family::Noise => 4096,
+            Family::Sparse => 300 + (lba as usize % 5) * 40,
+        };
+        let mut state = (lba << 16 | u64::from(tag) << 1 | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for byte in &mut v[16..16 + noisy.min(4080)] {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = state as u8;
+        }
+        v[3] = tag;
+        v[8..16].copy_from_slice(&lba.to_le_bytes());
+        BlockBuf::from_vec(v)
+    }
+
+    /// `tests/common::SysOp`, with the barrier traded for a crash (a torn
+    /// tail is the log shape this walk has to survive).
+    #[derive(Debug, Clone)]
+    enum SysOp {
+        Write {
+            lba: u64,
+            tag: u8,
+            family: Family,
+        },
+        WriteSpan {
+            lba: u64,
+            blocks: u32,
+            tag: u8,
+            family: Family,
+        },
+        Read {
+            lba: u64,
+        },
+        Flush,
+        Crash,
+    }
+
+    fn family() -> impl Strategy<Value = Family> {
+        prop_oneof![
+            Just(Family::Similar),
+            Just(Family::Sparse),
+            Just(Family::Sparse),
+            Just(Family::Noise)
+        ]
+    }
+
+    /// 1–199 ops in `tests/common::ops_strategy`'s mix: single writes and
+    /// reads dominate, with streamed spans, flushes and a rare crash.
+    fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
+        let write = || {
+            (0..SPACE, any::<u8>(), family()).prop_map(|(lba, tag, family)| SysOp::Write {
+                lba,
+                tag,
+                family,
+            })
+        };
+        let read = || (0..SPACE).prop_map(|lba| SysOp::Read { lba });
+        let span = || {
+            (0..SPACE - 24, 8u32..25, any::<u8>(), family()).prop_map(
+                |(lba, blocks, tag, family)| SysOp::WriteSpan {
+                    lba,
+                    blocks,
+                    tag,
+                    family,
+                },
+            )
+        };
+        prop::collection::vec(
+            prop_oneof![
+                write(),
+                write(),
+                write(),
+                read(),
+                read(),
+                read(),
+                read(),
+                span(),
+                span(),
+                Just(SysOp::Flush),
+                (0u8..8).prop_map(|roll| if roll == 0 {
+                    SysOp::Crash
+                } else {
+                    SysOp::Flush
+                }),
+            ],
+            1..200,
+        )
+    }
+
+    /// Everything the walk can reach, in a comparable form: the table (slab
+    /// index included — the walk inserts), the eviction records, the pool.
+    fn state_of(sys: &Icash) -> Vec<String> {
+        let delta_sum = |d: &Delta| (d.encoding(), crc32(d.payload()));
+        let mut rows: Vec<String> = (0..SPACE + 256)
+            .filter_map(|l| {
+                let id = sys.volatile.table.lookup(Lba::new(l))?;
+                let vb = sys.volatile.table.get(id);
+                Some(format!(
+                    "{l}@{}: {:?} ref {:?} slot {:?} loc {:?} delta {:?} dirty {} staged {} data {:?}",
+                    id.index(),
+                    vb.role,
+                    vb.reference,
+                    vb.ssd_slot,
+                    vb.log_loc,
+                    vb.delta.as_ref().map(|c| (delta_sum(&c.delta), c.charge)),
+                    vb.dirty_delta,
+                    vb.staged,
+                    vb.data.as_ref().map(|b| crc32(b.as_slice())),
+                ))
+            })
+            .collect();
+        let mut evicted: Vec<String> = sys
+            .volatile
+            .evicted
+            .iter()
+            .map(|(lba, state)| format!("evicted {lba}: {state:?}"))
+            .collect();
+        evicted.sort();
+        rows.extend(evicted);
+        rows.push(format!(
+            "pool {} log {} blocks",
+            sys.volatile.pool.used(),
+            sys.durable.log.len_blocks(),
+        ));
+        let order: Vec<usize> = sys
+            .volatile
+            .table
+            .head_ids(usize::MAX)
+            .iter()
+            .map(|id| id.index())
+            .collect();
+        rows.push(format!("lru {order:?}"));
+        rows
+    }
+
+    /// Runs `ops` through two controllers in lockstep — the in-place walk
+    /// and the snapshot oracle — comparing each completion, the statistics
+    /// and [`state_of`] after every op. Returns the final statistics and
+    /// how many reads cleaned the log inside their fetch.
+    fn lockstep(cfg: &IcashConfig, ops: &[SysOp]) -> (crate::stats::IcashStats, u32) {
+        let plan = || FaultPlan {
+            torn_writes: true,
+            ..FaultPlan::none()
+        };
+        let mut pair = [true, false].map(|oracle| {
+            (
+                oracle,
+                Icash::new(cfg.clone()).with_fault_plan(plan()),
+                CpuModel::xeon(),
+            )
+        });
+        let backing = ZeroSource;
+        let mut now = Ns::ZERO;
+        let mut cleaned_inside = 0;
+        for (n, op) in ops.iter().enumerate() {
+            let mut outcomes = Vec::new();
+            for (oracle, sys, cpu) in &mut pair {
+                SNAPSHOT_WALK.with(|w| w.set(*oracle));
+                let mut ctx = IoCtx::verifying(&backing, cpu);
+                let before = sys.stats();
+                let done = match *op {
+                    SysOp::Write { lba, tag, family } => {
+                        let req = Request::write(Lba::new(lba), now, block_for(lba, tag, family));
+                        sys.submit(&req, &mut ctx)
+                    }
+                    SysOp::WriteSpan {
+                        lba,
+                        blocks,
+                        tag,
+                        family,
+                    } => {
+                        let payload =
+                            (lba..lba + u64::from(blocks)).map(|l| block_for(l, tag, family));
+                        let req = Request::write_span(Lba::new(lba), now, payload.collect());
+                        sys.submit(&req, &mut ctx)
+                    }
+                    SysOp::Read { lba } => sys.submit(&Request::read(Lba::new(lba), now), &mut ctx),
+                    SysOp::Flush => icash_storage::request::Completion::at(StorageSystem::flush(
+                        sys, now, &mut ctx,
+                    )),
+                    SysOp::Crash => {
+                        let cold = std::mem::replace(sys, Icash::new(cfg.clone()));
+                        *sys = cold.crash_and_recover();
+                        icash_storage::request::Completion::at(now)
+                    }
+                };
+                SNAPSHOT_WALK.with(|w| w.set(false));
+                sys.debug_validate();
+                let after = sys.stats();
+                if !*oracle
+                    && matches!(op, SysOp::Read { .. })
+                    && after.log_fetches > before.log_fetches
+                    && after.log_cleans > before.log_cleans
+                {
+                    cleaned_inside += 1;
+                }
+                outcomes.push((done.finished, done.data, done.errors, after, state_of(sys)));
+            }
+            let walk = outcomes.pop().expect("two controllers");
+            let oracle = outcomes.pop().expect("two controllers");
+            assert_eq!(walk.0, oracle.0, "op {n} {op:?}: completion instant");
+            assert!(walk.1 == oracle.1, "op {n} {op:?}: bytes read");
+            assert_eq!(walk.2, oracle.2, "op {n} {op:?}: errors");
+            assert_eq!(walk.3, oracle.3, "op {n} {op:?}: statistics");
+            assert_eq!(walk.4, oracle.4, "op {n} {op:?}: controller state");
+            now = walk.0.max(now);
+        }
+        let stats = pair[1].1.stats();
+        (stats, cleaned_inside)
+    }
+
+    /// The 64 KiB pool holds sixteen blocks: installs evict, and with the
+    /// flush interval out of reach the log commits when an install needs
+    /// room — inside the walk, not between two ops. `log_blocks` small
+    /// enough that such a commit also cleans.
+    fn tight(log_blocks: u64) -> IcashConfig {
+        IcashConfig::builder(1 << 20, 64 << 10, 4 << 20)
+            .scan_interval(40)
+            .scan_window(64)
+            .flush_interval(1_000_000)
+            .log_blocks(log_blocks)
+            .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_in_place_walk_matches_the_snapshot_oracle(
+            ops in ops_strategy(),
+            log_pick in 0usize..3,
+            eager_flush in any::<bool>(),
+        ) {
+            let mut cfg = tight([160, 256, 1 << 14][log_pick]);
+            if eager_flush {
+                cfg.flush_interval = 20;
+            }
+            lockstep(&cfg, &ops);
+        }
+    }
+
+    /// `tests/placement.rs`'s clean-inside-a-fetch history, through both
+    /// walks: blocks 0..9 share log block 0, block 8 moves on one log block
+    /// a version, a streamed span fills the pool with dirty deltas, and the
+    /// read of block 0 has to flush — and clean — to install its first
+    /// delta. Neither walk may go on to install block 8's first version.
+    #[test]
+    fn a_clean_in_mid_walk_stops_both_walks_at_the_same_entry() {
+        let mut cleaned_inside = 0;
+        // (A band of filler counts leaves the pool less than one delta short
+        // of full; the sweep finds it whatever the codec's exact sizes are.)
+        for fillers in 135..=165 {
+            let mut ops = vec![
+                SysOp::WriteSpan {
+                    lba: 0,
+                    blocks: 9,
+                    tag: 0,
+                    family: Family::Sparse,
+                },
+                SysOp::Flush,
+            ];
+            for tag in 1..=50 {
+                ops.push(SysOp::Write {
+                    lba: 8,
+                    tag,
+                    family: Family::Sparse,
+                });
+                ops.push(SysOp::Flush);
+            }
+            ops.push(SysOp::WriteSpan {
+                lba: 100,
+                blocks: fillers,
+                tag: 0,
+                family: Family::Sparse,
+            });
+            ops.push(SysOp::Read { lba: 0 });
+            ops.push(SysOp::Read { lba: 8 });
+            let mut cfg = tight(72);
+            cfg.scan_interval = 1_000_000;
+            cleaned_inside += lockstep(&cfg, &ops).1;
+        }
+        assert!(cleaned_inside > 0, "no fetch cleaned the log mid-walk");
+    }
+
+    /// One fetch, many installs, a pool too small for them: the walk's own
+    /// installs flush (appending behind the fetched span) and evict what it
+    /// installed a moment ago; a crash then tears the tail it appended and
+    /// the recovered controllers fetch over the shortened log.
+    #[test]
+    fn installs_that_flush_behind_the_span_and_a_torn_tail() {
+        let mut ops = Vec::new();
+        for round in 0..4u8 {
+            ops.push(SysOp::WriteSpan {
+                lba: 0,
+                blocks: 24,
+                tag: round,
+                family: Family::Sparse,
+            });
+            ops.push(SysOp::WriteSpan {
+                lba: 24,
+                blocks: 24,
+                tag: round,
+                family: Family::Sparse,
+            });
+            ops.push(SysOp::Flush);
+            ops.push(SysOp::WriteSpan {
+                lba: 200,
+                blocks: 20,
+                tag: round,
+                family: Family::Sparse,
+            });
+            ops.extend((0..48).step_by(5).map(|lba| SysOp::Read { lba }));
+            ops.push(SysOp::WriteSpan {
+                lba: 230,
+                blocks: 12,
+                tag: round,
+                family: Family::Sparse,
+            });
+            ops.push(SysOp::Crash);
+            ops.extend((0..48).step_by(7).map(|lba| SysOp::Read { lba }));
+        }
+        let (stats, _) = lockstep(&tight(1 << 14), &ops);
+        assert!(
+            stats.log_fetches > 0 && stats.log_prefetched_deltas > 0,
+            "{stats:?}"
+        );
     }
 }

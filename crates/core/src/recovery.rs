@@ -19,9 +19,9 @@ use crate::virtual_block::{Role, VirtualBlock};
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::Lba;
 use icash_storage::fault::fault_roll;
+use icash_storage::hash::AddrMap;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
-use std::collections::HashMap;
 
 /// Salt for the deterministic choice of where a torn write lands inside
 /// the crash-interrupted append span.
@@ -108,7 +108,7 @@ impl Icash {
 
         // Phase 2: scan the surviving log; the highest-generation entry per
         // LBA wins (append order breaks ties, though stamps are unique).
-        let mut latest: HashMap<Lba, (u32, Lba, u64)> = HashMap::new();
+        let mut latest: AddrMap<Lba, (u32, Lba, u64)> = AddrMap::default();
         for loc in 0..log.len_blocks() as u32 {
             for entry in &log.fetch(loc).entries {
                 let slot_entry =
@@ -126,10 +126,11 @@ impl Icash {
         // (for associates) when its reference's slot was (re)installed
         // *after* the delta was encoded — decoding against reused slot
         // content would splice unrelated data.
+        // (`latest` empties in hash order; replay runs in address order.)
         let mut items: Vec<(Lba, (u32, Lba, u64))> = latest.into_iter().collect();
         items.sort_by_key(|&(l, _)| l.raw());
         let replay_entries = items.len() as u64;
-        let mut dependants: HashMap<Lba, u32> = HashMap::new();
+        let mut dependants: AddrMap<Lba, u32> = AddrMap::default();
         for (lba, (loc, reference, generation)) in items {
             let pinned_gen = slots.record(lba).map(|r| r.generation);
             if pinned_gen.is_none() && slots.superseded_at(lba).is_some_and(|g| g >= generation) {
@@ -195,6 +196,7 @@ impl Icash {
             },
         });
 
+        // (Likewise: `ref_index` insertion order is address order.)
         let mut refs: Vec<(Lba, u32)> = dependants.into_iter().collect();
         refs.sort_by_key(|&(l, _)| l.raw());
         for (ref_lba, count) in refs {

@@ -16,7 +16,7 @@
 use crate::index_cache::RefIndexCache;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::crc32;
-use std::collections::HashMap;
+use icash_storage::hash::{AddrMap, AddrSet};
 
 /// A slot-directory record: which SSD slot a block owns and the controller
 /// generation at which the slot's content was installed. Log entries carry
@@ -35,12 +35,12 @@ pub(crate) struct SlotRecord {
 #[derive(Debug)]
 pub(crate) struct SlotStore {
     /// Slot → pinned content (reference blocks and direct writes).
-    content: HashMap<u64, BlockBuf>,
+    content: AddrMap<u64, BlockBuf>,
     /// Which LBA owns which slot, and since which generation.
-    dir: HashMap<Lba, SlotRecord>,
+    dir: AddrMap<Lba, SlotRecord>,
     /// CRC32 of each pinned slot's content. Repair-from-home refuses to
     /// "heal" a slot with bytes that do not match this sum.
-    sums: HashMap<u64, u32>,
+    sums: AddrMap<u64, u32>,
     /// Slots the SSD offers (`IcashConfig::ssd_slots`).
     capacity: u64,
     /// Slots `0..next_slot` have been handed out at least once.
@@ -54,21 +54,21 @@ pub(crate) struct SlotStore {
     /// tell from a zero-based entry once the pin it decodes against is gone.
     /// An entry lasts until the block is pinned again (the pin's own stamp
     /// outranks it) or the log is cleaned (no dead entry is left to refuse).
-    superseded: HashMap<Lba, u64>,
+    superseded: AddrMap<Lba, u64>,
 }
 
 impl SlotStore {
     /// An empty store over `capacity` slots.
     pub fn new(capacity: u64) -> Self {
         SlotStore {
-            content: HashMap::new(),
-            dir: HashMap::new(),
-            sums: HashMap::new(),
+            content: AddrMap::default(),
+            dir: AddrMap::default(),
+            sums: AddrMap::default(),
             capacity,
             next_slot: 0,
             free_slots: Vec::new(),
             next_generation: 1,
-            superseded: HashMap::new(),
+            superseded: AddrMap::default(),
         }
     }
 
@@ -175,9 +175,10 @@ impl SlotStore {
 
     /// Asserts the store's own invariants: directory, content and sums
     /// cover the same slots, no slot has two owners, and nothing pinned is
-    /// on the free list.
+    /// on the free list. (Walks `dir` in hash order: which assert fires
+    /// first may depend on it, whether one fires cannot.)
     pub fn validate(&self) {
-        let mut owned = std::collections::HashSet::new();
+        let mut owned: AddrSet<u64> = AddrSet::default();
         for (lba, rec) in &self.dir {
             assert!(
                 owned.insert(rec.slot),

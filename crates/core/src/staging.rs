@@ -17,8 +17,8 @@
 
 use crate::delta_log::LogEntry;
 use icash_storage::block::Lba;
+use icash_storage::hash::AddrMap;
 use icash_storage::pipeline::{FlushProgress, Ticket};
-use std::collections::HashMap;
 
 /// One encoded-but-uncommitted delta awaiting group commit.
 #[derive(Debug, Clone)]
@@ -36,7 +36,7 @@ pub(crate) struct StagedEntry {
 #[derive(Debug, Default)]
 pub(crate) struct Staging {
     entries: Vec<Option<StagedEntry>>,
-    by_lba: HashMap<Lba, usize>,
+    by_lba: AddrMap<Lba, usize>,
     live: usize,
     bytes: u64,
     batches: u64,

@@ -8,7 +8,8 @@
 use crate::lru::LruList;
 use crate::virtual_block::{Role, VirtualBlock};
 use icash_storage::block::Lba;
-use std::collections::{BTreeMap, HashMap};
+use icash_storage::hash::AddrMap;
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// What a tracked block can hold in the RAM pool; one residency set each.
@@ -70,7 +71,7 @@ impl VbId {
 pub struct BlockTable {
     slots: Vec<Option<VirtualBlock>>,
     free: Vec<usize>,
-    by_lba: HashMap<Lba, usize>,
+    by_lba: AddrMap<Lba, usize>,
     lru: LruList,
     /// Incremental (references, associates, independents) census,
     /// maintained at insert/remove/[`set_role`](Self::set_role) so
@@ -301,6 +302,7 @@ impl BlockTable {
     pub fn validate(&self) {
         self.lru.validate();
         assert_eq!(self.lru.len(), self.by_lba.len(), "map/list size mismatch");
+        // (Hash order; asserts only.)
         for (&lba, &idx) in &self.by_lba {
             assert_eq!(
                 self.slots[idx].as_ref().map(|vb| vb.lba),

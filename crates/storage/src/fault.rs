@@ -18,11 +18,11 @@
 //! to a build without the fault layer.
 
 use crate::block::{BlockBuf, Lba};
+use crate::hash::AddrSet;
 use crate::request::{BlockError, IoErrorKind};
 use crate::time::Ns;
 use crate::trace::{FaultKind, TraceEvent, TraceKind, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// CRC32 (IEEE 802.3 polynomial, reflected), used to frame delta-log
 /// entries and checksum SSD slot contents.
@@ -359,7 +359,7 @@ pub struct FaultInjector {
     salt: u64,
     read_ops: u64,
     write_ops: u64,
-    bad: HashSet<u64>,
+    bad: AddrSet<u64>,
     stats: FaultStats,
     tracer: Tracer,
     /// Total-operation index at which the whole device dies, if ever.
@@ -375,7 +375,7 @@ impl FaultInjector {
             salt,
             read_ops: 0,
             write_ops: 0,
-            bad: HashSet::new(),
+            bad: AddrSet::default(),
             stats: FaultStats::default(),
             tracer: Tracer::disabled(),
             death_op: None,

@@ -14,6 +14,8 @@
 //! * [`cpu`] — CPU-time model for the computation I-CASH trades for I/O.
 //! * [`energy`] — component energy meters (Table 5's power-meter stand-in).
 //! * [`stats`] — per-device operation statistics (Table 6's counters).
+//! * [`hash`] — the integer hasher behind every address- or id-keyed map
+//!   ([`hash::AddrMap`] / [`hash::AddrSet`]).
 //! * [`histogram`] — log-bucketed latency histograms
 //!   ([`histogram::LatencyHistogram`]), embeddable in [`stats::DeviceStats`]
 //!   for the per-queue tagged-command latency split.
@@ -70,6 +72,7 @@ pub mod block;
 pub mod cpu;
 pub mod energy;
 pub mod fault;
+pub mod hash;
 pub mod hdd;
 pub mod histogram;
 pub mod lru;

@@ -232,7 +232,7 @@ impl Iterator for LruIter<'_> {
     }
 }
 
-use std::collections::HashMap;
+use crate::hash::AddrMap;
 use std::hash::Hash;
 
 /// A map with least-recently-used eviction order, built over [`LruList`].
@@ -255,7 +255,7 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct LruMap<K, V> {
     list: LruList,
-    index: HashMap<K, usize>,
+    index: AddrMap<K, usize>,
     slots: Vec<Option<(K, V)>>,
     free: Vec<usize>,
 }
@@ -265,7 +265,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     pub fn new() -> Self {
         LruMap {
             list: LruList::new(),
-            index: HashMap::new(),
+            index: AddrMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
         }

@@ -18,10 +18,10 @@
 //! packed/encrypted/multimedia data.
 
 use icash_storage::block::{BlockBuf, Lba, BLOCK_SIZE};
+use icash_storage::hash::AddrMap;
 use icash_storage::system::ContentSource;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Static description of a content profile.
@@ -234,7 +234,7 @@ impl fmt::Debug for BaseMemo {
 pub struct ContentModel {
     seed: u64,
     profile: ContentProfile,
-    versions: HashMap<Lba, u32>,
+    versions: AddrMap<Lba, u32>,
     /// Behind a `RefCell` because generating content is `&self`: a cache of
     /// what `(seed, family)` already determine, not state.
     bases: RefCell<BaseMemo>,
@@ -246,7 +246,7 @@ impl ContentModel {
         ContentModel {
             seed,
             profile,
-            versions: HashMap::new(),
+            versions: AddrMap::default(),
             bases: RefCell::default(),
         }
     }

@@ -22,6 +22,39 @@ use icash_storage::lru::LruMap;
 use icash_storage::request::{Op, Request};
 use icash_storage::system::{IoCtx, StorageSystem};
 use icash_storage::time::Ns;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// A drive loop's clients (or service slots), ordered by when each is next
+/// free: the earliest first, the lowest index among equals — exactly what
+/// a linear first-minimum scan over the clients answers, without touching
+/// every client once per operation.
+#[derive(Debug)]
+pub(crate) struct ReadyClients(BinaryHeap<Reverse<(Ns, usize)>>);
+
+impl ReadyClients {
+    /// `clients` clients (at least one), all free at time zero.
+    pub(crate) fn new(clients: u32) -> Self {
+        ReadyClients(
+            (0..clients.max(1) as usize)
+                .map(|i| Reverse((Ns::ZERO, i)))
+                .collect(),
+        )
+    }
+
+    /// Takes the client that is free earliest, and that instant. It is out
+    /// of the running until [`park`](Self::park) puts it back.
+    #[inline]
+    pub(crate) fn next(&mut self) -> (Ns, usize) {
+        self.0.pop().expect("at least one client").0
+    }
+
+    /// `client` is busy until `until`.
+    #[inline]
+    pub(crate) fn park(&mut self, client: usize, until: Ns) {
+        self.0.push(Reverse((until, client)));
+    }
+}
 
 /// The guest VM's page cache (Table 4's "VM RAM" column).
 ///
@@ -236,7 +269,7 @@ pub fn run_benchmark(
 ) -> RunSummary {
     let cpu = cfg.cpu.clone().unwrap_or_else(CpuModel::xeon);
     let mut run = Session::open(system, workload, model, cpu, cfg.warmup_ops);
-    let mut ready = vec![Ns::ZERO; cfg.clients.max(1) as usize];
+    let mut ready = ReadyClients::new(cfg.clients);
     let mut page_cache = PageCache::new(if cfg.guest_cache {
         (workload.spec().vm_ram_bytes / 4096) as usize
     } else {
@@ -245,10 +278,7 @@ pub fn run_benchmark(
 
     for n in 0..cfg.ops {
         // Next client to become ready (closed loop).
-        let client = (0..ready.len())
-            .min_by_key(|&i| ready[i])
-            .expect("at least one client");
-        let at = ready[client];
+        let (at, client) = ready.next();
         let wop = workload.next_op();
         let req = Session::request(model, &wop, at);
 
@@ -296,8 +326,9 @@ pub fn run_benchmark(
         }
 
         run.cpu.charge_app(wop.app_cpu);
-        ready[client] = completion.finished + wop.app_cpu + wop.think;
-        run.record(wop.op, at, completion.latency(&req), ready[client]);
+        let until = completion.finished + wop.app_cpu + wop.think;
+        ready.park(client, until);
+        run.record(wop.op, at, completion.latency(&req), until);
     }
     run.close(system, workload, model)
 }
@@ -440,6 +471,56 @@ mod tests {
             with < without / 2,
             "guest cache must absorb most re-reads: {with} vs {without}"
         );
+    }
+
+    /// Recorded with the linear `min_by_key` scan this driver had before
+    /// [`ReadyClients`] (seed 7, 2 000 ops, 1 / 4 / 300 clients — at a
+    /// fixed latency nearly every pick is a tie): one summary a line.
+    #[test]
+    fn fixed_latency_summaries_are_the_linear_scans_byte_for_byte() {
+        let golden = include_str!("../tests/golden/driver_fixed_latency.jsonl");
+        for (clients, want) in [1u32, 4, 300].into_iter().zip(golden.lines()) {
+            let mut system = FixedLatency;
+            let mut wl = MixedWorkload::new(tiny_spec(), 7);
+            let mut model = ContentModel::new(7, ContentProfile::database());
+            let cfg = DriverConfig::new(2_000).clients(clients);
+            let s = run_benchmark(&mut system, &mut wl, &mut model, &cfg);
+            assert_eq!(s.to_json(), want, "{clients} clients");
+        }
+    }
+
+    /// The scan [`ReadyClients`] replaced, as the oracle.
+    struct LinearClients(Vec<Ns>);
+
+    impl LinearClients {
+        fn next(&self) -> (Ns, usize) {
+            let client = (0..self.0.len())
+                .min_by_key(|&i| self.0[i])
+                .expect("at least one client");
+            (self.0[client], client)
+        }
+    }
+
+    proptest::proptest! {
+        /// Busy times drawn from four values, so most picks are exact
+        /// ties: the heap hands out the same (instant, client) sequence as
+        /// the scan, for one client, two, and RUBiS's 300.
+        #[test]
+        fn ready_clients_pick_what_the_linear_scan_picks(
+            clients_pick in 0usize..3,
+            busy in proptest::collection::vec((0u64..4, 0u64..3), 1..600),
+        ) {
+            let clients = [1u32, 2, 300][clients_pick];
+            let mut heap = ReadyClients::new(clients);
+            let mut linear = LinearClients(vec![Ns::ZERO; clients as usize]);
+            for (service, think) in busy {
+                let (at, client) = heap.next();
+                proptest::prop_assert_eq!((at, client), linear.next());
+                let until = at + Ns::from_us(100 * service) + Ns::from_us(250 * think);
+                heap.park(client, until);
+                linear.0[client] = until;
+            }
+        }
     }
 
     #[test]

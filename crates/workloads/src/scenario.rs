@@ -23,7 +23,7 @@
 
 use crate::arrivals::{ArrivalConfig, ArrivalProcess, EventQueue};
 use crate::content::ContentModel;
-use crate::driver::Session;
+use crate::driver::{ReadyClients, Session};
 use crate::spec::WorkloadSpec;
 use crate::vm::MultiVm;
 use crate::workload::Workload;
@@ -196,7 +196,7 @@ pub fn run_open_loop(
     tracer: &Tracer,
 ) -> (RunSummary, OpenLoopStats) {
     let mut run = Session::open(system, workload, model, CpuModel::xeon(), cfg.warmup_ops);
-    let mut free = vec![Ns::ZERO; cfg.clients.max(1) as usize];
+    let mut free = ReadyClients::new(cfg.clients);
     let mut stats = OpenLoopStats::default();
 
     // The whole schedule goes through the event queue so dispatch order is
@@ -212,10 +212,8 @@ pub fn run_open_loop(
         let wop = workload.next_op();
         // Earliest-free service slot; the arrival never waits to be
         // *scheduled*, only to start service.
-        let client = (0..free.len())
-            .min_by_key(|&i| free[i])
-            .expect("at least one client");
-        let start = arrival.at.max(free[client]);
+        let (free_at, client) = free.next();
+        let start = arrival.at.max(free_at);
         let queued = start - arrival.at;
         stats.arrivals += 1;
         stats.queued += queued;
@@ -233,7 +231,7 @@ pub fn run_open_loop(
 
         let req = Session::request(model, &wop, start);
         let completion = system.submit(&req, &mut IoCtx::new(&*model, &mut run.cpu));
-        free[client] = completion.finished;
+        free.park(client, completion.finished);
         // Response time from the scheduled arrival: queueing included.
         let latency = completion.finished - arrival.at;
         run.record(wop.op, arrival.at, latency, completion.finished);
