@@ -594,8 +594,9 @@ impl Icash {
                 continue;
             }
             // Written references cannot be summarized by a single pointer;
-            // keep them resident.
-            if vb.role == Role::Reference && (vb.delta.is_some() || vb.log_loc.is_some()) {
+            // keep them resident. (Tested before the flush below, which
+            // turns a staged self-delta into a logged one.)
+            if vb.role == Role::Reference && vb.has_delta() {
                 continue;
             }
             // A staged block's only copy may be the staging buffer (its
@@ -665,6 +666,55 @@ mod tests {
             *byte = state as u8;
         }
         BlockBuf::from_vec(bytes)
+    }
+
+    /// The table trim meets a reference whose own delta is staged for group
+    /// commit and no longer resident (what ladder rungs A2/A1 leave behind).
+    /// Its flush turns "staged" into "logged"; the block must then still
+    /// count as a written reference — slot + self-delta is not something one
+    /// eviction pointer can say — and not leave the table as a bare slot.
+    #[test]
+    fn evicting_a_staged_written_reference_keeps_its_write() {
+        let cfg = IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .group_commit_depth(4)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        let read = |sys: &mut Icash, ctx: &mut IoCtx<'_>, lba| {
+            let done = sys.submit(&Request::read(Lba::new(lba), Ns::ZERO), ctx);
+            assert!(done.errors.is_empty());
+            sys.debug_validate();
+            done.data[0].clone()
+        };
+        let first = sparse(0);
+        sys.submit(&Request::write(Lba::new(0), Ns::ZERO, first.clone()), &mut ctx);
+        let id = sys.volatile.table.lookup(Lba::new(0)).expect("tracked");
+        sys.promote(id, Ns::ZERO).expect("a free slot");
+        let mut bytes = first.as_slice().to_vec();
+        bytes[100] ^= 0x5A;
+        let second = BlockBuf::from_vec(bytes);
+        sys.submit(
+            &Request::write(Lba::new(0), Ns::ZERO, second.clone()),
+            &mut ctx,
+        );
+        sys.flush_dirty(Ns::ZERO); // staged: one trigger of four
+        assert_eq!(sys.volatile.staging.live(), 1);
+        sys.drop_clean_delta(id);
+        sys.drop_data(id);
+        sys.debug_validate();
+        for lba in 1..5 {
+            read(&mut sys, &mut ctx, lba);
+        }
+        sys.volatile.max_virtual_blocks = sys.volatile.table.len();
+        read(&mut sys, &mut ctx, 100); // trims the table from block 0 up
+        assert!(
+            read(&mut sys, &mut ctx, 0) == second,
+            "the trim dropped an acknowledged write"
+        );
     }
 
     /// Log read-ahead hands siblings a clean delta without touching them.

@@ -267,7 +267,7 @@ impl Icash {
         self.volatile.table.touch(rid);
         // A clean cached copy of an unwritten reference equals the SSD copy.
         let vb = self.volatile.table.get(rid);
-        if vb.data.is_some() && vb.delta.is_none() && vb.log_loc.is_none() {
+        if vb.data.is_some() && !vb.has_delta() {
             (at, Ok(self.durable.slots.content(slot).clone()))
         } else {
             self.read_slot(ref_lba, slot, at, ctx)

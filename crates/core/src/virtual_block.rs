@@ -90,6 +90,12 @@ impl VirtualBlock {
         }
     }
 
+    /// Whether the block has a delta of its own anywhere: resident in RAM,
+    /// staged for group commit, or in the log.
+    pub fn has_delta(&self) -> bool {
+        self.delta.is_some() || self.log_loc.is_some() || self.staged
+    }
+
     /// Whether this block may be evicted from the virtual-block table.
     /// References with live associates must stay (their SSD content is the
     /// decode source for every dependant).
