@@ -24,14 +24,14 @@
 use crate::config::IcashConfig;
 use crate::delta_log::{DeltaLog, LogEntry};
 use crate::index_cache::RefIndexCache;
-use crate::placement::{EvictedState, RefSource};
+use crate::placement::RefSource;
 use crate::ref_index::RefIndex;
 use crate::segment::SegmentPool;
 use crate::slots::SlotStore;
 use crate::staging::Staging;
 use crate::stats::IcashStats;
 use crate::table::{BlockTable, Resident};
-use crate::virtual_block::{Role, VirtualBlock};
+use crate::virtual_block::{DeltaHome, Placement, VirtualBlock};
 use crate::write::STREAM_WRITE_BLOCKS;
 use icash_delta::codec::DeltaCodec;
 use icash_delta::heatmap::Heatmap;
@@ -47,7 +47,7 @@ use icash_storage::ssd::Ssd;
 use icash_storage::system::{GroupCommitReport, IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// The I-CASH storage element: one SSD and one HDD coupled by the
 /// similarity/delta algorithm.
@@ -113,12 +113,15 @@ pub(crate) struct Volatile {
     /// the per-block resolution that immediately follows and cleared at the
     /// end of the request. Never populated without a device queue.
     pub span_prefetch: AddrMap<Lba, BlockBuf>,
-    /// Evicted virtual blocks whose content is *not* in the home area.
-    pub evicted: AddrMap<Lba, EvictedState>,
-    /// Blocks that gave up an SSD slot since the last log commit; see
-    /// [`Icash::release_slot`]. (Ordered, so the reclaim frees slots in
-    /// address order whatever order they were released in.)
-    pub released: BTreeSet<Lba>,
+    /// Evicted virtual blocks whose content is *not* in the home area: the
+    /// placement each left the table with (a slot or a logged delta).
+    pub evicted: AddrMap<Lba, Placement>,
+    /// Blocks that gave up an SSD slot for a delta since the last log
+    /// commit, with the stamp drawn at that moment — their tombstone once
+    /// the commit frees the slot; see [`Icash::store_delta`]. (Ordered, so
+    /// the reclaim frees slots in address order whatever order they were
+    /// released in.)
+    pub released: BTreeMap<Lba, u64>,
     /// Virtual blocks with unflushed deltas.
     pub dirty: AddrSet<usize>,
     pub dirty_bytes: usize,
@@ -150,7 +153,7 @@ impl Volatile {
             ref_cache: RefIndexCache::new(),
             span_prefetch: AddrMap::default(),
             evicted: AddrMap::default(),
-            released: BTreeSet::new(),
+            released: BTreeMap::new(),
             dirty: AddrSet::default(),
             dirty_bytes: 0,
             staging: Staging::new(),
@@ -221,9 +224,10 @@ impl Icash {
     ///
     /// # Panics
     ///
-    /// Panics if the virtual-block table is corrupted, a block's placement
-    /// or a slot's ownership is ambiguous, or the residency index or the
-    /// pool disagree with what the blocks hold.
+    /// Panics if the virtual-block table is corrupted, a slot's ownership is
+    /// ambiguous, or the residency index, the pool or the dirty set disagree
+    /// with what the blocks hold. (That a block has one placement, and a
+    /// legal one, the [`Placement`] type says.)
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         self.volatile.table.validate();
@@ -238,9 +242,8 @@ impl Icash {
             "live staged entries cannot exceed the stage count"
         );
 
-        // One placement per block (DESIGN.md §18), and one owner per pinned
-        // slot: a table entry, an eviction record, or a release awaiting
-        // the next log commit.
+        // One owner per pinned slot: a table entry, an eviction record, or a
+        // release awaiting the next log commit.
         self.durable.slots.validate();
         let mut owners: Vec<(Lba, u64)> = Vec::new();
         let mut charged = 0;
@@ -256,26 +259,21 @@ impl Icash {
                 assert_eq!(filed, held, "{:?}: {class:?} index is wrong", vb.lba);
             }
             charged += vb.data_charge + vb.delta.as_ref().map_or(0, |d| d.charge);
-            let has_delta = vb.delta.is_some() || vb.log_loc.is_some() || vb.staged;
-            match vb.role {
-                Role::Reference => assert!(vb.ssd_slot.is_some(), "{:?}: no slot", vb.lba),
-                Role::Associate => assert!(vb.ssd_slot.is_none(), "{:?}: slot", vb.lba),
-                Role::Independent => assert!(
-                    vb.ssd_slot.is_none() || !has_delta,
-                    "{:?}: independent in a slot and in the log",
-                    vb.lba
-                ),
-            }
-            owners.extend(vb.ssd_slot.map(|slot| (vb.lba, slot)));
+            // A resident delta is a copy of the one the placement names,
+            // and the only copy of a dirty one: that is the dirty set.
+            let home = vb.placement.delta_home();
+            assert!(vb.delta.is_none() || home.is_some(), "{:?}: stray", vb.lba);
+            let dirty = self.volatile.dirty.contains(&id.index());
+            let ram_only = home == Some(DeltaHome::Dirty) && vb.delta.is_some();
+            assert_eq!(dirty, ram_only, "{:?}: dirty set is wrong", vb.lba);
+            owners.extend(vb.placement.slot().map(|slot| (vb.lba, slot)));
         }
         // (Hash order; `owners` is sorted before it is compared.)
-        for (&lba, state) in &self.volatile.evicted {
-            if let EvictedState::InSsd(slot) = *state {
-                owners.push((lba, slot));
-            }
+        for (&lba, placement) in &self.volatile.evicted {
+            owners.extend(placement.slot().map(|slot| (lba, slot)));
         }
-        for &lba in &self.volatile.released {
-            owners.extend(self.durable.slots.record(lba).map(|r| (lba, r.slot)));
+        for &lba in self.volatile.released.keys() {
+            owners.extend(self.durable.slots.pin(lba).map(|slot| (lba, slot)));
         }
         assert_eq!(
             charged,
@@ -323,17 +321,52 @@ impl Icash {
     // HDD operations with retry
     // ------------------------------------------------------------------
 
-    /// HDD read with one bounded retry (latent sector errors persist, so a
-    /// second failure means the sector is genuinely gone until rewritten).
-    pub(crate) fn hdd_read_retry(&mut self, at: Ns, pos: u64, blocks: u32) -> Result<Ns, HddError> {
-        if self.volatile.health.is_some() {
-            return self.hdd_read_backoff(at, pos, blocks);
+    /// One HDD operation with bounded retries, every outcome fed to the HDD
+    /// monitor. Without a health policy the ladder is fixed — one retry for
+    /// a read (latent sector errors persist, so a second failure means the
+    /// sector is genuinely gone until rewritten), three for a write (write
+    /// faults are transient: the drive remaps on rewrite) — and unpaced.
+    /// With one, the policy sets the budget, retries back off exponentially,
+    /// and a drive already declared dead fails fast. The residual failure is
+    /// the caller's to degrade on.
+    pub(crate) fn hdd_retry(
+        &mut self,
+        op: Op,
+        at: Ns,
+        pos: u64,
+        blocks: u32,
+    ) -> Result<Ns, HddError> {
+        let write = op == Op::Write;
+        if self.hdd_is_failed() {
+            return Err(if write {
+                HddError::WriteFault { lba: pos }
+            } else {
+                HddError::LatentSector { lba: pos }
+            });
         }
-        match self.durable.array.hdd_mut().read(at, pos, blocks) {
-            Ok(t) => Ok(t),
-            Err(_) => {
-                self.note_retry(at, pos, false);
-                self.durable.array.hdd_mut().read(at, pos, blocks)
+        let policy = self.volatile.health.as_ref().map(|h| h.policy);
+        let budget = match policy {
+            Some(policy) => policy.retry_budget.max(1),
+            None if write => 3,
+            None => 1,
+        };
+        let (mut t, mut attempt) = (at, 0u32);
+        loop {
+            let hdd = self.durable.array.hdd_mut();
+            let last = if write {
+                hdd.write(t, pos, blocks)
+            } else {
+                hdd.read(t, pos, blocks)
+            };
+            self.note_device(t, crate::health::DEV_HDD, last.is_ok());
+            if last.is_ok() || attempt >= budget || self.hdd_is_failed() {
+                return last;
+            }
+            attempt += 1;
+            if policy.is_some() {
+                t = self.note_backoff(t, pos, attempt, write);
+            } else {
+                self.note_retry(t, pos, write);
             }
         }
     }
@@ -346,29 +379,6 @@ impl Icash {
             at,
             kind: TraceKind::FaultRetry { lba: addr, write },
         });
-    }
-
-    /// HDD write with bounded retries. Write faults are transient (the
-    /// drive remaps on rewrite), so retrying almost always clears them; the
-    /// residual failure case is left to the caller's degraded path.
-    pub(crate) fn hdd_write_retry(
-        &mut self,
-        at: Ns,
-        pos: u64,
-        blocks: u32,
-    ) -> Result<Ns, HddError> {
-        if self.volatile.health.is_some() {
-            return self.hdd_write_backoff(at, pos, blocks);
-        }
-        let mut last = self.durable.array.hdd_mut().write(at, pos, blocks);
-        for _ in 0..3 {
-            if last.is_ok() {
-                return last;
-            }
-            self.note_retry(at, pos, true);
-            last = self.durable.array.hdd_mut().write(at, pos, blocks);
-        }
-        last
     }
 
     /// A delta-log append. With queued batching on and the drive's
@@ -388,7 +398,7 @@ impl Icash {
                 .write_behind(at, pos, blocks)
                 .unwrap_or(at);
         }
-        self.hdd_write_retry(at, pos, blocks).unwrap_or(at)
+        self.hdd_retry(Op::Write, at, pos, blocks).unwrap_or(at)
     }
 
     // ------------------------------------------------------------------
@@ -420,7 +430,7 @@ impl Icash {
                     let Some(rid) = self.volatile.table.lookup(cand) else {
                         continue;
                     };
-                    let Some(slot) = self.volatile.table.get(rid).ssd_slot else {
+                    let Some(slot) = self.volatile.table.get(rid).placement.slot() else {
                         continue;
                     };
                     let delta = self.encode_against(Ns::ZERO, lba, RefSource::Slot(slot), &content);
@@ -454,10 +464,10 @@ impl Icash {
                     self.durable
                         .slots
                         .install(&mut self.volatile.ref_cache, lba, slot, content);
-                    let mut vb = VirtualBlock::independent(lba, sig);
-                    vb.role = Role::Reference;
-                    vb.ssd_slot = Some(slot);
-                    self.volatile.table.insert(vb);
+                    self.volatile.table.insert(VirtualBlock {
+                        placement: Placement::Reference { slot, own: None },
+                        ..VirtualBlock::independent(lba, sig)
+                    });
                     self.volatile.ref_index.insert(lba, &sig);
                     self.stats.ref_installs += 1;
                 }
@@ -467,9 +477,10 @@ impl Icash {
             let n_entries = entries.len() as u32;
             let report = self.durable.log.append(entries);
             for ((lba, reference), loc) in pending.into_iter().zip(report.entry_locs) {
+                let delta = DeltaHome::Log(loc);
                 self.volatile
                     .evicted
-                    .insert(lba, EvictedState::InLog { reference, loc });
+                    .insert(lba, Placement::Associate { reference, delta });
             }
             self.stats.log_blocks_written += report.blocks_written as u64;
             let blocks = report.blocks_written;

@@ -33,12 +33,11 @@
 use crate::controller::Icash;
 use crate::read::BlockRead;
 use crate::table::VbId;
-use crate::virtual_block::Role;
+use crate::virtual_block::{Placement, Role};
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::{crc32, fault_roll, HealthMonitor, HealthPolicy, HealthState};
 use icash_storage::hash::AddrSet;
-use icash_storage::hdd::HddError;
-use icash_storage::request::IoErrorKind;
+use icash_storage::request::{IoErrorKind, Op};
 use icash_storage::ssd::{Ssd, SsdError};
 use icash_storage::system::{HealthReport, IoCtx};
 use icash_storage::time::Ns;
@@ -223,7 +222,7 @@ impl Icash {
     }
 
     /// Traces and counts one backoff retry, returning the delayed instant.
-    fn note_backoff(&mut self, at: Ns, addr: u64, attempt: u32, write: bool) -> Ns {
+    pub(crate) fn note_backoff(&mut self, at: Ns, addr: u64, attempt: u32, write: bool) -> Ns {
         let delay = self.backoff_delay(attempt, addr);
         self.stats.retry_backoffs += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
@@ -236,66 +235,6 @@ impl Icash {
             },
         });
         at + Ns::from_ns(delay)
-    }
-
-    /// HDD read under health: budgeted retries with exponential backoff,
-    /// every outcome fed to the HDD monitor. Fails fast when the HDD is
-    /// already declared dead.
-    pub(crate) fn hdd_read_backoff(
-        &mut self,
-        at: Ns,
-        pos: u64,
-        blocks: u32,
-    ) -> Result<Ns, HddError> {
-        if self.hdd_is_failed() {
-            return Err(HddError::LatentSector { lba: pos });
-        }
-        let budget = self
-            .volatile
-            .health
-            .as_ref()
-            .map_or(1, |h| h.policy.retry_budget.max(1));
-        let mut t = at;
-        let mut last = self.durable.array.hdd_mut().read(t, pos, blocks);
-        self.note_device(t, DEV_HDD, last.is_ok());
-        let mut attempt = 0u32;
-        while last.is_err() && attempt < budget && !self.hdd_is_failed() {
-            attempt += 1;
-            t = self.note_backoff(t, pos, attempt, false);
-            last = self.durable.array.hdd_mut().read(t, pos, blocks);
-            self.note_device(t, DEV_HDD, last.is_ok());
-        }
-        last
-    }
-
-    /// HDD write under health: budgeted retries with exponential backoff,
-    /// every outcome fed to the HDD monitor. Fails fast when the HDD is
-    /// already declared dead.
-    pub(crate) fn hdd_write_backoff(
-        &mut self,
-        at: Ns,
-        pos: u64,
-        blocks: u32,
-    ) -> Result<Ns, HddError> {
-        if self.hdd_is_failed() {
-            return Err(HddError::WriteFault { lba: pos });
-        }
-        let budget = self
-            .volatile
-            .health
-            .as_ref()
-            .map_or(1, |h| h.policy.retry_budget.max(1));
-        let mut t = at;
-        let mut last = self.durable.array.hdd_mut().write(t, pos, blocks);
-        self.note_device(t, DEV_HDD, last.is_ok());
-        let mut attempt = 0u32;
-        while last.is_err() && attempt < budget && !self.hdd_is_failed() {
-            attempt += 1;
-            t = self.note_backoff(t, pos, attempt, true);
-            last = self.durable.array.hdd_mut().write(t, pos, blocks);
-            self.note_device(t, DEV_HDD, last.is_ok());
-        }
-        last
     }
 
     // ------------------------------------------------------------------
@@ -314,7 +253,7 @@ impl Icash {
         ctx: &mut IoCtx<'_>,
     ) -> BlockRead {
         let pos = self.home_pos(lba);
-        let t = match self.hdd_read_retry(at, pos, 1) {
+        let t = match self.hdd_retry(Op::Read, at, pos, 1) {
             Ok(t) => t,
             Err(_) => {
                 self.stats.unrecoverable_reads += 1;
@@ -339,7 +278,7 @@ impl Icash {
     /// associates stay decodable).
     pub(crate) fn writes_degraded(&self, id: VbId) -> bool {
         let vb = self.volatile.table.get(id);
-        self.ssd_is_failed() && !(vb.role == Role::Reference && vb.dependants > 0)
+        self.ssd_is_failed() && !(vb.placement.role() == Role::Reference && vb.dependants > 0)
     }
 
     /// The degraded write (SSD failed): detach the block from every
@@ -352,18 +291,17 @@ impl Icash {
         // Detach: the old delta/log/slot state describes superseded bytes.
         // (The slot content is unreachable on the dead device anyway;
         // releasing it lets a rebuilt device start from live state only.)
-        self.unbind(id);
-        self.supersede_logged(id);
         let vb = self.volatile.table.get(id);
         let lba = vb.lba;
-        if vb.role == Role::Reference {
+        if vb.placement.role() == Role::Reference {
             let sig_old = vb.sig;
             self.volatile.ref_index.remove(lba, &sig_old);
         }
-        self.discard_slot(lba);
-        self.volatile.table.set_role(id, Role::Independent);
-        self.volatile.table.get_mut(id).reference = None;
-        self.durable.slots.supersede_older(lba);
+        self.supersede_delta(id, Placement::Home);
+        // The block's older log entries stay on the platter; the tombstone
+        // keeps recovery from replaying them over the home write.
+        let left_at = self.durable.slots.stamp();
+        self.discard_slot(lba, Some(left_at));
         self.write_home_copy(lba, content, at)
     }
 
@@ -470,7 +408,7 @@ impl Icash {
     /// write) deals with it; wrong bytes are never installed.
     fn rebuild_slot(&mut self, lba: Lba, slot: u64, at: Ns) -> Ns {
         let pos = self.home_pos(lba);
-        let t = match self.hdd_read_retry(at, pos, 1) {
+        let t = match self.hdd_retry(Op::Read, at, pos, 1) {
             Ok(t) => t,
             Err(_) => return at,
         };

@@ -4,13 +4,13 @@
 
 use crate::controller::Icash;
 use crate::delta_log::LogEntry;
-use crate::placement::EvictedState;
 use crate::table::{Resident, VbId};
-use crate::virtual_block::Role;
+use crate::virtual_block::{DeltaHome, Placement, Role};
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
 use icash_storage::hash::AddrMap;
 use icash_storage::pipeline::Ticket;
+use icash_storage::request::Op;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
@@ -95,15 +95,13 @@ impl Icash {
             let id = VbId::from_raw(raw);
             let gen = self.durable.slots.stamp();
             let vb = self.volatile.table.get(id);
-            debug_assert!(vb.dirty_delta);
-            let delta = vb
-                .delta
-                .as_ref()
-                .expect("dirty implies resident")
-                .delta
-                .clone();
-            let reference = vb.reference.unwrap_or(vb.lba);
-            framed.push((id, LogEntry::new(vb.lba, reference, gen, delta)));
+            // (`debug_validate`: the dirty set is exactly the blocks whose
+            // delta is `Dirty` and resident.)
+            let Some(cached) = &vb.delta else { continue };
+            // A zero-based or self delta names its own block.
+            let reference = vb.placement.reference().unwrap_or(vb.lba);
+            let entry = LogEntry::new(vb.lba, reference, gen, cached.delta.clone());
+            framed.push((id, entry));
         }
         framed
     }
@@ -160,9 +158,9 @@ impl Icash {
         let (flushed, entries): (Vec<VbId>, Vec<LogEntry>) = self.drain_dirty().into_iter().unzip();
         let (t, locs) = self.append_to_log(now, entries);
         for (id, loc) in flushed.into_iter().zip(locs) {
-            let vb = self.volatile.table.get_mut(id);
-            vb.dirty_delta = false;
-            vb.log_loc = Some(loc);
+            if let Some(home) = self.volatile.table.get_mut(id).placement.delta_home_mut() {
+                *home = DeltaHome::Log(loc);
+            }
         }
         self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
@@ -182,9 +180,9 @@ impl Icash {
         let ticket = self.volatile.staging.progress.reserved();
         for (id, entry) in self.drain_dirty() {
             let (lba, bytes) = (entry.lba, entry.delta.len() as u32);
-            let vb = self.volatile.table.get_mut(id);
-            vb.dirty_delta = false;
-            vb.staged = true;
+            if let Some(home) = self.volatile.table.get_mut(id).placement.delta_home_mut() {
+                *home = DeltaHome::Staged;
+            }
             self.volatile.staging.push(lba, entry, ticket);
             self.stats.staged_entries += 1;
             self.durable.array.tracer().emit(|| TraceEvent {
@@ -225,12 +223,11 @@ impl Icash {
         let (t, locs) = self.append_to_log(now, entries);
         for (lba, loc) in lbas.into_iter().zip(locs) {
             if let Some(id) = self.volatile.table.lookup(lba) {
-                let vb = self.volatile.table.get_mut(id);
                 // Skip blocks re-dirtied or superseded since staging; their
-                // newer state owns the log_loc pointer.
-                if vb.staged {
-                    vb.staged = false;
-                    vb.log_loc = Some(loc);
+                // newer placement stands.
+                match self.volatile.table.get_mut(id).placement.delta_home_mut() {
+                    Some(home) if *home == DeltaHome::Staged => *home = DeltaHome::Log(loc),
+                    _ => {}
                 }
             }
         }
@@ -266,17 +263,16 @@ impl Icash {
         let ids = self.volatile.table.head_ids(usize::MAX);
         // An entry is live iff the block's current state points at it.
         let mut expected: AddrMap<Lba, u32> = AddrMap::default();
-        for &id in &ids {
+        let tracked = ids.iter().map(|&id| {
             let vb = self.volatile.table.get(id);
-            if let Some(loc) = vb.log_loc {
-                expected.insert(vb.lba, loc);
-            }
-        }
+            (vb.lba, vb.placement)
+        });
         // (Hash order: a block is tracked or evicted, never both, so each
         // address is inserted once and `expected` ends up the same map.)
-        for (lba, state) in &self.volatile.evicted {
-            if let EvictedState::InLog { loc, .. } = state {
-                expected.insert(*lba, *loc);
+        let evicted = self.volatile.evicted.iter().map(|(&lba, &p)| (lba, p));
+        for (lba, placement) in tracked.chain(evicted) {
+            if let Some(DeltaHome::Log(loc)) = placement.delta_home() {
+                expected.insert(lba, loc);
             }
         }
         let (new_locs, blocks) = self
@@ -285,25 +281,27 @@ impl Icash {
             .clean(|lba, loc| expected.get(&lba) == Some(&loc));
         self.durable.slots.log_cleaned();
         if blocks > 0 {
-            let _ = self.hdd_write_retry(
+            let _ = self.hdd_retry(
+                Op::Write,
                 now,
                 self.cfg.log_start(),
                 blocks.min(u32::MAX as u64) as u32,
             );
         }
-        for id in ids {
-            let lba = self.volatile.table.get(id).lba;
-            if self.volatile.table.get(id).log_loc.is_some() {
-                self.volatile.table.get_mut(id).log_loc = new_locs.get(&lba).copied();
+        let relocate = |lba: Lba, placement: &mut Placement| {
+            if let (Some(DeltaHome::Log(loc)), Some(&new)) =
+                (placement.delta_home_mut(), new_locs.get(&lba))
+            {
+                *loc = new;
             }
+        };
+        for id in ids {
+            let vb = self.volatile.table.get_mut(id);
+            relocate(vb.lba, &mut vb.placement);
         }
         // (Hash order: each record is rewritten from its own address alone.)
-        for (lba, state) in self.volatile.evicted.iter_mut() {
-            if let EvictedState::InLog { loc, .. } = state {
-                if let Some(new) = new_locs.get(lba) {
-                    *loc = *new;
-                }
-            }
+        for (&lba, placement) in self.volatile.evicted.iter_mut() {
+            relocate(lba, placement);
         }
         self.stats.log_cleans += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
@@ -398,11 +396,12 @@ impl Icash {
                 break;
             }
             let vb = self.volatile.table.get(id);
-            if vb.role == Role::Reference || vb.data.is_none() {
+            let role = vb.placement.role();
+            if role == Role::Reference || vb.data.is_none() {
                 continue;
             }
             // A tightly bound associate gains nothing from promotion.
-            if vb.role == Role::Associate {
+            if role == Role::Associate {
                 if let Some(cd) = &vb.delta {
                     if cd.delta.len() <= self.cfg.delta_threshold / 4 {
                         continue;
@@ -425,7 +424,7 @@ impl Icash {
             }
             let (role, has_data) = {
                 let vb = self.volatile.table.get(id);
-                (vb.role, vb.data.is_some())
+                (vb.placement.role(), vb.data.is_some())
             };
             // Only unbound blocks with resident data are worth an encode
             // attempt; bound associates are left alone.
@@ -448,7 +447,9 @@ impl Icash {
     /// fresh SSD slot unless it already holds one. Returns the slot, or
     /// `None` if no slot could be found.
     pub(crate) fn promote(&mut self, id: VbId, now: Ns) -> Option<u64> {
-        let slot = match self.volatile.table.get(id).ssd_slot {
+        let vb = self.volatile.table.get(id);
+        let (lba, sig) = (vb.lba, vb.sig);
+        let slot = match vb.placement.slot() {
             // Direct-written independents are already SSD-resident: adopt
             // the slot without another flash write.
             Some(s) => s,
@@ -457,14 +458,8 @@ impl Icash {
                 // churn (each demotion is a mechanical home write) costs
                 // far more than the marginal reference is worth.
                 let s = self.durable.slots.alloc()?;
-                let content = self
-                    .volatile
-                    .table
-                    .get(id)
-                    .data
-                    .clone()
-                    .expect("promotion needs data");
-                if self.install_slot(id, s, &content, now).is_err() {
+                let content = vb.data.clone().expect("promotion needs data");
+                if self.install_slot(lba, s, &content, now).is_err() {
                     // Flash refused the program: skip this promotion.
                     self.durable.slots.unalloc(s);
                     self.stats.degraded_writes += 1;
@@ -473,11 +468,7 @@ impl Icash {
                 s
             }
         };
-        self.unbind(id);
-        self.supersede_logged(id);
-        let vb = self.volatile.table.get(id);
-        let (lba, sig) = (vb.lba, vb.sig);
-        self.volatile.table.set_role(id, Role::Reference);
+        self.supersede_delta(id, Placement::Reference { slot, own: None });
         self.volatile.ref_index.insert(lba, &sig);
         self.stats.ref_installs += 1;
         Some(slot)
@@ -567,8 +558,7 @@ impl Icash {
     /// Drops `id`'s resident delta if the log (or the staging buffer: RAM,
     /// no device op) can give it back.
     fn drop_clean_delta(&mut self, id: VbId) {
-        let vb = self.volatile.table.get(id);
-        if vb.delta.is_some() && !vb.dirty_delta && (vb.log_loc.is_some() || vb.staged) {
+        if self.volatile.table.get(id).placement.delta_home() != Some(DeltaHome::Dirty) {
             self.drop_delta(id);
         }
     }
@@ -593,52 +583,45 @@ impl Icash {
             if !vb.evictable() {
                 continue;
             }
-            // Written references cannot be summarized by a single pointer;
-            // keep them resident. (Tested before the flush below, which
-            // turns a staged self-delta into a logged one.)
-            if vb.role == Role::Reference && vb.has_delta() {
-                continue;
-            }
-            // A staged block's only copy may be the staging buffer (its
-            // clean delta is droppable); evicting it with no rebuild state
-            // would lose data. Commit the pipeline first, like the dirty
-            // case.
-            if (vb.dirty_delta || vb.staged) && !flushed {
+            let mut placement = vb.placement;
+            // A block whose only copy may be RAM — a dirty delta, or a
+            // staged one (its clean resident copy is droppable) — cannot
+            // leave: commit the pipeline first. (Not for a written
+            // reference, which stays whatever a flush does to its delta.)
+            let stays = matches!(placement, Placement::Reference { own: Some(_), .. });
+            let durable = matches!(placement.delta_home(), None | Some(DeltaHome::Log(_)));
+            if !stays && !durable && !flushed {
                 self.flush_all(at);
                 flushed = true;
+                placement = self.volatile.table.get(id).placement;
             }
-            let vb = self.volatile.table.get(id);
-            if vb.dirty_delta || vb.staged {
-                continue;
-            }
+            // The rebuild pointer the block leaves behind (none: its content
+            // is in the home area).
+            let record = match placement {
+                Placement::Home => None,
+                Placement::Slot { slot } | Placement::Reference { slot, own: None } => {
+                    Some(Placement::Slot { slot })
+                }
+                // A written reference cannot be summarized by a single
+                // pointer; keep it resident.
+                Placement::Reference { own: Some(_), .. } => continue,
+                Placement::Associate { delta, .. } | Placement::Logged { delta } => match delta {
+                    DeltaHome::Log(_) => Some(placement),
+                    // The flush above did not reach it: no durable home yet.
+                    DeltaHome::Dirty | DeltaHome::Staged => continue,
+                },
+            };
             self.drop_data(id);
             self.drop_delta(id);
             let vb = self.volatile.table.get(id);
-            let state = match vb.role {
-                Role::Reference => vb.ssd_slot.map(EvictedState::InSsd),
-                Role::Independent => vb.ssd_slot.map(EvictedState::InSsd).or_else(|| {
-                    vb.log_loc.map(|loc| EvictedState::InLog {
-                        reference: vb.lba, // self: decodes against zero
-                        loc,
-                    })
-                }),
-                Role::Associate => vb.log_loc.map(|loc| EvictedState::InLog {
-                    reference: vb.reference.expect("associate without reference"),
-                    loc,
-                }),
-            };
-            // Associates whose delta was never flushed and never logged have
-            // their content only in RAM; they were handled by the flush
-            // above. Anything left without a state lives in the home area.
-            if vb.role == Role::Reference {
+            if vb.placement.role() == Role::Reference {
                 let (lba, sig) = (vb.lba, vb.sig);
                 self.volatile.ref_index.remove(lba, &sig);
             }
-            let lba = vb.lba;
             let removed = self.volatile.table.remove(id);
             debug_assert!(removed.delta.is_none() && removed.data.is_none());
-            if let Some(state) = state {
-                self.volatile.evicted.insert(lba, state);
+            if let Some(record) = record {
+                self.volatile.evicted.insert(removed.lba, record);
             }
             evicted += 1;
         }
@@ -691,7 +674,10 @@ mod tests {
             done.data[0].clone()
         };
         let first = sparse(0);
-        sys.submit(&Request::write(Lba::new(0), Ns::ZERO, first.clone()), &mut ctx);
+        sys.submit(
+            &Request::write(Lba::new(0), Ns::ZERO, first.clone()),
+            &mut ctx,
+        );
         let id = sys.volatile.table.lookup(Lba::new(0)).expect("tracked");
         sys.promote(id, Ns::ZERO).expect("a free slot");
         let mut bytes = first.as_slice().to_vec();

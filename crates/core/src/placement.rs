@@ -1,21 +1,23 @@
 //! Placement: where a block's current content lives, and the only
 //! functions allowed to change that (DESIGN.md §18).
 //!
-//! Every tracked block has exactly one current placement — an SSD slot, a
-//! reference plus a delta, a zero-based log entry, or its HDD home
+//! Every tracked block has exactly one current [`Placement`] — an SSD
+//! slot, a reference plus a delta, a zero-based log entry, or its HDD home
 //! position. The read and write paths, the scanner and the degraded mode
-//! never edit that decision field by field; they call the transitions
-//! here, so the bookkeeping each one implies (index-cache invalidation,
-//! trim, directory record, stale marking, hardening) cannot be forgotten
-//! at one call site.
+//! never set it themselves; they call the transitions here, which take the
+//! placement the block is leaving and settle what it leaves behind
+//! (dependant count, resident and staged copies, stale marking, slot
+//! release, index-cache invalidation, trim, directory record, hardening),
+//! so none of it can be forgotten at one call site.
 
 use crate::controller::Icash;
 use crate::table::{Resident, VbId};
-use crate::virtual_block::{CachedDelta, Role, VirtualBlock};
+use crate::virtual_block::{CachedDelta, DeltaHome, Placement, VirtualBlock};
 use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::{BlockBuf, Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
+use icash_storage::request::Op;
 use icash_storage::ssd::SsdError;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
@@ -34,22 +36,6 @@ pub(crate) enum RefSource {
     Slot(u64),
     /// The all-zero pseudo-reference (traced as slot [`u64::MAX`]).
     Zero,
-}
-
-/// Where an evicted virtual block's content lives, so the controller can
-/// rebuild it on the next access.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EvictedState {
-    /// Full content pinned in an SSD slot.
-    InSsd(u64),
-    /// Decode the delta in this log block against `reference`.
-    InLog {
-        /// The reference block it is encoded against; the block's own
-        /// address for a zero-based independent.
-        reference: Lba,
-        /// Packed log block holding the delta.
-        loc: u32,
-    },
 }
 
 impl Icash {
@@ -121,39 +107,33 @@ impl Icash {
     /// the intended bytes either way (never silently stale data).
     pub(crate) fn write_home_copy(&mut self, lba: Lba, content: &BlockBuf, at: Ns) -> Ns {
         let pos = self.home_pos(lba);
-        let t = self.hdd_write_retry(at, pos, 1).unwrap_or(at);
+        let t = self.hdd_retry(Op::Write, at, pos, 1).unwrap_or(at);
         self.durable.home_overlay.insert(lba, content.clone());
         t
     }
 
-    /// Programs `content` into SSD slot `slot` and makes it `id`'s pinned
+    /// Programs `content` into SSD slot `slot` and pins it as `lba`'s
     /// copy: fresh directory record, fresh checksum, cold chunk index, and
     /// (faults armed) the redundant home copy. Returns the instant the
-    /// content is safe. If the flash refuses the program nothing changes
-    /// and the caller picks the fallback.
+    /// content is safe; the caller then moves the block there
+    /// ([`Icash::supersede_delta`]). If the flash refuses the program
+    /// nothing changes and the caller picks the fallback.
     pub(crate) fn install_slot(
         &mut self,
-        id: VbId,
+        lba: Lba,
         slot: u64,
         content: &BlockBuf,
         at: Ns,
     ) -> Result<Ns, SsdError> {
         let t = self.ssd_write_op(at, slot)?;
-        let lba = self.volatile.table.get(id).lba;
-        if self
-            .durable
-            .slots
-            .record(lba)
-            .is_some_and(|r| r.slot != slot)
-        {
+        if self.durable.slots.pin(lba).is_some_and(|s| s != slot) {
             // A slot the block released and still owns (its delta never
             // reached the log): this install is durable at once.
-            self.discard_slot(lba);
+            self.discard_slot(lba, None);
         }
         self.durable
             .slots
             .install(&mut self.volatile.ref_cache, lba, slot, content.clone());
-        self.volatile.table.get_mut(id).ssd_slot = Some(slot);
         if !self.durable.fault_plan.is_enabled() {
             return Ok(t);
         }
@@ -164,35 +144,17 @@ impl Icash {
         Ok(self.write_home_copy(lba, content, t))
     }
 
-    /// Gives up `id`'s SSD slot, if it holds one, because the block has
-    /// moved to delta or log placement. The block stops reading the slot
-    /// now, but the slot stays pinned until the next log commit
-    /// ([`Icash::reclaim_released_slots`]): the content replacing it is a
-    /// delta still in RAM, and until that is durable the slot is the copy a
-    /// crash must find. Call it with the replacing delta already stored —
-    /// a commit that runs first (making room for that delta) would reclaim
-    /// the slot with nothing in the log to take its place.
-    pub(crate) fn release_slot(&mut self, id: VbId) {
-        let vb = self.volatile.table.get_mut(id);
-        if vb.ssd_slot.take().is_some() {
-            debug_assert!(vb.dirty_delta, "released before its delta is stored");
-            let lba = vb.lba;
-            self.volatile.released.insert(lba);
-            self.durable.slots.supersede_older(lba);
-        }
-    }
-
     /// Unpins and frees whatever slot `lba` owns — held or released — at
-    /// once. For when newer content of `lba` is already durable elsewhere.
-    pub(crate) fn discard_slot(&mut self, lba: Lba) {
-        if let Some(id) = self.volatile.table.lookup(lba) {
-            self.volatile.table.get_mut(id).ssd_slot = None;
-        }
+    /// once, for when newer content of `lba` is already durable elsewhere.
+    /// `left_at` becomes the block's tombstone (see [`SlotStore::release`]).
+    ///
+    /// [`SlotStore::release`]: crate::slots::SlotStore::release
+    pub(crate) fn discard_slot(&mut self, lba: Lba, left_at: Option<u64>) {
         self.volatile.released.remove(&lba);
         let freed = self
             .durable
             .slots
-            .release(&mut self.volatile.ref_cache, lba);
+            .release(&mut self.volatile.ref_cache, lba, left_at);
         if let Some(slot) = freed.filter(|_| !self.ssd_is_failed()) {
             // (A dead device takes no commands, and its replacement starts
             // with nothing mapped.)
@@ -201,44 +163,63 @@ impl Icash {
     }
 
     /// Frees the slots released since the last log commit: the deltas that
-    /// replaced them are durable now.
+    /// replaced them are durable now, and so are their tombstones.
     pub(crate) fn reclaim_released_slots(&mut self) {
-        for lba in std::mem::take(&mut self.volatile.released) {
-            self.discard_slot(lba);
+        for (lba, left_at) in std::mem::take(&mut self.volatile.released) {
+            self.discard_slot(lba, Some(left_at));
         }
     }
 
-    /// Retires `id`'s delta wherever it currently sits — resident in RAM,
-    /// staged for group commit, or flushed to the log — because newer
-    /// content has just been placed elsewhere. Recovery must never apply
-    /// the old entry on top of that.
-    pub(crate) fn supersede_logged(&mut self, id: VbId) {
+    /// The SSD slot tracked block `lba` reads — what an associate of `lba`
+    /// decodes against — if it has one.
+    pub(crate) fn pinned_slot(&self, lba: Lba) -> Option<u64> {
+        let id = self.volatile.table.lookup(lba)?;
+        self.volatile.table.get(id).placement.slot()
+    }
+
+    /// Moves `id` to `to` and returns the placement it left. An associate
+    /// that leaves its reference, or joins one, is counted there.
+    fn replace_placement(&mut self, id: VbId, to: Placement) -> Placement {
+        let table = &mut self.volatile.table;
+        let old = table.set_placement(id, to);
+        if old.reference() != to.reference() {
+            if let Some(rid) = old.reference().and_then(|r| table.lookup(r)) {
+                let rvb = table.get_mut(rid);
+                rvb.dependants = rvb.dependants.saturating_sub(1);
+            }
+            if let Some(rid) = to.reference().and_then(|r| table.lookup(r)) {
+                table.get_mut(rid).dependants += 1;
+            }
+        }
+        old
+    }
+
+    /// Moves `id` to `to` — a slot, an unwritten reference, or home —
+    /// because newer content has just been placed there, and retires the
+    /// delta the block leaves wherever it sits: resident in RAM, staged for
+    /// group commit, or flushed to the log. Recovery must never apply the
+    /// old entry on top of the new content.
+    pub(crate) fn supersede_delta(&mut self, id: VbId, to: Placement) {
+        debug_assert_eq!(to.delta_home(), None);
         self.drop_delta(id);
         self.unstage(id);
-        if let Some(loc) = self.volatile.table.get_mut(id).log_loc.take() {
+        if let Some(DeltaHome::Log(loc)) = self.replace_placement(id, to).delta_home() {
             self.durable.log.mark_stale(loc);
         }
     }
 
     /// The table entry for a block coming back from eviction.
-    pub(crate) fn rebuild_evicted(&self, lba: Lba, state: EvictedState) -> VirtualBlock {
-        match state {
-            EvictedState::InSsd(slot) => {
-                let sig = BlockSignature::of(self.durable.slots.content(slot).as_slice());
-                let mut vb = VirtualBlock::independent(lba, sig);
-                vb.ssd_slot = Some(slot);
-                vb
-            }
-            EvictedState::InLog { reference, loc } => {
-                let mut vb = VirtualBlock::independent(lba, BlockSignature::default());
-                if reference != lba {
-                    // (the reference kept its dependant count meanwhile)
-                    vb.role = Role::Associate;
-                    vb.reference = Some(reference);
-                }
-                vb.log_loc = Some(loc);
-                vb
-            }
+    pub(crate) fn rebuild_evicted(&self, lba: Lba, placement: Placement) -> VirtualBlock {
+        // (A block evicted as an associate kept its reference's dependant
+        // count meanwhile.)
+        let sig = placement
+            .slot()
+            .map_or_else(BlockSignature::default, |slot| {
+                BlockSignature::of(self.durable.slots.content(slot).as_slice())
+            });
+        VirtualBlock {
+            placement,
+            ..VirtualBlock::independent(lba, sig)
         }
     }
 
@@ -250,7 +231,7 @@ impl Icash {
         }
         self.reserve_table_slot(at);
         let vb = match self.volatile.evicted.remove(&lba) {
-            Some(state) => self.rebuild_evicted(lba, state),
+            Some(placement) => self.rebuild_evicted(lba, placement),
             None => {
                 // First touch: content is the home image; compute the
                 // signature for similarity detection on load (paper §4.2).
@@ -283,24 +264,37 @@ impl Icash {
         self.volatile.table.set_resident(id, Resident::Data, true);
     }
 
-    /// Stores `delta` as `id`'s resident (dirty) delta, making room first.
-    pub(crate) fn store_delta(&mut self, id: VbId, delta: Delta, at: Ns) {
+    /// Stores `delta` as `id`'s new current content — resident and dirty —
+    /// and moves the block to `to`, the delta placement it was encoded for,
+    /// making room first. What the block leaves goes only once the new
+    /// delta is in: making room can commit and clean the log, which keeps
+    /// (and moves) the entry this block still points at, and frees released
+    /// slots — a slot given up any earlier would be reclaimed with nothing
+    /// logged to take its place.
+    pub(crate) fn store_delta(&mut self, id: VbId, delta: Delta, at: Ns, to: Placement) {
+        debug_assert_eq!(to.delta_home(), Some(DeltaHome::Dirty));
         self.drop_delta(id);
         self.unstage(id);
         self.make_room_for_delta(id, delta.len(), at);
         let charge = self.volatile.pool.alloc_delta(delta.len());
-        // Supersede any flushed copy in the log — only now: making room may
-        // have cleaned the log, which keeps (and moves) the entry this
-        // block still points at.
-        if let Some(loc) = self.volatile.table.get_mut(id).log_loc.take() {
+        let old = self.replace_placement(id, to);
+        if let Some(DeltaHome::Log(loc)) = old.delta_home() {
             self.durable.log.mark_stale(loc);
         }
         let vb = self.volatile.table.get_mut(id);
         vb.delta = Some(CachedDelta { delta, charge });
-        vb.dirty_delta = true;
+        let lba = vb.lba;
         self.volatile.table.set_resident(id, Resident::Delta, true);
         self.volatile.dirty.insert(id.index());
         self.volatile.dirty_bytes += charge;
+        if old.slot().is_some() && to.slot().is_none() {
+            // The block stops reading its slot now, but the slot stays
+            // pinned until the next log commit
+            // ([`Icash::reclaim_released_slots`]): until the delta above is
+            // durable, it is the copy a crash must find.
+            let left_at = self.durable.slots.stamp();
+            self.volatile.released.insert(lba, left_at);
+        }
     }
 
     /// Installs a delta recovered from the log: resident but *clean*.
@@ -312,17 +306,18 @@ impl Icash {
         let charge = self.volatile.pool.alloc_delta(delta.len());
         let vb = self.volatile.table.get_mut(id);
         vb.delta = Some(CachedDelta { delta, charge });
-        vb.dirty_delta = false;
         self.volatile.table.set_resident(id, Resident::Delta, true);
     }
 
-    /// Releases `id`'s resident delta, if any.
+    /// Releases `id`'s resident delta, if any. Dropping a dirty one is the
+    /// first step of replacing it ([`Icash::store_delta`],
+    /// [`Icash::supersede_delta`]).
     pub(crate) fn drop_delta(&mut self, id: VbId) {
         let vb = self.volatile.table.get_mut(id);
         let Some(cached) = vb.delta.take() else {
             return;
         };
-        let was_dirty = std::mem::take(&mut vb.dirty_delta);
+        let was_dirty = vb.placement.delta_home() == Some(DeltaHome::Dirty);
         self.volatile.table.set_resident(id, Resident::Delta, false);
         self.volatile.pool.free(cached.charge);
         if was_dirty {
@@ -332,13 +327,12 @@ impl Icash {
     }
 
     /// Invalidates `id`'s staged-but-uncommitted delta, if any: a newer
-    /// write (or a direct SSD install) superseded it before its group
+    /// write (or a direct SSD install) is superseding it before its group
     /// commit, so committing it would only append a dead entry.
-    pub(crate) fn unstage(&mut self, id: VbId) {
-        let vb = self.volatile.table.get_mut(id);
-        if std::mem::take(&mut vb.staged) {
-            let lba = vb.lba;
-            self.volatile.staging.invalidate(lba);
+    fn unstage(&mut self, id: VbId) {
+        let vb = self.volatile.table.get(id);
+        if vb.placement.delta_home() == Some(DeltaHome::Staged) {
+            self.volatile.staging.invalidate(vb.lba);
         }
     }
 

@@ -3,13 +3,13 @@
 //! delta log, or the HDD home area — with retry and repair on media errors.
 
 use crate::controller::Icash;
-use crate::placement::{EvictedState, ZERO_REF};
+use crate::placement::ZERO_REF;
 use crate::table::VbId;
-use crate::virtual_block::Role;
+use crate::virtual_block::{DeltaHome, Placement};
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuOp;
 use icash_storage::fault::crc32;
-use icash_storage::request::{IoErrorKind, Request};
+use icash_storage::request::{IoErrorKind, Op, Request};
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
@@ -40,19 +40,11 @@ impl Icash {
         (t, res)
     }
 
-    /// Whether resolving `id` right now would fall through to a mechanical
-    /// home-area read — the final arm of
-    /// [`content_of`](Icash::content_of): an independent block with no
-    /// resident data, no SSD slot, and no delta in RAM, log, or staging.
-    /// Keep in sync with that arm.
+    /// Whether resolving `id` right now would take the mechanical home-area
+    /// read of [`content_of`](Icash::content_of).
     fn needs_home_read(&self, id: VbId) -> bool {
         let vb = self.volatile.table.get(id);
-        vb.role == Role::Independent
-            && vb.data.is_none()
-            && vb.ssd_slot.is_none()
-            && vb.delta.is_none()
-            && vb.log_loc.is_none()
-            && !vb.staged
+        vb.placement == Placement::Home && vb.data.is_none()
     }
 
     /// Queue-on fast path for multi-block reads: the span's home-area
@@ -119,92 +111,71 @@ impl Icash {
             });
             return (at, Ok(data));
         }
-        let (role, reference, slot, log_loc, has_delta, staged, lba) = {
-            let vb = self.volatile.table.get(id);
-            (
-                vb.role,
-                vb.reference,
-                vb.ssd_slot,
-                vb.log_loc,
-                vb.delta.is_some(),
-                vb.staged,
-                vb.lba,
-            )
-        };
-        match role {
-            Role::Reference => {
-                let s = match slot {
-                    Some(s) => s,
-                    None => return self.metadata_error("reference without slot", at),
-                };
-                let (mut t, base) = match self.read_slot(lba, s, at, ctx) {
+        let vb = self.volatile.table.get(id);
+        let (placement, lba) = (vb.placement, vb.lba);
+        match placement {
+            Placement::Reference { slot, own } => {
+                let (t, base) = match self.read_slot(lba, slot, at, ctx) {
                     (t, Ok(base)) => (t, base),
                     (t, Err(e)) => return (t, Err(e)),
                 };
                 // A written reference needs its own delta applied.
-                if has_delta || log_loc.is_some() || staged {
-                    t = match self.fetch_delta(id, t) {
-                        (t, Ok(())) => t,
-                        (t, Err(e)) => return (t, Err(e)),
-                    };
-                    t += ctx.cpu.charge(CpuOp::DeltaDecode);
-                    self.decode_resident(id, base.as_slice(), t)
-                } else {
+                let Some(own) = own else {
                     self.note_delta_hit(t, lba);
-                    (t, Ok(base))
-                }
+                    return (t, Ok(base));
+                };
+                let t = match self.fetch_delta(id, own, t) {
+                    (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
+                    (t, Err(e)) => return (t, Err(e)),
+                };
+                self.decode_resident(id, base.as_slice(), t)
             }
-            Role::Associate => {
-                let t = match self.fetch_delta(id, at) {
+            Placement::Associate { reference, delta } => {
+                let t = match self.fetch_delta(id, delta, at) {
                     (t, Ok(())) => t,
                     (t, Err(e)) => return (t, Err(e)),
                 };
-                let ref_lba = match reference {
-                    Some(r) => r,
-                    None => return self.metadata_error("associate without reference", t),
-                };
-                let (t2, base) = match self.reference_content(ref_lba, t, ctx) {
+                let (t2, base) = match self.reference_content(reference, t, ctx) {
                     (t2, Ok(base)) => (t2, base),
                     (t2, Err(e)) => return (t2, Err(e)),
                 };
                 let t3 = t2 + ctx.cpu.charge(CpuOp::DeltaDecode);
                 self.decode_resident(id, base.as_slice(), t3)
             }
-            Role::Independent => {
-                if let Some(s) = slot {
-                    let (t, res) = self.read_slot(lba, s, at, ctx);
-                    if res.is_ok() {
-                        self.note_delta_hit(t, lba);
-                    }
-                    (t, res)
-                } else if has_delta || log_loc.is_some() || staged {
-                    // Log-resident independent: decode against zero.
-                    let t = match self.fetch_delta(id, at) {
-                        (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
-                        (t, Err(e)) => return (t, Err(e)),
-                    };
-                    self.decode_resident(id, &ZERO_REF, t)
-                } else {
-                    // A span prefetch may have already paid this block's
-                    // mechanical read as part of one batched NCQ submission.
-                    if let Some(content) = self.volatile.span_prefetch.remove(&lba) {
-                        return (at, Ok(content));
-                    }
-                    // Fall through to the mechanical home area. A latent
-                    // sector error here is unrecoverable: the home copy is
-                    // the only copy, so the failure is reported rather than
-                    // papered over.
-                    let pos = self.home_pos(lba);
-                    let t = match self.hdd_read_retry(at, pos, 1) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            self.stats.unrecoverable_reads += 1;
-                            return (at, Err(IoErrorKind::HddMedia));
-                        }
-                    };
-                    self.stats.home_reads += 1;
-                    (t, Ok(self.home_content(lba, ctx)))
+            Placement::Slot { slot } => {
+                let (t, res) = self.read_slot(lba, slot, at, ctx);
+                if res.is_ok() {
+                    self.note_delta_hit(t, lba);
                 }
+                (t, res)
+            }
+            // Log-resident independent: decode against zero.
+            Placement::Logged { delta } => {
+                let t = match self.fetch_delta(id, delta, at) {
+                    (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
+                    (t, Err(e)) => return (t, Err(e)),
+                };
+                self.decode_resident(id, &ZERO_REF, t)
+            }
+            Placement::Home => {
+                // A span prefetch may have already paid this block's
+                // mechanical read as part of one batched NCQ submission.
+                if let Some(content) = self.volatile.span_prefetch.remove(&lba) {
+                    return (at, Ok(content));
+                }
+                // A latent sector error here is unrecoverable: the home
+                // copy is the only copy, so the failure is reported rather
+                // than papered over.
+                let pos = self.home_pos(lba);
+                let t = match self.hdd_retry(Op::Read, at, pos, 1) {
+                    Ok(t) => t,
+                    Err(_) => {
+                        self.stats.unrecoverable_reads += 1;
+                        return (at, Err(IoErrorKind::HddMedia));
+                    }
+                };
+                self.stats.home_reads += 1;
+                (t, Ok(self.home_content(lba, ctx)))
             }
         }
     }
@@ -256,18 +227,19 @@ impl Icash {
         at: Ns,
         ctx: &mut IoCtx<'_>,
     ) -> BlockRead {
-        let rid = match self.volatile.table.lookup(ref_lba) {
-            Some(r) => r,
-            None => return self.metadata_error("reference must exist", at),
-        };
-        let slot = match self.volatile.table.get(rid).ssd_slot {
-            Some(s) => s,
-            None => return self.metadata_error("reference without slot", at),
+        // (Which block an associate names is not something its own placement
+        // can vouch for: checked here.)
+        let pinned = self.volatile.table.lookup(ref_lba).and_then(|rid| {
+            let slot = self.volatile.table.get(rid).placement.slot()?;
+            Some((rid, slot))
+        });
+        let Some((rid, slot)) = pinned else {
+            return self.metadata_error("an associate's reference must be tracked and pinned", at);
         };
         self.volatile.table.touch(rid);
         // A clean cached copy of an unwritten reference equals the SSD copy.
         let vb = self.volatile.table.get(rid);
-        if vb.data.is_some() && !vb.has_delta() {
+        if vb.data.is_some() && vb.placement.delta_home().is_none() {
             (at, Ok(self.durable.slots.content(slot).clone()))
         } else {
             self.read_slot(ref_lba, slot, at, ctx)
@@ -313,7 +285,7 @@ impl Icash {
         ctx: &mut IoCtx<'_>,
     ) -> BlockRead {
         let pos = self.home_pos(lba);
-        let t = match self.hdd_read_retry(at, pos, 1) {
+        let t = match self.hdd_retry(Op::Read, at, pos, 1) {
             Ok(t) => t,
             Err(_) => return (at, Err(IoErrorKind::SsdMedia)),
         };
@@ -333,17 +305,17 @@ impl Icash {
         (t, Ok(content))
     }
 
-    /// Makes `id`'s delta resident if it is not already: from the staging
-    /// buffer when the block is staged (read-your-writes, no device
-    /// operation), from the HDD log otherwise.
-    fn fetch_delta(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
-        let vb = self.volatile.table.get(id);
-        if vb.delta.is_some() {
-            (at, Ok(()))
-        } else if vb.staged {
-            self.fetch_staged_delta(id, at)
-        } else {
-            self.fetch_log_block(id, at)
+    /// Makes `id`'s delta, which lives at `home`, resident if it is not
+    /// already: from the staging buffer when the block is staged
+    /// (read-your-writes, no device operation), from the HDD log otherwise.
+    fn fetch_delta(&mut self, id: VbId, home: DeltaHome, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
+        if self.volatile.table.get(id).delta.is_some() {
+            return (at, Ok(()));
+        }
+        match home {
+            DeltaHome::Dirty => self.metadata_error("a dirty delta lives in RAM", at),
+            DeltaHome::Staged => self.fetch_staged_delta(id, at),
+            DeltaHome::Log(loc) => self.fetch_log_block(id, loc, at),
         }
     }
 
@@ -400,14 +372,14 @@ impl Icash {
                 let target = match self.volatile.table.lookup(entry_lba) {
                     Some(tid) => tid,
                     None => match self.volatile.evicted.get(&entry_lba) {
-                        Some(&state @ EvictedState::InLog { loc: at_loc, .. }) if at_loc == l => {
+                        Some(&placement) if placement.delta_home() == Some(DeltaHome::Log(l)) => {
                             self.volatile.evicted.remove(&entry_lba);
                             // No reserve_table_slot here: it could evict
                             // the very block this fetch is serving (callers
                             // hold its VbId). The table may briefly
                             // overshoot its bound; the next materialisation
                             // trims it.
-                            let vb = self.rebuild_evicted(entry_lba, state);
+                            let vb = self.rebuild_evicted(entry_lba, placement);
                             self.volatile.table.insert(vb)
                         }
                         _ => continue,
@@ -415,7 +387,7 @@ impl Icash {
                 };
                 let vb = self.volatile.table.get(target);
                 // Only install when this log block holds the *current* delta.
-                if vb.log_loc != Some(l) || vb.delta.is_some() {
+                if vb.placement.delta_home() != Some(DeltaHome::Log(l)) || vb.delta.is_some() {
                     continue;
                 }
                 let delta = self.durable.log.fetch(l).entries[i].delta.clone();
@@ -427,16 +399,12 @@ impl Icash {
         }
     }
 
-    /// Fetches the packed log block holding `id`'s delta from the HDD and
+    /// Fetches the packed log block `loc` holding `id`'s delta from the HDD and
     /// unpacks *every* delta in it into RAM (the paper's one-HDD-op-many-IOs
     /// effect). Returns the fetch completion instant; on a latent sector
     /// error the readahead narrows to just the mandatory block before the
     /// failure is reported.
-    fn fetch_log_block(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
-        let loc = match self.volatile.table.get(id).log_loc {
-            Some(l) => l,
-            None => return self.metadata_error("delta must be logged", at),
-        };
+    fn fetch_log_block(&mut self, id: VbId, loc: u32, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
         let lba = self.volatile.table.get(id).lba;
         let mut span = (READAHEAD as u64).min(self.durable.log.len_blocks() - loc as u64) as u32;
         span = span.max(1);
@@ -467,9 +435,9 @@ impl Icash {
         // it, reinstall from its current location (the payload is
         // unchanged by cleaning).
         if self.volatile.table.get(id).delta.is_none() {
-            let loc2 = match self.volatile.table.get(id).log_loc {
-                Some(l) => l,
-                None => return self.metadata_error("delta must be logged", t),
+            let loc2 = match self.volatile.table.get(id).placement.delta_home() {
+                Some(DeltaHome::Log(l)) => l,
+                _ => return self.metadata_error("delta must be logged", t),
             };
             let delta = self
                 .durable
@@ -529,16 +497,16 @@ mod tests {
                 let target = match self.volatile.table.lookup(entry_lba) {
                     Some(tid) => tid,
                     None => match self.volatile.evicted.get(&entry_lba) {
-                        Some(&state @ EvictedState::InLog { loc: at_loc, .. }) if at_loc == loc => {
+                        Some(&placement) if placement.delta_home() == Some(DeltaHome::Log(loc)) => {
                             self.volatile.evicted.remove(&entry_lba);
-                            let vb = self.rebuild_evicted(entry_lba, state);
+                            let vb = self.rebuild_evicted(entry_lba, placement);
                             self.volatile.table.insert(vb)
                         }
                         _ => continue,
                     },
                 };
                 let vb = self.volatile.table.get(target);
-                if vb.log_loc != Some(loc) || vb.delta.is_some() {
+                if vb.placement.delta_home() != Some(DeltaHome::Log(loc)) || vb.delta.is_some() {
                     continue;
                 }
                 self.install_clean_delta(target, delta, at);
@@ -667,15 +635,10 @@ mod tests {
                 let id = sys.volatile.table.lookup(Lba::new(l))?;
                 let vb = sys.volatile.table.get(id);
                 Some(format!(
-                    "{l}@{}: {:?} ref {:?} slot {:?} loc {:?} delta {:?} dirty {} staged {} data {:?}",
+                    "{l}@{}: {:?} delta {:?} data {:?}",
                     id.index(),
-                    vb.role,
-                    vb.reference,
-                    vb.ssd_slot,
-                    vb.log_loc,
+                    vb.placement,
                     vb.delta.as_ref().map(|c| (delta_sum(&c.delta), c.charge)),
-                    vb.dirty_delta,
-                    vb.staged,
                     vb.data.as_ref().map(|b| crc32(b.as_slice())),
                 ))
             })

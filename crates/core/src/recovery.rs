@@ -9,13 +9,14 @@
 //! home area, the delta log, and the slot directory metadata. Recovery
 //! first drops the unverifiable tail of the log (a crash can tear the
 //! in-flight append mid-frame; the CRC framing detects it), then replays
-//! surviving entries with the *highest generation* per LBA winning — plain
+//! surviving entries with the *highest generation* per LBA winning, the
+//! block's slot-directory record (a pin or a tombstone) included — plain
 //! append order is not enough once SSD slots are rewritten in place, because
 //! a stale self-delta must never resurrect old data over newer slot content.
 
 use crate::controller::{Icash, Volatile};
 use crate::stats::IcashStats;
-use crate::virtual_block::{Role, VirtualBlock};
+use crate::virtual_block::{DeltaHome, Placement, VirtualBlock};
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::Lba;
 use icash_storage::fault::fault_roll;
@@ -101,9 +102,10 @@ impl Icash {
         // (Sorted so table ids and LRU order never depend on hash order.)
         for (lba, slot) in slots.pinned_sorted() {
             let sig = BlockSignature::of(slots.content(slot).as_slice());
-            let mut vb = VirtualBlock::independent(lba, sig);
-            vb.ssd_slot = Some(slot);
-            table.insert(vb);
+            table.insert(VirtualBlock {
+                placement: Placement::Slot { slot },
+                ..VirtualBlock::independent(lba, sig)
+            });
         }
 
         // Phase 2: scan the surviving log; the highest-generation entry per
@@ -121,70 +123,63 @@ impl Icash {
             }
         }
 
-        // Phase 3: rebuild roles, refusing stale entries. An entry is stale
-        // when the slot directory pinned *newer* content for its block, or
-        // (for associates) when its reference's slot was (re)installed
-        // *after* the delta was encoded — decoding against reused slot
-        // content would splice unrelated data.
+        // Phase 3: per address, the highest stamp wins — the block's
+        // directory record or its latest entry. A record stamped at or after
+        // the entry outranks it: the slot was pinned with *newer* content,
+        // or (a tombstone) the block has since left the placement the entry
+        // belongs to. A newer entry builds on what the record says: on the
+        // pin if it is the block's own delta, on nothing otherwise.
         // (`latest` empties in hash order; replay runs in address order.)
         let mut items: Vec<(Lba, (u32, Lba, u64))> = latest.into_iter().collect();
         items.sort_by_key(|&(l, _)| l.raw());
         let replay_entries = items.len() as u64;
         let mut dependants: AddrMap<Lba, u32> = AddrMap::default();
         for (lba, (loc, reference, generation)) in items {
-            let pinned_gen = slots.record(lba).map(|r| r.generation);
-            if pinned_gen.is_none() && slots.superseded_at(lba).is_some_and(|g| g >= generation) {
-                // The block has since left the placement this entry belongs
-                // to (gave up the slot it decodes against, or was written
-                // home by a degraded write). While a pin is still there —
-                // released, not yet reclaimed — the pin rules below decide:
-                // the slot and the entries on top of it are the last
-                // durable version.
-                stats.stale_frames_dropped += 1;
-                continue;
-            }
-            if reference == lba {
-                match table.lookup(lba) {
-                    // A written reference block's own delta (SSD-pinned):
-                    // apply only if it post-dates the pinned content.
-                    Some(id) => {
-                        if pinned_gen.is_some_and(|g| g >= generation) {
-                            stats.stale_frames_dropped += 1;
-                            continue;
-                        }
-                        table.set_role(id, Role::Reference);
-                        table.get_mut(id).log_loc = Some(loc);
-                    }
-                    // A log-resident independent (zero-based raw delta).
-                    None => {
-                        let mut vb = VirtualBlock::independent(lba, BlockSignature::default());
-                        vb.log_loc = Some(loc);
-                        table.insert(vb);
-                    }
-                }
-                continue;
-            }
-            if pinned_gen.is_some_and(|g| g >= generation) || table.lookup(lba).is_some() {
-                // A direct SSD write of the block supersedes the delta.
-                stats.stale_frames_dropped += 1;
-                continue;
-            }
-            let ref_valid = table.lookup(reference).is_some()
-                && slots
+            let record = slots.record(lba);
+            let pin = record.and_then(|r| r.slot);
+            let delta = DeltaHome::Log(loc);
+            let placement = if record.is_some_and(|r| r.generation >= generation) {
+                None
+            } else if reference == lba {
+                // The block's own delta: a written reference's if it is
+                // pinned, else a log-resident independent's (zero-based).
+                Some(match pin {
+                    Some(slot) => Placement::Reference {
+                        slot,
+                        own: Some(delta),
+                    },
+                    None => Placement::Logged { delta },
+                })
+            } else {
+                // An associate — unless the block is pinned (a direct SSD
+                // write superseded the delta: a slot is no associate), or
+                // its reference's slot was lost or (re)installed *after* the
+                // delta was encoded: decoding against reused slot content
+                // would splice unrelated data, so it degrades to home.
+                let encoded_against = slots
                     .record(reference)
-                    .is_some_and(|r| r.generation < generation);
-            if !ref_valid {
-                // The reference slot was reused or lost: degrade to the
-                // home copy rather than decode against foreign content.
+                    .is_some_and(|r| r.slot.is_some() && r.generation < generation);
+                (pin.is_none() && encoded_against)
+                    .then_some(Placement::Associate { reference, delta })
+            };
+            let Some(placement) = placement else {
                 stats.stale_frames_dropped += 1;
                 continue;
+            };
+            if let Some(reference) = placement.reference() {
+                *dependants.entry(reference).or_insert(0) += 1;
             }
-            *dependants.entry(reference).or_insert(0) += 1;
-            let mut vb = VirtualBlock::independent(lba, BlockSignature::default());
-            vb.role = Role::Associate;
-            vb.reference = Some(reference);
-            vb.log_loc = Some(loc);
-            table.insert(vb);
+            match table.lookup(lba) {
+                Some(id) => {
+                    table.set_placement(id, placement);
+                }
+                None => {
+                    table.insert(VirtualBlock {
+                        placement,
+                        ..VirtualBlock::independent(lba, BlockSignature::default())
+                    });
+                }
+            }
         }
 
         let stale = stats.stale_frames_dropped;
@@ -202,7 +197,9 @@ impl Icash {
         for (ref_lba, count) in refs {
             if let Some(id) = table.lookup(ref_lba) {
                 let sig = table.get(id).sig;
-                table.set_role(id, Role::Reference);
+                if let Placement::Slot { slot } = table.get(id).placement {
+                    table.set_placement(id, Placement::Reference { slot, own: None });
+                }
                 table.get_mut(id).dependants = count;
                 self.volatile.ref_index.insert(ref_lba, &sig);
             }

@@ -11,23 +11,30 @@
 //!   cached index can never outlive the content it was built over (slot
 //!   reuse starts cold, never stale);
 //! * a pinned slot always has its directory record and its checksum, and a
-//!   free slot has none of the three.
+//!   free slot has none of the three;
+//! * a block has one directory record — a pin, or the tombstone the pin
+//!   leaves behind — never both.
 
 use crate::index_cache::RefIndexCache;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::crc32;
 use icash_storage::hash::{AddrMap, AddrSet};
 
-/// A slot-directory record: which SSD slot a block owns and the controller
-/// generation at which the slot's content was installed. Log entries carry
-/// the same monotonic stamps, so recovery can order a logged delta against
-/// the pinned copy — a reused or rewritten slot must never resurrect stale
-/// log data ("latest per LBA" alone is not enough once slots are reused).
+/// A block's slot-directory record: the SSD slot it owns and the controller
+/// generation at which the slot's content was installed — or, with no slot,
+/// a tombstone: the generation at which the block left a slot (or was
+/// written home by a degraded write) with no newer pin or log entry to say
+/// so. Log entries carry the same monotonic stamps, so recovery orders a
+/// logged delta against the record by one comparison: an entry stamped at
+/// or below it is dead — a reused or rewritten slot must never resurrect
+/// stale log data, nor a reference's self-delta outlive the pin it decodes
+/// against ("latest per LBA" alone is not enough once slots are reused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SlotRecord {
-    /// The SSD slot (logical page) holding the content.
-    pub slot: u64,
-    /// Generation stamp of the install that wrote the current content.
+    /// The SSD slot (logical page) holding the content; `None`: a tombstone.
+    pub slot: Option<u64>,
+    /// Generation stamp of the install that wrote the current content, or
+    /// of the departure.
     pub generation: u64,
 }
 
@@ -36,7 +43,8 @@ pub(crate) struct SlotRecord {
 pub(crate) struct SlotStore {
     /// Slot → pinned content (reference blocks and direct writes).
     content: AddrMap<u64, BlockBuf>,
-    /// Which LBA owns which slot, and since which generation.
+    /// Which LBA owns which slot, and since which generation; tombstones
+    /// last until the block is pinned again or the log is cleaned.
     dir: AddrMap<Lba, SlotRecord>,
     /// CRC32 of each pinned slot's content. Repair-from-home refuses to
     /// "heal" a slot with bytes that do not match this sum.
@@ -47,14 +55,6 @@ pub(crate) struct SlotStore {
     next_slot: u64,
     free_slots: Vec<u64>,
     next_generation: u64,
-    /// Per unpinned block, the stamp at which it last left a placement
-    /// without a newer pin or log entry saying so: it gave up its slot, or a
-    /// degraded write put it home. Log entries stamped at or below are dead
-    /// — in particular a reference's self-delta, which recovery could not
-    /// tell from a zero-based entry once the pin it decodes against is gone.
-    /// An entry lasts until the block is pinned again (the pin's own stamp
-    /// outranks it) or the log is cleaned (no dead entry is left to refuse).
-    superseded: AddrMap<Lba, u64>,
 }
 
 impl SlotStore {
@@ -68,7 +68,6 @@ impl SlotStore {
             next_slot: 0,
             free_slots: Vec::new(),
             next_generation: 1,
-            superseded: AddrMap::default(),
         }
     }
 
@@ -81,23 +80,10 @@ impl SlotStore {
         g
     }
 
-    /// Declares every log entry written for `lba` so far dead, from the
-    /// moment `lba` owns no slot.
-    pub fn supersede_older(&mut self, lba: Lba) {
-        let g = self.stamp();
-        self.superseded.insert(lba, g);
-    }
-
-    /// The stamp at or below which unpinned `lba`'s log entries are dead,
-    /// if any.
-    pub fn superseded_at(&self, lba: Lba) -> Option<u64> {
-        self.superseded.get(&lba).copied()
-    }
-
     /// The log was just compacted to its live entries: there is nothing
-    /// older left for a superseded stamp to refuse.
+    /// older left for a tombstone to refuse. (Order-free: a filter.)
     pub fn log_cleaned(&mut self) {
-        self.superseded.clear();
+        self.dir.retain(|_, record| record.slot.is_some());
     }
 
     /// Hands out a free slot, most recently freed first.
@@ -129,15 +115,26 @@ impl SlotStore {
         cache.invalidate_slot(slot);
         self.sums.insert(slot, crc32(content.as_slice()));
         self.content.insert(slot, content);
-        let generation = self.stamp();
+        let (slot, generation) = (Some(slot), self.stamp());
         self.dir.insert(lba, SlotRecord { slot, generation });
-        self.superseded.remove(&lba);
     }
 
-    /// Unpins `lba`'s slot and frees it. Returns the slot, or `None` if
-    /// `lba` owns none.
-    pub fn release(&mut self, cache: &mut RefIndexCache, lba: Lba) -> Option<u64> {
-        let slot = self.dir.remove(&lba)?.slot;
+    /// Unpins `lba`'s slot, if it owns one, and frees it. `left_at` is the
+    /// stamp at which the block gave the slot up for a delta, or was written
+    /// home (no slot needed for that): it stays behind as a tombstone, in
+    /// force from now on. Returns the freed slot.
+    pub fn release(
+        &mut self,
+        cache: &mut RefIndexCache,
+        lba: Lba,
+        left_at: Option<u64>,
+    ) -> Option<u64> {
+        let slot = None;
+        let old = match left_at {
+            Some(generation) => self.dir.insert(lba, SlotRecord { slot, generation }),
+            None => self.dir.remove(&lba),
+        };
+        let slot = old?.slot?;
         cache.invalidate_slot(slot);
         self.sums.remove(&slot);
         self.content.remove(&slot);
@@ -160,41 +157,41 @@ impl SlotStore {
         self.sums.get(&slot).copied()
     }
 
-    /// `lba`'s directory record, if it owns a slot.
+    /// `lba`'s directory record: a pin or a tombstone.
     pub fn record(&self, lba: Lba) -> Option<SlotRecord> {
         self.dir.get(&lba).copied()
+    }
+
+    /// The slot `lba` owns, if any.
+    pub fn pin(&self, lba: Lba) -> Option<u64> {
+        self.dir.get(&lba)?.slot
     }
 
     /// Every `(lba, slot)` pinning, ascending by LBA so nothing downstream
     /// depends on hash order.
     pub fn pinned_sorted(&self) -> Vec<(Lba, u64)> {
-        let mut pinned: Vec<(Lba, u64)> = self.dir.iter().map(|(&l, r)| (l, r.slot)).collect();
+        let mut pinned: Vec<(Lba, u64)> = (self.dir.iter())
+            .filter_map(|(&l, r)| Some((l, r.slot?)))
+            .collect();
         pinned.sort_by_key(|&(l, _)| l.raw());
         pinned
     }
 
     /// Asserts the store's own invariants: directory, content and sums
     /// cover the same slots, no slot has two owners, and nothing pinned is
-    /// on the free list. (Walks `dir` in hash order: which assert fires
-    /// first may depend on it, whether one fires cannot.)
+    /// on the free list.
     pub fn validate(&self) {
         let mut owned: AddrSet<u64> = AddrSet::default();
-        for (lba, rec) in &self.dir {
+        for (lba, slot) in self.pinned_sorted() {
             assert!(
-                owned.insert(rec.slot),
-                "slot {} has two owners (one is {lba:?})",
-                rec.slot
+                owned.insert(slot),
+                "slot {slot} has two owners (one is {lba:?})"
             );
             assert!(
-                self.content.contains_key(&rec.slot) && self.sums.contains_key(&rec.slot),
-                "{lba:?} owns slot {} but nothing is pinned there",
-                rec.slot
+                self.content.contains_key(&slot) && self.sums.contains_key(&slot),
+                "{lba:?} owns slot {slot} but nothing is pinned there"
             );
-            assert!(
-                rec.slot < self.next_slot,
-                "slot {} never allocated",
-                rec.slot
-            );
+            assert!(slot < self.next_slot, "slot {slot} never allocated");
         }
         assert_eq!(
             self.content.len(),

@@ -6,7 +6,7 @@
 //! are indexed by class, in LRU order ([`BlockTable::next_resident`]).
 
 use crate::lru::LruList;
-use crate::virtual_block::{Role, VirtualBlock};
+use crate::virtual_block::{Placement, Role, VirtualBlock};
 use icash_storage::block::Lba;
 use icash_storage::hash::AddrMap;
 use std::collections::BTreeMap;
@@ -74,7 +74,7 @@ pub struct BlockTable {
     by_lba: AddrMap<Lba, usize>,
     lru: LruList,
     /// Incremental (references, associates, independents) census,
-    /// maintained at insert/remove/[`set_role`](Self::set_role) so
+    /// maintained at insert/remove/[`set_placement`](Self::set_placement) so
     /// `Icash::stats` never walks the table. Cross-checked against a full
     /// scan by [`validate`](Self::validate).
     role_counts: (u64, u64, u64),
@@ -116,7 +116,7 @@ impl BlockTable {
             vb.lba
         );
         let lba = vb.lba;
-        *self.count_mut(vb.role) += 1;
+        *self.count_mut(vb.placement.role()) += 1;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = Some(vb);
@@ -183,30 +183,27 @@ impl BlockTable {
         self.set_resident(id, Resident::Data, false);
         self.set_resident(id, Resident::Delta, false);
         let vb = self.slots[id.0].take().expect("stale VbId");
-        *self.count_mut(vb.role) -= 1;
+        *self.count_mut(vb.placement.role()) -= 1;
         self.by_lba.remove(&vb.lba);
         self.lru.remove(id.0);
         self.free.push(id.0);
         vb
     }
 
-    /// Changes a block's role, keeping the incremental role census exact.
-    /// All in-table role transitions must go through here (mutating
-    /// `vb.role` directly through [`get_mut`](Self::get_mut) would
-    /// desynchronize the census; [`validate`](Self::validate) catches
-    /// that).
+    /// Moves a block to `placement` and returns the one it left, keeping
+    /// the incremental role census exact. A move that can change the role
+    /// must go through here (writing `vb.placement` directly through
+    /// [`get_mut`](Self::get_mut) would desynchronize the census;
+    /// [`validate`](Self::validate) catches that).
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale.
-    pub fn set_role(&mut self, id: VbId, role: Role) {
-        let old = self.get(id).role;
-        if old == role {
-            return;
-        }
-        *self.count_mut(old) -= 1;
-        *self.count_mut(role) += 1;
-        self.get_mut(id).role = role;
+    pub fn set_placement(&mut self, id: VbId, placement: Placement) -> Placement {
+        let old = std::mem::replace(&mut self.get_mut(id).placement, placement);
+        *self.count_mut(old.role()) -= 1;
+        *self.count_mut(placement.role()) += 1;
+        old
     }
 
     /// Current (references, associates, independents) counts, maintained
@@ -313,7 +310,7 @@ impl BlockTable {
         // Cross-check the incremental role census against a full scan.
         let mut scanned = (0u64, 0u64, 0u64);
         for vb in self.slots.iter().flatten() {
-            match vb.role {
+            match vb.placement.role() {
                 Role::Reference => scanned.0 += 1,
                 Role::Associate => scanned.1 += 1,
                 Role::Independent => scanned.2 += 1,
@@ -343,6 +340,7 @@ impl BlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::virtual_block::DeltaHome;
     use icash_delta::signature::BlockSignature;
 
     fn vb(lba: u64) -> VirtualBlock {
@@ -397,12 +395,17 @@ mod tests {
         let a = t.insert(vb(1));
         let b = t.insert(vb(2));
         assert_eq!(t.role_counts(), (0, 0, 2));
-        t.set_role(a, Role::Reference);
-        t.set_role(b, Role::Associate);
+        let reference = Placement::Reference { slot: 0, own: None };
+        let associate = Placement::Associate {
+            reference: Lba::new(1),
+            delta: DeltaHome::Dirty,
+        };
+        assert_eq!(t.set_placement(a, reference), Placement::Home);
+        t.set_placement(b, associate);
         assert_eq!(t.role_counts(), (1, 1, 0));
-        t.set_role(b, Role::Associate); // no-op transition
+        t.set_placement(b, associate); // same role
         assert_eq!(t.role_counts(), (1, 1, 0));
-        t.set_role(b, Role::Independent);
+        assert_eq!(t.set_placement(b, Placement::Slot { slot: 1 }), associate);
         t.remove(b);
         assert_eq!(t.role_counts(), (1, 0, 0));
         t.validate();
@@ -413,7 +416,8 @@ mod tests {
     fn validate_catches_raw_role_mutation() {
         let mut t = BlockTable::new();
         let a = t.insert(vb(1));
-        t.get_mut(a).role = Role::Reference; // bypasses set_role
+        // bypasses set_placement
+        t.get_mut(a).placement = Placement::Reference { slot: 0, own: None };
         t.validate();
     }
 

@@ -1,18 +1,18 @@
 //! Virtual blocks — the controller's per-LBA metadata (paper §4.3).
 //!
 //! Every block the controller has seen is tracked by a [`VirtualBlock`]
-//! holding its signature, role, cached content, cached delta, and pointers
-//! into the persistent stores (SSD slot, HDD log location). A virtual block
-//! is one of three kinds:
+//! holding its signature, its [`Placement`] — the one place its current
+//! content lives — and whatever of it is cached in RAM. A virtual block is
+//! one of three kinds ([`Role`], derived from the placement):
 //!
 //! * **Reference** — content lives in the SSD; associates are delta-encoded
 //!   against it. If written after selection, its *own* changes live in a
 //!   delta too (the SSD copy is immutable while referenced).
 //! * **Associate** — paired with a reference; its content is
 //!   `decode(reference, delta)`.
-//! * **Independent** — no useful similarity found (yet); content is a full
-//!   block in RAM, the SSD (after an oversized-delta direct write), or the
-//!   HDD home area.
+//! * **Independent** — no useful similarity found (yet); content is in the
+//!   SSD (after an oversized-delta direct write), a zero-based delta, or
+//!   the HDD home area.
 
 use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
@@ -27,6 +27,98 @@ pub enum Role {
     Reference,
     /// Delta-encoded against a reference block.
     Associate,
+}
+
+/// Where the one authoritative copy of a block's current delta is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaHome {
+    /// Only in RAM, as the block's resident delta; the block is in the
+    /// dirty set until the next flush trigger.
+    Dirty,
+    /// Framed in the staging buffer awaiting group commit: not on stable
+    /// media yet, but re-installable from RAM without a device operation.
+    /// Never at `group_commit_depth = 1`.
+    Staged,
+    /// In this packed block of the HDD delta log.
+    Log(u32),
+}
+
+/// Where a block's current content lives: exactly one of these (DESIGN.md
+/// §18). Also what an eviction record and a recovered table entry are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// The HDD home position.
+    Home,
+    /// An SSD slot, whole (an independent after a direct write).
+    Slot {
+        /// The slot holding the content.
+        slot: u64,
+    },
+    /// A reference: the immutable SSD copy others decode against, plus —
+    /// once written after selection — its own delta on top of it.
+    Reference {
+        /// The slot holding the pinned copy.
+        slot: u64,
+        /// The reference's own changes since it was pinned, if any.
+        own: Option<DeltaHome>,
+    },
+    /// `decode(reference's slot, delta)`.
+    Associate {
+        /// The reference block the delta is encoded against.
+        reference: Lba,
+        /// Where the delta is.
+        delta: DeltaHome,
+    },
+    /// `decode(zero block, delta)`: an independent riding the delta log.
+    Logged {
+        /// Where the delta is.
+        delta: DeltaHome,
+    },
+}
+
+impl Placement {
+    /// The paper's block kind, for the census and the statistics.
+    pub fn role(self) -> Role {
+        match self {
+            Placement::Reference { .. } => Role::Reference,
+            Placement::Associate { .. } => Role::Associate,
+            Placement::Home | Placement::Slot { .. } | Placement::Logged { .. } => {
+                Role::Independent
+            }
+        }
+    }
+
+    /// The SSD slot the block reads, if its content (or its base) is there.
+    pub fn slot(self) -> Option<u64> {
+        match self {
+            Placement::Slot { slot } | Placement::Reference { slot, .. } => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// The reference block this placement decodes against (associates).
+    pub fn reference(self) -> Option<Lba> {
+        match self {
+            Placement::Associate { reference, .. } => Some(reference),
+            _ => None,
+        }
+    }
+
+    /// Where the block's own delta is, if it has one. The one answer to
+    /// "does this block have a delta somewhere, and where".
+    pub fn delta_home(mut self) -> Option<DeltaHome> {
+        self.delta_home_mut().copied()
+    }
+
+    /// [`delta_home`](Self::delta_home), in place: how a flush moves a delta
+    /// from RAM to staging to the log, and a log clean renumbers it.
+    pub fn delta_home_mut(&mut self) -> Option<&mut DeltaHome> {
+        match self {
+            Placement::Reference { own, .. } => own.as_mut(),
+            Placement::Associate { delta, .. } | Placement::Logged { delta } => Some(delta),
+            Placement::Home | Placement::Slot { .. } => None,
+        }
+    }
 }
 
 /// A delta held in the RAM segment pool.
@@ -45,62 +137,40 @@ pub struct VirtualBlock {
     pub lba: Lba,
     /// Signature of the block's current content.
     pub sig: BlockSignature,
-    /// Current role.
-    pub role: Role,
-    /// The reference this associate is encoded against (associates only).
-    pub reference: Option<Lba>,
+    /// Where the current content lives. Change it through
+    /// [`BlockTable::set_placement`](crate::table::BlockTable::set_placement),
+    /// which keeps the role census.
+    pub placement: Placement,
     /// Cached full content, if resident.
     pub data: Option<BlockBuf>,
     /// Pool bytes charged for `data`.
     pub data_charge: usize,
-    /// Cached delta, if resident.
+    /// The block's delta, if resident: the only copy when the placement
+    /// says [`DeltaHome::Dirty`], a droppable one otherwise.
     pub delta: Option<CachedDelta>,
-    /// Whether the cached delta has not yet been flushed to the HDD log.
-    pub dirty_delta: bool,
-    /// Whether the block's latest delta sits encoded in the staging buffer
-    /// awaiting group commit (not yet on stable media, but re-installable
-    /// from RAM without a device operation). Never set at
-    /// `group_commit_depth = 1`.
-    pub staged: bool,
-    /// SSD slot holding this block's pinned content (references and
-    /// direct-written independents).
-    pub ssd_slot: Option<u64>,
-    /// Delta-log block holding this block's latest flushed delta.
-    pub log_loc: Option<u32>,
     /// Associates currently encoded against this block (references only).
     pub dependants: u32,
 }
 
 impl VirtualBlock {
-    /// Creates an independent block with the given signature.
+    /// Creates a home-resident independent block with the given signature.
     pub fn independent(lba: Lba, sig: BlockSignature) -> Self {
         VirtualBlock {
             lba,
             sig,
-            role: Role::Independent,
-            reference: None,
+            placement: Placement::Home,
             data: None,
             data_charge: 0,
             delta: None,
-            dirty_delta: false,
-            staged: false,
-            ssd_slot: None,
-            log_loc: None,
             dependants: 0,
         }
-    }
-
-    /// Whether the block has a delta of its own anywhere: resident in RAM,
-    /// staged for group commit, or in the log.
-    pub fn has_delta(&self) -> bool {
-        self.delta.is_some() || self.log_loc.is_some() || self.staged
     }
 
     /// Whether this block may be evicted from the virtual-block table.
     /// References with live associates must stay (their SSD content is the
     /// decode source for every dependant).
     pub fn evictable(&self) -> bool {
-        !(self.role == Role::Reference && self.dependants > 0)
+        !(self.placement.role() == Role::Reference && self.dependants > 0)
     }
 }
 
@@ -115,14 +185,15 @@ mod tests {
     #[test]
     fn fresh_block_is_clean_independent() {
         let b = vb();
-        assert_eq!(b.role, Role::Independent);
+        assert_eq!(b.placement.role(), Role::Independent);
+        assert_eq!(b.placement.delta_home(), None);
         assert!(b.evictable());
     }
 
     #[test]
     fn referenced_blocks_are_pinned() {
         let mut b = vb();
-        b.role = Role::Reference;
+        b.placement = Placement::Reference { slot: 3, own: None };
         b.dependants = 2;
         assert!(!b.evictable());
         b.dependants = 0;

@@ -4,7 +4,7 @@
 use crate::controller::Icash;
 use crate::placement::RefSource;
 use crate::table::VbId;
-use crate::virtual_block::Role;
+use crate::virtual_block::{DeltaHome, Placement};
 use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::{BlockBuf, Lba};
@@ -40,21 +40,20 @@ impl Icash {
         self.volatile.heatmap.record(&sig);
 
         let id = self.materialize_vb(lba, at, ctx);
-        let (role, reference, slot, dependants) = {
-            let vb = self.volatile.table.get(id);
-            (vb.role, vb.reference, vb.ssd_slot, vb.dependants)
-        };
+        let vb = self.volatile.table.get(id);
+        let (placement, dependants) = (vb.placement, vb.dependants);
+        let dirty = DeltaHome::Dirty;
 
-        match role {
+        match placement {
             _ if self.writes_degraded(id) => resp = self.write_degraded(id, &content, at),
-            Role::Reference => {
+            Placement::Reference { slot, .. } => {
                 // The SSD copy is immutable while referenced: store the
                 // reference's own changes as a delta against it.
-                let s = slot.expect("reference without slot");
-                let delta = self.encode_against(at, lba, RefSource::Slot(s), &content);
+                let delta = self.encode_against(at, lba, RefSource::Slot(slot), &content);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
                 if delta.len() <= self.cfg.delta_threshold || dependants > 0 {
-                    self.store_delta(id, delta, at);
+                    let own = Some(dirty);
+                    self.store_delta(id, delta, at, Placement::Reference { slot, own });
                     self.stats.delta_writes += 1;
                 } else {
                     // No dependants and nothing similar left: retire the
@@ -62,10 +61,9 @@ impl Icash {
                     // self-delta describes the *previous* slot content and
                     // goes whether or not the flash takes the rewrite.
                     let sig_old = self.volatile.table.get(id).sig;
-                    let installed = self.install_slot(id, s, &content, at);
+                    let installed = self.install_slot(lba, slot, &content, at);
                     self.volatile.ref_index.remove(lba, &sig_old);
-                    self.volatile.table.set_role(id, Role::Independent);
-                    self.supersede_logged(id);
+                    self.supersede_delta(id, Placement::Slot { slot });
                     match installed {
                         Ok(t) => {
                             resp = t;
@@ -80,44 +78,43 @@ impl Icash {
                     }
                 }
             }
-            Role::Associate => {
-                let ref_lba = reference.expect("associate without reference");
+            Placement::Associate { reference, .. } => {
                 // Charge the device/LRU effects of touching the reference,
                 // then encode via its slot's cached index.
-                let _ = self.reference_content(ref_lba, at, ctx);
+                let _ = self.reference_content(reference, at, ctx);
                 let rslot = self
-                    .volatile
-                    .table
-                    .lookup(ref_lba)
-                    .and_then(|rid| self.volatile.table.get(rid).ssd_slot)
-                    .expect("reference must exist and hold a slot");
+                    .pinned_slot(reference)
+                    .expect("an associate's reference is tracked and pinned");
                 let delta = self.encode_against(at, lba, RefSource::Slot(rslot), &content);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
                 if delta.len() <= self.cfg.delta_threshold {
-                    self.store_delta(id, delta, at);
+                    let delta_home = Placement::Associate {
+                        reference,
+                        delta: dirty,
+                    };
+                    self.store_delta(id, delta, at, delta_home);
                     self.stats.delta_writes += 1;
                 } else {
                     // Content diverged from the reference: unbind and write
                     // the new data directly to the SSD (paper §5.3).
-                    self.unbind(id);
                     resp = self.direct_ssd_write(id, &content, at, ctx).max(resp);
                 }
             }
-            Role::Independent => {
-                if let Some(s) = slot {
-                    // Already SSD-resident from an earlier direct write.
-                    match self.install_slot(id, s, &content, at) {
-                        Ok(t) => {
-                            resp = t;
-                            self.supersede_logged(id);
-                            self.stats.ssd_direct_writes += 1;
-                        }
-                        Err(_) => {
-                            self.stats.degraded_writes += 1;
-                            self.write_as_independent(id, &content, at, ctx);
-                        }
+            Placement::Slot { slot } => {
+                // Already SSD-resident from an earlier direct write.
+                match self.install_slot(lba, slot, &content, at) {
+                    Ok(t) => {
+                        resp = t;
+                        self.stats.ssd_direct_writes += 1;
                     }
-                } else if !self.try_bind(id, &content, &sig, at, ctx) {
+                    Err(_) => {
+                        self.stats.degraded_writes += 1;
+                        self.write_as_independent(id, &content, at, ctx);
+                    }
+                }
+            }
+            Placement::Home | Placement::Logged { .. } => {
+                if !self.try_bind(id, &content, &sig, at, ctx) {
                     self.write_as_independent(id, &content, at, ctx);
                 } else {
                     self.stats.delta_writes += 1;
@@ -125,11 +122,8 @@ impl Icash {
             }
         }
 
-        // Keep the freshly written content cached and the signature current
-        // (references keep the signature of their immutable SSD copy).
-        if self.volatile.table.get(id).role != Role::Reference {
-            self.volatile.table.get_mut(id).sig = sig;
-        }
+        // Keep the freshly written content cached and the signature current.
+        self.set_written_sig(id, sig);
         self.cache_data(id, content, at);
         self.volatile.table.touch(id);
         self.after_io(at, ctx);
@@ -144,18 +138,16 @@ impl Icash {
     /// sequential HDD log (the paper's log-of-deltas covers *all* writes;
     /// blocks without a useful reference simply encode against zero).
     fn write_as_independent(&mut self, id: VbId, content: &BlockBuf, at: Ns, ctx: &mut IoCtx<'_>) {
-        self.volatile.table.set_role(id, Role::Independent);
-        let vb = self.volatile.table.get_mut(id);
-        vb.reference = None;
-        let lba = vb.lba;
+        let lba = self.volatile.table.get(id).lba;
         let delta = self.encode_against(at, lba, RefSource::Zero, content);
         ctx.cpu.charge(CpuOp::DeltaEncode);
-        self.store_delta(id, delta, at);
         // The log entry is the block's placement from here on; a slot kept
-        // alongside it would go on serving the previous version. (Released
-        // only once the delta is stored: making room for it can commit the
-        // log, and a commit reclaims released slots.)
-        self.release_slot(id);
+        // alongside it would go on serving the previous version, so the
+        // store releases it.
+        let delta_home = Placement::Logged {
+            delta: DeltaHome::Dirty,
+        };
+        self.store_delta(id, delta, at, delta_home);
         self.stats.independent_writes += 1;
     }
 
@@ -170,16 +162,16 @@ impl Icash {
         at: Ns,
         ctx: &mut IoCtx<'_>,
     ) -> Ns {
-        debug_assert!(self.volatile.table.get(id).ssd_slot.is_none());
+        let vb = self.volatile.table.get(id);
+        debug_assert_eq!(vb.placement.slot(), None);
+        let lba = vb.lba;
         let Some(slot) = self.durable.slots.alloc() else {
             self.write_as_independent(id, content, at, ctx);
             return at;
         };
-        match self.install_slot(id, slot, content, at) {
+        match self.install_slot(lba, slot, content, at) {
             Ok(t) => {
-                self.supersede_logged(id);
-                self.volatile.table.set_role(id, Role::Independent);
-                self.volatile.table.get_mut(id).reference = None;
+                self.supersede_delta(id, Placement::Slot { slot });
                 self.stats.ssd_direct_writes += 1;
                 t
             }
@@ -215,14 +207,8 @@ impl Icash {
             if cand == lba {
                 continue;
             }
-            let rslot = match self
-                .volatile
-                .table
-                .lookup(cand)
-                .and_then(|rid| self.volatile.table.get(rid).ssd_slot)
-            {
-                Some(s) => s,
-                None => continue,
+            let Some(rslot) = self.pinned_slot(cand) else {
+                continue;
             };
             let delta = self.encode_against(at, lba, RefSource::Slot(rslot), content);
             ctx.cpu.charge(CpuOp::DeltaEncode);
@@ -248,39 +234,26 @@ impl Icash {
         });
     }
 
-    /// Binds `id` as an associate of `reference` with `delta`.
+    /// Binds `id` as an associate of `reference` with `delta`. An associate
+    /// lives in reference + delta: a slot kept alongside would leak, and
+    /// recovery would rank its pin above the deltas, so the store releases
+    /// whatever slot the block held.
     fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns) {
-        self.unbind(id);
-        let rid = self
-            .volatile
-            .table
-            .lookup(reference)
-            .expect("reference must exist");
-        self.volatile.table.get_mut(rid).dependants += 1;
-        self.volatile.table.set_role(id, Role::Associate);
-        self.volatile.table.get_mut(id).reference = Some(reference);
-        self.store_delta(id, delta, at);
-        // An associate lives in reference + delta: a slot kept alongside
-        // would leak, and recovery would rank its pin above the deltas.
-        // (Released only once the delta is stored, as in
-        // `write_as_independent`.)
-        self.release_slot(id);
+        let delta_home = Placement::Associate {
+            reference,
+            delta: DeltaHome::Dirty,
+        };
+        self.store_delta(id, delta, at, delta_home);
         self.stats.binds += 1;
     }
 
-    /// Releases `id`'s pairing with its reference, if any.
-    pub(crate) fn unbind(&mut self, id: VbId) {
-        let vb = self.volatile.table.get(id);
-        if vb.role != Role::Associate {
-            return;
+    /// Keeps the signature current after a write — except a reference's,
+    /// which stays that of its immutable SSD copy.
+    fn set_written_sig(&mut self, id: VbId, sig: BlockSignature) {
+        let vb = self.volatile.table.get_mut(id);
+        if !matches!(vb.placement, Placement::Reference { .. }) {
+            vb.sig = sig;
         }
-        if let Some(rid) = vb.reference.and_then(|r| self.volatile.table.lookup(r)) {
-            let rvb = self.volatile.table.get_mut(rid);
-            rvb.dependants = rvb.dependants.saturating_sub(1);
-        }
-        self.volatile.table.set_role(id, Role::Independent);
-        self.volatile.table.get_mut(id).reference = None;
-        self.drop_delta(id);
     }
 
     /// Handles a large (streaming) write: every block takes the delta path
@@ -300,28 +273,22 @@ impl Icash {
             let id = self.materialize_vb(lba, req.at, ctx);
             if self.writes_degraded(id) {
                 resp = resp.max(self.write_degraded(id, buf, req.at));
-            } else if self.volatile.table.get(id).role == Role::Reference {
+            } else if let Placement::Reference { slot, .. } = self.volatile.table.get(id).placement
+            {
                 // A reference's SSD copy is the decode source for its
                 // associates: track the new content as the reference's own
                 // delta.
-                let slot = self
-                    .volatile
-                    .table
-                    .get(id)
-                    .ssd_slot
-                    .expect("reference without slot");
                 let delta = self.encode_against(req.at, lba, RefSource::Slot(slot), buf);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
-                self.store_delta(id, delta, req.at);
+                let own = Some(DeltaHome::Dirty);
+                self.store_delta(id, delta, req.at, Placement::Reference { slot, own });
                 self.stats.delta_writes += 1;
             } else if self.try_bind(id, buf, &sig, req.at, ctx) {
                 self.stats.delta_writes += 1;
             } else {
                 self.write_as_independent(id, buf, req.at, ctx);
             }
-            if self.volatile.table.get(id).role != Role::Reference {
-                self.volatile.table.get_mut(id).sig = sig;
-            }
+            self.set_written_sig(id, sig);
             self.drop_data(id);
             self.volatile.table.touch(id);
             self.stats.writes += 1;

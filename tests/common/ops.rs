@@ -3,7 +3,9 @@
 //! are not enough to reach a placement *transition*: the generator also
 //! writes dissimilar "noise" (which leaves the delta path for an SSD slot)
 //! and multi-block spans (which take the streaming write path), so blocks
-//! move between slot, delta, log and home in every order.
+//! move between slot, delta, log and home in every order. For I-CASH a rare
+//! cold sweep overflows the virtual-block table, so they also leave it as
+//! eviction records and come back.
 
 #[path = "content.rs"]
 mod content;
@@ -15,6 +17,13 @@ use proptest::prelude::*;
 
 /// Block address space of the generated histories.
 pub const SPAN: u64 = 64;
+
+/// Blocks one cold sweep reads: more than the controller's smallest table
+/// bound (4 096 tracked blocks), so the trim runs and reaches the hot set.
+pub const COLD_BLOCKS: u64 = 4_200;
+
+/// First cold address: above every address any suite writes.
+const COLD_BASE: u64 = 1 << 10;
 
 #[derive(Debug, Clone)]
 pub enum SysOp {
@@ -38,6 +47,12 @@ pub enum SysOp {
     /// A full pipeline barrier: `sync` awaits the newest write ticket, so
     /// everything accepted so far must be durable when it returns.
     Barrier,
+    /// Reads [`COLD_BLOCKS`] never-written addresses (the `lap`-th run of
+    /// them above the written space). I-CASH only: the baselines' 4 MiB
+    /// devices have no such addresses.
+    ColdSweep {
+        lap: u64,
+    },
 }
 
 fn family() -> impl Strategy<Value = Family> {
@@ -51,6 +66,15 @@ fn family() -> impl Strategy<Value = Family> {
 /// 1–199 ops: single writes and reads dominate, with spans, flushes and
 /// barriers mixed in.
 pub fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
+    ops_with(false)
+}
+
+/// [`ops_strategy`] for an I-CASH controller: one op in 400 is a cold sweep.
+pub fn icash_ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
+    ops_with(true)
+}
+
+fn ops_with(cold_sweeps: bool) -> impl Strategy<Value = Vec<SysOp>> {
     let write = || {
         (0..SPAN, any::<u8>(), family()).prop_map(|(lba, tag, family)| SysOp::Write {
             lba,
@@ -79,6 +103,13 @@ pub fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
             span,
             Just(SysOp::Flush),
             Just(SysOp::Barrier),
+            (0u8..40, 0u64..4).prop_map(move |(roll, lap)| {
+                if cold_sweeps && roll == 0 {
+                    SysOp::ColdSweep { lap }
+                } else {
+                    SysOp::Flush
+                }
+            }),
         ],
         1..200,
     )
@@ -118,4 +149,25 @@ impl SysOp {
         *now = completion.finished;
         (payload, completion)
     }
+}
+
+/// Runs lap `lap` of a cold sweep as one stream of span reads at `*now`,
+/// advancing the clock. Every block that did not fail with a typed error
+/// must read as zeroes: nothing was ever written there.
+pub fn cold_sweep(lap: u64, system: &mut dyn StorageSystem, now: &mut Ns, ctx: &mut IoCtx<'_>) {
+    const STRIDE: u64 = 32;
+    let collect = std::mem::replace(&mut ctx.collect_data, true);
+    let first = COLD_BASE + lap * COLD_BLOCKS;
+    for lba in (first..first + COLD_BLOCKS).step_by(STRIDE as usize) {
+        let blocks = STRIDE.min(first + COLD_BLOCKS - lba) as u32;
+        let completion = system.submit(&Request::read_span(Lba::new(lba), blocks, *now), ctx);
+        *now = completion.finished;
+        for (l, got) in (lba..).zip(&completion.data) {
+            assert!(
+                completion.failed(Lba::new(l)) || *got == BlockBuf::zeroed(),
+                "cold lba {l} read back something"
+            );
+        }
+    }
+    ctx.collect_data = collect;
 }

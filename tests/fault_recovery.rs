@@ -13,7 +13,7 @@ use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
 use icash::storage::request::IoErrorKind;
 use icash::storage::shard::ShardRouter;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
-use ops::{block_for, ops_strategy, Family, SysOp, SPAN};
+use ops::{block_for, cold_sweep, icash_ops_strategy, ops_strategy, Family, SysOp, SPAN};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -75,7 +75,7 @@ proptest! {
     /// error or returns the block's latest content — nothing in between.
     #[test]
     fn faulty_reads_are_current_or_reported(
-        ops in ops_strategy(),
+        ops in icash_ops_strategy(),
         seed in 0u64..1000,
         rate_pick in 0usize..3,
         depth_pick in 0usize..3,
@@ -111,6 +111,7 @@ proptest! {
                         "sync returned with tickets still in flight"
                     );
                 }
+                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
             system.debug_validate();
         }
@@ -124,7 +125,7 @@ proptest! {
     /// group commit.
     #[test]
     fn crash_with_torn_writes_never_splices(
-        ops in ops_strategy(),
+        ops in icash_ops_strategy(),
         crash_at in 0usize..200,
         seed in 0u64..1000,
         rate_pick in 0usize..4,
@@ -150,6 +151,7 @@ proptest! {
                 }
                 SysOp::Flush => now = system.flush(now, &mut ctx),
                 SysOp::Barrier => now = system.sync(now, &mut ctx),
+                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
             system.debug_validate();
         }
@@ -178,7 +180,9 @@ proptest! {
     /// router. Every outer block must come back as a version *it* held (or
     /// a reported error) — content is stamped with the outer address, so a
     /// recovery that spliced state across shards (distinct outer blocks
-    /// share inner slots on different shards) can never pass.
+    /// share inner slots on different shards) can never pass. (No cold
+    /// sweeps drawn: split over the shards, one stays under each table
+    /// bound.)
     #[test]
     fn cross_shard_crash_recovery_never_splices_across_shards(
         ops in ops_strategy(),
@@ -216,6 +220,7 @@ proptest! {
                         "cross-shard sync returned with tickets in flight"
                     );
                 }
+                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
         }
         // Power dies on every shard at once; each recovers alone, then the
@@ -254,7 +259,7 @@ proptest! {
     /// a delta needs room — inside a write, not between two.
     #[test]
     fn awaited_writes_survive_any_crash(
-        ops in ops_strategy(),
+        ops in icash_ops_strategy(),
         crash_at in 0usize..200,
         depth_pick in 0usize..3,
         tight_ram in any::<bool>(),
@@ -293,6 +298,7 @@ proptest! {
                         durable_from.insert(*lba, held.len() - 1);
                     }
                 }
+                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
             system.debug_validate();
         }
@@ -349,7 +355,7 @@ proptest! {
     /// internal validation.
     #[test]
     fn device_death_anywhere_is_survivable(
-        ops in ops_strategy(),
+        ops in icash_ops_strategy(),
         death_at in 1u64..120,
         kill_hdd in any::<bool>(),
         crash_mid_rebuild in any::<bool>(),
@@ -402,6 +408,7 @@ proptest! {
                 SysOp::Flush if !hdd_down => now = system.flush(now, &mut ctx),
                 SysOp::Barrier if !hdd_down => now = system.sync(now, &mut ctx),
                 SysOp::Flush | SysOp::Barrier => {}
+                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
             system.debug_validate();
         }

@@ -10,7 +10,7 @@ use icash::baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
-use ops::{ops_strategy, SysOp};
+use ops::{cold_sweep, icash_ops_strategy, ops_strategy, SysOp};
 use proptest::prelude::*;
 use std::any::Any;
 use std::collections::HashMap;
@@ -56,6 +56,7 @@ fn check_system<S: StorageSystem + 'static>(mut system: S, ops: &[SysOp]) {
             }
             SysOp::Flush => now = system.flush(now, &mut ctx),
             SysOp::Barrier => now = system.sync(now, &mut ctx),
+            SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
         }
         if let Some(icash) = (&system as &dyn Any).downcast_ref::<Icash>() {
             icash.debug_validate();
@@ -73,24 +74,90 @@ fn check_system<S: StorageSystem + 'static>(mut system: S, ops: &[SysOp]) {
     );
 }
 
-fn tiny_icash() -> Icash {
-    Icash::new(
-        IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
-            .scan_interval(40)
-            .scan_window(64)
-            .flush_interval(25)
-            .log_blocks(1 << 14)
-            .build(),
-    )
+/// The small controller both I-CASH properties run, synchronous or with a
+/// depth-4 group commit; `tight_ram` is the geometry where the log commits
+/// when a delta needs room — inside a write, not between two: a RAM pool of
+/// a few blocks and the flush interval out of reach.
+fn tiny_icash(pipelined: bool, tight_ram: bool) -> Icash {
+    let mut cfg = IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
+        .scan_interval(40)
+        .scan_window(64)
+        .flush_interval(25)
+        .log_blocks(1 << 14)
+        .group_commit_depth(if pipelined { 4 } else { 1 })
+        .build();
+    if tight_ram {
+        cfg.ram_bytes = 64 << 10;
+        cfg.flush_interval = 1_000_000;
+    }
+    Icash::new(cfg)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn icash_is_a_correct_block_device(
+        ops in icash_ops_strategy(),
+        pipelined in any::<bool>(),
+        tight_ram in any::<bool>(),
+    ) {
+        check_system(tiny_icash(pipelined, tight_ram), &ops);
+    }
+
+    /// Crash anywhere: after recovery, every block that was written before
+    /// the last flush must read back as some version it legitimately held
+    /// (its latest value as of the crash, or — for unflushed tails — an
+    /// older durable version, never garbage).
+    #[test]
+    fn icash_crash_anywhere_never_corrupts(
+        ops in icash_ops_strategy(),
+        crash_at in 0usize..200,
+        pipelined in any::<bool>(),
+        tight_ram in any::<bool>(),
+    ) {
+        let mut system = tiny_icash(pipelined, tight_ram);
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        // All versions each lba ever held (plus the initial zero block).
+        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
+        let mut now = Ns::ZERO;
+        for op in ops.iter().take(crash_at.min(ops.len())) {
+            let mut ctx = IoCtx::new(&backing, &mut cpu);
+            match op {
+                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
+                        versions.entry(lba).or_default().push(content);
+                    }
+                }
+                SysOp::Read { lba } => {
+                    let req = Request::read(Lba::new(*lba), now);
+                    now = system.submit(&req, &mut ctx).finished;
+                }
+                SysOp::Flush => now = system.flush(now, &mut ctx),
+                SysOp::Barrier => now = system.sync(now, &mut ctx),
+                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
+            }
+            system.debug_validate();
+        }
+        let mut recovered = system.crash_and_recover();
+        recovered.debug_validate();
+        for (lba, mut held) in versions {
+            held.push(BlockBuf::zeroed()); // the pre-history version
+            let req = Request::read(Lba::new(lba), now);
+            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+            let completion = recovered.submit(&req, &mut ctx);
+            now = completion.finished;
+            prop_assert!(
+                held.contains(&completion.data[0]),
+                "lba {lba}: recovered to a value it never held"
+            );
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn icash_is_a_correct_block_device(ops in ops_strategy()) {
-        check_system(tiny_icash(), &ops);
-    }
 
     #[test]
     fn pure_ssd_is_a_correct_block_device(ops in ops_strategy()) {
@@ -111,49 +178,5 @@ proptest! {
     #[test]
     fn dedup_cache_is_a_correct_block_device(ops in ops_strategy()) {
         check_system(DedupCache::new(64 << 10, 4 << 20), &ops);
-    }
-
-    /// Crash anywhere: after recovery, every block that was written before
-    /// the last flush must read back as some version it legitimately held
-    /// (its latest value as of the crash, or — for unflushed tails — an
-    /// older durable version, never garbage).
-    #[test]
-    fn icash_crash_anywhere_never_corrupts(ops in ops_strategy(), crash_at in 0usize..200) {
-        let mut system = tiny_icash();
-        let mut cpu = CpuModel::xeon();
-        let backing = ZeroSource;
-        // All versions each lba ever held (plus the initial zero block).
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
-        let mut now = Ns::ZERO;
-        for op in ops.iter().take(crash_at.min(ops.len())) {
-            let mut ctx = IoCtx::new(&backing, &mut cpu);
-            match op {
-                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
-                        versions.entry(lba).or_default().push(content);
-                    }
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => now = system.flush(now, &mut ctx),
-                SysOp::Barrier => now = system.sync(now, &mut ctx),
-            }
-            system.debug_validate();
-        }
-        let mut recovered = system.crash_and_recover();
-        recovered.debug_validate();
-        for (lba, mut held) in versions {
-            held.push(BlockBuf::zeroed()); // the pre-history version
-            let req = Request::read(Lba::new(lba), now);
-            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = recovered.submit(&req, &mut ctx);
-            now = completion.finished;
-            prop_assert!(
-                held.contains(&completion.data[0]),
-                "lba {lba}: recovered to a value it never held"
-            );
-        }
     }
 }
