@@ -427,10 +427,7 @@ impl Icash {
                 let sig = BlockSignature::of(content.as_slice());
                 let mut bound = false;
                 for cand in self.volatile.ref_index.candidates(&sig, 3, 2) {
-                    let Some(rid) = self.volatile.table.lookup(cand) else {
-                        continue;
-                    };
-                    let Some(slot) = self.volatile.table.get(rid).placement.slot() else {
+                    let Some((rid, slot)) = self.pinned(cand) else {
                         continue;
                     };
                     let delta = self.encode_against(Ns::ZERO, lba, RefSource::Slot(slot), &content);

@@ -573,7 +573,7 @@ impl Icash {
         let mut evicted = 0usize;
         let mut flushed = false;
         let mut next = self.volatile.table.newer(None);
-        for _ in 0..8_192 {
+        'tail: for _ in 0..8_192 {
             let Some(id) = next.filter(|_| evicted < 64) else {
                 break;
             };
@@ -583,33 +583,34 @@ impl Icash {
             if !vb.evictable() {
                 continue;
             }
-            let mut placement = vb.placement;
-            // A block whose only copy may be RAM — a dirty delta, or a
-            // staged one (its clean resident copy is droppable) — cannot
-            // leave: commit the pipeline first. (Not for a written
-            // reference, which stays whatever a flush does to its delta.)
-            let stays = matches!(placement, Placement::Reference { own: Some(_), .. });
-            let durable = matches!(placement.delta_home(), None | Some(DeltaHome::Log(_)));
-            if !stays && !durable && !flushed {
-                self.flush_all(at);
-                flushed = true;
-                placement = self.volatile.table.get(id).placement;
-            }
             // The rebuild pointer the block leaves behind (none: its content
             // is in the home area).
-            let record = match placement {
-                Placement::Home => None,
-                Placement::Slot { slot } | Placement::Reference { slot, own: None } => {
-                    Some(Placement::Slot { slot })
+            let record = loop {
+                match self.volatile.table.get(id).placement {
+                    Placement::Home => break None,
+                    Placement::Slot { slot } | Placement::Reference { slot, own: None } => {
+                        break Some(Placement::Slot { slot });
+                    }
+                    // A written reference cannot be summarized by a single
+                    // pointer; keep it resident.
+                    Placement::Reference { own: Some(_), .. } => continue 'tail,
+                    logged @ (Placement::Associate {
+                        delta: DeltaHome::Log(_),
+                        ..
+                    }
+                    | Placement::Logged {
+                        delta: DeltaHome::Log(_),
+                    }) => break Some(logged),
+                    // The only copy may be RAM — a dirty delta, or a staged
+                    // one (its clean resident copy is droppable): commit the
+                    // pipeline, once, and look again.
+                    Placement::Associate { .. } | Placement::Logged { .. } if !flushed => {
+                        self.flush_all(at);
+                        flushed = true;
+                    }
+                    // The flush did not reach it: no durable home yet.
+                    Placement::Associate { .. } | Placement::Logged { .. } => continue 'tail,
                 }
-                // A written reference cannot be summarized by a single
-                // pointer; keep it resident.
-                Placement::Reference { own: Some(_), .. } => continue,
-                Placement::Associate { delta, .. } | Placement::Logged { delta } => match delta {
-                    DeltaHome::Log(_) => Some(placement),
-                    // The flush above did not reach it: no durable home yet.
-                    DeltaHome::Dirty | DeltaHome::Staged => continue,
-                },
             };
             self.drop_data(id);
             self.drop_delta(id);

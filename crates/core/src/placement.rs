@@ -170,11 +170,12 @@ impl Icash {
         }
     }
 
-    /// The SSD slot tracked block `lba` reads — what an associate of `lba`
-    /// decodes against — if it has one.
-    pub(crate) fn pinned_slot(&self, lba: Lba) -> Option<u64> {
+    /// Tracked block `lba` and the SSD slot it reads — what an associate of
+    /// `lba` decodes against — if it has one. (Which block an associate
+    /// names is not something its own placement can vouch for.)
+    pub(crate) fn pinned(&self, lba: Lba) -> Option<(VbId, u64)> {
         let id = self.volatile.table.lookup(lba)?;
-        self.volatile.table.get(id).placement.slot()
+        Some((id, self.volatile.table.get(id).placement.slot()?))
     }
 
     /// Moves `id` to `to` and returns the placement it left. An associate

@@ -227,13 +227,7 @@ impl Icash {
         at: Ns,
         ctx: &mut IoCtx<'_>,
     ) -> BlockRead {
-        // (Which block an associate names is not something its own placement
-        // can vouch for: checked here.)
-        let pinned = self.volatile.table.lookup(ref_lba).and_then(|rid| {
-            let slot = self.volatile.table.get(rid).placement.slot()?;
-            Some((rid, slot))
-        });
-        let Some((rid, slot)) = pinned else {
+        let Some((rid, slot)) = self.pinned(ref_lba) else {
             return self.metadata_error("an associate's reference must be tracked and pinned", at);
         };
         self.volatile.table.touch(rid);

@@ -42,7 +42,6 @@ impl Icash {
         let id = self.materialize_vb(lba, at, ctx);
         let vb = self.volatile.table.get(id);
         let (placement, dependants) = (vb.placement, vb.dependants);
-        let dirty = DeltaHome::Dirty;
 
         match placement {
             _ if self.writes_degraded(id) => resp = self.write_degraded(id, &content, at),
@@ -52,7 +51,7 @@ impl Icash {
                 let delta = self.encode_against(at, lba, RefSource::Slot(slot), &content);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
                 if delta.len() <= self.cfg.delta_threshold || dependants > 0 {
-                    let own = Some(dirty);
+                    let own = Some(DeltaHome::Dirty);
                     self.store_delta(id, delta, at, Placement::Reference { slot, own });
                     self.stats.delta_writes += 1;
                 } else {
@@ -82,17 +81,17 @@ impl Icash {
                 // Charge the device/LRU effects of touching the reference,
                 // then encode via its slot's cached index.
                 let _ = self.reference_content(reference, at, ctx);
-                let rslot = self
-                    .pinned_slot(reference)
+                let (_, rslot) = self
+                    .pinned(reference)
                     .expect("an associate's reference is tracked and pinned");
                 let delta = self.encode_against(at, lba, RefSource::Slot(rslot), &content);
                 ctx.cpu.charge(CpuOp::DeltaEncode);
                 if delta.len() <= self.cfg.delta_threshold {
-                    let delta_home = Placement::Associate {
+                    let to = Placement::Associate {
                         reference,
-                        delta: dirty,
+                        delta: DeltaHome::Dirty,
                     };
-                    self.store_delta(id, delta, at, delta_home);
+                    self.store_delta(id, delta, at, to);
                     self.stats.delta_writes += 1;
                 } else {
                     // Content diverged from the reference: unbind and write
@@ -144,10 +143,10 @@ impl Icash {
         // The log entry is the block's placement from here on; a slot kept
         // alongside it would go on serving the previous version, so the
         // store releases it.
-        let delta_home = Placement::Logged {
+        let to = Placement::Logged {
             delta: DeltaHome::Dirty,
         };
-        self.store_delta(id, delta, at, delta_home);
+        self.store_delta(id, delta, at, to);
         self.stats.independent_writes += 1;
     }
 
@@ -207,7 +206,7 @@ impl Icash {
             if cand == lba {
                 continue;
             }
-            let Some(rslot) = self.pinned_slot(cand) else {
+            let Some((_, rslot)) = self.pinned(cand) else {
                 continue;
             };
             let delta = self.encode_against(at, lba, RefSource::Slot(rslot), content);
@@ -239,11 +238,11 @@ impl Icash {
     /// recovery would rank its pin above the deltas, so the store releases
     /// whatever slot the block held.
     fn bind(&mut self, id: VbId, reference: Lba, delta: Delta, at: Ns) {
-        let delta_home = Placement::Associate {
+        let to = Placement::Associate {
             reference,
             delta: DeltaHome::Dirty,
         };
-        self.store_delta(id, delta, at, delta_home);
+        self.store_delta(id, delta, at, to);
         self.stats.binds += 1;
     }
 
