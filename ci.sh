@@ -60,10 +60,9 @@ golden() {
 case "${1:-gate}" in
 golden)
   # Same contract as the trace sha256 below, one layer down: every delta
-  # the codec emits is byte-identical to the seed encoder's, and the chunk
-  # scan to the rolling-hash scan it replaced (tests/oracle.rs keeps it).
-  t "codec golden vectors, scan oracle, index/scratch properties" -p icash-delta \
-    --test golden --test oracle --test prop --test alloc
+  # the codec emits is byte-identical to the seed encoder's.
+  t "codec golden vectors, encode/scratch properties, exact allocation" -p icash-delta \
+    --test golden --test prop --test alloc
   bins
   golden unset
   golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_FLUSH_TICKET=0 ICASH_SHARDS=1 \
@@ -184,8 +183,8 @@ gate)
   run_benches codec controller
   test -s target/bench_codec_current.json
   test -s target/bench_controller_current.json
-  for name in encode_rotating_refs_cold index_build encode_zero_reference_unique \
-    encode_inplace_family_warm encode_dictionary_unrelated; do
+  for name in encode_similar encode_unrelated encode_zero_reference_unique \
+    encode_inplace_family_warm encode_roundtrip_batch64; do
     grep -q "\"delta_codec/$name\"" target/bench_codec_current.json
   done
   ;;

@@ -1,13 +1,13 @@
-//! Ablation: signature scheme and codec choice (paper §4.2 argues cheap
+//! Ablation: signature scheme and codec (paper §4.2 argues cheap
 //! sampled-byte sums beat hashing for *similarity* detection, and §3.1
 //! relies on fast delta coding).
 //!
-//! Measures, over the evaluation's content regimes: how often the sparse
-//! codec alone suffices vs needing the chunk matcher, the delta sizes each
-//! produces, and what full-block hashing would have missed (any
-//! single-byte change defeats an identity hash).
+//! Measures, over the evaluation's content regimes: the delta size the
+//! sparse codec produces for a block against its family sibling, how many
+//! of those deltas fit the bind threshold, and what full-block hashing
+//! would have missed (any single-byte change defeats an identity hash).
 
-use icash_delta::codec::{chunk, sparse, DeltaCodec};
+use icash_delta::codec::{sparse, DeltaCodec};
 use icash_delta::signature::BlockSignature;
 use icash_metrics::report::table;
 use icash_storage::block::Lba;
@@ -27,7 +27,6 @@ fn main() {
     for (name, profile) in profiles {
         let model = ContentModel::new(99, profile);
         let mut sparse_sum = 0usize;
-        let mut chunk_sum = 0usize;
         let mut identical = 0usize;
         let mut sig_close = 0usize;
         let mut bindable = 0usize;
@@ -37,9 +36,7 @@ fn main() {
             let a = model.content_at(Lba::new(i as u64 * 2), 1);
             let b = model.content_at(Lba::new(i as u64 * 2 + 1), 1);
             let s = sparse::encode(a.as_slice(), b.as_slice());
-            let c = chunk::encode(a.as_slice(), b.as_slice());
             sparse_sum += s.len();
-            chunk_sum += c.len();
             if a == b {
                 identical += 1;
             }
@@ -53,7 +50,6 @@ fn main() {
         rows.push(vec![
             name.to_string(),
             format!("{}", sparse_sum / pairs),
-            format!("{}", chunk_sum / pairs),
             format!("{:.0}%", bindable as f64 / pairs as f64 * 100.0),
             format!("{:.0}%", sig_close as f64 / pairs as f64 * 100.0),
             format!("{:.0}%", identical as f64 / pairs as f64 * 100.0),
@@ -66,7 +62,6 @@ fn main() {
             &[
                 "profile",
                 "sparse_B",
-                "chunk_B",
                 "bindable",
                 "sig<=5",
                 "identical(hash-visible)",

@@ -102,6 +102,33 @@ and scale gates), so nothing in this report moves unless
   reaching HDD media after a durability barrier, flash wear/erase
   counts, and `stats.busy` on the SSD (queues reschedule time, they do
   not invent it). `tests/queue_free.rs` holds the differential.
+
+## What shifted-content matching buys (DESIGN.md §9)
+
+Nothing, for any workload this repo can generate. Through PR 20 every
+encode whose skip/literal payload exceeded 512 bytes also ran a
+vcdiff-style chunk matcher (COPY/ADD against a window-hash index of the
+reference) and kept its output when smaller — this repo's addition; the
+paper's delta (§3.1, §5) is an in-place derivation. A counter in the
+encoder at the last commit that had the matcher, default op counts:
+
+| run | encodes | chunk passes | chunk wins | bytes saved | wins crossing the 2 048-byte bind threshold |
+|---|---:|---:|---:|---:|---:|
+| Figure 6 (SysBench) | 119 068 | 64 359 | 0 | 0 | 0 |
+| Figure 8 (Hadoop) | 260 996 | 148 568 | 0 | 0 | 0 |
+| Figure 10 (TPC-C) | 161 455 | 67 611 | 0 | 0 | 0 |
+| Figure 12 (LoadSim) | 37 959 | 28 267 | 0 | 0 | 0 |
+| Figure 13 (SPEC-sfs) | 510 990 | 380 720 | 0 | 0 | 0 |
+| Figure 14 (RUBiS) | 60 890 | 1 485 | 0 | 0 | 0 |
+| Figure 15 (five TPC-C VM images) | 392 968 | 58 849 | 0 | 0 | 0 |
+| Figure 16 (five RUBiS VM images) | 88 800 | 510 | 0 | 0 | 0 |
+| all eight | 1 633 126 | 750 369 | 0 | 0 | 0 |
+
+With no win there is no simulated time and no SSD write to lose: every
+figure and table above, Table 6 and the cross-VM images of Figs 15 / 16
+included, is byte-identical without the matcher, which PR 21 deleted.
+`ablation_codec` prints the per-profile delta sizes of the encoder that
+remains.
 "#;
 
 fn main() {

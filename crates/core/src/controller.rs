@@ -23,7 +23,6 @@
 
 use crate::config::IcashConfig;
 use crate::delta_log::{DeltaLog, LogEntry};
-use crate::index_cache::RefIndexCache;
 use crate::placement::RefSource;
 use crate::ref_index::RefIndex;
 use crate::segment::SegmentPool;
@@ -106,9 +105,6 @@ pub(crate) struct Volatile {
     pub table: BlockTable,
     pub pool: SegmentPool,
     pub ref_index: RefIndex,
-    /// Cached chunk indexes over reference content (keyed by SSD slot,
-    /// plus the permanent zero-reference index).
-    pub ref_cache: RefIndexCache,
     /// Content fetched by a span's batched home-read prefetch, consumed by
     /// the per-block resolution that immediately follows and cleared at the
     /// end of the request. Never populated without a device queue.
@@ -150,7 +146,6 @@ impl Volatile {
             table: BlockTable::new(),
             pool: SegmentPool::new(cfg.ram_budget(), cfg.segment_bytes),
             ref_index: RefIndex::new(),
-            ref_cache: RefIndexCache::new(),
             span_prefetch: AddrMap::default(),
             evicted: AddrMap::default(),
             released: BTreeMap::new(),
@@ -458,9 +453,7 @@ impl Icash {
                         .ssd_mut()
                         .prefill(slot)
                         .expect("factory image");
-                    self.durable
-                        .slots
-                        .install(&mut self.volatile.ref_cache, lba, slot, content);
+                    self.durable.slots.install(lba, slot, content);
                     self.volatile.table.insert(VirtualBlock {
                         placement: Placement::Reference { slot, own: None },
                         ..VirtualBlock::independent(lba, sig)

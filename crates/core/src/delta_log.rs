@@ -14,7 +14,7 @@
 //! front (a simple log-structured cleaner in the spirit of the paper's
 //! cited log-disk designs).
 
-use icash_delta::codec::{Delta, Encoding};
+use icash_delta::codec::Delta;
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::fault::Crc32;
 use icash_storage::hash::AddrMap;
@@ -63,13 +63,7 @@ impl LogEntry {
         c.update(&lba.raw().to_le_bytes());
         c.update(&reference.raw().to_le_bytes());
         c.update(&generation.to_le_bytes());
-        let tag: u8 = match delta.encoding() {
-            Encoding::Identity => 0,
-            Encoding::Sparse => 1,
-            Encoding::Chunk => 2,
-            Encoding::Raw => 3,
-        };
-        c.update(&[tag]);
+        c.update(&[delta.encoding() as u8]);
         c.update(delta.payload());
         c.finish()
     }

@@ -61,7 +61,6 @@ pub mod config;
 pub mod controller;
 pub mod delta_log;
 pub mod health;
-pub mod index_cache;
 pub mod maintenance;
 pub(crate) mod placement;
 pub(crate) mod read;

@@ -7,8 +7,8 @@
 //! never set it themselves; they call the transitions here, which take the
 //! placement the block is leaving and settle what it leaves behind
 //! (dependant count, resident and staged copies, stale marking, slot
-//! release, index-cache invalidation, trim, directory record, hardening),
-//! so none of it can be forgotten at one call site.
+//! release, trim, directory record, hardening), so none of it can be
+//! forgotten at one call site.
 
 use crate::controller::Icash;
 use crate::table::{Resident, VbId};
@@ -39,10 +39,8 @@ pub(crate) enum RefSource {
 }
 
 impl Icash {
-    /// Encodes `target` against `source`, reusing (and lazily populating)
-    /// the source's cached chunk index. The delta's payload shares
-    /// `target`'s allocation where the encoding keeps whole runs of it
-    /// (Raw).
+    /// Encodes `target` against `source`. A delta that stores the block
+    /// whole (Raw) shares `target`'s allocation.
     pub(crate) fn encode_against(
         &mut self,
         at: Ns,
@@ -50,32 +48,12 @@ impl Icash {
         source: RefSource,
         target: &BlockBuf,
     ) -> Delta {
-        let codec = &self.volatile.codec;
-        let cache = &mut self.volatile.ref_cache;
-        let (slot, hit, delta) = match source {
-            RefSource::Slot(slot) => {
-                let base = self.durable.slots.content(slot);
-                let (hit, delta) = cache.with_slot(slot, |index| {
-                    let hit = index.is_some();
-                    (
-                        hit,
-                        codec.encode_shared(base.as_slice(), target.as_bytes(), index),
-                    )
-                });
-                (slot, hit, delta)
-            }
-            RefSource::Zero => {
-                let index = cache.zero_entry();
-                let hit = index.is_some();
-                let delta = codec.encode_shared(&ZERO_REF, target.as_bytes(), index);
-                (u64::MAX, hit, delta)
-            }
+        let (slot, base): (u64, &[u8]) = match source {
+            RefSource::Slot(slot) => (slot, self.durable.slots.content(slot).as_slice()),
+            RefSource::Zero => (u64::MAX, &ZERO_REF),
         };
+        let delta = self.volatile.codec.encode_shared(base, target.as_bytes());
         let bytes = delta.len() as u32;
-        self.durable.array.tracer().emit(|| TraceEvent {
-            at,
-            kind: TraceKind::RefCache { slot, hit },
-        });
         self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::DeltaEncode {
@@ -113,7 +91,7 @@ impl Icash {
     }
 
     /// Programs `content` into SSD slot `slot` and pins it as `lba`'s
-    /// copy: fresh directory record, fresh checksum, cold chunk index, and
+    /// copy: fresh directory record, fresh checksum, and
     /// (faults armed) the redundant home copy. Returns the instant the
     /// content is safe; the caller then moves the block there
     /// ([`Icash::supersede_delta`]). If the flash refuses the program
@@ -131,9 +109,7 @@ impl Icash {
             // reached the log): this install is durable at once.
             self.discard_slot(lba, None);
         }
-        self.durable
-            .slots
-            .install(&mut self.volatile.ref_cache, lba, slot, content.clone());
+        self.durable.slots.install(lba, slot, content.clone());
         if !self.durable.fault_plan.is_enabled() {
             return Ok(t);
         }
@@ -151,10 +127,7 @@ impl Icash {
     /// [`SlotStore::release`]: crate::slots::SlotStore::release
     pub(crate) fn discard_slot(&mut self, lba: Lba, left_at: Option<u64>) {
         self.volatile.released.remove(&lba);
-        let freed = self
-            .durable
-            .slots
-            .release(&mut self.volatile.ref_cache, lba, left_at);
+        let freed = self.durable.slots.release(lba, left_at);
         if let Some(slot) = freed.filter(|_| !self.ssd_is_failed()) {
             // (A dead device takes no commands, and its replacement starts
             // with nothing mapped.)

@@ -7,15 +7,12 @@
 //! fields are private, so the rules below hold by construction:
 //!
 //! * slot content changes only through [`SlotStore::install`] and
-//!   [`SlotStore::release`], and both take the chunk-index cache, so a
-//!   cached index can never outlive the content it was built over (slot
-//!   reuse starts cold, never stale);
+//!   [`SlotStore::release`];
 //! * a pinned slot always has its directory record and its checksum, and a
 //!   free slot has none of the three;
 //! * a block has one directory record — a pin, or the tombstone the pin
 //!   leaves behind — never both.
 
-use crate::index_cache::RefIndexCache;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::crc32;
 use icash_storage::hash::{AddrMap, AddrSet};
@@ -111,8 +108,7 @@ impl SlotStore {
 
     /// Pins `content` in `slot` as `lba`'s copy, stamped with a fresh
     /// generation. Overwrites whatever the slot held.
-    pub fn install(&mut self, cache: &mut RefIndexCache, lba: Lba, slot: u64, content: BlockBuf) {
-        cache.invalidate_slot(slot);
+    pub fn install(&mut self, lba: Lba, slot: u64, content: BlockBuf) {
         self.sums.insert(slot, crc32(content.as_slice()));
         self.content.insert(slot, content);
         let (slot, generation) = (Some(slot), self.stamp());
@@ -123,19 +119,13 @@ impl SlotStore {
     /// stamp at which the block gave the slot up for a delta, or was written
     /// home (no slot needed for that): it stays behind as a tombstone, in
     /// force from now on. Returns the freed slot.
-    pub fn release(
-        &mut self,
-        cache: &mut RefIndexCache,
-        lba: Lba,
-        left_at: Option<u64>,
-    ) -> Option<u64> {
+    pub fn release(&mut self, lba: Lba, left_at: Option<u64>) -> Option<u64> {
         let slot = None;
         let old = match left_at {
             Some(generation) => self.dir.insert(lba, SlotRecord { slot, generation }),
             None => self.dir.remove(&lba),
         };
         let slot = old?.slot?;
-        cache.invalidate_slot(slot);
         self.sums.remove(&slot);
         self.content.remove(&slot);
         self.free_slots.push(slot);

@@ -79,7 +79,7 @@ impl Icash {
             }
             Placement::Associate { reference, .. } => {
                 // Charge the device/LRU effects of touching the reference,
-                // then encode via its slot's cached index.
+                // then encode against its slot's content.
                 let _ = self.reference_content(reference, at, ctx);
                 let (_, rslot) = self
                     .pinned(reference)

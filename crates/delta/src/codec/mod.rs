@@ -1,48 +1,54 @@
 //! Delta compression front-end.
 //!
-//! [`DeltaCodec::encode`] derives the smallest delta it can between a
-//! reference block and a target block, choosing between the skip/literal
-//! codec ([`sparse`]) for in-place changes, the chunk-match codec
-//! ([`chunk`]) for shifted content, and raw storage when the blocks share
-//! nothing. [`DeltaCodec::decode`] reconstructs the target exactly, and
+//! [`DeltaCodec::encode`] derives a delta between a reference block and a
+//! target block the way the paper's §3.1 does — changed bytes where they
+//! sit: skip/literal records ([`sparse`]), nothing at all when the blocks
+//! are equal, and the target itself (raw) when the records would reach a
+//! block. [`DeltaCodec::decode`] reconstructs the target exactly, and
 //! [`DeltaCodec::decode_into`] does so in the caller's copy of the
 //! reference, so a read that decodes allocates and copies its 4 KB once.
 //!
-//! Hot-path variants: [`DeltaCodec::encode_cached`] reuses (and lazily
-//! populates) a per-reference [`ChunkIndex`] so the chunk codec does not
-//! re-index the reference block on every call, and
-//! [`DeltaCodec::encode_shared`] additionally takes the target as a
-//! [`Bytes`] buffer so a raw fallback clones a refcount instead of 4 KB.
-//! All variants produce identical [`Delta`]s.
+//! [`DeltaCodec::encode_shared`] takes the target as a [`Bytes`] buffer so
+//! a raw fallback clones a refcount instead of 4 KB; it produces the same
+//! [`Delta`] as [`DeltaCodec::encode`].
 //!
-//! Both codecs write into scratch buffers the [`DeltaCodec`] keeps, and the
-//! winning payload is copied out once into an allocation of exactly its
-//! size. Growing a fresh `Vec` per encode and converting it costs a ladder
-//! of reallocations plus a shrinking copy, and over-sized payloads would
-//! sit in the controller's RAM buffer for as long as the delta does.
+//! The encoder writes into a scratch buffer the [`DeltaCodec`] keeps, and
+//! the payload is copied out once into an allocation of exactly its size.
+//! Growing a fresh `Vec` per encode and converting it costs a ladder of
+//! reallocations plus a shrinking copy, and over-sized payloads would sit in
+//! the controller's RAM buffer for as long as the delta does.
 
-pub mod chunk;
-pub mod chunk_index;
 pub(crate) mod scan;
 pub mod sparse;
-
-pub use chunk_index::ChunkIndex;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// How a [`Delta`]'s payload is encoded.
+///
+/// The discriminant is the 1-byte tag a stored delta is framed with. Tag 2
+/// belonged to a retired encoding: nothing writes it, and
+/// [`Encoding::try_from`] refuses it like any other unknown tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Encoding {
     /// Target is byte-identical to the reference; no payload.
-    Identity,
+    Identity = 0,
     /// Skip/literal records ([`sparse`]).
-    Sparse,
-    /// COPY/ADD instructions ([`chunk`]).
-    Chunk,
+    Sparse = 1,
     /// The target itself, uncompressed (no useful similarity).
-    Raw,
+    Raw = 3,
+}
+
+impl TryFrom<u8> for Encoding {
+    type Error = DecodeError;
+
+    fn try_from(tag: u8) -> Result<Self, DecodeError> {
+        [Encoding::Identity, Encoding::Sparse, Encoding::Raw]
+            .into_iter()
+            .find(|&encoding| encoding as u8 == tag)
+            .ok_or(DecodeError)
+    }
 }
 
 /// A compressed difference between a target block and its reference block.
@@ -125,86 +131,42 @@ impl core::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// The delta compression engine.
-#[derive(Debug, Clone)]
-pub struct DeltaCodec {
-    /// Sparse encodings at or below this size are accepted without trying
-    /// the (more expensive) chunk codec.
-    sparse_good_enough: usize,
-    /// Encode buffers reused across calls; each encoder clears its own
-    /// before writing, so nothing of one call is visible to the next.
-    scratch: RefCell<Scratch>,
-}
-
 #[derive(Debug, Clone, Default)]
-struct Scratch {
-    sparse: Vec<u8>,
-    chunk: Vec<u8>,
+pub struct DeltaCodec {
+    /// The encode buffer, reused across calls; the encoder clears it before
+    /// writing, so nothing of one call is visible to the next.
+    scratch: RefCell<Vec<u8>>,
 }
 
 impl DeltaCodec {
-    /// Creates a codec; `sparse_good_enough` is the sparse-encoding size (in
-    /// bytes) below which the chunk codec is not attempted.
-    pub fn new(sparse_good_enough: usize) -> Self {
-        DeltaCodec {
-            sparse_good_enough,
-            scratch: RefCell::default(),
-        }
-    }
-
-    /// Derives the smallest delta from `reference` to `target`.
+    /// Derives the delta from `reference` to `target`.
     ///
     /// Both slices must be the same length (one block). The result always
-    /// decodes back to `target` exactly; if neither codec beats raw storage
-    /// the delta is stored [`Encoding::Raw`].
+    /// decodes back to `target` exactly; if the skip/literal records would
+    /// not be smaller than the block the delta is stored [`Encoding::Raw`].
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
     pub fn encode(&self, reference: &[u8], target: &[u8]) -> Delta {
-        self.encode_cached(reference, target, &mut None)
+        self.encode_inner(reference, target, Bytes::copy_from_slice)
     }
 
-    /// Like [`encode`](Self::encode), but reuses `index` across calls that
-    /// share a reference block.
-    ///
-    /// If the chunk codec runs and `index` is `None`, the reference is
-    /// indexed and the index stored back for the next caller; sparse-only
-    /// encodes never pay for it. The caller owns invalidation: `index` must
-    /// either be `None` or have been built over this exact `reference`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn encode_cached(
-        &self,
-        reference: &[u8],
-        target: &[u8],
-        index: &mut Option<ChunkIndex>,
-    ) -> Delta {
-        self.encode_inner(reference, target, index, Bytes::copy_from_slice)
-    }
-
-    /// Like [`encode_cached`](Self::encode_cached), but takes the target as
-    /// a shared [`Bytes`] buffer so a raw fallback reuses the caller's
-    /// allocation instead of copying 4 KB.
+    /// Like [`encode`](Self::encode), but takes the target as a shared
+    /// [`Bytes`] buffer so a raw fallback reuses the caller's allocation
+    /// instead of copying 4 KB.
     ///
     /// # Panics
     ///
     /// Panics if the buffers differ in length.
-    pub fn encode_shared(
-        &self,
-        reference: &[u8],
-        target: &Bytes,
-        index: &mut Option<ChunkIndex>,
-    ) -> Delta {
-        self.encode_inner(reference, target, index, |_| target.clone())
+    pub fn encode_shared(&self, reference: &[u8], target: &Bytes) -> Delta {
+        self.encode_inner(reference, target, |_| target.clone())
     }
 
     fn encode_inner(
         &self,
         reference: &[u8],
         target: &[u8],
-        index: &mut Option<ChunkIndex>,
         raw_payload: impl FnOnce(&[u8]) -> Bytes,
     ) -> Delta {
         assert_eq!(
@@ -212,36 +174,15 @@ impl DeltaCodec {
             target.len(),
             "deltas are derived between equal-sized blocks"
         );
-        let mut scratch = self.scratch.borrow_mut();
-        let Scratch { sparse, chunk } = &mut *scratch;
-        sparse::encode_into(reference, target, sparse);
-        if sparse.is_empty() {
+        let mut sparse = self.scratch.borrow_mut();
+        sparse::encode_into(reference, target, &mut sparse);
+        let (encoding, payload) = match sparse.len() {
             // No literal run: the blocks are equal.
-            return Delta::identity();
-        }
-        if sparse.len() <= self.sparse_good_enough {
-            return Delta {
-                encoding: Encoding::Sparse,
-                payload: Bytes::copy_from_slice(sparse),
-            };
-        }
-        let index = index.get_or_insert_with(|| ChunkIndex::build(reference));
-        chunk::encode_with_index_into(index, reference, target, chunk);
-        let (encoding, payload) = if chunk.len() < sparse.len() {
-            (Encoding::Chunk, chunk)
-        } else {
-            (Encoding::Sparse, sparse)
+            0 => return Delta::identity(),
+            n if n >= target.len() => (Encoding::Raw, raw_payload(target)),
+            _ => (Encoding::Sparse, Bytes::copy_from_slice(&sparse)),
         };
-        if payload.len() >= target.len() {
-            return Delta {
-                encoding: Encoding::Raw,
-                payload: raw_payload(target),
-            };
-        }
-        Delta {
-            encoding,
-            payload: Bytes::copy_from_slice(payload),
-        }
+        Delta { encoding, payload }
     }
 
     /// Reconstructs the target block from `reference` and `delta`.
@@ -261,7 +202,7 @@ impl DeltaCodec {
     /// `reference`'s bytes and leaves holding the target's. An identity or
     /// sparse delta — nearly every delta the controller stores — then costs
     /// no copy beyond the caller's one: the literal runs are written over
-    /// it. Chunk and raw deltas overwrite `out` whole.
+    /// it. A raw delta overwrites `out` whole.
     ///
     /// # Errors
     ///
@@ -287,18 +228,38 @@ impl DeltaCodec {
         let decoded = match delta.encoding {
             Encoding::Identity => Some(()),
             Encoding::Sparse => sparse::patch(out, payload),
-            Encoding::Chunk => chunk::decode_into(reference, payload, out),
             Encoding::Raw => (payload.len() == out.len()).then(|| out.copy_from_slice(payload)),
         };
         decoded.ok_or(DecodeError)
     }
 }
 
-impl Default for DeltaCodec {
-    /// A codec tuned for I-CASH: sparse encodings under 512 bytes (an
-    /// eighth of a block) skip the chunk attempt.
-    fn default() -> Self {
-        DeltaCodec::new(512)
+// What `benchmark/`, which did not change with the encoder, still compiles
+// against: the retired reference index and the encode that took one.
+
+/// Nothing is left of it; ROADMAP item 1(g) deletes it.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct ChunkIndex;
+
+impl ChunkIndex {
+    /// Builds nothing; ROADMAP item 1(g) deletes it.
+    #[doc(hidden)]
+    pub fn build(_reference: &[u8]) -> Self {
+        ChunkIndex
+    }
+}
+
+impl DeltaCodec {
+    /// [`encode`](Self::encode); ROADMAP item 1(g) deletes it.
+    #[doc(hidden)]
+    pub fn encode_cached(
+        &self,
+        reference: &[u8],
+        target: &[u8],
+        _index: &mut Option<ChunkIndex>,
+    ) -> Delta {
+        self.encode(reference, target)
     }
 }
 
@@ -334,18 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn shifted_content_chooses_chunk() {
-        let a = patterned(4096);
-        let mut b = vec![0xEEu8; 16];
-        b.extend_from_slice(&a[..4080]);
-        let codec = DeltaCodec::default();
-        let d = codec.encode(&a, &b);
-        assert_eq!(d.encoding(), Encoding::Chunk);
-        assert!(d.len() < 256);
-        assert_eq!(codec.decode(&a, &d).unwrap(), b);
-    }
-
-    #[test]
     fn unrelated_content_falls_back_to_raw() {
         let a = vec![0u8; 4096];
         let b: Vec<u8> = (0..4096).map(|i| ((i * 7919 + 13) % 251) as u8).collect();
@@ -356,28 +305,19 @@ mod tests {
         assert_eq!(codec.decode(&a, &d).unwrap(), b);
     }
 
+    /// `benchmark/` compiles against these names; breaking them fails here
+    /// before it fails `benchmark/smoke.sh`.
     #[test]
-    fn cached_index_is_populated_lazily_and_reused() {
+    fn the_compatibility_surface_forwards_to_encode() {
         let a = patterned(4096);
         let codec = DeltaCodec::default();
-        let mut index = None;
-
-        // Sparse-only encode: the chunk index is never built.
-        let mut b = a.clone();
-        b[100] ^= 0xFF;
-        let d = codec.encode_cached(&a, &b, &mut index);
-        assert_eq!(d.encoding(), Encoding::Sparse);
-        assert!(index.is_none(), "sparse path must not build the index");
-
-        // Chunk encode: builds the index, result identical to uncached.
-        let mut shifted = vec![0xEEu8; 16];
-        shifted.extend_from_slice(&a[..4080]);
-        let cached = codec.encode_cached(&a, &shifted, &mut index);
-        assert!(index.is_some(), "chunk path populates the index");
-        assert_eq!(cached, codec.encode(&a, &shifted));
-
-        // Reuse: same answer through the now-warm index.
-        assert_eq!(codec.encode_cached(&a, &shifted, &mut index), cached);
+        let mut index = Some(ChunkIndex::build(&a));
+        for kind in 0..5 {
+            let b = target_of(&a, kind, 7);
+            let plain = codec.encode(&a, &b);
+            assert_eq!(codec.encode_cached(&a, &b, &mut index), plain);
+            assert_eq!(codec.encode_cached(&a, &b, &mut None), plain);
+        }
     }
 
     #[test]
@@ -387,7 +327,7 @@ mod tests {
             .map(|i| ((i * 7919 + 13) % 251) as u8)
             .collect();
         let codec = DeltaCodec::default();
-        let d = codec.encode_shared(&a, &b, &mut None);
+        let d = codec.encode_shared(&a, &b);
         assert_eq!(d.encoding(), Encoding::Raw);
         assert!(
             std::ptr::eq(d.payload().as_ptr(), b.as_ptr()),
@@ -402,7 +342,6 @@ mod tests {
         let out = match delta.encoding {
             Encoding::Identity => reference.to_vec(),
             Encoding::Sparse => sparse::decode(reference, &delta.payload).ok_or(DecodeError)?,
-            Encoding::Chunk => chunk::decode(reference, &delta.payload).ok_or(DecodeError)?,
             Encoding::Raw => delta.payload.to_vec(),
         };
         if out.len() != reference.len() {
@@ -411,7 +350,8 @@ mod tests {
         Ok(out)
     }
 
-    /// Targets that land on each encoding, from a seed.
+    /// Targets that land on each encoding — 2 is a long sparse payload, 3 a
+    /// shifted block no in-place record can describe — from a seed.
     fn target_of(reference: &[u8], kind: u8, seed: u64) -> Vec<u8> {
         let mut state = seed | 1;
         let mut next = move || {
@@ -439,13 +379,14 @@ mod tests {
         /// Whatever the codec emits, and whatever a corrupted log could
         /// hold in its place (any tag over a truncated, spliced or
         /// arbitrary payload), `decode_into` and the `Vec` decoder agree:
-        /// the same block, or the same refusal.
+        /// the same block, or the same refusal. A tag byte that names no
+        /// encoding — the retired 2 among them — is refused before that.
         #[test]
         fn decode_into_equals_decode_to_vec(
             kind in 0u8..5,
             seed in proptest::strategy::any::<u64>(),
             damage in 0u8..4,
-            tag in 0usize..4,
+            tag in 0u8..5,
             cut in 0usize..4200,
             garbage in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..64),
         ) {
@@ -461,10 +402,11 @@ mod tests {
                     let at = cut % (payload.len() + 1);
                     payload.splice(at..at, garbage.iter().copied());
                 }
-                _ => {
-                    let tags = [Encoding::Identity, Encoding::Sparse, Encoding::Chunk, Encoding::Raw];
-                    encoding = tags[tag];
-                }
+                _ => match Encoding::try_from(tag) {
+                    Ok(other) => encoding = other,
+                    // No such delta can be built: it stays as emitted.
+                    Err(DecodeError) => proptest::prop_assert!(tag == 2 || tag == 4),
+                },
             }
             let delta = Delta { encoding, payload: Bytes::from(payload) };
 
@@ -484,6 +426,19 @@ mod tests {
         let a = patterned(4096);
         let codec = DeltaCodec::default();
         let _ = codec.decode_into(&a, &Delta::identity(), &mut [0u8; 100]);
+    }
+
+    /// The tags a log frame's CRC covers stay where stored frames have
+    /// them, and the retired one names nothing.
+    #[test]
+    fn wire_tags_are_pinned() {
+        let tags = [Encoding::Identity, Encoding::Sparse, Encoding::Raw];
+        assert_eq!(tags.map(|encoding| encoding as u8), [0, 1, 3]);
+        assert_eq!(
+            tags.map(|encoding| Encoding::try_from(encoding as u8)),
+            tags.map(Ok)
+        );
+        assert_eq!(Encoding::try_from(2), Err(DecodeError));
     }
 
     #[test]

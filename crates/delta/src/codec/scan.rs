@@ -1,11 +1,10 @@
 //! Word-at-a-time byte scanning primitives for the codec hot paths.
 //!
 //! The sparse codec spends its time finding where two blocks start and stop
-//! differing; the chunk codec spends its time extending verified matches.
-//! Both reduce to "find the first position where two slices agree/disagree",
-//! which these helpers answer eight bytes per step: load `u64` words, XOR
-//! them, and locate the interesting byte with bit tricks instead of a
-//! byte-by-byte loop.
+//! differing, which reduces to "find the first position where two slices
+//! agree/disagree". These helpers answer that eight bytes per step: load
+//! `u64` words, XOR them, and locate the interesting byte with bit tricks
+//! instead of a byte-by-byte loop.
 //!
 //! All results are position-exact and independent of host endianness:
 //! `u64::from_le_bytes` maps memory byte `j` to bits `8j..8j+8`, so

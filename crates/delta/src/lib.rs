@@ -7,8 +7,8 @@
 //! * [`heatmap`] — the popularity Heatmap that turns signature streams into
 //!   reference-block choices (Tables 1–2 of the paper are unit tests here).
 //! * [`similarity`] — signature-distance pre-filter for candidate ranking.
-//! * [`codec`] — the delta compression engine: skip/literal fast path,
-//!   vcdiff-style chunk matcher for shifted content, raw fallback.
+//! * [`codec`] — the delta compression engine: skip/literal records for
+//!   in-place changes, raw fallback.
 //! * [`varint`] — LEB128 integers for the wire formats.
 //!
 //! ## Example: the I-CASH write path in miniature
@@ -44,7 +44,7 @@ pub mod signature;
 pub mod similarity;
 pub mod varint;
 
-pub use codec::{ChunkIndex, DecodeError, Delta, DeltaCodec, Encoding};
+pub use codec::{DecodeError, Delta, DeltaCodec, Encoding};
 pub use heatmap::Heatmap;
 pub use signature::BlockSignature;
 pub use similarity::SimilarityFilter;

@@ -24,29 +24,23 @@ fn a_stored_payload_is_one_exact_size_allocation() {
     for b in scattered.iter_mut().step_by(6) {
         *b ^= 0x5A;
     }
-    let mut shifted = vec![0xEEu8; 16];
-    shifted.extend_from_slice(&reference[..4080]);
 
     let codec = DeltaCodec::default();
-    let mut index = None;
-    for (target, encoding) in [
-        (&clustered, Encoding::Sparse),
-        (&scattered, Encoding::Sparse),
-        (&shifted, Encoding::Chunk),
-    ] {
-        // The first encode sizes the codec's scratch (and builds the index).
-        codec.encode_cached(&reference, target, &mut index);
-        let (delta, calls, bytes) =
-            allocated_by(|| codec.encode_cached(&reference, target, &mut index));
-        assert_eq!(delta.encoding(), encoding);
-        assert_eq!(calls, 1, "{encoding:?}: one allocation, the payload's");
+    // A short payload, and one longer than an eighth of a block.
+    for (target, longer_than) in [(&clustered, 0), (&scattered, 512)] {
+        // The first encode sizes the codec's scratch.
+        codec.encode(&reference, target);
+        let (delta, calls, bytes) = allocated_by(|| codec.encode(&reference, target));
+        assert_eq!(delta.encoding(), Encoding::Sparse);
+        assert!(delta.len() > longer_than, "payload of {}", delta.len());
+        assert_eq!(calls, 1, "one allocation, the payload's");
         // The shared buffer's two reference counts ride in front of it, and
         // the whole is padded to their alignment.
         let word = std::mem::size_of::<usize>();
         assert_eq!(
             bytes,
             (delta.len() + 2 * word).next_multiple_of(word),
-            "{encoding:?}: payload of {}",
+            "payload of {}",
             delta.len()
         );
     }
@@ -76,15 +70,14 @@ proptest::proptest! {
             })
             .collect();
         let codec = DeltaCodec::default();
-        let mut index = None;
         if warm {
             let unrelated: Vec<u8> = block.iter().map(|b| b.wrapping_mul(31) ^ 0x5A).collect();
-            codec.encode_cached(&block, &unrelated, &mut index);
+            codec.encode(&block, &unrelated);
         }
         let same = block.clone();
         // The one empty buffer every identity payload is a clone of.
         let _ = icash_delta::Delta::identity();
-        let (delta, calls, bytes) = allocated_by(|| codec.encode_cached(&block, &same, &mut index));
+        let (delta, calls, bytes) = allocated_by(|| codec.encode(&block, &same));
         proptest::prop_assert_eq!(delta.encoding(), Encoding::Identity);
         proptest::prop_assert_eq!((calls, bytes), (0, 0));
     }

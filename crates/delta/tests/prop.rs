@@ -2,8 +2,7 @@
 //! codec must reconstruct targets exactly, signatures must respond to
 //! mutations locally, and varints must roundtrip.
 
-use icash_delta::codec::chunk_index::{MAX_CANDIDATES, STRIDE, WINDOW};
-use icash_delta::codec::{chunk, sparse, ChunkIndex, DeltaCodec};
+use icash_delta::codec::{sparse, DeltaCodec, Encoding};
 use icash_delta::signature::{BlockSignature, SUB_BLOCK_SIZE};
 use icash_delta::varint;
 use proptest::prelude::*;
@@ -30,36 +29,6 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// A reference for the chunk index, of any length: noise, all-equal, a
-/// short repeating period (few distinct hashes, long chains), or shorter
-/// than one window.
-fn reference_strategy() -> impl Strategy<Value = Vec<u8>> {
-    (any::<u64>(), 0u8..4, 0usize..4200).prop_map(|(seed, kind, len)| {
-        let mut state = seed | 1;
-        match kind {
-            0 => (0..len).map(|_| xorshift(&mut state) as u8).collect(),
-            1 => vec![seed as u8; len],
-            2 => {
-                let period: Vec<u8> = (0..seed % 23 + 1)
-                    .map(|_| xorshift(&mut state) as u8)
-                    .collect();
-                (0..len).map(|i| period[i % period.len()]).collect()
-            }
-            _ => (0..len % WINDOW)
-                .map(|_| xorshift(&mut state) as u8)
-                .collect(),
-        }
-    })
-}
-
-/// The window hash, written out locally (Horner, `P = 1_000_003`, mod 2^64)
-/// so the index is checked against the definition, not against itself.
-fn window_hash(window: &[u8]) -> u64 {
-    window.iter().fold(0u64, |h, &b| {
-        h.wrapping_mul(1_000_003).wrapping_add(b as u64)
-    })
-}
-
 /// One step of an encode sequence: a reference/target pair built to land on
 /// a given codec outcome.
 fn encode_step() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
@@ -69,7 +38,7 @@ fn encode_step() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
         match kind {
             0 => {} // identity
             1 => {
-                // A few changed bytes: sparse, accepted outright.
+                // A few changed bytes: a short sparse payload.
                 for _ in 0..4 {
                     let pos = xorshift(&mut state) as usize % 4096;
                     target[pos] ^= 0x55;
@@ -83,7 +52,8 @@ fn encode_step() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
                 }
             }
             3 => {
-                // Shifted content: chunk territory.
+                // Shifted content: nothing sits where it sat, so nearly
+                // the whole block is literal — long sparse, or raw.
                 let shift = 1 + xorshift(&mut state) as usize % 200;
                 target = vec![0xA5; shift];
                 target.extend_from_slice(&base[..4096 - shift]);
@@ -138,15 +108,6 @@ proptest! {
         prop_assert_eq!(sparse::decode(&a, &d).unwrap(), b);
     }
 
-    /// Chunk codec: standalone roundtrip including shifts.
-    #[test]
-    fn chunk_roundtrip_with_shift(a in block_strategy(), shift in 0usize..128) {
-        let mut b = vec![0x5Au8; shift];
-        b.extend_from_slice(&a[..4096 - shift]);
-        let d = chunk::encode(&a, &b);
-        prop_assert_eq!(chunk::decode(&a, &d).unwrap(), b);
-    }
-
     /// Fewer mutated bytes never produce a *larger* class of signature
     /// change: mutating k sub-blocks changes at most k sub-signatures.
     #[test]
@@ -173,76 +134,31 @@ proptest! {
         prop_assert!(buf.len() <= 10);
     }
 
-    /// Differential: a cached reference index yields byte-identical deltas
-    /// to the uncached path — for mutated targets (sparse territory),
-    /// through cold and warm indexes, and for shared-buffer raw fallbacks.
+    /// The one choice the encoder makes: nothing for equal blocks, else the
+    /// sparse records if they are smaller than the block, else the block —
+    /// the smaller of the two, and never anything else. The shared-buffer
+    /// entry point makes the same one.
     #[test]
-    fn cached_index_encodes_identically(base in block_strategy(),
-                                        muts in mutations(),
-                                        unrelated in block_strategy()) {
-        let mut target = base.clone();
-        for (pos, byte) in muts {
-            target[pos] = byte;
-        }
+    fn encode_emits_the_smaller_of_sparse_and_raw((reference, target) in encode_step()) {
         let codec = DeltaCodec::default();
-        let mut index = None;
-        for t in [&target, &unrelated] {
-            let uncached = codec.encode(&base, t);
-            let cached = codec.encode_cached(&base, t, &mut index);
-            prop_assert_eq!(&uncached, &cached);
-            let shared = codec.encode_shared(
-                &base, &bytes::Bytes::copy_from_slice(t), &mut index);
-            prop_assert_eq!(&uncached, &shared);
-        }
-    }
-
-    /// Differential: shifted targets (chunk territory) encode identically
-    /// through a prebuilt index and a throwaway one.
-    #[test]
-    fn chunk_index_reuse_is_exact(a in block_strategy(), shift in 0usize..128) {
-        let mut b = vec![0x5Au8; shift];
-        b.extend_from_slice(&a[..4096 - shift]);
-        let index = ChunkIndex::build(&a);
-        prop_assert_eq!(
-            chunk::encode_with_index(&index, &a, &b),
-            chunk::encode(&a, &b)
-        );
-    }
-
-    /// The index against the naive `HashMap<hash, Vec<pos>>` it replaced:
-    /// every present hash yields its first `MAX_CANDIDATES` positions in
-    /// ascending order, and absent hashes — including the few that get past
-    /// the bitmap — yield none.
-    #[test]
-    fn index_matches_naive_candidates(reference in reference_strategy(), probe_seed in any::<u64>()) {
-        let mut naive: std::collections::HashMap<u64, Vec<u32>> = Default::default();
-        let mut pos = 0;
-        while pos + WINDOW <= reference.len() {
-            naive
-                .entry(window_hash(&reference[pos..pos + WINDOW]))
-                .or_default()
-                .push(pos as u32);
-            pos += STRIDE;
-        }
-        let index = ChunkIndex::build(&reference);
-        prop_assert_eq!(index.ref_len(), reference.len());
-        for (hash, positions) in &naive {
-            let got: Vec<u32> = index.candidates(*hash).collect();
-            let want = &positions[..positions.len().min(MAX_CANDIDATES)];
-            prop_assert_eq!(&got[..], want, "candidates for hash {:#x}", hash);
-        }
-        let mut state = probe_seed | 1;
-        for _ in 0..2000 {
-            let absent = xorshift(&mut state);
-            if !naive.contains_key(&absent) {
-                prop_assert_eq!(index.candidates(absent).count(), 0);
-            }
-        }
+        let delta = codec.encode(&reference, &target);
+        let records = sparse::encode(&reference, &target);
+        let (encoding, payload) = if records.is_empty() {
+            (Encoding::Identity, &[][..])
+        } else if records.len() < target.len() {
+            (Encoding::Sparse, &records[..])
+        } else {
+            (Encoding::Raw, &target[..])
+        };
+        prop_assert_eq!(delta.encoding(), encoding);
+        prop_assert_eq!(delta.payload(), payload);
+        let shared = codec.encode_shared(&reference, &bytes::Bytes::copy_from_slice(&target));
+        prop_assert_eq!(&delta, &shared);
     }
 
     /// One codec reused across encodes of every outcome, in any order —
     /// long payloads before short ones — yields what a fresh codec yields
-    /// for each call: nothing of one encode survives in the scratch buffers
+    /// for each call: nothing of one encode survives in the scratch buffer
     /// to leak into the next.
     #[test]
     fn reused_codec_encodes_like_a_fresh_one(steps in prop::collection::vec(encode_step(), 1..12)) {
@@ -259,6 +175,5 @@ proptest! {
     fn decode_never_panics_on_garbage(reference in block_strategy(),
                                       garbage in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = sparse::decode(&reference, &garbage);
-        let _ = chunk::decode(&reference, &garbage);
     }
 }

@@ -178,10 +178,6 @@ pub struct TraceProfile {
     pub delta_bytes: u64,
     /// SSD fast-path reads (reference + delta).
     pub delta_decodes: u64,
-    /// Reference-index cache hits.
-    pub ref_cache_hits: u64,
-    /// Reference-index cache misses.
-    pub ref_cache_misses: u64,
     /// Encoded deltas entering the staging buffer.
     pub stage_enters: u64,
     /// Group commits and the staged entries they drained.
@@ -369,13 +365,6 @@ impl TraceProfile {
                 self.delta_bytes += bytes as u64;
             }
             TraceKind::DeltaDecode { .. } => self.delta_decodes += 1,
-            TraceKind::RefCache { hit, .. } => {
-                if hit {
-                    self.ref_cache_hits += 1;
-                } else {
-                    self.ref_cache_misses += 1;
-                }
-            }
             TraceKind::LogFlush { blocks, .. } => {
                 self.log_flushes += 1;
                 self.log_blocks += blocks as u64;
@@ -460,15 +449,13 @@ impl TraceProfile {
                 self.open_loop_queued,
             );
         }
-        let counts: [(&str, u64); 21] = [
+        let counts: [(&str, u64); 19] = [
             ("SSD erases", self.ssd_erases),
             ("RAM hits", self.ram_hits),
             ("Signature probes", self.sig_probes),
             ("  bound", self.sig_binds),
             ("Delta encodes", self.delta_encodes),
             ("Delta decodes", self.delta_decodes),
-            ("Ref-cache hits", self.ref_cache_hits),
-            ("Ref-cache misses", self.ref_cache_misses),
             ("Staged deltas", self.stage_enters),
             ("Group commits", self.group_commits),
             ("Barriers", self.barriers),

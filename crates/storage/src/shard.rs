@@ -4,11 +4,11 @@
 //! One controller on one virtual clock caps how much of the device
 //! parallelism the layers above can use. [`ShardRouter`] stripes the block
 //! space round-robin across N complete, independent shards — for I-CASH
-//! that means each shard owns its own SSD slot range, delta log, staging
-//! buffer and reference-index cache; for the baselines, their own device
-//! array — and splits every request into at most one contiguous
-//! sub-request per shard. The same router wraps all six architectures, so
-//! sharded comparisons stay like-for-like.
+//! that means each shard owns its own SSD slot range, delta log and staging
+//! buffer; for the baselines, their own device array — and splits every
+//! request into at most one contiguous sub-request per shard. The same
+//! router wraps all six architectures, so sharded comparisons stay
+//! like-for-like.
 //!
 //! Determinism is preserved by construction:
 //!

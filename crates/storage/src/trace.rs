@@ -209,13 +209,6 @@ pub enum TraceKind {
         /// Logical block decoded.
         lba: u64,
     },
-    /// A reference-index cache probe for a slot's chunk index.
-    RefCache {
-        /// SSD slot probed.
-        slot: u64,
-        /// Whether a built index was already cached.
-        hit: bool,
-    },
     /// The dirty delta buffer was flushed to the HDD log.
     LogFlush {
         /// Log entries appended.
@@ -486,9 +479,6 @@ impl TraceEvent {
             TraceKind::DeltaDecode { lba } => {
                 format!("{{\"at\":{at},\"kind\":\"delta_decode\",\"lba\":{lba}}}")
             }
-            TraceKind::RefCache { slot, hit } => {
-                format!("{{\"at\":{at},\"kind\":\"ref_cache\",\"slot\":{slot},\"hit\":{hit}}}")
-            }
             TraceKind::LogFlush { entries, blocks } => format!(
                 "{{\"at\":{at},\"kind\":\"log_flush\",\"entries\":{entries},\
                  \"blocks\":{blocks}}}"
@@ -660,10 +650,6 @@ impl TraceEvent {
             },
             "delta_decode" => TraceKind::DeltaDecode {
                 lba: field_u64(line, "lba")?,
-            },
-            "ref_cache" => TraceKind::RefCache {
-                slot: field_u64(line, "slot")?,
-                hit: field_bool(line, "hit")?,
             },
             "log_flush" => TraceKind::LogFlush {
                 entries: field_u64(line, "entries")? as u32,
@@ -892,9 +878,11 @@ pub struct TraceStats {
     pub sig_probes: u64,
     /// Probes that ended in a reference binding (signature matches).
     pub sig_binds: u64,
-    /// Reference-index cache hits.
+    /// Always 0: `benchmark/` still reads it; ROADMAP item 1(g) deletes it.
+    #[doc(hidden)]
     pub ref_cache_hits: u64,
-    /// Reference-index cache misses.
+    /// Always 0: `benchmark/` still reads it; ROADMAP item 1(g) deletes it.
+    #[doc(hidden)]
     pub ref_cache_misses: u64,
     /// Encoded deltas entering the staging buffer.
     pub stage_enters: u64,
@@ -1013,13 +1001,6 @@ impl TraceSink for TraceStats {
                 self.delta_bytes += bytes as u64;
             }
             TraceKind::DeltaDecode { .. } => self.delta_decodes += 1,
-            TraceKind::RefCache { hit, .. } => {
-                if hit {
-                    self.ref_cache_hits += 1;
-                } else {
-                    self.ref_cache_misses += 1;
-                }
-            }
             TraceKind::LogFlush { blocks, .. } => {
                 self.log_flushes += 1;
                 self.log_blocks += blocks as u64;
@@ -1214,10 +1195,6 @@ mod tests {
                 bytes: 188,
             }),
             e(TraceKind::DeltaDecode { lba: 6 }),
-            e(TraceKind::RefCache {
-                slot: 4,
-                hit: false,
-            }),
             e(TraceKind::LogFlush {
                 entries: 12,
                 blocks: 2,
@@ -1373,7 +1350,6 @@ mod tests {
         assert_eq!(s.delta_encodes, 1);
         assert_eq!(s.delta_bytes, 188);
         assert_eq!(s.delta_decodes, 1);
-        assert_eq!(s.ref_cache_misses, 1);
         assert_eq!(s.log_flushes, 1);
         assert_eq!(s.log_blocks, 2);
         assert_eq!(s.stage_enters, 1);
