@@ -27,15 +27,15 @@
 //! proves nothing), or on any panic.
 
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
+use icash_bench::campaign::{Cell, Stamp, Tally};
 use icash_core::{Icash, IcashConfig};
-use icash_storage::block::{BlockBuf, Lba};
-use icash_storage::cpu::CpuModel;
+use icash_storage::block::Lba;
 use icash_storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
-use icash_storage::request::{Completion, IoErrorKind, Request};
+use icash_storage::model::Allow;
+use icash_storage::request::{Completion, IoErrorKind};
 use icash_storage::shard::ShardRouter;
-use icash_storage::system::{HealthReport, IoCtx, StorageSystem, ZeroSource};
+use icash_storage::system::{HealthReport, StorageSystem};
 use icash_storage::time::Ns;
-use std::collections::HashMap;
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 1024;
@@ -43,6 +43,8 @@ const SPACE: u64 = 1024;
 const WARM_OPS: u64 = 150;
 /// Mixed ops driven while a device is failed (degraded service window).
 const DEGRADED_OPS: u64 = 100;
+/// Fresh write + readback pairs once an incident is over.
+const FRESH_OPS: u64 = 50;
 /// Upper bound on ops spent waiting for a deterministic state change
 /// (monitor reaching `Failed`, rebuild draining). Hitting the bound is a
 /// campaign failure, not a hang.
@@ -58,27 +60,21 @@ const DATA_BYTES: u64 = 8 << 20;
 const SSD_BYTES: u64 = 1 << 20;
 const RAM_BYTES: u64 = 256 << 10;
 
-/// The content of version `ver` of block `lba`: a shared base (so I-CASH
-/// forms references and deltas) plus a unique tag making any cross-version
-/// or cross-block splice detectable.
-fn version_content(lba: u64, ver: u32) -> BlockBuf {
-    let mut v = vec![0xC7u8; 4096];
-    let tag = fault_roll(lba, 0xCA05, ver as u64, 0);
-    v[..8].copy_from_slice(&tag.to_le_bytes());
-    v[100] = (lba % 251) as u8;
-    v[2000] = (ver % 251) as u8;
-    BlockBuf::from_vec(v)
-}
+/// This campaign's content stamp and op-roll salts; the pinned output
+/// (`ci/golden/run_chaos.txt`) depends on every one of them.
+const STAMP: Stamp = Stamp {
+    fill: 0xC7,
+    salt: 0xCA05,
+};
+const MIXED_SALT: u64 = 0xC405;
+const FRESH_SALT: u64 = 0xF4E5;
+const FAIL_FAST_SALT: u64 = 0xDEAD;
+const OUTAGE_READ_SALT: u64 = 0x0D1E;
+const BURST_SALT: u64 = 0xB0B0;
 
-fn base_policy() -> HealthPolicy {
-    HealthPolicy::default()
-}
+type Router = ShardRouter<Icash>;
 
-fn icash_config(policy: HealthPolicy) -> IcashConfig {
-    icash_config_depth(policy, 1)
-}
-
-fn icash_config_depth(policy: HealthPolicy, depth: u64) -> IcashConfig {
+fn icash_config(policy: HealthPolicy, depth: u64) -> IcashConfig {
     IcashConfig::builder(SSD_BYTES, RAM_BYTES, DATA_BYTES)
         .scan_interval(50)
         .scan_window(64)
@@ -95,7 +91,7 @@ fn build_router(
     cfg: IcashConfig,
     shards: u32,
     plan_for_shard: impl Fn(u64) -> FaultPlan,
-) -> ShardRouter<Icash> {
+) -> Router {
     let slice = if shards > 1 {
         let mut slice = cfg.shard_slice(shards);
         // The scenarios state their knobs per shard: undo the slice's
@@ -114,120 +110,37 @@ fn build_router(
     ShardRouter::new(systems)
 }
 
-/// Rolling tallies for one cell, merged into the campaign totals.
-#[derive(Debug, Default)]
-struct CellResult {
-    reads: u64,
-    reported_errors: u64,
-    refused_writes: u64,
-    violations: Vec<String>,
-}
-
-/// Per-block content the history allows: every version the system ever
-/// acknowledged. Writes refused with a typed error do not advance it.
-#[derive(Debug, Default)]
-struct Model {
-    history: HashMap<u64, Vec<BlockBuf>>,
-    vers: HashMap<u64, u32>,
-}
-
-impl Model {
-    fn acceptable(&self, lba: u64) -> Vec<BlockBuf> {
-        self.history
-            .get(&lba)
-            .cloned()
-            .unwrap_or_else(|| vec![BlockBuf::zeroed()])
-    }
-
-    fn latest(&self, lba: u64) -> BlockBuf {
-        self.history
-            .get(&lba)
-            .and_then(|v| v.last().cloned())
-            .unwrap_or_else(BlockBuf::zeroed)
-    }
-}
-
-fn check_read(
-    name: &str,
-    lba: u64,
-    completion: &Completion,
-    acceptable: &[BlockBuf],
-    out: &mut CellResult,
-) {
-    out.reads += 1;
-    if completion.failed(Lba::new(lba)) {
-        out.reported_errors += 1;
-        return;
-    }
-    let got = &completion.data[0];
-    if !acceptable.iter().any(|want| want == got) {
-        out.violations.push(format!(
-            "{name}: lba {lba} returned bytes matching none of the {} acceptable versions",
-            acceptable.len()
-        ));
-    }
-}
-
-/// Issues one mixed op (3:2 write:read) and folds it into the model. The
-/// oracle here is the permissive one — any acknowledged version — because
+/// Mixed traffic (3:2 write:read), ops `ops` of the cell's seeded stream.
+/// The oracle is the permissive one — any acknowledged version — because
 /// these ops run across device deaths where reads may legally serve older
-/// hardened copies. A refused write (typed error) leaves the model as-is.
-#[allow(clippy::too_many_arguments)]
-fn mixed_op(
-    name: &str,
-    sys: &mut dyn StorageSystem,
-    ctx: &mut IoCtx<'_>,
-    model: &mut Model,
-    seed: u64,
-    op: u64,
-    t: Ns,
-    out: &mut CellResult,
-) -> Ns {
-    let roll = fault_roll(seed, 0xC405, op, 0);
-    let lba = roll % SPACE;
-    if roll % 5 < 3 {
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, ctx);
-        if c.failed(Lba::new(lba)) {
-            out.refused_writes += 1;
-        } else {
-            model
-                .history
-                .entry(lba)
-                .or_insert_with(|| vec![BlockBuf::zeroed()])
-                .push(content);
-        }
-        c.finished
-    } else {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, ctx);
-        check_read(name, lba, &c, &model.acceptable(lba), out);
-        c.finished
+/// hardened copies.
+fn drive<S: StorageSystem>(cell: &mut Cell<S>, seed: u64, ops: std::ops::Range<u64>) {
+    for op in ops {
+        cell.mixed(seed, MIXED_SALT, op, Allow::Held);
     }
 }
 
-/// Drives mixed traffic until `done` holds for **every shard's** health
-/// report (the merged report takes the worst shard, which would declare an
-/// array-wide state after a single shard reached it), bounded by
-/// [`WAIT_OPS`]; pushes a violation if the bound hits.
-#[allow(clippy::too_many_arguments)]
+/// A death-scenario cell over `sys`, through its healthy warm-up.
+fn warmed(name: &str, sys: Router, seed: u64) -> Cell<Router> {
+    let mut cell = Cell::new(name, sys, STAMP, SPACE);
+    drive(&mut cell, seed, 0..WARM_OPS);
+    cell
+}
+
+/// Drives mixed traffic from op `from` until `done` holds for **every
+/// shard's** health report (the merged report takes the worst shard, which
+/// would declare an array-wide state after a single shard reached it),
+/// bounded by [`WAIT_OPS`]; records a violation if the bound hits. Returns
+/// the next op of the stream.
 fn drive_until(
-    name: &str,
+    cell: &mut Cell<Router>,
     what: &str,
-    sys: &mut ShardRouter<Icash>,
-    ctx: &mut IoCtx<'_>,
-    model: &mut Model,
     seed: u64,
-    op_base: u64,
-    mut t: Ns,
-    out: &mut CellResult,
+    from: u64,
     done: impl Fn(&HealthReport) -> bool,
-) -> (Ns, u64) {
-    for op in 0..WAIT_OPS {
-        let reached = sys.shards().iter().all(|shard| {
+) -> u64 {
+    for op in from..from + WAIT_OPS {
+        let reached = cell.sys().shards().iter().all(|shard| {
             let health = shard
                 .report(Ns::from_ms(1))
                 .health
@@ -235,93 +148,52 @@ fn drive_until(
             done(&health)
         });
         if reached {
-            return (t, op_base + op);
+            return op;
         }
-        t = mixed_op(name, sys, ctx, model, seed, op_base + op, t, out);
+        cell.mixed(seed, MIXED_SALT, op, Allow::Held);
     }
-    out.violations
-        .push(format!("{name}: {what} not reached within {WAIT_OPS} ops"));
-    (t, op_base + WAIT_OPS)
+    cell.violation(format_args!("{what} not reached within {WAIT_OPS} ops"));
+    from + WAIT_OPS
 }
 
-fn merged_health(sys: &ShardRouter<Icash>) -> HealthReport {
-    sys.report(Ns::from_ms(1))
-        .health
-        .expect("health cells always report")
+fn replace_ssds(cell: &mut Cell<Router>) {
+    cell.io(|sys, _, now| {
+        for shard in sys.shards_mut() {
+            shard.replace_ssd(*now);
+        }
+    });
 }
 
-/// Post-incident service check: fresh writes must be acknowledged and read
-/// back exactly (the strict oracle — the array claims to be healthy again).
-fn check_fresh_service(
-    name: &str,
-    sys: &mut dyn StorageSystem,
-    ctx: &mut IoCtx<'_>,
-    model: &mut Model,
-    seed: u64,
-    mut t: Ns,
-    out: &mut CellResult,
-) -> Ns {
-    for op in 0..50u64 {
-        let roll = fault_roll(seed, 0xF4E5, op, 0);
-        let lba = roll % SPACE;
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, ctx);
-        if c.failed(Lba::new(lba)) {
-            out.violations
-                .push(format!("{name}: post-incident write of lba {lba} refused"));
-            continue;
-        }
-        model
-            .history
-            .entry(lba)
-            .or_insert_with(|| vec![BlockBuf::zeroed()])
-            .push(content.clone());
-        let r = Request::read(Lba::new(lba), t.max(c.finished));
-        let c = sys.submit(&r, ctx);
-        t = c.finished;
-        check_read(name, lba, &c, std::slice::from_ref(&content), out);
-    }
-    t
+/// Whether the write of `lba` that completed as `done` was refused with
+/// the typed error `kind`.
+fn refused_with(done: &Completion, lba: u64, kind: IoErrorKind) -> bool {
+    done.errors
+        .iter()
+        .any(|e| e.lba == Lba::new(lba) && e.kind == kind)
 }
 
 /// Final availability sweep: every block the history touched must read as
 /// an acknowledged version or a typed error; at least one read must
 /// actually return data (an all-errors sweep is no availability at all).
-fn final_sweep(
-    name: &str,
-    sys: &mut dyn StorageSystem,
-    ctx: &mut IoCtx<'_>,
-    model: &Model,
-    mut t: Ns,
-    out: &mut CellResult,
-) -> Ns {
-    let mut touched: Vec<u64> = model.history.keys().copied().collect();
-    touched.sort_unstable();
-    let errors_before = out.reported_errors;
-    let reads_before = out.reads;
-    for lba in touched {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, ctx);
-        t = c.finished;
-        check_read(name, lba, &c, &model.acceptable(lba), out);
-    }
-    let swept = out.reads - reads_before;
-    let errored = out.reported_errors - errors_before;
+fn final_sweep<S: StorageSystem>(cell: &mut Cell<S>) {
+    let (swept, errored) = cell.sweep(Allow::Held);
     if swept > 0 && errored == swept {
-        out.violations.push(format!(
-            "{name}: availability sweep served zero of {swept} reads"
+        cell.violation(format_args!(
+            "availability sweep served zero of {swept} reads"
         ));
     }
-    t
 }
 
-fn validate_shards(sys: &ShardRouter<Icash>) {
-    for shard in sys.shards() {
+/// Every shard's internal structures cross-check; the array's merged
+/// health figures.
+fn validated_health(cell: &Cell<Router>) -> HealthReport {
+    for shard in cell.sys().shards() {
         shard.debug_validate();
     }
+    cell.sys()
+        .report(Ns::from_ms(1))
+        .health
+        .expect("health cells always report")
 }
 
 // ----------------------------------------------------------------------
@@ -330,411 +202,217 @@ fn validate_shards(sys: &ShardRouter<Icash>) {
 
 /// SSD dies mid-run → degraded HDD-only service → `replace_ssd` → online
 /// rebuild under traffic → healthy again, fresh writes exact.
-fn cell_ssd_death(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("ssd-death/s{shards}");
-    let mut sys = build_router(icash_config(base_policy()), shards, |s| {
+fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+    let sys = build_router(icash_config(HealthPolicy::default(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
-    }
+    let mut cell = warmed(name, sys, seed);
     // The armed device op count passes during the warm-up; keep driving
     // until every shard's monitor has walked to `Failed`.
-    let (mut t, mut op) = drive_until(
-        &name,
-        "SSD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Failed,
-    );
+    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |h| {
+        h.ssd == HealthState::Failed
+    });
     // Degraded window: service continues HDD-only.
-    for i in 0..DEGRADED_OPS {
-        t = mixed_op(
-            &name,
-            &mut sys,
-            &mut ctx,
-            &mut model,
-            seed,
-            op + i,
-            t,
-            &mut out,
-        );
-    }
-    op += DEGRADED_OPS;
-    for shard in sys.shards_mut() {
-        shard.replace_ssd(t);
-    }
+    drive(&mut cell, seed, op..op + DEGRADED_OPS);
+    replace_ssds(&mut cell);
     // Rebuild rides the host I/O stream; drive until the array reports
     // Healthy again.
-    let (t, _) = drive_until(
-        &name,
+    drive_until(
+        &mut cell,
         "rebuild completion",
-        &mut sys,
-        &mut ctx,
-        &mut model,
         seed,
-        op,
-        t,
-        &mut out,
+        op + DEGRADED_OPS,
         |h| h.ssd == HealthState::Healthy,
     );
-    let t = check_fresh_service(&name, &mut sys, &mut ctx, &mut model, seed, t, &mut out);
-    final_sweep(&name, &mut sys, &mut ctx, &model, t, &mut out);
-    validate_shards(&sys);
-    let health = merged_health(&sys);
+    cell.fresh_service(seed, FRESH_SALT, FRESH_OPS);
+    final_sweep(&mut cell);
+    let health = validated_health(&cell);
     if health.degraded_reads + health.degraded_writes == 0 {
-        out.violations
-            .push(format!("{name}: degraded service never engaged"));
+        cell.violation("degraded service never engaged");
     }
     if health.rebuild_chunks == 0 {
-        out.violations.push(format!("{name}: rebuild never ran"));
+        cell.violation("rebuild never ran");
     }
-    (out, health)
+    (cell.finish(), health)
 }
 
 /// HDD dies mid-run → writes fail fast with a typed `DeviceFailed` error
 /// while reads keep serving RAM/SSD-resident state or typed errors.
-fn cell_hdd_death(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("hdd-death/s{shards}");
-    let mut sys = build_router(icash_config(base_policy()), shards, |s| {
+fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+    let sys = build_router(icash_config(HealthPolicy::default(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).hdd_dies_at(DEATH_OP)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
-    }
-    let (mut t, op) = drive_until(
-        &name,
-        "HDD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.hdd == HealthState::Failed,
-    );
+    let mut cell = warmed(name, sys, seed);
+    let op = drive_until(&mut cell, "HDD Failed", seed, WARM_OPS, |h| {
+        h.hdd == HealthState::Failed
+    });
     // Fail-fast contract: every write is refused with DeviceFailed (the
     // whole array is down once every shard's spindle is).
     for i in 0..20u64 {
-        let roll = fault_roll(seed, 0xDEAD, i, 0);
-        let lba = roll % SPACE;
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, &mut ctx);
-        t = c.finished;
-        let typed = c
-            .errors
-            .iter()
-            .any(|e| e.lba == Lba::new(lba) && e.kind == IoErrorKind::DeviceFailed);
-        if typed {
-            out.refused_writes += 1;
-        } else {
-            out.violations.push(format!(
-                "{name}: write to lba {lba} on a failed HDD was not refused with DeviceFailed"
+        let lba = fault_roll(seed, FAIL_FAST_SALT, i, 0) % SPACE;
+        let done = cell.write(lba);
+        if !refused_with(&done, lba, IoErrorKind::DeviceFailed) {
+            cell.violation(format_args!(
+                "write to lba {lba} on a failed HDD was not refused with DeviceFailed"
             ));
-            if !c.failed(Lba::new(lba)) {
-                model
-                    .history
-                    .entry(lba)
-                    .or_insert_with(|| vec![BlockBuf::zeroed()])
-                    .push(content);
-            }
         }
     }
     // Reads during the outage: valid-or-typed-error.
     for i in 0..DEGRADED_OPS {
-        let roll = fault_roll(seed, 0x0D1E, op + i, 0);
-        let lba = roll % SPACE;
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(&name, lba, &c, &model.acceptable(lba), &mut out);
+        let lba = fault_roll(seed, OUTAGE_READ_SALT, op + i, 0) % SPACE;
+        cell.read(lba, Allow::Held);
     }
-    validate_shards(&sys);
-    (out, merged_health(&sys))
+    let health = validated_health(&cell);
+    (cell.finish(), health)
 }
 
 /// SSD death → replace → rebuild, with the HDD armed to die as the rebuild
 /// traffic runs: the rebuild's home-copy reads start failing and service
 /// must degrade further, never corrupt.
-fn cell_death_during_rebuild(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("double-death/s{shards}");
-    let mut policy = base_policy();
+fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+    let mut policy = HealthPolicy::default();
     // A slow rebuild stretches the window the second death lands in.
     policy.rebuild_rate = 1;
     // Each shard sees ~1/width of the traffic, so its device-op clock runs
     // that much slower: scale the second death so it lands in the rebuild
     // window at every width.
     let hdd_death = (DEATH_OP * 16) / shards as u64;
-    let mut sys = build_router(icash_config(policy), shards, |s| {
+    let sys = build_router(icash_config(policy, 1), shards, |s| {
         FaultPlan::seeded(seed + s)
             .ssd_dies_at(DEATH_OP)
             .hdd_dies_at(hdd_death)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
-    }
-    let (t, mut op) = drive_until(
-        &name,
-        "SSD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Failed,
-    );
-    for shard in sys.shards_mut() {
-        shard.replace_ssd(t);
-    }
+    let mut cell = warmed(name, sys, seed);
+    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |h| {
+        h.ssd == HealthState::Failed
+    });
+    replace_ssds(&mut cell);
     // Drive rebuild traffic until the armed HDD death lands on every
     // shard; the oracles hold across the compound failure.
-    let (mut t, op2) = drive_until(
-        &name,
-        "HDD Failed during rebuild",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        op,
-        t,
-        &mut out,
-        |h| h.hdd == HealthState::Failed,
-    );
-    op = op2;
-    for i in 0..DEGRADED_OPS {
-        t = mixed_op(
-            &name,
-            &mut sys,
-            &mut ctx,
-            &mut model,
-            seed,
-            op + i,
-            t,
-            &mut out,
-        );
-    }
-    validate_shards(&sys);
-    let health = merged_health(&sys);
+    let op = drive_until(&mut cell, "HDD Failed during rebuild", seed, op, |h| {
+        h.hdd == HealthState::Failed
+    });
+    drive(&mut cell, seed, op..op + DEGRADED_OPS);
+    let health = validated_health(&cell);
     if health.rebuild_chunks == 0 {
-        out.violations.push(format!("{name}: rebuild never ran"));
+        cell.violation("rebuild never ran");
     }
-    (out, health)
+    (cell.finish(), health)
 }
 
 /// SSD death → replace → crash mid-rebuild → recovery: every block reads
 /// as an acknowledged version or a typed error, and post-recovery service
 /// is exact.
-fn cell_crash_during_rebuild(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("crash-rebuild/s{shards}");
-    let mut policy = base_policy();
+fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+    let mut policy = HealthPolicy::default();
     policy.rebuild_rate = 1; // crash lands with work still pending
-    let mut sys = build_router(icash_config(policy), shards, |s| {
+    let sys = build_router(icash_config(policy, 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
-    }
-    let (mut t, op) = drive_until(
-        &name,
-        "SSD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Failed,
-    );
-    for shard in sys.shards_mut() {
-        shard.replace_ssd(t);
-    }
+    let mut cell = warmed(name, sys, seed);
+    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |h| {
+        h.ssd == HealthState::Failed
+    });
+    replace_ssds(&mut cell);
     // A little rebuild traffic, then the plug is pulled mid-task.
-    for i in 0..30u64 {
-        t = mixed_op(
-            &name,
-            &mut sys,
-            &mut ctx,
-            &mut model,
-            seed,
-            op + i,
-            t,
-            &mut out,
-        );
-    }
-    let recovered: Vec<Icash> = sys
-        .into_shards()
-        .into_iter()
-        .map(|s| s.crash_and_recover())
-        .collect();
-    let mut sys = ShardRouter::new(recovered);
+    drive(&mut cell, seed, op..op + 30);
+    let mut cell = cell.with_sys(|sys| {
+        ShardRouter::new(
+            sys.into_shards()
+                .into_iter()
+                .map(Icash::crash_and_recover)
+                .collect(),
+        )
+    });
     // Everything the history acknowledged must still read valid-or-typed.
-    final_sweep(&name, &mut sys, &mut ctx, &model, t, &mut out);
-    let t = check_fresh_service(&name, &mut sys, &mut ctx, &mut model, seed, t, &mut out);
-    let _ = t;
-    validate_shards(&sys);
-    (out, merged_health(&sys))
+    final_sweep(&mut cell);
+    cell.fresh_service(seed, FRESH_SALT, FRESH_OPS);
+    let health = validated_health(&cell);
+    (cell.finish(), health)
 }
 
 /// A tiny staging cap under a pure write burst: admission control must
 /// refuse with typed `Busy` errors (and never lose an acknowledged write).
-fn cell_backpressure(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("backpressure/s{shards}");
-    let mut policy = base_policy();
+fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+    let mut policy = HealthPolicy::default();
     policy.staging_cap = 2 * shards as u64; // each shard polices cap/shards
                                             // A staging cap only bites when deltas actually sit in staging, which
                                             // needs the staged pipeline (depth > 1); at depth 1 every flush trigger
                                             // commits synchronously and the buffer is always empty.
-    let mut sys = build_router(icash_config_depth(policy, 8), shards, |s| {
+    let sys = build_router(icash_config(policy, 8), shards, |s| {
         FaultPlan::seeded(seed + s)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
+    let mut cell = Cell::new(name, sys, STAMP, SPACE);
     let mut busy = 0u64;
     for op in 0..400u64 {
-        let lba = fault_roll(seed, 0xB0B0, op, 0) % SPACE;
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, &mut ctx);
-        t = c.finished;
-        if c.errors
-            .iter()
-            .any(|e| e.lba == Lba::new(lba) && e.kind == IoErrorKind::Busy)
-        {
+        let lba = fault_roll(seed, BURST_SALT, op, 0) % SPACE;
+        let done = cell.write(lba);
+        if refused_with(&done, lba, IoErrorKind::Busy) {
             busy += 1;
-            out.refused_writes += 1;
-        } else if c.failed(Lba::new(lba)) {
-            out.violations.push(format!(
-                "{name}: fault-free write to lba {lba} failed with a non-Busy error"
+        } else if done.failed(Lba::new(lba)) {
+            cell.violation(format_args!(
+                "fault-free write to lba {lba} failed with a non-Busy error"
             ));
-        } else {
-            model
-                .history
-                .entry(lba)
-                .or_insert_with(|| vec![BlockBuf::zeroed()])
-                .push(content);
         }
     }
     if busy == 0 {
-        out.violations
-            .push(format!("{name}: a 2-block staging cap never pushed back"));
+        cell.violation("a 2-block staging cap never pushed back");
     }
-    t = sys.flush(t, &mut ctx);
+    cell.io(|sys, ctx, now| *now = sys.flush(*now, ctx));
     // Every acknowledged write is readable; latest version exactly (no
     // faults were injected here).
-    let mut touched: Vec<u64> = model.history.keys().copied().collect();
-    touched.sort_unstable();
-    for lba in touched {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(
-            &name,
-            lba,
-            &c,
-            std::slice::from_ref(&model.latest(lba)),
-            &mut out,
-        );
-    }
-    validate_shards(&sys);
-    (out, merged_health(&sys))
+    cell.sweep(Allow::Latest);
+    let health = validated_health(&cell);
+    (cell.finish(), health)
 }
 
 /// A high-rate media-fault storm across all five architectures; I-CASH
 /// runs with health armed so the backoff machinery absorbs the noise.
-fn cell_fault_storm(kind: usize, name: &str, seed: u64) -> (CellResult, Option<HealthReport>) {
+fn cell_fault_storm(kind: usize, name: &str, seed: u64) -> (Tally, Option<HealthReport>) {
     let rate = 1e-2;
     let plan = FaultPlan::seeded(seed)
         .hdd_read_errors(rate)
         .hdd_write_errors(rate)
         .ssd_read_errors(rate);
-    let mut sys: Box<dyn StorageSystem> = match kind {
+    let sys: Box<dyn StorageSystem> = match kind {
         0 => Box::new(PureSsd::new(DATA_BYTES).with_fault_plan(&plan)),
         1 => Box::new(Raid0::new(DATA_BYTES, 4).with_fault_plan(&plan)),
         2 => Box::new(DedupCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(&plan)),
         3 => Box::new(LruCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(&plan)),
-        _ => {
-            Box::new(Icash::new(icash_config(base_policy())).with_fault_plan(plan.scrub_every(97)))
-        }
+        _ => Box::new(
+            Icash::new(icash_config(HealthPolicy::default(), 1))
+                .with_fault_plan(plan.scrub_every(97)),
+        ),
     };
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..300u64 {
-        t = mixed_op(
-            name,
-            sys.as_mut(),
-            &mut ctx,
-            &mut model,
-            seed,
-            op,
-            t,
-            &mut out,
-        );
-    }
-    t = sys.flush(t, &mut ctx);
-    final_sweep(name, sys.as_mut(), &mut ctx, &model, t, &mut out);
-    (out, sys.report(Ns::from_ms(1)).health)
+    let mut cell = Cell::new(name, sys, STAMP, SPACE);
+    drive(&mut cell, seed, 0..300);
+    cell.io(|sys, ctx, now| *now = sys.flush(*now, ctx));
+    final_sweep(&mut cell);
+    let health = cell.sys().report(Ns::from_ms(1)).health;
+    (cell.finish(), health)
 }
+
+/// The I-CASH scenarios, each run per shard width and seed.
+type Scenario = fn(&str, u64, u32) -> (Tally, HealthReport);
+const SCENARIOS: [(&str, Scenario); 5] = [
+    ("ssd-death", cell_ssd_death),
+    ("hdd-death", cell_hdd_death),
+    ("double-death", cell_death_during_rebuild),
+    ("crash-rebuild", cell_crash_during_rebuild),
+    ("backpressure", cell_backpressure),
+];
 
 fn main() {
     let mut cells = 0u64;
-    let mut totals = CellResult::default();
+    let mut totals = Tally::default();
     let mut health = HealthReport::default();
-    let mut fold = |name: String, r: CellResult, h: Option<HealthReport>| {
+    let mut fold = |name: String, r: Tally, h: Option<HealthReport>| {
         println!(
             "cell {name}: {} reads, {} typed errors, {} refused writes",
             r.reads, r.reported_errors, r.refused_writes
         );
         cells += 1;
-        totals.reads += r.reads;
-        totals.reported_errors += r.reported_errors;
-        totals.refused_writes += r.refused_writes;
-        totals.violations.extend(r.violations);
+        totals.merge(r);
         if let Some(h) = h {
             health.merge(&h);
         }
@@ -750,16 +428,11 @@ fn main() {
     }
     for &shards in &SHARDS {
         for &seed in &SEEDS {
-            let (r, h) = cell_ssd_death(seed, shards);
-            fold(format!("ssd-death/s{shards}/{seed:#x}"), r, Some(h));
-            let (r, h) = cell_hdd_death(seed, shards);
-            fold(format!("hdd-death/s{shards}/{seed:#x}"), r, Some(h));
-            let (r, h) = cell_death_during_rebuild(seed, shards);
-            fold(format!("double-death/s{shards}/{seed:#x}"), r, Some(h));
-            let (r, h) = cell_crash_during_rebuild(seed, shards);
-            fold(format!("crash-rebuild/s{shards}/{seed:#x}"), r, Some(h));
-            let (r, h) = cell_backpressure(seed, shards);
-            fold(format!("backpressure/s{shards}/{seed:#x}"), r, Some(h));
+            for (scenario, run) in SCENARIOS {
+                let name = format!("{scenario}/s{shards}");
+                let (r, h) = run(&name, seed, shards);
+                fold(format!("{name}/{seed:#x}"), r, Some(h));
+            }
         }
     }
 

@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod campaign;
 pub mod config;
 pub mod exhibits;
 pub mod harness;

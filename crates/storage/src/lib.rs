@@ -32,6 +32,9 @@
 //!   deferral for the SSD, typed [`queue::QueueFull`] backpressure.
 //! * [`system`] — the [`system::StorageSystem`] trait every architecture
 //!   (I-CASH and the baselines) implements.
+//! * [`model`] — the reference model of that trait's read contract
+//!   ([`model::VersionModel`]): the one oracle the campaigns and the
+//!   property suites check every read against.
 //! * [`shard`] — the sharded multi-controller engine:
 //!   [`shard::ShardRouter`] stripes the block space across N independent
 //!   shards behind one `StorageSystem` facade, with per-shard virtual
@@ -76,6 +79,7 @@ pub mod hash;
 pub mod hdd;
 pub mod histogram;
 pub mod lru;
+pub mod model;
 pub mod pipeline;
 pub mod queue;
 pub mod request;
