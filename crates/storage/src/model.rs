@@ -102,7 +102,10 @@ impl VersionModel {
 
     /// The versions a read of `lba` may return under `allow`, oldest first.
     pub fn allowed(&self, lba: u64, allow: Allow) -> &[BlockBuf] {
-        let held = self.held.get(&lba).map_or(&self.unwritten[..], Vec::as_slice);
+        let held = self
+            .held
+            .get(&lba)
+            .map_or(&self.unwritten[..], Vec::as_slice);
         match allow {
             Allow::Latest => &held[held.len() - 1..],
             Allow::Held => held,

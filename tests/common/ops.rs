@@ -11,6 +11,7 @@
 mod content;
 
 pub use content::{block_for, Family};
+use icash::storage::model::VersionModel;
 use icash::storage::request::Completion;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem};
 use proptest::prelude::*;
@@ -134,20 +135,26 @@ impl SysOp {
     }
 
     /// Submits a write op as one host request at `*now` and advances the
-    /// clock. Returns the blocks written with the completion, so callers
-    /// can tell acknowledged blocks from refused ones.
+    /// clock. Every block the completion acknowledged joins `model`; a
+    /// block refused with a typed error stays on its old versions.
     pub fn issue_write(
         &self,
         system: &mut dyn StorageSystem,
         now: &mut Ns,
         ctx: &mut IoCtx<'_>,
-    ) -> (Vec<(u64, BlockBuf)>, Completion) {
+        model: &mut VersionModel,
+    ) -> Completion {
         let payload = self.payload();
         let blocks = payload.iter().map(|(_, b)| b.clone()).collect();
         let req = Request::write_span(Lba::new(payload[0].0), *now, blocks);
         let completion = system.submit(&req, ctx);
         *now = completion.finished;
-        (payload, completion)
+        for (lba, content) in payload {
+            if !completion.failed(Lba::new(lba)) {
+                model.ack(lba, content);
+            }
+        }
+        completion
     }
 }
 

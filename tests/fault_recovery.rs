@@ -10,12 +10,13 @@ mod ops;
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
+use icash::storage::model::{Allow, VersionModel};
 use icash::storage::request::IoErrorKind;
 use icash::storage::shard::ShardRouter;
-use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use icash::storage::{IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
 use ops::{block_for, cold_sweep, icash_ops_strategy, ops_strategy, Family, SysOp, SPAN};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Staging depths the crash properties sweep: the synchronous cycle, a
 /// shallow pipeline, and a deep one that leaves many tickets in flight.
@@ -84,23 +85,25 @@ proptest! {
         let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick]);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+        let mut model = VersionModel::new();
         let mut now = Ns::ZERO;
         for op in &ops {
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    oracle.extend(op.issue_write(&mut system, &mut now, &mut ctx).0);
+                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
                     let completion = system.submit(&req, &mut ctx);
                     prop_assert!(completion.finished >= now, "time ran backwards");
                     now = completion.finished;
-                    if !completion.failed(Lba::new(*lba)) {
-                        let want = oracle.get(lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                        prop_assert!(completion.data[0] == want, "lba {}: not the latest", lba);
-                    }
+                    prop_assert!(
+                        completion.failed(Lba::new(*lba))
+                            || model.allows(*lba, &completion.data[0], Allow::Latest),
+                        "lba {}: not the latest",
+                        lba
+                    );
                 }
                 SysOp::Flush => now = system.flush(now, &mut ctx),
                 SysOp::Barrier => {
@@ -135,15 +138,13 @@ proptest! {
         let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick]);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
+        let mut model = VersionModel::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
-                        versions.entry(lba).or_default().push(content);
-                    }
+                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
@@ -157,17 +158,21 @@ proptest! {
         }
         let mut recovered = system.crash_and_recover();
         recovered.debug_validate();
-        for (lba, mut held) in versions {
-            held.push(BlockBuf::zeroed()); // the pre-history version
+        // `Allow::Held` without the barrier floor (no `model.barrier()` on
+        // Flush / Barrier above): with `torn_writes()` armed, recovery's
+        // Phase 0 tears the *most recent* log append even when a barrier
+        // covering it had already returned, so a block may legally come
+        // back older than its last `sync` here (DESIGN.md §10). The floor
+        // is enforced where nothing is torn: `awaited_writes_survive_any_
+        // crash` below and `prop_system::icash_crash_anywhere_never_corrupts`.
+        for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             let completion = recovered.submit(&req, &mut ctx);
             now = completion.finished;
-            if completion.failed(Lba::new(lba)) {
-                continue;
-            }
             prop_assert!(
-                held.contains(&completion.data[0]),
+                completion.failed(Lba::new(lba))
+                    || model.allows(lba, &completion.data[0], Allow::Held),
                 "lba {lba}: recovered to a value it never held"
             );
         }
@@ -197,15 +202,13 @@ proptest! {
         let mut system = sharded_faulty(width, seed, rate, DEPTHS[depth_pick]);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
+        let mut model = VersionModel::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
-                        versions.entry(lba).or_default().push(content);
-                    }
+                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
@@ -232,17 +235,14 @@ proptest! {
                 .map(Icash::crash_and_recover)
                 .collect(),
         );
-        for (lba, mut held) in versions {
-            held.push(BlockBuf::zeroed()); // the pre-history version
+        for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             let completion = recovered.submit(&req, &mut ctx);
             now = completion.finished;
-            if completion.failed(Lba::new(lba)) {
-                continue;
-            }
             prop_assert!(
-                held.contains(&completion.data[0]),
+                completion.failed(Lba::new(lba))
+                    || model.allows(lba, &completion.data[0], Allow::Held),
                 "outer lba {lba}: recovered to a value it never held \
                  (possible cross-shard splice)"
             );
@@ -272,18 +272,16 @@ proptest! {
         let mut system = Icash::new(cfg);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        // Per LBA: every version written, and the index of the newest one
-        // covered by a completed barrier (none if never barriered).
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
-        let mut durable_from: HashMap<u64, usize> = HashMap::new();
+        // The model drops what a completed barrier superseded; `covered`
+        // only picks the message a failure prints.
+        let mut model = VersionModel::new();
+        let mut covered: BTreeSet<u64> = BTreeSet::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
-                        versions.entry(lba).or_default().push(content);
-                    }
+                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
@@ -294,9 +292,8 @@ proptest! {
                     let ticket = system.write_ticket();
                     now = system.await_flush(ticket, now, &mut ctx);
                     prop_assert!(system.flushed_ticket() >= ticket);
-                    for (lba, held) in &versions {
-                        durable_from.insert(*lba, held.len() - 1);
-                    }
+                    model.barrier();
+                    covered.extend(model.written());
                 }
                 SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
@@ -304,36 +301,26 @@ proptest! {
         }
         let mut recovered = system.crash_and_recover();
         recovered.debug_validate();
-        for (lba, held) in versions {
+        for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             let completion = recovered.submit(&req, &mut ctx);
             now = completion.finished;
-            let got = &completion.data[0];
-            match durable_from.get(&lba) {
-                // Barrier-covered: only the durable version or something
-                // newer is acceptable — rolling back past the barrier
-                // breaks the await_flush contract.
-                Some(&idx) => prop_assert!(
-                    held[idx..].contains(got),
-                    "lba {lba}: rolled back behind its barrier"
-                ),
-                // Never barriered: any held version (or pre-history zeroes)
-                // is a legitimate crash outcome.
-                None => prop_assert!(
-                    held.contains(got) || *got == BlockBuf::zeroed(),
-                    "lba {lba}: recovered to a value it never held"
-                ),
-            }
+            // Barrier-covered: only the durable version or something newer
+            // is acceptable — rolling back past the barrier breaks the
+            // await_flush contract. Never barriered: any held version (or
+            // pre-history zeroes) is a legitimate crash outcome.
+            let broke = if covered.contains(&lba) {
+                "rolled back behind its barrier"
+            } else {
+                "recovered to a value it never held"
+            };
+            prop_assert!(
+                model.allows(lba, &completion.data[0], Allow::Held),
+                "lba {lba}: {broke}"
+            );
         }
     }
-}
-
-/// Valid-or-typed oracle for the death properties: a read is acceptable if
-/// it failed with a typed error, returned pre-history zeroes, or returned
-/// any version the block legitimately acknowledged.
-fn acceptable(versions: &HashMap<u64, Vec<BlockBuf>>, lba: u64, got: &BlockBuf) -> bool {
-    *got == BlockBuf::zeroed() || versions.get(&lba).is_some_and(|held| held.contains(got))
 }
 
 /// Address span for the death-driving traffic. Deliberately wider than the
@@ -372,7 +359,7 @@ proptest! {
         let mut system = Icash::new(cfg).with_fault_plan(plan);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
+        let mut model = VersionModel::new();
         let mut now = Ns::ZERO;
         for op in &ops {
             let hdd_down = system
@@ -382,14 +369,9 @@ proptest! {
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    let (payload, completion) = op.issue_write(&mut system, &mut now, &mut ctx);
                     // Only acknowledged writes join the history: a typed
                     // refusal must leave the block on its old versions.
-                    for (lba, content) in payload {
-                        if !completion.failed(Lba::new(lba)) {
-                            versions.entry(lba).or_default().push(content);
-                        }
-                    }
+                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
@@ -397,7 +379,7 @@ proptest! {
                     now = completion.finished;
                     if !completion.failed(Lba::new(*lba)) {
                         prop_assert!(
-                            acceptable(&versions, *lba, &completion.data[0]),
+                            model.allows(*lba, &completion.data[0], Allow::Held),
                             "lba {}: degraded read returned a value it never held",
                             lba
                         );
@@ -425,7 +407,7 @@ proptest! {
                 let completion = system.submit(&req, &mut ctx);
                 now = completion.finished;
                 if !completion.failed(Lba::new(lba)) {
-                    versions.entry(lba).or_default().push(content);
+                    model.ack(lba, content);
                 }
             } else {
                 let req = Request::read(Lba::new(lba), now);
@@ -434,7 +416,7 @@ proptest! {
                 now = completion.finished;
                 if !completion.failed(Lba::new(lba)) {
                     prop_assert!(
-                        acceptable(&versions, lba, &completion.data[0]),
+                        model.allows(lba, &completion.data[0], Allow::Held),
                         "lba {}: read under failing device returned foreign data",
                         lba
                     );
@@ -492,7 +474,7 @@ proptest! {
                 now = completion.finished;
                 if !completion.failed(Lba::new(lba)) {
                     prop_assert!(
-                        acceptable(&versions, lba, &completion.data[0]),
+                        model.allows(lba, &completion.data[0], Allow::Held),
                         "lba {}: read during rebuild returned foreign data",
                         lba
                     );
@@ -514,7 +496,7 @@ proptest! {
                 let completion = system.submit(&w, &mut ctx);
                 now = completion.finished;
                 prop_assert!(!completion.failed(Lba::new(lba)), "healthy write refused");
-                versions.entry(lba).or_default().push(content.clone());
+                model.ack(lba, content.clone());
                 let r = Request::read(Lba::new(lba), now);
                 let completion = system.submit(&r, &mut ctx);
                 now = completion.finished;
@@ -528,14 +510,14 @@ proptest! {
         }
         // Final sweep over everything ever acknowledged: valid-or-typed,
         // and the controller's internal structures still cross-check.
-        for &lba in versions.keys() {
+        for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             let completion = system.submit(&req, &mut ctx);
             now = completion.finished;
             if !completion.failed(Lba::new(lba)) {
                 prop_assert!(
-                    acceptable(&versions, lba, &completion.data[0]),
+                    model.allows(lba, &completion.data[0], Allow::Held),
                     "lba {}: final sweep read a value never held",
                     lba
                 );

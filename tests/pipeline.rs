@@ -14,11 +14,11 @@ use icash::core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash::metrics::trace::JsonlSink;
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
+use icash::storage::model::VersionModel;
 use icash::storage::request::Request;
 use icash::storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
 use icash::storage::trace::{TraceSink, Tracer};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = include_str!("golden/pipeline_depth1.txt");
@@ -60,7 +60,7 @@ fn record(mut sys: Icash) -> String {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+    let mut model = VersionModel::new();
     let mut t = Ns::ZERO;
     for op in 0..OPS {
         let lba = (op * 11) % SPAN;
@@ -69,14 +69,17 @@ fn record(mut sys: Icash) -> String {
                 let r = Request::read(Lba::new(lba), t);
                 let c = sys.submit(&r, &mut ctx);
                 t = c.finished;
-                let want = oracle.get(&lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                assert_eq!(c.data[0], want, "op {op}: lba {lba} read a stale version");
+                assert_eq!(
+                    c.data[0],
+                    *model.latest(lba),
+                    "op {op}: lba {lba} read a stale version"
+                );
             }
             _ => {
                 let content = payload(lba, op);
-                oracle.insert(lba, content.clone());
-                let w = Request::write(Lba::new(lba), t, content);
+                let w = Request::write(Lba::new(lba), t, content.clone());
                 t = sys.submit(&w, &mut ctx).finished;
+                model.ack(lba, content);
             }
         }
         if op % 97 == 96 {
@@ -140,7 +143,7 @@ fn run_at_depth(depth: u64) -> icash::core::IcashStats {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+    let mut model = VersionModel::new();
     let mut t = Ns::ZERO;
     for op in 0..OPS {
         let lba = (op * 11) % SPAN;
@@ -149,14 +152,17 @@ fn run_at_depth(depth: u64) -> icash::core::IcashStats {
                 let r = Request::read(Lba::new(lba), t);
                 let c = sys.submit(&r, &mut ctx);
                 t = c.finished;
-                let want = oracle.get(&lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                assert_eq!(c.data[0], want, "depth {depth}, op {op}: stale read");
+                assert_eq!(
+                    c.data[0],
+                    *model.latest(lba),
+                    "depth {depth}, op {op}: stale read"
+                );
             }
             _ => {
                 let content = payload(lba, op);
-                oracle.insert(lba, content.clone());
-                let w = Request::write(Lba::new(lba), t, content);
+                let w = Request::write(Lba::new(lba), t, content.clone());
                 t = sys.submit(&w, &mut ctx).finished;
+                model.ack(lba, content);
             }
         }
     }

@@ -9,25 +9,25 @@ mod ops;
 use icash::baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
-use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use icash::storage::model::{Allow, VersionModel};
+use icash::storage::{IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
 use ops::{cold_sweep, icash_ops_strategy, ops_strategy, SysOp};
 use proptest::prelude::*;
 use std::any::Any;
-use std::collections::HashMap;
 
-/// Drives `system` through `ops` against a model map; an I-CASH controller
+/// Drives `system` through `ops` against the version model; an I-CASH controller
 /// also checks its own invariants after every op.
 fn check_system<S: StorageSystem + 'static>(mut system: S, ops: &[SysOp]) {
     let mut cpu = CpuModel::xeon();
     let backing = ZeroSource;
-    let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+    let mut model = VersionModel::new();
     let mut now = Ns::ZERO;
     for op in ops {
         let mut ctx = IoCtx::verifying(&backing, &mut cpu);
         match op {
             SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
                 let before = system.write_ticket();
-                oracle.extend(op.issue_write(&mut system, &mut now, &mut ctx).0);
+                op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 // Ticket parity across every architecture: accepting a
                 // write advances the acceptance watermark, and durability
                 // never runs ahead of acceptance.
@@ -47,9 +47,8 @@ fn check_system<S: StorageSystem + 'static>(mut system: S, ops: &[SysOp]) {
                 let completion = system.submit(&req, &mut ctx);
                 assert!(completion.finished >= now, "time ran backwards");
                 now = completion.finished;
-                let want = oracle.get(lba).cloned().unwrap_or_else(BlockBuf::zeroed);
                 assert!(
-                    completion.data[0] == want,
+                    model.allows(*lba, &completion.data[0], Allow::Latest),
                     "{}: lba {lba} read back a version that is not the latest",
                     system.name()
                 );
@@ -105,10 +104,12 @@ proptest! {
         check_system(tiny_icash(pipelined, tight_ram), &ops);
     }
 
-    /// Crash anywhere: after recovery, every block that was written before
-    /// the last flush must read back as some version it legitimately held
-    /// (its latest value as of the crash, or — for unflushed tails — an
-    /// older durable version, never garbage).
+    /// Crash anywhere: after recovery, every block reads back as a version
+    /// it legitimately held and no older than the last `flush` / `sync` that
+    /// returned — its latest value as of the crash, or, for unflushed
+    /// tails, the version that barrier made durable; never garbage, and
+    /// never a roll-back past a barrier (the model drops what a barrier
+    /// superseded, the pre-history zeroes included).
     #[test]
     fn icash_crash_anywhere_never_corrupts(
         ops in icash_ops_strategy(),
@@ -119,37 +120,39 @@ proptest! {
         let mut system = tiny_icash(pipelined, tight_ram);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        // All versions each lba ever held (plus the initial zero block).
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
+        let mut model = VersionModel::new();
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    for (lba, content) in op.issue_write(&mut system, &mut now, &mut ctx).0 {
-                        versions.entry(lba).or_default().push(content);
-                    }
+                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
                 }
                 SysOp::Read { lba } => {
                     let req = Request::read(Lba::new(*lba), now);
                     now = system.submit(&req, &mut ctx).finished;
                 }
-                SysOp::Flush => now = system.flush(now, &mut ctx),
-                SysOp::Barrier => now = system.sync(now, &mut ctx),
+                SysOp::Flush => {
+                    now = system.flush(now, &mut ctx);
+                    model.barrier();
+                }
+                SysOp::Barrier => {
+                    now = system.sync(now, &mut ctx);
+                    model.barrier();
+                }
                 SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
             }
             system.debug_validate();
         }
         let mut recovered = system.crash_and_recover();
         recovered.debug_validate();
-        for (lba, mut held) in versions {
-            held.push(BlockBuf::zeroed()); // the pre-history version
+        for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             let completion = recovered.submit(&req, &mut ctx);
             now = completion.finished;
             prop_assert!(
-                held.contains(&completion.data[0]),
+                model.allows(lba, &completion.data[0], Allow::Held),
                 "lba {lba}: recovered to a value it never held"
             );
         }

@@ -20,12 +20,12 @@ use icash::core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash::metrics::trace::{parse_jsonl, split_by_shard, JsonlSink};
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
+use icash::storage::model::VersionModel;
 use icash::storage::request::Request;
 use icash::storage::shard::{merge_streams, ShardRouter};
 use icash::storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
 use icash::storage::trace::{TraceSink, Tracer};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 const OPS: u64 = 400;
@@ -59,7 +59,7 @@ fn record(sys: &mut dyn StorageSystem) -> (String, String) {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+    let mut model = VersionModel::new();
     let mut t = Ns::ZERO;
     for op in 0..OPS {
         let lba = (op * 13) % SPAN;
@@ -67,8 +67,11 @@ fn record(sys: &mut dyn StorageSystem) -> (String, String) {
             4 => {
                 let c = sys.submit(&Request::read(Lba::new(lba), t), &mut ctx);
                 t = c.finished;
-                let want = oracle.get(&lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                assert_eq!(c.data[0], want, "op {op}: lba {lba} read a stale version");
+                assert_eq!(
+                    c.data[0],
+                    *model.latest(lba),
+                    "op {op}: lba {lba} read a stale version"
+                );
             }
             5 => {
                 t = sys.sync(t, &mut ctx);
@@ -80,9 +83,9 @@ fn record(sys: &mut dyn StorageSystem) -> (String, String) {
             }
             _ => {
                 let content = payload(lba, op);
-                oracle.insert(lba, content.clone());
-                let w = Request::write(Lba::new(lba), t, content);
+                let w = Request::write(Lba::new(lba), t, content.clone());
                 t = sys.submit(&w, &mut ctx).finished;
+                model.ack(lba, content);
             }
         }
     }
@@ -121,7 +124,7 @@ fn multi_shard_spans_read_back_exactly() {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+    let mut model = VersionModel::new();
     let mut t = Ns::ZERO;
     for op in 0..300u64 {
         let base = (op * 7) % SPAN;
@@ -131,22 +134,18 @@ fn multi_shard_spans_read_back_exactly() {
             t = c.finished;
             assert_eq!(c.data.len(), blocks as usize);
             for (i, got) in c.data.iter().enumerate() {
-                let want = oracle
-                    .get(&(base + i as u64))
-                    .cloned()
-                    .unwrap_or_else(BlockBuf::zeroed);
-                assert_eq!(*got, want, "op {op}: outer lba {} stale", base + i as u64);
+                let lba = base + i as u64;
+                assert_eq!(got, model.latest(lba), "op {op}: outer lba {lba} stale");
             }
         } else {
-            let content: Vec<BlockBuf> = (0..blocks as u64)
-                .map(|i| {
-                    let c = payload(base + i, op);
-                    oracle.insert(base + i, c.clone());
-                    c
-                })
+            let content: Vec<BlockBuf> = (base..base + blocks as u64)
+                .map(|lba| payload(lba, op))
                 .collect();
-            let w = Request::write_span(Lba::new(base), t, content);
+            let w = Request::write_span(Lba::new(base), t, content.clone());
             t = sys.submit(&w, &mut ctx).finished;
+            for (lba, content) in (base..).zip(content) {
+                model.ack(lba, content);
+            }
         }
         if op % 37 == 36 {
             t = sys.sync(t, &mut ctx);
