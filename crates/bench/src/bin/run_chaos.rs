@@ -26,8 +26,7 @@
 //! chunks, no busy rejections — a chaos campaign that never saw chaos
 //! proves nothing), or on any panic.
 
-use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
-use icash_bench::campaign::{Cell, Stamp, Tally};
+use icash_bench::campaign::{self, build_system, media_faults, Cell, Stamp, Tally, SYSTEMS};
 use icash_core::{Icash, IcashConfig};
 use icash_storage::block::Lba;
 use icash_storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
@@ -55,10 +54,6 @@ const DEATH_OP: u64 = 60;
 const SEEDS: [u64; 2] = [0xC4A0_0001, 0xC4A0_0002];
 /// Shard-router widths the I-CASH scenarios run under.
 const SHARDS: [u32; 2] = [1, 2];
-/// Data-set / cache sizing shared by every cell.
-const DATA_BYTES: u64 = 8 << 20;
-const SSD_BYTES: u64 = 1 << 20;
-const RAM_BYTES: u64 = 256 << 10;
 
 /// This campaign's content stamp and op-roll salts; the pinned output
 /// (`ci/golden/run_chaos.txt`) depends on every one of them.
@@ -75,14 +70,7 @@ const BURST_SALT: u64 = 0xB0B0;
 type Router = ShardRouter<Icash>;
 
 fn icash_config(policy: HealthPolicy, depth: u64) -> IcashConfig {
-    IcashConfig::builder(SSD_BYTES, RAM_BYTES, DATA_BYTES)
-        .scan_interval(50)
-        .scan_window(64)
-        .flush_interval(20)
-        .log_blocks(4096)
-        .group_commit_depth(depth)
-        .health(policy)
-        .build()
+    campaign::icash_config(depth).health(policy).build()
 }
 
 /// An I-CASH instance per shard behind a router (width 1 routes
@@ -369,21 +357,8 @@ fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport
 /// A high-rate media-fault storm across all five architectures; I-CASH
 /// runs with health armed so the backoff machinery absorbs the noise.
 fn cell_fault_storm(kind: usize, name: &str, seed: u64) -> (Tally, Option<HealthReport>) {
-    let rate = 1e-2;
-    let plan = FaultPlan::seeded(seed)
-        .hdd_read_errors(rate)
-        .hdd_write_errors(rate)
-        .ssd_read_errors(rate);
-    let sys: Box<dyn StorageSystem> = match kind {
-        0 => Box::new(PureSsd::new(DATA_BYTES).with_fault_plan(&plan)),
-        1 => Box::new(Raid0::new(DATA_BYTES, 4).with_fault_plan(&plan)),
-        2 => Box::new(DedupCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(&plan)),
-        3 => Box::new(LruCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(&plan)),
-        _ => Box::new(
-            Icash::new(icash_config(HealthPolicy::default(), 1))
-                .with_fault_plan(plan.scrub_every(97)),
-        ),
-    };
+    let icash = icash_config(HealthPolicy::default(), 1);
+    let sys = build_system(kind, &media_faults(seed, 1e-2), icash);
     let mut cell = Cell::new(name, sys, STAMP, SPACE);
     drive(&mut cell, seed, 0..300);
     cell.io(|sys, ctx, now| *now = sys.flush(*now, ctx));
@@ -418,8 +393,7 @@ fn main() {
         }
     };
 
-    let storm_names = ["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"];
-    for (kind, sys_name) in storm_names.iter().enumerate() {
+    for (kind, sys_name) in SYSTEMS.iter().enumerate() {
         for &seed in &SEEDS {
             let name = format!("storm/{sys_name}/{seed:#x}");
             let (r, h) = cell_fault_storm(kind, &name, seed);

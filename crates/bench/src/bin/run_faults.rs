@@ -24,12 +24,13 @@
 //! and across crash recovery. Default 1: byte-identical to the classic
 //! synchronous campaign.
 
-use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
-use icash_bench::campaign::{Cell, Stamp, Tally};
+use icash_bench::campaign::{
+    build_system, icash_config, media_faults, scrubbing_icash, Cell, Stamp, Tally, SYSTEMS,
+};
 use icash_bench::harness::attach_jsonl;
 use icash_bench::RunConfig;
-use icash_core::{Icash, IcashConfig};
-use icash_storage::fault::{fault_roll, FaultPlan, FaultStats};
+use icash_core::Icash;
+use icash_storage::fault::{fault_roll, FaultStats};
 use icash_storage::model::Allow;
 use icash_storage::system::StorageSystem;
 use icash_storage::time::Ns;
@@ -42,10 +43,6 @@ const OPS: u64 = 400;
 const CRASH_OPS: u64 = 300;
 /// Fresh write + readback pairs after a recovery.
 const FRESH_OPS: u64 = 50;
-/// Data-set / cache sizing shared by every cell.
-const DATA_BYTES: u64 = 8 << 20;
-const SSD_BYTES: u64 = 1 << 20;
-const RAM_BYTES: u64 = 256 << 10;
 
 /// Injected-fault rates swept per device operation.
 const RATES: [f64; 5] = [0.0, 1e-4, 5e-4, 1e-3, 1e-2];
@@ -63,36 +60,6 @@ const STAMP: Stamp = Stamp {
 const MIXED_SALT: u64 = 0x5EED;
 const CRASH_SALT: u64 = 0xC4A5;
 const FRESH_SALT: u64 = 0xAF7E;
-
-fn plan_for(seed: u64, rate: f64) -> FaultPlan {
-    FaultPlan::seeded(seed)
-        .hdd_read_errors(rate)
-        .hdd_write_errors(rate)
-        .ssd_read_errors(rate)
-}
-
-fn build_system(kind: usize, plan: &FaultPlan, depth: u64) -> Box<dyn StorageSystem> {
-    match kind {
-        0 => Box::new(PureSsd::new(DATA_BYTES).with_fault_plan(plan)),
-        1 => Box::new(Raid0::new(DATA_BYTES, 4).with_fault_plan(plan)),
-        2 => Box::new(DedupCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
-        3 => Box::new(LruCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
-        _ => Box::new(build_icash(plan.clone(), depth)),
-    }
-}
-
-fn build_icash(plan: FaultPlan, depth: u64) -> Icash {
-    Icash::new(
-        IcashConfig::builder(SSD_BYTES, RAM_BYTES, DATA_BYTES)
-            .scan_interval(50)
-            .scan_window(64)
-            .flush_interval(20)
-            .log_blocks(4096)
-            .group_commit_depth(depth)
-            .build(),
-    )
-    .with_fault_plan(plan.scrub_every(97))
-}
 
 /// One non-crash cell: mixed traffic, every read checked against the
 /// latest version (strict oracle: reads must be current or errored).
@@ -177,7 +144,6 @@ fn run_cell<S: StorageSystem>(
 }
 
 fn main() {
-    let names = ["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"];
     let cfg = RunConfig::from_env();
     let depth = cfg.features.group_commit_depth;
     let mut trace = cfg.trace.is_some().then(String::new);
@@ -185,10 +151,11 @@ fn main() {
     let mut totals = Tally::default();
     let mut injected = FaultStats::default();
 
-    for (kind, name) in names.iter().enumerate() {
+    for (kind, name) in SYSTEMS.iter().enumerate() {
         for &rate in &RATES {
             for &seed in &SEEDS {
-                let sys = build_system(kind, &plan_for(seed, rate), depth);
+                let icash = icash_config(depth).build();
+                let sys = build_system(kind, &media_faults(seed, rate), icash);
                 let label = (format!("faults r{rate} s{seed:#x}"), *name);
                 totals.merge(run_cell(&mut trace, label, sys, |sys| {
                     let mut cell = Cell::new(*name, sys, STAMP, SPACE);
@@ -203,7 +170,8 @@ fn main() {
     for &rate in &RATES {
         for &frac in &CRASH_AT {
             for &seed in &SEEDS {
-                let sys = build_icash(plan_for(seed, rate).torn_writes(), depth);
+                let plan = media_faults(seed, rate).torn_writes();
+                let sys = scrubbing_icash(icash_config(depth).build(), plan);
                 let label = (format!("crash r{rate} f{frac} s{seed:#x}"), "I-CASH");
                 totals.merge(run_cell(&mut trace, label, sys, |sys| {
                     crash_cell(sys, seed, frac, depth)

@@ -4,15 +4,62 @@
 //! traffic it drives and the incidents it injects. Every read is checked
 //! against the model: a version the system acknowledged, or a typed error —
 //! anything else is recorded as a violation line, never a panic, so a
-//! campaign prints all of them before it exits.
+//! campaign prints all of them before it exits. Also here, once: the five
+//! architectures at the sizing both campaigns run them at.
 
+use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
+use icash_core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuModel;
-use icash_storage::fault::fault_roll;
+use icash_storage::fault::{fault_roll, FaultPlan};
 use icash_storage::model::{Allow, VersionModel};
 use icash_storage::request::{Completion, Request};
 use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
+
+/// The five architectures in the paper's figure order, as campaigns print
+/// them; [`build_system`] takes an index into it.
+pub const SYSTEMS: [&str; 5] = ["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"];
+
+/// Data-set / cache sizing shared by every campaign cell.
+const DATA_BYTES: u64 = 8 << 20;
+const SSD_BYTES: u64 = 1 << 20;
+const RAM_BYTES: u64 = 256 << 10;
+
+/// Seeded media errors at `rate` per device operation, on every device.
+pub fn media_faults(seed: u64, rate: f64) -> FaultPlan {
+    FaultPlan::seeded(seed)
+        .hdd_read_errors(rate)
+        .hdd_write_errors(rate)
+        .ssd_read_errors(rate)
+}
+
+/// The small I-CASH controller every campaign cell runs, at group-commit
+/// depth `depth`; a scenario adds what it needs (a health policy) and builds.
+pub fn icash_config(depth: u64) -> IcashConfigBuilder {
+    IcashConfig::builder(SSD_BYTES, RAM_BYTES, DATA_BYTES)
+        .scan_interval(50)
+        .scan_window(64)
+        .flush_interval(20)
+        .log_blocks(4096)
+        .group_commit_depth(depth)
+}
+
+/// An I-CASH controller under `plan` that also scrubs as it serves.
+pub fn scrubbing_icash(cfg: IcashConfig, plan: FaultPlan) -> Icash {
+    Icash::new(cfg).with_fault_plan(plan.scrub_every(97))
+}
+
+/// `SYSTEMS[kind]` under `plan`; the I-CASH one is built from `icash`.
+pub fn build_system(kind: usize, plan: &FaultPlan, icash: IcashConfig) -> Box<dyn StorageSystem> {
+    match kind {
+        0 => Box::new(PureSsd::new(DATA_BYTES).with_fault_plan(plan)),
+        1 => Box::new(Raid0::new(DATA_BYTES, 4).with_fault_plan(plan)),
+        2 => Box::new(DedupCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
+        3 => Box::new(LruCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
+        _ => Box::new(scrubbing_icash(icash, plan.clone())),
+    }
+}
 
 /// A campaign's content stamp: version `ver` of block `lba` shares a common
 /// base (so I-CASH forms references and deltas) but carries a unique 8-byte
@@ -101,11 +148,6 @@ impl<S: StorageSystem> Cell<S> {
         &self.sys
     }
 
-    /// The reference model.
-    pub fn model(&self) -> &VersionModel {
-        &self.model
-    }
-
     /// Records a broken contract as `"{name}: {what}"`.
     pub fn violation(&mut self, what: impl std::fmt::Display) {
         self.tally.violations.push(format!("{}: {what}", self.name));
@@ -134,17 +176,22 @@ impl<S: StorageSystem> Cell<S> {
         self.tally
     }
 
+    /// Issues the request `req` makes of the current instant and moves the
+    /// clock to its completion.
+    fn submit(&mut self, req: impl FnOnce(Ns) -> Request) -> Completion {
+        self.io(|sys, ctx, now| {
+            let done = sys.submit(&req(*now), ctx);
+            *now = done.finished;
+            done
+        })
+    }
+
     /// Writes the next version of `lba`. The model advances only if the
     /// write was acknowledged; a refusal is tallied and left to the caller
     /// to judge from the returned completion.
     pub fn write(&mut self, lba: u64) -> Completion {
         let content = self.stamp.content(lba, self.model.attempt(lba));
-        let write = |sys: &mut S, ctx: &mut IoCtx<'_>, now: &mut Ns| {
-            let done = sys.submit(&Request::write(Lba::new(lba), *now, content.clone()), ctx);
-            *now = done.finished;
-            done
-        };
-        let done = self.io(write);
+        let done = self.submit(|now| Request::write(Lba::new(lba), now, content.clone()));
         if done.failed(Lba::new(lba)) {
             self.tally.refused_writes += 1;
         } else {
@@ -157,11 +204,7 @@ impl<S: StorageSystem> Cell<S> {
     /// accepted (the contract is no *silent* corruption), data must be one
     /// of the versions `allow` admits.
     pub fn read(&mut self, lba: u64, allow: Allow) {
-        let done = self.io(|sys, ctx, now| {
-            let done = sys.submit(&Request::read(Lba::new(lba), *now), ctx);
-            *now = done.finished;
-            done
-        });
+        let done = self.submit(|now| Request::read(Lba::new(lba), now));
         self.tally.reads += 1;
         if done.failed(Lba::new(lba)) {
             self.tally.reported_errors += 1;
@@ -274,7 +317,7 @@ mod tests {
         }
         assert_eq!(cell.sweep(Allow::Held), (4, 0));
         assert_eq!(cell.sweep(Allow::Latest), (4, 0));
-        assert_eq!(*cell.model().latest(2), stamp.content(2, 2));
+        assert_eq!(*cell.model.latest(2), stamp.content(2, 2));
         cell.read(7, Allow::Latest); // never written: zeroes
         let ticks = cell.io(|_, _, now| now.as_ns());
         assert_eq!(ticks, 17 * 10_000, "the clock follows every completion");

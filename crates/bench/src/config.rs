@@ -60,8 +60,8 @@ pub struct RunConfig {
     pub full: bool,
     /// Worker-pool size; `None` = available parallelism.
     pub threads: Option<usize>,
-    /// Where to write the JSONL trace artifact (`--trace` wins over
-    /// `ICASH_TRACE`); `None` attaches no tracer anywhere.
+    /// Where to write the JSONL trace artifact (`--trace <path>`); `None`
+    /// attaches no tracer anywhere.
     pub trace: Option<PathBuf>,
     /// Positional arguments, `--trace` and its value removed.
     pub args: Vec<String>,
@@ -220,12 +220,6 @@ pub const KNOBS: &[Knob] = &[
         kind: Kind::Count(usize::MAX as u64, |c, n| c.threads = Some(n as usize)),
     },
     Knob {
-        name: "ICASH_TRACE",
-        default: "off",
-        requires: None,
-        kind: Kind::Path(|c, p| c.trace = Some(p)),
-    },
-    Knob {
         name: "ICASH_GROUP_COMMIT",
         default: "1",
         requires: None,
@@ -250,22 +244,10 @@ pub const KNOBS: &[Knob] = &[
         kind: Kind::Flag(|c, on| c.features.health = on.then(HealthPolicy::default)),
     },
     Knob {
-        name: "ICASH_REBUILD_RATE",
-        default: "policy default",
-        requires: HEALTH,
-        kind: Kind::Count(U32, |c, n| health(c).rebuild_rate = n as u32),
-    },
-    Knob {
         name: "ICASH_STAGING_CAP",
         default: "unbounded",
         requires: HEALTH,
         kind: Kind::Count(u64::MAX, |c, n| health(c).staging_cap = n),
-    },
-    Knob {
-        name: "ICASH_RETRY_BUDGET",
-        default: "policy default",
-        requires: HEALTH,
-        kind: Kind::Count(U32, |c, n| health(c).retry_budget = n as u32),
     },
     Knob {
         name: "ICASH_QUEUE_DEPTH",
@@ -602,13 +584,6 @@ mod tests {
     #[test]
     fn trace_flag_is_extracted_and_a_dangling_one_rejected() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let env_only = parse(
-            |name| (name == "ICASH_TRACE").then(|| "env.jsonl".to_string()),
-            args(&["out.md"]),
-        )
-        .expect("valid");
-        assert_eq!(env_only.trace, Some(PathBuf::from("env.jsonl")));
-        assert_eq!(env_only.args, vec!["out.md"]);
         for form in [
             &["a", "--trace", "t.jsonl", "b"][..],
             &["a", "--trace=t.jsonl", "b"],
@@ -617,12 +592,6 @@ mod tests {
             assert_eq!(cfg.trace, Some(PathBuf::from("t.jsonl")));
             assert_eq!(cfg.args, vec!["a", "b"]);
         }
-        let flag_wins = parse(
-            |name| (name == "ICASH_TRACE").then(|| "env.jsonl".to_string()),
-            args(&["--trace", "cli.jsonl"]),
-        )
-        .expect("valid");
-        assert_eq!(flag_wins.trace, Some(PathBuf::from("cli.jsonl")));
         let e = parse(|_| None, args(&["out.md", "--trace"])).expect_err("no path");
         assert!(e.contains("--trace"), "got: {e}");
     }

@@ -3,10 +3,10 @@
 //! [`EXHIBITS`] is the single table of what the evaluation reports — title,
 //! unit, direction, the paper's values, which workload feeds it and how the
 //! number is computed from the five run summaries. `run_all` renders all of
-//! it as the paper-vs-measured report (EXPERIMENTS.md); each `figNN`/`tabNN`
-//! binary renders the rows tagged with its name. [`PLAN`] is the matching
-//! workload list, and [`workload_named`] the one place a workload name
-//! becomes a workload.
+//! it as the paper-vs-measured report (EXPERIMENTS.md); `exhibit <name>`
+//! renders the rows tagged with that name ([`print_exhibit`]). [`PLAN`] is
+//! the matching workload list, and [`workload_named`] the one place a
+//! workload name becomes a workload.
 
 use crate::config::RunConfig;
 use crate::harness::{run_plan, PlannedWorkload};
@@ -43,8 +43,8 @@ pub type Rows = Vec<(String, f64)>;
 /// One figure, or one column of a table, of the paper's evaluation.
 #[derive(Debug)]
 pub struct Exhibit {
-    /// The `figNN`/`tabNN` binary that prints it.
-    pub bin: &'static str,
+    /// The `exhibit <name>` that prints it, with the rows sharing the name.
+    pub name: &'static str,
     /// The [`PLAN`] workload it is measured on.
     pub workload: &'static str,
     /// Title, as EXPERIMENTS.md words it.
@@ -132,10 +132,36 @@ fn ssd_writes(_: &WorkloadSpec, runs: &[RunSummary]) -> Rows {
     rows
 }
 
-/// Every exhibit, in report order.
+/// The names `exhibit` prints as one table — `(name, heading, decimals)` —
+/// with their rows as its columns, the way the paper lays them out; every
+/// other name prints one bar chart per row.
+const TABLES: [(&str, &str, usize); 2] = [
+    (
+        "tab05_power",
+        "Table 5. Power consumption in Watt-hours.",
+        3,
+    ),
+    (
+        "tab06_ssd_writes",
+        "Table 6. Number of write requests on SSD.",
+        0,
+    ),
+];
+
+/// The one exhibit that measures nothing: Table 4, the generators'
+/// self-reported specifications ([`workloads_table`]).
+pub const WORKLOADS_TABLE: &str = "tab04_workloads";
+
+/// Every exhibit, in report order. The comment above a name's first row is
+/// the paper's result whose *shape* (not absolute values) it reproduces.
 pub const EXHIBITS: &[Exhibit] = &[
+    // SysBench. Fig 6(a) transactions/s — I-CASH best (190), 2.24× RAID0
+    // (85), ahead of FusionIO (180), LRU (175), Dedup (161). Fig 6(b) CPU
+    // utilization — all five within ~4 % of each other. Fig 7 response times
+    // (µs) — I-CASH reads ~half of FusionIO's, I-CASH writes ~10× faster
+    // than FusionIO's; RAID0 writes slowest by far.
     Exhibit {
-        bin: "fig06_sysbench",
+        name: "fig06_sysbench",
         workload: "sysbench",
         title: "Figure 6(a). SysBench transaction rate",
         unit: "tx/s",
@@ -144,7 +170,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: tx_rate,
     },
     Exhibit {
-        bin: "fig06_sysbench",
+        name: "fig06_sysbench",
         workload: "sysbench",
         title: "Figure 6(b). SysBench CPU utilization",
         unit: "%",
@@ -153,7 +179,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: cpu_percent,
     },
     Exhibit {
-        bin: "fig06_sysbench",
+        name: "fig06_sysbench",
         workload: "sysbench",
         title: "Figure 7. SysBench read response time",
         unit: "us",
@@ -162,7 +188,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: read_us,
     },
     Exhibit {
-        bin: "fig06_sysbench",
+        name: "fig06_sysbench",
         workload: "sysbench",
         title: "Figure 7. SysBench write response time",
         unit: "us",
@@ -170,8 +196,13 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(75.0, 1156.0, 106.0, 122.0, 7.0),
         metric: write_us,
     },
+    // Hadoop WordCount. I-CASH finishes the job fastest (18 s vs FusionIO 24,
+    // LRU 25, Dedup 26, RAID 32 — speedups 1.3–1.8×); CPU utilization is
+    // high everywhere except RAID (Fig 8b); and I-CASH's write response is
+    // an order of magnitude below the SSD-writing systems (Fig 9: 586 µs vs
+    // 7301 µs for FusionIO).
     Exhibit {
-        bin: "fig08_hadoop",
+        name: "fig08_hadoop",
         workload: "hadoop",
         title: "Figure 8(a). Hadoop execution time",
         unit: "s (scaled)",
@@ -180,7 +211,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: |_, runs| metric_rows(runs, |s| s.elapsed.as_secs_f64()),
     },
     Exhibit {
-        bin: "fig08_hadoop",
+        name: "fig08_hadoop",
         workload: "hadoop",
         title: "Figure 8(b). Hadoop CPU utilization",
         unit: "%",
@@ -189,7 +220,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: cpu_percent,
     },
     Exhibit {
-        bin: "fig08_hadoop",
+        name: "fig08_hadoop",
         workload: "hadoop",
         title: "Figure 9. Hadoop read response time",
         unit: "us",
@@ -198,7 +229,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: read_us,
     },
     Exhibit {
-        bin: "fig08_hadoop",
+        name: "fig08_hadoop",
         workload: "hadoop",
         title: "Figure 9. Hadoop write response time",
         unit: "us",
@@ -206,8 +237,13 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(7301.0, 3244.0, 7520.0, 7405.0, 586.0),
         metric: write_us,
     },
+    // TPC-C. I-CASH processes the most transactions per second (58, +14 %
+    // over FusionIO's 51, +45 % over RAID0's 40) and cuts the
+    // application-level response time to 2.6 ms vs FusionIO's 6.6 ms and
+    // RAID0's 14 ms — the benchmark where the fast delta-write path matters
+    // most.
     Exhibit {
-        bin: "fig10_tpcc",
+        name: "fig10_tpcc",
         workload: "tpcc",
         title: "Figure 10(a). TPC-C transaction rate",
         unit: "tx/s",
@@ -216,7 +252,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: tx_rate,
     },
     Exhibit {
-        bin: "fig10_tpcc",
+        name: "fig10_tpcc",
         workload: "tpcc",
         title: "Figure 10(b). TPC-C CPU utilization",
         unit: "%",
@@ -225,7 +261,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: cpu_percent,
     },
     Exhibit {
-        bin: "fig10_tpcc",
+        name: "fig10_tpcc",
         workload: "tpcc",
         title: "Figure 11. TPC-C application response time",
         unit: "ms",
@@ -236,10 +272,15 @@ pub const EXHIBITS: &[Exhibit] = &[
             metric_rows(runs, |s| s.mean_response_ms() * per_tx)
         },
     },
+    // LoadSim (Exchange mail server), lower is better. The one benchmark
+    // FusionIO wins (1803) — LoadSim is almost 100 % random over 17.5 GB, so
+    // a 1 GB cache cannot hide the working set. I-CASH (2263) still lands
+    // 2.4× ahead of RAID0 (5340) and clearly ahead of the LRU (3002) and
+    // Dedup (3259) caches by catching content locality.
     // LoadSim scores weight client-observed response times, which include
     // Exchange server processing: score = (4 ms server + storage) x 420.
     Exhibit {
-        bin: "fig12_loadsim",
+        name: "fig12_loadsim",
         workload: "loadsim",
         title: "Figure 12. LoadSim score (lower is better)",
         unit: "score",
@@ -247,10 +288,15 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(1803.0, 5340.0, 3259.0, 3002.0, 2263.0),
         metric: |_, runs| metric_rows(runs, |s| (4.0 + s.mean_response_ms()) * 420.0),
     },
+    // SPECsfs (NFS server). I-CASH (1.5 ms) matches FusionIO (1.4 ms) while
+    // using one-tenth of the flash; the write-heavy stream punishes Dedup's
+    // copy-on-write (2.1 ms, 28 % worse than I-CASH) and the LRU cache
+    // equally (2.1 ms); RAID0 lands between (1.8 ms) because four spindles
+    // absorb the write flood better than one.
     // NFS-op response = 1.2 ms server component + storage response,
     // matching the benchmark's client-side measurement.
     Exhibit {
-        bin: "fig13_specsfs",
+        name: "fig13_specsfs",
         workload: "specsfs",
         title: "Figure 13. SPEC-sfs response time",
         unit: "ms",
@@ -258,8 +304,12 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(1.4, 1.8, 2.1, 2.1, 1.5),
         metric: |_, runs| metric_rows(runs, |s| 1.2 + s.mean_response_ms()),
     },
+    // RUBiS (auction site). Over 99 % reads caps the delta-write advantage,
+    // so FusionIO wins by ~10 % (84 vs 76 req/s); I-CASH still beats RAID0
+    // 1.5×, LRU 1.04× and Dedup 1.29× — the online similarity detection
+    // stretching the same 128 MB flash budget further.
     Exhibit {
-        bin: "fig14_rubis",
+        name: "fig14_rubis",
         workload: "rubis",
         title: "Figure 14. RUBiS request rate",
         unit: "req/s",
@@ -267,8 +317,12 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(84.0, 48.0, 59.0, 73.0, 76.0),
         metric: tx_rate,
     },
+    // Five TPC-C virtual machines. With five VMs multiplying the write
+    // pressure, pure flash hits its garbage-collection wall while I-CASH
+    // absorbs the writes as deltas — 2.8× FusionIO and 5–6× the other three
+    // baselines, I-CASH's biggest win in the paper.
     Exhibit {
-        bin: "fig15_tpcc_vms",
+        name: "fig15_tpcc_vms",
         workload: "tpcc5",
         title: "Figure 15. Five TPC-C VMs, normalized tx rate",
         unit: "x FusionIO",
@@ -276,8 +330,13 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(1.0, 0.4, 0.5, 0.4, 2.8),
         metric: tx_rate_vs_fusionio,
     },
+    // Five RUBiS virtual machines, the read-heavy multi-VM case. FusionIO
+    // holds up well (RUBiS is read-intensive), I-CASH still edges it out
+    // (1.2×) by serving five near-identical images from one set of reference
+    // blocks, and the address-keyed caches trail 3–6× (they cache five
+    // copies of the same content).
     Exhibit {
-        bin: "fig16_rubis_vms",
+        name: "fig16_rubis_vms",
         workload: "rubis5",
         title: "Figure 16. Five RUBiS VMs, normalized request rate",
         unit: "x FusionIO",
@@ -285,8 +344,13 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(1.0, 0.2, 0.3, 0.3, 1.2),
         metric: tx_rate_vs_fusionio,
     },
+    // Table 5, energy for Hadoop and TPC-C. RAID0's four 15 W spindles burn
+    // 2.4–3.4× the energy of I-CASH's one SSD + one disk (24 vs 7 Wh for
+    // Hadoop, 28 vs 11 for TPC-C); the SSD-based systems cluster together,
+    // with I-CASH lowest on Hadoop because it finishes first and writes the
+    // flash least (9.5 µJ per 4 KB read vs 76.1 µJ per write).
     Exhibit {
-        bin: "tab05_power",
+        name: "tab05_power",
         workload: "hadoop",
         title: "Table 5 (Hadoop column). Energy",
         unit: "Wh (scaled)",
@@ -295,7 +359,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: energy_wh,
     },
     Exhibit {
-        bin: "tab05_power",
+        name: "tab05_power",
         workload: "tpcc",
         title: "Table 5 (TPC-C column). Energy",
         unit: "Wh (scaled)",
@@ -303,8 +367,14 @@ pub const EXHIBITS: &[Exhibit] = &[
         paper: &five(11.0, 28.0, 11.0, 12.0, 11.0),
         metric: energy_wh,
     },
+    // Table 6, write requests reaching the SSD. I-CASH performs a small
+    // fraction of the SSD writes of every other flash-bearing system on
+    // SysBench (232 K vs 894 K–1.5 M), Hadoop and TPC-C, because writes are
+    // absorbed as HDD-logged deltas; on the write-flood SPECsfs the counts
+    // converge (5.1 M vs 5.5–5.8 M). Fewer flash writes = fewer erases =
+    // longer device life (§5.3).
     Exhibit {
-        bin: "tab06_ssd_writes",
+        name: "tab06_ssd_writes",
         workload: "sysbench",
         title: "Table 6 (SysBench column). SSD write requests",
         unit: "writes",
@@ -313,7 +383,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: ssd_writes,
     },
     Exhibit {
-        bin: "tab06_ssd_writes",
+        name: "tab06_ssd_writes",
         workload: "hadoop",
         title: "Table 6 (Hadoop column). SSD write requests",
         unit: "writes",
@@ -322,7 +392,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: ssd_writes,
     },
     Exhibit {
-        bin: "tab06_ssd_writes",
+        name: "tab06_ssd_writes",
         workload: "tpcc",
         title: "Table 6 (TPC-C column). SSD write requests",
         unit: "writes",
@@ -331,7 +401,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         metric: ssd_writes,
     },
     Exhibit {
-        bin: "tab06_ssd_writes",
+        name: "tab06_ssd_writes",
         workload: "specsfs",
         title: "Table 6 (SPECsfs column). SSD write requests",
         unit: "writes",
@@ -352,14 +422,19 @@ pub struct Measured {
     pub rows: Rows,
 }
 
-/// Runs every workload the exhibits of `bin` (all of them for `None`) need —
-/// once each, all cells on one pool, in [`PLAN`] order — and evaluates those
-/// exhibits in table order. Also returns the raw plan results.
+/// Runs every workload the exhibits named `name` (all of them for `None`)
+/// need — once each, all cells on one pool, in [`PLAN`] order — and
+/// evaluates those exhibits in table order. Also returns the raw plan
+/// results.
 pub fn measure(
     cfg: &RunConfig,
-    bin: Option<&str>,
+    name: Option<&str>,
 ) -> (Vec<(WorkloadSpec, Vec<RunSummary>)>, Vec<Measured>) {
-    let shown = || EXHIBITS.iter().filter(|ex| bin.is_none_or(|b| ex.bin == b));
+    let shown = || {
+        EXHIBITS
+            .iter()
+            .filter(|ex| name.is_none_or(|n| ex.name == n))
+    };
     let names: Vec<&str> = PLAN
         .into_iter()
         .filter(|name| shown().any(|ex| ex.workload == *name))
@@ -383,31 +458,45 @@ pub fn measure(
     (results, measured)
 }
 
-/// `main` of a `figNN` binary: one bar chart per exhibit tagged `bin`.
-pub fn print_figures(bin: &str) {
-    for m in measure(&RunConfig::from_env(), Some(bin)).1 {
-        let ex = m.exhibit;
-        print!(
-            "{}",
-            bar_chart(ex.title, ex.unit, &m.rows, ex.higher_better)
-        );
-    }
+/// What `exhibit` accepts: every name in [`EXHIBITS`], in table order, and
+/// [`WORKLOADS_TABLE`].
+pub fn exhibit_names() -> Vec<&'static str> {
+    let mut names: Vec<&str> = EXHIBITS.iter().map(|ex| ex.name).collect();
+    names.dedup();
+    names.push(WORKLOADS_TABLE);
+    names
 }
 
-/// `main` of a `tabNN` binary: the exhibits tagged `bin` as the columns of
-/// one table, the way the paper lays it out.
-pub fn print_table(bin: &str, heading: &str, decimals: usize) {
-    let columns = measure(&RunConfig::from_env(), Some(bin)).1;
+/// Runs and prints the exhibit `name`; `false` if there is none.
+pub fn print_exhibit(cfg: &RunConfig, name: &str) -> bool {
+    if name == WORKLOADS_TABLE {
+        print!("{}", workloads_table());
+        return true;
+    }
+    if !EXHIBITS.iter().any(|ex| ex.name == name) {
+        return false;
+    }
+    let measured = measure(cfg, Some(name)).1;
+    let Some((_, heading, decimals)) = TABLES.into_iter().find(|t| t.0 == name) else {
+        for m in measured {
+            let ex = m.exhibit;
+            print!(
+                "{}",
+                bar_chart(ex.title, ex.unit, &m.rows, ex.higher_better)
+            );
+        }
+        return true;
+    };
     let mut headers = vec!["System"];
-    headers.extend(columns.iter().map(|m| m.workload.as_str()));
-    let rows: Vec<Vec<String>> = columns[0]
+    headers.extend(measured.iter().map(|m| m.workload.as_str()));
+    let rows: Vec<Vec<String>> = measured[0]
         .rows
         .iter()
         .enumerate()
         .map(|(i, (system, _))| {
             let mut row = vec![system.clone()];
             row.extend(
-                columns
+                measured
                     .iter()
                     .map(|m| format!("{:.decimals$}", m.rows[i].1)),
             );
@@ -415,6 +504,36 @@ pub fn print_table(bin: &str, heading: &str, decimals: usize) {
         })
         .collect();
     print!("{}", table(heading, &headers, &rows));
+    true
+}
+
+/// Table 4, characteristics of the benchmark workloads. The generators
+/// self-report their specifications; the measured columns (op counts,
+/// request sizes, data sizes) are pinned to the paper's values and asserted
+/// by each module's unit tests.
+pub fn workloads_table() -> String {
+    let rows: Vec<Vec<String>> = PLAN
+        .iter()
+        .map(|name| {
+            let s = workload_named(name).expect("planned").base_spec();
+            vec![
+                s.name.clone(),
+                format!("{}K", s.table4_reads / 1000),
+                format!("{}K", s.table4_writes / 1000),
+                format!("{}B", s.avg_read_bytes),
+                format!("{}B", s.avg_write_bytes),
+                format!("{:.1}GB", s.data_bytes as f64 / (1 << 30) as f64),
+                format!("{}MB", s.vm_ram_bytes >> 20),
+            ]
+        })
+        .collect();
+    table(
+        "Table 4. Characteristics of benchmarks.",
+        &[
+            "Name", "#Read", "#Write", "AvgRead", "AvgWrite", "DataSize", "VM RAM",
+        ],
+        &rows,
+    )
 }
 
 #[cfg(test)]
@@ -432,12 +551,13 @@ mod tests {
                 "{}: unplanned workload",
                 ex.title
             );
-            assert!(
-                ex.bin.starts_with("fig") || ex.bin.starts_with("tab"),
-                "{}: {} is not an exhibit binary",
-                ex.title,
-                ex.bin
-            );
+        }
+        let names = exhibit_names();
+        let unique: BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "a name's rows are contiguous");
+        assert_eq!(names.len(), 11);
+        for (table, ..) in TABLES {
+            assert!(names.contains(&table), "{table}: a table of no exhibit");
         }
         for name in PLAN {
             assert!(workload_named(name).is_some(), "{name}");

@@ -19,7 +19,7 @@
 //!
 //! ## Tracing
 //!
-//! With [`RunConfig::trace`] set (`--trace <path>` or `ICASH_TRACE`) each
+//! With [`RunConfig::trace`] set (`--trace <path>`) each
 //! cell records its structured event stream into a [`JsonlSink`] and the
 //! cells are concatenated — each under a `{"cell":...}` header line — into
 //! one JSONL artifact readable by the `trace_profile` binary. Without it no

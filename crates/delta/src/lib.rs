@@ -6,7 +6,6 @@
 //!   (sampled byte sums, chosen over hashing so *similar* blocks collide).
 //! * [`heatmap`] — the popularity Heatmap that turns signature streams into
 //!   reference-block choices (Tables 1–2 of the paper are unit tests here).
-//! * [`similarity`] — signature-distance pre-filter for candidate ranking.
 //! * [`codec`] — the delta compression engine: skip/literal records for
 //!   in-place changes, raw fallback.
 //! * [`varint`] — LEB128 integers for the wire formats.
@@ -41,10 +40,8 @@
 pub mod codec;
 pub mod heatmap;
 pub mod signature;
-pub mod similarity;
 pub mod varint;
 
 pub use codec::{DecodeError, Delta, DeltaCodec, Encoding};
 pub use heatmap::Heatmap;
 pub use signature::BlockSignature;
-pub use similarity::SimilarityFilter;

@@ -10,19 +10,16 @@
 //! [`ArrivalProcess`] generates a deterministic, seeded arrival schedule:
 //! exponential (Poisson-like) inter-arrival jitter around a base gap, with
 //! an optional diurnal sine modulation and optional flash-crowd bursts
-//! layered on top. [`EventQueue`] is the virtual-time event queue that
-//! dispatches scheduled arrivals in `(time, id)` order, so simultaneous
-//! arrivals break ties deterministically by sequence number. Nothing here
-//! consults the wall clock: the same seed produces the same schedule,
-//! event for event.
+//! layered on top. The schedule comes out in `(time, id)` order — instants
+//! never go back and ids are sequential — so simultaneous arrivals break
+//! ties deterministically by sequence number. Nothing here consults the
+//! wall clock: the same seed produces the same schedule, event for event.
 
 #![deny(clippy::unwrap_used)]
 
 use icash_storage::time::Ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One scheduled arrival: an instant plus its tie-breaking sequence id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,41 +184,6 @@ impl ArrivalProcess {
     }
 }
 
-/// The deterministic virtual-time event queue: arrivals come out ordered
-/// by `(time, id)`, so two arrivals scheduled for the same instant always
-/// dispatch in sequence-number order regardless of push order.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Ns, u64)>>,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedules an arrival.
-    pub fn push(&mut self, arrival: Arrival) {
-        self.heap.push(Reverse((arrival.at, arrival.id)));
-    }
-
-    /// Dispatches the earliest arrival, ties broken by id.
-    pub fn pop(&mut self) -> Option<Arrival> {
-        self.heap.pop().map(|Reverse((at, id))| Arrival { at, id })
-    }
-
-    /// Scheduled arrivals not yet dispatched.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,29 +242,6 @@ mod tests {
             in_burst.iter().all(|&g| g <= 10_000),
             "in-burst gaps must be ~base/10"
         );
-    }
-
-    #[test]
-    fn event_queue_orders_by_time_then_id() {
-        let mut q = EventQueue::new();
-        q.push(Arrival {
-            at: Ns::from_us(5),
-            id: 2,
-        });
-        q.push(Arrival {
-            at: Ns::from_us(1),
-            id: 3,
-        });
-        q.push(Arrival {
-            at: Ns::from_us(5),
-            id: 1,
-        });
-        assert_eq!(q.len(), 3);
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|a| (a.at.as_ns(), a.id))
-            .collect();
-        assert_eq!(order, vec![(1_000, 3), (5_000, 1), (5_000, 2)]);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   MSR-Cambridge-style CSV and [`ScenarioKind::Replay`] pushes it
 //!   through the closed-loop driver with the seeded content overlay.
 //! * **Open-loop arrivals** — [`run_open_loop`] dispatches a deterministic
-//!   [`ArrivalProcess`] schedule (diurnal sine, flash-crowd bursts)
-//!   through an [`EventQueue`]; requests arrive whether or not a client
-//!   is free, so queueing time becomes a real, measured quantity
+//!   [`ArrivalProcess`] schedule (diurnal sine, flash-crowd bursts);
+//!   requests arrive whether or not a client is free, so queueing time
+//!   becomes a real, measured quantity
 //!   (emitted as `OpenLoopArrival` trace events).
 //! * **Tenant-churn storms** — [`ChurnStorm`] scales
 //!   [`MultiVm`](crate::vm::MultiVm) fleets with thousands of seeded VM
@@ -21,7 +21,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::arrivals::{ArrivalConfig, ArrivalProcess, EventQueue};
+use crate::arrivals::{ArrivalConfig, ArrivalProcess};
 use crate::content::ContentModel;
 use crate::driver::{ReadyClients, Session};
 use crate::spec::WorkloadSpec;
@@ -199,16 +199,11 @@ pub fn run_open_loop(
     let mut free = ReadyClients::new(cfg.clients);
     let mut stats = OpenLoopStats::default();
 
-    // The whole schedule goes through the event queue so dispatch order is
-    // the queue's (time, id) order — the deterministic tie-break the
-    // arrival proptests pin — not generation order.
-    let mut queue = EventQueue::new();
+    // Generation order is dispatch order: the schedule comes out sorted by
+    // (time, id) — monotone instants, sequential ids, which the arrival
+    // proptests pin.
     let mut process = ArrivalProcess::new(cfg.arrival.clone(), cfg.seed);
-    for a in process.take(cfg.ops) {
-        queue.push(a);
-    }
-
-    while let Some(arrival) = queue.pop() {
+    for arrival in process.take(cfg.ops) {
         let wop = workload.next_op();
         // Earliest-free service slot; the arrival never waits to be
         // *scheduled*, only to start service.

@@ -1,24 +1,11 @@
-//! Property tests for the open-loop arrival machinery: the event queue
-//! dispatches in strict `(time, id)` order for any push order, modulation
-//! (diurnal, burst, jitter) never produces a negative inter-arrival gap,
-//! and the same seed reproduces the same schedule event for event.
+//! Property tests for the open-loop arrival machinery: modulation
+//! (diurnal, burst, jitter) never produces a negative inter-arrival gap —
+//! so a schedule is already in `(time, id)` dispatch order — and the same
+//! seed reproduces the same schedule event for event.
 
 use icash_storage::time::Ns;
-use icash_workloads::arrivals::{Arrival, ArrivalConfig, ArrivalProcess, EventQueue};
+use icash_workloads::arrivals::{ArrivalConfig, ArrivalProcess};
 use proptest::prelude::*;
-
-/// Arbitrary (possibly colliding) schedules with unique ids.
-fn schedule() -> impl Strategy<Value = Vec<Arrival>> {
-    prop::collection::vec(0u64..1_000, 0..200).prop_map(|ats| {
-        ats.into_iter()
-            .enumerate()
-            .map(|(id, at)| Arrival {
-                at: Ns::from_ns(at),
-                id: id as u64,
-            })
-            .collect()
-    })
-}
 
 /// Arbitrary arrival configs across the whole shape space: any base gap,
 /// optional diurnal swing, optional burst, jitter on or off.
@@ -46,26 +33,6 @@ fn config() -> impl Strategy<Value = ArrivalConfig> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn queue_dispatch_is_sorted_by_time_then_id(mut arrivals in schedule(),
-                                                shuffle_seed in any::<u64>()) {
-        // Push in an arbitrary order; dispatch must come out (time, id)
-        // sorted regardless.
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        let mut s = shuffle_seed;
-        for i in (1..order.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (s >> 33) as usize % (i + 1));
-        }
-        let mut q = EventQueue::new();
-        for &i in &order {
-            q.push(arrivals[i]);
-        }
-        let dispatched: Vec<Arrival> = std::iter::from_fn(|| q.pop()).collect();
-        arrivals.sort_by_key(|a| (a.at, a.id));
-        prop_assert_eq!(dispatched, arrivals);
-    }
 
     #[test]
     fn gaps_are_never_negative(cfg in config(), seed in any::<u64>()) {
