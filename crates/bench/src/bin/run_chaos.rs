@@ -258,9 +258,11 @@ fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
 /// traffic runs: the rebuild's home-copy reads start failing and service
 /// must degrade further, never corrupt.
 fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
-    let mut policy = HealthPolicy::default();
     // A slow rebuild stretches the window the second death lands in.
-    policy.rebuild_rate = 1;
+    let policy = HealthPolicy {
+        rebuild_rate: 1,
+        ..HealthPolicy::default()
+    };
     // Each shard sees ~1/width of the traffic, so its device-op clock runs
     // that much slower: scale the second death so it lands in the rebuild
     // window at every width.
@@ -292,8 +294,10 @@ fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
 /// as an acknowledged version or a typed error, and post-recovery service
 /// is exact.
 fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
-    let mut policy = HealthPolicy::default();
-    policy.rebuild_rate = 1; // crash lands with work still pending
+    let policy = HealthPolicy {
+        rebuild_rate: 1, // crash lands with work still pending
+        ..HealthPolicy::default()
+    };
     let sys = build_router(icash_config(policy, 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
@@ -322,11 +326,13 @@ fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
 /// A tiny staging cap under a pure write burst: admission control must
 /// refuse with typed `Busy` errors (and never lose an acknowledged write).
 fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
-    let mut policy = HealthPolicy::default();
-    policy.staging_cap = 2 * shards as u64; // each shard polices cap/shards
-                                            // A staging cap only bites when deltas actually sit in staging, which
-                                            // needs the staged pipeline (depth > 1); at depth 1 every flush trigger
-                                            // commits synchronously and the buffer is always empty.
+    let policy = HealthPolicy {
+        staging_cap: 2 * shards as u64, // each shard polices cap/shards
+        ..HealthPolicy::default()
+    };
+    // A staging cap only bites when deltas actually sit in staging, which
+    // needs the staged pipeline (depth > 1); at depth 1 every flush trigger
+    // commits synchronously and the buffer is always empty.
     let sys = build_router(icash_config(policy, 8), shards, |s| {
         FaultPlan::seeded(seed + s)
     });

@@ -575,7 +575,7 @@ impl TraceEvent {
     /// on any malformed input (the round-trip tests require
     /// `from_json(to_json(e)) == Some(e)` for every event shape).
     pub fn from_json(line: &str) -> Option<TraceEvent> {
-        let at = Ns::from_ns(field_u64(line, "at")?);
+        let at = Ns::from_ns(field_num(line, "at")?);
         let kind = match field_str(line, "kind")? {
             "req_start" => TraceKind::RequestStart {
                 op: match field_str(line, "op")? {
@@ -583,33 +583,33 @@ impl TraceEvent {
                     "write" => Op::Write,
                     _ => return None,
                 },
-                lba: field_u64(line, "lba")?,
-                blocks: field_u64(line, "blocks")? as u32,
+                lba: field_num(line, "lba")?,
+                blocks: field_num(line, "blocks")?,
             },
             "req_end" => TraceKind::RequestEnd,
             "ssd_read" => TraceKind::SsdRead {
-                lpn: field_u64(line, "lpn")?,
-                queued: Ns::from_ns(field_u64(line, "queued")?),
-                service: Ns::from_ns(field_u64(line, "service")?),
+                lpn: field_num(line, "lpn")?,
+                queued: Ns::from_ns(field_num(line, "queued")?),
+                service: Ns::from_ns(field_num(line, "service")?),
                 ok: field_bool(line, "ok")?,
             },
             "ssd_program" => TraceKind::SsdProgram {
-                lpn: field_u64(line, "lpn")?,
-                queued: Ns::from_ns(field_u64(line, "queued")?),
-                service: Ns::from_ns(field_u64(line, "service")?),
-                gc_reads: field_u64(line, "gc_reads")? as u32,
-                gc_programs: field_u64(line, "gc_programs")? as u32,
-                erases: field_u64(line, "erases")? as u32,
+                lpn: field_num(line, "lpn")?,
+                queued: Ns::from_ns(field_num(line, "queued")?),
+                service: Ns::from_ns(field_num(line, "service")?),
+                gc_reads: field_num(line, "gc_reads")?,
+                gc_programs: field_num(line, "gc_programs")?,
+                erases: field_num(line, "erases")?,
             },
             "ssd_trim" => TraceKind::SsdTrim {
-                lpn: field_u64(line, "lpn")?,
+                lpn: field_num(line, "lpn")?,
             },
             "hdd_read" | "hdd_write" => {
-                let disk = field_u64(line, "disk")? as u8;
-                let lba = field_u64(line, "lba")?;
-                let blocks = field_u64(line, "blocks")? as u32;
-                let queued = Ns::from_ns(field_u64(line, "queued")?);
-                let service = Ns::from_ns(field_u64(line, "service")?);
+                let disk = field_num(line, "disk")?;
+                let lba = field_num(line, "lba")?;
+                let blocks = field_num(line, "blocks")?;
+                let queued = Ns::from_ns(field_num(line, "queued")?);
+                let service = Ns::from_ns(field_num(line, "service")?);
                 let ok = field_bool(line, "ok")?;
                 if field_str(line, "kind")? == "hdd_read" {
                     TraceKind::HddRead {
@@ -633,104 +633,104 @@ impl TraceEvent {
             }
             "fault" => TraceKind::FaultInjected {
                 kind: FaultKind::from_name(field_str(line, "fault")?)?,
-                addr: field_u64(line, "addr")?,
+                addr: field_num(line, "addr")?,
             },
             "ram_hit" => TraceKind::RamHit {
-                lba: field_u64(line, "lba")?,
+                lba: field_num(line, "lba")?,
             },
             "sig_probe" => TraceKind::SigProbe {
-                lba: field_u64(line, "lba")?,
-                candidates: field_u64(line, "candidates")? as u32,
+                lba: field_num(line, "lba")?,
+                candidates: field_num(line, "candidates")?,
                 bound: field_bool(line, "bound")?,
             },
             "delta_encode" => TraceKind::DeltaEncode {
-                lba: field_u64(line, "lba")?,
-                reference: field_u64(line, "reference")?,
-                bytes: field_u64(line, "bytes")? as u32,
+                lba: field_num(line, "lba")?,
+                reference: field_num(line, "reference")?,
+                bytes: field_num(line, "bytes")?,
             },
             "delta_decode" => TraceKind::DeltaDecode {
-                lba: field_u64(line, "lba")?,
+                lba: field_num(line, "lba")?,
             },
             "log_flush" => TraceKind::LogFlush {
-                entries: field_u64(line, "entries")? as u32,
-                blocks: field_u64(line, "blocks")? as u32,
+                entries: field_num(line, "entries")?,
+                blocks: field_num(line, "blocks")?,
             },
             "log_clean" => TraceKind::LogClean,
             "scrub" => TraceKind::Scrub {
-                scanned: field_u64(line, "scanned")? as u32,
-                repaired: field_u64(line, "repaired")? as u32,
-                failed: field_u64(line, "failed")? as u32,
+                scanned: field_num(line, "scanned")?,
+                repaired: field_num(line, "repaired")?,
+                failed: field_num(line, "failed")?,
             },
             "slot_repair" => TraceKind::SlotRepair {
-                slot: field_u64(line, "slot")?,
+                slot: field_num(line, "slot")?,
                 ok: field_bool(line, "ok")?,
             },
             "fault_retry" => TraceKind::FaultRetry {
-                lba: field_u64(line, "lba")?,
+                lba: field_num(line, "lba")?,
                 write: field_bool(line, "write")?,
             },
             "stage_enter" => TraceKind::StageEnter {
-                lba: field_u64(line, "lba")?,
-                ticket: field_u64(line, "ticket")?,
-                bytes: field_u64(line, "bytes")? as u32,
+                lba: field_num(line, "lba")?,
+                ticket: field_num(line, "ticket")?,
+                bytes: field_num(line, "bytes")?,
             },
             "group_commit" => TraceKind::GroupCommit {
-                entries: field_u64(line, "entries")? as u32,
-                bytes: field_u64(line, "bytes")? as u32,
+                entries: field_num(line, "entries")?,
+                bytes: field_num(line, "bytes")?,
             },
             "barrier" => TraceKind::Barrier {
-                ticket: field_u64(line, "ticket")?,
+                ticket: field_num(line, "ticket")?,
                 waited: field_bool(line, "waited")?,
             },
             "recovery_truncate" => TraceKind::RecoveryTruncate {
-                frames: field_u64(line, "frames")?,
+                frames: field_num(line, "frames")?,
             },
             "recovery_replay" => TraceKind::RecoveryReplay {
-                entries: field_u64(line, "entries")?,
-                stale: field_u64(line, "stale")?,
+                entries: field_num(line, "entries")?,
+                stale: field_num(line, "stale")?,
             },
             "health_transition" => TraceKind::HealthTransition {
-                device: field_u64(line, "device")? as u8,
+                device: field_num(line, "device")?,
                 from: crate::fault::HealthState::from_name(field_str(line, "from")?)?,
                 to: crate::fault::HealthState::from_name(field_str(line, "to")?)?,
             },
             "rebuild_chunk" => TraceKind::RebuildChunk {
-                slots: field_u64(line, "slots")? as u32,
-                done: field_u64(line, "done")?,
-                total: field_u64(line, "total")?,
+                slots: field_num(line, "slots")?,
+                done: field_num(line, "done")?,
+                total: field_num(line, "total")?,
             },
             "backpressure" => TraceKind::Backpressure {
-                lba: field_u64(line, "lba")?,
-                queued: field_u64(line, "queued")?,
-                cap: field_u64(line, "cap")?,
+                lba: field_num(line, "lba")?,
+                queued: field_num(line, "queued")?,
+                cap: field_num(line, "cap")?,
             },
             "retry_backoff" => TraceKind::RetryBackoff {
-                lba: field_u64(line, "lba")?,
-                attempt: field_u64(line, "attempt")? as u32,
-                delay: field_u64(line, "delay")?,
+                lba: field_num(line, "lba")?,
+                attempt: field_num(line, "attempt")?,
+                delay: field_num(line, "delay")?,
                 write: field_bool(line, "write")?,
             },
             "queue_admit" => TraceKind::QueueAdmit {
-                dev: field_u64(line, "dev")? as u8,
-                lba: field_u64(line, "lba")?,
-                blocks: field_u64(line, "blocks")? as u32,
-                depth: field_u64(line, "depth")? as u32,
+                dev: field_num(line, "dev")?,
+                lba: field_num(line, "lba")?,
+                blocks: field_num(line, "blocks")?,
+                depth: field_num(line, "depth")?,
             },
             "queue_reorder" => TraceKind::QueueReorder {
-                dev: field_u64(line, "dev")? as u8,
-                lba: field_u64(line, "lba")?,
-                jumped: field_u64(line, "jumped")? as u32,
+                dev: field_num(line, "dev")?,
+                lba: field_num(line, "lba")?,
+                jumped: field_num(line, "jumped")?,
             },
             "coalesce" => TraceKind::Coalesce {
-                dev: field_u64(line, "dev")? as u8,
-                lba: field_u64(line, "lba")?,
-                spans: field_u64(line, "spans")? as u32,
-                blocks: field_u64(line, "blocks")? as u32,
+                dev: field_num(line, "dev")?,
+                lba: field_num(line, "lba")?,
+                spans: field_num(line, "spans")?,
+                blocks: field_num(line, "blocks")?,
             },
             "open_loop_arrival" => TraceKind::OpenLoopArrival {
-                seq: field_u64(line, "seq")?,
-                lba: field_u64(line, "lba")?,
-                queued: field_u64(line, "queued")?,
+                seq: field_num(line, "seq")?,
+                lba: field_num(line, "lba")?,
+                queued: field_num(line, "queued")?,
             },
             _ => return None,
         };
@@ -740,7 +740,7 @@ impl TraceEvent {
     /// The shard tag on a serialized event line. Untagged lines (and every
     /// line written before sharding existed) are shard 0.
     pub fn shard_of_json(line: &str) -> u32 {
-        field_u64(line, "shard").unwrap_or(0) as u32
+        field_num(line, "shard").unwrap_or(0)
     }
 }
 
@@ -763,7 +763,9 @@ fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
+/// A number parsed at the width of the field it lands in: one too wide for
+/// that field is malformed, not truncated.
+fn field_num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     field_raw(line, key)?.parse().ok()
 }
 
@@ -1299,6 +1301,9 @@ mod tests {
             "{\"at\":x,\"kind\":\"req_end\"}",
             "{\"at\":5,\"kind\":\"ssd_read\",\"lpn\":1}",
             "{\"at\":5,\"kind\":\"fault\",\"fault\":\"bogus\",\"addr\":1}",
+            // Wider than the field (a u32, a u8): refused, not narrowed.
+            "{\"at\":1,\"kind\":\"req_start\",\"op\":\"read\",\"lba\":0,\"blocks\":4294967297}",
+            "{\"at\":5,\"kind\":\"queue_reorder\",\"dev\":256,\"lba\":1,\"jumped\":1}",
         ] {
             assert_eq!(TraceEvent::from_json(bad), None, "{bad:?}");
         }

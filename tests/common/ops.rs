@@ -158,6 +158,33 @@ impl SysOp {
     }
 }
 
+impl SysOp {
+    /// Runs the op against `system` at `*now`, advancing the clock, without
+    /// looking at what a read returns — the history a crash property builds
+    /// up before it pulls the plug. Writes go through [`SysOp::issue_write`].
+    pub fn apply(
+        &self,
+        system: &mut dyn StorageSystem,
+        now: &mut Ns,
+        ctx: &mut IoCtx<'_>,
+        model: &mut VersionModel,
+    ) {
+        match self {
+            SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
+                self.issue_write(system, now, ctx, model);
+            }
+            SysOp::Read { lba } => {
+                *now = system
+                    .submit(&Request::read(Lba::new(*lba), *now), ctx)
+                    .finished;
+            }
+            SysOp::Flush => *now = system.flush(*now, ctx),
+            SysOp::Barrier => *now = system.sync(*now, ctx),
+            SysOp::ColdSweep { lap } => cold_sweep(*lap, system, now, ctx),
+        }
+    }
+}
+
 /// Runs lap `lap` of a cold sweep as one stream of span reads at `*now`,
 /// advancing the clock. Every block that did not fail with a typed error
 /// must read as zeroes: nothing was ever written there.

@@ -142,18 +142,7 @@ proptest! {
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
-            match op {
-                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => now = system.flush(now, &mut ctx),
-                SysOp::Barrier => now = system.sync(now, &mut ctx),
-                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
-            }
+            op.apply(&mut system, &mut now, &mut ctx, &mut model);
             system.debug_validate();
         }
         let mut recovered = system.crash_and_recover();
@@ -163,8 +152,8 @@ proptest! {
         // Phase 0 tears the *most recent* log append even when a barrier
         // covering it had already returned, so a block may legally come
         // back older than its last `sync` here (DESIGN.md §10). The floor
-        // is enforced where nothing is torn: `awaited_writes_survive_any_
-        // crash` below and `prop_system::icash_crash_anywhere_never_corrupts`.
+        // is enforced where nothing is torn: the last property below, and
+        // `prop_system::icash_crash_anywhere_never_corrupts`.
         for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -206,25 +195,12 @@ proptest! {
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
-            match op {
-                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => now = system.flush(now, &mut ctx),
-                SysOp::Barrier => {
-                    let ticket = system.write_ticket();
-                    now = system.sync(now, &mut ctx);
-                    prop_assert!(
-                        system.flushed_ticket() >= ticket,
-                        "cross-shard sync returned with tickets in flight"
-                    );
-                }
-                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
-            }
+            let ticket = system.write_ticket();
+            op.apply(&mut system, &mut now, &mut ctx, &mut model);
+            prop_assert!(
+                !matches!(op, SysOp::Barrier) || system.flushed_ticket() >= ticket,
+                "cross-shard sync returned with tickets in flight"
+            );
         }
         // Power dies on every shard at once; each recovers alone, then the
         // router is rebuilt over the survivors.
@@ -279,23 +255,14 @@ proptest! {
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
-            match op {
-                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => now = system.flush(now, &mut ctx),
-                SysOp::Barrier => {
-                    let ticket = system.write_ticket();
-                    now = system.await_flush(ticket, now, &mut ctx);
-                    prop_assert!(system.flushed_ticket() >= ticket);
-                    model.barrier();
-                    covered.extend(model.written());
-                }
-                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
+            if let SysOp::Barrier = op {
+                let ticket = system.write_ticket();
+                now = system.await_flush(ticket, now, &mut ctx);
+                prop_assert!(system.flushed_ticket() >= ticket);
+                model.barrier();
+                covered.extend(model.written());
+            } else {
+                op.apply(&mut system, &mut now, &mut ctx, &mut model);
             }
             system.debug_validate();
         }

@@ -124,23 +124,9 @@ proptest! {
         let mut now = Ns::ZERO;
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
-            match op {
-                SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
-                    op.issue_write(&mut system, &mut now, &mut ctx, &mut model);
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => {
-                    now = system.flush(now, &mut ctx);
-                    model.barrier();
-                }
-                SysOp::Barrier => {
-                    now = system.sync(now, &mut ctx);
-                    model.barrier();
-                }
-                SysOp::ColdSweep { lap } => cold_sweep(*lap, &mut system, &mut now, &mut ctx),
+            op.apply(&mut system, &mut now, &mut ctx, &mut model);
+            if matches!(op, SysOp::Flush | SysOp::Barrier) {
+                model.barrier();
             }
             system.debug_validate();
         }
