@@ -26,7 +26,8 @@
 //! chunks, no busy rejections — a chaos campaign that never saw chaos
 //! proves nothing), or on any panic.
 
-use icash_bench::campaign::{self, build_system, media_faults, Cell, Stamp, Tally, SYSTEMS};
+use icash_bench::campaign::{self, build_system, media_faults, Cell, Stamp, Tally};
+use icash_bench::SystemKind;
 use icash_core::{Icash, IcashConfig};
 use icash_storage::block::Lba;
 use icash_storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
@@ -362,15 +363,16 @@ fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport
 
 /// A high-rate media-fault storm across all five architectures; I-CASH
 /// runs with health armed so the backoff machinery absorbs the noise.
-fn cell_fault_storm(kind: usize, name: &str, seed: u64) -> (Tally, Option<HealthReport>) {
+fn cell_fault_storm(kind: SystemKind, seed: u64) -> (String, Tally, Option<HealthReport>) {
     let icash = icash_config(HealthPolicy::default(), 1);
     let sys = build_system(kind, &media_faults(seed, 1e-2), icash);
-    let mut cell = Cell::new(name, sys, STAMP, SPACE);
+    let name = format!("storm/{}/{seed:#x}", sys.name());
+    let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);
     drive(&mut cell, seed, 0..300);
     cell.io(|sys, ctx, now| *now = sys.flush(*now, ctx));
     final_sweep(&mut cell);
     let health = cell.sys().report(Ns::from_ms(1)).health;
-    (cell.finish(), health)
+    (name, cell.finish(), health)
 }
 
 /// The I-CASH scenarios, each run per shard width and seed.
@@ -399,10 +401,9 @@ fn main() {
         }
     };
 
-    for (kind, sys_name) in SYSTEMS.iter().enumerate() {
+    for kind in SystemKind::ALL {
         for &seed in &SEEDS {
-            let name = format!("storm/{sys_name}/{seed:#x}");
-            let (r, h) = cell_fault_storm(kind, &name, seed);
+            let (name, r, h) = cell_fault_storm(kind, seed);
             fold(name, r, h);
         }
     }

@@ -14,9 +14,9 @@
 //! the whole point of the robustness work is that injected faults degrade
 //! service, not crash the stack.
 
-//! With `--trace <path>`, every cell additionally
-//! records its structured event stream; the cells are concatenated into
-//! one multi-cell JSONL artifact readable by `trace_profile`.
+//! With `--trace <path>`, every cell additionally records its structured
+//! event stream; the cells are concatenated into one multi-cell JSONL
+//! artifact readable by `trace_profile`.
 //!
 //! With `ICASH_GROUP_COMMIT=<depth>` the I-CASH cells run the staged
 //! write pipeline at that depth, and every I-CASH cell additionally
@@ -25,10 +25,10 @@
 //! synchronous campaign.
 
 use icash_bench::campaign::{
-    build_system, icash_config, media_faults, scrubbing_icash, Cell, Stamp, Tally, SYSTEMS,
+    build_system, icash_config, media_faults, scrubbing_icash, Cell, Stamp, Tally,
 };
 use icash_bench::harness::attach_jsonl;
-use icash_bench::RunConfig;
+use icash_bench::{RunConfig, SystemKind};
 use icash_core::Icash;
 use icash_storage::fault::{fault_roll, FaultStats};
 use icash_storage::model::Allow;
@@ -73,13 +73,13 @@ fn plain_cell<S: StorageSystem>(cell: &mut Cell<S>, seed: u64, depth: u64) {
     // are erroring. Gated on depth so the default campaign (depth 1) stays
     // byte-identical to the pre-pipeline golden output.
     if depth > 1 {
-        let name = cell.name().to_string();
         cell.io(|sys, ctx, now| {
             let accepted = sys.write_ticket();
             *now = sys.await_flush(accepted, *now, ctx);
             assert!(
                 sys.flushed_ticket() >= accepted,
-                "{name}: barrier returned with tickets still in flight"
+                "{}: barrier returned with tickets still in flight",
+                sys.name()
             );
         });
     }
@@ -128,7 +128,8 @@ fn crash_cell(sys: Icash, seed: u64, crash_frac: f64, depth: u64) -> Tally {
 /// `body` consumes the system, so its sink is complete when it returns.
 fn run_cell<S: StorageSystem>(
     trace: &mut Option<String>,
-    (workload, system): (String, &str),
+    workload: String,
+    system: &str,
     mut sys: S,
     body: impl FnOnce(S) -> Tally,
 ) -> Tally {
@@ -151,14 +152,15 @@ fn main() {
     let mut totals = Tally::default();
     let mut injected = FaultStats::default();
 
-    for (kind, name) in SYSTEMS.iter().enumerate() {
+    for kind in SystemKind::ALL {
         for &rate in &RATES {
             for &seed in &SEEDS {
                 let icash = icash_config(depth).build();
                 let sys = build_system(kind, &media_faults(seed, rate), icash);
-                let label = (format!("faults r{rate} s{seed:#x}"), *name);
-                totals.merge(run_cell(&mut trace, label, sys, |sys| {
-                    let mut cell = Cell::new(*name, sys, STAMP, SPACE);
+                let name = sys.name().to_string();
+                let workload = format!("faults r{rate} s{seed:#x}");
+                totals.merge(run_cell(&mut trace, workload, &name, sys, |sys| {
+                    let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);
                     plain_cell(&mut cell, seed, depth);
                     injected.merge(&cell.sys().report(Ns::from_ms(1)).faults);
                     cell.finish()
@@ -172,8 +174,8 @@ fn main() {
             for &seed in &SEEDS {
                 let plan = media_faults(seed, rate).torn_writes();
                 let sys = scrubbing_icash(icash_config(depth).build(), plan);
-                let label = (format!("crash r{rate} f{frac} s{seed:#x}"), "I-CASH");
-                totals.merge(run_cell(&mut trace, label, sys, |sys| {
+                let workload = format!("crash r{rate} f{frac} s{seed:#x}");
+                totals.merge(run_cell(&mut trace, workload, "I-CASH", sys, |sys| {
                     crash_cell(sys, seed, frac, depth)
                 }));
                 cells += 1;

@@ -7,6 +7,7 @@
 //! campaign prints all of them before it exits. Also here, once: the five
 //! architectures at the sizing both campaigns run them at.
 
+use crate::harness::SystemKind;
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash_core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash_storage::block::{BlockBuf, Lba};
@@ -16,10 +17,6 @@ use icash_storage::model::{Allow, VersionModel};
 use icash_storage::request::{Completion, Request};
 use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
-
-/// The five architectures in the paper's figure order, as campaigns print
-/// them; [`build_system`] takes an index into it.
-pub const SYSTEMS: [&str; 5] = ["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"];
 
 /// Data-set / cache sizing shared by every campaign cell.
 const DATA_BYTES: u64 = 8 << 20;
@@ -50,14 +47,18 @@ pub fn scrubbing_icash(cfg: IcashConfig, plan: FaultPlan) -> Icash {
     Icash::new(cfg).with_fault_plan(plan.scrub_every(97))
 }
 
-/// `SYSTEMS[kind]` under `plan`; the I-CASH one is built from `icash`.
-pub fn build_system(kind: usize, plan: &FaultPlan, icash: IcashConfig) -> Box<dyn StorageSystem> {
+/// The `kind` architecture under `plan`; the I-CASH one is built from `icash`.
+pub fn build_system(
+    kind: SystemKind,
+    plan: &FaultPlan,
+    icash: IcashConfig,
+) -> Box<dyn StorageSystem> {
     match kind {
-        0 => Box::new(PureSsd::new(DATA_BYTES).with_fault_plan(plan)),
-        1 => Box::new(Raid0::new(DATA_BYTES, 4).with_fault_plan(plan)),
-        2 => Box::new(DedupCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
-        3 => Box::new(LruCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
-        _ => Box::new(scrubbing_icash(icash, plan.clone())),
+        SystemKind::FusionIo => Box::new(PureSsd::new(DATA_BYTES).with_fault_plan(plan)),
+        SystemKind::Raid0 => Box::new(Raid0::new(DATA_BYTES, 4).with_fault_plan(plan)),
+        SystemKind::Dedup => Box::new(DedupCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
+        SystemKind::Lru => Box::new(LruCache::new(SSD_BYTES, DATA_BYTES).with_fault_plan(plan)),
+        SystemKind::Icash => Box::new(scrubbing_icash(icash, plan.clone())),
     }
 }
 
@@ -136,11 +137,6 @@ impl<S: StorageSystem> Cell<S> {
             space,
             tally: Tally::default(),
         }
-    }
-
-    /// The cell's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The system under test.

@@ -150,7 +150,7 @@ const TABLES: [(&str, &str, usize); 2] = [
 
 /// The one exhibit that measures nothing: Table 4, the generators'
 /// self-reported specifications ([`workloads_table`]).
-pub const WORKLOADS_TABLE: &str = "tab04_workloads";
+const WORKLOADS_TABLE: &str = "tab04_workloads";
 
 /// Every exhibit, in report order. The comment above a name's first row is
 /// the paper's result whose *shape* (not absolute values) it reproduces.
@@ -459,7 +459,7 @@ pub fn measure(
 }
 
 /// What `exhibit` accepts: every name in [`EXHIBITS`], in table order, and
-/// [`WORKLOADS_TABLE`].
+/// `tab04_workloads`.
 pub fn exhibit_names() -> Vec<&'static str> {
     let mut names: Vec<&str> = EXHIBITS.iter().map(|ex| ex.name).collect();
     names.dedup();

@@ -156,9 +156,7 @@ impl SysOp {
         }
         completion
     }
-}
 
-impl SysOp {
     /// Runs the op against `system` at `*now`, advancing the clock, without
     /// looking at what a read returns — the history a crash property builds
     /// up before it pulls the plug. Writes go through [`SysOp::issue_write`].
