@@ -1280,6 +1280,201 @@ mod tests {
         ]
     }
 
+    /// One event per kind and draw `v`: `at` and every field take `v` at
+    /// the field's own width (enums and flags by `v % variants`), so the
+    /// draws 0..=5 and `u64::MAX` reach both `Op`s, every `FaultKind` and
+    /// `HealthState`, and every integer's widest value.
+    fn golden_samples() -> Vec<TraceEvent> {
+        use crate::fault::HealthState;
+        const FAULTS: [FaultKind; 6] = [
+            FaultKind::HddRead,
+            FaultKind::HddWrite,
+            FaultKind::SsdRead,
+            FaultKind::Wearout,
+            FaultKind::Remap,
+            FaultKind::DeviceDead,
+        ];
+        const STATES: [HealthState; 4] = [
+            HealthState::Healthy,
+            HealthState::Degraded,
+            HealthState::Failed,
+            HealthState::Rebuilding,
+        ];
+        let w = |v: u64| v as u32;
+        let b = |v: u64| v as u8;
+        let flag = |v: u64| v % 2 == 1;
+        let ns = Ns::from_ns;
+        let kinds: Vec<Box<dyn Fn(u64) -> TraceKind>> = vec![
+            Box::new(move |v| TraceKind::RequestStart {
+                op: [Op::Read, Op::Write][(v % 2) as usize],
+                lba: v,
+                blocks: w(v),
+            }),
+            Box::new(|_| TraceKind::RequestEnd),
+            Box::new(move |v| TraceKind::SsdRead {
+                lpn: v,
+                queued: ns(v),
+                service: ns(v),
+                ok: flag(v),
+            }),
+            Box::new(move |v| TraceKind::SsdProgram {
+                lpn: v,
+                queued: ns(v),
+                service: ns(v),
+                gc_reads: w(v),
+                gc_programs: w(v),
+                erases: w(v),
+            }),
+            Box::new(|v| TraceKind::SsdTrim { lpn: v }),
+            Box::new(move |v| TraceKind::HddRead {
+                disk: b(v),
+                lba: v,
+                blocks: w(v),
+                queued: ns(v),
+                service: ns(v),
+                ok: flag(v),
+            }),
+            Box::new(move |v| TraceKind::HddWrite {
+                disk: b(v),
+                lba: v,
+                blocks: w(v),
+                queued: ns(v),
+                service: ns(v),
+                ok: flag(v),
+            }),
+            Box::new(|v| TraceKind::FaultInjected {
+                kind: FAULTS[(v % 6) as usize],
+                addr: v,
+            }),
+            Box::new(|v| TraceKind::RamHit { lba: v }),
+            Box::new(move |v| TraceKind::SigProbe {
+                lba: v,
+                candidates: w(v),
+                bound: flag(v),
+            }),
+            Box::new(move |v| TraceKind::DeltaEncode {
+                lba: v,
+                reference: v,
+                bytes: w(v),
+            }),
+            Box::new(|v| TraceKind::DeltaDecode { lba: v }),
+            Box::new(move |v| TraceKind::LogFlush {
+                entries: w(v),
+                blocks: w(v),
+            }),
+            Box::new(|_| TraceKind::LogClean),
+            Box::new(move |v| TraceKind::Scrub {
+                scanned: w(v),
+                repaired: w(v),
+                failed: w(v),
+            }),
+            Box::new(move |v| TraceKind::SlotRepair {
+                slot: v,
+                ok: flag(v),
+            }),
+            Box::new(move |v| TraceKind::FaultRetry {
+                lba: v,
+                write: flag(v),
+            }),
+            Box::new(move |v| TraceKind::StageEnter {
+                lba: v,
+                ticket: v,
+                bytes: w(v),
+            }),
+            Box::new(move |v| TraceKind::GroupCommit {
+                entries: w(v),
+                bytes: w(v),
+            }),
+            Box::new(move |v| TraceKind::Barrier {
+                ticket: v,
+                waited: flag(v),
+            }),
+            Box::new(|v| TraceKind::RecoveryTruncate { frames: v }),
+            Box::new(|v| TraceKind::RecoveryReplay {
+                entries: v,
+                stale: v,
+            }),
+            Box::new(move |v| TraceKind::HealthTransition {
+                device: b(v),
+                from: STATES[(v % 4) as usize],
+                to: STATES[(v % 4) as usize],
+            }),
+            Box::new(move |v| TraceKind::RebuildChunk {
+                slots: w(v),
+                done: v,
+                total: v,
+            }),
+            Box::new(|v| TraceKind::Backpressure {
+                lba: v,
+                queued: v,
+                cap: v,
+            }),
+            Box::new(move |v| TraceKind::RetryBackoff {
+                lba: v,
+                attempt: w(v),
+                delay: v,
+                write: flag(v),
+            }),
+            Box::new(move |v| TraceKind::QueueAdmit {
+                dev: b(v),
+                lba: v,
+                blocks: w(v),
+                depth: w(v),
+            }),
+            Box::new(move |v| TraceKind::QueueReorder {
+                dev: b(v),
+                lba: v,
+                jumped: w(v),
+            }),
+            Box::new(move |v| TraceKind::Coalesce {
+                dev: b(v),
+                lba: v,
+                spans: w(v),
+                blocks: w(v),
+            }),
+            Box::new(|v| TraceKind::OpenLoopArrival {
+                seq: v,
+                lba: v,
+                queued: v,
+            }),
+        ];
+        let mut events = Vec::new();
+        for make in &kinds {
+            for v in [0, 1, 2, 3, 4, 5, u64::MAX] {
+                events.push(TraceEvent {
+                    at: ns(v),
+                    kind: make(v),
+                });
+            }
+        }
+        events
+    }
+
+    /// The wire format of every kind, pinned line by line. Regenerate
+    /// intentionally with `ICASH_BLESS=1 cargo test -p icash-storage trace`.
+    #[test]
+    fn every_kind_renders_its_pinned_lines() {
+        let text: String = golden_samples()
+            .iter()
+            .map(|e| e.to_json() + "\n")
+            .collect();
+        if std::env::var("ICASH_BLESS").as_deref() == Ok("1") {
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/trace_kinds.jsonl"
+            );
+            std::fs::write(path, &text).expect("bless golden fixture");
+            eprintln!("blessed {path}");
+            return;
+        }
+        assert_eq!(
+            text,
+            include_str!("../tests/golden/trace_kinds.jsonl"),
+            "a kind's JSON drifted from tests/golden/trace_kinds.jsonl; if \
+             the change is intentional, regenerate with ICASH_BLESS=1"
+        );
+    }
+
     #[test]
     fn every_event_round_trips_through_json() {
         for event in every_event_shape() {
