@@ -101,6 +101,20 @@ fn golden_replay_profiles_the_pinned_run() {
         profile.open_loop_arrivals, 0,
         "replay is closed-loop: its pacing lives in think time, not arrivals"
     );
+    let rendered = profile.render();
+    if std::env::var("ICASH_BLESS").as_deref() == Ok("1") {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/msr_replay_64.profile.txt"
+        );
+        std::fs::write(path, &rendered).expect("bless golden profile");
+        return;
+    }
+    assert_eq!(
+        rendered,
+        include_str!("golden/msr_replay_64.profile.txt"),
+        "the pinned replay's profile table drifted"
+    );
 }
 
 #[test]
