@@ -20,7 +20,7 @@
 //! let events = parse_jsonl(sink.text()).expect("round-trip");
 //! assert_eq!(events.len(), 1);
 //! let profile = TraceProfile::from_events(&events);
-//! assert_eq!(profile.ram_hits, 1);
+//! assert_eq!(profile.stats.ram_hits, 1);
 //! ```
 
 use icash_storage::time::Ns;
@@ -70,25 +70,16 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, event: TraceEvent) {
-        self.text.push_str(&event.to_json());
-        self.text.push('\n');
-        self.events += 1;
+        self.record_sharded(0, event);
     }
 
-    /// Serializes the shard tag by splicing a `"shard"` field before the
-    /// closing brace. Shard 0 (also the unsharded engine) stays untagged,
-    /// so a one-shard router's document is byte-identical to the bare
-    /// system's — the invariant the `shards=1` differential tests pin.
+    /// Serializes the shard tag as a trailing `"shard"` field. Shard 0
+    /// (also the unsharded engine) stays untagged, so a one-shard router's
+    /// document is byte-identical to the bare system's — the invariant the
+    /// `shards=1` differential tests pin.
     fn record_sharded(&mut self, shard: u32, event: TraceEvent) {
-        if shard == 0 {
-            self.record(event);
-            return;
-        }
-        let mut line = event.to_json();
-        debug_assert!(line.ends_with('}'));
-        line.pop();
-        self.text.push_str(&line);
-        self.text.push_str(&format!(",\"shard\":{shard}}}\n"));
+        event.write_json(shard, &mut self.text);
+        self.text.push('\n');
         self.events += 1;
     }
 }
@@ -138,88 +129,29 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
 
 /// A per-phase virtual-time breakdown of one trace: how many events each
 /// phase of the stack produced and how much virtual device time they
-/// accounted for. Request time comes from `RequestStart`/`RequestEnd`
-/// spans; device time from each op's `queued + service` charge.
+/// accounted for. Every count — and the summed request spans — is
+/// [`TraceStats`]' (each event goes through [`TraceStats::record`], the one
+/// counting fold over a stream); the profile adds what only it knows:
+/// device time from each op's `queued + service` charge, the recovery
+/// events, and the per-device queue activity.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceProfile {
-    /// Host requests (`RequestStart` events).
-    pub requests: u64,
-    /// Summed request spans (end minus start).
-    pub request_time: Ns,
-    /// SSD page reads and their summed queued+service time.
-    pub ssd_reads: u64,
+    /// The stream's event counts and summed request spans.
+    pub stats: TraceStats,
     /// Virtual time in SSD reads.
     pub ssd_read_time: Ns,
-    /// SSD page programs and their summed queued+service time.
-    pub ssd_programs: u64,
     /// Virtual time in SSD programs.
     pub ssd_program_time: Ns,
-    /// Flash blocks erased (summed from program-triggered GC).
-    pub ssd_erases: u64,
-    /// HDD reads and their summed queued+service time.
-    pub hdd_reads: u64,
     /// Virtual time in HDD reads.
     pub hdd_read_time: Ns,
-    /// HDD writes and their summed queued+service time.
-    pub hdd_writes: u64,
     /// Virtual time in HDD writes.
     pub hdd_write_time: Ns,
-    /// Faults the injector fired.
-    pub faults: u64,
-    /// Reads served from controller RAM.
-    pub ram_hits: u64,
-    /// Signature probes (and how many bound).
-    pub sig_probes: u64,
-    /// Probes that bound the block to a reference.
-    pub sig_binds: u64,
-    /// Delta encodes and their total encoded bytes.
-    pub delta_encodes: u64,
-    /// Total encoded delta bytes.
-    pub delta_bytes: u64,
-    /// SSD fast-path reads (reference + delta).
-    pub delta_decodes: u64,
-    /// Encoded deltas entering the staging buffer.
-    pub stage_enters: u64,
-    /// Group commits and the staged entries they drained.
-    pub group_commits: u64,
-    /// Staged entries drained by group commits.
-    pub group_commit_entries: u64,
-    /// Durability barriers (whether or not they had to flush).
-    pub barriers: u64,
-    /// Log flushes and the blocks they appended.
-    pub log_flushes: u64,
-    /// Log blocks appended by flushes.
-    pub log_blocks: u64,
-    /// Log compactions.
-    pub log_cleans: u64,
-    /// Scrub passes.
-    pub scrubs: u64,
-    /// Slot repairs.
-    pub slot_repairs: u64,
-    /// Controller-level retries of faulted device ops.
-    pub fault_retries: u64,
     /// Recovery events (truncate + replay).
     pub recovery_events: u64,
-    /// Device health-state transitions.
-    pub health_transitions: u64,
-    /// Online-rebuild chunks processed.
-    pub rebuild_chunks: u64,
-    /// SSD slots repopulated by those chunks.
-    pub rebuild_slots: u64,
-    /// Writes refused admission by staging backpressure.
-    pub backpressure_rejects: u64,
-    /// Exponential-backoff retries of faulted device ops.
-    pub retry_backoffs: u64,
     /// Command-queue activity on the SSD (`dev` 0 in queue events).
     pub ssd_queue: QueueProfile,
     /// Command-queue activity on the HDD (`dev` ≥ 1 in queue events).
     pub hdd_queue: QueueProfile,
-    /// Open-loop arrivals released by the scenario engine's event queue.
-    pub open_loop_arrivals: u64,
-    /// Summed virtual time those arrivals waited for a free client before
-    /// service began — the open-loop queued share of request time.
-    pub open_loop_queued: Ns,
-    open_span: Option<Ns>,
 }
 
 /// Command-queue activity of one device class, accumulated from
@@ -314,89 +246,27 @@ impl TraceProfile {
 
     fn observe(&mut self, e: &TraceEvent) {
         match e.kind {
-            TraceKind::RequestStart { .. } => {
-                self.requests += 1;
-                self.open_span = Some(e.at);
-            }
-            TraceKind::RequestEnd => {
-                if let Some(start) = self.open_span.take() {
-                    self.request_time += e.at.saturating_sub(start);
-                }
-            }
             TraceKind::SsdRead {
                 queued, service, ..
-            } => {
-                self.ssd_reads += 1;
-                self.ssd_read_time += queued + service;
-            }
+            } => self.ssd_read_time += queued + service,
             TraceKind::SsdProgram {
-                queued,
-                service,
-                erases,
-                ..
-            } => {
-                self.ssd_programs += 1;
-                self.ssd_program_time += queued + service;
-                self.ssd_erases += erases as u64;
-            }
-            TraceKind::SsdTrim { .. } => {}
+                queued, service, ..
+            } => self.ssd_program_time += queued + service,
             TraceKind::HddRead {
                 queued, service, ..
-            } => {
-                self.hdd_reads += 1;
-                self.hdd_read_time += queued + service;
-            }
+            } => self.hdd_read_time += queued + service,
             TraceKind::HddWrite {
                 queued, service, ..
-            } => {
-                self.hdd_writes += 1;
-                self.hdd_write_time += queued + service;
-            }
-            TraceKind::FaultInjected { .. } => self.faults += 1,
-            TraceKind::RamHit { .. } => self.ram_hits += 1,
-            TraceKind::SigProbe { bound, .. } => {
-                self.sig_probes += 1;
-                if bound {
-                    self.sig_binds += 1;
-                }
-            }
-            TraceKind::DeltaEncode { bytes, .. } => {
-                self.delta_encodes += 1;
-                self.delta_bytes += bytes as u64;
-            }
-            TraceKind::DeltaDecode { .. } => self.delta_decodes += 1,
-            TraceKind::LogFlush { blocks, .. } => {
-                self.log_flushes += 1;
-                self.log_blocks += blocks as u64;
-            }
-            TraceKind::StageEnter { .. } => self.stage_enters += 1,
-            TraceKind::GroupCommit { entries, .. } => {
-                self.group_commits += 1;
-                self.group_commit_entries += entries as u64;
-            }
-            TraceKind::Barrier { .. } => self.barriers += 1,
-            TraceKind::LogClean => self.log_cleans += 1,
-            TraceKind::Scrub { .. } => self.scrubs += 1,
-            TraceKind::SlotRepair { .. } => self.slot_repairs += 1,
-            TraceKind::FaultRetry { .. } => self.fault_retries += 1,
+            } => self.hdd_write_time += queued + service,
             TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. } => {
                 self.recovery_events += 1;
             }
-            TraceKind::HealthTransition { .. } => self.health_transitions += 1,
-            TraceKind::RebuildChunk { slots, .. } => {
-                self.rebuild_chunks += 1;
-                self.rebuild_slots += slots as u64;
-            }
-            TraceKind::Backpressure { .. } => self.backpressure_rejects += 1,
-            TraceKind::RetryBackoff { .. } => self.retry_backoffs += 1,
             TraceKind::QueueAdmit { dev, depth, .. } => self.queue_mut(dev).admit(depth),
             TraceKind::QueueReorder { dev, .. } => self.queue_mut(dev).reorders += 1,
             TraceKind::Coalesce { dev, spans, .. } => self.queue_mut(dev).coalesce(spans),
-            TraceKind::OpenLoopArrival { queued, .. } => {
-                self.open_loop_arrivals += 1;
-                self.open_loop_queued += Ns::from_ns(queued);
-            }
+            _ => {}
         }
+        self.stats.record(e.clone());
     }
 
     /// The queue profile for a queue event's device tag (0 = SSD, ≥1 = HDD
@@ -412,7 +282,8 @@ impl TraceProfile {
     /// Renders the breakdown as an ASCII table: one row per phase with its
     /// event count, virtual time, and share of summed request time.
     pub fn render(&self) -> String {
-        let total = self.request_time;
+        let s = &self.stats;
+        let total = s.request_time;
         let pct = |t: Ns| {
             if total == Ns::ZERO {
                 0.0
@@ -426,7 +297,7 @@ impl TraceProfile {
         let ms = |t: Ns| t.as_secs_f64() * 1e3;
         out.push_str(&format!(
             "| Request spans | {} | {:.3} ms | 100.0 |\n",
-            self.requests,
+            s.requests,
             ms(total)
         ));
         let mut row = |phase: &str, events: u64, t: Ns| {
@@ -436,39 +307,41 @@ impl TraceProfile {
                 pct(t)
             ));
         };
-        row("SSD reads", self.ssd_reads, self.ssd_read_time);
-        row("SSD programs", self.ssd_programs, self.ssd_program_time);
-        row("HDD reads", self.hdd_reads, self.hdd_read_time);
-        row("HDD writes", self.hdd_writes, self.hdd_write_time);
-        if self.open_loop_arrivals > 0 {
+        row("SSD reads", s.ssd_reads, self.ssd_read_time);
+        row("SSD programs", s.ssd_programs, self.ssd_program_time);
+        row("HDD reads", s.hdd_reads, self.hdd_read_time);
+        row("HDD writes", s.hdd_writes, self.hdd_write_time);
+        if s.open_loop_arrivals > 0 {
             // Only open-loop runs have arrivals; closed-loop profiles keep
             // their historical row set byte-for-byte.
-            row(
-                "Open-loop queued",
-                self.open_loop_arrivals,
-                self.open_loop_queued,
-            );
+            row("Open-loop queued", s.open_loop_arrivals, s.open_loop_queued);
         }
+        let faults = s.faults_hdd_read
+            + s.faults_hdd_write
+            + s.faults_ssd_read
+            + s.faults_wearout
+            + s.faults_remapped
+            + s.faults_dead_device;
         let counts: [(&str, u64); 19] = [
-            ("SSD erases", self.ssd_erases),
-            ("RAM hits", self.ram_hits),
-            ("Signature probes", self.sig_probes),
-            ("  bound", self.sig_binds),
-            ("Delta encodes", self.delta_encodes),
-            ("Delta decodes", self.delta_decodes),
-            ("Staged deltas", self.stage_enters),
-            ("Group commits", self.group_commits),
-            ("Barriers", self.barriers),
-            ("Log flushes", self.log_flushes),
-            ("Log cleans", self.log_cleans),
-            ("Injected faults", self.faults),
-            ("Retries/repairs", self.fault_retries + self.slot_repairs),
-            ("Scrub passes", self.scrubs),
-            ("Health transitions", self.health_transitions),
-            ("Rebuild chunks", self.rebuild_chunks),
-            ("  slots rebuilt", self.rebuild_slots),
-            ("Backpressure rejects", self.backpressure_rejects),
-            ("Backoff retries", self.retry_backoffs),
+            ("SSD erases", s.ssd_erases),
+            ("RAM hits", s.ram_hits),
+            ("Signature probes", s.sig_probes),
+            ("  bound", s.sig_binds),
+            ("Delta encodes", s.delta_encodes),
+            ("Delta decodes", s.delta_decodes),
+            ("Staged deltas", s.stage_enters),
+            ("Group commits", s.group_commits),
+            ("Barriers", s.barrier_waits + s.barrier_noops),
+            ("Log flushes", s.log_flushes),
+            ("Log cleans", s.log_cleans),
+            ("Injected faults", faults),
+            ("Retries/repairs", s.fault_retries + s.slot_repairs),
+            ("Scrub passes", s.scrubs),
+            ("Health transitions", s.health_transitions),
+            ("Rebuild chunks", s.rebuild_chunks),
+            ("  slots rebuilt", s.rebuild_slots),
+            ("Backpressure rejects", s.backpressure_rejects),
+            ("Backoff retries", s.retry_backoffs),
         ];
         for (phase, events) in counts {
             if events > 0 {
@@ -556,11 +429,11 @@ mod tests {
             e(Ns::from_us(10), TraceKind::RamHit { lba: 1 }),
         ];
         let p = TraceProfile::from_events(&events);
-        assert_eq!(p.requests, 1);
-        assert_eq!(p.request_time, Ns::from_us(10));
-        assert_eq!(p.hdd_writes, 1);
+        assert_eq!(p.stats.requests, 1);
+        assert_eq!(p.stats.request_time, Ns::from_us(10));
+        assert_eq!(p.stats.hdd_writes, 1);
         assert_eq!(p.hdd_write_time, Ns::from_us(10));
-        assert_eq!(p.ram_hits, 1);
+        assert_eq!(p.stats.ram_hits, 1);
         let table = p.render();
         assert!(table.contains("Request spans"), "table: {table}");
         assert!(table.contains("HDD writes"), "table: {table}");
@@ -684,7 +557,7 @@ mod tests {
             },
         )];
         let p = TraceProfile::from_events(&events);
-        assert_eq!(p.requests, 1);
-        assert_eq!(p.request_time, Ns::ZERO);
+        assert_eq!(p.stats.requests, 1);
+        assert_eq!(p.stats.request_time, Ns::ZERO);
     }
 }

@@ -109,11 +109,6 @@ fn golden_trace_round_trips_line_by_line() {
 fn golden_trace_profiles_the_pinned_run() {
     let events = parse_jsonl(GOLDEN).expect("golden parses");
     let profile = TraceProfile::from_events(&events);
-    assert_eq!(profile.requests, 64, "one span per pinned op");
-    assert!(profile.ssd_programs > 0, "writes reached the SSD");
-    assert!(profile.delta_encodes > 0, "similar content formed deltas");
-    assert!(profile.log_flushes > 0, "the flush interval fired");
-    assert!(profile.request_time > Ns::ZERO, "spans advanced time");
     let rendered = profile.render();
     if std::env::var("ICASH_BLESS").as_deref() == Ok("1") {
         let path = concat!(
@@ -125,6 +120,7 @@ fn golden_trace_profiles_the_pinned_run() {
     }
     assert_eq!(
         rendered, GOLDEN_PROFILE,
-        "the pinned stream's profile table drifted"
+        "the pinned stream's profile table drifted (64 spans; the writes \
+         reached the SSD, formed deltas, and the flush interval fired)"
     );
 }

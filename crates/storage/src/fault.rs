@@ -594,27 +594,6 @@ pub enum HealthState {
 }
 
 impl HealthState {
-    /// Stable lowercase name (used in trace JSON and reports).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Failed => "failed",
-            HealthState::Rebuilding => "rebuilding",
-        }
-    }
-
-    /// Parses [`HealthState::as_str`] output.
-    pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "healthy" => HealthState::Healthy,
-            "degraded" => HealthState::Degraded,
-            "failed" => HealthState::Failed,
-            "rebuilding" => HealthState::Rebuilding,
-            _ => return None,
-        })
-    }
-
     /// Severity rank for merging shard reports: the merged state is the
     /// worst any shard reports. `Healthy < Degraded < Rebuilding < Failed`.
     pub fn severity(self) -> u8 {
@@ -1114,16 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn health_state_names_round_trip() {
-        for s in [
-            HealthState::Healthy,
-            HealthState::Degraded,
-            HealthState::Failed,
-            HealthState::Rebuilding,
-        ] {
-            assert_eq!(HealthState::from_name(s.as_str()), Some(s));
-        }
-        assert_eq!(HealthState::from_name("zombie"), None);
+    fn health_states_merge_to_the_worst() {
         assert_eq!(
             HealthState::Healthy.worst(HealthState::Rebuilding),
             HealthState::Rebuilding

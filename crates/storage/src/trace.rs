@@ -37,10 +37,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::fault::HealthState;
 use crate::request::Op;
 use crate::time::Ns;
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 /// The kind of an injected fault, mirroring the counters of
@@ -65,306 +66,516 @@ pub enum FaultKind {
     DeviceDead,
 }
 
-impl FaultKind {
-    fn name(self) -> &'static str {
-        match self {
-            FaultKind::HddRead => "hdd_read",
-            FaultKind::HddWrite => "hdd_write",
-            FaultKind::SsdRead => "ssd_read",
-            FaultKind::Wearout => "wearout",
-            FaultKind::Remap => "remap",
-            FaultKind::DeviceDead => "device_dead",
+/// How one field type appears on the wire. Every field of every kind is
+/// written and parsed through its type's impl, so a number too wide for the
+/// field it lands in is malformed, never truncated.
+trait Wire: Sized {
+    /// Appends the JSON value.
+    fn write(&self, out: &mut String);
+
+    /// Parses the raw text after `"key":` (up to the next `,` or `}`).
+    fn parse(raw: &str) -> Option<Self>;
+
+    /// The test samples' value for draw `x`: integers truncate to their
+    /// width, names and flags take `x % variants`.
+    #[cfg(test)]
+    fn from_draw(x: u64) -> Self;
+}
+
+macro_rules! wire_ints {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn parse(raw: &str) -> Option<Self> {
+                raw.parse().ok()
+            }
+
+            #[cfg(test)]
+            fn from_draw(x: u64) -> Self {
+                x as $ty
+            }
         }
+    )*};
+}
+
+wire_ints!(u8, u32, u64);
+
+impl Wire for Ns {
+    fn write(&self, out: &mut String) {
+        self.as_ns().write(out);
     }
 
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "hdd_read" => FaultKind::HddRead,
-            "hdd_write" => FaultKind::HddWrite,
-            "ssd_read" => FaultKind::SsdRead,
-            "wearout" => FaultKind::Wearout,
-            "remap" => FaultKind::Remap,
-            "device_dead" => FaultKind::DeviceDead,
-            _ => return None,
-        })
+    fn parse(raw: &str) -> Option<Self> {
+        u64::parse(raw).map(Ns::from_ns)
+    }
+
+    #[cfg(test)]
+    fn from_draw(x: u64) -> Self {
+        Ns::from_ns(x)
     }
 }
 
-/// What happened at one traced point (the payload of a [`TraceEvent`]).
-///
-/// Device events carry their queueing delay and service time so a profile
-/// can attribute every microsecond of a request's latency to a phase;
-/// controller events carry the decision data (delta size, cache hit, bind
-/// outcome) the paper's aggregate numbers hide.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A host request entered a storage system (span open).
-    RequestStart {
-        /// Read or write.
-        op: Op,
-        /// First logical block of the request.
-        lba: u64,
-        /// Request length in blocks.
-        blocks: u32,
-    },
-    /// The host request that opened the current span completed; the event's
-    /// `at` is the completion instant (span close).
-    RequestEnd,
-    /// One SSD page read (host-level).
-    SsdRead {
-        /// Logical page number.
-        lpn: u64,
-        /// Time spent waiting for the flash channel.
-        queued: Ns,
-        /// Flash service time.
-        service: Ns,
-        /// Whether the read returned data (false: uncorrectable).
-        ok: bool,
-    },
-    /// One SSD page program (host-level), with the garbage-collection work
-    /// it triggered.
-    SsdProgram {
-        /// Logical page number.
-        lpn: u64,
-        /// Time spent waiting for the flash channel.
-        queued: Ns,
-        /// Flash service time (including any GC ops charged to this write).
-        service: Ns,
-        /// Pages read by the GC pass this write triggered.
-        gc_reads: u32,
-        /// Pages programmed by that GC pass.
-        gc_programs: u32,
-        /// Blocks erased by that GC pass.
-        erases: u32,
-    },
-    /// An SSD page was trimmed (invalidated without a program).
-    SsdTrim {
-        /// Logical page number.
-        lpn: u64,
-    },
-    /// One HDD read.
-    HddRead {
-        /// Member-disk index within the array.
-        disk: u8,
-        /// First block address on the disk.
-        lba: u64,
-        /// Span length in blocks.
-        blocks: u32,
-        /// Time spent waiting for the head.
-        queued: Ns,
-        /// Seek + rotation + transfer time.
-        service: Ns,
-        /// Whether the read succeeded (false: latent sector error).
-        ok: bool,
-    },
-    /// One HDD write.
-    HddWrite {
-        /// Member-disk index within the array.
-        disk: u8,
-        /// First block address on the disk.
-        lba: u64,
-        /// Span length in blocks.
-        blocks: u32,
-        /// Time spent waiting for the head.
-        queued: Ns,
-        /// Seek + rotation + transfer time.
-        service: Ns,
-        /// Whether the write succeeded (false: transient write fault).
-        ok: bool,
-    },
-    /// The injector decided a fault (or a remap) at this operation.
-    FaultInjected {
-        /// Which counter this event mirrors.
-        kind: FaultKind,
-        /// Block/page address involved.
-        addr: u64,
-    },
-    /// A read was served from the controller's RAM buffer.
-    RamHit {
-        /// Logical block served.
-        lba: u64,
-    },
-    /// A signature probe for a new write: did any reference candidate
-    /// accept it as a delta?
-    SigProbe {
-        /// Logical block probed.
-        lba: u64,
-        /// Reference candidates the index offered.
-        candidates: u32,
-        /// Whether the block was bound to a reference (signature match).
-        bound: bool,
-    },
-    /// A delta encode completed.
-    DeltaEncode {
-        /// Logical block encoded.
-        lba: u64,
-        /// Reference block it was encoded against.
-        reference: u64,
-        /// Encoded delta size in bytes.
-        bytes: u32,
-    },
-    /// A read was served from the SSD fast path — reference + delta, or a
-    /// clean slot with no delta pending (the controller's "delta hit").
-    DeltaDecode {
-        /// Logical block decoded.
-        lba: u64,
-    },
-    /// The dirty delta buffer was flushed to the HDD log.
-    LogFlush {
-        /// Log entries appended.
-        entries: u32,
-        /// Log blocks written.
-        blocks: u32,
-    },
-    /// The delta log was compacted (live entries rewritten).
-    LogClean,
-    /// One background scrub pass over the SSD slots.
-    Scrub {
-        /// Slots whose checksum was verified.
-        scanned: u32,
-        /// Slots repaired from a redundant source.
-        repaired: u32,
-        /// Slots that could not be repaired.
-        failed: u32,
-    },
-    /// One step of the slot-repair ladder (re-derive a slot's content and
-    /// reprogram it).
-    SlotRepair {
-        /// SSD slot repaired.
-        slot: u64,
-        /// Whether the repair succeeded.
-        ok: bool,
-    },
-    /// A faulted device op was retried by the controller.
-    FaultRetry {
-        /// Block address retried.
-        lba: u64,
-        /// True for a write retry, false for a read retry.
-        write: bool,
-    },
-    /// An encoded delta entered the staging buffer (group commit pending).
-    StageEnter {
-        /// Block address staged.
-        lba: u64,
-        /// Flush-ticket watermark covering the staged write.
-        ticket: u64,
-        /// Encoded payload bytes staged.
-        bytes: u32,
-    },
-    /// A group commit drained the staging buffer into one sequential
-    /// multi-entry log append.
-    GroupCommit {
-        /// Staged entries committed together.
-        entries: u32,
-        /// Encoded payload bytes committed.
-        bytes: u32,
-    },
-    /// A durability barrier (`await_flush`/`sync`) forced buffered state
-    /// to stable media.
-    Barrier {
-        /// The ticket the barrier waited for.
-        ticket: u64,
-        /// Whether the barrier had to flush (false: already durable).
-        waited: bool,
-    },
-    /// Crash recovery dropped unverifiable log frames.
-    RecoveryTruncate {
-        /// Frames dropped from the tail.
-        frames: u64,
-    },
-    /// Crash recovery finished replaying the surviving log.
-    RecoveryReplay {
-        /// Blocks rebuilt into the table.
-        entries: u64,
-        /// Stale frames refused during replay.
-        stale: u64,
-    },
-    /// A device's health state machine took an edge.
-    HealthTransition {
-        /// Device index: 0 = SSD, 1+ = HDD spindles.
-        device: u8,
-        /// State left.
-        from: crate::fault::HealthState,
-        /// State entered.
-        to: crate::fault::HealthState,
-    },
-    /// One rate-limited chunk of an online rebuild repopulated SSD slots.
-    RebuildChunk {
-        /// Slots repopulated by this chunk.
-        slots: u32,
-        /// Slots done so far (including this chunk).
-        done: u64,
-        /// Slots the rebuild set out to restore.
-        total: u64,
-    },
-    /// A write was refused admission because the staging buffer was full.
-    Backpressure {
-        /// Block refused.
-        lba: u64,
-        /// Entries buffered at refusal time.
-        queued: u64,
-        /// The admission cap.
-        cap: u64,
-    },
-    /// One deterministic exponential-backoff retry of a faulted device op.
-    RetryBackoff {
-        /// Block address retried.
-        lba: u64,
-        /// Retry attempt number (1-based).
-        attempt: u32,
-        /// Backoff delay charged before the retry, in virtual ns.
-        delay: u64,
-        /// True for a write retry, false for a read retry.
-        write: bool,
-    },
-    /// A command was admitted into a device command queue.
-    QueueAdmit {
-        /// Device index: 0 = SSD, 1 + spindle index = HDD.
-        dev: u8,
-        /// First block (HDD) or erase-block id (SSD) of the command.
-        lba: u64,
-        /// Command length in blocks.
-        blocks: u32,
-        /// Queue occupancy right after admission (the depth sample the
-        /// profile's mean/max queue-depth numbers are built from).
-        depth: u32,
-    },
-    /// A queued command was dispatched out of arrival order (HDD SPTF pick,
-    /// or an SSD read/program overtaking deferred erases on its channel).
-    QueueReorder {
-        /// Device index: 0 = SSD, 1 + spindle index = HDD.
-        dev: u8,
-        /// First block of the dispatched command.
-        lba: u64,
-        /// Earlier-arrived commands it overtook.
-        jumped: u32,
-    },
-    /// LBA-adjacent queued commands were merged into one sequential media
-    /// transfer.
-    Coalesce {
-        /// Device index: 0 = SSD, 1 + spindle index = HDD.
-        dev: u8,
-        /// First block of the merged transfer.
-        lba: u64,
-        /// Commands merged into the transfer (always ≥ 2).
-        spans: u32,
-        /// Total blocks of the merged transfer.
-        blocks: u32,
-    },
-    /// An open-loop arrival: the scenario engine's virtual-time event queue
-    /// released an operation at its scheduled instant (`at`), independent of
-    /// whether the system was ready for it. `queued` is the time the arrival
-    /// waited for a free client before service began — the open-loop
-    /// queued/service split the closed-loop drivers can never show.
-    OpenLoopArrival {
-        /// Arrival sequence number (the event queue's tie-break id).
-        seq: u64,
-        /// First block of the arriving operation.
-        lba: u64,
-        /// Wait between the scheduled arrival and service start, in
-        /// virtual ns (zero when a client was already free).
-        queued: u64,
-    },
+impl Wire for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn parse(raw: &str) -> Option<Self> {
+        match raw {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    #[cfg(test)]
+    fn from_draw(x: u64) -> Self {
+        x % 2 == 1
+    }
+}
+
+/// The wire name of each variant of a field-less enum, declared once: the
+/// value is written as that name in quotes and parsed back from it.
+macro_rules! wire_names {
+    ($ty:ty { $($variant:ident = $name:literal),* $(,)? }) => {
+        impl Wire for $ty {
+            fn write(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(match self {
+                    $(<$ty>::$variant => $name,)*
+                });
+                out.push('"');
+            }
+
+            fn parse(raw: &str) -> Option<Self> {
+                match raw.strip_prefix('"')?.strip_suffix('"')? {
+                    $($name => Some(<$ty>::$variant),)*
+                    _ => None,
+                }
+            }
+
+            #[cfg(test)]
+            fn from_draw(x: u64) -> Self {
+                let all = [$(<$ty>::$variant),*];
+                all[(x % all.len() as u64) as usize]
+            }
+        }
+    };
+}
+
+wire_names!(Op {
+    Read = "read",
+    Write = "write",
+});
+
+wire_names!(FaultKind {
+    HddRead = "hdd_read",
+    HddWrite = "hdd_write",
+    SsdRead = "ssd_read",
+    Wearout = "wearout",
+    Remap = "remap",
+    DeviceDead = "device_dead",
+});
+
+wire_names!(HealthState {
+    Healthy = "healthy",
+    Degraded = "degraded",
+    Failed = "failed",
+    Rebuilding = "rebuilding",
+});
+
+/// A field's key on the wire: its own name unless the declaration says
+/// `as "other"`.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// One kind as the tests see it: variant, wire name, and each field's wire
+/// key and type.
+#[cfg(test)]
+type KindRow = (
+    &'static str,
+    &'static str,
+    &'static [(&'static str, &'static str)],
+);
+
+/// The one declaration of the event vocabulary. Each kind is written once
+/// — variant, wire name, typed fields in wire order — and the enum, the
+/// JSON writer, the JSON parser and the tests' sample events are generated
+/// from it. (The counting fold, [`TraceStats`], is the only other place a
+/// kind is named.)
+macro_rules! trace_kinds {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum TraceKind {$(
+            $(#[$meta:meta])*
+            $variant:ident = $name:literal $({$(
+                $(#[$field_meta:meta])*
+                $field:ident $(as $key:literal)?: $ty:ty,
+            )*})?,
+        )*}
+    ) => {
+        $(#[$enum_meta])*
+        pub enum TraceKind {$(
+            $(#[$meta])*
+            $variant $({$(
+                $(#[$field_meta])*
+                $field: $ty,
+            )*})?,
+        )*}
+
+        impl TraceEvent {
+            /// Appends the canonical single-line JSON rendering (no
+            /// newline), with a `"shard"` tag before the closing brace when
+            /// `shard` is not 0 — shard 0 is also the unsharded engine, so
+            /// its lines are byte-identical to untagged ones.
+            pub fn write_json(&self, shard: u32, out: &mut String) {
+                out.push_str("{\"at\":");
+                self.at.write(out);
+                match &self.kind {$(
+                    TraceKind::$variant $({ $($field),* })? => {
+                        out.push_str(concat!(",\"kind\":\"", $name, "\""));
+                        $($(
+                            out.push_str(concat!(",\"", wire_key!($field $($key)?), "\":"));
+                            $field.write(out);
+                        )*)?
+                    }
+                )*}
+                if shard != 0 {
+                    out.push_str(",\"shard\":");
+                    shard.write(out);
+                }
+                out.push('}');
+            }
+
+            /// Parses one line produced by [`TraceEvent::to_json`]. Returns
+            /// `None` on any malformed input (the round-trip tests require
+            /// `from_json(to_json(e)) == Some(e)` for every event shape).
+            /// Unknown keys — the shard tag among them — are ignored.
+            pub fn from_json(line: &str) -> Option<TraceEvent> {
+                let at = field(line, "\"at\":")?;
+                let name = field_raw(line, "\"kind\":")?;
+                let kind = match name.strip_prefix('"')?.strip_suffix('"')? {
+                    $($name => TraceKind::$variant $({$(
+                        $field: field(line, concat!("\"", wire_key!($field $($key)?), "\":"))?,
+                    )*})?,)*
+                    _ => return None,
+                };
+                Some(TraceEvent { at, kind })
+            }
+        }
+
+        #[cfg(test)]
+        impl TraceKind {
+            /// Every kind, in declaration order.
+            const TABLE: &'static [KindRow] = &[$(
+                (
+                    stringify!($variant),
+                    $name,
+                    &[$($((wire_key!($field $($key)?), stringify!($ty)),)*)?],
+                ),
+            )*];
+
+            /// The `index`-th kind of [`TraceKind::TABLE`], each field
+            /// built from the next `draw()` in wire order.
+            #[allow(unused_variables)]
+            fn sample(index: usize, draw: &mut dyn FnMut() -> u64) -> TraceKind {
+                let makers: &[fn(&mut dyn FnMut() -> u64) -> TraceKind] = &[$(
+                    |draw| TraceKind::$variant $({$(
+                        $field: Wire::from_draw(draw()),
+                    )*})?,
+                )*];
+                makers[index](draw)
+            }
+        }
+    };
+}
+
+trace_kinds! {
+    /// What happened at one traced point (the payload of a [`TraceEvent`]).
+    ///
+    /// Device events carry their queueing delay and service time so a profile
+    /// can attribute every microsecond of a request's latency to a phase;
+    /// controller events carry the decision data (delta size, cache hit, bind
+    /// outcome) the paper's aggregate numbers hide.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum TraceKind {
+        /// A host request entered a storage system (span open).
+        RequestStart = "req_start" {
+            /// Read or write.
+            op: Op,
+            /// First logical block of the request.
+            lba: u64,
+            /// Request length in blocks.
+            blocks: u32,
+        },
+        /// The host request that opened the current span completed; the event's
+        /// `at` is the completion instant (span close).
+        RequestEnd = "req_end",
+        /// One SSD page read (host-level).
+        SsdRead = "ssd_read" {
+            /// Logical page number.
+            lpn: u64,
+            /// Time spent waiting for the flash channel.
+            queued: Ns,
+            /// Flash service time.
+            service: Ns,
+            /// Whether the read returned data (false: uncorrectable).
+            ok: bool,
+        },
+        /// One SSD page program (host-level), with the garbage-collection work
+        /// it triggered.
+        SsdProgram = "ssd_program" {
+            /// Logical page number.
+            lpn: u64,
+            /// Time spent waiting for the flash channel.
+            queued: Ns,
+            /// Flash service time (including any GC ops charged to this write).
+            service: Ns,
+            /// Pages read by the GC pass this write triggered.
+            gc_reads: u32,
+            /// Pages programmed by that GC pass.
+            gc_programs: u32,
+            /// Blocks erased by that GC pass.
+            erases: u32,
+        },
+        /// An SSD page was trimmed (invalidated without a program).
+        SsdTrim = "ssd_trim" {
+            /// Logical page number.
+            lpn: u64,
+        },
+        /// One HDD read.
+        HddRead = "hdd_read" {
+            /// Member-disk index within the array.
+            disk: u8,
+            /// First block address on the disk.
+            lba: u64,
+            /// Span length in blocks.
+            blocks: u32,
+            /// Time spent waiting for the head.
+            queued: Ns,
+            /// Seek + rotation + transfer time.
+            service: Ns,
+            /// Whether the read succeeded (false: latent sector error).
+            ok: bool,
+        },
+        /// One HDD write.
+        HddWrite = "hdd_write" {
+            /// Member-disk index within the array.
+            disk: u8,
+            /// First block address on the disk.
+            lba: u64,
+            /// Span length in blocks.
+            blocks: u32,
+            /// Time spent waiting for the head.
+            queued: Ns,
+            /// Seek + rotation + transfer time.
+            service: Ns,
+            /// Whether the write succeeded (false: transient write fault).
+            ok: bool,
+        },
+        /// The injector decided a fault (or a remap) at this operation.
+        FaultInjected = "fault" {
+            /// Which counter this event mirrors.
+            kind as "fault": FaultKind,
+            /// Block/page address involved.
+            addr: u64,
+        },
+        /// A read was served from the controller's RAM buffer.
+        RamHit = "ram_hit" {
+            /// Logical block served.
+            lba: u64,
+        },
+        /// A signature probe for a new write: did any reference candidate
+        /// accept it as a delta?
+        SigProbe = "sig_probe" {
+            /// Logical block probed.
+            lba: u64,
+            /// Reference candidates the index offered.
+            candidates: u32,
+            /// Whether the block was bound to a reference (signature match).
+            bound: bool,
+        },
+        /// A delta encode completed.
+        DeltaEncode = "delta_encode" {
+            /// Logical block encoded.
+            lba: u64,
+            /// Reference block it was encoded against.
+            reference: u64,
+            /// Encoded delta size in bytes.
+            bytes: u32,
+        },
+        /// A read was served from the SSD fast path — reference + delta, or a
+        /// clean slot with no delta pending (the controller's "delta hit").
+        DeltaDecode = "delta_decode" {
+            /// Logical block decoded.
+            lba: u64,
+        },
+        /// The dirty delta buffer was flushed to the HDD log.
+        LogFlush = "log_flush" {
+            /// Log entries appended.
+            entries: u32,
+            /// Log blocks written.
+            blocks: u32,
+        },
+        /// The delta log was compacted (live entries rewritten).
+        LogClean = "log_clean",
+        /// One background scrub pass over the SSD slots.
+        Scrub = "scrub" {
+            /// Slots whose checksum was verified.
+            scanned: u32,
+            /// Slots repaired from a redundant source.
+            repaired: u32,
+            /// Slots that could not be repaired.
+            failed: u32,
+        },
+        /// One step of the slot-repair ladder (re-derive a slot's content and
+        /// reprogram it).
+        SlotRepair = "slot_repair" {
+            /// SSD slot repaired.
+            slot: u64,
+            /// Whether the repair succeeded.
+            ok: bool,
+        },
+        /// A faulted device op was retried by the controller.
+        FaultRetry = "fault_retry" {
+            /// Block address retried.
+            lba: u64,
+            /// True for a write retry, false for a read retry.
+            write: bool,
+        },
+        /// An encoded delta entered the staging buffer (group commit pending).
+        StageEnter = "stage_enter" {
+            /// Block address staged.
+            lba: u64,
+            /// Flush-ticket watermark covering the staged write.
+            ticket: u64,
+            /// Encoded payload bytes staged.
+            bytes: u32,
+        },
+        /// A group commit drained the staging buffer into one sequential
+        /// multi-entry log append.
+        GroupCommit = "group_commit" {
+            /// Staged entries committed together.
+            entries: u32,
+            /// Encoded payload bytes committed.
+            bytes: u32,
+        },
+        /// A durability barrier (`await_flush`/`sync`) forced buffered state
+        /// to stable media.
+        Barrier = "barrier" {
+            /// The ticket the barrier waited for.
+            ticket: u64,
+            /// Whether the barrier had to flush (false: already durable).
+            waited: bool,
+        },
+        /// Crash recovery dropped unverifiable log frames.
+        RecoveryTruncate = "recovery_truncate" {
+            /// Frames dropped from the tail.
+            frames: u64,
+        },
+        /// Crash recovery finished replaying the surviving log.
+        RecoveryReplay = "recovery_replay" {
+            /// Blocks rebuilt into the table.
+            entries: u64,
+            /// Stale frames refused during replay.
+            stale: u64,
+        },
+        /// A device's health state machine took an edge.
+        HealthTransition = "health_transition" {
+            /// Device index: 0 = SSD, 1+ = HDD spindles.
+            device: u8,
+            /// State left.
+            from: HealthState,
+            /// State entered.
+            to: HealthState,
+        },
+        /// One rate-limited chunk of an online rebuild repopulated SSD slots.
+        RebuildChunk = "rebuild_chunk" {
+            /// Slots repopulated by this chunk.
+            slots: u32,
+            /// Slots done so far (including this chunk).
+            done: u64,
+            /// Slots the rebuild set out to restore.
+            total: u64,
+        },
+        /// A write was refused admission because the staging buffer was full.
+        Backpressure = "backpressure" {
+            /// Block refused.
+            lba: u64,
+            /// Entries buffered at refusal time.
+            queued: u64,
+            /// The admission cap.
+            cap: u64,
+        },
+        /// One deterministic exponential-backoff retry of a faulted device op.
+        RetryBackoff = "retry_backoff" {
+            /// Block address retried.
+            lba: u64,
+            /// Retry attempt number (1-based).
+            attempt: u32,
+            /// Backoff delay charged before the retry, in virtual ns.
+            delay: u64,
+            /// True for a write retry, false for a read retry.
+            write: bool,
+        },
+        /// A command was admitted into a device command queue.
+        QueueAdmit = "queue_admit" {
+            /// Device index: 0 = SSD, 1 + spindle index = HDD.
+            dev: u8,
+            /// First block (HDD) or erase-block id (SSD) of the command.
+            lba: u64,
+            /// Command length in blocks.
+            blocks: u32,
+            /// Queue occupancy right after admission (the depth sample the
+            /// profile's mean/max queue-depth numbers are built from).
+            depth: u32,
+        },
+        /// A queued command was dispatched out of arrival order (HDD SPTF pick,
+        /// or an SSD read/program overtaking deferred erases on its channel).
+        QueueReorder = "queue_reorder" {
+            /// Device index: 0 = SSD, 1 + spindle index = HDD.
+            dev: u8,
+            /// First block of the dispatched command.
+            lba: u64,
+            /// Earlier-arrived commands it overtook.
+            jumped: u32,
+        },
+        /// LBA-adjacent queued commands were merged into one sequential media
+        /// transfer.
+        Coalesce = "coalesce" {
+            /// Device index: 0 = SSD, 1 + spindle index = HDD.
+            dev: u8,
+            /// First block of the merged transfer.
+            lba: u64,
+            /// Commands merged into the transfer (always ≥ 2).
+            spans: u32,
+            /// Total blocks of the merged transfer.
+            blocks: u32,
+        },
+        /// An open-loop arrival: the scenario engine's virtual-time event queue
+        /// released an operation at its scheduled instant (`at`), independent of
+        /// whether the system was ready for it. `queued` is the time the arrival
+        /// waited for a free client before service began — the open-loop
+        /// queued/service split the closed-loop drivers can never show.
+        OpenLoopArrival = "open_loop_arrival" {
+            /// Arrival sequence number (the event queue's tie-break id).
+            seq: u64,
+            /// First block of the arriving operation.
+            lba: u64,
+            /// Wait between the scheduled arrival and service start, in
+            /// virtual ns (zero when a client was already free).
+            queued: u64,
+        },
+    }
 }
 
 /// One trace event: a virtual timestamp plus what happened.
@@ -382,372 +593,22 @@ impl TraceEvent {
     /// streams render byte-identically (the JSONL determinism tests compare
     /// these strings across thread counts).
     pub fn to_json(&self) -> String {
-        let at = self.at.as_ns();
-        match &self.kind {
-            TraceKind::RequestStart { op, lba, blocks } => {
-                let op = match op {
-                    Op::Read => "read",
-                    Op::Write => "write",
-                };
-                format!(
-                    "{{\"at\":{at},\"kind\":\"req_start\",\"op\":\"{op}\",\
-                     \"lba\":{lba},\"blocks\":{blocks}}}"
-                )
-            }
-            TraceKind::RequestEnd => {
-                format!("{{\"at\":{at},\"kind\":\"req_end\"}}")
-            }
-            TraceKind::SsdRead {
-                lpn,
-                queued,
-                service,
-                ok,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"ssd_read\",\"lpn\":{lpn},\
-                 \"queued\":{},\"service\":{},\"ok\":{ok}}}",
-                queued.as_ns(),
-                service.as_ns()
-            ),
-            TraceKind::SsdProgram {
-                lpn,
-                queued,
-                service,
-                gc_reads,
-                gc_programs,
-                erases,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"ssd_program\",\"lpn\":{lpn},\
-                 \"queued\":{},\"service\":{},\"gc_reads\":{gc_reads},\
-                 \"gc_programs\":{gc_programs},\"erases\":{erases}}}",
-                queued.as_ns(),
-                service.as_ns()
-            ),
-            TraceKind::SsdTrim { lpn } => {
-                format!("{{\"at\":{at},\"kind\":\"ssd_trim\",\"lpn\":{lpn}}}")
-            }
-            TraceKind::HddRead {
-                disk,
-                lba,
-                blocks,
-                queued,
-                service,
-                ok,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"hdd_read\",\"disk\":{disk},\
-                 \"lba\":{lba},\"blocks\":{blocks},\"queued\":{},\
-                 \"service\":{},\"ok\":{ok}}}",
-                queued.as_ns(),
-                service.as_ns()
-            ),
-            TraceKind::HddWrite {
-                disk,
-                lba,
-                blocks,
-                queued,
-                service,
-                ok,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"hdd_write\",\"disk\":{disk},\
-                 \"lba\":{lba},\"blocks\":{blocks},\"queued\":{},\
-                 \"service\":{},\"ok\":{ok}}}",
-                queued.as_ns(),
-                service.as_ns()
-            ),
-            TraceKind::FaultInjected { kind, addr } => format!(
-                "{{\"at\":{at},\"kind\":\"fault\",\"fault\":\"{}\",\"addr\":{addr}}}",
-                kind.name()
-            ),
-            TraceKind::RamHit { lba } => {
-                format!("{{\"at\":{at},\"kind\":\"ram_hit\",\"lba\":{lba}}}")
-            }
-            TraceKind::SigProbe {
-                lba,
-                candidates,
-                bound,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"sig_probe\",\"lba\":{lba},\
-                 \"candidates\":{candidates},\"bound\":{bound}}}"
-            ),
-            TraceKind::DeltaEncode {
-                lba,
-                reference,
-                bytes,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"delta_encode\",\"lba\":{lba},\
-                 \"reference\":{reference},\"bytes\":{bytes}}}"
-            ),
-            TraceKind::DeltaDecode { lba } => {
-                format!("{{\"at\":{at},\"kind\":\"delta_decode\",\"lba\":{lba}}}")
-            }
-            TraceKind::LogFlush { entries, blocks } => format!(
-                "{{\"at\":{at},\"kind\":\"log_flush\",\"entries\":{entries},\
-                 \"blocks\":{blocks}}}"
-            ),
-            TraceKind::LogClean => {
-                format!("{{\"at\":{at},\"kind\":\"log_clean\"}}")
-            }
-            TraceKind::Scrub {
-                scanned,
-                repaired,
-                failed,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"scrub\",\"scanned\":{scanned},\
-                 \"repaired\":{repaired},\"failed\":{failed}}}"
-            ),
-            TraceKind::SlotRepair { slot, ok } => {
-                format!("{{\"at\":{at},\"kind\":\"slot_repair\",\"slot\":{slot},\"ok\":{ok}}}")
-            }
-            TraceKind::FaultRetry { lba, write } => {
-                format!("{{\"at\":{at},\"kind\":\"fault_retry\",\"lba\":{lba},\"write\":{write}}}")
-            }
-            TraceKind::StageEnter { lba, ticket, bytes } => format!(
-                "{{\"at\":{at},\"kind\":\"stage_enter\",\"lba\":{lba},\
-                 \"ticket\":{ticket},\"bytes\":{bytes}}}"
-            ),
-            TraceKind::GroupCommit { entries, bytes } => format!(
-                "{{\"at\":{at},\"kind\":\"group_commit\",\"entries\":{entries},\
-                 \"bytes\":{bytes}}}"
-            ),
-            TraceKind::Barrier { ticket, waited } => format!(
-                "{{\"at\":{at},\"kind\":\"barrier\",\"ticket\":{ticket},\
-                 \"waited\":{waited}}}"
-            ),
-            TraceKind::RecoveryTruncate { frames } => {
-                format!("{{\"at\":{at},\"kind\":\"recovery_truncate\",\"frames\":{frames}}}")
-            }
-            TraceKind::RecoveryReplay { entries, stale } => format!(
-                "{{\"at\":{at},\"kind\":\"recovery_replay\",\"entries\":{entries},\
-                 \"stale\":{stale}}}"
-            ),
-            TraceKind::HealthTransition { device, from, to } => format!(
-                "{{\"at\":{at},\"kind\":\"health_transition\",\"device\":{device},\
-                 \"from\":\"{}\",\"to\":\"{}\"}}",
-                from.as_str(),
-                to.as_str()
-            ),
-            TraceKind::RebuildChunk { slots, done, total } => format!(
-                "{{\"at\":{at},\"kind\":\"rebuild_chunk\",\"slots\":{slots},\
-                 \"done\":{done},\"total\":{total}}}"
-            ),
-            TraceKind::Backpressure { lba, queued, cap } => format!(
-                "{{\"at\":{at},\"kind\":\"backpressure\",\"lba\":{lba},\
-                 \"queued\":{queued},\"cap\":{cap}}}"
-            ),
-            TraceKind::RetryBackoff {
-                lba,
-                attempt,
-                delay,
-                write,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"retry_backoff\",\"lba\":{lba},\
-                 \"attempt\":{attempt},\"delay\":{delay},\"write\":{write}}}"
-            ),
-            TraceKind::QueueAdmit {
-                dev,
-                lba,
-                blocks,
-                depth,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"queue_admit\",\"dev\":{dev},\
-                 \"lba\":{lba},\"blocks\":{blocks},\"depth\":{depth}}}"
-            ),
-            TraceKind::QueueReorder { dev, lba, jumped } => format!(
-                "{{\"at\":{at},\"kind\":\"queue_reorder\",\"dev\":{dev},\
-                 \"lba\":{lba},\"jumped\":{jumped}}}"
-            ),
-            TraceKind::Coalesce {
-                dev,
-                lba,
-                spans,
-                blocks,
-            } => format!(
-                "{{\"at\":{at},\"kind\":\"coalesce\",\"dev\":{dev},\
-                 \"lba\":{lba},\"spans\":{spans},\"blocks\":{blocks}}}"
-            ),
-            TraceKind::OpenLoopArrival { seq, lba, queued } => format!(
-                "{{\"at\":{at},\"kind\":\"open_loop_arrival\",\"seq\":{seq},\
-                 \"lba\":{lba},\"queued\":{queued}}}"
-            ),
-        }
-    }
-
-    /// Parses one line produced by [`TraceEvent::to_json`]. Returns `None`
-    /// on any malformed input (the round-trip tests require
-    /// `from_json(to_json(e)) == Some(e)` for every event shape).
-    pub fn from_json(line: &str) -> Option<TraceEvent> {
-        let at = Ns::from_ns(field_num(line, "at")?);
-        let kind = match field_str(line, "kind")? {
-            "req_start" => TraceKind::RequestStart {
-                op: match field_str(line, "op")? {
-                    "read" => Op::Read,
-                    "write" => Op::Write,
-                    _ => return None,
-                },
-                lba: field_num(line, "lba")?,
-                blocks: field_num(line, "blocks")?,
-            },
-            "req_end" => TraceKind::RequestEnd,
-            "ssd_read" => TraceKind::SsdRead {
-                lpn: field_num(line, "lpn")?,
-                queued: Ns::from_ns(field_num(line, "queued")?),
-                service: Ns::from_ns(field_num(line, "service")?),
-                ok: field_bool(line, "ok")?,
-            },
-            "ssd_program" => TraceKind::SsdProgram {
-                lpn: field_num(line, "lpn")?,
-                queued: Ns::from_ns(field_num(line, "queued")?),
-                service: Ns::from_ns(field_num(line, "service")?),
-                gc_reads: field_num(line, "gc_reads")?,
-                gc_programs: field_num(line, "gc_programs")?,
-                erases: field_num(line, "erases")?,
-            },
-            "ssd_trim" => TraceKind::SsdTrim {
-                lpn: field_num(line, "lpn")?,
-            },
-            "hdd_read" | "hdd_write" => {
-                let disk = field_num(line, "disk")?;
-                let lba = field_num(line, "lba")?;
-                let blocks = field_num(line, "blocks")?;
-                let queued = Ns::from_ns(field_num(line, "queued")?);
-                let service = Ns::from_ns(field_num(line, "service")?);
-                let ok = field_bool(line, "ok")?;
-                if field_str(line, "kind")? == "hdd_read" {
-                    TraceKind::HddRead {
-                        disk,
-                        lba,
-                        blocks,
-                        queued,
-                        service,
-                        ok,
-                    }
-                } else {
-                    TraceKind::HddWrite {
-                        disk,
-                        lba,
-                        blocks,
-                        queued,
-                        service,
-                        ok,
-                    }
-                }
-            }
-            "fault" => TraceKind::FaultInjected {
-                kind: FaultKind::from_name(field_str(line, "fault")?)?,
-                addr: field_num(line, "addr")?,
-            },
-            "ram_hit" => TraceKind::RamHit {
-                lba: field_num(line, "lba")?,
-            },
-            "sig_probe" => TraceKind::SigProbe {
-                lba: field_num(line, "lba")?,
-                candidates: field_num(line, "candidates")?,
-                bound: field_bool(line, "bound")?,
-            },
-            "delta_encode" => TraceKind::DeltaEncode {
-                lba: field_num(line, "lba")?,
-                reference: field_num(line, "reference")?,
-                bytes: field_num(line, "bytes")?,
-            },
-            "delta_decode" => TraceKind::DeltaDecode {
-                lba: field_num(line, "lba")?,
-            },
-            "log_flush" => TraceKind::LogFlush {
-                entries: field_num(line, "entries")?,
-                blocks: field_num(line, "blocks")?,
-            },
-            "log_clean" => TraceKind::LogClean,
-            "scrub" => TraceKind::Scrub {
-                scanned: field_num(line, "scanned")?,
-                repaired: field_num(line, "repaired")?,
-                failed: field_num(line, "failed")?,
-            },
-            "slot_repair" => TraceKind::SlotRepair {
-                slot: field_num(line, "slot")?,
-                ok: field_bool(line, "ok")?,
-            },
-            "fault_retry" => TraceKind::FaultRetry {
-                lba: field_num(line, "lba")?,
-                write: field_bool(line, "write")?,
-            },
-            "stage_enter" => TraceKind::StageEnter {
-                lba: field_num(line, "lba")?,
-                ticket: field_num(line, "ticket")?,
-                bytes: field_num(line, "bytes")?,
-            },
-            "group_commit" => TraceKind::GroupCommit {
-                entries: field_num(line, "entries")?,
-                bytes: field_num(line, "bytes")?,
-            },
-            "barrier" => TraceKind::Barrier {
-                ticket: field_num(line, "ticket")?,
-                waited: field_bool(line, "waited")?,
-            },
-            "recovery_truncate" => TraceKind::RecoveryTruncate {
-                frames: field_num(line, "frames")?,
-            },
-            "recovery_replay" => TraceKind::RecoveryReplay {
-                entries: field_num(line, "entries")?,
-                stale: field_num(line, "stale")?,
-            },
-            "health_transition" => TraceKind::HealthTransition {
-                device: field_num(line, "device")?,
-                from: crate::fault::HealthState::from_name(field_str(line, "from")?)?,
-                to: crate::fault::HealthState::from_name(field_str(line, "to")?)?,
-            },
-            "rebuild_chunk" => TraceKind::RebuildChunk {
-                slots: field_num(line, "slots")?,
-                done: field_num(line, "done")?,
-                total: field_num(line, "total")?,
-            },
-            "backpressure" => TraceKind::Backpressure {
-                lba: field_num(line, "lba")?,
-                queued: field_num(line, "queued")?,
-                cap: field_num(line, "cap")?,
-            },
-            "retry_backoff" => TraceKind::RetryBackoff {
-                lba: field_num(line, "lba")?,
-                attempt: field_num(line, "attempt")?,
-                delay: field_num(line, "delay")?,
-                write: field_bool(line, "write")?,
-            },
-            "queue_admit" => TraceKind::QueueAdmit {
-                dev: field_num(line, "dev")?,
-                lba: field_num(line, "lba")?,
-                blocks: field_num(line, "blocks")?,
-                depth: field_num(line, "depth")?,
-            },
-            "queue_reorder" => TraceKind::QueueReorder {
-                dev: field_num(line, "dev")?,
-                lba: field_num(line, "lba")?,
-                jumped: field_num(line, "jumped")?,
-            },
-            "coalesce" => TraceKind::Coalesce {
-                dev: field_num(line, "dev")?,
-                lba: field_num(line, "lba")?,
-                spans: field_num(line, "spans")?,
-                blocks: field_num(line, "blocks")?,
-            },
-            "open_loop_arrival" => TraceKind::OpenLoopArrival {
-                seq: field_num(line, "seq")?,
-                lba: field_num(line, "lba")?,
-                queued: field_num(line, "queued")?,
-            },
-            _ => return None,
-        };
-        Some(TraceEvent { at, kind })
+        let mut line = String::new();
+        self.write_json(0, &mut line);
+        line
     }
 
     /// The shard tag on a serialized event line. Untagged lines (and every
     /// line written before sharding existed) are shard 0.
     pub fn shard_of_json(line: &str) -> u32 {
-        field_num(line, "shard").unwrap_or(0)
+        field(line, "\"shard\":").unwrap_or(0)
     }
 }
 
-/// Extracts the raw text after `"key":` up to the next `,` or `}`.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
+/// Extracts the raw text after `needle` (a quoted key and its colon) up to
+/// the next `,` or `}`.
+fn field_raw<'a>(line: &'a str, needle: &str) -> Option<&'a str> {
+    let start = line.find(needle)? + needle.len();
     let rest = &line[start..];
     let end = rest
         .char_indices()
@@ -763,23 +624,9 @@ fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-/// A number parsed at the width of the field it lands in: one too wide for
-/// that field is malformed, not truncated.
-fn field_num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    match field_raw(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let raw = field_raw(line, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"')
+/// The value after `needle`, parsed as the type of the field it lands in.
+fn field<T: Wire>(line: &str, needle: &str) -> Option<T> {
+    T::parse(field_raw(line, needle)?)
 }
 
 /// Where emitted events go. Implementations must be cheap and must never
@@ -965,7 +812,7 @@ impl TraceSink for TraceStats {
             }
             TraceKind::RequestEnd => {
                 if let Some(start) = self.open_span.take() {
-                    self.request_time += event.at - start;
+                    self.request_time += event.at.saturating_sub(start);
                 }
             }
             TraceKind::SsdRead { .. } => self.ssd_reads += 1,
@@ -1137,327 +984,31 @@ impl fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn every_event_shape() -> Vec<TraceEvent> {
-        let e = |kind| TraceEvent {
-            at: Ns::from_us(7),
-            kind,
-        };
-        vec![
-            e(TraceKind::RequestStart {
-                op: Op::Write,
-                lba: 42,
-                blocks: 8,
-            }),
-            e(TraceKind::RequestEnd),
-            e(TraceKind::SsdRead {
-                lpn: 3,
-                queued: Ns::from_ns(10),
-                service: Ns::from_us(25),
-                ok: true,
-            }),
-            e(TraceKind::SsdProgram {
-                lpn: 9,
-                queued: Ns::ZERO,
-                service: Ns::from_us(200),
-                gc_reads: 4,
-                gc_programs: 4,
-                erases: 1,
-            }),
-            e(TraceKind::SsdTrim { lpn: 11 }),
-            e(TraceKind::HddRead {
-                disk: 2,
-                lba: 1000,
-                blocks: 1,
-                queued: Ns::from_ms(1),
-                service: Ns::from_ms(4),
-                ok: false,
-            }),
-            e(TraceKind::HddWrite {
-                disk: 0,
-                lba: 2000,
-                blocks: 16,
-                queued: Ns::ZERO,
-                service: Ns::from_ms(5),
-                ok: true,
-            }),
-            e(TraceKind::FaultInjected {
-                kind: FaultKind::Wearout,
-                addr: 77,
-            }),
-            e(TraceKind::RamHit { lba: 5 }),
-            e(TraceKind::SigProbe {
-                lba: 6,
-                candidates: 3,
-                bound: true,
-            }),
-            e(TraceKind::DeltaEncode {
-                lba: 6,
-                reference: 2,
-                bytes: 188,
-            }),
-            e(TraceKind::DeltaDecode { lba: 6 }),
-            e(TraceKind::LogFlush {
-                entries: 12,
-                blocks: 2,
-            }),
-            e(TraceKind::LogClean),
-            e(TraceKind::Scrub {
-                scanned: 64,
-                repaired: 1,
-                failed: 0,
-            }),
-            e(TraceKind::SlotRepair { slot: 8, ok: true }),
-            e(TraceKind::FaultRetry {
-                lba: 30,
-                write: false,
-            }),
-            e(TraceKind::StageEnter {
-                lba: 9,
-                ticket: 41,
-                bytes: 96,
-            }),
-            e(TraceKind::GroupCommit {
-                entries: 12,
-                bytes: 1152,
-            }),
-            e(TraceKind::Barrier {
-                ticket: 41,
-                waited: true,
-            }),
-            e(TraceKind::RecoveryTruncate { frames: 3 }),
-            e(TraceKind::RecoveryReplay {
-                entries: 40,
-                stale: 2,
-            }),
-            e(TraceKind::FaultInjected {
-                kind: FaultKind::DeviceDead,
-                addr: 12,
-            }),
-            e(TraceKind::HealthTransition {
-                device: 0,
-                from: crate::fault::HealthState::Healthy,
-                to: crate::fault::HealthState::Degraded,
-            }),
-            e(TraceKind::RebuildChunk {
-                slots: 4,
-                done: 12,
-                total: 64,
-            }),
-            e(TraceKind::Backpressure {
-                lba: 33,
-                queued: 128,
-                cap: 128,
-            }),
-            e(TraceKind::RetryBackoff {
-                lba: 21,
-                attempt: 2,
-                delay: 100_000,
-                write: true,
-            }),
-            e(TraceKind::QueueAdmit {
-                dev: 1,
-                lba: 900,
-                blocks: 1,
-                depth: 5,
-            }),
-            e(TraceKind::QueueReorder {
-                dev: 1,
-                lba: 900,
-                jumped: 3,
-            }),
-            e(TraceKind::Coalesce {
-                dev: 1,
-                lba: 900,
-                spans: 4,
-                blocks: 4,
-            }),
-            e(TraceKind::OpenLoopArrival {
-                seq: 17,
-                lba: 640,
-                queued: 2_500,
-            }),
-        ]
+    /// The draws every kind is sampled at: 0..=5 reach both `Op`s, every
+    /// `FaultKind` and every `HealthState`; `u64::MAX` puts every integer
+    /// at its widest.
+    const DRAWS: [u64; 7] = [0, 1, 2, 3, 4, 5, u64::MAX];
+
+    fn sample(index: usize, draw: &mut dyn FnMut() -> u64) -> TraceEvent {
+        TraceEvent {
+            at: Ns::from_draw(draw()),
+            kind: TraceKind::sample(index, draw),
+        }
     }
 
-    /// One event per kind and draw `v`: `at` and every field take `v` at
-    /// the field's own width (enums and flags by `v % variants`), so the
-    /// draws 0..=5 and `u64::MAX` reach both `Op`s, every `FaultKind` and
-    /// `HealthState`, and every integer's widest value.
-    fn golden_samples() -> Vec<TraceEvent> {
-        use crate::fault::HealthState;
-        const FAULTS: [FaultKind; 6] = [
-            FaultKind::HddRead,
-            FaultKind::HddWrite,
-            FaultKind::SsdRead,
-            FaultKind::Wearout,
-            FaultKind::Remap,
-            FaultKind::DeviceDead,
-        ];
-        const STATES: [HealthState; 4] = [
-            HealthState::Healthy,
-            HealthState::Degraded,
-            HealthState::Failed,
-            HealthState::Rebuilding,
-        ];
-        let w = |v: u64| v as u32;
-        let b = |v: u64| v as u8;
-        let flag = |v: u64| v % 2 == 1;
-        let ns = Ns::from_ns;
-        let kinds: Vec<Box<dyn Fn(u64) -> TraceKind>> = vec![
-            Box::new(move |v| TraceKind::RequestStart {
-                op: [Op::Read, Op::Write][(v % 2) as usize],
-                lba: v,
-                blocks: w(v),
-            }),
-            Box::new(|_| TraceKind::RequestEnd),
-            Box::new(move |v| TraceKind::SsdRead {
-                lpn: v,
-                queued: ns(v),
-                service: ns(v),
-                ok: flag(v),
-            }),
-            Box::new(move |v| TraceKind::SsdProgram {
-                lpn: v,
-                queued: ns(v),
-                service: ns(v),
-                gc_reads: w(v),
-                gc_programs: w(v),
-                erases: w(v),
-            }),
-            Box::new(|v| TraceKind::SsdTrim { lpn: v }),
-            Box::new(move |v| TraceKind::HddRead {
-                disk: b(v),
-                lba: v,
-                blocks: w(v),
-                queued: ns(v),
-                service: ns(v),
-                ok: flag(v),
-            }),
-            Box::new(move |v| TraceKind::HddWrite {
-                disk: b(v),
-                lba: v,
-                blocks: w(v),
-                queued: ns(v),
-                service: ns(v),
-                ok: flag(v),
-            }),
-            Box::new(|v| TraceKind::FaultInjected {
-                kind: FAULTS[(v % 6) as usize],
-                addr: v,
-            }),
-            Box::new(|v| TraceKind::RamHit { lba: v }),
-            Box::new(move |v| TraceKind::SigProbe {
-                lba: v,
-                candidates: w(v),
-                bound: flag(v),
-            }),
-            Box::new(move |v| TraceKind::DeltaEncode {
-                lba: v,
-                reference: v,
-                bytes: w(v),
-            }),
-            Box::new(|v| TraceKind::DeltaDecode { lba: v }),
-            Box::new(move |v| TraceKind::LogFlush {
-                entries: w(v),
-                blocks: w(v),
-            }),
-            Box::new(|_| TraceKind::LogClean),
-            Box::new(move |v| TraceKind::Scrub {
-                scanned: w(v),
-                repaired: w(v),
-                failed: w(v),
-            }),
-            Box::new(move |v| TraceKind::SlotRepair {
-                slot: v,
-                ok: flag(v),
-            }),
-            Box::new(move |v| TraceKind::FaultRetry {
-                lba: v,
-                write: flag(v),
-            }),
-            Box::new(move |v| TraceKind::StageEnter {
-                lba: v,
-                ticket: v,
-                bytes: w(v),
-            }),
-            Box::new(move |v| TraceKind::GroupCommit {
-                entries: w(v),
-                bytes: w(v),
-            }),
-            Box::new(move |v| TraceKind::Barrier {
-                ticket: v,
-                waited: flag(v),
-            }),
-            Box::new(|v| TraceKind::RecoveryTruncate { frames: v }),
-            Box::new(|v| TraceKind::RecoveryReplay {
-                entries: v,
-                stale: v,
-            }),
-            Box::new(move |v| TraceKind::HealthTransition {
-                device: b(v),
-                from: STATES[(v % 4) as usize],
-                to: STATES[(v % 4) as usize],
-            }),
-            Box::new(move |v| TraceKind::RebuildChunk {
-                slots: w(v),
-                done: v,
-                total: v,
-            }),
-            Box::new(|v| TraceKind::Backpressure {
-                lba: v,
-                queued: v,
-                cap: v,
-            }),
-            Box::new(move |v| TraceKind::RetryBackoff {
-                lba: v,
-                attempt: w(v),
-                delay: v,
-                write: flag(v),
-            }),
-            Box::new(move |v| TraceKind::QueueAdmit {
-                dev: b(v),
-                lba: v,
-                blocks: w(v),
-                depth: w(v),
-            }),
-            Box::new(move |v| TraceKind::QueueReorder {
-                dev: b(v),
-                lba: v,
-                jumped: w(v),
-            }),
-            Box::new(move |v| TraceKind::Coalesce {
-                dev: b(v),
-                lba: v,
-                spans: w(v),
-                blocks: w(v),
-            }),
-            Box::new(|v| TraceKind::OpenLoopArrival {
-                seq: v,
-                lba: v,
-                queued: v,
-            }),
-        ];
-        let mut events = Vec::new();
-        for make in &kinds {
-            for v in [0, 1, 2, 3, 4, 5, u64::MAX] {
-                events.push(TraceEvent {
-                    at: ns(v),
-                    kind: make(v),
-                });
-            }
-        }
-        events
+    /// One event per kind and draw, `at` and every field taken from that
+    /// draw, in declaration order.
+    fn samples() -> impl Iterator<Item = TraceEvent> {
+        (0..TraceKind::TABLE.len()).flat_map(|index| DRAWS.map(|v| sample(index, &mut || v)))
     }
 
     /// The wire format of every kind, pinned line by line. Regenerate
     /// intentionally with `ICASH_BLESS=1 cargo test -p icash-storage trace`.
     #[test]
     fn every_kind_renders_its_pinned_lines() {
-        let text: String = golden_samples()
-            .iter()
-            .map(|e| e.to_json() + "\n")
-            .collect();
+        let text: String = samples().map(|e| e.to_json() + "\n").collect();
         if std::env::var("ICASH_BLESS").as_deref() == Ok("1") {
             let path = concat!(
                 env!("CARGO_MANIFEST_DIR"),
@@ -1475,14 +1026,54 @@ mod tests {
         );
     }
 
+    /// `line` with the value after `needle` replaced by `value`.
+    fn with_field(line: &str, needle: &str, value: &str) -> String {
+        let raw = field_raw(line, needle).expect("field present");
+        let start = raw.as_ptr() as usize - line.as_ptr() as usize;
+        format!("{}{value}{}", &line[..start], &line[start + raw.len()..])
+    }
+
+    /// The event survives the wire, and every numeric field (and `at`)
+    /// rendered one past its width is refused rather than narrowed.
+    fn assert_round_trip_and_width_refusals(event: &TraceEvent) {
+        let line = event.to_json();
+        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        assert!(!line.contains('\n'), "one line per event: {line}");
+        assert_eq!(
+            TraceEvent::from_json(&line).as_ref(),
+            Some(event),
+            "round trip of {line}"
+        );
+        let (_, name, fields) = TraceKind::TABLE
+            .iter()
+            .find(|(_, name, _)| line.contains(&format!("\"kind\":\"{name}\"")))
+            .expect("a declared kind");
+        for (key, ty) in fields.iter().chain(&[("at", "Ns")]) {
+            let widest: u128 = match *ty {
+                "u8" => u8::MAX.into(),
+                "u32" => u32::MAX.into(),
+                "u64" | "Ns" => u64::MAX.into(),
+                _ => continue,
+            };
+            let wide = with_field(&line, &format!("\"{key}\":"), &(widest + 1).to_string());
+            assert_eq!(TraceEvent::from_json(&wide), None, "{name}.{key}: {wide}");
+        }
+    }
+
     #[test]
     fn every_event_round_trips_through_json() {
-        for event in every_event_shape() {
-            let line = event.to_json();
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(!line.contains('\n'), "one line per event: {line}");
-            let back = TraceEvent::from_json(&line);
-            assert_eq!(back.as_ref(), Some(&event), "round trip of {line}");
+        samples().for_each(|event| assert_round_trip_and_width_refusals(&event));
+    }
+
+    proptest! {
+        #[test]
+        fn any_field_values_round_trip_and_overflow_is_refused(
+            index in 0..TraceKind::TABLE.len(),
+            draws in prop::collection::vec(prop_oneof![0u64..8, any::<u64>()], 7..8),
+        ) {
+            let mut draws = draws.into_iter();
+            let event = sample(index, &mut || draws.next().expect("at most six fields"));
+            assert_round_trip_and_width_refusals(&event);
         }
     }
 
@@ -1496,9 +1087,7 @@ mod tests {
             "{\"at\":x,\"kind\":\"req_end\"}",
             "{\"at\":5,\"kind\":\"ssd_read\",\"lpn\":1}",
             "{\"at\":5,\"kind\":\"fault\",\"fault\":\"bogus\",\"addr\":1}",
-            // Wider than the field (a u32, a u8): refused, not narrowed.
-            "{\"at\":1,\"kind\":\"req_start\",\"op\":\"read\",\"lba\":0,\"blocks\":4294967297}",
-            "{\"at\":5,\"kind\":\"queue_reorder\",\"dev\":256,\"lba\":1,\"jumped\":1}",
+            "{\"at\":5,\"kind\":\"health_transition\",\"device\":0,\"from\":\"zombie\",\"to\":\"failed\"}",
         ] {
             assert_eq!(TraceEvent::from_json(bad), None, "{bad:?}");
         }
@@ -1529,53 +1118,70 @@ mod tests {
 
     #[test]
     fn counting_sink_classifies_every_kind() {
-        let (tracer, stats) = Tracer::counting();
-        for event in every_event_shape() {
-            tracer.emit(|| event.clone());
+        // Inside an open span, every kind moves a counter (the recovery
+        // pair is the profile's to count).
+        let mut open = TraceStats::default();
+        open.record(sample(0, &mut || 0));
+        for event in samples() {
+            let mut stats = open.clone();
+            let counted = !matches!(
+                event.kind,
+                TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. }
+            );
+            stats.record(event.clone());
+            assert_eq!(stats != open, counted, "{event:?}");
         }
-        let s = stats.lock().expect("stats").clone();
-        assert_eq!(s.requests, 1);
-        assert_eq!(s.write_requests, 1);
-        assert_eq!(s.ssd_reads, 1);
-        assert_eq!(s.ssd_programs, 1);
-        assert_eq!(s.ssd_gc_reads, 4);
-        assert_eq!(s.ssd_erases, 1);
-        assert_eq!(s.ssd_trims, 1);
-        assert_eq!(s.hdd_reads, 1);
-        assert_eq!(s.hdd_writes, 1);
-        assert_eq!(s.faults_wearout, 1);
-        assert_eq!(s.ram_hits, 1);
-        assert_eq!(s.sig_probes, 1);
-        assert_eq!(s.sig_binds, 1);
-        assert_eq!(s.delta_encodes, 1);
-        assert_eq!(s.delta_bytes, 188);
-        assert_eq!(s.delta_decodes, 1);
-        assert_eq!(s.log_flushes, 1);
-        assert_eq!(s.log_blocks, 2);
-        assert_eq!(s.stage_enters, 1);
-        assert_eq!(s.staged_bytes, 96);
-        assert_eq!(s.group_commits, 1);
-        assert_eq!(s.group_commit_entries, 12);
-        assert_eq!(s.group_commit_bytes, 1152);
-        assert_eq!(s.barrier_waits, 1);
-        assert_eq!(s.barrier_noops, 0);
-        assert_eq!(s.log_cleans, 1);
-        assert_eq!(s.scrubs, 1);
-        assert_eq!(s.slot_repairs, 1);
-        assert_eq!(s.fault_retries, 1);
-        assert_eq!(s.faults_dead_device, 1);
-        assert_eq!(s.health_transitions, 1);
-        assert_eq!(s.rebuild_chunks, 1);
-        assert_eq!(s.rebuild_slots, 4);
-        assert_eq!(s.backpressure_rejects, 1);
-        assert_eq!(s.retry_backoffs, 1);
-        assert_eq!(s.queue_admits, 1);
-        assert_eq!(s.queue_depth_max, 5);
-        assert_eq!(s.queue_reorders, 1);
-        assert_eq!(s.coalesces, 1);
-        assert_eq!(s.coalesced_commands, 3);
-        assert_eq!(s.open_loop_arrivals, 1);
-        assert_eq!(s.open_loop_queued, Ns::from_ns(2_500));
+        // One event per kind at draw 3: a write, a wear-out fault, every
+        // flag set, every integer 3.
+        let (tracer, stats) = Tracer::counting();
+        for index in 0..TraceKind::TABLE.len() {
+            tracer.emit(|| sample(index, &mut || 3));
+        }
+        let want = TraceStats {
+            requests: 1,
+            write_requests: 1,
+            ssd_reads: 1,
+            ssd_programs: 1,
+            ssd_gc_reads: 3,
+            ssd_gc_programs: 3,
+            ssd_erases: 3,
+            ssd_trims: 1,
+            hdd_reads: 1,
+            hdd_writes: 1,
+            ram_hits: 1,
+            delta_decodes: 1,
+            delta_encodes: 1,
+            delta_bytes: 3,
+            sig_probes: 1,
+            sig_binds: 1,
+            stage_enters: 1,
+            staged_bytes: 3,
+            group_commits: 1,
+            group_commit_entries: 3,
+            group_commit_bytes: 3,
+            barrier_waits: 1,
+            log_flushes: 1,
+            log_blocks: 3,
+            log_cleans: 1,
+            scrubs: 1,
+            slot_repairs: 1,
+            fault_retries: 1,
+            faults_wearout: 1,
+            health_transitions: 1,
+            rebuild_chunks: 1,
+            rebuild_slots: 3,
+            backpressure_rejects: 1,
+            retry_backoffs: 1,
+            queue_admits: 1,
+            queue_depth_max: 3,
+            queue_reorders: 1,
+            coalesces: 1,
+            coalesced_commands: 2,
+            open_loop_arrivals: 1,
+            open_loop_queued: Ns::from_ns(3),
+            ..TraceStats::default()
+        };
+        assert_eq!(*stats.lock().expect("stats"), want);
     }
 
     #[test]
@@ -1594,6 +1200,20 @@ mod tests {
             kind: TraceKind::RequestEnd,
         });
         assert_eq!(stats.lock().expect("stats").request_time, Ns::from_us(25));
+    }
+
+    /// A hostile document: the span closes before it opened. Typed outcome
+    /// (both lines parse), no panic, span 0.
+    #[test]
+    fn a_span_that_ends_before_it_starts_counts_zero() {
+        let mut stats = TraceStats::default();
+        for line in [
+            r#"{"at":9,"kind":"req_start","op":"read","lba":0,"blocks":1}"#,
+            r#"{"at":4,"kind":"req_end"}"#,
+        ] {
+            stats.record(TraceEvent::from_json(line).expect("well-formed line"));
+        }
+        assert_eq!((stats.requests, stats.request_time), (1, Ns::ZERO));
     }
 
     #[test]

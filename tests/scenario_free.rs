@@ -69,8 +69,8 @@ fn closed_loop_emits_no_open_loop_events() {
     );
     let events = parse_jsonl(&text).expect("traced stream parses");
     let profile = TraceProfile::from_events(&events);
-    assert_eq!(profile.open_loop_arrivals, 0);
-    assert_eq!(profile.open_loop_queued, Ns::ZERO);
+    assert_eq!(profile.stats.open_loop_arrivals, 0);
+    assert_eq!(profile.stats.open_loop_queued, Ns::ZERO);
     assert!(
         !profile.render().contains("Open-loop queued"),
         "closed-loop profiles must not grow an open-loop row"
@@ -117,8 +117,8 @@ fn open_loop_burst_shows_its_queueing_in_the_profile() {
     let text = sink.lock().expect("jsonl sink").take_text();
     let events = parse_jsonl(&text).expect("traced stream parses");
     let profile = TraceProfile::from_events(&events);
-    assert_eq!(profile.open_loop_arrivals, OPS);
-    assert_eq!(profile.open_loop_queued, stats.queued);
+    assert_eq!(profile.stats.open_loop_arrivals, OPS);
+    assert_eq!(profile.stats.open_loop_queued, stats.queued);
     assert!(
         profile.render().contains("Open-loop queued"),
         "an open-loop run must render its queued share"
