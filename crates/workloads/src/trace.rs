@@ -3,17 +3,11 @@
 //! Generated op streams can be captured once and replayed bit-identically
 //! against every storage system, removing generator nondeterminism from
 //! A/B comparisons (the paper runs the same benchmark against all five
-//! systems). The on-disk format is a simple little-endian binary record
-//! stream.
+//! systems). Traces live in memory only; the one on-disk input format is
+//! [`replay::parse_csv`](crate::replay::parse_csv).
 
 use crate::spec::WorkloadSpec;
 use crate::workload::{Workload, WorkloadOp};
-use icash_storage::block::Lba;
-use icash_storage::request::Op;
-use icash_storage::time::Ns;
-use std::io::{self, Read, Write};
-
-const MAGIC: &[u8; 8] = b"ICASHTRC";
 
 /// A recorded operation stream.
 #[derive(Debug, Clone)]
@@ -47,164 +41,6 @@ impl Trace {
     /// The recorded operations.
     pub fn ops(&self) -> &[WorkloadOp] {
         &self.ops
-    }
-
-    /// Serialises the trace. A `&mut` reference works as the writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&(self.ops.len() as u64).to_le_bytes())?;
-        for op in &self.ops {
-            w.write_all(&[match op.op {
-                Op::Read => 0u8,
-                Op::Write => 1u8,
-            }])?;
-            w.write_all(&op.lba.raw().to_le_bytes())?;
-            w.write_all(&op.blocks.to_le_bytes())?;
-            w.write_all(&op.app_cpu.as_ns().to_le_bytes())?;
-            w.write_all(&op.think.as_ns().to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Deserialises a trace. A `&mut` reference works as the reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for a bad magic or corrupt records.
-    pub fn load<R: Read>(mut r: R) -> io::Result<Trace> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-        }
-        let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf8)?;
-        let count = u64::from_le_bytes(buf8);
-        let mut ops = Vec::with_capacity(count.min(1 << 24) as usize);
-        for _ in 0..count {
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag)?;
-            let op = match tag[0] {
-                0 => Op::Read,
-                1 => Op::Write,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad op tag {other}"),
-                    ))
-                }
-            };
-            r.read_exact(&mut buf8)?;
-            let lba = Lba::new(u64::from_le_bytes(buf8));
-            let mut buf4 = [0u8; 4];
-            r.read_exact(&mut buf4)?;
-            let blocks = u32::from_le_bytes(buf4);
-            if blocks == 0 {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "zero blocks"));
-            }
-            r.read_exact(&mut buf8)?;
-            let app_cpu = Ns::from_ns(u64::from_le_bytes(buf8));
-            r.read_exact(&mut buf8)?;
-            let think = Ns::from_ns(u64::from_le_bytes(buf8));
-            ops.push(WorkloadOp {
-                op,
-                lba,
-                blocks,
-                app_cpu,
-                think,
-            });
-        }
-        Ok(Trace { ops })
-    }
-}
-
-impl Trace {
-    /// Serialises the trace as CSV: `op,lba,blocks,app_cpu_ns,think_ns`
-    /// with a header row — interchange with external analysis tools.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "op,lba,blocks,app_cpu_ns,think_ns")?;
-        for op in &self.ops {
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                match op.op {
-                    Op::Read => 'R',
-                    Op::Write => 'W',
-                },
-                op.lba.raw(),
-                op.blocks,
-                op.app_cpu.as_ns(),
-                op.think.as_ns()
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Parses a CSV trace. Accepts the full five-column format written by
-    /// [`Trace::save_csv`] and the minimal `op,lba,blocks` form produced
-    /// by block-trace converters (missing columns default to zero). Lines
-    /// starting with `#` and the header row are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for malformed rows.
-    pub fn load_csv<R: Read>(mut r: R) -> io::Result<Trace> {
-        let mut text = String::new();
-        r.read_to_string(&mut text)?;
-        let bad = |line: usize, why: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("csv line {}: {why}", line + 1),
-            )
-        };
-        let mut ops = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with("op,") {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() < 3 {
-                return Err(bad(i, "expected at least op,lba,blocks"));
-            }
-            let op = match fields[0] {
-                "R" | "r" => Op::Read,
-                "W" | "w" => Op::Write,
-                other => return Err(bad(i, &format!("unknown op {other:?}"))),
-            };
-            let lba = fields[1].parse::<u64>().map_err(|_| bad(i, "bad lba"))?;
-            let blocks = fields[2]
-                .parse::<u32>()
-                .map_err(|_| bad(i, "bad block count"))?;
-            if blocks == 0 {
-                return Err(bad(i, "zero blocks"));
-            }
-            let parse_ns = |f: Option<&&str>| -> io::Result<Ns> {
-                match f {
-                    Some(v) => v
-                        .parse::<u64>()
-                        .map(Ns::from_ns)
-                        .map_err(|_| bad(i, "bad nanosecond field")),
-                    None => Ok(Ns::ZERO),
-                }
-            };
-            ops.push(WorkloadOp {
-                op,
-                lba: Lba::new(lba),
-                blocks,
-                app_cpu: parse_ns(fields.get(3))?,
-                think: parse_ns(fields.get(4))?,
-            });
-        }
-        Ok(Trace { ops })
     }
 }
 
@@ -263,34 +99,6 @@ mod tests {
     use crate::sysbench;
 
     #[test]
-    fn save_load_roundtrip() {
-        let mut wl = sysbench::workload(3);
-        let trace = Trace::record(&mut wl, 500);
-        let mut buf = Vec::new();
-        trace.save(&mut buf).unwrap();
-        let back = Trace::load(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), 500);
-        assert_eq!(back.ops(), trace.ops());
-    }
-
-    #[test]
-    fn corrupt_input_is_rejected() {
-        assert!(Trace::load(&b"NOTMAGIC"[..]).is_err());
-        let mut buf = Vec::new();
-        Trace::from_ops(vec![WorkloadOp {
-            op: Op::Read,
-            lba: Lba::new(1),
-            blocks: 1,
-            app_cpu: Ns::ZERO,
-            think: Ns::ZERO,
-        }])
-        .save(&mut buf)
-        .unwrap();
-        buf.truncate(buf.len() - 3); // chop a record
-        assert!(Trace::load(buf.as_slice()).is_err());
-    }
-
-    #[test]
     fn player_replays_and_loops() {
         let mut wl = sysbench::workload(4);
         let trace = Trace::record(&mut wl, 3);
@@ -299,60 +107,6 @@ mod tests {
         for i in 0..7 {
             assert_eq!(player.next_op(), expected[i % 3]);
         }
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let mut wl = sysbench::workload(8);
-        let trace = Trace::record(&mut wl, 100);
-        let mut buf = Vec::new();
-        trace.save_csv(&mut buf).unwrap();
-        let back = Trace::load_csv(buf.as_slice()).unwrap();
-        assert_eq!(back.ops(), trace.ops());
-    }
-
-    #[test]
-    fn csv_minimal_form_and_comments() {
-        let text = "# converted from blktrace
-op,lba,blocks,app_cpu_ns,think_ns
-R,100,2
-W,5,1
-";
-        let t = Trace::load_csv(text.as_bytes()).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.ops()[0].op, Op::Read);
-        assert_eq!(t.ops()[0].lba, Lba::new(100));
-        assert_eq!(t.ops()[0].blocks, 2);
-        assert_eq!(t.ops()[1].op, Op::Write);
-        assert_eq!(t.ops()[0].app_cpu, Ns::ZERO);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        assert!(Trace::load_csv(
-            "X,1,1
-"
-            .as_bytes()
-        )
-        .is_err());
-        assert!(Trace::load_csv(
-            "R,abc,1
-"
-            .as_bytes()
-        )
-        .is_err());
-        assert!(Trace::load_csv(
-            "R,1,0
-"
-            .as_bytes()
-        )
-        .is_err());
-        assert!(Trace::load_csv(
-            "R,1
-"
-            .as_bytes()
-        )
-        .is_err());
     }
 
     #[test]
