@@ -67,8 +67,6 @@ pub struct RunConfig {
     pub args: Vec<String>,
     /// What every cell's system is built with.
     pub features: Features,
-    /// Run the post-cell `sync` barrier check even on the default engine.
-    pub flush_ticket: bool,
     /// Scenario driver for every cell; `None` = the plain closed loop.
     pub scenario: Option<ScenarioSpec>,
     /// `run_scale` shard-count sweep override.
@@ -224,12 +222,6 @@ pub const KNOBS: &[Knob] = &[
         default: "1",
         requires: None,
         kind: Kind::Count(u64::MAX, |c, n| c.features.group_commit_depth = n),
-    },
-    Knob {
-        name: "ICASH_FLUSH_TICKET",
-        default: "0",
-        requires: None,
-        kind: Kind::Flag(|c, on| c.flush_ticket = on),
     },
     Knob {
         name: "ICASH_SHARDS",

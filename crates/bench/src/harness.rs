@@ -328,24 +328,21 @@ fn run_cell(
         _ => run_benchmark(system.as_mut(), workload.as_mut(), &mut model, &driver),
     };
     summary.wall_ns = wall_start.elapsed().as_nanos() as u64;
-    if cfg.flush_ticket || cfg.features.group_commit_depth > 1 || cfg.features.shards > 1 {
-        // Exercise the ticket barrier across every architecture: a full
-        // sync after the measured run, after which no ticket may remain in
-        // flight. Gated off by default so default outputs stay
-        // byte-identical to the pre-pipeline harness.
-        let backing = ZeroSource;
-        let mut cpu = CpuModel::xeon();
-        let mut ctx = IoCtx::new(&backing, &mut cpu);
-        let _ = system.sync(Ns::ZERO, &mut ctx);
-        assert_eq!(
-            system.flushed_ticket(),
-            system.write_ticket(),
-            "{}: sync left tickets in flight",
-            summary.system
-        );
-    }
-    drop(system);
+    // The cell's document ends with the measured run: taken out first, so
+    // the barrier below never reaches an artifact.
     let text = sink.map(|s| s.lock().expect("trace sink").take_text());
+    // Exercise the ticket barrier across every architecture: a full sync
+    // after the measured run, after which no ticket may remain in flight.
+    let backing = ZeroSource;
+    let mut cpu = CpuModel::xeon();
+    let mut ctx = IoCtx::new(&backing, &mut cpu);
+    let _ = system.sync(Ns::ZERO, &mut ctx);
+    assert_eq!(
+        system.flushed_ticket(),
+        system.write_ticket(),
+        "{}: sync left tickets in flight",
+        summary.system
+    );
     (summary, text.unwrap_or_default())
 }
 
@@ -575,7 +572,6 @@ mod tests {
         for kind in ScenarioKind::ALL {
             let mut cfg = RunConfig {
                 ops: Some(300),
-                flush_ticket: true,
                 ..RunConfig::default()
             };
             cfg.features.group_commit_depth = 4;
