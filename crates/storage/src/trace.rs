@@ -1077,6 +1077,31 @@ mod tests {
         }
     }
 
+    /// Doc drift: DESIGN.md §11's table has exactly the declared kinds, in
+    /// order, each with its wire name and its fields' wire keys and types.
+    #[test]
+    fn design_doc_tables_exactly_the_declared_kinds() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).expect("DESIGN.md");
+        let section = design
+            .split("\n## ")
+            .find(|s| s.starts_with("11. "))
+            .expect("DESIGN.md has a section 11");
+        let rows: Vec<&str> = section.lines().filter(|l| l.starts_with("| `")).collect();
+        assert_eq!(rows.len(), TraceKind::TABLE.len(), "rows vs declared kinds");
+        for ((variant, name, fields), row) in TraceKind::TABLE.iter().zip(rows) {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(key, ty)| format!("`{key}: {ty}`"))
+                .collect();
+            let want = format!("| `{variant}` | `{name}` | {} |", fields.join(", "));
+            assert!(
+                row.starts_with(&want),
+                "DESIGN.md §11 needs a row starting: {want}"
+            );
+        }
+    }
+
     #[test]
     fn malformed_json_is_rejected_not_panicked() {
         for bad in [
