@@ -151,7 +151,7 @@ macro_rules! wire_names {
             }
 
             fn parse(raw: &str) -> Option<Self> {
-                match raw.strip_prefix('"')?.strip_suffix('"')? {
+                match unquote(raw)? {
                     $($name => Some(<$ty>::$variant),)*
                     _ => None,
                 }
@@ -197,15 +197,6 @@ macro_rules! wire_key {
         $key
     };
 }
-
-/// One kind as the tests see it: variant, wire name, and each field's wire
-/// key and type.
-#[cfg(test)]
-type KindRow = (
-    &'static str,
-    &'static str,
-    &'static [(&'static str, &'static str)],
-);
 
 /// The one declaration of the event vocabulary. Each kind is written once
 /// — variant, wire name, typed fields in wire order — and the enum, the
@@ -262,8 +253,7 @@ macro_rules! trace_kinds {
             /// Unknown keys — the shard tag among them — are ignored.
             pub fn from_json(line: &str) -> Option<TraceEvent> {
                 let at = field(line, "\"at\":")?;
-                let name = field_raw(line, "\"kind\":")?;
-                let kind = match name.strip_prefix('"')?.strip_suffix('"')? {
+                let kind = match unquote(field_raw(line, "\"kind\":")?)? {
                     $($name => TraceKind::$variant $({$(
                         $field: field(line, concat!("\"", wire_key!($field $($key)?), "\":"))?,
                     )*})?,)*
@@ -272,6 +262,11 @@ macro_rules! trace_kinds {
                 Some(TraceEvent { at, kind })
             }
         }
+
+        /// One kind as the tests see it: variant, wire name, and each
+        /// field's wire key and type.
+        #[cfg(test)]
+        type KindRow = (&'static str, &'static str, &'static [(&'static str, &'static str)]);
 
         #[cfg(test)]
         impl TraceKind {
@@ -622,6 +617,11 @@ fn field_raw<'a>(line: &'a str, needle: &str) -> Option<&'a str> {
         })
         .map(|(i, c)| if c == '"' { i + 1 } else { i })?;
     Some(&rest[..end])
+}
+
+/// The inside of a quoted raw value.
+fn unquote(raw: &str) -> Option<&str> {
+    raw.strip_prefix('"')?.strip_suffix('"')
 }
 
 /// The value after `needle`, parsed as the type of the field it lands in.
@@ -998,17 +998,18 @@ mod tests {
         }
     }
 
-    /// One event per kind and draw, `at` and every field taken from that
-    /// draw, in declaration order.
-    fn samples() -> impl Iterator<Item = TraceEvent> {
-        (0..TraceKind::TABLE.len()).flat_map(|index| DRAWS.map(|v| sample(index, &mut || v)))
+    /// One event per kind (by its [`TraceKind::TABLE`] index) and draw, `at`
+    /// and every field taken from that draw, in declaration order.
+    fn samples() -> impl Iterator<Item = (usize, TraceEvent)> {
+        (0..TraceKind::TABLE.len())
+            .flat_map(|index| DRAWS.map(|v| (index, sample(index, &mut || v))))
     }
 
     /// The wire format of every kind, pinned line by line. Regenerate
     /// intentionally with `ICASH_BLESS=1 cargo test -p icash-storage trace`.
     #[test]
     fn every_kind_renders_its_pinned_lines() {
-        let text: String = samples().map(|e| e.to_json() + "\n").collect();
+        let text: String = samples().map(|(_, e)| e.to_json() + "\n").collect();
         if std::env::var("ICASH_BLESS").as_deref() == Ok("1") {
             let path = concat!(
                 env!("CARGO_MANIFEST_DIR"),
@@ -1035,7 +1036,7 @@ mod tests {
 
     /// The event survives the wire, and every numeric field (and `at`)
     /// rendered one past its width is refused rather than narrowed.
-    fn assert_round_trip_and_width_refusals(event: &TraceEvent) {
+    fn assert_round_trip_and_width_refusals(index: usize, event: &TraceEvent) {
         let line = event.to_json();
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(!line.contains('\n'), "one line per event: {line}");
@@ -1044,10 +1045,7 @@ mod tests {
             Some(event),
             "round trip of {line}"
         );
-        let (_, name, fields) = TraceKind::TABLE
-            .iter()
-            .find(|(_, name, _)| line.contains(&format!("\"kind\":\"{name}\"")))
-            .expect("a declared kind");
+        let (_, name, fields) = TraceKind::TABLE[index];
         for (key, ty) in fields.iter().chain(&[("at", "Ns")]) {
             let widest: u128 = match *ty {
                 "u8" => u8::MAX.into(),
@@ -1062,7 +1060,7 @@ mod tests {
 
     #[test]
     fn every_event_round_trips_through_json() {
-        samples().for_each(|event| assert_round_trip_and_width_refusals(&event));
+        samples().for_each(|(index, event)| assert_round_trip_and_width_refusals(index, &event));
     }
 
     proptest! {
@@ -1073,7 +1071,7 @@ mod tests {
         ) {
             let mut draws = draws.into_iter();
             let event = sample(index, &mut || draws.next().expect("at most six fields"));
-            assert_round_trip_and_width_refusals(&event);
+            assert_round_trip_and_width_refusals(index, &event);
         }
     }
 
@@ -1147,7 +1145,7 @@ mod tests {
         // pair is the profile's to count).
         let mut open = TraceStats::default();
         open.record(sample(0, &mut || 0));
-        for event in samples() {
+        for (_, event) in samples() {
             let mut stats = open.clone();
             let counted = !matches!(
                 event.kind,
