@@ -575,6 +575,39 @@ mod tests {
         assert!(!e2.verify());
     }
 
+    /// A delta whose payload is `run` bytes of literal at `at` (sparse), or
+    /// the whole block when `run` is the block (raw), over a fixed pattern.
+    fn delta_with_run(at: usize, run: usize) -> Delta {
+        let target: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i * 131 + 7) as u8).collect();
+        let mut reference = target.clone();
+        for b in &mut reference[at..at + run] {
+            *b ^= 0xFF;
+        }
+        DeltaCodec::default().encode(&reference, &target)
+    }
+
+    /// What recovery's `verify()` accepts, as values: the frame CRC of four
+    /// fixed entries, one per payload shape the log stores. Recorded under
+    /// the slice-by-8 `Crc32`; any kernel under `Crc32::update` must
+    /// reproduce them, or logs written before it stop verifying.
+    #[test]
+    fn frame_crcs_are_pinned() {
+        let frames = [
+            (Delta::identity(), 0, 0x11E0_235Au32),
+            (delta_with_run(100, 297), 300, 0xBCB6_BD7B),
+            (delta_with_run(200, 2496), 2500, 0x7A4C_C826),
+            (delta_with_run(0, BLOCK_SIZE), 4096, 0x31CA_10EF),
+        ];
+        for (i, (delta, len, crc)) in frames.into_iter().enumerate() {
+            assert_eq!(delta.len(), len, "frame {i}: payload size");
+            let lba = Lba::new(0x0012_3456_789A + i as u64).with_vm(3);
+            let reference = Lba::new(0x00FE_DCBA_9876 - i as u64).with_vm(3);
+            let e = LogEntry::new(lba, reference, 0x0102_0304_0506_0708 << i, delta);
+            assert_eq!(e.crc, crc, "frame {i}: {:#010X}", e.crc);
+            assert!(e.verify());
+        }
+    }
+
     #[test]
     fn tear_marks_block_and_drops_tail() {
         let mut log = DeltaLog::new(100);

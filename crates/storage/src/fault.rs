@@ -861,6 +861,28 @@ mod tests {
         );
     }
 
+    /// Slot checksums as values: `crc32` of four whole 4 KB blocks, recorded
+    /// under the slice-by-8 kernel. (The `ContentModel` blocks are pinned
+    /// where that model lives: `icash_workloads::content`'s tests.)
+    #[test]
+    fn crc32_of_whole_blocks_is_pinned() {
+        use crate::block::BLOCK_SIZE;
+        let mut st = 0x9E37_79B9_7F4A_7C15u64;
+        let stream: Vec<u8> = (0..BLOCK_SIZE)
+            .map(|_| {
+                st ^= st << 13;
+                st ^= st >> 7;
+                st ^= st << 17;
+                st as u8
+            })
+            .collect();
+        let ramp: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i * 131 + 7) as u8).collect();
+        assert_eq!(crc32(&[0u8; BLOCK_SIZE]), 0xC71C_0011);
+        assert_eq!(crc32(&[0xFFu8; BLOCK_SIZE]), 0xF154_670A);
+        assert_eq!(crc32(&ramp), 0xA3F5_519C);
+        assert_eq!(crc32(&stream), 0xD243_A366);
+    }
+
     #[test]
     fn crc32_incremental_matches_oneshot() {
         let mut c = Crc32::new();

@@ -391,6 +391,22 @@ mod tests {
         }
     }
 
+    /// Generator and checksum pinned together: the `crc32` an SSD slot
+    /// holding each of these blocks carries. Recorded under the serial
+    /// generator and the slice-by-8 `Crc32`.
+    #[test]
+    fn block_checksums_are_pinned() {
+        use icash_storage::fault::crc32;
+        let m = ContentModel::new(0xC0FFEE, ContentProfile::file_server());
+        let shared = (0..100).map(Lba::new).find(|&l| !m.is_unique(l));
+        let unique = (0..100).map(Lba::new).find(|&l| m.is_unique(l));
+        let (shared, unique) = (shared.expect("shared"), unique.expect("unique"));
+        assert_eq!((shared.raw(), unique.raw()), (0, 3));
+        assert_eq!(crc32(m.content_at(shared, 0).as_slice()), 0x17E6_E0F8);
+        assert_eq!(crc32(m.content_at(shared, 1).as_slice()), 0xFAA3_F511);
+        assert_eq!(crc32(m.content_at(unique, 0).as_slice()), 0x2AED_73FF);
+    }
+
     #[test]
     fn the_memo_is_bounded_and_debug_is_short() {
         let m = model();
