@@ -10,6 +10,11 @@
 //! test name), so failures are reproducible run-over-run. There is no
 //! shrinking: a failing case panics with the generated inputs' `Debug`
 //! representation (every strategy value in this workspace is `Debug`).
+//!
+//! `PROPTEST_CASES=n` (upstream's name) runs every property `n` times,
+//! whatever its `ProptestConfig` asks for: the way to give one suite a long
+//! run (`PROPTEST_CASES=20000 cargo test -p icash-workloads lanes`) without
+//! editing it. Unset, each property runs its configured count.
 
 pub mod collection;
 pub mod strategy;

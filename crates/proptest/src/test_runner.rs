@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::sync::OnceLock;
 
 /// How many cases `proptest!` runs per property.
 #[derive(Debug, Clone)]
@@ -10,16 +11,33 @@ pub struct ProptestConfig {
     pub cases: u32,
 }
 
+/// `PROPTEST_CASES` when it is set, read once per process.
+///
+/// # Panics
+///
+/// Panics if it is set to something other than a case count.
+fn cases_from_env() -> Option<u32> {
+    static CASES: OnceLock<Option<u32>> = OnceLock::new();
+    *CASES.get_or_init(|| {
+        let value = std::env::var("PROPTEST_CASES").ok()?;
+        let cases = value.parse();
+        Some(cases.unwrap_or_else(|_| panic!("PROPTEST_CASES={value:?} is not a case count")))
+    })
+}
+
 impl ProptestConfig {
-    /// A config running `cases` cases per property.
+    /// A config running `cases` cases per property, or `PROPTEST_CASES` of
+    /// them when that is set.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: cases_from_env().unwrap_or(cases),
+        }
     }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 256 }
+        Self::with_cases(256)
     }
 }
 

@@ -41,14 +41,26 @@ pub struct Crc32 {
     state: u32,
 }
 
-/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte-at-a-time
-/// table, and `CRC32_TABLES[k][b]` is the checksum state byte `b` leaves
-/// after `k` further zero bytes, so eight table loads advance the state
-/// over eight input bytes at once.
-const CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
+/// Braids [`Crc32::update`] runs side by side.
+const BRAIDS: usize = 4;
+/// Bytes the braids advance over together: one 8-byte word each.
+const BRAID_BLOCK: usize = BRAIDS * 8;
 
-const fn build_crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// The slicing tables. `SLICE[0]` is the classic byte-at-a-time table, and
+/// `SLICE[k][b]` is the checksum state byte `b` leaves after `k` further
+/// zero bytes — CRC32 is linear over GF(2), so the state a run of bytes
+/// leaves is the XOR of what each leaves alone, pushed past the bytes after
+/// it. Eight loads from `SLICE` advance one state over an 8-byte word.
+///
+/// `BRAID[k]` is row `8 * (BRAIDS - 1) + k` of the same family: a word of one
+/// braid is followed by the other braids' words before that braid's next,
+/// so its bytes are pushed that much further.
+static SLICE: [[u32; 256]; 8] = crc32_table_rows(0);
+static BRAID: [[u32; 256]; 8] = crc32_table_rows(8 * (BRAIDS - 1));
+
+/// Rows `first..first + 8` of the slicing family.
+const fn crc32_table_rows(first: usize) -> [[u32; 256]; 8] {
+    let mut classic = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -61,20 +73,43 @@ const fn build_crc32_tables() -> [[u32; 256]; 8] {
             };
             k += 1;
         }
-        tables[0][i] = c;
+        classic[i] = c;
         i += 1;
     }
-    let mut k = 1;
-    while k < 8 {
+    let mut rows = [[0u32; 256]; 8];
+    let mut row = classic;
+    let mut k = 0;
+    while k < first + 8 {
+        if k >= first {
+            rows[k - first] = row;
+        }
         let mut i = 0;
         while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            row[i] = (row[i] >> 8) ^ classic[(row[i] & 0xFF) as usize];
             i += 1;
         }
         k += 1;
     }
-    tables
+    rows
+}
+
+/// The state eight bytes leave: `word` is those bytes, little-endian, with
+/// the state so far XORed into the low four; `rows` says how far past the
+/// word's end each byte is pushed.
+#[inline(always)]
+fn crc32_word(rows: &[[u32; 256]; 8], word: u64) -> u32 {
+    let mut c = 0;
+    for (k, byte) in word.to_le_bytes().into_iter().enumerate() {
+        c ^= rows[7 - k][byte as usize];
+    }
+    c
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
 }
 
 impl Crc32 {
@@ -84,24 +119,38 @@ impl Crc32 {
     }
 
     /// Absorbs `bytes` into the running checksum.
+    ///
+    /// One state is one chain of table loads, a word at a time. From two
+    /// braid blocks up, [`BRAIDS`] states run instead (zlib's braided CRC):
+    /// braid `i` takes word `i` of every block, each state pushed past the
+    /// other braids' words as it goes, so the chains do not wait on each
+    /// other. The last block folds them back into one state in word order.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC32_TABLES;
         let mut c = self.state;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            c = t[7][(lo & 0xFF) as usize]
-                ^ t[6][(lo >> 8 & 0xFF) as usize]
-                ^ t[5][(lo >> 16 & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][(hi >> 8 & 0xFF) as usize]
-                ^ t[1][(hi >> 16 & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+        let mut rest = bytes;
+        if bytes.len() >= 2 * BRAID_BLOCK {
+            let whole = bytes.len() - bytes.len() % BRAID_BLOCK;
+            let (body, tail) = bytes.split_at(whole);
+            let (body, last) = body.split_at(whole - BRAID_BLOCK);
+            let mut braids = [0u32; BRAIDS];
+            braids[0] = c;
+            for block in body.chunks_exact(BRAID_BLOCK) {
+                for (braid, word) in braids.iter_mut().zip(block.chunks_exact(8)) {
+                    *braid = crc32_word(&BRAID, *braid as u64 ^ le_word(word));
+                }
+            }
+            c = 0;
+            for (braid, word) in braids.iter().zip(last.chunks_exact(8)) {
+                c = crc32_word(&SLICE, (c ^ braid) as u64 ^ le_word(word));
+            }
+            rest = tail;
+        }
+        let mut words = rest.chunks_exact(8);
+        for word in &mut words {
+            c = crc32_word(&SLICE, c as u64 ^ le_word(word));
         }
         for &b in words.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            c = SLICE[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -909,14 +958,17 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// However a buffer is split across `update` calls — so whatever
-        /// mix of 8-byte strides and byte tails the calls take — the result
-        /// is the one-shot byte-wise checksum.
+        /// However a buffer is split across `update` calls, and wherever in
+        /// memory it starts — so whatever mix of braided blocks, folded
+        /// block, 8-byte words and byte tail the calls take — the result is
+        /// the one-shot bit-wise checksum.
         #[test]
         fn crc32_any_split_matches_bytewise_reference(
-            bytes in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..600),
-            cuts in proptest::collection::vec(0usize..600, 0..6),
+            bytes in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..9000),
+            offset in 0usize..8,
+            cuts in proptest::collection::vec(0usize..9000, 0..6),
         ) {
+            let bytes = &bytes[offset.min(bytes.len())..];
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
             cuts.sort_unstable();
             let mut c = Crc32::new();
@@ -926,7 +978,21 @@ mod tests {
                 from = cut;
             }
             c.update(&bytes[from..]);
-            proptest::prop_assert_eq!(c.finish(), crc32_bitwise(&bytes));
+            proptest::prop_assert_eq!(c.finish(), crc32_bitwise(bytes));
+        }
+    }
+
+    /// Every length around the seams — byte tail / word loop at 8, word
+    /// loop / braids at 64, a second braided block at 96 — from a state
+    /// other than the initial one.
+    #[test]
+    fn crc32_every_short_length_matches_bytewise_reference() {
+        let bytes: Vec<u8> = (0..203u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in 0..=200 {
+            let mut c = Crc32::new();
+            c.update(&bytes[..3]);
+            c.update(&bytes[3..3 + len]);
+            assert_eq!(c.finish(), crc32_bitwise(&bytes[..3 + len]), "{len} bytes");
         }
     }
 

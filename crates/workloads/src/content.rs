@@ -120,8 +120,10 @@ impl ContentProfile {
     }
 }
 
+/// The generator: one xorshift64 step. Linear over GF(2) — each output bit
+/// is an XOR of input bits — which is what [`Jump`] rests on.
 #[inline]
-fn xorshift(state: &mut u64) -> u64 {
+const fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
     *state ^= *state >> 7;
     *state ^= *state << 17;
@@ -139,27 +141,188 @@ fn mix(a: u64, b: u64) -> u64 {
     x.wrapping_mul(0x94d0_49bb_1331_11eb) | 1
 }
 
-/// Fills `buf` with the generator's output from state `st`.
-fn fill_random(buf: &mut [u8], mut st: u64) {
-    for chunk in buf.chunks_mut(8) {
-        let v = xorshift(&mut st).to_le_bytes();
-        let n = chunk.len();
-        chunk.copy_from_slice(&v[..n]);
+/// Independent chains one generator chain is cut into. A draw is a 6-deep
+/// dependency chain, so one chain runs a draw at a time; eight that do not
+/// depend on each other run as vectors.
+const LANES: usize = 8;
+
+/// `steps` steps of [`xorshift`] as one map: the state `steps` draws ahead,
+/// without making the draws.
+///
+/// A step is linear over GF(2), so `steps` of them are too, and a linear
+/// map is known from what it does to the 64 one-bit states. Held as one
+/// 16-entry table per nibble of the state (2 KB): the image of a state is
+/// the XOR of its sixteen nibbles' images.
+#[derive(Clone)]
+struct Jump {
+    steps: usize,
+    nibbles: [[u64; 16]; 16],
+}
+
+impl Jump {
+    const fn new(steps: usize) -> Self {
+        let mut nibbles = [[0u64; 16]; 16];
+        let mut bit = 0;
+        while bit < 64 {
+            let mut image = 1u64 << bit;
+            let mut i = 0;
+            while i < steps {
+                xorshift(&mut image);
+                i += 1;
+            }
+            let mut v = 0;
+            while v < 16 {
+                if v & (1 << (bit % 4)) != 0 {
+                    nibbles[bit / 4][v] ^= image;
+                }
+                v += 1;
+            }
+            bit += 1;
+        }
+        Jump { steps, nibbles }
+    }
+
+    #[inline]
+    fn apply(&self, state: u64) -> u64 {
+        let mut image = 0;
+        for (n, table) in self.nibbles.iter().enumerate() {
+            image ^= table[(state >> (4 * n)) as usize & 15];
+        }
+        image
+    }
+
+    /// Where each lane starts when every lane makes `steps` draws: lane `j`
+    /// holds the serial chain's state after `j * steps` of them.
+    #[inline]
+    fn lanes(&self, seed: u64) -> [u64; LANES] {
+        let mut states = [seed; LANES];
+        for j in 1..LANES {
+            states[j] = self.apply(states[j - 1]);
+        }
+        states
     }
 }
 
-/// Overwrites `total` bytes in `clusters` clusters at seeded positions.
-fn splat(buf: &mut [u8], seed: u64, total: usize, clusters: usize) {
-    if total == 0 {
-        return;
+impl fmt::Debug for Jump {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Jump({})", self.steps)
     }
-    let mut st = seed;
-    let per_cluster = (total / clusters).max(1);
-    for _ in 0..clusters {
-        let start = (xorshift(&mut st) as usize) % BLOCK_SIZE;
-        for i in 0..per_cluster {
-            let pos = (start + i) % BLOCK_SIZE;
-            buf[pos] = (xorshift(&mut st) & 0xff) as u8;
+}
+
+/// One step of every lane. Written a shift at a time over the whole array
+/// so each line is one vector operation on the baseline target.
+#[inline(always)]
+fn step_lanes(states: &mut [u64; LANES]) {
+    for s in states.iter_mut() {
+        *s ^= *s << 13;
+    }
+    for s in states.iter_mut() {
+        *s ^= *s >> 7;
+    }
+    for s in states.iter_mut() {
+        *s ^= *s << 17;
+    }
+}
+
+/// A block is 512 draws: 64 from each lane.
+static BLOCK_JUMP: Jump = Jump::new(BLOCK_SIZE / 8 / LANES);
+
+/// Fills the block `buf` with the generator's output from state `st`: the
+/// bytes of 512 serial draws, each lane making the 64 draws of its own
+/// eighth of the block.
+fn fill_random(buf: &mut [u8], st: u64) {
+    const LANE_BYTES: usize = BLOCK_SIZE / LANES;
+    assert_eq!(buf.len(), BLOCK_SIZE, "the lanes are cut for one block");
+    let mut states = BLOCK_JUMP.lanes(st);
+    for at in (0..LANE_BYTES).step_by(8) {
+        step_lanes(&mut states);
+        for (j, s) in states.iter().enumerate() {
+            buf[j * LANE_BYTES + at..][..8].copy_from_slice(&s.to_le_bytes());
+        }
+    }
+}
+
+/// Scratch for [`Splat::apply`], kept by the model between calls.
+#[derive(Clone, Default)]
+struct Draws(Vec<u16>);
+
+impl fmt::Debug for Draws {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Draws({})", self.0.len())
+    }
+}
+
+/// Overwrites `total` bytes in `clusters` clusters at seeded positions: per
+/// cluster, one draw for where it starts and one per byte, later clusters
+/// winning where they overlap.
+///
+/// The draws are one serial chain, the positions they land on are not known
+/// until they are made, and clusters may overlap — so the lanes make the
+/// draws into a scratch, each its own contiguous share of the chain, and the
+/// clusters are then copied out of it in order.
+#[derive(Debug, Clone)]
+struct Splat {
+    clusters: usize,
+    /// Bytes per cluster; 0 for a splat of nothing.
+    per_cluster: usize,
+    /// Draws per lane: the chain's `clusters * (per_cluster + 1)`, shared out.
+    stride: usize,
+    /// `stride` draws ahead.
+    jump: Jump,
+}
+
+impl Splat {
+    fn new(total: usize, clusters: usize) -> Self {
+        let per_cluster = match total {
+            0 => 0,
+            _ => (total / clusters).max(1),
+        };
+        let draws = match total {
+            0 => 0,
+            _ => clusters * (per_cluster + 1),
+        };
+        let stride = draws.div_ceil(LANES);
+        Splat {
+            clusters,
+            per_cluster,
+            stride,
+            jump: Jump::new(stride),
+        }
+    }
+
+    /// Splats over the block `buf` from `seed`. `draws` is scratch: what it
+    /// holds on entry is ignored. A draw is kept as its low 16 bits — a
+    /// cluster start needs 12 ([`BLOCK_SIZE`] positions), a byte 8.
+    fn apply(&self, buf: &mut [u8], seed: u64, draws: &mut Draws) {
+        if self.per_cluster == 0 {
+            return;
+        }
+        assert_eq!(buf.len(), BLOCK_SIZE);
+        let stride = self.stride;
+        draws.0.resize(LANES * stride, 0);
+        let draws = &mut draws.0[..LANES * stride];
+        let mut states = self.jump.lanes(seed);
+        for r in 0..stride {
+            step_lanes(&mut states);
+            for (j, s) in states.iter().enumerate() {
+                draws[j * stride + r] = *s as u16;
+            }
+        }
+        let mut draws = &draws[..];
+        for _ in 0..self.clusters {
+            let (cluster, rest) = draws.split_at(1 + self.per_cluster);
+            draws = rest;
+            let mut pos = cluster[0] as usize % BLOCK_SIZE;
+            let mut bytes = &cluster[1..];
+            // A cluster that runs off the block's end wraps to its start.
+            while !bytes.is_empty() {
+                let (now, wrapped) = bytes.split_at(bytes.len().min(BLOCK_SIZE - pos));
+                for (b, &draw) in buf[pos..pos + now.len()].iter_mut().zip(now) {
+                    *b = draw as u8;
+                }
+                bytes = wrapped;
+                pos = 0;
+            }
         }
     }
 }
@@ -235,19 +398,28 @@ pub struct ContentModel {
     seed: u64,
     profile: ContentProfile,
     versions: AddrMap<Lba, u32>,
+    /// What makes a block its family's base no longer: the profile's
+    /// `personal_bytes`, and a version's `mutation_bytes`.
+    personal: Splat,
+    mutation: Splat,
     /// Behind a `RefCell` because generating content is `&self`: a cache of
     /// what `(seed, family)` already determine, not state.
     bases: RefCell<BaseMemo>,
+    draws: RefCell<Draws>,
 }
 
 impl ContentModel {
     /// Creates a model from a seed and a content profile.
     pub fn new(seed: u64, profile: ContentProfile) -> Self {
+        let clusters = profile.clusters.max(1);
         ContentModel {
             seed,
+            personal: Splat::new(profile.personal_bytes, clusters),
+            mutation: Splat::new(profile.mutation_bytes, clusters),
             profile,
             versions: AddrMap::default(),
             bases: RefCell::default(),
+            draws: RefCell::default(),
         }
     }
 
@@ -271,32 +443,24 @@ impl ContentModel {
     ///
     /// A shared block is its family's base with the block's personalisation
     /// and the version's mutation splatted over it. The base is a pure
-    /// function of `(seed, family)` and a serial 512-step generator chain,
-    /// so it comes from the memo: the block is one copy of it, edited in
-    /// place. A unique block has no base and is generated whole.
+    /// function of `(seed, family)` and 512 generator draws, so it comes
+    /// from the memo: the block is one copy of it, edited in place. A unique
+    /// block has no base and is generated whole.
     pub fn content_at(&self, lba: Lba, version: u32) -> BlockBuf {
         if self.is_unique(lba) {
             let st = mix(self.seed ^ 0xFACE, lba.raw() ^ ((version as u64) << 40));
             return BlockBuf::edit_copy(&[0; BLOCK_SIZE], |buf| fill_random(buf, st));
         }
-        let clusters = self.profile.clusters.max(1);
         let mut bases = self.bases.borrow_mut();
+        let draws = &mut self.draws.borrow_mut();
         BlockBuf::edit_copy(bases.base(self.seed, self.family_of(lba)), |buf| {
             // Personalization: what makes this block this block.
-            splat(
-                buf,
-                mix(self.seed ^ 0xBEEF, lba.raw()),
-                self.profile.personal_bytes,
-                clusters,
-            );
+            let personal = mix(self.seed ^ 0xBEEF, lba.raw());
+            self.personal.apply(buf, personal, draws);
             // Version mutations: what this write changed.
             if version > 0 {
-                splat(
-                    buf,
-                    mix(self.seed ^ 0xCAFE, lba.raw() ^ ((version as u64) << 32)),
-                    self.profile.mutation_bytes,
-                    clusters,
-                );
+                let mutation = mix(self.seed ^ 0xCAFE, lba.raw() ^ ((version as u64) << 32));
+                self.mutation.apply(buf, mutation, draws);
             }
         })
     }
@@ -343,30 +507,104 @@ mod tests {
             .count()
     }
 
-    /// `content_at` as it was before bases were memoised and blocks built
-    /// in place: the whole block generated into a `Vec`, base included.
-    /// Kept as the oracle for the bytes.
+    /// The generator as one chain, a draw at a time: the definition the
+    /// lanes of [`fill_random`] must reproduce.
+    fn fill_random_serial(buf: &mut [u8], mut st: u64) {
+        for chunk in buf.chunks_mut(8) {
+            let v = xorshift(&mut st).to_le_bytes();
+            let n = chunk.len();
+            chunk.copy_from_slice(&v[..n]);
+        }
+    }
+
+    /// `splat` as one chain, each draw written where it lands as it is
+    /// made: the definition [`Splat::apply`] must reproduce.
+    fn splat_serial(buf: &mut [u8], seed: u64, total: usize, clusters: usize) {
+        if total == 0 {
+            return;
+        }
+        let mut st = seed;
+        let per_cluster = (total / clusters).max(1);
+        for _ in 0..clusters {
+            let start = (xorshift(&mut st) as usize) % BLOCK_SIZE;
+            for i in 0..per_cluster {
+                let pos = (start + i) % BLOCK_SIZE;
+                buf[pos] = (xorshift(&mut st) & 0xff) as u8;
+            }
+        }
+    }
+
+    /// `content_at` as it was before bases were memoised, blocks built in
+    /// place and the generator cut into lanes: the whole block generated
+    /// serially into a `Vec`, base included. Kept as the oracle for the
+    /// bytes.
     fn content_at_from_scratch(m: &ContentModel, lba: Lba, version: u32) -> BlockBuf {
         let mut buf = vec![0u8; BLOCK_SIZE];
         if m.is_unique(lba) {
-            fill_random(
+            fill_random_serial(
                 &mut buf,
                 mix(m.seed ^ 0xFACE, lba.raw() ^ ((version as u64) << 40)),
             );
             return BlockBuf::from_vec(buf);
         }
-        fill_random(&mut buf, mix(m.seed, m.family_of(lba)));
+        fill_random_serial(&mut buf, mix(m.seed, m.family_of(lba)));
         let clusters = m.profile.clusters.max(1);
         let personal = mix(m.seed ^ 0xBEEF, lba.raw());
-        splat(&mut buf, personal, m.profile.personal_bytes, clusters);
+        splat_serial(&mut buf, personal, m.profile.personal_bytes, clusters);
         if version > 0 {
             let mutation = mix(m.seed ^ 0xCAFE, lba.raw() ^ ((version as u64) << 32));
-            splat(&mut buf, mutation, m.profile.mutation_bytes, clusters);
+            splat_serial(&mut buf, mutation, m.profile.mutation_bytes, clusters);
         }
         BlockBuf::from_vec(buf)
     }
 
     proptest::proptest! {
+        /// Any splat the lanes make is the serial chain's: clusters that
+        /// overlap, that wrap the block's end or (`per_cluster` ≥ 4096, the
+        /// `incompressible` mutation) lap it, more clusters than lanes, and
+        /// `total < clusters`, where every cluster is one byte.
+        #[test]
+        fn lanes_splat_is_the_serial_splat(
+            seed in proptest::strategy::any::<u64>(),
+            total in proptest::prop_oneof![0usize..40, 0usize..2 * BLOCK_SIZE + 1],
+            clusters in 1usize..21,
+            fill in proptest::strategy::any::<u8>(),
+        ) {
+            let mut serial = vec![fill; BLOCK_SIZE];
+            let mut lanes = serial.clone();
+            splat_serial(&mut serial, seed, total, clusters);
+            // Scratch left over from a larger splat must not show.
+            let mut draws = Draws(vec![0xFFFF; 3 * BLOCK_SIZE]);
+            Splat::new(total, clusters).apply(&mut lanes, seed, &mut draws);
+            proptest::prop_assert_eq!(lanes, serial);
+        }
+
+        /// A jump is the steps it stands for, and linear: the two facts
+        /// that make a lane's bytes the serial chain's.
+        #[test]
+        fn lanes_jump_is_that_many_serial_steps(
+            a in proptest::strategy::any::<u64>(),
+            b in proptest::strategy::any::<u64>(),
+            steps in 0usize..2000,
+        ) {
+            let jump = Jump::new(steps);
+            let mut serial = a;
+            for _ in 0..steps {
+                xorshift(&mut serial);
+            }
+            proptest::prop_assert_eq!(jump.apply(a), serial);
+            proptest::prop_assert_eq!(jump.apply(a ^ b), jump.apply(a) ^ jump.apply(b));
+        }
+
+        #[test]
+        fn lanes_fill_random_is_the_serial_fill(seed in proptest::strategy::any::<u64>()) {
+            let mut serial = vec![0u8; BLOCK_SIZE];
+            let mut lanes = vec![0xAAu8; BLOCK_SIZE];
+            fill_random_serial(&mut serial, seed);
+            fill_random(&mut lanes, seed);
+            proptest::prop_assert_eq!(lanes, serial);
+        }
+
         /// One model, many blocks: neighbours that share a memoised base,
         /// far blocks that evict it, VM-tagged clones and unique blocks all
         /// hold the bytes generating them from scratch gives.
@@ -416,7 +654,7 @@ mod tests {
         let memo = m.bases.borrow();
         assert_eq!(memo.bases.len(), BaseMemo::SLOTS * BLOCK_SIZE);
         assert!(memo.bases.len() <= 1 << 20);
-        assert!(format!("{m:?}").len() < 400, "no block bytes in Debug");
+        assert!(format!("{m:?}").len() < 600, "no block bytes in Debug");
     }
 
     #[test]
