@@ -142,7 +142,8 @@ bench)
 gate)
   run cargo fmt --check
   run cargo clippy --workspace --all-targets -- -D warnings
-  run cargo clippy -q -p icash-core --no-deps -- -D warnings -D clippy::unwrap_used
+  run cargo clippy -q -p icash-core -p icash-storage -p icash-delta -p icash-workloads --no-deps -- \
+    -D warnings -D clippy::unwrap_used
   lint_hashers
   run cargo build --release
   run cargo test -q --workspace

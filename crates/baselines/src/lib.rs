@@ -32,6 +32,7 @@
 //! assert_eq!(systems.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

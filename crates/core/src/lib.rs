@@ -54,6 +54,7 @@
 //! assert_eq!(completion.data[0], BlockBuf::filled(7));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -34,6 +34,7 @@
 //! assert_eq!(codec.decode(&reference, &delta).unwrap(), incoming);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

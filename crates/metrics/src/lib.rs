@@ -21,6 +21,7 @@
 //! assert!(lat.mean() > Ns::from_us(20));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

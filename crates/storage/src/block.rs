@@ -12,6 +12,19 @@ use serde::{Deserialize, Serialize};
 /// Size of one cache/storage block in bytes (paper §4.2: fixed at 4 KB).
 pub const BLOCK_SIZE: usize = 4096;
 
+/// The first eight bytes of `bytes` as a little-endian word: one load, for
+/// the loops that take a buffer a word at a time.
+///
+/// # Panics
+///
+/// Panics if there are fewer than eight.
+#[inline(always)]
+pub(crate) fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
 /// A logical block address in units of [`BLOCK_SIZE`] blocks.
 ///
 /// The prototype uses the most significant byte of the 64-bit address as the
@@ -218,7 +231,7 @@ impl BlockBuf {
         let mut h = OFFSET;
         let mut chunks = self.0.chunks_exact(8);
         for chunk in &mut chunks {
-            h ^= u64::from_le_bytes(chunk.try_into().unwrap());
+            h ^= le_word(chunk);
             h = h.wrapping_mul(PRIME);
         }
         for &b in chunks.remainder() {

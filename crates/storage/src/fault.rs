@@ -17,7 +17,7 @@
 //! zero-cost*: devices skip the injector entirely and behave bit-identically
 //! to a build without the fault layer.
 
-use crate::block::{BlockBuf, Lba};
+use crate::block::{le_word, BlockBuf, Lba};
 use crate::hash::AddrSet;
 use crate::request::{BlockError, IoErrorKind};
 use crate::time::Ns;
@@ -103,13 +103,6 @@ fn crc32_word(rows: &[[u32; 256]; 8], word: u64) -> u32 {
         c ^= rows[7 - k][byte as usize];
     }
     c
-}
-
-#[inline(always)]
-fn le_word(bytes: &[u8]) -> u64 {
-    let mut word = [0; 8];
-    word.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(word)
 }
 
 impl Crc32 {

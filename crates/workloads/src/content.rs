@@ -242,8 +242,9 @@ fn fill_random(buf: &mut [u8], st: u64) {
     }
 }
 
-/// Scratch for [`Splat::apply`], kept by the model between calls.
-#[derive(Clone, Default)]
+/// Scratch for [`Splat::apply`]: room for the larger of a model's splats,
+/// allocated with the model so that generating a block allocates the block.
+#[derive(Clone)]
 struct Draws(Vec<u16>);
 
 impl fmt::Debug for Draws {
@@ -290,6 +291,12 @@ impl Splat {
         }
     }
 
+    /// Draws the lanes make between them: the scratch [`apply`](Self::apply)
+    /// needs.
+    fn draws(&self) -> usize {
+        LANES * self.stride
+    }
+
     /// Splats over the block `buf` from `seed`. `draws` is scratch: what it
     /// holds on entry is ignored. A draw is kept as its low 16 bits — a
     /// cluster start needs 12 ([`BLOCK_SIZE`] positions), a byte 8.
@@ -299,8 +306,7 @@ impl Splat {
         }
         assert_eq!(buf.len(), BLOCK_SIZE);
         let stride = self.stride;
-        draws.0.resize(LANES * stride, 0);
-        let draws = &mut draws.0[..LANES * stride];
+        let draws = &mut draws.0[..self.draws()];
         let mut states = self.jump.lanes(seed);
         for r in 0..stride {
             step_lanes(&mut states);
@@ -412,14 +418,17 @@ impl ContentModel {
     /// Creates a model from a seed and a content profile.
     pub fn new(seed: u64, profile: ContentProfile) -> Self {
         let clusters = profile.clusters.max(1);
+        let personal = Splat::new(profile.personal_bytes, clusters);
+        let mutation = Splat::new(profile.mutation_bytes, clusters);
+        let draws = Draws(vec![0; personal.draws().max(mutation.draws())]);
         ContentModel {
             seed,
-            personal: Splat::new(profile.personal_bytes, clusters),
-            mutation: Splat::new(profile.mutation_bytes, clusters),
             profile,
             versions: AddrMap::default(),
+            personal,
+            mutation,
             bases: RefCell::default(),
-            draws: RefCell::default(),
+            draws: RefCell::new(draws),
         }
     }
 

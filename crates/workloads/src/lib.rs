@@ -38,6 +38,7 @@
 //! assert!(op.lba.offset() < spec.data_blocks());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
