@@ -143,7 +143,9 @@ fn mix(a: u64, b: u64) -> u64 {
 
 /// Independent chains one generator chain is cut into. A draw is a 6-deep
 /// dependency chain, so one chain runs a draw at a time; eight that do not
-/// depend on each other run as vectors.
+/// depend on each other run as vectors — provided the lanes are stepped in
+/// a loop of their own, apart from what is done with the draws (stepping
+/// and storing lane by lane, the compiler keeps them scalar).
 const LANES: usize = 8;
 
 /// `steps` steps of [`xorshift`] as one map: the state `steps` draws ahead,
@@ -155,7 +157,6 @@ const LANES: usize = 8;
 /// the XOR of its sixteen nibbles' images.
 #[derive(Clone)]
 struct Jump {
-    steps: usize,
     nibbles: [[u64; 16]; 16],
 }
 
@@ -179,7 +180,7 @@ impl Jump {
             }
             bit += 1;
         }
-        Jump { steps, nibbles }
+        Jump { nibbles }
     }
 
     #[inline]
@@ -205,22 +206,7 @@ impl Jump {
 
 impl fmt::Debug for Jump {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Jump({})", self.steps)
-    }
-}
-
-/// One step of every lane. Written a shift at a time over the whole array
-/// so each line is one vector operation on the baseline target.
-#[inline(always)]
-fn step_lanes(states: &mut [u64; LANES]) {
-    for s in states.iter_mut() {
-        *s ^= *s << 13;
-    }
-    for s in states.iter_mut() {
-        *s ^= *s >> 7;
-    }
-    for s in states.iter_mut() {
-        *s ^= *s << 17;
+        f.write_str("Jump") // not 2 KB of tables
     }
 }
 
@@ -235,9 +221,11 @@ fn fill_random(buf: &mut [u8], st: u64) {
     assert_eq!(buf.len(), BLOCK_SIZE, "the lanes are cut for one block");
     let mut states = BLOCK_JUMP.lanes(st);
     for at in (0..LANE_BYTES).step_by(8) {
-        step_lanes(&mut states);
-        for (j, s) in states.iter().enumerate() {
-            buf[j * LANE_BYTES + at..][..8].copy_from_slice(&s.to_le_bytes());
+        for state in &mut states {
+            xorshift(state);
+        }
+        for (j, state) in states.iter().enumerate() {
+            buf[j * LANE_BYTES + at..][..8].copy_from_slice(&state.to_le_bytes());
         }
     }
 }
@@ -263,8 +251,8 @@ impl fmt::Debug for Draws {
 /// clusters are then copied out of it in order.
 #[derive(Debug, Clone)]
 struct Splat {
+    /// Clusters written; none for a splat of nothing.
     clusters: usize,
-    /// Bytes per cluster; 0 for a splat of nothing.
     per_cluster: usize,
     /// Draws per lane: the chain's `clusters * (per_cluster + 1)`, shared out.
     stride: usize,
@@ -274,15 +262,9 @@ struct Splat {
 
 impl Splat {
     fn new(total: usize, clusters: usize) -> Self {
-        let per_cluster = match total {
-            0 => 0,
-            _ => (total / clusters).max(1),
-        };
-        let draws = match total {
-            0 => 0,
-            _ => clusters * (per_cluster + 1),
-        };
-        let stride = draws.div_ceil(LANES);
+        let clusters = if total == 0 { 0 } else { clusters };
+        let per_cluster = (total / clusters.max(1)).max(1);
+        let stride = (clusters * (per_cluster + 1)).div_ceil(LANES);
         Splat {
             clusters,
             per_cluster,
@@ -301,17 +283,16 @@ impl Splat {
     /// holds on entry is ignored. A draw is kept as its low 16 bits — a
     /// cluster start needs 12 ([`BLOCK_SIZE`] positions), a byte 8.
     fn apply(&self, buf: &mut [u8], seed: u64, draws: &mut Draws) {
-        if self.per_cluster == 0 {
-            return;
-        }
         assert_eq!(buf.len(), BLOCK_SIZE);
         let stride = self.stride;
         let draws = &mut draws.0[..self.draws()];
         let mut states = self.jump.lanes(seed);
         for r in 0..stride {
-            step_lanes(&mut states);
-            for (j, s) in states.iter().enumerate() {
-                draws[j * stride + r] = *s as u16;
+            for state in &mut states {
+                xorshift(state);
+            }
+            for (j, state) in states.iter().enumerate() {
+                draws[j * stride + r] = *state as u16;
             }
         }
         let mut draws = &draws[..];
