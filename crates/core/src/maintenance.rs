@@ -505,7 +505,7 @@ impl Icash {
     /// (an eighth of the pool) rather than a single block, so its cost
     /// amortises across many subsequent allocations. Passes A1 and A2 ask
     /// the table's residency index for their victims — LRU order, holders
-    /// only — so they cost O(victims · log n), not a table walk.
+    /// only — so they cost O(victims) plus word skips, not a table walk.
     fn make_room(&mut self, needed: usize, protect: VbId, at: Ns) -> bool {
         if self.volatile.pool.available() >= needed {
             return true;

@@ -9,8 +9,6 @@ use crate::lru::LruList;
 use crate::virtual_block::{Placement, Role, VirtualBlock};
 use icash_storage::block::Lba;
 use icash_storage::hash::AddrMap;
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// What a tracked block can hold in the RAM pool; one residency set each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,15 +19,87 @@ pub enum Resident {
     Delta,
 }
 
-/// Per-slab-slot recency bookkeeping behind the residency index.
-#[derive(Debug, Clone, Copy, Default)]
-struct Recency {
-    /// Value of the table clock at the block's last insert/touch: ascending
-    /// stamps are exactly the LRU's tail → head order.
-    stamp: u64,
-    /// Per [`Resident`] class, the stamp the block is filed under in the
-    /// residency set (0: not a member). Never above `stamp`.
-    filed: [u64; 2],
+/// Stamps the table may hand out beyond two per tracked block before it
+/// renumbers: a renumber costs O(len) and comes at most once per
+/// `len + RENUMBER_SLACK` stamps, so O(1) amortised.
+const RENUMBER_SLACK: usize = 4096;
+
+/// A set of stamps: one bit per stamp in `u64` words, and one summary bit
+/// per word saying the word is not zero, so a successor query skips 4 096
+/// absent stamps per summary word it reads.
+#[derive(Debug, Clone, Default)]
+struct StampSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl StampSet {
+    fn contains(&self, s: usize) -> bool {
+        self.words
+            .get(s / 64)
+            .is_some_and(|w| w >> (s % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, s: usize) {
+        let w = s / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        self.words[w] |= 1 << (s % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Takes `s` out; whether it was in.
+    fn remove(&mut self, s: usize) -> bool {
+        let w = s / 64;
+        let Some(word) = self.words.get_mut(w) else {
+            return false;
+        };
+        let bit = 1 << (s % 64);
+        let was = *word & bit != 0;
+        *word &= !bit;
+        if *word == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        was
+    }
+
+    /// The least member at or above `s`.
+    fn next_from(&self, s: usize) -> Option<usize> {
+        let w = s / 64;
+        let here = self.words.get(w)? & (!0 << (s % 64));
+        if here != 0 {
+            return Some(w * 64 + here.trailing_zeros() as usize);
+        }
+        // The first non-zero word past `w`, found by its summary bit.
+        let w = w + 1;
+        let first = self.summary.get(w / 64)? & (!0 << (w % 64));
+        let (skipped, bits) = std::iter::once(first)
+            .chain(self.summary[w / 64 + 1..].iter().copied())
+            .enumerate()
+            .find(|&(_, bits)| bits != 0)?;
+        let w = (w / 64 + skipped) * 64 + bits.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&s| self.next_from(s + 1))
+    }
+
+    /// Asserts that the summary bits are exactly the non-zero words.
+    fn validate(&self) {
+        assert_eq!(
+            self.summary.len(),
+            self.words.len().div_ceil(64),
+            "summary size"
+        );
+        for (w, &word) in self.words.iter().enumerate() {
+            let flagged = self.summary[w / 64] >> (w % 64) & 1 == 1;
+            assert_eq!(flagged, word != 0, "summary bit of word {w}");
+        }
+    }
 }
 
 /// Stable handle to a virtual block in the table.
@@ -78,14 +148,16 @@ pub struct BlockTable {
     /// `Icash::stats` never walks the table. Cross-checked against a full
     /// scan by [`validate`](Self::validate).
     role_counts: (u64, u64, u64),
-    /// Ticks at every insert/touch; see [`Recency::stamp`].
-    clock: u64,
-    recency: Vec<Recency>,
-    /// Per [`Resident`] class, filed stamp (unique: the clock hands none
-    /// out twice) → slab index of every holder. A touch moves the block's
-    /// stamp but not its entry, so an entry may be filed *too early*, never
-    /// too late; [`next_resident`](Self::next_resident) re-files those.
-    resident: [BTreeMap<u64, usize>; 2],
+    /// Per slab slot, the stamp the block got at its last insert/touch:
+    /// ascending stamps are exactly the LRU's tail → head order.
+    stamps: Vec<u32>,
+    /// Stamp → slab index, one entry per stamp handed out since the last
+    /// renumber; `owner[stamps[i]] == i` for every tracked block, older
+    /// entries are dead.
+    owner: Vec<u32>,
+    /// Per [`Resident`] class, the stamps of every holder. A touch moves
+    /// the block's bits to its new stamp.
+    resident: [StampSet; 2],
 }
 
 impl BlockTable {
@@ -110,11 +182,6 @@ impl BlockTable {
     ///
     /// Panics if the LBA is already tracked.
     pub fn insert(&mut self, vb: VirtualBlock) -> VbId {
-        assert!(
-            !self.by_lba.contains_key(&vb.lba),
-            "lba {} already tracked",
-            vb.lba
-        );
         let lba = vb.lba;
         *self.count_mut(vb.placement.role()) += 1;
         let idx = match self.free.pop() {
@@ -124,14 +191,17 @@ impl BlockTable {
             }
             None => {
                 self.slots.push(Some(vb));
-                self.recency.push(Recency::default());
+                self.stamps.push(0);
                 self.slots.len() - 1
             }
         };
-        self.by_lba.insert(lba, idx);
+        let tracked = self.by_lba.insert(lba, idx);
+        assert!(tracked.is_none(), "lba {lba} already tracked");
+        // Stamped before it is listed: a renumber here must not read the
+        // slot's stale stamp as a holder's.
+        self.stamp(idx);
         self.lru.grow_to(self.slots.len());
         self.lru.push_front(idx);
-        self.stamp(idx);
         VbId(idx)
     }
 
@@ -165,13 +235,49 @@ impl BlockTable {
     /// Panics if the handle is stale.
     pub fn touch(&mut self, id: VbId) {
         assert!(self.slots[id.0].is_some(), "stale VbId");
+        if self.lru.front() == Some(id.0) {
+            return; // already the newest stamp
+        }
         self.lru.touch(id.0);
-        self.stamp(id.0);
+        let old = self.stamp(id.0);
+        let new = self.stamps[id.0] as usize;
+        for set in &mut self.resident {
+            if set.remove(old) {
+                set.insert(new);
+            }
+        }
     }
 
-    fn stamp(&mut self, idx: usize) {
-        self.clock += 1;
-        self.recency[idx].stamp = self.clock;
+    /// Hands `idx` the next stamp, renumbering first when the stamp line is
+    /// full, and returns the stamp it had (after any renumber).
+    fn stamp(&mut self, idx: usize) -> usize {
+        if self.owner.len() >= 2 * self.lru.len() + RENUMBER_SLACK {
+            self.renumber();
+        }
+        let s = u32::try_from(self.owner.len()).expect("stamp beyond u32: over 2^31 blocks");
+        self.owner
+            .push(u32::try_from(idx).expect("slab index beyond u32"));
+        std::mem::replace(&mut self.stamps[idx], s) as usize
+    }
+
+    /// Restamps every listed block `0..len` in LRU order and rebuilds the
+    /// residency sets on the new stamps.
+    fn renumber(&mut self) {
+        let len = self.lru.len();
+        let mut resident: [StampSet; 2] = Default::default();
+        self.owner.clear();
+        self.owner.resize(len, 0);
+        for (rank, idx) in self.lru.iter_front().enumerate() {
+            let s = len - 1 - rank;
+            for (new, old) in resident.iter_mut().zip(&self.resident) {
+                if old.contains(self.stamps[idx] as usize) {
+                    new.insert(s);
+                }
+            }
+            self.stamps[idx] = s as u32;
+            self.owner[s] = idx as u32;
+        }
+        self.resident = resident;
     }
 
     /// Removes a block and returns it.
@@ -249,46 +355,31 @@ impl BlockTable {
     /// Panics if the handle is stale.
     pub fn set_resident(&mut self, id: VbId, class: Resident, on: bool) {
         assert!(self.slots[id.0].is_some(), "stale VbId");
-        let Recency { stamp, filed } = &mut self.recency[id.0];
-        let filed = &mut filed[class as usize];
-        if on && *filed == 0 {
-            *filed = *stamp;
-            self.resident[class as usize].insert(*stamp, id.0);
-        } else if !on && *filed != 0 {
-            self.resident[class as usize].remove(filed);
-            *filed = 0;
+        let stamp = self.stamps[id.0] as usize;
+        let set = &mut self.resident[class as usize];
+        if on {
+            set.insert(stamp);
+        } else {
+            set.remove(stamp);
         }
     }
 
     /// Whether the index has `id` down as holding `class`.
     pub fn is_resident(&self, id: VbId, class: Resident) -> bool {
-        self.recency[id.0].filed[class as usize] != 0
+        self.slots[id.0].is_some()
+            && self.resident[class as usize].contains(self.stamps[id.0] as usize)
     }
 
     /// The least recently used block holding `class` among those more
     /// recently used than `after` (`None`: among all) — so feeding each
     /// answer back in enumerates the holders in the LRU's tail → head
     /// order, whether or not the caller drops them on the way. A walk
-    /// starts at `None` and passes each answer back with no `touch` in
-    /// between: entries below `after` are taken as already met.
-    pub fn next_resident(&mut self, class: Resident, after: Option<VbId>) -> Option<VbId> {
-        let set = &mut self.resident[class as usize];
-        let mut from = after.map_or(0, |id| self.recency[id.0].stamp);
-        loop {
-            let (&filed, &idx) = set
-                .range((Bound::Excluded(from), Bound::Unbounded))
-                .next()?;
-            let stamp = self.recency[idx].stamp;
-            if filed == stamp {
-                return Some(VbId(idx));
-            }
-            // Touched since it was filed: it belongs further up. Every
-            // member really at or below `filed` has been met by now.
-            set.remove(&filed);
-            set.insert(stamp, idx);
-            self.recency[idx].filed[class as usize] = stamp;
-            from = filed;
-        }
+    /// passes each answer back with no `insert` or `touch` in between:
+    /// those are where stamps move.
+    pub fn next_resident(&self, class: Resident, after: Option<VbId>) -> Option<VbId> {
+        let from = after.map_or(0, |id| self.stamps[id.0] as usize + 1);
+        let stamp = self.resident[class as usize].next_from(from)?;
+        Some(VbId(self.owner[stamp] as usize))
     }
 
     /// Asserts internal consistency (tests/debugging).
@@ -320,18 +411,23 @@ impl BlockTable {
             self.role_counts, scanned,
             "incremental role counts diverged from the table contents"
         );
-        // Stamps order the blocks as the list does, and each residency set
-        // holds exactly the filed keys, none filed late.
-        let stamps = self.lru.iter_front().map(|i| self.recency[i].stamp);
+        // Stamps order the blocks as the list does, each names its block,
+        // and every member of a residency set is a tracked block's stamp.
+        let stamps = self.lru.iter_front().map(|i| self.stamps[i]);
         assert!(stamps.is_sorted_by(|a, b| a > b), "stamps out of LRU order");
-        for (class, set) in self.resident.iter().enumerate() {
-            let filed = |i: usize| self.recency[i].filed[class];
-            let members = (0..self.slots.len()).filter(|&i| filed(i) != 0).count();
-            assert_eq!(members, set.len(), "residency set size mismatch");
-            for (&key, &idx) in set {
-                assert!(self.slots[idx].is_some(), "residency entry for a free slot");
-                assert_eq!(key, filed(idx), "residency entry under the wrong key");
-                assert!(key <= self.recency[idx].stamp, "residency entry filed late");
+        for idx in self.lru.iter_front() {
+            let owner = self.owner.get(self.stamps[idx] as usize).copied();
+            assert_eq!(owner, Some(idx as u32), "stamp of {idx} names another slot");
+        }
+        for set in &self.resident {
+            set.validate();
+            for s in set.iter() {
+                let idx = self.owner.get(s).map(|&i| i as usize);
+                let live = idx.filter(|&i| self.slots[i].is_some() && self.stamps[i] as usize == s);
+                assert!(
+                    live.is_some(),
+                    "residency bit {s} belongs to no tracked block"
+                );
             }
         }
     }
@@ -342,6 +438,8 @@ mod tests {
     use super::*;
     use crate::virtual_block::DeltaHome;
     use icash_delta::signature::BlockSignature;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn vb(lba: u64) -> VirtualBlock {
         VirtualBlock::independent(Lba::new(lba), BlockSignature::from_raw([0; 8]))
@@ -436,5 +534,136 @@ mod tests {
         let a = t.insert(vb(1));
         t.remove(a);
         let _ = t.get(a);
+    }
+
+    /// Successor queries at word (64) and summary-word (4 096) edges, over
+    /// a stretch of summary words with no member, and past the last bit.
+    #[test]
+    fn stamp_set_successor_crosses_word_and_summary_boundaries() {
+        let mut set = StampSet::default();
+        assert_eq!(set.next_from(0), None, "empty");
+        let last = 3 * 4096 + 70;
+        let members = [0, 63, 64, 4095, 4096, last];
+        for s in members {
+            set.insert(s);
+        }
+        set.validate();
+        for from in 0..=last + 64 {
+            let want = members.iter().copied().find(|&m| m >= from);
+            assert_eq!(set.next_from(from), want, "from {from}");
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), members);
+        for (i, s) in members.into_iter().enumerate() {
+            assert!(set.remove(s) && !set.remove(s));
+            set.validate();
+            assert_eq!(set.next_from(0), members.get(i + 1).copied());
+        }
+        assert!(!set.remove(last + 4096), "past the words");
+    }
+
+    /// A touch of the head is no move and hands out no stamp.
+    #[test]
+    fn touching_the_head_hands_out_no_stamp() {
+        let mut t = BlockTable::new();
+        let a = t.insert(vb(1));
+        let b = t.insert(vb(2));
+        t.touch(b);
+        assert_eq!(t.owner.len(), 2);
+        t.touch(a);
+        assert_eq!(t.owner.len(), 3);
+        t.validate();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Touch-heavy histories over at most 24 blocks, replayed until the
+        /// table has renumbered at least three times: the residency index
+        /// still enumerates each class's holders as the full LRU walk
+        /// filtered by who holds what does, with `validate` after every op.
+        #[test]
+        fn residency_index_survives_renumbering(
+            ops in prop::collection::vec((0u64..24, 0u8..12, any::<u16>()), 64..256),
+        ) {
+            const CLASSES: [Resident; 2] = [Resident::Data, Resident::Delta];
+            let mut t = BlockTable::new();
+            let mut holds: HashSet<(u64, usize)> = HashSet::new();
+            let oracle = |t: &BlockTable, holds: &HashSet<(u64, usize)>, c| {
+                let mut ids = t.head_ids(usize::MAX);
+                ids.reverse();
+                ids.retain(|&id| holds.contains(&(t.get(id).lba.raw(), c)));
+                ids
+            };
+            // A round is the history, then a quarter as many touches of the
+            // tail (`None`; two blocks made sure of first): every round
+            // hands out stamps, whatever the history does.
+            let round = ops.iter().map(Some).chain(std::iter::repeat_n(None, ops.len() / 4));
+            let mut renumbers = 0;
+            while renumbers < 3 {
+                for op in round.clone() {
+                    let stamps_before = t.owner.len();
+                    let Some(&(lba, kind, bits)) = op else {
+                        for lba in 0..2 {
+                            if t.lookup(Lba::new(lba)).is_none() {
+                                t.insert(vb(lba));
+                            }
+                        }
+                        t.touch(t.newer(None).expect("two blocks"));
+                        renumbers += usize::from(t.owner.len() < stamps_before);
+                        t.validate();
+                        continue;
+                    };
+                    let c = (bits & 1) as usize;
+                    match (kind, t.lookup(Lba::new(lba))) {
+                        (0..=1, None) => {
+                            t.insert(vb(lba));
+                        }
+                        (2, Some(id)) => {
+                            t.remove(id);
+                            holds.retain(|&(l, _)| l != lba);
+                        }
+                        (3..=7, Some(id)) => t.touch(id),
+                        (8..=9, Some(id)) => {
+                            t.set_resident(id, CLASSES[c], true);
+                            holds.insert((lba, c));
+                        }
+                        (10, Some(id)) => {
+                            t.set_resident(id, CLASSES[c], false);
+                            holds.remove(&(lba, c));
+                        }
+                        (11, _) => {
+                            let want = oracle(&t, &holds, c);
+                            let mut got = Vec::new();
+                            let mut last = None;
+                            while let Some(id) = t.next_resident(CLASSES[c], last) {
+                                if bits >> (got.len() % 15 + 1) & 1 == 1 {
+                                    t.set_resident(id, CLASSES[c], false);
+                                    holds.remove(&(t.get(id).lba.raw(), c));
+                                }
+                                got.push(id);
+                                last = Some(id);
+                            }
+                            assert_eq!(got, want);
+                        }
+                        _ => {}
+                    }
+                    renumbers += usize::from(t.owner.len() < stamps_before);
+                    t.validate();
+                    for id in t.head_ids(usize::MAX) {
+                        for (c, &class) in CLASSES.iter().enumerate() {
+                            let held = holds.contains(&(t.get(id).lba.raw(), c));
+                            assert_eq!(t.is_resident(id, class), held);
+                        }
+                    }
+                }
+            }
+            for (c, &class) in CLASSES.iter().enumerate() {
+                let got: Vec<_> = std::iter::successors(t.next_resident(class, None), |&id| {
+                    t.next_resident(class, Some(id))
+                })
+                .collect();
+                assert_eq!(got, oracle(&t, &holds, c));
+            }
+        }
     }
 }

@@ -109,8 +109,9 @@ proptest! {
 
     /// The residency index enumerates each class's holders exactly as a
     /// full LRU walk filtered by who holds what would — through touches of
-    /// filed blocks, gains on blocks far from the head, slot reuse, and
-    /// walks that drop some victims and skip others.
+    /// holders, gains on blocks far from the head, slot reuse, and walks
+    /// that drop some victims and skip others. (Too few stamps to renumber:
+    /// `table.rs`'s own proptest covers that.)
     #[test]
     fn residency_index_matches_a_filtered_lru_walk(
         ops in prop::collection::vec((0u64..24, 0u8..10, any::<u16>()), 1..300),
