@@ -220,8 +220,9 @@ impl Icash {
     /// # Panics
     ///
     /// Panics if the virtual-block table is corrupted, a slot's ownership is
-    /// ambiguous, or the residency index, the pool or the dirty set disagree
-    /// with what the blocks hold. (That a block has one placement, and a
+    /// ambiguous, the residency index, the pool or the dirty set disagree
+    /// with what the blocks hold, or a clean resident delta's bytes are not
+    /// where its placement says. (That a block has one placement, and a
     /// legal one, the [`Placement`] type says.)
     #[doc(hidden)]
     pub fn debug_validate(&self) {
@@ -253,11 +254,24 @@ impl Icash {
                 let filed = self.volatile.table.is_resident(id, class);
                 assert_eq!(filed, held, "{:?}: {class:?} index is wrong", vb.lba);
             }
-            charged += vb.data_charge + vb.delta.as_ref().map_or(0, |d| d.charge);
-            // A resident delta is a copy of the one the placement names,
-            // and the only copy of a dirty one: that is the dirty set.
+            charged += vb.data_charge + vb.delta.as_ref().map_or(0, |d| d.charge as usize);
+            // A resident delta is the one the placement names. It holds the
+            // bytes iff they are nowhere else — a dirty one, the dirty set —
+            // and a clean one finds them, of the length it was charged for,
+            // at its home: the staged entry, or the one entry for the block
+            // in the log block named.
             let home = vb.placement.delta_home();
-            assert!(vb.delta.is_none() || home.is_some(), "{:?}: stray", vb.lba);
+            if let Some(cached) = &vb.delta {
+                let dirty = home == Some(DeltaHome::Dirty);
+                assert_eq!(cached.payload.is_some(), dirty, "{:?}: payload", vb.lba);
+                let len = self.resident_delta(id).map(|d| d.len() as u32);
+                assert_eq!(len, Some(cached.len), "{:?}: not at {home:?}", vb.lba);
+                if let Some(DeltaHome::Log(loc)) = home {
+                    let entries = &self.durable.log.fetch(loc).entries;
+                    let n = entries.iter().filter(|e| e.lba == vb.lba).count();
+                    assert_eq!(n, 1, "{:?}: {n} entries in log block {loc}", vb.lba);
+                }
+            }
             let dirty = self.volatile.dirty.contains(&id.index());
             let ram_only = home == Some(DeltaHome::Dirty) && vb.delta.is_some();
             assert_eq!(dirty, ram_only, "{:?}: dirty set is wrong", vb.lba);

@@ -321,6 +321,14 @@ impl DeltaLog {
         &self.blocks[loc as usize]
     }
 
+    /// The first entry for `lba` in packed block `loc`, if the block exists
+    /// and holds one. (The controller's appends frame each block's delta
+    /// once, so its log blocks hold at most one entry per address.)
+    pub fn entry(&self, loc: u32, lba: Lba) -> Option<&LogEntry> {
+        let block = self.blocks.get(loc as usize)?;
+        block.entries.iter().find(|e| e.lba == lba)
+    }
+
     /// Marks one entry of block `loc` superseded (a newer delta for its LBA
     /// exists elsewhere).
     ///

@@ -5,7 +5,7 @@
 use crate::controller::Icash;
 use crate::delta_log::LogEntry;
 use crate::table::{Resident, VbId};
-use crate::virtual_block::{DeltaHome, Placement, Role};
+use crate::virtual_block::{DeltaHome, Placement, Role, VirtualBlock};
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
 use icash_storage::hash::AddrMap;
@@ -82,8 +82,10 @@ impl Icash {
     }
 
     /// Frames every dirty delta as a log entry (in table-id order, for
-    /// determinism) and empties the dirty set. The caller decides whether
-    /// the entries go straight to the log or into the staging buffer.
+    /// determinism) and empties the dirty set. Each payload moves into its
+    /// entry, leaving the resident delta a claim on it; the caller decides
+    /// whether the entries go straight to the log or into the staging
+    /// buffer, and moves each block's home there.
     fn drain_dirty(&mut self) -> Vec<(VbId, LogEntry)> {
         // (Drained in hash order, hence the sort: stamps and pack order
         // follow it.)
@@ -94,13 +96,15 @@ impl Icash {
         for raw in ids {
             let id = VbId::from_raw(raw);
             let gen = self.durable.slots.stamp();
-            let vb = self.volatile.table.get(id);
+            let vb = self.volatile.table.get_mut(id);
             // (`debug_validate`: the dirty set is exactly the blocks whose
-            // delta is `Dirty` and resident.)
-            let Some(cached) = &vb.delta else { continue };
+            // delta is `Dirty` and resident, and those hold a payload.)
+            let Some(delta) = vb.delta.as_mut().and_then(|c| c.payload.take()) else {
+                continue;
+            };
             // A zero-based or self delta names its own block.
             let reference = vb.placement.reference().unwrap_or(vb.lba);
-            let entry = LogEntry::new(vb.lba, reference, gen, cached.delta.clone());
+            let entry = LogEntry::new(vb.lba, reference, gen, delta);
             framed.push((id, entry));
         }
         framed
@@ -371,48 +375,7 @@ impl Icash {
     pub(crate) fn scan(&mut self, now: Ns, ctx: &mut IoCtx<'_>) {
         self.stats.scans += 1;
         let ids = self.volatile.table.head_ids(self.cfg.scan_window);
-
-        // Rank scanned blocks by Heatmap popularity, most popular first and
-        // lowest address first among equals: addresses are unique, so the
-        // order is total and an unstable sort on the key gives it. Blocks of
-        // no popularity rank last and promotion stops at the first of them,
-        // so they are charged for but not ranked.
-        let mut ranked: Vec<(u64, Lba, VbId)> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            ctx.cpu.charge(CpuOp::Scan);
-            let vb = self.volatile.table.get(id);
-            let pop = self.volatile.heatmap.popularity(&vb.sig);
-            if pop > 0 {
-                ranked.push((pop, vb.lba, id));
-            }
-        }
-        ranked.sort_unstable_by_key(|&(pop, lba, _)| (Reverse(pop), lba));
-
-        // Promote the most popular non-references.
-        let target = ((ids.len() as f64 * self.cfg.ref_fraction).ceil() as usize).max(1);
-        let mut promoted = 0usize;
-        for &(_, _, id) in &ranked {
-            if promoted >= target {
-                break;
-            }
-            let vb = self.volatile.table.get(id);
-            let role = vb.placement.role();
-            if role == Role::Reference || vb.data.is_none() {
-                continue;
-            }
-            // A tightly bound associate gains nothing from promotion.
-            if role == Role::Associate {
-                if let Some(cd) = &vb.delta {
-                    if cd.delta.len() <= self.cfg.delta_threshold / 4 {
-                        continue;
-                    }
-                }
-            }
-            if self.promote(id, now).is_none() {
-                break; // out of SSD slots even after reclamation
-            }
-            promoted += 1;
-        }
+        self.promote_popular(&ids, now, ctx);
 
         // Re-bind the rest of the window against the (updated) reference
         // set. Already-bound associates are left alone; attempts are capped
@@ -443,6 +406,64 @@ impl Icash {
         self.volatile.heatmap.decay();
     }
 
+    /// Promotes the most popular promotable blocks of the scan window `ids`
+    /// — at most its `ref_fraction`, at least one — each block charged one
+    /// scan step. Ranked most popular first and lowest address first among
+    /// equals: addresses are unique, so the order is total and an unstable
+    /// sort on the key gives it.
+    ///
+    /// Only blocks that can be promoted are ranked. Promoting one changes
+    /// that block's own role, data and delta and nothing else a test here
+    /// reads, so none becomes or stops being promotable part-way through
+    /// the loop, and ranking the whole window only to skip most of it (the
+    /// loop as it was, kept as the tests' oracle) promotes the same blocks
+    /// in the same order. Blocks of no popularity rank last and promotion
+    /// stops at the first of them, so they are not ranked either.
+    fn promote_popular(&mut self, ids: &[VbId], now: Ns, ctx: &mut IoCtx<'_>) {
+        #[cfg(test)]
+        if tests::RANK_ALL.with(std::cell::Cell::get) {
+            return self.promote_popular_rank_all(ids, now, ctx);
+        }
+        let mut ranked: Vec<(u64, Lba, VbId)> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            ctx.cpu.charge(CpuOp::Scan);
+            let vb = self.volatile.table.get(id);
+            if !self.promotable(vb) {
+                continue;
+            }
+            let pop = self.volatile.heatmap.popularity(&vb.sig);
+            if pop > 0 {
+                ranked.push((pop, vb.lba, id));
+            }
+        }
+        ranked.sort_unstable_by_key(|&(pop, lba, _)| (Reverse(pop), lba));
+        for &(_, _, id) in ranked.iter().take(self.promotion_target(ids.len())) {
+            if self.promote(id, now).is_none() {
+                break; // out of SSD slots even after reclamation
+            }
+        }
+    }
+
+    /// How many blocks one scan of `window` blocks may promote.
+    fn promotion_target(&self, window: usize) -> usize {
+        ((window as f64 * self.cfg.ref_fraction).ceil() as usize).max(1)
+    }
+
+    /// Whether the scan may make `vb` a reference: not one already, its
+    /// data resident (promotion installs it), and not an associate bound
+    /// tightly enough that promotion gains nothing.
+    fn promotable(&self, vb: &VirtualBlock) -> bool {
+        match vb.placement.role() {
+            Role::Reference => false,
+            _ if vb.data.is_none() => false,
+            Role::Associate => vb
+                .delta
+                .as_ref()
+                .is_none_or(|cd| cd.len as usize > self.cfg.delta_threshold / 4),
+            Role::Independent => true,
+        }
+    }
+
     /// Makes `id` a reference block, installing its current content into a
     /// fresh SSD slot unless it already holds one. Returns the slot, or
     /// `None` if no slot could be found.
@@ -471,6 +492,8 @@ impl Icash {
         self.supersede_delta(id, Placement::Reference { slot, own: None });
         self.volatile.ref_index.insert(lba, &sig);
         self.stats.ref_installs += 1;
+        #[cfg(test)]
+        tests::PROMOTED.with(|p| p.borrow_mut().push(lba));
         Some(slot)
     }
 
@@ -630,13 +653,128 @@ impl Icash {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::IcashConfig;
+    use crate::read::tests::{lockstep, ops_strategy, Family, SysOp};
     use icash_storage::block::BlockBuf;
     use icash_storage::cpu::CpuModel;
     use icash_storage::request::Request;
     use icash_storage::system::{StorageSystem, ZeroSource};
+    use proptest::prelude::*;
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// Routes [`Icash::promote_popular`] through the rank-all oracle
+        /// (this thread's controllers only).
+        pub(super) static RANK_ALL: Cell<bool> = const { Cell::new(false) };
+        /// Every block [`Icash::promote`] made a reference, in order.
+        pub(crate) static PROMOTED: RefCell<Vec<Lba>> = const { RefCell::new(Vec::new()) };
+        /// Scans whose promotion loop ran out of SSD slots mid-loop (the
+        /// oracle's count).
+        static STARVED: Cell<u32> = const { Cell::new(0) };
+    }
+
+    impl Icash {
+        /// [`Icash::promote_popular`] as it was: rank every block of the
+        /// window with any popularity, then walk the ranking skipping what
+        /// cannot be promoted. Kept as the oracle.
+        pub(super) fn promote_popular_rank_all(
+            &mut self,
+            ids: &[VbId],
+            now: Ns,
+            ctx: &mut IoCtx<'_>,
+        ) {
+            let mut ranked: Vec<(u64, Lba, VbId)> = Vec::with_capacity(ids.len());
+            for &id in ids {
+                ctx.cpu.charge(CpuOp::Scan);
+                let vb = self.volatile.table.get(id);
+                let pop = self.volatile.heatmap.popularity(&vb.sig);
+                if pop > 0 {
+                    ranked.push((pop, vb.lba, id));
+                }
+            }
+            ranked.sort_unstable_by_key(|&(pop, lba, _)| (Reverse(pop), lba));
+            let target = self.promotion_target(ids.len());
+            let mut promoted = 0usize;
+            for &(_, _, id) in &ranked {
+                if promoted >= target {
+                    break;
+                }
+                let vb = self.volatile.table.get(id);
+                let role = vb.placement.role();
+                if role == Role::Reference || vb.data.is_none() {
+                    continue;
+                }
+                if role == Role::Associate {
+                    if let Some(cd) = &vb.delta {
+                        if cd.len as usize <= self.cfg.delta_threshold / 4 {
+                            continue;
+                        }
+                    }
+                }
+                if self.promote(id, now).is_none() {
+                    STARVED.with(|s| s.set(s.get() + 1));
+                    break;
+                }
+                promoted += 1;
+            }
+        }
+    }
+
+    /// A small geometry that scans every few I/Os: `slots` SSD slots (few
+    /// enough that promotion runs out of them), a 64 KiB pool, a window of
+    /// 48 blocks and `ref_fraction` of it promotable per scan.
+    fn scanning(slots: u64, ref_fraction: f64) -> IcashConfig {
+        IcashConfig::builder(slots * BLOCK_SIZE as u64, 64 << 10, 4 << 20)
+            .scan_interval(7)
+            .scan_window(48)
+            .ref_fraction(ref_fraction)
+            .flush_interval(25)
+            .log_blocks(1 << 12)
+            .build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Ranking only the promotable blocks promotes what ranking all of
+        /// them did, in the same order, scan after scan.
+        #[test]
+        fn ranking_promotable_blocks_matches_the_rank_all_oracle(
+            ops in ops_strategy(),
+            slots in prop_oneof![Just(6u64), Just(24), Just(256)],
+            fraction in prop_oneof![Just(0.0), Just(0.02), Just(0.2), Just(1.0)],
+        ) {
+            lockstep(&scanning(slots, fraction), &ops, &RANK_ALL);
+        }
+    }
+
+    /// A history that exhausts the SSD: the oracle's promotion loop stops
+    /// on a refused promotion with candidates still ranked, and the
+    /// filtered loop stops at the same block.
+    #[test]
+    fn both_loops_stop_at_the_same_refused_promotion() {
+        let mut ops = Vec::new();
+        for round in 0..6u8 {
+            for lba in 0..40 {
+                let family = [Family::Similar, Family::Sparse][usize::from(lba % 3 == 0)];
+                ops.push(SysOp::Write {
+                    lba,
+                    tag: round,
+                    family,
+                });
+                ops.push(SysOp::Read {
+                    lba: (lba * 7) % 40,
+                });
+            }
+            ops.push(SysOp::Flush);
+        }
+        STARVED.with(|s| s.set(0));
+        let (stats, _) = lockstep(&scanning(6, 0.2), &ops, &RANK_ALL);
+        assert!(stats.ref_installs > 0, "{stats:?}");
+        assert!(STARVED.with(Cell::get) > 0, "no scan ran out of slots");
+    }
 
     /// A few hundred bytes of noise in a zero block: logged as a zero-based
     /// delta small enough that nine share one log block.

@@ -249,14 +249,19 @@ impl Icash {
         debug_assert_eq!(to.delta_home(), Some(DeltaHome::Dirty));
         self.drop_delta(id);
         self.unstage(id);
-        self.make_room_for_delta(id, delta.len(), at);
-        let charge = self.volatile.pool.alloc_delta(delta.len());
+        let len = delta.len();
+        self.make_room_for_delta(id, len, at);
+        let charge = self.volatile.pool.alloc_delta(len);
         let old = self.replace_placement(id, to);
         if let Some(DeltaHome::Log(loc)) = old.delta_home() {
             self.durable.log.mark_stale(loc);
         }
         let vb = self.volatile.table.get_mut(id);
-        vb.delta = Some(CachedDelta { delta, charge });
+        vb.delta = Some(CachedDelta {
+            payload: Some(delta),
+            len: len as u32,
+            charge: charge as u32,
+        });
         let lba = vb.lba;
         self.volatile.table.set_resident(id, Resident::Delta, true);
         self.volatile.dirty.insert(id.index());
@@ -271,16 +276,36 @@ impl Icash {
         }
     }
 
-    /// Installs a delta recovered from the log: resident but *clean*.
-    pub(crate) fn install_clean_delta(&mut self, id: VbId, delta: Delta, at: Ns) {
+    /// Makes `id`'s staged or logged delta, `len` bytes long, resident but
+    /// *clean*: a pool charge, with the bytes left where its home holds
+    /// them ([`Icash::resident_delta`] finds them there).
+    pub(crate) fn install_clean_delta(&mut self, id: VbId, len: usize, at: Ns) {
         if self.volatile.table.get(id).delta.is_some() {
             return;
         }
-        self.make_room_for_delta(id, delta.len(), at);
-        let charge = self.volatile.pool.alloc_delta(delta.len());
+        self.make_room_for_delta(id, len, at);
+        let charge = self.volatile.pool.alloc_delta(len);
         let vb = self.volatile.table.get_mut(id);
-        vb.delta = Some(CachedDelta { delta, charge });
+        vb.delta = Some(CachedDelta {
+            payload: None,
+            len: len as u32,
+            charge: charge as u32,
+        });
         self.volatile.table.set_resident(id, Resident::Delta, true);
+    }
+
+    /// The bytes of `id`'s resident delta, borrowed from wherever they are:
+    /// its own payload while dirty, else the staged entry or the entry for
+    /// the block in the log block its placement names. `None` if no delta
+    /// is resident (or, an invariant violation, its home lacks the entry).
+    pub(crate) fn resident_delta(&self, id: VbId) -> Option<&Delta> {
+        let vb = self.volatile.table.get(id);
+        let cached = vb.delta.as_ref()?;
+        match vb.placement.delta_home()? {
+            DeltaHome::Dirty => cached.payload.as_ref(),
+            DeltaHome::Staged => self.volatile.staging.get(vb.lba),
+            DeltaHome::Log(loc) => self.durable.log.entry(loc, vb.lba).map(|e| &e.delta),
+        }
     }
 
     /// Releases `id`'s resident delta, if any. Dropping a dirty one is the
@@ -292,11 +317,12 @@ impl Icash {
             return;
         };
         let was_dirty = vb.placement.delta_home() == Some(DeltaHome::Dirty);
+        let charge = cached.charge as usize;
         self.volatile.table.set_resident(id, Resident::Delta, false);
-        self.volatile.pool.free(cached.charge);
+        self.volatile.pool.free(charge);
         if was_dirty {
             self.volatile.dirty.remove(&id.index());
-            self.volatile.dirty_bytes -= cached.charge;
+            self.volatile.dirty_bytes -= charge;
         }
     }
 

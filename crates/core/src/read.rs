@@ -6,6 +6,7 @@ use crate::controller::Icash;
 use crate::placement::ZERO_REF;
 use crate::table::VbId;
 use crate::virtual_block::{DeltaHome, Placement};
+use icash_delta::codec::Delta;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuOp;
 use icash_storage::fault::crc32;
@@ -184,14 +185,13 @@ impl Icash {
     /// metadata error (instead of panicking) if the delta is missing or
     /// undecodable — both are invariant violations, so debug builds assert.
     fn decode_resident(&mut self, id: VbId, base: &[u8], t: Ns) -> BlockRead {
-        let vb = self.volatile.table.get(id);
-        let Some(cached) = vb.delta.as_ref() else {
+        let lba = self.volatile.table.get(id).lba;
+        let Some(delta) = self.resident_delta(id) else {
             return self.metadata_error("resident delta missing after fetch", t);
         };
         let codec = &self.volatile.codec;
-        match BlockBuf::try_edit_copy(base, |out| codec.decode_into(base, &cached.delta, out)) {
+        match BlockBuf::try_edit_copy(base, |out| codec.decode_into(base, delta, out)) {
             Ok(block) => {
-                let lba = vb.lba;
                 self.note_delta_hit(t, lba);
                 (t, Ok(block))
             }
@@ -319,24 +319,24 @@ impl Icash {
     /// read looks exactly like any other resident-delta decode.
     fn fetch_staged_delta(&mut self, id: VbId, at: Ns) -> (Ns, Result<(), IoErrorKind>) {
         let lba = self.volatile.table.get(id).lba;
-        let delta = match self.volatile.staging.lookup(lba) {
-            Some(d) => d,
-            None => return self.metadata_error("staged delta missing", at),
+        let Some(len) = self.volatile.staging.get(lba).map(Delta::len) else {
+            return self.metadata_error("staged delta missing", at);
         };
         // `install_clean_delta` may flush under memory pressure, which can
-        // drain the staging buffer; the clone above stays valid either way.
-        self.install_clean_delta(id, delta, at);
+        // commit the staging buffer: the block's home moves to the log
+        // with its entry, and the resident delta claims it there.
+        self.install_clean_delta(id, len, at);
         debug_assert!(self.volatile.table.get(id).delta.is_some());
         (at, Ok(()))
     }
 
     /// Installs what a fetch of log blocks `loc..loc + span` brought in:
     /// every entry that is its block's *current* delta and not resident
-    /// yet. Walks the log in place — only the delta being installed is
-    /// cloned — but over no more than the read returned: each block's entry
-    /// count is taken first, because an install can flush, and a flush
-    /// appends. (`DeltaLog::append` only adds blocks past the end today;
-    /// the bound should not rest on how it packs.)
+    /// yet. Walks the log in place — an install takes the entry's length;
+    /// its bytes stay in the log — but over no more than the read returned:
+    /// each block's entry count is taken first, because an install can
+    /// flush, and a flush appends. (`DeltaLog::append` only adds blocks
+    /// past the end today; the bound should not rest on how it packs.)
     fn install_fetched(&mut self, lba: Lba, loc: u32, span: u32, at: Ns) {
         #[cfg(test)]
         if tests::SNAPSHOT_WALK.with(std::cell::Cell::get) {
@@ -384,8 +384,8 @@ impl Icash {
                 if vb.placement.delta_home() != Some(DeltaHome::Log(l)) || vb.delta.is_some() {
                     continue;
                 }
-                let delta = self.durable.log.fetch(l).entries[i].delta.clone();
-                self.install_clean_delta(target, delta, at);
+                let len = self.durable.log.fetch(l).entries[i].delta.len();
+                self.install_clean_delta(target, len, at);
                 if entry_lba != lba {
                     self.stats.log_prefetched_deltas += 1;
                 }
@@ -433,16 +433,8 @@ impl Icash {
                 Some(DeltaHome::Log(l)) => l,
                 _ => return self.metadata_error("delta must be logged", t),
             };
-            let delta = self
-                .durable
-                .log
-                .fetch(loc2)
-                .entries
-                .iter()
-                .find(|e| e.lba == lba)
-                .map(|e| e.delta.clone());
-            match delta {
-                Some(delta) => self.install_clean_delta(id, delta, at),
+            match self.durable.log.entry(loc2, lba).map(|e| e.delta.len()) {
+                Some(len) => self.install_clean_delta(id, len, at),
                 None => return self.metadata_error("log must hold the pointed-at delta", t),
             }
         }
@@ -452,15 +444,15 @@ impl Icash {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::IcashConfig;
-    use icash_delta::codec::Delta;
     use icash_storage::cpu::CpuModel;
     use icash_storage::fault::FaultPlan;
     use icash_storage::system::{StorageSystem, ZeroSource};
     use proptest::prelude::*;
     use std::cell::Cell;
+    use std::thread::LocalKey;
 
     thread_local! {
         /// Routes [`Icash::install_fetched`] through the snapshot oracle
@@ -469,22 +461,22 @@ mod tests {
     }
 
     impl Icash {
-        /// [`Icash::install_fetched`] as it was: clone every entry of the
+        /// [`Icash::install_fetched`] as it was: snapshot every entry of the
         /// fetched span up front, then decide which few to install. Kept
         /// as the oracle.
         pub(super) fn install_fetched_snapshot(&mut self, lba: Lba, loc: u32, span: u32, at: Ns) {
-            let entries: Vec<(u32, Lba, Delta)> = (loc..loc + span)
+            let entries: Vec<(u32, Lba, usize)> = (loc..loc + span)
                 .flat_map(|l| {
                     self.durable
                         .log
                         .fetch(l)
                         .entries
                         .iter()
-                        .map(move |e| (l, e.lba, e.delta.clone()))
+                        .map(move |e| (l, e.lba, e.delta.len()))
                 })
                 .collect();
             let cleans = self.stats.log_cleans;
-            for (loc, entry_lba, delta) in entries {
+            for (loc, entry_lba, len) in entries {
                 if self.stats.log_cleans != cleans {
                     break;
                 }
@@ -503,7 +495,7 @@ mod tests {
                 if vb.placement.delta_home() != Some(DeltaHome::Log(loc)) || vb.delta.is_some() {
                     continue;
                 }
-                self.install_clean_delta(target, delta, at);
+                self.install_clean_delta(target, len, at);
                 if entry_lba != lba {
                     self.stats.log_prefetched_deltas += 1;
                 }
@@ -517,7 +509,7 @@ mod tests {
     /// What a written block holds: `tests/common`'s two families, plus the
     /// one that makes a log block worth fetching.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Family {
+    pub(crate) enum Family {
         /// One shared base with a per-tag tweak: binds to a reference.
         Similar,
         /// Incompressible: overflows the delta threshold, takes a slot.
@@ -549,7 +541,7 @@ mod tests {
     /// `tests/common::SysOp`, with the barrier traded for a crash (a torn
     /// tail is the log shape this walk has to survive).
     #[derive(Debug, Clone)]
-    enum SysOp {
+    pub(crate) enum SysOp {
         Write {
             lba: u64,
             tag: u8,
@@ -579,7 +571,7 @@ mod tests {
 
     /// 1–199 ops in `tests/common::ops_strategy`'s mix: single writes and
     /// reads dominate, with streamed spans, flushes and a rare crash.
-    fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
+    pub(crate) fn ops_strategy() -> impl Strategy<Value = Vec<SysOp>> {
         let write = || {
             (0..SPACE, any::<u8>(), family()).prop_map(|(lba, tag, family)| SysOp::Write {
                 lba,
@@ -629,10 +621,13 @@ mod tests {
                 let id = sys.volatile.table.lookup(Lba::new(l))?;
                 let vb = sys.volatile.table.get(id);
                 Some(format!(
-                    "{l}@{}: {:?} delta {:?} data {:?}",
+                    "{l}@{}: {:?} delta {:?} bytes {:?} data {:?}",
                     id.index(),
                     vb.placement,
-                    vb.delta.as_ref().map(|c| (delta_sum(&c.delta), c.charge)),
+                    vb.delta
+                        .as_ref()
+                        .map(|c| (c.payload.as_ref().map(delta_sum), c.len, c.charge)),
+                    sys.resident_delta(id).map(delta_sum),
                     vb.data.as_ref().map(|b| crc32(b.as_slice())),
                 ))
             })
@@ -661,11 +656,17 @@ mod tests {
         rows
     }
 
-    /// Runs `ops` through two controllers in lockstep — the in-place walk
-    /// and the snapshot oracle — comparing each completion, the statistics
-    /// and [`state_of`] after every op. Returns the final statistics and
-    /// how many reads cleaned the log inside their fetch.
-    fn lockstep(cfg: &IcashConfig, ops: &[SysOp]) -> (crate::stats::IcashStats, u32) {
+    /// Runs `ops` through two controllers in lockstep — one with `oracle`
+    /// set, routing its controllers through an oracle (this module's
+    /// snapshot walk, `maintenance`'s rank-all scan), the other without —
+    /// comparing each completion, the statistics, the blocks promoted (in
+    /// order) and [`state_of`] after every op. Returns the final statistics
+    /// and how many reads cleaned the log inside their fetch.
+    pub(crate) fn lockstep(
+        cfg: &IcashConfig,
+        ops: &[SysOp],
+        oracle: &'static LocalKey<Cell<bool>>,
+    ) -> (crate::stats::IcashStats, u32) {
         let plan = || FaultPlan {
             torn_writes: true,
             ..FaultPlan::none()
@@ -680,10 +681,12 @@ mod tests {
         let backing = ZeroSource;
         let mut now = Ns::ZERO;
         let mut cleaned_inside = 0;
+        let promoted = &crate::maintenance::tests::PROMOTED;
         for (n, op) in ops.iter().enumerate() {
             let mut outcomes = Vec::new();
-            for (oracle, sys, cpu) in &mut pair {
-                SNAPSHOT_WALK.with(|w| w.set(*oracle));
+            for (routed, sys, cpu) in &mut pair {
+                promoted.take();
+                oracle.with(|w| w.set(*routed));
                 let mut ctx = IoCtx::verifying(&backing, cpu);
                 let before = sys.stats();
                 let done = match *op {
@@ -712,17 +715,25 @@ mod tests {
                         icash_storage::request::Completion::at(now)
                     }
                 };
-                SNAPSHOT_WALK.with(|w| w.set(false));
+                oracle.with(|w| w.set(false));
                 sys.debug_validate();
                 let after = sys.stats();
-                if !*oracle
+                if !*routed
                     && matches!(op, SysOp::Read { .. })
                     && after.log_fetches > before.log_fetches
                     && after.log_cleans > before.log_cleans
                 {
                     cleaned_inside += 1;
                 }
-                outcomes.push((done.finished, done.data, done.errors, after, state_of(sys)));
+                let promotions = promoted.take();
+                outcomes.push((
+                    done.finished,
+                    done.data,
+                    done.errors,
+                    after,
+                    promotions,
+                    state_of(sys),
+                ));
             }
             let walk = outcomes.pop().expect("two controllers");
             let oracle = outcomes.pop().expect("two controllers");
@@ -730,7 +741,8 @@ mod tests {
             assert!(walk.1 == oracle.1, "op {n} {op:?}: bytes read");
             assert_eq!(walk.2, oracle.2, "op {n} {op:?}: errors");
             assert_eq!(walk.3, oracle.3, "op {n} {op:?}: statistics");
-            assert_eq!(walk.4, oracle.4, "op {n} {op:?}: controller state");
+            assert_eq!(walk.4, oracle.4, "op {n} {op:?}: promotions");
+            assert_eq!(walk.5, oracle.5, "op {n} {op:?}: controller state");
             now = walk.0.max(now);
         }
         let stats = pair[1].1.stats();
@@ -756,15 +768,100 @@ mod tests {
         #[test]
         fn the_in_place_walk_matches_the_snapshot_oracle(
             ops in ops_strategy(),
-            log_pick in 0usize..3,
+            log_pick in 0usize..4,
             eager_flush in any::<bool>(),
         ) {
-            let mut cfg = tight([160, 256, 1 << 14][log_pick]);
+            // (Group commit only on the roomy log: a commit of four staged
+            // triggers can outgrow a small log before the clean it asks for.)
+            let (log_blocks, depth) = [(160, 1), (256, 1), (1 << 14, 1), (1 << 14, 4)][log_pick];
+            let mut cfg = tight(log_blocks);
             if eager_flush {
                 cfg.flush_interval = 20;
             }
-            lockstep(&cfg, &ops);
+            cfg.group_commit_depth = depth;
+            lockstep(&cfg, &ops, &SNAPSHOT_WALK);
         }
+    }
+
+    /// Clean resident deltas claim their bytes at home through a group
+    /// commit (depth 4) and a log clean: half the blocks are staged when
+    /// their deltas are installed, half logged; the commit moves the staged
+    /// entries to the log and the clean moves every entry. Each resident
+    /// delta, decoded, still reads back its block's last write.
+    #[test]
+    fn claims_follow_their_entries_through_a_group_commit_and_a_clean() {
+        const N: u64 = 24;
+        let cfg = IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .group_commit_depth(4)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        let mut last: Vec<BlockBuf> = (0..N).map(|l| block_for(l, 0, Family::Sparse)).collect();
+        let span = Request::write_span(Lba::new(0), Ns::ZERO, last.clone());
+        sys.submit(&span, &mut ctx);
+        sys.flush_all(Ns::ZERO);
+        for lba in 0..N / 2 {
+            last[lba as usize] = block_for(lba, 1, Family::Sparse);
+            let req = Request::write(Lba::new(lba), Ns::ZERO, last[lba as usize].clone());
+            sys.submit(&req, &mut ctx);
+        }
+        sys.flush_dirty(Ns::ZERO); // staged: one trigger of four
+        sys.debug_validate();
+
+        let ids: Vec<VbId> = (0..N)
+            .map(|l| sys.volatile.table.lookup(Lba::new(l)).expect("tracked"))
+            .collect();
+        let homes = |sys: &Icash| -> Vec<Option<DeltaHome>> {
+            let vb = |&id| sys.volatile.table.get(id);
+            ids.iter()
+                .map(|id| vb(id).delta.as_ref().and(vb(id).placement.delta_home()))
+                .collect()
+        };
+        let decode_all = |sys: &mut Icash, ctx: &mut IoCtx<'_>| {
+            for (lba, &id) in (0..N).zip(&ids) {
+                sys.drop_data(id);
+                let done = sys.submit(&Request::read(Lba::new(lba), Ns::ZERO), ctx);
+                assert!(done.errors.is_empty(), "block {lba}: {:?}", done.errors);
+                assert!(
+                    done.data[0] == last[lba as usize],
+                    "block {lba} read back wrong"
+                );
+                sys.debug_validate();
+            }
+        };
+        // The ladder's rungs: clean deltas and data go, then reads bring
+        // the deltas back as claims on the staged and the logged entries.
+        for &id in &ids {
+            sys.drop_delta(id);
+            sys.drop_data(id);
+        }
+        decode_all(&mut sys, &mut ctx);
+        let staged = homes(&sys);
+        assert!(staged[..N as usize / 2]
+            .iter()
+            .all(|h| *h == Some(DeltaHome::Staged)));
+        assert!(staged[N as usize / 2..]
+            .iter()
+            .all(|h| matches!(h, Some(DeltaHome::Log(_)))));
+
+        sys.flush_all(Ns::ZERO);
+        let committed = homes(&sys);
+        assert!(committed
+            .iter()
+            .all(|h| matches!(h, Some(DeltaHome::Log(_)))));
+        sys.clean_log(Ns::ZERO);
+        sys.debug_validate();
+        let cleaned = homes(&sys);
+        assert!(cleaned.iter().all(|h| matches!(h, Some(DeltaHome::Log(_)))));
+        assert_ne!(cleaned, committed, "the clean moved no entry");
+        let decodes = sys.stats().delta_hits;
+        decode_all(&mut sys, &mut ctx);
+        assert_eq!(sys.stats().delta_hits - decodes, N, "one decode a block");
+        assert_eq!(homes(&sys), cleaned, "decoding fetched nothing");
     }
 
     /// `tests/placement.rs`'s clean-inside-a-fetch history, through both
@@ -805,7 +902,7 @@ mod tests {
             ops.push(SysOp::Read { lba: 8 });
             let mut cfg = tight(72);
             cfg.scan_interval = 1_000_000;
-            cleaned_inside += lockstep(&cfg, &ops).1;
+            cleaned_inside += lockstep(&cfg, &ops, &SNAPSHOT_WALK).1;
         }
         assert!(cleaned_inside > 0, "no fetch cleaned the log mid-walk");
     }
@@ -847,7 +944,7 @@ mod tests {
             ops.push(SysOp::Crash);
             ops.extend((0..48).step_by(7).map(|lba| SysOp::Read { lba }));
         }
-        let (stats, _) = lockstep(&tight(1 << 14), &ops);
+        let (stats, _) = lockstep(&tight(1 << 14), &ops, &SNAPSHOT_WALK);
         assert!(
             stats.log_fetches > 0 && stats.log_prefetched_deltas > 0,
             "{stats:?}"

@@ -16,6 +16,7 @@
 //! pays a log fetch for data the controller still holds.
 
 use crate::delta_log::LogEntry;
+use icash_delta::codec::Delta;
 use icash_storage::block::Lba;
 use icash_storage::hash::AddrMap;
 use icash_storage::pipeline::{FlushProgress, Ticket};
@@ -91,9 +92,9 @@ impl Staging {
     }
 
     /// The staged delta for `lba`, if live (read-your-writes).
-    pub fn lookup(&self, lba: Lba) -> Option<icash_delta::codec::Delta> {
+    pub fn get(&self, lba: Lba) -> Option<&Delta> {
         let &slot = self.by_lba.get(&lba)?;
-        self.entries[slot].as_ref().map(|s| s.entry.delta.clone())
+        self.entries[slot].as_ref().map(|s| &s.entry.delta)
     }
 
     /// Invalidates the staged entry for `lba` (a newer write superseded it
@@ -152,8 +153,8 @@ mod tests {
         s.finish_batch();
         assert_eq!(s.live(), 2);
         assert_eq!(s.batches(), 1);
-        assert!(s.lookup(Lba::new(1)).is_some());
-        assert!(s.lookup(Lba::new(9)).is_none());
+        assert!(s.get(Lba::new(1)).is_some());
+        assert!(s.get(Lba::new(9)).is_none());
         let (entries, bytes) = s.drain();
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|e| e.ticket == t));
@@ -187,7 +188,7 @@ mod tests {
         s.push(Lba::new(2), entry(2, 2), t);
         s.invalidate(Lba::new(1));
         assert_eq!(s.live(), 1);
-        assert!(s.lookup(Lba::new(1)).is_none());
+        assert!(s.get(Lba::new(1)).is_none());
         let (entries, _) = s.drain();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].entry.lba, Lba::new(2));

@@ -121,13 +121,19 @@ impl Placement {
     }
 }
 
-/// A delta held in the RAM segment pool.
+/// A block's delta, resident in the RAM segment pool (DESIGN.md §7). Its
+/// bytes are held here only while RAM holds the only copy — while the
+/// placement says [`DeltaHome::Dirty`]. A clean resident delta is a pool
+/// charge plus a claim on its home's bytes: the staged or logged entry,
+/// which are those bytes by construction.
 #[derive(Debug, Clone)]
 pub struct CachedDelta {
-    /// The encoded difference from the reference content.
-    pub delta: Delta,
+    /// The encoded difference from the reference content, while dirty.
+    pub payload: Option<Delta>,
+    /// The encoded difference's length in bytes.
+    pub len: u32,
     /// Bytes charged to the segment pool (whole 64-byte segments).
-    pub charge: usize,
+    pub charge: u32,
 }
 
 /// Controller metadata for one logical block.
@@ -146,7 +152,7 @@ pub struct VirtualBlock {
     /// Pool bytes charged for `data`.
     pub data_charge: usize,
     /// The block's delta, if resident: the only copy when the placement
-    /// says [`DeltaHome::Dirty`], a droppable one otherwise.
+    /// says [`DeltaHome::Dirty`], a droppable claim on its home otherwise.
     pub delta: Option<CachedDelta>,
     /// Associates currently encoded against this block (references only).
     pub dependants: u32,
@@ -188,6 +194,14 @@ mod tests {
         assert_eq!(b.placement.role(), Role::Independent);
         assert_eq!(b.placement.delta_home(), None);
         assert!(b.evictable());
+    }
+
+    /// One per tracked block, up to millions of them: a resident delta's
+    /// length and charge ride in the space the payload handle leaves.
+    #[test]
+    fn a_virtual_block_stays_104_bytes() {
+        assert_eq!(std::mem::size_of::<Option<CachedDelta>>(), 32);
+        assert_eq!(std::mem::size_of::<VirtualBlock>(), 104);
     }
 
     #[test]

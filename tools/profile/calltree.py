@@ -2,7 +2,8 @@
 """Call tree with sample shares from a sampler.so dump.
 
     calltree.py <program> <samples> [--under NAME] [--without NAME]...
-                [--share NAME]... [--self] [--min PCT] [--depth N]
+                [--share NAME]... [--self] [--lines NAME [--file F]]
+                [--min PCT] [--depth N]
 
 Resolves every address with `addr2line -f -i -C` (inlined frames expand to
 their own tree levels), then prints the tree root-first with each node's
@@ -15,7 +16,13 @@ counted samples that have a frame containing NAME, wherever it was called
 from (one row of a per-layer table). With `--self` it is replaced by one
 line per function: the share of the counted samples whose *leaf* frame it is,
 inlined frames counting as functions of their own — where the time is spent,
-not under what.
+not under what. With `--lines NAME` it is replaced by one line per source line:
+of the counted samples with a frame containing NAME, the share whose innermost
+frame sits on that line — or, with `--file F`, whose innermost frame at or
+below NAME in a file whose path contains F does — followed by what runs there
+(the inlined or called frames below it, outermost first). That is how a hot statement inside
+a function is found, e.g. `--lines fetch_delta --file core/src/read.rs`.
+Needs line tables: see README.md for a build that keeps them.
 """
 import argparse
 import collections
@@ -24,7 +31,8 @@ import subprocess
 
 
 def resolve(program, addrs):
-    """{address: [function, ...]} outermost first, inlined frames included."""
+    """{address: [(function, file:line), ...]} outermost first, inlined frames
+    included."""
     out = subprocess.run(
         ["addr2line", "-e", program, "-a", "-f", "-i", "-C"] + [hex(a) for a in addrs],
         capture_output=True, text=True, check=True).stdout.splitlines()
@@ -36,9 +44,16 @@ def resolve(program, addrs):
             lines = frames.setdefault(int(line, 16), [])
         else:
             lines.append(line)
-    # Drop the hash suffix rustc appends to every symbol.
-    return {a: [re.sub(r"::h[0-9a-f]{16}$", "", f) for f in reversed(l[0::2])] or ["??"]
+    # Drop the hash suffix rustc appends to every symbol, and the
+    # discriminator addr2line appends to some lines.
+    return {a: list(reversed([(re.sub(r"::h[0-9a-f]{16}$", "", f), re.sub(r" \(discriminator \d+\)$", "", at))
+                              for f, at in zip(l[0::2], l[1::2])])) or [("??", "??:0")]
             for a, l in frames.items()}
+
+
+def short(at):
+    """A source location's last three path components: `core/src/read.rs:387`."""
+    return "/".join(at.split("/")[-3:])
 
 
 def main():
@@ -49,6 +64,8 @@ def main():
     ap.add_argument("--without", action="append", default=[])
     ap.add_argument("--share", action="append", default=[])
     ap.add_argument("--self", action="store_true", dest="exclusive")
+    ap.add_argument("--lines", metavar="NAME")
+    ap.add_argument("--file", metavar="F", help="with --lines: bucket by the innermost frame in this file")
     ap.add_argument("--min", type=float, default=1.0, help="hide nodes below this %% (default 1)")
     ap.add_argument("--depth", type=int, default=12)
     args = ap.parse_args()
@@ -60,12 +77,15 @@ def main():
             # A return address names the instruction after the call: step
             # back into the call so inlined call sites resolve to the caller.
             stacks.append([addrs[0]] + [a - 1 for a in addrs[1:]])
-    names = resolve(args.program, sorted({a for s in stacks for a in s}))
+    frames = resolve(args.program, sorted({a for s in stacks for a in s}))
+    names = {a: [f for f, _ in fs] for a, fs in frames.items()}
 
     tree = lambda: {"n": 0, "kids": collections.defaultdict(tree)}
     root, counted, shares, leaves = tree(), 0, collections.Counter(), collections.Counter()
+    lines, under = collections.Counter(), 0
     for stack in stacks:
-        path = [f for a in reversed(stack) for f in names[a]]
+        located = [fa for a in reversed(stack) for fa in frames[a]]
+        path = [f for f, _ in located]
         if any(w in f for w in args.without for f in path):
             continue
         if args.under:
@@ -76,6 +96,15 @@ def main():
         counted += 1
         shares.update(name for name in args.share if any(name in f for f in path))
         leaves[path[-1]] += 1
+        top = next((i for i, (f, _) in enumerate(located) if args.lines and args.lines in f), None)
+        if top is not None:
+            under += 1
+            # The innermost frame at or below NAME (in F, if given).
+            at = next((i for i in reversed(range(top, len(located)))
+                       if args.file is None or args.file in located[i][1]), None)
+            if at is not None:
+                below = " > ".join(f for f, _ in located[at + 1:at + 4])
+                lines[(short(located[at][1]), below or "(here)")] += 1
         node = root
         for f in path:
             node = node["kids"][f]
@@ -88,7 +117,12 @@ def main():
         for name, n in leaves.most_common():
             if 100.0 * n / counted >= args.min:
                 print(f"{100.0 * n / counted:6.1f}%  {name}")
-    if args.share or args.exclusive:
+    if args.lines:
+        print(f"{100.0 * under / max(counted, 1):6.1f}%  under {args.lines}")
+        for (at, below), n in lines.most_common():
+            if 100.0 * n / counted >= args.min:
+                print(f"{100.0 * n / counted:6.1f}%  {at}  {below}")
+    if args.share or args.exclusive or args.lines:
         return
 
     def show(node, depth):
