@@ -192,7 +192,7 @@ fn validated_health(cell: &Cell<Router>) -> HealthReport {
 /// SSD dies mid-run → degraded HDD-only service → `replace_ssd` → online
 /// rebuild under traffic → healthy again, fresh writes exact.
 fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
-    let sys = build_router(icash_config(HealthPolicy::default(), 1), shards, |s| {
+    let sys = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
@@ -228,7 +228,7 @@ fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
 /// HDD dies mid-run → writes fail fast with a typed `DeviceFailed` error
 /// while reads keep serving RAM/SSD-resident state or typed errors.
 fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
-    let sys = build_router(icash_config(HealthPolicy::default(), 1), shards, |s| {
+    let sys = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).hdd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
@@ -262,7 +262,7 @@ fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
     // A slow rebuild stretches the window the second death lands in.
     let policy = HealthPolicy {
         rebuild_rate: 1,
-        ..HealthPolicy::default()
+        ..HealthPolicy::standard()
     };
     // Each shard sees ~1/width of the traffic, so its device-op clock runs
     // that much slower: scale the second death so it lands in the rebuild
@@ -297,7 +297,7 @@ fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
 fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
     let policy = HealthPolicy {
         rebuild_rate: 1, // crash lands with work still pending
-        ..HealthPolicy::default()
+        ..HealthPolicy::standard()
     };
     let sys = build_router(icash_config(policy, 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
@@ -329,7 +329,7 @@ fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
 fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
     let policy = HealthPolicy {
         staging_cap: 2 * shards as u64, // each shard polices cap/shards
-        ..HealthPolicy::default()
+        ..HealthPolicy::standard()
     };
     // A staging cap only bites when deltas actually sit in staging, which
     // needs the staged pipeline (depth > 1); at depth 1 every flush trigger
@@ -364,7 +364,7 @@ fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport
 /// A high-rate media-fault storm across all five architectures; I-CASH
 /// runs with health armed so the backoff machinery absorbs the noise.
 fn cell_fault_storm(kind: SystemKind, seed: u64) -> (String, Tally, Option<HealthReport>) {
-    let icash = icash_config(HealthPolicy::default(), 1);
+    let icash = icash_config(HealthPolicy::standard(), 1);
     let sys = build_system(kind, &media_faults(seed, 1e-2), icash);
     let name = format!("storm/{}/{seed:#x}", sys.name());
     let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);

@@ -21,8 +21,8 @@ use std::path::PathBuf;
 pub const SEED: u64 = 0x1CA5_4001;
 
 /// The optional machinery a system is built with ([`SystemKind::build`]).
-/// The default is the plain unsharded, health-free, queue-free engine whose
-/// outputs the pinned goldens hold byte-identical.
+/// The default is the plain unsharded, queue-free engine under the inert
+/// health policy, whose outputs the pinned goldens hold byte-identical.
 ///
 /// [`SystemKind::build`]: crate::harness::SystemKind::build
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,8 +33,8 @@ pub struct Features {
     /// Independent controllers the block space is striped across behind a
     /// `ShardRouter` (1 = the bare system).
     pub shards: u32,
-    /// Device-health policy for I-CASH (`None` = no health machinery).
-    pub health: Option<HealthPolicy>,
+    /// Device-health policy for I-CASH (inert: none of it engages).
+    pub health: HealthPolicy,
     /// Device command queues for I-CASH (`None` = strict submission order).
     pub queue: Option<QueueConfig>,
 }
@@ -44,7 +44,7 @@ impl Default for Features {
         Features {
             group_commit_depth: 1,
             shards: 1,
-            health: None,
+            health: HealthPolicy::inert(),
             queue: None,
         }
     }
@@ -163,7 +163,7 @@ pub struct Knob {
 const HEALTH: Option<Requires> = Some(Requires {
     parent: "ICASH_HEALTH",
     enable: "1",
-    on: |c| c.features.health.is_some(),
+    on: |c| c.features.health != HealthPolicy::inert(),
 });
 const QUEUE: Option<Requires> = Some(Requires {
     parent: "ICASH_QUEUE_DEPTH",
@@ -175,11 +175,6 @@ const OPEN_LOOP: Option<Requires> = Some(Requires {
     enable: "open-loop",
     on: |c| matches!(c.scenario, Some(sc) if sc.kind == ScenarioKind::OpenLoop),
 });
-
-/// The parent's setter ran first (table order) and `requires` was checked.
-fn health(c: &mut RunConfig) -> &mut HealthPolicy {
-    c.features.health.as_mut().expect("ICASH_HEALTH is on")
-}
 
 const U32: u64 = u32::MAX as u64;
 const SCENARIOS: &[&str] = &[
@@ -233,13 +228,17 @@ pub const KNOBS: &[Knob] = &[
         name: "ICASH_HEALTH",
         default: "0",
         requires: None,
-        kind: Kind::Flag(|c, on| c.features.health = on.then(HealthPolicy::default)),
+        kind: Kind::Flag(|c, on| {
+            c.features.health = on
+                .then(HealthPolicy::standard)
+                .unwrap_or_else(HealthPolicy::inert)
+        }),
     },
     Knob {
         name: "ICASH_STAGING_CAP",
         default: "unbounded",
         requires: HEALTH,
-        kind: Kind::Count(u64::MAX, |c, n| health(c).staging_cap = n),
+        kind: Kind::Count(u64::MAX, |c, n| c.features.health.staging_cap = n),
     },
     Knob {
         name: "ICASH_QUEUE_DEPTH",
@@ -534,7 +533,7 @@ mod tests {
         .expect("all valid");
         assert_eq!(cfg.ops, Some(1234));
         assert_eq!(cfg.features.shards, 8);
-        assert_eq!(cfg.features.health.expect("on").staging_cap, 64);
+        assert_eq!(cfg.features.health.staging_cap, 64);
         let queue = cfg.features.queue.expect("on");
         assert_eq!((queue.depth, queue.sched), (4, QueuePolicy::Fifo));
         let scenario = cfg.scenario.expect("on");

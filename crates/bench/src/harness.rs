@@ -77,7 +77,8 @@ impl SystemKind {
     /// Builds the system sized for `spec` (baseline caches get exactly the
     /// I-CASH SSD budget; FusionIO gets the whole data set, §4.4) with the
     /// optional machinery `features` asks for. Group commit, health and
-    /// queues are I-CASH's; the baselines have none and ignore them.
+    /// queues are I-CASH's (`icash_config`); the baselines have none and
+    /// ignore them.
     ///
     /// With `features.shards > 1` the system is striped across that many
     /// independent controllers behind a [`ShardRouter`], each a complete
@@ -90,16 +91,14 @@ impl SystemKind {
         use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
         if features.shards > 1 {
             let shards = features.shards;
-            let mut one = Features {
+            // Each shard polices its share of the staging budget, so the
+            // aggregate bound matches the unsharded build. The queue depth
+            // is per device, so every shard keeps it whole.
+            let one = Features {
                 shards: 1,
+                health: features.health.shard_share(u64::from(shards)),
                 ..*features
             };
-            // Each shard polices its share of the staging budget; divide the
-            // global cap so the aggregate bound matches the unsharded build.
-            // The queue depth is per device, so every shard keeps it whole.
-            if let Some(policy) = one.health.as_mut().filter(|p| p.staging_cap > 0) {
-                policy.staging_cap = (policy.staging_cap / shards as u64).max(1);
-            }
             let slice = spec.shard_slice(shards);
             let systems: Vec<_> = (0..shards).map(|_| self.build(&slice, &one)).collect();
             return Box::new(ShardRouter::new(systems));
@@ -113,19 +112,20 @@ impl SystemKind {
             SystemKind::Lru => {
                 Box::new(LruCache::new(spec.ssd_bytes, spec.data_bytes).timing_only())
             }
-            SystemKind::Icash => {
-                let mut builder =
-                    IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
-                        .group_commit_depth(features.group_commit_depth);
-                if let Some(policy) = features.health {
-                    builder = builder.health(policy);
-                }
-                if let Some(queue) = features.queue {
-                    builder = builder.queue(queue);
-                }
-                Box::new(Icash::new(builder.build()))
-            }
+            SystemKind::Icash => Box::new(Icash::new(icash_config(spec, features).build())),
         }
+    }
+}
+
+/// The I-CASH controller for `spec` with every feature but the shard count
+/// (the caller's: [`SystemKind::build`] routes, `run_scale` slices).
+pub(crate) fn icash_config(spec: &WorkloadSpec, features: &Features) -> IcashConfigBuilder {
+    let builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
+        .group_commit_depth(features.group_commit_depth)
+        .health(features.health);
+    match features.queue {
+        Some(queue) => builder.queue(queue),
+        None => builder,
     }
 }
 

@@ -26,8 +26,8 @@
 //!
 //! [`ShardRouter`]: icash_storage::shard::ShardRouter
 
-use crate::config::{RunConfig, SEED};
-use crate::harness::{cell_driver, run_jobs};
+use crate::config::{Features, RunConfig, SEED};
+use crate::harness::{cell_driver, icash_config, run_jobs};
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
@@ -187,12 +187,15 @@ fn replay_shard(
     run_benchmark(&mut system, &mut player, &mut model, &driver)
 }
 
+/// The controller every shard of a `shards`-wide cell runs: a slice of the
+/// harness's, so the hardware budget matches the one-shard cell.
+fn slice_config(spec: &WorkloadSpec, features: &Features, shards: u32) -> IcashConfig {
+    icash_config(spec, features).build().shard_slice(shards)
+}
+
 /// Runs one sweep cell: partition the recorded trace, replay every shard's
 /// slice on the shared worker pool (thread-per-shard up to `cfg.workers()`
-/// threads), merge. Each shard is a complete small I-CASH built from the
-/// [`IcashConfig::shard_slice`] of the cell spec — with `cfg`'s device
-/// queues, if any — so the aggregate hardware budget matches the one-shard
-/// cell.
+/// threads), merge. Each shard runs `slice_config`.
 pub fn run_cell(
     cfg: &RunConfig,
     spec: &WorkloadSpec,
@@ -204,11 +207,7 @@ pub fn run_cell(
     let wall_start = Instant::now();
     let parts = partition_trace(trace, shards);
     let slice_spec = spec.shard_slice(shards);
-    let mut builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes);
-    if let Some(q) = cfg.features.queue {
-        builder = builder.queue(q);
-    }
-    let slice_cfg = builder.build().shard_slice(shards);
+    let slice_cfg = slice_config(spec, &cfg.features, shards);
     let jobs: Vec<_> = parts
         .into_iter()
         .enumerate()
@@ -355,6 +354,8 @@ pub fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icash_storage::fault::HealthPolicy;
+    use icash_storage::queue::QueueConfig;
     use icash_workloads::sysbench;
 
     fn small_spec() -> WorkloadSpec {
@@ -424,6 +425,26 @@ mod tests {
             }
             assert_eq!(total, 100, "{shards} shards");
         }
+    }
+
+    /// Every feature knob reaches a scale cell's shards: group commit, the
+    /// health policy with its staging cap (split per shard) and the queue.
+    #[test]
+    fn slices_carry_every_feature() {
+        let features = Features {
+            group_commit_depth: 4,
+            shards: 1,
+            health: HealthPolicy {
+                staging_cap: 64,
+                ..HealthPolicy::standard()
+            },
+            queue: Some(QueueConfig::depth(8)),
+        };
+        let slice = slice_config(&small_spec(), &features, 4);
+        assert_eq!(slice.group_commit_depth, 4);
+        assert_eq!(slice.health, features.health.shard_share(4));
+        assert_eq!(slice.health.staging_cap, 16);
+        assert_eq!(slice.queue, Some(QueueConfig::depth(8)));
     }
 
     #[test]

@@ -55,19 +55,17 @@ pub struct IcashConfig {
     /// (or any barrier / eviction demand) drains the whole staging buffer
     /// into one sequential multi-entry log append.
     pub group_commit_depth: u64,
-    /// Device-health machinery: when `Some`, the controller runs per-device
-    /// health monitors (error-budget state machines), degraded-mode service,
-    /// online rebuild after [`crate::Icash::replace_ssd`], exponential
-    /// retry backoff, and staging-buffer backpressure. `None` (the default)
-    /// installs nothing: runs stay byte-identical to a health-free build.
-    #[serde(default)]
-    pub health: Option<HealthPolicy>,
+    /// Device-health policy: monitor thresholds (a `Failed` device gets
+    /// degraded service and an online rebuild after
+    /// [`crate::Icash::replace_ssd`]), retry budgets and pacing, and the
+    /// staging admission cap. The default, [`HealthPolicy::inert`], moves no
+    /// monitor, retries a read once and a write three times, unpaced.
+    pub health: HealthPolicy,
     /// Device command queueing: when `Some`, the HDD services batched
     /// submissions through an NCQ-style seek-aware scheduler with request
     /// coalescing, and the SSD defers background erases behind host traffic
-    /// on per-channel queues. `None` (the default) installs no queues:
-    /// every device services strictly in submission order, byte-identical
-    /// to the pre-queue controller.
+    /// on per-channel queues. `None` (the default) installs no queues —
+    /// which no queue setting reproduces (DESIGN.md §15).
     #[serde(default)]
     pub queue: Option<QueueConfig>,
 }
@@ -90,7 +88,7 @@ impl IcashConfig {
                 flush_dirty_bytes: 8 << 20,
                 log_blocks: 1 << 20, // 4 GB of log space
                 group_commit_depth: 1,
-                health: None,
+                health: HealthPolicy::inert(),
                 queue: None,
             },
         }
@@ -136,7 +134,8 @@ impl IcashConfig {
     /// The per-shard slice of this configuration for an N-wide shard
     /// router: the data set shrinks to the shard's share of the striped
     /// block space (`ceil(data_blocks / N)`), and the SSD reference store,
-    /// RAM delta buffer, dirty-flush threshold and HDD log split evenly.
+    /// RAM delta buffer, dirty-flush threshold, HDD log and staging cap
+    /// ([`HealthPolicy::shard_share`]) split evenly.
     /// Per-I/O cadences (scan and flush intervals, group-commit depth) are
     /// unchanged — each shard only ever sees its own request stream, so its
     /// controller behaves exactly like a small unsharded I-CASH. Floors
@@ -149,13 +148,7 @@ impl IcashConfig {
         cfg.ram_bytes = (self.ram_bytes / n).max(64 << 10);
         cfg.flush_dirty_bytes = (self.flush_dirty_bytes / n as usize).max(BLOCK_SIZE);
         cfg.log_blocks = (self.log_blocks / n).max(64);
-        if let Some(h) = &mut cfg.health {
-            // The backpressure cap bounds *total* buffered state, so each
-            // shard polices its share (floor 1 keeps the knob meaningful).
-            if h.staging_cap > 0 {
-                h.staging_cap = (h.staging_cap / n).max(1);
-            }
-        }
+        cfg.health = self.health.shard_share(n);
         cfg.validate();
         cfg
     }
@@ -164,8 +157,8 @@ impl IcashConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a capacity is zero or the segment size does not divide the
-    /// block size.
+    /// Panics if a capacity is zero, the segment size does not divide the
+    /// block size, or the health policy or queue is inconsistent.
     pub fn validate(&self) {
         assert!(self.ssd_bytes > 0, "SSD capacity must be nonzero");
         assert!(self.ram_bytes > 0, "RAM budget must be nonzero");
@@ -185,18 +178,7 @@ impl IcashConfig {
             (0.0..=1.0).contains(&self.ref_fraction),
             "ref_fraction must be in [0, 1]"
         );
-        if let Some(h) = &self.health {
-            assert!(
-                h.consecutive_degraded > 0 && h.consecutive_failed > 0,
-                "health streak thresholds must be nonzero"
-            );
-            assert!(
-                h.ewma_alpha > 0.0 && h.ewma_alpha <= 1.0,
-                "health EWMA alpha must be in (0, 1]"
-            );
-            assert!(h.retry_base_ns > 0, "retry backoff base must be nonzero");
-            assert!(h.rebuild_rate > 0, "rebuild rate must be nonzero");
-        }
+        self.health.validate();
         if let Some(q) = &self.queue {
             q.validate();
         }
@@ -259,10 +241,10 @@ impl IcashConfigBuilder {
         self
     }
 
-    /// Switches on the device-health machinery with `policy` (monitors,
-    /// degraded mode, online rebuild, retry backoff, backpressure).
+    /// Overrides the device-health policy (default
+    /// [`HealthPolicy::inert`]).
     pub fn health(mut self, policy: HealthPolicy) -> Self {
-        self.cfg.health = Some(policy);
+        self.cfg.health = policy;
         self
     }
 

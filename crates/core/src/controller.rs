@@ -130,10 +130,8 @@ pub(crate) struct Volatile {
     pub ios_since_scrub: u64,
     pub max_virtual_blocks: usize,
     /// Device-health machinery (monitors, degraded mode, rebuild, backoff,
-    /// backpressure). `None` unless [`IcashConfig::health`] is set; every
-    /// hook is then a single `Option` check and the controller behaves
-    /// byte-identically to one built without the subsystem.
-    pub health: Option<crate::health::HealthCore>,
+    /// backpressure) under [`IcashConfig::health`].
+    pub health: crate::health::HealthCore,
 }
 
 impl Volatile {
@@ -158,7 +156,7 @@ impl Volatile {
             // Metadata is ~100 B/block; allow 16 tracked blocks per
             // RAM-resident block, bounded to keep the table itself small.
             max_virtual_blocks: ((cfg.ram_budget() / 4096) * 16).clamp(4_096, 4 << 20),
-            health: cfg.health.map(crate::health::HealthCore::new),
+            health: crate::health::HealthCore::new(cfg.health),
         }
     }
 }
@@ -317,13 +315,11 @@ impl Icash {
         lba.raw() % self.cfg.data_blocks()
     }
 
-    /// Whether multi-request HDD work (span home reads, log appends) goes
-    /// through the device command queue: a queue must be
-    /// configured, and the health machinery off — its backoff owns per-op
-    /// retry pacing. When false, every such path is the classic per-op
-    /// loop, bit-identical to the pre-queue controller.
+    /// Whether a span's home reads go to the HDD as one command-queue batch:
+    /// whether a queue is configured. When false, the classic per-op loop
+    /// runs, bit-identical to the pre-queue controller.
     pub(crate) fn batches_through_queue(&self) -> bool {
-        self.cfg.queue.is_some() && self.volatile.health.is_none()
+        self.cfg.queue.is_some()
     }
 
     // ------------------------------------------------------------------
@@ -331,13 +327,11 @@ impl Icash {
     // ------------------------------------------------------------------
 
     /// One HDD operation with bounded retries, every outcome fed to the HDD
-    /// monitor. Without a health policy the ladder is fixed — one retry for
-    /// a read (latent sector errors persist, so a second failure means the
-    /// sector is genuinely gone until rewritten), three for a write (write
-    /// faults are transient: the drive remaps on rewrite) — and unpaced.
-    /// With one, the policy sets the budget, retries back off exponentially,
-    /// and a drive already declared dead fails fast. The residual failure is
-    /// the caller's to degrade on.
+    /// monitor. The health policy sets the budget — read and write apart —
+    /// and the pacing: at once (traced as `FaultRetry`) under a zero
+    /// backoff base, exponential backoff with jitter otherwise. A drive
+    /// already declared dead fails fast. The residual failure is the
+    /// caller's to degrade on.
     pub(crate) fn hdd_retry(
         &mut self,
         op: Op,
@@ -353,11 +347,11 @@ impl Icash {
                 HddError::LatentSector { lba: pos }
             });
         }
-        let policy = self.volatile.health.as_ref().map(|h| h.policy);
-        let budget = match policy {
-            Some(policy) => policy.retry_budget.max(1),
-            None if write => 3,
-            None => 1,
+        let policy = self.cfg.health;
+        let budget = if write {
+            policy.write_retries
+        } else {
+            policy.read_retries
         };
         let (mut t, mut attempt) = (at, 0u32);
         loop {
@@ -372,7 +366,7 @@ impl Icash {
                 return last;
             }
             attempt += 1;
-            if policy.is_some() {
+            if policy.retry_base_ns > 0 {
                 t = self.note_backoff(t, pos, attempt, write);
             } else {
                 self.note_retry(t, pos, write);
@@ -390,14 +384,14 @@ impl Icash {
         });
     }
 
-    /// A delta-log append. With queued batching on and the drive's
-    /// write-behind cache available (it is not while faults are armed) the
-    /// append parks in the cache and the host continues immediately — the
-    /// cached appends later drain as one seek-saving burst instead of
-    /// paying a full home→log head trip per group commit. Otherwise this
-    /// is the classic synchronous retried write.
+    /// A delta-log append. With the drive's write-behind cache available (a
+    /// queue is configured and no faults are armed) the append parks in the
+    /// cache and the host continues immediately — the cached appends later
+    /// drain as one seek-saving burst instead of paying a full home→log
+    /// head trip per group commit. Otherwise this is the classic
+    /// synchronous retried write.
     pub(crate) fn hdd_log_append(&mut self, at: Ns, pos: u64, blocks: u32) -> Ns {
-        if self.batches_through_queue() && self.durable.array.hdd().write_cache_enabled() {
+        if self.durable.array.hdd().write_cache_enabled() {
             // The cache is fault-free by construction, so the park (or the
             // depth-triggered drain it runs) cannot fail.
             return self

@@ -180,6 +180,19 @@ impl DeltaLog {
         self.len_blocks() * 10 >= self.capacity_blocks * 9
     }
 
+    /// Whether [`DeltaLog::append`] of `entries` stays within capacity.
+    pub fn fits(&self, entries: &[LogEntry]) -> bool {
+        let (mut blocks, mut used) = (self.len_blocks(), 0);
+        for len in entries.iter().map(LogEntry::wire_len) {
+            if used > 0 && used + len > BLOCK_SIZE {
+                used = 0;
+            }
+            blocks += u64::from(used == 0);
+            used += len;
+        }
+        blocks <= self.capacity_blocks
+    }
+
     /// Live (not superseded) entries in the log.
     pub fn live_entries(&self) -> u64 {
         self.total_entries - self.stale_entries
@@ -563,6 +576,25 @@ mod tests {
     fn empty_append_rejected() {
         let mut log = DeltaLog::new(10);
         log.append(Vec::new());
+    }
+
+    /// `fits` packs as `append` does: at every fill level, exactly the
+    /// batches that overflow are refused.
+    #[test]
+    fn fits_agrees_with_append() {
+        for size in [40, 700, 1800, 4096] {
+            for n in 1..12 {
+                let batch = || (0..n).map(|i| entry(i, size)).collect::<Vec<_>>();
+                let needed = u64::from(DeltaLog::new(100).append(batch()).blocks_written);
+                // One block in use, then room for exactly that many more,
+                // or one fewer.
+                for room in [needed, needed - 1] {
+                    let mut log = DeltaLog::new(1 + room);
+                    log.append(vec![entry(99, 40)]);
+                    assert_eq!(log.fits(&batch()), room == needed, "{n} x {size} B");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Device health, degraded-mode service, and online rebuild.
 //!
-//! When [`crate::IcashConfig::health`] is set, the controller runs one
-//! [`HealthMonitor`] per device, fed every SSD/HDD operation outcome. The
+//! The controller runs one [`HealthMonitor`] per device under
+//! [`crate::IcashConfig::health`], fed every SSD/HDD operation outcome. The
 //! monitors walk the `Healthy → Degraded → Failed → Rebuilding` machine on
 //! deterministic error-budget accounting (consecutive-failure streaks plus
 //! an error-rate EWMA), and the controller adapts service to the state:
@@ -14,21 +14,24 @@
 //!   [`IoErrorKind::DeviceFailed`] error (no hardware is touched); reads
 //!   keep serving from RAM and SSD-resident state.
 //! * **Online rebuild** — [`Icash::replace_ssd`] swaps in a fresh device
-//!   and starts a rate-limited background task that repopulates every SSD
-//!   slot from its HDD home copy under live traffic
+//!   and, for a `Failed` one, starts a rate-limited task that repopulates
+//!   every SSD slot from its HDD home copy under live traffic
 //!   ([`Icash::rebuild_tick`], run from the per-I/O maintenance hook).
 //!   Reads of not-yet-rebuilt slots stay on the degraded path.
-//! * **Retry backoff** — the fixed retry ladders are replaced by budgeted
-//!   exponential backoff with seeded jitter (deterministic: the jitter
-//!   stream is `fault_roll` over a dedicated salt and a draw counter).
+//! * **Retry backoff** — with a nonzero `retry_base_ns`, retries wait out
+//!   budgeted exponential backoff with seeded jitter (deterministic: the
+//!   jitter stream is `fault_roll` over a dedicated salt and a draw
+//!   counter) instead of retrying at once.
 //! * **Backpressure** — when `staging_cap > 0`, writes arriving with the
 //!   staging buffer at capacity are refused with a typed
 //!   [`IoErrorKind::Busy`] error and the pipeline is drained, so the host
 //!   sees admission control instead of unbounded buffering.
 //!
-//! With `health: None` every hook in this module is a single `Option`
-//! check; fault-free and health-free runs stay byte-identical to a
-//! controller built before this module existed.
+//! Health is a value, never absent. [`HealthPolicy::inert`], the default,
+//! is the identity: its thresholds are out of reach, so the monitors stay
+//! `Healthy` and nothing above engages — a read is retried once and a write
+//! three times, unpaced, no write is refused and no report grows a health
+//! section. `tests/health_free.rs` pins that run, faulted and fault-free.
 
 use crate::controller::Icash;
 use crate::read::BlockRead;
@@ -56,8 +59,6 @@ pub(crate) const DEV_HDD: u8 = 1;
 /// rebuild task (if any), and the jitter draw counter.
 #[derive(Debug)]
 pub(crate) struct HealthCore {
-    /// The armed policy (thresholds, budgets, rates).
-    pub policy: HealthPolicy,
     /// SSD health monitor.
     pub ssd: HealthMonitor,
     /// HDD health monitor.
@@ -73,7 +74,6 @@ impl HealthCore {
     /// Fresh monitors under `policy`.
     pub fn new(policy: HealthPolicy) -> Self {
         HealthCore {
-            policy,
             ssd: HealthMonitor::new(policy),
             hdd: HealthMonitor::new(policy),
             rebuild: None,
@@ -99,26 +99,18 @@ pub(crate) struct RebuildTask {
 impl Icash {
     /// Whether the SSD is in the `Failed` state (degraded service).
     pub(crate) fn ssd_is_failed(&self) -> bool {
-        self.volatile
-            .health
-            .as_ref()
-            .is_some_and(|h| h.ssd.is_failed())
+        self.volatile.health.ssd.is_failed()
     }
 
     /// Whether the HDD is in the `Failed` state (writes fail fast).
     pub(crate) fn hdd_is_failed(&self) -> bool {
-        self.volatile
-            .health
-            .as_ref()
-            .is_some_and(|h| h.hdd.is_failed())
+        self.volatile.health.hdd.is_failed()
     }
 
     /// Whether reads of `slot` must avoid the SSD: the device is failed, or
     /// a rebuild is running and this slot has not been repopulated yet.
     pub(crate) fn slot_unavailable(&self, slot: u64) -> bool {
-        let Some(h) = &self.volatile.health else {
-            return false;
-        };
+        let h = &self.volatile.health;
         match h.ssd.state() {
             HealthState::Failed => true,
             HealthState::Rebuilding => h
@@ -131,11 +123,8 @@ impl Icash {
 
     /// Feeds one device-operation outcome to the owning monitor, tracing
     /// and counting the health transition if the state machine moved.
-    /// A single `Option` check when health is off.
     pub(crate) fn note_device(&mut self, at: Ns, device: u8, ok: bool) {
-        let Some(h) = self.volatile.health.as_mut() else {
-            return;
-        };
+        let h = &mut self.volatile.health;
         let monitor = if device == DEV_SSD {
             &mut h.ssd
         } else {
@@ -161,16 +150,14 @@ impl Icash {
         });
     }
 
-    /// SSD read feeding the health monitor. Identical to the raw device
-    /// call when health is off.
+    /// SSD read feeding the health monitor.
     pub(crate) fn ssd_read_op(&mut self, at: Ns, slot: u64) -> Result<Ns, SsdError> {
         let res = self.durable.array.ssd_mut().read(at, slot);
         self.note_device(at, DEV_SSD, res.is_ok());
         res
     }
 
-    /// SSD program feeding the health monitor. Identical to the raw device
-    /// call when health is off.
+    /// SSD program feeding the health monitor.
     pub(crate) fn ssd_write_op(&mut self, at: Ns, slot: u64) -> Result<Ns, SsdError> {
         let res = self.durable.array.ssd_mut().write(at, slot);
         self.note_device(at, DEV_SSD, res.is_ok());
@@ -180,8 +167,7 @@ impl Icash {
     /// The backpressure admission check: `Some((queued, cap))` when the
     /// staging buffer is at capacity and the write must be refused.
     pub(crate) fn staging_over_cap(&self) -> Option<(u64, u64)> {
-        let h = self.volatile.health.as_ref()?;
-        let cap = h.policy.staging_cap;
+        let cap = self.cfg.health.staging_cap;
         let queued = self.volatile.staging.live() as u64;
         (cap > 0 && queued >= cap).then_some((queued, cap))
     }
@@ -201,19 +187,15 @@ impl Icash {
     }
 
     // ------------------------------------------------------------------
-    // Retry with exponential backoff (replaces the fixed ladders)
+    // Retry with exponential backoff
     // ------------------------------------------------------------------
 
     /// The next backoff delay in nanoseconds: `base << (attempt-1)` plus a
     /// seeded jitter drawn from the plan's `fault_roll` stream (own salt,
     /// monotonic draw counter — deterministic and replayable).
     fn backoff_delay(&mut self, attempt: u32, addr: u64) -> u64 {
-        let h = self
-            .volatile
-            .health
-            .as_mut()
-            .expect("backoff requires health");
-        let base = h.policy.retry_base_ns << (attempt - 1).min(16);
+        let base = self.cfg.health.retry_base_ns << (attempt - 1).min(16);
+        let h = &mut self.volatile.health;
         let draw = h.retry_draws;
         h.retry_draws += 1;
         let jitter =
@@ -309,15 +291,14 @@ impl Icash {
     // Device replacement and online rebuild
     // ------------------------------------------------------------------
 
-    /// Replaces the failed SSD with a fresh device and starts the online
-    /// rebuild: a rate-limited background task ([`Icash::rebuild_tick`])
-    /// repopulates every directory-tracked slot from its HDD home copy
-    /// under live traffic. Until a slot is rebuilt, reads of it stay on
-    /// the degraded (home-copy) path.
-    ///
-    /// Works without health armed too: the device is swapped and reads
-    /// self-heal through the repair-from-home path, with no background
-    /// task.
+    /// Replaces the SSD with a fresh device. If the monitor had declared
+    /// the old one `Failed`, this starts the online rebuild: a rate-limited
+    /// background task ([`Icash::rebuild_tick`]) repopulates every
+    /// directory-tracked slot from its HDD home copy under live traffic,
+    /// and until a slot is rebuilt, reads of it stay on the degraded
+    /// (home-copy) path. Otherwise (an inert policy never fails a device)
+    /// there is no background task: reads self-heal through the
+    /// repair-from-home path.
     pub fn replace_ssd(&mut self, at: Ns) {
         let ssd = Ssd::new(self.cfg.ssd_config());
         let plan = self.durable.fault_plan.clone();
@@ -325,22 +306,18 @@ impl Icash {
         // The controller-side plan mirrors the array: the replacement has
         // no death trigger armed.
         self.durable.fault_plan.ssd_death_op = None;
-        if self.volatile.health.is_none() {
+        let Some((from, to)) = self.volatile.health.ssd.begin_rebuild() else {
             return;
-        }
+        };
         let pending = self.durable.slots.pinned_sorted();
         let pending_slots: AddrSet<u64> = pending.iter().map(|&(_, s)| s).collect();
-        let total = pending.len() as u64;
-        let h = self.volatile.health.as_mut().expect("checked above");
-        h.rebuild = Some(RebuildTask {
+        self.volatile.health.rebuild = Some(RebuildTask {
+            total: pending.len() as u64,
             pending: pending.into_iter().collect(),
             pending_slots,
             done: 0,
-            total,
         });
-        if let Some((from, to)) = h.ssd.begin_rebuild() {
-            self.note_transition(at, DEV_SSD, from, to);
-        }
+        self.note_transition(at, DEV_SSD, from, to);
         // An empty directory completes immediately.
         self.rebuild_tick(at);
     }
@@ -351,45 +328,35 @@ impl Icash {
     /// with wrong bytes). Completes the `Rebuilding → Healthy` edge when
     /// the work list drains.
     pub(crate) fn rebuild_tick(&mut self, at: Ns) {
-        let Some(h) = self.volatile.health.as_mut() else {
-            return;
-        };
-        if h.rebuild.is_none() || h.ssd.state() != HealthState::Rebuilding {
+        let h = &mut self.volatile.health;
+        if h.ssd.state() != HealthState::Rebuilding {
             return;
         }
-        let rate = h.policy.rebuild_rate.max(1);
-        let batch: Vec<(Lba, u64)> = {
-            let task = h.rebuild.as_mut().expect("checked above");
-            (0..rate).filter_map(|_| task.pending.pop_front()).collect()
+        let rate = self.cfg.health.rebuild_rate;
+        let Some(task) = h.rebuild.as_mut() else {
+            return;
         };
+        let batch: Vec<(Lba, u64)> = (0..rate).filter_map(|_| task.pending.pop_front()).collect();
         if !batch.is_empty() {
-            let mut restored = 0u32;
-            let mut t = at;
-            for &(lba, slot) in &batch {
-                t = self.rebuild_slot(lba, slot, t);
-                restored += 1;
-            }
-            let h = self.volatile.health.as_mut().expect("still armed");
-            let Some(task) = h.rebuild.as_mut() else {
+            let t = batch
+                .iter()
+                .fold(at, |t, &(lba, slot)| self.rebuild_slot(lba, slot, t));
+            let Some(task) = self.volatile.health.rebuild.as_mut() else {
                 return;
             };
             for &(_, slot) in &batch {
                 task.pending_slots.remove(&slot);
             }
             task.done += batch.len() as u64;
-            let (done, total) = (task.done, task.total);
+            let (slots, done, total) = (batch.len() as u32, task.done, task.total);
             self.stats.rebuild_chunks += 1;
-            self.stats.rebuilt_slots += u64::from(restored);
+            self.stats.rebuilt_slots += u64::from(slots);
             self.durable.array.tracer().emit(|| TraceEvent {
                 at: t,
-                kind: TraceKind::RebuildChunk {
-                    slots: restored,
-                    done,
-                    total,
-                },
+                kind: TraceKind::RebuildChunk { slots, done, total },
             });
         }
-        let h = self.volatile.health.as_mut().expect("still armed");
+        let h = &mut self.volatile.health;
         let finished = h
             .rebuild
             .as_ref()
@@ -425,13 +392,15 @@ impl Icash {
         }
     }
 
-    /// The health section of the system report.
+    /// The health section of the system report: none under the inert
+    /// policy, which has nothing to report.
     pub(crate) fn health_report(&self) -> Option<HealthReport> {
-        let h = self.volatile.health.as_ref()?;
-        let (rebuild_done, rebuild_total) = match &h.rebuild {
-            Some(t) => (t.done, t.total),
-            None => (0, 0),
-        };
+        if self.cfg.health == HealthPolicy::inert() {
+            return None;
+        }
+        let h = &self.volatile.health;
+        let (rebuild_done, rebuild_total) =
+            h.rebuild.as_ref().map_or((0, 0), |t| (t.done, t.total));
         Some(HealthReport {
             ssd: h.ssd.state(),
             hdd: h.hdd.state(),

@@ -114,6 +114,10 @@ impl Icash {
     /// blocks to the HDD in one sequential operation. Returns the write's
     /// completion instant and the log block each entry landed in.
     fn append_to_log(&mut self, now: Ns, entries: Vec<LogEntry>) -> (Ns, Vec<u32>) {
+        // A commit of several staged triggers can outgrow the log's headroom.
+        if !self.durable.log.fits(&entries) {
+            self.clean_log(now);
+        }
         let n_entries = entries.len() as u32;
         let report = self.durable.log.append(entries);
         // A transient write fault clears on retry; should every retry fail,

@@ -55,11 +55,11 @@ impl Icash {
     /// cache so the per-block resolution that follows finds it resident.
     /// Returns the batch completion instant (`req.at` when nothing ran).
     ///
-    /// Without queued batching (see [`Icash::batches_through_queue`]) this
-    /// is a no-op and the per-block path stays bit-identical to the
-    /// pre-queue controller.
+    /// Without queued batching (see [`Icash::batches_through_queue`]), or
+    /// against a drive declared dead, this is a no-op: the per-block path
+    /// runs, bit-identical to the pre-queue controller.
     pub(crate) fn prefetch_span_homes(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Ns {
-        if !self.batches_through_queue() || req.blocks < 2 {
+        if !self.batches_through_queue() || req.blocks < 2 || self.hdd_is_failed() {
             return req.at;
         }
         let mut pending: Vec<(VbId, Lba)> = Vec::new();
@@ -79,10 +79,12 @@ impl Icash {
             .iter()
             .map(|&(_, lba)| (self.home_pos(lba), 1))
             .collect();
-        let t = match self.durable.array.hdd_mut().read_batch(req.at, &reqs) {
+        let batch = self.durable.array.hdd_mut().read_batch(req.at, &reqs);
+        self.note_device(req.at, crate::health::DEV_HDD, batch.is_ok());
+        let t = match batch {
             Ok(t) => t,
             // A media error inside the batch: fall back to the per-block
-            // path, which owns retry and repair for each individual read.
+            // path, which owns retry, backoff and repair for each read.
             Err(_) => return req.at,
         };
         for (_, lba) in pending {
@@ -768,12 +770,11 @@ pub(crate) mod tests {
         #[test]
         fn the_in_place_walk_matches_the_snapshot_oracle(
             ops in ops_strategy(),
-            log_pick in 0usize..4,
+            log_pick in 0usize..5,
             eager_flush in any::<bool>(),
         ) {
-            // (Group commit only on the roomy log: a commit of four staged
-            // triggers can outgrow a small log before the clean it asks for.)
-            let (log_blocks, depth) = [(160, 1), (256, 1), (1 << 14, 1), (1 << 14, 4)][log_pick];
+            let (log_blocks, depth) =
+                [(160, 1), (160, 4), (256, 1), (1 << 14, 1), (1 << 14, 4)][log_pick];
             let mut cfg = tight(log_blocks);
             if eager_flush {
                 cfg.flush_interval = 20;

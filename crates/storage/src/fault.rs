@@ -674,9 +674,12 @@ pub struct HealthPolicy {
     /// Consecutive successes (with the EWMA back under the degrade
     /// threshold) that return a degraded device to healthy.
     pub recover_successes: u32,
-    /// Device-op retry attempts budgeted per host request.
-    pub retry_budget: u32,
-    /// Base backoff delay; attempt `n` waits up to `base << n` plus jitter.
+    /// Retries of a failed device read before the error is reported.
+    pub read_retries: u32,
+    /// Retries of a failed device write before the error is reported.
+    pub write_retries: u32,
+    /// Base backoff delay (0 = unpaced); attempt `n` waits `base << n` plus
+    /// jitter.
     pub retry_base_ns: u64,
     /// SSD slots repopulated per host I/O while rebuilding (rate limit).
     pub rebuild_rate: u32,
@@ -684,20 +687,63 @@ pub struct HealthPolicy {
     pub staging_cap: u64,
 }
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
+impl HealthPolicy {
+    /// The identity: thresholds no run reaches (`u32::MAX` failures in a
+    /// row, an error rate above 1), so monitors stay `Healthy`; one read and
+    /// three write retries (latent sector errors persist, write faults clear
+    /// on a remap), unpaced; no admission cap.
+    pub fn inert() -> Self {
         HealthPolicy {
-            consecutive_degraded: 3,
-            consecutive_failed: 8,
+            consecutive_degraded: u32::MAX,
+            consecutive_failed: u32::MAX,
             ewma_alpha: 0.125,
-            ewma_degraded: 0.5,
-            ewma_failed: 0.875,
+            ewma_degraded: f64::INFINITY,
+            ewma_failed: f64::INFINITY,
             recover_successes: 16,
-            retry_budget: 4,
-            retry_base_ns: 50_000,
+            read_retries: 1,
+            write_retries: 3,
+            retry_base_ns: 0,
             rebuild_rate: 4,
             staging_cap: 0,
         }
+    }
+
+    /// The monitored policy: degrade at 3 failures in a row or an error rate
+    /// of 1/2, fail at 8 or 7/8; four retries each way, backoff from 50 µs.
+    pub fn standard() -> Self {
+        HealthPolicy {
+            consecutive_degraded: 3,
+            consecutive_failed: 8,
+            ewma_degraded: 0.5,
+            ewma_failed: 0.875,
+            read_retries: 4,
+            write_retries: 4,
+            retry_base_ns: 50_000,
+            ..Self::inert()
+        }
+    }
+
+    /// This policy for one of `shards` controllers: each polices its share
+    /// of the total staging cap (floor 1; an unbounded 0 stays 0).
+    pub fn shard_share(mut self, shards: u64) -> Self {
+        if self.staging_cap > 0 {
+            self.staging_cap = (self.staging_cap / shards.max(1)).max(1);
+        }
+        self
+    }
+
+    /// Asserts nonzero streak thresholds and rebuild rate, and an EWMA
+    /// factor in `(0, 1]`.
+    pub fn validate(&self) {
+        assert!(
+            self.consecutive_degraded > 0 && self.consecutive_failed > 0,
+            "health streak thresholds must be nonzero"
+        );
+        assert!(
+            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
+            "health EWMA alpha must be in (0, 1]"
+        );
+        assert!(self.rebuild_rate > 0, "rebuild rate must be nonzero");
     }
 }
 
@@ -709,7 +755,7 @@ impl Default for HealthPolicy {
 /// ```
 /// use icash_storage::fault::{HealthMonitor, HealthPolicy, HealthState};
 ///
-/// let mut m = HealthMonitor::new(HealthPolicy::default());
+/// let mut m = HealthMonitor::new(HealthPolicy::standard());
 /// assert_eq!(m.state(), HealthState::Healthy);
 /// for _ in 0..8 {
 ///     m.note(false);
@@ -725,8 +771,6 @@ pub struct HealthMonitor {
     consecutive_failures: u32,
     consecutive_successes: u32,
     ewma: f64,
-    /// Health transitions taken so far (edges, not notes).
-    transitions: u64,
 }
 
 impl HealthMonitor {
@@ -738,7 +782,6 @@ impl HealthMonitor {
             consecutive_failures: 0,
             consecutive_successes: 0,
             ewma: 0.0,
-            transitions: 0,
         }
     }
 
@@ -752,16 +795,6 @@ impl HealthMonitor {
         self.state == HealthState::Failed
     }
 
-    /// Transitions taken so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Smoothed per-operation error rate.
-    pub fn error_rate(&self) -> f64 {
-        self.ewma
-    }
-
     /// Feeds one operation outcome; returns the `(from, to)` edge if the
     /// state changed. A `Failed` device ignores further outcomes — only
     /// [`HealthMonitor::begin_rebuild`] (device replacement) revives it.
@@ -769,12 +802,14 @@ impl HealthMonitor {
         if self.state == HealthState::Failed {
             return None;
         }
+        // (Saturating: under an inert policy a monitor sees every outcome
+        // of the run and never resets.)
         if ok {
             self.consecutive_failures = 0;
-            self.consecutive_successes += 1;
+            self.consecutive_successes = self.consecutive_successes.saturating_add(1);
         } else {
             self.consecutive_successes = 0;
-            self.consecutive_failures += 1;
+            self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         }
         let err = if ok { 0.0 } else { 1.0 };
         self.ewma = self.policy.ewma_alpha * err + (1.0 - self.policy.ewma_alpha) * self.ewma;
@@ -843,7 +878,6 @@ impl HealthMonitor {
         }
         let from = self.state;
         self.state = to;
-        self.transitions += 1;
         Some((from, to))
     }
 }
@@ -1117,7 +1151,7 @@ mod tests {
 
     #[test]
     fn health_monitor_walks_the_machine() {
-        let mut m = HealthMonitor::new(HealthPolicy::default());
+        let mut m = HealthMonitor::new(HealthPolicy::standard());
         assert_eq!(m.state(), HealthState::Healthy);
         assert_eq!(m.note(true), None);
         // Three consecutive failures degrade.
@@ -1157,12 +1191,32 @@ mod tests {
             m.rebuild_complete(),
             Some((HealthState::Rebuilding, HealthState::Healthy))
         );
-        assert!(m.transitions() >= 5);
+    }
+
+    /// The identity policy validates, never moves its monitor however long
+    /// the failure streak, and splits across shards as nothing.
+    #[test]
+    fn inert_monitors_stay_healthy_through_any_failure_streak() {
+        let inert = HealthPolicy::inert();
+        inert.validate();
+        HealthPolicy::standard().validate();
+        let mut m = HealthMonitor::new(inert);
+        for _ in 0..100_000 {
+            assert_eq!(m.note(false), None);
+        }
+        assert_eq!(m.state(), HealthState::Healthy);
+        assert_eq!(inert.shard_share(8), inert);
+        let capped = |cap| HealthPolicy {
+            staging_cap: cap,
+            ..HealthPolicy::standard()
+        };
+        assert_eq!(capped(64).shard_share(8), capped(8));
+        assert_eq!(capped(3).shard_share(8), capped(1), "floor 1");
     }
 
     #[test]
     fn rebuilding_replacement_can_fail_again() {
-        let mut m = HealthMonitor::new(HealthPolicy::default());
+        let mut m = HealthMonitor::new(HealthPolicy::standard());
         for _ in 0..8 {
             m.note(false);
         }

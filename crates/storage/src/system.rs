@@ -116,7 +116,7 @@ impl GroupCommitReport {
 }
 
 /// Device-health and self-healing figures of one run, present only when the
-/// health subsystem was enabled.
+/// controller ran under a health policy other than the inert one.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// Final SSD health state.
@@ -180,7 +180,7 @@ pub struct SystemReport {
     pub faults: FaultStats,
     /// Group-commit efficiency, if the architecture stages writes.
     pub group_commit: Option<GroupCommitReport>,
-    /// Device-health figures, if the health subsystem was enabled.
+    /// Device-health figures, if a non-inert health policy was in force.
     #[serde(default)]
     pub health: Option<HealthReport>,
 }

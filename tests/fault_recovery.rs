@@ -11,6 +11,7 @@ use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
 use icash::storage::model::{Allow, VersionModel};
+use icash::storage::queue::QueueConfig;
 use icash::storage::request::IoErrorKind;
 use icash::storage::shard::ShardRouter;
 use icash::storage::{IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
@@ -290,6 +291,26 @@ proptest! {
     }
 }
 
+/// Reads `blocks` blocks from `lba` at `*now`, advancing the clock; returns
+/// the first address that came back holding bytes it never held (a typed
+/// error is an acceptable answer).
+fn foreign_read(
+    system: &mut Icash,
+    model: &VersionModel,
+    cpu: &mut CpuModel,
+    now: &mut Ns,
+    lba: u64,
+    blocks: u32,
+) -> Option<u64> {
+    let mut ctx = IoCtx::verifying(&ZeroSource, cpu);
+    let completion = system.submit(&Request::read_span(Lba::new(lba), blocks, *now), &mut ctx);
+    *now = completion.finished;
+    (lba..)
+        .zip(&completion.data)
+        .find(|&(l, got)| !completion.failed(Lba::new(l)) && !model.allows(l, got, Allow::Held))
+        .map(|(l, _)| l)
+}
+
 /// Address span for the death-driving traffic. Deliberately wider than the
 /// RAM delta buffer (unlike the scripted history's `SPAN`, which fits):
 /// cold misses must keep touching the home disk, or an armed HDD death at
@@ -300,8 +321,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whole-device death at an arbitrary device-op in an arbitrary
-    /// history — optionally followed by a crash mid-rebuild — is
-    /// survivable. Every read during degraded service is a version the
+    /// history — optionally followed by a crash mid-rebuild, with or
+    /// without a device queue batching span reads — is survivable. Every read during degraded service is a version the
     /// block legitimately held or a typed error; an HDD death fails
     /// writes fast with [`IoErrorKind::DeviceFailed`]; a replaced SSD
     /// rebuilds back to `Healthy` under live traffic and then serves
@@ -315,9 +336,11 @@ proptest! {
         crash_mid_rebuild in any::<bool>(),
         seed in 0u64..1000,
         depth_pick in 0usize..3,
+        queued in any::<bool>(),
     ) {
         let mut cfg = base_config(DEPTHS[depth_pick]);
-        cfg.health = Some(HealthPolicy::default());
+        cfg.health = HealthPolicy::standard();
+        cfg.queue = queued.then(|| QueueConfig::depth(8));
         let plan = if kill_hdd {
             FaultPlan::seeded(seed).hdd_dies_at(death_at)
         } else {
@@ -377,17 +400,15 @@ proptest! {
                     model.ack(lba, content);
                 }
             } else {
-                let req = Request::read(Lba::new(lba), now);
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                let completion = system.submit(&req, &mut ctx);
-                now = completion.finished;
-                if !completion.failed(Lba::new(lba)) {
-                    prop_assert!(
-                        model.allows(lba, &completion.data[0], Allow::Held),
-                        "lba {}: read under failing device returned foreign data",
-                        lba
-                    );
-                }
+                // Every other read a span, so a queue batches its misses.
+                let blocks = if extra % 2 == 0 { 4 } else { 1 };
+                let first = lba.min(DRIVE_SPAN - u64::from(blocks));
+                let foreign = foreign_read(&mut system, &model, &mut cpu, &mut now, first, blocks);
+                prop_assert!(
+                    foreign.is_none(),
+                    "lba {:?}: read under failing device returned foreign data",
+                    foreign
+                );
             }
             let health = system.report(now).health.expect("health enabled");
             let state = if kill_hdd { health.hdd } else { health.ssd };
@@ -435,17 +456,14 @@ proptest! {
             let mut healthy = false;
             for extra in 0..2_500u64 {
                 let lba = fault_roll(seed, 0x4EA1, extra, 0) % DRIVE_SPAN;
-                let req = Request::read(Lba::new(lba), now);
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                let completion = system.submit(&req, &mut ctx);
-                now = completion.finished;
-                if !completion.failed(Lba::new(lba)) {
-                    prop_assert!(
-                        model.allows(lba, &completion.data[0], Allow::Held),
-                        "lba {}: read during rebuild returned foreign data",
-                        lba
-                    );
-                }
+                let blocks = if extra % 2 == 0 { 4 } else { 1 };
+                let first = lba.min(DRIVE_SPAN - u64::from(blocks));
+                let foreign = foreign_read(&mut system, &model, &mut cpu, &mut now, first, blocks);
+                prop_assert!(
+                    foreign.is_none(),
+                    "lba {:?}: read during rebuild returned foreign data",
+                    foreign
+                );
                 let health = system.report(now).health.expect("health enabled");
                 if health.ssd == HealthState::Healthy {
                     healthy = true;

@@ -234,6 +234,56 @@ fn staged_blocks_serve_read_your_writes() {
     );
 }
 
+/// 1400 seeded noise bytes at the front of a zero block: a zero-based delta
+/// that two of share a log block.
+fn noisy(lba: u64, op: u64) -> BlockBuf {
+    let mut v = vec![0u8; 4096];
+    let mut state = (lba << 16 | op << 1 | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for byte in &mut v[16..1416] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *byte = state as u8;
+    }
+    v[8..16].copy_from_slice(&lba.to_le_bytes());
+    BlockBuf::from_vec(v)
+}
+
+/// The clean after each commit keeps a tenth of the log free; four staged
+/// flush triggers of large deltas are more than that on a 100-block log.
+/// The commit cleans first instead of overflowing the log ("delta log
+/// overflow: 104 blocks > capacity 100" before it did), and every block
+/// reads back its last write.
+#[test]
+fn a_group_commit_larger_than_the_log_headroom_cleans_first() {
+    const BLOCKS: u64 = 48;
+    const ROUNDS: u64 = 42;
+    let cfg = IcashConfig::builder(1 << 20, 1 << 20, 4 << 20)
+        .scan_interval(1_000_000)
+        .flush_interval(8)
+        .log_blocks(100)
+        .group_commit_depth(4)
+        .build();
+    let mut sys = Icash::new(cfg);
+    let backing = ZeroSource;
+    let mut cpu = CpuModel::xeon();
+    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+    let mut t = Ns::ZERO;
+    for op in 0..ROUNDS * BLOCKS {
+        let lba = op % BLOCKS;
+        let w = Request::write(Lba::new(lba), t, noisy(lba, op));
+        t = sys.submit(&w, &mut ctx).finished;
+    }
+    assert!(sys.stats().log_cleans > 0);
+    sys.debug_validate();
+    for lba in 0..BLOCKS {
+        let last = (ROUNDS - 1) * BLOCKS + lba;
+        let c = sys.submit(&Request::read(Lba::new(lba), t), &mut ctx);
+        t = c.finished;
+        assert!(c.data[0] == noisy(lba, last), "lba {lba} read back stale");
+    }
+}
+
 /// The ticket barrier: `await_flush` forces staged writes to stable media,
 /// a second barrier on the same ticket is free, and `sync` covers the
 /// whole pipeline.

@@ -25,7 +25,7 @@ fn config() -> IcashConfig {
 /// A health-monitored controller whose SSD dies at device op `dies_at`.
 fn dying_ssd(dies_at: u64) -> Icash {
     let mut cfg = config();
-    cfg.health = Some(HealthPolicy::default());
+    cfg.health = HealthPolicy::standard();
     Icash::new(cfg).with_fault_plan(FaultPlan::seeded(7).ssd_dies_at(dies_at))
 }
 
@@ -319,8 +319,8 @@ fn a_flush_inside_the_transition_does_not_reclaim_the_slot_it_is_replacing() {
 /// A released slot stays pinned until the next commit, and until then the
 /// pin *and the entries logged on top of it* are the block's last durable
 /// version. Here a reference with a barrier-covered self-delta is rewritten
-/// with dissimilar content on an SSD that has just died (no health policy,
-/// so nothing declares it failed): the in-place rewrite is refused, the
+/// with dissimilar content on an SSD that has just died (the inert health
+/// policy, so nothing declares it failed): the in-place rewrite is refused, the
 /// write falls back to the log and releases the slot, and the crash comes
 /// before that delta commits. Recovery must find slot + self-delta, not the
 /// bare slot.
