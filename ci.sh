@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
 # Repo CI gate. Runs fully offline: all third-party deps are vendored under
 # crates/. `./ci.sh` is the merge gate (fmt, clippy, build, every test suite,
-# repo benchmark smoke, bench smoke); `./ci.sh <stage>` runs one of the
-# stages below, each of which announces what it checks as it goes. The gate
-# is the only place a test suite runs: a stage holds what `cargo test` does
-# not — golden diffs, campaign bins, bench_diff, trace_profile greps. Every
-# stage but `bench` is seeded and deterministic, hence blocking in
-# .github/workflows/ci.yml.
+# repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
+# of which announces what it checks as it goes. The gate is the only place a
+# test suite runs: a stage holds what `cargo test` does not — golden diffs of
+# the campaign bins, trace_profile greps. Every stage is seeded and
+# deterministic, hence blocking in .github/workflows/ci.yml. Host time is
+# measured in one place only, the repo benchmark (BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")"
-STAGES="golden fingerprints faults pipeline scale queue chaos scenarios bench"
+STAGES="golden fingerprints scale queue chaos scenarios"
 
 step() { echo "==> $*"; }
 run() { step "$*" && "$@"; }                     # announce a command, run it
 bins() { cargo build -q --release -p icash-bench; }
-bench_diff() { cargo run -q --release -p icash-bench --bin bench_diff -- "$@"; }
 # Maps keyed by an address or an id take icash_storage::hash::{AddrMap,
 # AddrSet}: a default-hasher one in product code (a file's `#[cfg(test)]`
 # tail is exempt) pays SipHash on every block touched.
@@ -32,12 +31,6 @@ lint_hashers() {
     echo "    use icash_storage::hash::{AddrMap, AddrSet} for these" >&2
     return 1
   fi
-}
-run_benches() {
-  for bench in "$@"; do
-    CRITERION_JSON="$PWD/target/bench_${bench}_current.json" \
-      cargo bench -q -p icash-bench --bench "$bench"
-  done
 }
 
 # The only copy of the feature-off byte-identity check: under the given
@@ -63,7 +56,7 @@ golden)
   bins
   golden unset
   golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 \
-    ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0 ICASH_QUEUE_TREND_ASSERT=0
+    ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0
   ;;
 fingerprints)
   # "Sim unmoved" in one command. The repo benchmark's sim.fingerprint hashes
@@ -79,33 +72,28 @@ fingerprints)
   done < ci/golden/bench_fingerprints.txt > target/bench_fingerprints.txt
   diff target/bench_fingerprints.txt ci/golden/bench_fingerprints.txt
   ;;
-faults)
-  run cargo run -q --release -p icash-bench --bin run_faults # zero silent corruption, fixed seeds
-  ;;
-pipeline)
-  step "pipeline bench: depth 1 vs 16 write cycle vs BENCH_pipeline.json"
-  run_benches pipeline
-  bench_diff BENCH_pipeline.json target/bench_pipeline_current.json
-  ;;
 scale)
-  step "run_scale campaign vs BENCH_scale.json"
-  scale_env=(CRITERION_JSON="$PWD/target/bench_scale_current.json")
+  bins
+  step "run_scale campaign document vs ci/golden/run_scale.txt, at ICASH_THREADS 1 and 2"
+  for threads in 1 2; do
+    ICASH_THREADS=$threads ./target/release/run_scale > "target/run_scale_$threads.txt"
+    diff "target/run_scale_$threads.txt" ci/golden/run_scale.txt
+  done
   if [[ "$(nproc)" -ge 8 ]]; then
-    echo "    (>= 8 workers: enforcing the 4x 8-vs-1-shard wall speedup)"
-    scale_env+=(ICASH_SCALE_ASSERT=4x)
+    step "run_scale on all $(nproc) workers: the 8-vs-1-shard wall speedup must reach 4x"
+    ICASH_SCALE_ASSERT=4x ./target/release/run_scale > target/run_scale_all.txt
+    diff target/run_scale_all.txt ci/golden/run_scale.txt
   fi
-  env "${scale_env[@]}" cargo run -q --release -p icash-bench --bin run_scale > target/run_scale.txt
-  bench_diff BENCH_scale.json target/bench_scale_current.json
   ;;
 queue)
   bins
-  step "ablation depth trajectory vs BENCH_queue.json (+ trend assert)"
-  ICASH_OPS=8000 ICASH_QUEUE_TREND_ASSERT=1 CRITERION_JSON="$PWD/target/bench_queue_current.json" \
-    ./target/release/ablation_queue_depth > target/ablation_queue_depth.txt
-  bench_diff BENCH_queue.json target/bench_queue_current.json
-  step "run_scale: queue-on must beat queue-off at 16 shards (virtual throughput)"
+  step "ablation depth trajectory vs ci/golden/ablation_queue_depth.txt"
+  ICASH_OPS=8000 ./target/release/ablation_queue_depth > target/ablation_queue_depth.txt
+  diff target/ablation_queue_depth.txt ci/golden/ablation_queue_depth.txt
+  step "run_scale: queue-on must beat queue-off at 16 shards; document vs ci/golden/run_scale_queue16.txt"
   ICASH_OPS=4000 ICASH_SCALE_SHARDS=1,8,16 ICASH_SCALE_CLIENTS=4 ICASH_QUEUE_DEPTH=16 \
-    ICASH_QUEUE_ASSERT=1 ./target/release/run_scale > target/run_scale_queue.txt
+    ICASH_QUEUE_ASSERT=1 ./target/release/run_scale > target/run_scale_queue16.txt
+  diff target/run_scale_queue16.txt ci/golden/run_scale_queue16.txt
   ;;
 chaos)
   bins
@@ -134,11 +122,6 @@ scenarios)
   grep -q "Open-loop queued" target/trace_profile_burst.txt
   if grep -q "Open-loop" target/trace_profile_closed.txt; then exit 1; fi
   ;;
-bench)
-  step "bench trajectory: codec + controller vs BENCH_codec.json (BENCH_TOLERANCE, default 4x)"
-  run_benches codec controller
-  bench_diff BENCH_codec.json target/bench_codec_current.json target/bench_controller_current.json
-  ;;
 gate)
   run cargo fmt --check
   run cargo clippy --workspace --all-targets -- -D warnings
@@ -152,14 +135,6 @@ gate)
   # invisible to the workspace build above, so a renamed `pub` item it
   # imports, or a broken mirror, would otherwise surface only in the pipeline.
   run benchmark/smoke.sh
-  step "bench smoke (benches must run and emit CRITERION_JSON)"
-  run_benches codec controller
-  test -s target/bench_codec_current.json
-  test -s target/bench_controller_current.json
-  for name in encode_similar encode_unrelated encode_zero_reference_unique \
-    encode_inplace_family_warm encode_roundtrip_batch64; do
-    grep -q "\"delta_codec/$name\"" target/bench_codec_current.json
-  done
   ;;
 *)
   echo "ci.sh: unknown stage '$1'; stages: $STAGES (no argument = the merge gate)" >&2

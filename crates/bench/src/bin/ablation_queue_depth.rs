@@ -11,12 +11,10 @@
 //! The headline column is virtual HDD service time per thousand host
 //! operations: seek-aware scheduling plus coalescing of adjacent home
 //! writes shave positioning costs, so the figure falls as depth grows.
-//! With `ICASH_QUEUE_TREND_ASSERT=1` the run fails unless the deepest
-//! setting beats queue-off (the CI trajectory gate); `CRITERION_JSON=path`
-//! writes the per-depth figures for `bench_diff` against
-//! `BENCH_queue.json` — the metric is simulated time, so the comparison is
-//! exact, not a host-speed tolerance check. `ICASH_ABL_SPEC` swaps the
-//! workload (`pressure` is the HDD-bound SysBench variant).
+//! Every column is simulated, so the table is exact: `./ci.sh queue` diffs
+//! the `ICASH_OPS=8000` table against `ci/golden/ablation_queue_depth.txt`,
+//! and the test below holds that golden to the trend. `ICASH_ABL_SPEC`
+//! swaps the workload (`pressure` is the HDD-bound SysBench variant).
 
 use icash_bench::exhibits::workload_named;
 use icash_bench::harness::{run_jobs, Ablation};
@@ -111,33 +109,41 @@ fn main() {
             &rows,
         )
     );
+}
 
-    if let Some(path) = &run.criterion_json {
-        let results: Vec<String> = DEPTHS
-            .iter()
-            .zip(&summaries)
-            .map(|(&depth, s)| {
-                format!(
-                    "{{\"name\": \"icash_queue/depth_{}\", \"ns_per_iter\": {:.1}}}",
-                    depth_name(depth),
-                    hdd_ns_per_kop(s)
-                )
-            })
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pinned trajectory: one row per sweep depth, in order, and HDD
+    /// service per kop never rises with depth and ends below queue-off — so
+    /// a re-pin of the golden cannot invert the trend unnoticed.
+    #[test]
+    fn pinned_trajectory_falls_with_depth() {
+        let golden = include_str!("../../../../ci/golden/ablation_queue_depth.txt");
+        let rows: Vec<Vec<&str>> = golden
+            .lines()
+            .skip(1)
+            .map(|line| line.split_whitespace().collect())
             .collect();
-        std::fs::write(path, format!("{{\"results\": [{}]}}\n", results.join(", ")))
-            .expect("write CRITERION_JSON");
-        eprintln!("bench results written to {}", path.display());
-    }
-
-    if run.queue_trend_assert {
-        let off = hdd_ns_per_kop(&summaries[0]);
-        let deepest = hdd_ns_per_kop(summaries.last().expect("sweep is never empty"));
-        eprintln!(
-            "ablation_queue_depth: HDD service {off:.0} ns/kop unqueued vs {deepest:.0} ns/kop at depth 32"
+        let col = rows[0]
+            .iter()
+            .position(|&h| h == "hdd_ns/kop")
+            .expect("column");
+        let depths: Vec<&str> = rows[1..].iter().map(|row| row[0]).collect();
+        let sweep: Vec<String> = DEPTHS.iter().map(|&d| depth_name(d)).collect();
+        assert_eq!(depths, sweep);
+        let ns: Vec<u64> = rows[1..]
+            .iter()
+            .map(|row| row[col].parse().expect("integer"))
+            .collect();
+        assert!(
+            ns.windows(2).all(|w| w[1] <= w[0]),
+            "HDD service rose with depth: {ns:?}"
         );
         assert!(
-            deepest < off,
-            "queueing must shrink HDD service per kop: {deepest:.0} vs {off:.0} unqueued"
+            ns[ns.len() - 1] < ns[0],
+            "depth 32 must beat queue-off: {ns:?}"
         );
     }
 }

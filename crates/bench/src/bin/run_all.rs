@@ -80,9 +80,9 @@ const NOTES: &str = r#"
 ## Sensitivity to device command queueing (DESIGN.md §15)
 
 Every number above is a `queue = off` run — the default build is pinned
-byte-identical to the pre-queue engine (`./ci.sh queue` diffs the trace
-JSONL and `run_faults` stdout against the same goldens as the pipeline
-and scale gates), so nothing in this report moves unless
+byte-identical to the pre-queue engine (`./ci.sh golden` diffs the trace
+JSONL and `run_faults` stdout against goldens pinned before the queue
+existed), so nothing in this report moves unless
 `ICASH_QUEUE_DEPTH` is set. What moves when it is:
 
 * **HDD service time** is the sensitive quantity. `ablation_queue_depth`
@@ -90,7 +90,8 @@ and scale gates), so nothing in this report moves unless
   ops: 33 685 186 queue-off falling to 31 397 043 at NCQ depth 8, where
   it saturates — once the whole group-commit cadence parks in the
   write-behind cache and drains as one coalesced burst, extra depth has
-  nothing left to merge (`BENCH_queue.json` pins the trajectory).
+  nothing left to merge (`ci/golden/ablation_queue_depth.txt` pins the
+  trajectory, and a test holds it to the trend).
 * **Throughput moves only where the HDD is on the critical path.** The
   paper-exhibit cells are flash/RAM-bound after quick-mode scaling, so
   their tx/s barely shift. The HDD-bound pressure variant

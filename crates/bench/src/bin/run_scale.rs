@@ -10,8 +10,6 @@
 //! * stderr gets the human table with the wall-clock replay throughput and
 //!   speedup over the one-shard cell — the measurement this campaign
 //!   exists for.
-//! * `CRITERION_JSON=<path>` additionally writes the wall-clock results in
-//!   the format `bench_diff` compares against `BENCH_scale.json`.
 //!
 //! Environment: `ICASH_OPS` (outer ops, default 6,000),
 //! `ICASH_SCALE_SHARDS` / `ICASH_SCALE_CLIENTS` (comma-separated sweep
@@ -59,11 +57,6 @@ fn main() {
     }
 
     eprintln!("\n{}", scale::wall_table(&cells));
-
-    if let Some(path) = &cfg.criterion_json {
-        std::fs::write(path, scale::criterion_json(&cells)).expect("write CRITERION_JSON");
-        eprintln!("bench results written to {}", path.display());
-    }
 
     let clients = *client_sweep.last().expect("sweep is never empty");
     if let Some(min) = cfg.scale_assert {

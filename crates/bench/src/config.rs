@@ -77,14 +77,8 @@ pub struct RunConfig {
     pub scale_assert: Option<f64>,
     /// `run_scale` queue-on > queue-off virtual-throughput assert.
     pub queue_assert: bool,
-    /// `ablation_queue_depth` deepest-beats-off assert.
-    pub queue_trend_assert: bool,
     /// `ablation_queue_depth` workload ([`crate::exhibits::workload_named`]).
     pub ablation_spec: Option<String>,
-    /// Where campaign bins write `bench_diff`-format results.
-    pub criterion_json: Option<PathBuf>,
-    /// `bench_diff` regression band; `None` = 4x.
-    pub bench_tolerance: Option<f64>,
 }
 
 impl RunConfig {
@@ -130,8 +124,6 @@ pub enum Kind {
     Choice(&'static [&'static str], fn(&mut RunConfig, &str)),
     /// Comma-separated positive integers.
     CountList(fn(&mut RunConfig, Vec<u32>)),
-    /// A file path, taken as is.
-    Path(fn(&mut RunConfig, PathBuf)),
     /// A positive number, optionally suffixed `x` (`4x`).
     Factor(fn(&mut RunConfig, f64)),
 }
@@ -300,28 +292,10 @@ pub const KNOBS: &[Knob] = &[
         kind: Kind::Flag(|c, on| c.queue_assert = on),
     },
     Knob {
-        name: "ICASH_QUEUE_TREND_ASSERT",
-        default: "0",
-        requires: None,
-        kind: Kind::Flag(|c, on| c.queue_trend_assert = on),
-    },
-    Knob {
         name: "ICASH_ABL_SPEC",
         default: "sysbench",
         requires: None,
         kind: Kind::Choice(ABLATION_SPECS, |c, v| c.ablation_spec = Some(v.to_string())),
-    },
-    Knob {
-        name: "CRITERION_JSON",
-        default: "off",
-        requires: None,
-        kind: Kind::Path(|c, p| c.criterion_json = Some(p)),
-    },
-    Knob {
-        name: "BENCH_TOLERANCE",
-        default: "4",
-        requires: None,
-        kind: Kind::Factor(|c, f| c.bench_tolerance = Some(f)),
     },
 ];
 
@@ -350,7 +324,6 @@ impl Kind {
                     items.map(|n| n.filter(|&n| n > 0)).collect::<Option<_>>()?,
                 )
             }
-            Kind::Path(set) => set(cfg, PathBuf::from(raw)),
             Kind::Factor(set) => {
                 let parsed = raw.trim_end_matches('x').parse().ok();
                 set(cfg, parsed.filter(|f: &f64| f.is_finite() && *f > 0.0)?)
@@ -373,7 +346,6 @@ impl Kind {
                 shown.join(" | ")
             }
             Kind::CountList(_) => "a comma-separated list of positive integers".into(),
-            Kind::Path(_) => "a file path".into(),
             Kind::Factor(_) => "a positive number such as \"4x\"".into(),
         }
     }
@@ -469,7 +441,6 @@ mod tests {
                 Kind::Flag(_) => "1",
                 Kind::Choice(options, _) => options[options.len() - 1],
                 Kind::CountList(_) => "1, 8",
-                Kind::Path(_) => "out.json",
                 Kind::Factor(_) => "1.5x",
             };
             let sampled = with(sample).unwrap_or_else(|e| panic!("{}: {e}", k.name));
@@ -486,7 +457,6 @@ mod tests {
                 let off_spelling = match k.kind {
                     Kind::Flag(_) => bad == "0",
                     Kind::Choice(options, _) => options.contains(&bad),
-                    Kind::Path(_) => continue, // any string is a path
                     _ => false,
                 };
                 match with(bad) {

@@ -21,8 +21,8 @@
 //!   unsharded cell.
 //!
 //! Wall-clock numbers (the point of the exercise) go to the human table
-//! ([`wall_table`]) and the `CRITERION_JSON`-style output consumed by
-//! `bench_diff` against the committed `BENCH_scale.json` baseline.
+//! ([`wall_table`]) and nowhere else. The document is what `./ci.sh scale`
+//! and `./ci.sh queue` diff against `ci/golden/run_scale*.txt`.
 //!
 //! [`ShardRouter`]: icash_storage::shard::ShardRouter
 
@@ -314,24 +314,6 @@ pub fn wall_table(cells: &[ScaleCell]) -> String {
     out
 }
 
-/// Renders the campaign as `CRITERION_JSON`-style results (`ns_per_iter` =
-/// host nanoseconds per outer op), the format `bench_diff` consumes to
-/// compare against the committed `BENCH_scale.json` baseline.
-pub fn criterion_json(cells: &[ScaleCell]) -> String {
-    let results: Vec<String> = cells
-        .iter()
-        .map(|cell| {
-            format!(
-                "{{\"name\": \"icash_scale/shards{}_clients{}\", \"ns_per_iter\": {:.1}}}",
-                cell.shards,
-                cell.clients,
-                cell.wall_ns as f64 / cell.ops.max(1) as f64
-            )
-        })
-        .collect();
-    format!("{{\"results\": [{}]}}\n", results.join(", "))
-}
-
 /// Wall-clock speedup of `hi` shards over `lo` shards at `clients` clients
 /// per shard; `None` when either cell is missing from the sweep. This is
 /// the campaign's headline number (the acceptance gate asserts ≥ 4x for 8
@@ -494,9 +476,5 @@ mod tests {
             cell.wall_ns = cell.wall_ns.wrapping_mul(7).wrapping_add(13);
         }
         assert_eq!(doc, document(&spec, 120, &forged));
-        // The criterion output, by contrast, is all wall clock.
-        let bench = criterion_json(&cells);
-        assert!(bench.contains("icash_scale/shards1_clients2"));
-        assert!(bench.contains("ns_per_iter"));
     }
 }
