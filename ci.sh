@@ -15,8 +15,8 @@ step() { echo "==> $*"; }
 run() { step "$*" && "$@"; }                     # announce a command, run it
 bins() { cargo build -q --release -p icash-bench; }
 # Maps keyed by an address or an id take icash_storage::hash::{AddrMap,
-# AddrSet}: a default-hasher one in product code (a file's `#[cfg(test)]`
-# tail is exempt) pays SipHash on every block touched.
+# AddrSet, AddrPages}: a default-hasher one in product code (a file's
+# `#[cfg(test)]` tail is exempt) pays SipHash on every block touched.
 lint_hashers() {
   step "lint: no default-hasher map with an integer key outside #[cfg(test)]"
   local f bad=0
@@ -28,7 +28,8 @@ lint_hashers() {
     fi
   done
   if ((bad)); then
-    echo "    use icash_storage::hash::{AddrMap, AddrSet} for these" >&2
+    echo "    use icash_storage::hash::{AddrMap, AddrSet} for these, or AddrPages for an" >&2
+    echo "    Lba-keyed map looked up in runs of neighbouring addresses" >&2
     return 1
   fi
 }

@@ -38,7 +38,7 @@ use icash_delta::signature::BlockSignature;
 use icash_storage::array::DeviceArray;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::FaultPlan;
-use icash_storage::hash::{AddrMap, AddrSet};
+use icash_storage::hash::{AddrMap, AddrPages, AddrSet};
 use icash_storage::hdd::{Hdd, HddError};
 use icash_storage::pipeline::Ticket;
 use icash_storage::request::{BlockError, Completion, IoErrorKind, Op, Request};
@@ -110,8 +110,10 @@ pub(crate) struct Volatile {
     /// end of the request. Never populated without a device queue.
     pub span_prefetch: AddrMap<Lba, BlockBuf>,
     /// Evicted virtual blocks whose content is *not* in the home area: the
-    /// placement each left the table with (a slot or a logged delta).
-    pub evicted: AddrMap<Lba, Placement>,
+    /// placement each left the table with (a slot or a logged delta). Filed
+    /// by page, like the table's address map: a log fetch's walk probes
+    /// both for runs of neighbouring addresses.
+    pub evicted: AddrPages<Placement>,
     /// Blocks that gave up an SSD slot for a delta since the last log
     /// commit, with the stamp drawn at that moment — their tombstone once
     /// the commit frees the slot; see [`Icash::store_delta`]. (Ordered, so
@@ -145,7 +147,7 @@ impl Volatile {
             pool: SegmentPool::new(cfg.ram_budget(), cfg.segment_bytes),
             ref_index: RefIndex::new(),
             span_prefetch: AddrMap::default(),
-            evicted: AddrMap::default(),
+            evicted: AddrPages::default(),
             released: BTreeMap::new(),
             dirty: AddrSet::default(),
             dirty_bytes: 0,
@@ -275,8 +277,13 @@ impl Icash {
             assert_eq!(dirty, ram_only, "{:?}: dirty set is wrong", vb.lba);
             owners.extend(vb.placement.slot().map(|slot| (vb.lba, slot)));
         }
-        // (Hash order; `owners` is sorted before it is compared.)
-        for (&lba, placement) in &self.volatile.evicted {
+        // A block is tracked or evicted, never both: `clean_log` builds its
+        // liveness map from both on that. (Hash order; `owners` is sorted
+        // before it is compared.)
+        self.volatile.evicted.validate();
+        for (lba, placement) in self.volatile.evicted.iter() {
+            let tracked = self.volatile.table.lookup(lba);
+            assert!(tracked.is_none(), "{lba:?}: both tracked and evicted");
             owners.extend(placement.slot().map(|slot| (lba, slot)));
         }
         for &lba in self.volatile.released.keys() {

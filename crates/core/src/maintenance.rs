@@ -275,9 +275,10 @@ impl Icash {
             let vb = self.volatile.table.get(id);
             (vb.lba, vb.placement)
         });
-        // (Hash order: a block is tracked or evicted, never both, so each
-        // address is inserted once and `expected` ends up the same map.)
-        let evicted = self.volatile.evicted.iter().map(|(&lba, &p)| (lba, p));
+        // (Hash order: a block is tracked or evicted, never both — which
+        // `debug_validate` checks — so each address is inserted once and
+        // `expected` ends up the same map.)
+        let evicted = self.volatile.evicted.iter().map(|(lba, &p)| (lba, p));
         for (lba, placement) in tracked.chain(evicted) {
             if let Some(DeltaHome::Log(loc)) = placement.delta_home() {
                 expected.insert(lba, loc);
@@ -308,7 +309,7 @@ impl Icash {
             relocate(vb.lba, &mut vb.placement);
         }
         // (Hash order: each record is rewritten from its own address alone.)
-        for (&lba, placement) in self.volatile.evicted.iter_mut() {
+        for (lba, placement) in self.volatile.evicted.iter_mut() {
             relocate(lba, placement);
         }
         self.stats.log_cleans += 1;

@@ -204,7 +204,7 @@ impl Icash {
             return id;
         }
         self.reserve_table_slot(at);
-        let vb = match self.volatile.evicted.remove(&lba) {
+        let vb = match self.volatile.evicted.remove(lba) {
             Some(placement) => self.rebuild_evicted(lba, placement),
             None => {
                 // First touch: content is the home image; compute the

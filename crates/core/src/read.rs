@@ -20,8 +20,11 @@ use icash_storage::trace::{TraceEvent, TraceKind};
 pub(crate) type BlockRead = (Ns, Result<BlockBuf, IoErrorKind>);
 
 /// Packed blocks read per log fetch: one seek already paid, so reading a
-/// short run amortises it over neighbouring deltas (which were packed in
-/// address order and will be wanted next).
+/// short run amortises it over the deltas packed next to the one wanted.
+/// Those are mostly address neighbours, but not by rule: `preload_image`
+/// packs in address order and a clean keeps log order, while a runtime
+/// flush packs in slab-index order (`drain_dirty`), which follows address
+/// only as far as admission did (DESIGN.md §7, "Batched log fetches").
 const READAHEAD: u32 = 16;
 
 impl Icash {
@@ -367,9 +370,9 @@ impl Icash {
                 // §3.1).
                 let target = match self.volatile.table.lookup(entry_lba) {
                     Some(tid) => tid,
-                    None => match self.volatile.evicted.get(&entry_lba) {
+                    None => match self.volatile.evicted.get(entry_lba) {
                         Some(&placement) if placement.delta_home() == Some(DeltaHome::Log(l)) => {
-                            self.volatile.evicted.remove(&entry_lba);
+                            self.volatile.evicted.remove(entry_lba);
                             // No reserve_table_slot here: it could evict
                             // the very block this fetch is serving (callers
                             // hold its VbId). The table may briefly
@@ -484,9 +487,9 @@ pub(crate) mod tests {
                 }
                 let target = match self.volatile.table.lookup(entry_lba) {
                     Some(tid) => tid,
-                    None => match self.volatile.evicted.get(&entry_lba) {
+                    None => match self.volatile.evicted.get(entry_lba) {
                         Some(&placement) if placement.delta_home() == Some(DeltaHome::Log(loc)) => {
-                            self.volatile.evicted.remove(&entry_lba);
+                            self.volatile.evicted.remove(entry_lba);
                             let vb = self.rebuild_evicted(entry_lba, placement);
                             self.volatile.table.insert(vb)
                         }
@@ -863,6 +866,48 @@ pub(crate) mod tests {
         decode_all(&mut sys, &mut ctx);
         assert_eq!(sys.stats().delta_hits - decodes, N, "one decode a block");
         assert_eq!(homes(&sys), cleaned, "decoding fetched nothing");
+    }
+
+    /// Blocks evicted from the table with a logged delta come back through
+    /// a fetch of their log block: the walk rebuilds each from its eviction
+    /// record, takes the record out and installs the delta, and
+    /// `debug_validate` finds no address both tracked and evicted.
+    #[test]
+    fn a_fetch_brings_evicted_siblings_back_into_the_table() {
+        let cfg = IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        let written: Vec<BlockBuf> = (0..9).map(|l| block_for(l, 0, Family::Sparse)).collect();
+        let span = Request::write_span(Lba::new(0), Ns::ZERO, written.clone());
+        sys.submit(&span, &mut ctx);
+        sys.flush_all(Ns::ZERO);
+        // Bounded at what it holds, the table trims its tail — blocks 0..9
+        // — on the first cold read.
+        sys.volatile.max_virtual_blocks = sys.volatile.table.len();
+        sys.submit(&Request::read(Lba::new(100), Ns::ZERO), &mut ctx);
+        sys.debug_validate();
+        let tracked = |sys: &Icash, l| sys.volatile.table.lookup(Lba::new(l));
+        assert!((0..9).all(|l| tracked(&sys, l).is_none()));
+        assert_eq!(sys.volatile.evicted.len(), 9);
+
+        let prefetched = sys.stats().log_prefetched_deltas;
+        let done = sys.submit(&Request::read(Lba::new(0), Ns::ZERO), &mut ctx);
+        assert!(done.data[0] == written[0], "block 0 read back wrong");
+        sys.debug_validate();
+        assert_eq!(sys.stats().log_prefetched_deltas - prefetched, 8);
+        assert!(
+            sys.volatile.evicted.is_empty(),
+            "a record outlived its block"
+        );
+        for l in 1..9 {
+            let id = tracked(&sys, l).expect("rebuilt by the fetch");
+            assert!(sys.volatile.table.get(id).delta.is_some(), "block {l}");
+        }
     }
 
     /// `tests/placement.rs`'s clean-inside-a-fetch history, through both

@@ -8,7 +8,7 @@
 use crate::lru::LruList;
 use crate::virtual_block::{Placement, Role, VirtualBlock};
 use icash_storage::block::Lba;
-use icash_storage::hash::AddrMap;
+use icash_storage::hash::AddrPages;
 
 /// What a tracked block can hold in the RAM pool; one residency set each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +141,9 @@ impl VbId {
 pub struct BlockTable {
     slots: Vec<Option<VirtualBlock>>,
     free: Vec<usize>,
-    by_lba: AddrMap<Lba, usize>,
+    /// LBA → slab index, filed by page: a log fetch's walk and the trim
+    /// look up runs of neighbouring addresses.
+    by_lba: AddrPages<u32>,
     lru: LruList,
     /// Incremental (references, associates, independents) census,
     /// maintained at insert/remove/[`set_placement`](Self::set_placement) so
@@ -195,7 +197,8 @@ impl BlockTable {
                 self.slots.len() - 1
             }
         };
-        let tracked = self.by_lba.insert(lba, idx);
+        let slab = u32::try_from(idx).expect("slab index beyond u32");
+        let tracked = self.by_lba.insert(lba, slab);
         assert!(tracked.is_none(), "lba {lba} already tracked");
         // Stamped before it is listed: a renumber here must not read the
         // slot's stale stamp as a holder's.
@@ -207,7 +210,7 @@ impl BlockTable {
 
     /// The handle for `lba`, if tracked.
     pub fn lookup(&self, lba: Lba) -> Option<VbId> {
-        self.by_lba.get(&lba).copied().map(VbId)
+        self.by_lba.get(lba).map(|&idx| VbId(idx as usize))
     }
 
     /// Shared access to a block.
@@ -290,7 +293,7 @@ impl BlockTable {
         self.set_resident(id, Resident::Delta, false);
         let vb = self.slots[id.0].take().expect("stale VbId");
         *self.count_mut(vb.placement.role()) -= 1;
-        self.by_lba.remove(&vb.lba);
+        self.by_lba.remove(vb.lba);
         self.lru.remove(id.0);
         self.free.push(id.0);
         vb
@@ -389,11 +392,12 @@ impl BlockTable {
     /// Panics if the LRU links or the address map are corrupted.
     pub fn validate(&self) {
         self.lru.validate();
+        self.by_lba.validate();
         assert_eq!(self.lru.len(), self.by_lba.len(), "map/list size mismatch");
         // (Hash order; asserts only.)
-        for (&lba, &idx) in &self.by_lba {
+        for (lba, &idx) in self.by_lba.iter() {
             assert_eq!(
-                self.slots[idx].as_ref().map(|vb| vb.lba),
+                self.slots[idx as usize].as_ref().map(|vb| vb.lba),
                 Some(lba),
                 "map points at wrong slot"
             );
@@ -559,6 +563,16 @@ mod tests {
             assert_eq!(set.next_from(0), members.get(i + 1).copied());
         }
         assert!(!set.remove(last + 4096), "past the words");
+    }
+
+    /// A page of slab indices is one 64-byte line plus its occupancy mask;
+    /// a page of eviction records is sixteen 24-byte placements plus the
+    /// mask. Each bucket adds its 8-byte page number.
+    #[test]
+    fn address_pages_stay_68_and_392_bytes() {
+        assert_eq!(AddrPages::<u32>::PAGE_BYTES, 68);
+        assert_eq!(std::mem::size_of::<Placement>(), 24);
+        assert_eq!(AddrPages::<Placement>::PAGE_BYTES, 392);
     }
 
     /// A touch of the head is no move and hands out no stamp.

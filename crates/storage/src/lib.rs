@@ -15,7 +15,8 @@
 //! * [`energy`] — component energy meters (Table 5's power-meter stand-in).
 //! * [`stats`] — per-device operation statistics (Table 6's counters).
 //! * [`hash`] — the integer hasher behind every address- or id-keyed map
-//!   ([`hash::AddrMap`] / [`hash::AddrSet`]).
+//!   ([`hash::AddrMap`] / [`hash::AddrSet`]), and [`hash::AddrPages`], the
+//!   address map filed by pages of neighbouring addresses.
 //! * [`histogram`] — log-bucketed latency histograms
 //!   ([`histogram::LatencyHistogram`]), embeddable in [`stats::DeviceStats`]
 //!   for the per-queue tagged-command latency split.
