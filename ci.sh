@@ -4,7 +4,7 @@
 # repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
 # of which announces what it checks as it goes. The gate is the only place a
 # test suite runs: a stage holds what `cargo test` does not — golden diffs of
-# the campaign bins, trace_profile greps. Every stage is seeded and
+# the campaign bins and the ablation tables, trace_profile greps. Every stage is seeded and
 # deterministic, hence blocking in .github/workflows/ci.yml. Host time is
 # measured in one place only, the repo benchmark (BENCHMARK.json).
 set -euo pipefail
@@ -58,6 +58,12 @@ golden)
   golden unset
   golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 \
     ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0
+  step "every ablation table (exhibit <name>, ICASH_OPS=8000) vs ci/golden/<name>.txt"
+  for pin in ci/golden/ablation_*.txt; do
+    name=$(basename "$pin" .txt)
+    ICASH_OPS=8000 ./target/release/exhibit "$name" > "target/$name.txt"
+    diff "target/$name.txt" "$pin"
+  done
   ;;
 fingerprints)
   # "Sim unmoved" in one command. The repo benchmark's sim.fingerprint hashes
@@ -88,9 +94,6 @@ scale)
   ;;
 queue)
   bins
-  step "ablation depth trajectory vs ci/golden/ablation_queue_depth.txt"
-  ICASH_OPS=8000 ./target/release/ablation_queue_depth > target/ablation_queue_depth.txt
-  diff target/ablation_queue_depth.txt ci/golden/ablation_queue_depth.txt
   step "run_scale: queue-on must beat queue-off at 16 shards; document vs ci/golden/run_scale_queue16.txt"
   ICASH_OPS=4000 ICASH_SCALE_SHARDS=1,8,16 ICASH_SCALE_CLIENTS=4 ICASH_QUEUE_DEPTH=16 \
     ICASH_QUEUE_ASSERT=1 ./target/release/run_scale > target/run_scale_queue16.txt

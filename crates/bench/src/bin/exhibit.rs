@@ -1,7 +1,8 @@
-//! One exhibit of the paper's evaluation: `exhibit <name>` runs the
-//! workloads it needs and prints its figures or its table. The names — one
-//! per figure group or table — are [`exhibits::exhibit_names`]; `run_all`
-//! renders every one of them into EXPERIMENTS.md.
+//! One exhibit of the paper's evaluation or one ablation of its design:
+//! `exhibit <name>` runs the workloads it needs and prints its figures or
+//! its table. The names — one per figure group, table or ablation — are
+//! [`exhibits::exhibit_names`]; `run_all` renders every figure and table
+//! into EXPERIMENTS.md.
 
 use icash_bench::{exhibits, RunConfig};
 

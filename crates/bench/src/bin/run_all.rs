@@ -85,24 +85,26 @@ JSONL and `run_faults` stdout against goldens pinned before the queue
 existed), so nothing in this report moves unless
 `ICASH_QUEUE_DEPTH` is set. What moves when it is:
 
-* **HDD service time** is the sensitive quantity. `ablation_queue_depth`
-  (SysBench, 8000 ops) tracks virtual HDD service ns per thousand host
-  ops: 33 685 186 queue-off falling to 31 397 043 at NCQ depth 8, where
+* **HDD service time** is the sensitive quantity. `exhibit
+  ablation_queue_depth` (SysBench, 8000 ops) tracks virtual HDD service ns
+  per thousand host ops: 33 685 186 queue-off falling to 31 397 043 at NCQ depth 8, where
   it saturates — once the whole group-commit cadence parks in the
   write-behind cache and drains as one coalesced burst, extra depth has
   nothing left to merge (`ci/golden/ablation_queue_depth.txt` pins the
   trajectory, and a test holds it to the trend).
 * **Throughput moves only where the HDD is on the critical path.** The
   paper-exhibit cells are flash/RAM-bound after quick-mode scaling, so
-  their tx/s barely shift. The HDD-bound pressure variant
-  (`ICASH_ABL_SPEC=pressure`: delta-unfriendly writes, uniform access,
-  RAM/64) gains ~3 % tx/s at depth 32, and `run_scale` on the same spec
-  at 16 shards clears its queue-on > queue-off assert (3 971 vs
-  3 856 ops/s) — the gap the gate enforces.
+  their tx/s barely shift. On the HDD-bound pressure variant
+  (`exhibit ablation_queue_depth_pressure`: delta-unfriendly writes,
+  uniform access, RAM/8) tx/s rises from 53.4 queue-off to 54.2 at depth
+  32 (+1.5 %, 8000 ops, pinned in
+  `ci/golden/ablation_queue_depth_pressure.txt`), and `run_scale` on the
+  same spec with RAM/64 at 16 shards clears its queue-on > queue-off
+  assert (3 971 vs 3 856 ops/s) — the gap the gate enforces.
 * **Invariants that do not move**: bytes returned by every read, bytes
   reaching HDD media after a durability barrier, flash wear/erase
   counts, and `stats.busy` on the SSD (queues reschedule time, they do
-  not invent it). `tests/queue_free.rs` holds the differential.
+  not invent it). `tests/identity.rs` holds the differential.
 
 ## What shifted-content matching buys (DESIGN.md §9)
 
@@ -128,8 +130,8 @@ encoder at the last commit that had the matcher, default op counts:
 With no win there is no simulated time and no SSD write to lose: every
 figure and table above, Table 6 and the cross-VM images of Figs 15 / 16
 included, is byte-identical without the matcher, which PR 21 deleted.
-`ablation_codec` prints the per-profile delta sizes of the encoder that
-remains.
+`exhibit ablation_codec` prints the per-profile delta sizes of the
+encoder that remains.
 "#;
 
 fn main() {

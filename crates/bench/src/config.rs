@@ -77,8 +77,6 @@ pub struct RunConfig {
     pub scale_assert: Option<f64>,
     /// `run_scale` queue-on > queue-off virtual-throughput assert.
     pub queue_assert: bool,
-    /// `ablation_queue_depth` workload ([`crate::exhibits::workload_named`]).
-    pub ablation_spec: Option<String>,
 }
 
 impl RunConfig {
@@ -177,9 +175,6 @@ const SCENARIOS: &[&str] = &[
     "openloop",
     "open_loop",
     "churn",
-];
-const ABLATION_SPECS: &[&str] = &[
-    "sysbench", "pressure", "loadsim", "tpcc", "specsfs", "hadoop",
 ];
 
 /// Every knob — name, default, parent, accepted values → field — with
@@ -290,12 +285,6 @@ pub const KNOBS: &[Knob] = &[
         default: "0",
         requires: None,
         kind: Kind::Flag(|c, on| c.queue_assert = on),
-    },
-    Knob {
-        name: "ICASH_ABL_SPEC",
-        default: "sysbench",
-        requires: None,
-        kind: Kind::Choice(ABLATION_SPECS, |c, v| c.ablation_spec = Some(v.to_string())),
     },
 ];
 

@@ -4,10 +4,11 @@
 //! unit, direction, the paper's values, which workload feeds it and how the
 //! number is computed from the five run summaries. `run_all` renders all of
 //! it as the paper-vs-measured report (EXPERIMENTS.md); `exhibit <name>`
-//! renders the rows tagged with that name ([`print_exhibit`]). [`PLAN`] is
-//! the matching workload list, and [`workload_named`] the one place a
-//! workload name becomes a workload.
+//! renders the rows tagged with that name ([`print_exhibit`]), or one row of
+//! the [`ABLATIONS`] table. [`PLAN`] is the matching workload list, and
+//! [`workload_named`] the one place a workload name becomes a workload.
 
+use crate::ablations::ABLATIONS;
 use crate::config::RunConfig;
 use crate::harness::{run_plan, PlannedWorkload};
 use icash_metrics::report::{bar_chart, metric_rows, normalize, table};
@@ -21,11 +22,10 @@ pub const PLAN: [&str; 8] = [
     "sysbench", "hadoop", "tpcc", "loadsim", "specsfs", "rubis", "tpcc5", "rubis5",
 ];
 
-/// The workload a [`PLAN`] / `ICASH_ABL_SPEC` / `diag` name stands for.
+/// The workload a [`PLAN`] name stands for.
 pub fn workload_named(name: &str) -> Option<PlannedWorkload> {
     Some(match name {
         "sysbench" => PlannedWorkload::Standard(sysbench::spec()),
-        "pressure" => PlannedWorkload::Standard(sysbench::pressure_spec()),
         "hadoop" => PlannedWorkload::Standard(hadoop::spec()),
         "tpcc" => PlannedWorkload::Standard(tpcc::spec()),
         "loadsim" => PlannedWorkload::Standard(loadsim::spec()),
@@ -458,12 +458,13 @@ pub fn measure(
     (results, measured)
 }
 
-/// What `exhibit` accepts: every name in [`EXHIBITS`], in table order, and
-/// `tab04_workloads`.
+/// What `exhibit` accepts: every name in [`EXHIBITS`], in table order,
+/// `tab04_workloads`, and every name in [`ABLATIONS`].
 pub fn exhibit_names() -> Vec<&'static str> {
     let mut names: Vec<&str> = EXHIBITS.iter().map(|ex| ex.name).collect();
     names.dedup();
     names.push(WORKLOADS_TABLE);
+    names.extend(ABLATIONS.iter().map(|(name, _)| name));
     names
 }
 
@@ -471,6 +472,10 @@ pub fn exhibit_names() -> Vec<&'static str> {
 pub fn print_exhibit(cfg: &RunConfig, name: &str) -> bool {
     if name == WORKLOADS_TABLE {
         print!("{}", workloads_table());
+        return true;
+    }
+    if let Some((_, render)) = ABLATIONS.iter().find(|(n, _)| *n == name) {
+        print!("{}", render(cfg));
         return true;
     }
     if !EXHIBITS.iter().any(|ex| ex.name == name) {
@@ -555,7 +560,7 @@ mod tests {
         let names = exhibit_names();
         let unique: BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "a name's rows are contiguous");
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 19, "11 exhibits and 8 ablations");
         for (table, ..) in TABLES {
             assert!(names.contains(&table), "{table}: a table of no exhibit");
         }

@@ -346,9 +346,10 @@ fn run_cell(
     (summary, text.unwrap_or_default())
 }
 
-/// The ablation binaries' protocol: one workload scaled to `ops`, its op
-/// stream recorded once at seed 1, replayed through one I-CASH per design
-/// variant so every row of an ablation table sees the same requests.
+/// The ablations' protocol ([`crate::ablations`]): one workload scaled to
+/// `ICASH_OPS` (default 40,000), its op stream recorded once at seed 1,
+/// replayed through one I-CASH per design variant so every row of an
+/// ablation table sees the same requests.
 #[derive(Debug)]
 pub struct Ablation {
     /// The scaled spec every variant is sized for.
@@ -359,16 +360,19 @@ pub struct Ablation {
 }
 
 impl Ablation {
-    /// Records `spec`'s op stream.
-    pub fn new(spec: WorkloadSpec, ops: u64) -> Self {
+    /// Scales `base`, lets `resize` adjust the scaled spec, and records its
+    /// op stream.
+    pub fn new(cfg: &RunConfig, base: WorkloadSpec, resize: fn(&mut WorkloadSpec)) -> Self {
+        let ops = cfg.ops.unwrap_or(40_000);
+        let mut spec = base.scaled_to_ops(ops);
+        resize(&mut spec);
         let trace = Trace::record(&mut MixedWorkload::new(spec.clone(), 1), ops);
         Ablation { spec, ops, trace }
     }
 
-    /// The stock ablation: SysBench at `ICASH_OPS` (default 40,000).
+    /// The stock ablation: SysBench as scaled.
     pub fn sysbench(cfg: &RunConfig) -> Self {
-        let ops = cfg.ops.unwrap_or(40_000);
-        Self::new(icash_workloads::sysbench::spec().scaled_to_ops(ops), ops)
+        Self::new(cfg, icash_workloads::sysbench::spec(), |_| {})
     }
 
     /// The ablations' driver: the workload's clients, 10 % warmup.
@@ -388,11 +392,21 @@ impl Ablation {
         configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
         driver: &DriverConfig,
     ) -> (RunSummary, Icash) {
+        self.replay(self.player(), configure, driver)
+    }
+
+    /// [`run`](Self::run) with `player` in place of the plain replay.
+    pub fn replay(
+        &self,
+        mut player: TracePlayer,
+        configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
+        driver: &DriverConfig,
+    ) -> (RunSummary, Icash) {
         let spec = &self.spec;
         let builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes);
         let mut system = Icash::new(configure(builder).build());
         let mut model = ContentModel::new(1, spec.profile.clone());
-        let summary = run_benchmark(&mut system, &mut self.player(), &mut model, driver);
+        let summary = run_benchmark(&mut system, &mut player, &mut model, driver);
         (summary, system)
     }
 }

@@ -1,7 +1,7 @@
 //! Trace determinism: the JSONL event stream of every (system × workload)
 //! cell must be byte-identical regardless of worker-thread count, and a
 //! traced run's summaries must equal an untraced run's. Together with the
-//! zero-perturbation guard (`tests/inert_free.rs` at the workspace root)
+//! zero-perturbation rows of `tests/identity.rs` at the workspace root
 //! this pins the whole observability layer: tracing changes nothing, and
 //! what it records is a pure function of the cell's inputs.
 

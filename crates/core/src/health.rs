@@ -31,7 +31,7 @@
 //! is the identity: its thresholds are out of reach, so the monitors stay
 //! `Healthy` and nothing above engages — a read is retried once and a write
 //! three times, unpaced, no write is refused and no report grows a health
-//! section. `tests/health_free.rs` pins that run, faulted and fault-free.
+//! section. `tests/identity.rs` pins that run, faulted and fault-free.
 
 use crate::controller::Icash;
 use crate::read::BlockRead;

@@ -1,5 +1,8 @@
-//! The fixture the per-feature differentials (`health_free`, `queue_free`)
+//! The fixture the identity table (`identity.rs`) and the shard suite
 //! share: one small I-CASH geometry, one seeded op stream, one traced run.
+
+// Each suite compiles its own copy and uses a part of it.
+#![allow(dead_code)]
 
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
@@ -9,13 +12,17 @@ use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSourc
 
 /// Hot block space every op lands in.
 pub const SPACE: u64 = 512;
-/// Ops per [`run`].
+/// Ops per [`Stream::drive`].
 pub const OPS: u64 = 600;
+/// Data set of [`config`].
+pub const DATA: u64 = 8 << 20;
+/// SSD of [`config`].
+pub const SSD: u64 = 1 << 20;
 
-/// The small, fast-cycling controller both suites start from; the caller
+/// The small, fast-cycling controller every suite starts from; the caller
 /// switches its feature on.
 pub fn config() -> IcashConfig {
-    IcashConfig::builder(1 << 20, 256 << 10, 8 << 20)
+    IcashConfig::builder(SSD, 256 << 10, DATA)
         .scan_interval(50)
         .scan_window(64)
         .flush_interval(20)
@@ -60,31 +67,43 @@ impl Stream {
         (c.finished, c.data)
     }
 
-    /// Runs [`OPS`] ops back to back under a ring tracer, handing each
+    /// Runs [`OPS`] ops back to back through any system, handing each
     /// completion to `each(op, finished, data)`; `flush` ends with a full
-    /// durability flush. Returns the final instant, the traced JSONL and
-    /// the controller.
-    pub fn run(
+    /// durability flush. Returns the last op's completion instant.
+    pub fn drive(
         &self,
-        mut sys: Icash,
+        sys: &mut dyn StorageSystem,
         flush: bool,
         mut each: impl FnMut(u64, Ns, Vec<BlockBuf>),
-    ) -> (Ns, Vec<String>, Icash) {
-        let (tracer, ring) = Tracer::ring(1 << 16);
-        sys.set_tracer(tracer);
+    ) -> Ns {
         let backing = ZeroSource;
         let mut cpu = CpuModel::xeon();
         let mut ctx = IoCtx::verifying(&backing, &mut cpu);
         let mut t = Ns::ZERO;
         for op in 0..OPS {
-            let (done, data) = self.step(&mut sys, &mut ctx, op, t);
+            let (done, data) = self.step(sys, &mut ctx, op, t);
             t = done;
             each(op, done, data);
         }
         if flush {
-            let end = StorageSystem::flush(&mut sys, t, &mut ctx);
+            let end = sys.flush(t, &mut ctx);
             assert!(end >= t);
         }
+        t
+    }
+
+    /// [`drive`](Self::drive) through I-CASH under a ring tracer, then
+    /// `debug_validate`. Returns the last op's completion instant, the
+    /// traced JSONL and the controller.
+    pub fn run(
+        &self,
+        mut sys: Icash,
+        flush: bool,
+        each: impl FnMut(u64, Ns, Vec<BlockBuf>),
+    ) -> (Ns, Vec<String>, Icash) {
+        let (tracer, ring) = Tracer::ring(1 << 16);
+        sys.set_tracer(tracer);
+        let t = self.drive(&mut sys, flush, each);
         sys.debug_validate();
         let ring = ring.lock().expect("ring sink");
         assert_eq!(ring.dropped(), 0, "ring must hold the whole event stream");

@@ -15,11 +15,17 @@
 //!   the deterministic min-heap merge ([`merge_streams`]) over the
 //!   time-sorted shard streams reassembles one globally time-ordered
 //!   timeline with nothing lost.
+//! * **Per-shard health**: one shard's device death drives only that
+//!   shard's monitor, and the merged report surfaces the worst state.
 
+mod common;
+
+use common::Stream;
 use icash::core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash::metrics::trace::{parse_jsonl, split_by_shard, JsonlSink};
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
+use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
 use icash::storage::model::VersionModel;
 use icash::storage::request::Request;
 use icash::storage::shard::{merge_streams, ShardRouter};
@@ -195,4 +201,48 @@ fn sharded_trace_splits_cleanly_and_merges_in_time_order() {
     for pair in merged.windows(2) {
         assert!(pair[0].0 <= pair[1].0, "merged stream must be time-sorted");
     }
+}
+
+#[test]
+fn shard_health_is_isolated() {
+    // Only shard 0's SSD is armed to die: its monitor must walk to
+    // `Failed` while shard 1 stays `Healthy` with zero transitions, and
+    // the merged array report surfaces the worst state.
+    const SEED: u64 = 0x4EA1_7500;
+    let mut cfg = common::config();
+    cfg.health = HealthPolicy::standard();
+    let shards: Vec<Icash> = (0..2u64)
+        .map(|s| {
+            let plan = FaultPlan::seeded(SEED + s);
+            let plan = if s == 0 { plan.ssd_dies_at(40) } else { plan };
+            Icash::new(cfg.shard_slice(2)).with_fault_plan(plan)
+        })
+        .collect();
+    let mut sys = ShardRouter::new(shards);
+    let stream = Stream {
+        seed: SEED,
+        salt: 0x4EA1,
+        fill: 0x5A,
+        span_reads: false,
+    };
+    let t = stream.drive(&mut sys, false, |_, _, _| {});
+    let sick = sys.shards()[0].report(t).health.expect("shard 0 health");
+    let well = sys.shards()[1].report(t).health.expect("shard 1 health");
+    assert_eq!(
+        sick.ssd,
+        HealthState::Failed,
+        "shard 0's armed SSD death must drive its monitor to Failed"
+    );
+    assert_eq!(well.ssd, HealthState::Healthy);
+    assert_eq!(well.hdd, HealthState::Healthy);
+    assert_eq!(
+        well.transitions, 0,
+        "a healthy shard must not inherit its neighbour's transitions"
+    );
+    let merged = sys.report(t).health.expect("merged health");
+    assert_eq!(
+        merged.ssd,
+        HealthState::Failed,
+        "the array-wide report surfaces the worst shard"
+    );
 }
