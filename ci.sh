@@ -4,9 +4,9 @@
 # repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
 # of which announces what it checks as it goes. The gate is the only place a
 # test suite runs: a stage holds what `cargo test` does not — golden diffs of
-# the campaign bins and the ablation tables, trace_profile greps. Every stage is seeded and
-# deterministic, hence blocking in .github/workflows/ci.yml. Host time is
-# measured in one place only, the repo benchmark (BENCHMARK.json).
+# the campaign bins and the ablation tables, trace_profile greps. Every stage
+# is seeded and deterministic, hence blocking in .github/workflows/ci.yml.
+# Host time is measured in one place only, the repo benchmark (BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")"
 STAGES="golden fingerprints scale queue chaos scenarios"

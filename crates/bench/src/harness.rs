@@ -370,7 +370,7 @@ impl Ablation {
         Ablation { spec, ops, trace }
     }
 
-    /// The stock ablation: SysBench as scaled.
+    /// The stock ablation: SysBench, scaled and nothing else.
     pub fn sysbench(cfg: &RunConfig) -> Self {
         Self::new(cfg, icash_workloads::sysbench::spec(), |_| {})
     }
