@@ -134,7 +134,6 @@ gate)
   lint_hashers
   run cargo build --release
   run cargo test -q --workspace
-  run cargo test -q -p icash-storage --features debug_validate
   # The repo benchmark is a package of its own that path-depends on crates/*:
   # invisible to the workspace build above, so a renamed `pub` item it
   # imports, or a broken mirror, would otherwise surface only in the pipeline.

@@ -19,8 +19,8 @@
 //!   allocator and the generation stamps recovery orders by.
 //! * [`config`] — tunables; defaults follow the paper's prototype.
 //! * [`table`], [`virtual_block`] — the virtual-block machinery
-//!   (reference / associate / independent roles, §4.3); the recency list
-//!   is the workspace-wide [`icash_storage::lru`] (re-exported as [`lru`]).
+//!   (reference / associate / independent roles, §4.3); the recency order
+//!   is the workspace-wide [`icash_storage::lru::StampLine`].
 //! * [`segment`] — the 64-byte-segment RAM budget.
 //! * [`delta_log`] — the packed HDD delta log (§3.1).
 //! * `staging` — the group-commit staging buffer: encoded-but-unflushed
@@ -77,7 +77,6 @@ pub(crate) mod write;
 
 pub use config::{IcashConfig, IcashConfigBuilder};
 pub use controller::Icash;
-pub use icash_storage::lru;
 pub use icash_storage::pipeline::{FlushProgress, Ticket};
 pub use stats::IcashStats;
 pub use virtual_block::Role;

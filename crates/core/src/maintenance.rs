@@ -553,7 +553,7 @@ impl Icash {
         // Pass B: flushing turns dirty deltas into droppable clean ones.
         // Forced full drain: under memory pressure the pipeline must not
         // hold deltas staged past the configured depth. Both classes go in
-        // one sweep, so this one walks the list itself; it is the rare rung.
+        // one sweep, so this one walks the LRU itself; it is the rare rung.
         self.flush_all(at);
         let mut next = self.volatile.table.newer(None);
         while let Some(id) = next.filter(|_| self.volatile.pool.available() < goal) {

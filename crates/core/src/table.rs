@@ -1,14 +1,15 @@
-//! The virtual-block table: slab + address map + LRU + residency index.
+//! The virtual-block table: slab + address map + one stamp line.
 //!
 //! Owns every [`VirtualBlock`] the controller tracks, addressable by LBA in
 //! O(1), ordered by recency for the scanner (head) and the replacement
 //! policies (tail) — which only want the few blocks that hold RAM, so those
-//! are indexed by class, in LRU order ([`BlockTable::next_resident`]).
+//! are filed by class on the same line, in LRU order
+//! ([`BlockTable::next_resident`]).
 
-use crate::lru::LruList;
 use crate::virtual_block::{Placement, Role, VirtualBlock};
 use icash_storage::block::Lba;
 use icash_storage::hash::AddrPages;
+use icash_storage::lru::StampLine;
 
 /// What a tracked block can hold in the RAM pool; one residency set each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,89 +18,6 @@ pub enum Resident {
     Data,
     /// A cached delta ([`VirtualBlock::delta`]), dirty or clean.
     Delta,
-}
-
-/// Stamps the table may hand out beyond two per tracked block before it
-/// renumbers: a renumber costs O(len) and comes at most once per
-/// `len + RENUMBER_SLACK` stamps, so O(1) amortised.
-const RENUMBER_SLACK: usize = 4096;
-
-/// A set of stamps: one bit per stamp in `u64` words, and one summary bit
-/// per word saying the word is not zero, so a successor query skips 4 096
-/// absent stamps per summary word it reads.
-#[derive(Debug, Clone, Default)]
-struct StampSet {
-    words: Vec<u64>,
-    summary: Vec<u64>,
-}
-
-impl StampSet {
-    fn contains(&self, s: usize) -> bool {
-        self.words
-            .get(s / 64)
-            .is_some_and(|w| w >> (s % 64) & 1 == 1)
-    }
-
-    fn insert(&mut self, s: usize) {
-        let w = s / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-            self.summary.resize(w / 64 + 1, 0);
-        }
-        self.words[w] |= 1 << (s % 64);
-        self.summary[w / 64] |= 1 << (w % 64);
-    }
-
-    /// Takes `s` out; whether it was in.
-    fn remove(&mut self, s: usize) -> bool {
-        let w = s / 64;
-        let Some(word) = self.words.get_mut(w) else {
-            return false;
-        };
-        let bit = 1 << (s % 64);
-        let was = *word & bit != 0;
-        *word &= !bit;
-        if *word == 0 {
-            self.summary[w / 64] &= !(1 << (w % 64));
-        }
-        was
-    }
-
-    /// The least member at or above `s`.
-    fn next_from(&self, s: usize) -> Option<usize> {
-        let w = s / 64;
-        let here = self.words.get(w)? & (!0 << (s % 64));
-        if here != 0 {
-            return Some(w * 64 + here.trailing_zeros() as usize);
-        }
-        // The first non-zero word past `w`, found by its summary bit.
-        let w = w + 1;
-        let first = self.summary.get(w / 64)? & (!0 << (w % 64));
-        let (skipped, bits) = std::iter::once(first)
-            .chain(self.summary[w / 64 + 1..].iter().copied())
-            .enumerate()
-            .find(|&(_, bits)| bits != 0)?;
-        let w = (w / 64 + skipped) * 64 + bits.trailing_zeros() as usize;
-        Some(w * 64 + self.words[w].trailing_zeros() as usize)
-    }
-
-    /// Members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_from(0), |&s| self.next_from(s + 1))
-    }
-
-    /// Asserts that the summary bits are exactly the non-zero words.
-    fn validate(&self) {
-        assert_eq!(
-            self.summary.len(),
-            self.words.len().div_ceil(64),
-            "summary size"
-        );
-        for (w, &word) in self.words.iter().enumerate() {
-            let flagged = self.summary[w / 64] >> (w % 64) & 1 == 1;
-            assert_eq!(flagged, word != 0, "summary bit of word {w}");
-        }
-    }
 }
 
 /// Stable handle to a virtual block in the table.
@@ -144,22 +62,14 @@ pub struct BlockTable {
     /// LBA → slab index, filed by page: a log fetch's walk and the trim
     /// look up runs of neighbouring addresses.
     by_lba: AddrPages<u32>,
-    lru: LruList,
+    /// Every tracked block in LRU order, each filed by the [`Resident`]
+    /// classes it holds.
+    line: StampLine<2>,
     /// Incremental (references, associates, independents) census,
     /// maintained at insert/remove/[`set_placement`](Self::set_placement) so
     /// `Icash::stats` never walks the table. Cross-checked against a full
     /// scan by [`validate`](Self::validate).
     role_counts: (u64, u64, u64),
-    /// Per slab slot, the stamp the block got at its last insert/touch:
-    /// ascending stamps are exactly the LRU's tail → head order.
-    stamps: Vec<u32>,
-    /// Stamp → slab index, one entry per stamp handed out since the last
-    /// renumber; `owner[stamps[i]] == i` for every tracked block, older
-    /// entries are dead.
-    owner: Vec<u32>,
-    /// Per [`Resident`] class, the stamps of every holder. A touch moves
-    /// the block's bits to its new stamp.
-    resident: [StampSet; 2],
 }
 
 impl BlockTable {
@@ -193,18 +103,13 @@ impl BlockTable {
             }
             None => {
                 self.slots.push(Some(vb));
-                self.stamps.push(0);
                 self.slots.len() - 1
             }
         };
         let slab = u32::try_from(idx).expect("slab index beyond u32");
         let tracked = self.by_lba.insert(lba, slab);
         assert!(tracked.is_none(), "lba {lba} already tracked");
-        // Stamped before it is listed: a renumber here must not read the
-        // slot's stale stamp as a holder's.
-        self.stamp(idx);
-        self.lru.grow_to(self.slots.len());
-        self.lru.push_front(idx);
+        self.line.insert(idx);
         VbId(idx)
     }
 
@@ -231,56 +136,23 @@ impl BlockTable {
         self.slots[id.0].as_mut().expect("stale VbId")
     }
 
+    /// `id`'s slab index, which the line has listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale.
+    fn listed(&self, id: VbId) -> usize {
+        assert!(self.slots[id.0].is_some(), "stale VbId");
+        id.0
+    }
+
     /// Marks a block most recently used.
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale.
     pub fn touch(&mut self, id: VbId) {
-        assert!(self.slots[id.0].is_some(), "stale VbId");
-        if self.lru.front() == Some(id.0) {
-            return; // already the newest stamp
-        }
-        self.lru.touch(id.0);
-        let old = self.stamp(id.0);
-        let new = self.stamps[id.0] as usize;
-        for set in &mut self.resident {
-            if set.remove(old) {
-                set.insert(new);
-            }
-        }
-    }
-
-    /// Hands `idx` the next stamp, renumbering first when the stamp line is
-    /// full, and returns the stamp it had (after any renumber).
-    fn stamp(&mut self, idx: usize) -> usize {
-        if self.owner.len() >= 2 * self.lru.len() + RENUMBER_SLACK {
-            self.renumber();
-        }
-        let s = u32::try_from(self.owner.len()).expect("stamp beyond u32: over 2^31 blocks");
-        self.owner
-            .push(u32::try_from(idx).expect("slab index beyond u32"));
-        std::mem::replace(&mut self.stamps[idx], s) as usize
-    }
-
-    /// Restamps every listed block `0..len` in LRU order and rebuilds the
-    /// residency sets on the new stamps.
-    fn renumber(&mut self) {
-        let len = self.lru.len();
-        let mut resident: [StampSet; 2] = Default::default();
-        self.owner.clear();
-        self.owner.resize(len, 0);
-        for (rank, idx) in self.lru.iter_front().enumerate() {
-            let s = len - 1 - rank;
-            for (new, old) in resident.iter_mut().zip(&self.resident) {
-                if old.contains(self.stamps[idx] as usize) {
-                    new.insert(s);
-                }
-            }
-            self.stamps[idx] = s as u32;
-            self.owner[s] = idx as u32;
-        }
-        self.resident = resident;
+        self.line.touch(self.listed(id));
     }
 
     /// Removes a block and returns it.
@@ -289,12 +161,10 @@ impl BlockTable {
     ///
     /// Panics if the handle is stale.
     pub fn remove(&mut self, id: VbId) -> VirtualBlock {
-        self.set_resident(id, Resident::Data, false);
-        self.set_resident(id, Resident::Delta, false);
         let vb = self.slots[id.0].take().expect("stale VbId");
         *self.count_mut(vb.placement.role()) -= 1;
         self.by_lba.remove(vb.lba);
-        self.lru.remove(id.0);
+        self.line.remove(id.0);
         self.free.push(id.0);
         vb
     }
@@ -331,9 +201,7 @@ impl BlockTable {
 
     /// Handles from most recently used to least, up to `limit`.
     pub fn head_ids(&self, limit: usize) -> Vec<VbId> {
-        // `len` also bounds the walk should the list ever corrupt.
-        let cap = limit.min(self.lru.len());
-        self.lru.iter_front().take(cap).map(VbId).collect()
+        self.line.newest_first().take(limit).map(VbId).collect()
     }
 
     /// The block one step more recently used than `after` (`None`: the
@@ -344,9 +212,11 @@ impl BlockTable {
     ///
     /// Panics if the handle is stale.
     pub fn newer(&self, after: Option<VbId>) -> Option<VbId> {
-        after
-            .map_or(self.lru.tail(), |id| self.lru.newer(id.0))
-            .map(VbId)
+        match after {
+            None => self.line.oldest(),
+            Some(id) => self.line.newer(self.listed(id)),
+        }
+        .map(VbId)
     }
 
     /// Records that `id` now holds (`on`) or no longer holds a `class`
@@ -357,20 +227,12 @@ impl BlockTable {
     ///
     /// Panics if the handle is stale.
     pub fn set_resident(&mut self, id: VbId, class: Resident, on: bool) {
-        assert!(self.slots[id.0].is_some(), "stale VbId");
-        let stamp = self.stamps[id.0] as usize;
-        let set = &mut self.resident[class as usize];
-        if on {
-            set.insert(stamp);
-        } else {
-            set.remove(stamp);
-        }
+        self.line.set_class(self.listed(id), class as usize, on);
     }
 
     /// Whether the index has `id` down as holding `class`.
     pub fn is_resident(&self, id: VbId, class: Resident) -> bool {
-        self.slots[id.0].is_some()
-            && self.resident[class as usize].contains(self.stamps[id.0] as usize)
+        self.slots[id.0].is_some() && self.line.in_class(id.0, class as usize)
     }
 
     /// The least recently used block holding `class` among those more
@@ -380,20 +242,20 @@ impl BlockTable {
     /// passes each answer back with no `insert` or `touch` in between:
     /// those are where stamps move.
     pub fn next_resident(&self, class: Resident, after: Option<VbId>) -> Option<VbId> {
-        let from = after.map_or(0, |id| self.stamps[id.0] as usize + 1);
-        let stamp = self.resident[class as usize].next_from(from)?;
-        Some(VbId(self.owner[stamp] as usize))
+        self.line
+            .next_in_class(class as usize, after.map(|id| id.0))
+            .map(VbId)
     }
 
     /// Asserts internal consistency (tests/debugging).
     ///
     /// # Panics
     ///
-    /// Panics if the LRU links or the address map are corrupted.
+    /// Panics if the stamp line or the address map is corrupted.
     pub fn validate(&self) {
-        self.lru.validate();
+        self.line.validate();
         self.by_lba.validate();
-        assert_eq!(self.lru.len(), self.by_lba.len(), "map/list size mismatch");
+        assert_eq!(self.line.len(), self.by_lba.len(), "map/line size mismatch");
         // (Hash order; asserts only.)
         for (lba, &idx) in self.by_lba.iter() {
             assert_eq!(
@@ -401,6 +263,12 @@ impl BlockTable {
                 Some(lba),
                 "map points at wrong slot"
             );
+        }
+        // As many listed slots as mapped ones, each one of them.
+        for idx in self.line.newest_first() {
+            let lba = self.slots[idx].as_ref().map(|vb| vb.lba);
+            let mapped = lba.and_then(|lba| self.lookup(lba));
+            assert_eq!(mapped, Some(VbId(idx)), "listed slot {idx} is not tracked");
         }
         // Cross-check the incremental role census against a full scan.
         let mut scanned = (0u64, 0u64, 0u64);
@@ -415,25 +283,6 @@ impl BlockTable {
             self.role_counts, scanned,
             "incremental role counts diverged from the table contents"
         );
-        // Stamps order the blocks as the list does, each names its block,
-        // and every member of a residency set is a tracked block's stamp.
-        let stamps = self.lru.iter_front().map(|i| self.stamps[i]);
-        assert!(stamps.is_sorted_by(|a, b| a > b), "stamps out of LRU order");
-        for idx in self.lru.iter_front() {
-            let owner = self.owner.get(self.stamps[idx] as usize).copied();
-            assert_eq!(owner, Some(idx as u32), "stamp of {idx} names another slot");
-        }
-        for set in &self.resident {
-            set.validate();
-            for s in set.iter() {
-                let idx = self.owner.get(s).map(|&i| i as usize);
-                let live = idx.filter(|&i| self.slots[i].is_some() && self.stamps[i] as usize == s);
-                assert!(
-                    live.is_some(),
-                    "residency bit {s} belongs to no tracked block"
-                );
-            }
-        }
     }
 }
 
@@ -540,29 +389,14 @@ mod tests {
         let _ = t.get(a);
     }
 
-    /// Successor queries at word (64) and summary-word (4 096) edges, over
-    /// a stretch of summary words with no member, and past the last bit.
     #[test]
-    fn stamp_set_successor_crosses_word_and_summary_boundaries() {
-        let mut set = StampSet::default();
-        assert_eq!(set.next_from(0), None, "empty");
-        let last = 3 * 4096 + 70;
-        let members = [0, 63, 64, 4095, 4096, last];
-        for s in members {
-            set.insert(s);
-        }
-        set.validate();
-        for from in 0..=last + 64 {
-            let want = members.iter().copied().find(|&m| m >= from);
-            assert_eq!(set.next_from(from), want, "from {from}");
-        }
-        assert_eq!(set.iter().collect::<Vec<_>>(), members);
-        for (i, s) in members.into_iter().enumerate() {
-            assert!(set.remove(s) && !set.remove(s));
-            set.validate();
-            assert_eq!(set.next_from(0), members.get(i + 1).copied());
-        }
-        assert!(!set.remove(last + 4096), "past the words");
+    #[should_panic(expected = "stale VbId")]
+    fn stale_cursor_panics() {
+        let mut t = BlockTable::new();
+        let a = t.insert(vb(1));
+        t.insert(vb(2));
+        t.remove(a);
+        let _ = t.newer(Some(a));
     }
 
     /// A page of slab indices is one 64-byte line plus its occupancy mask;
@@ -573,19 +407,6 @@ mod tests {
         assert_eq!(AddrPages::<u32>::PAGE_BYTES, 68);
         assert_eq!(std::mem::size_of::<Placement>(), 24);
         assert_eq!(AddrPages::<Placement>::PAGE_BYTES, 392);
-    }
-
-    /// A touch of the head is no move and hands out no stamp.
-    #[test]
-    fn touching_the_head_hands_out_no_stamp() {
-        let mut t = BlockTable::new();
-        let a = t.insert(vb(1));
-        let b = t.insert(vb(2));
-        t.touch(b);
-        assert_eq!(t.owner.len(), 2);
-        t.touch(a);
-        assert_eq!(t.owner.len(), 3);
-        t.validate();
     }
 
     proptest! {
@@ -615,7 +436,7 @@ mod tests {
             let mut renumbers = 0;
             while renumbers < 3 {
                 for op in round.clone() {
-                    let stamps_before = t.owner.len();
+                    let stamps_before = t.line.stamps_handed_out();
                     let Some(&(lba, kind, bits)) = op else {
                         for lba in 0..2 {
                             if t.lookup(Lba::new(lba)).is_none() {
@@ -623,7 +444,7 @@ mod tests {
                             }
                         }
                         t.touch(t.newer(None).expect("two blocks"));
-                        renumbers += usize::from(t.owner.len() < stamps_before);
+                        renumbers += usize::from(t.line.stamps_handed_out() < stamps_before);
                         t.validate();
                         continue;
                     };
@@ -661,7 +482,7 @@ mod tests {
                         }
                         _ => {}
                     }
-                    renumbers += usize::from(t.owner.len() < stamps_before);
+                    renumbers += usize::from(t.line.stamps_handed_out() < stamps_before);
                     t.validate();
                     for id in t.head_ids(usize::MAX) {
                         for (c, &class) in CLASSES.iter().enumerate() {

@@ -1,10 +1,10 @@
 //! Model-checked property tests of the controller's data structures: the
-//! intrusive LRU against a reference VecDeque model, the block table's
-//! map/LRU coherence, the segment pool's conservation law, and the delta
-//! log's pack/locate invariants.
+//! block table's map/LRU coherence and its residency index, the segment
+//! pool's conservation law, and the delta log's pack/locate invariants.
+//! (The stamp line itself is checked against a `VecDeque` model in
+//! `icash-storage`'s `prop_lru.rs`.)
 
 use icash_core::delta_log::{DeltaLog, LogEntry};
-use icash_core::lru::LruList;
 use icash_core::segment::SegmentPool;
 use icash_core::table::{BlockTable, Resident};
 use icash_core::virtual_block::VirtualBlock;
@@ -13,61 +13,8 @@ use icash_delta::signature::BlockSignature;
 use icash_storage::block::Lba;
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum LruOp {
-    Push(u8),
-    Touch(u8),
-    Remove(u8),
-}
-
-fn lru_ops() -> impl Strategy<Value = Vec<LruOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u8..24).prop_map(LruOp::Push),
-            (0u8..24).prop_map(LruOp::Touch),
-            (0u8..24).prop_map(LruOp::Remove),
-        ],
-        1..300,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The intrusive LRU behaves exactly like a VecDeque<front = MRU> model.
-    #[test]
-    fn lru_matches_vecdeque_model(ops in lru_ops()) {
-        let mut lru = LruList::new();
-        lru.grow_to(24);
-        let mut model: Vec<u8> = Vec::new(); // front = MRU
-        for op in ops {
-            match op {
-                LruOp::Push(i) => {
-                    if !model.contains(&i) {
-                        lru.push_front(i as usize);
-                        model.insert(0, i);
-                    }
-                }
-                LruOp::Touch(i) => {
-                    if model.contains(&i) {
-                        lru.touch(i as usize);
-                        model.retain(|&x| x != i);
-                        model.insert(0, i);
-                    }
-                }
-                LruOp::Remove(i) => {
-                    if model.contains(&i) {
-                        lru.remove(i as usize);
-                        model.retain(|&x| x != i);
-                    }
-                }
-            }
-            lru.validate();
-            let got: Vec<u8> = lru.iter_front().map(|x| x as u8).collect();
-            prop_assert_eq!(&got, &model);
-            prop_assert_eq!(lru.len(), model.len());
-        }
-    }
 
     /// Table lookups stay coherent with inserts/removes/touches.
     #[test]

@@ -20,9 +20,9 @@
 //! * [`histogram`] — log-bucketed latency histograms
 //!   ([`histogram::LatencyHistogram`]), embeddable in [`stats::DeviceStats`]
 //!   for the per-queue tagged-command latency split.
-//! * [`lru`] — the workspace's single LRU implementation ([`lru::LruList`]
-//!   and the keyed [`lru::LruMap`]), shared by the controller, the
-//!   baselines and the workload driver.
+//! * [`lru`] — the workspace's single LRU implementation ([`lru::StampLine`]
+//!   and the keyed [`lru::LruMap`] built on it), shared by the controller,
+//!   the baselines and the workload driver.
 //! * [`pipeline`] — monotonic flush tickets ([`pipeline::Ticket`] /
 //!   [`pipeline::FlushProgress`], write-through bookkeeping in
 //!   [`pipeline::WriteThrough`]) that let any architecture expose

@@ -1,245 +1,353 @@
 //! The workspace's single LRU implementation.
 //!
-//! Historically the tree carried three parallel recency structures: an
-//! intrusive index-linked list in the I-CASH controller, a
-//! `HashMap`+`BTreeMap` tick map in the caching baselines, and another tick
-//! map inside the driver's guest page cache. They are unified here:
-//! [`LruList`] is the intrusive O(1) list (paper §4.3 keeps every virtual
-//! block on it), and [`LruMap`] is a keyed map built *on top of* that same
-//! list plus a slab — so every consumer shares one eviction-order
-//! implementation and one set of invariants.
-//!
-//! With the `debug_validate` feature enabled, every mutating [`LruList`]
-//! operation re-checks the full link structure ([`LruList::validate`]);
-//! CI exercises this, release builds pay nothing.
-
-const NONE: usize = usize::MAX;
-
-/// An intrusive doubly-linked LRU list over external slab indices.
-///
-/// Slots must be grown before use ([`LruList::grow_to`]) and are identified
-/// by their slab index. The *front* is the most recently used end.
-///
-/// # Examples
-///
-/// ```
-/// use icash_storage::lru::LruList;
-///
-/// let mut lru = LruList::new();
-/// for i in 0..3 {
-///     lru.grow_to(i + 1);
-///     lru.push_front(i);
-/// }
-/// lru.touch(0); // 0 becomes most recent
-/// assert_eq!(lru.iter_front().collect::<Vec<_>>(), vec![0, 2, 1]);
-/// assert_eq!(lru.tail(), Some(1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct LruList {
-    head: usize,
-    tail: usize,
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    present: Vec<bool>,
-    len: usize,
-}
-
-impl Default for LruList {
-    /// Equivalent to [`LruList::new`]. (Head/tail use a sentinel value, so
-    /// the derived all-zeroes `Default` would be corrupt.)
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LruList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        LruList {
-            head: NONE,
-            tail: NONE,
-            prev: Vec::new(),
-            next: Vec::new(),
-            present: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Ensures link storage exists for slab indices `< slots`.
-    pub fn grow_to(&mut self, slots: usize) {
-        if slots > self.prev.len() {
-            self.prev.resize(slots, NONE);
-            self.next.resize(slots, NONE);
-            self.present.resize(slots, false);
-        }
-    }
-
-    /// Entries currently on the list.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `idx` is currently on the list.
-    pub fn contains(&self, idx: usize) -> bool {
-        idx < self.present.len() && self.present[idx]
-    }
-
-    /// The most recently used entry.
-    pub fn front(&self) -> Option<usize> {
-        (self.head != NONE).then_some(self.head)
-    }
-
-    /// The least recently used entry.
-    pub fn tail(&self) -> Option<usize> {
-        (self.tail != NONE).then_some(self.tail)
-    }
-
-    /// The entry one step more recently used than `idx` (`None` at the
-    /// front): a tail → front cursor that stays valid while entries behind
-    /// it are removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not on the list.
-    pub fn newer(&self, idx: usize) -> Option<usize> {
-        assert!(self.contains(idx), "index {idx} not listed");
-        let p = self.prev[idx];
-        (p != NONE).then_some(p)
-    }
-
-    /// Inserts `idx` at the front (most recent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` has no storage ([`LruList::grow_to`]) or is already
-    /// on the list.
-    pub fn push_front(&mut self, idx: usize) {
-        assert!(idx < self.present.len(), "index {idx} not grown");
-        assert!(!self.present[idx], "index {idx} already listed");
-        self.present[idx] = true;
-        self.prev[idx] = NONE;
-        self.next[idx] = self.head;
-        if self.head != NONE {
-            self.prev[self.head] = idx;
-        }
-        self.head = idx;
-        if self.tail == NONE {
-            self.tail = idx;
-        }
-        self.len += 1;
-        self.debug_validate();
-    }
-
-    /// Removes `idx` from the list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not on the list.
-    pub fn remove(&mut self, idx: usize) {
-        assert!(self.contains(idx), "index {idx} not listed");
-        let (p, n) = (self.prev[idx], self.next[idx]);
-        if p != NONE {
-            self.next[p] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NONE {
-            self.prev[n] = p;
-        } else {
-            self.tail = p;
-        }
-        self.present[idx] = false;
-        self.prev[idx] = NONE;
-        self.next[idx] = NONE;
-        self.len -= 1;
-        self.debug_validate();
-    }
-
-    /// Moves `idx` to the front (marks it most recently used).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not on the list.
-    pub fn touch(&mut self, idx: usize) {
-        if self.head == idx {
-            return;
-        }
-        self.remove(idx);
-        self.push_front(idx);
-    }
-
-    /// Walks the whole list asserting link consistency — no cycles, prev
-    /// pointers mirror next pointers, and the entry count matches `len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list is corrupted.
-    pub fn validate(&self) {
-        let mut count = 0usize;
-        let mut cur = self.head;
-        let mut prev = NONE;
-        while cur != NONE {
-            assert!(count < self.len, "cycle detected at index {cur}");
-            assert!(self.present[cur], "unlisted index {cur} reachable");
-            assert_eq!(self.prev[cur], prev, "broken prev link at {cur}");
-            prev = cur;
-            cur = self.next[cur];
-            count += 1;
-        }
-        assert_eq!(count, self.len, "list length mismatch");
-        assert_eq!(self.tail, prev, "tail pointer mismatch");
-    }
-
-    /// [`LruList::validate`] after every mutation when the `debug_validate`
-    /// feature is on; free otherwise.
-    #[inline]
-    fn debug_validate(&self) {
-        #[cfg(feature = "debug_validate")]
-        self.validate();
-    }
-
-    /// Iterates from most recent to least recent.
-    pub fn iter_front(&self) -> LruIter<'_> {
-        LruIter {
-            list: self,
-            cur: self.head,
-        }
-    }
-}
-
-/// Iterator over LRU entries; see [`LruList::iter_front`].
-#[derive(Debug)]
-pub struct LruIter<'a> {
-    list: &'a LruList,
-    cur: usize,
-}
-
-impl Iterator for LruIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.cur == NONE {
-            return None;
-        }
-        let item = self.cur;
-        self.cur = self.list.next[item];
-        Some(item)
-    }
-}
+//! [`StampLine`] orders slab slots by recency (paper §4.3 keeps every
+//! virtual block on one LRU queue) and files them by class; [`LruMap`] is a
+//! keyed map built on that same line plus a slab. The controller's block
+//! table, the caching baselines and the driver's guest page cache all use
+//! it, so they share one eviction-order implementation and one set of
+//! invariants.
 
 use crate::hash::AddrMap;
 use std::hash::Hash;
 
-/// A map with least-recently-used eviction order, built over [`LruList`].
+/// Stamps the line may hand out beyond two per listed slot before it
+/// renumbers: a renumber costs O(len) and comes at most once per
+/// `len + RENUMBER_SLACK` stamps, so O(1) amortised.
+const RENUMBER_SLACK: usize = 4096;
+
+/// A set of stamps: one bit per stamp in `u64` words, and one summary bit
+/// per word saying the word is not zero, so a successor or predecessor
+/// query skips 4 096 absent stamps per summary word it reads.
+#[derive(Debug, Clone, Default)]
+struct StampSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl StampSet {
+    fn contains(&self, s: usize) -> bool {
+        self.words
+            .get(s / 64)
+            .is_some_and(|w| w >> (s % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, s: usize) {
+        let w = s / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        self.words[w] |= 1 << (s % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Takes `s` out; whether it was in.
+    fn remove(&mut self, s: usize) -> bool {
+        let w = s / 64;
+        let Some(word) = self.words.get_mut(w) else {
+            return false;
+        };
+        let bit = 1 << (s % 64);
+        let was = *word & bit != 0;
+        *word &= !bit;
+        if *word == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        was
+    }
+
+    /// The least member at or above `s`.
+    fn next_from(&self, s: usize) -> Option<usize> {
+        let w = s / 64;
+        let here = self.words.get(w)? & (!0 << (s % 64));
+        if here != 0 {
+            return Some(w * 64 + here.trailing_zeros() as usize);
+        }
+        // The first non-zero word past `w`, found by its summary bit.
+        let w = w + 1;
+        let first = self.summary.get(w / 64)? & (!0 << (w % 64));
+        let (skipped, bits) = std::iter::once(first)
+            .chain(self.summary[w / 64 + 1..].iter().copied())
+            .enumerate()
+            .find(|&(_, bits)| bits != 0)?;
+        let w = (w / 64 + skipped) * 64 + bits.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// The greatest member below `s`: [`next_from`](Self::next_from)'s
+    /// mirror.
+    fn prev_before(&self, s: usize) -> Option<usize> {
+        let s = s.min(self.words.len() * 64).checked_sub(1)?;
+        let w = s / 64;
+        let here = self.words[w] & (!0 >> (63 - s % 64));
+        if here != 0 {
+            return Some(w * 64 + 63 - here.leading_zeros() as usize);
+        }
+        // The last non-zero word before `w`, found by its summary bit.
+        let w = w.checked_sub(1)?;
+        let last = self.summary[w / 64] & (!0 >> (63 - w % 64));
+        let (skipped, bits) = std::iter::once(last)
+            .chain(self.summary[..w / 64].iter().rev().copied())
+            .enumerate()
+            .find(|&(_, bits)| bits != 0)?;
+        let w = (w / 64 - skipped) * 64 + 63 - bits.leading_zeros() as usize;
+        Some(w * 64 + 63 - self.words[w].leading_zeros() as usize)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&s| self.next_from(s + 1))
+    }
+
+    /// Asserts that the summary bits are exactly the non-zero words.
+    fn validate(&self) {
+        assert_eq!(
+            self.summary.len(),
+            self.words.len().div_ceil(64),
+            "summary size"
+        );
+        for (w, &word) in self.words.iter().enumerate() {
+            let flagged = self.summary[w / 64] >> (w % 64) & 1 == 1;
+            assert_eq!(flagged, word != 0, "summary bit of word {w}");
+        }
+    }
+}
+
+/// Slab slots in recency order, each optionally filed in any of `N`
+/// classes that can be enumerated in that order too.
 ///
-/// Keys map to slab slots; the shared intrusive list tracks recency, so
-/// every operation is O(1) (the old baseline implementation paid O(log n)
-/// through a `BTreeMap` of recency ticks).
+/// Every [`insert`](Self::insert) and non-newest [`touch`](Self::touch)
+/// hands the slot the next `u32` stamp, so ascending stamps are the
+/// oldest → newest order; `owner` maps each stamp back to its slot. The
+/// listed slots' stamps form one bitset and each class's another, so
+/// "the next listed (or filed) slot after this one" is one successor query.
+/// Stamps only grow: once the line holds `2·len + RENUMBER_SLACK` stamps
+/// the next stamp renumbers every listed slot `0..len`, O(1) amortised.
+///
+/// Slots are the caller's slab indices. Every operation on a slot but
+/// [`insert`](Self::insert) takes it to be listed: the caller's slab says
+/// which are.
+///
+/// # Examples
+///
+/// ```
+/// use icash_storage::lru::StampLine;
+///
+/// let mut line = StampLine::<1>::new();
+/// for slot in 0..3 {
+///     line.insert(slot);
+/// }
+/// line.touch(0); // 0 becomes the newest
+/// line.set_class(2, 0, true);
+/// assert_eq!(line.newest_first().collect::<Vec<_>>(), vec![0, 2, 1]);
+/// assert_eq!(line.oldest(), Some(1));
+/// assert_eq!(line.newer(1), Some(2));
+/// assert_eq!(line.next_in_class(0, None), Some(2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct StampLine<const N: usize> {
+    /// Per slab slot, the stamp it got at its last insert/touch.
+    stamps: Vec<u32>,
+    /// Stamp → slab slot, one entry per stamp handed out since the last
+    /// renumber; `owner[stamps[i]] == i` for every listed slot, older
+    /// entries are dead.
+    owner: Vec<u32>,
+    /// The stamps of every listed slot.
+    live: StampSet,
+    /// Per class, the stamps of every filed slot; a touch moves the slot's
+    /// bits to its new stamp.
+    classes: [StampSet; N],
+    len: usize,
+}
+
+impl<const N: usize> Default for StampLine<N> {
+    fn default() -> Self {
+        StampLine {
+            stamps: Vec::new(),
+            owner: Vec::new(),
+            live: StampSet::default(),
+            classes: std::array::from_fn(|_| StampSet::default()),
+            len: 0,
+        }
+    }
+}
+
+impl<const N: usize> StampLine<N> {
+    /// Creates an empty line.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Listed slots.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no slot is listed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Stamps handed out since the last renumber (a renumber shortens it
+    /// to [`len`](Self::len)).
+    pub fn stamps_handed_out(&self) -> usize {
+        self.owner.len()
+    }
+
+    /// Lists `slot` as the newest, in no class.
+    pub fn insert(&mut self, slot: usize) {
+        if slot >= self.stamps.len() {
+            self.stamps.resize(slot + 1, 0);
+        }
+        // Stamped before it is listed: a renumber here must not read the
+        // slot's stale stamp as a listed one.
+        self.stamp(slot);
+        self.live.insert(self.stamps[slot] as usize);
+        self.len += 1;
+    }
+
+    /// Makes `slot` the newest, keeping its classes. Touching the newest
+    /// hands out no stamp.
+    pub fn touch(&mut self, slot: usize) {
+        if self.stamps[slot] as usize + 1 == self.owner.len() {
+            return;
+        }
+        let old = self.stamp(slot);
+        let new = self.stamps[slot] as usize;
+        for set in std::iter::once(&mut self.live).chain(&mut self.classes) {
+            if set.remove(old) {
+                set.insert(new);
+            }
+        }
+    }
+
+    /// Takes `slot` off the line and out of every class.
+    pub fn remove(&mut self, slot: usize) {
+        let s = self.stamps[slot] as usize;
+        for set in std::iter::once(&mut self.live).chain(&mut self.classes) {
+            set.remove(s);
+        }
+        self.len -= 1;
+    }
+
+    /// Hands `slot` the next stamp, renumbering first when the line is
+    /// full, and returns the stamp it had (after any renumber).
+    fn stamp(&mut self, slot: usize) -> usize {
+        if self.owner.len() >= 2 * self.len + RENUMBER_SLACK {
+            self.renumber();
+        }
+        let s = u32::try_from(self.owner.len()).expect("stamp beyond u32: over 2^31 slots");
+        self.owner
+            .push(u32::try_from(slot).expect("slab index beyond u32"));
+        std::mem::replace(&mut self.stamps[slot], s) as usize
+    }
+
+    /// Restamps every listed slot `0..len` in order and rebuilds the sets
+    /// on the new stamps. A slot's new stamp is at most its old one, so
+    /// `owner` compacts in place.
+    fn renumber(&mut self) {
+        let live = std::mem::take(&mut self.live);
+        let classes = std::mem::replace(
+            &mut self.classes,
+            std::array::from_fn(|_| StampSet::default()),
+        );
+        for (new, old) in live.iter().enumerate() {
+            let slot = self.owner[old];
+            self.owner[new] = slot;
+            self.stamps[slot as usize] = new as u32;
+            self.live.insert(new);
+            for (set, was) in self.classes.iter_mut().zip(&classes) {
+                if was.contains(old) {
+                    set.insert(new);
+                }
+            }
+        }
+        self.owner.truncate(self.len);
+    }
+
+    /// The least recently used slot.
+    pub fn oldest(&self) -> Option<usize> {
+        self.owner_of(self.live.next_from(0))
+    }
+
+    /// The slot one step more recently used than `slot` (`None`: `slot` is
+    /// the newest): an oldest → newest cursor that stays valid while slots
+    /// behind it are removed.
+    pub fn newer(&self, slot: usize) -> Option<usize> {
+        self.owner_of(self.live.next_from(self.stamps[slot] as usize + 1))
+    }
+
+    /// Listed slots from most to least recently used.
+    pub fn newest_first(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.live.prev_before(self.owner.len()), |&s| {
+            self.live.prev_before(s)
+        })
+        .map(|s| self.owner[s] as usize)
+    }
+
+    /// Files `slot` in (`on`) or out of `class`; leaves its recency alone.
+    pub fn set_class(&mut self, slot: usize, class: usize, on: bool) {
+        let s = self.stamps[slot] as usize;
+        if on {
+            self.classes[class].insert(s);
+        } else {
+            self.classes[class].remove(s);
+        }
+    }
+
+    /// Whether `slot` is filed in `class`.
+    pub fn in_class(&self, slot: usize, class: usize) -> bool {
+        self.classes[class].contains(self.stamps[slot] as usize)
+    }
+
+    /// The least recently used slot in `class` among those more recently
+    /// used than `after` (`None`: among all) — so feeding each answer back
+    /// in enumerates the class oldest → newest, whether or not the caller
+    /// files them out on the way. A walk passes each answer back with no
+    /// `insert` or `touch` in between: those are where stamps move.
+    pub fn next_in_class(&self, class: usize, after: Option<usize>) -> Option<usize> {
+        let from = after.map_or(0, |slot| self.stamps[slot] as usize + 1);
+        self.owner_of(self.classes[class].next_from(from))
+    }
+
+    fn owner_of(&self, stamp: Option<usize>) -> Option<usize> {
+        stamp.map(|s| self.owner[s] as usize)
+    }
+
+    /// Asserts internal consistency: each listed stamp names a slot that
+    /// holds it, `len` counts them, and every class member is listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is corrupted.
+    pub fn validate(&self) {
+        self.live.validate();
+        let mut listed = 0;
+        for s in self.live.iter() {
+            let slot = self.owner.get(s).map(|&i| i as usize);
+            let stamp = slot.and_then(|i| self.stamps.get(i)).copied();
+            assert_eq!(stamp, Some(s as u32), "stamp {s} names no slot holding it");
+            listed += 1;
+        }
+        assert_eq!(listed, self.len, "listed count");
+        for set in &self.classes {
+            set.validate();
+            for s in set.iter() {
+                assert!(
+                    self.live.contains(s),
+                    "class bit {s} belongs to no listed slot"
+                );
+            }
+        }
+    }
+}
+
+/// A map with least-recently-used eviction order, built over a
+/// [`StampLine`].
+///
+/// Keys map to slab slots; the line tracks recency, so every operation is
+/// O(1) amortised (the old baseline implementation paid O(log n) through a
+/// `BTreeMap` of recency ticks).
 ///
 /// # Examples
 ///
@@ -254,20 +362,20 @@ use std::hash::Hash;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruMap<K, V> {
-    list: LruList,
     index: AddrMap<K, usize>,
     slots: Vec<Option<(K, V)>>,
     free: Vec<usize>,
+    line: StampLine<0>,
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         LruMap {
-            list: LruList::new(),
             index: AddrMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
+            line: StampLine::new(),
         }
     }
 
@@ -290,7 +398,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         if let Some(&slot) = self.index.get(&key) {
-            self.list.touch(slot);
+            self.line.touch(slot);
             let (_, old) = self.slots[slot]
                 .replace((key, value))
                 .expect("indexed slot");
@@ -300,20 +408,19 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
             Some(s) => s,
             None => {
                 self.slots.push(None);
-                self.list.grow_to(self.slots.len());
                 self.slots.len() - 1
             }
         };
         self.slots[slot] = Some((key.clone(), value));
         self.index.insert(key, slot);
-        self.list.push_front(slot);
+        self.line.insert(slot);
         None
     }
 
     /// Looks up `key`, marking it most recently used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         let &slot = self.index.get(key)?;
-        self.list.touch(slot);
+        self.line.touch(slot);
         self.slots[slot].as_ref().map(|(_, v)| v)
     }
 
@@ -326,22 +433,22 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Mutable lookup, marking the entry most recently used.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let &slot = self.index.get(key)?;
-        self.list.touch(slot);
+        self.line.touch(slot);
         self.slots[slot].as_mut().map(|(_, v)| v)
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let slot = self.index.remove(key)?;
-        self.list.remove(slot);
+        self.line.remove(slot);
         self.free.push(slot);
         self.slots[slot].take().map(|(_, v)| v)
     }
 
     /// Removes and returns the least recently used entry.
     pub fn pop_lru(&mut self) -> Option<(K, V)> {
-        let slot = self.list.tail()?;
-        self.list.remove(slot);
+        let slot = self.line.oldest()?;
+        self.line.remove(slot);
         self.free.push(slot);
         let (key, value) = self.slots[slot].take().expect("listed slot");
         self.index.remove(&key);
@@ -357,7 +464,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
 
     /// Iterates over entries from most to least recently used.
     pub fn iter_recent(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.list.iter_front().map(|slot| {
+        self.line.newest_first().map(|slot| {
             let (k, v) = self.slots[slot].as_ref().expect("listed slot");
             (k, v)
         })
@@ -374,100 +481,65 @@ impl<K: Eq + Hash + Clone, V> Default for LruMap<K, V> {
 mod tests {
     use super::*;
 
-    fn filled(n: usize) -> LruList {
-        let mut l = LruList::new();
-        l.grow_to(n);
-        for i in 0..n {
-            l.push_front(i);
+    /// Successor queries at word (64) and summary-word (4 096) edges, over
+    /// a stretch of summary words with no member, and past the last bit.
+    #[test]
+    fn stamp_set_successor_crosses_word_and_summary_boundaries() {
+        let mut set = StampSet::default();
+        assert_eq!(set.next_from(0), None, "empty");
+        let last = 3 * 4096 + 70;
+        let members = [0, 63, 64, 4095, 4096, last];
+        for s in members {
+            set.insert(s);
         }
-        l
-    }
-
-    #[test]
-    fn default_is_a_valid_empty_list() {
-        let mut l = LruList::default();
-        l.validate();
-        assert_eq!(l.front(), None);
-        assert_eq!(l.tail(), None);
-        // Regression: the first insertion into a default list must not
-        // self-link (head/tail use a sentinel, not zero).
-        l.grow_to(1);
-        l.push_front(0);
-        l.validate();
-        assert_eq!(l.front(), Some(0));
-        assert_eq!(l.tail(), Some(0));
-    }
-
-    #[test]
-    fn push_order_is_most_recent_first() {
-        let l = filled(4);
-        assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![3, 2, 1, 0]);
-        assert_eq!(l.len(), 4);
-    }
-
-    #[test]
-    fn touch_moves_to_front() {
-        let mut l = filled(4);
-        l.touch(1);
-        assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![1, 3, 2, 0]);
-        l.touch(1); // touching the head is a no-op
-        assert_eq!(l.front(), Some(1));
-    }
-
-    #[test]
-    fn remove_middle_head_tail() {
-        let mut l = filled(4);
-        l.remove(2);
-        assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![3, 1, 0]);
-        l.remove(3); // head
-        assert_eq!(l.front(), Some(1));
-        l.remove(0); // tail
-        assert_eq!(l.tail(), Some(1));
-        l.remove(1);
-        assert!(l.is_empty());
-        assert_eq!(l.front(), None);
-        assert_eq!(l.tail(), None);
-    }
-
-    #[test]
-    fn newer_walks_tail_to_front_across_removals() {
-        let mut l = filled(4);
-        let mut seen = Vec::new();
-        let mut cur = l.tail();
-        while let Some(i) = cur {
-            cur = l.newer(i); // read before the entry goes away
-            seen.push(i);
-            if i % 2 == 0 {
-                l.remove(i);
-            }
+        set.validate();
+        for from in 0..=last + 64 {
+            let want = members.iter().copied().find(|&m| m >= from);
+            assert_eq!(set.next_from(from), want, "from {from}");
         }
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![3, 1]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), members);
+        for (i, s) in members.into_iter().enumerate() {
+            assert!(set.remove(s) && !set.remove(s));
+            set.validate();
+            assert_eq!(set.next_from(0), members.get(i + 1).copied());
+        }
+        assert!(!set.remove(last + 4096), "past the words");
     }
 
+    /// Predecessor queries at the same edges, from above the last word
+    /// down to zero, and as members leave from the top.
     #[test]
-    fn reinsert_after_remove() {
-        let mut l = filled(3);
-        l.remove(1);
-        assert!(!l.contains(1));
-        l.push_front(1);
-        assert!(l.contains(1));
-        assert_eq!(l.front(), Some(1));
+    fn stamp_set_predecessor_crosses_word_and_summary_boundaries() {
+        let mut set = StampSet::default();
+        assert_eq!(set.prev_before(usize::MAX), None, "empty");
+        let last = 3 * 4096 + 70;
+        let members = [0, 63, 64, 4095, 4096, last];
+        for s in members {
+            set.insert(s);
+        }
+        for before in 0..=last + 64 {
+            let want = members.iter().copied().rfind(|&m| m < before);
+            assert_eq!(set.prev_before(before), want, "before {before}");
+        }
+        assert_eq!(set.prev_before(usize::MAX), Some(last));
+        for (i, s) in members.into_iter().enumerate().rev() {
+            assert!(set.remove(s));
+            let want = i.checked_sub(1).map(|j| members[j]);
+            assert_eq!(set.prev_before(usize::MAX), want);
+        }
     }
 
+    /// A touch of the newest is no move and hands out no stamp.
     #[test]
-    #[should_panic(expected = "already listed")]
-    fn double_insert_panics() {
-        let mut l = filled(2);
-        l.push_front(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not listed")]
-    fn remove_absent_panics() {
-        let mut l = LruList::new();
-        l.grow_to(1);
-        l.remove(0);
+    fn touching_the_newest_hands_out_no_stamp() {
+        let mut line = StampLine::<0>::new();
+        line.insert(0);
+        line.insert(1);
+        line.touch(1);
+        assert_eq!(line.stamps_handed_out(), 2);
+        line.touch(0);
+        assert_eq!(line.stamps_handed_out(), 3);
+        line.validate();
     }
 
     #[test]

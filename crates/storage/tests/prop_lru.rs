@@ -1,12 +1,12 @@
 //! Property tests for the unified LRU layer.
 //!
-//! [`LruList`] is checked against a `VecDeque` recency model, and
+//! [`StampLine`] is checked against a `VecDeque` recency model, and
 //! [`LruMap`] against an inline reimplementation of the *pre-unification*
 //! baseline algorithm (`HashMap` of values + `BTreeMap` of recency ticks) —
 //! proving the baselines' eviction order is unchanged by the migration to
-//! the shared intrusive list.
+//! the shared recency structure.
 
-use icash_storage::lru::{LruList, LruMap};
+use icash_storage::lru::{LruMap, StampLine};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -15,14 +15,14 @@ const SLOTS: usize = 8;
 
 #[derive(Debug, Clone)]
 enum ListOp {
-    Push(usize),
+    Insert(usize),
     Touch(usize),
     Remove(usize),
 }
 
 fn list_op() -> BoxedStrategy<ListOp> {
     prop_oneof![
-        (0usize..SLOTS).prop_map(ListOp::Push),
+        (0usize..SLOTS).prop_map(ListOp::Insert),
         (0usize..SLOTS).prop_map(ListOp::Touch),
         (0usize..SLOTS).prop_map(ListOp::Remove),
     ]
@@ -117,46 +117,72 @@ fn map_op() -> BoxedStrategy<MapOp> {
 }
 
 proptest! {
-    /// Push/touch/remove on [`LruList`] matches a `VecDeque` recency model
-    /// (front = most recent) at every step.
-    #[test]
-    fn list_matches_vecdeque_model(ops in prop::collection::vec(list_op(), 0..64)) {
-        let mut list = LruList::new();
-        list.grow_to(SLOTS);
-        let mut model: VecDeque<usize> = VecDeque::new();
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-        for op in ops {
-            match op {
-                ListOp::Push(i) => {
-                    if !model.contains(&i) {
-                        model.push_front(i);
-                        list.push_front(i);
+    /// Insert/touch/remove on a [`StampLine`] matches a `VecDeque` recency
+    /// model (front = most recent) after every op: `validate`, the oldest
+    /// and newest slot, each slot's `newer`, and the newest-first order. A
+    /// round is the history, then a quarter as many touches of the oldest
+    /// slot (two slots made sure of first), so every round hands out
+    /// stamps; rounds repeat until the line has renumbered three times.
+    #[test]
+    fn line_matches_vecdeque_model(ops in prop::collection::vec(list_op(), 1..64)) {
+        let mut line = StampLine::<0>::new();
+        let mut model: VecDeque<usize> = VecDeque::new();
+        let round = ops.iter().map(Some).chain(std::iter::repeat_n(None, ops.len() / 4 + 1));
+        let mut renumbers = 0;
+        while renumbers < 3 {
+            for op in round.clone() {
+                let stamps_before = line.stamps_handed_out();
+                match op {
+                    Some(&ListOp::Insert(i)) => {
+                        if !model.contains(&i) {
+                            model.push_front(i);
+                            line.insert(i);
+                        }
+                    }
+                    Some(&ListOp::Touch(i)) => {
+                        if model.contains(&i) {
+                            model.retain(|&x| x != i);
+                            model.push_front(i);
+                            line.touch(i);
+                        }
+                    }
+                    Some(&ListOp::Remove(i)) => {
+                        if model.contains(&i) {
+                            model.retain(|&x| x != i);
+                            line.remove(i);
+                        }
+                    }
+                    None => {
+                        for i in 0..2 {
+                            if !model.contains(&i) {
+                                model.push_front(i);
+                                line.insert(i);
+                            }
+                        }
+                        let oldest = model.pop_back().expect("two slots");
+                        model.push_front(oldest);
+                        line.touch(oldest);
                     }
                 }
-                ListOp::Touch(i) => {
-                    if model.contains(&i) {
-                        model.retain(|&x| x != i);
-                        model.push_front(i);
-                        list.touch(i);
-                    }
-                }
-                ListOp::Remove(i) => {
-                    if model.contains(&i) {
-                        model.retain(|&x| x != i);
-                        list.remove(i);
-                    }
+                renumbers += usize::from(line.stamps_handed_out() < stamps_before);
+                line.validate();
+                prop_assert_eq!(line.len(), model.len());
+                prop_assert_eq!(line.oldest(), model.back().copied());
+                prop_assert_eq!(line.newest_first().next(), model.front().copied());
+                let order: Vec<usize> = line.newest_first().collect();
+                prop_assert_eq!(&order, &Vec::from(model.clone()));
+                for (rank, &slot) in model.iter().enumerate() {
+                    let want = rank.checked_sub(1).map(|newer| model[newer]);
+                    prop_assert_eq!(line.newer(slot), want);
                 }
             }
-            list.validate();
-            prop_assert_eq!(list.len(), model.len());
-            prop_assert_eq!(list.front(), model.front().copied());
-            prop_assert_eq!(list.tail(), model.back().copied());
-            let order: Vec<usize> = list.iter_front().collect();
-            let want: Vec<usize> = model.iter().copied().collect();
-            prop_assert_eq!(order, want);
         }
     }
+}
 
+proptest! {
     /// [`LruMap`] agrees with the old tick-based baseline implementation on
     /// every return value and on the final eviction order.
     #[test]
