@@ -89,10 +89,8 @@ fn plain_cell<S: StorageSystem>(cell: &mut Cell<S>, seed: u64, depth: u64) {
 
 /// One crash cell: a write history torn at a seeded crash point; after
 /// recovery every block must read back as *some* version of its own
-/// history (never a splice), and post-recovery writes behave normally.
-/// (No `barrier()` on the model after the mid-history `sync`: with torn
-/// writes armed, recovery tears the most recent log append whether or not
-/// a barrier covering it had returned — DESIGN.md §10.)
+/// history (never a splice) and none older than the mid-history `sync`,
+/// and post-recovery writes behave normally.
 fn crash_cell(sys: Icash, seed: u64, crash_frac: f64, depth: u64) -> Tally {
     let mut cell = Cell::new("I-CASH(crash)", sys, STAMP, SPACE);
     let crash_at = (CRASH_OPS as f64 * crash_frac) as u64;
@@ -102,7 +100,7 @@ fn crash_cell(sys: Icash, seed: u64, crash_frac: f64, depth: u64) -> Tally {
         // lands with the staging buffer partially drained, covering the
         // torn-group-commit recovery path. Depth-gated for byte-identity.
         if depth > 1 && op == crash_at / 2 {
-            cell.io(|sys, ctx, now| *now = sys.sync(*now, ctx));
+            cell.sync();
         }
     }
     let mut cell = cell.with_sys(Icash::crash_and_recover);

@@ -157,6 +157,14 @@ impl<S: StorageSystem> Cell<S> {
         f(&mut self.sys, &mut ctx, &mut self.now)
     }
 
+    /// A full barrier (`sync`) on the cell's clock. Once it returns, the
+    /// model holds each written block to its newest version: no crash may
+    /// roll a block back past it.
+    pub fn sync(&mut self) {
+        self.io(|sys, ctx, now| *now = sys.sync(*now, ctx));
+        self.model.barrier();
+    }
+
     /// Swaps the system for what `f` makes of it (a crash and recovery);
     /// clock, model and tallies carry over.
     pub fn with_sys(self, f: impl FnOnce(S) -> S) -> Self {

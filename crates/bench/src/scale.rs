@@ -5,7 +5,7 @@
 //! self-contained simulation on its own virtual clock, the N shards of one
 //! replay can run on N real threads. This module measures what that buys:
 //! it records one SysBench op stream, partitions it per shard with the
-//! router's own striping arithmetic ([`partition_trace`]), replays every
+//! router's own striping ([`partition_trace`]), replays every
 //! shard's slice as an independent closed-loop benchmark on the harness
 //! worker pool, and reports both the *deterministic* merged results (virtual
 //! time, latencies, device counters — byte-identical no matter how many
@@ -31,8 +31,7 @@ use crate::harness::{cell_driver, icash_config, run_jobs};
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
-use icash_storage::block::Lba;
-use icash_storage::shard::merge_streams;
+use icash_storage::shard::{merge_streams, stripes, universe_share};
 use icash_storage::system::SystemReport;
 use icash_storage::time::Ns;
 use icash_workloads::content::ContentModel;
@@ -49,46 +48,23 @@ pub const SHARD_SWEEP: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// closed loop, matching how a sharded deployment would drive N queues).
 pub const CLIENT_SWEEP: [u32; 2] = [4, 16];
 
-/// Splits a recorded outer-address op stream into one per-shard stream,
-/// using exactly the router's striping: an op touching several shards
-/// becomes one smaller op on each (a shard's share of a span is a single
-/// contiguous inner span). At one shard this is the identity. Think/CPU
-/// costs ride along unchanged — each shard's closed loop models a client
-/// driving that shard.
+/// Splits a recorded outer-address op stream into one per-shard stream
+/// with the router's striping ([`stripes`]): an op touching several
+/// shards becomes one smaller op on each. At one shard this is the
+/// identity. Think/CPU costs ride along unchanged — each shard's closed
+/// loop models a client driving that shard.
 pub fn partition_trace(trace: &Trace, shards: u32) -> Vec<Trace> {
-    let n = shards.max(1) as u64;
-    let mut per_shard: Vec<Vec<WorkloadOp>> = vec![Vec::new(); n as usize];
+    let mut per_shard: Vec<Vec<WorkloadOp>> = vec![Vec::new(); shards.max(1) as usize];
     for op in trace.ops() {
-        let base = op.lba.offset();
-        let blocks = op.blocks as u64;
-        for shard in 0..n {
-            // First outer offset in [base, base+blocks) owned by `shard`.
-            let skew = (shard + n - base % n) % n;
-            if skew >= blocks {
-                continue;
-            }
+        for (shard, _, lba, count) in stripes(op.lba, op.blocks as u64, shards) {
             per_shard[shard as usize].push(WorkloadOp {
-                op: op.op,
-                lba: Lba::new((base + skew) / n).with_vm(op.lba.vm_id()),
-                blocks: ((blocks - skew - 1) / n + 1) as u32,
-                app_cpu: op.app_cpu,
-                think: op.think,
+                lba,
+                blocks: count as u32,
+                ..*op
             });
         }
     }
     per_shard.into_iter().map(Trace::from_ops).collect()
-}
-
-/// One shard's slice of an address universe: the count of outer offsets in
-/// `[0, blocks)` striped onto `shard`, per `(vm, blocks)` span, zero-block
-/// spans dropped. Mirrors `ShardRouter::preload`.
-pub fn shard_universe(universe: &[(u8, u64)], shards: u32, shard: u32) -> Vec<(u8, u64)> {
-    let n = shards.max(1) as u64;
-    universe
-        .iter()
-        .map(|&(vm, blocks)| (vm, (blocks + n - 1 - shard as u64) / n))
-        .filter(|&(_, blocks)| blocks > 0)
-        .collect()
 }
 
 /// The result of one (shard count × client count) sweep cell.
@@ -212,7 +188,7 @@ pub fn run_cell(
         .into_iter()
         .enumerate()
         .map(|(shard, part)| {
-            let sub_universe = shard_universe(universe, shards, shard as u32);
+            let sub_universe = universe_share(universe, shards, shard as u32);
             let slice_spec = &slice_spec;
             let slice_cfg = slice_cfg.clone();
             move || replay_shard(slice_spec, slice_cfg, part, sub_universe, clients)
@@ -336,9 +312,14 @@ pub fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icash_baselines::PlainHdd;
+    use icash_storage::block::{BlockBuf, Lba};
     use icash_storage::fault::HealthPolicy;
     use icash_storage::queue::QueueConfig;
+    use icash_storage::request::{Op, Request};
+    use icash_storage::shard::ShardRouter;
     use icash_workloads::sysbench;
+    use proptest::prelude::*;
 
     fn small_spec() -> WorkloadSpec {
         let mut spec = sysbench::spec();
@@ -348,64 +329,50 @@ mod tests {
         spec
     }
 
-    #[test]
-    fn partition_is_identity_at_one_shard() {
-        let spec = small_spec();
-        let mut wl = icash_workloads::MixedWorkload::new(spec, 11);
-        let trace = Trace::record(&mut wl, 200);
-        let parts = partition_trace(&trace, 1);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].ops(), trace.ops());
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn partition_conserves_blocks_and_stripes_correctly() {
-        let spec = small_spec();
-        let mut wl = icash_workloads::MixedWorkload::new(spec, 11);
-        let trace = Trace::record(&mut wl, 300);
-        for shards in [2u32, 3, 8] {
-            let parts = partition_trace(&trace, shards);
-            assert_eq!(parts.len(), shards as usize);
-            let outer: u64 = trace.ops().iter().map(|o| o.blocks as u64).sum();
-            let inner: u64 = parts
-                .iter()
-                .flat_map(|p| p.ops().iter())
-                .map(|o| o.blocks as u64)
-                .sum();
-            assert_eq!(outer, inner, "{shards} shards must conserve blocks");
-            // Every sub-op's address range stays within the shard's share
-            // of the block space.
-            let max_inner = spec_blocks(&trace) / shards as u64 + 1;
-            for part in &parts {
-                for op in part.ops() {
-                    assert!(op.lba.offset() + op.blocks as u64 <= max_inner + 1);
+        /// The campaign partitions a trace exactly as the router splits a
+        /// request, and every sub-op keeps its op's kind, CPU and think
+        /// time.
+        #[test]
+        fn partition_matches_the_router_split(
+            base in 0u64..100_000,
+            blocks in 1u32..200,
+            vm in 0u8..4,
+            write in any::<bool>(),
+            width in 1u32..65,
+        ) {
+            let lba = Lba::new(base).with_vm(vm);
+            let op = WorkloadOp {
+                op: if write { Op::Write } else { Op::Read },
+                lba,
+                blocks,
+                app_cpu: Ns::from_us(3),
+                think: Ns::from_us(7),
+            };
+            let parts = partition_trace(&Trace::from_ops(vec![op]), width);
+            prop_assert_eq!(parts.len(), width as usize);
+            let mut partitioned = Vec::new();
+            for (shard, part) in (0u32..).zip(&parts) {
+                for sub in part.ops() {
+                    // Only the address and the length change.
+                    prop_assert_eq!(*sub, WorkloadOp { lba: sub.lba, blocks: sub.blocks, ..op });
+                    partitioned.push((shard, sub.lba, sub.blocks));
                 }
             }
-        }
-    }
-
-    fn spec_blocks(trace: &Trace) -> u64 {
-        trace
-            .ops()
-            .iter()
-            .map(|o| o.lba.offset() + o.blocks as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn universe_slices_cover_every_block_once() {
-        let universe = [(0u8, 100u64), (3, 7)];
-        for shards in [1u32, 2, 3, 8, 64] {
-            let mut total = 0u64;
-            for shard in 0..shards {
-                total += shard_universe(&universe, shards, shard)
-                    .iter()
-                    .filter(|&&(vm, _)| vm == 0)
-                    .map(|&(_, b)| b)
-                    .sum::<u64>();
-            }
-            assert_eq!(total, 100, "{shards} shards");
+            let router = ShardRouter::new((0..width).map(|_| PlainHdd::new(1 << 20)).collect());
+            let req = if write {
+                Request::write_span(lba, Ns::ZERO, vec![BlockBuf::zeroed(); blocks as usize])
+            } else {
+                Request::read_span(lba, blocks, Ns::ZERO)
+            };
+            let split: Vec<(u32, Lba, u32)> = router
+                .split(&req)
+                .into_iter()
+                .map(|(shard, sub)| (shard, sub.lba, sub.blocks))
+                .collect();
+            prop_assert_eq!(partitioned, split);
         }
     }
 

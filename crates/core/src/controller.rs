@@ -519,6 +519,8 @@ impl Icash {
     /// ticket at or below `ticket` is on stable media. Free when the
     /// completed watermark already covers the ticket; otherwise the whole
     /// pipeline drains (staged group commits *and* dirty independent data).
+    /// Either way the delta log's last append is sealed: a crash can no
+    /// longer tear it.
     pub fn await_flush(&mut self, ticket: Ticket, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
         // A durability barrier forces cached log appends onto the media
         // even when the ticket watermark is already satisfied — completion
@@ -532,6 +534,7 @@ impl Icash {
             self.shutdown_flush(now)
         } else {
             self.stats.barrier_noops += 1;
+            self.durable.log.seal();
             now
         };
         self.durable.array.tracer().emit(|| TraceEvent {

@@ -148,7 +148,8 @@ pub struct DeltaLog {
     total_entries: u64,
     stale_entries: u64,
     /// `(first block, block count)` of the most recent append — the span a
-    /// crash-time torn write can land in.
+    /// crash-time torn write can land in. Empty once a barrier has returned
+    /// after it ([`DeltaLog::seal`]) or a clean has rewritten the log.
     last_append: (u32, u32),
 }
 
@@ -238,9 +239,18 @@ impl DeltaLog {
     }
 
     /// `(first block, block count)` of the most recent append — the span an
-    /// in-flight sequential write occupies at crash time.
+    /// in-flight sequential write occupies at crash time. Empty when no
+    /// append is in flight: a barrier returned after it, or a clean came
+    /// after it.
     pub fn last_append_span(&self) -> (u32, u32) {
         self.last_append
+    }
+
+    /// A durability barrier has returned: the most recent append is on the
+    /// platter, and a crash can no longer tear it. The next append is
+    /// tearable again.
+    pub fn seal(&mut self) {
+        self.last_append.1 = 0;
     }
 
     /// Simulates a torn write: block `loc` was partially written (its torn
@@ -357,7 +367,8 @@ impl DeltaLog {
     /// true given `(lba, current block id)`. Returns the new location of
     /// every surviving LBA and the number of blocks the compacted log
     /// occupies (the controller charges one sequential HDD write of that
-    /// many blocks).
+    /// many blocks). A clean is copy-then-switch — a crash in the middle
+    /// leaves the old log — so it leaves no append a crash can tear.
     pub fn clean(&mut self, live: impl Fn(Lba, u32) -> bool) -> (AddrMap<Lba, u32>, u64) {
         let old_blocks = std::mem::take(&mut self.blocks);
         self.stale.clear();
@@ -378,6 +389,7 @@ impl DeltaLog {
         // `entry_locs[i]` is where the i-th appended entry went.
         let lbas: Vec<Lba> = survivors.iter().map(|e| e.lba).collect();
         let report = self.append(survivors);
+        self.seal();
         let locs = lbas.into_iter().zip(report.entry_locs).collect();
         (locs, self.len_blocks())
     }

@@ -322,9 +322,11 @@ impl Icash {
     /// Clean-shutdown flush: staged and dirty deltas go to the log (one
     /// final group commit), and the drive's write-behind cache drains —
     /// cached log appends must reach the media before the flush reports
-    /// completion. (Free without a queue: the cache is always empty.)
+    /// completion. (Free without a queue: the cache is always empty.) A
+    /// returned flush is a barrier: a crash can no longer tear its append.
     pub(crate) fn shutdown_flush(&mut self, now: Ns) -> Ns {
         let t = self.flush_all(now);
+        self.durable.log.seal();
         t.max(self.durable.array.hdd_mut().flush_cache(t))
     }
 

@@ -58,7 +58,8 @@ impl Icash {
         let table = &mut self.volatile.table;
 
         // Phase 0: crash damage. A torn write lands somewhere in the span
-        // of the append that was in flight; the seeded draw keeps every
+        // of the append that was in flight — none once a returned barrier
+        // or a clean sealed the last one; the seeded draw keeps every
         // campaign cell replayable.
         let fault_plan = &self.durable.fault_plan;
         if fault_plan.torn_writes {
@@ -300,22 +301,22 @@ mod tests {
         let backing = ZeroSource;
         let mut ctx = IoCtx::verifying(&backing, &mut cpu);
 
-        // Enough similar traffic that deltas form, then a barrier: the whole
-        // staged buffer lands as ONE multi-entry group-commit append. That
-        // append is what the armed torn-write fault tears at crash time.
+        // Enough similar traffic that deltas form, until the eighth flush
+        // trigger lands the staged buffer as ONE multi-entry group-commit
+        // append. No barrier covers that append, so it is what the armed
+        // torn-write fault tears at crash time.
         let mut t = Ns::ZERO;
         let mut versions: std::collections::HashMap<u64, Vec<BlockBuf>> =
             std::collections::HashMap::new();
-        for i in 0..200u64 {
+        let mut i = 0u64;
+        while sys.stats().group_commits == 0 {
             let lba = i % 40;
             let data = content((i % 251) as u8);
             versions.entry(lba).or_default().push(data.clone());
             let w = Request::write(Lba::new(lba), t, data);
             t = sys.submit(&w, &mut ctx).finished;
+            i += 1;
         }
-        t = sys.flush(t, &mut ctx);
-        let pre = sys.stats();
-        assert!(pre.group_commits > 0, "depth 8 must group-commit");
 
         let mut recovered = sys.crash_and_recover();
         let post = recovered.stats();

@@ -16,16 +16,20 @@
 //!   [`outer_lba`]): shard `lba.offset() % n`, inner offset
 //!   `lba.offset() / n`, VM tag untouched. Consecutive outer blocks land
 //!   on consecutive shards, and one shard's share of a span is a single
-//!   contiguous inner span.
+//!   contiguous inner span ([`stripes`]; of an address universe,
+//!   [`universe_share`]). The router and the `run_scale` campaign both
+//!   stripe through these two functions.
 //! * **Per-shard virtual clocks** never interact inside the router; a
 //!   request's completion is the max over its sub-completions, and
 //!   per-shard event streams are merged with a min-heap ordered by
 //!   `(virtual time, shard id)` ([`merge_streams`]) — the same tie-break
 //!   the harness uses for cell-level determinism.
-//! * **Flush tickets are namespaced per shard**: the router hands out its
-//!   own tickets and remembers, per shard, which shard-local ticket each
-//!   router ticket maps to, so `await_flush` fans out exactly the barriers
-//!   it needs ([`ShardRouter::await_flush`]).
+//! * **A barrier reaches every shard**: the router hands out its own
+//!   tickets, one per written block, and its `await_flush` / `sync` is a
+//!   `sync` of every shard, whatever the router's watermark says
+//!   ([`ShardRouter::await_flush`]). The router's durability watermark
+//!   moves to its acceptance watermark when every shard reports all it
+//!   accepted durable.
 //!
 //! A one-shard router is the identity: requests pass through unsplit,
 //! tracer shard tags stay 0 (serialized identically to untagged events),
@@ -57,6 +61,36 @@ pub fn inner_lba(lba: Lba, shards: u32) -> Lba {
 /// block space.
 pub fn outer_lba(inner: Lba, shard: u32, shards: u32) -> Lba {
     Lba::new(inner.offset() * shards.max(1) as u64 + shard as u64).with_vm(inner.vm_id())
+}
+
+/// Each shard's share of the outer span of `blocks` blocks from `lba`, in
+/// ascending shard order, as `(shard, skew, inner lba, count)`: the share
+/// is every `shards`-th outer block from offset `skew` of the span, and on
+/// the shard it is the `count` inner blocks from `inner lba`. Shards the
+/// span misses are left out.
+pub fn stripes(lba: Lba, blocks: u64, shards: u32) -> impl Iterator<Item = (u32, u64, Lba, u64)> {
+    let n = shards.max(1) as u64;
+    let base = lba.offset();
+    (0..n).filter_map(move |shard| {
+        // First outer offset in [base, base+blocks) owned by `shard`.
+        let skew = (shard + n - base % n) % n;
+        let inner = Lba::new((base + skew) / n).with_vm(lba.vm_id());
+        (skew < blocks).then(|| (shard as u32, skew, inner, (blocks - skew - 1) / n + 1))
+    })
+}
+
+/// Shard `shard`'s slice of an address universe: per `(vm, blocks)` span,
+/// how many of the outer offsets `[0, blocks)` it owns; spans it owns none
+/// of are left out.
+pub fn universe_share(universe: &[(u8, u64)], shards: u32, shard: u32) -> Vec<(u8, u64)> {
+    universe
+        .iter()
+        .filter_map(|&(vm, blocks)| {
+            stripes(Lba::new(0), blocks, shards)
+                .find(|&(owner, ..)| owner == shard)
+                .map(|(.., count)| (vm, count))
+        })
+        .collect()
 }
 
 /// Merges per-shard `(virtual time, item)` streams into one globally
@@ -96,11 +130,6 @@ pub struct ShardRouter<S: StorageSystem = Box<dyn StorageSystem>> {
     /// Router-level acceptance/durability watermarks (one ticket per
     /// written block, mirroring the unsharded systems).
     progress: FlushProgress,
-    /// Per shard, ascending `(router ticket, shard ticket)` pairs: "through
-    /// router ticket R, this shard had accepted its local ticket T". The
-    /// last pair always carries the latest router watermark; fully durable
-    /// prefixes are pruned.
-    fanout: Vec<Vec<(Ticket, Ticket)>>,
 }
 
 impl<S: StorageSystem> ShardRouter<S> {
@@ -112,18 +141,11 @@ impl<S: StorageSystem> ShardRouter<S> {
     pub fn new(shards: Vec<S>) -> Self {
         assert!(!shards.is_empty(), "a router needs at least one shard");
         let name = shards[0].name().to_string();
-        let fanout = vec![Vec::new(); shards.len()];
         ShardRouter {
             shards,
             name,
             progress: FlushProgress::new(),
-            fanout,
         }
-    }
-
-    /// Number of shards.
-    pub fn width(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shards, in shard-id order.
@@ -142,86 +164,41 @@ impl<S: StorageSystem> ShardRouter<S> {
     }
 
     /// Splits one outer request into at most one contiguous sub-request
-    /// per shard; `(shard, request)` in ascending shard order.
-    fn split(&self, req: &Request) -> Vec<(u32, Request)> {
-        let n = self.shards.len() as u64;
-        let base = req.lba.offset();
-        let vm = req.lba.vm_id();
-        let blocks = req.blocks as u64;
-        let mut parts = Vec::new();
-        for shard in 0..n {
-            // First outer offset in [base, base+blocks) owned by `shard`.
-            let skew = (shard + n - base % n) % n;
-            if skew >= blocks {
-                continue;
-            }
-            let count = ((blocks - skew - 1) / n + 1) as u32;
-            let lba = Lba::new((base + skew) / n).with_vm(vm);
-            let sub = match req.op {
-                Op::Read => Request::read_span(lba, count, req.at),
-                Op::Write => {
-                    let payload: Vec<BlockBuf> = (0..count as u64)
-                        .map(|k| req.payload[(skew + k * n) as usize].clone())
-                        .collect();
-                    Request::write_span(lba, req.at, payload)
-                }
-            };
-            parts.push((shard as u32, sub));
-        }
-        parts
+    /// per shard ([`stripes`]); `(shard, request)` in ascending shard order.
+    pub fn split(&self, req: &Request) -> Vec<(u32, Request)> {
+        let n = self.shards.len();
+        stripes(req.lba, req.blocks as u64, n as u32)
+            .map(|(shard, skew, lba, count)| {
+                let sub = match req.op {
+                    Op::Read => Request::read_span(lba, count as u32, req.at),
+                    Op::Write => {
+                        let payload = req.payload[skew as usize..].iter().step_by(n);
+                        Request::write_span(lba, req.at, payload.cloned().collect())
+                    }
+                };
+                (shard, sub)
+            })
+            .collect()
     }
 
-    /// Records the post-write acceptance watermarks: draws one router
-    /// ticket per written block and maps the result onto each shard's
-    /// local watermark.
+    /// Moves the durability watermark to the acceptance watermark once
+    /// every shard has made durable all it accepted. Between barriers the
+    /// router's watermark can trail the exact per-ticket answer; a barrier
+    /// syncs every shard, so after one it is exact.
+    fn settle(&mut self) {
+        let settled = |s: &S| s.flushed_ticket() >= s.write_ticket();
+        if self.shards.iter().all(settled) {
+            let all = self.progress.reserved();
+            self.progress.complete_through(all);
+        }
+    }
+
+    /// Draws one router ticket per written block.
     fn note_write(&mut self, blocks: u32) {
         for _ in 0..blocks {
             self.progress.reserve();
         }
-        let router_ticket = self.progress.reserved();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let shard_ticket = shard.write_ticket();
-            let list = &mut self.fanout[idx];
-            match list.last_mut() {
-                // Shard acceptance unchanged: extend the last pair's
-                // router coverage instead of growing the list.
-                Some(last) if last.1 == shard_ticket => last.0 = router_ticket,
-                _ => list.push((router_ticket, shard_ticket)),
-            }
-        }
-        self.refresh_durability();
-    }
-
-    /// Recomputes the router durability watermark from the shards' own
-    /// flushed watermarks and prunes fully durable fan-out prefixes.
-    fn refresh_durability(&mut self) {
-        let mut durable = self.progress.reserved();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let list = &self.fanout[idx];
-            let Some(&(_, newest)) = list.last() else {
-                continue; // never written: no constraint
-            };
-            let flushed = shard.flushed_ticket();
-            if newest <= flushed {
-                continue; // everything this shard accepted is durable
-            }
-            let covered = list
-                .iter()
-                .rev()
-                .find(|&&(_, shard_ticket)| shard_ticket <= flushed)
-                .map_or(Ticket::ZERO, |&(router_ticket, _)| router_ticket);
-            durable = durable.min(covered);
-        }
-        self.progress.complete_through(durable);
-        let completed = self.progress.completed();
-        for list in &mut self.fanout {
-            // Keep the newest pair at or below the watermark: it still
-            // answers "which local ticket covers router ticket R" for the
-            // next barrier.
-            while list.len() > 1 && list[1].0 <= completed {
-                list.remove(0);
-            }
-        }
+        self.settle();
     }
 }
 
@@ -281,10 +258,7 @@ impl<S: StorageSystem> StorageSystem for ShardRouter<S> {
         for shard in &mut self.shards {
             done = done.max(shard.flush(now, ctx));
         }
-        // A full flush leaves nothing buffered anywhere.
-        let all = self.progress.reserved();
-        self.progress.complete_through(all);
-        self.refresh_durability();
+        self.settle();
         done
     }
 
@@ -296,41 +270,24 @@ impl<S: StorageSystem> StorageSystem for ShardRouter<S> {
         self.progress.completed()
     }
 
-    fn await_flush(&mut self, ticket: Ticket, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
-        if self.progress.is_completed(ticket) {
-            return now;
-        }
+    /// Every shard's full barrier, whatever `ticket` and the router's
+    /// watermark say: a shard's barrier does more than settle tickets (an
+    /// I-CASH shard also drains its drive's write-behind cache and seals
+    /// its last log append against a torn crash), and the router cannot
+    /// tell from its own watermark whether a shard still owes one.
+    fn await_flush(&mut self, _ticket: Ticket, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
         let mut done = now;
-        for idx in 0..self.shards.len() {
-            // The shard-local ticket covering router ticket `ticket`: the
-            // first pair at or past it (coverage pairs are cumulative).
-            let target = {
-                let list = &self.fanout[idx];
-                list.iter()
-                    .find(|&&(router_ticket, _)| router_ticket >= ticket)
-                    .or(list.last())
-                    .map(|&(_, shard_ticket)| shard_ticket)
-            };
-            if let Some(shard_ticket) = target {
-                done = done.max(self.shards[idx].await_flush(shard_ticket, now, ctx));
-            }
+        for shard in &mut self.shards {
+            done = done.max(shard.sync(now, ctx));
         }
-        self.progress.complete_through(ticket);
-        self.refresh_durability();
+        self.settle();
         done
     }
 
     fn preload(&mut self, universe: &[(u8, u64)], ctx: &mut IoCtx<'_>) {
-        let n = self.shards.len() as u64;
+        let n = self.shards.len() as u32;
         for (idx, shard) in self.shards.iter_mut().enumerate() {
-            // Shard `idx`'s share of a span of `blocks` outer offsets:
-            // the count of o in [0, blocks) with o % n == idx.
-            let sub: Vec<(u8, u64)> = universe
-                .iter()
-                .map(|&(vm, blocks)| (vm, (blocks + n - 1 - idx as u64) / n))
-                .filter(|&(_, blocks)| blocks > 0)
-                .collect();
-            shard.preload(&sub, ctx);
+            shard.preload(&universe_share(universe, n, idx as u32), ctx);
         }
     }
 
@@ -368,12 +325,13 @@ mod tests {
     use std::collections::HashMap;
 
     /// A write-through RAM system that records what it saw: enough to
-    /// check striping, reassembly, tickets and preload splitting.
+    /// check striping, reassembly, tickets, barriers and preload splitting.
     #[derive(Debug, Default)]
     struct Probe {
         map: HashMap<Lba, BlockBuf>,
         tickets: WriteThrough,
         submits: Vec<(Op, Lba, u32)>,
+        barriers: u32,
         preloaded: Vec<(u8, u64)>,
         shard_tag: u32,
     }
@@ -419,6 +377,12 @@ mod tests {
 
         fn flushed_ticket(&self) -> Ticket {
             self.tickets.flushed_ticket()
+        }
+
+        /// Write-through: every barrier is free, and counted.
+        fn await_flush(&mut self, _ticket: Ticket, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
+            self.barriers += 1;
+            now
         }
 
         fn preload(&mut self, universe: &[(u8, u64)], _ctx: &mut IoCtx<'_>) {
@@ -487,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn tickets_fan_out_and_settle_across_shards() {
+    fn sync_reaches_every_shard_even_when_the_router_is_settled() {
         let mut r = router(3);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
@@ -503,8 +467,64 @@ mod tests {
         // immediately, so the router watermark follows.
         assert_eq!(r.write_ticket(), Ticket::from_u64(5));
         assert_eq!(r.flushed_ticket(), Ticket::from_u64(5));
+        // Nothing pending: the barrier is free. The router's watermark was
+        // already met, and still every shard took the barrier.
         let end = r.sync(Ns::from_ms(1), &mut ctx);
-        assert_eq!(end, Ns::from_ms(1)); // nothing pending: barrier is free
+        assert_eq!(end, Ns::from_ms(1));
+        let barriers: Vec<u32> = r.shards().iter().map(|s| s.barriers).collect();
+        assert_eq!(barriers, vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn stripes_are_the_identity_at_one_shard() {
+        for (raw, blocks) in [(0u64, 1u64), (7, 25), (12345, 64)] {
+            let lba = Lba::new(raw).with_vm(2);
+            let got: Vec<_> = stripes(lba, blocks, 1).collect();
+            assert_eq!(got, vec![(0, 0, lba, blocks)]);
+        }
+    }
+
+    /// Every block of a span lands in exactly one stripe, on the shard that
+    /// owns it, at the inner address it maps to, `skew` naming the span
+    /// offset of each stripe's first block.
+    #[test]
+    fn stripes_conserve_blocks_and_stripe_correctly() {
+        for n in [2u32, 3, 8, 64] {
+            for base in 0..70u64 {
+                for blocks in 1..=70u64 {
+                    let mut hits = vec![0u32; blocks as usize];
+                    let mut shards = Vec::new();
+                    for (shard, skew, inner, count) in stripes(Lba::new(base).with_vm(1), blocks, n)
+                    {
+                        shards.push(shard);
+                        assert_eq!(inner.vm_id(), 1);
+                        assert_eq!(outer_lba(inner, shard, n), Lba::new(base + skew).with_vm(1));
+                        for k in 0..count {
+                            let outer = outer_lba(Lba::new(inner.offset() + k), shard, n);
+                            assert_eq!(shard_of(outer, n), shard);
+                            hits[(outer.offset() - base) as usize] += 1;
+                        }
+                    }
+                    assert!(shards.windows(2).all(|w| w[0] < w[1]), "ascending shards");
+                    assert!(hits.iter().all(|&h| h == 1), "{n} shards, {base}+{blocks}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn universe_slices_cover_every_block_once() {
+        let universe = [(0u8, 100u64), (3, 7)];
+        for shards in [1u32, 2, 3, 8, 64] {
+            for (vm, blocks) in universe {
+                let total: u64 = (0..shards)
+                    .flat_map(|shard| universe_share(&universe, shards, shard))
+                    .filter(|&(v, _)| v == vm)
+                    .map(|(_, b)| b)
+                    .sum();
+                assert_eq!(total, blocks, "{shards} shards");
+            }
+        }
     }
 
     #[test]

@@ -260,7 +260,10 @@ pub trait StorageSystem: Send {
     /// ticket at or below `ticket` is on stable media, flushing buffered
     /// state if it must. The default covers write-through systems: if the
     /// ticket is already durable this is free, otherwise it falls back to
-    /// a full [`flush`](StorageSystem::flush).
+    /// a full [`flush`](StorageSystem::flush). A
+    /// [`ShardRouter`](crate::shard::ShardRouter) barrier covers every
+    /// shard: it is a [`sync`](StorageSystem::sync) of each, whatever the
+    /// ticket.
     fn await_flush(&mut self, ticket: Ticket, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
         if ticket <= self.flushed_ticket() {
             now

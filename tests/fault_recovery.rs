@@ -33,12 +33,16 @@ fn base_config(depth: u64) -> IcashConfig {
         .build()
 }
 
-fn pipelined_icash(depth: u64) -> Icash {
-    Icash::new(base_config(depth))
-}
+/// Delta-log sizes the torn crash property draws, in blocks: small logs
+/// clean often, so a crash lands after a clean as well as after an append.
+/// (Not 64, `IcashConfig::shard_slice`'s floor: a batch can still overflow
+/// a log that small after its clean — ROADMAP item 4(0).)
+const LOG_BLOCKS: [u64; 3] = [256, 1 << 10, 1 << 14];
 
-fn faulty_icash(seed: u64, rate: f64, depth: u64) -> Icash {
-    pipelined_icash(depth).with_fault_plan(
+fn faulty_icash(seed: u64, rate: f64, depth: u64, log_blocks: u64) -> Icash {
+    let mut cfg = base_config(depth);
+    cfg.log_blocks = log_blocks;
+    Icash::new(cfg).with_fault_plan(
         FaultPlan::seeded(seed)
             .hdd_read_errors(rate)
             .hdd_write_errors(rate)
@@ -83,7 +87,7 @@ proptest! {
         depth_pick in 0usize..3,
     ) {
         let rate = [1e-4, 1e-3, 1e-2][rate_pick];
-        let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick]);
+        let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick], 1 << 14);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
         let mut model = VersionModel::new();
@@ -121,12 +125,14 @@ proptest! {
         }
     }
 
-    /// Crash anywhere — with torn writes, injected faults, and any staging
+    /// Crash anywhere — with torn writes, injected faults, any staging
     /// depth (so up to K tickets are in flight, staged or mid-commit, when
-    /// the power dies): recovery must bring every block back to *some*
-    /// version it held (or report the read failed) — a torn log frame must
-    /// never splice foreign bytes, whether it carried one entry or a whole
-    /// group commit.
+    /// the power dies) and any log size: recovery must bring every block
+    /// back to *some* version it held (or report the read failed), and
+    /// never to one older than the last `flush` / `sync` that returned — a
+    /// torn log frame must never splice foreign bytes, whether it carried
+    /// one entry or a whole group commit, and may tear only an append no
+    /// barrier covered.
     #[test]
     fn crash_with_torn_writes_never_splices(
         ops in icash_ops_strategy(),
@@ -134,9 +140,10 @@ proptest! {
         seed in 0u64..1000,
         rate_pick in 0usize..4,
         depth_pick in 0usize..3,
+        log_pick in 0usize..3,
     ) {
         let rate = [0.0, 1e-4, 1e-3, 1e-2][rate_pick];
-        let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick]);
+        let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick], LOG_BLOCKS[log_pick]);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
         let mut model = VersionModel::new();
@@ -144,17 +151,13 @@ proptest! {
         for op in ops.iter().take(crash_at.min(ops.len())) {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
             op.apply(&mut system, &mut now, &mut ctx, &mut model);
+            if matches!(op, SysOp::Flush | SysOp::Barrier) {
+                model.barrier();
+            }
             system.debug_validate();
         }
         let mut recovered = system.crash_and_recover();
         recovered.debug_validate();
-        // `Allow::Held` without the barrier floor (no `model.barrier()` on
-        // Flush / Barrier above): with `torn_writes()` armed, recovery's
-        // Phase 0 tears the *most recent* log append even when a barrier
-        // covering it had already returned, so a block may legally come
-        // back older than its last `sync` here (DESIGN.md §10). The floor
-        // is enforced where nothing is torn: the last property below, and
-        // `prop_system::icash_crash_anywhere_never_corrupts`.
         for lba in model.written() {
             let req = Request::read(Lba::new(lba), now);
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -163,7 +166,7 @@ proptest! {
             prop_assert!(
                 completion.failed(Lba::new(lba))
                     || model.allows(lba, &completion.data[0], Allow::Held),
-                "lba {lba}: recovered to a value it never held"
+                "lba {lba}: recovered to a value it never held, or behind its barrier"
             );
         }
     }
@@ -173,11 +176,14 @@ proptest! {
     /// plus torn writes on every shard), recover each shard independently
     /// with its own highest-generation-wins replay, and re-assemble the
     /// router. Every outer block must come back as a version *it* held (or
-    /// a reported error) — content is stamped with the outer address, so a
-    /// recovery that spliced state across shards (distinct outer blocks
-    /// share inner slots on different shards) can never pass. (No cold
-    /// sweeps drawn: split over the shards, one stays under each table
-    /// bound.)
+    /// a reported error), never older than the last router `flush` /
+    /// `sync` that returned — content is stamped with the outer address,
+    /// so a recovery that spliced state across shards (distinct outer
+    /// blocks share inner slots on different shards) can never pass. (No
+    /// cold sweeps drawn: split over the shards, one stays under each
+    /// table bound. The log keeps its pinned size: sliced five ways, a
+    /// smaller one reaches `shard_slice`'s 64-block floor — ROADMAP item
+    /// 4(0).)
     #[test]
     fn cross_shard_crash_recovery_never_splices_across_shards(
         ops in ops_strategy(),
@@ -198,10 +204,13 @@ proptest! {
             let mut ctx = IoCtx::new(&backing, &mut cpu);
             let ticket = system.write_ticket();
             op.apply(&mut system, &mut now, &mut ctx, &mut model);
-            prop_assert!(
-                !matches!(op, SysOp::Barrier) || system.flushed_ticket() >= ticket,
-                "cross-shard sync returned with tickets in flight"
-            );
+            if matches!(op, SysOp::Flush | SysOp::Barrier) {
+                prop_assert!(
+                    system.flushed_ticket() >= ticket,
+                    "cross-shard barrier returned with tickets in flight"
+                );
+                model.barrier();
+            }
         }
         // Power dies on every shard at once; each recovers alone, then the
         // router is rebuilt over the survivors.
@@ -220,8 +229,8 @@ proptest! {
             prop_assert!(
                 completion.failed(Lba::new(lba))
                     || model.allows(lba, &completion.data[0], Allow::Held),
-                "outer lba {lba}: recovered to a value it never held \
-                 (possible cross-shard splice)"
+                "outer lba {lba}: recovered to a value it never held, or behind \
+                 its barrier (possible cross-shard splice)"
             );
         }
     }
@@ -229,9 +238,9 @@ proptest! {
     /// The barrier durability contract: any write covered by an
     /// `await_flush`/`sync` that returned before the crash survives it —
     /// recovery may only roll a block forward of its last barrier-covered
-    /// version, never behind it. (Fault-free: the torn-write model tears
-    /// the crash-interrupted append, which is a different, weaker
-    /// contract tested above.) Half the cases run with a RAM pool of a few
+    /// version, never behind it. (No media faults, so every read returns
+    /// data; half the cases arm torn writes, which may tear only an append
+    /// no barrier covered.) Half the cases run with a RAM pool of a few
     /// blocks and the flush interval out of reach, so the log commits when
     /// a delta needs room — inside a write, not between two.
     #[test]
@@ -240,13 +249,16 @@ proptest! {
         crash_at in 0usize..200,
         depth_pick in 0usize..3,
         tight_ram in any::<bool>(),
+        torn in any::<bool>(),
+        seed in 0u64..1000,
     ) {
         let mut cfg = base_config(DEPTHS[depth_pick]);
         if tight_ram {
             cfg.ram_bytes = 64 << 10;
             cfg.flush_interval = 1_000_000;
         }
-        let mut system = Icash::new(cfg);
+        let plan = if torn { FaultPlan::seeded(seed).torn_writes() } else { FaultPlan::none() };
+        let mut system = Icash::new(cfg).with_fault_plan(plan);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
         // The model drops what a completed barrier superseded; `covered`

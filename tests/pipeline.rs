@@ -14,7 +14,8 @@ use icash::core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash::metrics::trace::JsonlSink;
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
-use icash::storage::model::VersionModel;
+use icash::storage::fault::FaultPlan;
+use icash::storage::model::{Allow, VersionModel};
 use icash::storage::request::Request;
 use icash::storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
@@ -331,4 +332,91 @@ fn barriers_complete_tickets() {
             "barrier-ed lba {lba} lost in the crash"
         );
     }
+}
+
+/// Writes `content` to `lba` at `*t`, advancing the clock, and acknowledges
+/// it to `model`.
+fn write_acked(
+    sys: &mut Icash,
+    model: &mut VersionModel,
+    ctx: &mut IoCtx<'_>,
+    t: &mut Ns,
+    lba: u64,
+    content: BlockBuf,
+) {
+    *t = sys
+        .submit(&Request::write(Lba::new(lba), *t, content.clone()), ctx)
+        .finished;
+    model.ack(lba, content);
+}
+
+/// Crashes `sys` with its torn write armed and reads every written block
+/// back: each must hold a version the model still allows — never one older
+/// than the last barrier that returned.
+fn assert_floor_after_torn_crash(sys: Icash, model: &VersionModel, ctx: &mut IoCtx<'_>, t: Ns) {
+    let mut recovered = sys.crash_and_recover();
+    recovered.debug_validate();
+    for lba in model.written() {
+        let c = recovered.submit(&Request::read(Lba::new(lba), t), ctx);
+        assert!(
+            model.allows(lba, &c.data[0], Allow::Held),
+            "lba {lba}: the torn crash rolled it back behind its barrier"
+        );
+    }
+}
+
+/// A returned `sync` seals the append it made: the torn write a crash
+/// simulates lands only on an append no barrier covered, so no synced
+/// block comes back a version old (DESIGN §10).
+#[test]
+fn a_torn_crash_after_sync_keeps_the_synced_version() {
+    for depth in [1, 16] {
+        let cfg = config_builder().group_commit_depth(depth).build();
+        let mut sys = Icash::new(cfg).with_fault_plan(FaultPlan::seeded(31).torn_writes());
+        let backing = ZeroSource;
+        let mut cpu = CpuModel::xeon();
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        let mut model = VersionModel::new();
+        let mut t = Ns::ZERO;
+        for round in 0..3 {
+            for lba in 0..SPAN {
+                let content = payload(lba, round);
+                write_acked(&mut sys, &mut model, &mut ctx, &mut t, lba, content);
+            }
+            t = sys.sync(t, &mut ctx);
+            model.barrier();
+        }
+        assert_floor_after_torn_crash(sys, &model, &mut ctx, t);
+    }
+}
+
+/// A log clean is copy-then-switch: a crash in the middle leaves the old
+/// log, so the clean leaves no append to tear — its compacted image holds
+/// entries a barrier already covered. Synced rounds of large deltas on a
+/// 256-block log until a commit cleans it, then the crash.
+#[test]
+fn a_torn_crash_after_a_clean_keeps_every_synced_version() {
+    const BLOCKS: u64 = 48;
+    let cfg = IcashConfig::builder(1 << 20, 1 << 20, 4 << 20)
+        .scan_interval(1_000_000)
+        .flush_interval(8)
+        .log_blocks(256)
+        .build();
+    let mut sys = Icash::new(cfg).with_fault_plan(FaultPlan::seeded(3).torn_writes());
+    let backing = ZeroSource;
+    let mut cpu = CpuModel::xeon();
+    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+    let mut model = VersionModel::new();
+    let mut t = Ns::ZERO;
+    let mut op = 0;
+    while sys.stats().log_cleans == 0 {
+        let lba = op % BLOCKS;
+        write_acked(&mut sys, &mut model, &mut ctx, &mut t, lba, noisy(lba, op));
+        op += 1;
+        if op % 12 == 0 {
+            t = sys.sync(t, &mut ctx);
+            model.barrier();
+        }
+    }
+    assert_floor_after_torn_crash(sys, &model, &mut ctx, t);
 }
