@@ -254,7 +254,7 @@ impl Icash {
                 let filed = self.volatile.table.is_resident(id, class);
                 assert_eq!(filed, held, "{:?}: {class:?} index is wrong", vb.lba);
             }
-            charged += vb.data_charge + vb.delta.as_ref().map_or(0, |d| d.charge as usize);
+            charged += vb.data_charge as usize + vb.delta.as_ref().map_or(0, |d| d.charge as usize);
             // A resident delta is the one the placement names. It holds the
             // bytes iff they are nowhere else — a dirty one, the dirty set —
             // and a clean one finds them, of the length it was charged for,
@@ -442,7 +442,8 @@ impl Icash {
                     };
                     let delta = self.encode_against(Ns::ZERO, lba, RefSource::Slot(slot), &content);
                     if delta.len() <= self.cfg.delta_threshold {
-                        self.volatile.table.get_mut(rid).dependants += 1;
+                        let dependants = self.volatile.table.get(rid).dependants;
+                        self.volatile.table.set_dependants(rid, dependants + 1);
                         let gen = self.durable.slots.stamp();
                         entries.push(LogEntry::new(lba, cand, gen, delta));
                         pending.push((lba, cand));
@@ -620,11 +621,7 @@ impl StorageSystem for Icash {
                     let (t, res) = self.read_block(lba, req.at, ctx);
                     done = done.max(t);
                     match res {
-                        Ok(content) => {
-                            if ctx.collect_data {
-                                data.push(content);
-                            }
-                        }
+                        Ok(content) => data.extend(content),
                         Err(kind) => {
                             errors.push(BlockError { lba, kind });
                             if ctx.collect_data {

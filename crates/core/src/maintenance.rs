@@ -4,8 +4,10 @@
 
 use crate::controller::Icash;
 use crate::delta_log::LogEntry;
+use crate::placement::zero_block;
 use crate::table::{Resident, VbId};
-use crate::virtual_block::{DeltaHome, Placement, Role, VirtualBlock};
+use crate::virtual_block::{decode, DeltaHome, Placement, Role, VirtualBlock};
+use icash_delta::signature::BlockSignature;
 use icash_storage::block::{Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
 use icash_storage::hash::AddrMap;
@@ -15,6 +17,12 @@ use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
 use std::cmp::Reverse;
+
+/// Line positions one table trim may walk from the LRU tail.
+const TRIM_SPAN: usize = 8_192;
+
+/// Blocks one table trim may evict.
+const TRIM_EVICTIONS: usize = 64;
 
 impl Icash {
     /// Per-I/O bookkeeping: counts toward the flush interval and the scan
@@ -112,11 +120,18 @@ impl Icash {
 
     /// Packs `entries` onto the end of the delta log and writes the new
     /// blocks to the HDD in one sequential operation. Returns the write's
-    /// completion instant and the log block each entry landed in.
-    fn append_to_log(&mut self, now: Ns, entries: Vec<LogEntry>) -> (Ns, Vec<u32>) {
+    /// completion instant and, per entry, the log block it landed in —
+    /// `None` for one [`spill`](Icash::spill) took out of the batch.
+    fn append_to_log(&mut self, now: Ns, mut entries: Vec<LogEntry>) -> (Ns, Vec<Option<u32>>) {
+        let mut landed = vec![true; entries.len()];
+        let mut spilled_at = now;
         // A commit of several staged triggers can outgrow the log's headroom.
         if !self.durable.log.fits(&entries) {
-            self.clean_log(now);
+            self.clean_log(now, &entries);
+            spilled_at = self.spill(&mut entries, &mut landed, now);
+        }
+        if entries.is_empty() {
+            return (spilled_at, vec![None; landed.len()]);
         }
         let n_entries = entries.len() as u32;
         let report = self.durable.log.append(entries);
@@ -140,7 +155,61 @@ impl Icash {
                 blocks,
             },
         });
-        (t, report.entry_locs)
+        let mut locs = report.entry_locs.into_iter();
+        let locs = landed.iter().map(|&l| if l { locs.next() } else { None });
+        (t.max(spilled_at), locs.collect())
+    }
+
+    /// A batch the log cannot take even cleaned (DESIGN.md §12): from its
+    /// back, entries leave it until the rest fits. One no block points at
+    /// any more just goes. One that is its block's current delta goes if
+    /// the block can do without it — an associate, a logged independent, a
+    /// written reference with no associates left — and the content it
+    /// decodes to is written to the block's home position first. Marks
+    /// what left in `landed` (indexed as `entries` came in). Returns when
+    /// the writes it made are done.
+    fn spill(&mut self, entries: &mut Vec<LogEntry>, landed: &mut [bool], now: Ns) -> Ns {
+        let mut done = now;
+        // (Entries leave only at `i`, behind which the indices still match
+        // `landed`'s.)
+        for i in (0..entries.len()).rev() {
+            if self.durable.log.fits(entries) {
+                break;
+            }
+            let lba = entries[i].lba;
+            let current = self.volatile.table.lookup(lba).filter(|&id| {
+                matches!(
+                    self.volatile.table.get(id).placement.delta_home(),
+                    Some(DeltaHome::Dirty | DeltaHome::Staged)
+                )
+            });
+            if let Some(id) = current {
+                let vb = self.volatile.table.get(id);
+                let (base, was_reference) = match vb.placement {
+                    Placement::Associate { reference, .. } => match self.pinned(reference) {
+                        Some((_, slot)) => (self.durable.slots.content(slot), None),
+                        None => continue,
+                    },
+                    Placement::Logged { .. } => (zero_block(), None),
+                    Placement::Reference { slot, .. } if vb.dependants == 0 => {
+                        (self.durable.slots.content(slot), Some(vb.sig))
+                    }
+                    _ => continue,
+                };
+                let content = decode(base, &entries[i].delta);
+                if let Some(sig) = was_reference {
+                    // No longer a reference: out of the index, and signed
+                    // by its content like any other block.
+                    self.volatile.ref_index.remove(lba, &sig);
+                    self.volatile.table.get_mut(id).sig = BlockSignature::of(content.as_slice());
+                }
+                done = done.max(self.write_home_copy(lba, &content, now));
+                self.spill_delta(id, Placement::Home);
+            }
+            landed[i] = false;
+            entries.remove(i);
+        }
+        done
     }
 
     /// Every write accepted up to `watermark` is on stable media.
@@ -166,13 +235,14 @@ impl Icash {
         let (flushed, entries): (Vec<VbId>, Vec<LogEntry>) = self.drain_dirty().into_iter().unzip();
         let (t, locs) = self.append_to_log(now, entries);
         for (id, loc) in flushed.into_iter().zip(locs) {
-            if let Some(home) = self.volatile.table.get_mut(id).placement.delta_home_mut() {
+            let placement = &mut self.volatile.table.get_mut(id).placement;
+            if let (Some(home), Some(loc)) = (placement.delta_home_mut(), loc) {
                 *home = DeltaHome::Log(loc);
             }
         }
         self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
-            self.clean_log(t);
+            self.clean_log(t, &[]);
         }
         t
     }
@@ -230,6 +300,9 @@ impl Icash {
         let lbas: Vec<Lba> = entries.iter().map(|e| e.lba).collect();
         let (t, locs) = self.append_to_log(now, entries);
         for (lba, loc) in lbas.into_iter().zip(locs) {
+            let Some(loc) = loc else {
+                continue;
+            };
             if let Some(id) = self.volatile.table.lookup(lba) {
                 // Skip blocks re-dirtied or superseded since staging; their
                 // newer placement stands.
@@ -252,14 +325,18 @@ impl Icash {
         });
         self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
-            self.clean_log(t);
+            self.clean_log(t, &[]);
         }
         t
     }
 
     /// Compacts the delta log, dropping superseded entries, and rewrites
-    /// the survivors sequentially from the start of the log region.
-    pub(crate) fn clean_log(&mut self, now: Ns) {
+    /// the survivors sequentially from the start of the log region. A clean
+    /// inside a commit names the batch about to be appended, `pending`: a
+    /// block of the batch keeps its newest entry until the batch lands, so
+    /// a crash that tears the append finds the version the batch was to
+    /// supersede (DESIGN.md §12).
+    pub(crate) fn clean_log(&mut self, now: Ns, pending: &[LogEntry]) {
         // The compaction rewrites the log region from the start, so any
         // appends still parked in the drive's write-behind cache must land
         // first — they hold positions the rewrite supersedes. Free without
@@ -284,10 +361,28 @@ impl Icash {
                 expected.insert(lba, loc);
             }
         }
-        let (new_locs, blocks) = self
-            .durable
-            .log
-            .clean(|lba, loc| expected.get(&lba) == Some(&loc));
+        // A pending block the table points nowhere in the log at: its
+        // newest entry, the one recovery would replay.
+        let mut newest: AddrMap<Lba, (u64, u32)> = AddrMap::default();
+        if !pending.is_empty() {
+            let pending: AddrMap<Lba, ()> = pending.iter().map(|e| (e.lba, ())).collect();
+            for loc in 0..self.durable.log.len_blocks() as u32 {
+                for e in &self.durable.log.fetch(loc).entries {
+                    if pending.contains_key(&e.lba) && !expected.contains_key(&e.lba) {
+                        let kept = newest.entry(e.lba).or_insert((e.generation, loc));
+                        if e.generation >= kept.0 {
+                            *kept = (e.generation, loc);
+                        }
+                    }
+                }
+            }
+        }
+        let (new_locs, blocks) = self.durable.log.clean(|lba, loc| {
+            expected
+                .get(&lba)
+                .or_else(|| newest.get(&lba).map(|(_, kept)| kept))
+                == Some(&loc)
+        });
         self.durable.slots.log_cleaned();
         if blocks > 0 {
             let _ = self.hdd_retry(
@@ -403,7 +498,7 @@ impl Icash {
             }
             let (content, sig) = {
                 let vb = self.volatile.table.get(id);
-                (vb.data.clone().expect("checked"), vb.sig)
+                (vb.data.as_ref().expect("checked").block().clone(), vb.sig)
             };
             attempts += 1;
             self.try_bind(id, &content, &sig, now, ctx);
@@ -486,7 +581,12 @@ impl Icash {
                 // churn (each demotion is a mechanical home write) costs
                 // far more than the marginal reference is worth.
                 let s = self.durable.slots.alloc()?;
-                let content = vb.data.clone().expect("promotion needs data");
+                let content = vb
+                    .data
+                    .as_ref()
+                    .expect("promotion needs data")
+                    .block()
+                    .clone();
                 if self.install_slot(lba, s, &content, now).is_err() {
                     // Flash refused the program: skip this promotion.
                     self.durable.slots.unalloc(s);
@@ -595,67 +695,95 @@ impl Icash {
 
     /// Bounds the virtual-block table: evicts persisted blocks from the LRU
     /// tail once the table exceeds its limit, preserving a rebuild pointer
-    /// for content that is not reachable via the home area.
+    /// for content that is not reachable via the home area. At most
+    /// [`TRIM_EVICTIONS`] blocks go, from the first [`TRIM_SPAN`] of the
+    /// line; the walk steps only through the blocks filed evictable, and
+    /// the span still counts every line position — the pinned references it
+    /// steps over and the blocks it evicted included.
     pub(crate) fn reserve_table_slot(&mut self, at: Ns) {
         if self.volatile.table.len() < self.volatile.max_virtual_blocks {
             return;
         }
-        let mut evicted = 0usize;
+        #[cfg(test)]
+        if tests::FULL_TRIM.with(std::cell::Cell::get) {
+            return self.reserve_table_slot_full_line(at);
+        }
+        let Some(tail) = self.volatile.table.newer(None) else {
+            return;
+        };
+        // The block at line position `TRIM_SPAN`, the first the walk may
+        // not reach: found by a popcount once a victim's stamp is far
+        // enough from the tail's for it to matter, and found on the line as
+        // it stands then — less the blocks already evicted, all older.
+        // (Found at the top of every call instead, it costs `hit_read` about
+        // 5 % of its throughput: most trims end long before it matters.)
+        let mut horizon: Option<Option<VbId>> = None;
+        let mut evicted = 0;
         let mut flushed = false;
-        let mut next = self.volatile.table.newer(None);
-        'tail: for _ in 0..8_192 {
-            let Some(id) = next.filter(|_| evicted < 64) else {
+        let mut last = None;
+        while evicted < TRIM_EVICTIONS {
+            let Some(id) = self.volatile.table.next_evictable(last) else {
                 break;
             };
-            // (before `id` can leave the table)
-            next = self.volatile.table.newer(Some(id));
-            let vb = self.volatile.table.get(id);
-            if !vb.evictable() {
-                continue;
-            }
-            // The rebuild pointer the block leaves behind (none: its content
-            // is in the home area).
-            let record = loop {
-                match self.volatile.table.get(id).placement {
-                    Placement::Home => break None,
-                    Placement::Slot { slot } | Placement::Reference { slot, own: None } => {
-                        break Some(Placement::Slot { slot });
-                    }
-                    // A written reference cannot be summarized by a single
-                    // pointer; keep it resident.
-                    Placement::Reference { own: Some(_), .. } => continue 'tail,
-                    logged @ (Placement::Associate {
-                        delta: DeltaHome::Log(_),
-                        ..
-                    }
-                    | Placement::Logged {
-                        delta: DeltaHome::Log(_),
-                    }) => break Some(logged),
-                    // The only copy may be RAM — a dirty delta, or a staged
-                    // one (its clean resident copy is droppable): commit the
-                    // pipeline, once, and look again.
-                    Placement::Associate { .. } | Placement::Logged { .. } if !flushed => {
-                        self.flush_all(at);
-                        flushed = true;
-                    }
-                    // The flush did not reach it: no durable home yet.
-                    Placement::Associate { .. } | Placement::Logged { .. } => continue 'tail,
+            let table = &self.volatile.table;
+            if table.stamp_distance(tail, id) >= TRIM_SPAN {
+                let edge = *horizon.get_or_insert_with(|| table.nth_oldest(TRIM_SPAN - evicted));
+                if edge.is_some_and(|edge| !table.is_older(id, edge)) {
+                    break;
                 }
-            };
-            self.drop_data(id);
-            self.drop_delta(id);
-            let vb = self.volatile.table.get(id);
-            if vb.placement.role() == Role::Reference {
-                let (lba, sig) = (vb.lba, vb.sig);
-                self.volatile.ref_index.remove(lba, &sig);
             }
-            let removed = self.volatile.table.remove(id);
-            debug_assert!(removed.delta.is_none() && removed.data.is_none());
-            if let Some(record) = record {
-                self.volatile.evicted.insert(removed.lba, record);
-            }
-            evicted += 1;
+            last = Some(id);
+            evicted += usize::from(self.trim(id, &mut flushed, at));
         }
+    }
+
+    /// Evicts the evictable block `id` if a rebuild pointer can summarise
+    /// it — committing the pipeline first, once a walk (`flushed`), when
+    /// RAM may hold its only copy. Returns whether it went. Removes no
+    /// other block and moves no stamp, so the walk's cursor stays good.
+    fn trim(&mut self, id: VbId, flushed: &mut bool, at: Ns) -> bool {
+        // The rebuild pointer the block leaves behind (none: its content
+        // is in the home area).
+        let record = loop {
+            match self.volatile.table.get(id).placement {
+                Placement::Home => break None,
+                Placement::Slot { slot } | Placement::Reference { slot, own: None } => {
+                    break Some(Placement::Slot { slot });
+                }
+                // A written reference cannot be summarized by a single
+                // pointer; keep it resident.
+                Placement::Reference { own: Some(_), .. } => return false,
+                logged @ (Placement::Associate {
+                    delta: DeltaHome::Log(_),
+                    ..
+                }
+                | Placement::Logged {
+                    delta: DeltaHome::Log(_),
+                }) => break Some(logged),
+                // The only copy may be RAM — a dirty delta, or a staged
+                // one (its clean resident copy is droppable): commit the
+                // pipeline, once, and look again.
+                Placement::Associate { .. } | Placement::Logged { .. } if !*flushed => {
+                    self.flush_all(at);
+                    *flushed = true;
+                }
+                // The flush did not reach it: no durable home yet.
+                Placement::Associate { .. } | Placement::Logged { .. } => return false,
+            }
+        };
+        self.drop_data(id);
+        self.drop_delta(id);
+        let vb = self.volatile.table.get(id);
+        if vb.placement.role() == Role::Reference {
+            let (lba, sig) = (vb.lba, vb.sig);
+            self.volatile.ref_index.remove(lba, &sig);
+        }
+        let removed = self.volatile.table.remove(id);
+        debug_assert!(removed.delta.is_none() && removed.data.is_none());
+        if let Some(record) = record {
+            self.volatile.evicted.insert(removed.lba, record);
+        }
+        true
     }
 }
 
@@ -663,7 +791,9 @@ impl Icash {
 pub(crate) mod tests {
     use super::*;
     use crate::config::IcashConfig;
-    use crate::read::tests::{lockstep, ops_strategy, Family, SysOp};
+    use crate::read::tests::{lockstep, lockstep_bounded, ops_strategy, Family, SysOp};
+    use crate::table::BlockTable;
+    use icash_delta::signature::BlockSignature;
     use icash_storage::block::BlockBuf;
     use icash_storage::cpu::CpuModel;
     use icash_storage::request::Request;
@@ -675,6 +805,9 @@ pub(crate) mod tests {
         /// Routes [`Icash::promote_popular`] through the rank-all oracle
         /// (this thread's controllers only).
         pub(super) static RANK_ALL: Cell<bool> = const { Cell::new(false) };
+        /// Routes [`Icash::reserve_table_slot`] through the full-line walk
+        /// (this thread's controllers only).
+        pub(crate) static FULL_TRIM: Cell<bool> = const { Cell::new(false) };
         /// Every block [`Icash::promote`] made a reference, in order.
         pub(crate) static PROMOTED: RefCell<Vec<Lba>> = const { RefCell::new(Vec::new()) };
         /// Scans whose promotion loop ran out of SSD slots mid-loop (the
@@ -683,6 +816,25 @@ pub(crate) mod tests {
     }
 
     impl Icash {
+        /// [`Icash::reserve_table_slot`] as it was: walk every line
+        /// position from the LRU tail, testing each block for
+        /// evictability. Kept as the oracle.
+        pub(super) fn reserve_table_slot_full_line(&mut self, at: Ns) {
+            let mut evicted = 0;
+            let mut flushed = false;
+            let mut next = self.volatile.table.newer(None);
+            for _ in 0..TRIM_SPAN {
+                let Some(id) = next.filter(|_| evicted < TRIM_EVICTIONS) else {
+                    break;
+                };
+                // (before `id` can leave the table)
+                next = self.volatile.table.newer(Some(id));
+                if self.volatile.table.get(id).evictable() {
+                    evicted += usize::from(self.trim(id, &mut flushed, at));
+                }
+            }
+        }
+
         /// [`Icash::promote_popular`] as it was: rank every block of the
         /// window with any popularity, then walk the ranking skipping what
         /// cannot be promoted. Kept as the oracle.
@@ -783,6 +935,74 @@ pub(crate) mod tests {
         assert!(STARVED.with(Cell::get) > 0, "no scan ran out of slots");
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Walking only the blocks filed evictable evicts what walking every
+        /// line position did, block for block, whatever the table's bound.
+        #[test]
+        fn the_evictable_walk_matches_the_full_line_trim(
+            ops in ops_strategy(),
+            bound in prop_oneof![Just(4usize), Just(12), Just(24), Just(48)],
+            slots in prop_oneof![Just(6u64), Just(256)],
+            depth in prop_oneof![Just(1u64), Just(4)],
+        ) {
+            let mut cfg = scanning(slots, 0.2);
+            cfg.group_commit_depth = depth;
+            lockstep_bounded(&cfg, &ops, &FULL_TRIM, Some(bound));
+        }
+    }
+
+    /// One trim of a table whose LRU tail is `head` home blocks, then
+    /// `pinned` references with an associate each, then `rest` home blocks
+    /// — through the full-line walk (`full`) or the evictable one. Returns
+    /// the addresses it evicted (all home blocks: they leave no record).
+    fn trim_behind_pinned(head: u64, pinned: u64, rest: u64, full: bool) -> Vec<u64> {
+        let mut sys = Icash::new(scanning(6, 0.2));
+        let sig = BlockSignature::from_raw([0; 8]);
+        let mut table = BlockTable::new();
+        for lba in 0..head + pinned + rest {
+            let mut vb = VirtualBlock::independent(Lba::new(lba), sig);
+            if (head..head + pinned).contains(&lba) {
+                vb.placement = Placement::Reference {
+                    slot: lba,
+                    own: None,
+                };
+                vb.dependants = 1;
+            }
+            table.insert(vb);
+        }
+        sys.volatile.max_virtual_blocks = table.len();
+        sys.volatile.table = table;
+        FULL_TRIM.with(|f| f.set(full));
+        sys.reserve_table_slot(Ns::ZERO);
+        FULL_TRIM.with(|f| f.set(false));
+        sys.volatile.table.validate();
+        (0..head + pinned + rest)
+            .filter(|&l| sys.volatile.table.lookup(Lba::new(l)).is_none())
+            .collect()
+    }
+
+    /// The trim's span counts line positions, not the blocks it may evict:
+    /// past 8 192 pinned references at the tail it evicts nothing, and a
+    /// home block at position 8 191 — behind ten evicted ones and 8 181
+    /// pinned ones — is the last it reaches.
+    #[test]
+    fn the_trim_span_counts_pinned_references_and_evictions() {
+        for (head, pinned, evicted) in [
+            (0, 8_200, vec![]),
+            (0, 8_191, vec![8_191]),
+            (0, 8_192, vec![]),
+            (10, 8_181, (0..10).chain([8_191]).collect()),
+            (10, 8_182, (0..10).collect()),
+        ] {
+            for full in [true, false] {
+                let got = trim_behind_pinned(head, pinned, 20, full);
+                assert_eq!(got, evicted, "{head} + {pinned} pinned, full line {full}");
+            }
+        }
+    }
+
     /// A few hundred bytes of noise in a zero block: logged as a zero-based
     /// delta small enough that nine share one log block.
     fn sparse(lba: u64) -> BlockBuf {
@@ -847,6 +1067,72 @@ pub(crate) mod tests {
             read(&mut sys, &mut ctx, 0) == second,
             "the trim dropped an acknowledged write"
         );
+    }
+
+    /// A commit of written references' own deltas that a cleaned 64-block
+    /// log cannot take (DESIGN.md §12): the references with no associates
+    /// at its back are written home instead — out of the reference index,
+    /// their slots freed behind a tombstone — and every block reads back
+    /// its last write, before and after a crash.
+    #[test]
+    fn a_written_reference_the_log_cannot_take_goes_home() {
+        const REFS: u64 = 80;
+        let cfg = IcashConfig::builder(1 << 20, 4 << 20, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .log_blocks(64)
+            .delta_threshold(3_900)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        // Three thousand bytes of noise over the slot's content: an own
+        // delta that fills a log block alone.
+        let rewrite = |lba: u64| {
+            let mut bytes = sparse(lba).as_slice().to_vec();
+            let mut state = lba + 1;
+            for byte in &mut bytes[400..3_400] {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                *byte = (state >> 56) as u8;
+            }
+            BlockBuf::from_vec(bytes)
+        };
+        for lba in 0..REFS {
+            let w = Request::write(Lba::new(lba), Ns::ZERO, sparse(lba));
+            sys.submit(&w, &mut ctx);
+            let id = sys.volatile.table.lookup(Lba::new(lba)).expect("tracked");
+            sys.promote(id, Ns::ZERO).expect("a free slot");
+        }
+        for lba in 0..REFS {
+            let w = Request::write(Lba::new(lba), Ns::ZERO, rewrite(lba));
+            sys.submit(&w, &mut ctx);
+        }
+        let t = sys.sync(Ns::ZERO, &mut ctx);
+        sys.debug_validate();
+        assert!(sys.stats().log_cleans > 0);
+        let home = (0..REFS)
+            .filter(|&lba| {
+                let id = sys.volatile.table.lookup(Lba::new(lba)).expect("tracked");
+                sys.volatile.table.get(id).placement == Placement::Home
+            })
+            .count();
+        assert!(home > 0, "no written reference went home");
+        let (references, _, _) = sys.volatile.table.role_counts();
+        assert_eq!(sys.volatile.ref_index.len() as u64, references);
+        assert_eq!(references, REFS - home as u64);
+        let check = |sys: &mut Icash, ctx: &mut IoCtx<'_>| {
+            for lba in 0..REFS {
+                let c = sys.submit(&Request::read(Lba::new(lba), t), ctx);
+                assert!(c.data[0] == rewrite(lba), "lba {lba} read back stale");
+            }
+        };
+        check(&mut sys, &mut ctx);
+        let mut recovered = sys.crash_and_recover();
+        recovered.debug_validate();
+        check(&mut recovered, &mut ctx);
     }
 
     /// Log read-ahead hands siblings a clean delta without touching them.

@@ -12,22 +12,27 @@
 
 use crate::controller::Icash;
 use crate::table::{Resident, VbId};
-use crate::virtual_block::{CachedDelta, DeltaHome, Placement, VirtualBlock};
+use crate::virtual_block::{CachedData, CachedDelta, DeltaHome, Placement, VirtualBlock};
 use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
-use icash_storage::block::{BlockBuf, Lba, BLOCK_SIZE};
+use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuOp;
 use icash_storage::request::Op;
 use icash_storage::ssd::SsdError;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
+use std::sync::OnceLock;
 
 /// The pseudo-reference for log-resident independent blocks: their log
 /// entries decode against an all-zero block, so any zero-heavy content
 /// compresses and the rest is stored raw — either way the write rides the
-/// sequential delta log instead of a random home write.
-pub(crate) const ZERO_REF: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+/// sequential delta log instead of a random home write. One shared block,
+/// so a zero-based recipe takes a refcount on it.
+pub(crate) fn zero_block() -> &'static BlockBuf {
+    static ZERO: OnceLock<BlockBuf> = OnceLock::new();
+    ZERO.get_or_init(BlockBuf::zeroed)
+}
 
 /// What a delta is encoded against.
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +55,7 @@ impl Icash {
     ) -> Delta {
         let (slot, base): (u64, &[u8]) = match source {
             RefSource::Slot(slot) => (slot, self.durable.slots.content(slot).as_slice()),
-            RefSource::Zero => (u64::MAX, &ZERO_REF),
+            RefSource::Zero => (u64::MAX, zero_block().as_slice()),
         };
         let delta = self.volatile.codec.encode_shared(base, target.as_bytes());
         let bytes = delta.len() as u32;
@@ -158,11 +163,12 @@ impl Icash {
         let old = table.set_placement(id, to);
         if old.reference() != to.reference() {
             if let Some(rid) = old.reference().and_then(|r| table.lookup(r)) {
-                let rvb = table.get_mut(rid);
-                rvb.dependants = rvb.dependants.saturating_sub(1);
+                let dependants = table.get(rid).dependants;
+                table.set_dependants(rid, dependants.saturating_sub(1));
             }
             if let Some(rid) = to.reference().and_then(|r| table.lookup(r)) {
-                table.get_mut(rid).dependants += 1;
+                let dependants = table.get(rid).dependants;
+                table.set_dependants(rid, dependants + 1);
             }
         }
         old
@@ -179,6 +185,25 @@ impl Icash {
         self.unstage(id);
         if let Some(DeltaHome::Log(loc)) = self.replace_placement(id, to).delta_home() {
             self.durable.log.mark_stale(loc);
+        }
+    }
+
+    /// Moves `id`, whose current delta is in a commit the log cannot take,
+    /// to `to` — its home position, or its own slot — where its content
+    /// has just been written, and lets the delta go (DESIGN.md §12). The
+    /// delta was drained from the dirty set already, so the placement moves
+    /// first: dropping a delta still marked dirty would charge the drain.
+    pub(crate) fn spill_delta(&mut self, id: VbId, to: Placement) {
+        debug_assert_eq!(to.delta_home(), None);
+        self.replace_placement(id, to);
+        self.drop_delta(id);
+        if to == Placement::Home {
+            // The block's older log entries stay on the platter; the
+            // tombstone keeps recovery from replaying them over the home
+            // write.
+            let lba = self.volatile.table.get(id).lba;
+            let left_at = self.durable.slots.stamp();
+            self.discard_slot(lba, Some(left_at));
         }
     }
 
@@ -222,7 +247,7 @@ impl Icash {
     // ------------------------------------------------------------------
 
     /// Caches `content` as `id`'s resident data block, making room first.
-    pub(crate) fn cache_data(&mut self, id: VbId, content: BlockBuf, at: Ns) {
+    pub(crate) fn cache_data(&mut self, id: VbId, content: CachedData, at: Ns) {
         if self.volatile.table.get(id).data.is_some() {
             // Replace in place: the charge is already held.
             self.volatile.table.get_mut(id).data = Some(content);
@@ -234,7 +259,7 @@ impl Icash {
         let charge = self.volatile.pool.alloc_block();
         let vb = self.volatile.table.get_mut(id);
         vb.data = Some(content);
-        vb.data_charge = charge;
+        vb.data_charge = charge as u32;
         self.volatile.table.set_resident(id, Resident::Data, true);
     }
 
@@ -342,7 +367,7 @@ impl Icash {
         if vb.data.take().is_some() {
             let charge = std::mem::take(&mut vb.data_charge);
             self.volatile.table.set_resident(id, Resident::Data, false);
-            self.volatile.pool.free(charge);
+            self.volatile.pool.free(charge as usize);
         }
     }
 }

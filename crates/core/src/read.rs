@@ -3,9 +3,9 @@
 //! delta log, or the HDD home area — with retry and repair on media errors.
 
 use crate::controller::Icash;
-use crate::placement::ZERO_REF;
+use crate::placement::zero_block;
 use crate::table::VbId;
-use crate::virtual_block::{DeltaHome, Placement};
+use crate::virtual_block::{CachedData, DeltaHome, Placement};
 use icash_delta::codec::Delta;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuOp;
@@ -15,9 +15,13 @@ use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
 
-/// The outcome of resolving one block's content: the completion instant
-/// plus either the bytes or the error class reported to the host.
+/// The outcome of reading one block's bytes: the completion instant plus
+/// either the bytes or the error class reported to the host.
 pub(crate) type BlockRead = (Ns, Result<BlockBuf, IoErrorKind>);
+
+/// [`BlockRead`] for a block's content, which a delta-placed block gives
+/// as a recipe ([`CachedData`]).
+pub(crate) type ContentRead = (Ns, Result<CachedData, IoErrorKind>);
 
 /// Packed blocks read per log fetch: one seek already paid, so reading a
 /// short run amortises it over the deltas packed next to the one wanted.
@@ -28,17 +32,45 @@ pub(crate) type BlockRead = (Ns, Result<BlockBuf, IoErrorKind>);
 const READAHEAD: u32 = 16;
 
 impl Icash {
-    pub(crate) fn read_block(&mut self, lba: Lba, at: Ns, ctx: &mut IoCtx<'_>) -> BlockRead {
+    /// Reads `lba`, caching what the resolution produced. The bytes come
+    /// back only under [`IoCtx::collect_data`]: a read nobody collects
+    /// takes no handle on them, and decodes nothing.
+    pub(crate) fn read_block(
+        &mut self,
+        lba: Lba,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> (Ns, Result<Option<BlockBuf>, IoErrorKind>) {
         self.stats.reads += 1;
         let id = self.materialize_vb(lba, at, ctx);
         let sig = self.volatile.table.get(id).sig;
         self.volatile.heatmap.record(&sig);
 
-        let (mut t, res) = self.content_of(id, at, ctx);
-        if let Ok(content) = &res {
-            t += ctx.cpu.charge(CpuOp::Memcpy);
-            self.cache_data(id, content.clone(), at);
-        }
+        let (t, res) = match &self.volatile.table.get(id).data {
+            Some(data) => {
+                let bytes = ctx.collect_data.then(|| data.block().clone());
+                self.stats.ram_hits += 1;
+                self.durable.array.tracer().emit(|| TraceEvent {
+                    at,
+                    kind: TraceKind::RamHit { lba: lba.raw() },
+                });
+                (at, Ok(bytes))
+            }
+            None => {
+                let (t, res) = self.content_of(id, at, ctx);
+                let res = res.map(|content| {
+                    let bytes = ctx.collect_data.then(|| content.block().clone());
+                    self.cache_data(id, content, at);
+                    bytes
+                });
+                (t, res)
+            }
+        };
+        let t = if res.is_ok() {
+            t + ctx.cpu.charge(CpuOp::Memcpy)
+        } else {
+            t
+        };
         self.volatile.table.touch(id);
         self.after_io(at, ctx);
         (t, res)
@@ -103,20 +135,12 @@ impl Icash {
         t
     }
 
-    /// Resolves the current content of a tracked block, charging the device
-    /// and CPU operations the resolution requires. Returns the completion
-    /// instant and the content — or the error class reported to the host
-    /// when retry and repair could not produce the correct bytes.
-    pub(crate) fn content_of(&mut self, id: VbId, at: Ns, ctx: &mut IoCtx<'_>) -> BlockRead {
-        if let Some(data) = self.volatile.table.get(id).data.clone() {
-            let lba = self.volatile.table.get(id).lba;
-            self.stats.ram_hits += 1;
-            self.durable.array.tracer().emit(|| TraceEvent {
-                at,
-                kind: TraceKind::RamHit { lba: lba.raw() },
-            });
-            return (at, Ok(data));
-        }
+    /// Resolves the current content of a tracked block that holds no data
+    /// in RAM, charging the device and CPU operations the resolution
+    /// requires. Returns the completion instant and the content — or the
+    /// error class reported to the host when retry and repair could not
+    /// produce the correct bytes.
+    fn content_of(&mut self, id: VbId, at: Ns, ctx: &mut IoCtx<'_>) -> ContentRead {
         let vb = self.volatile.table.get(id);
         let (placement, lba) = (vb.placement, vb.lba);
         match placement {
@@ -128,13 +152,13 @@ impl Icash {
                 // A written reference needs its own delta applied.
                 let Some(own) = own else {
                     self.note_delta_hit(t, lba);
-                    return (t, Ok(base));
+                    return (t, Ok(CachedData::Ready(base)));
                 };
                 let t = match self.fetch_delta(id, own, t) {
                     (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
                     (t, Err(e)) => return (t, Err(e)),
                 };
-                self.decode_resident(id, base.as_slice(), t)
+                self.decode_resident(id, base, t)
             }
             Placement::Associate { reference, delta } => {
                 let t = match self.fetch_delta(id, delta, at) {
@@ -146,14 +170,14 @@ impl Icash {
                     (t2, Err(e)) => return (t2, Err(e)),
                 };
                 let t3 = t2 + ctx.cpu.charge(CpuOp::DeltaDecode);
-                self.decode_resident(id, base.as_slice(), t3)
+                self.decode_resident(id, base, t3)
             }
             Placement::Slot { slot } => {
                 let (t, res) = self.read_slot(lba, slot, at, ctx);
                 if res.is_ok() {
                     self.note_delta_hit(t, lba);
                 }
-                (t, res)
+                (t, res.map(CachedData::Ready))
             }
             // Log-resident independent: decode against zero.
             Placement::Logged { delta } => {
@@ -161,13 +185,13 @@ impl Icash {
                     (t, Ok(())) => t + ctx.cpu.charge(CpuOp::DeltaDecode),
                     (t, Err(e)) => return (t, Err(e)),
                 };
-                self.decode_resident(id, &ZERO_REF, t)
+                self.decode_resident(id, zero_block().clone(), t)
             }
             Placement::Home => {
                 // A span prefetch may have already paid this block's
                 // mechanical read as part of one batched NCQ submission.
                 if let Some(content) = self.volatile.span_prefetch.remove(&lba) {
-                    return (at, Ok(content));
+                    return (at, Ok(CachedData::Ready(content)));
                 }
                 // A latent sector error here is unrecoverable: the home
                 // copy is the only copy, so the failure is reported rather
@@ -181,27 +205,23 @@ impl Icash {
                     }
                 };
                 self.stats.home_reads += 1;
-                (t, Ok(self.home_content(lba, ctx)))
+                (t, Ok(CachedData::Ready(self.home_content(lba, ctx))))
             }
         }
     }
 
-    /// Decodes `id`'s resident delta against `base`, reporting a contained
-    /// metadata error (instead of panicking) if the delta is missing or
-    /// undecodable — both are invariant violations, so debug builds assert.
-    fn decode_resident(&mut self, id: VbId, base: &[u8], t: Ns) -> BlockRead {
+    /// `id`'s content as the recipe `decode(base, resident delta)`,
+    /// reporting a contained metadata error (instead of panicking) if the
+    /// delta is missing — an invariant violation, so debug builds assert.
+    /// The recipe holds handles, not locations: a later log clean or slot
+    /// reprogram leaves what it decodes to alone.
+    fn decode_resident(&mut self, id: VbId, base: BlockBuf, t: Ns) -> ContentRead {
         let lba = self.volatile.table.get(id).lba;
-        let Some(delta) = self.resident_delta(id) else {
+        let Some(delta) = self.resident_delta(id).cloned() else {
             return self.metadata_error("resident delta missing after fetch", t);
         };
-        let codec = &self.volatile.codec;
-        match BlockBuf::try_edit_copy(base, |out| codec.decode_into(base, delta, out)) {
-            Ok(block) => {
-                self.note_delta_hit(t, lba);
-                (t, Ok(block))
-            }
-            Err(_) => self.metadata_error("resident delta undecodable", t),
-        }
+        self.note_delta_hit(t, lba);
+        (t, Ok(CachedData::recipe(base, delta)))
     }
 
     /// Counts one SSD-fast-path read (the paper's "delta hit") and mirrors
@@ -633,7 +653,7 @@ pub(crate) mod tests {
                         .as_ref()
                         .map(|c| (c.payload.as_ref().map(delta_sum), c.len, c.charge)),
                     sys.resident_delta(id).map(delta_sum),
-                    vb.data.as_ref().map(|b| crc32(b.as_slice())),
+                    vb.data.as_ref().map(|d| crc32(d.block().as_slice())),
                 ))
             })
             .collect();
@@ -672,14 +692,31 @@ pub(crate) mod tests {
         ops: &[SysOp],
         oracle: &'static LocalKey<Cell<bool>>,
     ) -> (crate::stats::IcashStats, u32) {
+        lockstep_bounded(cfg, ops, oracle, None)
+    }
+
+    /// [`lockstep`] with the table bounded at `table_bound` blocks (set
+    /// again after every crash), far below any geometry's own bound.
+    pub(crate) fn lockstep_bounded(
+        cfg: &IcashConfig,
+        ops: &[SysOp],
+        oracle: &'static LocalKey<Cell<bool>>,
+        table_bound: Option<usize>,
+    ) -> (crate::stats::IcashStats, u32) {
         let plan = || FaultPlan {
             torn_writes: true,
             ..FaultPlan::none()
         };
+        let bound = |mut sys: Icash| {
+            if let Some(bound) = table_bound {
+                sys.volatile.max_virtual_blocks = bound;
+            }
+            sys
+        };
         let mut pair = [true, false].map(|oracle| {
             (
                 oracle,
-                Icash::new(cfg.clone()).with_fault_plan(plan()),
+                bound(Icash::new(cfg.clone()).with_fault_plan(plan())),
                 CpuModel::xeon(),
             )
         });
@@ -716,7 +753,7 @@ pub(crate) mod tests {
                     )),
                     SysOp::Crash => {
                         let cold = std::mem::replace(sys, Icash::new(cfg.clone()));
-                        *sys = cold.crash_and_recover();
+                        *sys = bound(cold.crash_and_recover());
                         icash_storage::request::Completion::at(now)
                     }
                 };
@@ -785,6 +822,142 @@ pub(crate) mod tests {
             cfg.group_commit_depth = depth;
             lockstep(&cfg, &ops, &SNAPSHOT_WALK);
         }
+    }
+
+    /// A controller that neither scans nor flushes on its own, and the
+    /// bytes taken from cached blocks so far on this thread.
+    fn quiet() -> Icash {
+        let cfg = IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .build();
+        Icash::new(cfg)
+    }
+
+    fn bytes_read() -> u64 {
+        crate::virtual_block::tests::BYTES_READ.with(Cell::get)
+    }
+
+    /// A RAM hit nobody collects touches neither the cached block's bytes
+    /// nor a handle on them; a collected one takes the bytes once.
+    #[test]
+    fn an_uncollected_ram_hit_takes_no_handle() {
+        let mut sys = quiet();
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let written = block_for(5, 1, Family::Noise);
+        let mut ctx = IoCtx::new(&backing, &mut cpu);
+        sys.submit(
+            &Request::write(Lba::new(5), Ns::ZERO, written.clone()),
+            &mut ctx,
+        );
+        let (hits, taken) = (sys.stats().ram_hits, bytes_read());
+        for _ in 0..3 {
+            let done = sys.submit(&Request::read(Lba::new(5), Ns::ZERO), &mut ctx);
+            assert!(done.data.is_empty() && done.errors.is_empty());
+        }
+        assert_eq!(sys.stats().ram_hits - hits, 3);
+        assert_eq!(bytes_read(), taken, "an uncollected hit read the bytes");
+        ctx.collect_data = true;
+        let done = sys.submit(&Request::read(Lba::new(5), Ns::ZERO), &mut ctx);
+        assert!(done.data == [written]);
+        assert_eq!(bytes_read(), taken + 1);
+    }
+
+    /// Reading an associate caches its recipe and counts the simulated
+    /// decode, but builds no bytes until a collected read asks for them.
+    #[test]
+    fn an_associate_read_decodes_only_when_its_bytes_are_read() {
+        let mut sys = quiet();
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::new(&backing, &mut cpu);
+        let reference = block_for(0, 0, Family::Similar);
+        sys.submit(&Request::write(Lba::new(0), Ns::ZERO, reference), &mut ctx);
+        let rid = sys.volatile.table.lookup(Lba::new(0)).expect("tracked");
+        sys.promote(rid, Ns::ZERO).expect("a free slot");
+        let associate = block_for(1, 9, Family::Similar);
+        let write = Request::write(Lba::new(1), Ns::ZERO, associate.clone());
+        sys.submit(&write, &mut ctx);
+        let id = sys.volatile.table.lookup(Lba::new(1)).expect("tracked");
+        assert_eq!(
+            sys.volatile.table.get(id).placement.reference(),
+            Some(Lba::new(0))
+        );
+        sys.drop_data(id);
+
+        let decodes = sys.stats().delta_hits;
+        let done = sys.submit(&Request::read(Lba::new(1), Ns::ZERO), &mut ctx);
+        assert!(done.errors.is_empty());
+        assert_eq!(
+            sys.stats().delta_hits - decodes,
+            1,
+            "the decode is simulated"
+        );
+        let cached = |sys: &Icash| {
+            let data = sys.volatile.table.get(id).data.as_ref().expect("cached");
+            (matches!(data, CachedData::Recipe(_)), data.is_built())
+        };
+        assert_eq!(cached(&sys), (true, false), "decoded for nobody");
+        ctx.collect_data = true;
+        let done = sys.submit(&Request::read(Lba::new(1), Ns::ZERO), &mut ctx);
+        assert!(done.data == [associate]);
+        assert_eq!(cached(&sys), (true, true));
+        sys.debug_validate();
+    }
+
+    /// A recipe holds handles, not locations: an associate read back from
+    /// the log and cached undecoded still reads the version it was read
+    /// as after its reference's slot is reprogrammed and the log cleaned
+    /// (its entry moved). No controller path rewrites a slot under a live
+    /// associate; the slot store is set directly to stand for one.
+    #[test]
+    fn a_recipe_survives_a_slot_reprogram_and_a_clean() {
+        let mut sys = quiet();
+        let mut cpu = CpuModel::xeon();
+        let backing = ZeroSource;
+        let mut ctx = IoCtx::new(&backing, &mut cpu);
+        let reference = block_for(0, 0, Family::Similar);
+        sys.submit(&Request::write(Lba::new(0), Ns::ZERO, reference), &mut ctx);
+        let rid = sys.volatile.table.lookup(Lba::new(0)).expect("tracked");
+        let slot = sys.promote(rid, Ns::ZERO).expect("a free slot");
+        // Versions of a logged neighbour ahead of the associate's entry,
+        // for the clean to drop.
+        for tag in 0..4 {
+            let req = Request::write(Lba::new(2), Ns::ZERO, block_for(2, tag, Family::Sparse));
+            sys.submit(&req, &mut ctx);
+            sys.flush_all(Ns::ZERO);
+        }
+        let associate = block_for(1, 9, Family::Similar);
+        let write = Request::write(Lba::new(1), Ns::ZERO, associate.clone());
+        sys.submit(&write, &mut ctx);
+        sys.flush_all(Ns::ZERO);
+        let id = sys.volatile.table.lookup(Lba::new(1)).expect("tracked");
+        let logged = sys.volatile.table.get(id).placement.delta_home();
+        assert!(matches!(logged, Some(DeltaHome::Log(_))), "{logged:?}");
+        sys.drop_data(id);
+        sys.drop_delta(id);
+
+        let fetches = sys.stats().log_fetches;
+        sys.submit(&Request::read(Lba::new(1), Ns::ZERO), &mut ctx);
+        assert_eq!(sys.stats().log_fetches - fetches, 1);
+        let data = sys.volatile.table.get(id).data.as_ref().expect("cached");
+        assert!(!data.is_built());
+
+        sys.durable
+            .slots
+            .install(Lba::new(0), slot, BlockBuf::filled(0x5A));
+        let cleans = sys.stats().log_cleans;
+        sys.clean_log(Ns::ZERO, &[]);
+        assert_eq!(sys.stats().log_cleans - cleans, 1);
+        assert_ne!(sys.volatile.table.get(id).placement.delta_home(), logged);
+
+        ctx.collect_data = true;
+        let done = sys.submit(&Request::read(Lba::new(1), Ns::ZERO), &mut ctx);
+        assert!(
+            done.data == [associate],
+            "the recipe decoded something else"
+        );
     }
 
     /// Clean resident deltas claim their bytes at home through a group
@@ -857,7 +1030,7 @@ pub(crate) mod tests {
         assert!(committed
             .iter()
             .all(|h| matches!(h, Some(DeltaHome::Log(_)))));
-        sys.clean_log(Ns::ZERO);
+        sys.clean_log(Ns::ZERO, &[]);
         sys.debug_validate();
         let cleaned = homes(&sys);
         assert!(cleaned.iter().all(|h| matches!(h, Some(DeltaHome::Log(_)))));

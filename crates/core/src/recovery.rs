@@ -201,7 +201,7 @@ impl Icash {
                 if let Placement::Slot { slot } = table.get(id).placement {
                     table.set_placement(id, Placement::Reference { slot, own: None });
                 }
-                table.get_mut(id).dependants = count;
+                table.set_dependants(id, count);
                 self.volatile.ref_index.insert(ref_lba, &sig);
             }
         }

@@ -4,7 +4,8 @@
 //! O(1), ordered by recency for the scanner (head) and the replacement
 //! policies (tail) — which only want the few blocks that hold RAM, so those
 //! are filed by class on the same line, in LRU order
-//! ([`BlockTable::next_resident`]).
+//! ([`BlockTable::next_resident`]). The table trim wants only the blocks it
+//! may evict, filed the same way ([`BlockTable::next_evictable`]).
 
 use crate::virtual_block::{Placement, Role, VirtualBlock};
 use icash_storage::block::Lba;
@@ -19,6 +20,10 @@ pub enum Resident {
     /// A cached delta ([`VirtualBlock::delta`]), dirty or clean.
     Delta,
 }
+
+/// The line class of the blocks [`VirtualBlock::evictable`] allows, after
+/// the [`Resident`] classes.
+const EVICTABLE: usize = 2;
 
 /// Stable handle to a virtual block in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,8 +68,10 @@ pub struct BlockTable {
     /// look up runs of neighbouring addresses.
     by_lba: AddrPages<u32>,
     /// Every tracked block in LRU order, each filed by the [`Resident`]
-    /// classes it holds.
-    line: StampLine<2>,
+    /// classes it holds, and in [`EVICTABLE`] while it is. Whatever can
+    /// change evictability — the role, the dependant count — goes through
+    /// a method here that refiles the block.
+    line: StampLine<3>,
     /// Incremental (references, associates, independents) census,
     /// maintained at insert/remove/[`set_placement`](Self::set_placement) so
     /// `Icash::stats` never walks the table. Cross-checked against a full
@@ -94,7 +101,7 @@ impl BlockTable {
     ///
     /// Panics if the LBA is already tracked.
     pub fn insert(&mut self, vb: VirtualBlock) -> VbId {
-        let lba = vb.lba;
+        let (lba, evictable) = (vb.lba, vb.evictable());
         *self.count_mut(vb.placement.role()) += 1;
         let idx = match self.free.pop() {
             Some(i) => {
@@ -110,6 +117,7 @@ impl BlockTable {
         let tracked = self.by_lba.insert(lba, slab);
         assert!(tracked.is_none(), "lba {lba} already tracked");
         self.line.insert(idx);
+        self.line.set_class(idx, EVICTABLE, evictable);
         VbId(idx)
     }
 
@@ -182,7 +190,27 @@ impl BlockTable {
         let old = std::mem::replace(&mut self.get_mut(id).placement, placement);
         *self.count_mut(old.role()) -= 1;
         *self.count_mut(placement.role()) += 1;
+        self.refile(id);
         old
+    }
+
+    /// Sets how many associates decode against `id`, refiling it as
+    /// evictable or not. (Writing `vb.dependants` directly through
+    /// [`get_mut`](Self::get_mut) would leave the class stale;
+    /// [`validate`](Self::validate) catches that.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale.
+    pub fn set_dependants(&mut self, id: VbId, dependants: u32) {
+        self.get_mut(id).dependants = dependants;
+        self.refile(id);
+    }
+
+    /// Files `id` in [`EVICTABLE`] iff it is evictable.
+    fn refile(&mut self, id: VbId) {
+        let evictable = self.get(id).evictable();
+        self.line.set_class(id.0, EVICTABLE, evictable);
     }
 
     /// Current (references, associates, independents) counts, maintained
@@ -247,6 +275,39 @@ impl BlockTable {
             .map(VbId)
     }
 
+    /// The least recently used evictable block among those more recently
+    /// used than `after` (`None`: among all): the trim's cursor, with
+    /// [`next_resident`](Self::next_resident)'s contract.
+    pub fn next_evictable(&self, after: Option<VbId>) -> Option<VbId> {
+        self.line
+            .next_in_class(EVICTABLE, after.map(|id| id.0))
+            .map(VbId)
+    }
+
+    /// The block `n` positions more recently used than the least recently
+    /// used (0: that block), if that many are tracked.
+    pub fn nth_oldest(&self, n: usize) -> Option<VbId> {
+        self.line.nth_oldest(n).map(VbId)
+    }
+
+    /// Whether `a` was less recently used than `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either handle is stale.
+    pub fn is_older(&self, a: VbId, b: VbId) -> bool {
+        self.line.is_older(self.listed(a), self.listed(b))
+    }
+
+    /// A bound, free to compute, on how many blocks lie between `older`
+    /// and `id` in LRU order, at least their number. Either may have left
+    /// the table since it was handed out (the trim's first victim), as long
+    /// as no block was inserted or touched meanwhile; no slab load checks
+    /// them.
+    pub fn stamp_distance(&self, older: VbId, id: VbId) -> usize {
+        self.line.stamp_distance(older.0, id.0)
+    }
+
     /// Asserts internal consistency (tests/debugging).
     ///
     /// # Panics
@@ -264,11 +325,17 @@ impl BlockTable {
                 "map points at wrong slot"
             );
         }
-        // As many listed slots as mapped ones, each one of them.
+        // As many listed slots as mapped ones, each one of them, filed as
+        // evictable iff it is.
         for idx in self.line.newest_first() {
-            let lba = self.slots[idx].as_ref().map(|vb| vb.lba);
-            let mapped = lba.and_then(|lba| self.lookup(lba));
+            let vb = self.slots[idx].as_ref();
+            let mapped = vb.and_then(|vb| self.lookup(vb.lba));
             assert_eq!(mapped, Some(VbId(idx)), "listed slot {idx} is not tracked");
+            assert_eq!(
+                self.line.in_class(idx, EVICTABLE),
+                vb.is_some_and(VirtualBlock::evictable),
+                "slot {idx}: evictable class is stale"
+            );
         }
         // Cross-check the incremental role census against a full scan.
         let mut scanned = (0u64, 0u64, 0u64);

@@ -14,9 +14,10 @@
 //!   SSD (after an oversized-delta direct write), a zero-based delta, or
 //!   the HDD home area.
 
-use icash_delta::codec::Delta;
+use icash_delta::codec::{Delta, DeltaCodec};
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::{BlockBuf, Lba};
+use std::sync::{Arc, OnceLock};
 
 /// The role a virtual block currently plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,6 +137,71 @@ pub struct CachedDelta {
     pub charge: u32,
 }
 
+/// A block's content cached in RAM (DESIGN.md §9, "Decode on demand"):
+/// its bytes, or what they are built from. A read of a delta-placed block
+/// caches the recipe — a handle on the base it decodes against and one on
+/// its delta, both immutable — and the bytes are built only for a consumer
+/// that reads them ([`block`](Self::block)). The RAM pool charges a whole
+/// block either way: the simulated controller holds the decoded bytes.
+#[derive(Debug, Clone)]
+pub enum CachedData {
+    /// The bytes themselves.
+    Ready(BlockBuf),
+    /// `decode(base, delta)`, built on first use and kept.
+    Recipe(Arc<Recipe>),
+}
+
+/// What [`CachedData::Recipe`] decodes, and what it decoded.
+#[derive(Debug)]
+pub struct Recipe {
+    base: BlockBuf,
+    delta: Delta,
+    decoded: OnceLock<BlockBuf>,
+}
+
+impl CachedData {
+    /// The recipe `decode(base, delta)`: two handles, no walk over the
+    /// delta. Only the encoder builds a [`Delta`], so every one decodes.
+    pub fn recipe(base: BlockBuf, delta: Delta) -> Self {
+        CachedData::Recipe(Arc::new(Recipe {
+            base,
+            delta,
+            decoded: OnceLock::new(),
+        }))
+    }
+
+    /// The block's bytes, decoded on the first call for a recipe.
+    pub fn block(&self) -> &BlockBuf {
+        #[cfg(test)]
+        tests::BYTES_READ.with(|n| n.set(n.get() + 1));
+        match self {
+            CachedData::Ready(block) => block,
+            CachedData::Recipe(recipe) => recipe
+                .decoded
+                .get_or_init(|| decode(&recipe.base, &recipe.delta)),
+        }
+    }
+
+    /// Whether the bytes exist yet: a recipe no consumer has read is not.
+    #[cfg(test)]
+    pub fn is_built(&self) -> bool {
+        match self {
+            CachedData::Ready(_) => true,
+            CachedData::Recipe(recipe) => recipe.decoded.get().is_some(),
+        }
+    }
+}
+
+/// The block `delta` encodes against `base`. Only the encoder builds a
+/// [`Delta`], so every one decodes.
+pub(crate) fn decode(base: &BlockBuf, delta: &Delta) -> BlockBuf {
+    let base = base.as_slice();
+    BlockBuf::try_edit_copy(base, |out| {
+        DeltaCodec::default().decode_into(base, delta, out)
+    })
+    .expect("an encoded delta decodes against its base")
+}
+
 /// Controller metadata for one logical block.
 #[derive(Debug, Clone)]
 pub struct VirtualBlock {
@@ -148,9 +214,9 @@ pub struct VirtualBlock {
     /// which keeps the role census.
     pub placement: Placement,
     /// Cached full content, if resident.
-    pub data: Option<BlockBuf>,
+    pub data: Option<CachedData>,
     /// Pool bytes charged for `data`.
-    pub data_charge: usize,
+    pub data_charge: u32,
     /// The block's delta, if resident: the only copy when the placement
     /// says [`DeltaHome::Dirty`], a droppable claim on its home otherwise.
     pub delta: Option<CachedDelta>,
@@ -181,8 +247,15 @@ impl VirtualBlock {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`CachedData::block`] on this thread: every handle on a
+        /// cached block's bytes is taken through it.
+        pub(crate) static BYTES_READ: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn vb() -> VirtualBlock {
         VirtualBlock::independent(Lba::new(7), BlockSignature::from_raw([0; 8]))
@@ -202,6 +275,20 @@ mod tests {
     fn a_virtual_block_stays_104_bytes() {
         assert_eq!(std::mem::size_of::<Option<CachedDelta>>(), 32);
         assert_eq!(std::mem::size_of::<VirtualBlock>(), 104);
+    }
+
+    /// A recipe decodes once, on first use, to what the codec gives.
+    #[test]
+    fn a_recipe_decodes_once_on_first_use() {
+        let base = BlockBuf::filled(0x11);
+        let mut target = base.as_slice().to_vec();
+        target[7] = 0x22;
+        let delta = DeltaCodec::default().encode(base.as_slice(), &target);
+        let data = CachedData::recipe(base, delta);
+        assert!(!data.is_built());
+        assert_eq!(data.block().as_slice(), &target[..]);
+        assert!(data.is_built());
+        assert!(std::ptr::eq(data.block(), data.block()), "decoded again");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::controller::Icash;
 use crate::placement::RefSource;
 use crate::table::VbId;
-use crate::virtual_block::{DeltaHome, Placement};
+use crate::virtual_block::{CachedData, DeltaHome, Placement};
 use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::{BlockBuf, Lba};
@@ -123,7 +123,7 @@ impl Icash {
 
         // Keep the freshly written content cached and the signature current.
         self.set_written_sig(id, sig);
-        self.cache_data(id, content, at);
+        self.cache_data(id, CachedData::Ready(content), at);
         self.volatile.table.touch(id);
         self.after_io(at, ctx);
         // Reserve the write's flush ticket last: a flush triggered inside

@@ -94,6 +94,24 @@ impl StampSet {
         Some(w * 64 + 63 - self.words[w].leading_zeros() as usize)
     }
 
+    /// The member `n` places above the least (0: the least itself),
+    /// found a word's popcount at a time.
+    fn nth(&self, mut n: usize) -> Option<usize> {
+        let first = self.next_from(0)?;
+        for (w, &word) in self.words.iter().enumerate().skip(first / 64) {
+            let ones = word.count_ones() as usize;
+            if n < ones {
+                let mut bits = word;
+                for _ in 0..n {
+                    bits &= bits - 1;
+                }
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            n -= ones;
+        }
+        None
+    }
+
     /// Members in ascending order.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         std::iter::successors(self.next_from(0), |&s| self.next_from(s + 1))
@@ -275,6 +293,27 @@ impl<const N: usize> StampLine<N> {
     /// behind it are removed.
     pub fn newer(&self, slot: usize) -> Option<usize> {
         self.owner_of(self.live.next_from(self.stamps[slot] as usize + 1))
+    }
+
+    /// The listed slot `n` positions more recently used than the oldest
+    /// (0: the oldest), if that many are listed: a popcount over the stamps
+    /// up to it.
+    pub fn nth_oldest(&self, n: usize) -> Option<usize> {
+        self.owner_of(self.live.nth(n))
+    }
+
+    /// Whether `a` was less recently used than `b`.
+    pub fn is_older(&self, a: usize, b: usize) -> bool {
+        self.stamps[a] < self.stamps[b]
+    }
+
+    /// Stamps handed out from `older`'s to `slot`'s: at least the number of
+    /// slots listed between them, and free to ask — a bound on a walk's
+    /// length in line positions that spares the popcount of
+    /// [`nth_oldest`](Self::nth_oldest) while it is short. Both slots'
+    /// stamps stay readable after they are removed, until a renumber.
+    pub fn stamp_distance(&self, older: usize, slot: usize) -> usize {
+        (self.stamps[slot] as usize).saturating_sub(self.stamps[older] as usize)
     }
 
     /// Listed slots from most to least recently used.

@@ -121,7 +121,8 @@ proptest! {
 
     /// Insert/touch/remove on a [`StampLine`] matches a `VecDeque` recency
     /// model (front = most recent) after every op: `validate`, the oldest
-    /// and newest slot, each slot's `newer`, and the newest-first order. A
+    /// and newest slot, each slot's `newer`, line position (`nth_oldest`,
+    /// bounded by `stamp_distance`), and the newest-first order. A
     /// round is the history, then a quarter as many touches of the oldest
     /// slot (two slots made sure of first), so every round hands out
     /// stamps; rounds repeat until the line has renumbered three times.
@@ -176,7 +177,14 @@ proptest! {
                 for (rank, &slot) in model.iter().enumerate() {
                     let want = rank.checked_sub(1).map(|newer| model[newer]);
                     prop_assert_eq!(line.newer(slot), want);
+                    let position = model.len() - 1 - rank;
+                    prop_assert_eq!(line.nth_oldest(position), Some(slot));
+                    prop_assert!(line.stamp_distance(model[model.len() - 1], slot) >= position);
+                    if let Some(newer) = want {
+                        prop_assert!(line.is_older(slot, newer));
+                    }
                 }
+                prop_assert_eq!(line.nth_oldest(model.len()), None);
             }
         }
     }

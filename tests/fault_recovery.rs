@@ -33,11 +33,11 @@ fn base_config(depth: u64) -> IcashConfig {
         .build()
 }
 
-/// Delta-log sizes the torn crash property draws, in blocks: small logs
-/// clean often, so a crash lands after a clean as well as after an append.
-/// (Not 64, `IcashConfig::shard_slice`'s floor: a batch can still overflow
-/// a log that small after its clean — ROADMAP item 4(0).)
-const LOG_BLOCKS: [u64; 3] = [256, 1 << 10, 1 << 14];
+/// Delta-log sizes the crash properties draw, in blocks: small logs clean
+/// often, so a crash lands after a clean as well as after an append, and
+/// the smallest — `IcashConfig::shard_slice`'s floor — fills with live
+/// entries, so commits it cannot take go home.
+const LOG_BLOCKS: [u64; 4] = [64, 256, 1 << 10, 1 << 14];
 
 fn faulty_icash(seed: u64, rate: f64, depth: u64, log_blocks: u64) -> Icash {
     let mut cfg = base_config(depth);
@@ -140,7 +140,7 @@ proptest! {
         seed in 0u64..1000,
         rate_pick in 0usize..4,
         depth_pick in 0usize..3,
-        log_pick in 0usize..3,
+        log_pick in 0usize..4,
     ) {
         let rate = [0.0, 1e-4, 1e-3, 1e-2][rate_pick];
         let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick], LOG_BLOCKS[log_pick]);
@@ -251,8 +251,10 @@ proptest! {
         tight_ram in any::<bool>(),
         torn in any::<bool>(),
         seed in 0u64..1000,
+        log_pick in 0usize..4,
     ) {
         let mut cfg = base_config(DEPTHS[depth_pick]);
+        cfg.log_blocks = LOG_BLOCKS[log_pick];
         if tight_ram {
             cfg.ram_bytes = 64 << 10;
             cfg.flush_interval = 1_000_000;

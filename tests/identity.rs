@@ -359,6 +359,28 @@ fn closed_loop_emits_no_open_loop_events() {
     );
 }
 
+/// `verify` off ⇒ the same run, summary and trace: a read nobody checks
+/// builds no bytes and takes no handle on them, and nothing the simulation
+/// times or counts may notice.
+#[test]
+fn unverified_reads_render_the_same_summary() {
+    let run = |verify: bool| {
+        let (mut wl, mut model, mut sys, sink) = tpcc();
+        let cfg = DriverConfig {
+            warmup_ops: LOOP_OPS / 4,
+            verify,
+            ..DriverConfig::new(LOOP_OPS).clients(4)
+        };
+        let summary = run_benchmark(&mut sys, &mut wl, &mut model, &cfg);
+        assert!(sys.stats().delta_hits > 0, "the run must decode");
+        let trace = sink.lock().expect("jsonl sink").take_text();
+        (summary.to_json(), trace)
+    };
+    let (verified, unverified) = (run(true), run(false));
+    assert!(verified.0 == unverified.0, "verify changed the summary");
+    assert!(verified.1 == unverified.1, "verify changed the trace");
+}
+
 /// Feature on, kept here as the contrast without which the row above could
 /// pass on a profile that never shows arrivals: the same system driven
 /// open-loop by bursts far faster than it serves queues, and its profile

@@ -285,6 +285,66 @@ fn a_group_commit_larger_than_the_log_headroom_cleans_first() {
     }
 }
 
+/// A block of noise: its delta is the block itself, one to a log block.
+fn incompressible(lba: u64, op: u64) -> BlockBuf {
+    let mut v = noisy(lba, op).as_slice().to_vec();
+    let mut state = (op << 20 | lba).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+    for byte in &mut v[1416..] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *byte = state as u8;
+    }
+    BlockBuf::from_vec(v)
+}
+
+/// A 64-block log — `IcashConfig::shard_slice`'s floor — holding more live
+/// incompressible blocks than it has room for: a commit that still does not
+/// fit once the log is cleaned writes the blocks it cannot take home
+/// (DESIGN.md §12) instead of overflowing the log ("delta log overflow: 65
+/// blocks > capacity 64" before it did). Every block reads back its last
+/// write, before a crash and after recovery.
+#[test]
+fn a_commit_a_cleaned_64_block_log_cannot_take_goes_home() {
+    const BLOCKS: u64 = 96;
+    for depth in [1, 4] {
+        let cfg = IcashConfig::builder(1 << 20, 1 << 20, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(8)
+            .log_blocks(64)
+            .group_commit_depth(depth)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let backing = ZeroSource;
+        let mut cpu = CpuModel::xeon();
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        let mut t = Ns::ZERO;
+        for op in 0..2 * BLOCKS {
+            let lba = op % BLOCKS;
+            let w = Request::write(Lba::new(lba), t, incompressible(lba, op));
+            t = sys.submit(&w, &mut ctx).finished;
+        }
+        t = sys.sync(t, &mut ctx);
+        assert!(sys.stats().log_cleans > 0, "depth {depth}");
+        sys.debug_validate();
+        let mut check = |sys: &mut Icash, t: &mut Ns| {
+            for lba in 0..BLOCKS {
+                let c = sys.submit(&Request::read(Lba::new(lba), *t), &mut ctx);
+                *t = c.finished;
+                let last = incompressible(lba, BLOCKS + lba);
+                assert!(
+                    c.data[0] == last,
+                    "depth {depth}: lba {lba} read back stale"
+                );
+            }
+        };
+        check(&mut sys, &mut t);
+        let mut recovered = sys.crash_and_recover();
+        recovered.debug_validate();
+        check(&mut recovered, &mut t);
+    }
+}
+
 /// The ticket barrier: `await_flush` forces staged writes to stable media,
 /// a second barrier on the same ticket is free, and `sync` covers the
 /// whole pipeline.
