@@ -3,13 +3,14 @@
 # crates/. `./ci.sh` is the merge gate (fmt, clippy, build, every test suite,
 # repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
 # of which announces what it checks as it goes. The gate is the only place a
-# test suite runs: a stage holds what `cargo test` does not — golden diffs of
-# the campaign bins and the ablation tables, trace_profile greps. Every stage
-# is seeded and deterministic, hence blocking in .github/workflows/ci.yml.
+# test suite runs at its own case counts: a stage holds what `cargo test` does
+# not — golden diffs of the campaign bins and the ablation tables,
+# trace_profile greps, the crash suites at 3 000 cases. Every stage is seeded
+# and deterministic, hence blocking in .github/workflows/ci.yml.
 # Host time is measured in one place only, the repo benchmark (BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")"
-STAGES="golden fingerprints scale queue chaos scenarios"
+STAGES="golden fingerprints scale queue chaos scenarios crash"
 
 step() { echo "==> $*"; }
 run() { step "$*" && "$@"; }                     # announce a command, run it
@@ -125,6 +126,13 @@ scenarios)
   done
   grep -q "Open-loop queued" target/trace_profile_burst.txt
   if grep -q "Open-loop" target/trace_profile_closed.txt; then exit 1; fi
+  ;;
+crash)
+  # What every change to the delta log, its barriers or recovery runs: the
+  # crash properties (torn writes, group commit, 64-block logs, two crashes)
+  # at 3 000 cases each, optimised.
+  step "crash properties at PROPTEST_CASES=3000: fault_recovery, crash_recovery"
+  PROPTEST_CASES=3000 cargo test -q --release --test fault_recovery --test crash_recovery
   ;;
 gate)
   run cargo fmt --check

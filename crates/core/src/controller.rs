@@ -215,15 +215,28 @@ impl Icash {
         s
     }
 
+    /// A log entry a placement names holds its payload: the log releases
+    /// only entries no placement names.
+    fn validate_logged(&self, lba: Lba, placement: Placement) {
+        if let Some(DeltaHome::Log(loc)) = placement.delta_home() {
+            let entry = self.durable.log.entry(loc, lba);
+            assert!(
+                entry.and_then(LogEntry::delta).is_some(),
+                "{lba:?}: log block {loc} holds no payload for it"
+            );
+        }
+    }
+
     /// Asserts internal invariants (tests/debugging).
     ///
     /// # Panics
     ///
     /// Panics if the virtual-block table is corrupted, a slot's ownership is
     /// ambiguous, the residency index, the pool or the dirty set disagree
-    /// with what the blocks hold, or a clean resident delta's bytes are not
-    /// where its placement says. (That a block has one placement, and a
-    /// legal one, the [`Placement`] type says.)
+    /// with what the blocks hold, a clean resident delta's bytes are not
+    /// where its placement says, or the delta log released a payload a
+    /// placement or a recovery could still reach. (That a block has one
+    /// placement, and a legal one, the [`Placement`] type says.)
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         self.volatile.table.validate();
@@ -272,9 +285,21 @@ impl Icash {
                     assert_eq!(n, 1, "{:?}: {n} entries in log block {loc}", vb.lba);
                 }
             }
+            // A dirty home holds its delta: a block moves there first and
+            // gets the delta next, inside one `store_delta`.
             let dirty = self.volatile.dirty.contains(&id.index());
-            let ram_only = home == Some(DeltaHome::Dirty) && vb.delta.is_some();
-            assert_eq!(dirty, ram_only, "{:?}: dirty set is wrong", vb.lba);
+            assert_eq!(
+                dirty,
+                home == Some(DeltaHome::Dirty),
+                "{:?}: dirty set is wrong",
+                vb.lba
+            );
+            assert!(
+                !dirty || vb.delta.is_some(),
+                "{:?}: dirty, with no delta",
+                vb.lba
+            );
+            self.validate_logged(vb.lba, vb.placement);
             owners.extend(vb.placement.slot().map(|slot| (vb.lba, slot)));
         }
         // A block is tracked or evicted, never both: `clean_log` builds its
@@ -284,8 +309,10 @@ impl Icash {
         for (lba, placement) in self.volatile.evicted.iter() {
             let tracked = self.volatile.table.lookup(lba);
             assert!(tracked.is_none(), "{lba:?}: both tracked and evicted");
+            self.validate_logged(lba, *placement);
             owners.extend(placement.slot().map(|slot| (lba, slot)));
         }
+        self.durable.log.validate();
         for &lba in self.volatile.released.keys() {
             owners.extend(self.durable.slots.pin(lba).map(|slot| (lba, slot)));
         }

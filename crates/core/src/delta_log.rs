@@ -14,10 +14,19 @@
 //! front (a simple log-structured cleaner in the spirit of the paper's
 //! cited log-disk designs).
 
-use icash_delta::codec::Delta;
+use icash_delta::codec::{Delta, Encoding};
 use icash_storage::block::{Lba, BLOCK_SIZE};
-use icash_storage::fault::Crc32;
+use icash_storage::fault::{crc32_shift, Crc32};
 use icash_storage::hash::AddrMap;
+use std::cell::Cell;
+
+thread_local! {
+    /// Keeps every payload the log would release (this thread's logs
+    /// only): the lockstep oracle for the release rule, which must change
+    /// no read, live or recovered.
+    #[doc(hidden)]
+    pub static KEEP_PAYLOADS: Cell<bool> = const { Cell::new(false) };
+}
 
 /// One delta stored in the log: which block it patches, which reference it
 /// decodes against, and the patch itself. Entries are self-describing so
@@ -29,6 +38,11 @@ use icash_storage::hash::AddrMap;
 /// frames (truncating the log at the first bad one) and the generation to
 /// refuse stale entries for a block whose slot-directory record is newer —
 /// a reused SSD slot must never resurrect old data.
+///
+/// An entry no read and no recovery can reach any more gives up its
+/// payload ([`DeltaLog`]'s release rule) and keeps its framing: the length
+/// and encoding tag it packs with, and the payload's checksum, so its
+/// header still verifies. Only [`LogEntry::delta`] hands out the payload.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
     /// The logical block this delta reconstructs.
@@ -40,38 +54,104 @@ pub struct LogEntry {
     pub generation: u64,
     /// CRC32 over the framed fields and the delta payload.
     pub crc: u32,
-    /// The delta payload.
-    pub delta: Delta,
+    payload: Payload,
+}
+
+/// What an entry keeps of its delta.
+#[derive(Debug, Clone)]
+enum Payload {
+    Held(Delta),
+    /// Released: the tag and length it is framed with, and the CRC32 of the
+    /// bytes that are gone.
+    Released {
+        encoding: Encoding,
+        len: u32,
+        crc: u32,
+    },
 }
 
 impl LogEntry {
     /// Frames an entry: the CRC is computed over the addressing fields, the
     /// generation, the encoding tag, and the delta payload.
     pub fn new(lba: Lba, reference: Lba, generation: u64, delta: Delta) -> Self {
-        let crc = Self::frame_crc(lba, reference, generation, &delta);
+        let mut c = Self::header_crc(lba, reference, generation, delta.encoding());
+        c.update(delta.payload());
         LogEntry {
             lba,
             reference,
             generation,
-            crc,
-            delta,
+            crc: c.finish(),
+            payload: Payload::Held(delta),
         }
     }
 
-    fn frame_crc(lba: Lba, reference: Lba, generation: u64, delta: &Delta) -> u32 {
+    /// The running checksum over everything framed before the payload.
+    fn header_crc(lba: Lba, reference: Lba, generation: u64, encoding: Encoding) -> Crc32 {
         let mut c = Crc32::new();
         c.update(&lba.raw().to_le_bytes());
         c.update(&reference.raw().to_le_bytes());
         c.update(&generation.to_le_bytes());
-        c.update(&[delta.encoding() as u8]);
-        c.update(delta.payload());
-        c.finish()
+        c.update(&[encoding as u8]);
+        c
+    }
+
+    /// The delta, unless the log has released it.
+    pub fn delta(&self) -> Option<&Delta> {
+        match &self.payload {
+            Payload::Held(delta) => Some(delta),
+            Payload::Released { .. } => None,
+        }
+    }
+
+    /// The payload's encoding tag.
+    fn encoding(&self) -> Encoding {
+        match &self.payload {
+            Payload::Held(delta) => delta.encoding(),
+            &Payload::Released { encoding, .. } => encoding,
+        }
+    }
+
+    /// The payload's length in bytes, held or released.
+    pub fn payload_len(&self) -> usize {
+        match &self.payload {
+            Payload::Held(delta) => delta.len(),
+            &Payload::Released { len, .. } => len as usize,
+        }
     }
 
     /// Whether the stored CRC matches the entry's content (a torn or
-    /// corrupted frame fails this).
+    /// corrupted frame fails this). A released entry checks its header
+    /// against the payload checksum it kept: CRC32 is linear, so the
+    /// frame's checksum is the header's carried past the payload length,
+    /// XOR the payload's.
     pub fn verify(&self) -> bool {
-        self.crc == Self::frame_crc(self.lba, self.reference, self.generation, &self.delta)
+        let header = Self::header_crc(self.lba, self.reference, self.generation, self.encoding());
+        match &self.payload {
+            Payload::Held(delta) => {
+                let mut c = header;
+                c.update(delta.payload());
+                self.crc == c.finish()
+            }
+            &Payload::Released { len, crc, .. } => {
+                self.crc == crc32_shift(header.finish(), len as usize) ^ crc
+            }
+        }
+    }
+
+    /// Drops the payload, keeping its checksum — derived from the frame's,
+    /// with no pass over the bytes. Returns the bytes released.
+    fn release(&mut self) -> usize {
+        let Payload::Held(delta) = &self.payload else {
+            return 0;
+        };
+        let (encoding, len) = (delta.encoding(), delta.len());
+        let header = Self::header_crc(self.lba, self.reference, self.generation, encoding);
+        self.payload = Payload::Released {
+            encoding,
+            len: len as u32,
+            crc: self.crc ^ crc32_shift(header.finish(), len),
+        };
+        len
     }
 
     /// On-disk size of this entry: LBA varint + reference varint + length
@@ -82,10 +162,12 @@ impl LogEntry {
     /// keeps packing density — and with it every timing and flush count the
     /// experiment tables pin — identical to the unframed layout.
     pub fn wire_len(&self) -> usize {
+        let len = self.payload_len();
         varint_len(self.lba.raw())
             + varint_len(self.reference.raw())
-            + varint_len(self.delta.len() as u64)
-            + self.delta.wire_len()
+            + varint_len(len as u64)
+            + 1
+            + len
     }
 }
 
@@ -117,6 +199,21 @@ pub struct AppendReport {
 }
 
 /// The append-only packed delta log.
+///
+/// # Releasing payloads
+///
+/// The log keeps an entry's payload only while a read or a recovery can
+/// reach it. A crash tears at most the last append no barrier sealed
+/// ([`DeltaLog::last_append_span`]), and recovery replays each block's
+/// highest generation. So once a newer entry for the same block sits in a
+/// *sealed* append — one another append, a [`seal`](DeltaLog::seal) or a
+/// clean came after — the older entry is never replayed; and it was marked
+/// stale when its block left it ([`DeltaLog::mark_stale`]), so no placement
+/// names it. Its bytes go, its framing stays: packing, cleaning,
+/// truncation and verification see the entry they saw. Which stale entries
+/// wait for a sealed successor is RAM state: a crash forgets it
+/// ([`DeltaLog::restart`]) and so does a clean, and an entry it forgets
+/// keeps its bytes until a clean drops it.
 ///
 /// # Examples
 ///
@@ -151,6 +248,14 @@ pub struct DeltaLog {
     /// crash-time torn write can land in. Empty once a barrier has returned
     /// after it ([`DeltaLog::seal`]) or a clean has rewritten the log.
     last_append: (u32, u32),
+    /// Stale entries still holding their payload, by address: the log
+    /// block of each, waiting for a newer entry of its block.
+    stale_held: AddrMap<Lba, u32>,
+    /// `(log block, address)` of held entries a newer entry in the last
+    /// append superseded: released when that append is sealed.
+    superseded: Vec<(u32, Lba)>,
+    /// Payload bytes the log's entries hold.
+    held_bytes: u64,
 }
 
 impl DeltaLog {
@@ -168,6 +273,9 @@ impl DeltaLog {
             total_entries: 0,
             stale_entries: 0,
             last_append: (0, 0),
+            stale_held: AddrMap::default(),
+            superseded: Vec::new(),
+            held_bytes: 0,
         }
     }
 
@@ -199,7 +307,13 @@ impl DeltaLog {
         self.total_entries - self.stale_entries
     }
 
+    /// Payload bytes the log's entries still hold (released ones hold none).
+    pub fn held_payload_bytes(&self) -> u64 {
+        self.held_bytes
+    }
+
     /// Packs `entries` into as few 4 KB blocks as possible and appends them.
+    /// The append before it is sealed now: a crash can tear only this one.
     ///
     /// # Panics
     ///
@@ -207,10 +321,15 @@ impl DeltaLog {
     /// first) or `entries` is empty.
     pub fn append(&mut self, entries: Vec<LogEntry>) -> AppendReport {
         assert!(!entries.is_empty(), "nothing to append");
+        self.release_superseded();
         let first_block = self.blocks.len() as u64;
         let mut entry_locs = Vec::with_capacity(entries.len());
         let mut current = PackedBlock::default();
         for entry in entries {
+            if let Some(older) = self.stale_held.remove(&entry.lba) {
+                self.superseded.push((older, entry.lba));
+            }
+            self.held_bytes += entry.delta().map_or(0, Delta::len) as u64;
             let len = entry.wire_len();
             if !current.entries.is_empty() && current.bytes + len > BLOCK_SIZE {
                 self.push_block(std::mem::take(&mut current));
@@ -251,6 +370,35 @@ impl DeltaLog {
     /// tearable again.
     pub fn seal(&mut self) {
         self.last_append.1 = 0;
+        self.release_superseded();
+    }
+
+    /// Power came back: which stale entries wait for a sealed successor was
+    /// RAM state, and is gone. Every entry still holding its payload keeps
+    /// it until a clean drops the entry.
+    pub fn restart(&mut self) {
+        self.stale_held.clear();
+        self.superseded.clear();
+    }
+
+    /// Releases the entries the last append superseded: it is sealed.
+    fn release_superseded(&mut self) {
+        for (loc, lba) in std::mem::take(&mut self.superseded) {
+            self.release(loc, lba);
+        }
+    }
+
+    /// Releases the payload of `lba`'s entry in block `loc`, if it is there.
+    fn release(&mut self, loc: u32, lba: Lba) {
+        if KEEP_PAYLOADS.with(Cell::get) {
+            return;
+        }
+        let Some(block) = self.blocks.get_mut(loc as usize) else {
+            return;
+        };
+        if let Some(entry) = block.entries.iter_mut().find(|e| e.lba == lba) {
+            self.held_bytes -= entry.release() as u64;
+        }
     }
 
     /// Simulates a torn write: block `loc` was partially written (its torn
@@ -300,8 +448,7 @@ impl DeltaLog {
         // count is clamped so diagnostics cannot exceed what remains.
         let kept = self.blocks[loc as usize].entries.len() as u32;
         self.stale[loc as usize] = self.stale[loc as usize].min(kept);
-        self.total_entries = self.blocks.iter().map(|b| b.entries.len() as u64).sum();
-        self.stale_entries = self.stale.iter().map(|&s| s as u64).sum();
+        self.recount();
         (frames_after, torn_entries)
     }
 
@@ -310,8 +457,7 @@ impl DeltaLog {
     pub fn truncate_from(&mut self, loc: u32) {
         self.blocks.truncate(loc as usize);
         self.stale.truncate(loc as usize);
-        self.total_entries = self.blocks.iter().map(|b| b.entries.len() as u64).sum();
-        self.stale_entries = self.stale.iter().map(|&s| s as u64).sum();
+        self.recount();
         let (first, count) = self.last_append;
         if (first + count) as usize > self.blocks.len() {
             self.last_append = (
@@ -319,6 +465,17 @@ impl DeltaLog {
                 (self.blocks.len() as u32).saturating_sub(first),
             );
         }
+    }
+
+    /// Recomputes the entry and byte counts from the blocks that remain.
+    fn recount(&mut self) {
+        let entries = || self.blocks.iter().flat_map(|b| &b.entries);
+        self.total_entries = entries().count() as u64;
+        self.held_bytes = entries()
+            .filter_map(LogEntry::delta)
+            .map(|d| d.len() as u64)
+            .sum();
+        self.stale_entries = self.stale.iter().map(|&s| s as u64).sum();
     }
 
     /// The first block whose frame fails verification — torn, or holding an
@@ -352,15 +509,58 @@ impl DeltaLog {
         block.entries.iter().find(|e| e.lba == lba)
     }
 
-    /// Marks one entry of block `loc` superseded (a newer delta for its LBA
-    /// exists elsewhere).
+    /// Marks `lba`'s entry in block `loc` superseded: its block has left
+    /// it, and no placement names it any more. Its payload goes once a
+    /// newer entry of `lba` is in a sealed append — an older stale entry
+    /// of `lba` goes on the same terms, this entry being newer.
     ///
     /// # Panics
     ///
     /// Panics if `loc` is out of range.
-    pub fn mark_stale(&mut self, loc: u32) {
+    pub fn mark_stale(&mut self, loc: u32, lba: Lba) {
         self.stale[loc as usize] += 1;
         self.stale_entries += 1;
+        if let Some(older) = self.stale_held.insert(lba, loc) {
+            debug_assert!(older < loc, "{lba:?}: stale at {older}, then at {loc}");
+            let (first, count) = self.last_append;
+            if (first..first + count).contains(&loc) {
+                self.superseded.push((older, lba));
+            } else {
+                self.release(older, lba);
+            }
+        }
+    }
+
+    /// Checks the byte count, and that every released entry has a newer
+    /// entry of its block in a sealed append — the one recovery replays
+    /// instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn validate(&self) {
+        let (first, count) = self.last_append;
+        let mut newest_sealed: AddrMap<Lba, u64> = AddrMap::default();
+        let mut held = 0;
+        for (loc, block) in (0u32..).zip(&self.blocks) {
+            for e in &block.entries {
+                held += e.delta().map_or(0, |d| d.len() as u64);
+                if !(first..first + count).contains(&loc) {
+                    let newest = newest_sealed.entry(e.lba).or_insert(e.generation);
+                    *newest = (*newest).max(e.generation);
+                }
+            }
+        }
+        assert_eq!(held, self.held_bytes, "held payload bytes");
+        for (loc, block) in (0u32..).zip(&self.blocks) {
+            for e in block.entries.iter().filter(|e| e.delta().is_none()) {
+                assert!(
+                    newest_sealed.get(&e.lba).is_some_and(|&g| g > e.generation),
+                    "{:?}: released in block {loc} with no newer sealed entry",
+                    e.lba
+                );
+            }
+        }
     }
 
     /// Compacts the log, keeping only entries for which `live` returns
@@ -374,6 +574,8 @@ impl DeltaLog {
         self.stale.clear();
         self.total_entries = 0;
         self.stale_entries = 0;
+        self.held_bytes = 0;
+        self.restart();
 
         let mut survivors = Vec::new();
         for (id, block) in old_blocks.into_iter().enumerate() {
@@ -457,8 +659,8 @@ mod tests {
         let r1 = log.append((0..20).map(|i| entry(i, 500)).collect());
         let _r2 = log.append((0..20).map(|i| entry(i, 500)).collect());
         let before = log.len_blocks();
-        for loc in &r1.entry_locs {
-            log.mark_stale(*loc);
+        for (lba, loc) in (0..).zip(&r1.entry_locs) {
+            log.mark_stale(*loc, Lba::new(lba));
         }
         // Only generation-2 entries are live (their block ids are ≥ r1 end).
         let boundary = r1.entry_locs.iter().copied().max().unwrap();
@@ -618,13 +820,177 @@ mod tests {
 
     #[test]
     fn frames_verify_and_detect_tampering() {
-        let mut e = entry(7, 300);
-        assert!(e.verify());
-        e.generation += 1; // stale-entry forgery: stamp moved without reframe
-        assert!(!e.verify());
-        let mut e2 = entry(8, 300);
-        e2.lba = Lba::new(9); // misdirected frame
-        assert!(!e2.verify());
+        for released in [false, true] {
+            let framed = |lba| {
+                let mut e = entry(lba, 300);
+                if released {
+                    assert!(e.release() > 0);
+                }
+                e
+            };
+            let mut e = framed(7);
+            assert!(e.verify(), "released: {released}");
+            e.generation += 1; // stale-entry forgery: stamp moved without reframe
+            assert!(!e.verify(), "released: {released}");
+            let mut e2 = framed(8);
+            e2.lba = Lba::new(9); // misdirected frame
+            assert!(!e2.verify(), "released: {released}");
+            let mut e3 = framed(10);
+            e3.reference = Lba::new(7); // rebound to another reference
+            assert!(!e3.verify(), "released: {released}");
+            let mut e4 = framed(11);
+            e4.crc ^= 1 << 20;
+            assert!(!e4.verify(), "released: {released}");
+        }
+    }
+
+    /// A released entry keeps what its frame is made of: the pinned frame
+    /// CRCs, the packed length and tag, and a header that verifies — the
+    /// payload checksum derived from the frame's without the bytes.
+    #[test]
+    fn a_released_entry_keeps_its_frame() {
+        for (at, run) in [(0, 0), (100, 297), (200, 2496), (0, BLOCK_SIZE)] {
+            let delta = if run == 0 {
+                Delta::identity()
+            } else {
+                delta_with_run(at, run)
+            };
+            let mut e = LogEntry::new(
+                Lba::new(0x1234).with_vm(3),
+                Lba::new(77),
+                1 << 40,
+                delta.clone(),
+            );
+            let (crc, wire_len) = (e.crc, e.wire_len());
+            assert_eq!(e.release(), delta.len());
+            assert_eq!(e.release(), 0, "released once");
+            assert!(e.delta().is_none());
+            assert_eq!((e.crc, e.wire_len()), (crc, wire_len));
+            assert_eq!(
+                (e.payload_len(), e.encoding()),
+                (delta.len(), delta.encoding())
+            );
+            assert!(e.verify(), "{run}-byte run");
+        }
+    }
+
+    /// A released payload leaves room for its framing: the entry stays as
+    /// large as the delta it held.
+    #[test]
+    fn a_payload_costs_an_entry_no_bytes() {
+        assert_eq!(std::mem::size_of::<Payload>(), std::mem::size_of::<Delta>());
+    }
+
+    /// Superseded entries of `lbas`: the first append's, marked stale and
+    /// then rewritten by a second append, which nothing has sealed yet.
+    fn superseded(lbas: std::ops::Range<u64>) -> (DeltaLog, AppendReport) {
+        let mut log = DeltaLog::new(100);
+        let first = log.append(lbas.clone().map(|i| entry(i, 500)).collect());
+        for (lba, loc) in lbas.clone().zip(&first.entry_locs) {
+            log.mark_stale(*loc, Lba::new(lba));
+        }
+        let newer =
+            |i: u64| LogEntry::new(Lba::new(i), Lba::new(i + 1000), i + 100, delta_of_size(500));
+        log.append(lbas.map(newer).collect());
+        (log, first)
+    }
+
+    fn held(log: &DeltaLog, report: &AppendReport) -> usize {
+        let lbas = 0u64..;
+        let held = |(lba, &loc): (u64, &u32)| {
+            log.entry(loc, Lba::new(lba))
+                .and_then(LogEntry::delta)
+                .is_some()
+        };
+        lbas.zip(&report.entry_locs).filter(|&e| held(e)).count()
+    }
+
+    /// A stale entry's payload goes when a newer entry of its block is
+    /// sealed — by a barrier, or by the next append — and not before; its
+    /// frame stays and verifies.
+    #[test]
+    fn a_stale_entry_is_released_once_its_successor_is_sealed() {
+        for seal_by_append in [false, true] {
+            let (mut log, first) = superseded(0..8);
+            assert_eq!(held(&log, &first), 8, "the successors can still tear");
+            assert_eq!(
+                log.held_payload_bytes(),
+                16 * delta_of_size(500).len() as u64
+            );
+            log.validate();
+            if seal_by_append {
+                log.append(vec![entry(50, 40)]);
+            } else {
+                log.seal();
+            }
+            assert_eq!(held(&log, &first), 0);
+            let live = 8 * delta_of_size(500).len()
+                + if seal_by_append {
+                    delta_of_size(40).len()
+                } else {
+                    0
+                };
+            assert_eq!(log.held_payload_bytes(), live as u64);
+            assert_eq!(log.first_invalid_frame(), None);
+            log.validate();
+        }
+    }
+
+    /// Nothing is released without a newer entry of the block, nor once a
+    /// crash has wiped the bookkeeping, nor while the oracle keeps every
+    /// payload.
+    #[test]
+    fn nothing_else_is_released() {
+        let mut log = DeltaLog::new(100);
+        let report = log.append((0..4).map(|i| entry(i, 500)).collect());
+        for (lba, loc) in (0..).zip(&report.entry_locs) {
+            log.mark_stale(*loc, Lba::new(lba));
+        }
+        log.append((10..14).map(|i| entry(i, 500)).collect());
+        log.seal();
+        assert_eq!(held(&log, &report), 4, "no successor");
+
+        let (mut log, first) = superseded(0..4);
+        log.restart();
+        log.seal();
+        assert_eq!(held(&log, &first), 4, "forgotten in the crash");
+
+        let (mut log, first) = superseded(0..4);
+        KEEP_PAYLOADS.with(|k| k.set(true));
+        log.seal();
+        KEEP_PAYLOADS.with(|k| k.set(false));
+        assert_eq!(held(&log, &first), 4, "kept by the oracle");
+    }
+
+    /// An entry left stale behind a newer stale entry of its block goes
+    /// once that newer one is sealed: recovery prefers the newer one.
+    #[test]
+    fn a_stale_entry_behind_a_newer_stale_one_is_released() {
+        let mut log = DeltaLog::new(100);
+        let old = log.append(vec![entry(3, 500)]);
+        log.mark_stale(old.entry_locs[0], Lba::new(3));
+        let newer = log.append(vec![LogEntry::new(
+            Lba::new(3),
+            Lba::new(3),
+            9,
+            delta_of_size(500),
+        )]);
+        // The first entry now waits for the second's seal.
+        log.mark_stale(newer.entry_locs[0], Lba::new(3));
+        assert!(log
+            .entry(old.entry_locs[0], Lba::new(3))
+            .and_then(LogEntry::delta)
+            .is_some());
+        log.seal();
+        assert!(log
+            .entry(old.entry_locs[0], Lba::new(3))
+            .and_then(LogEntry::delta)
+            .is_none());
+        assert!(log
+            .entry(newer.entry_locs[0], Lba::new(3))
+            .and_then(LogEntry::delta)
+            .is_some());
+        log.validate();
     }
 
     /// A delta whose payload is `run` bytes of literal at `at` (sparse), or
@@ -716,8 +1082,8 @@ mod tests {
         let report = log.append((0..8).map(|i| entry(i, 64)).collect());
         // Mark 6 of the 8 entries stale, then tear so only 2 survive: the
         // per-block stale count must clamp to what remains.
-        for _ in 0..6 {
-            log.mark_stale(report.entry_locs[0]);
+        for lba in 0..6 {
+            log.mark_stale(report.entry_locs[0], Lba::new(lba));
         }
         log.tear_within(0, 2);
         assert_eq!(log.fetch(0).entries.len(), 2);
@@ -732,8 +1098,8 @@ mod tests {
         let mut log = DeltaLog::new(100);
         let r1 = log.append((0..4).map(|i| entry(i, 1500)).collect());
         log.append((10..14).map(|i| entry(i, 1500)).collect());
-        for loc in &r1.entry_locs {
-            log.mark_stale(*loc);
+        for (lba, loc) in (0..).zip(&r1.entry_locs) {
+            log.mark_stale(*loc, Lba::new(lba));
         }
         let live_before = log.live_entries();
         log.truncate_from(r1.blocks_written);

@@ -8,7 +8,7 @@ use crate::placement::zero_block;
 use crate::table::{Resident, VbId};
 use crate::virtual_block::{decode, DeltaHome, Placement, Role, VirtualBlock};
 use icash_delta::signature::BlockSignature;
-use icash_storage::block::{Lba, BLOCK_SIZE};
+use icash_storage::block::{BlockBuf, Lba, BLOCK_SIZE};
 use icash_storage::cpu::CpuOp;
 use icash_storage::hash::AddrMap;
 use icash_storage::pipeline::Ticket;
@@ -127,7 +127,7 @@ impl Icash {
         let mut spilled_at = now;
         // A commit of several staged triggers can outgrow the log's headroom.
         if !self.durable.log.fits(&entries) {
-            self.clean_log(now, &entries);
+            self.clean_log(now);
             spilled_at = self.spill(&mut entries, &mut landed, now);
         }
         if entries.is_empty() {
@@ -164,10 +164,11 @@ impl Icash {
     /// back, entries leave it until the rest fits. One no block points at
     /// any more just goes. One that is its block's current delta goes if
     /// the block can do without it — an associate, a logged independent, a
-    /// written reference with no associates left — and the content it
-    /// decodes to is written to the block's home position first. Marks
-    /// what left in `landed` (indexed as `entries` came in). Returns when
-    /// the writes it made are done.
+    /// written reference — and the content it decodes to is written to the
+    /// block's home position first; a written reference sends its
+    /// associates home before it ([`Icash::unbind_home`]). Marks what left
+    /// in `landed` (indexed as `entries` came in). Returns when the writes
+    /// it made are done.
     fn spill(&mut self, entries: &mut Vec<LogEntry>, landed: &mut [bool], now: Ns) -> Ns {
         let mut done = now;
         // (Entries leave only at `i`, behind which the indices still match
@@ -184,32 +185,98 @@ impl Icash {
                 )
             });
             if let Some(id) = current {
-                let vb = self.volatile.table.get(id);
-                let (base, was_reference) = match vb.placement {
-                    Placement::Associate { reference, .. } => match self.pinned(reference) {
-                        Some((_, slot)) => (self.durable.slots.content(slot), None),
+                if self.volatile.table.get(id).placement.slot().is_some() {
+                    match self.unbind_home(lba, entries, now) {
+                        Some(t) => done = done.max(t),
                         None => continue,
-                    },
-                    Placement::Logged { .. } => (zero_block(), None),
-                    Placement::Reference { slot, .. } if vb.dependants == 0 => {
-                        (self.durable.slots.content(slot), Some(vb.sig))
                     }
-                    _ => continue,
+                }
+                let Some(content) = self.current_content(id, entries) else {
+                    continue;
                 };
-                let content = decode(base, &entries[i].delta);
-                if let Some(sig) = was_reference {
+                let vb = self.volatile.table.get(id);
+                if vb.placement.slot().is_some() {
                     // No longer a reference: out of the index, and signed
                     // by its content like any other block.
+                    let sig = vb.sig;
                     self.volatile.ref_index.remove(lba, &sig);
                     self.volatile.table.get_mut(id).sig = BlockSignature::of(content.as_slice());
                 }
                 done = done.max(self.write_home_copy(lba, &content, now));
-                self.spill_delta(id, Placement::Home);
+                self.spill_delta(id);
             }
             landed[i] = false;
             entries.remove(i);
         }
         done
+    }
+
+    /// What `id`'s current delta decodes to, its delta found wherever it
+    /// is — in the log, or in `batch` (a commit's, drained from the dirty
+    /// set and the staging buffer) — and its base pinned. `None` if either
+    /// is missing: a block whose new delta is still being stored has none
+    /// anywhere yet.
+    fn current_content(&self, id: VbId, batch: &[LogEntry]) -> Option<BlockBuf> {
+        let vb = self.volatile.table.get(id);
+        let base = match vb.placement {
+            Placement::Associate { reference, .. } => {
+                self.durable.slots.content(self.pinned(reference)?.1)
+            }
+            Placement::Reference { slot, .. } => self.durable.slots.content(slot),
+            Placement::Logged { .. } => zero_block(),
+            Placement::Slot { .. } | Placement::Home => return None,
+        };
+        let delta = match vb.placement.delta_home()? {
+            DeltaHome::Log(loc) => self.durable.log.entry(loc, vb.lba)?.delta(),
+            DeltaHome::Dirty | DeltaHome::Staged => batch
+                .iter()
+                .find(|e| e.lba == vb.lba)
+                .and_then(LogEntry::delta)
+                .or_else(|| self.resident_delta(id)),
+        }?;
+        Some(decode(base, delta))
+    }
+
+    /// Sends every associate of reference `lba` home — tracked or evicted,
+    /// its delta logged or in `batch` — each written there and tombstoned
+    /// as a spilled block is, so the reference has none left and can go
+    /// home itself. Nothing moves unless every associate can: `None` if one
+    /// has no delta to decode yet. Returns when the home writes are done.
+    fn unbind_home(&mut self, lba: Lba, batch: &[LogEntry], now: Ns) -> Option<Ns> {
+        let of_lba = |p: &Placement| p.reference() == Some(lba);
+        // (Hash order, sorted: which blocks go home, and in what order they
+        // are written, follow addresses.)
+        let mut evicted: Vec<Lba> = self
+            .volatile
+            .evicted
+            .iter()
+            .filter(|(_, p)| of_lba(p))
+            .map(|(l, _)| l)
+            .collect();
+        evicted.sort_unstable_by_key(|l| l.raw());
+        for l in evicted {
+            // Back in the table, as a log fetch brings an evicted block
+            // back (no trim: the commit's callers hold ids).
+            if let Some(placement) = self.volatile.evicted.remove(l) {
+                let vb = self.rebuild_evicted(l, placement);
+                self.volatile.table.insert(vb);
+            }
+        }
+        let mut ids = self.volatile.table.head_ids(usize::MAX);
+        ids.retain(|&id| of_lba(&self.volatile.table.get(id).placement));
+        let mut homes = Vec::with_capacity(ids.len());
+        for &id in &ids {
+            homes.push(self.current_content(id, batch)?);
+        }
+        let mut done = now;
+        for (id, content) in ids.into_iter().zip(homes) {
+            let vb = self.volatile.table.get_mut(id);
+            vb.sig = BlockSignature::of(content.as_slice());
+            let l = vb.lba;
+            done = done.max(self.write_home_copy(l, &content, now));
+            self.spill_delta(id);
+        }
+        Some(done)
     }
 
     /// Every write accepted up to `watermark` is on stable media.
@@ -242,7 +309,7 @@ impl Icash {
         }
         self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
-            self.clean_log(t, &[]);
+            self.clean_log(t);
         }
         t
     }
@@ -257,7 +324,7 @@ impl Icash {
         }
         let ticket = self.volatile.staging.progress.reserved();
         for (id, entry) in self.drain_dirty() {
-            let (lba, bytes) = (entry.lba, entry.delta.len() as u32);
+            let (lba, bytes) = (entry.lba, entry.payload_len() as u32);
             if let Some(home) = self.volatile.table.get_mut(id).placement.delta_home_mut() {
                 *home = DeltaHome::Staged;
             }
@@ -325,18 +392,18 @@ impl Icash {
         });
         self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
-            self.clean_log(t, &[]);
+            self.clean_log(t);
         }
         t
     }
 
     /// Compacts the delta log, dropping superseded entries, and rewrites
-    /// the survivors sequentially from the start of the log region. A clean
-    /// inside a commit names the batch about to be appended, `pending`: a
-    /// block of the batch keeps its newest entry until the batch lands, so
-    /// a crash that tears the append finds the version the batch was to
-    /// supersede (DESIGN.md §12).
-    pub(crate) fn clean_log(&mut self, now: Ns, pending: &[LogEntry]) {
+    /// the survivors sequentially from the start of the log region. A block
+    /// whose current delta is not in the log yet — dirty, staged, or in the
+    /// batch a commit is about to append — keeps its newest entry until
+    /// that delta lands, so a crash before it lands finds the version the
+    /// delta is to supersede (DESIGN.md §12).
+    pub(crate) fn clean_log(&mut self, now: Ns) {
         // The compaction rewrites the log region from the start, so any
         // appends still parked in the drive's write-behind cache must land
         // first — they hold positions the rewrite supersedes. Free without
@@ -348,6 +415,8 @@ impl Icash {
         let ids = self.volatile.table.head_ids(usize::MAX);
         // An entry is live iff the block's current state points at it.
         let mut expected: AddrMap<Lba, u32> = AddrMap::default();
+        // Blocks whose delta is on its way to the log.
+        let mut pending: AddrMap<Lba, ()> = AddrMap::default();
         let tracked = ids.iter().map(|&id| {
             let vb = self.volatile.table.get(id);
             (vb.lba, vb.placement)
@@ -357,18 +426,22 @@ impl Icash {
         // `expected` ends up the same map.)
         let evicted = self.volatile.evicted.iter().map(|(lba, &p)| (lba, p));
         for (lba, placement) in tracked.chain(evicted) {
-            if let Some(DeltaHome::Log(loc)) = placement.delta_home() {
-                expected.insert(lba, loc);
+            match placement.delta_home() {
+                Some(DeltaHome::Log(loc)) => {
+                    expected.insert(lba, loc);
+                }
+                Some(DeltaHome::Dirty | DeltaHome::Staged) => {
+                    pending.insert(lba, ());
+                }
+                None => {}
             }
         }
-        // A pending block the table points nowhere in the log at: its
-        // newest entry, the one recovery would replay.
+        // A pending block's newest entry, the one recovery would replay.
         let mut newest: AddrMap<Lba, (u64, u32)> = AddrMap::default();
         if !pending.is_empty() {
-            let pending: AddrMap<Lba, ()> = pending.iter().map(|e| (e.lba, ())).collect();
             for loc in 0..self.durable.log.len_blocks() as u32 {
                 for e in &self.durable.log.fetch(loc).entries {
-                    if pending.contains_key(&e.lba) && !expected.contains_key(&e.lba) {
+                    if pending.contains_key(&e.lba) {
                         let kept = newest.entry(e.lba).or_insert((e.generation, loc));
                         if e.generation >= kept.0 {
                             *kept = (e.generation, loc);
@@ -1067,6 +1140,92 @@ pub(crate) mod tests {
             read(&mut sys, &mut ctx, 0) == second,
             "the trim dropped an acknowledged write"
         );
+    }
+
+    /// Sixty-four blocks rewritten fifty times, a flush per round: the log
+    /// holds the payloads of the live entries and at most the last append's
+    /// worth more (what it superseded waits for its seal), not fifty rounds
+    /// of history — which it does hold when it keeps every payload.
+    #[test]
+    fn the_log_holds_only_what_a_read_or_a_recovery_can_reach() {
+        const BLOCKS: u64 = 64;
+        // 400 nonzero bytes over zeroes: one zero-based delta of the same
+        // size every round.
+        let noisy = |lba: u64, round: u64| {
+            let mut bytes = vec![0u8; BLOCK_SIZE];
+            let mut state = (lba << 8 | round).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for byte in &mut bytes[..400] {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                *byte = state as u8 | 1;
+            }
+            BlockBuf::from_vec(bytes)
+        };
+        for depth in [1, 4] {
+            let mut held_at_end = [0u64; 2];
+            for (keep, held_at_end) in [false, true].into_iter().zip(&mut held_at_end) {
+                crate::delta_log::KEEP_PAYLOADS.with(|k| k.set(keep));
+                let cfg = IcashConfig::builder(1 << 20, 4 << 20, 4 << 20)
+                    .scan_interval(1_000_000)
+                    .flush_interval(BLOCKS)
+                    .group_commit_depth(depth)
+                    .build();
+                let mut sys = Icash::new(cfg);
+                let mut cpu = CpuModel::xeon();
+                let backing = ZeroSource;
+                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+                for round in 0..50 {
+                    for lba in 0..BLOCKS {
+                        let w = Request::write(Lba::new(lba), Ns::ZERO, noisy(lba, round));
+                        sys.submit(&w, &mut ctx);
+                    }
+                    sys.debug_validate();
+                    // Live: the entry a block's placement names or, while
+                    // its delta is on the way to the log, its newest one.
+                    let log = &sys.durable.log;
+                    let mut newest: AddrMap<Lba, (u64, u64)> = AddrMap::default();
+                    for loc in 0..log.len_blocks() as u32 {
+                        for e in &log.fetch(loc).entries {
+                            let at = newest.entry(e.lba).or_insert((e.generation, 0));
+                            if e.generation >= at.0 {
+                                *at = (e.generation, e.payload_len() as u64);
+                            }
+                        }
+                    }
+                    let live: u64 = (0..BLOCKS)
+                        .filter_map(|l| {
+                            let id = sys.volatile.table.lookup(Lba::new(l))?;
+                            match sys.volatile.table.get(id).placement.delta_home()? {
+                                DeltaHome::Log(loc) => {
+                                    log.entry(loc, Lba::new(l)).map(|e| e.payload_len() as u64)
+                                }
+                                _ => newest.get(&Lba::new(l)).map(|&(_, len)| len),
+                            }
+                        })
+                        .sum();
+                    let (first, count) = log.last_append_span();
+                    let last: u64 = (first..first + count)
+                        .flat_map(|loc| &log.fetch(loc).entries)
+                        .map(|e| e.payload_len() as u64)
+                        .sum();
+                    if !keep {
+                        let held = log.held_payload_bytes();
+                        assert!(
+                            held <= live + last,
+                            "depth {depth}, round {round}: {held} bytes held, {live} live, {last} last appended"
+                        );
+                    }
+                }
+                *held_at_end = sys.durable.log.held_payload_bytes();
+                crate::delta_log::KEEP_PAYLOADS.with(|k| k.set(false));
+            }
+            let [released, kept] = held_at_end;
+            assert!(
+                kept > 5 * released,
+                "depth {depth}: {kept} kept against {released}"
+            );
+        }
     }
 
     /// A commit of written references' own deltas that a cleaned 64-block

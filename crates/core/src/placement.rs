@@ -181,30 +181,39 @@ impl Icash {
     /// old entry on top of the new content.
     pub(crate) fn supersede_delta(&mut self, id: VbId, to: Placement) {
         debug_assert_eq!(to.delta_home(), None);
-        self.drop_delta(id);
-        self.unstage(id);
-        if let Some(DeltaHome::Log(loc)) = self.replace_placement(id, to).delta_home() {
-            self.durable.log.mark_stale(loc);
-        }
+        self.leave_delta(id, to);
     }
 
-    /// Moves `id`, whose current delta is in a commit the log cannot take,
-    /// to `to` — its home position, or its own slot — where its content
-    /// has just been written, and lets the delta go (DESIGN.md §12). The
-    /// delta was drained from the dirty set already, so the placement moves
-    /// first: dropping a delta still marked dirty would charge the drain.
-    pub(crate) fn spill_delta(&mut self, id: VbId, to: Placement) {
-        debug_assert_eq!(to.delta_home(), None);
-        self.replace_placement(id, to);
+    /// Moves `id` to `to` and retires the delta it leaves, in one step: its
+    /// RAM copies go (resident, staged) and a logged one is marked stale.
+    /// Returns the placement it left.
+    fn leave_delta(&mut self, id: VbId, to: Placement) -> Placement {
         self.drop_delta(id);
-        if to == Placement::Home {
-            // The block's older log entries stay on the platter; the
-            // tombstone keeps recovery from replaying them over the home
-            // write.
+        self.unstage(id);
+        let old = self.replace_placement(id, to);
+        if let Some(DeltaHome::Log(loc)) = old.delta_home() {
             let lba = self.volatile.table.get(id).lba;
-            let left_at = self.durable.slots.stamp();
-            self.discard_slot(lba, Some(left_at));
+            self.durable.log.mark_stale(loc, lba);
         }
+        old
+    }
+
+    /// Moves `id` home, where its content has just been written, because a
+    /// commit the log cannot take holds its delta or its reference's, and
+    /// lets the delta go (DESIGN.md §12). A delta in the commit was drained
+    /// from the dirty set already, so the placement moves first: dropping a
+    /// delta still marked dirty would charge the drain.
+    pub(crate) fn spill_delta(&mut self, id: VbId) {
+        let lba = self.volatile.table.get(id).lba;
+        if let Some(DeltaHome::Log(loc)) = self.replace_placement(id, Placement::Home).delta_home()
+        {
+            self.durable.log.mark_stale(loc, lba);
+        }
+        self.drop_delta(id);
+        // The block's older log entries stay on the platter; the tombstone
+        // keeps recovery from replaying them over the home write.
+        let left_at = self.durable.slots.stamp();
+        self.discard_slot(lba, Some(left_at));
     }
 
     /// The table entry for a block coming back from eviction.
@@ -264,23 +273,20 @@ impl Icash {
     }
 
     /// Stores `delta` as `id`'s new current content — resident and dirty —
-    /// and moves the block to `to`, the delta placement it was encoded for,
-    /// making room first. What the block leaves goes only once the new
-    /// delta is in: making room can commit and clean the log, which keeps
-    /// (and moves) the entry this block still points at, and frees released
-    /// slots — a slot given up any earlier would be reclaimed with nothing
-    /// logged to take its place.
+    /// and moves the block to `to`, the delta placement it was encoded for.
+    /// The block moves first, then room is made for the delta: a commit
+    /// inside making room leaves the block alone (its delta is in no
+    /// batch), and a clean keeps the block's newest log entry — a block
+    /// whose delta is not in the log yet keeps the version behind it
+    /// ([`Icash::clean_log`]). A slot the block gives up is released only
+    /// once the delta is in: a commit frees released slots, and one freed
+    /// any earlier would be reclaimed with nothing logged to take its place.
     pub(crate) fn store_delta(&mut self, id: VbId, delta: Delta, at: Ns, to: Placement) {
         debug_assert_eq!(to.delta_home(), Some(DeltaHome::Dirty));
-        self.drop_delta(id);
-        self.unstage(id);
+        let old = self.leave_delta(id, to);
         let len = delta.len();
         self.make_room_for_delta(id, len, at);
         let charge = self.volatile.pool.alloc_delta(len);
-        let old = self.replace_placement(id, to);
-        if let Some(DeltaHome::Log(loc)) = old.delta_home() {
-            self.durable.log.mark_stale(loc);
-        }
         let vb = self.volatile.table.get_mut(id);
         vb.delta = Some(CachedDelta {
             payload: Some(delta),
@@ -329,7 +335,7 @@ impl Icash {
         match vb.placement.delta_home()? {
             DeltaHome::Dirty => cached.payload.as_ref(),
             DeltaHome::Staged => self.volatile.staging.get(vb.lba),
-            DeltaHome::Log(loc) => self.durable.log.entry(loc, vb.lba).map(|e| &e.delta),
+            DeltaHome::Log(loc) => self.durable.log.entry(loc, vb.lba)?.delta(),
         }
     }
 

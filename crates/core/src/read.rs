@@ -3,6 +3,7 @@
 //! delta log, or the HDD home area — with retry and repair on media errors.
 
 use crate::controller::Icash;
+use crate::delta_log::LogEntry;
 use crate::placement::zero_block;
 use crate::table::VbId;
 use crate::virtual_block::{CachedData, DeltaHome, Placement};
@@ -409,7 +410,7 @@ impl Icash {
                 if vb.placement.delta_home() != Some(DeltaHome::Log(l)) || vb.delta.is_some() {
                     continue;
                 }
-                let len = self.durable.log.fetch(l).entries[i].delta.len();
+                let len = self.durable.log.fetch(l).entries[i].payload_len();
                 self.install_clean_delta(target, len, at);
                 if entry_lba != lba {
                     self.stats.log_prefetched_deltas += 1;
@@ -458,7 +459,7 @@ impl Icash {
                 Some(DeltaHome::Log(l)) => l,
                 _ => return self.metadata_error("delta must be logged", t),
             };
-            match self.durable.log.entry(loc2, lba).map(|e| e.delta.len()) {
+            match self.durable.log.entry(loc2, lba).map(LogEntry::payload_len) {
                 Some(len) => self.install_clean_delta(id, len, at),
                 None => return self.metadata_error("log must hold the pointed-at delta", t),
             }
@@ -497,7 +498,7 @@ pub(crate) mod tests {
                         .fetch(l)
                         .entries
                         .iter()
-                        .map(move |e| (l, e.lba, e.delta.len()))
+                        .map(move |e| (l, e.lba, e.payload_len()))
                 })
                 .collect();
             let cleans = self.stats.log_cleans;
@@ -822,6 +823,24 @@ pub(crate) mod tests {
             cfg.group_commit_depth = depth;
             lockstep(&cfg, &ops, &SNAPSHOT_WALK);
         }
+
+        /// Releasing superseded log payloads moves nothing the controller
+        /// does — completions, bytes read, statistics, table — against one
+        /// that keeps every payload, crashes (torn) included.
+        #[test]
+        fn releasing_log_payloads_matches_keeping_them(
+            ops in ops_strategy(),
+            log_pick in 0usize..4,
+            eager_flush in any::<bool>(),
+        ) {
+            let (log_blocks, depth) = [(64, 1), (160, 4), (1 << 14, 1), (1 << 14, 4)][log_pick];
+            let mut cfg = tight(log_blocks);
+            if eager_flush {
+                cfg.flush_interval = 20;
+            }
+            cfg.group_commit_depth = depth;
+            lockstep(&cfg, &ops, &crate::delta_log::KEEP_PAYLOADS);
+        }
     }
 
     /// A controller that neither scans nor flushes on its own, and the
@@ -948,7 +967,7 @@ pub(crate) mod tests {
             .slots
             .install(Lba::new(0), slot, BlockBuf::filled(0x5A));
         let cleans = sys.stats().log_cleans;
-        sys.clean_log(Ns::ZERO, &[]);
+        sys.clean_log(Ns::ZERO);
         assert_eq!(sys.stats().log_cleans - cleans, 1);
         assert_ne!(sys.volatile.table.get(id).placement.delta_home(), logged);
 
@@ -1030,7 +1049,7 @@ pub(crate) mod tests {
         assert!(committed
             .iter()
             .all(|h| matches!(h, Some(DeltaHome::Log(_)))));
-        sys.clean_log(Ns::ZERO, &[]);
+        sys.clean_log(Ns::ZERO);
         sys.debug_validate();
         let cleaned = homes(&sys);
         assert!(cleaned.iter().all(|h| matches!(h, Some(DeltaHome::Log(_)))));

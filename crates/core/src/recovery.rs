@@ -60,7 +60,9 @@ impl Icash {
         // Phase 0: crash damage. A torn write lands somewhere in the span
         // of the append that was in flight — none once a returned barrier
         // or a clean sealed the last one; the seeded draw keeps every
-        // campaign cell replayable.
+        // campaign cell replayable. (Which stale entries wait for a sealed
+        // successor was RAM state too.)
+        log.restart();
         let fault_plan = &self.durable.fault_plan;
         if fault_plan.torn_writes {
             let (first, count) = log.last_append_span();

@@ -74,11 +74,11 @@ impl Staging {
     /// Stages `entry` under `ticket`. A live entry for the same LBA is
     /// replaced in place (the newer delta supersedes it).
     pub fn push(&mut self, lba: Lba, entry: LogEntry, ticket: Ticket) {
-        let bytes = entry.delta.len() as u64;
+        let bytes = entry.payload_len() as u64;
         let staged = StagedEntry { entry, ticket };
         if let Some(&slot) = self.by_lba.get(&lba) {
             if let Some(old) = self.entries[slot].replace(staged) {
-                self.bytes -= old.entry.delta.len() as u64;
+                self.bytes -= old.entry.payload_len() as u64;
             } else {
                 self.live += 1;
             }
@@ -94,7 +94,7 @@ impl Staging {
     /// The staged delta for `lba`, if live (read-your-writes).
     pub fn get(&self, lba: Lba) -> Option<&Delta> {
         let &slot = self.by_lba.get(&lba)?;
-        self.entries[slot].as_ref().map(|s| &s.entry.delta)
+        self.entries[slot].as_ref()?.entry.delta()
     }
 
     /// Invalidates the staged entry for `lba` (a newer write superseded it
@@ -103,7 +103,7 @@ impl Staging {
         if let Some(slot) = self.by_lba.remove(&lba) {
             if let Some(old) = self.entries[slot].take() {
                 self.live -= 1;
-                self.bytes -= old.entry.delta.len() as u64;
+                self.bytes -= old.entry.payload_len() as u64;
             }
         }
     }

@@ -106,16 +106,6 @@ impl Delta {
     pub fn payload(&self) -> &[u8] {
         &self.payload
     }
-
-    /// The payload as a shared buffer (clone to share, never to copy).
-    pub fn payload_bytes(&self) -> &Bytes {
-        &self.payload
-    }
-
-    /// Total wire size including the 1-byte encoding tag.
-    pub fn wire_len(&self) -> usize {
-        1 + self.payload.len()
-    }
 }
 
 /// Errors from [`DeltaCodec::decode`].
@@ -442,9 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_includes_tag() {
+    fn an_identity_delta_is_empty() {
         let d = Delta::identity();
-        assert_eq!(d.wire_len(), 1);
+        assert_eq!(d.len(), 0);
         assert!(d.is_empty());
     }
 

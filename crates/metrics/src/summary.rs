@@ -105,12 +105,6 @@ impl RunSummary {
         sum / total as f64
     }
 
-    /// A LoadSim-style score: scaled mean response time, lower is better
-    /// (Figure 12).
-    pub fn loadsim_score(&self) -> f64 {
-        self.mean_response_ms() * 1000.0
-    }
-
     /// Folds the per-shard summaries of one sharded replay into a single
     /// aggregate. Counters (ops, transactions, latencies, SSD writes,
     /// energy) add; the clocks take the max, because shards run in

@@ -17,7 +17,7 @@
 //! zero-cost*: devices skip the injector entirely and behave bit-identically
 //! to a build without the fault layer.
 
-use crate::block::{le_word, BlockBuf, Lba};
+use crate::block::{le_word, BlockBuf, Lba, BLOCK_SIZE};
 use crate::hash::AddrSet;
 use crate::request::{BlockError, IoErrorKind};
 use crate::time::Ns;
@@ -165,6 +165,57 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()
+}
+
+/// The checksum of `a` carried past `len` more bytes, for any such bytes
+/// `b`: CRC32 is linear over GF(2), so `crc32(a ‖ b) == crc32_shift(crc32(a),
+/// b.len()) ^ crc32(b)` (zlib's `crc32_combine`). It costs a table load and
+/// one multiply mod the polynomial, not a pass over `len` bytes.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds a block ([`BLOCK_SIZE`]): nothing longer is
+/// checksummed in pieces.
+///
+/// # Examples
+///
+/// ```
+/// use icash_storage::fault::{crc32, crc32_shift};
+///
+/// let whole = crc32(b"123456789");
+/// assert_eq!(crc32_shift(crc32(b"1234"), 5) ^ crc32(b"56789"), whole);
+/// ```
+pub fn crc32_shift(crc: u32, len: usize) -> u32 {
+    mul_mod_p(ZERO_BYTES[len], crc)
+}
+
+/// `ZERO_BYTES[n]` is x^(8n) mod P, what `n` zero bytes multiply a
+/// checksum state by: each is the one before it pushed through a zero byte.
+static ZERO_BYTES: [u32; BLOCK_SIZE + 1] = {
+    let classic = crc32_table_rows(0)[0];
+    let mut table = [0u32; BLOCK_SIZE + 1];
+    let mut power = 1u32 << 31; // x^0
+    let mut n = 0;
+    while n <= BLOCK_SIZE {
+        table[n] = power;
+        power = classic[(power & 0xFF) as usize] ^ (power >> 8);
+        n += 1;
+    }
+    table
+};
+
+/// `a * b` modulo the CRC32 polynomial, both in the reflected bit order the
+/// checksum keeps (x^0 is the top bit). Branch-free: the operands are data.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut i = 0;
+    while i < 32 {
+        // `b` is the other operand times x^i; add it where `a` has x^i.
+        product ^= b & ((a >> (31 - i)) & 1).wrapping_neg();
+        b = (b >> 1) ^ (0xEDB8_8320 & (b & 1).wrapping_neg());
+        i += 1;
+    }
+    product
 }
 
 /// A deterministic trigger: fail exactly the `op`-th operation of a kind on
@@ -1006,6 +1057,34 @@ mod tests {
             }
             c.update(&bytes[from..]);
             proptest::prop_assert_eq!(c.finish(), crc32_bitwise(bytes));
+        }
+
+        /// A checksum carried past a suffix's length (up to a block),
+        /// XORed with the suffix's own checksum, is the checksum of the
+        /// whole.
+        #[test]
+        fn crc32_shift_combines_any_split(
+            bytes in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..9000),
+            cut in 0usize..9000,
+        ) {
+            let (a, b) = bytes.split_at(cut.min(bytes.len()).max(bytes.len().saturating_sub(BLOCK_SIZE)));
+            proptest::prop_assert_eq!(crc32_shift(crc32(a), b.len()) ^ crc32(b), crc32_bitwise(&bytes));
+        }
+    }
+
+    /// Every suffix length up to 200 bytes, then a stride of lengths up to
+    /// a whole block, against a fixed prefix.
+    #[test]
+    fn crc32_shift_suffix_lengths_up_to_a_block() {
+        let bytes: Vec<u8> = (0..4096 + 25u32).map(|i| (i * 131 + 7) as u8).collect();
+        let (head, tail) = bytes.split_at(25);
+        for len in (0..=200).chain((201..4096).step_by(61)).chain([4096]) {
+            let whole = crc32_bitwise(&bytes[..25 + len]);
+            assert_eq!(
+                crc32_shift(crc32(head), len) ^ crc32(&tail[..len]),
+                whole,
+                "{len} bytes"
+            );
         }
     }
 

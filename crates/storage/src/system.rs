@@ -95,15 +95,6 @@ impl GroupCommitReport {
         }
     }
 
-    /// Payload bytes amortized per commit (0 when no commits ran).
-    pub fn bytes_per_commit(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.commits as f64
-        }
-    }
-
     /// Folds another shard's pipeline counters into this one. Counters add;
     /// the staging high-water mark is each shard's private buffer, so the
     /// merged figure is the worst single shard.

@@ -7,6 +7,7 @@
 #[path = "common/ops.rs"]
 mod ops;
 
+use icash::core::delta_log::KEEP_PAYLOADS;
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
@@ -14,7 +15,7 @@ use icash::storage::model::{Allow, VersionModel};
 use icash::storage::queue::QueueConfig;
 use icash::storage::request::IoErrorKind;
 use icash::storage::shard::ShardRouter;
-use icash::storage::{IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
 use ops::{block_for, cold_sweep, icash_ops_strategy, ops_strategy, Family, SysOp, SPAN};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -72,6 +73,20 @@ fn sharded_faulty(width: u32, seed: u64, rate: f64, depth: u64) -> ShardRouter<I
             })
             .collect(),
     )
+}
+
+/// Runs `run` twice — as the log runs, releasing the payloads no read and
+/// no recovery can reach, and with `KEEP_PAYLOADS` keeping every one — and
+/// requires both to read the same bytes, block for block.
+fn both_ways(run: impl Fn() -> Vec<(bool, BlockBuf)>) {
+    let released = run();
+    KEEP_PAYLOADS.with(|k| k.set(true));
+    let kept = run();
+    KEEP_PAYLOADS.with(|k| k.set(false));
+    assert_eq!(released.len(), kept.len());
+    for (n, (released, kept)) in released.iter().zip(&kept).enumerate() {
+        assert!(released == kept, "read {n}: releasing payloads changed it");
+    }
 }
 
 proptest! {
@@ -132,7 +147,8 @@ proptest! {
     /// never to one older than the last `flush` / `sync` that returned — a
     /// torn log frame must never splice foreign bytes, whether it carried
     /// one entry or a whole group commit, and may tear only an append no
-    /// barrier covered.
+    /// barrier covered. Releasing superseded log payloads changes no
+    /// recovered read ([`both_ways`]).
     #[test]
     fn crash_with_torn_writes_never_splices(
         ops in icash_ops_strategy(),
@@ -143,32 +159,37 @@ proptest! {
         log_pick in 0usize..4,
     ) {
         let rate = [0.0, 1e-4, 1e-3, 1e-2][rate_pick];
-        let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick], LOG_BLOCKS[log_pick]);
-        let mut cpu = CpuModel::xeon();
-        let backing = ZeroSource;
-        let mut model = VersionModel::new();
-        let mut now = Ns::ZERO;
-        for op in ops.iter().take(crash_at.min(ops.len())) {
-            let mut ctx = IoCtx::new(&backing, &mut cpu);
-            op.apply(&mut system, &mut now, &mut ctx, &mut model);
-            if matches!(op, SysOp::Flush | SysOp::Barrier) {
-                model.barrier();
+        both_ways(|| {
+            let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick], LOG_BLOCKS[log_pick]);
+            let mut cpu = CpuModel::xeon();
+            let backing = ZeroSource;
+            let mut model = VersionModel::new();
+            let mut now = Ns::ZERO;
+            for op in ops.iter().take(crash_at.min(ops.len())) {
+                let mut ctx = IoCtx::new(&backing, &mut cpu);
+                op.apply(&mut system, &mut now, &mut ctx, &mut model);
+                if matches!(op, SysOp::Flush | SysOp::Barrier) {
+                    model.barrier();
+                }
+                system.debug_validate();
             }
-            system.debug_validate();
-        }
-        let mut recovered = system.crash_and_recover();
-        recovered.debug_validate();
-        for lba in model.written() {
-            let req = Request::read(Lba::new(lba), now);
-            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = recovered.submit(&req, &mut ctx);
-            now = completion.finished;
-            prop_assert!(
-                completion.failed(Lba::new(lba))
-                    || model.allows(lba, &completion.data[0], Allow::Held),
-                "lba {lba}: recovered to a value it never held, or behind its barrier"
-            );
-        }
+            let mut recovered = system.crash_and_recover();
+            recovered.debug_validate();
+            let mut reads = Vec::new();
+            for lba in model.written() {
+                let req = Request::read(Lba::new(lba), now);
+                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+                let completion = recovered.submit(&req, &mut ctx);
+                now = completion.finished;
+                let failed = completion.failed(Lba::new(lba));
+                prop_assert!(
+                    failed || model.allows(lba, &completion.data[0], Allow::Held),
+                    "lba {lba}: recovered to a value it never held, or behind its barrier"
+                );
+                reads.push((failed, completion.data[0].clone()));
+            }
+            reads
+        });
     }
 
     /// The sharded engine under the same contract: crash with up to K
@@ -242,7 +263,8 @@ proptest! {
     /// data; half the cases arm torn writes, which may tear only an append
     /// no barrier covered.) Half the cases run with a RAM pool of a few
     /// blocks and the flush interval out of reach, so the log commits when
-    /// a delta needs room — inside a write, not between two.
+    /// a delta needs room — inside a write, not between two. Releasing
+    /// superseded log payloads changes no recovered read ([`both_ways`]).
     #[test]
     fn awaited_writes_survive_any_crash(
         ops in icash_ops_strategy(),
@@ -260,48 +282,113 @@ proptest! {
             cfg.flush_interval = 1_000_000;
         }
         let plan = if torn { FaultPlan::seeded(seed).torn_writes() } else { FaultPlan::none() };
-        let mut system = Icash::new(cfg).with_fault_plan(plan);
-        let mut cpu = CpuModel::xeon();
-        let backing = ZeroSource;
-        // The model drops what a completed barrier superseded; `covered`
-        // only picks the message a failure prints.
-        let mut model = VersionModel::new();
-        let mut covered: BTreeSet<u64> = BTreeSet::new();
-        let mut now = Ns::ZERO;
-        for op in ops.iter().take(crash_at.min(ops.len())) {
-            let mut ctx = IoCtx::new(&backing, &mut cpu);
-            if let SysOp::Barrier = op {
-                let ticket = system.write_ticket();
-                now = system.await_flush(ticket, now, &mut ctx);
-                prop_assert!(system.flushed_ticket() >= ticket);
-                model.barrier();
-                covered.extend(model.written());
-            } else {
-                op.apply(&mut system, &mut now, &mut ctx, &mut model);
+        both_ways(|| {
+            let mut system = Icash::new(cfg.clone()).with_fault_plan(plan.clone());
+            let mut cpu = CpuModel::xeon();
+            let backing = ZeroSource;
+            // The model drops what a completed barrier superseded; `covered`
+            // only picks the message a failure prints.
+            let mut model = VersionModel::new();
+            let mut covered: BTreeSet<u64> = BTreeSet::new();
+            let mut now = Ns::ZERO;
+            for op in ops.iter().take(crash_at.min(ops.len())) {
+                let mut ctx = IoCtx::new(&backing, &mut cpu);
+                if let SysOp::Barrier = op {
+                    let ticket = system.write_ticket();
+                    now = system.await_flush(ticket, now, &mut ctx);
+                    prop_assert!(system.flushed_ticket() >= ticket);
+                    model.barrier();
+                    covered.extend(model.written());
+                } else {
+                    op.apply(&mut system, &mut now, &mut ctx, &mut model);
+                }
+                system.debug_validate();
             }
-            system.debug_validate();
-        }
-        let mut recovered = system.crash_and_recover();
-        recovered.debug_validate();
-        for lba in model.written() {
-            let req = Request::read(Lba::new(lba), now);
-            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = recovered.submit(&req, &mut ctx);
-            now = completion.finished;
-            // Barrier-covered: only the durable version or something newer
-            // is acceptable — rolling back past the barrier breaks the
-            // await_flush contract. Never barriered: any held version (or
-            // pre-history zeroes) is a legitimate crash outcome.
-            let broke = if covered.contains(&lba) {
-                "rolled back behind its barrier"
-            } else {
-                "recovered to a value it never held"
+            let mut recovered = system.crash_and_recover();
+            recovered.debug_validate();
+            let mut reads = Vec::new();
+            for lba in model.written() {
+                let req = Request::read(Lba::new(lba), now);
+                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+                let completion = recovered.submit(&req, &mut ctx);
+                now = completion.finished;
+                // Barrier-covered: only the durable version or something
+                // newer is acceptable — rolling back past the barrier breaks
+                // the await_flush contract. Never barriered: any held
+                // version (or pre-history zeroes) is a legitimate crash
+                // outcome.
+                let broke = if covered.contains(&lba) {
+                    "rolled back behind its barrier"
+                } else {
+                    "recovered to a value it never held"
+                };
+                prop_assert!(
+                    model.allows(lba, &completion.data[0], Allow::Held),
+                    "lba {lba}: {broke}"
+                );
+                reads.push((false, completion.data[0].clone()));
+            }
+            reads
+        });
+    }
+
+    /// Two crashes with service in between, at group-commit depths 1 and 4,
+    /// torn writes armed: every read — live, after the first recovery, and
+    /// after the second — is a version the block held, and the same whether
+    /// the log releases superseded payloads or keeps them all. (The
+    /// release bookkeeping is RAM state: one that outlived the first crash
+    /// would release entries whose successors the crash tore.)
+    #[test]
+    fn released_payloads_change_no_read_across_two_crashes(
+        ops in icash_ops_strategy(),
+        crashes in (0usize..200, 0usize..200),
+        depth_pick in 0usize..2,
+        seed in 0u64..1000,
+        log_pick in 0usize..4,
+    ) {
+        let (first, second) = (crashes.0.min(crashes.1), crashes.0.max(crashes.1));
+        let mut cfg = base_config([1, 4][depth_pick]);
+        cfg.log_blocks = LOG_BLOCKS[log_pick];
+        both_ways(|| {
+            let plan = FaultPlan::seeded(seed).torn_writes();
+            let mut system = Icash::new(cfg.clone()).with_fault_plan(plan);
+            let mut cpu = CpuModel::xeon();
+            let backing = ZeroSource;
+            let mut model = VersionModel::new();
+            let mut now = Ns::ZERO;
+            let mut reads = Vec::new();
+            let mut op_cpu = CpuModel::xeon();
+            let mut read_all = |system: &mut Icash, model: &VersionModel, now: &mut Ns| {
+                for lba in model.written() {
+                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+                    let completion = system.submit(&Request::read(Lba::new(lba), *now), &mut ctx);
+                    *now = completion.finished;
+                    let got = completion.data[0].clone();
+                    prop_assert!(model.allows(lba, &got, Allow::Held), "lba {lba}: never held");
+                    reads.push((false, got));
+                }
             };
-            prop_assert!(
-                model.allows(lba, &completion.data[0], Allow::Held),
-                "lba {lba}: {broke}"
-            );
-        }
+            for (n, op) in ops.iter().enumerate().take(second.min(ops.len())) {
+                if n == first {
+                    system = system.crash_and_recover();
+                    system.debug_validate();
+                    read_all(&mut system, &model, &mut now);
+                }
+                let mut ctx = IoCtx::new(&backing, &mut op_cpu);
+                op.apply(&mut system, &mut now, &mut ctx, &mut model);
+                // The model's floor stays where the first crash found it: a
+                // later barrier covers what that crash left, which may be
+                // older than the newest version the model holds.
+                if n < first && matches!(op, SysOp::Flush | SysOp::Barrier) {
+                    model.barrier();
+                }
+                system.debug_validate();
+            }
+            let mut recovered = system.crash_and_recover();
+            recovered.debug_validate();
+            read_all(&mut recovered, &model, &mut now);
+            reads
+        });
     }
 }
 

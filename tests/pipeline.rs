@@ -17,7 +17,7 @@ use icash::storage::cpu::CpuModel;
 use icash::storage::fault::FaultPlan;
 use icash::storage::model::{Allow, VersionModel};
 use icash::storage::request::Request;
-use icash::storage::system::{IoCtx, StorageSystem, ZeroSource};
+use icash::storage::system::{ContentSource, IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
 use icash::storage::trace::{TraceSink, Tracer};
 use std::sync::{Arc, Mutex};
@@ -335,6 +335,79 @@ fn a_commit_a_cleaned_64_block_log_cannot_take_goes_home() {
                 assert!(
                     c.data[0] == last,
                     "depth {depth}: lba {lba} read back stale"
+                );
+            }
+        };
+        check(&mut sys, &mut t);
+        let mut recovered = sys.crash_and_recover();
+        recovered.debug_validate();
+        check(&mut recovered, &mut t);
+    }
+}
+
+/// A preloaded image of 80 pairs: each pair's first block is a reference
+/// and its second an associate of it, evicted, its delta in the log.
+struct Pairs;
+
+impl ContentSource for Pairs {
+    fn initial_content(&self, lba: Lba) -> BlockBuf {
+        let mut state = (lba.offset() / 2 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut v: Vec<u8> = (0..4096)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        v[0] = lba.offset() as u8;
+        BlockBuf::from_vec(v)
+    }
+}
+
+/// Written references that still have associates, whose own deltas alone
+/// overflow a cleaned 64-block log: the commit sends each one's associate
+/// home first, then the reference (DESIGN.md §12) — before, the append
+/// panicked ("delta log overflow: 81 blocks > capacity 64"). Every block
+/// reads back its last write or its image, before a crash and after
+/// recovery.
+#[test]
+fn a_commit_of_written_references_with_associates_goes_home() {
+    const PAIRS: u64 = 80;
+    for depth in [1, 4] {
+        let cfg = IcashConfig::builder(1 << 20, 4 << 20, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .log_blocks(64)
+            .group_commit_depth(depth)
+            .build();
+        let mut sys = Icash::new(cfg);
+        let backing = Pairs;
+        let mut cpu = CpuModel::xeon();
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        sys.preload(&[(0, 2 * PAIRS)], &mut ctx);
+        assert_eq!(sys.stats().ref_installs, PAIRS, "depth {depth}");
+        let mut t = Ns::ZERO;
+        for pair in 0..PAIRS {
+            let lba = 2 * pair;
+            let w = Request::write(Lba::new(lba), t, incompressible(lba, 1));
+            t = sys.submit(&w, &mut ctx).finished;
+        }
+        t = sys.sync(t, &mut ctx);
+        assert!(sys.stats().log_cleans > 0, "depth {depth}");
+        sys.debug_validate();
+        let mut check = |sys: &mut Icash, t: &mut Ns| {
+            for lba in 0..2 * PAIRS {
+                let c = sys.submit(&Request::read(Lba::new(lba), *t), &mut ctx);
+                *t = c.finished;
+                let want = if lba % 2 == 0 {
+                    incompressible(lba, 1)
+                } else {
+                    Pairs.initial_content(Lba::new(lba))
+                };
+                assert!(
+                    c.data[0] == want,
+                    "depth {depth}: lba {lba} read back wrong"
                 );
             }
         };
