@@ -59,6 +59,11 @@ golden)
   golden unset
   golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 \
     ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0
+  # The campaign at a depth the synchronous goldens above cannot reach: the
+  # staging buffer, its group commits and the crash cells' barriers.
+  step "golden (depth 4): run_faults stdout vs ci/golden/run_faults_depth4.txt"
+  ICASH_GROUP_COMMIT=4 ./target/release/run_faults > target/golden_depth4.faults.txt
+  diff target/golden_depth4.faults.txt ci/golden/run_faults_depth4.txt
   step "every ablation table (exhibit <name>, ICASH_OPS=8000) vs ci/golden/<name>.txt"
   for pin in ci/golden/ablation_*.txt; do
     name=$(basename "$pin" .txt)

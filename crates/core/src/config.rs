@@ -48,12 +48,13 @@ pub struct IcashConfig {
     pub flush_dirty_bytes: usize,
     /// HDD log capacity in 4 KB delta blocks.
     pub log_blocks: u64,
-    /// Flush triggers batched per group commit. At 1 (the default) every
-    /// flush trigger commits immediately — the classic synchronous cycle,
-    /// byte-identical to the pre-pipeline controller. Above 1, triggered
-    /// flushes only *stage* their encoded deltas; every `depth`-th trigger
-    /// (or any barrier / eviction demand) drains the whole staging buffer
-    /// into one sequential multi-entry log append.
+    /// Flush triggers batched per group commit. Every trigger drains the
+    /// dirty set through the one flush. At 1 (the default) it commits what
+    /// it drained at once — the classic synchronous cycle, byte-identical
+    /// to the pre-pipeline controller. Above 1 it *stages* the encoded
+    /// deltas instead; every `depth`-th trigger (or any barrier / eviction
+    /// demand) commits the whole staging buffer in one sequential
+    /// multi-entry log append.
     pub group_commit_depth: u64,
     /// Device-health policy: monitor thresholds (a `Failed` device gets
     /// degraded service and an online rebuild after

@@ -43,7 +43,7 @@ use icash_storage::hdd::{Hdd, HddError};
 use icash_storage::pipeline::Ticket;
 use icash_storage::request::{BlockError, Completion, IoErrorKind, Op, Request};
 use icash_storage::ssd::Ssd;
-use icash_storage::system::{GroupCommitReport, IoCtx, StorageSystem, SystemReport};
+use icash_storage::system::{IoCtx, StorageSystem, SystemReport};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
 use std::collections::BTreeMap;
@@ -125,7 +125,8 @@ pub(crate) struct Volatile {
     pub dirty_bytes: usize,
     /// The group-commit staging buffer: encoded-but-uncommitted deltas
     /// keyed by monotonic flush tickets. Always empty at
-    /// `group_commit_depth = 1` (the synchronous cycle never stages).
+    /// `group_commit_depth = 1`, where a flush commits what it drains at
+    /// once.
     pub staging: Staging,
     pub ios_since_scan: u64,
     pub ios_since_flush: u64,
@@ -240,12 +241,6 @@ impl Icash {
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         self.volatile.table.validate();
-        if self.cfg.group_commit_depth <= 1 {
-            assert!(
-                self.volatile.staging.is_empty(),
-                "the synchronous cycle must never stage"
-            );
-        }
         assert!(
             self.volatile.staging.live() as u64 <= self.stats.staged_entries,
             "live staged entries cannot exceed the stage count"
@@ -255,7 +250,7 @@ impl Icash {
         // release awaiting the next log commit.
         self.durable.slots.validate();
         let mut owners: Vec<(Lba, u64)> = Vec::new();
-        let mut charged = 0;
+        let (mut charged, mut staged) = (0, 0);
         for id in self.volatile.table.head_ids(usize::MAX) {
             let vb = self.volatile.table.get(id);
             // The residency index files exactly the blocks that hold RAM,
@@ -299,9 +294,25 @@ impl Icash {
                 "{:?}: dirty, with no delta",
                 vb.lba
             );
+            // At rest a block is staged iff the staging buffer holds its
+            // entry: a commit takes the whole buffer, and what it drains
+            // from the dirty set at depth 1 it appends at once.
+            let is_staged = home == Some(DeltaHome::Staged);
+            assert_eq!(
+                is_staged,
+                self.volatile.staging.get(vb.lba).is_some(),
+                "{:?}: staging buffer is wrong",
+                vb.lba
+            );
+            staged += usize::from(is_staged);
             self.validate_logged(vb.lba, vb.placement);
             owners.extend(vb.placement.slot().map(|slot| (vb.lba, slot)));
         }
+        assert_eq!(
+            staged,
+            self.volatile.staging.live(),
+            "staged entries for untracked blocks"
+        );
         // A block is tracked or evicted, never both: `clean_log` builds its
         // liveness map from both on that. (Hash order; `owners` is sorted
         // before it is compared.)
@@ -694,12 +705,6 @@ impl StorageSystem for Icash {
 
     fn report(&self, elapsed: Ns) -> SystemReport {
         let mut report = self.durable.array.report(self.name(), elapsed);
-        report.group_commit = Some(GroupCommitReport {
-            commits: self.stats.group_commits,
-            entries: self.stats.group_commit_entries,
-            bytes: self.stats.group_commit_bytes,
-            staged_high_water: self.stats.staging_high_water,
-        });
         report.health = self.health_report();
         report
     }

@@ -55,46 +55,53 @@ impl Icash {
     // Flushing
     // ------------------------------------------------------------------
 
-    /// One flush trigger of the staged write pipeline.
-    ///
-    /// At `group_commit_depth <= 1` this is the classic synchronous cycle
-    /// ([`Icash::commit_now`]): encode, pack, and write every dirty delta to
-    /// the HDD log immediately — byte-identical to the pre-pipeline
-    /// controller. Above 1 the trigger only *stages* the encoded deltas;
-    /// every `depth`-th staged trigger drains the whole buffer into one
-    /// sequential multi-entry append ([`Icash::commit_staged`]).
+    /// One flush trigger: [`flush`](Icash::flush), unforced.
     pub(crate) fn flush_dirty(&mut self, now: Ns) -> Ns {
-        if self.cfg.group_commit_depth <= 1 {
-            return self.commit_now(now);
-        }
-        self.volatile.ios_since_flush = 0;
-        self.stage_dirty(now);
-        if self.volatile.staging.batches() >= self.cfg.group_commit_depth {
-            self.commit_staged(now)
-        } else {
-            now
-        }
+        self.flush(now, false)
     }
 
-    /// A *forced* full drain of the pipeline: stages any remaining dirty
-    /// deltas and commits everything staged, regardless of the configured
+    /// A *forced* full drain of the pipeline, whatever the configured
     /// depth. Used by barriers, shutdown, and the replacement policies —
     /// anywhere correctness needs "no delta is RAM-only after this".
     pub(crate) fn flush_all(&mut self, now: Ns) -> Ns {
-        if self.cfg.group_commit_depth <= 1 {
-            return self.commit_now(now);
-        }
+        self.flush(now, true)
+    }
+
+    /// The one flush of the write pipeline: drains the dirty set and
+    /// [commits](Icash::commit) it. At `group_commit_depth = 1` the batch
+    /// is committed at once. Above 1 it is staged, and every `depth`-th
+    /// trigger — or a `forced` one — commits the whole staging buffer in
+    /// one sequential multi-entry append: the group commit.
+    fn flush(&mut self, now: Ns, forced: bool) -> Ns {
+        // The watermark at entry: every write accepted so far either has a
+        // dirty delta (drained here) or is already on stable media (the
+        // controller never leaves accepted data merely RAM-dirty outside
+        // the dirty set), so committing the batch makes them all durable.
+        let watermark = self.volatile.staging.progress.reserved();
         self.volatile.ios_since_flush = 0;
-        self.stage_dirty(now);
-        self.commit_staged(now)
+        let entries = self.drain_dirty();
+        if self.cfg.group_commit_depth <= 1 {
+            return self.commit(now, watermark, entries, None);
+        }
+        self.stage(now, watermark, entries);
+        if !forced && self.volatile.staging.batches() < self.cfg.group_commit_depth {
+            return now;
+        }
+        let (staged, bytes) = self.volatile.staging.drain();
+        debug_assert!(
+            staged.iter().all(|s| s.ticket <= watermark),
+            "staged tickets must sit below the commit watermark"
+        );
+        let entries = staged.into_iter().map(|s| s.entry).collect();
+        self.commit(now, watermark, entries, Some(bytes))
     }
 
     /// Frames every dirty delta as a log entry (in table-id order, for
-    /// determinism) and empties the dirty set. Each payload moves into its
-    /// entry, leaving the resident delta a claim on it; the caller decides
-    /// whether the entries go straight to the log or into the staging
-    /// buffer, and moves each block's home there.
-    fn drain_dirty(&mut self) -> Vec<(VbId, LogEntry)> {
+    /// determinism), moves each block's delta home to
+    /// [`Staged`](DeltaHome::Staged) and empties the dirty set. Each
+    /// payload moves into its entry, leaving the resident delta a claim on
+    /// it.
+    fn drain_dirty(&mut self) -> Vec<LogEntry> {
         // (Drained in hash order, hence the sort: stamps and pack order
         // follow it.)
         let mut ids: Vec<usize> = self.volatile.dirty.drain().collect();
@@ -112,10 +119,39 @@ impl Icash {
             };
             // A zero-based or self delta names its own block.
             let reference = vb.placement.reference().unwrap_or(vb.lba);
-            let entry = LogEntry::new(vb.lba, reference, gen, delta);
-            framed.push((id, entry));
+            if let Some(home) = vb.placement.delta_home_mut() {
+                *home = DeltaHome::Staged;
+            }
+            framed.push(LogEntry::new(vb.lba, reference, gen, delta));
         }
         framed
+    }
+
+    /// Files one trigger's `entries` in the staging buffer under `ticket`.
+    /// No device I/O happens here; the deltas stay readable through the
+    /// buffer (read-your-writes) until the commit.
+    fn stage(&mut self, now: Ns, ticket: Ticket, entries: Vec<LogEntry>) {
+        if entries.is_empty() {
+            return;
+        }
+        for entry in entries {
+            let (lba, bytes) = (entry.lba, entry.payload_len() as u32);
+            self.volatile.staging.push(lba, entry, ticket);
+            self.stats.staged_entries += 1;
+            self.durable.array.tracer().emit(|| TraceEvent {
+                at: now,
+                kind: TraceKind::StageEnter {
+                    lba: lba.raw(),
+                    ticket: ticket.as_u64(),
+                    bytes,
+                },
+            });
+        }
+        self.stats.staging_high_water = self
+            .stats
+            .staging_high_water
+            .max(self.volatile.staging.bytes());
+        self.volatile.staging.finish_batch();
     }
 
     /// Packs `entries` onto the end of the delta log and writes the new
@@ -179,10 +215,7 @@ impl Icash {
             }
             let lba = entries[i].lba;
             let current = self.volatile.table.lookup(lba).filter(|&id| {
-                matches!(
-                    self.volatile.table.get(id).placement.delta_home(),
-                    Some(DeltaHome::Dirty | DeltaHome::Staged)
-                )
+                self.volatile.table.get(id).placement.delta_home() == Some(DeltaHome::Staged)
             });
             if let Some(id) = current {
                 if self.volatile.table.get(id).placement.slot().is_some() {
@@ -214,8 +247,9 @@ impl Icash {
     /// What `id`'s current delta decodes to, its delta found wherever it
     /// is — in the log, or in `batch` (a commit's, drained from the dirty
     /// set and the staging buffer) — and its base pinned. `None` if either
-    /// is missing: a block whose new delta is still being stored has none
-    /// anywhere yet.
+    /// is missing: a block whose new delta is still being stored — dirty
+    /// inside a commit, moved by [`Icash::store_delta`] before it made
+    /// room — has none anywhere yet.
     fn current_content(&self, id: VbId, batch: &[LogEntry]) -> Option<BlockBuf> {
         let vb = self.volatile.table.get(id);
         let base = match vb.placement {
@@ -228,11 +262,8 @@ impl Icash {
         };
         let delta = match vb.placement.delta_home()? {
             DeltaHome::Log(loc) => self.durable.log.entry(loc, vb.lba)?.delta(),
-            DeltaHome::Dirty | DeltaHome::Staged => batch
-                .iter()
-                .find(|e| e.lba == vb.lba)
-                .and_then(LogEntry::delta)
-                .or_else(|| self.resident_delta(id)),
+            DeltaHome::Staged => batch.iter().find(|e| e.lba == vb.lba)?.delta(),
+            DeltaHome::Dirty => None,
         }?;
         Some(decode(base, delta))
     }
@@ -285,111 +316,59 @@ impl Icash {
         self.reclaim_released_slots();
     }
 
-    /// The synchronous encode → pack → flush cycle: packs every dirty delta
-    /// into log blocks and writes them to the HDD in one sequential
-    /// operation. Returns the write completion instant.
-    fn commit_now(&mut self, now: Ns) -> Ns {
-        // The watermark at entry: every write accepted so far either has a
-        // dirty delta (drained here) or is already on stable media (the
-        // controller never leaves accepted data merely RAM-dirty outside
-        // the dirty set), so finishing this flush makes them all durable.
-        let watermark = self.volatile.staging.progress.reserved();
-        self.volatile.ios_since_flush = 0;
-        if self.volatile.dirty.is_empty() {
+    /// Commits `entries`, the batch a flush drained: appends them to the
+    /// log in one sequential operation, moves each landed block's delta
+    /// home from [`Staged`](DeltaHome::Staged) to the log block it landed
+    /// in, completes `watermark` and cleans the log when it is nearly full.
+    /// `group` is the payload bytes of a staging buffer's worth of entries:
+    /// the commit is counted and traced as a group commit. Returns the
+    /// write completion instant.
+    fn commit(
+        &mut self,
+        now: Ns,
+        watermark: Ticket,
+        entries: Vec<LogEntry>,
+        group: Option<u64>,
+    ) -> Ns {
+        if entries.is_empty() {
+            // Nothing dirty, or everything staged was superseded: accepted
+            // writes are all on stable media already.
             self.commit_landed(watermark);
             return now;
         }
-        let (flushed, entries): (Vec<VbId>, Vec<LogEntry>) = self.drain_dirty().into_iter().unzip();
-        let (t, locs) = self.append_to_log(now, entries);
-        for (id, loc) in flushed.into_iter().zip(locs) {
-            let placement = &mut self.volatile.table.get_mut(id).placement;
-            if let (Some(home), Some(loc)) = (placement.delta_home_mut(), loc) {
-                *home = DeltaHome::Log(loc);
-            }
-        }
-        self.commit_landed(watermark);
-        if self.durable.log.is_nearly_full() {
-            self.clean_log(t);
-        }
-        t
-    }
-
-    /// Stage phase of the pipeline (`group_commit_depth > 1` only): encodes
-    /// every dirty delta into a framed [`LogEntry`] and moves it into the
-    /// staging buffer. No device I/O happens here; the deltas stay
-    /// readable through the buffer (read-your-writes) until the commit.
-    fn stage_dirty(&mut self, now: Ns) {
-        if self.volatile.dirty.is_empty() {
-            return;
-        }
-        let ticket = self.volatile.staging.progress.reserved();
-        for (id, entry) in self.drain_dirty() {
-            let (lba, bytes) = (entry.lba, entry.payload_len() as u32);
-            if let Some(home) = self.volatile.table.get_mut(id).placement.delta_home_mut() {
-                *home = DeltaHome::Staged;
-            }
-            self.volatile.staging.push(lba, entry, ticket);
-            self.stats.staged_entries += 1;
-            self.durable.array.tracer().emit(|| TraceEvent {
-                at: now,
-                kind: TraceKind::StageEnter {
-                    lba: lba.raw(),
-                    ticket: ticket.as_u64(),
-                    bytes,
-                },
-            });
-        }
-        self.stats.staging_high_water = self
-            .stats
-            .staging_high_water
-            .max(self.volatile.staging.bytes());
-        self.volatile.staging.finish_batch();
-    }
-
-    /// Commit phase of the pipeline: drains the whole staging buffer into
-    /// one sequential multi-entry log append (the group commit) and
-    /// completes the ticket watermark it covers.
-    fn commit_staged(&mut self, now: Ns) -> Ns {
-        let watermark = self.volatile.staging.progress.reserved();
-        let (staged, bytes) = self.volatile.staging.drain();
-        if staged.is_empty() {
-            // Everything staged was superseded (or nothing was staged):
-            // accepted writes are all on stable media already.
-            self.commit_landed(watermark);
-            return now;
-        }
-        debug_assert!(
-            staged.iter().all(|s| s.ticket <= watermark),
-            "staged tickets must sit below the commit watermark"
-        );
-        let entries: Vec<LogEntry> = staged.into_iter().map(|s| s.entry).collect();
         let n_entries = entries.len() as u32;
         let lbas: Vec<Lba> = entries.iter().map(|e| e.lba).collect();
         let (t, locs) = self.append_to_log(now, entries);
         for (lba, loc) in lbas.into_iter().zip(locs) {
             let Some(loc) = loc else {
-                continue;
+                continue; // spilled: its block went home
             };
-            if let Some(id) = self.volatile.table.lookup(lba) {
-                // Skip blocks re-dirtied or superseded since staging; their
-                // newer placement stands.
-                match self.volatile.table.get_mut(id).placement.delta_home_mut() {
-                    Some(home) if *home == DeltaHome::Staged => *home = DeltaHome::Log(loc),
-                    _ => {}
-                }
+            // The batch holds every staged block's one live entry — the
+            // dirty set was drained into it, `unstage` takes a superseded
+            // entry out, and the trim commits before it evicts a block
+            // whose delta is not logged — so a landed entry's block is
+            // tracked and staged, unless the spill sent it home.
+            let id = self.volatile.table.lookup(lba);
+            debug_assert!(id.is_some(), "{lba:?}: committed, but untracked");
+            let placement = id.map(|id| &mut self.volatile.table.get_mut(id).placement);
+            if let Some(home) = placement.and_then(Placement::delta_home_mut) {
+                debug_assert_eq!(*home, DeltaHome::Staged, "{lba:?}: committed");
+                *home = DeltaHome::Log(loc);
             }
         }
-        self.stats.group_commits += 1;
-        self.stats.group_commit_entries += n_entries as u64;
-        self.stats.group_commit_bytes += bytes;
-        let commit_bytes = bytes.min(u32::MAX as u64) as u32;
-        self.durable.array.tracer().emit(|| TraceEvent {
-            at: t,
-            kind: TraceKind::GroupCommit {
-                entries: n_entries,
-                bytes: commit_bytes,
-            },
-        });
+        if let Some(bytes) = group {
+            self.stats.group_commits += 1;
+            self.stats.group_commit_entries += n_entries as u64;
+            self.stats.group_commit_bytes += bytes;
+            let bytes = bytes.min(u32::MAX as u64) as u32;
+            self.durable.array.tracer().emit(|| TraceEvent {
+                at: t,
+                kind: TraceKind::GroupCommit {
+                    entries: n_entries,
+                    bytes,
+                },
+            });
+        }
         self.commit_landed(watermark);
         if self.durable.log.is_nearly_full() {
             self.clean_log(t);
@@ -399,10 +378,11 @@ impl Icash {
 
     /// Compacts the delta log, dropping superseded entries, and rewrites
     /// the survivors sequentially from the start of the log region. A block
-    /// whose current delta is not in the log yet — dirty, staged, or in the
-    /// batch a commit is about to append — keeps its newest entry until
-    /// that delta lands, so a crash before it lands finds the version the
-    /// delta is to supersede (DESIGN.md §12).
+    /// whose current delta is not in the log yet — staged (in the batch a
+    /// commit is about to append), or dirty outside the dirty set (moved by
+    /// [`Icash::store_delta`] before it made room for its delta) — keeps
+    /// its newest entry until that delta lands, so a crash before it lands
+    /// finds the version the delta is to supersede (DESIGN.md §12).
     pub(crate) fn clean_log(&mut self, now: Ns) {
         // The compaction rewrites the log region from the start, so any
         // appends still parked in the drive's write-behind cache must land

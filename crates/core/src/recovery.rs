@@ -312,6 +312,9 @@ mod tests {
             std::collections::HashMap::new();
         let mut i = 0u64;
         while sys.stats().group_commits == 0 {
+            // (Bounded: a pipeline that never commits would otherwise loop,
+            // keeping every version, until the host runs out of memory.)
+            assert!(i < 10_000, "no group commit after {i} writes");
             let lba = i % 40;
             let data = content((i % 251) as u8);
             versions.entry(lba).or_default().push(data.clone());

@@ -1,14 +1,15 @@
 //! The write-pipeline staging buffer (group commit).
 //!
-//! At `group_commit_depth = 1` the controller keeps the classic synchronous
-//! cycle: every flush trigger encodes the dirty deltas and appends them to
-//! the HDD log immediately. Above 1, triggered flushes only *stage* their
-//! encoded [`LogEntry`]s here; every `depth`-th trigger (or any barrier /
-//! eviction demand) drains the whole buffer into **one** sequential
-//! multi-entry log append — the group commit. Staged entries are keyed by
-//! the monotonic flush tickets of [`FlushProgress`], so callers can ask
-//! "is my write durable yet?" ([`FlushProgress::is_completed`]) and wait on
-//! exactly the commit that covers it.
+//! Every flush trigger drains the dirty set into framed [`LogEntry`]s and
+//! marks each block staged; one `commit` appends a batch to the HDD log.
+//! At `group_commit_depth = 1` the trigger commits its batch at once and
+//! this buffer stays empty. Above 1, triggers file their entries here, and
+//! every `depth`-th trigger (or any barrier / eviction demand) commits the
+//! whole buffer as **one** sequential multi-entry log append — the group
+//! commit. Staged entries are keyed by the monotonic flush tickets of
+//! [`FlushProgress`], so callers can ask "is my write durable yet?"
+//! ([`FlushProgress::is_completed`]) and wait on exactly the commit that
+//! covers it.
 //!
 //! The buffer also serves read-your-writes: a staged block's delta is
 //! re-installable from RAM without a device operation (see
@@ -49,11 +50,6 @@ impl Staging {
     /// An empty staging buffer.
     pub fn new() -> Self {
         Staging::default()
-    }
-
-    /// Whether no live entry is staged.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Live (not superseded) staged entries.
@@ -146,7 +142,7 @@ mod tests {
     #[test]
     fn push_lookup_drain_roundtrip() {
         let mut s = Staging::new();
-        assert!(s.is_empty());
+        assert_eq!(s.live(), 0);
         let t = s.progress.reserve();
         s.push(Lba::new(1), entry(1, 1), t);
         s.push(Lba::new(2), entry(2, 2), t);
@@ -159,7 +155,7 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|e| e.ticket == t));
         assert!(bytes > 0);
-        assert!(s.is_empty());
+        assert_eq!(s.live(), 0);
         assert_eq!(s.batches(), 0);
     }
 

@@ -71,8 +71,8 @@ pub struct IcashStats {
     /// recovery (the frame replayed up to its last complete entry).
     pub torn_entries_dropped: u64,
     /// Encoded deltas that entered the staging buffer (group commit
-    /// pending). Zero at `group_commit_depth = 1`: the synchronous cycle
-    /// never stages.
+    /// pending). Zero at `group_commit_depth = 1`: there a flush commits
+    /// its batch at once, without the buffer.
     pub staged_entries: u64,
     /// Group commits draining the staging buffer into one sequential
     /// multi-entry log append.

@@ -36,9 +36,10 @@ pub enum DeltaHome {
     /// Only in RAM, as the block's resident delta; the block is in the
     /// dirty set until the next flush trigger.
     Dirty,
-    /// Framed in the staging buffer awaiting group commit: not on stable
-    /// media yet, but re-installable from RAM without a device operation.
-    /// Never at `group_commit_depth = 1`.
+    /// Framed by a flush and awaiting its commit: not on stable media yet.
+    /// Between triggers (`group_commit_depth > 1`) the staging buffer holds
+    /// it, re-installable from RAM without a device operation; at depth 1
+    /// only the commit's own batch does.
     Staged,
     /// In this packed block of the HDD delta log.
     Log(u32),

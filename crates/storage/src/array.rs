@@ -309,7 +309,6 @@ impl DeviceArray {
             ssd_life_used: self.ssd_life_used(),
             device_energy: self.device_energy(elapsed),
             faults: self.fault_stats(),
-            group_commit: None,
             health: None,
         }
     }

@@ -100,8 +100,6 @@ pub use pipeline::{FlushProgress, Ticket, WriteThrough};
 pub use queue::{CommandQueue, QueueConfig, QueueFull, QueuePolicy};
 pub use request::{BlockError, Completion, IoErrorKind, Op, Request};
 pub use shard::ShardRouter;
-pub use system::{
-    ContentSource, GroupCommitReport, IoCtx, StorageSystem, SystemReport, ZeroSource,
-};
+pub use system::{ContentSource, IoCtx, StorageSystem, SystemReport, ZeroSource};
 pub use time::{Ns, SimClock};
 pub use trace::{TraceEvent, TraceKind, TraceSink, TraceStats, Tracer};

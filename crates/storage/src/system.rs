@@ -70,42 +70,6 @@ impl<'a> IoCtx<'a> {
     }
 }
 
-/// Group-commit efficiency of a staged write pipeline: how many buffered
-/// entries each sequential log append amortized, and how deep the staging
-/// buffer grew. All zero for write-through architectures.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupCommitReport {
-    /// Group commits performed (one sequential append each).
-    pub commits: u64,
-    /// Staged entries drained by those commits.
-    pub entries: u64,
-    /// Encoded payload bytes drained by those commits.
-    pub bytes: u64,
-    /// High-water mark of buffered staging bytes.
-    pub staged_high_water: u64,
-}
-
-impl GroupCommitReport {
-    /// Entries amortized per commit (0 when no commits ran).
-    pub fn entries_per_commit(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.entries as f64 / self.commits as f64
-        }
-    }
-
-    /// Folds another shard's pipeline counters into this one. Counters add;
-    /// the staging high-water mark is each shard's private buffer, so the
-    /// merged figure is the worst single shard.
-    pub fn merge(&mut self, other: &GroupCommitReport) {
-        self.commits += other.commits;
-        self.entries += other.entries;
-        self.bytes += other.bytes;
-        self.staged_high_water = self.staged_high_water.max(other.staged_high_water);
-    }
-}
-
 /// Device-health and self-healing figures of one run, present only when the
 /// controller ran under a health policy other than the inert one.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -169,8 +133,6 @@ pub struct SystemReport {
     /// Injected-fault counters merged over every device (all zero when the
     /// run carried no fault plan).
     pub faults: FaultStats,
-    /// Group-commit efficiency, if the architecture stages writes.
-    pub group_commit: Option<GroupCommitReport>,
     /// Device-health figures, if a non-inert health policy was in force.
     #[serde(default)]
     pub health: Option<HealthReport>,
@@ -196,9 +158,6 @@ impl SystemReport {
         merge_opt(&mut self.gc, &other.gc, |a, b| a.merge(b));
         merge_opt(&mut self.ssd_life_used, &other.ssd_life_used, |a, b| {
             *a = a.max(*b)
-        });
-        merge_opt(&mut self.group_commit, &other.group_commit, |a, b| {
-            a.merge(b)
         });
         merge_opt(&mut self.health, &other.health, |a, b| a.merge(b));
         self.device_energy.add(other.device_energy);

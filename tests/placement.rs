@@ -316,6 +316,54 @@ fn a_flush_inside_the_transition_does_not_reclaim_the_slot_it_is_replacing() {
     }
 }
 
+/// The same transition with a clean in its commit: a 16-block log holds 14
+/// one-entry blocks, so the commit a span's `store_delta` runs to make room
+/// cleans the log. The block being written names its dirty home by then,
+/// and its delta is in no batch: the clean must keep the entry behind it,
+/// or a crash before the next commit finds no version of it at all. The
+/// filler span parks dirty deltas in the pool, a few more at each level, so
+/// that for some levels the flush lands inside the span.
+#[test]
+fn a_clean_inside_the_transition_keeps_the_version_behind_the_barrier() {
+    let mut cleaned_inside = 0;
+    for filler in (8..=160).step_by(4) {
+        let cfg = IcashConfig::builder(1 << 20, 64 << 10, 4 << 20)
+            .scan_interval(1_000_000)
+            .flush_interval(1_000_000)
+            .log_blocks(16)
+            .build();
+        let mut rig = Rig {
+            sys: Icash::new(cfg),
+            cpu: CpuModel::xeon(),
+            now: Ns::ZERO,
+        };
+        for lba in 0..14 {
+            rig.write(lba, sparse(lba, 100, 400));
+            rig.sync();
+        }
+        rig.write_span(
+            1_000,
+            (1_000..1_000 + filler)
+                .map(|l| sparse(l, 50, 400))
+                .collect(),
+        );
+        let before = rig.sys.stats();
+        let fresh: Vec<BlockBuf> = (0..8).map(|l| sparse(l, 101, 400)).collect();
+        rig.write_span(0, fresh.clone());
+        let after = rig.sys.stats();
+        cleaned_inside += u32::from(after.log_cleans > before.log_cleans);
+        let mut rig = rig.crash();
+        for (lba, new) in (0..).zip(&fresh) {
+            let got = rig.read(lba);
+            assert!(
+                got == *new || got == sparse(lba, 100, 400),
+                "filler {filler}: block {lba} rolled back behind its barrier"
+            );
+        }
+    }
+    assert!(cleaned_inside > 0, "no clean ran inside the span");
+}
+
 /// A released slot stays pinned until the next commit, and until then the
 /// pin *and the entries logged on top of it* are the block's last durable
 /// version. Here a reference with a barrier-covered self-delta is rewritten

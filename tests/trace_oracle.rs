@@ -287,11 +287,9 @@ fn icash_queue_counters_match_trace() {
 
 /// The write-pipeline counters: at `group_commit_depth = 16`, every
 /// `StageEnter`/`GroupCommit`/`Barrier` event in the trace must reconcile
-/// field for field with [`IcashStats`] and the `group_commit` section of
-/// the [`SystemReport`].
+/// field for field with [`IcashStats`], the pipeline counters' one copy.
 ///
 /// [`IcashStats`]: icash::core::IcashStats
-/// [`SystemReport`]: icash::storage::system::SystemReport
 #[test]
 fn icash_pipeline_counters_match_trace() {
     let mut sys = Icash::new(
@@ -329,9 +327,8 @@ fn icash_pipeline_counters_match_trace() {
             t = sys.sync(t, &mut ctx);
         }
     }
-    t = sys.flush(t, &mut ctx);
+    sys.flush(t, &mut ctx);
     let stats = sys.stats();
-    let report = sys.report(t);
     drop(sys);
     let trace = counts.lock().expect("counting sink").clone();
 
@@ -349,15 +346,6 @@ fn icash_pipeline_counters_match_trace() {
     assert_eq!(trace.barrier_noops, stats.barrier_noops, "barrier no-ops");
     assert_eq!(trace.log_flushes, stats.flushes, "log flushes");
     assert_eq!(trace.log_blocks, stats.log_blocks_written, "log blocks");
-
-    let gc = report
-        .group_commit
-        .as_ref()
-        .expect("I-CASH reports the pipeline");
-    assert_eq!(gc.commits, trace.group_commits, "report commits");
-    assert_eq!(gc.entries, trace.group_commit_entries, "report entries");
-    assert_eq!(gc.bytes, trace.group_commit_bytes, "report bytes");
-    assert_eq!(gc.staged_high_water, stats.staging_high_water, "high water");
 
     // The scenario must actually exercise the pipeline, or every equality
     // above is vacuous.
