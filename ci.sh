@@ -35,22 +35,29 @@ lint_hashers() {
   fi
 }
 
-# The only copy of the feature-off byte-identity check: under the given
-# environment, run_faults' stdout and run_all's trace JSONL (sha256 + line
-# count) must equal the goldens pinned before any optional feature existed.
-golden() {
-  local tag=$1 && shift
-  step "golden ($tag): run_faults stdout vs ci/golden/run_faults_depth1.txt"
-  env "$@" ./target/release/run_faults > "target/golden_$tag.faults.txt"
-  diff "target/golden_$tag.faults.txt" ci/golden/run_faults_depth1.txt
-  step "golden ($tag): run_all trace JSONL vs ci/golden/run_all_trace_depth1.sha256"
+# run_all's 300-op trace JSONL (sha256 + line count) under the given
+# environment must equal ci/golden/<pin>.sha256.
+trace_pin() {
+  local tag=$1 pin=$2 && shift 2
+  step "golden ($tag): run_all trace JSONL vs ci/golden/$pin.sha256"
   env ICASH_OPS=300 ICASH_THREADS=1 "$@" ./target/release/run_all \
     "target/golden_$tag.md" --trace "target/golden_$tag.jsonl" > /dev/null
   {
     sha256sum "target/golden_$tag.jsonl" | cut -d' ' -f1
     wc -l < "target/golden_$tag.jsonl"
   } > "target/golden_$tag.sha256"
-  diff "target/golden_$tag.sha256" ci/golden/run_all_trace_depth1.sha256
+  diff "target/golden_$tag.sha256" "ci/golden/$pin.sha256"
+}
+
+# The only copy of the feature-off byte-identity check: under the given
+# environment, run_faults' stdout and run_all's trace JSONL must equal the
+# goldens pinned before any optional feature existed.
+golden() {
+  local tag=$1 && shift
+  step "golden ($tag): run_faults stdout vs ci/golden/run_faults_depth1.txt"
+  env "$@" ./target/release/run_faults > "target/golden_$tag.faults.txt"
+  diff "target/golden_$tag.faults.txt" ci/golden/run_faults_depth1.txt
+  trace_pin "$tag" run_all_trace_depth1 "$@"
 }
 
 case "${1:-gate}" in
@@ -59,6 +66,11 @@ golden)
   golden unset
   golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 \
     ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0
+  # The one pin on a sharded harness cell: every architecture striped over
+  # four shards sized by IcashConfig::shard_slice, at two worker counts.
+  for threads in 1 2; do
+    trace_pin "shards4_$threads" run_all_trace_shards4 ICASH_SHARDS=4 ICASH_THREADS=$threads
+  done
   # The campaign at a depth the synchronous goldens above cannot reach: the
   # staging buffer, its group commits and the crash cells' barriers.
   step "golden (depth 4): run_faults stdout vs ci/golden/run_faults_depth4.txt"

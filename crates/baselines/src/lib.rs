@@ -10,10 +10,6 @@
 //!    identical block) over one disk.
 //! 4. [`LruCache`] — a plain SSD LRU block cache over one disk.
 //!
-//! Plus [`PlainHdd`] — one bare SATA disk, the ablation floor below all of
-//! the paper's configurations (used by the trace-oracle tests as the
-//! degenerate case).
-//!
 //! Except for the pure-SSD system, the caches use exactly the same flash
 //! budget the paper gives I-CASH (~10 % of the data set).
 //!
@@ -39,13 +35,11 @@
 pub mod dedup;
 pub mod home;
 pub mod lru_cache;
-pub mod plain_hdd;
 pub mod pure_ssd;
 pub mod raid0;
 
 pub use dedup::DedupCache;
 pub use home::HomeDisk;
 pub use lru_cache::LruCache;
-pub use plain_hdd::PlainHdd;
 pub use pure_ssd::PureSsd;
 pub use raid0::Raid0;

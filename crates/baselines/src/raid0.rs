@@ -5,7 +5,6 @@
 //! access still pays a full mechanical seek + rotation on its disk — which
 //! is why the paper's RAID0 numbers trail everything with flash in it.
 
-use crate::home::HomeDisk;
 use icash_storage::array::DeviceArray;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::fault::{self, FaultPlan};
@@ -178,10 +177,6 @@ impl StorageSystem for Raid0 {
         self.array.report(self.name(), elapsed)
     }
 }
-
-/// A single plain HDD (used by ablations; the paper's LRU/Dedup caches sit
-/// on one of these).
-pub type SingleDisk = HomeDisk;
 
 #[cfg(test)]
 mod tests {

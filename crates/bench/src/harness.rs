@@ -82,37 +82,31 @@ impl SystemKind {
     ///
     /// With `features.shards > 1` the system is striped across that many
     /// independent controllers behind a [`ShardRouter`], each a complete
-    /// small system built from the spec's
-    /// [`shard_slice`](WorkloadSpec::shard_slice) so the aggregate hardware
+    /// small system sized from [`slice_config`], so the aggregate hardware
     /// budget matches the unsharded build. At one shard this returns the
     /// bare (unwrapped) system — the golden fixtures stay untouched by
     /// construction.
     pub fn build(self, spec: &WorkloadSpec, features: &Features) -> Box<dyn StorageSystem> {
-        use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
-        if features.shards > 1 {
-            let shards = features.shards;
-            // Each shard polices its share of the staging budget, so the
-            // aggregate bound matches the unsharded build. The queue depth
-            // is per device, so every shard keeps it whole.
-            let one = Features {
-                shards: 1,
-                health: features.health.shard_share(u64::from(shards)),
-                ..*features
-            };
-            let slice = spec.shard_slice(shards);
-            let systems: Vec<_> = (0..shards).map(|_| self.build(&slice, &one)).collect();
+        let shards = features.shards;
+        if shards > 1 {
+            let slice = slice_config(spec, features, shards);
+            let systems: Vec<_> = (0..shards).map(|_| self.sized(slice.clone())).collect();
             return Box::new(ShardRouter::new(systems));
         }
+        self.sized(icash_config(spec, features).build())
+    }
+
+    /// One system over the capacities of `cfg`: I-CASH runs it, a baseline
+    /// takes its SSD and data bytes.
+    fn sized(self, cfg: IcashConfig) -> Box<dyn StorageSystem> {
+        use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
+        let (ssd, data) = (cfg.ssd_bytes, cfg.data_bytes);
         match self {
-            SystemKind::FusionIo => Box::new(PureSsd::new(spec.data_bytes).timing_only()),
-            SystemKind::Raid0 => Box::new(Raid0::new(spec.data_bytes, 4).timing_only()),
-            SystemKind::Dedup => {
-                Box::new(DedupCache::new(spec.ssd_bytes, spec.data_bytes).timing_only())
-            }
-            SystemKind::Lru => {
-                Box::new(LruCache::new(spec.ssd_bytes, spec.data_bytes).timing_only())
-            }
-            SystemKind::Icash => Box::new(Icash::new(icash_config(spec, features).build())),
+            SystemKind::FusionIo => Box::new(PureSsd::new(data).timing_only()),
+            SystemKind::Raid0 => Box::new(Raid0::new(data, 4).timing_only()),
+            SystemKind::Dedup => Box::new(DedupCache::new(ssd, data).timing_only()),
+            SystemKind::Lru => Box::new(LruCache::new(ssd, data).timing_only()),
+            SystemKind::Icash => Box::new(Icash::new(cfg)),
         }
     }
 }
@@ -127,6 +121,14 @@ pub(crate) fn icash_config(spec: &WorkloadSpec, features: &Features) -> IcashCon
         Some(queue) => builder.queue(queue),
         None => builder,
     }
+}
+
+/// The one slicing rule of a `shards`-wide system: each shard is
+/// [`IcashConfig::shard_slice`] of the unsharded controller, so every
+/// budget is divided, not replicated. Sharded harness cells size all five
+/// architectures from it, and every `run_scale` shard runs it.
+pub(crate) fn slice_config(spec: &WorkloadSpec, features: &Features, shards: u32) -> IcashConfig {
+    icash_config(spec, features).build().shard_slice(shards)
 }
 
 /// The driver settings of every harness cell: the workload's client count
@@ -536,6 +538,9 @@ pub fn cell_table(results: &[(WorkloadSpec, Vec<RunSummary>)], workers: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
+    use icash_storage::fault::HealthPolicy;
+    use icash_storage::queue::QueueConfig;
     use icash_workloads::sysbench;
 
     fn small_plan() -> [PlannedWorkload; 1] {
@@ -576,6 +581,79 @@ mod tests {
             assert_eq!(s.ops, 1_000);
             assert!(s.elapsed.as_ns() > 0, "{} did not advance time", s.system);
         }
+    }
+
+    /// Every feature knob reaches a sliced shard: group commit, the health
+    /// policy with its staging cap (split per shard) and the queue.
+    #[test]
+    fn slices_carry_every_feature() {
+        let features = Features {
+            group_commit_depth: 4,
+            shards: 1,
+            health: HealthPolicy {
+                staging_cap: 64,
+                ..HealthPolicy::standard()
+            },
+            queue: Some(QueueConfig::depth(8)),
+        };
+        let slice = slice_config(&sysbench::spec(), &features, 4);
+        assert_eq!(slice.group_commit_depth, 4);
+        assert_eq!(slice.health, features.health.shard_share(4));
+        assert_eq!(slice.health.staging_cap, 16);
+        assert_eq!(slice.queue, Some(QueueConfig::depth(8)));
+    }
+
+    /// One slicing rule for every architecture. At 4 shards the harness's
+    /// I-CASH shards run `IcashConfig::shard_slice(4)` of the unsharded
+    /// controller (log and dirty threshold divided, not replicated), and
+    /// every baseline shard takes that slice's SSD and data bytes: each
+    /// sharded cell replays exactly like a router built by hand from the
+    /// slice, summary and event stream alike.
+    #[test]
+    fn sharded_cells_are_sized_from_the_icash_slice() {
+        // The spec of a 300-op cell, replayed long enough to fill the
+        // baseline caches, so a wrong SSD share shows in their hits.
+        let spec = sysbench::spec().scaled_to_ops(300);
+        let ops = 4_000;
+        let whole = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes).build();
+        let slice = whole.shard_slice(4);
+        assert_eq!(slice.log_blocks, whole.log_blocks / 4);
+        assert_eq!(slice.flush_dirty_bytes, whole.flush_dirty_bytes / 4);
+        let (ssd, data) = (slice.ssd_bytes, slice.data_bytes);
+        let by_hand = |kind: SystemKind| -> Box<dyn StorageSystem> {
+            match kind {
+                SystemKind::FusionIo => Box::new(PureSsd::new(data).timing_only()),
+                SystemKind::Raid0 => Box::new(Raid0::new(data, 4).timing_only()),
+                SystemKind::Dedup => Box::new(DedupCache::new(ssd, data).timing_only()),
+                SystemKind::Lru => Box::new(LruCache::new(ssd, data).timing_only()),
+                SystemKind::Icash => Box::new(Icash::new(slice.clone())),
+            }
+        };
+        let trace = Trace::record(&mut MixedWorkload::new(spec.clone(), SEED), ops);
+        let replay = |mut system: Box<dyn StorageSystem>| {
+            let sink = attach_jsonl(system.as_mut());
+            let mut player = TracePlayer::new(spec.clone(), trace.clone());
+            let mut model = ContentModel::new(SEED, spec.profile.clone());
+            let driver = cell_driver(ops, spec.clients);
+            let summary = run_benchmark(system.as_mut(), &mut player, &mut model, &driver);
+            let events = sink.lock().expect("trace sink").take_text();
+            (summary.to_json(), events)
+        };
+        let features = Features {
+            shards: 4,
+            ..Features::default()
+        };
+        let unsliced: Vec<SystemKind> = SystemKind::ALL
+            .into_iter()
+            .filter(|&kind| {
+                let router = ShardRouter::new((0..4).map(|_| by_hand(kind)).collect());
+                replay(kind.build(&spec, &features)) != replay(Box::new(router))
+            })
+            .collect();
+        assert!(
+            unsliced.is_empty(),
+            "not four slices of the unsharded cell: {unsliced:?}"
+        );
     }
 
     /// The post-run barrier check runs on every path: a scenario cell with

@@ -26,8 +26,8 @@
 //!
 //! [`ShardRouter`]: icash_storage::shard::ShardRouter
 
-use crate::config::{Features, RunConfig, SEED};
-use crate::harness::{cell_driver, icash_config, run_jobs};
+use crate::config::{RunConfig, SEED};
+use crate::harness::{cell_driver, run_jobs, slice_config};
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
@@ -163,12 +163,6 @@ fn replay_shard(
     run_benchmark(&mut system, &mut player, &mut model, &driver)
 }
 
-/// The controller every shard of a `shards`-wide cell runs: a slice of the
-/// harness's, so the hardware budget matches the one-shard cell.
-fn slice_config(spec: &WorkloadSpec, features: &Features, shards: u32) -> IcashConfig {
-    icash_config(spec, features).build().shard_slice(shards)
-}
-
 /// Runs one sweep cell: partition the recorded trace, replay every shard's
 /// slice on the shared worker pool (thread-per-shard up to `cfg.workers()`
 /// threads), merge. Each shard runs `slice_config`.
@@ -182,16 +176,14 @@ pub fn run_cell(
 ) -> ScaleCell {
     let wall_start = Instant::now();
     let parts = partition_trace(trace, shards);
-    let slice_spec = spec.shard_slice(shards);
     let slice_cfg = slice_config(spec, &cfg.features, shards);
     let jobs: Vec<_> = parts
         .into_iter()
         .enumerate()
         .map(|(shard, part)| {
             let sub_universe = universe_share(universe, shards, shard as u32);
-            let slice_spec = &slice_spec;
             let slice_cfg = slice_cfg.clone();
-            move || replay_shard(slice_spec, slice_cfg, part, sub_universe, clients)
+            move || replay_shard(spec, slice_cfg, part, sub_universe, clients)
         })
         .collect();
     let per_shard = run_jobs(cfg.workers(), jobs);
@@ -312,10 +304,8 @@ pub fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icash_baselines::PlainHdd;
+    use icash_baselines::Raid0;
     use icash_storage::block::{BlockBuf, Lba};
-    use icash_storage::fault::HealthPolicy;
-    use icash_storage::queue::QueueConfig;
     use icash_storage::request::{Op, Request};
     use icash_storage::shard::ShardRouter;
     use icash_workloads::sysbench;
@@ -361,7 +351,7 @@ mod tests {
                     partitioned.push((shard, sub.lba, sub.blocks));
                 }
             }
-            let router = ShardRouter::new((0..width).map(|_| PlainHdd::new(1 << 20)).collect());
+            let router = ShardRouter::new((0..width).map(|_| Raid0::new(1 << 20, 1)).collect());
             let req = if write {
                 Request::write_span(lba, Ns::ZERO, vec![BlockBuf::zeroed(); blocks as usize])
             } else {
@@ -374,26 +364,6 @@ mod tests {
                 .collect();
             prop_assert_eq!(partitioned, split);
         }
-    }
-
-    /// Every feature knob reaches a scale cell's shards: group commit, the
-    /// health policy with its staging cap (split per shard) and the queue.
-    #[test]
-    fn slices_carry_every_feature() {
-        let features = Features {
-            group_commit_depth: 4,
-            shards: 1,
-            health: HealthPolicy {
-                staging_cap: 64,
-                ..HealthPolicy::standard()
-            },
-            queue: Some(QueueConfig::depth(8)),
-        };
-        let slice = slice_config(&small_spec(), &features, 4);
-        assert_eq!(slice.group_commit_depth, 4);
-        assert_eq!(slice.health, features.health.shard_share(4));
-        assert_eq!(slice.health.staging_cap, 16);
-        assert_eq!(slice.queue, Some(QueueConfig::depth(8)));
     }
 
     #[test]

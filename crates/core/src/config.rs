@@ -12,7 +12,9 @@ use serde::{Deserialize, Serialize};
 /// Defaults follow the paper's prototype (§4.2–§4.3): 4 KB blocks, a
 /// similarity scan every 2,000 I/Os over the 4,000 blocks at the head of
 /// the LRU queue, a 2,048-byte delta threshold above which new data is
-/// written directly to the SSD, and 64-byte delta segments.
+/// written directly to the SSD. Deltas are charged in the paper's 64-byte
+/// RAM segments ([`SEGMENT_BYTES`](crate::segment::SEGMENT_BYTES)), which no
+/// setting changes.
 ///
 /// # Examples
 ///
@@ -40,8 +42,6 @@ pub struct IcashConfig {
     /// Deltas larger than this go directly to the SSD as full blocks
     /// (paper: 2,048 bytes).
     pub delta_threshold: usize,
-    /// Granularity of RAM delta allocation (paper: 64-byte segments).
-    pub segment_bytes: usize,
     /// Host I/Os between periodic flushes of dirty deltas to the HDD log.
     pub flush_interval: u64,
     /// Dirty-delta bytes that force an early flush.
@@ -84,7 +84,6 @@ impl IcashConfig {
                 scan_window: 4_000,
                 ref_fraction: 0.02,
                 delta_threshold: 2_048,
-                segment_bytes: 64,
                 flush_interval: 4_000,
                 flush_dirty_bytes: 8 << 20,
                 log_blocks: 1 << 20, // 4 GB of log space
@@ -158,8 +157,8 @@ impl IcashConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a capacity is zero, the segment size does not divide the
-    /// block size, or the health policy or queue is inconsistent.
+    /// Panics if a capacity is zero or the health policy or queue is
+    /// inconsistent.
     pub fn validate(&self) {
         assert!(self.ssd_bytes > 0, "SSD capacity must be nonzero");
         assert!(self.ram_bytes > 0, "RAM budget must be nonzero");
@@ -168,12 +167,6 @@ impl IcashConfig {
         assert!(
             self.group_commit_depth > 0,
             "group-commit depth must be nonzero"
-        );
-        assert!(self.segment_bytes > 0, "segments must be nonzero");
-        assert_eq!(
-            BLOCK_SIZE % self.segment_bytes,
-            0,
-            "segments must divide the block size"
         );
         assert!(
             (0.0..=1.0).contains(&self.ref_fraction),
@@ -278,7 +271,6 @@ mod tests {
         assert_eq!(cfg.scan_interval, 2_000);
         assert_eq!(cfg.scan_window, 4_000);
         assert_eq!(cfg.delta_threshold, 2_048);
-        assert_eq!(cfg.segment_bytes, 64);
         assert_eq!(cfg.ssd_slots(), (128 << 20) / 4096);
     }
 
@@ -317,9 +309,15 @@ mod tests {
             assert!(slice.data_blocks() * n as u64 >= cfg.data_blocks());
             assert_eq!(slice.scan_interval, cfg.scan_interval);
             assert_eq!(slice.group_commit_depth, cfg.group_commit_depth);
+            // Budgets split, they do not replicate (modulo the floors).
+            assert!(slice.ssd_bytes <= cfg.ssd_bytes && slice.log_blocks <= cfg.log_blocks);
         }
         assert_eq!(cfg.shard_slice(1).data_blocks(), cfg.data_blocks());
-        assert_eq!(cfg.shard_slice(2).ssd_bytes, cfg.ssd_bytes / 2);
+        let half = cfg.shard_slice(2);
+        assert_eq!(half.ssd_bytes, cfg.ssd_bytes / 2);
+        assert_eq!(half.ram_bytes, cfg.ram_bytes / 2);
+        assert_eq!(half.flush_dirty_bytes, cfg.flush_dirty_bytes / 2);
+        assert_eq!(half.log_blocks, cfg.log_blocks / 2);
     }
 
     #[test]

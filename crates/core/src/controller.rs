@@ -145,7 +145,7 @@ impl Volatile {
             codec: DeltaCodec::default(),
             heatmap: Heatmap::standard(),
             table: BlockTable::new(),
-            pool: SegmentPool::new(cfg.ram_budget(), cfg.segment_bytes),
+            pool: SegmentPool::new(cfg.ram_budget()),
             ref_index: RefIndex::new(),
             span_prefetch: AddrMap::default(),
             evicted: AddrPages::default(),
@@ -172,7 +172,7 @@ impl Icash {
         let hdd = Hdd::new(cfg.hdd_config());
         Icash {
             durable: Durable {
-                array: DeviceArray::coupled(ssd, hdd).with_ram_buffer(cfg.ram_budget() as u64),
+                array: DeviceArray::coupled(ssd, hdd),
                 log: DeltaLog::new(cfg.log_blocks),
                 slots: SlotStore::new(cfg.ssd_slots()),
                 home_overlay: AddrMap::default(),

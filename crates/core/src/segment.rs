@@ -8,6 +8,13 @@
 
 use icash_storage::block::BLOCK_SIZE;
 
+/// Granularity of RAM delta allocation: the paper's 64-byte segments.
+pub const SEGMENT_BYTES: usize = 64;
+const _: () = assert!(
+    BLOCK_SIZE.is_multiple_of(SEGMENT_BYTES),
+    "segments divide a block"
+);
+
 /// Byte-budget allocator for the controller RAM buffer.
 ///
 /// # Examples
@@ -15,7 +22,7 @@ use icash_storage::block::BLOCK_SIZE;
 /// ```
 /// use icash_core::segment::SegmentPool;
 ///
-/// let mut pool = SegmentPool::new(4096, 64);
+/// let mut pool = SegmentPool::new(4096);
 /// let charged = pool.alloc_delta(100); // rounds up to 2 segments
 /// assert_eq!(charged, 128);
 /// assert_eq!(pool.used(), 128);
@@ -25,27 +32,19 @@ use icash_storage::block::BLOCK_SIZE;
 #[derive(Debug, Clone)]
 pub struct SegmentPool {
     capacity: usize,
-    segment: usize,
     used: usize,
-    /// High-water mark of bytes in use (diagnostics).
-    peak: usize,
 }
 
 impl SegmentPool {
-    /// Creates a pool of `capacity` bytes allocated in `segment`-byte units.
+    /// Creates a pool of `capacity` bytes allocated in [`SEGMENT_BYTES`]
+    /// units.
     ///
     /// # Panics
     ///
-    /// Panics if either argument is zero.
-    pub fn new(capacity: usize, segment: usize) -> Self {
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pool capacity must be nonzero");
-        assert!(segment > 0, "segment size must be nonzero");
-        SegmentPool {
-            capacity,
-            segment,
-            used: 0,
-            peak: 0,
-        }
+        SegmentPool { capacity, used: 0 }
     }
 
     /// Total budget in bytes.
@@ -58,11 +57,6 @@ impl SegmentPool {
         self.used
     }
 
-    /// Highest `used` value observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
     /// Bytes still available.
     pub fn available(&self) -> usize {
         self.capacity - self.used
@@ -70,17 +64,12 @@ impl SegmentPool {
 
     /// Bytes a delta of `len` bytes will be charged (whole segments).
     pub fn delta_charge(&self, len: usize) -> usize {
-        len.div_ceil(self.segment).max(1) * self.segment
+        len.div_ceil(SEGMENT_BYTES).max(1) * SEGMENT_BYTES
     }
 
     /// Whether a delta of `len` bytes fits right now.
     pub fn fits_delta(&self, len: usize) -> bool {
         self.delta_charge(len) <= self.available()
-    }
-
-    /// Whether a whole data block fits right now.
-    pub fn fits_block(&self) -> bool {
-        BLOCK_SIZE <= self.available()
     }
 
     /// Charges a delta of `len` bytes; returns the bytes charged.
@@ -111,7 +100,6 @@ impl SegmentPool {
             self.available()
         );
         self.used += bytes;
-        self.peak = self.peak.max(self.used);
     }
 
     /// Returns previously charged bytes to the pool.
@@ -131,7 +119,7 @@ mod tests {
 
     #[test]
     fn delta_charges_round_to_segments() {
-        let pool = SegmentPool::new(1 << 20, 64);
+        let pool = SegmentPool::new(1 << 20);
         assert_eq!(pool.delta_charge(1), 64);
         assert_eq!(pool.delta_charge(64), 64);
         assert_eq!(pool.delta_charge(65), 128);
@@ -140,22 +128,19 @@ mod tests {
 
     #[test]
     fn alloc_free_balance() {
-        let mut pool = SegmentPool::new(8192, 64);
+        let mut pool = SegmentPool::new(8192);
         let a = pool.alloc_delta(100);
         let b = pool.alloc_block();
         assert_eq!(pool.used(), a + b);
         pool.free(a);
         pool.free(b);
         assert_eq!(pool.used(), 0);
-        assert_eq!(pool.peak(), a + b);
     }
 
     #[test]
     fn fits_checks_match_alloc() {
-        let mut pool = SegmentPool::new(4096 + 64, 64);
-        assert!(pool.fits_block());
+        let mut pool = SegmentPool::new(4096 + 64);
         pool.alloc_block();
-        assert!(!pool.fits_block());
         assert!(pool.fits_delta(64));
         assert!(!pool.fits_delta(65));
     }
@@ -163,14 +148,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool overflow")]
     fn overflow_panics() {
-        let mut pool = SegmentPool::new(100, 64);
+        let mut pool = SegmentPool::new(100);
         pool.alloc_block();
     }
 
     #[test]
     #[should_panic(expected = "freeing")]
     fn over_free_panics() {
-        let mut pool = SegmentPool::new(100, 64);
+        let mut pool = SegmentPool::new(100);
         pool.free(1);
     }
 }

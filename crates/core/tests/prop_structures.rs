@@ -134,7 +134,7 @@ proptest! {
     /// exactly what allocation charged.
     #[test]
     fn segment_pool_conserves_bytes(lens in prop::collection::vec(0usize..5000, 1..64)) {
-        let mut pool = SegmentPool::new(1 << 20, 64);
+        let mut pool = SegmentPool::new(1 << 20);
         let mut charges = Vec::new();
         for len in &lens {
             if pool.fits_delta(*len) {

@@ -131,16 +131,6 @@ impl Heatmap {
             *c >>= 1;
         }
     }
-
-    /// Zeroes every counter.
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
-    }
-
-    /// Sum of all counters (diagnostics).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
 }
 
 impl Default for Heatmap {
@@ -228,8 +218,6 @@ mod tests {
         }
         map.decay();
         assert_eq!(map.popularity(&sig), 16);
-        map.reset();
-        assert_eq!(map.total(), 0);
     }
 
     #[test]

@@ -37,14 +37,12 @@ use crate::system::SystemReport;
 use crate::time::Ns;
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 
-/// The devices backing one storage architecture: at most one SSD, any
-/// number of HDDs, and an optional RAM-buffer budget (metadata only — RAM
-/// timing is charged by the CPU model, not here).
+/// The devices backing one storage architecture: at most one SSD and any
+/// number of HDDs. (RAM timing is charged by the CPU model, not here.)
 #[derive(Debug)]
 pub struct DeviceArray {
     ssd: Option<Ssd>,
     hdds: Vec<Hdd>,
-    ram_buffer_bytes: u64,
     tracer: Tracer,
 }
 
@@ -54,17 +52,6 @@ impl DeviceArray {
         DeviceArray {
             ssd: Some(ssd),
             hdds: Vec::new(),
-            ram_buffer_bytes: 0,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// An array of one HDD and nothing else.
-    pub fn hdd_only(hdd: Hdd) -> Self {
-        DeviceArray {
-            ssd: None,
-            hdds: vec![hdd],
-            ram_buffer_bytes: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -75,7 +62,6 @@ impl DeviceArray {
         DeviceArray {
             ssd: Some(ssd),
             hdds: vec![hdd],
-            ram_buffer_bytes: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -90,31 +76,13 @@ impl DeviceArray {
         DeviceArray {
             ssd: None,
             hdds,
-            ram_buffer_bytes: 0,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Records the RAM-buffer budget attached to this array (I-CASH's
-    /// delta-segment pool).
-    pub fn with_ram_buffer(mut self, bytes: u64) -> Self {
-        self.ram_buffer_bytes = bytes;
-        self
-    }
-
-    /// Whether the array includes an SSD.
-    pub fn has_ssd(&self) -> bool {
-        self.ssd.is_some()
     }
 
     /// Number of HDDs in the array.
     pub fn width(&self) -> usize {
         self.hdds.len()
-    }
-
-    /// The RAM-buffer budget in bytes (zero when none was declared).
-    pub fn ram_buffer_bytes(&self) -> u64 {
-        self.ram_buffer_bytes
     }
 
     /// The SSD.
@@ -350,18 +318,16 @@ mod tests {
         assert!(r.ssd.is_none() && r.gc.is_none() && r.ssd_life_used.is_none());
         assert_eq!(r.hdd.unwrap().writes, 3);
         // Three spindles draw more than one.
-        let one = DeviceArray::hdd_only(small_hdd()).device_energy(Ns::from_secs(1));
+        let one = DeviceArray::striped(vec![small_hdd()]).device_energy(Ns::from_secs(1));
         assert!(a.device_energy(Ns::from_secs(1)).as_joules() > 2.0 * one.as_joules());
     }
 
     #[test]
     fn coupled_energy_sums_both_devices() {
-        let a = DeviceArray::coupled(small_ssd(), small_hdd()).with_ram_buffer(1 << 20);
-        assert!(a.has_ssd());
+        let a = DeviceArray::coupled(small_ssd(), small_hdd());
         assert_eq!(a.width(), 1);
-        assert_eq!(a.ram_buffer_bytes(), 1 << 20);
         let ssd_only = DeviceArray::ssd_only(small_ssd()).device_energy(Ns::from_secs(1));
-        let hdd_only = DeviceArray::hdd_only(small_hdd()).device_energy(Ns::from_secs(1));
+        let hdd_only = DeviceArray::striped(vec![small_hdd()]).device_energy(Ns::from_secs(1));
         let both = a.device_energy(Ns::from_secs(1));
         let sum = ssd_only.as_joules() + hdd_only.as_joules();
         assert!((both.as_joules() - sum).abs() < 1e-9);
@@ -370,7 +336,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "array has no SSD")]
     fn missing_ssd_access_panics() {
-        let mut a = DeviceArray::hdd_only(small_hdd());
+        let mut a = DeviceArray::striped(vec![small_hdd()]);
         a.ssd_mut();
     }
 

@@ -82,12 +82,6 @@ impl Lba {
     pub const fn plus(self, n: u64) -> Self {
         Lba(self.0 + n)
     }
-
-    /// Byte offset of this block from the start of the device.
-    #[inline]
-    pub const fn byte_offset(self) -> u64 {
-        self.offset() * BLOCK_SIZE as u64
-    }
 }
 
 impl From<u64> for Lba {
@@ -271,12 +265,6 @@ mod tests {
         assert_eq!(lba.offset(), 0x1234);
         assert_eq!(lba.with_vm(2).vm_id(), 2);
         assert_eq!(lba.with_vm(2).offset(), 0x1234);
-    }
-
-    #[test]
-    fn byte_offset_ignores_vm_tag() {
-        let lba = Lba::new(3).with_vm(9);
-        assert_eq!(lba.byte_offset(), 3 * BLOCK_SIZE as u64);
     }
 
     #[test]

@@ -101,5 +101,5 @@ pub use queue::{CommandQueue, QueueConfig, QueueFull, QueuePolicy};
 pub use request::{BlockError, Completion, IoErrorKind, Op, Request};
 pub use shard::ShardRouter;
 pub use system::{ContentSource, IoCtx, StorageSystem, SystemReport, ZeroSource};
-pub use time::{Ns, SimClock};
+pub use time::Ns;
 pub use trace::{TraceEvent, TraceKind, TraceSink, TraceStats, Tracer};

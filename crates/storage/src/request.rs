@@ -19,12 +19,6 @@ impl Op {
     pub fn is_read(self) -> bool {
         matches!(self, Op::Read)
     }
-
-    /// Whether this is a write.
-    #[inline]
-    pub fn is_write(self) -> bool {
-        matches!(self, Op::Write)
-    }
 }
 
 /// A host block I/O request, addressed in whole 4 KB blocks.
@@ -224,7 +218,7 @@ mod tests {
             vec![BlockBuf::zeroed(), BlockBuf::filled(1)],
         );
         assert_eq!(r.blocks, 2);
-        assert!(r.op.is_write());
+        assert_eq!(r.op, Op::Write);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! that means each shard owns its own SSD slot range, delta log and staging
 //! buffer; for the baselines, their own device array — and splits every
 //! request into at most one contiguous sub-request per shard. The same
-//! router wraps all six architectures, so sharded comparisons stay
+//! router wraps all five architectures, so sharded comparisons stay
 //! like-for-like.
 //!
 //! Determinism is preserved by construction:

@@ -6,15 +6,14 @@
 //! erases take milliseconds, and each block survives a bounded number of
 //! erase cycles (10 K MLC / 100 K SLC).
 
-use crate::block::BLOCK_SIZE;
 use crate::queue::QueueConfig;
 use crate::time::Ns;
 use serde::{Deserialize, Serialize};
 
 /// Physical geometry and timing of a NAND flash array.
 ///
-/// Page size is fixed at [`BLOCK_SIZE`] (4 KB) so one host block maps to one
-/// flash page.
+/// Page size is fixed at [`BLOCK_SIZE`](crate::block::BLOCK_SIZE) (4 KB)
+/// so one host block maps to one flash page.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlashConfig {
     /// Independent channels that can service operations in parallel.
@@ -105,11 +104,6 @@ impl FlashConfig {
     #[inline]
     pub fn first_page(&self, block: u32) -> u64 {
         block as u64 * self.pages_per_block as u64
-    }
-
-    /// Bytes of one page.
-    pub const fn page_bytes(&self) -> usize {
-        BLOCK_SIZE
     }
 }
 

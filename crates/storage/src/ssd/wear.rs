@@ -47,11 +47,6 @@ impl WearTracker {
         }
     }
 
-    /// Erase count of one block.
-    pub fn erases_of(&self, block: u32) -> u32 {
-        self.erase_counts[block as usize]
-    }
-
     /// Total erases across all blocks.
     pub fn total_erases(&self) -> u64 {
         self.erase_counts.iter().map(|&c| c as u64).sum()
@@ -81,17 +76,6 @@ impl WearTracker {
     pub fn life_used(&self) -> f64 {
         (self.mean_erases() / self.endurance as f64).min(1.0)
     }
-
-    /// Wear-leveling evenness: max / mean erase count (1.0 = perfectly even).
-    /// Returns 1.0 when nothing has been erased yet.
-    pub fn imbalance(&self) -> f64 {
-        let mean = self.mean_erases();
-        if mean == 0.0 {
-            1.0
-        } else {
-            self.max_erases() as f64 / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +88,6 @@ mod tests {
         assert!(!w.record_erase(0));
         assert!(!w.record_erase(0));
         assert!(!w.record_erase(1));
-        assert_eq!(w.erases_of(0), 2);
         assert_eq!(w.total_erases(), 3);
         assert_eq!(w.max_erases(), 2);
         assert!((w.mean_erases() - 0.75).abs() < 1e-12);
@@ -123,15 +106,13 @@ mod tests {
     }
 
     #[test]
-    fn life_and_imbalance() {
+    fn life_used_is_the_mean_share_of_endurance() {
         let mut w = WearTracker::new(2, 100);
         for _ in 0..50 {
             w.record_erase(0);
         }
         assert!((w.life_used() - 0.25).abs() < 1e-12);
-        assert!((w.imbalance() - 2.0).abs() < 1e-12);
         let fresh = WearTracker::new(2, 100);
-        assert_eq!(fresh.imbalance(), 1.0);
         assert_eq!(fresh.life_used(), 0.0);
     }
 }

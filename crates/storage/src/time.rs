@@ -59,13 +59,6 @@ impl Ns {
         Ns(s * 1_000_000_000)
     }
 
-    /// Creates a value from fractional microseconds, rounding to the nearest
-    /// nanosecond. Negative inputs clamp to zero.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        Ns((us * 1_000.0).max(0.0).round() as u64)
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_ns(self) -> u64 {
@@ -188,52 +181,6 @@ impl fmt::Display for Ns {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The clock only moves forward; [`SimClock::advance_to`] with an earlier
-/// instant is a no-op. Device models keep their own `busy_until` horizon and
-/// use the clock as the request-arrival reference.
-///
-/// # Examples
-///
-/// ```
-/// use icash_storage::time::{Ns, SimClock};
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(Ns::from_us(5));
-/// clock.advance_to(Ns::from_us(3)); // ignored: earlier than now
-/// assert_eq!(clock.now(), Ns::from_us(5));
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SimClock {
-    now: Ns,
-}
-
-impl SimClock {
-    /// Creates a clock at instant zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current virtual instant.
-    #[inline]
-    pub fn now(&self) -> Ns {
-        self.now
-    }
-
-    /// Moves the clock forward by `delta`.
-    #[inline]
-    pub fn advance(&mut self, delta: Ns) {
-        self.now += delta;
-    }
-
-    /// Moves the clock forward to `instant` if that is in the future.
-    #[inline]
-    pub fn advance_to(&mut self, instant: Ns) {
-        self.now = self.now.max(instant);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,12 +190,6 @@ mod tests {
         assert_eq!(Ns::from_us(3).as_ns(), 3_000);
         assert_eq!(Ns::from_ms(2).as_ns(), 2_000_000);
         assert_eq!(Ns::from_secs(1).as_ns(), 1_000_000_000);
-        assert_eq!(Ns::from_us_f64(1.5).as_ns(), 1_500);
-    }
-
-    #[test]
-    fn from_us_f64_clamps_negative() {
-        assert_eq!(Ns::from_us_f64(-4.0), Ns::ZERO);
     }
 
     #[test]
@@ -274,16 +215,6 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(total, Ns::from_us(6));
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = SimClock::new();
-        c.advance_to(Ns::from_ms(1));
-        c.advance_to(Ns::from_us(1));
-        assert_eq!(c.now(), Ns::from_ms(1));
-        c.advance(Ns::from_us(1));
-        assert_eq!(c.now(), Ns::from_ms(1) + Ns::from_us(1));
     }
 
     #[test]

@@ -90,22 +90,6 @@ impl WorkloadSpec {
         self.table4_reads + self.table4_writes
     }
 
-    /// The per-shard slice of this spec for an N-wide shard router: each
-    /// shard owns `ceil(data_blocks / N)` blocks of the round-robin-striped
-    /// block space and an even 1/N share of the SSD and RAM budgets.
-    /// Slicing the budgets (rather than replicating them) keeps sharded
-    /// comparisons like-for-like with the unsharded system — the aggregate
-    /// hardware is the same, only its controller count changes. Floors keep
-    /// degenerate slices buildable at high shard counts.
-    pub fn shard_slice(&self, shards: u32) -> WorkloadSpec {
-        let n = shards.max(1) as u64;
-        let mut s = self.clone();
-        s.data_bytes = self.data_blocks().div_ceil(n) * BLOCK_SIZE as u64;
-        s.ssd_bytes = (self.ssd_bytes / n).max(1 << 20);
-        s.ram_bytes = (self.ram_bytes / n).max(256 << 10);
-        s
-    }
-
     /// A proportionally scaled copy for quick runs: issuing `ops`
     /// operations against a data set (and SSD/RAM budgets) shrunk by
     /// `ops / table4_ops` preserves the cache-pressure and working-set
@@ -171,21 +155,6 @@ mod tests {
         assert_eq!(s.read_blocks(), 2); // 6656 B → 2 blocks
         assert_eq!(s.write_blocks(), 2);
         assert_eq!(s.table4_ops(), 855_000);
-    }
-
-    #[test]
-    fn shard_slices_cover_the_block_space_exactly_once() {
-        let s = spec();
-        for n in [1u32, 2, 3, 8, 64] {
-            let slice = s.shard_slice(n);
-            // Every shard can hold its largest possible inner span.
-            assert!(slice.data_blocks() * n as u64 >= s.data_blocks());
-            // Budgets split, they do not replicate (modulo the floors).
-            assert!(slice.ssd_bytes <= s.ssd_bytes);
-            assert!(slice.ssd_bytes >= s.ssd_bytes / n as u64);
-        }
-        // One shard is the identity on the block space.
-        assert_eq!(s.shard_slice(1).data_blocks(), s.data_blocks());
     }
 
     #[test]

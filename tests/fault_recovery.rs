@@ -54,11 +54,19 @@ fn faulty_icash(seed: u64, rate: f64, depth: u64, log_blocks: u64) -> Icash {
 }
 
 /// A width-`n` router of independently faulty I-CASH shards, each built
-/// from the shard slice of the pinned config — the same construction the
-/// sharded harness uses. Per-shard fault streams are seeded apart so a
-/// crash tears each shard's log differently.
-fn sharded_faulty(width: u32, seed: u64, rate: f64, depth: u64) -> ShardRouter<Icash> {
-    let slice = base_config(depth).shard_slice(width);
+/// from the shard slice of the pinned config with a `log_blocks` log — the
+/// same construction the sharded harness uses. Per-shard fault streams are
+/// seeded apart so a crash tears each shard's log differently.
+fn sharded_faulty(
+    width: u32,
+    seed: u64,
+    rate: f64,
+    depth: u64,
+    log_blocks: u64,
+) -> ShardRouter<Icash> {
+    let mut cfg = base_config(depth);
+    cfg.log_blocks = log_blocks;
+    let slice = cfg.shard_slice(width);
     ShardRouter::new(
         (0..width)
             .map(|shard| {
@@ -202,9 +210,9 @@ proptest! {
     /// so a recovery that spliced state across shards (distinct outer
     /// blocks share inner slots on different shards) can never pass. (No
     /// cold sweeps drawn: split over the shards, one stays under each
-    /// table bound. The log keeps its pinned size: sliced five ways, a
-    /// smaller one reaches `shard_slice`'s 64-block floor — ROADMAP item
-    /// 4(0).)
+    /// table bound.) The base log is drawn from `LOG_BLOCKS`, as the
+    /// single-system properties draw theirs; sliced two to five ways, the
+    /// smaller ones sit on `shard_slice`'s 64-block floor.
     #[test]
     fn cross_shard_crash_recovery_never_splices_across_shards(
         ops in ops_strategy(),
@@ -213,10 +221,12 @@ proptest! {
         rate_pick in 0usize..3,
         depth_pick in 0usize..3,
         width_pick in 0usize..3,
+        log_pick in 0usize..4,
     ) {
         let rate = [0.0, 1e-4, 1e-3][rate_pick];
         let width = [2u32, 3, 5][width_pick];
-        let mut system = sharded_faulty(width, seed, rate, DEPTHS[depth_pick]);
+        let mut system =
+            sharded_faulty(width, seed, rate, DEPTHS[depth_pick], LOG_BLOCKS[log_pick]);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
         let mut model = VersionModel::new();

@@ -8,7 +8,7 @@
 mod common;
 
 use common::{Stream, DATA, SSD};
-use icash::baselines::{DedupCache, LruCache, PlainHdd, PureSsd, Raid0};
+use icash::baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash::core::{Icash, IcashConfig};
 use icash::metrics::trace::{parse_jsonl, JsonlSink, TraceProfile};
 use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
@@ -49,7 +49,7 @@ type Build = fn() -> Box<dyn StorageSystem>;
 
 /// Every architecture: its name, the plain build, and the same build with
 /// the disabled fault plan armed.
-const SYSTEMS: [(&str, Build, Build); 6] = [
+const SYSTEMS: [(&str, Build, Build); 5] = [
     (
         "FusionIO",
         || Box::new(PureSsd::new(DATA)),
@@ -69,11 +69,6 @@ const SYSTEMS: [(&str, Build, Build); 6] = [
         "LRU",
         || Box::new(LruCache::new(SSD, DATA)),
         || Box::new(LruCache::new(SSD, DATA).with_fault_plan(&FaultPlan::none())),
-    ),
-    (
-        "HDD",
-        || Box::new(PlainHdd::new(DATA)),
-        || Box::new(PlainHdd::new(DATA).with_fault_plan(&FaultPlan::none())),
     ),
     (
         "I-CASH",

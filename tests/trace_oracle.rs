@@ -10,7 +10,7 @@
 //! [`SystemReport`]: icash::storage::system::SystemReport
 //! [`TraceStats`]: icash::storage::trace::TraceStats
 
-use icash::baselines::{DedupCache, LruCache, PlainHdd, PureSsd, Raid0};
+use icash::baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash::core::{Icash, IcashConfig};
 use icash::metrics::RunSummary;
 use icash::storage::block::{BlockBuf, Lba};
@@ -30,16 +30,13 @@ const RAM: u64 = 512 << 10;
 const OPS: u64 = 1_500;
 const SEED: u64 = 0x1CA5_4001;
 
-/// The six architectures under the oracle: the paper's five plus the
-/// cache-less plain disk (the degenerate case where the event stream maps
-/// 1:1 onto device counters).
+/// The paper's five architectures under the oracle.
 fn systems(plan: &FaultPlan) -> Vec<Box<dyn StorageSystem>> {
     vec![
         Box::new(PureSsd::new(DATA).with_fault_plan(plan)),
         Box::new(Raid0::new(DATA, 4).with_fault_plan(plan)),
         Box::new(DedupCache::new(SSD, DATA).with_fault_plan(plan)),
         Box::new(LruCache::new(SSD, DATA).with_fault_plan(plan)),
-        Box::new(PlainHdd::new(DATA).with_fault_plan(plan)),
         Box::new(
             Icash::new(IcashConfig::builder(SSD, RAM, DATA).build()).with_fault_plan(plan.clone()),
         ),
