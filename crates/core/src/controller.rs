@@ -109,6 +109,11 @@ pub(crate) struct Volatile {
     /// the per-block resolution that immediately follows and cleared at the
     /// end of the request. Never populated without a device queue.
     pub span_prefetch: AddrMap<Lba, BlockBuf>,
+    /// The home image a first touch generated for its signature
+    /// ([`Icash::materialize_vb`]), kept for the home-area read that
+    /// resolves the block next, so one read generates it once. Cleared by
+    /// a home write of that address and at the end of every request.
+    pub home_stash: Option<(Lba, BlockBuf)>,
     /// Evicted virtual blocks whose content is *not* in the home area: the
     /// placement each left the table with (a slot or a logged delta). Filed
     /// by page, like the table's address map: a log fetch's walk probes
@@ -148,6 +153,7 @@ impl Volatile {
             pool: SegmentPool::new(cfg.ram_budget()),
             ref_index: RefIndex::new(),
             span_prefetch: AddrMap::default(),
+            home_stash: None,
             evicted: AddrPages::default(),
             released: BTreeMap::new(),
             dirty: AddrSet::default(),
@@ -594,6 +600,74 @@ impl Icash {
     }
 }
 
+impl Icash {
+    /// A host write, block by block (or streamed, for a long span).
+    fn write_request(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Completion {
+        if self.hdd_is_failed() {
+            // Fail fast with a typed error: with the home area and
+            // the delta log both gone, accepting a write could
+            // never make it durable. Reads keep serving from RAM
+            // and SSD-resident state.
+            let errors: Vec<BlockError> = req
+                .lbas()
+                .map(|lba| BlockError {
+                    lba,
+                    kind: IoErrorKind::DeviceFailed,
+                })
+                .collect();
+            self.stats.failed_fast_writes += errors.len() as u64;
+            return Completion::at(req.at).with_errors(errors);
+        }
+        if req.blocks >= STREAM_WRITE_BLOCKS {
+            return Completion::at(self.stream_write_span(req, ctx));
+        }
+        let mut done = req.at;
+        let mut errors = Vec::new();
+        for (lba, buf) in req.lbas().zip(req.payload.iter()) {
+            if let Some((queued, cap)) = self.staging_over_cap() {
+                // Admission control: refuse the write with a typed
+                // `Busy` and drain the pipeline so the host's retry
+                // finds room.
+                self.note_backpressure(req.at, lba, queued, cap);
+                errors.push(BlockError {
+                    lba,
+                    kind: IoErrorKind::Busy,
+                });
+                done = done.max(self.flush_all(req.at));
+                continue;
+            }
+            done = done.max(self.write_block(lba, buf.clone(), req.at, ctx));
+        }
+        Completion::at(done).with_errors(errors)
+    }
+
+    /// A host read, block by block, after the span's batched home reads.
+    fn read_request(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Completion {
+        let mut done = req.at;
+        // The span's home-area misses go through the device queue
+        // as one batch (a no-op without a configured queue).
+        done = done.max(self.prefetch_span_homes(req, ctx));
+        let mut data = Vec::new();
+        let mut errors = Vec::new();
+        for lba in req.lbas() {
+            let (t, res) = self.read_block(lba, req.at, ctx);
+            done = done.max(t);
+            match res {
+                Ok(content) => data.extend(content),
+                Err(kind) => {
+                    errors.push(BlockError { lba, kind });
+                    if ctx.collect_data {
+                        // Placeholder keeps data indexes aligned
+                        // with the request's LBAs.
+                        data.push(BlockBuf::zeroed());
+                    }
+                }
+            }
+        }
+        Completion::with_data(done, data).with_errors(errors)
+    }
+}
+
 impl StorageSystem for Icash {
     fn name(&self) -> &str {
         "I-CASH"
@@ -605,78 +679,17 @@ impl StorageSystem for Icash {
 
     fn submit(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Completion {
         self.durable.array.trace_request(req);
-        match req.op {
-            Op::Write => {
-                if self.hdd_is_failed() {
-                    // Fail fast with a typed error: with the home area and
-                    // the delta log both gone, accepting a write could
-                    // never make it durable. Reads keep serving from RAM
-                    // and SSD-resident state.
-                    let errors: Vec<BlockError> = req
-                        .lbas()
-                        .map(|lba| BlockError {
-                            lba,
-                            kind: IoErrorKind::DeviceFailed,
-                        })
-                        .collect();
-                    self.stats.failed_fast_writes += errors.len() as u64;
-                    self.durable.array.trace_request_end(req.at);
-                    return Completion::at(req.at).with_errors(errors);
-                }
-                if req.blocks >= STREAM_WRITE_BLOCKS {
-                    let done = self.stream_write_span(req, ctx);
-                    self.durable.array.trace_request_end(done);
-                    return Completion::at(done);
-                }
-                let mut done = req.at;
-                let mut errors = Vec::new();
-                for (lba, buf) in req.lbas().zip(req.payload.iter()) {
-                    if let Some((queued, cap)) = self.staging_over_cap() {
-                        // Admission control: refuse the write with a typed
-                        // `Busy` and drain the pipeline so the host's retry
-                        // finds room.
-                        self.note_backpressure(req.at, lba, queued, cap);
-                        errors.push(BlockError {
-                            lba,
-                            kind: IoErrorKind::Busy,
-                        });
-                        done = done.max(self.flush_all(req.at));
-                        continue;
-                    }
-                    done = done.max(self.write_block(lba, buf.clone(), req.at, ctx));
-                }
-                self.durable.array.trace_request_end(done);
-                Completion::at(done).with_errors(errors)
-            }
-            Op::Read => {
-                let mut done = req.at;
-                // The span's home-area misses go through the device queue
-                // as one batch (a no-op without a configured queue).
-                done = done.max(self.prefetch_span_homes(req, ctx));
-                let mut data = Vec::new();
-                let mut errors = Vec::new();
-                for lba in req.lbas() {
-                    let (t, res) = self.read_block(lba, req.at, ctx);
-                    done = done.max(t);
-                    match res {
-                        Ok(content) => data.extend(content),
-                        Err(kind) => {
-                            errors.push(BlockError { lba, kind });
-                            if ctx.collect_data {
-                                // Placeholder keeps data indexes aligned
-                                // with the request's LBAs.
-                                data.push(BlockBuf::zeroed());
-                            }
-                        }
-                    }
-                }
-                // Any prefetched block the resolution did not consume (its
-                // state changed mid-span) must not leak into later requests.
-                self.volatile.span_prefetch.clear();
-                self.durable.array.trace_request_end(done);
-                Completion::with_data(done, data).with_errors(errors)
-            }
-        }
+        let done = match req.op {
+            Op::Write => self.write_request(req, ctx),
+            Op::Read => self.read_request(req, ctx),
+        };
+        // What a request parks for its own resolution — a span's batched
+        // home reads, a first touch's home image — must not leak into
+        // later requests: a block's state can change before it is used.
+        self.volatile.span_prefetch.clear();
+        self.volatile.home_stash = None;
+        self.durable.array.trace_request_end(done.finished);
+        done
     }
 
     fn flush(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) -> Ns {
