@@ -8,8 +8,8 @@
 //!
 //! * slot content changes only through [`SlotStore::install`] and
 //!   [`SlotStore::release`];
-//! * a pinned slot always has its directory record and its checksum, and a
-//!   free slot has none of the three;
+//! * a pinned slot always has its directory record, and a free slot has
+//!   neither record nor content;
 //! * a block has one directory record — a pin, or the tombstone the pin
 //!   leaves behind — never both.
 
@@ -43,9 +43,6 @@ pub(crate) struct SlotStore {
     /// Which LBA owns which slot, and since which generation; tombstones
     /// last until the block is pinned again or the log is cleaned.
     dir: AddrMap<Lba, SlotRecord>,
-    /// CRC32 of each pinned slot's content. Repair-from-home refuses to
-    /// "heal" a slot with bytes that do not match this sum.
-    sums: AddrMap<u64, u32>,
     /// Slots the SSD offers (`IcashConfig::ssd_slots`).
     capacity: u64,
     /// Slots `0..next_slot` have been handed out at least once.
@@ -60,7 +57,6 @@ impl SlotStore {
         SlotStore {
             content: AddrMap::default(),
             dir: AddrMap::default(),
-            sums: AddrMap::default(),
             capacity,
             next_slot: 0,
             free_slots: Vec::new(),
@@ -109,7 +105,6 @@ impl SlotStore {
     /// Pins `content` in `slot` as `lba`'s copy, stamped with a fresh
     /// generation. Overwrites whatever the slot held.
     pub fn install(&mut self, lba: Lba, slot: u64, content: BlockBuf) {
-        self.sums.insert(slot, crc32(content.as_slice()));
         self.content.insert(slot, content);
         let (slot, generation) = (Some(slot), self.stamp());
         self.dir.insert(lba, SlotRecord { slot, generation });
@@ -126,7 +121,6 @@ impl SlotStore {
             None => self.dir.remove(&lba),
         };
         let slot = old?.slot?;
-        self.sums.remove(&slot);
         self.content.remove(&slot);
         self.free_slots.push(slot);
         Some(slot)
@@ -142,9 +136,11 @@ impl SlotStore {
         &self.content[&slot]
     }
 
-    /// The checksum of the content pinned in `slot`.
+    /// The CRC32 of the content pinned in `slot`, computed where it is
+    /// read: repair-from-home refuses to "heal" a slot with bytes that do
+    /// not match it.
     pub fn sum(&self, slot: u64) -> Option<u32> {
-        self.sums.get(&slot).copied()
+        self.content.get(&slot).map(|c| crc32(c.as_slice()))
     }
 
     /// `lba`'s directory record: a pin or a tombstone.
@@ -167,8 +163,8 @@ impl SlotStore {
         pinned
     }
 
-    /// Asserts the store's own invariants: directory, content and sums
-    /// cover the same slots, no slot has two owners, and nothing pinned is
+    /// Asserts the store's own invariants: directory and content cover the
+    /// same slots, no slot has two owners, and nothing pinned is
     /// on the free list.
     pub fn validate(&self) {
         let mut owned: AddrSet<u64> = AddrSet::default();
@@ -178,7 +174,7 @@ impl SlotStore {
                 "slot {slot} has two owners (one is {lba:?})"
             );
             assert!(
-                self.content.contains_key(&slot) && self.sums.contains_key(&slot),
+                self.content.contains_key(&slot),
                 "{lba:?} owns slot {slot} but nothing is pinned there"
             );
             assert!(slot < self.next_slot, "slot {slot} never allocated");
@@ -188,12 +184,34 @@ impl SlotStore {
             owned.len(),
             "pinned content nobody owns"
         );
-        assert_eq!(self.sums.len(), owned.len(), "checksum without content");
         for slot in &self.free_slots {
             assert!(
                 !owned.contains(slot),
                 "live slot {slot} is on the free list"
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_slot_sum_follows_its_content() {
+        let mut slots = SlotStore::new(4);
+        let lba = Lba::new(7);
+        let slot = slots.alloc().expect("a free slot");
+        assert_eq!(slots.sum(slot), None, "nothing pinned yet");
+        let first = BlockBuf::filled(0xAA);
+        slots.install(lba, slot, first.clone());
+        assert_eq!(slots.sum(slot), Some(crc32(first.as_slice())));
+        let second = BlockBuf::filled(0x55);
+        slots.install(lba, slot, second.clone());
+        assert_eq!(slots.sum(slot), Some(crc32(second.as_slice())));
+        assert_ne!(slots.sum(slot), Some(crc32(first.as_slice())));
+        slots.validate();
+        assert_eq!(slots.release(lba, None), Some(slot));
+        assert_eq!(slots.sum(slot), None, "a released slot has no sum");
     }
 }
