@@ -16,7 +16,7 @@ mkdir -p target # every stage's outputs, which a fresh checkout lacks
 STAGES="golden fingerprints scale queue chaos scenarios crash"
 # EXPERIMENTS.md's winner-shape count. A bless does not move it: a change
 # that flips an exhibit's winner edits this line and says so.
-WINNERS=15/21
+WINNERS=16/21
 
 step() { echo "==> $*"; }
 run() { step "$*" && "$@"; }                     # announce a command, run it

@@ -59,16 +59,30 @@ const NOTES: &str = r#"
   region-dependent latency ("randomly accessing a 10 MB file [vs] a 1 GB
   file ... is about 15 us", §5.1) that our flash model does not have. Our
   I-CASH reads are microsecond-scale from RAM/flash but carry a small
-  (<1 %) mechanical tail from packed-log fetches, which dominates the
-  *mean* in scaled runs; FusionIO has no mechanical tail by construction.
-  Write responses reproduce the paper's shape (I-CASH ~5-10x below every
+  mechanical tail from packed-log fetches, which dominates the *mean* in
+  scaled runs; FusionIO has no mechanical tail by construction. Part of
+  that tail was the fetch's own doing: it read 16 packed blocks whatever
+  the request, and the deltas it installed unasked evicted hot ones, so
+  later reads went back to the disk. A fetch sized to the request (two
+  packed blocks per block the request still wants, at most 16) leaves
+  the hot set in RAM: SysBench's read mean (Fig 7) falls from 117.3 to
+  59.6 us, and TPC-C's response time (Fig 11) from 1.88 to 1.00 ms, below
+  FusionIO's. What is left of the tail is the fetches reads need. Write
+  responses reproduce the paper's shape (I-CASH ~5-10x below every
   flash-writing system) on every workload.
-* **Figure 10(a)**: measured I-CASH and FusionIO tie within 1 % (both
-  demand-capped); the paper separates them by 14 %.
 * **Figure 12 (LoadSim)**: FusionIO wins, as in the paper; but our RAID0's
   four spindles beat I-CASH's single HDD under the nearly-random 17.5 GB
   workload, where the paper has I-CASH 2.4x ahead of RAID0. I-CASH still
   beats the same-budget LRU and Dedup caches.
+* **Figure 15 (five TPC-C VMs)**: I-CASH lands at 0.98x FusionIO, not
+  2.8x. What the five images lost is full-span readahead over their
+  dense packed blocks: near-identical images pack about ten current
+  deltas to a log block, so a fixed 16-block fetch brought in what the
+  next reads wanted. With it, I-CASH fetched 456 times, installing 158
+  deltas each, and measured 1.52x; sized to the request, it fetches 706
+  times, installing 93 each, and every extra fetch is a seek. The fixed
+  span is not kept: on every other workload its unasked deltas evict hot
+  ones (DESIGN.md §7, "Batched log fetches").
 * **Figure 16 (five RUBiS VMs)**: I-CASH lands below FusionIO instead of
   20 % above — a read-dominated case gives our model no write-side flash
   saturation for I-CASH to exploit — while beating the address-keyed

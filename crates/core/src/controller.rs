@@ -649,8 +649,8 @@ impl Icash {
         done = done.max(self.prefetch_span_homes(req, ctx));
         let mut data = Vec::new();
         let mut errors = Vec::new();
-        for lba in req.lbas() {
-            let (t, res) = self.read_block(lba, req.at, ctx);
+        for (i, lba) in (0..).zip(req.lbas()) {
+            let (t, res) = self.read_block(lba, req.at, req.blocks - i, ctx);
             done = done.max(t);
             match res {
                 Ok(content) => data.extend(content),

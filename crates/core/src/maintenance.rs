@@ -993,7 +993,7 @@ pub(crate) mod tests {
             ops.push(SysOp::Flush);
         }
         STARVED.with(|s| s.set(0));
-        let (stats, _) = lockstep(&scanning(6, 0.2), &ops, &RANK_ALL);
+        let (stats, ..) = lockstep(&scanning(6, 0.2), &ops, &RANK_ALL);
         assert!(stats.ref_installs > 0, "{stats:?}");
         assert!(STARVED.with(Cell::get) > 0, "no scan ran out of slots");
     }

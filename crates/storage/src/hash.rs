@@ -15,9 +15,9 @@
 //!
 //! Spreading is what a map wants when its lookups are independent. When
 //! they come in runs of neighbouring addresses — a log fetch walking the
-//! entries of sixteen packed blocks, the table trim evicting blocks that
-//! were admitted together — each probe of an [`AddrMap`] is a cache miss on
-//! a bucket of its own. [`AddrPages`] files [`PAGE_LBAS`] consecutive
+//! entries of up to sixteen packed blocks, the table trim evicting blocks
+//! that were admitted together — each probe of an [`AddrMap`] is a cache
+//! miss on a bucket of its own. [`AddrPages`] files [`PAGE_LBAS`] consecutive
 //! addresses under one key instead, so a run of neighbours is one bucket.
 
 use crate::block::Lba;
