@@ -4,16 +4,17 @@
 # repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
 # of which announces what it checks as it goes. The gate is the only place a
 # test suite runs at its own case counts: a stage holds what `cargo test` does
-# not — golden diffs of the campaign bins and the ablation tables,
-# trace_profile greps, the crash suites at 3 000 cases. Every stage is seeded
-# and deterministic, hence blocking in .github/workflows/ci.yml.
+# not — golden diffs of the campaign and ablation rows, the trace pins, a
+# trace_profile grep, the sim fingerprints, the crash suites at 3 000 cases.
+# Every stage is seeded and deterministic, hence blocking in
+# .github/workflows/ci.yml.
 # Host time is measured in one place only, the repo benchmark (BENCHMARK.json).
 # `ICASH_BLESS=1 ./ci.sh bless` rewrites every pin those stages diff, in one
 # pass, for a change that declares it moves simulated values.
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p target # every stage's outputs, which a fresh checkout lacks
-STAGES="golden fingerprints scale queue chaos scenarios crash"
+STAGES="golden fingerprints crash"
 # EXPERIMENTS.md's winner-shape count. A bless does not move it: a change
 # that flips an exhibit's winner edits this line and says so.
 WINNERS=16/21
@@ -80,38 +81,67 @@ trace_pin() {
   pin "target/golden_$tag.sha256" "ci/golden/$pin.sha256"
 }
 
-# The only copy of the feature-off byte-identity check: under the given
-# environment, run_faults' stdout and run_all's trace JSONL must equal the
-# goldens pinned before any optional feature existed.
-golden() {
-  local tag=$1 && shift
-  step "golden ($tag): run_faults stdout vs ci/golden/run_faults_depth1.txt"
-  env "$@" ./target/release/run_faults > "target/golden_$tag.faults.txt"
-  pin "target/golden_$tag.faults.txt" ci/golden/run_faults_depth1.txt
-  trace_pin "$tag" run_all_trace_depth1 "$@"
+# Every optional feature explicitly off: must be byte-identical to unset.
+OFF=(ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 ICASH_HEALTH=0 ICASH_SCENARIO=0)
+# Every ci/golden/*.txt an `exhibit` row prints, one entry each: the row, its
+# golden, the ICASH_THREADS values it runs at ("-" leaves the knob unset:
+# every worker, which arms campaign_scale's 4x wall-speedup assert on a host
+# with >= 8) and its environment. The faults campaign at depth 1 is the
+# feature-off byte-identity check, with the knobs unset and explicitly off;
+# the same goldens were pinned before any optional feature existed.
+# crates/bench's exhibits tests hold this list to the rows and to ci/golden/.
+ROWS=(
+  "campaign_faults run_faults_depth1 -"
+  "campaign_faults run_faults_depth1 - ${OFF[*]}"
+  "campaign_faults run_faults_depth4 - ICASH_GROUP_COMMIT=4"
+  "campaign_scale run_scale 1,2,-"
+  "campaign_scale_queue16 run_scale_queue16 -"
+  "campaign_chaos run_chaos 1,7"
+  "campaign_scenarios campaign_scenarios 1,4"
+  "ablation_codec ablation_codec - ICASH_OPS=8000"
+  "ablation_delta_threshold ablation_delta_threshold - ICASH_OPS=8000"
+  "ablation_embedded_cpu ablation_embedded_cpu - ICASH_OPS=8000"
+  "ablation_group_commit ablation_group_commit - ICASH_OPS=8000"
+  "ablation_preload ablation_preload - ICASH_OPS=8000"
+  "ablation_queue_depth ablation_queue_depth - ICASH_OPS=8000"
+  "ablation_queue_depth_pressure ablation_queue_depth_pressure - ICASH_OPS=8000"
+  "ablation_scan_interval ablation_scan_interval - ICASH_OPS=8000"
+)
+
+pin_rows() {
+  local entry row golden threads knobs t vars
+  for entry in "${ROWS[@]}"; do
+    read -r row golden threads knobs <<< "$entry"
+    for t in ${threads//,/ }; do
+      read -ra vars <<< "$knobs"
+      [[ $t == - ]] || vars+=("ICASH_THREADS=$t")
+      step "exhibit $row (${vars[*]:-knobs unset}) vs ci/golden/$golden.txt"
+      env "${vars[@]}" ./target/release/exhibit "$row" > "target/$golden.txt"
+      pin "target/$golden.txt" "ci/golden/$golden.txt"
+    done
+  done
 }
 
 stage_golden() {
   bins
-  golden unset
-  golden off ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 \
-    ICASH_HEALTH=0 ICASH_SCENARIO=0 ICASH_QUEUE_ASSERT=0
+  pin_rows
+  trace_pin unset run_all_trace_depth1
+  trace_pin off run_all_trace_depth1 "${OFF[@]}"
   # The one pin on a sharded harness cell: every architecture striped over
   # four shards sized by IcashConfig::shard_slice, at two worker counts.
   for threads in 1 2; do
     trace_pin "shards4_$threads" run_all_trace_shards4 ICASH_SHARDS=4 ICASH_THREADS=$threads
   done
-  # The campaign at a depth the synchronous goldens above cannot reach: the
-  # staging buffer, its group commits and the crash cells' barriers.
-  step "golden (depth 4): run_faults stdout vs ci/golden/run_faults_depth4.txt"
-  ICASH_GROUP_COMMIT=4 ./target/release/run_faults > target/golden_depth4.faults.txt
-  pin target/golden_depth4.faults.txt ci/golden/run_faults_depth4.txt
-  step "every ablation table (exhibit <name>, ICASH_OPS=8000) vs ci/golden/<name>.txt"
-  for golden in ci/golden/ablation_*.txt; do
-    name=$(basename "$golden" .txt)
-    ICASH_OPS=8000 ./target/release/exhibit "$name" > "target/$name.txt"
-    pin "target/$name.txt" "$golden"
+  step "burst arrivals queue in trace_profile; the closed loop does not"
+  for arm in closed burst; do
+    knobs=()
+    [[ $arm == burst ]] && knobs=(ICASH_SCENARIO=open-loop ICASH_ARRIVAL=burst)
+    env ICASH_OPS=300 ICASH_THREADS=1 "${knobs[@]}" ./target/release/run_all \
+      "target/run_all_$arm.md" --trace "target/run_all_trace_$arm.jsonl" > /dev/null
+    ./target/release/trace_profile "target/run_all_trace_$arm.jsonl" > "target/trace_profile_$arm.txt"
   done
+  grep -q "Open-loop queued" target/trace_profile_burst.txt
+  if grep -q "Open-loop" target/trace_profile_closed.txt; then exit 1; fi
   # The paper report is a golden: run_all's default report (host timings
   # go to stderr) at two workers, with its winner count held to $WINNERS.
   step "golden: default run_all report (ICASH_THREADS=2) vs EXPERIMENTS.md, $WINNERS winners"
@@ -144,38 +174,6 @@ stage_fingerprints() {
   pin target/bench_fingerprints.txt ci/golden/bench_fingerprints.txt
 }
 
-stage_scale() {
-  bins
-  step "run_scale campaign document vs ci/golden/run_scale.txt, at ICASH_THREADS 1 and 2"
-  for threads in 1 2; do
-    ICASH_THREADS=$threads ./target/release/run_scale > "target/run_scale_$threads.txt"
-    pin "target/run_scale_$threads.txt" ci/golden/run_scale.txt
-  done
-  if [[ "$(nproc)" -ge 8 ]]; then
-    step "run_scale on all $(nproc) workers: the 8-vs-1-shard wall speedup must reach 4x"
-    ICASH_SCALE_ASSERT=4x ./target/release/run_scale > target/run_scale_all.txt
-    pin target/run_scale_all.txt ci/golden/run_scale.txt
-  fi
-}
-
-stage_queue() {
-  bins
-  step "run_scale: queue-on must beat queue-off at 16 shards; document vs ci/golden/run_scale_queue16.txt"
-  ICASH_OPS=4000 ICASH_SCALE_SHARDS=1,8,16 ICASH_SCALE_CLIENTS=4 ICASH_QUEUE_DEPTH=16 \
-    ICASH_QUEUE_ASSERT=1 ./target/release/run_scale > target/run_scale_queue16.txt
-  pin target/run_scale_queue16.txt ci/golden/run_scale_queue16.txt
-}
-
-stage_chaos() {
-  bins
-  step "chaos campaign (run_chaos) vs ci/golden/run_chaos.txt, at ICASH_THREADS 1 and 7"
-  for threads in 1 7; do
-    ICASH_THREADS=$threads ./target/release/run_chaos > "target/run_chaos_$threads.txt"
-    pin "target/run_chaos_$threads.txt" ci/golden/run_chaos.txt
-  done
-  tail -3 target/run_chaos_1.txt
-}
-
 # Every pin in one pass: the stages above with `pin` rewriting, the test
 # suites that honour ICASH_BLESS (twice: a profile golden is computed from
 # the event golden compiled into its test), then one row per exhibit of
@@ -188,9 +186,6 @@ stage_bless() {
   cp EXPERIMENTS.md target/experiments_parent.md
   BLESSING=1
   stage_golden
-  stage_scale
-  stage_queue
-  stage_chaos
   stage_fingerprints
   step "golden files of the test suites that honour ICASH_BLESS"
   for _ in 1 2; do
@@ -211,28 +206,7 @@ stage_bless() {
 case "${1:-gate}" in
 golden) stage_golden ;;
 fingerprints) stage_fingerprints ;;
-scale) stage_scale ;;
-queue) stage_queue ;;
-chaos) stage_chaos ;;
 bless) stage_bless ;;
-scenarios)
-  bins
-  step "scenario campaign (run_scenarios), output identical across ICASH_THREADS"
-  ./target/release/run_scenarios > target/run_scenarios_a.txt
-  ICASH_THREADS=4 ./target/release/run_scenarios > target/run_scenarios_b.txt
-  diff target/run_scenarios_a.txt target/run_scenarios_b.txt
-  tail -2 target/run_scenarios_a.txt
-  step "burst arrivals queue in trace_profile; the closed loop does not"
-  for arm in closed burst; do
-    knobs=()
-    [[ $arm == burst ]] && knobs=(ICASH_SCENARIO=open-loop ICASH_ARRIVAL=burst)
-    env ICASH_OPS=300 ICASH_THREADS=1 "${knobs[@]}" ./target/release/run_all \
-      "target/run_all_$arm.md" --trace "target/run_all_trace_$arm.jsonl" > /dev/null
-    ./target/release/trace_profile "target/run_all_trace_$arm.jsonl" > "target/trace_profile_$arm.txt"
-  done
-  grep -q "Open-loop queued" target/trace_profile_burst.txt
-  if grep -q "Open-loop" target/trace_profile_closed.txt; then exit 1; fi
-  ;;
 crash)
   # What every change to the delta log, its barriers or recovery runs: the
   # crash properties (torn writes, group commit, 64-block logs, two crashes)

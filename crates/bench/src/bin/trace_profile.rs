@@ -2,8 +2,8 @@
 //!
 //! Usage: `trace_profile trace.jsonl`
 //!
-//! The input is the multi-cell JSONL document written by any bench binary's
-//! `--trace <path>` flag: each cell opens with a `{"cell":...}` header line
+//! The input is the multi-cell JSONL document written by the `--trace
+//! <path>` flag of `run_all` or `exhibit`: each cell opens with a `{"cell":...}` header line
 //! followed by that cell's structured events. For every cell this prints
 //! the header and a [`TraceProfile`] table — where the simulated time went
 //! (SSD vs HDD vs queueing), how many events of each kind fired, and the
@@ -12,8 +12,9 @@
 //!
 //! Sharded traces (events carrying a `"shard"` tag, written when a cell
 //! runs behind a `ShardRouter`) additionally get one sub-table per shard,
-//! which is how a `run_scale` sweep shows *where* scaling saturates: a
-//! shard whose request spans dwarf its siblings' is the bottleneck.
+//! which is how a sharded run (`ICASH_SHARDS=n run_all --trace`) shows
+//! *where* scaling saturates: a shard whose request spans dwarf its
+//! siblings' is the bottleneck.
 //!
 //! [`TraceProfile`]: icash_metrics::trace::TraceProfile
 

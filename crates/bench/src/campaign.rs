@@ -1,13 +1,17 @@
-//! One cell of a robustness campaign (`run_faults`, `run_chaos`): a system
-//! under test with its virtual clock, its CPU account, the reference
-//! [`VersionModel`] and the running tallies, so a scenario reads as the
-//! traffic it drives and the incidents it injects. Every read is checked
-//! against the model: a version the system acknowledged, or a typed error —
-//! anything else is recorded as a violation line, never a panic, so a
-//! campaign prints all of them before it exits. Also here, once: the five
-//! architectures at the sizing both campaigns run them at.
+//! The campaign rows `exhibit` prints ([`CAMPAIGNS`]), the one way a row
+//! fails ([`verdict`]), and one cell of a robustness campaign
+//! ([`crate::faults`], [`crate::chaos`]): a system under test with its
+//! virtual clock, its CPU account, the reference [`VersionModel`] and the
+//! running tallies, so a scenario reads as the traffic it drives and the
+//! incidents it injects. Every read is checked against the model: a version
+//! the system acknowledged, or a typed error — anything else is recorded as
+//! a violation line, never a panic, so a campaign prints all of them before
+//! it fails. Also here, once: the five architectures at the sizing both
+//! robustness campaigns run them at.
 
+use crate::ablations::Render;
 use crate::harness::SystemKind;
+use crate::{chaos, faults, scale, scenarios};
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash_core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash_storage::block::{BlockBuf, Lba};
@@ -18,13 +22,41 @@ use icash_storage::request::{Completion, Request};
 use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
 
+/// Every campaign, by the name `exhibit` prints it under. Each row is
+/// seeded and prints the same bytes at any `ICASH_THREADS`; `./ci.sh golden`
+/// diffs each against its `ci/golden/*.txt`.
+pub const CAMPAIGNS: &[(&str, Render)] = &[
+    ("campaign_faults", faults::render),
+    ("campaign_chaos", chaos::render),
+    ("campaign_scale", scale::render),
+    ("campaign_scale_queue16", scale::render_queue16),
+    ("campaign_scenarios", scenarios::render),
+];
+
+/// A campaign row's outcome: with no violation, its report `doc` followed
+/// by the `ok` trailer. Otherwise `doc` goes to stdout, every violation to
+/// stderr under `tag`, and the process exits with status 1.
+pub fn verdict(mut doc: String, tag: &str, violations: &[String], ok: &str) -> String {
+    if violations.is_empty() {
+        doc.push_str(ok);
+        return doc;
+    }
+    print!("{doc}");
+    for v in violations {
+        eprintln!("{tag}: {v}");
+    }
+    eprintln!("{} violation(s)", violations.len());
+    let _ = std::io::Write::flush(&mut std::io::stdout());
+    std::process::exit(1);
+}
+
 /// Data-set / cache sizing shared by every campaign cell.
 const DATA_BYTES: u64 = 8 << 20;
 const SSD_BYTES: u64 = 1 << 20;
 const RAM_BYTES: u64 = 256 << 10;
 
 /// Seeded media errors at `rate` per device operation, on every device.
-pub fn media_faults(seed: u64, rate: f64) -> FaultPlan {
+pub(crate) fn media_faults(seed: u64, rate: f64) -> FaultPlan {
     FaultPlan::seeded(seed)
         .hdd_read_errors(rate)
         .hdd_write_errors(rate)
@@ -33,7 +65,7 @@ pub fn media_faults(seed: u64, rate: f64) -> FaultPlan {
 
 /// The small I-CASH controller every campaign cell runs, at group-commit
 /// depth `depth`; a scenario adds what it needs (a health policy) and builds.
-pub fn icash_config(depth: u64) -> IcashConfigBuilder {
+pub(crate) fn icash_config(depth: u64) -> IcashConfigBuilder {
     IcashConfig::builder(SSD_BYTES, RAM_BYTES, DATA_BYTES)
         .scan_interval(50)
         .scan_window(64)
@@ -43,12 +75,12 @@ pub fn icash_config(depth: u64) -> IcashConfigBuilder {
 }
 
 /// An I-CASH controller under `plan` that also scrubs as it serves.
-pub fn scrubbing_icash(cfg: IcashConfig, plan: FaultPlan) -> Icash {
+pub(crate) fn scrubbing_icash(cfg: IcashConfig, plan: FaultPlan) -> Icash {
     Icash::new(cfg).with_fault_plan(plan.scrub_every(97))
 }
 
 /// The `kind` architecture under `plan`; the I-CASH one is built from `icash`.
-pub fn build_system(
+pub(crate) fn build_system(
     kind: SystemKind,
     plan: &FaultPlan,
     icash: IcashConfig,
@@ -67,7 +99,7 @@ pub fn build_system(
 /// tag (so any cross-version or cross-block splice is detectable). Each
 /// campaign has its own fill and tag salt — their pinned outputs differ.
 #[derive(Debug, Clone, Copy)]
-pub struct Stamp {
+pub(crate) struct Stamp {
     /// The byte the shared base is filled with.
     pub fill: u8,
     /// Salt of the per-version tag draw.
@@ -88,7 +120,7 @@ impl Stamp {
 
 /// What one cell — or, merged, a whole campaign — observed.
 #[derive(Debug, Default)]
-pub struct Tally {
+pub(crate) struct Tally {
     /// Reads checked against the model.
     pub reads: u64,
     /// Of those, reads that reported a typed error instead of data.
@@ -110,8 +142,7 @@ impl Tally {
 }
 
 /// One campaign cell; see the module docs.
-#[allow(missing_debug_implementations)]
-pub struct Cell<S> {
+pub(crate) struct Cell<S> {
     name: String,
     sys: S,
     cpu: CpuModel,

@@ -69,14 +69,6 @@ pub struct RunConfig {
     pub features: Features,
     /// Scenario driver for every cell; `None` = the plain closed loop.
     pub scenario: Option<ScenarioSpec>,
-    /// `run_scale` shard-count sweep override.
-    pub scale_shards: Option<Vec<u32>>,
-    /// `run_scale` clients-per-shard sweep override.
-    pub scale_clients: Option<Vec<u32>>,
-    /// `run_scale` minimum 8-vs-1-shard wall speedup.
-    pub scale_assert: Option<f64>,
-    /// `run_scale` queue-on > queue-off virtual-throughput assert.
-    pub queue_assert: bool,
 }
 
 impl RunConfig {
@@ -120,10 +112,6 @@ pub enum Kind {
     Flag(fn(&mut RunConfig, bool)),
     /// One of the listed spellings.
     Choice(&'static [&'static str], fn(&mut RunConfig, &str)),
-    /// Comma-separated positive integers.
-    CountList(fn(&mut RunConfig, Vec<u32>)),
-    /// A positive number, optionally suffixed `x` (`4x`).
-    Factor(fn(&mut RunConfig, f64)),
 }
 
 /// "Rejected unless `parent` is on": a tuning knob that would otherwise be
@@ -262,30 +250,6 @@ pub const KNOBS: &[Knob] = &[
             scenario.arrival = ArrivalShape::parse(v).expect("listed spelling");
         }),
     },
-    Knob {
-        name: "ICASH_SCALE_SHARDS",
-        default: "1,2,4,8,16,32,64",
-        requires: None,
-        kind: Kind::CountList(|c, v| c.scale_shards = Some(v)),
-    },
-    Knob {
-        name: "ICASH_SCALE_CLIENTS",
-        default: "4,16",
-        requires: None,
-        kind: Kind::CountList(|c, v| c.scale_clients = Some(v)),
-    },
-    Knob {
-        name: "ICASH_SCALE_ASSERT",
-        default: "off",
-        requires: None,
-        kind: Kind::Factor(|c, f| c.scale_assert = Some(f)),
-    },
-    Knob {
-        name: "ICASH_QUEUE_ASSERT",
-        default: "0",
-        requires: None,
-        kind: Kind::Flag(|c, on| c.queue_assert = on),
-    },
 ];
 
 impl Kind {
@@ -306,17 +270,6 @@ impl Kind {
                 },
             ),
             Kind::Choice(options, set) => set(cfg, options.iter().find(|o| **o == raw)?),
-            Kind::CountList(set) => {
-                let items = raw.split(',').map(|i| i.trim().parse::<u32>().ok());
-                set(
-                    cfg,
-                    items.map(|n| n.filter(|&n| n > 0)).collect::<Option<_>>()?,
-                )
-            }
-            Kind::Factor(set) => {
-                let parsed = raw.trim_end_matches('x').parse().ok();
-                set(cfg, parsed.filter(|f: &f64| f.is_finite() && *f > 0.0)?)
-            }
         }
         Some(())
     }
@@ -334,8 +287,6 @@ impl Kind {
                     .collect();
                 shown.join(" | ")
             }
-            Kind::CountList(_) => "a comma-separated list of positive integers".into(),
-            Kind::Factor(_) => "a positive number such as \"4x\"".into(),
         }
     }
 }
@@ -429,8 +380,6 @@ mod tests {
                 Kind::Count(..) => "3",
                 Kind::Flag(_) => "1",
                 Kind::Choice(options, _) => options[options.len() - 1],
-                Kind::CountList(_) => "1, 8",
-                Kind::Factor(_) => "1.5x",
             };
             let sampled = with(sample).unwrap_or_else(|e| panic!("{}: {e}", k.name));
             assert_ne!(sampled, base, "{}: the sample must change the run", k.name);
@@ -486,8 +435,6 @@ mod tests {
             ("ICASH_HDD_SCHED", "fifo"),
             ("ICASH_SCENARIO", "openloop"),
             ("ICASH_ARRIVAL", "burst"),
-            ("ICASH_SCALE_SHARDS", "1, 2,4"),
-            ("ICASH_SCALE_ASSERT", "4x"),
         ])
         .expect("all valid");
         assert_eq!(cfg.ops, Some(1234));
@@ -498,8 +445,6 @@ mod tests {
         let scenario = cfg.scenario.expect("on");
         assert_eq!(scenario.kind, ScenarioKind::OpenLoop);
         assert_eq!(scenario.arrival, ArrivalShape::Burst);
-        assert_eq!(cfg.scale_shards, Some(vec![1, 2, 4]));
-        assert_eq!(cfg.scale_assert, Some(4.0));
         // A u32 knob rejects what a u32 cannot hold instead of truncating.
         let e = parse_vars(&[("ICASH_SHARDS", "4294967296")]).expect_err("too wide");
         assert!(e.contains("ICASH_SHARDS=\"4294967296\""), "got: {e}");

@@ -5,10 +5,11 @@
 //! number is computed from the five run summaries. `run_all` renders all of
 //! it as the paper-vs-measured report (EXPERIMENTS.md); `exhibit <name>`
 //! renders the rows tagged with that name ([`print_exhibit`]), or one row of
-//! the [`ABLATIONS`] table. [`PLAN`] is the matching workload list, and
+//! the [`ABLATIONS`] or [`CAMPAIGNS`] tables. [`PLAN`] is the matching workload list, and
 //! [`workload_named`] the one place a workload name becomes a workload.
 
-use crate::ablations::ABLATIONS;
+use crate::ablations::{Render, ABLATIONS};
+use crate::campaign::CAMPAIGNS;
 use crate::config::RunConfig;
 use crate::harness::{run_plan, PlannedWorkload};
 use icash_metrics::report::{bar_chart, metric_rows, normalize, table};
@@ -458,13 +459,18 @@ pub fn measure(
     (results, measured)
 }
 
+/// The rows that render themselves: [`ABLATIONS`], then [`CAMPAIGNS`].
+fn rendered() -> impl Iterator<Item = &'static (&'static str, Render)> {
+    ABLATIONS.iter().chain(CAMPAIGNS)
+}
+
 /// What `exhibit` accepts: every name in [`EXHIBITS`], in table order,
-/// `tab04_workloads`, and every name in [`ABLATIONS`].
+/// `tab04_workloads`, and every name in [`ABLATIONS`] and [`CAMPAIGNS`].
 pub fn exhibit_names() -> Vec<&'static str> {
     let mut names: Vec<&str> = EXHIBITS.iter().map(|ex| ex.name).collect();
     names.dedup();
     names.push(WORKLOADS_TABLE);
-    names.extend(ABLATIONS.iter().map(|(name, _)| name));
+    names.extend(rendered().map(|(name, _)| name));
     names
 }
 
@@ -474,7 +480,7 @@ pub fn print_exhibit(cfg: &RunConfig, name: &str) -> bool {
         print!("{}", workloads_table());
         return true;
     }
-    if let Some((_, render)) = ABLATIONS.iter().find(|(n, _)| *n == name) {
+    if let Some((_, render)) = rendered().find(|(n, _)| *n == name) {
         print!("{}", render(cfg));
         return true;
     }
@@ -560,7 +566,7 @@ mod tests {
         let names = exhibit_names();
         let unique: BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "a name's rows are contiguous");
-        assert_eq!(names.len(), 19, "11 exhibits and 8 ablations");
+        assert_eq!(names.len(), 24, "11 exhibits, 8 ablations and 5 campaigns");
         for (table, ..) in TABLES {
             assert!(names.contains(&table), "{table}: a table of no exhibit");
         }
@@ -568,6 +574,62 @@ mod tests {
             assert!(workload_named(name).is_some(), "{name}");
         }
         assert!(workload_named("nope").is_none());
+    }
+
+    /// Drift between the rows, ci.sh's golden loop (`ROWS`) and
+    /// `ci/golden/`: the loop runs every self-rendering row and only rows
+    /// `exhibit` knows, and every `ci/golden/*.txt` is diffed by the loop or
+    /// by a `pin` of its own in ci.sh — a golden nothing checks fails here.
+    #[test]
+    fn the_golden_loop_covers_every_row_and_golden() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        let ci = std::fs::read_to_string(format!("{root}ci.sh")).expect("ci.sh");
+        let body = ci.split_once("\nROWS=(\n").expect("ci.sh has ROWS").1;
+        let entries: Vec<(&str, &str)> = body
+            .split_once("\n)\n")
+            .expect("ROWS is closed")
+            .0
+            .lines()
+            .map(|line| {
+                let mut words = line.trim().trim_matches('"').split_whitespace();
+                (words.next().expect("row"), words.next().expect("golden"))
+            })
+            .collect();
+        let names = exhibit_names();
+        for (row, golden) in &entries {
+            assert!(
+                names.contains(row),
+                "ci.sh runs `exhibit {row}`: no such row"
+            );
+            assert!(
+                std::path::Path::new(&format!("{root}ci/golden/{golden}.txt")).exists(),
+                "ci.sh diffs {row} against a missing ci/golden/{golden}.txt"
+            );
+        }
+        for (name, _) in rendered() {
+            assert!(
+                entries.iter().any(|(row, _)| row == name),
+                "{name}: no golden loop entry in ci.sh"
+            );
+        }
+        let pinned = |file: &str| {
+            let stem = file.strip_suffix(".txt").expect("a .txt golden");
+            let by_hand = ci.lines().any(|line| {
+                let line = line.trim();
+                line.starts_with("pin ") && line.ends_with(&format!(" ci/golden/{file}"))
+            });
+            by_hand || entries.iter().any(|(_, golden)| *golden == stem)
+        };
+        for entry in std::fs::read_dir(format!("{root}ci/golden")).expect("ci/golden") {
+            let file = entry
+                .expect("entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8");
+            if file.ends_with(".txt") {
+                assert!(pinned(&file), "ci/golden/{file}: nothing in ci.sh diffs it");
+            }
+        }
     }
 
     #[test]

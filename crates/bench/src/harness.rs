@@ -112,7 +112,7 @@ impl SystemKind {
 }
 
 /// The I-CASH controller for `spec` with every feature but the shard count
-/// (the caller's: [`SystemKind::build`] routes, `run_scale` slices).
+/// (the caller's: [`SystemKind::build`] routes, the scale campaign slices).
 pub(crate) fn icash_config(spec: &WorkloadSpec, features: &Features) -> IcashConfigBuilder {
     let builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
         .group_commit_depth(features.group_commit_depth)
@@ -126,7 +126,7 @@ pub(crate) fn icash_config(spec: &WorkloadSpec, features: &Features) -> IcashCon
 /// The one slicing rule of a `shards`-wide system: each shard is
 /// [`IcashConfig::shard_slice`] of the unsharded controller, so every
 /// budget is divided, not replicated. Sharded harness cells size all five
-/// architectures from it, and every `run_scale` shard runs it.
+/// architectures from it, and every shard of the scale campaign runs it.
 pub(crate) fn slice_config(spec: &WorkloadSpec, features: &Features, shards: u32) -> IcashConfig {
     icash_config(spec, features).build().shard_slice(shards)
 }

@@ -1,11 +1,12 @@
-//! The `run_scale` campaign: where does shard scaling saturate?
+//! The shard-scaling campaign, rows `campaign_scale` and
+//! `campaign_scale_queue16`: where does shard scaling saturate?
 //!
 //! The sharded engine ([`ShardRouter`]) stripes the block space across N
 //! independent controllers, and because each shard is a complete
 //! self-contained simulation on its own virtual clock, the N shards of one
 //! replay can run on N real threads. This module measures what that buys:
 //! it records one SysBench op stream, partitions it per shard with the
-//! router's own striping ([`partition_trace`]), replays every
+//! router's own striping (`partition_trace`), replays every
 //! shard's slice as an independent closed-loop benchmark on the harness
 //! worker pool, and reports both the *deterministic* merged results (virtual
 //! time, latencies, device counters — byte-identical no matter how many
@@ -21,39 +22,47 @@
 //!   unsharded cell.
 //!
 //! Wall-clock numbers (the point of the exercise) go to the human table
-//! ([`wall_table`]) and nowhere else. The document is what `./ci.sh scale`
-//! and `./ci.sh queue` diff against `ci/golden/run_scale*.txt`.
+//! (`wall_table`, on stderr) and nowhere else. The document is what the
+//! rows print and `./ci.sh golden` diffs against `ci/golden/run_scale*.txt`.
 //!
 //! [`ShardRouter`]: icash_storage::shard::ShardRouter
 
+use crate::campaign::verdict;
 use crate::config::{RunConfig, SEED};
 use crate::harness::{cell_driver, run_jobs, slice_config};
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
+use icash_storage::queue::QueueConfig;
 use icash_storage::shard::{merge_streams, stripes, universe_share};
 use icash_storage::system::SystemReport;
 use icash_storage::time::Ns;
 use icash_workloads::content::ContentModel;
 use icash_workloads::driver::run_benchmark;
 use icash_workloads::spec::WorkloadSpec;
+use icash_workloads::sysbench;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::workload::WorkloadOp;
 use std::time::Instant;
 
-/// Default shard-count sweep: powers of two through 64.
-pub const SHARD_SWEEP: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
+/// `campaign_scale`'s shard-count sweep: powers of two through 64.
+const SHARD_SWEEP: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Default closed-loop client counts (per shard — each shard runs its own
-/// closed loop, matching how a sharded deployment would drive N queues).
-pub const CLIENT_SWEEP: [u32; 2] = [4, 16];
+/// `campaign_scale`'s closed-loop client counts (per shard — each shard
+/// runs its own closed loop, matching how a sharded deployment would drive
+/// N queues).
+const CLIENT_SWEEP: [u32; 2] = [4, 16];
+
+/// The 8-vs-1-shard wall speedup `campaign_scale` requires on a host with
+/// at least 8 workers, where the sharded engine must deliver.
+const MIN_WALL_SPEEDUP: f64 = 4.0;
 
 /// Splits a recorded outer-address op stream into one per-shard stream
 /// with the router's striping ([`stripes`]): an op touching several
 /// shards becomes one smaller op on each. At one shard this is the
 /// identity. Think/CPU costs ride along unchanged — each shard's closed
 /// loop models a client driving that shard.
-pub fn partition_trace(trace: &Trace, shards: u32) -> Vec<Trace> {
+fn partition_trace(trace: &Trace, shards: u32) -> Vec<Trace> {
     let mut per_shard: Vec<Vec<WorkloadOp>> = vec![Vec::new(); shards.max(1) as usize];
     for op in trace.ops() {
         for (shard, _, lba, count) in stripes(op.lba, op.blocks as u64, shards) {
@@ -166,7 +175,7 @@ fn replay_shard(
 /// Runs one sweep cell: partition the recorded trace, replay every shard's
 /// slice on the shared worker pool (thread-per-shard up to `cfg.workers()`
 /// threads), merge. Each shard runs `slice_config`.
-pub fn run_cell(
+fn run_cell(
     cfg: &RunConfig,
     spec: &WorkloadSpec,
     trace: &Trace,
@@ -225,7 +234,7 @@ pub fn run_campaign(
     let mut cells = Vec::new();
     for &shards in shard_sweep {
         for &clients in client_sweep {
-            eprintln!("run_scale: shards={shards} clients={clients} ({ops} ops)");
+            eprintln!("scale: shards={shards} clients={clients} ({ops} ops)");
             cells.push(run_cell(cfg, spec, &trace, &universe, shards, clients));
         }
     }
@@ -251,7 +260,7 @@ pub fn document(spec: &WorkloadSpec, ops: u64, cells: &[ScaleCell]) -> String {
 /// The human-facing table: virtual rates (deterministic) next to the
 /// wall-clock replay throughput and its speedup over the one-shard cell at
 /// the same client count (host-dependent — this is the measurement).
-pub fn wall_table(cells: &[ScaleCell]) -> String {
+fn wall_table(cells: &[ScaleCell]) -> String {
     let mut out = String::from(
         "| Shards | Clients/shard | Ops | Virtual time | Virtual ops/s | Wall time | Wall ops/s | Speedup |\n\
          |---:|---:|---:|---:|---:|---:|---:|---:|\n",
@@ -286,7 +295,7 @@ pub fn wall_table(cells: &[ScaleCell]) -> String {
 /// per shard; `None` when either cell is missing from the sweep. This is
 /// the campaign's headline number (the acceptance gate asserts ≥ 4x for 8
 /// over 1 on a host with at least 8 workers).
-pub fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Option<f64> {
+fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Option<f64> {
     let rate = |shards: u32| {
         cells
             .iter()
@@ -301,6 +310,79 @@ pub fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Opti
     }
 }
 
+/// Runs SysBench over the sweep grid at `ops` outer ops: returns the
+/// deterministic document and the cells, with the wall table on stderr.
+fn sweep(cfg: &RunConfig, ops: u64, shards: &[u32], clients: &[u32]) -> (String, Vec<ScaleCell>) {
+    let spec = sysbench::spec().scaled_to_ops(ops);
+    eprintln!(
+        "scale: SysBench, {ops} ops, shards {shards:?} x clients {clients:?}, {} workers, queue {:?}",
+        cfg.workers(),
+        cfg.features.queue,
+    );
+    let cells = run_campaign(cfg, &spec, ops, shards, clients);
+    eprintln!("\n{}", wall_table(&cells));
+    (document(&spec, ops, &cells), cells)
+}
+
+/// Row `campaign_scale`: the full sweep at `ICASH_OPS` (default 6,000)
+/// with the run's features. On at least 8 workers it fails unless 8 shards
+/// replay 4 times faster than one.
+pub fn render(cfg: &RunConfig) -> String {
+    let (doc, cells) = sweep(cfg, cfg.ops.unwrap_or(6_000), &SHARD_SWEEP, &CLIENT_SWEEP);
+    let mut violations = Vec::new();
+    if cfg.workers() >= 8 {
+        let clients = CLIENT_SWEEP[CLIENT_SWEEP.len() - 1];
+        let speedup = wall_speedup(&cells, 8, 1, clients).unwrap_or(0.0);
+        eprintln!("scale: 8-vs-1-shard wall speedup at {clients} clients: {speedup:.2}x");
+        if speedup < MIN_WALL_SPEEDUP {
+            violations.push(format!(
+                "sharded engine scaled only {speedup:.2}x at 8 shards (required {MIN_WALL_SPEEDUP}x)"
+            ));
+        }
+    }
+    verdict(doc, "SCALE VIOLATION", &violations, "")
+}
+
+/// Row `campaign_scale_queue16`: 1, 8 and 16 shards of 4 clients at NCQ
+/// depth 16 and `ICASH_OPS` (default 4,000). Fails unless queueing raises
+/// the aggregate *virtual* throughput over queue-off at 16 shards — a
+/// deterministic comparison, so it holds at any worker count.
+pub fn render_queue16(cfg: &RunConfig) -> String {
+    let ops = cfg.ops.unwrap_or(4_000);
+    let queue = QueueConfig::depth(16);
+    let arm = |queue| {
+        let mut arm = cfg.clone();
+        arm.features.queue = queue;
+        arm
+    };
+    let (doc, _) = sweep(&arm(Some(queue)), ops, &[1, 8, 16], &[4]);
+    // The comparison cells run the HDD-pressure SysBench variant under a
+    // tight RAM budget: stock SysBench touches the mechanical disk a
+    // handful of times per shard (it is an SSD-friendly workload by
+    // design), which leaves the device queue nothing to schedule and the
+    // comparison a tie.
+    let mut pspec = sysbench::pressure_spec().scaled_to_ops(ops);
+    pspec.ram_bytes = (pspec.ram_bytes / 64).max(1 << 20);
+    pspec.ssd_bytes = (pspec.ssd_bytes / 4).max(1 << 20);
+    let rate = |queue| {
+        run_campaign(&arm(queue), &pspec, ops, &[16], &[4])[0]
+            .merged
+            .ops_per_sec()
+    };
+    let (on_rate, off_rate) = (rate(Some(queue)), rate(None));
+    eprintln!(
+        "scale: aggregate virtual throughput at 16 shards {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
+    );
+    let mut violations = Vec::new();
+    if on_rate <= off_rate {
+        violations.push(format!(
+            "device queueing must raise aggregate virtual throughput at 16 shards: \
+             {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
+        ));
+    }
+    verdict(doc, "SCALE VIOLATION", &violations, "")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +390,6 @@ mod tests {
     use icash_storage::block::{BlockBuf, Lba};
     use icash_storage::request::{Op, Request};
     use icash_storage::shard::ShardRouter;
-    use icash_workloads::sysbench;
     use proptest::prelude::*;
 
     fn small_spec() -> WorkloadSpec {

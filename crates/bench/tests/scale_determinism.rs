@@ -1,4 +1,4 @@
-//! Shard-scaling determinism gate: the `run_scale` campaign document must
+//! Shard-scaling determinism gate: the scale campaign's document must
 //! be byte-identical no matter how many worker threads replayed the
 //! shards.
 //!
