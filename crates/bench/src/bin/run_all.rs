@@ -95,7 +95,7 @@ const NOTES: &str = r#"
 
 Every number above is a `queue = off` run — the default build is pinned
 byte-identical to the pre-queue engine (`./ci.sh golden` diffs the trace
-JSONL and `run_faults` stdout against goldens pinned before the queue
+JSONL and `campaign_faults` stdout against goldens pinned before the queue
 existed), so nothing in this report moves unless
 `ICASH_QUEUE_DEPTH` is set. What moves when it is:
 
@@ -112,9 +112,9 @@ existed), so nothing in this report moves unless
   (`exhibit ablation_queue_depth_pressure`: delta-unfriendly writes,
   uniform access, RAM/8) tx/s rises by about a percent from queue-off to
   depth 32 (8000 ops, pinned in
-  `ci/golden/ablation_queue_depth_pressure.txt`), and `run_scale` on the
-  same spec with RAM/64 at 16 shards clears its queue-on > queue-off
-  assert — the gap `./ci.sh queue` enforces.
+  `ci/golden/ablation_queue_depth_pressure.txt`), and
+  `campaign_scale_queue16` on the same spec with RAM/64 at 16 shards
+  clears its queue-on > queue-off assert, which `./ci.sh golden` runs.
 * **Invariants that do not move**: bytes returned by every read, bytes
   reaching HDD media after a durability barrier, flash wear/erase
   counts, and `stats.busy` on the SSD (queues reschedule time, they do
