@@ -16,7 +16,7 @@
 //! output across `ICASH_THREADS` settings. With no queue installed
 //! (`queue = None` on the device configs) none of this code runs and the
 //! devices are bit-identical to their pre-queue behavior — the differential
-//! tests and pinned goldens in `ci.sh queue` hold that line.
+//! tests and pinned goldens in `./ci.sh golden` hold that line.
 
 use crate::time::Ns;
 use core::fmt;

@@ -17,7 +17,7 @@
 //!   `lba.offset() / n`, VM tag untouched. Consecutive outer blocks land
 //!   on consecutive shards, and one shard's share of a span is a single
 //!   contiguous inner span ([`stripes`]; of an address universe,
-//!   [`universe_share`]). The router and the `run_scale` campaign both
+//!   [`universe_share`]). The router and the bench's scale campaign both
 //!   stripe through these two functions.
 //! * **Per-shard virtual clocks** never interact inside the router; a
 //!   request's completion is the max over its sub-completions, and

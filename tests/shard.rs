@@ -118,7 +118,7 @@ fn one_shard_router_is_byte_identical_to_bare() {
 }
 
 /// A width-`n` router over I-CASH shards, each built from the shard slice
-/// of the pinned config — the same construction `run_scale` uses.
+/// of the pinned config — the same construction the scale campaign uses.
 fn sharded(n: u32) -> ShardRouter<Icash> {
     let slice = config_builder().build().shard_slice(n);
     ShardRouter::new((0..n).map(|_| Icash::new(slice.clone())).collect())
