@@ -4,8 +4,8 @@
 # repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
 # of which announces what it checks as it goes. The gate is the only place a
 # test suite runs at its own case counts: a stage holds what `cargo test` does
-# not — golden diffs of the campaign and ablation rows, the trace pins, a
-# trace_profile grep, the sim fingerprints, the crash suites at 3 000 cases.
+# not — golden diffs of the campaign and ablation rows, the trace pins, the
+# sim fingerprints, the crash suites at 3 000 cases.
 # Every stage is seeded and deterministic, hence blocking in
 # .github/workflows/ci.yml.
 # Host time is measured in one place only, the repo benchmark (BENCHMARK.json).
@@ -81,19 +81,19 @@ trace_pin() {
   pin "target/golden_$tag.sha256" "ci/golden/$pin.sha256"
 }
 
-# Every optional feature explicitly off: must be byte-identical to unset.
-OFF=(ICASH_FULL=0 ICASH_GROUP_COMMIT=1 ICASH_SHARDS=1 ICASH_HEALTH=0 ICASH_SCENARIO=0)
+# The knobs explicitly at their defaults: must be byte-identical to unset.
+OFF=(ICASH_FULL=0 ICASH_SHARDS=1)
 # Every ci/golden/*.txt an `exhibit` row prints, one entry each: the row, its
 # golden, the ICASH_THREADS values it runs at ("-" leaves the knob unset:
 # every worker, which arms campaign_scale's 4x wall-speedup assert on a host
 # with >= 8) and its environment. The faults campaign at depth 1 is the
-# feature-off byte-identity check, with the knobs unset and explicitly off;
-# the same goldens were pinned before any optional feature existed.
+# knobs-off byte-identity check, with the knobs unset and explicitly off;
+# its golden was pinned before any optional feature existed.
 # crates/bench's exhibits tests hold this list to the rows and to ci/golden/.
 ROWS=(
   "campaign_faults run_faults_depth1 -"
   "campaign_faults run_faults_depth1 - ${OFF[*]}"
-  "campaign_faults run_faults_depth4 - ICASH_GROUP_COMMIT=4"
+  "campaign_faults_depth4 run_faults_depth4 -"
   "campaign_scale run_scale 1,2,-"
   "campaign_scale_queue16 run_scale_queue16 -"
   "campaign_chaos run_chaos 1,7"
@@ -132,16 +132,6 @@ stage_golden() {
   for threads in 1 2; do
     trace_pin "shards4_$threads" run_all_trace_shards4 ICASH_SHARDS=4 ICASH_THREADS=$threads
   done
-  step "burst arrivals queue in trace_profile; the closed loop does not"
-  for arm in closed burst; do
-    knobs=()
-    [[ $arm == burst ]] && knobs=(ICASH_SCENARIO=open-loop ICASH_ARRIVAL=burst)
-    env ICASH_OPS=300 ICASH_THREADS=1 "${knobs[@]}" ./target/release/run_all \
-      "target/run_all_$arm.md" --trace "target/run_all_trace_$arm.jsonl" > /dev/null
-    ./target/release/trace_profile "target/run_all_trace_$arm.jsonl" > "target/trace_profile_$arm.txt"
-  done
-  grep -q "Open-loop queued" target/trace_profile_burst.txt
-  if grep -q "Open-loop" target/trace_profile_closed.txt; then exit 1; fi
   # The paper report is a golden: run_all's default report (host timings
   # go to stderr) at two workers, with its winner count held to $WINNERS.
   step "golden: default run_all report (ICASH_THREADS=2) vs EXPERIMENTS.md, $WINNERS winners"

@@ -97,7 +97,7 @@ Every number above is a `queue = off` run — the default build is pinned
 byte-identical to the pre-queue engine (`./ci.sh golden` diffs the trace
 JSONL and `campaign_faults` stdout against goldens pinned before the queue
 existed), so nothing in this report moves unless
-`ICASH_QUEUE_DEPTH` is set. What moves when it is:
+a cell is built with a device queue. What moves when one is:
 
 * **HDD service time** is the sensitive quantity. `exhibit
   ablation_queue_depth` (SysBench, 8000 ops) tracks virtual HDD service ns

@@ -27,6 +27,7 @@ use icash_storage::time::Ns;
 /// diffs each against its `ci/golden/*.txt`.
 pub const CAMPAIGNS: &[(&str, Render)] = &[
     ("campaign_faults", faults::render),
+    ("campaign_faults_depth4", faults::render_depth4),
     ("campaign_chaos", chaos::render),
     ("campaign_scale", scale::render),
     ("campaign_scale_queue16", scale::render_queue16),

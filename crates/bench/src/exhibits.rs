@@ -566,7 +566,7 @@ mod tests {
         let names = exhibit_names();
         let unique: BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "a name's rows are contiguous");
-        assert_eq!(names.len(), 24, "11 exhibits, 8 ablations and 5 campaigns");
+        assert_eq!(names.len(), 25, "11 exhibits, 8 ablations and 6 campaigns");
         for (table, ..) in TABLES {
             assert!(names.contains(&table), "{table}: a table of no exhibit");
         }

@@ -1,4 +1,5 @@
-//! The fault-injection campaign, row `campaign_faults`: every architecture
+//! The fault-injection campaign, rows `campaign_faults` and
+//! `campaign_faults_depth4`: every architecture
 //! under seeded media faults, plus I-CASH under crash/torn-write recovery,
 //! with an oracle asserting **zero silent corruption** — a read either
 //! returns a valid version of the block or reports a media error; it never
@@ -18,11 +19,11 @@
 //! event stream; the cells are concatenated into one multi-cell JSONL
 //! artifact readable by `trace_profile`.
 //!
-//! With `ICASH_GROUP_COMMIT=<depth>` the I-CASH cells run the staged
-//! write pipeline at that depth, and every I-CASH cell additionally
-//! exercises the ticket barrier API (`await_flush`/`sync`) under faults
-//! and across crash recovery. Default 1: byte-identical to the classic
-//! synchronous campaign.
+//! Row `campaign_faults_depth4` runs the same grid with the I-CASH cells'
+//! staged write pipeline at group-commit depth 4, where every I-CASH cell
+//! also exercises the ticket barrier API (`await_flush`/`sync`) under
+//! faults and across crash recovery. `campaign_faults` runs depth 1, the
+//! classic synchronous cycle.
 
 use crate::campaign::{
     build_system, icash_config, media_faults, scrubbing_icash, verdict, Cell, Stamp, Tally,
@@ -142,9 +143,19 @@ fn run_cell<S: StorageSystem>(
     tally
 }
 
-/// Runs the campaign and renders its report.
+/// Row `campaign_faults`: the campaign at group-commit depth 1.
 pub fn render(cfg: &RunConfig) -> String {
-    let depth = cfg.features.group_commit_depth;
+    render_at(cfg, 1)
+}
+
+/// Row `campaign_faults_depth4`: the campaign at group-commit depth 4.
+pub fn render_depth4(cfg: &RunConfig) -> String {
+    render_at(cfg, 4)
+}
+
+/// Runs the campaign with the I-CASH cells at group-commit `depth` and
+/// renders its report.
+fn render_at(cfg: &RunConfig, depth: u64) -> String {
     let mut trace = cfg.trace.is_some().then(String::new);
     let mut cells = 0u64;
     let mut totals = Tally::default();

@@ -26,7 +26,7 @@
 //! tracer is attached anywhere, so the run (and its emitted JSON) is
 //! byte-identical to a build without this feature.
 
-use crate::config::{Features, RunConfig, SEED};
+use crate::config::{RunConfig, SEED};
 use icash_core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash_metrics::summary::RunSummary;
 use icash_metrics::trace::JsonlSink;
@@ -37,10 +37,6 @@ use icash_storage::time::Ns;
 use icash_storage::trace::{TraceSink, Tracer};
 use icash_workloads::content::ContentModel;
 use icash_workloads::driver::{run_benchmark, DriverConfig};
-use icash_workloads::replay::ReplayWorkload;
-use icash_workloads::scenario::{
-    churn_storm, run_open_loop, ArrivalShape, OpenLoopConfig, ScenarioKind,
-};
 use icash_workloads::spec::WorkloadSpec;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::vm::MultiVm;
@@ -75,25 +71,21 @@ impl SystemKind {
     ];
 
     /// Builds the system sized for `spec` (baseline caches get exactly the
-    /// I-CASH SSD budget; FusionIO gets the whole data set, §4.4) with the
-    /// optional machinery `features` asks for. Group commit, health and
-    /// queues are I-CASH's (`icash_config`); the baselines have none and
-    /// ignore them.
+    /// I-CASH SSD budget; FusionIO gets the whole data set, §4.4).
     ///
-    /// With `features.shards > 1` the system is striped across that many
+    /// With `shards > 1` the system is striped across that many
     /// independent controllers behind a [`ShardRouter`], each a complete
     /// small system sized from [`slice_config`], so the aggregate hardware
     /// budget matches the unsharded build. At one shard this returns the
     /// bare (unwrapped) system — the golden fixtures stay untouched by
     /// construction.
-    pub fn build(self, spec: &WorkloadSpec, features: &Features) -> Box<dyn StorageSystem> {
-        let shards = features.shards;
+    pub fn build(self, spec: &WorkloadSpec, shards: u32) -> Box<dyn StorageSystem> {
         if shards > 1 {
-            let slice = slice_config(spec, features, shards);
+            let slice = slice_config(spec, shards);
             let systems: Vec<_> = (0..shards).map(|_| self.sized(slice.clone())).collect();
             return Box::new(ShardRouter::new(systems));
         }
-        self.sized(icash_config(spec, features).build())
+        self.sized(IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes).build())
     }
 
     /// One system over the capacities of `cfg`: I-CASH runs it, a baseline
@@ -111,24 +103,15 @@ impl SystemKind {
     }
 }
 
-/// The I-CASH controller for `spec` with every feature but the shard count
-/// (the caller's: [`SystemKind::build`] routes, the scale campaign slices).
-pub(crate) fn icash_config(spec: &WorkloadSpec, features: &Features) -> IcashConfigBuilder {
-    let builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
-        .group_commit_depth(features.group_commit_depth)
-        .health(features.health);
-    match features.queue {
-        Some(queue) => builder.queue(queue),
-        None => builder,
-    }
-}
-
 /// The one slicing rule of a `shards`-wide system: each shard is
-/// [`IcashConfig::shard_slice`] of the unsharded controller, so every
-/// budget is divided, not replicated. Sharded harness cells size all five
-/// architectures from it, and every shard of the scale campaign runs it.
-pub(crate) fn slice_config(spec: &WorkloadSpec, features: &Features, shards: u32) -> IcashConfig {
-    icash_config(spec, features).build().shard_slice(shards)
+/// [`IcashConfig::shard_slice`] of the unsharded controller for `spec`, so
+/// every budget is divided, not replicated. Sharded harness cells size all
+/// five architectures from it, and every shard of the scale campaign runs
+/// it.
+pub(crate) fn slice_config(spec: &WorkloadSpec, shards: u32) -> IcashConfig {
+    IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes)
+        .build()
+        .shard_slice(shards)
 }
 
 /// The driver settings of every harness cell: the workload's client count
@@ -139,29 +122,6 @@ pub fn cell_driver(ops: u64, clients: u32) -> DriverConfig {
         ..DriverConfig::new(ops).clients(clients)
     }
 }
-
-/// Mean inter-arrival gap of open-loop cells. Chosen against the simulated
-/// device service times so the stationary shape stays mostly un-queued
-/// while the 16× flash-crowd bursts visibly overload the array — the
-/// contrast the scenario campaign asserts on.
-const OPEN_LOOP_BASE_GAP: Ns = Ns::from_us(200);
-
-/// The open-loop counterpart of [`cell_driver`]: the same slots, length and
-/// measured window, paced by `shape` arrivals seeded with `seed`.
-pub fn open_loop_cell(shape: ArrivalShape, seed: u64, driver: &DriverConfig) -> OpenLoopConfig {
-    OpenLoopConfig {
-        arrival: shape.config(OPEN_LOOP_BASE_GAP),
-        clients: driver.clients,
-        ops: driver.ops,
-        warmup_ops: driver.warmup_ops,
-        seed,
-    }
-}
-
-/// The in-repo MSR-Cambridge-style fixture `ICASH_SCENARIO=replay` cells
-/// replay (also the golden-replay test's input, so the harness and the
-/// test pin the same 64 events).
-pub const MSR_FIXTURE: &str = include_str!("../../workloads/tests/golden/msr_sample.csv");
 
 // ----------------------------------------------------------------------
 // The worker pool
@@ -280,13 +240,12 @@ impl PreparedWorkload {
     }
 }
 
-/// Runs one cell: build the system, drive the workload through it, time it;
-/// returns the summary and the cell's JSONL events (empty when untraced).
-/// The workload is the recorded trace under the plain closed loop, or
-/// whatever `cfg.scenario` swaps in; either way the cell owns its whole
-/// simulated world. When `traced` is false no sink is attached at all — the
-/// simulated run is exactly the untraced one, which is what keeps
-/// `--trace`-less output byte-identical.
+/// Runs one cell: build the system, replay the recorded trace through it
+/// under the closed loop, time it; returns the summary and the cell's JSONL
+/// events (empty when untraced). The cell owns its whole simulated world.
+/// When `traced` is false no sink is attached at all — the simulated run is
+/// exactly the untraced one, which is what keeps `--trace`-less output
+/// byte-identical.
 fn run_cell(
     cfg: &RunConfig,
     kind: SystemKind,
@@ -294,41 +253,12 @@ fn run_cell(
     traced: bool,
 ) -> (RunSummary, String) {
     let wall_start = Instant::now();
-    // Replay and open-loop reuse the prepared spec; a churn storm brings
-    // its own fleet-sized one, and the system is sized for that.
-    let mut workload: Box<dyn Workload> = match cfg.scenario.map(|sc| sc.kind) {
-        None | Some(ScenarioKind::OpenLoop) => Box::new(prep.player()),
-        Some(ScenarioKind::Replay) => Box::new(
-            ReplayWorkload::from_csv(prep.spec.clone(), MSR_FIXTURE)
-                .expect("in-repo MSR fixture parses"),
-        ),
-        Some(ScenarioKind::Churn) => Box::new(churn_storm(SEED, prep.ops)),
-    };
-    let spec = workload.spec().clone();
-    let mut system = kind.build(&spec, &cfg.features);
+    let spec = &prep.spec;
+    let mut system = kind.build(spec, cfg.shards);
     let sink = traced.then(|| attach_jsonl(system.as_mut()));
     let mut model = ContentModel::new(SEED, spec.profile.clone());
-    let driver = cell_driver(prep.ops, prep.spec.clients);
-    let mut summary = match cfg.scenario {
-        Some(sc) if sc.kind == ScenarioKind::OpenLoop => {
-            // The dispatcher shares the cell's sink so `OpenLoopArrival`
-            // events land in the same JSONL stream as the device events.
-            let tracer = match &sink {
-                Some(s) => Tracer::to_sink(s.clone() as Arc<Mutex<dyn TraceSink + Send>>),
-                None => Tracer::disabled(),
-            };
-            let paced = open_loop_cell(sc.arrival, SEED, &driver);
-            run_open_loop(
-                system.as_mut(),
-                workload.as_mut(),
-                &mut model,
-                &paced,
-                &tracer,
-            )
-            .0
-        }
-        _ => run_benchmark(system.as_mut(), workload.as_mut(), &mut model, &driver),
-    };
+    let driver = cell_driver(prep.ops, spec.clients);
+    let mut summary = run_benchmark(system.as_mut(), &mut prep.player(), &mut model, &driver);
     summary.wall_ns = wall_start.elapsed().as_nanos() as u64;
     // The cell's document ends with the measured run: taken out first, so
     // the barrier below never reaches an artifact.
@@ -539,8 +469,6 @@ pub fn cell_table(results: &[(WorkloadSpec, Vec<RunSummary>)], workers: usize) -
 mod tests {
     use super::*;
     use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
-    use icash_storage::fault::HealthPolicy;
-    use icash_storage::queue::QueueConfig;
     use icash_workloads::sysbench;
 
     fn small_plan() -> [PlannedWorkload; 1] {
@@ -570,37 +498,17 @@ mod tests {
 
     #[test]
     fn five_systems_run_sharded() {
-        let mut cfg = RunConfig {
+        let cfg = RunConfig {
             ops: Some(1_000),
+            shards: 4,
             ..RunConfig::default()
         };
-        cfg.features.shards = 4;
         let (_, summaries) = run_plan(&cfg, &small_plan()).pop().expect("one plan");
         assert_eq!(summaries.len(), 5);
         for s in &summaries {
             assert_eq!(s.ops, 1_000);
             assert!(s.elapsed.as_ns() > 0, "{} did not advance time", s.system);
         }
-    }
-
-    /// Every feature knob reaches a sliced shard: group commit, the health
-    /// policy with its staging cap (split per shard) and the queue.
-    #[test]
-    fn slices_carry_every_feature() {
-        let features = Features {
-            group_commit_depth: 4,
-            shards: 1,
-            health: HealthPolicy {
-                staging_cap: 64,
-                ..HealthPolicy::standard()
-            },
-            queue: Some(QueueConfig::depth(8)),
-        };
-        let slice = slice_config(&sysbench::spec(), &features, 4);
-        assert_eq!(slice.group_commit_depth, 4);
-        assert_eq!(slice.health, features.health.shard_share(4));
-        assert_eq!(slice.health.staging_cap, 16);
-        assert_eq!(slice.queue, Some(QueueConfig::depth(8)));
     }
 
     /// One slicing rule for every architecture. At 4 shards the harness's
@@ -639,41 +547,17 @@ mod tests {
             let events = sink.lock().expect("trace sink").take_text();
             (summary.to_json(), events)
         };
-        let features = Features {
-            shards: 4,
-            ..Features::default()
-        };
         let unsliced: Vec<SystemKind> = SystemKind::ALL
             .into_iter()
             .filter(|&kind| {
                 let router = ShardRouter::new((0..4).map(|_| by_hand(kind)).collect());
-                replay(kind.build(&spec, &features)) != replay(Box::new(router))
+                replay(kind.build(&spec, 4)) != replay(Box::new(router))
             })
             .collect();
         assert!(
             unsliced.is_empty(),
             "not four slices of the unsharded cell: {unsliced:?}"
         );
-    }
-
-    /// The post-run barrier check runs on every path: a scenario cell with
-    /// group commit on still ends with no ticket in flight (the assert
-    /// inside `run_cell` is what this exercises).
-    #[test]
-    fn scenario_cells_keep_the_barrier_check() {
-        for kind in ScenarioKind::ALL {
-            let mut cfg = RunConfig {
-                ops: Some(300),
-                ..RunConfig::default()
-            };
-            cfg.features.group_commit_depth = 4;
-            cfg.scenario = Some(icash_workloads::scenario::ScenarioSpec {
-                kind,
-                arrival: ArrivalShape::Burst,
-            });
-            let (_, summaries) = run_plan(&cfg, &small_plan()).pop().expect("one plan");
-            assert_eq!(summaries.len(), 5, "{kind:?}");
-        }
     }
 
     #[test]

@@ -24,5 +24,5 @@ pub mod harness;
 pub mod scale;
 pub mod scenarios;
 
-pub use config::{Features, RunConfig};
+pub use config::RunConfig;
 pub use harness::SystemKind;

@@ -174,10 +174,11 @@ fn replay_shard(
 
 /// Runs one sweep cell: partition the recorded trace, replay every shard's
 /// slice on the shared worker pool (thread-per-shard up to `cfg.workers()`
-/// threads), merge. Each shard runs `slice_config`.
+/// threads), merge. Each shard runs `slice_config` with `queue`.
 fn run_cell(
     cfg: &RunConfig,
     spec: &WorkloadSpec,
+    queue: Option<QueueConfig>,
     trace: &Trace,
     universe: &[(u8, u64)],
     shards: u32,
@@ -185,7 +186,10 @@ fn run_cell(
 ) -> ScaleCell {
     let wall_start = Instant::now();
     let parts = partition_trace(trace, shards);
-    let slice_cfg = slice_config(spec, &cfg.features, shards);
+    let slice_cfg = IcashConfig {
+        queue,
+        ..slice_config(spec, shards)
+    };
     let jobs: Vec<_> = parts
         .into_iter()
         .enumerate()
@@ -219,11 +223,13 @@ fn run_cell(
 
 /// Runs the full sweep grid over one recorded op stream: every shard count
 /// × every client count, cells in grid order (shards outer, clients
-/// inner). The trace is recorded once from `spec` and [`SEED`], so every
+/// inner), every shard's devices behind `queue` (`None` = no command
+/// queue). The trace is recorded once from `spec` and [`SEED`], so every
 /// cell replays the same outer op stream.
 pub fn run_campaign(
     cfg: &RunConfig,
     spec: &WorkloadSpec,
+    queue: Option<QueueConfig>,
     ops: u64,
     shard_sweep: &[u32],
     client_sweep: &[u32],
@@ -235,7 +241,9 @@ pub fn run_campaign(
     for &shards in shard_sweep {
         for &clients in client_sweep {
             eprintln!("scale: shards={shards} clients={clients} ({ops} ops)");
-            cells.push(run_cell(cfg, spec, &trace, &universe, shards, clients));
+            cells.push(run_cell(
+                cfg, spec, queue, &trace, &universe, shards, clients,
+            ));
         }
     }
     cells
@@ -310,25 +318,32 @@ fn wall_speedup(cells: &[ScaleCell], hi: u32, lo: u32, clients: u32) -> Option<f
     }
 }
 
-/// Runs SysBench over the sweep grid at `ops` outer ops: returns the
-/// deterministic document and the cells, with the wall table on stderr.
-fn sweep(cfg: &RunConfig, ops: u64, shards: &[u32], clients: &[u32]) -> (String, Vec<ScaleCell>) {
+/// Runs SysBench over the sweep grid at `ops` outer ops behind `queue`:
+/// returns the deterministic document and the cells, with the wall table
+/// on stderr.
+fn sweep(
+    cfg: &RunConfig,
+    queue: Option<QueueConfig>,
+    ops: u64,
+    shards: &[u32],
+    clients: &[u32],
+) -> (String, Vec<ScaleCell>) {
     let spec = sysbench::spec().scaled_to_ops(ops);
     eprintln!(
-        "scale: SysBench, {ops} ops, shards {shards:?} x clients {clients:?}, {} workers, queue {:?}",
+        "scale: SysBench, {ops} ops, shards {shards:?} x clients {clients:?}, {} workers, queue {queue:?}",
         cfg.workers(),
-        cfg.features.queue,
     );
-    let cells = run_campaign(cfg, &spec, ops, shards, clients);
+    let cells = run_campaign(cfg, &spec, queue, ops, shards, clients);
     eprintln!("\n{}", wall_table(&cells));
     (document(&spec, ops, &cells), cells)
 }
 
-/// Row `campaign_scale`: the full sweep at `ICASH_OPS` (default 6,000)
-/// with the run's features. On at least 8 workers it fails unless 8 shards
-/// replay 4 times faster than one.
+/// Row `campaign_scale`: the full sweep at `ICASH_OPS` (default 6,000),
+/// queue off. On at least 8 workers it fails unless 8 shards replay 4 times
+/// faster than one.
 pub fn render(cfg: &RunConfig) -> String {
-    let (doc, cells) = sweep(cfg, cfg.ops.unwrap_or(6_000), &SHARD_SWEEP, &CLIENT_SWEEP);
+    let ops = cfg.ops.unwrap_or(6_000);
+    let (doc, cells) = sweep(cfg, None, ops, &SHARD_SWEEP, &CLIENT_SWEEP);
     let mut violations = Vec::new();
     if cfg.workers() >= 8 {
         let clients = CLIENT_SWEEP[CLIENT_SWEEP.len() - 1];
@@ -349,13 +364,8 @@ pub fn render(cfg: &RunConfig) -> String {
 /// deterministic comparison, so it holds at any worker count.
 pub fn render_queue16(cfg: &RunConfig) -> String {
     let ops = cfg.ops.unwrap_or(4_000);
-    let queue = QueueConfig::depth(16);
-    let arm = |queue| {
-        let mut arm = cfg.clone();
-        arm.features.queue = queue;
-        arm
-    };
-    let (doc, _) = sweep(&arm(Some(queue)), ops, &[1, 8, 16], &[4]);
+    let queue = Some(QueueConfig::depth(16));
+    let (doc, _) = sweep(cfg, queue, ops, &[1, 8, 16], &[4]);
     // The comparison cells run the HDD-pressure SysBench variant under a
     // tight RAM budget: stock SysBench touches the mechanical disk a
     // handful of times per shard (it is an SSD-friendly workload by
@@ -365,11 +375,11 @@ pub fn render_queue16(cfg: &RunConfig) -> String {
     pspec.ram_bytes = (pspec.ram_bytes / 64).max(1 << 20);
     pspec.ssd_bytes = (pspec.ssd_bytes / 4).max(1 << 20);
     let rate = |queue| {
-        run_campaign(&arm(queue), &pspec, ops, &[16], &[4])[0]
+        run_campaign(cfg, &pspec, queue, ops, &[16], &[4])[0]
             .merged
             .ops_per_sec()
     };
-    let (on_rate, off_rate) = (rate(Some(queue)), rate(None));
+    let (on_rate, off_rate) = (rate(queue), rate(None));
     eprintln!(
         "scale: aggregate virtual throughput at 16 shards {on_rate:.0} ops/s queued vs {off_rate:.0} ops/s unqueued"
     );
@@ -453,7 +463,7 @@ mod tests {
         let mut wl = icash_workloads::MixedWorkload::new(spec.clone(), 5);
         let universe = icash_workloads::workload::Workload::address_universe(&wl);
         let trace = Trace::record(&mut wl, 400);
-        let cell = run_cell(&RunConfig::default(), &spec, &trace, &universe, 1, 4);
+        let cell = run_cell(&RunConfig::default(), &spec, None, &trace, &universe, 1, 4);
         assert_eq!(cell.per_shard.len(), 1);
         assert_eq!(cell.finish_order, vec![0]);
         // The merged summary IS the single shard's summary.
@@ -468,8 +478,8 @@ mod tests {
         let universe = icash_workloads::workload::Workload::address_universe(&wl);
         let trace = Trace::record(&mut wl, 400);
         let cfg = RunConfig::default();
-        let a = run_cell(&cfg, &spec, &trace, &universe, 4, 2);
-        let b = run_cell(&cfg, &spec, &trace, &universe, 4, 2);
+        let a = run_cell(&cfg, &spec, None, &trace, &universe, 4, 2);
+        let b = run_cell(&cfg, &spec, None, &trace, &universe, 4, 2);
         assert_eq!(a.to_json(), b.to_json(), "cells replay bit-identically");
         assert_eq!(a.per_shard.len(), 4);
         assert_eq!(a.finish_order.len(), 4);
@@ -483,7 +493,7 @@ mod tests {
     #[test]
     fn document_excludes_wall_clock() {
         let spec = small_spec();
-        let cells = run_campaign(&RunConfig::default(), &spec, 120, &[1, 2], &[2]);
+        let cells = run_campaign(&RunConfig::default(), &spec, None, 120, &[1, 2], &[2]);
         let doc = document(&spec, 120, &cells);
         assert!(doc.starts_with("{\"schema\":\"icash-scale-v1\""));
         assert_eq!(doc.lines().count(), 3, "header + one line per cell");

@@ -19,14 +19,14 @@
 //! printing every violation.
 
 use crate::campaign::verdict;
-use crate::harness::{cell_driver, open_loop_cell, run_jobs, SystemKind, MSR_FIXTURE};
-use crate::{Features, RunConfig};
+use crate::harness::{cell_driver, run_jobs, SystemKind};
+use crate::RunConfig;
 use icash_storage::time::Ns;
 use icash_storage::trace::Tracer;
 use icash_workloads::content::ContentModel;
 use icash_workloads::driver::run_benchmark;
 use icash_workloads::replay::ReplayWorkload;
-use icash_workloads::scenario::{churn_storm, run_open_loop, ArrivalShape};
+use icash_workloads::scenario::{churn_storm, run_open_loop, ArrivalShape, OpenLoopConfig};
 use icash_workloads::workload::{MixedWorkload, Workload};
 use icash_workloads::WorkloadSpec;
 
@@ -37,6 +37,15 @@ const DEFAULT_OPS: u64 = 400;
 /// The churn cell always issues at least this many ops so the storm
 /// applies thousands of events regardless of the campaign scale.
 const MIN_CHURN_OPS: u64 = 2_048;
+/// Mean inter-arrival gap of the open-loop cells. Chosen against the
+/// simulated device service times so the stationary shape stays mostly
+/// un-queued while the 16× flash-crowd bursts visibly overload the array —
+/// the contrast this campaign asserts on.
+const OPEN_LOOP_BASE_GAP: Ns = Ns::from_us(200);
+/// The in-repo MSR-Cambridge-style fixture the replay cells loop over (also
+/// the golden-replay test's input, so the campaign and the test replay the
+/// same 64 events).
+const MSR_FIXTURE: &str = include_str!("../../workloads/tests/golden/msr_sample.csv");
 
 /// One finished cell: its printed lines (in cell order) plus the numbers
 /// the cross-cell assertions compare.
@@ -70,7 +79,7 @@ fn cell_spec(ops: u64) -> WorkloadSpec {
 fn cell_replay(kind: SystemKind, ops: u64) -> CellOut {
     let spec = cell_spec(ops);
     let mut out = CellOut::new(format!("replay/msr/{kind:?}"));
-    let mut system = kind.build(&spec, &Features::default());
+    let mut system = kind.build(&spec, 1);
     let mut wl =
         ReplayWorkload::from_csv(spec.clone(), MSR_FIXTURE).expect("in-repo MSR fixture parses");
     let rows = wl.records().len();
@@ -102,7 +111,7 @@ fn cell_replay(kind: SystemKind, ops: u64) -> CellOut {
 fn cell_closed_baseline(ops: u64) -> CellOut {
     let spec = cell_spec(ops);
     let mut out = CellOut::new("closed/baseline/I-CASH".to_string());
-    let mut system = SystemKind::Icash.build(&spec, &Features::default());
+    let mut system = SystemKind::Icash.build(&spec, 1);
     let (tracer, counts) = Tracer::counting();
     system.set_tracer(tracer);
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
@@ -136,11 +145,20 @@ fn cell_closed_baseline(ops: u64) -> CellOut {
 fn cell_open_loop(shape: ArrivalShape, ops: u64) -> CellOut {
     let spec = cell_spec(ops);
     let mut out = CellOut::new(format!("open/{}/I-CASH", shape.name()));
-    let mut system = SystemKind::Icash.build(&spec, &Features::default());
+    let mut system = SystemKind::Icash.build(&spec, 1);
     let (tracer, counts) = Tracer::counting();
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
     let mut model = ContentModel::new(SEED, spec.profile.clone());
-    let cfg = open_loop_cell(shape, SEED, &cell_driver(ops, spec.clients));
+    // The closed-loop cell's slots, length and measured window, paced by
+    // `shape` arrivals instead.
+    let driver = cell_driver(ops, spec.clients);
+    let cfg = OpenLoopConfig {
+        arrival: shape.config(OPEN_LOOP_BASE_GAP),
+        clients: driver.clients,
+        ops: driver.ops,
+        warmup_ops: driver.warmup_ops,
+        seed: SEED,
+    };
     let (s, stats) = run_open_loop(system.as_mut(), &mut wl, &mut model, &cfg, &tracer);
     // Oracle: the dispatcher and the trace stream must agree event-for-
     // event — same arrival count, same total queued time.
@@ -184,7 +202,7 @@ fn cell_churn(ops: u64) -> CellOut {
     let mut out = CellOut::new("churn/storm/I-CASH".to_string());
     let mut storm = churn_storm(SEED, ops);
     let spec = storm.spec().clone();
-    let mut system = SystemKind::Icash.build(&spec, &Features::default());
+    let mut system = SystemKind::Icash.build(&spec, 1);
     let mut model = ContentModel::new(SEED, spec.profile.clone());
     let s = run_benchmark(
         system.as_mut(),

@@ -24,16 +24,16 @@ fn small_spec() -> WorkloadSpec {
 const OPS: u64 = 600;
 
 fn campaign_with_threads(threads: usize) -> String {
-    let mut cfg = RunConfig {
+    let cfg = RunConfig {
         threads: Some(threads),
         ..RunConfig::default()
     };
     let spec = small_spec();
-    let cells = scale::run_campaign(&cfg, &spec, OPS, &[1, 2, 8], &[2, 4]);
+    let cells = scale::run_campaign(&cfg, &spec, None, OPS, &[1, 2, 8], &[2, 4]);
     let mut doc = scale::document(&spec, OPS, &cells);
     // The queued engine must be exactly as deterministic as the bare one.
-    cfg.features.queue = Some(icash_storage::queue::QueueConfig::depth(8));
-    let queued = scale::run_campaign(&cfg, &spec, OPS, &[1, 8], &[4]);
+    let queue = Some(icash_storage::queue::QueueConfig::depth(8));
+    let queued = scale::run_campaign(&cfg, &spec, queue, OPS, &[1, 8], &[4]);
     doc.push_str(&scale::document(&spec, OPS, &queued));
     doc
 }

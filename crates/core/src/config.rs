@@ -302,16 +302,33 @@ mod tests {
 
     #[test]
     fn shard_slices_stay_valid_and_cover_the_data() {
-        let cfg = IcashConfig::builder(128 << 20, 32 << 20, 960 << 20).build();
-        for n in [1u32, 2, 7, 64, 1024] {
-            let slice = cfg.shard_slice(n);
-            // validate() ran inside shard_slice; cover the striped share.
-            assert!(slice.data_blocks() * n as u64 >= cfg.data_blocks());
-            assert_eq!(slice.scan_interval, cfg.scan_interval);
-            assert_eq!(slice.group_commit_depth, cfg.group_commit_depth);
-            // Budgets split, they do not replicate (modulo the floors).
-            assert!(slice.ssd_bytes <= cfg.ssd_bytes && slice.log_blocks <= cfg.log_blocks);
+        let builder = || IcashConfig::builder(128 << 20, 32 << 20, 960 << 20);
+        let cfg = builder().build();
+        // Every optional feature on: group commit, a capped health policy
+        // and device queues.
+        let featured = builder()
+            .group_commit_depth(4)
+            .health(HealthPolicy {
+                staging_cap: 64,
+                ..HealthPolicy::standard()
+            })
+            .queue(QueueConfig::depth(8))
+            .build();
+        for whole in [&cfg, &featured] {
+            for n in [1u32, 2, 7, 64, 1024] {
+                let slice = whole.shard_slice(n);
+                // validate() ran inside shard_slice; cover the striped share.
+                assert!(slice.data_blocks() * n as u64 >= whole.data_blocks());
+                assert_eq!(slice.scan_interval, whole.scan_interval);
+                assert_eq!(slice.group_commit_depth, whole.group_commit_depth);
+                assert_eq!(slice.queue, whole.queue);
+                // The health policy is each shard's share of the whole one.
+                assert_eq!(slice.health, whole.health.shard_share(n as u64));
+                // Budgets split, they do not replicate (modulo the floors).
+                assert!(slice.ssd_bytes <= whole.ssd_bytes && slice.log_blocks <= whole.log_blocks);
+            }
         }
+        assert_eq!(featured.shard_slice(4).health.staging_cap, 16);
         assert_eq!(cfg.shard_slice(1).data_blocks(), cfg.data_blocks());
         let half = cfg.shard_slice(2);
         assert_eq!(half.ssd_bytes, cfg.ssd_bytes / 2);

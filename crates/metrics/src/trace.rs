@@ -560,4 +560,37 @@ mod tests {
         assert_eq!(p.stats.requests, 1);
         assert_eq!(p.stats.request_time, Ns::ZERO);
     }
+
+    /// The "Open-loop queued" row appears exactly when the stream carries
+    /// an open-loop arrival: a closed-loop profile keeps its row set.
+    #[test]
+    fn open_loop_row_follows_the_arrivals() {
+        let closed = vec![
+            e(
+                Ns::ZERO,
+                TraceKind::RequestStart {
+                    op: icash_storage::request::Op::Read,
+                    lba: 3,
+                    blocks: 1,
+                },
+            ),
+            e(Ns::from_us(40), TraceKind::RequestEnd),
+        ];
+        let mut open = closed.clone();
+        open.insert(
+            0,
+            e(
+                Ns::ZERO,
+                TraceKind::OpenLoopArrival {
+                    seq: 0,
+                    lba: 3,
+                    queued: 15_000,
+                },
+            ),
+        );
+        let row = "| Open-loop queued | 1 | 0.015 ms |";
+        assert!(TraceProfile::from_events(&open).render().contains(row));
+        let closed = TraceProfile::from_events(&closed).render();
+        assert!(!closed.contains("Open-loop"), "{closed}");
+    }
 }

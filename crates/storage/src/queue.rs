@@ -13,7 +13,7 @@
 //! Everything is virtual-time and seeded-state deterministic: the same
 //! admission sequence and cost function produce the same dispatch order on
 //! every host, which is what lets the queue-on campaigns assert byte-equal
-//! output across `ICASH_THREADS` settings. With no queue installed
+//! output at any worker count. With no queue installed
 //! (`queue = None` on the device configs) none of this code runs and the
 //! devices are bit-identical to their pre-queue behavior — the differential
 //! tests and pinned goldens in `./ci.sh golden` hold that line.
@@ -40,25 +40,6 @@ pub enum QueuePolicy {
     Sptf,
 }
 
-impl QueuePolicy {
-    /// Parses the `ICASH_HDD_SCHED` spelling of a policy.
-    pub fn parse(s: &str) -> Option<QueuePolicy> {
-        match s {
-            "fifo" => Some(QueuePolicy::Fifo),
-            "sptf" => Some(QueuePolicy::Sptf),
-            _ => None,
-        }
-    }
-
-    /// The `ICASH_HDD_SCHED` spelling of this policy.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueuePolicy::Fifo => "fifo",
-            QueuePolicy::Sptf => "sptf",
-        }
-    }
-}
-
 /// Configuration of a device command queue: the admission bound and the
 /// dispatch policy. Carried as `Option<QueueConfig>` on the device configs;
 /// `None` (the default everywhere) means no queue exists and the device
@@ -74,8 +55,7 @@ pub struct QueueConfig {
 }
 
 impl QueueConfig {
-    /// An NCQ-style queue of `depth` commands under the SPTF scheduler —
-    /// the configuration `ICASH_QUEUE_DEPTH=<depth>` selects.
+    /// An NCQ-style queue of `depth` commands under the SPTF scheduler.
     pub fn depth(depth: u32) -> Self {
         QueueConfig {
             depth,
@@ -381,14 +361,6 @@ mod tests {
             q.take_adjacent(12, true).is_none(),
             "only the write matched"
         );
-    }
-
-    #[test]
-    fn policy_parsing_round_trips() {
-        for p in [QueuePolicy::Fifo, QueuePolicy::Sptf] {
-            assert_eq!(QueuePolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(QueuePolicy::parse("elevator"), None);
     }
 
     #[test]

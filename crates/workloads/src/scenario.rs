@@ -5,8 +5,8 @@
 //! drivers on top, all on the same seeded virtual-time contract:
 //!
 //! * **Block-trace replay** — [`replay`](crate::replay) parses
-//!   MSR-Cambridge-style CSV and [`ScenarioKind::Replay`] pushes it
-//!   through the closed-loop driver with the seeded content overlay.
+//!   MSR-Cambridge-style CSV into a workload the closed-loop driver pushes
+//!   through with the seeded content overlay.
 //! * **Open-loop arrivals** — [`run_open_loop`] dispatches a deterministic
 //!   [`ArrivalProcess`] schedule (diurnal sine, flash-crowd bursts);
 //!   requests arrive whether or not a client is free, so queueing time
@@ -35,46 +35,7 @@ use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Which scenario driver a campaign cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Replay an MSR-style block trace through the closed-loop driver.
-    Replay,
-    /// Open-loop arrivals from a virtual-time event queue.
-    OpenLoop,
-    /// A tenant-churn storm over a multi-VM fleet.
-    Churn,
-}
-
-impl ScenarioKind {
-    /// Every scenario kind, in campaign order.
-    pub const ALL: [ScenarioKind; 3] = [
-        ScenarioKind::Replay,
-        ScenarioKind::OpenLoop,
-        ScenarioKind::Churn,
-    ];
-
-    /// Parses the `ICASH_SCENARIO` spelling of a kind.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "replay" => Some(ScenarioKind::Replay),
-            "open-loop" | "openloop" | "open_loop" => Some(ScenarioKind::OpenLoop),
-            "churn" => Some(ScenarioKind::Churn),
-            _ => None,
-        }
-    }
-
-    /// The canonical knob spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScenarioKind::Replay => "replay",
-            ScenarioKind::OpenLoop => "open-loop",
-            ScenarioKind::Churn => "churn",
-        }
-    }
-}
-
-/// The shape of an open-loop arrival process (`ICASH_ARRIVAL`).
+/// The shape of an open-loop arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalShape {
     /// Constant mean rate with exponential jitter.
@@ -93,17 +54,7 @@ impl ArrivalShape {
         ArrivalShape::Burst,
     ];
 
-    /// Parses the `ICASH_ARRIVAL` spelling of a shape.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "stationary" => Some(ArrivalShape::Stationary),
-            "diurnal" => Some(ArrivalShape::Diurnal),
-            "burst" => Some(ArrivalShape::Burst),
-            _ => None,
-        }
-    }
-
-    /// The canonical knob spelling.
+    /// The shape's name, as campaign cells are labelled with it.
     pub fn name(&self) -> &'static str {
         match self {
             ArrivalShape::Stationary => "stationary",
@@ -127,15 +78,6 @@ impl ArrivalShape {
             ),
         }
     }
-}
-
-/// One scenario cell: which driver, and (for open loop) which arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioSpec {
-    /// The driver.
-    pub kind: ScenarioKind,
-    /// Arrival shape; meaningful only for [`ScenarioKind::OpenLoop`].
-    pub arrival: ArrivalShape,
 }
 
 /// Parameters of one open-loop run.
@@ -418,22 +360,6 @@ mod tests {
         let mut spec = crate::tpcc::spec();
         spec.data_bytes = 16 << 20;
         MixedWorkload::new(spec, seed)
-    }
-
-    #[test]
-    fn knob_spellings_round_trip() {
-        for k in ScenarioKind::ALL {
-            assert_eq!(ScenarioKind::parse(k.name()), Some(k));
-        }
-        for a in ArrivalShape::ALL {
-            assert_eq!(ArrivalShape::parse(a.name()), Some(a));
-        }
-        assert_eq!(
-            ScenarioKind::parse("openloop"),
-            Some(ScenarioKind::OpenLoop)
-        );
-        assert_eq!(ScenarioKind::parse("chaos"), None);
-        assert_eq!(ArrivalShape::parse("tsunami"), None);
     }
 
     #[test]
