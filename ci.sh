@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repo CI gate. Runs fully offline: all third-party deps are vendored under
 # crates/. `./ci.sh` is the merge gate (fmt, clippy, build, every test suite,
-# repo benchmark smoke); `./ci.sh <stage>` runs one of the stages below, each
-# of which announces what it checks as it goes. The gate is the only place a
-# test suite runs at its own case counts: a stage holds what `cargo test` does
-# not — golden diffs of the campaign and ablation rows, the trace pins, the
-# sim fingerprints, the crash suites at 3 000 cases.
+# the repo benchmark's smoke run and unit tests); `./ci.sh <stage>` runs one
+# of the stages below, each of which announces what it checks as it goes. The
+# gate is the only place a test suite runs at its own case counts: a stage
+# holds what `cargo test` does not — golden diffs of the campaign and ablation
+# rows, the trace pins, the sim fingerprints, the crash suites at 3 000 cases.
 # Every stage is seeded and deterministic, hence blocking in
 # .github/workflows/ci.yml.
 # Host time is measured in one place only, the repo benchmark (BENCHMARK.json).
@@ -216,6 +216,9 @@ gate)
   # invisible to the workspace build above, so a renamed `pub` item it
   # imports, or a broken mirror, would otherwise surface only in the pipeline.
   run benchmark/smoke.sh
+  # Its unit tests, the mirror/driver differential among them, run nowhere
+  # else (they write only the git-ignored benchmark/target).
+  run cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
   ;;
 *)
   echo "ci.sh: unknown stage '$1'; stages: $STAGES (no argument = the merge gate; ICASH_BLESS=1 ./ci.sh bless re-pins them)" >&2

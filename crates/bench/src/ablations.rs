@@ -326,12 +326,13 @@ fn queue_sweep(cfg: &RunConfig, base: WorkloadSpec, workload: &str) -> String {
         let (s, _) = ablation.run(queued, &ablation.driver());
         let hdd = s.report.hdd.clone().unwrap_or_default();
         let ssd = s.report.ssd.clone().unwrap_or_default();
+        let erases = s.report.gc.map_or(0, |gc| gc.erases);
         vec![
             depth_name(depth),
             format!("{:.1}", s.transactions_per_sec()),
             format!("{}", hdd.writes),
             format!("{}", hdd.reads),
-            format!("{}", ssd.erases),
+            format!("{erases}"),
             format!("{:.3}", hdd.busy.as_secs_f64() * 1e3),
             format!("{:.0}", hdd_ns_per_kop(&s)),
             format!("{}", hdd.queue_coalesced),

@@ -29,14 +29,13 @@
 use crate::campaign::{self, build_system, media_faults, verdict, Cell, Stamp, Tally};
 use crate::harness::SystemKind;
 use crate::RunConfig;
-use icash_core::{Icash, IcashConfig};
+use icash_core::{Icash, IcashConfig, IcashStats};
 use icash_storage::block::Lba;
 use icash_storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
 use icash_storage::model::Allow;
 use icash_storage::request::{Completion, IoErrorKind};
 use icash_storage::shard::ShardRouter;
-use icash_storage::system::{HealthReport, StorageSystem};
-use icash_storage::time::Ns;
+use icash_storage::system::StorageSystem;
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 1024;
@@ -108,26 +107,17 @@ fn warmed(name: &str, sys: Router, seed: u64) -> Cell<Router> {
 }
 
 /// Drives mixed traffic from op `from` until `done` holds for **every
-/// shard's** health report (the merged report takes the worst shard, which
-/// would declare an array-wide state after a single shard reached it),
-/// bounded by [`WAIT_OPS`]; records a violation if the bound hits. Returns
-/// the next op of the stream.
+/// shard's** monitor states `(ssd, hdd)`, bounded by [`WAIT_OPS`]; records
+/// a violation if the bound hits. Returns the next op of the stream.
 fn drive_until(
     cell: &mut Cell<Router>,
     what: &str,
     seed: u64,
     from: u64,
-    done: impl Fn(&HealthReport) -> bool,
+    done: impl Fn((HealthState, HealthState)) -> bool,
 ) -> u64 {
     for op in from..from + WAIT_OPS {
-        let reached = cell.sys().shards().iter().all(|shard| {
-            let health = shard
-                .report(Ns::from_ms(1))
-                .health
-                .expect("health cells always report");
-            done(&health)
-        });
-        if reached {
+        if cell.sys().shards().iter().all(|s| done(s.health_states())) {
             return op;
         }
         cell.mixed(seed, MIXED_SALT, op, Allow::Held);
@@ -164,16 +154,16 @@ fn final_sweep<S: StorageSystem>(cell: &mut Cell<S>) {
     }
 }
 
-/// Every shard's internal structures cross-check; the array's merged
-/// health figures.
-fn validated_health(cell: &Cell<Router>) -> HealthReport {
-    for shard in cell.sys().shards() {
-        shard.debug_validate();
-    }
-    cell.sys()
-        .report(Ns::from_ms(1))
-        .health
-        .expect("health cells always report")
+/// Every shard's internal structures cross-check; each shard's counters.
+fn validated_stats(cell: &Cell<Router>) -> Vec<IcashStats> {
+    let shards = cell.sys().shards();
+    shards.iter().for_each(Icash::debug_validate);
+    shards.iter().map(Icash::stats).collect()
+}
+
+/// `field` summed over `stats`.
+fn total(stats: &[IcashStats], field: impl Fn(&IcashStats) -> u64) -> u64 {
+    stats.iter().map(field).sum()
 }
 
 // ----------------------------------------------------------------------
@@ -182,15 +172,15 @@ fn validated_health(cell: &Cell<Router>) -> HealthReport {
 
 /// SSD dies mid-run → degraded HDD-only service → `replace_ssd` → online
 /// rebuild under traffic → healthy again, fresh writes exact.
-fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
     let sys = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
     // The armed device op count passes during the warm-up; keep driving
     // until every shard's monitor has walked to `Failed`.
-    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |h| {
-        h.ssd == HealthState::Failed
+    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |(ssd, _)| {
+        ssd == HealthState::Failed
     });
     // Degraded window: service continues HDD-only.
     drive(&mut cell, seed, op..op + DEGRADED_OPS);
@@ -202,29 +192,29 @@ fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
         "rebuild completion",
         seed,
         op + DEGRADED_OPS,
-        |h| h.ssd == HealthState::Healthy,
+        |(ssd, _)| ssd == HealthState::Healthy,
     );
     cell.fresh_service(seed, FRESH_SALT, FRESH_OPS);
     final_sweep(&mut cell);
-    let health = validated_health(&cell);
-    if health.degraded_reads + health.degraded_writes == 0 {
+    let stats = validated_stats(&cell);
+    if total(&stats, |s| s.degraded_reads + s.degraded_writes) == 0 {
         cell.violation("degraded service never engaged");
     }
-    if health.rebuild_chunks == 0 {
+    if total(&stats, |s| s.rebuild_chunks) == 0 {
         cell.violation("rebuild never ran");
     }
-    (cell.finish(), health)
+    (stats, cell.finish())
 }
 
 /// HDD dies mid-run → writes fail fast with a typed `DeviceFailed` error
 /// while reads keep serving RAM/SSD-resident state or typed errors.
-fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
     let sys = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).hdd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
-    let op = drive_until(&mut cell, "HDD Failed", seed, WARM_OPS, |h| {
-        h.hdd == HealthState::Failed
+    let op = drive_until(&mut cell, "HDD Failed", seed, WARM_OPS, |(_, hdd)| {
+        hdd == HealthState::Failed
     });
     // Fail-fast contract: every write is refused with DeviceFailed (the
     // whole array is down once every shard's spindle is).
@@ -242,14 +232,13 @@ fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
         let lba = fault_roll(seed, OUTAGE_READ_SALT, op + i, 0) % SPACE;
         cell.read(lba, Allow::Held);
     }
-    let health = validated_health(&cell);
-    (cell.finish(), health)
+    (validated_stats(&cell), cell.finish())
 }
 
 /// SSD death → replace → rebuild, with the HDD armed to die as the rebuild
 /// traffic runs: the rebuild's home-copy reads start failing and service
 /// must degrade further, never corrupt.
-fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
     // A slow rebuild stretches the window the second death lands in.
     let policy = HealthPolicy {
         rebuild_rate: 1,
@@ -265,27 +254,31 @@ fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
             .hdd_dies_at(hdd_death)
     });
     let mut cell = warmed(name, sys, seed);
-    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |h| {
-        h.ssd == HealthState::Failed
+    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |(ssd, _)| {
+        ssd == HealthState::Failed
     });
     replace_ssds(&mut cell);
     // Drive rebuild traffic until the armed HDD death lands on every
     // shard; the oracles hold across the compound failure.
-    let op = drive_until(&mut cell, "HDD Failed during rebuild", seed, op, |h| {
-        h.hdd == HealthState::Failed
-    });
+    let op = drive_until(
+        &mut cell,
+        "HDD Failed during rebuild",
+        seed,
+        op,
+        |(_, hdd)| hdd == HealthState::Failed,
+    );
     drive(&mut cell, seed, op..op + DEGRADED_OPS);
-    let health = validated_health(&cell);
-    if health.rebuild_chunks == 0 {
+    let stats = validated_stats(&cell);
+    if total(&stats, |s| s.rebuild_chunks) == 0 {
         cell.violation("rebuild never ran");
     }
-    (cell.finish(), health)
+    (stats, cell.finish())
 }
 
 /// SSD death → replace → crash mid-rebuild → recovery: every block reads
 /// as an acknowledged version or a typed error, and post-recovery service
 /// is exact.
-fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
     let policy = HealthPolicy {
         rebuild_rate: 1, // crash lands with work still pending
         ..HealthPolicy::standard()
@@ -294,8 +287,8 @@ fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
-    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |h| {
-        h.ssd == HealthState::Failed
+    let op = drive_until(&mut cell, "SSD Failed", seed, WARM_OPS, |(ssd, _)| {
+        ssd == HealthState::Failed
     });
     replace_ssds(&mut cell);
     // A little rebuild traffic, then the plug is pulled mid-task.
@@ -311,13 +304,12 @@ fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Tally, Heal
     // Everything the history acknowledged must still read valid-or-typed.
     final_sweep(&mut cell);
     cell.fresh_service(seed, FRESH_SALT, FRESH_OPS);
-    let health = validated_health(&cell);
-    (cell.finish(), health)
+    (validated_stats(&cell), cell.finish())
 }
 
 /// A tiny staging cap under a pure write burst: admission control must
 /// refuse with typed `Busy` errors (and never lose an acknowledged write).
-fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport) {
+fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
     let policy = HealthPolicy {
         staging_cap: 2 * shards as u64, // the slice leaves 2 blocks per shard
         ..HealthPolicy::standard()
@@ -348,26 +340,38 @@ fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Tally, HealthReport
     // Every acknowledged write is readable; latest version exactly (no
     // faults were injected here).
     cell.sweep(Allow::Latest);
-    let health = validated_health(&cell);
-    (cell.finish(), health)
+    (validated_stats(&cell), cell.finish())
 }
 
 /// A high-rate media-fault storm across all five architectures; I-CASH
-/// runs with health armed so the backoff machinery absorbs the noise.
-fn cell_fault_storm(kind: SystemKind, seed: u64) -> (String, Tally, Option<HealthReport>) {
+/// runs with health armed so the backoff machinery absorbs the noise, and
+/// is built concretely so its counters can be read.
+fn cell_fault_storm(kind: SystemKind, seed: u64) -> (String, Vec<IcashStats>, Tally) {
     let icash = icash_config(HealthPolicy::standard(), 1);
-    let sys = build_system(kind, &media_faults(seed, 1e-2), icash);
+    let plan = media_faults(seed, 1e-2);
+    if kind == SystemKind::Icash {
+        let sys = campaign::scrubbing_icash(icash, plan);
+        return storm(sys, seed, |s| vec![s.stats()]);
+    }
+    storm(build_system(kind, &plan, icash), seed, |_| Vec::new())
+}
+
+/// One storm cell over `sys`, whose counters `stats` reads at the end.
+fn storm<S: StorageSystem>(
+    sys: S,
+    seed: u64,
+    stats: impl Fn(&S) -> Vec<IcashStats>,
+) -> (String, Vec<IcashStats>, Tally) {
     let name = format!("storm/{}/{seed:#x}", sys.name());
     let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);
     drive(&mut cell, seed, 0..300);
     cell.io(|sys, ctx, now| *now = sys.flush(*now, ctx));
     final_sweep(&mut cell);
-    let health = cell.sys().report(Ns::from_ms(1)).health;
-    (name, cell.finish(), health)
+    (name, stats(cell.sys()), cell.finish())
 }
 
 /// The I-CASH scenarios, each run per shard width and seed.
-type Scenario = fn(&str, u64, u32) -> (Tally, HealthReport);
+type Scenario = fn(&str, u64, u32) -> (Vec<IcashStats>, Tally);
 const SCENARIOS: [(&str, Scenario); 5] = [
     ("ssd-death", cell_ssd_death),
     ("hdd-death", cell_hdd_death),
@@ -381,31 +385,29 @@ pub fn render(_: &RunConfig) -> String {
     let mut doc = String::new();
     let mut cells = 0u64;
     let mut totals = Tally::default();
-    let mut health = HealthReport::default();
-    let mut fold = |name: String, r: Tally, h: Option<HealthReport>| {
+    let mut stats: Vec<IcashStats> = Vec::new();
+    let mut fold = |name: String, s: Vec<IcashStats>, r: Tally| {
         doc.push_str(&format!(
             "cell {name}: {} reads, {} typed errors, {} refused writes\n",
             r.reads, r.reported_errors, r.refused_writes
         ));
         cells += 1;
         totals.merge(r);
-        if let Some(h) = h {
-            health.merge(&h);
-        }
+        stats.extend(s);
     };
 
     for kind in SystemKind::ALL {
         for &seed in &SEEDS {
-            let (name, r, h) = cell_fault_storm(kind, seed);
-            fold(name, r, h);
+            let (name, s, r) = cell_fault_storm(kind, seed);
+            fold(name, s, r);
         }
     }
     for &shards in &SHARDS {
         for &seed in &SEEDS {
             for (scenario, run) in SCENARIOS {
                 let name = format!("{scenario}/s{shards}");
-                let (r, h) = run(&name, seed, shards);
-                fold(format!("{name}/{seed:#x}"), r, Some(h));
+                let (s, r) = run(&name, seed, shards);
+                fold(format!("{name}/{seed:#x}"), s, r);
             }
         }
     }
@@ -414,26 +416,20 @@ pub fn render(_: &RunConfig) -> String {
         "chaos campaign: {cells} cells, {} verified reads, {} typed errors, {} refused writes\n",
         totals.reads, totals.reported_errors, totals.refused_writes
     ));
-    doc.push_str(&format!(
-        "health: {} transitions, {} degraded reads, {} degraded writes, \
-         {} busy rejections, {} retry backoffs, {} rebuild chunks\n",
-        health.transitions,
-        health.degraded_reads,
-        health.degraded_writes,
-        health.busy_rejections,
-        health.retry_backoffs,
-        health.rebuild_chunks
-    ));
+    // The I-CASH counters, summed over every cell and shard.
+    let health = [
+        (total(&stats, |s| s.health_transitions), "transitions"),
+        (total(&stats, |s| s.degraded_reads), "degraded reads"),
+        (total(&stats, |s| s.degraded_writes), "degraded writes"),
+        (total(&stats, |s| s.busy_rejections), "busy rejections"),
+        (total(&stats, |s| s.retry_backoffs), "retry backoffs"),
+        (total(&stats, |s| s.rebuild_chunks), "rebuild chunks"),
+    ];
+    let printed = health.map(|(n, what)| format!("{n} {what}"));
+    doc.push_str(&format!("health: {}\n", printed.join(", ")));
     // The campaign must have actually exercised every mechanism it exists
     // to test; a quiet pass would prove nothing.
-    for (seen, what) in [
-        (health.transitions, "health transitions"),
-        (health.degraded_reads, "degraded reads"),
-        (health.degraded_writes, "degraded writes"),
-        (health.busy_rejections, "backpressure"),
-        (health.retry_backoffs, "backoff retries"),
-        (health.rebuild_chunks, "rebuild chunks"),
-    ] {
+    for (seen, what) in health {
         if seen == 0 {
             totals.violations.push(format!("no {what} observed"));
         }

@@ -2,14 +2,14 @@
 //! and the positional arguments, parsed and validated in one place.
 //!
 //! [`KNOBS`] is the harness's whole environment surface — name, accepted
-//! values, default and effect of every knob, in the order they are
-//! applied. [`parse`] walks it once over an arbitrary lookup function
-//! (so tests pass a map, never the process environment) and
-//! [`RunConfig::from_env`] is the only function in this crate that touches
-//! `std::env`. All parsing is strict: a typo'd override is rejected by name
-//! instead of silently falling back, because a "full reproduction" run that
-//! quietly ran with defaults would invalidate the numbers it claims to
-//! reproduce.
+//! values, default and effect of every knob. [`parse`] reads it in one pass
+//! over arbitrary `(name, value)` pairs (so tests pass a list, never the
+//! process environment) and [`RunConfig::from_env`] is the only function in
+//! this crate that touches `std::env`. All parsing is strict: a typo'd
+//! override — a bad value, or an `ICASH_*` name that is no knob — is
+//! rejected by name instead of silently falling back, because a "full
+//! reproduction" run that quietly ran with defaults would invalidate the
+//! numbers it claims to reproduce.
 
 use icash_workloads::spec::WorkloadSpec;
 use std::path::PathBuf;
@@ -55,7 +55,13 @@ impl RunConfig {
     /// environment and command line. A rejected knob ends the process with
     /// the message on stderr.
     pub fn from_env() -> Self {
-        parse(|name| std::env::var(name).ok(), std::env::args().skip(1)).unwrap_or_else(|err| {
+        let vars = std::env::vars_os().map(|(name, value)| {
+            (
+                name.to_string_lossy().into(),
+                value.to_string_lossy().into(),
+            )
+        });
+        parse(vars, std::env::args().skip(1)).unwrap_or_else(|err| {
             eprintln!("error: {err}");
             std::process::exit(2);
         })
@@ -101,6 +107,10 @@ pub struct Knob {
     /// Accepted values and where they go.
     pub kind: Kind,
 }
+
+/// The one `ICASH_*` name that is no knob: the test suites' switch that
+/// regenerates their goldens, set around harness runs by `ci.sh bless`.
+const NOT_A_KNOB: &str = "ICASH_BLESS";
 
 /// Every knob — name, default, accepted values → field. What each one does
 /// is on the [`RunConfig`] field it sets and in the README "Knobs" table.
@@ -157,22 +167,26 @@ impl Kind {
     }
 }
 
-/// Builds the run configuration from `lookup` (environment variable name →
-/// value, `None` when unset) and the command-line arguments after the
-/// program name. Pure: the same inputs give the same result, and every
-/// rejection names the variable and the offending value.
+/// Builds the run configuration from the environment's `(name, value)`
+/// pairs and the command-line arguments after the program name. Names
+/// outside `ICASH_*` are not the harness's; within it, every name must be a
+/// knob (or [`NOT_A_KNOB`]). Pure: the same inputs give the same result,
+/// and every rejection names the variable and the offending value.
 pub fn parse(
-    lookup: impl Fn(&str) -> Option<String>,
+    vars: impl IntoIterator<Item = (String, String)>,
     args: impl IntoIterator<Item = String>,
 ) -> Result<RunConfig, String> {
     let mut cfg = RunConfig::default();
-    for knob in KNOBS {
-        let Some(raw) = lookup(knob.name) else {
+    for (name, raw) in vars {
+        if !name.starts_with("ICASH_") || name == NOT_A_KNOB {
             continue;
+        }
+        let Some(knob) = KNOBS.iter().find(|k| k.name == name) else {
+            return Err(format!("invalid {name}={raw:?}: no such knob"));
         };
         knob.kind.apply(&mut cfg, &raw).ok_or_else(|| {
             let expects = knob.kind.expects();
-            format!("invalid {}={raw:?}: expected {expects}", knob.name)
+            format!("invalid {name}={raw:?}: expected {expects}")
         })?;
     }
     let mut args = args.into_iter();
@@ -201,11 +215,11 @@ impl Knob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeSet, HashMap};
+    use std::collections::BTreeSet;
 
     fn parse_vars(vars: &[(&str, &str)]) -> Result<RunConfig, String> {
-        let map: HashMap<&str, &str> = vars.iter().copied().collect();
-        parse(|name| map.get(name).map(|v| v.to_string()), Vec::new())
+        let vars = vars.iter().map(|&(k, v)| (k.to_string(), v.to_string()));
+        parse(vars, Vec::new())
     }
 
     /// For every knob: unset → default, its sample is accepted and moves
@@ -253,6 +267,19 @@ mod tests {
         assert!(e.contains("ICASH_SHARDS=\"4294967296\""), "got: {e}");
     }
 
+    /// A misspelt or retired `ICASH_*` name is refused by name, not ignored;
+    /// the one name that is no knob passes, and so does the rest of the
+    /// environment.
+    #[test]
+    fn unknown_icash_names_are_rejected() {
+        for name in ["ICASH_OPSS", "ICASH_QUEUE_DEPTH"] {
+            let e = parse_vars(&[(name, "5")]).expect_err(name);
+            assert!(e.contains(&format!("{name}=\"5\"")), "got: {e}");
+        }
+        let vars = [(NOT_A_KNOB, "1"), ("PATH", "/bin"), ("ICASH_OPS", "7")];
+        assert_eq!(parse_vars(&vars).map(|c| c.ops), Ok(Some(7)));
+    }
+
     #[test]
     fn ops_resolution_prefers_the_override_then_full_then_quick() {
         let spec = icash_workloads::sysbench::spec();
@@ -279,21 +306,20 @@ mod tests {
             &["a", "--trace", "t.jsonl", "b"][..],
             &["a", "--trace=t.jsonl", "b"],
         ] {
-            let cfg = parse(|_| None, args(form)).expect("valid");
+            let cfg = parse([], args(form)).expect("valid");
             assert_eq!(cfg.trace, Some(PathBuf::from("t.jsonl")));
             assert_eq!(cfg.args, vec!["a", "b"]);
         }
-        let e = parse(|_| None, args(&["out.md", "--trace"])).expect_err("no path");
+        let e = parse([], args(&["out.md", "--trace"])).expect_err("no path");
         assert!(e.contains("--trace"), "got: {e}");
     }
 
     /// Doc drift: the `ICASH_*` names README.md, ci.sh, DESIGN.md and the
-    /// verify recipe mention are exactly the knob table's plus the test-only
-    /// ones, and README's "Knobs" table has every knob's name, values and
-    /// default.
+    /// verify recipe mention are exactly the knob table's plus
+    /// [`NOT_A_KNOB`], and README's "Knobs" table has every knob's name,
+    /// values and default.
     #[test]
     fn docs_name_exactly_the_knob_table() {
-        const TEST_ONLY: [&str; 1] = ["ICASH_BLESS"];
         const DOCS: [&str; 3] = ["ci.sh", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
         let read = |file: &str| std::fs::read_to_string(format!("{root}{file}")).expect(file);
@@ -307,7 +333,7 @@ mod tests {
         let known: BTreeSet<String> = KNOBS
             .iter()
             .map(|k| k.name)
-            .chain(TEST_ONLY)
+            .chain([NOT_A_KNOB])
             .map(str::to_string)
             .collect();
         assert_eq!(mentioned, known, "README.md + {DOCS:?} vs config::KNOBS");

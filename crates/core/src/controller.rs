@@ -717,8 +717,6 @@ impl StorageSystem for Icash {
     }
 
     fn report(&self, elapsed: Ns) -> SystemReport {
-        let mut report = self.durable.array.report(self.name(), elapsed);
-        report.health = self.health_report();
-        report
+        self.durable.array.report(self.name(), elapsed)
     }
 }

@@ -30,8 +30,8 @@
 //! Health is a value, never absent. [`HealthPolicy::inert`], the default,
 //! is the identity: its thresholds are out of reach, so the monitors stay
 //! `Healthy` and nothing above engages — a read is retried once and a write
-//! three times, unpaced, no write is refused and no report grows a health
-//! section. `tests/identity.rs` pins that run, faulted and fault-free.
+//! three times, unpaced, and no write is refused. `tests/identity.rs` pins
+//! that run, faulted and fault-free.
 
 use crate::controller::Icash;
 use crate::read::BlockRead;
@@ -42,7 +42,7 @@ use icash_storage::fault::{crc32, fault_roll, HealthMonitor, HealthPolicy, Healt
 use icash_storage::hash::AddrSet;
 use icash_storage::request::{IoErrorKind, Op};
 use icash_storage::ssd::{Ssd, SsdError};
-use icash_storage::system::{HealthReport, IoCtx};
+use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
 use std::collections::VecDeque;
@@ -392,26 +392,10 @@ impl Icash {
         }
     }
 
-    /// The health section of the system report: none under the inert
-    /// policy, which has nothing to report.
-    pub(crate) fn health_report(&self) -> Option<HealthReport> {
-        if self.cfg.health == HealthPolicy::inert() {
-            return None;
-        }
+    /// The two monitors' states, `(ssd, hdd)`: both `Healthy` under the
+    /// inert policy, which never moves them.
+    pub fn health_states(&self) -> (HealthState, HealthState) {
         let h = &self.volatile.health;
-        let (rebuild_done, rebuild_total) =
-            h.rebuild.as_ref().map_or((0, 0), |t| (t.done, t.total));
-        Some(HealthReport {
-            ssd: h.ssd.state(),
-            hdd: h.hdd.state(),
-            transitions: self.stats.health_transitions,
-            rebuild_done,
-            rebuild_total,
-            rebuild_chunks: self.stats.rebuild_chunks,
-            degraded_reads: self.stats.degraded_reads,
-            degraded_writes: self.stats.degraded_writes,
-            busy_rejections: self.stats.busy_rejections,
-            retry_backoffs: self.stats.retry_backoffs,
-        })
+        (h.ssd.state(), h.hdd.state())
     }
 }

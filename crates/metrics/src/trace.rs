@@ -133,7 +133,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
 /// [`TraceStats`]' (each event goes through [`TraceStats::record`], the one
 /// counting fold over a stream); the profile adds what only it knows:
 /// device time from each op's `queued + service` charge, the recovery
-/// events, and the per-device queue activity.
+/// events, and the per-device queue activity (the stream's one fold of
+/// queue events).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceProfile {
     /// The stream's event counts and summed request spans.

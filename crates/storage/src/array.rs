@@ -249,11 +249,6 @@ impl DeviceArray {
         self.ssd.as_ref().map(|s| s.wear().life_used())
     }
 
-    /// Flash blocks erased so far (GC plus trims), if the array has an SSD.
-    pub fn ssd_erases(&self) -> Option<u64> {
-        self.ssd_stats().map(|s| s.erases)
-    }
-
     /// Total energy drawn by every device over `elapsed`.
     pub fn device_energy(&self, elapsed: Ns) -> MicroJoules {
         let mut total = self
@@ -277,7 +272,6 @@ impl DeviceArray {
             ssd_life_used: self.ssd_life_used(),
             device_energy: self.device_energy(elapsed),
             faults: self.fault_stats(),
-            health: None,
         }
     }
 }

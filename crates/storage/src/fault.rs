@@ -686,28 +686,6 @@ pub enum HealthState {
     Rebuilding,
 }
 
-impl HealthState {
-    /// Severity rank for merging shard reports: the merged state is the
-    /// worst any shard reports. `Healthy < Degraded < Rebuilding < Failed`.
-    pub fn severity(self) -> u8 {
-        match self {
-            HealthState::Healthy => 0,
-            HealthState::Degraded => 1,
-            HealthState::Rebuilding => 2,
-            HealthState::Failed => 3,
-        }
-    }
-
-    /// The worse of two states by [`HealthState::severity`].
-    pub fn worst(self, other: HealthState) -> HealthState {
-        if other.severity() > self.severity() {
-            other
-        } else {
-            self
-        }
-    }
-}
-
 /// Thresholds and budgets of the health subsystem. All accounting is in
 /// virtual time and operation counts, so verdicts are deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -1304,18 +1282,6 @@ mod tests {
             m.note(false);
         }
         assert_eq!(m.state(), HealthState::Failed);
-    }
-
-    #[test]
-    fn health_states_merge_to_the_worst() {
-        assert_eq!(
-            HealthState::Healthy.worst(HealthState::Rebuilding),
-            HealthState::Rebuilding
-        );
-        assert_eq!(
-            HealthState::Failed.worst(HealthState::Degraded),
-            HealthState::Failed
-        );
     }
 
     #[test]

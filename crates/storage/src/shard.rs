@@ -208,15 +208,6 @@ impl<S: StorageSystem> StorageSystem for ShardRouter<S> {
     }
 
     fn submit(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Completion {
-        if self.shards.len() == 1 {
-            // Identity fast path: the differential tests pin this
-            // byte-identical to the bare system.
-            let completion = self.shards[0].submit(req, ctx);
-            if req.op == Op::Write {
-                self.note_write(req.blocks);
-            }
-            return completion;
-        }
         let n = self.shards.len() as u32;
         let parts = self.split(req);
         let mut finished = req.at;

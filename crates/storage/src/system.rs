@@ -8,7 +8,7 @@
 use crate::block::{BlockBuf, Lba};
 use crate::cpu::CpuModel;
 use crate::energy::MicroJoules;
-use crate::fault::{FaultStats, HealthState};
+use crate::fault::FaultStats;
 use crate::pipeline::Ticket;
 use crate::request::{Completion, Request};
 use crate::ssd::ftl::GcStats;
@@ -70,50 +70,6 @@ impl<'a> IoCtx<'a> {
     }
 }
 
-/// Device-health and self-healing figures of one run, present only when the
-/// controller ran under a health policy other than the inert one.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HealthReport {
-    /// Final SSD health state.
-    pub ssd: HealthState,
-    /// Final HDD health state.
-    pub hdd: HealthState,
-    /// Health-state transitions taken across every device.
-    pub transitions: u64,
-    /// SSD slots repopulated by the online rebuild so far.
-    pub rebuild_done: u64,
-    /// Slots the rebuild set out to restore (0 = no rebuild ran).
-    pub rebuild_total: u64,
-    /// Rate-limited rebuild chunks processed.
-    pub rebuild_chunks: u64,
-    /// Reads served from HDD home copies while the SSD was down.
-    pub degraded_reads: u64,
-    /// Writes absorbed by the HDD-only degraded path.
-    pub degraded_writes: u64,
-    /// Writes refused admission by staging backpressure.
-    pub busy_rejections: u64,
-    /// Exponential-backoff retries of faulted device ops.
-    pub retry_backoffs: u64,
-}
-
-impl HealthReport {
-    /// Folds another shard's health figures into this one: states take the
-    /// worst shard (one sick shard makes the merged device sick), counters
-    /// add.
-    pub fn merge(&mut self, other: &HealthReport) {
-        self.ssd = self.ssd.worst(other.ssd);
-        self.hdd = self.hdd.worst(other.hdd);
-        self.transitions += other.transitions;
-        self.rebuild_done += other.rebuild_done;
-        self.rebuild_total += other.rebuild_total;
-        self.rebuild_chunks += other.rebuild_chunks;
-        self.degraded_reads += other.degraded_reads;
-        self.degraded_writes += other.degraded_writes;
-        self.busy_rejections += other.busy_rejections;
-        self.retry_backoffs += other.retry_backoffs;
-    }
-}
-
 /// End-of-run report of one storage system, aggregated by the harness.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct SystemReport {
@@ -133,9 +89,6 @@ pub struct SystemReport {
     /// Injected-fault counters merged over every device (all zero when the
     /// run carried no fault plan).
     pub faults: FaultStats,
-    /// Device-health figures, if a non-inert health policy was in force.
-    #[serde(default)]
-    pub health: Option<HealthReport>,
 }
 
 impl SystemReport {
@@ -159,7 +112,6 @@ impl SystemReport {
         merge_opt(&mut self.ssd_life_used, &other.ssd_life_used, |a, b| {
             *a = a.max(*b)
         });
-        merge_opt(&mut self.health, &other.health, |a, b| a.merge(b));
         self.device_energy.add(other.device_energy);
         self.faults.merge(&other.faults);
     }

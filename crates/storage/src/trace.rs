@@ -781,21 +781,12 @@ pub struct TraceStats {
     pub backpressure_rejects: u64,
     /// Exponential-backoff retries of faulted device ops.
     pub retry_backoffs: u64,
-    /// Commands admitted into device command queues.
-    pub queue_admits: u64,
-    /// Highest queue occupancy any admission observed.
-    pub queue_depth_max: u64,
-    /// Commands dispatched out of arrival order.
-    pub queue_reorders: u64,
-    /// Coalesce events (adjacent-command merges).
-    pub coalesces: u64,
-    /// Commands absorbed into a neighbor's transfer by those merges
-    /// (`spans - 1` per event).
-    pub coalesced_commands: u64,
     /// Open-loop arrivals released by the scenario engine's event queue.
     pub open_loop_arrivals: u64,
     /// Total virtual time open-loop arrivals waited for a free client.
     pub open_loop_queued: Ns,
+    /// Open-loop arrivals that waited at all.
+    pub open_loop_waits: u64,
     open_span: Option<Ns>,
 }
 
@@ -881,20 +872,19 @@ impl TraceSink for TraceStats {
             }
             TraceKind::Backpressure { .. } => self.backpressure_rejects += 1,
             TraceKind::RetryBackoff { .. } => self.retry_backoffs += 1,
-            TraceKind::QueueAdmit { depth, .. } => {
-                self.queue_admits += 1;
-                self.queue_depth_max = self.queue_depth_max.max(depth as u64);
-            }
-            TraceKind::QueueReorder { .. } => self.queue_reorders += 1,
-            TraceKind::Coalesce { spans, .. } => {
-                self.coalesces += 1;
-                self.coalesced_commands += spans.saturating_sub(1) as u64;
-            }
             TraceKind::OpenLoopArrival { queued, .. } => {
                 self.open_loop_arrivals += 1;
                 self.open_loop_queued += Ns::from_ns(queued);
+                if queued > 0 {
+                    self.open_loop_waits += 1;
+                }
             }
-            TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. } => {}
+            // The profile's to fold: recovery and per-device queue events.
+            TraceKind::RecoveryTruncate { .. }
+            | TraceKind::RecoveryReplay { .. }
+            | TraceKind::QueueAdmit { .. }
+            | TraceKind::QueueReorder { .. }
+            | TraceKind::Coalesce { .. } => {}
         }
     }
 }
@@ -1142,14 +1132,18 @@ mod tests {
     #[test]
     fn counting_sink_classifies_every_kind() {
         // Inside an open span, every kind moves a counter (the recovery
-        // pair is the profile's to count).
+        // pair and the queue trio are the profile's to count).
         let mut open = TraceStats::default();
         open.record(sample(0, &mut || 0));
         for (_, event) in samples() {
             let mut stats = open.clone();
             let counted = !matches!(
                 event.kind,
-                TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. }
+                TraceKind::RecoveryTruncate { .. }
+                    | TraceKind::RecoveryReplay { .. }
+                    | TraceKind::QueueAdmit { .. }
+                    | TraceKind::QueueReorder { .. }
+                    | TraceKind::Coalesce { .. }
             );
             stats.record(event.clone());
             assert_eq!(stats != open, counted, "{event:?}");
@@ -1195,13 +1189,9 @@ mod tests {
             rebuild_slots: 3,
             backpressure_rejects: 1,
             retry_backoffs: 1,
-            queue_admits: 1,
-            queue_depth_max: 3,
-            queue_reorders: 1,
-            coalesces: 1,
-            coalesced_commands: 2,
             open_loop_arrivals: 1,
             open_loop_queued: Ns::from_ns(3),
+            open_loop_waits: 1,
             ..TraceStats::default()
         };
         assert_eq!(*stats.lock().expect("stats"), want);

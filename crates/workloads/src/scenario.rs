@@ -110,18 +110,6 @@ impl OpenLoopConfig {
     }
 }
 
-/// What the open-loop dispatcher observed, for oracle reconciliation
-/// against the `OpenLoopArrival` trace stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpenLoopStats {
-    /// Arrivals dispatched (one trace event each).
-    pub arrivals: u64,
-    /// Total time arrivals spent waiting for a free service slot.
-    pub queued: Ns,
-    /// Arrivals that waited at all.
-    pub queued_arrivals: u64,
-}
-
 /// Runs `workload` open-loop against `system`: the arrival schedule, not
 /// request completion, decides when each operation is issued. Think and
 /// app-CPU times from the workload are ignored — pacing belongs to the
@@ -129,17 +117,17 @@ pub struct OpenLoopStats {
 /// (so it includes queued time), which is what makes overload visible.
 ///
 /// Every dispatch emits a [`TraceKind::OpenLoopArrival`] through `tracer`
-/// carrying the queued/service split the oracle tests reconcile.
+/// carrying its queued time: a counting sink on `tracer` is where the
+/// arrivals, the queued total and the arrivals that waited are read.
 pub fn run_open_loop(
     system: &mut dyn StorageSystem,
     workload: &mut dyn Workload,
     model: &mut ContentModel,
     cfg: &OpenLoopConfig,
     tracer: &Tracer,
-) -> (RunSummary, OpenLoopStats) {
+) -> RunSummary {
     let mut run = Session::open(system, workload, model, CpuModel::xeon(), cfg.warmup_ops);
     let mut free = ReadyClients::new(cfg.clients);
-    let mut stats = OpenLoopStats::default();
 
     // Generation order is dispatch order: the schedule comes out sorted by
     // (time, id) — monotone instants, sequential ids, which the arrival
@@ -152,11 +140,6 @@ pub fn run_open_loop(
         let (free_at, client) = free.next();
         let start = arrival.at.max(free_at);
         let queued = start - arrival.at;
-        stats.arrivals += 1;
-        stats.queued += queued;
-        if queued > Ns::ZERO {
-            stats.queued_arrivals += 1;
-        }
         tracer.emit(|| TraceEvent {
             at: arrival.at,
             kind: TraceKind::OpenLoopArrival {
@@ -173,7 +156,7 @@ pub fn run_open_loop(
         let latency = completion.finished - arrival.at;
         run.record(wop.op, arrival.at, latency, completion.finished);
     }
-    (run.close(system, workload, model), stats)
+    run.close(system, workload, model)
 }
 
 /// Parameters of a tenant-churn storm.
@@ -337,6 +320,7 @@ mod tests {
     use crate::workload::MixedWorkload;
     use icash_storage::request::{Completion, Request};
     use icash_storage::system::SystemReport;
+    use icash_storage::trace::TraceStats;
 
     /// A fixed-latency system: service takes 100 µs per request.
     #[derive(Debug)]
@@ -362,47 +346,44 @@ mod tests {
         MixedWorkload::new(spec, seed)
     }
 
-    #[test]
-    fn open_loop_counts_reconcile_with_the_trace() {
+    /// Runs 200 unjittered arrivals `gap_us` apart against one 100 µs
+    /// service slot; returns the counting sink's totals.
+    fn open_loop_trace(gap_us: u64) -> TraceStats {
+        let mut cfg = OpenLoopConfig::new(
+            ArrivalConfig {
+                base_gap: Ns::from_us(gap_us),
+                diurnal: None,
+                burst: None,
+                jitter: false,
+            },
+            200,
+            9,
+        );
+        cfg.clients = 1;
+        let mut wl = small_workload(9);
+        let mut model = ContentModel::new(9, ContentProfile::database());
         let (tracer, counts) = Tracer::counting();
-        let mut wl = small_workload(5);
-        let mut model = ContentModel::new(5, ContentProfile::database());
-        let cfg = OpenLoopConfig::new(ArrivalShape::Stationary.config(Ns::from_us(200)), 400, 5);
-        let (summary, stats) = run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &tracer);
-        assert_eq!(stats.arrivals, 400);
-        assert_eq!(summary.ops, 400);
-        let c = counts.lock().expect("sink");
-        assert_eq!(c.open_loop_arrivals, 400, "one trace event per arrival");
-        assert_eq!(c.open_loop_queued, stats.queued, "oracle and driver agree");
+        let summary = run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &tracer);
+        let c = counts.lock().expect("sink").clone();
+        assert_eq!(summary.ops, 200);
+        assert_eq!(c.open_loop_arrivals, 200, "one trace event per arrival");
+        c
     }
 
     #[test]
     fn overload_queues_and_underload_does_not() {
-        // 1 service slot, 100 µs service: arrivals every 50 µs overload
-        // (gaps < service), every 400 µs underload.
-        let run = |gap_us: u64| {
-            let mut cfg = OpenLoopConfig::new(
-                ArrivalConfig {
-                    base_gap: Ns::from_us(gap_us),
-                    diurnal: None,
-                    burst: None,
-                    jitter: false,
-                },
-                200,
-                9,
-            );
-            cfg.clients = 1;
-            let mut wl = small_workload(9);
-            let mut model = ContentModel::new(9, ContentProfile::database());
-            let (_, stats) =
-                run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &Tracer::disabled());
-            stats
-        };
-        let overloaded = run(50);
-        let underloaded = run(400);
-        assert!(overloaded.queued_arrivals > 150, "overload must queue");
-        assert!(overloaded.queued > Ns::ZERO);
-        assert_eq!(underloaded.queued, Ns::ZERO, "underload must not queue");
+        // Arrivals every 50 µs overload the slot (gaps < service), every
+        // 400 µs underload it.
+        let overloaded = open_loop_trace(50);
+        let underloaded = open_loop_trace(400);
+        assert!(overloaded.open_loop_waits > 150, "overload must queue");
+        assert!(overloaded.open_loop_queued > Ns::ZERO);
+        assert_eq!(
+            underloaded.open_loop_queued,
+            Ns::ZERO,
+            "underload must not queue"
+        );
+        assert_eq!(underloaded.open_loop_waits, 0);
     }
 
     #[test]
@@ -411,9 +392,10 @@ mod tests {
             let mut wl = small_workload(3);
             let mut model = ContentModel::new(3, ContentProfile::database());
             let cfg = OpenLoopConfig::new(ArrivalShape::Burst.config(Ns::from_us(100)), 300, 3);
-            let (s, stats) =
-                run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &Tracer::disabled());
-            (s.elapsed, s.read_latency, s.write_latency, stats)
+            let (tracer, counts) = Tracer::counting();
+            let s = run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &tracer);
+            let c = counts.lock().expect("sink").clone();
+            (s.elapsed, s.read_latency, s.write_latency, c)
         };
         assert_eq!(run(), run());
     }

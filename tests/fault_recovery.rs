@@ -463,10 +463,7 @@ proptest! {
         let mut model = VersionModel::new();
         let mut now = Ns::ZERO;
         for op in &ops {
-            let hdd_down = system
-                .report(now)
-                .health
-                .is_some_and(|h| h.hdd == HealthState::Failed);
+            let hdd_down = system.health_states().1 == HealthState::Failed;
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             match op {
                 SysOp::Write { .. } | SysOp::WriteSpan { .. } => {
@@ -521,9 +518,8 @@ proptest! {
                     foreign
                 );
             }
-            let health = system.report(now).health.expect("health enabled");
-            let state = if kill_hdd { health.hdd } else { health.ssd };
-            if state == HealthState::Failed {
+            let (ssd, hdd) = system.health_states();
+            if (if kill_hdd { hdd } else { ssd }) == HealthState::Failed {
                 reached = true;
                 break;
             }
@@ -575,8 +571,7 @@ proptest! {
                     "lba {:?}: read during rebuild returned foreign data",
                     foreign
                 );
-                let health = system.report(now).health.expect("health enabled");
-                if health.ssd == HealthState::Healthy {
+                if system.health_states().0 == HealthState::Healthy {
                     healthy = true;
                     break;
                 }

@@ -115,32 +115,21 @@ fn attached_tracer_is_bit_identical_for_every_system() {
     }
 }
 
-/// `HealthPolicy::inert()`, every controller's default ⇒ no health section
-/// in the report.
-#[test]
-fn disabled_health_reports_no_health_section() {
-    assert!(
-        common::config().health == HealthPolicy::inert(),
-        "a controller is inert unless told otherwise"
-    );
-    let (t, _, sys) = STREAM.run(icash(|_| {}), false, |_, _, _| {});
-    assert!(
-        sys.report(t).health.is_none(),
-        "an inert policy must not grow a health section in the report"
-    );
-}
-
 /// `HealthPolicy::standard()` on a fault-free run ⇒ the inert run's
 /// completions and traced events, every health counter zero, every device
 /// `Healthy`.
 #[test]
 fn enabled_health_is_inert_on_a_fault_free_run() {
+    assert!(
+        common::config().health == HealthPolicy::inert(),
+        "a controller is inert unless told otherwise"
+    );
     let mut plain = Vec::new();
     let (_, plain_trace, _) = STREAM.run(icash(|_| {}), false, |_, done, data| {
         plain.push((done, data))
     });
     let standard = icash(|cfg| cfg.health = HealthPolicy::standard());
-    let (t, traced, sys) = STREAM.run(standard, false, |op, done, data| {
+    let (_, traced, sys) = STREAM.run(standard, false, |op, done, data| {
         let expected = &plain[op as usize];
         assert_eq!(
             (&done, &data),
@@ -152,14 +141,14 @@ fn enabled_health_is_inert_on_a_fault_free_run() {
         plain_trace, traced,
         "the standard policy changed the fault-free traced event stream"
     );
-    let health = sys.report(t).health.expect("a standard policy reports");
-    assert_eq!(health.ssd, HealthState::Healthy);
-    assert_eq!(health.hdd, HealthState::Healthy);
-    assert_eq!(health.transitions, 0, "no transitions without faults");
-    assert_eq!(health.degraded_reads + health.degraded_writes, 0);
-    assert_eq!(health.busy_rejections, 0);
-    assert_eq!(health.retry_backoffs, 0);
-    assert_eq!(health.rebuild_chunks, 0);
+    let states = (HealthState::Healthy, HealthState::Healthy);
+    assert_eq!(sys.health_states(), states);
+    let stats = sys.stats();
+    assert_eq!(stats.health_transitions, 0, "no transitions without faults");
+    assert_eq!(stats.degraded_reads + stats.degraded_writes, 0);
+    assert_eq!(stats.busy_rejections, 0);
+    assert_eq!(stats.retry_backoffs, 0);
+    assert_eq!(stats.rebuild_chunks, 0);
 }
 
 /// The inert policy under seeded HDD read and write errors ⇒ the fixed,
@@ -390,15 +379,14 @@ fn open_loop_burst_shows_its_queueing_in_the_profile() {
     );
     cfg.clients = 1;
     let tracer = Tracer::to_sink(sink.clone() as Arc<Mutex<dyn TraceSink + Send>>);
-    let (summary, stats) = run_open_loop(&mut sys, &mut wl, &mut model, &cfg, &tracer);
+    let summary = run_open_loop(&mut sys, &mut wl, &mut model, &cfg, &tracer);
     assert_eq!(summary.ops, LOOP_OPS);
-    assert!(
-        stats.queued > Ns::ZERO,
-        "an overloaded open loop must queue"
-    );
     let profile = profile(&sink);
     assert_eq!(profile.stats.open_loop_arrivals, LOOP_OPS);
-    assert_eq!(profile.stats.open_loop_queued, stats.queued);
+    assert!(
+        profile.stats.open_loop_queued > Ns::ZERO,
+        "an overloaded open loop must queue"
+    );
     assert!(
         profile.render().contains("Open-loop queued"),
         "an open-loop run must render its queued share"

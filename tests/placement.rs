@@ -92,10 +92,7 @@ impl Rig {
     }
 
     fn ssd_failed(&self) -> bool {
-        self.sys
-            .report(self.now)
-            .health
-            .is_some_and(|h| h.ssd == HealthState::Failed)
+        self.sys.health_states().0 == HealthState::Failed
     }
 
     /// Keeps the flash busy until the health monitor declares it dead.

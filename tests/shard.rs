@@ -4,8 +4,8 @@
 //! * **One-shard differential**: the same pinned scenario driven through a
 //!   bare I-CASH controller and through a one-shard router produces
 //!   byte-identical JSONL event streams and identical device reports —
-//!   the router's fast path, shard-0 trace tagging, and ticket facade all
-//!   serialize to nothing.
+//!   the router's one-stripe split, shard-0 trace tagging, and ticket
+//!   facade all serialize to nothing.
 //! * **Multi-shard readback**: spans written across shard boundaries read
 //!   back exactly, against an in-test oracle, with barriers (`sync`)
 //!   interleaved — the router's split/reassemble arithmetic and ticket
@@ -16,7 +16,7 @@
 //!   time-sorted shard streams reassembles one globally time-ordered
 //!   timeline with nothing lost.
 //! * **Per-shard health**: one shard's device death drives only that
-//!   shard's monitor, and the merged report surfaces the worst state.
+//!   shard's monitor.
 
 mod common;
 
@@ -206,8 +206,7 @@ fn sharded_trace_splits_cleanly_and_merges_in_time_order() {
 #[test]
 fn shard_health_is_isolated() {
     // Only shard 0's SSD is armed to die: its monitor must walk to
-    // `Failed` while shard 1 stays `Healthy` with zero transitions, and
-    // the merged array report surfaces the worst state.
+    // `Failed` while shard 1 stays `Healthy` with zero transitions.
     const SEED: u64 = 0x4EA1_7500;
     let mut cfg = common::config();
     cfg.health = HealthPolicy::standard();
@@ -225,24 +224,20 @@ fn shard_health_is_isolated() {
         fill: 0x5A,
         span_reads: false,
     };
-    let t = stream.drive(&mut sys, false, |_, _, _| {});
-    let sick = sys.shards()[0].report(t).health.expect("shard 0 health");
-    let well = sys.shards()[1].report(t).health.expect("shard 1 health");
+    stream.drive(&mut sys, false, |_, _, _| {});
     assert_eq!(
-        sick.ssd,
+        sys.shards()[0].health_states().0,
         HealthState::Failed,
         "shard 0's armed SSD death must drive its monitor to Failed"
     );
-    assert_eq!(well.ssd, HealthState::Healthy);
-    assert_eq!(well.hdd, HealthState::Healthy);
+    let well = &sys.shards()[1];
     assert_eq!(
-        well.transitions, 0,
-        "a healthy shard must not inherit its neighbour's transitions"
+        well.health_states(),
+        (HealthState::Healthy, HealthState::Healthy)
     );
-    let merged = sys.report(t).health.expect("merged health");
     assert_eq!(
-        merged.ssd,
-        HealthState::Failed,
-        "the array-wide report surfaces the worst shard"
+        well.stats().health_transitions,
+        0,
+        "a healthy shard must not inherit its neighbour's transitions"
     );
 }

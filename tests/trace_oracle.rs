@@ -5,18 +5,21 @@
 //! run, and each total is diffed against the independently maintained
 //! statistics: host requests, SSD reads/programs/erases, HDD operations,
 //! injected faults, and (for I-CASH) the controller's delta/log/scrub
-//! counters. Any drift between instrumentation and accounting fails here.
+//! counters; queue events, per device, through [`TraceProfile`]. Any drift
+//! between instrumentation and accounting fails here.
 //!
 //! [`SystemReport`]: icash::storage::system::SystemReport
 //! [`TraceStats`]: icash::storage::trace::TraceStats
+//! [`TraceProfile`]: icash::metrics::trace::TraceProfile
 
 use icash::baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash::core::{Icash, IcashConfig};
+use icash::metrics::trace::TraceProfile;
 use icash::metrics::RunSummary;
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{fault_roll, FaultPlan};
-use icash::storage::request::Request;
+use icash::storage::request::{Op, Request};
 use icash::storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
 use icash::storage::trace::{TraceStats, Tracer};
@@ -106,6 +109,22 @@ fn check_against_report(t: &TraceStats, s: &RunSummary) {
     assert_eq!(t.faults_remapped, f.sectors_remapped, "{name}: remaps");
 }
 
+/// Op `op` of the direct-drive rows' seeded stream over 2 048 blocks: three
+/// in five a write of a tagged block, the rest a read of `read_blocks`.
+fn seeded_request(seed: u64, op: u64, read_blocks: u32, at: Ns) -> Request {
+    const SPACE: u64 = 2048;
+    let roll = fault_roll(seed, 0x5EED, op, 0);
+    let lba = roll % SPACE;
+    if roll % 5 < 3 {
+        let mut v = vec![0xA5u8; 4096];
+        v[..8].copy_from_slice(&roll.to_le_bytes());
+        Request::write(Lba::new(lba), at, BlockBuf::from_vec(v))
+    } else {
+        let first = lba.min(SPACE - u64::from(read_blocks));
+        Request::read_span(Lba::new(first), read_blocks, at)
+    }
+}
+
 #[test]
 fn totals_match_reports_fault_free() {
     for system in systems(&FaultPlan::none()) {
@@ -166,22 +185,14 @@ fn icash_controller_counters_match_trace() {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let space = 2048u64;
     let mut t = Ns::ZERO;
     let (mut reads, mut writes) = (0u64, 0u64);
     for op in 0..2_000u64 {
-        let roll = fault_roll(0xFA02, 0x5EED, op, 0);
-        let lba = roll % space;
-        if roll % 5 < 3 {
-            let mut v = vec![0xA5u8; 4096];
-            v[..8].copy_from_slice(&roll.to_le_bytes());
-            let w = Request::write(Lba::new(lba), t, BlockBuf::from_vec(v));
-            t = sys.submit(&w, &mut ctx).finished;
-            writes += 1;
-        } else {
-            let r = Request::read(Lba::new(lba), t);
-            t = sys.submit(&r, &mut ctx).finished;
-            reads += 1;
+        let req = seeded_request(0xFA02, op, 1, t);
+        t = sys.submit(&req, &mut ctx).finished;
+        match req.op {
+            Op::Read => reads += 1,
+            Op::Write => writes += 1,
         }
     }
     t = sys.flush(t, &mut ctx);
@@ -217,9 +228,11 @@ fn icash_controller_counters_match_trace() {
     assert!(trace.scrubs > 0, "no scrubs exercised");
 }
 
-/// The queue-event totals: a queued fault-free I-CASH run must emit
-/// exactly one `QueueAdmit` per counted admission and agree with the
-/// device reports on reorders, coalesces, and peak occupancy.
+/// The queue-event totals, device by device: a queued fault-free I-CASH
+/// run's [`TraceProfile`] (the trace's one fold of queue events) must show
+/// exactly one `QueueAdmit` per admission each device counted, and agree
+/// with that device's report on reorders, coalesced commands and peak
+/// occupancy.
 #[test]
 fn icash_queue_counters_match_trace() {
     let mut cfg = IcashConfig::builder(SSD, RAM, 8 << 20)
@@ -229,59 +242,48 @@ fn icash_queue_counters_match_trace() {
         .build();
     cfg.queue = Some(icash::storage::queue::QueueConfig::depth(8));
     let mut sys = Icash::new(cfg);
-    let (tracer, counts) = Tracer::counting();
+    let (tracer, ring) = Tracer::ring(1 << 20);
     sys.set_tracer(tracer);
 
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let space = 2048u64;
     let mut t = Ns::ZERO;
     for op in 0..2_000u64 {
-        let roll = fault_roll(SEED, 0x5EED, op, 0);
-        let lba = roll % space;
-        if roll % 5 < 3 {
-            let mut v = vec![0xA5u8; 4096];
-            v[..8].copy_from_slice(&roll.to_le_bytes());
-            let w = Request::write(Lba::new(lba), t, BlockBuf::from_vec(v));
-            t = sys.submit(&w, &mut ctx).finished;
-        } else {
-            let r = Request::read_span(Lba::new(lba.min(space - 4)), 4, t);
-            t = sys.submit(&r, &mut ctx).finished;
-        }
+        t = sys
+            .submit(&seeded_request(SEED, op, 4, t), &mut ctx)
+            .finished;
     }
     t = sys.flush(t, &mut ctx);
     let report = sys.report(t);
     drop(sys);
-    let trace = counts.lock().expect("counting sink").clone();
+    let ring = ring.lock().expect("ring sink");
+    assert_eq!(ring.dropped(), 0, "ring must hold the whole event stream");
+    let profile = TraceProfile::from_events(ring.events());
 
-    let hdd = report.hdd.expect("hdd stats");
-    let ssd = report.ssd.expect("ssd stats");
-    assert_eq!(
-        trace.queue_admits,
-        hdd.queue_admits + ssd.queue_admits,
-        "queue admissions"
-    );
-    assert_eq!(
-        trace.queue_reorders,
-        hdd.queue_reorders + ssd.queue_reorders,
-        "queue reorders"
-    );
-    assert_eq!(
-        trace.coalesced_commands,
-        hdd.queue_coalesced + ssd.queue_coalesced,
-        "coalesced commands"
-    );
-    assert_eq!(
-        trace.queue_depth_max,
-        hdd.queue_depth_max.max(ssd.queue_depth_max),
-        "peak queue occupancy"
-    );
+    for (name, q, d) in [
+        ("SSD", &profile.ssd_queue, report.ssd.expect("ssd stats")),
+        ("HDD", &profile.hdd_queue, report.hdd.expect("hdd stats")),
+    ] {
+        let traced = (q.admits, q.reorders, q.coalesced_commands, q.depth_max);
+        let counted = (
+            d.queue_admits,
+            d.queue_reorders,
+            d.queue_coalesced,
+            d.queue_depth_max,
+        );
+        assert_eq!(
+            traced, counted,
+            "{name}: admits, reorders, coalesced, peak depth"
+        );
+    }
     // The run must actually have exercised the queue machinery, or the
-    // equalities above are vacuous.
-    assert!(trace.queue_admits > 0, "no admissions exercised");
-    assert!(trace.queue_reorders > 0, "no reorders exercised");
-    assert!(trace.coalesced_commands > 0, "no coalescing exercised");
+    // equalities above are vacuous. Its flash never collects garbage, so
+    // only the HDD queue sees commands.
+    let hdd = &profile.hdd_queue;
+    assert!(hdd.admits > 0, "no admissions exercised");
+    assert!(hdd.reorders > 0, "no reorders exercised");
+    assert!(hdd.coalesced_commands > 0, "no coalescing exercised");
 }
 
 /// The write-pipeline counters: at `group_commit_depth = 16`, every
@@ -306,20 +308,11 @@ fn icash_pipeline_counters_match_trace() {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let space = 2048u64;
     let mut t = Ns::ZERO;
     for op in 0..4_000u64 {
-        let roll = fault_roll(0x6C01, 0x5EED, op, 0);
-        let lba = roll % space;
-        if roll % 5 < 3 {
-            let mut v = vec![0xA5u8; 4096];
-            v[..8].copy_from_slice(&roll.to_le_bytes());
-            let w = Request::write(Lba::new(lba), t, BlockBuf::from_vec(v));
-            t = sys.submit(&w, &mut ctx).finished;
-        } else {
-            let r = Request::read(Lba::new(lba), t);
-            t = sys.submit(&r, &mut ctx).finished;
-        }
+        t = sys
+            .submit(&seeded_request(0x6C01, op, 1, t), &mut ctx)
+            .finished;
         if op % 1_000 == 999 {
             // Periodic durability barriers: some wait, some are no-ops.
             t = sys.await_flush(sys.write_ticket(), t, &mut ctx);
