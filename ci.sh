@@ -164,15 +164,21 @@ stage_fingerprints() {
   pin target/bench_fingerprints.txt ci/golden/bench_fingerprints.txt
 }
 
+# Checksums of every file a bless may rewrite: the ci/golden pins, the test
+# suites' goldens and the report.
+pin_sums() { sha256sum ci/golden/* tests/golden/* crates/*/tests/golden/* EXPERIMENTS.md; }
+
 # Every pin in one pass: the stages above with `pin` rewriting, the test
 # suites that honour ICASH_BLESS (twice: a profile golden is computed from
 # the event golden compiled into its test), then one row per exhibit of
-# EXPERIMENTS.md against the report it replaced.
+# EXPERIMENTS.md against the report it replaced, and last the pin files
+# the bless changed.
 stage_bless() {
   if [[ ${ICASH_BLESS:-} != 1 ]]; then
     echo "ci.sh bless rewrites every golden; run it as ICASH_BLESS=1 ./ci.sh bless" >&2
     exit 2
   fi
+  pin_sums > target/pins_parent.sha256
   cp EXPERIMENTS.md target/experiments_parent.md
   BLESSING=1
   stage_golden
@@ -190,6 +196,10 @@ stage_bless() {
     flip = $1 != $5 ? "exhibit list moved" : $3 == $7 ? "same" : "FLIPPED"
     printf "| %s | %s | %s | %s | %s -> %s | %s |\n", $1, $2, $3, $7, $4, $8, flip
   }'
+  step "pin files this bless changed"
+  pin_sums | { diff target/pins_parent.sha256 - || true; } |
+    sed -n 's/^> [0-9a-f]*  /    /p' > target/pins_moved.txt
+  if [[ -s target/pins_moved.txt ]]; then cat target/pins_moved.txt; else echo "    no pin moved"; fi
   check_winners EXPERIMENTS.md
 }
 
