@@ -312,8 +312,9 @@ fn queue_depth_pressure(cfg: &RunConfig) -> String {
 
 /// The queue-depth sweep of `base`, titled `workload`. RAM is an eighth of
 /// the scaled spec's, so eviction pressure produces real spill batches for
-/// the HDD's NCQ scheduler to reorder and coalesce, and enough flash churn
-/// for the SSD's per-channel queues to defer erases behind host traffic.
+/// the HDD's NCQ scheduler to reorder and coalesce. The queue columns come
+/// from a [`TraceProfile`](icash_metrics::trace::TraceProfile) of the run,
+/// the one place queue events are counted.
 fn queue_sweep(cfg: &RunConfig, base: WorkloadSpec, workload: &str) -> String {
     let ablation = Ablation::new(cfg, base, |spec| {
         spec.ram_bytes = (spec.ram_bytes / 8).max(1 << 20)
@@ -323,22 +324,17 @@ fn queue_sweep(cfg: &RunConfig, base: WorkloadSpec, workload: &str) -> String {
             Some(d) => b.queue(QueueConfig::depth(d)),
             None => b,
         };
-        let (s, _) = ablation.run(queued, &ablation.driver());
+        let (s, profile) = ablation.run_profiled(queued, &ablation.driver());
         let hdd = s.report.hdd.clone().unwrap_or_default();
-        let ssd = s.report.ssd.clone().unwrap_or_default();
-        let erases = s.report.gc.map_or(0, |gc| gc.erases);
         vec![
             depth_name(depth),
             format!("{:.1}", s.transactions_per_sec()),
             format!("{}", hdd.writes),
             format!("{}", hdd.reads),
-            format!("{erases}"),
             format!("{:.3}", hdd.busy.as_secs_f64() * 1e3),
             format!("{:.0}", hdd_ns_per_kop(&s)),
-            format!("{}", hdd.queue_coalesced),
-            format!("{}", hdd.queue_reorders),
-            format!("{}", ssd.queue_admits),
-            format!("{}", ssd.queue_reorders),
+            format!("{}", profile.hdd_queue.coalesced_commands),
+            format!("{}", profile.hdd_queue.reorders),
         ]
     });
     table(
@@ -350,13 +346,10 @@ fn queue_sweep(cfg: &RunConfig, base: WorkloadSpec, workload: &str) -> String {
             "tx/s",
             "hdd_w",
             "hdd_r",
-            "erases",
             "hdd_busy_ms",
             "hdd_ns/kop",
             "coalesced",
             "reorders",
-            "ssd_defers",
-            "ssd_jumps",
         ],
         &rows,
     )

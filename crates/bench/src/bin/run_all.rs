@@ -115,10 +115,10 @@ a cell is built with a device queue. What moves when one is:
   `ci/golden/ablation_queue_depth_pressure.txt`), and
   `campaign_scale_queue16` on the same spec with RAM/64 at 16 shards
   clears its queue-on > queue-off assert, which `./ci.sh golden` runs.
-* **Invariants that do not move**: bytes returned by every read, bytes
-  reaching HDD media after a durability barrier, flash wear/erase
-  counts, and `stats.busy` on the SSD (queues reschedule time, they do
-  not invent it). `tests/identity.rs` holds the differential.
+* **Invariants that do not move**: bytes returned by every read and
+  bytes reaching HDD media after a durability barrier (the queue
+  reorders and merges HDD commands; it neither adds nor drops bytes).
+  Only the HDD has a queue. `tests/identity.rs` holds the differential.
 
 ## What shifted-content matching buys (DESIGN.md §9)
 

@@ -29,7 +29,7 @@
 use crate::config::{RunConfig, SEED};
 use icash_core::{Icash, IcashConfig, IcashConfigBuilder};
 use icash_metrics::summary::RunSummary;
-use icash_metrics::trace::JsonlSink;
+use icash_metrics::trace::{JsonlSink, TraceProfile};
 use icash_storage::cpu::CpuModel;
 use icash_storage::shard::ShardRouter;
 use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
@@ -330,13 +330,38 @@ impl Ablation {
     /// [`run`](Self::run) with `player` in place of the plain replay.
     pub fn replay(
         &self,
+        player: TracePlayer,
+        configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
+        driver: &DriverConfig,
+    ) -> (RunSummary, Icash) {
+        self.replay_traced(player, configure, driver, Tracer::disabled())
+    }
+
+    /// [`run`](Self::run) with a [`TraceProfile`] folding every event the
+    /// controller emits; returns the summary and the profile.
+    pub fn run_profiled(
+        &self,
+        configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
+        driver: &DriverConfig,
+    ) -> (RunSummary, TraceProfile) {
+        let profile = Arc::new(Mutex::new(TraceProfile::default()));
+        let tracer = Tracer::to_sink(profile.clone());
+        let (summary, _) = self.replay_traced(self.player(), configure, driver, tracer);
+        let profile = std::mem::take(&mut *profile.lock().expect("profile sink"));
+        (summary, profile)
+    }
+
+    fn replay_traced(
+        &self,
         mut player: TracePlayer,
         configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
         driver: &DriverConfig,
+        tracer: Tracer,
     ) -> (RunSummary, Icash) {
         let spec = &self.spec;
         let builder = IcashConfig::builder(spec.ssd_bytes, spec.ram_bytes, spec.data_bytes);
         let mut system = Icash::new(configure(builder).build());
+        system.set_tracer(tracer);
         let mut model = ContentModel::new(1, spec.profile.clone());
         let summary = run_benchmark(&mut system, &mut player, &mut model, driver);
         (summary, system)

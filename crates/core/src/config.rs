@@ -62,11 +62,11 @@ pub struct IcashConfig {
     /// staging admission cap. The default, [`HealthPolicy::inert`], moves no
     /// monitor, retries a read once and a write three times, unpaced.
     pub health: HealthPolicy,
-    /// Device command queueing: when `Some`, the HDD services batched
-    /// submissions through an NCQ-style seek-aware scheduler with request
-    /// coalescing, and the SSD defers background erases behind host traffic
-    /// on per-channel queues. `None` (the default) installs no queues —
-    /// which no queue setting reproduces (DESIGN.md §15).
+    /// The HDD's command queue: when `Some`, the HDD services batched
+    /// submissions through an NCQ-style seek-aware (SPTF) scheduler with
+    /// request coalescing, and parks delta-log appends in its write-behind
+    /// cache. `None` (the default) installs no queue — which no queue
+    /// setting reproduces (DESIGN.md §15). The SSD has no queue.
     #[serde(default)]
     pub queue: Option<QueueConfig>,
 }
@@ -109,12 +109,9 @@ impl IcashConfig {
         self.ram_bytes as usize
     }
 
-    /// The SSD device configuration for this controller. A configured
-    /// command queue becomes per-channel erase deferral on the flash.
+    /// The SSD device configuration for this controller.
     pub fn ssd_config(&self) -> SsdConfig {
-        let mut cfg = SsdConfig::fusion_io(self.ssd_bytes);
-        cfg.flash.queue = self.queue;
-        cfg
+        SsdConfig::fusion_io(self.ssd_bytes)
     }
 
     /// The HDD device configuration: home area for the data set plus the
@@ -242,8 +239,8 @@ impl IcashConfigBuilder {
         self
     }
 
-    /// Switches on device command queueing (HDD NCQ batch scheduling with
-    /// coalescing, SSD per-channel erase deferral).
+    /// Switches on the HDD's command queue (NCQ batch scheduling with
+    /// coalescing, write-behind of log appends).
     pub fn queue(mut self, queue: QueueConfig) -> Self {
         self.cfg.queue = Some(queue);
         self
@@ -344,26 +341,21 @@ mod tests {
     }
 
     #[test]
-    fn queue_knob_threads_into_both_device_configs() {
+    fn queue_knob_threads_into_the_hdd_config() {
         let cfg = IcashConfig::builder(1 << 20, 1 << 20, 8 << 20)
             .queue(QueueConfig::depth(8))
             .build();
         assert_eq!(cfg.hdd_config().queue, Some(QueueConfig::depth(8)));
-        assert_eq!(cfg.ssd_config().flash.queue, Some(QueueConfig::depth(8)));
         assert_eq!(cfg.shard_slice(4).queue, cfg.queue, "slices keep the queue");
         let off = IcashConfig::builder(1 << 20, 1 << 20, 8 << 20).build();
         assert_eq!(off.hdd_config().queue, None);
-        assert_eq!(off.ssd_config().flash.queue, None);
     }
 
     #[test]
     #[should_panic(expected = "queue depth")]
     fn zero_queue_depth_rejected() {
         let _ = IcashConfig::builder(1, 1, 1)
-            .queue(QueueConfig {
-                depth: 0,
-                sched: icash_storage::queue::QueuePolicy::Sptf,
-            })
+            .queue(QueueConfig::depth(0))
             .build();
     }
 }

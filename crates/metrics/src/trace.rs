@@ -8,7 +8,8 @@
 //!   JSONL as it arrives, producing the `--trace out.jsonl` artifact.
 //! * [`parse_jsonl`] — the inverse: a JSONL document back into events.
 //! * [`TraceProfile`] — a per-phase virtual-time breakdown of one event
-//!   stream, rendered by the `trace_profile` binary.
+//!   stream, rendered by the `trace_profile` binary. It is a [`TraceSink`]
+//!   too, so the same fold profiles a live run and a parsed file.
 //!
 //! ```
 //! use icash_metrics::trace::{JsonlSink, TraceProfile, parse_jsonl};
@@ -133,8 +134,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
 /// [`TraceStats`]' (each event goes through [`TraceStats::record`], the one
 /// counting fold over a stream); the profile adds what only it knows:
 /// device time from each op's `queued + service` charge, the recovery
-/// events, and the per-device queue activity (the stream's one fold of
-/// queue events).
+/// events, and the HDD queue's activity (the one count of queue events:
+/// no device keeps its own).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceProfile {
     /// The stream's event counts and summed request spans.
@@ -149,14 +150,13 @@ pub struct TraceProfile {
     pub hdd_write_time: Ns,
     /// Recovery events (truncate + replay).
     pub recovery_events: u64,
-    /// Command-queue activity on the SSD (`dev` 0 in queue events).
-    pub ssd_queue: QueueProfile,
-    /// Command-queue activity on the HDD (`dev` ≥ 1 in queue events).
+    /// Command-queue activity on the HDD (`dev` ≥ 1 in queue events; no
+    /// device emits `dev` 0).
     pub hdd_queue: QueueProfile,
 }
 
-/// Command-queue activity of one device class, accumulated from
-/// `QueueAdmit` / `QueueReorder` / `Coalesce` events.
+/// Command-queue activity, accumulated from `QueueAdmit` / `QueueReorder`
+/// / `Coalesce` events.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct QueueProfile {
     /// Commands admitted to the queue.
@@ -237,47 +237,13 @@ impl QueueProfile {
 impl TraceProfile {
     /// Builds a profile from an event stream (in emission order — span
     /// accounting pairs each `RequestEnd` with the latest `RequestStart`).
+    /// The same as recording each event into a fresh profile.
     pub fn from_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
         let mut p = TraceProfile::default();
         for e in events {
-            p.observe(e);
+            p.record(e.clone());
         }
         p
-    }
-
-    fn observe(&mut self, e: &TraceEvent) {
-        match e.kind {
-            TraceKind::SsdRead {
-                queued, service, ..
-            } => self.ssd_read_time += queued + service,
-            TraceKind::SsdProgram {
-                queued, service, ..
-            } => self.ssd_program_time += queued + service,
-            TraceKind::HddRead {
-                queued, service, ..
-            } => self.hdd_read_time += queued + service,
-            TraceKind::HddWrite {
-                queued, service, ..
-            } => self.hdd_write_time += queued + service,
-            TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. } => {
-                self.recovery_events += 1;
-            }
-            TraceKind::QueueAdmit { dev, depth, .. } => self.queue_mut(dev).admit(depth),
-            TraceKind::QueueReorder { dev, .. } => self.queue_mut(dev).reorders += 1,
-            TraceKind::Coalesce { dev, spans, .. } => self.queue_mut(dev).coalesce(spans),
-            _ => {}
-        }
-        self.stats.record(e.clone());
-    }
-
-    /// The queue profile for a queue event's device tag (0 = SSD, ≥1 = HDD
-    /// spindles).
-    fn queue_mut(&mut self, dev: u8) -> &mut QueueProfile {
-        if dev == 0 {
-            &mut self.ssd_queue
-        } else {
-            &mut self.hdd_queue
-        }
     }
 
     /// Renders the breakdown as an ASCII table: one row per phase with its
@@ -349,12 +315,42 @@ impl TraceProfile {
                 out.push_str(&format!("| {phase} | {events} | - | - |\n"));
             }
         }
-        if self.ssd_queue.is_active() || self.hdd_queue.is_active() {
+        if self.hdd_queue.is_active() {
             out.push_str("\nDevice command queues:\n");
-            self.ssd_queue.render_line("SSD", &mut out);
             self.hdd_queue.render_line("HDD", &mut out);
         }
         out
+    }
+}
+
+impl TraceSink for TraceProfile {
+    fn record(&mut self, e: TraceEvent) {
+        match e.kind {
+            TraceKind::SsdRead {
+                queued, service, ..
+            } => self.ssd_read_time += queued + service,
+            TraceKind::SsdProgram {
+                queued, service, ..
+            } => self.ssd_program_time += queued + service,
+            TraceKind::HddRead {
+                queued, service, ..
+            } => self.hdd_read_time += queued + service,
+            TraceKind::HddWrite {
+                queued, service, ..
+            } => self.hdd_write_time += queued + service,
+            TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. } => {
+                self.recovery_events += 1;
+            }
+            TraceKind::QueueAdmit {
+                dev: 1.., depth, ..
+            } => self.hdd_queue.admit(depth),
+            TraceKind::QueueReorder { dev: 1.., .. } => self.hdd_queue.reorders += 1,
+            TraceKind::Coalesce {
+                dev: 1.., spans, ..
+            } => self.hdd_queue.coalesce(spans),
+            _ => {}
+        }
+        self.stats.record(e);
     }
 }
 
@@ -469,81 +465,62 @@ mod tests {
     }
 
     #[test]
-    fn queue_events_build_the_per_device_section() {
+    fn queue_events_build_the_hdd_section() {
+        let admit = |at, dev, depth| {
+            e(
+                Ns::from_us(at),
+                TraceKind::QueueAdmit {
+                    dev,
+                    lba: 70,
+                    blocks: 1,
+                    depth,
+                },
+            )
+        };
+        let coalesce = |at, spans| {
+            e(
+                Ns::from_us(at),
+                TraceKind::Coalesce {
+                    dev: 1,
+                    lba: 80,
+                    spans,
+                    blocks: spans,
+                },
+            )
+        };
         let events = vec![
+            // No device emits `dev` 0: the profile leaves it out.
+            admit(1, 0, 7),
+            admit(2, 1, 2),
+            admit(3, 2, 4),
             e(
-                Ns::from_us(1),
-                TraceKind::QueueAdmit {
-                    dev: 0,
-                    lba: 3,
-                    blocks: 64,
-                    depth: 2,
-                },
-            ),
-            e(
-                Ns::from_us(2),
-                TraceKind::QueueAdmit {
-                    dev: 0,
-                    lba: 4,
-                    blocks: 64,
-                    depth: 4,
-                },
-            ),
-            e(
-                Ns::from_us(3),
+                Ns::from_us(4),
                 TraceKind::QueueReorder {
-                    dev: 0,
+                    dev: 1,
                     lba: 9,
                     jumped: 2,
                 },
             ),
-            e(
-                Ns::from_us(4),
-                TraceKind::QueueAdmit {
-                    dev: 1,
-                    lba: 70,
-                    blocks: 1,
-                    depth: 1,
-                },
-            ),
-            e(
-                Ns::from_us(5),
-                TraceKind::Coalesce {
-                    dev: 1,
-                    lba: 70,
-                    spans: 3,
-                    blocks: 3,
-                },
-            ),
-            e(
-                Ns::from_us(6),
-                TraceKind::Coalesce {
-                    dev: 1,
-                    lba: 80,
-                    spans: 9,
-                    blocks: 9,
-                },
-            ),
+            coalesce(5, 3),
+            coalesce(6, 9),
         ];
         let p = TraceProfile::from_events(&events);
-        assert_eq!(p.ssd_queue.admits, 2);
-        assert!((p.ssd_queue.mean_depth() - 3.0).abs() < 1e-9);
-        assert_eq!(p.ssd_queue.depth_max, 4);
-        assert_eq!(p.ssd_queue.reorders, 1);
-        assert_eq!(p.hdd_queue.admits, 1);
-        assert_eq!(p.hdd_queue.coalesces, 2);
-        assert_eq!(p.hdd_queue.coalesced_commands, 2 + 8);
-        assert_eq!(p.hdd_queue.span_hist, [0, 1, 0, 1]);
+        let q = &p.hdd_queue;
+        assert_eq!((q.admits, q.depth_max, q.reorders), (2, 4, 1));
+        assert!((q.mean_depth() - 3.0).abs() < 1e-9);
+        assert_eq!(q.coalesces, 2);
+        assert_eq!(q.coalesced_commands, 2 + 8);
+        assert_eq!(q.span_hist, [0, 1, 0, 1]);
         let table = p.render();
         assert!(table.contains("Device command queues"), "table: {table}");
-        assert!(table.contains("SSD: 2 admits (mean depth 3.00, max 4), 1 reorders"));
+        assert!(table.contains("HDD: 2 admits (mean depth 3.00, max 4), 1 reorders"));
         assert!(table.contains("spans 2:0 3-4:1 5-8:0 9+:1"));
     }
 
     #[test]
     fn queue_free_profile_has_no_queue_section() {
         let p = TraceProfile::from_events(&[e(Ns::ZERO, TraceKind::RamHit { lba: 1 })]);
-        assert!(!p.ssd_queue.is_active() && !p.hdd_queue.is_active());
+        assert!(!p.hdd_queue.is_active());
         assert!(!p.render().contains("Device command queues"));
     }
 

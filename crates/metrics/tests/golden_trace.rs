@@ -124,3 +124,21 @@ fn golden_trace_profiles_the_pinned_run() {
          reached the SSD, formed deltas, and the flush interval fired)"
     );
 }
+
+/// A [`TraceProfile`] attached as a live sink folds the pinned stream, fed
+/// to it event by event, into the same profile [`TraceProfile::from_events`]
+/// builds from the parsed file, and renders the pinned table.
+#[test]
+fn a_profile_sink_folds_the_pinned_stream_like_the_file() {
+    let events = parse_jsonl(GOLDEN).expect("golden parses");
+    let sink = Arc::new(Mutex::new(TraceProfile::default()));
+    let tracer = Tracer::to_sink(sink.clone());
+    for event in &events {
+        tracer.emit(|| event.clone());
+    }
+    let live = std::mem::take(&mut *sink.lock().expect("profile sink"));
+    assert_eq!(live, TraceProfile::from_events(&events));
+    if std::env::var("ICASH_BLESS").as_deref() != Ok("1") {
+        assert_eq!(live.render(), GOLDEN_PROFILE);
+    }
+}

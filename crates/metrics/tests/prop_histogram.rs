@@ -4,7 +4,6 @@
 //! set, including empty, single-sample, and saturating-top-bucket inputs.
 
 use icash_metrics::histogram::LatencyHistogram;
-use icash_storage::stats::DeviceStats;
 use icash_storage::time::Ns;
 use proptest::prelude::*;
 
@@ -83,31 +82,6 @@ proptest! {
         } else {
             prop_assert_eq!(max, Ns::ZERO);
             prop_assert_eq!(h.mean(), Ns::ZERO);
-        }
-    }
-
-    #[test]
-    fn device_queue_latency_shard_merge_loses_nothing(
-        shards in prop::collection::vec(prop::collection::vec(latency(), 0..40), 1..6)
-    ) {
-        // Per-shard DeviceStats each record their own tagged-command
-        // latencies; the report path merges them pairwise. The merged
-        // histogram must equal one histogram that saw every sample — and
-        // shards that never queued must not materialize a histogram.
-        let mut merged = DeviceStats::new();
-        let mut all: Vec<u64> = Vec::new();
-        for shard in &shards {
-            let mut s = DeviceStats::new();
-            for &ns in shard {
-                s.record_queue_latency(Ns::from_ns(ns));
-            }
-            prop_assert_eq!(s.queue_latency.is_none(), shard.is_empty());
-            merged.merge(&s);
-            all.extend(shard);
-        }
-        match merged.queue_latency {
-            Some(h) => prop_assert_eq!(h.to_json(), hist_of(&all).to_json()),
-            None => prop_assert!(all.is_empty(), "samples vanished in the merge"),
         }
     }
 

@@ -76,7 +76,7 @@ pub struct HddConfig {
     /// serviced strictly in order and the drive behaves exactly as it did
     /// before the queue layer existed. With `Some`, [`Hdd::write_batch`] /
     /// [`Hdd::read_batch`] admit commands against the configured depth and
-    /// dispatch them by the configured scheduler, coalescing LBA-adjacent
+    /// dispatch them shortest positioning time first, coalescing LBA-adjacent
     /// commands into single sequential transfers.
     #[serde(default)]
     pub queue: Option<QueueConfig>,
@@ -337,7 +337,6 @@ impl Hdd {
         let qcfg = self.cfg.queue.expect("write cache requires a queue");
         self.wq.push((lba, blocks));
         let depth = self.wq.len() as u32;
-        self.stats.record_queue_admit(depth);
         let dev = self.trace_disk.saturating_add(1);
         self.tracer.emit(|| TraceEvent {
             at,
@@ -373,7 +372,6 @@ impl Hdd {
     /// the cache exists to permit.
     fn note_cache_overtake(&mut self, at: Ns, lba: u64) {
         let jumped = self.wq.len() as u32;
-        self.stats.record_queue_reorder();
         let dev = self.trace_disk.saturating_add(1);
         self.tracer.emit(|| TraceEvent {
             at,
@@ -387,14 +385,14 @@ impl Hdd {
     }
 
     /// Batch machinery behind both foreground batches and the write-cache
-    /// drain; `count_admits` is false for the drain, whose commands were
-    /// already admitted (counted and traced) by [`Hdd::write_behind`].
+    /// drain; `trace_admits` is false for the drain, whose commands were
+    /// already admitted (and traced) by [`Hdd::write_behind`].
     fn batch_inner(
         &mut self,
         at: Ns,
         reqs: &[(u64, u32)],
         write: bool,
-        count_admits: bool,
+        trace_admits: bool,
     ) -> Result<Ns, HddError> {
         let one = |hdd: &mut Hdd, t, lba, blocks| {
             if write {
@@ -421,10 +419,9 @@ impl Hdd {
         loop {
             // Admission: fill the tag set until backpressure pushes back.
             while let Some((lba, blocks)) = refused.take().or_else(|| source.next()) {
-                match q.admit(t, lba, blocks, write) {
+                match q.admit(lba, blocks, write) {
                     Ok(depth) => {
-                        if count_admits {
-                            self.stats.record_queue_admit(depth);
+                        if trace_admits {
                             self.tracer.emit(|| TraceEvent {
                                 at: t,
                                 kind: TraceKind::QueueAdmit {
@@ -442,13 +439,12 @@ impl Hdd {
                     }
                 }
             }
-            // Dispatch: cheapest positioning first (or FIFO), aging-bounded.
+            // Dispatch: cheapest positioning first, aging-bounded.
             let now = t.max(self.busy_until);
             let Some(d) = q.dispatch(|lba, _| self.positioning_cost(now, lba)) else {
                 break;
             };
             if d.jumped > 0 {
-                self.stats.record_queue_reorder();
                 let (lba, jumped) = (d.cmd.lba, d.jumped);
                 self.tracer.emit(|| TraceEvent {
                     at: t,
@@ -464,7 +460,6 @@ impl Hdd {
                 spans += 1;
             }
             if spans > 1 {
-                self.stats.record_queue_coalesce(spans - 1);
                 let lba = d.cmd.lba;
                 self.tracer.emit(|| TraceEvent {
                     at: t,
@@ -477,9 +472,6 @@ impl Hdd {
                 });
             }
             t = one(self, t, d.cmd.lba, blocks)?;
-            // Tagged-command latency: admission into the queue through media
-            // completion of the (possibly coalesced) transfer.
-            self.stats.record_queue_latency(t - d.cmd.arrival);
         }
         Ok(t)
     }
@@ -539,6 +531,8 @@ impl Hdd {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultTrigger};
+    use crate::trace::RingSink;
+    use std::sync::{Arc, Mutex};
 
     fn disk() -> Hdd {
         Hdd::new(HddConfig::seagate_sata(10_000_000))
@@ -675,11 +669,40 @@ mod tests {
 
     fn ncq_disk(depth: u32) -> Hdd {
         let mut cfg = HddConfig::seagate_sata(10_000_000);
-        cfg.queue = Some(QueueConfig {
-            depth,
-            sched: crate::queue::QueuePolicy::Sptf,
-        });
+        cfg.queue = Some(QueueConfig::depth(depth));
         Hdd::new(cfg)
+    }
+
+    /// Queue activity as the trace records it, the one place it is counted.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Queued {
+        admits: u64,
+        depth_max: u32,
+        reorders: u64,
+        coalesced: u64,
+    }
+
+    /// Attaches a ring tracer to `d`; [`queued`] folds what it caught.
+    fn traced(d: &mut Hdd) -> Arc<Mutex<RingSink>> {
+        let (tracer, ring) = Tracer::ring(1 << 12);
+        d.set_tracer(tracer, 0);
+        ring
+    }
+
+    fn queued(ring: &Mutex<RingSink>) -> Queued {
+        let mut q = Queued::default();
+        for e in ring.lock().expect("ring").events() {
+            match e.kind {
+                TraceKind::QueueAdmit { depth, .. } => {
+                    q.admits += 1;
+                    q.depth_max = q.depth_max.max(depth);
+                }
+                TraceKind::QueueReorder { .. } => q.reorders += 1,
+                TraceKind::Coalesce { spans, .. } => q.coalesced += u64::from(spans - 1),
+                _ => {}
+            }
+        }
+        q
     }
 
     #[test]
@@ -691,10 +714,11 @@ mod tests {
             t = looped.write(t, lba, blocks).unwrap();
         }
         let mut batched = disk();
+        let ring = traced(&mut batched);
         let done = batched.write_batch(Ns::from_us(3), &reqs).unwrap();
         assert_eq!(done, t);
         assert_eq!(batched.stats(), looped.stats());
-        assert_eq!(batched.stats().queue_admits, 0, "no queue, no admissions");
+        assert_eq!(queued(&ring), Queued::default(), "no queue, no admissions");
     }
 
     #[test]
@@ -702,12 +726,13 @@ mod tests {
         // Four adjacent single-block writes far from the head, admitted
         // together: the queue merges them into one 4-block transfer.
         let mut d = ncq_disk(8);
+        let ring = traced(&mut d);
         let reqs: Vec<(u64, u32)> = (0..4).map(|i| (6_000_000 + i, 1)).collect();
         let done = d.write_batch(Ns::ZERO, &reqs).unwrap();
         assert_eq!(d.stats().writes, 1, "one media transfer, not four");
         assert_eq!(d.stats().write_bytes, 4 * BLOCK_SIZE as u64);
-        assert_eq!(d.stats().queue_admits, 4);
-        assert_eq!(d.stats().queue_coalesced, 3);
+        let q = queued(&ring);
+        assert_eq!((q.admits, q.coalesced), (4, 3));
         // One positioning cost + four block transfers bounds the service.
         let mut solo = disk();
         let one = solo.write(Ns::ZERO, 6_000_000, 4).unwrap();
@@ -719,12 +744,11 @@ mod tests {
         // Head starts at 0: a distant command admitted first is overtaken
         // by a near one.
         let mut d = ncq_disk(4);
-        let (tracer, ring) = Tracer::ring(32);
-        d.set_tracer(tracer, 0);
+        let ring = traced(&mut d);
         d.write_batch(Ns::ZERO, &[(9_000_000, 1), (100, 1)])
             .unwrap();
-        assert_eq!(d.stats().queue_reorders, 1);
-        assert_eq!(d.stats().queue_depth_max, 2);
+        let q = queued(&ring);
+        assert_eq!((q.reorders, q.depth_max), (1, 2));
         let ring = ring.lock().expect("ring");
         let lbas: Vec<u64> = ring
             .events()
@@ -762,29 +786,32 @@ mod tests {
         let mut plain = disk();
         let base = plain.write_batch(Ns::ZERO, &reqs).unwrap();
         let mut d = ncq_disk(1);
+        let ring = traced(&mut d);
         let done = d.write_batch(Ns::ZERO, &reqs).unwrap();
         assert_eq!(done, base, "depth 1 admits one command at a time");
-        assert_eq!(d.stats().queue_reorders, 0);
-        assert_eq!(d.stats().queue_coalesced, 0);
+        let q = queued(&ring);
+        assert_eq!((q.reorders, q.coalesced), (0, 0));
     }
 
     #[test]
     fn write_behind_parks_and_returns_immediately() {
         let mut d = ncq_disk(8);
+        let ring = traced(&mut d);
         let done = d.write_behind(Ns::from_us(5), 6_000_000, 1).unwrap();
         assert_eq!(done, Ns::from_us(5), "the host does not wait");
         assert_eq!(d.stats().writes, 0, "nothing hit the media yet");
-        assert_eq!(d.stats().queue_admits, 1);
+        assert_eq!(queued(&ring).admits, 1);
         // The barrier pays the mechanical cost.
         let t = d.flush_cache(Ns::from_us(5));
         assert!(t > Ns::from_ms(1), "drain paid the seek: {t}");
         assert_eq!(d.stats().writes, 1);
-        assert_eq!(d.stats().queue_admits, 1, "the drain re-admits nothing");
+        assert_eq!(queued(&ring).admits, 1, "the drain re-admits nothing");
     }
 
     #[test]
     fn write_behind_drains_at_depth_and_coalesces_appends() {
         let mut d = ncq_disk(4);
+        let ring = traced(&mut d);
         for i in 0..4u64 {
             let done = d.write_behind(Ns::ZERO, 6_000_000 + i, 1).unwrap();
             assert_eq!(done, Ns::ZERO);
@@ -793,7 +820,7 @@ mod tests {
         // the four adjacent appends coalesced into a single transfer.
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().write_bytes, 4 * BLOCK_SIZE as u64);
-        assert_eq!(d.stats().queue_coalesced, 3);
+        assert_eq!(queued(&ring).coalesced, 3);
         assert_eq!(d.flush_cache(Ns::ZERO), Ns::ZERO, "cache already empty");
         let mut solo = disk();
         let one = solo.write(Ns::ZERO, 6_000_000, 4).unwrap();
@@ -803,12 +830,11 @@ mod tests {
     #[test]
     fn foreground_read_overtakes_cached_writes() {
         let mut d = ncq_disk(8);
-        let (tracer, ring) = Tracer::ring(16);
-        d.set_tracer(tracer, 0);
+        let ring = traced(&mut d);
         d.write_behind(Ns::ZERO, 6_000_000, 1).unwrap();
         d.write_behind(Ns::ZERO, 6_000_001, 1).unwrap();
         let read_done = d.read(Ns::ZERO, 100, 1).unwrap();
-        assert_eq!(d.stats().queue_reorders, 1);
+        assert_eq!(queued(&ring).reorders, 1);
         {
             let ring = ring.lock().expect("ring");
             assert!(ring.events().iter().any(|e| matches!(
@@ -845,6 +871,7 @@ mod tests {
     #[test]
     fn write_behind_with_faults_armed_degrades_to_synchronous() {
         let mut d = ncq_disk(8);
+        let ring = traced(&mut d);
         d.install_faults(FaultInjector::new(
             FaultPlan::seeded(5).trigger(FaultTrigger::HddWrite { op: 0 }),
             0,
@@ -854,7 +881,7 @@ mod tests {
         let err = d.write_behind(Ns::ZERO, 7, 1).unwrap_err();
         assert_eq!(err, HddError::WriteFault { lba: 7 });
         assert!(d.write_behind(Ns::from_ms(1), 7, 1).is_ok());
-        assert_eq!(d.stats().queue_admits, 0);
+        assert_eq!(queued(&ring).admits, 0);
     }
 
     #[test]
@@ -870,7 +897,7 @@ mod tests {
 
     mod position_properties {
         use super::*;
-        use crate::queue::{QueuePolicy, AGING_BOUND};
+        use crate::queue::AGING_BOUND;
         use proptest::prelude::*;
 
         proptest! {
@@ -926,7 +953,7 @@ mod tests {
                 lbas in prop::collection::vec(0u64..10_000_000, 1..160),
             ) {
                 let mut d = disk();
-                let mut q = CommandQueue::new(QueueConfig { depth, sched: QueuePolicy::Sptf });
+                let mut q = CommandQueue::new(QueueConfig::depth(depth));
                 let bound = (AGING_BOUND + depth) as u64;
                 let mut dispatches = 0u64;
                 let mut admitted_at: Vec<u64> = Vec::new(); // seq → dispatch count
@@ -944,7 +971,7 @@ mod tests {
                     *dispatches - admitted_at[pick.cmd.seq as usize]
                 }
                 for &lba in &lbas {
-                    while q.admit(Ns::ZERO, lba, 1, true).is_err() {
+                    while q.admit(lba, 1, true).is_err() {
                         let waited = service(&mut d, &mut q, &mut dispatches, &admitted_at);
                         prop_assert!(waited <= bound, "waited {waited}, bound {bound}");
                     }

@@ -4,8 +4,7 @@
 //! 13) and the harness additionally wants tail percentiles. Buckets are
 //! log-spaced from 100 ns to ~100 s, giving ~5 % relative resolution with a
 //! few hundred buckets. The type lives in the storage crate (it depends
-//! only on [`Ns`]) so device models can carry per-queue histograms inside
-//! [`crate::stats::DeviceStats`]; `icash-metrics` re-exports it unchanged.
+//! only on [`Ns`]); `icash-metrics` re-exports it unchanged.
 
 use crate::time::Ns;
 use serde::{Deserialize, Serialize};

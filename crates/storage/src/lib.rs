@@ -18,8 +18,7 @@
 //!   ([`hash::AddrMap`] / [`hash::AddrSet`]), and [`hash::AddrPages`], the
 //!   address map filed by pages of neighbouring addresses.
 //! * [`histogram`] — log-bucketed latency histograms
-//!   ([`histogram::LatencyHistogram`]), embeddable in [`stats::DeviceStats`]
-//!   for the per-queue tagged-command latency split.
+//!   ([`histogram::LatencyHistogram`]).
 //! * [`lru`] — the workspace's single LRU implementation ([`lru::StampLine`]
 //!   and the keyed [`lru::LruMap`] built on it), shared by the controller,
 //!   the baselines and the workload driver.
@@ -27,10 +26,9 @@
 //!   [`pipeline::FlushProgress`], write-through bookkeeping in
 //!   [`pipeline::WriteThrough`]) that let any architecture expose
 //!   group-commit durability watermarks and barriers.
-//! * [`queue`] — bounded device command queues ([`queue::CommandQueue`]):
-//!   NCQ-style seek-aware scheduling with starvation-bounded aging and
-//!   request coalescing for the HDD, depth-bounded per-channel erase
-//!   deferral for the SSD, typed [`queue::QueueFull`] backpressure.
+//! * [`queue`] — the HDD's bounded command queue ([`queue::CommandQueue`]):
+//!   NCQ-style seek-aware (SPTF) scheduling with starvation-bounded aging,
+//!   request coalescing and typed [`queue::QueueFull`] backpressure.
 //! * [`system`] — the [`system::StorageSystem`] trait every architecture
 //!   (I-CASH and the baselines) implements.
 //! * [`model`] — the reference model of that trait's read contract
@@ -97,7 +95,7 @@ pub use block::{BlockBuf, Lba, BLOCK_SIZE};
 pub use fault::{FaultPlan, FaultStats, FaultTrigger};
 pub use histogram::LatencyHistogram;
 pub use pipeline::{FlushProgress, Ticket, WriteThrough};
-pub use queue::{CommandQueue, QueueConfig, QueueFull, QueuePolicy};
+pub use queue::{CommandQueue, QueueConfig, QueueFull};
 pub use request::{BlockError, Completion, IoErrorKind, Op, Request};
 pub use shard::ShardRouter;
 pub use system::{ContentSource, IoCtx, StorageSystem, SystemReport, ZeroSource};

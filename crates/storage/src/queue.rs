@@ -1,22 +1,20 @@
-//! Device command queues: bounded, deterministic, policy-scheduled.
+//! The HDD's native command queue: bounded, deterministic, SPTF-scheduled.
 //!
-//! Real devices do not service requests strictly in arrival order. A SATA
+//! Real drives do not service requests strictly in arrival order. A SATA
 //! drive with NCQ holds up to 32 commands and services whichever needs the
-//! least head movement next; an SSD holds per-channel queues so a read never
-//! waits behind a background erase on another channel. This module is the
-//! shared substrate for both: a [`CommandQueue`] that admits commands
-//! against a bounded depth (typed [`QueueFull`] backpressure, never silent
-//! drops), dispatches them out of arrival order under a [`QueuePolicy`],
-//! ages passed-over commands so no request starves, and exposes adjacent
+//! least head movement next. A [`CommandQueue`] admits commands against a
+//! bounded depth (typed [`QueueFull`] backpressure, never silent drops),
+//! dispatches the one with the shortest positioning time first (SPTF), ages
+//! passed-over commands so no request starves, and exposes adjacent
 //! commands for coalescing into one sequential media transfer.
 //!
 //! Everything is virtual-time and seeded-state deterministic: the same
 //! admission sequence and cost function produce the same dispatch order on
 //! every host, which is what lets the queue-on campaigns assert byte-equal
 //! output at any worker count. With no queue installed
-//! (`queue = None` on the device configs) none of this code runs and the
-//! devices are bit-identical to their pre-queue behavior — the differential
-//! tests and pinned goldens in `./ci.sh golden` hold that line.
+//! (`HddConfig::queue = None`) none of this code runs and the drive is
+//! bit-identical to its pre-queue behavior — the differential tests and
+//! pinned goldens in `./ci.sh golden` hold that line.
 
 use crate::time::Ns;
 use core::fmt;
@@ -29,38 +27,21 @@ use serde::{Deserialize, Serialize};
 /// `hdd.rs`).
 pub const AGING_BOUND: u32 = 4;
 
-/// Scheduling policy for a mechanical-disk command queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueuePolicy {
-    /// Strict arrival order — a queue that only buffers, never reorders.
-    Fifo,
-    /// Shortest positioning time first: dispatch the command whose seek +
-    /// rotational cost from the current head position is smallest, with
-    /// [`AGING_BOUND`] aging so distant commands still complete.
-    Sptf,
-}
-
-/// Configuration of a device command queue: the admission bound and the
-/// dispatch policy. Carried as `Option<QueueConfig>` on the device configs;
-/// `None` (the default everywhere) means no queue exists and the device
-/// behaves exactly as before this layer was added.
+/// Configuration of the HDD's command queue: the admission bound. Carried
+/// as `Option<QueueConfig>` on [`HddConfig`](crate::hdd::HddConfig);
+/// `None` (the default) means no queue exists and the drive behaves
+/// exactly as before this layer was added.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueConfig {
     /// Maximum commands held at once. Depth 1 admits one command at a time,
-    /// which degenerates to FIFO service in arrival order.
+    /// which degenerates to service in arrival order.
     pub depth: u32,
-    /// Dispatch order among queued commands (mechanical disks only; the
-    /// SSD's per-channel queues are inherently in-order per channel).
-    pub sched: QueuePolicy,
 }
 
 impl QueueConfig {
-    /// An NCQ-style queue of `depth` commands under the SPTF scheduler.
+    /// An NCQ-style queue of `depth` commands.
     pub fn depth(depth: u32) -> Self {
-        QueueConfig {
-            depth,
-            sched: QueuePolicy::Sptf,
-        }
+        QueueConfig { depth }
     }
 
     /// Asserts the configuration is usable.
@@ -71,13 +52,6 @@ impl QueueConfig {
     /// never admit a command.
     pub fn validate(&self) {
         assert!(self.depth >= 1, "queue depth must be at least 1");
-    }
-}
-
-impl Default for QueueConfig {
-    /// SATA NCQ's classic depth: 32 commands, SPTF-scheduled.
-    fn default() -> Self {
-        QueueConfig::depth(32)
     }
 }
 
@@ -108,16 +82,14 @@ pub struct Command {
     /// True for writes, false for reads. Only same-direction commands
     /// coalesce.
     pub write: bool,
-    /// Virtual instant the command was admitted.
-    pub arrival: Ns,
-    /// Admission sequence number — the FIFO order tie-breaker.
+    /// Admission sequence number — the arrival-order tie-breaker.
     pub seq: u64,
     /// Dispatches that have passed this command over (the aging counter).
     pub skipped: u32,
 }
 
 /// A dispatched command plus how it left the queue — the raw material for
-/// the `QueueReorder` trace event and the reorder counters.
+/// the `QueueReorder` trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
     /// The command chosen for service.
@@ -137,13 +109,13 @@ pub struct Dispatch {
 /// # Examples
 ///
 /// ```
-/// use icash_storage::queue::{CommandQueue, QueueConfig, QueuePolicy};
+/// use icash_storage::queue::{CommandQueue, QueueConfig};
 /// use icash_storage::time::Ns;
 ///
-/// let mut q = CommandQueue::new(QueueConfig { depth: 2, sched: QueuePolicy::Sptf });
-/// q.admit(Ns::ZERO, 100, 1, true).unwrap();
-/// q.admit(Ns::ZERO, 5, 1, true).unwrap();
-/// q.admit(Ns::ZERO, 7, 1, true).unwrap_err(); // depth 2: backpressure
+/// let mut q = CommandQueue::new(QueueConfig::depth(2));
+/// q.admit(100, 1, true).unwrap();
+/// q.admit(5, 1, true).unwrap();
+/// q.admit(7, 1, true).unwrap_err(); // depth 2: backpressure
 /// // SPTF: with the head near block 0, lba 5 wins despite arriving second.
 /// let d = q.dispatch(|lba, _| Ns::from_ns(lba)).unwrap();
 /// assert_eq!(d.cmd.lba, 5);
@@ -171,11 +143,6 @@ impl CommandQueue {
         }
     }
 
-    /// The configuration this queue enforces.
-    pub fn config(&self) -> QueueConfig {
-        self.cfg
-    }
-
     /// Commands currently held.
     pub fn len(&self) -> u32 {
         self.pending.len() as u32
@@ -186,9 +153,9 @@ impl CommandQueue {
         self.pending.is_empty()
     }
 
-    /// Admits a command arriving at `at`, returning the occupancy after
-    /// admission, or [`QueueFull`] (and no state change) at the depth bound.
-    pub fn admit(&mut self, at: Ns, lba: u64, blocks: u32, write: bool) -> Result<u32, QueueFull> {
+    /// Admits a command, returning the occupancy after admission, or
+    /// [`QueueFull`] (and no state change) at the depth bound.
+    pub fn admit(&mut self, lba: u64, blocks: u32, write: bool) -> Result<u32, QueueFull> {
         if self.pending.len() as u32 >= self.cfg.depth {
             return Err(QueueFull {
                 depth: self.cfg.depth,
@@ -198,7 +165,6 @@ impl CommandQueue {
             lba,
             blocks,
             write,
-            arrival: at,
             seq: self.next_seq,
             skipped: 0,
         });
@@ -209,9 +175,9 @@ impl CommandQueue {
     /// Chooses the next command to service and removes it.
     ///
     /// Any command passed over [`AGING_BOUND`] times is *starved* and takes
-    /// absolute priority (oldest starved first); otherwise FIFO dispatches
-    /// the oldest command and SPTF the one with the least `cost`, ties
-    /// broken by arrival order so the choice is deterministic. Every
+    /// absolute priority (oldest starved first); otherwise the one with the
+    /// least `cost` goes, ties broken by arrival order so the choice is
+    /// deterministic. Every
     /// command left behind ages by one skip.
     pub fn dispatch(&mut self, mut cost: impl FnMut(u64, u32) -> Ns) -> Option<Dispatch> {
         if self.pending.is_empty() {
@@ -224,15 +190,13 @@ impl CommandQueue {
             .filter(|(_, c)| c.skipped >= AGING_BOUND)
             .min_by_key(|(_, c)| c.seq)
             .map(|(i, _)| i);
-        let pick = starved.unwrap_or_else(|| match self.cfg.sched {
-            QueuePolicy::Fifo => self.oldest_index(),
-            QueuePolicy::Sptf => self
-                .pending
+        let pick = starved.unwrap_or_else(|| {
+            self.pending
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, c)| (cost(c.lba, c.blocks), c.seq))
                 .map(|(i, _)| i)
-                .unwrap_or(0),
+                .unwrap_or(0)
         });
         let cmd = self.pending.swap_remove(pick);
         let mut jumped = 0u32;
@@ -258,59 +222,28 @@ impl CommandQueue {
             .position(|c| c.lba == lba && c.write == write)?;
         Some(self.pending.swap_remove(at))
     }
-
-    /// Index of the oldest pending command.
-    fn oldest_index(&self) -> usize {
-        self.pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.seq)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg(depth: u32, sched: QueuePolicy) -> QueueConfig {
-        QueueConfig { depth, sched }
-    }
-
     #[test]
     fn admission_is_bounded_and_typed() {
-        let mut q = CommandQueue::new(cfg(2, QueuePolicy::Fifo));
-        assert_eq!(q.admit(Ns::ZERO, 1, 1, true), Ok(1));
-        assert_eq!(q.admit(Ns::ZERO, 2, 1, true), Ok(2));
-        assert_eq!(q.admit(Ns::ZERO, 3, 1, true), Err(QueueFull { depth: 2 }));
+        let mut q = CommandQueue::new(QueueConfig::depth(2));
+        assert_eq!(q.admit(1, 1, true), Ok(1));
+        assert_eq!(q.admit(2, 1, true), Ok(2));
+        assert_eq!(q.admit(3, 1, true), Err(QueueFull { depth: 2 }));
         assert_eq!(q.len(), 2, "a refused command leaves no residue");
         let _ = q.dispatch(|_, _| Ns::ZERO);
-        assert_eq!(
-            q.admit(Ns::ZERO, 3, 1, true),
-            Ok(2),
-            "dispatch frees a slot"
-        );
-    }
-
-    #[test]
-    fn fifo_dispatches_in_arrival_order() {
-        let mut q = CommandQueue::new(cfg(4, QueuePolicy::Fifo));
-        for lba in [9u64, 3, 7] {
-            q.admit(Ns::ZERO, lba, 1, false).unwrap();
-        }
-        // Cost function is ignored by FIFO.
-        let order: Vec<u64> = std::iter::from_fn(|| q.dispatch(|_, _| Ns::ZERO))
-            .map(|d| d.cmd.lba)
-            .collect();
-        assert_eq!(order, vec![9, 3, 7]);
+        assert_eq!(q.admit(3, 1, true), Ok(2), "dispatch frees a slot");
     }
 
     #[test]
     fn sptf_picks_cheapest_and_reports_jumps() {
-        let mut q = CommandQueue::new(cfg(4, QueuePolicy::Sptf));
+        let mut q = CommandQueue::new(QueueConfig::depth(4));
         for lba in [100u64, 5, 50] {
-            q.admit(Ns::ZERO, lba, 1, true).unwrap();
+            q.admit(lba, 1, true).unwrap();
         }
         let d = q.dispatch(|lba, _| Ns::from_ns(lba)).unwrap();
         assert_eq!(d.cmd.lba, 5);
@@ -322,22 +255,22 @@ mod tests {
 
     #[test]
     fn sptf_tie_breaks_by_arrival() {
-        let mut q = CommandQueue::new(cfg(4, QueuePolicy::Sptf));
+        let mut q = CommandQueue::new(QueueConfig::depth(4));
         for lba in [8u64, 4, 6] {
-            q.admit(Ns::ZERO, lba, 1, true).unwrap();
+            q.admit(lba, 1, true).unwrap();
         }
         let d = q.dispatch(|_, _| Ns::from_us(1)).unwrap();
-        assert_eq!(d.cmd.lba, 8, "equal costs fall back to FIFO");
+        assert_eq!(d.cmd.lba, 8, "equal costs fall back to arrival order");
     }
 
     #[test]
     fn aging_forces_a_starved_command_out() {
-        let mut q = CommandQueue::new(cfg(2, QueuePolicy::Sptf));
+        let mut q = CommandQueue::new(QueueConfig::depth(2));
         // A command SPTF would never pick while closer work keeps arriving.
-        q.admit(Ns::ZERO, 1_000_000, 1, true).unwrap();
+        q.admit(1_000_000, 1, true).unwrap();
         let mut dispatched = Vec::new();
         for round in 0..AGING_BOUND + 1 {
-            q.admit(Ns::ZERO, round as u64, 1, true).unwrap();
+            q.admit(round as u64, 1, true).unwrap();
             dispatched.push(q.dispatch(|lba, _| Ns::from_ns(lba)).unwrap().cmd.lba);
         }
         assert!(
@@ -349,10 +282,10 @@ mod tests {
 
     #[test]
     fn take_adjacent_matches_direction_and_lba() {
-        let mut q = CommandQueue::new(cfg(4, QueuePolicy::Sptf));
-        q.admit(Ns::ZERO, 10, 2, true).unwrap();
-        q.admit(Ns::ZERO, 12, 1, false).unwrap(); // adjacent but a read
-        q.admit(Ns::ZERO, 12, 1, true).unwrap(); // adjacent write
+        let mut q = CommandQueue::new(QueueConfig::depth(4));
+        q.admit(10, 2, true).unwrap();
+        q.admit(12, 1, false).unwrap(); // adjacent but a read
+        q.admit(12, 1, true).unwrap(); // adjacent write
         assert!(q.take_adjacent(11, true).is_none());
         let got = q.take_adjacent(12, true).unwrap();
         assert!(got.write);
@@ -366,9 +299,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "depth must be at least 1")]
     fn zero_depth_is_rejected() {
-        let _ = CommandQueue::new(QueueConfig {
-            depth: 0,
-            sched: QueuePolicy::Fifo,
-        });
+        let _ = CommandQueue::new(QueueConfig::depth(0));
     }
 }

@@ -6,7 +6,6 @@
 //! erases take milliseconds, and each block survives a bounded number of
 //! erase cycles (10 K MLC / 100 K SLC).
 
-use crate::queue::QueueConfig;
 use crate::time::Ns;
 use serde::{Deserialize, Serialize};
 
@@ -34,14 +33,6 @@ pub struct FlashConfig {
     pub idle_watts: f64,
     /// Additional power while busy in Watts.
     pub active_watts: f64,
-    /// Optional per-channel command queue. When set, block erases become
-    /// deferrable debt (up to `depth` per channel) that later reads and
-    /// programs overtake; the debt is paid in one background burst when the
-    /// channel's queue fills. `None` (the default) charges every operation
-    /// to the channel clock in emission order — bit-identical to the
-    /// pre-queue model.
-    #[serde(default)]
-    pub queue: Option<QueueConfig>,
 }
 
 impl FlashConfig {
@@ -73,7 +64,6 @@ impl FlashConfig {
             endurance: 100_000,
             idle_watts: 2.0,
             active_watts: 6.0,
-            queue: None,
         }
     }
 

@@ -102,14 +102,6 @@ impl SsdConfig {
 pub struct Ssd {
     ftl: Ftl,
     channel_busy: Vec<Ns>,
-    /// Deferred erase time per channel (queue mode only): erases queued
-    /// behind host traffic, paid when the channel's queue fills.
-    deferred: Vec<Ns>,
-    /// Count of deferred erases per channel (queue occupancy).
-    deferred_count: Vec<u32>,
-    /// Admission instant of each deferred erase per channel, so the burst
-    /// payment can record admission-to-completion latencies.
-    deferred_at: Vec<Vec<Ns>>,
     stats: DeviceStats,
     energy: EnergyMeter,
     /// Fault injection, absent by default (the common, zero-cost case).
@@ -126,9 +118,6 @@ impl Ssd {
         Ssd {
             ftl: Ftl::new(cfg.flash, cfg.capacity_pages),
             channel_busy: vec![Ns::ZERO; channels],
-            deferred: vec![Ns::ZERO; channels],
-            deferred_count: vec![0; channels],
-            deferred_at: vec![Vec::new(); channels],
             stats: DeviceStats::new(),
             energy,
             faults: None,
@@ -337,94 +326,22 @@ impl Ssd {
     }
 
     /// Charges a sequence of physical ops to their channels. Ops on the same
-    /// channel serialise; ops on different channels overlap. Returns
-    /// (queue delay, summed service time, completion instant).
-    ///
-    /// Without a configured [`QueueConfig`](crate::queue::QueueConfig) this
-    /// charges every op to its channel clock in emission order — the
-    /// pre-queue model, bit for bit. With one, erases are deferred per
-    /// channel (up to the queue depth) so host reads and programs overtake
-    /// them; the accumulated erase debt is paid in one background burst when
-    /// a channel's queue fills. Service totals (and therefore busy-time
-    /// statistics) are identical either way — only completion instants move.
+    /// channel serialise in emission order; ops on different channels
+    /// overlap. Returns (queue delay, summed service time, completion
+    /// instant).
     fn charge(&mut self, at: Ns, ops: &[FlashOp]) -> (Ns, Ns, Ns) {
-        let cfg = self.ftl.config().clone();
-        let Some(qcfg) = cfg.queue else {
-            let mut first_start: Option<Ns> = None;
-            let mut service_total = Ns::ZERO;
-            let mut done = at;
-            for op in ops {
-                let ch = op.channel(&cfg) as usize;
-                let start = at.max(self.channel_busy[ch]);
-                first_start.get_or_insert(start);
-                let latency = op.latency(&cfg);
-                self.channel_busy[ch] = start + latency;
-                service_total += latency;
-                done = done.max(self.channel_busy[ch]);
-            }
-            let queued = first_start.unwrap_or(at) - at;
-            return (queued, service_total, done);
-        };
+        let cfg = self.ftl.config();
         let mut first_start: Option<Ns> = None;
         let mut service_total = Ns::ZERO;
         let mut done = at;
         for op in ops {
-            let ch = op.channel(&cfg) as usize;
-            let latency = op.latency(&cfg);
-            match *op {
-                FlashOp::Erase { block } => {
-                    // Queue the erase as channel debt instead of stalling
-                    // the channel now; host traffic behind it overtakes.
-                    self.deferred[ch] += latency;
-                    self.deferred_count[ch] += 1;
-                    self.deferred_at[ch].push(at);
-                    service_total += latency;
-                    let depth = self.deferred_count[ch];
-                    self.stats.record_queue_admit(depth);
-                    self.tracer.emit(|| TraceEvent {
-                        at,
-                        kind: TraceKind::QueueAdmit {
-                            dev: 0,
-                            lba: block as u64,
-                            blocks: cfg.pages_per_block,
-                            depth,
-                        },
-                    });
-                    if depth >= qcfg.depth {
-                        // The queue is full: pay the whole debt in one
-                        // background burst on this channel.
-                        let start = at.max(self.channel_busy[ch]);
-                        self.channel_busy[ch] = start + self.deferred[ch];
-                        let completion = self.channel_busy[ch];
-                        for admitted in self.deferred_at[ch].drain(..) {
-                            self.stats.record_queue_latency(completion - admitted);
-                        }
-                        self.deferred[ch] = Ns::ZERO;
-                        self.deferred_count[ch] = 0;
-                    }
-                }
-                FlashOp::Read { ppn } | FlashOp::Program { ppn, .. } => {
-                    let jumped = self.deferred_count[ch];
-                    if jumped > 0 {
-                        // This op starts ahead of every erase queued on the
-                        // channel — the reordering the queue exists for.
-                        self.stats.record_queue_reorder();
-                        self.tracer.emit(|| TraceEvent {
-                            at,
-                            kind: TraceKind::QueueReorder {
-                                dev: 0,
-                                lba: ppn,
-                                jumped,
-                            },
-                        });
-                    }
-                    let start = at.max(self.channel_busy[ch]);
-                    first_start.get_or_insert(start);
-                    self.channel_busy[ch] = start + latency;
-                    service_total += latency;
-                    done = done.max(self.channel_busy[ch]);
-                }
-            }
+            let ch = op.channel(cfg) as usize;
+            let start = at.max(self.channel_busy[ch]);
+            first_start.get_or_insert(start);
+            let latency = op.latency(cfg);
+            self.channel_busy[ch] = start + latency;
+            service_total += latency;
+            done = done.max(self.channel_busy[ch]);
         }
         let queued = first_start.unwrap_or(at) - at;
         (queued, service_total, done)
@@ -578,64 +495,6 @@ mod tests {
         assert!(SsdError::Uncorrectable { lpn: 3 }
             .to_string()
             .contains("uncorrectable"));
-    }
-
-    /// The tight SSD with a per-channel erase queue of the given depth.
-    fn tight_ssd_with_queue(depth: u32) -> Ssd {
-        let mut cfg = SsdConfig {
-            capacity_pages: 160,
-            flash: flash::FlashConfig {
-                channels: 4,
-                pages_per_block: 8,
-                blocks: 32,
-                endurance: 100_000,
-                ..flash::FlashConfig::slc(1, 0.0)
-            },
-        };
-        cfg.flash.queue = Some(crate::queue::QueueConfig::depth(depth));
-        Ssd::new(cfg)
-    }
-
-    /// Replays the GC-heavy overwrite workload and returns the last
-    /// completion instant plus total completion slack across all writes.
-    fn grind(s: &mut Ssd) -> Ns {
-        for lpn in 0..150u64 {
-            s.write(Ns::ZERO, lpn).unwrap();
-        }
-        let mut rng = 42u64;
-        let mut last = Ns::ZERO;
-        for step in 0..3_000u64 {
-            let at = Ns::from_us(step);
-            last = last.max(s.write(at, xorshift(&mut rng) % 150).unwrap());
-        }
-        last
-    }
-
-    #[test]
-    fn queued_erases_defer_and_host_ops_overtake() {
-        let mut base = tight_ssd();
-        let base_last = grind(&mut base);
-        let mut q = tight_ssd_with_queue(4);
-        let q_last = grind(&mut q);
-        assert!(q.stats().queue_admits > 0, "GC erases should be queued");
-        assert!(q.stats().queue_reorders > 0, "host ops should overtake");
-        assert!(q.stats().queue_depth_max <= 4, "debt flushed at depth");
-        // Same physical work either way — only completion instants move.
-        assert_eq!(q.stats().busy, base.stats().busy);
-        assert_eq!(q.stats().writes, base.stats().writes);
-        assert!(
-            q_last <= base_last,
-            "deferring erases must not slow the host path: {q_last:?} vs {base_last:?}"
-        );
-        assert!(q.stats().queued < base.stats().queued);
-    }
-
-    #[test]
-    fn unqueued_ssd_reports_no_queue_activity() {
-        let mut s = tight_ssd();
-        grind(&mut s);
-        assert_eq!(s.stats().queue_admits, 0);
-        assert_eq!(s.stats().queue_reorders, 0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Per-device operation statistics.
 
-use crate::histogram::LatencyHistogram;
 use crate::time::Ns;
 use serde::{Deserialize, Serialize};
 
@@ -25,25 +24,6 @@ pub struct DeviceStats {
     pub busy: Ns,
     /// Total time requests waited in the device queue before service began.
     pub queued: Ns,
-    /// Commands admitted through the device command queue (zero while no
-    /// queue is configured — the default).
-    #[serde(default)]
-    pub queue_admits: u64,
-    /// Highest command-queue occupancy observed at admission.
-    #[serde(default)]
-    pub queue_depth_max: u64,
-    /// Commands dispatched out of arrival order by the queue scheduler.
-    #[serde(default)]
-    pub queue_reorders: u64,
-    /// Commands absorbed into an adjacent neighbor's sequential transfer.
-    #[serde(default)]
-    pub queue_coalesced: u64,
-    /// Tagged-command latency through this device's queue: admission to
-    /// completion, one sample per dispatched command. `None` while no queue
-    /// is configured (the default), so queue-free reports stay byte-
-    /// identical to the pre-queue serialization.
-    #[serde(default)]
-    pub queue_latency: Option<LatencyHistogram>,
 }
 
 impl DeviceStats {
@@ -74,30 +54,6 @@ impl DeviceStats {
         self.busy += service;
     }
 
-    /// Records a command-queue admission that left `depth` commands queued.
-    pub fn record_queue_admit(&mut self, depth: u32) {
-        self.queue_admits += 1;
-        self.queue_depth_max = self.queue_depth_max.max(depth as u64);
-    }
-
-    /// Records an out-of-arrival-order dispatch.
-    pub fn record_queue_reorder(&mut self) {
-        self.queue_reorders += 1;
-    }
-
-    /// Records `commands` being coalesced into a neighbor's transfer.
-    pub fn record_queue_coalesce(&mut self, commands: u32) {
-        self.queue_coalesced += commands as u64;
-    }
-
-    /// Records one tagged command's admission-to-completion latency through
-    /// the device queue, materializing the histogram on first use.
-    pub fn record_queue_latency(&mut self, latency: Ns) {
-        self.queue_latency
-            .get_or_insert_with(LatencyHistogram::new)
-            .record(latency);
-    }
-
     /// Total completed operations (reads + writes + erases).
     pub fn ops(&self) -> u64 {
         self.reads + self.writes + self.erases
@@ -121,15 +77,6 @@ impl DeviceStats {
         self.write_bytes += other.write_bytes;
         self.busy += other.busy;
         self.queued += other.queued;
-        self.queue_admits += other.queue_admits;
-        self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
-        self.queue_reorders += other.queue_reorders;
-        self.queue_coalesced += other.queue_coalesced;
-        if let Some(theirs) = &other.queue_latency {
-            self.queue_latency
-                .get_or_insert_with(LatencyHistogram::new)
-                .merge(theirs);
-        }
     }
 }
 
@@ -170,44 +117,5 @@ mod tests {
         assert_eq!(a.read_bytes, 100);
         assert_eq!(a.write_bytes, 200);
         assert_eq!(a.queued, Ns::from_us(2));
-    }
-
-    #[test]
-    fn queue_counters_accumulate_and_merge() {
-        let mut a = DeviceStats::new();
-        a.record_queue_admit(3);
-        a.record_queue_admit(7);
-        a.record_queue_reorder();
-        a.record_queue_coalesce(2);
-        assert_eq!(a.queue_admits, 2);
-        assert_eq!(a.queue_depth_max, 7);
-        let mut b = DeviceStats::new();
-        b.record_queue_admit(5);
-        b.record_queue_coalesce(4);
-        a.merge(&b);
-        assert_eq!(a.queue_admits, 3);
-        assert_eq!(a.queue_depth_max, 7, "high-water merges as max");
-        assert_eq!(a.queue_reorders, 1);
-        assert_eq!(a.queue_coalesced, 6);
-    }
-
-    #[test]
-    fn queue_latency_is_lazy_and_merges() {
-        let mut a = DeviceStats::new();
-        assert!(
-            a.queue_latency.is_none(),
-            "queue-free stats stay histogram-free"
-        );
-        a.record_queue_latency(Ns::from_us(10));
-        let mut b = DeviceStats::new();
-        b.record_queue_latency(Ns::from_us(30));
-        a.merge(&b);
-        let h = a.queue_latency.expect("merged histogram");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.mean(), Ns::from_us(20));
-        // Merging a histogram-free side leaves the other side intact.
-        let mut c = DeviceStats::new();
-        c.merge(&DeviceStats::new());
-        assert!(c.queue_latency.is_none());
     }
 }

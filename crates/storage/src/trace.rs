@@ -522,11 +522,11 @@ trace_kinds! {
             /// True for a write retry, false for a read retry.
             write: bool,
         },
-        /// A command was admitted into a device command queue.
+        /// A command was admitted into the HDD's command queue.
         QueueAdmit = "queue_admit" {
-            /// Device index: 0 = SSD, 1 + spindle index = HDD.
+            /// Device index: 1 + spindle index (the SSD, 0, has no queue).
             dev: u8,
-            /// First block (HDD) or erase-block id (SSD) of the command.
+            /// First block of the command.
             lba: u64,
             /// Command length in blocks.
             blocks: u32,
@@ -534,10 +534,10 @@ trace_kinds! {
             /// profile's mean/max queue-depth numbers are built from).
             depth: u32,
         },
-        /// A queued command was dispatched out of arrival order (HDD SPTF pick,
-        /// or an SSD read/program overtaking deferred erases on its channel).
+        /// A queued command was dispatched out of arrival order (an SPTF pick,
+        /// or a foreground command overtaking parked write-behind appends).
         QueueReorder = "queue_reorder" {
-            /// Device index: 0 = SSD, 1 + spindle index = HDD.
+            /// Device index: 1 + spindle index (the SSD, 0, has no queue).
             dev: u8,
             /// First block of the dispatched command.
             lba: u64,
@@ -547,7 +547,7 @@ trace_kinds! {
         /// LBA-adjacent queued commands were merged into one sequential media
         /// transfer.
         Coalesce = "coalesce" {
-            /// Device index: 0 = SSD, 1 + spindle index = HDD.
+            /// Device index: 1 + spindle index (the SSD, 0, has no queue).
             dev: u8,
             /// First block of the merged transfer.
             lba: u64,

@@ -209,21 +209,14 @@ fn queued(depth: Option<u32>) -> (Vec<Vec<BlockBuf>>, Vec<String>, Icash) {
     (payloads, jsonl, sys)
 }
 
-/// Queue absent (`None`, the default) ⇒ zero queue counters and no queue
-/// events. The queue keeps its `Option` instead of an identity value
-/// (DESIGN §15) because no setting reproduces "no queue": a depth-1 FIFO
-/// queue still counts and traces a `QueueAdmit` per parked append and per
-/// deferred erase; `write_behind` returns at its arrival instant, not at
-/// media completion; and a deferred SSD erase drops out of the completing
-/// write's instant.
+/// Queue absent (`None`, the default) ⇒ no queue events, the one record
+/// of queue activity. The queue keeps its `Option` instead of an identity
+/// value (DESIGN §15) because no setting reproduces "no queue": a depth-1
+/// queue still traces a `QueueAdmit` per parked append, and `write_behind`
+/// returns at its arrival instant, not at media completion.
 #[test]
 fn queue_off_counts_nothing_and_traces_nothing() {
-    let (_, trace, sys) = queued(None);
-    let report = sys.report(Ns::from_secs(1));
-    for device in [report.hdd, report.ssd] {
-        let d = device.expect("device stats");
-        assert_eq!(d.queue_admits + d.queue_reorders + d.queue_coalesced, 0);
-    }
+    let (_, trace, _) = queued(None);
     assert!(
         !trace.iter().any(|line| line.contains("\"queue_admit\"")
             || line.contains("\"queue_reorder\"")
@@ -238,7 +231,7 @@ fn queue_off_counts_nothing_and_traces_nothing() {
 #[test]
 fn queued_run_returns_identical_data_and_media_state() {
     let (plain, _, off) = queued(None);
-    let (data, _, on) = queued(Some(8));
+    let (data, trace, on) = queued(Some(8));
     assert_eq!(
         plain.len(),
         data.len(),
@@ -258,7 +251,7 @@ fn queued_run_returns_identical_data_and_media_state() {
         "coalescing can only merge write commands, never mint new ones"
     );
     assert!(
-        hdd_on.queue_admits > 0,
+        trace.iter().any(|l| l.contains("\"queue_admit\"")),
         "the flush cadence must have parked log appends in the write cache"
     );
 }

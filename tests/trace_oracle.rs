@@ -5,8 +5,9 @@
 //! run, and each total is diffed against the independently maintained
 //! statistics: host requests, SSD reads/programs/erases, HDD operations,
 //! injected faults, and (for I-CASH) the controller's delta/log/scrub
-//! counters; queue events, per device, through [`TraceProfile`]. Any drift
-//! between instrumentation and accounting fails here.
+//! counters. Any drift between instrumentation and accounting fails here.
+//! Queue events have no second count to reconcile: the [`TraceProfile`]
+//! is theirs, and a queued run must show the HDD queue at work in it.
 //!
 //! [`SystemReport`]: icash::storage::system::SystemReport
 //! [`TraceStats`]: icash::storage::trace::TraceStats
@@ -26,6 +27,7 @@ use icash::storage::trace::{TraceStats, Tracer};
 use icash::workloads::content::ContentModel;
 use icash::workloads::driver::{run_benchmark, DriverConfig};
 use icash::workloads::MixedWorkload;
+use std::sync::{Arc, Mutex};
 
 const DATA: u64 = 16 << 20;
 const SSD: u64 = 2 << 20;
@@ -228,13 +230,11 @@ fn icash_controller_counters_match_trace() {
     assert!(trace.scrubs > 0, "no scrubs exercised");
 }
 
-/// The queue-event totals, device by device: a queued fault-free I-CASH
-/// run's [`TraceProfile`] (the trace's one fold of queue events) must show
-/// exactly one `QueueAdmit` per admission each device counted, and agree
-/// with that device's report on reorders, coalesced commands and peak
-/// occupancy.
+/// A queued fault-free I-CASH run exercises the HDD's queue: its
+/// [`TraceProfile`], attached as the live sink and the one count of queue
+/// events, sees admissions, reorders and coalesced commands.
 #[test]
-fn icash_queue_counters_match_trace() {
+fn icash_queued_run_exercises_the_hdd_queue() {
     let mut cfg = IcashConfig::builder(SSD, RAM, 8 << 20)
         .scan_interval(50)
         .scan_window(64)
@@ -242,8 +242,8 @@ fn icash_queue_counters_match_trace() {
         .build();
     cfg.queue = Some(icash::storage::queue::QueueConfig::depth(8));
     let mut sys = Icash::new(cfg);
-    let (tracer, ring) = Tracer::ring(1 << 20);
-    sys.set_tracer(tracer);
+    let profile = Arc::new(Mutex::new(TraceProfile::default()));
+    sys.set_tracer(Tracer::to_sink(profile.clone()));
 
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
@@ -254,33 +254,9 @@ fn icash_queue_counters_match_trace() {
             .submit(&seeded_request(SEED, op, 4, t), &mut ctx)
             .finished;
     }
-    t = sys.flush(t, &mut ctx);
-    let report = sys.report(t);
+    sys.flush(t, &mut ctx);
     drop(sys);
-    let ring = ring.lock().expect("ring sink");
-    assert_eq!(ring.dropped(), 0, "ring must hold the whole event stream");
-    let profile = TraceProfile::from_events(ring.events());
-
-    for (name, q, d) in [
-        ("SSD", &profile.ssd_queue, report.ssd.expect("ssd stats")),
-        ("HDD", &profile.hdd_queue, report.hdd.expect("hdd stats")),
-    ] {
-        let traced = (q.admits, q.reorders, q.coalesced_commands, q.depth_max);
-        let counted = (
-            d.queue_admits,
-            d.queue_reorders,
-            d.queue_coalesced,
-            d.queue_depth_max,
-        );
-        assert_eq!(
-            traced, counted,
-            "{name}: admits, reorders, coalesced, peak depth"
-        );
-    }
-    // The run must actually have exercised the queue machinery, or the
-    // equalities above are vacuous. Its flash never collects garbage, so
-    // only the HDD queue sees commands.
-    let hdd = &profile.hdd_queue;
+    let hdd = profile.lock().expect("profile sink").hdd_queue.clone();
     assert!(hdd.admits > 0, "no admissions exercised");
     assert!(hdd.reorders > 0, "no reorders exercised");
     assert!(hdd.coalesced_commands > 0, "no coalescing exercised");
