@@ -162,11 +162,10 @@ impl RunSummary {
         let dev = |d: &Option<icash_storage::stats::DeviceStats>| match d {
             None => "null".to_string(),
             Some(d) => format!(
-                "{{\"reads\":{},\"writes\":{},\"erases\":{},\"read_bytes\":{},\
+                "{{\"reads\":{},\"writes\":{},\"read_bytes\":{},\
                  \"write_bytes\":{},\"busy\":{},\"queued\":{}}}",
                 d.reads,
                 d.writes,
-                d.erases,
                 d.read_bytes,
                 d.write_bytes,
                 d.busy.as_ns(),

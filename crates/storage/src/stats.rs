@@ -7,15 +7,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// Every device model updates one of these as it services operations; the
 /// evaluation harness reads them to reproduce Table 6 (SSD write counts) and
-/// the utilization figures.
+/// the utilization figures. Flash erases are the FTL's to count
+/// ([`GcStats::erases`](crate::ssd::ftl::GcStats::erases)).
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceStats {
     /// Completed read operations.
     pub reads: u64,
     /// Completed write (program) operations.
     pub writes: u64,
-    /// Erase operations (flash only).
-    pub erases: u64,
     /// Bytes transferred by reads.
     pub read_bytes: u64,
     /// Bytes transferred by writes.
@@ -48,15 +47,9 @@ impl DeviceStats {
         self.busy += service;
     }
 
-    /// Records an erase that took `service`.
-    pub fn record_erase(&mut self, service: Ns) {
-        self.erases += 1;
-        self.busy += service;
-    }
-
-    /// Total completed operations (reads + writes + erases).
+    /// Total completed operations (reads + writes).
     pub fn ops(&self) -> u64 {
-        self.reads + self.writes + self.erases
+        self.reads + self.writes
     }
 
     /// Device utilization over an elapsed span (clamped to 1.0).
@@ -72,7 +65,6 @@ impl DeviceStats {
     pub fn merge(&mut self, other: &DeviceStats) {
         self.reads += other.reads;
         self.writes += other.writes;
-        self.erases += other.erases;
         self.read_bytes += other.read_bytes;
         self.write_bytes += other.write_bytes;
         self.busy += other.busy;
@@ -89,11 +81,10 @@ mod tests {
         let mut s = DeviceStats::new();
         s.record_read(4096, Ns::from_us(1), Ns::from_us(25));
         s.record_write(4096, Ns::ZERO, Ns::from_us(200));
-        s.record_erase(Ns::from_ms(2));
-        assert_eq!(s.ops(), 3);
+        assert_eq!(s.ops(), 2);
         assert_eq!(s.read_bytes, 4096);
         assert_eq!(s.write_bytes, 4096);
-        assert_eq!(s.busy, Ns::from_us(25) + Ns::from_us(200) + Ns::from_ms(2));
+        assert_eq!(s.busy, Ns::from_us(25) + Ns::from_us(200));
     }
 
     #[test]
