@@ -34,7 +34,7 @@ use icash_core::{Icash, IcashConfig};
 use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
 use icash_storage::queue::QueueConfig;
-use icash_storage::shard::{merge_streams, stripes, universe_share};
+use icash_storage::shard::{stripes, universe_share};
 use icash_storage::system::SystemReport;
 use icash_storage::time::Ns;
 use icash_workloads::content::ContentModel;
@@ -89,9 +89,8 @@ pub struct ScaleCell {
     pub per_shard: Vec<RunSummary>,
     /// The shard-merged aggregate ([`RunSummary::merge_shards`]).
     pub merged: RunSummary,
-    /// Shard ids ordered by `(virtual finish time, shard id)` — the
-    /// deterministic shard-clock merge ([`merge_streams`]). The last entry
-    /// is the straggler that bounds the cell's virtual time.
+    /// Shard ids ordered by `(virtual finish time, shard id)`. The last
+    /// entry is the straggler that bounds the cell's virtual time.
     pub finish_order: Vec<u32>,
     /// Host time for the whole cell (partition + parallel replay). Pure
     /// instrumentation: excluded from [`ScaleCell::to_json`].
@@ -201,14 +200,9 @@ fn run_cell(
         .collect();
     let per_shard = run_jobs(cfg.workers(), jobs);
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
-    // The deterministic shard-clock merge: one (finish time, shard) event
-    // per shard, ordered by time with ties broken by shard id.
-    let streams: Vec<Vec<(Ns, u32)>> = per_shard
-        .iter()
-        .enumerate()
-        .map(|(shard, s)| vec![(s.elapsed, shard as u32)])
-        .collect();
-    let finish_order: Vec<u32> = merge_streams(streams).into_iter().map(|(_, s)| s).collect();
+    // Shards by finish time, ties broken by shard id.
+    let mut finish_order: Vec<u32> = (0..shards).collect();
+    finish_order.sort_by_key(|&shard| (per_shard[shard as usize].elapsed, shard));
     let merged = RunSummary::merge_shards(&per_shard);
     ScaleCell {
         shards,

@@ -36,8 +36,8 @@
 //!   property suites check every read against.
 //! * [`shard`] — the sharded multi-controller engine:
 //!   [`shard::ShardRouter`] stripes the block space across N independent
-//!   shards behind one `StorageSystem` facade, with per-shard virtual
-//!   clocks merged deterministically ([`shard::merge_streams`]).
+//!   shards behind one `StorageSystem` facade, each shard on its own
+//!   virtual clock.
 //! * [`trace`] — the deterministic, virtual-time-stamped structured event
 //!   layer ([`trace::Tracer`] / [`trace::TraceSink`]); zero-cost when
 //!   disabled, an oracle for the aggregate counters when enabled.

@@ -20,10 +20,9 @@
 //!   [`universe_share`]). The router and the bench's scale campaign both
 //!   stripe through these two functions.
 //! * **Per-shard virtual clocks** never interact inside the router; a
-//!   request's completion is the max over its sub-completions, and
-//!   per-shard event streams are merged with a min-heap ordered by
-//!   `(virtual time, shard id)` ([`merge_streams`]) — the same tie-break
-//!   the harness uses for cell-level determinism.
+//!   request's completion is the max over its sub-completions. Every
+//!   shard traces through the one tracer tagged with its index, so a
+//!   sharded trace is one stream in emission order, split by tag.
 //! * **A barrier reaches every shard**: the router hands out its own
 //!   tickets, one per written block, and its `await_flush` / `sync` is a
 //!   `sync` of every shard, whatever the router's watermark says
@@ -42,8 +41,6 @@ use crate::request::{BlockError, Completion, Op, Request};
 use crate::system::{IoCtx, StorageSystem, SystemReport};
 use crate::time::Ns;
 use crate::trace::Tracer;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// The shard owning an outer block address (round-robin striping).
@@ -91,32 +88,6 @@ pub fn universe_share(universe: &[(u8, u64)], shards: u32, shard: u32) -> Vec<(u
                 .map(|(.., count)| (vm, count))
         })
         .collect()
-}
-
-/// Merges per-shard `(virtual time, item)` streams into one globally
-/// ordered stream with a min-heap over the head of each stream, ties
-/// broken by shard id. Each input stream must already be sorted by time
-/// (true of anything a single shard's clock produced); equal-time items
-/// from one shard keep their relative order.
-pub fn merge_streams<T>(streams: Vec<Vec<(Ns, T)>>) -> Vec<(Ns, T)> {
-    let total = streams.iter().map(Vec::len).sum();
-    let mut iters: Vec<_> = streams.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(Ns, T)>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut heap: BinaryHeap<Reverse<(Ns, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(shard, head)| head.as_ref().map(|&(at, _)| Reverse((at, shard))))
-        .collect();
-    let mut merged = Vec::with_capacity(total);
-    while let Some(Reverse((_, shard))) = heap.pop() {
-        let (at, item) = heads[shard].take().expect("heap entry implies a head");
-        merged.push((at, item));
-        if let Some(next) = iters[shard].next() {
-            heap.push(Reverse((next.0, shard)));
-            heads[shard] = Some(next);
-        }
-    }
-    merged
 }
 
 /// N independent storage systems behind one [`StorageSystem`] facade.
@@ -538,25 +509,6 @@ mod tests {
         r.set_tracer(tracer);
         let tags: Vec<u32> = r.shards().iter().map(|s| s.shard_tag).collect();
         assert_eq!(tags, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn min_heap_merge_orders_by_time_then_shard() {
-        let streams = vec![
-            vec![(Ns::from_us(5), "a5"), (Ns::from_us(9), "a9")],
-            vec![(Ns::from_us(1), "b1"), (Ns::from_us(5), "b5")],
-            vec![(Ns::from_us(5), "c5")],
-        ];
-        let merged = merge_streams(streams);
-        let items: Vec<&str> = merged.iter().map(|&(_, s)| s).collect();
-        // Ties at t=5 resolve by shard id: a (0) before b (1) before c (2).
-        assert_eq!(items, vec!["b1", "a5", "b5", "c5", "a9"]);
-    }
-
-    #[test]
-    fn empty_streams_merge_to_nothing() {
-        let merged: Vec<(Ns, u8)> = merge_streams(vec![Vec::new(), Vec::new()]);
-        assert!(merged.is_empty());
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //!   back exactly, against an in-test oracle, with barriers (`sync`)
 //!   interleaved — the router's split/reassemble arithmetic and ticket
 //!   fan-out never lose a block.
-//! * **Per-shard trace oracle**: a sharded run's JSONL splits cleanly by
-//!   shard tag; every tag is in range, every per-shard stream parses, and
-//!   the deterministic min-heap merge ([`merge_streams`]) over the
-//!   time-sorted shard streams reassembles one globally time-ordered
-//!   timeline with nothing lost.
+//! * **Per-shard trace split**: a sharded run's JSONL splits cleanly by
+//!   shard tag; every tag is in range, every per-shard stream parses and
+//!   is non-empty, and the split loses no line.
 //! * **Per-shard health**: one shard's device death drives only that
 //!   shard's monitor.
 
@@ -28,7 +26,7 @@ use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
 use icash::storage::model::VersionModel;
 use icash::storage::request::Request;
-use icash::storage::shard::{merge_streams, ShardRouter};
+use icash::storage::shard::ShardRouter;
 use icash::storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
 use icash::storage::trace::{TraceSink, Tracer};
@@ -169,7 +167,7 @@ fn multi_shard_spans_read_back_exactly() {
 }
 
 #[test]
-fn sharded_trace_splits_cleanly_and_merges_in_time_order() {
+fn sharded_trace_splits_cleanly_by_shard_tag() {
     let width = 3u32;
     let mut sys = sharded(width);
     let (text, _report) = record(&mut sys);
@@ -180,27 +178,14 @@ fn sharded_trace_splits_cleanly_and_merges_in_time_order() {
         "a {width}-shard run must touch several shards, got {}",
         shards.len()
     );
-    let mut streams = Vec::new();
     let mut total = 0usize;
     for (shard, doc) in &shards {
         assert!(*shard < width, "shard tag {shard} out of range");
         let events = parse_jsonl(doc).expect("per-shard stream parses");
         assert!(!events.is_empty());
         total += events.len();
-        // Emission order is not timestamp order even unsharded (a device
-        // completion can be stamped past a later-emitted host event), so
-        // sort each shard's stream by its clock — stably, preserving the
-        // emission order of equal-time events — before the merge.
-        let mut stream: Vec<(Ns, ())> = events.into_iter().map(|e| (e.at, ())).collect();
-        stream.sort_by_key(|&(at, _)| at);
-        streams.push(stream);
     }
-    // The deterministic shard-clock merge rebuilds one global timeline.
-    let merged = merge_streams(streams);
-    assert_eq!(merged.len(), total);
-    for pair in merged.windows(2) {
-        assert!(pair[0].0 <= pair[1].0, "merged stream must be time-sorted");
-    }
+    assert_eq!(total, text.lines().count(), "the split lost no line");
 }
 
 #[test]
