@@ -391,7 +391,7 @@ impl Ftl {
     fn erase(&mut self, block: u32, ops: &mut Vec<FlashOp>) {
         ops.push(FlashOp::Erase { block });
         self.gc.erases += 1;
-        let retired = self.wear.record_erase(block);
+        let retired = self.wear.count_erase(block);
         let st = &mut self.blocks[block as usize];
         st.written = 0;
         st.valid = 0;

@@ -30,13 +30,13 @@ impl WearTracker {
         }
     }
 
-    /// Records an erase of `block`. Returns `true` if the block just reached
+    /// Counts an erase of `block`. Returns `true` if the block just reached
     /// its endurance limit and must be retired.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn record_erase(&mut self, block: u32) -> bool {
+    pub fn count_erase(&mut self, block: u32) -> bool {
         let c = &mut self.erase_counts[block as usize];
         *c += 1;
         if *c == self.endurance {
@@ -85,9 +85,9 @@ mod tests {
     #[test]
     fn erases_accumulate() {
         let mut w = WearTracker::new(4, 10);
-        assert!(!w.record_erase(0));
-        assert!(!w.record_erase(0));
-        assert!(!w.record_erase(1));
+        assert!(!w.count_erase(0));
+        assert!(!w.count_erase(0));
+        assert!(!w.count_erase(1));
         assert_eq!(w.total_erases(), 3);
         assert_eq!(w.max_erases(), 2);
         assert!((w.mean_erases() - 0.75).abs() < 1e-12);
@@ -96,12 +96,12 @@ mod tests {
     #[test]
     fn endurance_limit_retires_block() {
         let mut w = WearTracker::new(2, 3);
-        assert!(!w.record_erase(0));
-        assert!(!w.record_erase(0));
-        assert!(w.record_erase(0));
+        assert!(!w.count_erase(0));
+        assert!(!w.count_erase(0));
+        assert!(w.count_erase(0));
         assert_eq!(w.bad_blocks(), 1);
         // Further erases past the limit do not re-retire.
-        assert!(!w.record_erase(0));
+        assert!(!w.count_erase(0));
         assert_eq!(w.bad_blocks(), 1);
     }
 
@@ -109,7 +109,7 @@ mod tests {
     fn life_used_is_the_mean_share_of_endurance() {
         let mut w = WearTracker::new(2, 100);
         for _ in 0..50 {
-            w.record_erase(0);
+            w.count_erase(0);
         }
         assert!((w.life_used() - 0.25).abs() < 1e-12);
         let fresh = WearTracker::new(2, 100);
