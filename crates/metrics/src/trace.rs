@@ -150,8 +150,7 @@ pub struct TraceProfile {
     pub hdd_write_time: Ns,
     /// Recovery events (truncate + replay).
     pub recovery_events: u64,
-    /// Command-queue activity on the HDD (`dev` ≥ 1 in queue events; no
-    /// device emits `dev` 0).
+    /// Command-queue activity on the HDD, the one device with a queue.
     pub hdd_queue: QueueProfile,
 }
 
@@ -341,13 +340,9 @@ impl TraceSink for TraceProfile {
             TraceKind::RecoveryTruncate { .. } | TraceKind::RecoveryReplay { .. } => {
                 self.recovery_events += 1;
             }
-            TraceKind::QueueAdmit {
-                dev: 1.., depth, ..
-            } => self.hdd_queue.admit(depth),
-            TraceKind::QueueReorder { dev: 1.., .. } => self.hdd_queue.reorders += 1,
-            TraceKind::Coalesce {
-                dev: 1.., spans, ..
-            } => self.hdd_queue.coalesce(spans),
+            TraceKind::QueueAdmit { depth, .. } => self.hdd_queue.admit(depth),
+            TraceKind::QueueReorder { .. } => self.hdd_queue.reorders += 1,
+            TraceKind::Coalesce { spans, .. } => self.hdd_queue.coalesce(spans),
             _ => {}
         }
         self.stats.record(e);
@@ -466,11 +461,11 @@ mod tests {
 
     #[test]
     fn queue_events_build_the_hdd_section() {
-        let admit = |at, dev, depth| {
+        let admit = |at, depth| {
             e(
                 Ns::from_us(at),
                 TraceKind::QueueAdmit {
-                    dev,
+                    dev: 1,
                     lba: 70,
                     blocks: 1,
                     depth,
@@ -489,10 +484,8 @@ mod tests {
             )
         };
         let events = vec![
-            // No device emits `dev` 0: the profile leaves it out.
-            admit(1, 0, 7),
-            admit(2, 1, 2),
-            admit(3, 2, 4),
+            admit(2, 2),
+            admit(3, 4),
             e(
                 Ns::from_us(4),
                 TraceKind::QueueReorder {
