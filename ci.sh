@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate. Runs fully offline: all third-party deps are vendored under
-# crates/. `./ci.sh` is the merge gate (fmt, clippy, build, every test suite,
-# the repo benchmark's smoke run and unit tests); `./ci.sh <stage>` runs one
-# of the stages below, each of which announces what it checks as it goes. The
+# crates/. `./ci.sh` is the merge gate (fmt, clippy, rustdoc links, build,
+# every test suite, the repo benchmark's smoke run and unit tests);
+# `./ci.sh <stage>` runs one of the stages below, each of which announces
+# what it checks as it goes. The
 # gate is the only place a test suite runs at its own case counts: a stage
 # holds what `cargo test` does not — golden diffs of the campaign and ablation
 # rows, the trace pins, the sim fingerprints, the crash suites at 3 000 cases.
@@ -220,6 +221,9 @@ gate)
   run cargo clippy -q -p icash-core -p icash-storage -p icash-delta -p icash-workloads --no-deps -- \
     -D warnings -D clippy::unwrap_used
   lint_hashers
+  # Intra-doc links: a moved module or a deleted field must not leave a
+  # dangling or private link behind.
+  run env RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
   run cargo build --release
   run cargo test -q --workspace
   # The repo benchmark is a package of its own that path-depends on crates/*:

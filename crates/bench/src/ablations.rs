@@ -195,15 +195,18 @@ fn embedded_cpu(cfg: &RunConfig) -> String {
 /// synchronous encode → pack → flush cycle; deeper settings trade bounded
 /// staged-in-RAM exposure (recoverable through the ticket barrier API) for
 /// fewer, larger log appends, while the payload itself is conserved.
+/// Entries per commit come from the run's trace, the one count of group
+/// commits.
 fn group_commit(cfg: &RunConfig) -> String {
     let ablation = Ablation::sysbench(cfg);
     let depths = [1u64, 2, 4, 8, 16, 32, 64];
     let rows = rows(cfg, &depths, |&depth| {
-        let (s, system) = ablation.run(|b| b.group_commit_depth(depth), &ablation.driver());
+        let (s, system, profile) =
+            ablation.run_profiled(|b| b.group_commit_depth(depth), &ablation.driver());
         let st = system.stats();
         let hdd_writes = s.report.hdd.as_ref().map_or(0, |d| d.writes);
-        // Log appends that reached the HDD: `flushes` counts every drain
-        // of the dirty set, and a group commit is one append however many
+        // Log appends that reached the HDD: `flushes` counts appends, not
+        // flush triggers, and a group commit is one append however many
         // staged entries it carries.
         let log_appends = st.flushes;
         let per_kwrite = |count: u64| {
@@ -220,7 +223,7 @@ fn group_commit(cfg: &RunConfig) -> String {
             format!("{:.1}", per_kwrite(hdd_writes)),
             format!("{log_appends}"),
             format!("{:.1}", per_kwrite(log_appends)),
-            format!("{:.1}", st.entries_per_commit()),
+            format!("{:.1}", profile.stats.entries_per_commit()),
             format!("{}", st.staging_high_water),
         ]
     });
@@ -324,7 +327,7 @@ fn queue_sweep(cfg: &RunConfig, base: WorkloadSpec, workload: &str) -> String {
             Some(d) => b.queue(QueueConfig::depth(d)),
             None => b,
         };
-        let (s, profile) = ablation.run_profiled(queued, &ablation.driver());
+        let (s, _, profile) = ablation.run_profiled(queued, &ablation.driver());
         let hdd = s.report.hdd.clone().unwrap_or_default();
         vec![
             depth_name(depth),

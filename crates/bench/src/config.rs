@@ -170,7 +170,7 @@ impl Kind {
 /// Builds the run configuration from the environment's `(name, value)`
 /// pairs and the command-line arguments after the program name. Names
 /// outside `ICASH_*` are not the harness's; within it, every name must be a
-/// knob (or [`NOT_A_KNOB`]). Pure: the same inputs give the same result,
+/// knob (or `NOT_A_KNOB`). Pure: the same inputs give the same result,
 /// and every rejection names the variable and the offending value.
 pub fn parse(
     vars: impl IntoIterator<Item = (String, String)>,

@@ -75,7 +75,7 @@ impl SystemKind {
     ///
     /// With `shards > 1` the system is striped across that many
     /// independent controllers behind a [`ShardRouter`], each a complete
-    /// small system sized from [`slice_config`], so the aggregate hardware
+    /// small system sized from `slice_config`, so the aggregate hardware
     /// budget matches the unsharded build. At one shard this returns the
     /// bare (unwrapped) system — the golden fixtures stay untouched by
     /// construction.
@@ -338,17 +338,18 @@ impl Ablation {
     }
 
     /// [`run`](Self::run) with a [`TraceProfile`] folding every event the
-    /// controller emits; returns the summary and the profile.
+    /// controller emits; returns the summary, the controller and the
+    /// profile.
     pub fn run_profiled(
         &self,
         configure: impl FnOnce(IcashConfigBuilder) -> IcashConfigBuilder,
         driver: &DriverConfig,
-    ) -> (RunSummary, TraceProfile) {
+    ) -> (RunSummary, Icash, TraceProfile) {
         let profile = Arc::new(Mutex::new(TraceProfile::default()));
         let tracer = Tracer::to_sink(profile.clone());
-        let (summary, _) = self.replay_traced(self.player(), configure, driver, tracer);
+        let (summary, system) = self.replay_traced(self.player(), configure, driver, tracer);
         let profile = std::mem::take(&mut *profile.lock().expect("profile sink"));
-        (summary, profile)
+        (summary, system, profile)
     }
 
     fn replay_traced(

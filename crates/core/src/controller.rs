@@ -247,10 +247,6 @@ impl Icash {
     #[doc(hidden)]
     pub fn debug_validate(&self) {
         self.volatile.table.validate();
-        assert!(
-            self.volatile.staging.live() as u64 <= self.stats.staged_entries,
-            "live staged entries cannot exceed the stage count"
-        );
 
         // One owner per pinned slot: a table entry, an eviction record, or a
         // release awaiting the next log commit.
@@ -425,10 +421,9 @@ impl Icash {
         }
     }
 
-    /// Counts one controller-level retry of a faulted device op and mirrors
-    /// it into the trace (the oracle diffs the two).
+    /// Traces one controller-level retry of a faulted device op: the trace
+    /// is its one count.
     pub(crate) fn note_retry(&mut self, at: Ns, addr: u64, write: bool) {
-        self.stats.fault_retries += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::FaultRetry { lba: addr, write },
@@ -575,10 +570,8 @@ impl Icash {
         let now = now.max(self.durable.array.hdd_mut().flush_cache(now));
         let waited = !self.volatile.staging.progress.is_completed(ticket);
         let t = if waited {
-            self.stats.barrier_waits += 1;
             self.shutdown_flush(now)
         } else {
-            self.stats.barrier_noops += 1;
             self.durable.log.seal();
             now
         };

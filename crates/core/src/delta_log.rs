@@ -256,6 +256,9 @@ pub struct DeltaLog {
     superseded: Vec<(u32, Lba)>,
     /// Payload bytes the log's entries hold.
     held_bytes: u64,
+    /// Cleans run ([`DeltaLog::clean`]): a change means every location
+    /// may have moved.
+    cleans: u64,
 }
 
 impl DeltaLog {
@@ -276,6 +279,7 @@ impl DeltaLog {
             stale_held: AddrMap::default(),
             superseded: Vec::new(),
             held_bytes: 0,
+            cleans: 0,
         }
     }
 
@@ -310,6 +314,13 @@ impl DeltaLog {
     /// Payload bytes the log's entries still hold (released ones hold none).
     pub fn held_payload_bytes(&self) -> u64 {
         self.held_bytes
+    }
+
+    /// How many times [`DeltaLog::clean`] has run, the one step that
+    /// renumbers log locations: a location read before a change in this
+    /// count may name another entry after it.
+    pub fn cleans(&self) -> u64 {
+        self.cleans
     }
 
     /// Packs `entries` into as few 4 KB blocks as possible and appends them.
@@ -570,6 +581,7 @@ impl DeltaLog {
     /// many blocks). A clean is copy-then-switch — a crash in the middle
     /// leaves the old log — so it leaves no append a crash can tear.
     pub fn clean(&mut self, live: impl Fn(Lba, u32) -> bool) -> (AddrMap<Lba, u32>, u64) {
+        self.cleans += 1;
         let old_blocks = std::mem::take(&mut self.blocks);
         self.stale.clear();
         self.total_entries = 0;
@@ -775,6 +787,24 @@ mod tests {
         assert!(locs.is_empty());
         assert_eq!(blocks, 0);
         assert_eq!(log.len_blocks(), 0);
+    }
+
+    /// A clean is the one step that renumbers locations, and each one counts
+    /// once: on an empty log, on a live one and on an all-dead one.
+    /// Appending, sealing and marking stale leave the count alone.
+    #[test]
+    fn each_clean_counts_once() {
+        let mut log = DeltaLog::new(100);
+        log.clean(|_, _| true);
+        assert_eq!(log.cleans(), 1, "an empty log");
+        let report = log.append(vec![entry(1, 100), entry(2, 100)]);
+        log.seal();
+        log.mark_stale(report.entry_locs[0], Lba::new(1));
+        assert_eq!(log.cleans(), 1, "append, seal and mark_stale");
+        log.clean(|lba, _| lba == Lba::new(2));
+        assert_eq!(log.cleans(), 2, "a live log");
+        log.clean(|_, _| false);
+        assert_eq!(log.cleans(), 3, "an all-dead log");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * **Online rebuild** — [`Icash::replace_ssd`] swaps in a fresh device
 //!   and, for a `Failed` one, starts a rate-limited task that repopulates
 //!   every SSD slot from its HDD home copy under live traffic
-//!   ([`Icash::rebuild_tick`], run from the per-I/O maintenance hook).
+//!   (`Icash::rebuild_tick`, run from the per-I/O maintenance hook).
 //!   Reads of not-yet-rebuilt slots stay on the degraded path.
 //! * **Retry backoff** — with a nonzero `retry_base_ns`, retries wait out
 //!   budgeted exponential backoff with seeded jitter (deterministic: the
@@ -293,7 +293,7 @@ impl Icash {
 
     /// Replaces the SSD with a fresh device. If the monitor had declared
     /// the old one `Failed`, this starts the online rebuild: a rate-limited
-    /// background task ([`Icash::rebuild_tick`]) repopulates every
+    /// background task (`Icash::rebuild_tick`) repopulates every
     /// directory-tracked slot from its HDD home copy under live traffic,
     /// and until a slot is rebuilt, reads of it stay on the degraded
     /// (home-copy) path. Otherwise (an inert policy never fails a device)
@@ -350,7 +350,6 @@ impl Icash {
             task.done += batch.len() as u64;
             let (slots, done, total) = (batch.len() as u32, task.done, task.total);
             self.stats.rebuild_chunks += 1;
-            self.stats.rebuilt_slots += u64::from(slots);
             self.durable.array.tracer().emit(|| TraceEvent {
                 at: t,
                 kind: TraceKind::RebuildChunk { slots, done, total },

@@ -147,7 +147,6 @@ impl Icash {
         for entry in entries {
             let (lba, bytes) = (entry.lba, entry.payload_len() as u32);
             self.volatile.staging.push(lba, entry, ticket);
-            self.stats.staged_entries += 1;
             self.durable.array.tracer().emit(|| TraceEvent {
                 at: now,
                 kind: TraceKind::StageEnter {
@@ -331,8 +330,8 @@ impl Icash {
     /// home from [`Staged`](DeltaHome::Staged) to the log block it landed
     /// in, completes `watermark` and cleans the log when it is nearly full.
     /// `group` is the payload bytes of a staging buffer's worth of entries:
-    /// the commit is counted and traced as a group commit. Returns the
-    /// write completion instant.
+    /// the commit is traced as a group commit. Returns the write completion
+    /// instant.
     fn commit(
         &mut self,
         now: Ns,
@@ -367,9 +366,6 @@ impl Icash {
             }
         }
         if let Some(bytes) = group {
-            self.stats.group_commits += 1;
-            self.stats.group_commit_entries += n_entries as u64;
-            self.stats.group_commit_bytes += bytes;
             let bytes = bytes.min(u32::MAX as u64) as u32;
             self.durable.array.tracer().emit(|| TraceEvent {
                 at: t,
@@ -470,7 +466,6 @@ impl Icash {
         for (lba, placement) in self.volatile.evicted.iter_mut() {
             relocate(lba, placement);
         }
-        self.stats.log_cleans += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
             at: now,
             kind: TraceKind::LogClean,
@@ -493,7 +488,6 @@ impl Icash {
     /// repair unreadable ones from their HDD home copies before the host
     /// trips over them.
     pub fn scrub(&mut self, now: Ns, ctx: &mut IoCtx<'_>) -> Ns {
-        self.stats.scrubs += 1;
         let slots = self.durable.slots.pinned_sorted();
         let scanned = slots.len() as u32;
         let (mut repaired, mut failed) = (0u32, 0u32);
@@ -511,10 +505,8 @@ impl Icash {
                     let (t2, res) = self.repair_slot(lba, slot, t, ctx);
                     t = t2;
                     if res.is_ok() {
-                        self.stats.scrub_repairs += 1;
                         repaired += 1;
                     } else {
-                        self.stats.scrub_failures += 1;
                         failed += 1;
                     }
                 }
@@ -1310,7 +1302,7 @@ pub(crate) mod tests {
         }
         let t = sys.sync(Ns::ZERO, &mut ctx);
         sys.debug_validate();
-        assert!(sys.stats().log_cleans > 0);
+        assert!(sys.durable.log.cleans() > 0);
         let home = (0..REFS)
             .filter(|&lba| {
                 let id = sys.volatile.table.lookup(Lba::new(lba)).expect("tracked");

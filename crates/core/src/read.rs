@@ -331,7 +331,6 @@ impl Icash {
             Ok(t) => t,
             Err(_) => return (t, Err(IoErrorKind::SsdMedia)),
         };
-        self.stats.slot_repairs += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
             at: t,
             kind: TraceKind::SlotRepair { slot, ok: true },
@@ -393,7 +392,7 @@ impl Icash {
         for (n, l) in fetched.iter_mut().zip(loc..loc + span) {
             *n = self.durable.log.fetch(l).entries.len();
         }
-        let cleans = self.stats.log_cleans;
+        let cleans = self.durable.log.cleans();
         for (l, &entries) in (loc..loc + span).zip(&fetched) {
             for i in 0..entries {
                 // Installing can flush, and flushing can clean the log,
@@ -402,7 +401,7 @@ impl Icash {
                 // location and install an old delta as current (and `l`
                 // may not exist any more). Only the optional prefetches are
                 // lost by stopping.
-                if self.stats.log_cleans != cleans {
+                if self.durable.log.cleans() != cleans {
                     return;
                 }
                 let entry_lba = self.durable.log.fetch(l).entries[i].lba;
@@ -538,9 +537,9 @@ pub(crate) mod tests {
                         .map(move |e| (l, e.lba, e.payload_len()))
                 })
                 .collect();
-            let cleans = self.stats.log_cleans;
+            let cleans = self.durable.log.cleans();
             for (loc, entry_lba, len) in entries {
-                if self.stats.log_cleans != cleans {
+                if self.durable.log.cleans() != cleans {
                     break;
                 }
                 let target = match self.volatile.table.lookup(entry_lba) {
@@ -792,6 +791,7 @@ pub(crate) mod tests {
                 oracle.with(|w| w.set(*routed));
                 let mut ctx = IoCtx::verifying(backing, cpu);
                 let before = sys.stats();
+                let cleans = sys.durable.log.cleans();
                 let hdd_before = sys.durable.array.hdd().stats().clone();
                 let done = match *op {
                     SysOp::Write { lba, tag, family } => {
@@ -829,7 +829,7 @@ pub(crate) mod tests {
                 if !*routed
                     && reading
                     && after.log_fetches > before.log_fetches
-                    && after.log_cleans > before.log_cleans
+                    && sys.durable.log.cleans() > cleans
                 {
                     cleaned_inside += 1;
                 }
@@ -1116,9 +1116,9 @@ pub(crate) mod tests {
         sys.durable
             .slots
             .install(Lba::new(0), slot, BlockBuf::filled(0x5A));
-        let cleans = sys.stats().log_cleans;
+        let cleans = sys.durable.log.cleans();
         sys.clean_log(Ns::ZERO);
-        assert_eq!(sys.stats().log_cleans - cleans, 1);
+        assert_eq!(sys.durable.log.cleans() - cleans, 1);
         assert_ne!(sys.volatile.table.get(id).placement.delta_home(), logged);
 
         ctx.collect_data = true;

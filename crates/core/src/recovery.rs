@@ -291,6 +291,7 @@ mod tests {
     #[test]
     fn torn_group_commit_replays_to_the_last_complete_entry() {
         use icash_storage::fault::FaultPlan;
+        use icash_storage::trace::Tracer;
         let cfg = IcashConfig::builder(1 << 20, 256 << 10, 8 << 20)
             .scan_interval(50)
             .scan_window(64)
@@ -299,6 +300,8 @@ mod tests {
             .group_commit_depth(8)
             .build();
         let mut sys = Icash::new(cfg).with_fault_plan(FaultPlan::seeded(11).torn_writes());
+        let (tracer, counts) = Tracer::counting();
+        sys.set_tracer(tracer);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
         let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -311,7 +314,7 @@ mod tests {
         let mut versions: std::collections::HashMap<u64, Vec<BlockBuf>> =
             std::collections::HashMap::new();
         let mut i = 0u64;
-        while sys.stats().group_commits == 0 {
+        while counts.lock().expect("counting sink").group_commits == 0 {
             // (Bounded: a pipeline that never commits would otherwise loop,
             // keeping every version, until the host runs out of memory.)
             assert!(i < 10_000, "no group commit after {i} writes");

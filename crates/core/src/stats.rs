@@ -37,30 +37,19 @@ pub struct IcashStats {
     pub binds: u64,
     /// Scan phases executed.
     pub scans: u64,
-    /// Flush phases executed.
+    /// Appends to the HDD log, one sequential write each: a flush's batch
+    /// or a group commit. Not flush triggers: one that only stages (or
+    /// whose whole batch went home) appends nothing.
     pub flushes: u64,
     /// Packed delta blocks written to the HDD log.
     pub log_blocks_written: u64,
-    /// Log cleaner passes.
-    pub log_cleans: u64,
     /// Current virtual blocks by role: (references, associates, independents).
     pub role_counts: (u64, u64, u64),
-    /// Device operations retried after a media error.
-    pub fault_retries: u64,
-    /// SSD slots rebuilt from their HDD home copy after an uncorrectable
-    /// read (by the read path or the scrubber).
-    pub slot_repairs: u64,
     /// Reads reported failed to the host: retry and repair both exhausted.
     pub unrecoverable_reads: u64,
     /// Writes that fell back to a degraded path (e.g. an SSD slot write
     /// failed and the block was stored as a log-resident independent).
     pub degraded_writes: u64,
-    /// Background scrub passes over the SSD slot directory.
-    pub scrubs: u64,
-    /// Slot repairs performed by the scrubber specifically.
-    pub scrub_repairs: u64,
-    /// Bad slots the scrubber could not repair (left for the read path).
-    pub scrub_failures: u64,
     /// Log frames dropped at recovery because a torn write (or a corrupt
     /// frame) made them unverifiable.
     pub torn_frames_dropped: u64,
@@ -70,23 +59,8 @@ pub struct IcashStats {
     /// Log entries dropped from the tail of a *torn* multi-entry frame at
     /// recovery (the frame replayed up to its last complete entry).
     pub torn_entries_dropped: u64,
-    /// Encoded deltas that entered the staging buffer (group commit
-    /// pending). Zero at `group_commit_depth = 1`: there a flush commits
-    /// its batch at once, without the buffer.
-    pub staged_entries: u64,
-    /// Group commits draining the staging buffer into one sequential
-    /// multi-entry log append.
-    pub group_commits: u64,
-    /// Staged entries drained by those commits.
-    pub group_commit_entries: u64,
-    /// Encoded payload bytes drained by those commits.
-    pub group_commit_bytes: u64,
     /// High-water mark of buffered staging bytes.
     pub staging_high_water: u64,
-    /// Durability barriers (`await_flush`/`sync`) that had to flush.
-    pub barrier_waits: u64,
-    /// Durability barriers already satisfied by the completed watermark.
-    pub barrier_noops: u64,
     /// Device health-state transitions (both devices).
     pub health_transitions: u64,
     /// Reads served from the HDD home copy because the SSD was failed (or
@@ -100,19 +74,6 @@ pub struct IcashStats {
     pub retry_backoffs: u64,
     /// Online-rebuild chunks processed after a device replacement.
     pub rebuild_chunks: u64,
-    /// SSD slots repopulated by the online rebuild.
-    pub rebuilt_slots: u64,
-}
-
-impl IcashStats {
-    /// Staged entries amortized per group commit (0 when none ran).
-    pub fn entries_per_commit(&self) -> f64 {
-        if self.group_commits == 0 {
-            0.0
-        } else {
-            self.group_commit_entries as f64 / self.group_commits as f64
-        }
-    }
 }
 
 impl IcashStats {

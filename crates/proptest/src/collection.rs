@@ -12,7 +12,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -114,7 +114,7 @@ impl Crc32 {
     /// Absorbs `bytes` into the running checksum.
     ///
     /// One state is one chain of table loads, a word at a time. From two
-    /// braid blocks up, [`BRAIDS`] states run instead (zlib's braided CRC):
+    /// braid blocks up, `BRAIDS` states run instead (zlib's braided CRC):
     /// braid `i` takes word `i` of every block, each state pushed past the
     /// other braids' words as it goes, so the chains do not wait on each
     /// other. The last block folds them back into one state in word order.

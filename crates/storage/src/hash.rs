@@ -1,7 +1,7 @@
 //! The one hasher for maps keyed by a block address or an internal id.
 //!
 //! Every such key is a single integer the simulator itself produced — an
-//! [`Lba`](crate::block::Lba), a slot number, a slab index — so std's
+//! [`Lba`], a slot number, a slab index — so std's
 //! SipHash buys nothing (nobody crafts these keys: even a replayed trace's
 //! addresses come from a file the operator chose to run) and costs several
 //! dozen cycles on every lookup. Keys that arrive from an untrusted party keep

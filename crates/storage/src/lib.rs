@@ -4,7 +4,7 @@
 //! the I-CASH reproduction (Ren & Yang, HPCA 2011):
 //!
 //! * [`time`] — deterministic virtual-time clock ([`time::Ns`]).
-//! * [`array`] — the [`array::DeviceArray`] service layer owning each
+//! * [`mod@array`] — the [`array::DeviceArray`] service layer owning each
 //!   system's devices and their shared accounting.
 //! * [`block`] — 4 KB block addressing and content buffers.
 //! * [`request`] — host block I/O requests and completions.
@@ -17,8 +17,6 @@
 //! * [`hash`] — the integer hasher behind every address- or id-keyed map
 //!   ([`hash::AddrMap`] / [`hash::AddrSet`]), and [`hash::AddrPages`], the
 //!   address map filed by pages of neighbouring addresses.
-//! * [`histogram`] — log-bucketed latency histograms
-//!   ([`histogram::LatencyHistogram`]).
 //! * [`lru`] — the workspace's single LRU implementation ([`lru::StampLine`]
 //!   and the keyed [`lru::LruMap`] built on it), shared by the controller,
 //!   the baselines and the workload driver.
@@ -77,7 +75,6 @@ pub mod energy;
 pub mod fault;
 pub mod hash;
 pub mod hdd;
-pub mod histogram;
 pub mod lru;
 pub mod model;
 pub mod pipeline;
@@ -93,7 +90,6 @@ pub mod trace;
 pub use array::DeviceArray;
 pub use block::{BlockBuf, Lba, BLOCK_SIZE};
 pub use fault::{FaultPlan, FaultStats, FaultTrigger};
-pub use histogram::LatencyHistogram;
 pub use pipeline::{FlushProgress, Ticket, WriteThrough};
 pub use queue::{CommandQueue, QueueConfig, QueueFull};
 pub use request::{BlockError, Completion, IoErrorKind, Op, Request};

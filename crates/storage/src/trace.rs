@@ -56,8 +56,8 @@ pub enum FaultKind {
     /// An SSD page read was uncorrectable (base rate or trigger).
     SsdRead,
     /// The wear-out term of an uncorrectable SSD read (also counted as
-    /// [`FaultKind::SsdRead`] in [`FaultStats`], so it is emitted as a
-    /// second event alongside one `SsdRead` event).
+    /// [`FaultKind::SsdRead`] in [`FaultStats`](crate::fault::FaultStats),
+    /// so it is emitted as a second event alongside one `SsdRead` event).
     Wearout,
     /// A bad sector/page was cleared by a successful rewrite (drive remap).
     Remap,
@@ -687,8 +687,11 @@ impl TraceSink for RingSink {
     }
 }
 
-/// A counting-only sink: no event storage, just the totals the trace-oracle
-/// tests diff against `SystemReport`/`RunSummary`/`IcashStats` fields.
+/// A counting-only sink: no event storage, just totals. The trace-oracle
+/// tests diff the device and host counts against `SystemReport`,
+/// `RunSummary` and `IcashStats`; the controller's pipeline and resilience
+/// events (staging, group commits, barriers, log cleans, scrubs, repairs,
+/// retries, rebuilt slots) are counted here and nowhere else.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceStats {
     /// Host request spans opened.
@@ -788,6 +791,17 @@ pub struct TraceStats {
     /// Open-loop arrivals that waited at all.
     pub open_loop_waits: u64,
     open_span: Option<Ns>,
+}
+
+impl TraceStats {
+    /// Staged entries amortized per group commit (0 when none ran).
+    pub fn entries_per_commit(&self) -> f64 {
+        if self.group_commits == 0 {
+            0.0
+        } else {
+            self.group_commit_entries as f64 / self.group_commits as f64
+        }
+    }
 }
 
 impl TraceSink for TraceStats {

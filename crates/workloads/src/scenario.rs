@@ -13,7 +13,7 @@
 //!   becomes a real, measured quantity
 //!   (emitted as `OpenLoopArrival` trace events).
 //! * **Tenant-churn storms** — [`ChurnStorm`] scales
-//!   [`MultiVm`](crate::vm::MultiVm) fleets with thousands of seeded VM
+//!   [`MultiVm`] fleets with thousands of seeded VM
 //!   create/clone/destroy events while the benchmark runs.
 //!
 //! Everything here is deterministic from `(config, seed)`: no wall clock,

@@ -10,8 +10,8 @@
 //! Regenerate intentionally with
 //! `ICASH_BLESS=1 cargo test -p icash --test pipeline`.
 
-use icash::core::{Icash, IcashConfig, IcashConfigBuilder};
-use icash::metrics::trace::JsonlSink;
+use icash::core::{Icash, IcashConfig, IcashConfigBuilder, IcashStats};
+use icash::metrics::trace::{parse_jsonl, JsonlSink, TraceProfile};
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::FaultPlan;
@@ -19,7 +19,7 @@ use icash::storage::model::{Allow, VersionModel};
 use icash::storage::request::Request;
 use icash::storage::system::{ContentSource, IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
-use icash::storage::trace::{TraceSink, Tracer};
+use icash::storage::trace::{TraceSink, TraceStats, Tracer};
 use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = include_str!("golden/pipeline_depth1.txt");
@@ -36,6 +36,19 @@ fn config_builder() -> IcashConfigBuilder {
 
 fn config() -> IcashConfig {
     config_builder().build()
+}
+
+/// `sys` with a counting sink attached, and the sink: the one count
+/// of the pipeline's events (staging, commits, barriers, log cleans).
+fn counted(mut sys: Icash) -> (Icash, Arc<Mutex<TraceStats>>) {
+    let (tracer, counts) = Tracer::counting();
+    sys.set_tracer(tracer);
+    (sys, counts)
+}
+
+/// What a counting sink has seen so far.
+fn seen(counts: &Mutex<TraceStats>) -> TraceStats {
+    counts.lock().expect("counting sink").clone()
 }
 
 /// The pinned content for write `op` to `lba`: a shared base with a tiny
@@ -91,12 +104,14 @@ fn record(mut sys: Icash) -> String {
     let st = sys.stats();
     drop(sys);
     let mut text = sink.lock().expect("trace sink").take_text();
+    let events = parse_jsonl(&text).expect("the sink wrote valid JSONL");
+    let log_cleans = TraceProfile::from_events(&events).stats.log_cleans;
     text.push_str(&format!(
         "stats flushes={} log_blocks={} log_cleans={} writes={} reads={} \
          ram_hits={} delta_hits={} log_fetches={} delta_writes={} binds={} final_ns={}\n",
         st.flushes,
         st.log_blocks_written,
-        st.log_cleans,
+        log_cleans,
         st.writes,
         st.reads,
         st.ram_hits,
@@ -133,14 +148,11 @@ fn depth1_is_byte_identical_to_pre_pipeline_outputs() {
 }
 
 /// Runs the same pinned scenario at an arbitrary depth and returns the
-/// final stats (content is still verified against the oracle inside
-/// `record`, so every depth proves read-your-writes along the way).
-fn run_at_depth(depth: u64) -> icash::core::IcashStats {
-    let sink = Arc::new(Mutex::new(JsonlSink::new()));
-    let mut sys = Icash::new(config_builder().group_commit_depth(depth).build());
-    sys.set_tracer(Tracer::to_sink(
-        sink.clone() as Arc<Mutex<dyn TraceSink + Send>>
-    ));
+/// final stats and event counts (content is verified against the oracle
+/// as in `record`, so every depth proves read-your-writes on the way).
+fn run_at_depth(depth: u64) -> (IcashStats, TraceStats) {
+    let cfg = config_builder().group_commit_depth(depth).build();
+    let (mut sys, counts) = counted(Icash::new(cfg));
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -169,7 +181,7 @@ fn run_at_depth(depth: u64) -> icash::core::IcashStats {
     }
     sys.flush(t, &mut ctx);
     sys.debug_validate();
-    sys.stats()
+    (sys.stats(), seen(&counts))
 }
 
 /// Deeper group commits amortize the sequential log appends: fewer flushes
@@ -177,11 +189,11 @@ fn run_at_depth(depth: u64) -> icash::core::IcashStats {
 /// entries.
 #[test]
 fn deeper_commits_amortize_log_appends() {
-    let d1 = run_at_depth(1);
-    let d16 = run_at_depth(16);
-    assert_eq!(d1.group_commits, 0, "depth 1 must never group-commit");
-    assert_eq!(d1.staged_entries, 0, "depth 1 must never stage");
-    assert!(d16.group_commits > 0, "depth 16 must group-commit");
+    let (d1, c1) = run_at_depth(1);
+    let (d16, c16) = run_at_depth(16);
+    assert_eq!(c1.group_commits, 0, "depth 1 must never group-commit");
+    assert_eq!(c1.stage_enters, 0, "depth 1 must never stage");
+    assert!(c16.group_commits > 0, "depth 16 must group-commit");
     assert!(
         d16.flushes < d1.flushes,
         "group commit must reduce log appends: {} vs {}",
@@ -189,9 +201,9 @@ fn deeper_commits_amortize_log_appends() {
         d1.flushes
     );
     assert!(
-        d16.entries_per_commit() > 1.0,
+        c16.entries_per_commit() > 1.0,
         "commits must carry batched entries, got {}",
-        d16.entries_per_commit()
+        c16.entries_per_commit()
     );
     assert!(d16.staging_high_water > 0);
 }
@@ -200,7 +212,7 @@ fn deeper_commits_amortize_log_appends() {
 /// (read-your-writes) without touching the HDD log.
 #[test]
 fn staged_blocks_serve_read_your_writes() {
-    let mut sys = Icash::new(config_builder().group_commit_depth(64).build());
+    let (mut sys, counts) = counted(Icash::new(config_builder().group_commit_depth(64).build()));
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -212,13 +224,10 @@ fn staged_blocks_serve_read_your_writes() {
         let w = Request::write(Lba::new(lba), t, payload(lba, 1));
         t = sys.submit(&w, &mut ctx).finished;
     }
-    let st = sys.stats();
-    assert!(
-        st.staged_entries > 0,
-        "flush triggers must stage at depth 64"
-    );
-    assert_eq!(st.group_commits, 0, "nothing must commit below the depth");
-    let fetches_before = st.log_fetches;
+    let c = seen(&counts);
+    assert!(c.stage_enters > 0, "flush triggers must stage at depth 64");
+    assert_eq!(c.group_commits, 0, "nothing must commit below the depth");
+    let fetches_before = sys.stats().log_fetches;
 
     // Every block still reads back its latest content, with zero log
     // fetches: staged deltas are served from RAM.
@@ -265,7 +274,7 @@ fn a_group_commit_larger_than_the_log_headroom_cleans_first() {
         .log_blocks(100)
         .group_commit_depth(4)
         .build();
-    let mut sys = Icash::new(cfg);
+    let (mut sys, counts) = counted(Icash::new(cfg));
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -275,7 +284,7 @@ fn a_group_commit_larger_than_the_log_headroom_cleans_first() {
         let w = Request::write(Lba::new(lba), t, noisy(lba, op));
         t = sys.submit(&w, &mut ctx).finished;
     }
-    assert!(sys.stats().log_cleans > 0);
+    assert!(seen(&counts).log_cleans > 0);
     sys.debug_validate();
     for lba in 0..BLOCKS {
         let last = (ROUNDS - 1) * BLOCKS + lba;
@@ -314,7 +323,7 @@ fn a_commit_a_cleaned_64_block_log_cannot_take_goes_home() {
             .log_blocks(64)
             .group_commit_depth(depth)
             .build();
-        let mut sys = Icash::new(cfg);
+        let (mut sys, counts) = counted(Icash::new(cfg));
         let backing = ZeroSource;
         let mut cpu = CpuModel::xeon();
         let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -325,7 +334,7 @@ fn a_commit_a_cleaned_64_block_log_cannot_take_goes_home() {
             t = sys.submit(&w, &mut ctx).finished;
         }
         t = sys.sync(t, &mut ctx);
-        assert!(sys.stats().log_cleans > 0, "depth {depth}");
+        assert!(seen(&counts).log_cleans > 0, "depth {depth}");
         sys.debug_validate();
         let mut check = |sys: &mut Icash, t: &mut Ns| {
             for lba in 0..BLOCKS {
@@ -381,7 +390,7 @@ fn a_commit_of_written_references_with_associates_goes_home() {
             .log_blocks(64)
             .group_commit_depth(depth)
             .build();
-        let mut sys = Icash::new(cfg);
+        let (mut sys, counts) = counted(Icash::new(cfg));
         let backing = Pairs;
         let mut cpu = CpuModel::xeon();
         let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -394,7 +403,7 @@ fn a_commit_of_written_references_with_associates_goes_home() {
             t = sys.submit(&w, &mut ctx).finished;
         }
         t = sys.sync(t, &mut ctx);
-        assert!(sys.stats().log_cleans > 0, "depth {depth}");
+        assert!(seen(&counts).log_cleans > 0, "depth {depth}");
         sys.debug_validate();
         let mut check = |sys: &mut Icash, t: &mut Ns| {
             for lba in 0..2 * PAIRS {
@@ -423,7 +432,7 @@ fn a_commit_of_written_references_with_associates_goes_home() {
 /// whole pipeline.
 #[test]
 fn barriers_complete_tickets() {
-    let mut sys = Icash::new(config_builder().group_commit_depth(32).build());
+    let (mut sys, counts) = counted(Icash::new(config_builder().group_commit_depth(32).build()));
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
@@ -443,8 +452,7 @@ fn barriers_complete_tickets() {
         sys.flushed_ticket() >= ticket,
         "barrier must complete the ticket"
     );
-    let st = sys.stats();
-    assert_eq!(st.barrier_waits, 1);
+    assert_eq!(seen(&counts).barrier_waits, 1);
 
     // Re-awaiting the same ticket (and a full sync with nothing pending)
     // is free: no flush, no device work.
@@ -452,7 +460,7 @@ fn barriers_complete_tickets() {
     assert_eq!(t2, t, "a completed ticket must not flush again");
     let t3 = Icash::sync(&mut sys, t2, &mut ctx);
     assert_eq!(t3, t2, "sync with nothing pending must be free");
-    assert_eq!(sys.stats().barrier_noops, 2);
+    assert_eq!(seen(&counts).barrier_noops, 2);
 
     // Barrier-ed writes survive a crash.
     let mut recovered = sys.crash_and_recover();
@@ -535,14 +543,15 @@ fn a_torn_crash_after_a_clean_keeps_every_synced_version() {
         .flush_interval(8)
         .log_blocks(256)
         .build();
-    let mut sys = Icash::new(cfg).with_fault_plan(FaultPlan::seeded(3).torn_writes());
+    let (mut sys, counts) =
+        counted(Icash::new(cfg).with_fault_plan(FaultPlan::seeded(3).torn_writes()));
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
     let mut model = VersionModel::new();
     let mut t = Ns::ZERO;
     let mut op = 0;
-    while sys.stats().log_cleans == 0 {
+    while seen(&counts).log_cleans == 0 {
         let lba = op % BLOCKS;
         write_acked(&mut sys, &mut model, &mut ctx, &mut t, lba, noisy(lba, op));
         op += 1;

@@ -11,7 +11,14 @@ use content::{block_for, Family};
 use icash::core::{Icash, IcashConfig};
 use icash::storage::cpu::CpuModel;
 use icash::storage::fault::{FaultPlan, HealthPolicy, HealthState};
+use icash::storage::trace::{TraceStats, Tracer};
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use std::sync::{Arc, Mutex};
+
+/// The log cleans a counting sink has seen.
+fn log_cleans(counts: &Mutex<TraceStats>) -> u64 {
+    counts.lock().expect("counting sink").log_cleans
+}
 
 fn config() -> IcashConfig {
     IcashConfig::builder(1 << 20, 256 << 10, 4 << 20)
@@ -37,14 +44,28 @@ struct Rig {
 }
 
 impl Rig {
-    /// A controller warmed with three rounds of similar writes over blocks
-    /// `0..64`, so references exist and most blocks are bound associates.
-    fn warmed(sys: Icash) -> Rig {
-        let mut rig = Rig {
+    /// A rig around `sys`, at time zero.
+    fn new(sys: Icash) -> Rig {
+        Rig {
             sys,
             cpu: CpuModel::xeon(),
             now: Ns::ZERO,
-        };
+        }
+    }
+
+    /// A fresh controller on `cfg` with a counting sink attached, and the
+    /// sink.
+    fn counted(cfg: IcashConfig) -> (Rig, Arc<Mutex<TraceStats>>) {
+        let mut sys = Icash::new(cfg);
+        let (tracer, counts) = Tracer::counting();
+        sys.set_tracer(tracer);
+        (Rig::new(sys), counts)
+    }
+
+    /// A controller warmed with three rounds of similar writes over blocks
+    /// `0..64`, so references exist and most blocks are bound associates.
+    fn warmed(sys: Icash) -> Rig {
+        let mut rig = Rig::new(sys);
         for round in 0..3u8 {
             for lba in 0..64 {
                 rig.write(lba, block_for(lba, round, Family::Similar));
@@ -329,11 +350,7 @@ fn a_clean_inside_the_transition_keeps_the_version_behind_the_barrier() {
             .flush_interval(1_000_000)
             .log_blocks(16)
             .build();
-        let mut rig = Rig {
-            sys: Icash::new(cfg),
-            cpu: CpuModel::xeon(),
-            now: Ns::ZERO,
-        };
+        let (mut rig, counts) = Rig::counted(cfg);
         for lba in 0..14 {
             rig.write(lba, sparse(lba, 100, 400));
             rig.sync();
@@ -344,11 +361,10 @@ fn a_clean_inside_the_transition_keeps_the_version_behind_the_barrier() {
                 .map(|l| sparse(l, 50, 400))
                 .collect(),
         );
-        let before = rig.sys.stats();
+        let before = log_cleans(&counts);
         let fresh: Vec<BlockBuf> = (0..8).map(|l| sparse(l, 101, 400)).collect();
         rig.write_span(0, fresh.clone());
-        let after = rig.sys.stats();
-        cleaned_inside += u32::from(after.log_cleans > before.log_cleans);
+        cleaned_inside += u32::from(log_cleans(&counts) > before);
         let mut rig = rig.crash();
         for (lba, new) in (0..).zip(&fresh) {
             let got = rig.read(lba);
@@ -372,11 +388,9 @@ fn a_clean_inside_the_transition_keeps_the_version_behind_the_barrier() {
 #[test]
 fn a_released_reference_keeps_its_logged_self_delta_until_the_commit() {
     let run = |dies_at: u64| -> Option<(BlockBuf, BlockBuf)> {
-        let mut rig = Rig {
-            sys: Icash::new(config()).with_fault_plan(FaultPlan::seeded(7).ssd_dies_at(dies_at)),
-            cpu: CpuModel::xeon(),
-            now: Ns::ZERO,
-        };
+        let mut rig = Rig::new(
+            Icash::new(config()).with_fault_plan(FaultPlan::seeded(7).ssd_dies_at(dies_at)),
+        );
         let submit = |rig: &mut Rig, req: Request| {
             let backing = ZeroSource;
             let mut ctx = IoCtx::verifying(&backing, &mut rig.cpu);
@@ -487,11 +501,7 @@ fn a_log_clean_inside_a_fetch_does_not_install_superseded_deltas() {
             .flush_interval(1_000_000)
             .log_blocks(72)
             .build();
-        let mut rig = Rig {
-            sys: Icash::new(cfg),
-            cpu: CpuModel::xeon(),
-            now: Ns::ZERO,
-        };
+        let (mut rig, counts) = Rig::counted(cfg);
         // Blocks 0..9 share log block 0 ...
         rig.write_span(0, (0..9).map(|lba| sparse(lba, 0, 400)).collect());
         rig.sync();
@@ -505,10 +515,10 @@ fn a_log_clean_inside_a_fetch_does_not_install_superseded_deltas() {
         let filler = (100..100 + fillers).map(|lba| sparse(lba, 0, 300));
         rig.write_span(100, filler.collect());
 
-        let before = rig.sys.stats();
+        let (before, cleans) = (rig.sys.stats(), log_cleans(&counts));
         assert!(rig.read(0) == sparse(0, 0, 400));
         let after = rig.sys.stats();
-        if after.log_cleans > before.log_cleans
+        if log_cleans(&counts) > cleans
             && after.log_prefetched_deltas == before.log_prefetched_deltas
         {
             cleaned_inside += 1;

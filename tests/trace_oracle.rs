@@ -4,10 +4,12 @@
 //! ([`TraceStats`]) tallies every event emitted during a full benchmark
 //! run, and each total is diffed against the independently maintained
 //! statistics: host requests, SSD reads/programs/erases, HDD operations,
-//! injected faults, and (for I-CASH) the controller's delta/log/scrub
-//! counters. Any drift between instrumentation and accounting fails here.
-//! Queue events have no second count to reconcile: the [`TraceProfile`]
-//! is theirs, and a queued run must show the HDD queue at work in it.
+//! injected faults, and (for I-CASH) the controller's hit, bind and log
+//! append counters. Any drift between instrumentation and accounting fails
+//! here. Queue events and the controller's pipeline and resilience events
+//! (staging, group commits, barriers, log cleans, scrubs, repairs,
+//! retries) have no second count to reconcile: the trace is theirs, and a
+//! run must show them at work in it.
 //!
 //! [`SystemReport`]: icash::storage::system::SystemReport
 //! [`TraceStats`]: icash::storage::trace::TraceStats
@@ -160,9 +162,9 @@ fn totals_match_reports_under_faults() {
 /// The controller-level counters: drive an I-CASH instance directly (no
 /// preload, full control of the op stream) under faults aggressive enough
 /// to exercise retries, repairs, and the scrub ladder, then require the
-/// trace totals to equal [`IcashStats`] field for field. The HDD read rate
-/// is ten times the others: packed log fetches serve many reads with one
-/// HDD read, and a run must still draw retries.
+/// trace totals to equal every count [`IcashStats`] also keeps. The HDD
+/// read rate is ten times the others: packed log fetches serve many reads
+/// with one HDD read, and a run must still draw retries.
 ///
 /// [`IcashStats`]: icash::core::IcashStats
 #[test]
@@ -212,10 +214,6 @@ fn icash_controller_counters_match_trace() {
     assert_eq!(trace.sig_binds, stats.binds, "signature bindings");
     assert_eq!(trace.log_flushes, stats.flushes, "log flushes");
     assert_eq!(trace.log_blocks, stats.log_blocks_written, "log blocks");
-    assert_eq!(trace.log_cleans, stats.log_cleans, "log cleans");
-    assert_eq!(trace.scrubs, stats.scrubs, "scrub passes");
-    assert_eq!(trace.slot_repairs, stats.slot_repairs, "slot repairs");
-    assert_eq!(trace.fault_retries, stats.fault_retries, "fault retries");
     assert_eq!(
         trace.ssd_erases,
         report.gc.as_ref().expect("I-CASH has an SSD").erases,
@@ -262,13 +260,14 @@ fn icash_queued_run_exercises_the_hdd_queue() {
     assert!(hdd.coalesced_commands > 0, "no coalescing exercised");
 }
 
-/// The write-pipeline counters: at `group_commit_depth = 16`, every
-/// `StageEnter`/`GroupCommit`/`Barrier` event in the trace must reconcile
-/// field for field with [`IcashStats`], the pipeline counters' one copy.
+/// The write pipeline at `group_commit_depth = 16` with periodic barriers:
+/// the trace's log flushes and blocks equal [`IcashStats`]' log appends and
+/// blocks written, and the trace — the one count of staging, group commits
+/// and barriers — shows every stage of the pipeline at work.
 ///
 /// [`IcashStats`]: icash::core::IcashStats
 #[test]
-fn icash_pipeline_counters_match_trace() {
+fn icash_pipeline_log_counters_match_trace() {
     let mut sys = Icash::new(
         IcashConfig::builder(1 << 20, 256 << 10, 8 << 20)
             .scan_interval(50)
@@ -300,30 +299,18 @@ fn icash_pipeline_counters_match_trace() {
     drop(sys);
     let trace = counts.lock().expect("counting sink").clone();
 
-    assert_eq!(trace.stage_enters, stats.staged_entries, "staged entries");
-    assert_eq!(trace.group_commits, stats.group_commits, "group commits");
-    assert_eq!(
-        trace.group_commit_entries, stats.group_commit_entries,
-        "entries per commit numerator"
-    );
-    assert_eq!(
-        trace.group_commit_bytes, stats.group_commit_bytes,
-        "group-commit payload bytes"
-    );
-    assert_eq!(trace.barrier_waits, stats.barrier_waits, "barrier waits");
-    assert_eq!(trace.barrier_noops, stats.barrier_noops, "barrier no-ops");
     assert_eq!(trace.log_flushes, stats.flushes, "log flushes");
     assert_eq!(trace.log_blocks, stats.log_blocks_written, "log blocks");
 
-    // The scenario must actually exercise the pipeline, or every equality
-    // above is vacuous.
+    // The scenario must actually exercise the pipeline, or the equalities
+    // above say nothing about it.
     assert!(trace.stage_enters > 0, "nothing staged");
     assert!(trace.group_commits > 0, "nothing group-committed");
     assert!(trace.barrier_waits > 0, "no barrier waited");
     assert!(trace.barrier_noops > 0, "no barrier no-op exercised");
     assert!(
-        stats.entries_per_commit() > 1.0,
+        trace.entries_per_commit() > 1.0,
         "commits carried no batching: {}",
-        stats.entries_per_commit()
+        trace.entries_per_commit()
     );
 }
