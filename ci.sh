@@ -126,6 +126,12 @@ pin_rows() {
 stage_golden() {
   bins
   pin_rows
+  # The faults campaign folds its injected faults from every cell's event
+  # stream, recorded with or without --trace: traced, it must print the
+  # untraced pin byte for byte.
+  step "exhibit campaign_faults --trace target/faults.jsonl vs ci/golden/run_faults_depth1.txt"
+  ./target/release/exhibit campaign_faults --trace target/faults.jsonl > target/run_faults_traced.txt
+  pin target/run_faults_traced.txt ci/golden/run_faults_depth1.txt
   trace_pin unset run_all_trace_depth1
   trace_pin off run_all_trace_depth1 "${OFF[@]}"
   # The one pin on a sharded harness cell: every architecture striped over

@@ -36,6 +36,8 @@ use icash_storage::model::Allow;
 use icash_storage::request::{Completion, IoErrorKind};
 use icash_storage::shard::ShardRouter;
 use icash_storage::system::StorageSystem;
+use icash_storage::trace::{TraceStats, Tracer};
+use std::sync::{Arc, Mutex};
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 1024;
@@ -70,23 +72,53 @@ const BURST_SALT: u64 = 0xB0B0;
 
 type Router = ShardRouter<Icash>;
 
+/// A cell's counting sink: the one count of its health events.
+type Events = Arc<Mutex<TraceStats>>;
+
+/// What one I-CASH cell counted. `stats` holds each shard's controller
+/// counters (degraded service); a crash resets them, so a crashing cell
+/// keeps its pre-crash copies here too. `events` is the cell's counting
+/// sink (transitions, busy rejections, backoffs, rebuild chunks): a crash
+/// does not reset it, and the router tags every shard over it, so it
+/// already holds the sum.
+#[derive(Default)]
+struct Seen {
+    stats: Vec<IcashStats>,
+    events: TraceStats,
+}
+
+impl Seen {
+    /// `field` summed over every shard's controller counters.
+    fn total(&self, field: impl Fn(&IcashStats) -> u64) -> u64 {
+        self.stats.iter().map(field).sum()
+    }
+}
+
+/// Attaches a fresh counting sink to `sys`.
+fn counted<S: StorageSystem>(mut sys: S) -> (S, Events) {
+    let (tracer, events) = Tracer::counting();
+    sys.set_tracer(tracer);
+    (sys, events)
+}
+
 fn icash_config(policy: HealthPolicy, depth: u64) -> IcashConfig {
     campaign::icash_config(depth).health(policy).build()
 }
 
 /// An I-CASH instance per shard behind a router (width 1 routes
 /// identically), each [`IcashConfig::shard_slice`] of `cfg` — the slicing
-/// rule of every sharded cell — and armed with its own seeded fault plan.
+/// rule of every sharded cell — and armed with its own seeded fault plan;
+/// with the router's counting sink.
 fn build_router(
     cfg: IcashConfig,
     shards: u32,
     plan_for_shard: impl Fn(u64) -> FaultPlan,
-) -> Router {
+) -> (Router, Events) {
     let slice = cfg.shard_slice(shards);
     let systems: Vec<Icash> = (0..shards)
         .map(|s| Icash::new(slice.clone()).with_fault_plan(plan_for_shard(s as u64)))
         .collect();
-    ShardRouter::new(systems)
+    counted(ShardRouter::new(systems))
 }
 
 /// Mixed traffic (3:2 write:read), ops `ops` of the cell's seeded stream.
@@ -154,16 +186,18 @@ fn final_sweep<S: StorageSystem>(cell: &mut Cell<S>) {
     }
 }
 
-/// Every shard's internal structures cross-check; each shard's counters.
-fn validated_stats(cell: &Cell<Router>) -> Vec<IcashStats> {
-    let shards = cell.sys().shards();
-    shards.iter().for_each(Icash::debug_validate);
-    shards.iter().map(Icash::stats).collect()
+/// Each shard's counters.
+fn shard_stats(cell: &Cell<Router>) -> Vec<IcashStats> {
+    cell.sys().shards().iter().map(Icash::stats).collect()
 }
 
-/// `field` summed over `stats`.
-fn total(stats: &[IcashStats], field: impl Fn(&IcashStats) -> u64) -> u64 {
-    stats.iter().map(field).sum()
+/// Every shard's internal structures cross-check; what the cell counted.
+fn validated(cell: &Cell<Router>, events: &Events) -> Seen {
+    cell.sys().shards().iter().for_each(Icash::debug_validate);
+    Seen {
+        stats: shard_stats(cell),
+        events: events.lock().expect("counting sink").clone(),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -172,8 +206,8 @@ fn total(stats: &[IcashStats], field: impl Fn(&IcashStats) -> u64) -> u64 {
 
 /// SSD dies mid-run → degraded HDD-only service → `replace_ssd` → online
 /// rebuild under traffic → healthy again, fresh writes exact.
-fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
-    let sys = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
+fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Seen, Tally) {
+    let (sys, events) = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
@@ -196,20 +230,20 @@ fn cell_ssd_death(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally
     );
     cell.fresh_service(seed, FRESH_SALT, FRESH_OPS);
     final_sweep(&mut cell);
-    let stats = validated_stats(&cell);
-    if total(&stats, |s| s.degraded_reads + s.degraded_writes) == 0 {
+    let seen = validated(&cell, &events);
+    if seen.total(|s| s.degraded_reads + s.degraded_writes) == 0 {
         cell.violation("degraded service never engaged");
     }
-    if total(&stats, |s| s.rebuild_chunks) == 0 {
+    if seen.events.rebuild_chunks == 0 {
         cell.violation("rebuild never ran");
     }
-    (stats, cell.finish())
+    (seen, cell.finish())
 }
 
 /// HDD dies mid-run → writes fail fast with a typed `DeviceFailed` error
 /// while reads keep serving RAM/SSD-resident state or typed errors.
-fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
-    let sys = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
+fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Seen, Tally) {
+    let (sys, events) = build_router(icash_config(HealthPolicy::standard(), 1), shards, |s| {
         FaultPlan::seeded(seed + s).hdd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
@@ -232,13 +266,13 @@ fn cell_hdd_death(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally
         let lba = fault_roll(seed, OUTAGE_READ_SALT, op + i, 0) % SPACE;
         cell.read(lba, Allow::Held);
     }
-    (validated_stats(&cell), cell.finish())
+    (validated(&cell, &events), cell.finish())
 }
 
 /// SSD death → replace → rebuild, with the HDD armed to die as the rebuild
 /// traffic runs: the rebuild's home-copy reads start failing and service
 /// must degrade further, never corrupt.
-fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
+fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Seen, Tally) {
     // A slow rebuild stretches the window the second death lands in.
     let policy = HealthPolicy {
         rebuild_rate: 1,
@@ -248,7 +282,7 @@ fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashSt
     // that much slower: scale the second death so it lands in the rebuild
     // window at every width.
     let hdd_death = (DEATH_OP * 16) / shards as u64;
-    let sys = build_router(icash_config(policy, 1), shards, |s| {
+    let (sys, events) = build_router(icash_config(policy, 1), shards, |s| {
         FaultPlan::seeded(seed + s)
             .ssd_dies_at(DEATH_OP)
             .hdd_dies_at(hdd_death)
@@ -268,22 +302,22 @@ fn cell_death_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashSt
         |(_, hdd)| hdd == HealthState::Failed,
     );
     drive(&mut cell, seed, op..op + DEGRADED_OPS);
-    let stats = validated_stats(&cell);
-    if total(&stats, |s| s.rebuild_chunks) == 0 {
+    let seen = validated(&cell, &events);
+    if seen.events.rebuild_chunks == 0 {
         cell.violation("rebuild never ran");
     }
-    (stats, cell.finish())
+    (seen, cell.finish())
 }
 
 /// SSD death → replace → crash mid-rebuild → recovery: every block reads
 /// as an acknowledged version or a typed error, and post-recovery service
 /// is exact.
-fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
+fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Seen, Tally) {
     let policy = HealthPolicy {
         rebuild_rate: 1, // crash lands with work still pending
         ..HealthPolicy::standard()
     };
-    let sys = build_router(icash_config(policy, 1), shards, |s| {
+    let (sys, events) = build_router(icash_config(policy, 1), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
     let mut cell = warmed(name, sys, seed);
@@ -293,6 +327,7 @@ fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashSt
     replace_ssds(&mut cell);
     // A little rebuild traffic, then the plug is pulled mid-task.
     drive(&mut cell, seed, op..op + 30);
+    let before = shard_stats(&cell);
     let mut cell = cell.with_sys(|sys| {
         ShardRouter::new(
             sys.into_shards()
@@ -304,12 +339,14 @@ fn cell_crash_during_rebuild(name: &str, seed: u64, shards: u32) -> (Vec<IcashSt
     // Everything the history acknowledged must still read valid-or-typed.
     final_sweep(&mut cell);
     cell.fresh_service(seed, FRESH_SALT, FRESH_OPS);
-    (validated_stats(&cell), cell.finish())
+    let mut seen = validated(&cell, &events);
+    seen.stats.extend(before);
+    (seen, cell.finish())
 }
 
 /// A tiny staging cap under a pure write burst: admission control must
 /// refuse with typed `Busy` errors (and never lose an acknowledged write).
-fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Tally) {
+fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Seen, Tally) {
     let policy = HealthPolicy {
         staging_cap: 2 * shards as u64, // the slice leaves 2 blocks per shard
         ..HealthPolicy::standard()
@@ -317,7 +354,7 @@ fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Ta
     // A staging cap only bites when deltas actually sit in staging, which
     // needs the staged pipeline (depth > 1); at depth 1 every flush trigger
     // commits synchronously and the buffer is always empty.
-    let sys = build_router(icash_config(policy, 8), shards, |s| {
+    let (sys, events) = build_router(icash_config(policy, 8), shards, |s| {
         FaultPlan::seeded(seed + s)
     });
     let mut cell = Cell::new(name, sys, STAMP, SPACE);
@@ -340,38 +377,37 @@ fn cell_backpressure(name: &str, seed: u64, shards: u32) -> (Vec<IcashStats>, Ta
     // Every acknowledged write is readable; latest version exactly (no
     // faults were injected here).
     cell.sweep(Allow::Latest);
-    (validated_stats(&cell), cell.finish())
+    (validated(&cell, &events), cell.finish())
 }
 
 /// A high-rate media-fault storm across all five architectures; I-CASH
 /// runs with health armed so the backoff machinery absorbs the noise, and
-/// is built concretely so its counters can be read.
-fn cell_fault_storm(kind: SystemKind, seed: u64) -> (String, Vec<IcashStats>, Tally) {
+/// is built concretely, with a counting sink, so its counters can be read.
+fn cell_fault_storm(kind: SystemKind, seed: u64) -> (String, Seen, Tally) {
     let icash = icash_config(HealthPolicy::standard(), 1);
     let plan = media_faults(seed, 1e-2);
     if kind == SystemKind::Icash {
-        let sys = campaign::scrubbing_icash(icash, plan);
-        return storm(sys, seed, |s| vec![s.stats()]);
+        let (sys, events) = counted(campaign::scrubbing_icash(icash, plan));
+        return storm(sys, seed, |s| Seen {
+            stats: vec![s.stats()],
+            events: events.lock().expect("counting sink").clone(),
+        });
     }
-    storm(build_system(kind, &plan, icash), seed, |_| Vec::new())
+    storm(build_system(kind, &plan, icash), seed, |_| Seen::default())
 }
 
-/// One storm cell over `sys`, whose counters `stats` reads at the end.
-fn storm<S: StorageSystem>(
-    sys: S,
-    seed: u64,
-    stats: impl Fn(&S) -> Vec<IcashStats>,
-) -> (String, Vec<IcashStats>, Tally) {
+/// One storm cell over `sys`, whose counters `seen` reads at the end.
+fn storm<S: StorageSystem>(sys: S, seed: u64, seen: impl Fn(&S) -> Seen) -> (String, Seen, Tally) {
     let name = format!("storm/{}/{seed:#x}", sys.name());
     let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);
     drive(&mut cell, seed, 0..300);
     cell.io(|sys, ctx, now| *now = sys.flush(*now, ctx));
     final_sweep(&mut cell);
-    (name, stats(cell.sys()), cell.finish())
+    (name, seen(cell.sys()), cell.finish())
 }
 
 /// The I-CASH scenarios, each run per shard width and seed.
-type Scenario = fn(&str, u64, u32) -> (Vec<IcashStats>, Tally);
+type Scenario = fn(&str, u64, u32) -> (Seen, Tally);
 const SCENARIOS: [(&str, Scenario); 5] = [
     ("ssd-death", cell_ssd_death),
     ("hdd-death", cell_hdd_death),
@@ -385,15 +421,15 @@ pub fn render(_: &RunConfig) -> String {
     let mut doc = String::new();
     let mut cells = 0u64;
     let mut totals = Tally::default();
-    let mut stats: Vec<IcashStats> = Vec::new();
-    let mut fold = |name: String, s: Vec<IcashStats>, r: Tally| {
+    let mut seen: Vec<Seen> = Vec::new();
+    let mut fold = |name: String, s: Seen, r: Tally| {
         doc.push_str(&format!(
             "cell {name}: {} reads, {} typed errors, {} refused writes\n",
             r.reads, r.reported_errors, r.refused_writes
         ));
         cells += 1;
         totals.merge(r);
-        stats.extend(s);
+        seen.push(s);
     };
 
     for kind in SystemKind::ALL {
@@ -416,14 +452,15 @@ pub fn render(_: &RunConfig) -> String {
         "chaos campaign: {cells} cells, {} verified reads, {} typed errors, {} refused writes\n",
         totals.reads, totals.reported_errors, totals.refused_writes
     ));
-    // The I-CASH counters, summed over every cell and shard.
+    // The I-CASH counts, summed over every cell and shard.
+    let sum = |count: &dyn Fn(&Seen) -> u64| seen.iter().map(count).sum::<u64>();
     let health = [
-        (total(&stats, |s| s.health_transitions), "transitions"),
-        (total(&stats, |s| s.degraded_reads), "degraded reads"),
-        (total(&stats, |s| s.degraded_writes), "degraded writes"),
-        (total(&stats, |s| s.busy_rejections), "busy rejections"),
-        (total(&stats, |s| s.retry_backoffs), "retry backoffs"),
-        (total(&stats, |s| s.rebuild_chunks), "rebuild chunks"),
+        (sum(&|s| s.events.health_transitions), "transitions"),
+        (sum(&|s| s.total(|s| s.degraded_reads)), "degraded reads"),
+        (sum(&|s| s.total(|s| s.degraded_writes)), "degraded writes"),
+        (sum(&|s| s.events.backpressure_rejects), "busy rejections"),
+        (sum(&|s| s.events.retry_backoffs), "retry backoffs"),
+        (sum(&|s| s.events.rebuild_chunks), "rebuild chunks"),
     ];
     let printed = health.map(|(n, what)| format!("{n} {what}"));
     doc.push_str(&format!("health: {}\n", printed.join(", ")));
@@ -440,4 +477,24 @@ pub fn render(_: &RunConfig) -> String {
         &totals.violations,
         "CHAOS CAMPAIGN OK\n",
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A crash mid-rebuild resets the controller's counters, not the
+    /// cell's count: the transitions and rebuild chunks before the crash
+    /// stay in it, and so do the degraded writes.
+    #[test]
+    fn a_crash_mid_rebuild_keeps_the_counts_from_before_it() {
+        let (seen, tally) = cell_crash_during_rebuild("crash-rebuild/s1", SEEDS[0], 1);
+        assert!(tally.violations.is_empty(), "{:?}", tally.violations);
+        assert!(seen.events.health_transitions > 0, "no transition counted");
+        assert!(seen.events.rebuild_chunks > 0, "no rebuild chunk counted");
+        assert!(
+            seen.total(|s| s.degraded_writes) > 0,
+            "no degraded write counted"
+        );
+    }
 }

@@ -15,9 +15,11 @@
 //! panic anywhere is also a failure — the whole point of the robustness
 //! work is that injected faults degrade service, not crash the stack.
 //!
-//! With `--trace <path>`, every cell additionally records its structured
-//! event stream; the cells are concatenated into one multi-cell JSONL
-//! artifact readable by `trace_profile`.
+//! Every cell records its structured event stream, and the `injected:`
+//! line is folded from the plain cells' streams (the trace is the one count
+//! of injected faults). With `--trace <path>`, the cells are also
+//! concatenated into one multi-cell JSONL artifact readable by
+//! `trace_profile`.
 //!
 //! Row `campaign_faults_depth4` runs the same grid with the I-CASH cells'
 //! staged write pipeline at group-commit depth 4, where every I-CASH cell
@@ -31,10 +33,10 @@ use crate::campaign::{
 use crate::harness::{attach_jsonl, SystemKind};
 use crate::RunConfig;
 use icash_core::Icash;
-use icash_storage::fault::{fault_roll, FaultStats};
+use icash_metrics::trace::{parse_jsonl, TraceSink, TraceStats};
+use icash_storage::fault::fault_roll;
 use icash_storage::model::Allow;
 use icash_storage::system::StorageSystem;
-use icash_storage::time::Ns;
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 2048;
@@ -122,8 +124,9 @@ fn crash_cell(sys: Icash, seed: u64, crash_frac: f64, depth: u64) -> Tally {
     cell.finish()
 }
 
-/// Runs one cell's `body` over `sys`; when tracing, the cell's event stream
-/// joins `trace` under a `{"cell":…}` header naming `workload` and `system`.
+/// Runs one cell's `body` over `sys`, recording its event stream, and
+/// returns the tally with the stream. When tracing, the stream also joins
+/// `trace` under a `{"cell":…}` header naming `workload` and `system`.
 /// `body` consumes the system, so its sink is complete when it returns.
 fn run_cell<S: StorageSystem>(
     trace: &mut Option<String>,
@@ -131,16 +134,17 @@ fn run_cell<S: StorageSystem>(
     system: &str,
     mut sys: S,
     body: impl FnOnce(S) -> Tally,
-) -> Tally {
-    let sink = trace.is_some().then(|| attach_jsonl(&mut sys));
+) -> (Tally, String) {
+    let sink = attach_jsonl(&mut sys);
     let tally = body(sys);
-    if let (Some(doc), Some(sink)) = (trace, sink) {
+    let text = sink.lock().expect("trace sink").take_text();
+    if let Some(doc) = trace {
         doc.push_str(&format!(
             "{{\"cell\":{{\"workload\":\"{workload}\",\"system\":\"{system}\"}}}}\n"
         ));
-        doc.push_str(&sink.lock().expect("trace sink").take_text());
+        doc.push_str(&text);
     }
-    tally
+    (tally, text)
 }
 
 /// Row `campaign_faults`: the campaign at group-commit depth 1.
@@ -159,7 +163,7 @@ fn render_at(cfg: &RunConfig, depth: u64) -> String {
     let mut trace = cfg.trace.is_some().then(String::new);
     let mut cells = 0u64;
     let mut totals = Tally::default();
-    let mut injected = FaultStats::default();
+    let mut injected = TraceStats::default();
 
     for kind in SystemKind::ALL {
         for &rate in &RATES {
@@ -168,12 +172,15 @@ fn render_at(cfg: &RunConfig, depth: u64) -> String {
                 let sys = build_system(kind, &media_faults(seed, rate), icash);
                 let name = sys.name().to_string();
                 let workload = format!("faults r{rate} s{seed:#x}");
-                totals.merge(run_cell(&mut trace, workload, &name, sys, |sys| {
+                let (tally, text) = run_cell(&mut trace, workload, &name, sys, |sys| {
                     let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);
                     plain_cell(&mut cell, seed, depth);
-                    injected.merge(&cell.sys().report(Ns::from_ms(1)).faults);
                     cell.finish()
-                }));
+                });
+                totals.merge(tally);
+                for event in parse_jsonl(&text).expect("a cell's own trace parses") {
+                    injected.record(event);
+                }
                 cells += 1;
             }
         }
@@ -184,9 +191,10 @@ fn render_at(cfg: &RunConfig, depth: u64) -> String {
                 let plan = media_faults(seed, rate).torn_writes();
                 let sys = scrubbing_icash(icash_config(depth).build(), plan);
                 let workload = format!("crash r{rate} f{frac} s{seed:#x}");
-                totals.merge(run_cell(&mut trace, workload, "I-CASH", sys, |sys| {
+                let (tally, _) = run_cell(&mut trace, workload, "I-CASH", sys, |sys| {
                     crash_cell(sys, seed, frac, depth)
-                }));
+                });
+                totals.merge(tally);
                 cells += 1;
             }
         }
@@ -205,12 +213,12 @@ fn render_at(cfg: &RunConfig, depth: u64) -> String {
     );
     doc.push_str(&format!(
         "injected: {} hdd read, {} hdd write, {} ssd read errors; {} sectors remapped\n",
-        injected.hdd_read_errors,
-        injected.hdd_write_errors,
-        injected.ssd_read_errors,
-        injected.sectors_remapped
+        injected.faults_hdd_read,
+        injected.faults_hdd_write,
+        injected.faults_ssd_read,
+        injected.faults_remapped
     ));
-    if injected.hdd_read_errors + injected.ssd_read_errors == 0 {
+    if injected.faults_hdd_read + injected.faults_ssd_read == 0 {
         totals
             .violations
             .push("the campaign injected no read fault".into());

@@ -122,7 +122,7 @@ impl Icash {
     }
 
     /// Feeds one device-operation outcome to the owning monitor, tracing
-    /// and counting the health transition if the state machine moved.
+    /// the health transition if the state machine moved.
     pub(crate) fn note_device(&mut self, at: Ns, device: u8, ok: bool) {
         let h = &mut self.volatile.health;
         let monitor = if device == DEV_SSD {
@@ -135,7 +135,7 @@ impl Icash {
         }
     }
 
-    /// Traces and counts one health-state transition.
+    /// Traces one health-state transition.
     pub(crate) fn note_transition(
         &mut self,
         at: Ns,
@@ -143,7 +143,6 @@ impl Icash {
         from: HealthState,
         to: HealthState,
     ) {
-        self.stats.health_transitions += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::HealthTransition { device, from, to },
@@ -203,10 +202,9 @@ impl Icash {
         base + jitter
     }
 
-    /// Traces and counts one backoff retry, returning the delayed instant.
+    /// Traces one backoff retry, returning the delayed instant.
     pub(crate) fn note_backoff(&mut self, at: Ns, addr: u64, attempt: u32, write: bool) -> Ns {
         let delay = self.backoff_delay(attempt, addr);
-        self.stats.retry_backoffs += 1;
         self.durable.array.tracer().emit(|| TraceEvent {
             at,
             kind: TraceKind::RetryBackoff {
@@ -349,7 +347,6 @@ impl Icash {
             }
             task.done += batch.len() as u64;
             let (slots, done, total) = (batch.len() as u32, task.done, task.total);
-            self.stats.rebuild_chunks += 1;
             self.durable.array.tracer().emit(|| TraceEvent {
                 at: t,
                 kind: TraceKind::RebuildChunk { slots, done, total },

@@ -396,11 +396,10 @@ impl Icash {
         for (l, &entries) in (loc..loc + span).zip(&fetched) {
             for i in 0..entries {
                 // Installing can flush, and flushing can clean the log,
-                // which renumbers every location: from then on a superseded
-                // entry of the fetched span can match its block's *new*
-                // location and install an old delta as current (and `l`
-                // may not exist any more). Only the optional prefetches are
-                // lost by stopping.
+                // which renumbers every location: from then on the counts
+                // taken above no longer describe the log (block `l` may be
+                // shorter, or gone), so the walk would index past it. Only
+                // the optional prefetches are lost by stopping.
                 if self.durable.log.cleans() != cleans {
                     return;
                 }

@@ -61,8 +61,6 @@ pub struct IcashStats {
     pub torn_entries_dropped: u64,
     /// High-water mark of buffered staging bytes.
     pub staging_high_water: u64,
-    /// Device health-state transitions (both devices).
-    pub health_transitions: u64,
     /// Reads served from the HDD home copy because the SSD was failed (or
     /// the slot not yet rebuilt).
     pub degraded_reads: u64,
@@ -70,10 +68,6 @@ pub struct IcashStats {
     pub busy_rejections: u64,
     /// Writes failed fast because the HDD was in the `Failed` state.
     pub failed_fast_writes: u64,
-    /// Exponential-backoff retries of faulted device ops (health mode).
-    pub retry_backoffs: u64,
-    /// Online-rebuild chunks processed after a device replacement.
-    pub rebuild_chunks: u64,
 }
 
 impl IcashStats {

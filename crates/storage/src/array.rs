@@ -27,7 +27,7 @@
 //! ```
 
 use crate::energy::MicroJoules;
-use crate::fault::{FaultInjector, FaultPlan, FaultStats};
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::hdd::Hdd;
 use crate::request::Request;
 use crate::ssd::ftl::GcStats;
@@ -207,21 +207,6 @@ impl DeviceArray {
         });
     }
 
-    /// Fault counters merged over every device (zeros when no injector is
-    /// installed).
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut merged = FaultStats::default();
-        if let Some(f) = self.ssd.as_ref().and_then(|s| s.fault_stats()) {
-            merged.merge(f);
-        }
-        for d in &self.hdds {
-            if let Some(f) = d.fault_stats() {
-                merged.merge(f);
-            }
-        }
-        merged
-    }
-
     /// Host-level SSD operation stats, if the array has an SSD.
     pub fn ssd_stats(&self) -> Option<DeviceStats> {
         self.ssd.as_ref().map(|s| s.stats().clone())
@@ -271,7 +256,6 @@ impl DeviceArray {
             gc: self.gc_stats(),
             ssd_life_used: self.ssd_life_used(),
             device_energy: self.device_energy(elapsed),
-            faults: self.fault_stats(),
         }
     }
 }
@@ -281,6 +265,8 @@ mod tests {
     use super::*;
     use crate::hdd::HddConfig;
     use crate::ssd::SsdConfig;
+    use crate::trace::TraceStats;
+    use std::sync::{Arc, Mutex};
 
     fn small_ssd() -> Ssd {
         Ssd::new(SsdConfig::fusion_io(1 << 20))
@@ -334,28 +320,38 @@ mod tests {
         a.ssd_mut();
     }
 
-    #[test]
-    fn disabled_plan_installs_nothing() {
-        let mut a = DeviceArray::coupled(small_ssd(), small_hdd());
-        a.install_fault_plan(&FaultPlan::none());
-        assert!(a.ssd().fault_stats().is_none());
-        assert!(a.hdd().fault_stats().is_none());
-        assert_eq!(a.fault_stats(), FaultStats::default());
+    /// An array with a counting sink on every device.
+    fn counted(mut a: DeviceArray) -> (DeviceArray, Arc<Mutex<TraceStats>>) {
+        let (tracer, counts) = Tracer::counting();
+        a.install_tracer(tracer);
+        (a, counts)
     }
 
     #[test]
-    fn armed_plan_reaches_every_device_and_report() {
+    fn disabled_plan_installs_nothing() {
+        let (mut a, counts) = counted(DeviceArray::coupled(small_ssd(), small_hdd()));
+        a.install_fault_plan(&FaultPlan::none());
+        a.ssd_mut().write(Ns::ZERO, 0).unwrap();
+        assert!(a.ssd_mut().read(Ns::from_ms(1), 0).is_ok());
+        assert!(a.hdd_mut().read(Ns::ZERO, 1, 1).is_ok());
+        let counts = counts.lock().unwrap();
+        assert_eq!((counts.ssd_reads, counts.hdd_reads), (1, 1));
+        assert_eq!(counts.faults_ssd_read + counts.faults_hdd_read, 0);
+    }
+
+    #[test]
+    fn armed_plan_reaches_every_device() {
         use crate::fault::FaultTrigger;
         let plan = FaultPlan::seeded(3)
             .trigger(FaultTrigger::HddRead { op: 0 })
             .trigger(FaultTrigger::SsdRead { op: 0 });
-        let mut a = DeviceArray::coupled(small_ssd(), small_hdd());
+        let (mut a, counts) = counted(DeviceArray::coupled(small_ssd(), small_hdd()));
         a.install_fault_plan(&plan);
         a.ssd_mut().write(Ns::ZERO, 0).unwrap();
         assert!(a.ssd_mut().read(Ns::from_ms(1), 0).is_err());
         assert!(a.hdd_mut().read(Ns::ZERO, 1, 1).is_err());
-        let r = a.report("faulty", Ns::from_secs(1));
-        assert_eq!(r.faults.ssd_read_errors, 1);
-        assert_eq!(r.faults.hdd_read_errors, 1);
+        let counts = counts.lock().unwrap();
+        assert_eq!(counts.faults_ssd_read, 1);
+        assert_eq!(counts.faults_hdd_read, 1);
     }
 }

@@ -395,37 +395,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// Counters of injected faults and the remaps that cleared them, merged
-/// into [`SystemReport`](crate::system::SystemReport).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultStats {
-    /// HDD block reads that hit a latent sector error.
-    pub hdd_read_errors: u64,
-    /// HDD block writes that failed transiently.
-    pub hdd_write_errors: u64,
-    /// SSD page reads that were uncorrectable (including wear-out hits).
-    pub ssd_read_errors: u64,
-    /// Portion of `ssd_read_errors` attributable to the wear-out term.
-    pub wearout_errors: u64,
-    /// Bad sectors/pages cleared by a successful rewrite (drive remap).
-    pub sectors_remapped: u64,
-    /// Operations refused because the whole device had died
-    /// ([`FaultPlan::ssd_dies_at`] / [`FaultPlan::hdd_dies_at`]).
-    pub dead_device_errors: u64,
-}
-
-impl FaultStats {
-    /// Sums `other` into `self` (merging per-device counters).
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.hdd_read_errors += other.hdd_read_errors;
-        self.hdd_write_errors += other.hdd_write_errors;
-        self.ssd_read_errors += other.ssd_read_errors;
-        self.wearout_errors += other.wearout_errors;
-        self.sectors_remapped += other.sectors_remapped;
-        self.dead_device_errors += other.dead_device_errors;
-    }
-}
-
 /// splitmix64 finalizer: a cheap, well-mixed 64-bit hash step.
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -453,7 +422,6 @@ pub struct FaultInjector {
     read_ops: u64,
     write_ops: u64,
     bad: AddrSet<u64>,
-    stats: FaultStats,
     tracer: Tracer,
     /// Total-operation index at which the whole device dies, if ever.
     death_op: Option<u64>,
@@ -469,7 +437,6 @@ impl FaultInjector {
             read_ops: 0,
             write_ops: 0,
             bad: AddrSet::default(),
-            stats: FaultStats::default(),
             tracer: Tracer::disabled(),
             death_op: None,
         }
@@ -490,18 +457,15 @@ impl FaultInjector {
             .is_some_and(|d| self.read_ops + self.write_ops >= d)
     }
 
-    /// Fault counters accumulated so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
     /// Installs the tracer that receives a
-    /// [`TraceKind::FaultInjected`] event for every counted fault.
+    /// [`TraceKind::FaultInjected`] event for every injected fault and
+    /// remap: the one count of them (attach [`Tracer::counting`] to read
+    /// totals).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    /// Emits one fault event at the stat-increment site.
+    /// Emits one fault event.
     fn note(&self, at: Ns, kind: FaultKind, addr: u64) {
         self.tracer.emit(|| TraceEvent {
             at,
@@ -524,7 +488,6 @@ impl FaultInjector {
     pub fn hdd_read(&mut self, at: Ns, lba: u64, blocks: u32) -> Option<u64> {
         if self.is_dead() {
             self.read_ops += 1;
-            self.stats.dead_device_errors += 1;
             self.note(at, FaultKind::DeviceDead, lba);
             return Some(lba);
         }
@@ -532,14 +495,12 @@ impl FaultInjector {
         self.read_ops += 1;
         if self.triggered(0, op) {
             self.bad.insert(lba);
-            self.stats.hdd_read_errors += 1;
             self.note(at, FaultKind::HddRead, lba);
             return Some(lba);
         }
         for i in 0..blocks as u64 {
             let addr = lba + i;
             if self.bad.contains(&addr) {
-                self.stats.hdd_read_errors += 1;
                 self.note(at, FaultKind::HddRead, addr);
                 return Some(addr);
             }
@@ -547,7 +508,6 @@ impl FaultInjector {
                 let roll = unit(fault_roll(self.plan.seed, self.salt, op, addr));
                 if roll < self.plan.hdd_read_error_rate {
                     self.bad.insert(addr);
-                    self.stats.hdd_read_errors += 1;
                     self.note(at, FaultKind::HddRead, addr);
                     return Some(addr);
                 }
@@ -562,14 +522,12 @@ impl FaultInjector {
     pub fn hdd_write(&mut self, at: Ns, lba: u64, blocks: u32) -> Option<u64> {
         if self.is_dead() {
             self.write_ops += 1;
-            self.stats.dead_device_errors += 1;
             self.note(at, FaultKind::DeviceDead, lba);
             return Some(lba);
         }
         let op = self.write_ops;
         self.write_ops += 1;
         if self.triggered(1, op) {
-            self.stats.hdd_write_errors += 1;
             self.note(at, FaultKind::HddWrite, lba);
             return Some(lba);
         }
@@ -578,14 +536,12 @@ impl FaultInjector {
             // counter has advanced, so a retry re-rolls.
             let roll = unit(fault_roll(self.plan.seed, self.salt ^ 0x57, op, lba));
             if roll < self.plan.hdd_write_error_rate {
-                self.stats.hdd_write_errors += 1;
                 self.note(at, FaultKind::HddWrite, lba);
                 return Some(lba);
             }
         }
         for i in 0..blocks as u64 {
             if self.bad.remove(&(lba + i)) {
-                self.stats.sectors_remapped += 1;
                 self.note(at, FaultKind::Remap, lba + i);
             }
         }
@@ -598,7 +554,6 @@ impl FaultInjector {
     pub fn ssd_read(&mut self, at: Ns, lpn: u64, life_used: f64) -> bool {
         if self.is_dead() {
             self.read_ops += 1;
-            self.stats.dead_device_errors += 1;
             self.note(at, FaultKind::DeviceDead, lpn);
             return true;
         }
@@ -606,12 +561,10 @@ impl FaultInjector {
         self.read_ops += 1;
         if self.triggered(2, op) {
             self.bad.insert(lpn);
-            self.stats.ssd_read_errors += 1;
             self.note(at, FaultKind::SsdRead, lpn);
             return true;
         }
         if self.bad.contains(&lpn) {
-            self.stats.ssd_read_errors += 1;
             self.note(at, FaultKind::SsdRead, lpn);
             return true;
         }
@@ -626,10 +579,8 @@ impl FaultInjector {
             let roll = unit(fault_roll(self.plan.seed, self.salt, op, lpn));
             if roll < rate {
                 self.bad.insert(lpn);
-                self.stats.ssd_read_errors += 1;
                 self.note(at, FaultKind::SsdRead, lpn);
                 if wearing && roll >= self.plan.ssd_read_error_rate {
-                    self.stats.wearout_errors += 1;
                     self.note(at, FaultKind::Wearout, lpn);
                 }
                 return true;
@@ -643,20 +594,18 @@ impl FaultInjector {
     pub fn ssd_write(&mut self, at: Ns, lpn: u64) {
         self.write_ops += 1;
         if self.bad.remove(&lpn) {
-            self.stats.sectors_remapped += 1;
             self.note(at, FaultKind::Remap, lpn);
         }
     }
 
     /// Checks whether a pending SSD program must be refused because the
-    /// device has died. Counts and traces the refusal; a live device is
+    /// device has died. Traces the refusal; a live device is
     /// untouched (the later [`FaultInjector::ssd_write`] counts the op).
     pub fn ssd_program_refused(&mut self, at: Ns, lpn: u64) -> bool {
         if !self.is_dead() {
             return false;
         }
         self.write_ops += 1;
-        self.stats.dead_device_errors += 1;
         self.note(at, FaultKind::DeviceDead, lpn);
         true
     }
@@ -955,6 +904,8 @@ pub fn report_lost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceStats;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -1098,10 +1049,18 @@ mod tests {
             .is_enabled());
     }
 
+    /// An injector over `plan` and `salt` with a counting sink attached.
+    fn counted(plan: FaultPlan, salt: u64) -> (FaultInjector, Arc<Mutex<TraceStats>>) {
+        let mut inj = FaultInjector::new(plan, salt);
+        let (tracer, counts) = Tracer::counting();
+        inj.set_tracer(tracer);
+        (inj, counts)
+    }
+
     #[test]
     fn triggers_fire_exactly_once() {
         let plan = FaultPlan::seeded(7).trigger(FaultTrigger::HddRead { op: 1 });
-        let mut inj = FaultInjector::new(plan, 0);
+        let (mut inj, counts) = counted(plan, 0);
         assert!(inj.hdd_read(Ns::ZERO, 10, 1).is_none());
         assert_eq!(inj.hdd_read(Ns::ZERO, 20, 1), Some(20), "second read fails");
         // The sector the trigger hit stays bad until rewritten.
@@ -1111,18 +1070,18 @@ mod tests {
             inj.hdd_read(Ns::ZERO, 20, 1).is_none(),
             "rewrite remapped it"
         );
-        assert_eq!(inj.stats().sectors_remapped, 1);
+        assert_eq!(counts.lock().unwrap().faults_remapped, 1);
     }
 
     #[test]
     fn latent_errors_persist_until_rewrite() {
         // A rate of 1.0 fails every fresh read.
         let plan = FaultPlan::seeded(3).hdd_read_errors(1.0);
-        let mut inj = FaultInjector::new(plan, 0);
+        let (mut inj, counts) = counted(plan, 0);
         assert_eq!(inj.hdd_read(Ns::ZERO, 5, 1), Some(5));
-        assert_eq!(inj.stats().hdd_read_errors, 1);
+        assert_eq!(counts.lock().unwrap().faults_hdd_read, 1);
         assert!(inj.hdd_write(Ns::ZERO, 5, 1).is_none());
-        assert_eq!(inj.stats().sectors_remapped, 1);
+        assert_eq!(counts.lock().unwrap().faults_remapped, 1);
         // Rate 1.0 re-marks it immediately, but the remap did clear it.
         assert_eq!(inj.hdd_read(Ns::ZERO, 5, 1), Some(5));
     }
@@ -1130,7 +1089,7 @@ mod tests {
     #[test]
     fn write_faults_are_transient() {
         let plan = FaultPlan::seeded(9).hdd_write_errors(0.5);
-        let mut inj = FaultInjector::new(plan, 4);
+        let (mut inj, counts) = counted(plan, 4);
         // Across many ops roughly half fail; crucially a failed op's retry
         // is a new op with a fresh roll, so eventually every write lands.
         let mut failures = 0;
@@ -1140,7 +1099,7 @@ mod tests {
             }
         }
         assert!(failures > 50 && failures < 150, "got {failures}");
-        assert_eq!(inj.stats().hdd_write_errors, failures);
+        assert_eq!(counts.lock().unwrap().faults_hdd_write, failures);
     }
 
     #[test]
@@ -1151,29 +1110,29 @@ mod tests {
             !fresh.ssd_read(Ns::ZERO, 1, 0.0),
             "below threshold: no wear term"
         );
-        let mut worn = FaultInjector::new(plan, 0);
+        let (mut worn, counts) = counted(plan, 0);
         assert!(
             worn.ssd_read(Ns::ZERO, 1, 0.9),
             "past threshold: wear term fires"
         );
-        assert_eq!(worn.stats().wearout_errors, 1);
+        assert_eq!(counts.lock().unwrap().faults_wearout, 1);
         // A reprogram heals the page; rate still 1.0 so next read refails.
         worn.ssd_write(Ns::ZERO, 1);
-        assert_eq!(worn.stats().sectors_remapped, 1);
+        assert_eq!(counts.lock().unwrap().faults_remapped, 1);
     }
 
     #[test]
     fn same_plan_same_salt_is_replayable() {
         let plan = FaultPlan::seeded(77).hdd_read_errors(0.1);
-        let mut a = FaultInjector::new(plan.clone(), 16);
-        let mut b = FaultInjector::new(plan, 16);
+        let (mut a, a_counts) = counted(plan.clone(), 16);
+        let (mut b, b_counts) = counted(plan, 16);
         for i in 0..500u64 {
             assert_eq!(
                 a.hdd_read(Ns::ZERO, i % 64, 1),
                 b.hdd_read(Ns::ZERO, i % 64, 1)
             );
         }
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(*a_counts.lock().unwrap(), *b_counts.lock().unwrap());
     }
 
     #[test]
@@ -1181,13 +1140,14 @@ mod tests {
         let plan = FaultPlan::seeded(1).hdd_dies_at(2);
         assert!(plan.is_enabled());
         assert!(FaultPlan::seeded(1).ssd_dies_at(0).is_enabled());
-        let mut inj = FaultInjector::new(plan.clone(), 16).with_death(plan.hdd_death_op);
+        let (inj, counts) = counted(plan.clone(), 16);
+        let mut inj = inj.with_death(plan.hdd_death_op);
         assert!(inj.hdd_read(Ns::ZERO, 0, 1).is_none());
         assert!(inj.hdd_write(Ns::ZERO, 1, 1).is_none());
         assert!(inj.is_dead(), "two ops spent: the device is gone");
         assert_eq!(inj.hdd_read(Ns::ZERO, 5, 1), Some(5));
         assert_eq!(inj.hdd_write(Ns::ZERO, 6, 1), Some(6));
-        assert_eq!(inj.stats().dead_device_errors, 2);
+        assert_eq!(counts.lock().unwrap().faults_dead_device, 2);
         // A rewrite cannot remap a dead device back to life.
         assert_eq!(inj.hdd_read(Ns::ZERO, 5, 1), Some(5));
     }
@@ -1195,10 +1155,11 @@ mod tests {
     #[test]
     fn dead_ssd_refuses_reads_and_programs() {
         let plan = FaultPlan::seeded(2).ssd_dies_at(0);
-        let mut inj = FaultInjector::new(plan.clone(), 1).with_death(plan.ssd_death_op);
+        let (inj, counts) = counted(plan.clone(), 1);
+        let mut inj = inj.with_death(plan.ssd_death_op);
         assert!(inj.ssd_read(Ns::ZERO, 3, 0.0));
         assert!(inj.ssd_program_refused(Ns::ZERO, 4));
-        assert_eq!(inj.stats().dead_device_errors, 2);
+        assert_eq!(counts.lock().unwrap().faults_dead_device, 2);
         // Clearing the trigger (replacement device) restores service.
         let fresh = FaultInjector::new(plan.without_ssd_death(), 1).with_death(None);
         let mut fresh = fresh;

@@ -10,7 +10,7 @@
 
 use crate::block::BLOCK_SIZE;
 use crate::energy::{EnergyMeter, MicroJoules};
-use crate::fault::{FaultInjector, FaultStats};
+use crate::fault::FaultInjector;
 use crate::queue::{CommandQueue, QueueConfig};
 use crate::stats::DeviceStats;
 use crate::time::Ns;
@@ -184,11 +184,6 @@ impl Hdd {
         }
         self.tracer = tracer;
         self.trace_disk = disk;
-    }
-
-    /// Fault counters, when an injector is installed.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| f.stats())
     }
 
     /// The disk configuration.
@@ -608,6 +603,8 @@ mod tests {
     #[test]
     fn triggered_read_fails_then_rewrite_remaps() {
         let mut d = disk();
+        let (tracer, counts) = Tracer::counting();
+        d.set_tracer(tracer, 0);
         d.install_faults(FaultInjector::new(
             FaultPlan::seeded(5).trigger(FaultTrigger::HddRead { op: 0 }),
             0,
@@ -619,8 +616,9 @@ mod tests {
         // ...and a write remaps it.
         let t = d.write(Ns::from_ms(1), 42, 1).unwrap();
         assert!(d.read(t, 42, 1).is_ok());
-        assert_eq!(d.fault_stats().unwrap().sectors_remapped, 1);
-        assert_eq!(d.fault_stats().unwrap().hdd_read_errors, 2);
+        let counts = counts.lock().unwrap();
+        assert_eq!(counts.faults_remapped, 1);
+        assert_eq!(counts.faults_hdd_read, 2);
     }
 
     #[test]

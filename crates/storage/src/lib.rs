@@ -89,7 +89,7 @@ pub mod trace;
 
 pub use array::DeviceArray;
 pub use block::{BlockBuf, Lba, BLOCK_SIZE};
-pub use fault::{FaultPlan, FaultStats, FaultTrigger};
+pub use fault::{FaultPlan, FaultTrigger};
 pub use pipeline::{FlushProgress, Ticket, WriteThrough};
 pub use queue::{CommandQueue, QueueConfig, QueueFull};
 pub use request::{BlockError, Completion, IoErrorKind, Op, Request};

@@ -16,7 +16,7 @@ pub mod wear;
 
 use crate::block::BLOCK_SIZE;
 use crate::energy::{ssd_op_energy, EnergyMeter, MicroJoules};
-use crate::fault::{FaultInjector, FaultStats};
+use crate::fault::FaultInjector;
 use crate::stats::DeviceStats;
 use crate::time::Ns;
 use crate::trace::{TraceEvent, TraceKind, Tracer};
@@ -139,11 +139,6 @@ impl Ssd {
             f.set_tracer(tracer.clone());
         }
         self.tracer = tracer;
-    }
-
-    /// Fault counters, when an injector is installed.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| f.stats())
     }
 
     /// Logical capacity in pages.
@@ -501,6 +496,8 @@ mod tests {
     fn uncorrectable_read_heals_on_reprogram() {
         use crate::fault::{FaultInjector, FaultPlan, FaultTrigger};
         let mut s = small_ssd();
+        let (tracer, counts) = Tracer::counting();
+        s.set_tracer(tracer);
         s.install_faults(FaultInjector::new(
             FaultPlan::seeded(1).trigger(FaultTrigger::SsdRead { op: 0 }),
             0,
@@ -514,7 +511,8 @@ mod tests {
         assert!(s.read(Ns::from_ms(2), 4).is_err());
         s.write(Ns::from_ms(3), 4).unwrap();
         assert!(s.read(Ns::from_ms(4), 4).is_ok());
-        assert_eq!(s.fault_stats().unwrap().ssd_read_errors, 2);
-        assert_eq!(s.fault_stats().unwrap().sectors_remapped, 1);
+        let counts = counts.lock().unwrap();
+        assert_eq!(counts.faults_ssd_read, 2);
+        assert_eq!(counts.faults_remapped, 1);
     }
 }

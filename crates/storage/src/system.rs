@@ -8,7 +8,6 @@
 use crate::block::{BlockBuf, Lba};
 use crate::cpu::CpuModel;
 use crate::energy::MicroJoules;
-use crate::fault::FaultStats;
 use crate::pipeline::Ticket;
 use crate::request::{Completion, Request};
 use crate::ssd::ftl::GcStats;
@@ -86,15 +85,12 @@ pub struct SystemReport {
     /// Energy drawn by the storage devices over the run (CPU energy is added
     /// by the driver, which owns the CPU model).
     pub device_energy: MicroJoules,
-    /// Injected-fault counters merged over every device (all zero when the
-    /// run carried no fault plan).
-    pub faults: FaultStats,
 }
 
 impl SystemReport {
     /// Folds another shard's report into this one, producing the figures a
     /// single system over the same union of devices would have reported:
-    /// device stats, energy and fault counters add; SSD life used is the
+    /// device stats and energy add; SSD life used is the
     /// worst shard (wear-out is per device, not amortizable); optional
     /// sections appear as soon as any shard has them. The name is kept from
     /// `self` — shards of one architecture all share it.
@@ -113,7 +109,6 @@ impl SystemReport {
             *a = a.max(*b)
         });
         self.device_energy.add(other.device_energy);
-        self.faults.merge(&other.faults);
     }
 }
 

@@ -8,8 +8,9 @@
 //! deterministic artifact: the same seed produces the same byte-for-byte
 //! event stream, so traces serve as *oracles* that cross-check the
 //! aggregate counters ([`DeviceStats`](crate::stats::DeviceStats),
-//! [`FaultStats`](crate::fault::FaultStats), `SystemReport`) event by
-//! event.
+//! `SystemReport`) event by event. Injected faults, queue activity and the
+//! controller's pipeline and health events have no aggregate counter: a
+//! counting sink ([`Tracer::counting`]) over the stream is their one count.
 //!
 //! ## Overhead contract
 //!
@@ -44,9 +45,8 @@ use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
-/// The kind of an injected fault, mirroring the counters of
-/// [`FaultStats`](crate::fault::FaultStats) one-to-one so a counting sink
-/// can be diffed against the injector's own accounting.
+/// The kind of an injected fault; [`TraceStats`] keeps one total per kind,
+/// the only count of injected faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// An HDD block read hit a latent sector error.
@@ -55,9 +55,8 @@ pub enum FaultKind {
     HddWrite,
     /// An SSD page read was uncorrectable (base rate or trigger).
     SsdRead,
-    /// The wear-out term of an uncorrectable SSD read (also counted as
-    /// [`FaultKind::SsdRead`] in [`FaultStats`](crate::fault::FaultStats),
-    /// so it is emitted as a second event alongside one `SsdRead` event).
+    /// The wear-out term of an uncorrectable SSD read: a second event
+    /// alongside that read's one [`FaultKind::SsdRead`] event.
     Wearout,
     /// A bad sector/page was cleared by a successful rewrite (drive remap).
     Remap,
@@ -689,9 +688,11 @@ impl TraceSink for RingSink {
 
 /// A counting-only sink: no event storage, just totals. The trace-oracle
 /// tests diff the device and host counts against `SystemReport`,
-/// `RunSummary` and `IcashStats`; the controller's pipeline and resilience
-/// events (staging, group commits, barriers, log cleans, scrubs, repairs,
-/// retries, rebuilt slots) are counted here and nowhere else.
+/// `RunSummary` and `IcashStats`; injected faults and the controller's
+/// pipeline, resilience and health events (staging, group commits,
+/// barriers, log cleans, scrubs, repairs, retries, transitions, backoffs,
+/// rebuild chunks) are counted here and nowhere else. A total is kept only
+/// where something reads it; the events carry every field.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceStats {
     /// Host request spans opened.
@@ -706,14 +707,10 @@ pub struct TraceStats {
     pub ssd_reads: u64,
     /// Host-level SSD page programs.
     pub ssd_programs: u64,
-    /// Pages read by garbage collection.
-    pub ssd_gc_reads: u64,
     /// Pages programmed by garbage collection.
     pub ssd_gc_programs: u64,
     /// Flash blocks erased.
     pub ssd_erases: u64,
-    /// Pages trimmed.
-    pub ssd_trims: u64,
     /// HDD read operations.
     pub hdd_reads: u64,
     /// HDD write operations.
@@ -738,14 +735,10 @@ pub struct TraceStats {
     pub ref_cache_misses: u64,
     /// Encoded deltas entering the staging buffer.
     pub stage_enters: u64,
-    /// Payload bytes entering the staging buffer.
-    pub staged_bytes: u64,
     /// Group commits draining the staging buffer.
     pub group_commits: u64,
     /// Staged entries drained by group commits.
     pub group_commit_entries: u64,
-    /// Payload bytes drained by group commits.
-    pub group_commit_bytes: u64,
     /// Durability barriers that had to flush.
     pub barrier_waits: u64,
     /// Durability barriers satisfied without flushing.
@@ -822,17 +815,14 @@ impl TraceSink for TraceStats {
             }
             TraceKind::SsdRead { .. } => self.ssd_reads += 1,
             TraceKind::SsdProgram {
-                gc_reads,
                 gc_programs,
                 erases,
                 ..
             } => {
                 self.ssd_programs += 1;
-                self.ssd_gc_reads += gc_reads as u64;
                 self.ssd_gc_programs += gc_programs as u64;
                 self.ssd_erases += erases as u64;
             }
-            TraceKind::SsdTrim { .. } => self.ssd_trims += 1,
             TraceKind::HddRead { .. } => self.hdd_reads += 1,
             TraceKind::HddWrite { .. } => self.hdd_writes += 1,
             TraceKind::FaultInjected { kind, .. } => match kind {
@@ -859,14 +849,10 @@ impl TraceSink for TraceStats {
                 self.log_flushes += 1;
                 self.log_blocks += blocks as u64;
             }
-            TraceKind::StageEnter { bytes, .. } => {
-                self.stage_enters += 1;
-                self.staged_bytes += bytes as u64;
-            }
-            TraceKind::GroupCommit { entries, bytes } => {
+            TraceKind::StageEnter { .. } => self.stage_enters += 1,
+            TraceKind::GroupCommit { entries, .. } => {
                 self.group_commits += 1;
                 self.group_commit_entries += entries as u64;
-                self.group_commit_bytes += bytes as u64;
             }
             TraceKind::Barrier { waited, .. } => {
                 if waited {
@@ -893,8 +879,10 @@ impl TraceSink for TraceStats {
                     self.open_loop_waits += 1;
                 }
             }
-            // The profile's to fold: recovery and per-device queue events.
-            TraceKind::RecoveryTruncate { .. }
+            // Trims have no total; the profile folds recovery and
+            // per-device queue events.
+            TraceKind::SsdTrim { .. }
+            | TraceKind::RecoveryTruncate { .. }
             | TraceKind::RecoveryReplay { .. }
             | TraceKind::QueueAdmit { .. }
             | TraceKind::QueueReorder { .. }
@@ -1153,7 +1141,8 @@ mod tests {
             let mut stats = open.clone();
             let counted = !matches!(
                 event.kind,
-                TraceKind::RecoveryTruncate { .. }
+                TraceKind::SsdTrim { .. }
+                    | TraceKind::RecoveryTruncate { .. }
                     | TraceKind::RecoveryReplay { .. }
                     | TraceKind::QueueAdmit { .. }
                     | TraceKind::QueueReorder { .. }
@@ -1173,10 +1162,8 @@ mod tests {
             write_requests: 1,
             ssd_reads: 1,
             ssd_programs: 1,
-            ssd_gc_reads: 3,
             ssd_gc_programs: 3,
             ssd_erases: 3,
-            ssd_trims: 1,
             hdd_reads: 1,
             hdd_writes: 1,
             ram_hits: 1,
@@ -1186,10 +1173,8 @@ mod tests {
             sig_probes: 1,
             sig_binds: 1,
             stage_enters: 1,
-            staged_bytes: 3,
             group_commits: 1,
             group_commit_entries: 3,
-            group_commit_bytes: 3,
             barrier_waits: 1,
             log_flushes: 1,
             log_blocks: 3,

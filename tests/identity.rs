@@ -116,8 +116,8 @@ fn attached_tracer_is_bit_identical_for_every_system() {
 }
 
 /// `HealthPolicy::standard()` on a fault-free run ⇒ the inert run's
-/// completions and traced events, every health counter zero, every device
-/// `Healthy`.
+/// completions and traced events, no health event and every health counter
+/// zero, every device `Healthy`.
 #[test]
 fn enabled_health_is_inert_on_a_fault_free_run() {
     assert!(
@@ -144,11 +144,16 @@ fn enabled_health_is_inert_on_a_fault_free_run() {
     let states = (HealthState::Healthy, HealthState::Healthy);
     assert_eq!(sys.health_states(), states);
     let stats = sys.stats();
-    assert_eq!(stats.health_transitions, 0, "no transitions without faults");
     assert_eq!(stats.degraded_reads + stats.degraded_writes, 0);
     assert_eq!(stats.busy_rejections, 0);
-    assert_eq!(stats.retry_backoffs, 0);
-    assert_eq!(stats.rebuild_chunks, 0);
+    let events = parse_jsonl(&traced.join("\n")).expect("traced stream parses");
+    let events = TraceProfile::from_events(&events).stats;
+    assert_eq!(
+        events.health_transitions, 0,
+        "no transitions without faults"
+    );
+    assert_eq!(events.retry_backoffs, 0);
+    assert_eq!(events.rebuild_chunks, 0);
 }
 
 /// The inert policy under seeded HDD read and write errors ⇒ the fixed,

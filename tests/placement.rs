@@ -483,15 +483,17 @@ fn degraded_writes_survive_a_crash() {
     assert!(exact > 0, "no block came back readable");
 }
 
-/// A log fetch snapshots the packed blocks it read, then installs each
-/// delta whose block still points at the log block it came from. Here the
-/// first install finds the pool dirty deltas to the brim, so making room
-/// flushes, the flush fills the log, and the log is cleaned *inside the
-/// fetch* — which renumbers block 8's live entry (the last of 50 rewrites)
-/// into the very log block whose snapshot holds its first version. The
-/// prefetch must not install that one as current.
+/// A log fetch installs each delta of the packed blocks it read whose block
+/// still points at the log block it came from, walking those blocks in
+/// place. Here the first install finds the pool dirty deltas to the brim,
+/// so making room flushes, the flush fills the log, and the log is cleaned
+/// *inside the fetch*, which renumbers every entry. The walk must end
+/// there: the cleaned log's first block holds blocks 0..8 but not block
+/// 8's live entry (a version too wide to share it), so it is one entry
+/// shorter than the block the fetch read, and a walk that went on would
+/// index past it. Both reads return the current versions.
 #[test]
-fn a_log_clean_inside_a_fetch_does_not_install_superseded_deltas() {
+fn a_log_clean_inside_a_fetch_ends_the_walk() {
     let mut cleaned_inside = 0;
     // (Exactly one filler count leaves the pool less than one delta short
     // of full; the sweep finds it whatever the codec's exact sizes are.)
@@ -507,7 +509,7 @@ fn a_log_clean_inside_a_fetch_does_not_install_superseded_deltas() {
         rig.sync();
         // ... and block 8 moves on, one log block per version.
         for tag in 1..=50 {
-            rig.write(8, sparse(8, tag, 400));
+            rig.write(8, sparse(8, tag, 1800));
             rig.sync();
         }
         // A streamed span bypasses the data cache, so it is dirty deltas
@@ -524,8 +526,8 @@ fn a_log_clean_inside_a_fetch_does_not_install_superseded_deltas() {
             cleaned_inside += 1;
         }
         assert!(
-            rig.read(8) == sparse(8, 50, 400),
-            "{fillers} fillers: the fetch installed a superseded delta"
+            rig.read(8) == sparse(8, 50, 1800),
+            "{fillers} fillers: block 8 lost its current version"
         );
         rig.sys.debug_validate();
     }
