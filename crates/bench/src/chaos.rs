@@ -453,14 +453,14 @@ pub fn render(_: &RunConfig) -> String {
         totals.reads, totals.reported_errors, totals.refused_writes
     ));
     // The I-CASH counts, summed over every cell and shard.
-    let sum = |count: &dyn Fn(&Seen) -> u64| seen.iter().map(count).sum::<u64>();
+    let sum = |count: fn(&Seen) -> u64| seen.iter().map(count).sum::<u64>();
     let health = [
-        (sum(&|s| s.events.health_transitions), "transitions"),
-        (sum(&|s| s.total(|s| s.degraded_reads)), "degraded reads"),
-        (sum(&|s| s.total(|s| s.degraded_writes)), "degraded writes"),
-        (sum(&|s| s.events.backpressure_rejects), "busy rejections"),
-        (sum(&|s| s.events.retry_backoffs), "retry backoffs"),
-        (sum(&|s| s.events.rebuild_chunks), "rebuild chunks"),
+        (sum(|s| s.events.health_transitions), "transitions"),
+        (sum(|s| s.total(|s| s.degraded_reads)), "degraded reads"),
+        (sum(|s| s.total(|s| s.degraded_writes)), "degraded writes"),
+        (sum(|s| s.events.backpressure_rejects), "busy rejections"),
+        (sum(|s| s.events.retry_backoffs), "retry backoffs"),
+        (sum(|s| s.events.rebuild_chunks), "rebuild chunks"),
     ];
     let printed = health.map(|(n, what)| format!("{n} {what}"));
     doc.push_str(&format!("health: {}\n", printed.join(", ")));
