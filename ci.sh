@@ -126,12 +126,17 @@ pin_rows() {
 stage_golden() {
   bins
   pin_rows
-  # The faults campaign folds its injected faults from every cell's event
-  # stream, recorded with or without --trace: traced, it must print the
+  # The faults campaign counts its injected faults in a live sink that
+  # renders JSONL only under --trace: traced, each depth must print its
   # untraced pin byte for byte.
-  step "exhibit campaign_faults --trace target/faults.jsonl vs ci/golden/run_faults_depth1.txt"
-  ./target/release/exhibit campaign_faults --trace target/faults.jsonl > target/run_faults_traced.txt
-  pin target/run_faults_traced.txt ci/golden/run_faults_depth1.txt
+  local row depth
+  for row in campaign_faults:depth1 campaign_faults_depth4:depth4; do
+    depth=${row#*:}
+    row=${row%:*}
+    step "exhibit $row --trace target/faults_$depth.jsonl vs ci/golden/run_faults_$depth.txt"
+    ./target/release/exhibit "$row" --trace "target/faults_$depth.jsonl" > "target/run_faults_traced_$depth.txt"
+    pin "target/run_faults_traced_$depth.txt" "ci/golden/run_faults_$depth.txt"
+  done
   trace_pin unset run_all_trace_depth1
   trace_pin off run_all_trace_depth1 "${OFF[@]}"
   # The one pin on a sharded harness cell: every architecture striped over

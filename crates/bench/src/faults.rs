@@ -15,11 +15,11 @@
 //! panic anywhere is also a failure — the whole point of the robustness
 //! work is that injected faults degrade service, not crash the stack.
 //!
-//! Every cell records its structured event stream, and the `injected:`
-//! line is folded from the plain cells' streams (the trace is the one count
-//! of injected faults). With `--trace <path>`, the cells are also
-//! concatenated into one multi-cell JSONL artifact readable by
-//! `trace_profile`.
+//! Every cell counts its events in a live [`TraceStats`] sink, and the
+//! `injected:` line sums the plain cells' counts (the trace is the one
+//! count of injected faults). With `--trace <path>`, the same sink also
+//! renders each cell's events, concatenated into one multi-cell JSONL
+//! artifact readable by `trace_profile`; nothing is parsed back.
 //!
 //! Row `campaign_faults_depth4` runs the same grid with the I-CASH cells'
 //! staged write pipeline at group-commit depth 4, where every I-CASH cell
@@ -30,13 +30,15 @@
 use crate::campaign::{
     build_system, icash_config, media_faults, scrubbing_icash, verdict, Cell, Stamp, Tally,
 };
-use crate::harness::{attach_jsonl, SystemKind};
+use crate::harness::{push_cell, write_artifact, SystemKind};
 use crate::RunConfig;
 use icash_core::Icash;
-use icash_metrics::trace::{parse_jsonl, TraceSink, TraceStats};
+use icash_metrics::trace::JsonlSink;
 use icash_storage::fault::fault_roll;
 use icash_storage::model::Allow;
 use icash_storage::system::StorageSystem;
+use icash_storage::trace::{TraceSink, TraceStats, Tracer};
+use std::sync::{Arc, Mutex};
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 2048;
@@ -124,27 +126,31 @@ fn crash_cell(sys: Icash, seed: u64, crash_frac: f64, depth: u64) -> Tally {
     cell.finish()
 }
 
-/// Runs one cell's `body` over `sys`, recording its event stream, and
-/// returns the tally with the stream. When tracing, the stream also joins
-/// `trace` under a `{"cell":…}` header naming `workload` and `system`.
-/// `body` consumes the system, so its sink is complete when it returns.
+/// Runs one cell's `body` over `sys` with a counting sink attached, which
+/// starts from `counts` and leaves its totals there. When tracing, the
+/// sink also renders the cell's events, and they join `trace` under a
+/// `{"cell":…}` header naming `workload` and `system`. `body` consumes the
+/// system, so the sink is complete when it returns.
 fn run_cell<S: StorageSystem>(
     trace: &mut Option<String>,
-    workload: String,
+    counts: &mut TraceStats,
+    workload: &str,
     system: &str,
     mut sys: S,
     body: impl FnOnce(S) -> Tally,
-) -> (Tally, String) {
-    let sink = attach_jsonl(&mut sys);
+) -> Tally {
+    let jsonl = trace.is_some().then(JsonlSink::new);
+    let sink = Arc::new(Mutex::new((std::mem::take(counts), jsonl)));
+    sys.set_tracer(Tracer::to_sink(
+        sink.clone() as Arc<Mutex<dyn TraceSink + Send>>
+    ));
     let tally = body(sys);
-    let text = sink.lock().expect("trace sink").take_text();
-    if let Some(doc) = trace {
-        doc.push_str(&format!(
-            "{{\"cell\":{{\"workload\":\"{workload}\",\"system\":\"{system}\"}}}}\n"
-        ));
-        doc.push_str(&text);
+    let (seen, jsonl) = std::mem::take(&mut *sink.lock().expect("trace sink"));
+    *counts = seen;
+    if let (Some(doc), Some(jsonl)) = (trace.as_mut(), jsonl) {
+        push_cell(doc, workload, system, jsonl.text());
     }
-    (tally, text)
+    tally
 }
 
 /// Row `campaign_faults`: the campaign at group-commit depth 1.
@@ -172,38 +178,33 @@ fn render_at(cfg: &RunConfig, depth: u64) -> String {
                 let sys = build_system(kind, &media_faults(seed, rate), icash);
                 let name = sys.name().to_string();
                 let workload = format!("faults r{rate} s{seed:#x}");
-                let (tally, text) = run_cell(&mut trace, workload, &name, sys, |sys| {
+                let tally = run_cell(&mut trace, &mut injected, &workload, &name, sys, |sys| {
                     let mut cell = Cell::new(name.as_str(), sys, STAMP, SPACE);
                     plain_cell(&mut cell, seed, depth);
                     cell.finish()
                 });
                 totals.merge(tally);
-                for event in parse_jsonl(&text).expect("a cell's own trace parses") {
-                    injected.record(event);
-                }
                 cells += 1;
             }
         }
     }
+    // The crash cells' faults stay out of `injected:`.
+    let mut uncounted = TraceStats::default();
     for &rate in &RATES {
         for &frac in &CRASH_AT {
             for &seed in &SEEDS {
                 let plan = media_faults(seed, rate).torn_writes();
                 let sys = scrubbing_icash(icash_config(depth).build(), plan);
                 let workload = format!("crash r{rate} f{frac} s{seed:#x}");
-                let (tally, _) = run_cell(&mut trace, workload, "I-CASH", sys, |sys| {
-                    crash_cell(sys, seed, frac, depth)
-                });
+                let body = |sys| crash_cell(sys, seed, frac, depth);
+                let tally = run_cell(&mut trace, &mut uncounted, &workload, "I-CASH", sys, body);
                 totals.merge(tally);
                 cells += 1;
             }
         }
     }
     if let (Some(path), Some(doc)) = (&cfg.trace, &trace) {
-        match std::fs::write(path, doc) {
-            Ok(()) => eprintln!("trace written to {}", path.display()),
-            Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
-        }
+        write_artifact(path, doc);
     }
 
     let mut doc = format!(

@@ -41,6 +41,7 @@ use icash_workloads::spec::WorkloadSpec;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::vm::MultiVm;
 use icash_workloads::workload::{MixedWorkload, Workload};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -387,20 +388,21 @@ pub fn attach_jsonl(system: &mut dyn StorageSystem) -> Arc<Mutex<JsonlSink>> {
 /// [`SystemKind::ALL`] order, the summary with the cell's JSONL events.
 pub type TracedResults = Vec<(WorkloadSpec, Vec<(RunSummary, String)>)>;
 
-/// Renders traced results as one multi-cell JSONL document: each cell is a
-/// `{"cell":{...}}` header line followed by that cell's events.
-fn trace_document(results: &TracedResults) -> String {
-    let mut doc = String::new();
-    for (spec, cells) in results {
-        for (summary, text) in cells {
-            doc.push_str(&format!(
-                "{{\"cell\":{{\"workload\":\"{}\",\"system\":\"{}\"}}}}\n",
-                spec.name, summary.system
-            ));
-            doc.push_str(text);
-        }
+/// Appends one cell to a multi-cell JSONL document: a `{"cell":{...}}`
+/// header line naming `workload` and `system`, then the cell's `events`.
+pub fn push_cell(doc: &mut String, workload: &str, system: &str, events: &str) {
+    doc.push_str(&format!(
+        "{{\"cell\":{{\"workload\":\"{workload}\",\"system\":\"{system}\"}}}}\n"
+    ));
+    doc.push_str(events);
+}
+
+/// Writes a trace artifact to `path`, reporting the outcome on stderr.
+pub fn write_artifact(path: &Path, doc: &str) {
+    match std::fs::write(path, doc) {
+        Ok(()) => eprintln!("trace written to {}", path.display()),
+        Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
     }
-    doc
 }
 
 /// Runs every planned workload against all five systems, with all
@@ -415,10 +417,13 @@ pub fn run_plan(
 ) -> Vec<(WorkloadSpec, Vec<RunSummary>)> {
     let results = run_cells(cfg, plans, cfg.trace.is_some());
     if let Some(path) = &cfg.trace {
-        match std::fs::write(path, trace_document(&results)) {
-            Ok(()) => eprintln!("trace written to {}", path.display()),
-            Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
+        let mut doc = String::new();
+        for (spec, cells) in &results {
+            for (summary, text) in cells {
+                push_cell(&mut doc, &spec.name, &summary.system, text);
+            }
         }
+        write_artifact(path, &doc);
     }
     results
         .into_iter()

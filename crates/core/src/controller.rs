@@ -611,16 +611,14 @@ impl Icash {
             self.stats.failed_fast_writes += errors.len() as u64;
             return Completion::at(req.at).with_errors(errors);
         }
-        if req.blocks >= STREAM_WRITE_BLOCKS {
-            return Completion::at(self.stream_write_span(req, ctx));
-        }
+        let stream = req.blocks >= STREAM_WRITE_BLOCKS;
         let mut done = req.at;
         let mut errors = Vec::new();
         for (lba, buf) in req.lbas().zip(req.payload.iter()) {
             if let Some((queued, cap)) = self.staging_over_cap() {
-                // Admission control: refuse the write with a typed
-                // `Busy` and drain the pipeline so the host's retry
-                // finds room.
+                // Admission control, for every block of every write:
+                // refuse it with a typed `Busy` and drain the pipeline
+                // so the host's retry finds room.
                 self.note_backpressure(req.at, lba, queued, cap);
                 errors.push(BlockError {
                     lba,
@@ -629,7 +627,11 @@ impl Icash {
                 done = done.max(self.flush_all(req.at));
                 continue;
             }
-            done = done.max(self.write_block(lba, buf.clone(), req.at, ctx));
+            done = done.max(if stream {
+                self.stream_write_block(lba, buf, req.at, ctx)
+            } else {
+                self.write_block(lba, buf.clone(), req.at, ctx)
+            });
         }
         Completion::at(done).with_errors(errors)
     }

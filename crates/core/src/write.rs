@@ -9,16 +9,16 @@ use icash_delta::codec::Delta;
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuOp;
-use icash_storage::request::Request;
 use icash_storage::system::IoCtx;
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceEvent, TraceKind};
 
-/// Write requests at least this many blocks long stream to the HDD home
-/// area in one sequential operation instead of entering the delta path —
-/// the third leg of the paper's design triangle ("reliable/durable/
-/// sequential write performance of HDD"). Raw streaming data has no useful
-/// reference and would pack one-per-log-block.
+/// Write requests at least this many blocks long stream: every block still
+/// tries the delta bind (or becomes a zero-based log entry), but skips the
+/// RAM data cache, since stream data is not expected to be re-read soon.
+/// The span reaches the HDD as sequential log appends — the third leg of
+/// the paper's design triangle ("reliable/durable/sequential write
+/// performance of HDD").
 pub(crate) const STREAM_WRITE_BLOCKS: u32 = 8;
 
 impl Icash {
@@ -255,45 +255,43 @@ impl Icash {
         }
     }
 
-    /// Handles a large (streaming) write: every block takes the delta path
-    /// (bind against a reference, or fall back to a zero-based raw log
-    /// entry), so the entire request is absorbed by RAM and leaves the
-    /// controller as one sequential log flush — the paper's "pack deltas
-    /// of all sequential I/Os into one delta block". Stream data bypasses
-    /// the RAM data cache; unlike small writes it is not expected to be
-    /// re-read immediately.
-    pub(crate) fn stream_write_span(&mut self, req: &Request, ctx: &mut IoCtx<'_>) -> Ns {
-        let mut resp = req.at;
-        for (lba, buf) in req.lbas().zip(req.payload.iter()) {
-            let sig = BlockSignature::of(buf.as_slice());
-            let sig_cost = ctx.cpu.charge(CpuOp::Signature);
-            resp = resp.max(req.at + sig_cost);
-            self.volatile.heatmap.record(&sig);
-            let id = self.materialize_vb(lba, req.at, ctx);
-            if self.writes_degraded(id) {
-                resp = resp.max(self.write_degraded(id, buf, req.at));
-            } else if let Placement::Reference { slot, .. } = self.volatile.table.get(id).placement
-            {
-                // A reference's SSD copy is the decode source for its
-                // associates: track the new content as the reference's own
-                // delta.
-                let delta = self.encode_against(req.at, lba, RefSource::Slot(slot), buf);
-                ctx.cpu.charge(CpuOp::DeltaEncode);
-                let own = Some(DeltaHome::Dirty);
-                self.store_delta(id, delta, req.at, Placement::Reference { slot, own });
-                self.stats.delta_writes += 1;
-            } else if self.try_bind(id, buf, &sig, req.at, ctx) {
-                self.stats.delta_writes += 1;
-            } else {
-                self.write_as_independent(id, buf, req.at, ctx);
-            }
-            self.set_written_sig(id, sig);
-            self.drop_data(id);
-            self.volatile.table.touch(id);
-            self.stats.writes += 1;
-            self.after_io(req.at, ctx);
-            self.volatile.staging.progress.reserve();
+    /// One block of a streaming write ([`STREAM_WRITE_BLOCKS`]): the delta
+    /// path without the RAM data cache, so the span leaves the controller
+    /// as one sequential log flush — the paper's "pack deltas of all
+    /// sequential I/Os into one delta block".
+    pub(crate) fn stream_write_block(
+        &mut self,
+        lba: Lba,
+        buf: &BlockBuf,
+        at: Ns,
+        ctx: &mut IoCtx<'_>,
+    ) -> Ns {
+        let sig = BlockSignature::of(buf.as_slice());
+        let mut resp = at + ctx.cpu.charge(CpuOp::Signature);
+        self.volatile.heatmap.record(&sig);
+        let id = self.materialize_vb(lba, at, ctx);
+        if self.writes_degraded(id) {
+            resp = resp.max(self.write_degraded(id, buf, at));
+        } else if let Placement::Reference { slot, .. } = self.volatile.table.get(id).placement {
+            // A reference's SSD copy is the decode source for its
+            // associates: track the new content as the reference's own
+            // delta.
+            let delta = self.encode_against(at, lba, RefSource::Slot(slot), buf);
+            ctx.cpu.charge(CpuOp::DeltaEncode);
+            let own = Some(DeltaHome::Dirty);
+            self.store_delta(id, delta, at, Placement::Reference { slot, own });
+            self.stats.delta_writes += 1;
+        } else if self.try_bind(id, buf, &sig, at, ctx) {
+            self.stats.delta_writes += 1;
+        } else {
+            self.write_as_independent(id, buf, at, ctx);
         }
+        self.set_written_sig(id, sig);
+        self.drop_data(id);
+        self.volatile.table.touch(id);
+        self.stats.writes += 1;
+        self.after_io(at, ctx);
+        self.volatile.staging.progress.reserve();
         resp
     }
 }

@@ -172,14 +172,6 @@ impl RunSummary {
                 d.queued.as_ns()
             ),
         };
-        let gc = match &r.gc {
-            None => "null".to_string(),
-            Some(g) => format!(
-                "{{\"collections\":{},\"moved_pages\":{},\"erases\":{},\
-                 \"host_programs\":{},\"gc_programs\":{}}}",
-                g.collections, g.moved_pages, g.erases, g.host_programs, g.gc_programs
-            ),
-        };
         let life = match r.ssd_life_used {
             None => "null".to_string(),
             Some(l) => format!("{l:?}"),
@@ -190,7 +182,7 @@ impl RunSummary {
              \"read_latency\":{},\"write_latency\":{},\
              \"cpu_utilization\":{:?},\"storage_cpu_utilization\":{:?},\
              \"ssd_writes\":{},\"energy_wh\":{:?},\
-             \"report\":{{\"name\":{:?},\"ssd\":{},\"hdd\":{},\"gc\":{},\
+             \"report\":{{\"name\":{:?},\"ssd\":{},\"hdd\":{},\
              \"ssd_life_used\":{},\"device_energy_uj\":{:?}}}}}",
             self.system,
             self.workload,
@@ -208,7 +200,6 @@ impl RunSummary {
             r.name,
             dev(&r.ssd),
             dev(&r.hdd),
-            gc,
             life,
             r.device_energy.as_uj(),
         )

@@ -4,7 +4,7 @@
 //! baselines — is some arrangement of at most one SSD, some HDDs and a RAM
 //! buffer. [`DeviceArray`] owns that arrangement and centralises the
 //! accounting every end-of-run table reads: per-device operation stats,
-//! wear/erase counters, energy totals, and [`SystemReport`] assembly.
+//! SSD life used, energy totals, and [`SystemReport`] assembly.
 //! Systems keep their *policies* (what to cache, where to log, how to
 //! stripe); the substrate beneath them is shared.
 //!
@@ -30,7 +30,6 @@ use crate::energy::MicroJoules;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::hdd::Hdd;
 use crate::request::Request;
-use crate::ssd::ftl::GcStats;
 use crate::ssd::Ssd;
 use crate::stats::DeviceStats;
 use crate::system::SystemReport;
@@ -207,33 +206,6 @@ impl DeviceArray {
         });
     }
 
-    /// Host-level SSD operation stats, if the array has an SSD.
-    pub fn ssd_stats(&self) -> Option<DeviceStats> {
-        self.ssd.as_ref().map(|s| s.stats().clone())
-    }
-
-    /// Operation stats aggregated over every HDD, if the array has any.
-    pub fn hdd_stats(&self) -> Option<DeviceStats> {
-        if self.hdds.is_empty() {
-            return None;
-        }
-        let mut merged = DeviceStats::new();
-        for d in &self.hdds {
-            merged.merge(d.stats());
-        }
-        Some(merged)
-    }
-
-    /// SSD garbage-collection stats, if the array has an SSD.
-    pub fn gc_stats(&self) -> Option<GcStats> {
-        self.ssd.as_ref().map(|s| *s.gc_stats())
-    }
-
-    /// Fraction of SSD endurance consumed, if the array has an SSD.
-    pub fn ssd_life_used(&self) -> Option<f64> {
-        self.ssd.as_ref().map(|s| s.wear().life_used())
-    }
-
     /// Total energy drawn by every device over `elapsed`.
     pub fn device_energy(&self, elapsed: Ns) -> MicroJoules {
         let mut total = self
@@ -249,12 +221,18 @@ impl DeviceArray {
     /// Assembles the end-of-run [`SystemReport`]: each section is present
     /// exactly when the corresponding device exists.
     pub fn report(&self, name: &str, elapsed: Ns) -> SystemReport {
+        let hdd = (!self.hdds.is_empty()).then(|| {
+            let mut merged = DeviceStats::new();
+            for d in &self.hdds {
+                merged.merge(d.stats());
+            }
+            merged
+        });
         SystemReport {
             name: name.to_string(),
-            ssd: self.ssd_stats(),
-            hdd: self.hdd_stats(),
-            gc: self.gc_stats(),
-            ssd_life_used: self.ssd_life_used(),
+            ssd: self.ssd.as_ref().map(|s| s.stats().clone()),
+            hdd,
+            ssd_life_used: self.ssd.as_ref().map(|s| s.wear().life_used()),
             device_energy: self.device_energy(elapsed),
         }
     }
@@ -284,7 +262,6 @@ mod tests {
         assert_eq!(r.name, "flash");
         assert_eq!(r.ssd.unwrap().writes, 1);
         assert!(r.hdd.is_none());
-        assert!(r.gc.is_some());
         assert!(r.ssd_life_used.is_some());
     }
 
@@ -295,7 +272,7 @@ mod tests {
             a.hdd_at_mut(i).write(Ns::ZERO, i as u64, 1).unwrap();
         }
         let r = a.report("raid", Ns::from_secs(1));
-        assert!(r.ssd.is_none() && r.gc.is_none() && r.ssd_life_used.is_none());
+        assert!(r.ssd.is_none() && r.ssd_life_used.is_none());
         assert_eq!(r.hdd.unwrap().writes, 3);
         // Three spindles draw more than one.
         let one = DeviceArray::striped(vec![small_hdd()]).device_energy(Ns::from_secs(1));

@@ -11,47 +11,9 @@
 use super::flash::{FlashConfig, FlashOp};
 use super::wear::WearTracker;
 use super::SsdError;
-use serde::{Deserialize, Serialize};
 
 const PPN_NONE: u64 = u64::MAX;
 const LPN_NONE: u64 = u64::MAX;
-
-/// Counters for internal garbage-collection traffic, used to compute write
-/// amplification.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GcStats {
-    /// GC passes executed.
-    pub collections: u64,
-    /// Valid pages relocated by GC.
-    pub moved_pages: u64,
-    /// Blocks erased (all causes).
-    pub erases: u64,
-    /// Pages programmed on behalf of the host.
-    pub host_programs: u64,
-    /// Pages programmed by GC relocation.
-    pub gc_programs: u64,
-}
-
-impl GcStats {
-    /// Total programs / host programs; 1.0 when no GC traffic has occurred.
-    pub fn write_amplification(&self) -> f64 {
-        if self.host_programs == 0 {
-            1.0
-        } else {
-            (self.host_programs + self.gc_programs) as f64 / self.host_programs as f64
-        }
-    }
-
-    /// Folds another FTL's counters into this one (sharded engines report
-    /// the union of their per-shard SSDs).
-    pub fn merge(&mut self, other: &GcStats) {
-        self.collections += other.collections;
-        self.moved_pages += other.moved_pages;
-        self.erases += other.erases;
-        self.host_programs += other.host_programs;
-        self.gc_programs += other.gc_programs;
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BlockState {
@@ -100,7 +62,6 @@ pub struct Ftl {
     next_channel: u32,
     in_gc: bool,
     wear: WearTracker,
-    gc: GcStats,
 }
 
 impl Ftl {
@@ -133,7 +94,6 @@ impl Ftl {
             next_channel: 0,
             in_gc: false,
             wear,
-            gc: GcStats::default(),
             logical_pages,
             cfg,
         }
@@ -157,11 +117,6 @@ impl Ftl {
     pub fn map_read(&self, lpn: u64) -> Option<u64> {
         let ppn = self.l2p[lpn as usize];
         (ppn != PPN_NONE).then_some(ppn)
-    }
-
-    /// Garbage-collection statistics.
-    pub fn gc_stats(&self) -> &GcStats {
-        &self.gc
     }
 
     /// Wear counters.
@@ -200,7 +155,6 @@ impl Ftl {
         self.p2l[ppn as usize] = lpn;
         self.blocks[self.cfg.block_of_page(ppn) as usize].valid += 1;
         self.ch_valid[self.cfg.channel_of_page(ppn) as usize] += 1;
-        self.gc.host_programs += 1;
         ops.push(FlashOp::Program { ppn, host: true });
         Ok(ops)
     }
@@ -340,7 +294,6 @@ impl Ftl {
                 // Nothing reclaimable anywhere on this channel.
                 return Err(SsdError::Full);
             }
-            self.gc.collections += 1;
             // Relocate every valid page of the victim.
             let first = self.cfg.first_page(victim);
             for p in 0..self.cfg.pages_per_block as u64 {
@@ -356,8 +309,6 @@ impl Ftl {
                 self.p2l[dest as usize] = lpn;
                 self.blocks[victim as usize].valid -= 1;
                 self.blocks[self.cfg.block_of_page(dest) as usize].valid += 1;
-                self.gc.moved_pages += 1;
-                self.gc.gc_programs += 1;
                 ops.push(FlashOp::Program {
                     ppn: dest,
                     host: false,
@@ -390,7 +341,6 @@ impl Ftl {
 
     fn erase(&mut self, block: u32, ops: &mut Vec<FlashOp>) {
         ops.push(FlashOp::Erase { block });
-        self.gc.erases += 1;
         let retired = self.wear.count_erase(block);
         let st = &mut self.blocks[block as usize];
         st.written = 0;
@@ -452,17 +402,31 @@ mod tests {
         *state
     }
 
+    /// Adds the host programs, GC programs and erases among `ops` (the
+    /// physical work `Ftl::write` reports) to `t`.
+    fn tally(ops: &[FlashOp], t: &mut [u64; 3]) {
+        for op in ops {
+            match op {
+                FlashOp::Program { host: true, .. } => t[0] += 1,
+                FlashOp::Program { host: false, .. } => t[1] += 1,
+                FlashOp::Erase { .. } => t[2] += 1,
+                FlashOp::Read { .. } => {}
+            }
+        }
+    }
+
     #[test]
     fn overwrite_churn_triggers_gc_and_stays_consistent() {
         let mut f = small_ftl();
+        let mut total = [0; 3];
         for lpn in 0..150u64 {
-            f.write(lpn).unwrap();
+            tally(&f.write(lpn).unwrap(), &mut total);
         }
         // Uniform random overwrites mix ages within every block, so GC
         // victims always carry some valid pages to relocate.
         let mut rng = 0x1234_5678_9abc_def0u64;
         for step in 0..3_000u64 {
-            f.write(xorshift(&mut rng) % 150).unwrap();
+            tally(&f.write(xorshift(&mut rng) % 150).unwrap(), &mut total);
             if step % 500 == 0 {
                 // Every logical page must stay mapped and unique.
                 let mut seen = std::collections::HashSet::new();
@@ -472,9 +436,11 @@ mod tests {
                 }
             }
         }
-        assert!(f.gc_stats().collections > 0, "churn must trigger GC");
-        assert!(f.gc_stats().write_amplification() > 1.0);
-        assert!(f.wear().total_erases() > 0);
+        let [host, gc, erases] = total;
+        assert_eq!(host, 3_150, "one host program per write");
+        assert!(gc > 0, "churn must relocate pages (amplify writes)");
+        assert!(erases > 0, "churn must trigger GC");
+        assert_eq!(erases, f.wear().total_erases());
     }
 
     #[test]
@@ -536,9 +502,10 @@ mod tests {
     #[test]
     fn write_amplification_is_one_without_gc() {
         let mut f = small_ftl();
+        let mut total = [0; 3];
         for lpn in 0..50u64 {
-            f.write(lpn).unwrap();
+            tally(&f.write(lpn).unwrap(), &mut total);
         }
-        assert_eq!(f.gc_stats().write_amplification(), 1.0);
+        assert_eq!(total, [50, 0, 0], "no GC program, no erase");
     }
 }

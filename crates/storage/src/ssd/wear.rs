@@ -52,11 +52,6 @@ impl WearTracker {
         self.erase_counts.iter().map(|&c| c as u64).sum()
     }
 
-    /// Highest per-block erase count.
-    pub fn max_erases(&self) -> u32 {
-        self.erase_counts.iter().copied().max().unwrap_or(0)
-    }
-
     /// Mean per-block erase count.
     pub fn mean_erases(&self) -> f64 {
         if self.erase_counts.is_empty() {
@@ -89,7 +84,6 @@ mod tests {
         assert!(!w.count_erase(0));
         assert!(!w.count_erase(1));
         assert_eq!(w.total_erases(), 3);
-        assert_eq!(w.max_erases(), 2);
         assert!((w.mean_erases() - 0.75).abs() < 1e-12);
     }
 

@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Every device model updates one of these as it services operations; the
 /// evaluation harness reads them to reproduce Table 6 (SSD write counts) and
-/// the utilization figures. Flash erases are the FTL's to count
-/// ([`GcStats::erases`](crate::ssd::ftl::GcStats::erases)).
+/// the utilization figures. Flash erases are the wear tracker's to count
+/// ([`WearTracker::total_erases`](crate::ssd::wear::WearTracker::total_erases)).
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceStats {
     /// Completed read operations.

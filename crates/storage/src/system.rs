@@ -10,7 +10,6 @@ use crate::cpu::CpuModel;
 use crate::energy::MicroJoules;
 use crate::pipeline::Ticket;
 use crate::request::{Completion, Request};
-use crate::ssd::ftl::GcStats;
 use crate::stats::DeviceStats;
 use crate::time::Ns;
 use serde::{Deserialize, Serialize};
@@ -78,8 +77,6 @@ pub struct SystemReport {
     pub ssd: Option<DeviceStats>,
     /// Aggregated HDD stats, if the architecture has disks.
     pub hdd: Option<DeviceStats>,
-    /// SSD garbage-collection stats, if applicable.
-    pub gc: Option<GcStats>,
     /// Fraction of SSD endurance consumed, if applicable.
     pub ssd_life_used: Option<f64>,
     /// Energy drawn by the storage devices over the run (CPU energy is added
@@ -104,7 +101,6 @@ impl SystemReport {
         }
         merge_opt(&mut self.ssd, &other.ssd, |a, b| a.merge(b));
         merge_opt(&mut self.hdd, &other.hdd, |a, b| a.merge(b));
-        merge_opt(&mut self.gc, &other.gc, |a, b| a.merge(b));
         merge_opt(&mut self.ssd_life_used, &other.ssd_life_used, |a, b| {
             *a = a.max(*b)
         });

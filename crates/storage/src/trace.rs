@@ -686,6 +686,34 @@ impl TraceSink for RingSink {
     }
 }
 
+/// A tee: every event reaches both sinks, with its shard tag.
+impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
+    fn record(&mut self, event: TraceEvent) {
+        self.0.record(event.clone());
+        self.1.record(event);
+    }
+
+    fn record_sharded(&mut self, shard: u32, event: TraceEvent) {
+        self.0.record_sharded(shard, event.clone());
+        self.1.record_sharded(shard, event);
+    }
+}
+
+/// A sink that may be absent: `None` drops every event.
+impl<S: TraceSink> TraceSink for Option<S> {
+    fn record(&mut self, event: TraceEvent) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
+
+    fn record_sharded(&mut self, shard: u32, event: TraceEvent) {
+        if let Some(sink) = self {
+            sink.record_sharded(shard, event);
+        }
+    }
+}
+
 /// A counting-only sink: no event storage, just totals. The trace-oracle
 /// tests diff the device and host counts against `SystemReport`,
 /// `RunSummary` and `IcashStats`; injected faults and the controller's
@@ -1257,6 +1285,21 @@ mod tests {
             kind: TraceKind::RequestEnd,
         });
         assert_eq!(sink.lock().expect("sink").0, vec![0, 5]);
+    }
+
+    #[test]
+    fn a_tee_feeds_both_sinks_and_an_absent_sink_drops() {
+        for ring in [Some(RingSink::new(8)), None] {
+            let mut tee = (TraceStats::default(), ring);
+            for lba in 0..3 {
+                let kind = TraceKind::RamHit { lba };
+                tee.record_sharded(2, TraceEvent { at: Ns::ZERO, kind });
+            }
+            assert_eq!(tee.0.ram_hits, 3);
+            if let Some(ring) = tee.1 {
+                assert_eq!(ring.events().len(), 3);
+            }
+        }
     }
 
     #[test]

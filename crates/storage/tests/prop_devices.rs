@@ -3,7 +3,7 @@
 //! loses or aliases a mapping.
 
 use icash_storage::hdd::{Hdd, HddConfig};
-use icash_storage::ssd::flash::FlashConfig;
+use icash_storage::ssd::flash::{FlashConfig, FlashOp};
 use icash_storage::ssd::ftl::Ftl;
 use icash_storage::ssd::{Ssd, SsdConfig};
 use icash_storage::time::Ns;
@@ -68,8 +68,8 @@ proptest! {
     }
 
     /// The FTL keeps the logical→physical map a bijection over mapped pages
-    /// under arbitrary write/trim churn, and host-program accounting is
-    /// exact.
+    /// under arbitrary write/trim churn, and every write programs exactly one
+    /// host page.
     #[test]
     fn ftl_mapping_stays_bijective(ops in prop::collection::vec((0u64..96, any::<bool>()), 1..400)) {
         let cfg = FlashConfig {
@@ -81,12 +81,12 @@ proptest! {
         };
         let mut ftl = Ftl::new(cfg, 96);
         let mut mapped: HashMap<u64, ()> = HashMap::new();
-        let mut host_writes = 0u64;
         for (lpn, write) in ops {
             if write {
-                ftl.write(lpn).expect("space must suffice at 50% fill");
+                let done = ftl.write(lpn).expect("space must suffice at 50% fill");
+                let host = |op: &&FlashOp| matches!(op, FlashOp::Program { host: true, .. });
+                prop_assert_eq!(done.iter().filter(host).count(), 1, "one host program");
                 mapped.insert(lpn, ());
-                host_writes += 1;
             } else {
                 ftl.trim(lpn);
                 mapped.remove(&lpn);
@@ -99,7 +99,6 @@ proptest! {
             }
             prop_assert_eq!(ftl.mapped_pages(), mapped.len() as u64);
         }
-        prop_assert_eq!(ftl.gc_stats().host_programs, host_writes);
     }
 
     /// SSD reads of written pages always succeed and time stays monotonic

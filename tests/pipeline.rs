@@ -14,9 +14,9 @@ use icash::core::{Icash, IcashConfig, IcashConfigBuilder, IcashStats};
 use icash::metrics::trace::{parse_jsonl, JsonlSink, TraceProfile};
 use icash::storage::block::{BlockBuf, Lba};
 use icash::storage::cpu::CpuModel;
-use icash::storage::fault::FaultPlan;
+use icash::storage::fault::{FaultPlan, HealthPolicy};
 use icash::storage::model::{Allow, VersionModel};
-use icash::storage::request::Request;
+use icash::storage::request::{IoErrorKind, Request};
 use icash::storage::system::{ContentSource, IoCtx, StorageSystem, ZeroSource};
 use icash::storage::time::Ns;
 use icash::storage::trace::{TraceSink, TraceStats, Tracer};
@@ -242,6 +242,50 @@ fn staged_blocks_serve_read_your_writes() {
         fetches_before,
         "read-your-writes must not touch the HDD log"
     );
+}
+
+/// Admission control covers every write: with staging capped at two
+/// entries, 8-block (streamed) spans are refused block by block with
+/// `Busy`, each refusal traced once, and every block reads back its last
+/// accepted version.
+#[test]
+fn span_writes_pass_admission_control() {
+    let health = HealthPolicy {
+        staging_cap: 2,
+        ..HealthPolicy::inert()
+    };
+    let cfg = config_builder().flush_interval(1).group_commit_depth(8);
+    let (mut sys, counts) = counted(Icash::new(cfg.health(health).build()));
+    let backing = ZeroSource;
+    let mut cpu = CpuModel::xeon();
+    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+    let mut latest = vec![BlockBuf::zeroed(); SPAN as usize];
+    let (mut refused, mut t) = (0, Ns::ZERO);
+    for op in 0..32u64 {
+        let first = op * 8 % SPAN;
+        let blocks: Vec<_> = (first..first + 8).map(|lba| payload(lba, op)).collect();
+        let c = sys.submit(
+            &Request::write_span(Lba::new(first), t, blocks.clone()),
+            &mut ctx,
+        );
+        t = c.finished;
+        assert!(c.errors.iter().all(|e| e.kind == IoErrorKind::Busy));
+        refused += c.errors.len() as u64;
+        for (lba, buf) in (first..).zip(blocks) {
+            if c.errors.iter().all(|e| e.lba != Lba::new(lba)) {
+                latest[lba as usize] = buf;
+            }
+        }
+    }
+    assert!(refused > 0, "no span block was refused at the cap");
+    assert_eq!(seen(&counts).backpressure_rejects, refused);
+    assert_eq!(sys.stats().busy_rejections, refused);
+    sys.debug_validate();
+    for (lba, want) in (0..).zip(&latest) {
+        let c = sys.submit(&Request::read(Lba::new(lba), t), &mut ctx);
+        t = c.finished;
+        assert!(c.errors.is_empty() && c.data[0] == *want, "lba {lba}");
+    }
 }
 
 /// 1400 seeded noise bytes at the front of a zero block: a zero-based delta
