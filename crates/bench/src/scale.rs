@@ -60,10 +60,14 @@ const MIN_WALL_SPEEDUP: f64 = 4.0;
 /// Splits a recorded outer-address op stream into one per-shard stream
 /// with the router's striping ([`stripes`]): an op touching several
 /// shards becomes one smaller op on each. At one shard this is the
-/// identity. Think/CPU costs ride along unchanged — each shard's closed
-/// loop models a client driving that shard.
+/// identity, and the one part shares the input's buffer. Think/CPU costs
+/// ride along unchanged — each shard's closed loop models a client
+/// driving that shard.
 fn partition_trace(trace: &Trace, shards: u32) -> Vec<Trace> {
-    let mut per_shard: Vec<Vec<WorkloadOp>> = vec![Vec::new(); shards.max(1) as usize];
+    if shards <= 1 {
+        return vec![trace.clone()];
+    }
+    let mut per_shard: Vec<Vec<WorkloadOp>> = vec![Vec::new(); shards as usize];
     for op in trace.ops() {
         for (shard, _, lba, count) in stripes(op.lba, op.blocks as u64, shards) {
             per_shard[shard as usize].push(WorkloadOp {
@@ -449,6 +453,45 @@ mod tests {
                 .collect();
             prop_assert_eq!(partitioned, split);
         }
+    }
+
+    #[test]
+    fn one_shard_partition_shares_the_trace_and_wider_splits_hold() {
+        let op = |lba: u64, blocks: u32| WorkloadOp {
+            op: Op::Read,
+            lba: Lba::new(lba),
+            blocks,
+            app_cpu: Ns::from_us(3),
+            think: Ns::from_us(7),
+        };
+        let trace = Trace::from_ops(vec![op(5, 7), op(12, 1), op(3, 2)]);
+        let parts = partition_trace(&trace, 1);
+        assert_eq!(parts.len(), 1);
+        assert!(std::ptr::eq(parts[0].ops().as_ptr(), trace.ops().as_ptr()));
+        let split = |shards| -> Vec<Vec<(u64, u32)>> {
+            partition_trace(&trace, shards)
+                .iter()
+                .map(|part| {
+                    part.ops()
+                        .iter()
+                        .map(|o| (o.lba.offset(), o.blocks))
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(
+            split(2),
+            vec![vec![(3, 3), (6, 1), (2, 1)], vec![(2, 4), (1, 1)]]
+        );
+        assert_eq!(
+            split(4),
+            vec![
+                vec![(2, 1), (3, 1), (1, 1)],
+                vec![(1, 2)],
+                vec![(1, 2)],
+                vec![(1, 2), (0, 1)]
+            ]
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! model generates block *content*, deterministically, with the two
 //! properties the paper's gains rest on:
 //!
-//! * **Content locality within blocks**: a write changes only 5–20 % of a
-//!   block's bits (paper §2.2), in a few clusters.
+//! * **Content locality within blocks**: version v is version 0 with v's one
+//!   clustered mutation on it, ≈ 2 × `mutation_bytes` from v − 1 (paper §2.2: 5–20 % of bits).
 //! * **Content locality across blocks**: blocks come in *families* sharing
 //!   a common base (database pages of one table, blocks of cloned VM
 //!   images), so one family member can reference-encode the others.
@@ -33,7 +33,7 @@ pub struct ContentProfile {
     pub unique_permille: u32,
     /// Bytes that distinguish one family member from another.
     pub personal_bytes: usize,
-    /// Bytes changed by one write (the 5–20 %-of-bits observation).
+    /// Bytes one version's mutation overwrites on version 0.
     pub mutation_bytes: usize,
     /// Clusters the mutated bytes are grouped into.
     pub clusters: usize,

@@ -8,11 +8,16 @@
 
 use crate::spec::WorkloadSpec;
 use crate::workload::{Workload, WorkloadOp};
+use std::sync::Arc;
 
 /// A recorded operation stream.
+///
+/// Immutable once built, so clones share one buffer: cloning is a
+/// refcount, and every system a stream is replayed against reads the same
+/// ops without a copy.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    ops: Vec<WorkloadOp>,
+    ops: Arc<[WorkloadOp]>,
 }
 
 impl Trace {
@@ -25,7 +30,7 @@ impl Trace {
 
     /// Wraps an existing op list.
     pub fn from_ops(ops: Vec<WorkloadOp>) -> Trace {
-        Trace { ops }
+        Trace { ops: ops.into() }
     }
 
     /// Number of recorded operations.
@@ -106,6 +111,18 @@ mod tests {
         let mut player = TracePlayer::new(sysbench::spec(), trace);
         for i in 0..7 {
             assert_eq!(player.next_op(), expected[i % 3]);
+        }
+    }
+
+    #[test]
+    fn clones_share_one_buffer() {
+        let mut wl = sysbench::workload(4);
+        let trace = Trace::record(&mut wl, 50);
+        let copy = trace.clone();
+        assert!(std::ptr::eq(trace.ops().as_ptr(), copy.ops().as_ptr()));
+        let mut player = TracePlayer::new(sysbench::spec(), copy);
+        for op in trace.ops() {
+            assert_eq!(player.next_op(), *op);
         }
     }
 
